@@ -136,6 +136,8 @@ pub struct Binder<'e> {
     registry: ColumnRegistry,
     next_table_id: u32,
     params: &'e HashMap<String, Value>,
+    /// Bind a supplied `@param` as its value (UPDATE/DELETE binds).
+    fold_params: bool,
     view_members: Vec<(String, usize)>,
     dep_servers: Vec<String>,
     stats_as_of: Option<std::time::Instant>,
@@ -149,10 +151,23 @@ impl<'e> Binder<'e> {
             registry: ColumnRegistry::new(),
             next_table_id: 0,
             params,
+            fold_params: false,
             view_members: Vec::new(),
             dep_servers: Vec::new(),
             stats_as_of: None,
             used_feedback: false,
+        }
+    }
+
+    /// A binder for UPDATE/DELETE: every `@param` with a supplied value
+    /// binds as that literal. DML is never plan-cached, so the values in
+    /// hand are the only ones the bound predicate will ever see, and as
+    /// literals they reach `domain_for` — member pruning and the
+    /// row-location seek — like any constant.
+    pub fn for_dml(engine: &'e Engine, params: &'e HashMap<String, Value>) -> Self {
+        Binder {
+            fold_params: true,
+            ..Binder::new(engine, params)
         }
     }
 
@@ -1133,7 +1148,13 @@ impl<'e> Binder<'e> {
         match e {
             ast::Expr::Literal(v) => Ok(ScalarExpr::Literal(v.clone())),
             ast::Expr::Column(parts) => Ok(ScalarExpr::Column(scope.resolve(parts)?.id)),
-            ast::Expr::Param(p) => Ok(ScalarExpr::Param(p.clone())),
+            ast::Expr::Param(p) => {
+                let folded = self.fold_params.then(|| self.params.get(p)).flatten();
+                Ok(match folded {
+                    Some(v) => ScalarExpr::Literal(v.clone()),
+                    None => ScalarExpr::Param(p.clone()),
+                })
+            }
             ast::Expr::Unary { op, operand } => {
                 let inner = self.bind_expr(operand, scope)?;
                 Ok(match op {

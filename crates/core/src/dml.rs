@@ -10,13 +10,13 @@ use crate::result::QueryResult;
 use dhqp_dtc::DistributedTransaction;
 use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
 use dhqp_executor::ops::retry::with_retries;
+use dhqp_executor::ExecContext;
 use dhqp_federation::PartitionedView;
-use dhqp_oledb::{DataSource, RowsetExt, Session};
+use dhqp_oledb::{DataSource, KeyRange, RowsetExt, Session};
 use dhqp_optimizer::logical::TableMeta;
-use dhqp_optimizer::props::ColumnRegistry;
 use dhqp_optimizer::ScalarExpr;
 use dhqp_sqlfront as ast;
-use dhqp_types::{DhqpError, Result, Row, Value};
+use dhqp_types::{DhqpError, Interval, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -254,6 +254,213 @@ fn insert_into_view(
 }
 
 // ---------------------------------------------------------------------------
+// UPDATE / DELETE: binding and row location
+// ---------------------------------------------------------------------------
+
+/// One table an UPDATE/DELETE writes, bound once for the statement.
+struct BoundTarget {
+    server: Option<String>,
+    meta: Arc<TableMeta>,
+    /// The WHERE clause over `meta`'s columns, supplied parameters folded
+    /// to literals.
+    predicate: Option<ScalarExpr>,
+    /// UPDATE SET list as `(schema position, value)`; empty for DELETE.
+    assignments: Vec<(usize, ScalarExpr)>,
+    /// Index into the view's members when the table is one.
+    member: Option<usize>,
+}
+
+/// Everything an UPDATE/DELETE writes: the tables its WHERE clause can
+/// touch, and the context its expressions evaluate in.
+struct WriteSet {
+    view: Option<PartitionedView>,
+    targets: Vec<BoundTarget>,
+    ctx: ExecContext,
+}
+
+impl WriteSet {
+    fn bind(
+        engine: &Engine,
+        name: &ast::ObjectName,
+        where_clause: Option<&ast::Expr>,
+        assignments: &[(String, ast::Expr)],
+        params: &HashMap<String, Value>,
+    ) -> Result<WriteSet> {
+        let mut binder = Binder::for_dml(engine, params);
+        let mut bind = |server: &Option<String>, table: &str, member| -> Result<BoundTarget> {
+            let meta = binder.bind_dml_table(server.as_deref(), table)?;
+            let predicate = where_clause
+                .map(|e| binder.bind_expr_in_table(e, &meta))
+                .transpose()?;
+            let assignments = assignments
+                .iter()
+                .map(|(col, e)| {
+                    let pos = meta
+                        .schema
+                        .index_of(col)
+                        .ok_or_else(|| DhqpError::Bind(format!("unknown UPDATE column '{col}'")))?;
+                    Ok((pos, binder.bind_expr_in_table(e, &meta)?))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            Ok(BoundTarget {
+                server: server.clone(),
+                meta,
+                predicate,
+                assignments,
+                member,
+            })
+        };
+        let (view, targets) = match resolve_target(engine, name)? {
+            Target::Table(server, table) => (None, vec![bind(&server, &table, None)?]),
+            Target::View(view) => {
+                // Static pruning (§4.1.5): member 0's bound predicate gives
+                // the partitioning-column domain that decides which other
+                // members are bound, and written, at all.
+                let mut bind_member = |m: usize| {
+                    let member = &view.members[m];
+                    bind(&member.server, &member.table, Some(m))
+                };
+                let first = bind_member(0)?;
+                let members = match &first.predicate {
+                    Some(p) => view.members_for_domain(
+                        &p.domain_for(first.meta.column_id(view.partition_column)),
+                    ),
+                    None => (0..view.members.len()).collect(),
+                };
+                let mut first = Some(first);
+                let mut targets = Vec::with_capacity(members.len());
+                for m in members {
+                    targets.push(match first.take_if(|_| m == 0) {
+                        Some(bound) => bound,
+                        None => bind_member(m)?,
+                    });
+                }
+                (Some(view), targets)
+            }
+        };
+        let ctx = engine.exec_context(params.clone(), Arc::new(binder.registry_snapshot()));
+        Ok(WriteSet { view, targets, ctx })
+    }
+
+    /// Servers the bound targets live on.
+    fn participants(&self) -> Vec<Option<String>> {
+        self.targets.iter().map(|t| t.server.clone()).collect()
+    }
+
+    /// A write to a plain local table may have changed indexed text.
+    fn refresh_fulltext(&self, engine: &Engine) -> Result<()> {
+        match (&self.view, self.targets.as_slice()) {
+            (None, [target]) if target.server.is_none() => {
+                engine.refresh_fulltext_index(&target.meta.table)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The index seek that reaches every row `predicate` can select in
+    /// `target`: the first index whose leading key column the predicate
+    /// bounds, over the hull of that column's domain (narrowed by the CHECK
+    /// range when the column partitions a view member). One seek is one
+    /// request, like the scan it replaces; splitting a hull with holes into
+    /// a seek per interval would trade round trips for bytes, a cost
+    /// decision this path does not take.
+    fn plan_seek(&self, target: &BoundTarget, predicate: &ScalarExpr) -> Seek {
+        let meta = &target.meta;
+        if target.server.is_some() && !meta.caps.index_support {
+            return Seek::Unbounded;
+        }
+        for index in &meta.indexes {
+            let Some(lead) = meta.schema.index_of(&index.key_columns[0]) else {
+                continue;
+            };
+            let mut domain = predicate.domain_for(meta.column_id(lead));
+            if domain.hull() == Some(Interval::full()) {
+                // The predicate does not bound this key; a CHECK range
+                // alone would only re-read the whole member in key order.
+                continue;
+            }
+            if let (Some(view), Some(m)) = (&self.view, target.member) {
+                if view.partition_column == lead {
+                    domain = domain.intersect(&view.members[m].check);
+                }
+            }
+            let Some(hull) = domain.hull() else {
+                return Seek::NoRows;
+            };
+            if let Some(range) = KeyRange::covering(&hull, meta.schema.column(lead).data_type) {
+                return Seek::Range(index.name.clone(), range);
+            }
+        }
+        Seek::Unbounded
+    }
+
+    /// Read the rows of `target` its predicate selects, bookmarks attached,
+    /// through the statement's own session for that server — the one that
+    /// issues the bookmark writes afterwards, enlisted or not. All rows are
+    /// collected before the caller writes anything.
+    fn locate_rows(
+        &self,
+        engine: &Engine,
+        sessions: &mut dyn SessionProvider,
+        target: &BoundTarget,
+    ) -> Result<Vec<Row>> {
+        let table = &target.meta.table;
+        let mut seek = match target.predicate.as_ref().map(|p| self.plan_seek(target, p)) {
+            Some(Seek::NoRows) => return Ok(Vec::new()),
+            Some(Seek::Range(index, range)) => Some((index, range)),
+            Some(Seek::Unbounded) | None => None,
+        };
+        let session = sessions.session(&target.server)?;
+        // Row location is a read: a transient fault here is absorbed by
+        // re-reading, while the bookmark write that follows never retries.
+        let rows = with_retries(&engine.retry_policy(), &engine.exec_counters(), || {
+            if let Some((index, range)) = &seek {
+                match session.open_index(table, index, range) {
+                    Ok(mut rowset) => return rowset.collect_rows(),
+                    // Index metadata without IRowsetIndex behind it.
+                    Err(DhqpError::Unsupported(_)) => seek = None,
+                    Err(e) => return Err(e),
+                }
+            }
+            session.open_rowset(table)?.collect_rows()
+        })?;
+        engine.record_dml_read(seek.is_some(), rows.len() as u64);
+        let Some(predicate) = &target.predicate else {
+            return Ok(rows);
+        };
+        // The seek covers a hull on one column; the full predicate decides.
+        let positions = positions_of(&target.meta.column_ids);
+        let mut out = Vec::new();
+        for row in rows {
+            let env = RowEnv {
+                positions: &positions,
+                row: &row,
+                ctx: &self.ctx,
+            };
+            if eval_predicate(predicate, &env)? {
+                out.push(row);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// How the rows a predicate can select are read.
+enum Seek {
+    /// The key domain is empty: no row qualifies, nothing is read.
+    NoRows,
+    /// `(index, range)`.
+    Range(String, KeyRange),
+    /// No index bounds the predicate — read the whole table.
+    Unbounded,
+}
+
+fn bookmark_of(row: &Row) -> Result<u64> {
+    row.bookmark
+        .ok_or_else(|| DhqpError::Execute("row without bookmark".into()))
+}
+
+// ---------------------------------------------------------------------------
 // DELETE
 // ---------------------------------------------------------------------------
 
@@ -262,145 +469,23 @@ pub fn run_delete(
     stmt: &ast::DeleteStmt,
     params: &HashMap<String, Value>,
 ) -> Result<QueryResult> {
-    let target = resolve_target(engine, &stmt.table)?;
-    let n = match target {
-        Target::Table(server, table) => {
-            let n = run_write_set(engine, std::slice::from_ref(&server), |sessions| {
-                delete_matching(
-                    engine,
-                    sessions,
-                    &server,
-                    &table,
-                    stmt.where_clause.as_ref(),
-                    params,
-                )
-            })?;
-            if server.is_none() {
-                engine.refresh_fulltext_index(&table)?;
+    let set = WriteSet::bind(engine, &stmt.table, stmt.where_clause.as_ref(), &[], params)?;
+    let n = run_write_set(engine, &set.participants(), |sessions| {
+        let mut n = 0;
+        for target in &set.targets {
+            let rows = set.locate_rows(engine, sessions, target)?;
+            if rows.is_empty() {
+                continue;
             }
-            n
+            let bookmarks = rows.iter().map(bookmark_of).collect::<Result<Vec<_>>>()?;
+            n += sessions
+                .session(&target.server)?
+                .delete_by_bookmarks(&target.meta.table, &bookmarks)?;
         }
-        Target::View(view) => {
-            let members = prune_members(engine, &view, stmt.where_clause.as_ref(), params)?;
-            let participants: Vec<Option<String>> = members
-                .iter()
-                .map(|&m| view.members[m].server.clone())
-                .collect();
-            run_write_set(engine, &participants, |sessions| {
-                let mut n = 0;
-                for &m in &members {
-                    let member = &view.members[m];
-                    n += delete_matching(
-                        engine,
-                        sessions,
-                        &member.server,
-                        &member.table,
-                        stmt.where_clause.as_ref(),
-                        params,
-                    )?;
-                }
-                Ok(n)
-            })?
-        }
-    };
-    Ok(QueryResult::rows_affected(n))
-}
-
-/// Bind a DML WHERE clause against one table's schema.
-fn bind_dml_predicate(
-    engine: &Engine,
-    server: &Option<String>,
-    table: &str,
-    where_clause: Option<&ast::Expr>,
-    params: &HashMap<String, Value>,
-) -> Result<(Arc<TableMeta>, Option<ScalarExpr>, Arc<ColumnRegistry>)> {
-    let mut binder = Binder::new(engine, params);
-    let meta = binder.bind_dml_table(server.as_deref(), table)?;
-    let predicate = match where_clause {
-        Some(e) => Some(binder.bind_expr_in_table(e, &meta)?),
-        None => None,
-    };
-    Ok((meta, predicate, Arc::new(binder.registry_snapshot())))
-}
-
-/// Members a DML WHERE clause can touch (static pruning, §4.1.5).
-fn prune_members(
-    engine: &Engine,
-    view: &PartitionedView,
-    where_clause: Option<&ast::Expr>,
-    params: &HashMap<String, Value>,
-) -> Result<Vec<usize>> {
-    let Some(where_clause) = where_clause else {
-        return Ok((0..view.members.len()).collect());
-    };
-    let member = &view.members[0];
-    let mut binder = Binder::new(engine, params);
-    let meta = binder.bind_dml_table(member.server.as_deref(), &member.table)?;
-    let predicate = binder.bind_expr_in_table(where_clause, &meta)?;
-    let part_col = meta.column_id(view.partition_column);
-    let domain = predicate.domain_for(part_col);
-    Ok(view.members_for_domain(&domain))
-}
-
-/// Scan + filter a table through a session, returning matching rows.
-fn matching_rows(
-    engine: &Engine,
-    sessions: &mut dyn SessionProvider,
-    server: &Option<String>,
-    table: &str,
-    where_clause: Option<&ast::Expr>,
-    params: &HashMap<String, Value>,
-) -> Result<Vec<Row>> {
-    let (meta, predicate, registry) =
-        bind_dml_predicate(engine, server, table, where_clause, params)?;
-    let session = sessions.session(server)?;
-    // The row-location scan is a read: a transient fault here is absorbed
-    // by re-reading, while the bookmark write that follows never retries.
-    let rows = with_retries(&engine.retry_policy(), &engine.exec_counters(), || {
-        let mut rowset = session.open_rowset(table)?;
-        rowset.collect_rows()
+        Ok(n)
     })?;
-    let Some(predicate) = predicate else {
-        return Ok(rows);
-    };
-    let positions = positions_of(&meta.column_ids);
-    let ctx = engine.exec_context(params.clone(), registry);
-    let mut out = Vec::new();
-    for row in rows {
-        let env = RowEnv {
-            positions: &positions,
-            row: &row,
-            ctx: &ctx,
-        };
-        if eval_predicate(&predicate, &env)? {
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-fn delete_matching(
-    engine: &Engine,
-    sessions: &mut dyn SessionProvider,
-    server: &Option<String>,
-    table: &str,
-    where_clause: Option<&ast::Expr>,
-    params: &HashMap<String, Value>,
-) -> Result<u64> {
-    let rows = matching_rows(engine, sessions, server, table, where_clause, params)?;
-    let bookmarks: Vec<u64> = rows
-        .iter()
-        .map(|r| {
-            r.bookmark
-                .ok_or_else(|| DhqpError::Execute("row without bookmark".into()))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    if bookmarks.is_empty() {
-        return Ok(0);
-    }
-    sessions
-        .session(server)?
-        .delete_by_bookmarks(table, &bookmarks)
+    set.refresh_fulltext(engine)?;
+    Ok(QueryResult::rows_affected(n))
 }
 
 // ---------------------------------------------------------------------------
@@ -412,102 +497,59 @@ pub fn run_update(
     stmt: &ast::UpdateStmt,
     params: &HashMap<String, Value>,
 ) -> Result<QueryResult> {
-    let target = resolve_target(engine, &stmt.table)?;
-    let n = match target {
-        Target::Table(server, table) => {
-            let n = run_write_set(engine, std::slice::from_ref(&server), |sessions| {
-                update_table(engine, sessions, &server, &table, stmt, params, None)
-            })?;
-            if server.is_none() {
-                engine.refresh_fulltext_index(&table)?;
-            }
-            n
-        }
-        Target::View(view) => {
-            let members = prune_members(engine, &view, stmt.where_clause.as_ref(), params)?;
-            // Partition-key updates may move rows to any member, so every
-            // member becomes a potential participant.
-            let updates_partition_key = stmt
+    let set = WriteSet::bind(
+        engine,
+        &stmt.table,
+        stmt.where_clause.as_ref(),
+        &stmt.assignments,
+        params,
+    )?;
+    // Partition-key updates may move rows to any member, so every member
+    // becomes a potential participant.
+    let participants = match &set.view {
+        Some(view)
+            if stmt
                 .assignments
                 .iter()
-                .any(|(c, _)| view.columns[view.partition_column].eq_ignore_ascii_case(c));
-            let participants: Vec<Option<String>> = if updates_partition_key {
-                view.members.iter().map(|m| m.server.clone()).collect()
-            } else {
-                members
-                    .iter()
-                    .map(|&m| view.members[m].server.clone())
-                    .collect()
-            };
-            run_write_set(engine, &participants, |sessions| {
-                let mut n = 0;
-                for &m in &members {
-                    let member = &view.members[m];
-                    n += update_table(
-                        engine,
-                        sessions,
-                        &member.server,
-                        &member.table,
-                        stmt,
-                        params,
-                        Some((&view, m)),
-                    )?;
-                }
-                Ok(n)
-            })?
+                .any(|(c, _)| view.columns[view.partition_column].eq_ignore_ascii_case(c)) =>
+        {
+            view.members.iter().map(|m| m.server.clone()).collect()
         }
+        _ => set.participants(),
     };
+    let n = run_write_set(engine, &participants, |sessions| {
+        let mut n = 0;
+        for target in &set.targets {
+            n += update_target(engine, sessions, &set, target)?;
+        }
+        Ok(n)
+    })?;
+    set.refresh_fulltext(engine)?;
     Ok(QueryResult::rows_affected(n))
 }
 
 /// Update one table (possibly a view member, enabling row moves when the
 /// partitioning key changes).
-fn update_table(
+fn update_target(
     engine: &Engine,
     sessions: &mut dyn SessionProvider,
-    server: &Option<String>,
-    table: &str,
-    stmt: &ast::UpdateStmt,
-    params: &HashMap<String, Value>,
-    view_member: Option<(&PartitionedView, usize)>,
+    set: &WriteSet,
+    target: &BoundTarget,
 ) -> Result<u64> {
-    let mut binder = Binder::new(engine, params);
-    let meta = binder.bind_dml_table(server.as_deref(), table)?;
-    let assignments: Vec<(usize, ScalarExpr)> = stmt
-        .assignments
-        .iter()
-        .map(|(col, e)| {
-            let pos = meta
-                .schema
-                .index_of(col)
-                .ok_or_else(|| DhqpError::Bind(format!("unknown UPDATE column '{col}'")))?;
-            Ok((pos, binder.bind_expr_in_table(e, &meta)?))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let registry = Arc::new(binder.registry_snapshot());
-    let rows = matching_rows(
-        engine,
-        sessions,
-        server,
-        table,
-        stmt.where_clause.as_ref(),
-        params,
-    )?;
+    let meta = &target.meta;
+    let rows = set.locate_rows(engine, sessions, target)?;
     let positions = positions_of(&meta.column_ids);
-    let ctx = engine.exec_context(params.clone(), registry);
     let mut in_place: (Vec<u64>, Vec<Row>) = (Vec::new(), Vec::new());
     let mut moves: Vec<(u64, usize, Row)> = Vec::new();
     for row in rows {
-        let bookmark = row
-            .bookmark
-            .ok_or_else(|| DhqpError::Execute("row without bookmark".into()))?;
+        let bookmark = bookmark_of(&row)?;
         let mut new_row = row.clone();
         let env = RowEnv {
             positions: &positions,
             row: &row,
-            ctx: &ctx,
+            ctx: &set.ctx,
         };
-        for (pos, e) in &assignments {
+        for (pos, e) in &target.assignments {
             let mut v = eval_expr(e, &env)?;
             let declared = meta.schema.column(*pos).data_type;
             if !v.is_null() && v.data_type() != Some(declared) {
@@ -518,7 +560,7 @@ fn update_table(
             new_row.values[*pos] = v;
         }
         new_row.bookmark = None;
-        if let Some((view, my_member)) = view_member {
+        if let (Some(view), Some(my_member)) = (&set.view, target.member) {
             let dest = view.route(new_row.get(view.partition_column))?;
             if dest != my_member {
                 moves.push((bookmark, dest, new_row));
@@ -530,15 +572,17 @@ fn update_table(
     }
     let mut n = 0;
     if !in_place.0.is_empty() {
-        n += sessions
-            .session(server)?
-            .update_by_bookmarks(table, &in_place.0, &in_place.1)?;
+        n += sessions.session(&target.server)?.update_by_bookmarks(
+            &meta.table,
+            &in_place.0,
+            &in_place.1,
+        )?;
     }
     for (bookmark, dest, new_row) in moves {
-        let (view, _) = view_member.expect("moves only exist for views");
+        let view = set.view.as_ref().expect("moves only exist for views");
         sessions
-            .session(server)?
-            .delete_by_bookmarks(table, &[bookmark])?;
+            .session(&target.server)?
+            .delete_by_bookmarks(&meta.table, &[bookmark])?;
         let dest_member = &view.members[dest];
         sessions
             .session(&dest_member.server)?

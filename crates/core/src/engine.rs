@@ -2210,6 +2210,12 @@ impl Engine {
         self.inner.metrics.exec_counters()
     }
 
+    /// Count one UPDATE/DELETE row-location read (`dml_seeks` /
+    /// `dml_scans` / `dml_rows_located`).
+    pub(crate) fn record_dml_read(&self, seek: bool, rows: u64) {
+        self.inner.metrics.record_dml_read(seek, rows);
+    }
+
     /// Build an execution context for internal evaluation (DML paths).
     pub(crate) fn exec_context(
         &self,

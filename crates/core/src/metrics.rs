@@ -157,6 +157,15 @@ pub struct MetricsSnapshot {
     /// Observed remote cardinalities written back into the statistics
     /// cache by the feedback loop (`DHQP_CARD_FEEDBACK`).
     pub card_feedback_applied: u64,
+    /// UPDATE/DELETE row-location reads answered by one index seek over
+    /// the hull of the predicate's key domain.
+    pub dml_seeks: u64,
+    /// UPDATE/DELETE row-location reads that read the whole table.
+    pub dml_scans: u64,
+    /// Rows those reads returned, before the predicate re-check — against
+    /// `rows_affected`, the price of seeking a hull rather than each
+    /// interval.
+    pub dml_rows_located: u64,
     pub dtc_commits: u64,
     pub dtc_aborts: u64,
     /// Distributed transactions currently in doubt (decision logged,
@@ -214,6 +223,9 @@ impl MetricsSnapshot {
             ("semijoin_filter_bytes", self.semijoin_filter_bytes),
             ("plan_regressions", self.plan_regressions),
             ("card_feedback_applied", self.card_feedback_applied),
+            ("dml_seeks", self.dml_seeks),
+            ("dml_scans", self.dml_scans),
+            ("dml_rows_located", self.dml_rows_located),
             ("dtc_commits", self.dtc_commits),
             ("dtc_aborts", self.dtc_aborts),
             ("dtc_in_doubt", self.dtc_in_doubt),
@@ -243,6 +255,9 @@ pub(crate) struct EngineMetrics {
     fulltext_searches: AtomicU64,
     plan_regressions: AtomicU64,
     card_feedback_applied: AtomicU64,
+    dml_seeks: AtomicU64,
+    dml_scans: AtomicU64,
+    dml_rows_located: AtomicU64,
     exec: Arc<ExecCounters>,
     recent_capacity: usize,
     recent: Mutex<VecDeque<QuerySummary>>,
@@ -283,6 +298,9 @@ impl EngineMetrics {
             fulltext_searches: AtomicU64::new(0),
             plan_regressions: AtomicU64::new(0),
             card_feedback_applied: AtomicU64::new(0),
+            dml_seeks: AtomicU64::new(0),
+            dml_scans: AtomicU64::new(0),
+            dml_rows_located: AtomicU64::new(0),
             exec: Arc::new(ExecCounters::default()),
             recent_capacity: recent_capacity.max(1),
             recent: Mutex::new(VecDeque::new()),
@@ -345,6 +363,9 @@ impl EngineMetrics {
             &self.fulltext_searches,
             &self.plan_regressions,
             &self.card_feedback_applied,
+            &self.dml_seeks,
+            &self.dml_scans,
+            &self.dml_rows_located,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
@@ -406,6 +427,17 @@ impl EngineMetrics {
 
     pub fn record_card_feedback(&self) {
         self.card_feedback_applied.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one UPDATE/DELETE row-location read and the rows it returned.
+    pub fn record_dml_read(&self, seek: bool, rows: u64) {
+        let path = if seek {
+            &self.dml_seeks
+        } else {
+            &self.dml_scans
+        };
+        path.fetch_add(1, Ordering::Relaxed);
+        self.dml_rows_located.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Count one finished statement and push its summary onto the ring.
@@ -505,6 +537,9 @@ impl EngineMetrics {
             fulltext_searches: self.fulltext_searches.load(Ordering::Relaxed),
             plan_regressions: self.plan_regressions.load(Ordering::Relaxed),
             card_feedback_applied: self.card_feedback_applied.load(Ordering::Relaxed),
+            dml_seeks: self.dml_seeks.load(Ordering::Relaxed),
+            dml_scans: self.dml_scans.load(Ordering::Relaxed),
+            dml_rows_located: self.dml_rows_located.load(Ordering::Relaxed),
             spool_hits: exec.spool_hits,
             spool_builds: exec.spool_builds,
             remote_roundtrips: exec.remote_roundtrips,
@@ -696,6 +731,8 @@ mod tests {
         let m = EngineMetrics::new(RECENT_QUERY_CAPACITY, Some(Duration::ZERO));
         m.record_meta_cache_hit();
         m.record_plan_cache_miss();
+        m.record_dml_read(true, 2);
+        m.record_dml_read(false, 40);
         m.exec_counters().add_remote_roundtrip();
         m.waits().record(WaitClass::Spool, Duration::from_millis(3));
         m.finish_statement(

@@ -16,7 +16,7 @@ use crate::rowset::Rowset;
 use crate::schema::TableInfo;
 use crate::statistics::Histogram;
 use crate::telemetry::LatencySummary;
-use dhqp_types::{DhqpError, Result, Row, Value};
+use dhqp_types::{DataType, DhqpError, Interval, IntervalBound, Result, Row, Value};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a distributed transaction, handed out by the coordinator.
@@ -147,6 +147,31 @@ impl KeyRange {
             low: Some((key.clone(), true)),
             high: Some((key, true)),
         }
+    }
+
+    /// The seek range over an index whose leading key column has type
+    /// `key_type` that reaches every key in `interval` (one-column bound
+    /// prefixes). `None` when there is nothing to seek — the interval is
+    /// unbounded on both sides — or when a bound cannot be placed in the
+    /// index order without a cast: its value is not exactly `key_type`, or
+    /// it is a float zero or NaN, where B-tree order (`-0.0 < 0.0`) and SQL
+    /// comparison (`-0.0 = 0.0`) disagree.
+    pub fn covering(interval: &Interval, key_type: DataType) -> Option<KeyRange> {
+        fn bound(b: &IntervalBound, key_type: DataType) -> Option<Option<(Vec<Value>, bool)>> {
+            let (v, inclusive) = match b {
+                IntervalBound::Unbounded => return Some(None),
+                IntervalBound::Included(v) => (v, true),
+                IntervalBound::Excluded(v) => (v, false),
+            };
+            let ambiguous = matches!(v, Value::Float(f) if *f == 0.0 || f.is_nan());
+            (v.data_type() == Some(key_type) && !ambiguous)
+                .then(|| Some((vec![v.clone()], inclusive)))
+        }
+        let range = KeyRange {
+            low: bound(&interval.low, key_type)?,
+            high: bound(&interval.high, key_type)?,
+        };
+        (range != KeyRange::all()).then_some(range)
     }
 
     /// Whether a key (compared column-wise on the shared prefix) falls in
@@ -384,6 +409,43 @@ mod tests {
         let eq = KeyRange::eq(vec![Value::Int(5)]);
         assert!(eq.contains(&[Value::Int(5)]));
         assert!(!eq.contains(&[Value::Int(6)]));
+    }
+
+    #[test]
+    fn covering_range_takes_exactly_typed_bounds_only() {
+        let int = |v| Value::Int(v);
+        assert_eq!(
+            KeyRange::covering(&Interval::between(int(3), int(9)), DataType::Int),
+            Some(KeyRange {
+                low: Some((vec![int(3)], true)),
+                high: Some((vec![int(9)], true)),
+            })
+        );
+        assert_eq!(
+            KeyRange::covering(&Interval::greater_than(int(3)), DataType::Int),
+            Some(KeyRange {
+                low: Some((vec![int(3)], false)),
+                high: None,
+            })
+        );
+        // Nothing to seek.
+        assert_eq!(KeyRange::covering(&Interval::full(), DataType::Int), None);
+        // No lossy casts: 3.5 against an INT key, '3' against an INT key.
+        for v in [Value::Float(3.5), Value::Str("3".into())] {
+            assert_eq!(KeyRange::covering(&Interval::point(v), DataType::Int), None);
+        }
+        // One foreign-typed bound spoils the range even if the other fits.
+        assert_eq!(
+            KeyRange::covering(&Interval::between(int(1), Value::Float(9.0)), DataType::Int),
+            None
+        );
+        // Float zero: the index holds -0.0 and 0.0 as different keys, SQL
+        // compares them equal.
+        assert_eq!(
+            KeyRange::covering(&Interval::point(Value::Float(0.0)), DataType::Float),
+            None
+        );
+        assert!(KeyRange::covering(&Interval::point(Value::Float(0.5)), DataType::Float).is_some());
     }
 
     #[test]

@@ -289,6 +289,16 @@ impl IntervalSet {
         self.intervals.iter().any(|i| i.contains(v))
     }
 
+    /// The smallest single interval covering every member interval — what
+    /// one index seek has to span to reach the whole domain. `None` for the
+    /// empty domain.
+    pub fn hull(&self) -> Option<Interval> {
+        Some(Interval {
+            low: self.intervals.first()?.low.clone(),
+            high: self.intervals.last()?.high.clone(),
+        })
+    }
+
     /// Set union (`OR` of predicates).
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
         let mut all = self.intervals.clone();
@@ -475,6 +485,20 @@ mod tests {
         for v in [0, 1, 3, 5, 7, 10, 15, 20, 25] {
             assert_eq!(cc.contains(&int(v)), set.contains(&int(v)), "value {v}");
         }
+    }
+
+    #[test]
+    fn hull_spans_first_low_to_last_high() {
+        let set = IntervalSet::point(int(7))
+            .union(&IntervalSet::single(Interval::greater_than(int(50))))
+            .union(&IntervalSet::point(int(3)));
+        assert_eq!(set.hull(), Some(Interval::at_least(int(3))));
+        assert_eq!(
+            IntervalSet::point(int(4)).complement().hull(),
+            Some(Interval::full()),
+            "a hole does not bound the hull"
+        );
+        assert_eq!(IntervalSet::empty().hull(), None);
     }
 
     #[test]

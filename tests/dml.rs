@@ -1,0 +1,700 @@
+//! UPDATE/DELETE row location (DESIGN.md "DML row location"): the rows a
+//! write touches are found by one index seek over the hull of the
+//! predicate's key domain, on the statement's own session, and the full
+//! table is read only when no seek applies.
+//!
+//! The differential suite runs one statement list against three set-ups —
+//! a 4-member networked federation, the same federation whose providers
+//! offer no index access (today's scan path, the reference for the wire),
+//! and a single engine holding every row in one plain table (the reference
+//! for the answer) — and requires identical `rows_affected` and identical
+//! table contents after every statement. The wire tests then pin what the
+//! seek ships, on links that carry no fault plan.
+
+use dhqp::{Engine, EngineDataSource, MetricsSnapshot};
+use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
+use dhqp_oledb::{
+    Command, DataSource, Histogram, KeyRange, ProviderCapabilities, Rowset, Session, TableInfo,
+    TrafficSnapshot, TxnId,
+};
+use dhqp_storage::{CheckConstraint, StorageEngine, TableDef};
+use dhqp_types::{Column, DataType, DhqpError, Interval, IntervalSet, Result, Row, Schema, Value};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+const MEMBERS: i64 = 4;
+const PER_MEMBER: i64 = 50;
+
+// ---------------------------------------------------------------------------
+// A provider wrapper that records every session call and can withhold
+// IRowsetIndex.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy, PartialEq)]
+enum IndexAccess {
+    /// Whatever the wrapped provider offers.
+    Native,
+    /// `caps.index_support = false`: the DHQP must not even try.
+    Unadvertised,
+    /// Advertised, listed in the metadata, but `open_index` answers
+    /// `Unsupported`.
+    Broken,
+}
+
+/// `(session id, method)` in call order, across all sessions of a source.
+type CallLog = Arc<Mutex<Vec<(u64, &'static str)>>>;
+
+struct Spy {
+    inner: Arc<dyn DataSource>,
+    index: IndexAccess,
+    log: CallLog,
+    sessions: AtomicU64,
+}
+
+impl Spy {
+    fn new(inner: Arc<dyn DataSource>, index: IndexAccess) -> (Arc<Self>, CallLog) {
+        let log = CallLog::default();
+        let spy = Arc::new(Spy {
+            inner,
+            index,
+            log: Arc::clone(&log),
+            sessions: AtomicU64::new(0),
+        });
+        (spy, log)
+    }
+}
+
+impl DataSource for Spy {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn capabilities(&self) -> ProviderCapabilities {
+        let mut caps = self.inner.capabilities();
+        if self.index == IndexAccess::Unadvertised {
+            caps.index_support = false;
+        }
+        caps
+    }
+    fn tables(&self) -> Result<Vec<TableInfo>> {
+        self.inner.tables()
+    }
+    fn create_session(&self) -> Result<Box<dyn Session>> {
+        Ok(Box::new(SpySession {
+            inner: self.inner.create_session()?,
+            id: self.sessions.fetch_add(1, Ordering::Relaxed),
+            index: self.index,
+            log: Arc::clone(&self.log),
+        }))
+    }
+}
+
+struct SpySession {
+    inner: Box<dyn Session>,
+    id: u64,
+    index: IndexAccess,
+    log: CallLog,
+}
+
+impl SpySession {
+    fn note(&self, call: &'static str) {
+        self.log.lock().unwrap().push((self.id, call));
+    }
+}
+
+impl Session for SpySession {
+    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
+        self.note("open_rowset");
+        self.inner.open_rowset(table)
+    }
+    fn create_command(&mut self) -> Result<Box<dyn Command>> {
+        self.note("create_command");
+        self.inner.create_command()
+    }
+    fn open_index(
+        &mut self,
+        table: &str,
+        index: &str,
+        range: &KeyRange,
+    ) -> Result<Box<dyn Rowset>> {
+        self.note("open_index");
+        if self.index != IndexAccess::Native {
+            return Err(DhqpError::Unsupported("no IRowsetIndex here".into()));
+        }
+        self.inner.open_index(table, index, range)
+    }
+    fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
+        self.inner.fetch_by_bookmarks(table, bookmarks)
+    }
+    fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
+        self.inner.histogram(table, column)
+    }
+    fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
+        self.note("join_transaction");
+        self.inner.join_transaction(txn)
+    }
+    fn prepare(&mut self, txn: TxnId) -> Result<()> {
+        self.note("prepare");
+        self.inner.prepare(txn)
+    }
+    fn commit(&mut self, txn: TxnId) -> Result<()> {
+        self.note("commit");
+        self.inner.commit(txn)
+    }
+    fn abort(&mut self, txn: TxnId) -> Result<()> {
+        self.note("abort");
+        self.inner.abort(txn)
+    }
+    fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
+        self.note("insert");
+        self.inner.insert(table, rows)
+    }
+    fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
+        self.note("delete_by_bookmarks");
+        self.inner.delete_by_bookmarks(table, bookmarks)
+    }
+    fn update_by_bookmarks(
+        &mut self,
+        table: &str,
+        bookmarks: &[u64],
+        updates: &[Row],
+    ) -> Result<u64> {
+        self.note("update_by_bookmarks");
+        self.inner.update_by_bookmarks(table, bookmarks, updates)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fixtures
+// ---------------------------------------------------------------------------
+
+/// `(id, balance, owner, score)`: unique index on `id`, non-unique index on
+/// `owner` (NULL for every 13th id), nothing on `balance` and `score`.
+fn create_accounts(storage: &StorageEngine, table: &str, lo: i64, hi: i64, check: bool) {
+    let mut def = TableDef::new(
+        table,
+        Schema::new(vec![
+            Column::not_null("id", DataType::Int),
+            Column::not_null("balance", DataType::Int),
+            Column::new("owner", DataType::Str),
+            Column::new("score", DataType::Float),
+        ]),
+    )
+    .with_index(&format!("pk_{table}"), &["id"], true)
+    .with_index(&format!("ix_{table}_owner"), &["owner"], false);
+    if check {
+        def = def.with_check(CheckConstraint {
+            name: format!("ck_{table}"),
+            column: "id".into(),
+            domain: member_domain(lo, hi),
+        });
+    }
+    storage.create_table(def).unwrap();
+    let rows: Vec<Row> = (lo..=hi)
+        .map(|id| {
+            let owner = if id % 13 == 0 {
+                Value::Null
+            } else {
+                Value::Str(format!("owner_{}", id % 10))
+            };
+            Row::new(vec![
+                Value::Int(id),
+                Value::Int(100),
+                owner,
+                Value::Float((id % 8) as f64 / 8.0),
+            ])
+        })
+        .collect();
+    storage.insert_rows(table, &rows).unwrap();
+}
+
+fn member_domain(lo: i64, hi: i64) -> IntervalSet {
+    IntervalSet::single(Interval::between(Value::Int(lo), Value::Int(hi)))
+}
+
+/// A head engine with `acct_all` over `acct_0..3`, one per linked server
+/// `m0..3`, ids `[50·i, 50·i + 49]`.
+struct Federation {
+    head: Engine,
+    links: Vec<NetworkLink>,
+    logs: Vec<CallLog>,
+}
+
+/// `reliable` links carry no fault plan whatever `DHQP_FAULT_SEED` says —
+/// for the tests that count requests and rows.
+fn federation(index: IndexAccess, reliable: bool) -> Federation {
+    let head = Engine::new("head");
+    let (mut links, mut logs, mut view_members) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..MEMBERS {
+        let member = Engine::new(format!("member{i}"));
+        let (lo, hi) = (i * PER_MEMBER, (i + 1) * PER_MEMBER - 1);
+        let table = format!("acct_{i}");
+        create_accounts(member.storage(), &table, lo, hi, true);
+        let (spy, log) = Spy::new(Arc::new(EngineDataSource::new(member)), index);
+        let link = NetworkLink::new(format!("m{i}"), NetworkConfig::lan());
+        let source = if reliable {
+            NetworkedDataSource::reliable(spy, link.clone())
+        } else {
+            NetworkedDataSource::new(spy, link.clone())
+        };
+        head.add_linked_server(&format!("m{i}"), Arc::new(source))
+            .unwrap();
+        view_members.push((Some(format!("m{i}")), table, member_domain(lo, hi)));
+        links.push(link);
+        logs.push(log);
+    }
+    head.define_partitioned_view("acct_all", "id", view_members)
+        .unwrap();
+    Federation { head, links, logs }
+}
+
+/// Every row of the four members in one plain local table named like the
+/// view, so the same statement text runs against it.
+fn unfederated() -> Engine {
+    let engine = Engine::new("solo");
+    create_accounts(
+        engine.storage(),
+        "acct_all",
+        0,
+        MEMBERS * PER_MEMBER - 1,
+        false,
+    );
+    engine
+}
+
+impl Federation {
+    fn traffic(&self) -> Vec<TrafficSnapshot> {
+        self.links.iter().map(NetworkLink::snapshot).collect()
+    }
+
+    /// Run `sql`, returning `rows_affected` and each link's traffic delta.
+    fn run(&self, sql: &str, params: &[(&str, Value)]) -> (u64, Vec<TrafficSnapshot>) {
+        let before = self.traffic();
+        let n = affected(&self.head, sql, params).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let delta = self
+            .traffic()
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| a.since(b))
+            .collect();
+        (n, delta)
+    }
+
+    /// Forget the calls logged so far (the logs start empty: defining the
+    /// view fetches metadata only).
+    fn clear_logs(&self) {
+        for log in &self.logs {
+            log.lock().unwrap().clear();
+        }
+    }
+
+    /// The session calls `member` saw since the last `clear_logs`, which
+    /// must all have come through one session.
+    fn calls(&self, member: usize) -> Vec<&'static str> {
+        let log = self.logs[member].lock().unwrap();
+        assert!(
+            log.iter().all(|(session, _)| *session == log[0].0),
+            "more than one session: {log:?}"
+        );
+        log.iter().map(|(_, call)| *call).collect()
+    }
+}
+
+fn affected(
+    engine: &Engine,
+    sql: &str,
+    params: &[(&str, Value)],
+) -> std::result::Result<u64, String> {
+    let params: HashMap<String, Value> = params
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect();
+    engine
+        .execute_with_params(sql, params)
+        .map(|r| r.rows_affected.expect("DML reports rows_affected"))
+        .map_err(|e| e.kind().to_string())
+}
+
+/// `acct_all` as a sorted multiset of rendered rows.
+fn contents(engine: &Engine) -> Vec<String> {
+    let r = engine
+        .query("SELECT id, balance, owner, score FROM acct_all")
+        .unwrap();
+    let mut rows: Vec<String> = r.rows.iter().map(|r| format!("{:?}", r.values)).collect();
+    rows.sort();
+    rows
+}
+
+/// What the DML counters moved by between two snapshots:
+/// `(seeks, scans, rows located)`.
+fn dml_reads(before: &MetricsSnapshot, after: &MetricsSnapshot) -> (u64, u64, u64) {
+    (
+        after.dml_seeks - before.dml_seeks,
+        after.dml_scans - before.dml_scans,
+        after.dml_rows_located - before.dml_rows_located,
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Differential suite
+// ---------------------------------------------------------------------------
+
+type Stmt = (&'static str, Vec<(&'static str, Value)>);
+
+fn statements() -> Vec<Stmt> {
+    let int = Value::Int;
+    let lit = |sql: &'static str| (sql, Vec::new());
+    vec![
+        // Key equality, IN lists on one and on several members.
+        lit("UPDATE acct_all SET balance = balance + 5 WHERE id = 17"),
+        lit("UPDATE acct_all SET balance = balance - 3 WHERE id IN (3, 4, 40)"),
+        lit("UPDATE acct_all SET balance = balance + 7 WHERE id IN (10, 60, 110, 160)"),
+        lit("UPDATE acct_all SET balance = balance + 1 WHERE id = 5 OR id = 170"),
+        // Ranges: closed across a member boundary, open on either side,
+        // with a hole.
+        lit("UPDATE acct_all SET balance = balance + 2 WHERE id BETWEEN 45 AND 55"),
+        lit("UPDATE acct_all SET balance = balance * 2 WHERE id > 190"),
+        lit("UPDATE acct_all SET balance = balance - 1 WHERE id <= 2"),
+        lit("UPDATE acct_all SET balance = 9 WHERE id <> 50 AND id BETWEEN 48 AND 52"),
+        lit("DELETE FROM acct_all WHERE id >= 195"),
+        // Predicates the key index cannot serve, alone and beside one it
+        // can.
+        lit("UPDATE acct_all SET balance = 0 WHERE score > 0.8"),
+        lit("UPDATE acct_all SET score = score + 0.5 WHERE balance = 0 AND id < 30"),
+        lit("UPDATE acct_all SET balance = 1 WHERE id = 5 OR balance = 9"),
+        lit("DELETE FROM acct_all WHERE id IN (20, 21, 22) AND score = 0.625"),
+        // The secondary index, NULL keys included.
+        lit("UPDATE acct_all SET balance = balance + 11 WHERE owner = 'owner_3'"),
+        lit("UPDATE acct_all SET owner = 'late' WHERE owner > 'owner_8'"),
+        lit("DELETE FROM acct_all WHERE owner = 'owner_5' AND id >= 100"),
+        lit("UPDATE acct_all SET owner = 'nobody' WHERE owner IS NULL AND id < 60"),
+        // Never-true and empty matches.
+        lit("UPDATE acct_all SET balance = -1 WHERE id = NULL"),
+        lit("UPDATE acct_all SET balance = -1 WHERE id > 10 AND id < 5"),
+        lit("DELETE FROM acct_all WHERE id = 100000"),
+        lit("DELETE FROM acct_all WHERE id = 17 AND balance = -1"),
+        // Literals that are not the key's type: no seek, same answer.
+        lit("UPDATE acct_all SET balance = balance + 13 WHERE id = 17.0"),
+        lit("UPDATE acct_all SET balance = balance + 13 WHERE id = 17.5"),
+        lit("UPDATE acct_all SET balance = balance + 1 WHERE id < 2.5"),
+        lit("UPDATE acct_all SET balance = balance + 1 WHERE id = '17'"),
+        lit("UPDATE acct_all SET score = 0.0 WHERE score = 0"),
+        // Parameters: folded before pruning and seeking.
+        (
+            "UPDATE acct_all SET balance = balance + 4 WHERE id = @id",
+            vec![("id", int(142))],
+        ),
+        (
+            "UPDATE acct_all SET balance = @b WHERE id BETWEEN @lo AND @hi",
+            vec![("b", int(55)), ("lo", int(98)), ("hi", int(101))],
+        ),
+        (
+            "DELETE FROM acct_all WHERE id IN (@a, @b)",
+            vec![("a", int(33)), ("b", int(133))],
+        ),
+        (
+            "UPDATE acct_all SET balance = balance + 1 WHERE id = @id",
+            vec![("id", Value::Float(44.0))],
+        ),
+        (
+            "UPDATE acct_all SET balance = balance + 1 WHERE id = @id",
+            vec![("id", Value::Null)],
+        ),
+        // Partition-key moves: to other members, within one member.
+        lit("DELETE FROM acct_all WHERE id IN (107, 158)"),
+        lit("UPDATE acct_all SET id = id + 100 WHERE id IN (7, 58)"),
+        lit("UPDATE acct_all SET id = 199 WHERE id = 150"),
+        (
+            "UPDATE acct_all SET id = @to, balance = 1 WHERE id = @from",
+            vec![("to", int(33)), ("from", int(183))],
+        ),
+        // DELETE + re-INSERT, then the whole table.
+        lit("DELETE FROM acct_all WHERE id IN (25, 125)"),
+        lit("INSERT INTO acct_all (id, balance, owner, score) VALUES \
+             (25, 100, 'back', 0.25), (125, 100, 'back', 0.75)"),
+        lit("UPDATE acct_all SET balance = balance + 1"),
+        lit("DELETE FROM acct_all WHERE score >= 0.5"),
+    ]
+}
+
+#[test]
+fn seek_scan_and_unfederated_agree_on_every_statement() {
+    let seek = federation(IndexAccess::Native, false);
+    let scan = federation(IndexAccess::Unadvertised, false);
+    let solo = unfederated();
+    assert_eq!(contents(&seek.head), contents(&solo));
+    for (sql, params) in statements() {
+        let want = affected(&solo, sql, &params);
+        assert_eq!(affected(&seek.head, sql, &params), want, "seek path: {sql}");
+        assert_eq!(affected(&scan.head, sql, &params), want, "scan path: {sql}");
+        let rows = contents(&solo);
+        assert_eq!(contents(&seek.head), rows, "seek path after: {sql}");
+        assert_eq!(contents(&scan.head), rows, "scan path after: {sql}");
+    }
+    // Which path ran is read off the counters, not forced by a switch.
+    let (seek_m, scan_m, solo_m) = (seek.head.metrics(), scan.head.metrics(), solo.metrics());
+    assert!(seek_m.dml_seeks > 0 && solo_m.dml_seeks > 0);
+    assert!(seek_m.dml_scans > 0, "non-key predicates still scan");
+    assert_eq!(scan_m.dml_seeks, 0, "no seek without index_support");
+    assert!(seek_m.dml_rows_located < scan_m.dml_rows_located);
+}
+
+// ---------------------------------------------------------------------------
+// Wire and path assertions (links without a fault plan)
+// ---------------------------------------------------------------------------
+
+/// Rows and requests per link of one statement on the seek federation and
+/// on the scan federation.
+fn both_paths(sql: &str, params: &[(&str, Value)]) -> (Vec<TrafficSnapshot>, Vec<TrafficSnapshot>) {
+    let seek = federation(IndexAccess::Native, true);
+    let scan = federation(IndexAccess::Unadvertised, true);
+    let (n_seek, seek_delta) = seek.run(sql, params);
+    let (n_scan, scan_delta) = scan.run(sql, params);
+    assert_eq!(n_seek, n_scan, "{sql}");
+    (seek_delta, scan_delta)
+}
+
+fn rows(delta: &[TrafficSnapshot]) -> Vec<u64> {
+    delta.iter().map(|d| d.rows).collect()
+}
+
+fn requests(delta: &[TrafficSnapshot]) -> Vec<u64> {
+    delta.iter().map(|d| d.requests).collect()
+}
+
+#[test]
+fn seek_ships_the_rows_its_range_holds_in_the_scans_round_trips() {
+    // Two members, one row each: the scan ships both member tables.
+    let (seek, scan) = both_paths(
+        "UPDATE acct_all SET balance = balance + 1 WHERE id IN (10, 60)",
+        &[],
+    );
+    assert_eq!(rows(&seek), [1, 1, 0, 0]);
+    assert_eq!(rows(&scan), [50, 50, 0, 0]);
+    assert_eq!(requests(&seek), requests(&scan));
+    assert!(seek.iter().zip(&scan).all(|(a, b)| a.bytes <= b.bytes));
+
+    // One seek per member over the hull [10, 20]: 11 rows for 2 hits.
+    let (seek, scan) = both_paths("DELETE FROM acct_all WHERE id IN (10, 20)", &[]);
+    assert_eq!(rows(&seek), [11, 0, 0, 0]);
+    assert_eq!(requests(&seek), requests(&scan));
+    assert_eq!(
+        requests(&seek),
+        [3, 0, 0, 0],
+        "connect, one read, one write"
+    );
+
+    // The member's CHECK range closes the hull: [45, 49] and [50, 55].
+    let (seek, scan) = both_paths(
+        "UPDATE acct_all SET balance = 0 WHERE id BETWEEN 45 AND 55",
+        &[],
+    );
+    assert_eq!(rows(&seek), [5, 6, 0, 0]);
+    assert_eq!(requests(&seek), requests(&scan));
+
+    // ... and bounds an open range: id > 190 reads [191, 199] only.
+    let (seek, _) = both_paths("UPDATE acct_all SET balance = 0 WHERE id > 190", &[]);
+    assert_eq!(rows(&seek), [0, 0, 0, 9]);
+
+    // A hole does not split the seek: 3 hits, 5 rows, one read.
+    let (seek, scan) = both_paths(
+        "UPDATE acct_all SET balance = 0 WHERE id IN (100, 104) OR id = 102",
+        &[],
+    );
+    assert_eq!(rows(&seek), [0, 0, 5, 0]);
+    assert_eq!(requests(&seek), requests(&scan));
+}
+
+#[test]
+fn counters_tell_seek_from_scan() {
+    let fed = federation(IndexAccess::Native, true);
+    let reads = |sql: &str| {
+        let before = fed.head.metrics();
+        let (n, _) = fed.run(sql, &[]);
+        (n, dml_reads(&before, &fed.head.metrics()))
+    };
+    assert_eq!(
+        reads("UPDATE acct_all SET balance = 1 WHERE id IN (10, 20)"),
+        (2, (1, 0, 11))
+    );
+    // Non-key predicate: every member is read in full.
+    assert_eq!(
+        reads("UPDATE acct_all SET balance = 2 WHERE balance = 1"),
+        (2, (0, 4, 200))
+    );
+    // The secondary index serves a predicate the key index cannot.
+    assert_eq!(
+        reads("UPDATE acct_all SET balance = 3 WHERE owner = 'owner_4'"),
+        (19, (4, 0, 19))
+    );
+    // A float literal on the INT key is never cast into the range.
+    assert_eq!(
+        reads("UPDATE acct_all SET balance = 4 WHERE id = 17.0"),
+        (1, (0, 1, 50))
+    );
+    // sys.dm_os_counters serves the same numbers; reset zeroes them.
+    let dmv = fed
+        .head
+        .query("SELECT value FROM sys.dm_os_counters WHERE name = 'dml_seeks'")
+        .unwrap();
+    assert_eq!(dmv.scalar(), Some(&Value::Int(5)));
+    fed.head.reset_metrics();
+    let m = fed.head.metrics();
+    assert_eq!((m.dml_seeks, m.dml_scans, m.dml_rows_located), (0, 0, 0));
+}
+
+#[test]
+fn empty_key_domain_reads_nothing() {
+    let fed = federation(IndexAccess::Native, true);
+    let before = fed.head.metrics();
+    for sql in [
+        "UPDATE acct_all SET balance = 0 WHERE id = NULL",
+        "DELETE FROM acct_all WHERE id > 10 AND id < 5",
+        // A plain linked-server table has no member pruning in front of
+        // the seek: the empty domain itself suppresses the read.
+        "UPDATE m1.db.dbo.acct_1 SET balance = 0 WHERE id > 70 AND id < 60",
+        "DELETE FROM m1.db.dbo.acct_1 WHERE id = NULL",
+    ] {
+        let (n, delta) = fed.run(sql, &[]);
+        assert_eq!(n, 0, "{sql}");
+        assert_eq!(requests(&delta), [0, 0, 0, 0], "{sql}");
+    }
+    assert_eq!(dml_reads(&before, &fed.head.metrics()), (0, 0, 0));
+}
+
+#[test]
+fn param_predicates_prune_and_seek() {
+    let fed = federation(IndexAccess::Native, true);
+    let (n, delta) = fed.run(
+        "UPDATE acct_all SET balance = balance + 1 WHERE id = @id",
+        &[("id", Value::Int(142))],
+    );
+    assert_eq!(n, 1);
+    // One member, one link, one row; a single participant needs no 2PC.
+    assert_eq!(rows(&delta), [0, 0, 1, 0]);
+    assert_eq!(requests(&delta), [0, 0, 3, 0]);
+    assert_eq!(fed.head.dtc().stats(), (0, 0));
+    assert_eq!(fed.calls(2), ["open_index", "update_by_bookmarks"]);
+    assert_eq!(
+        fed.head
+            .query("SELECT balance FROM acct_all WHERE id = 142")
+            .unwrap()
+            .scalar(),
+        Some(&Value::Int(101))
+    );
+
+    // Two parameters on two members: 2PC over exactly those two.
+    let (n, delta) = fed.run(
+        "DELETE FROM acct_all WHERE id = @a OR id = @b",
+        &[("a", Value::Int(3)), ("b", Value::Int(153))],
+    );
+    assert_eq!(n, 2);
+    assert_eq!(rows(&delta), [1, 0, 0, 1]);
+    assert_eq!(fed.head.dtc().stats(), (1, 0));
+
+    // A parameter with no value supplied still fails, as it always did.
+    assert!(affected(&fed.head, "DELETE FROM acct_all WHERE id = @missing", &[]).is_err());
+}
+
+#[test]
+fn seek_runs_on_the_enlisted_session_before_any_write() {
+    let fed = federation(IndexAccess::Native, true);
+    let (n, _) = fed.run(
+        "UPDATE acct_all SET balance = balance - 1 WHERE id IN (10, 60)",
+        &[],
+    );
+    assert_eq!(n, 2);
+    assert_eq!(fed.head.dtc().stats(), (1, 0));
+    for member in [0, 1] {
+        // One session per participant: it joins the transaction, locates
+        // the rows, writes them and takes both 2PC phases. No command
+        // object — that would run outside the transaction.
+        assert_eq!(
+            fed.calls(member),
+            [
+                "join_transaction",
+                "open_index",
+                "update_by_bookmarks",
+                "prepare",
+                "commit",
+            ]
+        );
+    }
+    assert!(fed.calls(2).is_empty() && fed.calls(3).is_empty());
+
+    // A partition-key move: every row is located before the first write,
+    // and the destination member only ever sees the insert.
+    fed.run("DELETE FROM acct_all WHERE id IN (105, 106)", &[]);
+    fed.clear_logs();
+    let (n, _) = fed.run("UPDATE acct_all SET id = id + 100 WHERE id IN (5, 6)", &[]);
+    assert_eq!(n, 2);
+    assert_eq!(
+        fed.calls(0),
+        [
+            "join_transaction",
+            "open_index",
+            "delete_by_bookmarks",
+            "delete_by_bookmarks",
+            "prepare",
+            "commit"
+        ]
+    );
+    assert_eq!(
+        fed.calls(2),
+        ["join_transaction", "insert", "insert", "prepare", "commit"]
+    );
+}
+
+#[test]
+fn unsupported_open_index_falls_back_to_the_scan() {
+    let fed = federation(IndexAccess::Broken, true);
+    let before = fed.head.metrics();
+    let (n, delta) = fed.run("UPDATE acct_all SET balance = 7 WHERE id = 60", &[]);
+    assert_eq!(n, 1);
+    assert_eq!(rows(&delta), [0, 50, 0, 0]);
+    assert_eq!(
+        fed.calls(1),
+        ["open_index", "open_rowset", "update_by_bookmarks"]
+    );
+    assert_eq!(dml_reads(&before, &fed.head.metrics()), (0, 1, 50));
+
+    // Unadvertised: not even tried.
+    let fed = federation(IndexAccess::Unadvertised, true);
+    fed.run("UPDATE acct_all SET balance = 7 WHERE id = 60", &[]);
+    assert_eq!(fed.calls(1), ["open_rowset", "update_by_bookmarks"]);
+}
+
+#[test]
+fn local_and_linked_tables_seek_too() {
+    // A plain local table.
+    let solo = unfederated();
+    let before = solo.metrics();
+    assert_eq!(
+        affected(
+            &solo,
+            "UPDATE acct_all SET balance = 1 WHERE id BETWEEN 10 AND 12",
+            &[]
+        ),
+        Ok(3)
+    );
+    assert_eq!(
+        affected(&solo, "DELETE FROM acct_all WHERE owner = 'owner_7'", &[]),
+        Ok(19)
+    );
+    assert_eq!(dml_reads(&before, &solo.metrics()), (2, 0, 22));
+
+    // A four-part linked-server table: no CHECK range to close the hull.
+    let fed = federation(IndexAccess::Native, true);
+    let (n, delta) = fed.run("DELETE FROM m3.db.dbo.acct_3 WHERE id >= 197", &[]);
+    assert_eq!(n, 3);
+    assert_eq!(rows(&delta), [0, 0, 0, 3]);
+    assert_eq!(requests(&delta), [0, 0, 0, 3]);
+}
+
+#[test]
+fn no_knob_was_added() {
+    let knobs = unfederated()
+        .query("SELECT * FROM sys.dm_os_knobs")
+        .unwrap();
+    assert_eq!(knobs.len(), 27);
+}
