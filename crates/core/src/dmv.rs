@@ -15,8 +15,9 @@
 //!   statement (including its error, if any).
 //! * `sys.dm_exec_query_stats` — per-fingerprint execution aggregates from
 //!   the parameterized plan cache.
-//! * `sys.dm_link_stats` — per-linked-server wire traffic and modeled
-//!   round-trip latency percentiles.
+//! * `sys.dm_link_stats` — per-linked-server wire traffic, modeled
+//!   round-trip latency percentiles, and the session pool's connect count
+//!   and idle sessions.
 //! * `sys.dm_link_health` — per-linked-server circuit-breaker state from
 //!   the health registry (§15): breaker state, failure streak, trip and
 //!   probe counts, and the last error that fed the breaker.
@@ -134,6 +135,12 @@ fn link_stats_info() -> TableInfo {
             ColumnInfo::new("p95_ms", DataType::Float),
             ColumnInfo::new("p99_ms", DataType::Float),
             ColumnInfo::new("max_ms", DataType::Float),
+            // The server's session pool: connect requests sent since the
+            // registration (or the last metrics reset), and sessions idle
+            // now. `requests - connects` is the work the opens themselves
+            // cost.
+            ColumnInfo::not_null("connects", DataType::Int),
+            ColumnInfo::not_null("sessions_idle", DataType::Int),
         ],
     )
 }
@@ -485,9 +492,10 @@ fn link_stats_rows(engine: &Inner) -> Vec<Row> {
     engine
         .dmv_links()
         .into_iter()
-        .map(|(name, traffic, latency)| {
-            let t = traffic.unwrap_or_default();
-            let (p50, p95, p99, max) = match latency {
+        .map(|(name, source)| {
+            let t = source.traffic().unwrap_or_default();
+            let pool = source.stats();
+            let (p50, p95, p99, max) = match source.latency() {
                 Some(l) => (ms(l.p50_us), ms(l.p95_us), ms(l.p99_us), ms(l.max_us)),
                 None => (Value::Null, Value::Null, Value::Null, Value::Null),
             };
@@ -505,6 +513,8 @@ fn link_stats_rows(engine: &Inner) -> Vec<Row> {
                 p95,
                 p99,
                 max,
+                Value::Int(pool.connects as i64),
+                Value::Int(pool.idle as i64),
             ])
         })
         .collect()

@@ -118,29 +118,40 @@ impl Inner {
         self.plan_cache.lock().entries()
     }
 
-    /// Per-linked-server `(name, traffic, latency)` — the `sys` provider
+    /// Every linked server's pooled face by name — the `sys` provider
     /// itself is excluded (it has no wire).
-    pub(crate) fn dmv_links(
-        &self,
-    ) -> Vec<(
-        String,
-        Option<dhqp_oledb::TrafficSnapshot>,
-        Option<dhqp_oledb::LatencySummary>,
-    )> {
-        let registry = self.registry.read();
+    pub(crate) fn dmv_links(&self) -> Vec<(String, Arc<dhqp_oledb::PooledDataSource>)> {
+        Self::pools_of(&self.registry.read())
+    }
+
+    fn pools_of(
+        registry: &LinkedServerRegistry,
+    ) -> Vec<(String, Arc<dhqp_oledb::PooledDataSource>)> {
         registry
             .server_names()
             .into_iter()
             .filter(|name| name != SYS_SERVER)
             .filter_map(|name| {
-                let source = registry.linked_server(&name).ok()?;
-                Some((name, source.traffic(), source.latency()))
+                let pool = registry.session_pool(&name).ok()?;
+                Some((name, pool))
             })
             .collect()
     }
 
+    /// Engine counters plus the session pools' `connects`/`reuses`. The
+    /// live pools are summed under the registry lock that
+    /// `Engine::add_linked_server` retires a replaced pool under, so a
+    /// reader sees a pool's counts exactly once.
     pub(crate) fn dmv_metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(self.dtc.telemetry())
+        let dtc = self.dtc.telemetry();
+        let registry = self.registry.read();
+        let mut pools = dhqp_oledb::PoolStats::default();
+        for (_, pool) in Self::pools_of(&registry) {
+            let stats = pool.stats();
+            pools.connects += stats.connects;
+            pools.reuses += stats.reuses;
+        }
+        self.metrics.snapshot(dtc, pools)
     }
 
     pub(crate) fn dmv_query_latency(&self) -> dhqp_oledb::HistogramSnapshot {
@@ -701,17 +712,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Define a linked server (paper §2.1). Re-registering a name drops
-    /// any metadata cached for the old source — the new server may expose
-    /// different schemas under the same table names — and bumps the
-    /// server's epoch so every plan compiled against the old source is
+    /// Define a linked server (paper §2.1), reached from then on through
+    /// its own session pool. Re-registering a name closes the old source's
+    /// idle sessions and drops any metadata cached for it — the new server
+    /// may expose different schemas under the same table names — and bumps
+    /// the server's epoch so every plan compiled against the old source is
     /// evicted too, statistics included. A replaced server's plan must
     /// never be reused.
     pub fn add_linked_server(&self, name: &str, source: Arc<dyn DataSource>) -> Result<()> {
-        self.inner
-            .registry
-            .write()
-            .add_linked_server(name, source)?;
+        {
+            let mut registry = self.inner.registry.write();
+            let replaced = registry.session_pool(name).ok();
+            registry.add_linked_server(name, source)?;
+            if let Some(old) = replaced {
+                self.inner.metrics.retire_session_pool(old.stats());
+            }
+        }
         let key = name.to_lowercase();
         // A freshly (re)defined link starts visible in sys.dm_link_health;
         // a pre-existing breaker keeps its state (re-pointing a name at a
@@ -2243,7 +2259,7 @@ impl Engine {
     /// metadata-cache hits/misses, spool-cache activity, remote round
     /// trips, DTC commit/abort outcomes and full-text searches.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot(self.inner.dtc.telemetry())
+        self.inner.dmv_metrics()
     }
 
     /// The most recent statement summaries, oldest first. Ring capacity
@@ -2290,13 +2306,17 @@ impl Engine {
 
     /// Zero every engine counter, query ring, latency histogram and wait
     /// class, plus the health registry's resettable counters (breaker
-    /// opens, probes). Breaker *state* survives — a metrics reset must not
-    /// quietly re-admit a quarantined member. The DTC's outcome log and
-    /// counters are durable state and are not touched; reset them by
-    /// creating a new engine.
+    /// opens, probes) and the session pools' connect/reuse counts. Breaker
+    /// *state* survives — a metrics reset must not quietly re-admit a
+    /// quarantined member — and so do idle pooled sessions. The DTC's
+    /// outcome log and counters are durable state and are not touched;
+    /// reset them by creating a new engine.
     pub fn reset_metrics(&self) {
         self.inner.metrics.reset();
         self.inner.health.reset_counters();
+        for (_, pool) in self.inner.dmv_links() {
+            pool.reset_counters();
+        }
     }
 
     /// Current event-bus configuration.

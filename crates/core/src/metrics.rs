@@ -8,7 +8,7 @@
 
 use dhqp_dtc::DtcStats;
 use dhqp_executor::ExecCounters;
-use dhqp_oledb::{HistogramSnapshot, LogHistogram, WaitSnapshot, WaitStats};
+use dhqp_oledb::{HistogramSnapshot, LogHistogram, PoolStats, WaitSnapshot, WaitStats};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,6 +166,12 @@ pub struct MetricsSnapshot {
     /// `rows_affected`, the price of seeking a hull rather than each
     /// interval.
     pub dml_rows_located: u64,
+    /// Connect requests the linked servers' session pools sent (cold
+    /// opens) since the last reset; a replaced registration's count stays
+    /// in, so the total never goes backwards between resets.
+    pub session_connects: u64,
+    /// Sessions those pools handed out from their idle lists (warm opens).
+    pub session_reuses: u64,
     pub dtc_commits: u64,
     pub dtc_aborts: u64,
     /// Distributed transactions currently in doubt (decision logged,
@@ -226,6 +232,8 @@ impl MetricsSnapshot {
             ("dml_seeks", self.dml_seeks),
             ("dml_scans", self.dml_scans),
             ("dml_rows_located", self.dml_rows_located),
+            ("session_connects", self.session_connects),
+            ("session_reuses", self.session_reuses),
             ("dtc_commits", self.dtc_commits),
             ("dtc_aborts", self.dtc_aborts),
             ("dtc_in_doubt", self.dtc_in_doubt),
@@ -258,6 +266,11 @@ pub(crate) struct EngineMetrics {
     dml_seeks: AtomicU64,
     dml_scans: AtomicU64,
     dml_rows_located: AtomicU64,
+    /// Connects and reuses of session pools whose registration has been
+    /// replaced: the live pools own their counts, these keep the totals
+    /// from going backwards when a pool goes.
+    retired_session_connects: AtomicU64,
+    retired_session_reuses: AtomicU64,
     exec: Arc<ExecCounters>,
     recent_capacity: usize,
     recent: Mutex<VecDeque<QuerySummary>>,
@@ -301,6 +314,8 @@ impl EngineMetrics {
             dml_seeks: AtomicU64::new(0),
             dml_scans: AtomicU64::new(0),
             dml_rows_located: AtomicU64::new(0),
+            retired_session_connects: AtomicU64::new(0),
+            retired_session_reuses: AtomicU64::new(0),
             exec: Arc::new(ExecCounters::default()),
             recent_capacity: recent_capacity.max(1),
             recent: Mutex::new(VecDeque::new()),
@@ -366,6 +381,8 @@ impl EngineMetrics {
             &self.dml_seeks,
             &self.dml_scans,
             &self.dml_rows_located,
+            &self.retired_session_connects,
+            &self.retired_session_reuses,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
@@ -438,6 +455,14 @@ impl EngineMetrics {
         };
         path.fetch_add(1, Ordering::Relaxed);
         self.dml_rows_located.fetch_add(rows, Ordering::Relaxed);
+    }
+
+    /// Keep the counts of a session pool whose registration was replaced.
+    pub fn retire_session_pool(&self, pool: PoolStats) {
+        self.retired_session_connects
+            .fetch_add(pool.connects, Ordering::Relaxed);
+        self.retired_session_reuses
+            .fetch_add(pool.reuses, Ordering::Relaxed);
     }
 
     /// Count one finished statement and push its summary onto the ring.
@@ -517,7 +542,9 @@ impl EngineMetrics {
         self.query_latency.snapshot()
     }
 
-    pub fn snapshot(&self, dtc: DtcStats) -> MetricsSnapshot {
+    /// `pools` is the sum over the session pools registered now; retired
+    /// pools' counts are added here.
+    pub fn snapshot(&self, dtc: DtcStats, pools: PoolStats) -> MetricsSnapshot {
         let exec = self.exec.snapshot();
         MetricsSnapshot {
             selects: self.selects.load(Ordering::Relaxed),
@@ -540,6 +567,9 @@ impl EngineMetrics {
             dml_seeks: self.dml_seeks.load(Ordering::Relaxed),
             dml_scans: self.dml_scans.load(Ordering::Relaxed),
             dml_rows_located: self.dml_rows_located.load(Ordering::Relaxed),
+            session_connects: pools.connects
+                + self.retired_session_connects.load(Ordering::Relaxed),
+            session_reuses: pools.reuses + self.retired_session_reuses.load(Ordering::Relaxed),
             spool_hits: exec.spool_hits,
             spool_builds: exec.spool_builds,
             remote_roundtrips: exec.remote_roundtrips,
@@ -587,7 +617,8 @@ mod tests {
         assert_eq!(recent.first().unwrap().sql, "SELECT 5");
         assert_eq!(recent.last().unwrap().sql, "SELECT 36");
         assert_eq!(
-            m.snapshot(DtcStats::default()).selects,
+            m.snapshot(DtcStats::default(), PoolStats::default())
+                .selects,
             (RECENT_QUERY_CAPACITY + 5) as u64
         );
     }
@@ -628,7 +659,11 @@ mod tests {
         let q = &m.recent_queries()[0];
         assert!(!q.ok);
         assert_eq!(q.error.as_deref(), Some("table 'missing' not found"));
-        assert_eq!(m.snapshot(DtcStats::default()).statement_errors, 1);
+        assert_eq!(
+            m.snapshot(DtcStats::default(), PoolStats::default())
+                .statement_errors,
+            1
+        );
     }
 
     #[test]
@@ -746,7 +781,7 @@ mod tests {
             StatementTags::default(),
         );
         m.reset();
-        let s = m.snapshot(DtcStats::default());
+        let s = m.snapshot(DtcStats::default(), PoolStats::default());
         assert_eq!(s, MetricsSnapshot::default());
         assert!(m.recent_queries().is_empty());
         assert!(m.slow_queries().is_empty());
@@ -774,12 +809,25 @@ mod tests {
         m.exec_counters().add_remote_retry();
         m.exec_counters().add_remote_transient_error();
         m.exec_counters().add_remote_deadline_hit();
-        let s = m.snapshot(DtcStats {
-            commits: 7,
-            aborts: 2,
-            in_doubt: 1,
-            recovered: 4,
+        m.retire_session_pool(PoolStats {
+            connects: 2,
+            reuses: 5,
+            idle: 1,
         });
+        let s = m.snapshot(
+            DtcStats {
+                commits: 7,
+                aborts: 2,
+                in_doubt: 1,
+                recovered: 4,
+            },
+            PoolStats {
+                connects: 1,
+                reuses: 3,
+                idle: 0,
+            },
+        );
+        assert_eq!((s.session_connects, s.session_reuses), (3, 8));
         assert_eq!(s.remote_roundtrips, 1);
         assert_eq!(s.remote_retries, 1);
         assert_eq!(s.remote_transient_errors, 1);

@@ -1,7 +1,7 @@
 //! Linked servers: named OLE DB data sources (paper §2.1) plus the ad-hoc
 //! provider factories behind `OPENROWSET`.
 
-use dhqp_oledb::DataSource;
+use dhqp_oledb::{DataSource, PooledDataSource};
 use dhqp_types::{DhqpError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,9 +11,15 @@ use std::sync::Arc;
 pub type AdHocFactory = Arc<dyn Fn(&str) -> Result<Arc<dyn DataSource>> + Send + Sync>;
 
 /// The registry of linked servers and OPENROWSET provider factories.
+///
+/// Every linked server is reached through a session pool that lives and
+/// dies with its registration: callers keep calling `create_session()` on
+/// what [`LinkedServerRegistry::linked_server`] returns and get an idle
+/// session when there is one. Ad-hoc (`OPENROWSET`) sources are connected
+/// per use and not pooled.
 #[derive(Default, Clone)]
 pub struct LinkedServerRegistry {
-    servers: HashMap<String, Arc<dyn DataSource>>,
+    servers: HashMap<String, Arc<PooledDataSource>>,
     providers: HashMap<String, AdHocFactory>,
 }
 
@@ -24,9 +30,11 @@ impl LinkedServerRegistry {
 
     /// Define a linked server name → data source association
     /// (`sp_addlinkedserver`). Re-registering a name replaces the old
-    /// association; callers caching metadata per server must invalidate it.
+    /// association and drops its pool, idle sessions included; callers
+    /// caching metadata per server must invalidate it.
     pub fn add_linked_server(&mut self, name: &str, source: Arc<dyn DataSource>) -> Result<()> {
-        self.servers.insert(name.to_lowercase(), source);
+        self.servers
+            .insert(name.to_lowercase(), Arc::new(PooledDataSource::new(source)));
         Ok(())
     }
 
@@ -39,6 +47,12 @@ impl LinkedServerRegistry {
 
     /// Resolve a linked server by name.
     pub fn linked_server(&self, name: &str) -> Result<Arc<dyn DataSource>> {
+        self.session_pool(name)
+            .map(|pool| pool as Arc<dyn DataSource>)
+    }
+
+    /// The pooled face of a linked server, for its counters.
+    pub fn session_pool(&self, name: &str) -> Result<Arc<PooledDataSource>> {
         self.servers
             .get(&name.to_lowercase())
             .cloned()
@@ -93,6 +107,27 @@ mod tests {
         reg.drop_linked_server("DeptSQLSrvr").unwrap();
         assert!(reg.linked_server("DeptSQLSrvr").is_err());
         assert!(reg.drop_linked_server("DeptSQLSrvr").is_err());
+    }
+
+    #[test]
+    fn sessions_are_pooled_per_registration() {
+        let mut reg = LinkedServerRegistry::new();
+        reg.add_linked_server("s", source("a")).unwrap();
+        for _ in 0..3 {
+            reg.linked_server("s").unwrap().create_session().unwrap();
+        }
+        let stats = reg.session_pool("S").unwrap().stats();
+        assert_eq!((stats.connects, stats.reuses, stats.idle), (1, 2, 1));
+        // A new registration starts with a new, empty pool.
+        let old = reg.session_pool("s").unwrap();
+        reg.add_linked_server("s", source("b")).unwrap();
+        let stats = reg.session_pool("s").unwrap().stats();
+        assert_eq!((stats.connects, stats.reuses, stats.idle), (0, 0, 0));
+        assert_eq!(
+            old.stats().idle,
+            1,
+            "the old pool goes with its last holder"
+        );
     }
 
     #[test]

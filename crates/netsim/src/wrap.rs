@@ -11,8 +11,9 @@
 //! streams can drop mid-flight — all deterministically, per
 //! [`crate::fault`]. Sessions enlisted in a distributed transaction are
 //! never faulted (their work is not idempotent and must reach the 2PC
-//! layer, whose failure semantics are exercised separately), and
-//! `reads_only` plans exempt DML command text too.
+//! layer, whose failure semantics are exercised separately) until the
+//! transaction's outcome is acknowledged — a pooled session outlives its
+//! transaction — and `reads_only` plans exempt DML command text too.
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::link::NetworkLink;
@@ -143,12 +144,22 @@ struct NetworkedSession {
     inner: Box<dyn Session>,
     link: NetworkLink,
     faults: Option<Arc<FaultPlan>>,
-    /// Set once the session joins a distributed transaction; shared with
-    /// the session's commands so enlisted work is exempt from injection.
+    /// Set while the session is in a distributed transaction (from
+    /// `join_transaction` until `commit`/`abort` is acknowledged); shared
+    /// with the session's commands so enlisted work is exempt from
+    /// injection.
     enlisted: Arc<AtomicBool>,
 }
 
 impl NetworkedSession {
+    /// Deliver a transaction outcome; once the participant acknowledges it
+    /// the session is an ordinary one again, open to injection.
+    fn finish(&mut self, outcome: Result<()>) -> Result<()> {
+        outcome?;
+        self.enlisted.store(false, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Stream-drop decision for a rowset this session is about to serve:
     /// `Some(n)` means the stream fails after delivering `n` rows.
     fn stream_drop(&self) -> Option<u64> {
@@ -342,12 +353,14 @@ impl Session for NetworkedSession {
 
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.link.record_request(16);
-        self.inner.commit(txn)
+        let outcome = self.inner.commit(txn);
+        self.finish(outcome)
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<()> {
         self.link.record_request(16);
-        self.inner.abort(txn)
+        let outcome = self.inner.abort(txn);
+        self.finish(outcome)
     }
 
     fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
@@ -720,6 +733,10 @@ mod tests {
         );
         assert_eq!(ds.link().faults_injected(), 0);
         s.abort(41).unwrap();
+        // The exemption ends with the transaction: a session that is
+        // reused afterwards is faulted like any other.
+        assert!(s.open_rowset("t").is_err());
+        assert_eq!(ds.link().faults_injected(), 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! | OLE DB                               | here                                   |
 //! |--------------------------------------|----------------------------------------|
 //! | `IDBInitialize` / `IDBCreateSession` | [`DataSource`]                         |
+//! | session pooling (OLE DB services)    | [`PooledDataSource`]                   |
 //! | `IOpenRowset` / `IDBCreateCommand`   | [`Session`]                            |
 //! | `ICommand::Execute`                  | [`Command`]                            |
 //! | `IRowset`                            | [`Rowset`]                             |
@@ -23,6 +24,7 @@
 
 pub mod capabilities;
 pub mod datasource;
+pub mod pool;
 pub mod rowset;
 pub mod schema;
 pub mod statistics;
@@ -35,6 +37,7 @@ pub use capabilities::{
 pub use datasource::{
     Command, CommandResult, DataSource, KeyRange, Session, TrafficSnapshot, TxnId,
 };
+pub use pool::{PoolStats, PooledDataSource, MAX_IDLE_SESSIONS};
 pub use rowset::{BatchRowset, Batched, Debatched, MemRowset, Rowset, RowsetExt};
 pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo};
 pub use statistics::{Histogram, HistogramBucket, TableStatistics};

@@ -69,14 +69,39 @@ fn multiset(rows: &[Row], width: usize) -> Vec<Vec<Value>> {
     out
 }
 
-fn measure(links: &[NetworkLink]) -> Vec<TrafficSnapshot> {
-    links.iter().map(NetworkLink::snapshot).collect()
+/// Each link's traffic since [`reset`], net of the connects (one 32-byte
+/// request each) its session pool made meanwhile. With parallel exchange
+/// two partitions of one member open at once and the pool grows to that
+/// peak once; which of two runs pays for the growth is a matter of timing,
+/// not of the batch size under test.
+fn measure(head: &Engine, links: &[NetworkLink]) -> Vec<TrafficSnapshot> {
+    let pools = head
+        .query("SELECT name, connects FROM sys.dm_link_stats ORDER BY name")
+        .unwrap();
+    assert_eq!(pools.len(), links.len());
+    links
+        .iter()
+        .zip(&pools.rows)
+        .map(|(link, pool)| {
+            assert_eq!(pool.get(0), &Value::Str(link.name().to_string()));
+            let Value::Int(connects) = pool.get(1) else {
+                panic!("connects is an integer: {pool:?}")
+            };
+            let mut traffic = link.snapshot();
+            traffic.requests -= *connects as u64;
+            traffic.bytes -= 32 * *connects as u64;
+            traffic
+        })
+        .collect()
 }
 
-fn reset(links: &[NetworkLink]) {
+/// Zero the link counters and (with the rest of the head's metrics) the
+/// pools' connect counts; idle sessions stay.
+fn reset(head: &Engine, links: &[NetworkLink]) {
     for l in links {
         l.reset();
     }
+    head.reset_metrics();
 }
 
 const SCAN: &str = "SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem_all";
@@ -128,14 +153,14 @@ fn batching_ships_identical_bytes_in_fewer_round_trips() {
     head.set_batch_config(BatchConfig::row_at_a_time());
     head.query(SCAN).unwrap();
 
-    reset(&links);
+    reset(&head, &links);
     head.query(SCAN).unwrap();
-    let row_traffic = measure(&links);
+    let row_traffic = measure(&head, &links);
 
     head.set_batch_config(BatchConfig::batched(64));
-    reset(&links);
+    reset(&head, &links);
     head.query(SCAN).unwrap();
-    let batch_traffic = measure(&links);
+    let batch_traffic = measure(&head, &links);
 
     for (link, (r, b)) in links.iter().zip(row_traffic.iter().zip(&batch_traffic)) {
         let name = link.name();
@@ -159,14 +184,14 @@ fn batch_size_one_degenerates_to_row_mode_accounting() {
     head.set_batch_config(BatchConfig::row_at_a_time());
     head.query(SCAN).unwrap(); // warm metadata
 
-    reset(&links);
+    reset(&head, &links);
     head.query(SCAN).unwrap();
-    let row_traffic = measure(&links);
+    let row_traffic = measure(&head, &links);
 
     head.set_batch_config(BatchConfig::batched(1));
-    reset(&links);
+    reset(&head, &links);
     head.query(SCAN).unwrap();
-    let one_traffic = measure(&links);
+    let one_traffic = measure(&head, &links);
 
     // K=1 is exactly the classic behavior: same rows, bytes, requests AND
     // the same number of round trips (batches == rows).

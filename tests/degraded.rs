@@ -151,6 +151,10 @@ fn fail_mode_fails_fast_after_one_breaker_trip() {
     let (head, _links) = federation_with_faults(1, |i| (i == 1).then(|| FaultConfig::dead(5)));
     // Pin the policy: the suite may run under DHQP_DEGRADED=prune.
     head.set_degraded_mode(DegradedMode::Fail);
+    // ... and the dispatch: the dead member holds two partitions, which
+    // exchange workers (DHQP_PARALLEL=1) would fail concurrently, each
+    // burning its own retry budget; the counts below are serial ones.
+    head.set_parallel_config(ParallelConfig::serial());
     head.set_retry_policy(fast_retries());
 
     // Query 1: a full retry budget, then the give-up reason chain.
@@ -220,6 +224,9 @@ fn cooldown_probe_readmits_recovered_member() {
         })
     });
     head.set_degraded_mode(DegradedMode::Fail);
+    // The counts below are serial ones: under DHQP_PARALLEL=1 the dead
+    // member's two partitions fail concurrently, each with its own budget.
+    head.set_parallel_config(ParallelConfig::serial());
     head.set_retry_policy(fast_retries());
     head.set_event_config(EventConfig::all());
     let cooldown = head.breaker_config().cooldown;
@@ -310,6 +317,9 @@ fn reset_metrics_clears_counters_but_not_breaker_state() {
 fn disabled_breaker_retries_every_query() {
     let (head, _links) = federation_with_faults(1, |i| (i == 1).then(|| FaultConfig::dead(33)));
     head.set_degraded_mode(DegradedMode::Fail);
+    // The counts below are serial ones: under DHQP_PARALLEL=1 the dead
+    // member's two partitions fail concurrently, each with its own budget.
+    head.set_parallel_config(ParallelConfig::serial());
     head.set_retry_policy(fast_retries());
     head.set_breaker_config(BreakerConfig::disabled());
 
@@ -362,6 +372,10 @@ fn prune_mode_with_every_member_dead_still_errors() {
     let (head, _links) = federation_with_faults(0, |_| Some(FaultConfig::dead(3)));
     head.set_retry_policy(fast_retries());
     head.set_degraded_mode(DegradedMode::Prune);
+    // Serial dispatch: the union refuses before it opens a rowset. The
+    // parallel exchange (DHQP_PARALLEL=1) has no such check yet and answers
+    // with an empty result -- ROADMAP open item.
+    head.set_parallel_config(ParallelConfig::serial());
     let err = head.query(SCAN).unwrap_err();
     assert_eq!(err.kind(), "unavailable", "{err}");
     assert!(

@@ -178,7 +178,9 @@ fn dm_exec_query_stats_joins_against_a_user_table() {
             ],
         )
         .unwrap();
-    // Same fingerprint three times → one cache entry with three executions.
+    // Same fingerprint three times → one cache entry with three executions
+    // (the view lists plan-cache entries: on, whatever DHQP_PLAN_CACHE says).
+    engine.set_plan_cache_enabled(true);
     for _ in 0..3 {
         engine.query("SELECT a FROM t WHERE a = 1").unwrap();
     }
@@ -379,6 +381,9 @@ fn tracing_disabled_leaves_no_spans() {
 fn traced_distributed_analyze_covers_all_phases() {
     let local = distributed();
     local.set_trace_config(TraceConfig::enabled());
+    // The second half asserts the hit path: pin the cache on, like the
+    // trace switch, against the CI leg that runs with DHQP_PLAN_CACHE=0.
+    local.set_plan_cache_enabled(true);
 
     // Fresh engine → plan-cache miss → the full compile shows up.
     let report = local
