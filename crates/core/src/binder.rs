@@ -13,7 +13,7 @@
 
 use crate::engine::Engine;
 use dhqp_executor::ops::retry::{open_with_retries, ReopenFactory};
-use dhqp_executor::RetryPolicy;
+use dhqp_executor::{MemberSchema, RetryPolicy};
 use dhqp_oledb::{DataSource, Rowset, TableInfo};
 use dhqp_optimizer::logical::{JoinKind, LogicalExpr, LogicalOp, TableMeta};
 use dhqp_optimizer::props::{ColumnRegistry, PhysicalProps, RequiredProps};
@@ -37,9 +37,10 @@ pub struct BoundSelect {
     pub output: Vec<(String, ColumnId)>,
     /// Root ordering requirement from ORDER BY.
     pub required: RequiredProps,
-    /// Partitioned-view members the query touches: `(view name, member
-    /// index)` — consumed by delayed schema validation at execution.
-    pub view_members: Vec<(String, usize)>,
+    /// What the plan assumes about every partitioned-view member the query
+    /// may read (the definition-time snapshots it was bound against) —
+    /// consumed by delayed schema validation as the executor opens them.
+    pub view_members: Arc<[MemberSchema]>,
     /// Lowercased linked-server names whose metadata this bind consulted —
     /// the plan cache keys invalidation on their epochs.
     pub dep_servers: Vec<String>,
@@ -138,7 +139,7 @@ pub struct Binder<'e> {
     params: &'e HashMap<String, Value>,
     /// Bind a supplied `@param` as its value (UPDATE/DELETE binds).
     fold_params: bool,
-    view_members: Vec<(String, usize)>,
+    view_members: Vec<MemberSchema>,
     dep_servers: Vec<String>,
     stats_as_of: Option<std::time::Instant>,
     used_feedback: bool,
@@ -242,7 +243,7 @@ impl<'e> Binder<'e> {
             registry: self.registry,
             output,
             required,
-            view_members: self.view_members,
+            view_members: self.view_members.into(),
             dep_servers: self.dep_servers,
             stats_as_of: self.stats_as_of,
             used_feedback: self.used_feedback,
@@ -513,7 +514,7 @@ impl<'e> Binder<'e> {
         let one_row = LogicalExpr::new(
             LogicalOp::Values {
                 columns: vec![],
-                rows: vec![vec![]],
+                rows: Arc::new(vec![vec![]]),
             },
             vec![],
         );
@@ -671,7 +672,13 @@ impl<'e> Binder<'e> {
                 data_type: c.data_type,
             });
         }
-        let tree = LogicalExpr::new(LogicalOp::Values { columns, rows }, vec![]);
+        let tree = LogicalExpr::new(
+            LogicalOp::Values {
+                columns,
+                rows: Arc::new(rows),
+            },
+            vec![],
+        );
         Ok((
             tree,
             vec![Binding {
@@ -697,7 +704,7 @@ impl<'e> Binder<'e> {
         // A one-part name may be a partitioned view.
         if server.is_none() && name.0.len() == 1 {
             if let Some(view) = self.engine.partitioned_view(&table_name) {
-                return self.bind_partitioned_view(&view, alias);
+                return self.bind_partitioned_view(&Arc::new(view), alias);
             }
         }
         let alias = alias
@@ -765,11 +772,33 @@ impl<'e> Binder<'e> {
         }))
     }
 
+    /// Record what this bind assumes about member `i` of `view`: the stamp
+    /// of its definition-time snapshot for providers that check it as part
+    /// of the open, the full [`PartitionedView::validate_member`]
+    /// comparison for those that cannot. A member the statement names twice
+    /// (a self-join of the view) is expected once.
+    ///
+    /// [`PartitionedView::validate_member`]: dhqp_federation::PartitionedView::validate_member
+    fn expect_member_schema(&mut self, view: &Arc<dhqp_federation::PartitionedView>, i: usize) {
+        let member = &view.members[i];
+        let (server, table) = (member.server.as_deref(), member.table.as_str());
+        if self.view_members.iter().any(|m| m.is(server, table)) {
+            return;
+        }
+        let view = Arc::clone(view);
+        self.view_members.push(MemberSchema {
+            server: member.server.clone(),
+            table: member.table.clone(),
+            stamp: member.schema_snapshot.schema_stamp(),
+            validate: Box::new(move |current| view.validate_member(i, current)),
+        });
+    }
+
     /// Expand a partitioned view into `UnionAll` over member `Get`s, each
     /// carrying its CHECK domain for the constraint framework (§4.1.5).
     fn bind_partitioned_view(
         &mut self,
-        view: &dhqp_federation::PartitionedView,
+        view: &Arc<dhqp_federation::PartitionedView>,
         alias: Option<&str>,
     ) -> Result<(LogicalExpr, Vec<Binding>)> {
         let alias = alias
@@ -777,7 +806,7 @@ impl<'e> Binder<'e> {
             .unwrap_or_else(|| view.name.clone());
         let mut children = Vec::with_capacity(view.members.len());
         for (i, member) in view.members.iter().enumerate() {
-            self.view_members.push((view.name.clone(), i));
+            self.expect_member_schema(view, i);
             if let Some(srv) = &member.server {
                 // Member binds use the definition-time snapshot, but the
                 // plan still becomes stale if the member's server changes.
@@ -975,7 +1004,7 @@ impl<'e> Binder<'e> {
         let values = LogicalExpr::new(
             LogicalOp::Values {
                 columns: vec![key_id, rank_id],
-                rows,
+                rows: Arc::new(rows),
             },
             vec![],
         );

@@ -16,7 +16,8 @@ use crate::trace::{QueryTrace, TraceBuilder, TraceConfig};
 use dhqp_dtc::TransactionCoordinator;
 use dhqp_executor::{
     BatchConfig, BreakerConfig, DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot,
-    NodeRuntime, ParallelConfig, PruneLog, RetryPolicy, RuntimeStatsCollector, SourceCatalog,
+    MemberSchema, NodeRuntime, ParallelConfig, PruneLog, RetryPolicy, RuntimeStatsCollector,
+    SourceCatalog,
 };
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
 use dhqp_fulltext::SearchService;
@@ -972,7 +973,7 @@ impl Engine {
         }
     }
 
-    /// Current (uncached) table info — used by delayed schema validation.
+    /// Current (uncached) table info.
     pub(crate) fn fresh_table_info(
         &self,
         server: Option<&str>,
@@ -2019,16 +2020,18 @@ impl Engine {
     }
 
     /// Execute one already-optimized plan — the shared tail of the cached
-    /// and uncached pipelines. Delayed schema validation runs here on every
-    /// execution, so even a cached plan re-checks the partitioned-view
-    /// members it touches.
+    /// and uncached pipelines. Delayed schema validation (§4.1.5) rides
+    /// every execution: the context carries what the plan assumed about its
+    /// partitioned-view members, and each member is re-checked on the
+    /// session that opens it — so even a cached plan re-checks exactly the
+    /// members it reads, and no member it does not open is contacted.
     #[allow(clippy::too_many_arguments)]
     fn execute_plan(
         &self,
         plan: &PhysNode,
         registry: &Arc<dhqp_optimizer::props::ColumnRegistry>,
         output: &[(String, dhqp_optimizer::ColumnId)],
-        view_members: &[(String, usize)],
+        view_members: &Arc<[MemberSchema]>,
         params: HashMap<String, Value>,
         stats: Option<Arc<RuntimeStatsCollector>>,
         pruned: &Arc<PruneLog>,
@@ -2045,11 +2048,11 @@ impl Engine {
             .with_health(Arc::clone(&self.inner.health))
             .with_degraded(*self.inner.degraded.read())
             .with_runtime_prune(*self.inner.runtime_prune.read())
-            .with_pruned(Arc::clone(pruned));
+            .with_pruned(Arc::clone(pruned))
+            .with_view_members(view_members);
         if let Some(collector) = stats {
             ctx = ctx.with_stats(collector);
         }
-        self.validate_view_schemas(plan, view_members, &ctx)?;
         let mut rowset = dhqp_executor::open(plan, &ctx)?;
         // The root drain is a drive point: with batching on, the engine
         // pulls DHQP_BATCH_SIZE-row chunks through the whole pipeline.
@@ -2092,102 +2095,6 @@ impl Engine {
             rows,
             rows_affected: None,
         })
-    }
-
-    /// Delayed schema validation (§4.1.5): at execution time, re-check
-    /// against live metadata exactly those partitioned-view members the
-    /// plan will actually touch — compile never contacts members, pruned
-    /// members are never contacted at all, and members behind a failing
-    /// startup filter are skipped along with their subtree.
-    fn validate_view_schemas(
-        &self,
-        plan: &dhqp_optimizer::PhysNode,
-        view_members: &[(String, usize)],
-        ctx: &ExecContext,
-    ) -> Result<()> {
-        use dhqp_executor::eval::{eval_predicate, RowEnv};
-        use dhqp_optimizer::PhysicalOp;
-        if view_members.is_empty() {
-            return Ok(());
-        }
-        // (server-lowercase-or-empty, table-lowercase) → (view, member idx)
-        let mut map: HashMap<(String, String), (String, usize)> = HashMap::new();
-        for (view_name, idx) in view_members {
-            if let Some(view) = self.partitioned_view(view_name) {
-                let m = &view.members[*idx];
-                map.insert(
-                    (
-                        m.server.clone().unwrap_or_default().to_lowercase(),
-                        m.table.to_lowercase(),
-                    ),
-                    (view_name.clone(), *idx),
-                );
-            }
-        }
-        fn collect(
-            node: &dhqp_optimizer::PhysNode,
-            ctx: &ExecContext,
-            map: &HashMap<(String, String), (String, usize)>,
-            out: &mut Vec<(String, usize)>,
-        ) -> Result<()> {
-            match &node.op {
-                PhysicalOp::StartupFilter { predicate } => {
-                    let positions = HashMap::new();
-                    let row = Row::new(vec![]);
-                    let env = RowEnv {
-                        positions: &positions,
-                        row: &row,
-                        ctx,
-                    };
-                    if !eval_predicate(predicate, &env)? {
-                        return Ok(()); // pruned at runtime: subtree never opens
-                    }
-                }
-                PhysicalOp::TableScan { meta }
-                | PhysicalOp::IndexRange { meta, .. }
-                | PhysicalOp::RemoteScan { meta }
-                | PhysicalOp::RemoteRange { meta, .. }
-                | PhysicalOp::RemoteFetch { meta } => {
-                    let key = (
-                        meta.source.server_name().unwrap_or_default().to_lowercase(),
-                        meta.table.to_lowercase(),
-                    );
-                    if let Some(hit) = map.get(&key) {
-                        if !out.contains(hit) {
-                            out.push(hit.clone());
-                        }
-                    }
-                }
-                PhysicalOp::RemoteQuery { server, sql, .. }
-                | PhysicalOp::SemiJoinReduce { server, sql, .. } => {
-                    let sql_lower = sql.to_lowercase();
-                    for ((srv, table), hit) in map {
-                        if srv == &server.to_lowercase()
-                            && sql_lower.contains(&format!("[{table}]"))
-                            && !out.contains(hit)
-                        {
-                            out.push(hit.clone());
-                        }
-                    }
-                }
-                _ => {}
-            }
-            for c in &node.children {
-                collect(c, ctx, map, out)?;
-            }
-            Ok(())
-        }
-        let mut touched = Vec::new();
-        collect(plan, ctx, &map, &mut touched)?;
-        for (view_name, idx) in touched {
-            let Some(view) = self.partitioned_view(&view_name) else {
-                continue;
-            };
-            let member = &view.members[idx];
-            let current = self.fresh_table_info(member.server.as_deref(), &member.table)?;
-            view.validate_member(idx, &current)?;
-        }
-        Ok(())
     }
 
     /// Run a SELECT statement AST (DML INSERT ... SELECT path).

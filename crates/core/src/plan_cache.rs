@@ -16,6 +16,7 @@
 //! `CONTAINS` (hit lists frozen at bind time) — are never cached, because
 //! their plans embed query *results*, not just shapes.
 
+use dhqp_executor::MemberSchema;
 use dhqp_optimizer::search::OptimizerStats;
 use dhqp_optimizer::{ColumnId, ColumnRegistry, PhysNode};
 use dhqp_sqlfront::{Expr, SelectItem, SelectStmt, TableRef};
@@ -42,9 +43,10 @@ pub(crate) struct CachedSelect {
     pub registry: Arc<ColumnRegistry>,
     /// Visible SELECT-list columns, in order.
     pub output: Vec<(String, ColumnId)>,
-    /// Partitioned-view members the plan may touch (for delayed schema
-    /// validation on every execution, cached or not).
-    pub view_members: Vec<(String, usize)>,
+    /// What the plan assumes about the partitioned-view members it may read
+    /// (delayed schema validation re-checks the ones an execution opens,
+    /// cached or not).
+    pub view_members: Arc<[MemberSchema]>,
     pub opt_stats: OptimizerStats,
     pub deps: CacheDeps,
     /// When the oldest remote metadata/statistics bundle consulted at
@@ -320,14 +322,14 @@ mod tests {
                 plan: PhysNode::new(
                     dhqp_optimizer::PhysicalOp::Values {
                         columns: vec![],
-                        rows: vec![],
+                        rows: Arc::new(vec![]),
                     },
                     vec![],
                     vec![],
                 ),
                 registry: Arc::new(ColumnRegistry::default()),
                 output: vec![],
-                view_members: vec![],
+                view_members: Arc::new([]),
                 opt_stats: OptimizerStats::default(),
                 deps: CacheDeps {
                     servers: servers.iter().map(|s| (s.to_string(), 0)).collect(),

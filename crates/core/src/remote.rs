@@ -87,6 +87,10 @@ impl Session for EngineSession {
         self.storage_session.fetch_by_bookmarks(table, bookmarks)
     }
 
+    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
+        self.storage_session.check_schema(table, stamp)
+    }
+
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
         self.storage_session.histogram(table, column)
     }

@@ -2,6 +2,7 @@
 
 use crate::context::ExecContext;
 use crate::eval::{eval_predicate, RowEnv};
+use crate::health::PruneLog;
 use crate::ops::agg::{HashAggregate, StreamAggregate};
 use crate::ops::exchange::{BranchFactory, ExchangeRowset, PrefetchRowset};
 use crate::ops::filter::{open_startup_filter, FilterRowset, ProjectRowset};
@@ -17,6 +18,7 @@ use dhqp_oledb::{MemRowset, Rowset};
 use dhqp_optimizer::{ColumnId, PhysNode, PhysicalOp};
 use dhqp_types::{DhqpError, Result, Row};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Open a physical plan as a rowset. Re-entrant: nested-loop joins call
@@ -176,14 +178,68 @@ fn open_member(c: &PhysNode, ctx: &ExecContext, cid: usize) -> Result<Option<Box
     }
 }
 
-/// Every member was quarantined: degraded mode refuses to return an empty
-/// answer that silently means "nothing survived".
-fn all_members_pruned(ctx: &ExecContext) -> DhqpError {
-    DhqpError::Unavailable(format!(
-        "degraded mode pruned every member of the partitioned view \
-         (quarantined: {})",
-        ctx.pruned().members().join(", ")
-    ))
+/// Degraded mode refuses an answer that silently means "nothing survived":
+/// of `members` union/exchange members, none produced a rowset, and not
+/// because a startup filter legitimately skipped some (an all-startup-pruned
+/// view is an honest empty answer — the lazy filters would have produced the
+/// same) but because every one of them was quarantined. One rule for the
+/// serial union, the exchange's serial fallback and the end of the merged
+/// exchange stream.
+fn refuse_if_none_survived(
+    members: usize,
+    survivors: usize,
+    startup_skips: usize,
+    pruned: &PruneLog,
+) -> Result<()> {
+    if members > 0 && survivors == 0 && startup_skips == 0 {
+        return Err(DhqpError::Unavailable(format!(
+            "degraded mode pruned every member of the partitioned view \
+             (quarantined: {})",
+            pruned.members().join(", ")
+        )));
+    }
+    Ok(())
+}
+
+/// Open a union's members one after the other (`UnionAll`, and `Exchange`
+/// with parallel dispatch off — same semantics, same deterministic
+/// branch-by-branch row order). Startup-pruned members are skipped before
+/// anything is spent on them, quarantined ones under the degraded-mode
+/// policy; children / delivered / inputs are filtered in lockstep, keeping
+/// the permutation maps index-aligned with the surviving branches.
+fn open_union_serially(
+    plan: &PhysNode,
+    input_columns: &[Vec<ColumnId>],
+    ctx: &ExecContext,
+    id: usize,
+) -> Result<Box<dyn Rowset>> {
+    let mut children = Vec::with_capacity(plan.children.len());
+    let mut delivered = Vec::with_capacity(plan.children.len());
+    let mut inputs = Vec::with_capacity(plan.children.len());
+    let mut startup_skips = 0usize;
+    for (k, c) in plan.children.iter().enumerate() {
+        if startup_prunes(c, ctx)? {
+            startup_skips += 1;
+            skip_startup_member(c, ctx);
+            continue;
+        }
+        let Some(rs) = open_member(c, ctx, child_id(plan, id, k))? else {
+            continue;
+        };
+        children.push(rs);
+        delivered.push(c.output.clone());
+        inputs.push(input_columns[k].clone());
+    }
+    refuse_if_none_survived(
+        plan.children.len(),
+        children.len(),
+        startup_skips,
+        ctx.pruned(),
+    )?;
+    let schema = ctx.schema_of(&plan.output);
+    Ok(Box::new(UnionAllRowset::new(
+        children, &delivered, &inputs, schema,
+    )?))
 }
 
 /// Wrap a remote rowset in a prefetching decorator when the context asks
@@ -392,74 +448,24 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             Ok(Box::new(TopRowset::new(child, *n)))
         }
         PhysicalOp::UnionAll { input_columns, .. } => {
-            // children / delivered / inputs are filtered in lockstep when
-            // degraded mode prunes a quarantined member, keeping the
-            // permutation maps index-aligned with the surviving branches.
-            let mut children = Vec::with_capacity(plan.children.len());
-            let mut delivered = Vec::with_capacity(plan.children.len());
-            let mut inputs = Vec::with_capacity(plan.children.len());
-            let mut startup_skips = 0usize;
-            for (k, c) in plan.children.iter().enumerate() {
-                if startup_prunes(c, ctx)? {
-                    startup_skips += 1;
-                    skip_startup_member(c, ctx);
-                    continue;
-                }
-                let Some(rs) = open_member(c, ctx, child_id(plan, id, k))? else {
-                    continue;
-                };
-                children.push(rs);
-                delivered.push(c.output.clone());
-                inputs.push(input_columns[k].clone());
-            }
-            // All-startup-pruned is a legitimate empty answer (the lazy
-            // startup filters would have produced the same); only an
-            // all-*quarantined* view refuses to answer.
-            if children.is_empty() && !plan.children.is_empty() && startup_skips == 0 {
-                return Err(all_members_pruned(ctx));
-            }
-            let schema = ctx.schema_of(&plan.output);
-            Ok(Box::new(UnionAllRowset::new(
-                children, &delivered, &inputs, schema,
-            )?))
+            open_union_serially(plan, input_columns, ctx, id)
         }
         PhysicalOp::Exchange { input_columns, .. } => {
-            let schema = ctx.schema_of(&plan.output);
             if !ctx.parallel().enabled {
-                // Serial fallback: identical semantics to UnionAll, same
-                // deterministic branch-by-branch row order — including the
-                // degraded-mode pruning of quarantined members.
-                let mut children = Vec::with_capacity(plan.children.len());
-                let mut delivered = Vec::with_capacity(plan.children.len());
-                let mut inputs = Vec::with_capacity(plan.children.len());
-                let mut startup_skips = 0usize;
-                for (k, c) in plan.children.iter().enumerate() {
-                    if startup_prunes(c, ctx)? {
-                        startup_skips += 1;
-                        skip_startup_member(c, ctx);
-                        continue;
-                    }
-                    let Some(rs) = open_member(c, ctx, child_id(plan, id, k))? else {
-                        continue;
-                    };
-                    children.push(rs);
-                    delivered.push(c.output.clone());
-                    inputs.push(input_columns[k].clone());
-                }
-                if children.is_empty() && !plan.children.is_empty() && startup_skips == 0 {
-                    return Err(all_members_pruned(ctx));
-                }
-                return Ok(Box::new(UnionAllRowset::new(
-                    children, &delivered, &inputs, schema,
-                )?));
+                return open_union_serially(plan, input_columns, ctx, id);
             }
+            let schema = ctx.schema_of(&plan.output);
             // Startup-pruned members are dropped before a worker is spawned
             // for them; branches/delivered/inputs stay index-aligned.
             let mut branches: Vec<BranchFactory> = Vec::with_capacity(plan.children.len());
             let mut delivered: Vec<Vec<ColumnId>> = Vec::with_capacity(plan.children.len());
             let mut inputs: Vec<Vec<ColumnId>> = Vec::with_capacity(plan.children.len());
+            let mut startup_skips = 0usize;
+            // Branches a worker quarantined instead of opening.
+            let quarantined = Arc::new(AtomicUsize::new(0));
             for (k, c) in plan.children.iter().enumerate() {
                 if startup_prunes(c, ctx)? {
+                    startup_skips += 1;
                     skip_startup_member(c, ctx);
                     continue;
                 }
@@ -477,10 +483,12 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
                     if let Some(server) = branch_server(c) {
                         let server = server.to_string();
                         let branch_schema = ctx.schema_of(&c.output);
+                        let quarantined = Arc::clone(&quarantined);
                         factory = Some(Box::new(move |cx: &ExecContext| {
                             match open_node(&branch_plan, cx, branch_id) {
                                 Err(e) if e.is_retryable() => {
                                     prune_member(&server, cx);
+                                    quarantined.fetch_add(1, Ordering::Relaxed);
                                     Ok(Box::new(MemRowset::empty(branch_schema.clone()))
                                         as Box<dyn Rowset>)
                                 }
@@ -501,7 +509,16 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
                 // parameterized answer, with zero workers spawned.
                 return Ok(Box::new(MemRowset::empty(schema)));
             }
-            Ok(Box::new(ExchangeRowset::new(
+            // Whether anything survived is only known once every worker
+            // has tried its open: the exchange asks at the end of the
+            // merged stream, after joining them.
+            let (members, opened) = (plan.children.len(), branches.len());
+            let pruned = Arc::clone(ctx.pruned());
+            let at_end = Box::new(move || {
+                let survivors = opened - quarantined.load(Ordering::Relaxed);
+                refuse_if_none_survived(members, survivors, startup_skips, &pruned)
+            });
+            let exchange = ExchangeRowset::new(
                 branches,
                 &delivered,
                 &inputs,
@@ -509,7 +526,8 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
                 ctx.parallel(),
                 ctx,
                 id,
-            )?))
+            )?;
+            Ok(Box::new(exchange.at_end(at_end)))
         }
         PhysicalOp::Spool => {
             // Keyed by pre-order node id: stable across the inner-subtree

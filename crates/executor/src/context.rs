@@ -3,6 +3,7 @@
 
 use crate::health::{DegradedMode, HealthRegistry, PruneLog};
 use crate::ops::retry::RetryPolicy;
+use crate::schema_guard::{MemberChecks, MemberSchema, SchemaGuard};
 use crate::stats::{ExecCounters, RuntimeStatsCollector};
 use dhqp_oledb::DataSource;
 use dhqp_optimizer::props::ColumnRegistry;
@@ -207,6 +208,9 @@ pub struct ExecContext {
     /// Members pruned during this execution (shared with the engine so the
     /// statement can report them after the drain).
     pruned: Arc<PruneLog>,
+    /// Delayed schema validation for the partitioned-view members this
+    /// plan reads; `None` when it reads none.
+    schema_guard: Option<Arc<SchemaGuard>>,
 }
 
 impl ExecContext {
@@ -230,6 +234,7 @@ impl ExecContext {
             degraded: DegradedMode::from_env(),
             runtime_prune: runtime_prune_from_env(),
             pruned: Arc::new(PruneLog::default()),
+            schema_guard: None,
         }
     }
 
@@ -286,6 +291,30 @@ impl ExecContext {
     pub fn with_pruned(mut self, pruned: Arc<PruneLog>) -> Self {
         self.pruned = pruned;
         self
+    }
+
+    /// Validate these partitioned-view members as the plan opens them
+    /// (delayed schema validation, see [`crate::schema_guard`]).
+    pub fn with_view_members(mut self, members: &Arc<[MemberSchema]>) -> Self {
+        self.schema_guard = SchemaGuard::new(members);
+        self
+    }
+
+    /// The view members a request naming `table` on `server` (`None` = the
+    /// local source) reads.
+    pub(crate) fn member_checks(&self, server: Option<&str>, table: &str) -> MemberChecks {
+        match &self.schema_guard {
+            Some(guard) => guard.checks_for_table(server, table),
+            None => MemberChecks::default(),
+        }
+    }
+
+    /// The view members a statement pushed down to `server` reads.
+    pub(crate) fn member_checks_in_sql(&self, server: &str, sql: &str) -> MemberChecks {
+        match &self.schema_guard {
+            Some(guard) => guard.checks_in_sql(server, sql),
+            None => MemberChecks::default(),
+        }
     }
 
     pub fn parallel(&self) -> &ParallelConfig {
@@ -374,6 +403,7 @@ impl ExecContext {
             degraded: self.degraded,
             runtime_prune: self.runtime_prune,
             pruned: Arc::clone(&self.pruned),
+            schema_guard: self.schema_guard.clone(),
         }
     }
 

@@ -17,6 +17,7 @@ pub mod context;
 pub mod eval;
 pub mod health;
 pub mod ops;
+pub mod schema_guard;
 pub mod stats;
 
 pub use build::open;
@@ -31,6 +32,7 @@ pub use health::{
 };
 pub use ops::retry::RetryPolicy;
 pub use ops::semijoin::{predicate_fingerprint, semijoin_remote_sql};
+pub use schema_guard::{MemberSchema, ValidateMember};
 pub use stats::{
     ExchangeRuntime, ExecCounterSnapshot, ExecCounters, NodeRuntime, RemoteTrace,
     RuntimeStatsCollector, SemiJoinTrace, WorkerSpan,

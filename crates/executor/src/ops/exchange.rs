@@ -32,6 +32,10 @@ use std::time::{Duration, Instant};
 /// plan subtree and pre-order id; `Send` because it runs on a worker thread.
 pub type BranchFactory = Box<dyn FnOnce(&ExecContext) -> Result<Box<dyn Rowset>> + Send>;
 
+/// A verdict on the whole exchange that only exists once every branch has
+/// finished (see [`ExchangeRowset::at_end`]).
+pub type EndCheck = Box<dyn FnOnce() -> Result<()> + Send>;
+
 /// Parallel bag union: branches open and drain on worker threads, the
 /// consumer pulls merged row batches (arrival order) from a bounded channel.
 /// Each channel slot carries a whole [`RowBatch`], so the queue bound is
@@ -47,6 +51,7 @@ pub struct ExchangeRowset {
     buffer: std::vec::IntoIter<Row>,
     done: bool,
     stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
+    at_end: Option<EndCheck>,
 }
 
 impl ExchangeRowset {
@@ -115,7 +120,24 @@ impl ExchangeRowset {
             buffer: Vec::new().into_iter(),
             done: false,
             stats,
+            at_end: None,
         })
+    }
+
+    /// Run `check` when the merged stream ends cleanly — every branch
+    /// drained and every worker joined — and surface its error in place of
+    /// the end of stream. How the builder refuses an exchange whose every
+    /// member was quarantined instead of answering "no rows".
+    pub fn at_end(mut self, check: EndCheck) -> Self {
+        self.at_end = Some(check);
+        self
+    }
+
+    /// All senders gone: every branch drained.
+    fn finish(&mut self) -> Result<()> {
+        self.done = true;
+        self.shutdown();
+        self.at_end.take().map_or(Ok(()), |check| check())
     }
 
     /// Receive the next batch from the channel (lock-free fast path, blocking
@@ -283,12 +305,7 @@ impl Rowset for ExchangeRowset {
                 self.shutdown();
                 Err(e)
             }
-            // All senders gone: every branch drained.
-            Err(()) => {
-                self.done = true;
-                self.shutdown();
-                Ok(None)
-            }
+            Err(()) => self.finish().map(|()| None),
         }
     }
 
@@ -320,11 +337,7 @@ impl Rowset for ExchangeRowset {
                 self.shutdown();
                 Err(e)
             }
-            Err(()) => {
-                self.done = true;
-                self.shutdown();
-                Ok(None)
-            }
+            Err(()) => self.finish().map(|()| None),
         }
     }
 }

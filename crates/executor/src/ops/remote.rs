@@ -11,9 +11,10 @@ use crate::eval::{eval_expr, RowEnv};
 use crate::health::{Admission, HealthRegistry};
 use crate::ops::retry::{open_with_retries_tagged, ReopenFactory};
 use crate::ops::scan::resolve_range;
+use crate::schema_guard::MemberChecks;
 use crate::stats::RuntimeStatsCollector;
 use dhqp_oledb::waits::{record_wait, WaitClass};
-use dhqp_oledb::{MemRowset, Rowset};
+use dhqp_oledb::{DataSource, MemRowset, Rowset};
 use dhqp_optimizer::physical::{IndexRangeSpec, ParamSource, RemoteParam};
 use dhqp_optimizer::{ColumnId, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
@@ -81,24 +82,14 @@ fn retry_stats(ctx: &ExecContext, node: usize) -> Option<(usize, Arc<RuntimeStat
 
 /// The breaker-gated tail shared by every remote open path: consult the
 /// link's circuit breaker before touching the wire (an Open breaker fails
-/// fast with `Unavailable`, no retry budget burned), run the retrying
-/// open, and feed the outcome back into the health registry. Exchange
-/// workers and the prefetcher inherit the gate because their branch opens
-/// land here too.
+/// fast with `Unavailable`, no retry budget burned, no session leased and
+/// so no schema stamp sent), run the retrying open, and feed the outcome
+/// back into the health registry. Exchange workers and the prefetcher
+/// inherit the gate because their branch opens land here too. `op_tag` is
+/// stamped onto any retry give-up, so a failure that opened the breaker is
+/// attributable to the exact request shape (e.g. a semi-join-reduced
+/// statement's shipped-predicate fingerprint) in `sys.dm_link_health`.
 fn open_via_breaker(
-    server: &str,
-    ctx: &ExecContext,
-    node: usize,
-    factory: ReopenFactory,
-) -> Result<Box<dyn Rowset>> {
-    open_via_breaker_tagged(server, ctx, node, factory, None)
-}
-
-/// [`open_via_breaker`] with an operation tag stamped onto any retry
-/// give-up, so a failure that opened the breaker is attributable to the
-/// exact request shape (e.g. a semi-join-reduced statement's
-/// shipped-predicate fingerprint) in `sys.dm_link_health`.
-pub(crate) fn open_via_breaker_tagged(
     server: &str,
     ctx: &ExecContext,
     node: usize,
@@ -211,20 +202,50 @@ pub fn open_remote_query(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let source = ctx.catalog().linked(server)?;
     let text = remote_query_text(sql, params, ctx)?;
+    let checks = ctx.member_checks_in_sql(server, sql);
+    open_remote_text(server, text, checks, None, ctx, node)
+}
+
+/// Ship one statement to a linked server through the breaker-gated retry
+/// path, tagging any give-up with the caller's operation descriptor.
+/// `checks` are the view members the statement reads, resolved from its
+/// template (substituted literals must not name a member by accident).
+pub(crate) fn open_remote_text(
+    server: &str,
+    text: String,
+    checks: MemberChecks,
+    op_tag: Option<String>,
+    ctx: &ExecContext,
+    node: usize,
+) -> Result<Box<dyn Rowset>> {
+    let source = ctx.catalog().linked(server)?;
     let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = {
-        let counters = Arc::clone(&counters);
-        Box::new(move || {
-            let mut session = source.create_session()?;
+    let factory: ReopenFactory = Box::new(move || {
+        checks.open_session(&source, |session| {
             let mut command = session.create_command()?;
             command.set_text(&text)?;
             counters.add_remote_roundtrip();
             command.execute()?.into_rowset()
         })
-    };
-    open_via_breaker(server, ctx, node, factory)
+    });
+    open_via_breaker(server, ctx, node, factory, op_tag)
+}
+
+/// The server, its source and the schema checks every base-table open
+/// (`scan`, `range`, `fetch`) of a remote `meta` starts from.
+fn remote_table<'a>(
+    meta: &'a TableMeta,
+    ctx: &ExecContext,
+    what: &str,
+) -> Result<(&'a str, Arc<dyn DataSource>, MemberChecks)> {
+    let server = meta
+        .source
+        .server_name()
+        .ok_or_else(|| DhqpError::Execute(format!("remote {what} of a local table")))?;
+    let source = ctx.catalog().linked(server)?;
+    let checks = ctx.member_checks(Some(server), &meta.table);
+    Ok((server, source, checks))
 }
 
 /// `IOpenRowset` against a remote base table (ships the whole table).
@@ -233,22 +254,16 @@ pub fn open_remote_scan(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let server = meta
-        .source
-        .server_name()
-        .ok_or_else(|| DhqpError::Execute("remote scan of a local table".into()))?;
-    let source = ctx.catalog().linked(server)?;
+    let (server, source, checks) = remote_table(meta, ctx, "scan")?;
     let table = meta.table.clone();
     let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = {
-        let counters = Arc::clone(&counters);
-        Box::new(move || {
-            let mut session = source.create_session()?;
+    let factory: ReopenFactory = Box::new(move || {
+        checks.open_session(&source, |session| {
             counters.add_remote_roundtrip();
             session.open_rowset(&table)
         })
-    };
-    open_via_breaker(server, ctx, node, factory)
+    });
+    open_via_breaker(server, ctx, node, factory, None)
 }
 
 /// `IRowsetIndex` range against a remote index.
@@ -259,24 +274,18 @@ pub fn open_remote_range(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let server = meta
-        .source
-        .server_name()
-        .ok_or_else(|| DhqpError::Execute("remote range of a local table".into()))?;
+    let (server, source, checks) = remote_table(meta, ctx, "range")?;
     let range = resolve_range(spec, ctx)?;
-    let source = ctx.catalog().linked(server)?;
     let table = meta.table.clone();
     let index = index.to_string();
     let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = {
-        let counters = Arc::clone(&counters);
-        Box::new(move || {
-            let mut session = source.create_session()?;
+    let factory: ReopenFactory = Box::new(move || {
+        checks.open_session(&source, |session| {
             counters.add_remote_roundtrip();
             session.open_index(&table, &index, &range)
         })
-    };
-    open_via_breaker(server, ctx, node, factory)
+    });
+    open_via_breaker(server, ctx, node, factory, None)
 }
 
 /// `IRowsetLocate` fetch: pull base rows for the bookmarks produced by a
@@ -287,30 +296,24 @@ pub fn open_remote_fetch(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let server = meta
-        .source
-        .server_name()
-        .ok_or_else(|| DhqpError::Execute("remote fetch of a local table".into()))?;
+    let (server, source, checks) = remote_table(meta, ctx, "fetch")?;
     let mut bookmarks = Vec::new();
     while let Some(row) = child.next()? {
         bookmarks.push(row.bookmark.ok_or_else(|| {
             DhqpError::Execute("remote fetch child produced a row without a bookmark".into())
         })?);
     }
-    let source = ctx.catalog().linked(server)?;
     let table = meta.table.clone();
     let schema = meta.schema.clone();
     let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = {
-        let counters = Arc::clone(&counters);
-        Box::new(move || {
-            let mut session = source.create_session()?;
+    let factory: ReopenFactory = Box::new(move || {
+        checks.open_session(&source, |session| {
             counters.add_remote_roundtrip();
             let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;
             Ok(Box::new(MemRowset::new(schema.clone(), rows)) as Box<dyn Rowset>)
         })
-    };
-    open_via_breaker(server, ctx, node, factory)
+    });
+    open_via_breaker(server, ctx, node, factory, None)
 }
 
 /// Evaluate a list of column-free expressions (used by DML routing).

@@ -10,9 +10,8 @@ use std::collections::HashMap;
 
 /// Open a sequential scan over a local base table.
 pub fn open_table_scan(meta: &TableMeta, ctx: &ExecContext) -> Result<Box<dyn Rowset>> {
-    let source = ctx.catalog().local();
-    let mut session = source.create_session()?;
-    session.open_rowset(&meta.table)
+    ctx.member_checks(None, &meta.table)
+        .open_session(&ctx.catalog().local(), |s| s.open_rowset(&meta.table))
 }
 
 /// Evaluate an [`IndexRangeSpec`]'s bounds into a concrete [`KeyRange`].
@@ -49,9 +48,10 @@ pub fn open_index_range(
     ctx: &ExecContext,
 ) -> Result<Box<dyn Rowset>> {
     let range = resolve_range(spec, ctx)?;
-    let source = ctx.catalog().local();
-    let mut session = source.create_session()?;
-    session.open_index(&meta.table, index, &range)
+    ctx.member_checks(None, &meta.table)
+        .open_session(&ctx.catalog().local(), |s| {
+            s.open_index(&meta.table, index, &range)
+        })
 }
 
 #[cfg(test)]

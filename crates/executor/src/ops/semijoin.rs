@@ -22,15 +22,13 @@
 
 use crate::context::ExecContext;
 use crate::ops::join::HashJoin;
-use crate::ops::remote::{open_via_breaker_tagged, remote_query_text};
-use crate::ops::retry::ReopenFactory;
+use crate::ops::remote::{open_remote_text, remote_query_text};
 use crate::stats::{RemoteProbe, SemiJoinTrace};
 use dhqp_oledb::{MemRowset, Rowset, RowsetExt};
 use dhqp_optimizer::physical::RemoteParam;
 use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr};
 use dhqp_types::{DhqpError, Result, Value};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Everything the builder destructures out of a `SemiJoinReduce` plan node.
 pub struct SemiJoinSpec<'a> {
@@ -71,34 +69,7 @@ pub fn semijoin_remote_sql(base_sql: &str, probe_column: &str, keys: &[Value]) -
 /// `sys.dm_link_health` can correlate repeated failures of the same
 /// filter-ship shape.
 pub fn predicate_fingerprint(text: &str) -> String {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    format!("{hash:016x}")
-}
-
-/// Ship one statement to a linked server through the breaker-gated retry
-/// path, tagging any give-up with the caller's operation descriptor.
-fn open_shipped(
-    server: &str,
-    text: &str,
-    op_tag: Option<String>,
-    ctx: &ExecContext,
-    node: usize,
-) -> Result<Box<dyn Rowset>> {
-    let source = ctx.catalog().linked(server)?;
-    let counters = Arc::clone(ctx.counters());
-    let text = text.to_string();
-    let factory: ReopenFactory = Box::new(move || {
-        let mut session = source.create_session()?;
-        let mut command = session.create_command()?;
-        command.set_text(&text)?;
-        counters.add_remote_roundtrip();
-        command.execute()?.into_rowset()
-    });
-    open_via_breaker_tagged(server, ctx, node, factory, op_tag)
+    format!("{:016x}", dhqp_types::fnv1a_64(text))
 }
 
 /// Open a `SemiJoinReduce` node: collect keys from the (already opened)
@@ -142,6 +113,18 @@ pub fn open_semijoin_reduce(
     }
 
     let base = remote_query_text(spec.sql, spec.params, ctx)?;
+    // Reduced or not, the statement reads the same view members.
+    let checks = ctx.member_checks_in_sql(spec.server, spec.sql);
+    let open_shipped = |text: &str, op_tag: Option<String>| {
+        open_remote_text(
+            spec.server,
+            text.to_string(),
+            checks.clone(),
+            op_tag,
+            ctx,
+            node,
+        )
+    };
     let probe_column = format!("c{}", spec.probe_key.0);
     // Wire-traffic attribution: SemiJoinReduce is its own remote operator,
     // and the hash build below drains the link before this function
@@ -169,7 +152,7 @@ pub fn open_semijoin_reduce(
             predicate_fingerprint(&reduced),
             keys.len()
         );
-        match open_shipped(spec.server, &reduced, Some(tag), ctx, node) {
+        match open_shipped(&reduced, Some(tag)) {
             Ok(rs) => {
                 trace.filter_bytes = filter_bytes;
                 shipped = reduced;
@@ -184,7 +167,7 @@ pub fn open_semijoin_reduce(
                 // never turns a full answer into a partial one.
                 trace.fallback = true;
                 ctx.counters().add_semijoin_fallback();
-                open_shipped(spec.server, &base, None, ctx, node)?
+                open_shipped(&base, None)?
             }
             Err(e) => return Err(e),
         }
@@ -193,7 +176,7 @@ pub fn open_semijoin_reduce(
         // cardinality estimate undershot, abandon the reduction.
         trace.fallback = true;
         ctx.counters().add_semijoin_fallback();
-        open_shipped(spec.server, &base, None, ctx, node)?
+        open_shipped(&base, None)?
     };
 
     let left: Box<dyn Rowset> = Box::new(MemRowset::new(ctx.schema_of(build_columns), build_rows));
@@ -265,5 +248,9 @@ mod tests {
         assert_eq!(a, predicate_fingerprint("WHERE [c3] IN (1, 2)"));
         assert_ne!(a, predicate_fingerprint("WHERE [c3] IN (1, 3)"));
         assert_eq!(a.len(), 16);
+        // Known FNV-1a answers: the fingerprints `sys.dm_link_health` has
+        // been showing did not move with the hash's home.
+        assert_eq!(predicate_fingerprint(""), "cbf29ce484222325");
+        assert_eq!(predicate_fingerprint("a"), "af63dc4c8601ec8c");
     }
 }

@@ -143,7 +143,11 @@ impl PartitionedView {
 
     /// Delayed schema validation (§4.1.5): compare a member's *current*
     /// provider metadata against the definition-time snapshot. Called at
-    /// execution, never at compile time — that is the point.
+    /// execution, never at compile time — that is the point. This is the
+    /// definition of "same schema": column count, then each column's name
+    /// (ASCII case-insensitively) and data type, in order.
+    /// [`TableInfo::schema_stamp`] hashes exactly these inputs, so a member
+    /// that compares stamps and a head that calls this agree.
     pub fn validate_member(&self, member: usize, current: &TableInfo) -> Result<()> {
         let snap = &self.members[member].schema_snapshot;
         let same =
@@ -250,5 +254,85 @@ mod tests {
         let mut renamed = unchanged;
         renamed.columns[1].name = "renamed".into();
         assert!(v.validate_member(1, &renamed).is_err());
+    }
+
+    const NAMES: [&str; 6] = ["k", "v", "w", "amount", "K", "Amount"];
+    const TYPES: [DataType; 5] = [
+        DataType::Bool,
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Date,
+    ];
+
+    /// `a` with one edit: some the comparison must ignore (name case,
+    /// nullability, indexes, cardinality), some it must catch.
+    fn mutated(a: &TableInfo, op: usize, at: usize, pick: usize) -> TableInfo {
+        let mut b = a.clone();
+        let at = at % b.columns.len();
+        match op {
+            0 => {}
+            1 => b.columns[at].name = b.columns[at].name.to_ascii_uppercase(),
+            2 => b.columns[at].nullable = !b.columns[at].nullable,
+            3 => {
+                b.cardinality = Some(pick as u64);
+                b.indexes.push(dhqp_oledb::IndexInfo {
+                    name: "ix".into(),
+                    key_columns: vec![b.columns[at].name.clone()],
+                    unique: false,
+                });
+            }
+            4 => b.columns[at].name = NAMES[pick % NAMES.len()].into(),
+            5 => b.columns[at].data_type = TYPES[pick % TYPES.len()],
+            6 => {
+                b.columns.pop();
+            }
+            7 => b.columns.push(ColumnInfo::new(
+                NAMES[pick % NAMES.len()],
+                TYPES[pick % TYPES.len()],
+            )),
+            _ => b.columns.swap(0, at),
+        }
+        b
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stamps_agree_iff_validation_accepts(
+            columns in proptest::collection::vec((0usize..6, 0usize..5, proptest::any::<bool>()), 1..5),
+            op in 0usize..9,
+            at in 0usize..4,
+            pick in 0usize..30,
+        ) {
+            let snapshot = TableInfo::new(
+                "p0",
+                columns
+                    .iter()
+                    .map(|&(n, t, nullable)| ColumnInfo {
+                        name: NAMES[n].into(),
+                        data_type: TYPES[t],
+                        nullable,
+                    })
+                    .collect(),
+            );
+            let partition_column = snapshot.columns[0].name.clone();
+            let view = PartitionedView::define(
+                "v",
+                &partition_column,
+                vec![MemberTable {
+                    server: Some("s1".into()),
+                    table: "p0".into(),
+                    check: IntervalSet::single(Interval::between(Value::Int(0), Value::Int(9))),
+                    schema_snapshot: snapshot.clone(),
+                }],
+            )
+            .unwrap();
+            let current = mutated(&snapshot, op, at, pick);
+            proptest::prop_assert!(
+                (snapshot.schema_stamp() == current.schema_stamp())
+                    == view.validate_member(0, &current).is_ok(),
+                "{:?} vs {:?}", snapshot.columns, current.columns
+            );
+        }
     }
 }

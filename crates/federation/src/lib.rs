@@ -8,7 +8,12 @@
 //! the partitioning column feeding the constraint property framework.
 //! Delayed schema validation (§4.1.5) is implemented by snapshotting member
 //! schemas at definition time and re-checking them at execution, never at
-//! compile time.
+//! compile time: [`PartitionedView::validate_member`] defines what "the same
+//! schema" means, the executor sends the snapshot's
+//! [`dhqp_oledb::TableInfo::schema_stamp`] with the request that opens a
+//! member so the member can make that comparison itself, and calls
+//! `validate_member` against freshly fetched metadata for providers that
+//! cannot.
 
 pub mod dpv;
 pub mod linked;

@@ -130,17 +130,11 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn hash_str(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
-}
-
 impl FaultPlan {
     pub fn new(link_name: &str, config: FaultConfig) -> Self {
         FaultPlan {
             config,
-            link_hash: hash_str(link_name),
+            link_hash: dhqp_types::fnv1a_64(link_name),
             connects: AtomicU64::new(0),
             commands: AtomicU64::new(0),
             streams: AtomicU64::new(0),

@@ -14,6 +14,12 @@
 //! layer, whose failure semantics are exercised separately) until the
 //! transaction's outcome is acknowledged — a pooled session outlives its
 //! transaction — and `reads_only` plans exempt DML command text too.
+//!
+//! One call is *not* a round trip: [`Session::check_schema`] models a schema
+//! stamp pipelined with the open it guards. An accepted stamp only adds
+//! [`SCHEMA_STAMP_WIRE_BYTES`] to the session's next request; a refused one
+//! is charged as that request, because the member's answer to it was the
+//! refusal.
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::link::NetworkLink;
@@ -23,8 +29,12 @@ use dhqp_oledb::{
     Rowset, Session, TableInfo, TrafficSnapshot, TxnId,
 };
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Wire size of one schema stamp riding a request: the 64-bit stamp itself
+/// (the table it vouches for is already named by the request).
+pub const SCHEMA_STAMP_WIRE_BYTES: u64 = 8;
 
 /// Raise a `fault` event for one injected fault, if the current thread's
 /// activity scope carries an event hook (attribute strings are only built
@@ -136,6 +146,7 @@ impl DataSource for NetworkedDataSource {
             link: self.link.clone(),
             faults: self.faults.clone(),
             enlisted: Arc::new(AtomicBool::new(false)),
+            piggyback: Arc::new(AtomicU64::new(0)),
         }))
     }
 }
@@ -149,9 +160,22 @@ struct NetworkedSession {
     /// with the session's commands so enlisted work is exempt from
     /// injection.
     enlisted: Arc<AtomicBool>,
+    /// Bytes of accepted schema stamps waiting for the request they ride;
+    /// shared with the session's commands, whose `execute` is that request
+    /// for pushed-down statements.
+    piggyback: Arc<AtomicU64>,
+}
+
+/// Record one round trip of `bytes` plus whatever stamps were waiting for it.
+fn request_with_piggyback(link: &NetworkLink, piggyback: &AtomicU64, bytes: u64) {
+    link.record_request(bytes + piggyback.swap(0, Ordering::Relaxed));
 }
 
 impl NetworkedSession {
+    fn request(&self, bytes: u64) {
+        request_with_piggyback(&self.link, &self.piggyback, bytes);
+    }
+
     /// Deliver a transaction outcome; once the participant acknowledges it
     /// the session is an ordinary one again, open to injection.
     fn finish(&mut self, outcome: Result<()>) -> Result<()> {
@@ -280,7 +304,7 @@ fn rows_wire_size(rows: &[Row]) -> u64 {
 
 impl Session for NetworkedSession {
     fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        self.link.record_request(32 + table.len() as u64);
+        self.request(32 + table.len() as u64);
         self.open_fault()?;
         let drop_at = self.stream_drop();
         Ok(Box::new(MeteredRowset::new(
@@ -296,6 +320,7 @@ impl Session for NetworkedSession {
             link: self.link.clone(),
             faults: self.faults.clone(),
             enlisted: Arc::clone(&self.enlisted),
+            piggyback: Arc::clone(&self.piggyback),
             text: String::new(),
             text_len: 0,
         }))
@@ -307,8 +332,7 @@ impl Session for NetworkedSession {
         index: &str,
         range: &KeyRange,
     ) -> Result<Box<dyn Rowset>> {
-        self.link
-            .record_request(48 + table.len() as u64 + index.len() as u64);
+        self.request(48 + table.len() as u64 + index.len() as u64);
         self.open_fault()?;
         let drop_at = self.stream_drop();
         Ok(Box::new(MeteredRowset::new(
@@ -319,15 +343,33 @@ impl Session for NetworkedSession {
     }
 
     fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.link.record_request(32 + 8 * bookmarks.len() as u64);
+        self.request(32 + 8 * bookmarks.len() as u64);
         let rows = self.inner.fetch_by_bookmarks(table, bookmarks)?;
         self.link
             .record_rows(rows.len() as u64, rows_wire_size(&rows));
         Ok(rows)
     }
 
+    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
+        match self.inner.check_schema(table, stamp) {
+            Ok(()) => {
+                self.piggyback
+                    .fetch_add(SCHEMA_STAMP_WIRE_BYTES, Ordering::Relaxed);
+                Ok(())
+            }
+            // Nothing crossed the wire: the consumer learns from the
+            // provider's capabilities, not from a round trip, that it has to
+            // validate by itself.
+            Err(e @ DhqpError::Unsupported(_)) => Err(e),
+            Err(e) => {
+                self.request(32 + table.len() as u64 + SCHEMA_STAMP_WIRE_BYTES);
+                Err(e)
+            }
+        }
+    }
+
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.link.record_request(32);
+        self.request(32);
         let h = self.inner.histogram(table, column)?;
         if let Some(h) = &h {
             // A histogram ships one (upper, rows, distinct) triple per step.
@@ -338,7 +380,7 @@ impl Session for NetworkedSession {
     }
 
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        self.link.record_request(16);
+        self.request(16);
         self.inner.join_transaction(txn)?;
         // From here on this session carries transactional state; faults on
         // it would force non-idempotent resends, so injection stops.
@@ -347,29 +389,29 @@ impl Session for NetworkedSession {
     }
 
     fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.link.record_request(16);
+        self.request(16);
         self.inner.prepare(txn)
     }
 
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.link.record_request(16);
+        self.request(16);
         let outcome = self.inner.commit(txn);
         self.finish(outcome)
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.link.record_request(16);
+        self.request(16);
         let outcome = self.inner.abort(txn);
         self.finish(outcome)
     }
 
     fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.link.record_request(32 + rows_wire_size(rows));
+        self.request(32 + rows_wire_size(rows));
         self.inner.insert(table, rows)
     }
 
     fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.link.record_request(32 + 8 * bookmarks.len() as u64);
+        self.request(32 + 8 * bookmarks.len() as u64);
         self.inner.delete_by_bookmarks(table, bookmarks)
     }
 
@@ -379,8 +421,7 @@ impl Session for NetworkedSession {
         bookmarks: &[u64],
         updates: &[Row],
     ) -> Result<u64> {
-        self.link
-            .record_request(32 + 8 * bookmarks.len() as u64 + rows_wire_size(updates));
+        self.request(32 + 8 * bookmarks.len() as u64 + rows_wire_size(updates));
         self.inner.update_by_bookmarks(table, bookmarks, updates)
     }
 }
@@ -390,6 +431,7 @@ struct NetworkedCommand {
     link: NetworkLink,
     faults: Option<Arc<FaultPlan>>,
     enlisted: Arc<AtomicBool>,
+    piggyback: Arc<AtomicU64>,
     text: String,
     text_len: u64,
 }
@@ -408,7 +450,7 @@ impl Command for NetworkedCommand {
 
     fn execute(&mut self) -> Result<CommandResult> {
         // The command text crosses the wire on execute.
-        self.link.record_request(self.text_len.max(16));
+        request_with_piggyback(&self.link, &self.piggyback, self.text_len.max(16));
         let mut drop_at = None;
         if let Some(plan) = &self.faults {
             if !self.enlisted.load(Ordering::Relaxed) {
@@ -489,6 +531,43 @@ mod tests {
         }
 
         fn abort(&mut self, _txn: TxnId) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// [`StubSource`] whose sessions accept any schema stamp.
+    struct StampingStub;
+
+    impl DataSource for StampingStub {
+        fn name(&self) -> &str {
+            "stamping-stub"
+        }
+
+        fn capabilities(&self) -> ProviderCapabilities {
+            ProviderCapabilities::simple("stub")
+        }
+
+        fn tables(&self) -> Result<Vec<TableInfo>> {
+            Ok(vec![])
+        }
+
+        fn create_session(&self) -> Result<Box<dyn Session>> {
+            Ok(Box::new(StampingSession))
+        }
+    }
+
+    struct StampingSession;
+
+    impl Session for StampingSession {
+        fn open_rowset(&mut self, _table: &str) -> Result<Box<dyn Rowset>> {
+            Ok(ten_rows())
+        }
+
+        fn create_command(&mut self) -> Result<Box<dyn Command>> {
+            Ok(Box::new(StubCommand))
+        }
+
+        fn check_schema(&mut self, _table: &str, _stamp: u64) -> Result<()> {
             Ok(())
         }
     }
@@ -627,6 +706,102 @@ mod tests {
             total += b.len();
         }
         assert_eq!(total, 10);
+    }
+
+    fn stamp_of_t() -> u64 {
+        TableInfo::new(
+            "t",
+            vec![dhqp_oledb::ColumnInfo::not_null("x", DataType::Int)],
+        )
+        .schema_stamp()
+    }
+
+    #[test]
+    fn an_accepted_schema_stamp_rides_the_open_it_guards() {
+        let ds = networked();
+        let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
+        s.check_schema("t", stamp_of_t()).unwrap();
+        assert!(
+            ds.link().snapshot().since(&before).is_zero(),
+            "an accepted stamp is not a round trip of its own"
+        );
+        let _open = s.open_rowset("t").unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(delta.requests, 1);
+        assert_eq!(delta.bytes, 33 + SCHEMA_STAMP_WIRE_BYTES);
+        // The stamp rode that request and no later one.
+        let _again = s.open_rowset("t").unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(delta.requests, 2);
+        assert_eq!(delta.bytes, 2 * 33 + SCHEMA_STAMP_WIRE_BYTES);
+    }
+
+    #[test]
+    fn a_refused_schema_stamp_is_charged_as_the_request_it_refused() {
+        let ds = networked();
+        let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
+        let err = s.check_schema("t", stamp_of_t() ^ 1).unwrap_err();
+        assert_eq!(err.kind(), "schema-drift");
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(delta.requests, 1);
+        assert_eq!(delta.bytes, 33 + SCHEMA_STAMP_WIRE_BYTES);
+        // A table that is gone is refused with the provider's own error.
+        let err = s.check_schema("gone", 0).unwrap_err();
+        assert_eq!(err.kind(), "catalog");
+        assert_eq!(ds.link().snapshot().since(&before).requests, 2);
+    }
+
+    #[test]
+    fn a_provider_without_schema_stamps_puts_nothing_on_the_wire() {
+        let link = NetworkLink::new("link-r0", NetworkConfig::untimed());
+        let ds = NetworkedDataSource::reliable(Arc::new(StubSource), link);
+        let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
+        let err = s.check_schema("t", 7).unwrap_err();
+        assert!(matches!(err, DhqpError::Unsupported(_)), "{err}");
+        assert!(ds.link().snapshot().since(&before).is_zero());
+        let _open = s.open_rowset("t").unwrap();
+        assert_eq!(ds.link().snapshot().since(&before).bytes, 33);
+    }
+
+    #[test]
+    fn a_faulted_open_and_its_retry_each_carry_the_stamp_and_count_once() {
+        let ds = faulty(FaultConfig::one_transient_per_link(5));
+        let attempt = |ds: &NetworkedDataSource| -> Result<u64> {
+            let mut s = ds.create_session()?;
+            s.check_schema("t", stamp_of_t())?;
+            s.open_rowset("t")?.count_rows()
+        };
+        let connect = 32;
+        let open = 33 + SCHEMA_STAMP_WIRE_BYTES;
+        let before = ds.link().snapshot();
+        assert!(attempt(&ds).unwrap_err().is_retryable());
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!((delta.requests, delta.bytes), (2, connect + open));
+        // The retry is a new session: nothing of the lost request carries
+        // over, so the stamp is sent again — once.
+        assert_eq!(attempt(&ds).unwrap(), 10);
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(delta.requests, 4);
+        assert_eq!(delta.bytes, 2 * (connect + open) + 10 * 16);
+    }
+
+    #[test]
+    fn a_schema_stamp_rides_a_command_execute_too() {
+        let link = NetworkLink::new("link-r0", NetworkConfig::untimed());
+        let ds = NetworkedDataSource::reliable(Arc::new(StampingStub), link);
+        let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
+        s.check_schema("t", 7).unwrap();
+        let mut cmd = s.create_command().unwrap();
+        let text = "SELECT [x] FROM [t]";
+        cmd.set_text(text).unwrap();
+        let _rows = cmd.execute().unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(delta.requests, 1);
+        assert_eq!(delta.bytes, text.len() as u64 + SCHEMA_STAMP_WIRE_BYTES);
     }
 
     #[test]

@@ -286,6 +286,24 @@ pub trait Session: Send {
         ))
     }
 
+    /// Delayed schema validation (§4.1.5) as part of the open: the consumer
+    /// announces that the next request on this session reads `table` and was
+    /// compiled against a column list stamping to `stamp`
+    /// ([`TableInfo::schema_stamp`]). A provider that implements this
+    /// compares against the *live, full* column list of `table` and refuses
+    /// with [`DhqpError::SchemaDrift`] on a mismatch (a missing table keeps
+    /// its own error). It costs no round trip of its own: on the wire the
+    /// stamp rides the request that follows. The default `Unsupported` is
+    /// the capability signal — the consumer then fetches
+    /// [`DataSource::table`] and compares the columns itself, so a provider
+    /// that implements nothing stays exactly as safe, one metadata request
+    /// dearer.
+    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
+        Err(DhqpError::Unsupported(
+            "provider does not check schema stamps".into(),
+        ))
+    }
+
     /// Histogram over one column (the §3.2.4 statistics extension), `None`
     /// when the provider keeps no statistics for it.
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
@@ -386,6 +404,10 @@ mod tests {
         ));
         assert!(matches!(
             s.fetch_by_bookmarks("t", &[1]),
+            Err(DhqpError::Unsupported(_))
+        ));
+        assert!(matches!(
+            s.check_schema("t", 0),
             Err(DhqpError::Unsupported(_))
         ));
         assert!(s.histogram("t", "c").unwrap().is_none());

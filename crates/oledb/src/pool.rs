@@ -258,6 +258,10 @@ impl Session for PooledSession {
         self.call(|s| s.fetch_by_bookmarks(table, bookmarks))
     }
 
+    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
+        self.call(|s| s.check_schema(table, stamp))
+    }
+
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
         self.call(|s| s.histogram(table, column))
     }

@@ -90,6 +90,12 @@ impl TableInfo {
         Schema::new(self.columns.iter().map(ColumnInfo::to_column).collect())
     }
 
+    /// [`dhqp_types::schema_stamp`] of this table's columns — what
+    /// [`crate::Session::check_schema`] carries to the provider.
+    pub fn schema_stamp(&self) -> u64 {
+        dhqp_types::schema_stamp(self.columns.iter().map(|c| (c.name.as_str(), c.data_type)))
+    }
+
     /// Case-insensitive column lookup.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns

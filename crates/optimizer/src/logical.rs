@@ -167,10 +167,12 @@ pub enum LogicalOp {
     UnionAll { output: Vec<ColumnId> },
     /// First-n. One child.
     Limit { n: u64 },
-    /// Constant rows (INSERT ... VALUES, tests).
+    /// Constant rows (INSERT ... VALUES, a full-text hit list, tests).
+    /// Shared: the memo clones and hashes operators freely, and a hit list
+    /// is hundreds of rows.
     Values {
         columns: Vec<ColumnId>,
-        rows: Vec<Vec<Value>>,
+        rows: Arc<Vec<Vec<Value>>>,
     },
 }
 

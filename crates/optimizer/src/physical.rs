@@ -155,7 +155,7 @@ pub enum PhysicalOp {
     },
     Values {
         columns: Vec<ColumnId>,
-        rows: Vec<Vec<Value>>,
+        rows: Arc<Vec<Vec<Value>>>,
     },
     /// Produces no rows (statically pruned).
     Empty {

@@ -10,12 +10,13 @@
 
 pub mod ast;
 pub mod fingerprint;
-pub mod hash;
 pub mod lexer;
 pub mod parser;
 
 pub use ast::*;
 pub use fingerprint::{fingerprint, Fingerprint, AUTO_PARAM_PREFIX};
-pub use hash::{fnv1a_64, hash_lines, Fnv1a};
+// The stable hash lives in `dhqp_types` (the member-schema stamp needs it
+// below the SQL front end); re-exported so existing call sites keep compiling.
+pub use dhqp_types::hash::{self, fnv1a_64, hash_lines, Fnv1a};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_expression, parse_statement, Parser};

@@ -124,6 +124,16 @@ impl Session for LocalSession {
         })?
     }
 
+    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
+        if self.engine.with_table(table, |t| t.schema.stamp())? == stamp {
+            return Ok(());
+        }
+        Err(DhqpError::SchemaDrift(format!(
+            "table '{table}' on '{}' no longer has the columns this request was compiled against",
+            self.engine.name()
+        )))
+    }
+
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<dhqp_oledb::Histogram>> {
         Ok(self
             .engine

@@ -1,12 +1,17 @@
-//! Stable 64-bit hashing for plan and query identity.
+//! Stable 64-bit hashing: plan and query identity, shipped-predicate
+//! fingerprints, fault-plan link seeds and the member-schema stamp.
 //!
 //! The query store keys history by *fingerprint template* (what the plan
 //! cache parameterizes on) and by *plan shape* (the pre-order operator
-//! description of a physical plan). Both need a hash that is stable across
-//! process restarts — `std::collections::hash_map::DefaultHasher` is
+//! description of a physical plan); [`crate::schema_stamp`] travels between
+//! a head and its partitioned-view members. All of them need a hash that is
+//! stable across processes — `std::collections::hash_map::DefaultHasher` is
 //! randomly seeded per process, so DMV rows would never be comparable
-//! between runs. FNV-1a is tiny, has no dependencies, and is the classic
-//! choice for short structured strings.
+//! between runs and two engines would never agree on a stamp. FNV-1a is
+//! tiny, has no dependencies, and is the classic choice for short
+//! structured strings. It lives in this crate because every layer that
+//! hashes (SQL front end, executor, network simulator, providers) already
+//! depends on it.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -77,6 +82,18 @@ mod tests {
         assert_eq!(fnv1a_64(""), 0xcbf2_9ce4_8422_2325);
         // Well-known vector: "a" → 0xaf63dc4c8601ec8c.
         assert_eq!(fnv1a_64("a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn agrees_with_the_inlined_folds_it_replaced() {
+        // The executor's predicate fingerprint and the fault plan's link
+        // seed used to fold FNV-1a by hand; same constants, same outputs.
+        for text in ["", "member1", "wan1", "WHERE [c3] IN (1, 2)"] {
+            let folded = text.bytes().fold(0xcbf29ce484222325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            });
+            assert_eq!(fnv1a_64(text), folded, "{text:?}");
+        }
     }
 
     #[test]

@@ -9,12 +9,14 @@
 
 pub mod batch;
 pub mod error;
+pub mod hash;
 pub mod interval;
 pub mod row;
 pub mod value;
 
 pub use batch::RowBatch;
 pub use error::{DhqpError, Result};
+pub use hash::{fnv1a_64, hash_lines, Fnv1a};
 pub use interval::{Interval, IntervalBound, IntervalSet};
-pub use row::{Column, Row, Schema};
+pub use row::{schema_stamp, Column, Row, Schema};
 pub use value::{DataType, Value};

@@ -1,5 +1,6 @@
 //! Rows and schemas — the tabular shape every rowset exposes.
 
+use crate::hash::Fnv1a;
 use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -95,6 +96,36 @@ impl Schema {
             })
             .sum()
     }
+
+    /// [`schema_stamp`] of this schema's columns.
+    pub fn stamp(&self) -> u64 {
+        schema_stamp(self.columns.iter().map(|c| (c.name.as_str(), c.data_type)))
+    }
+}
+
+/// 64-bit stamp of a column list's *shape*: the column count, then each
+/// column's ASCII-lower-cased name and data type, in order — exactly what
+/// delayed schema validation compares, and nothing it does not
+/// (nullability, indexes and cardinality may change under a compiled plan).
+/// A head sends the stamp of the schema a plan was compiled against along
+/// with the request that opens a partitioned-view member, and the member
+/// refuses the request when its live table stamps differently. Every field
+/// is length-prefixed, so two different shapes never feed FNV-1a the same
+/// bytes.
+pub fn schema_stamp<'a>(columns: impl ExactSizeIterator<Item = (&'a str, DataType)>) -> u64 {
+    fn write_str(h: &mut Fnv1a, text: impl ExactSizeIterator<Item = u8>) {
+        h.write(&(text.len() as u32).to_le_bytes());
+        for b in text {
+            h.write(&[b]);
+        }
+    }
+    let mut h = Fnv1a::new();
+    h.write(&(columns.len() as u32).to_le_bytes());
+    for (name, data_type) in columns {
+        write_str(&mut h, name.bytes().map(|b| b.to_ascii_lowercase()));
+        write_str(&mut h, data_type.sql_name().bytes());
+    }
+    h.finish()
 }
 
 impl fmt::Display for Schema {

@@ -13,7 +13,7 @@ use dhqp::Engine;
 use dhqp_oledb::{
     ColumnInfo, DataSource, MemRowset, ProviderCapabilities, Rowset, Session, TableInfo,
 };
-use dhqp_types::{Column, DataType, DhqpError, Result, Row, Schema, Value};
+use dhqp_types::{Column, DataType, DhqpError, Interval, IntervalSet, Result, Row, Schema, Value};
 use std::sync::Arc;
 
 /// The data: an append-only changelog of (seq, key, op, value).
@@ -62,6 +62,11 @@ struct ChangelogSession {
     log: Arc<Changelog>,
 }
 
+// `open_rowset` is the whole session: every other `Session` method keeps
+// its `Unsupported` default, and the DHQP works around each one. That
+// includes `check_schema` — when this table is a member of a partitioned
+// view (below), the engine cannot hand the member a schema stamp to check,
+// so it fetches `tables()` and compares the columns itself before the open.
 impl Session for ChangelogSession {
     fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
         if !table.eq_ignore_ascii_case("events") {
@@ -123,6 +128,21 @@ fn main() -> Result<()> {
                WHERE NOT EXISTS (SELECT * FROM changelog.db.dbo.events newer \
                                  WHERE newer.key = e.key AND newer.seq > e.seq) \
                ORDER BY e.key";
+    println!("{sql}\n");
+    println!("{}", engine.query(sql)?.to_table());
+
+    // A simple provider can hold a partitioned-view member too: delayed
+    // schema validation falls back to the provider's metadata.
+    engine.define_partitioned_view(
+        "events_all",
+        "seq",
+        vec![(
+            Some("changelog".to_string()),
+            "events".to_string(),
+            IntervalSet::single(Interval::at_least(Value::Int(1))),
+        )],
+    )?;
+    let sql = "SELECT COUNT(*) AS events FROM events_all WHERE seq >= 3";
     println!("{sql}\n");
     println!("{}", engine.query(sql)?.to_table());
     Ok(())

@@ -366,20 +366,24 @@ fn dm_link_health_lists_every_link() {
 }
 
 /// All members down in prune mode: degrading to an empty answer would be
-/// lying — the query must fail, naming the quarantined members.
+/// lying — the query must fail, naming the quarantined members. The serial
+/// union refuses before it hands out a rowset, the parallel exchange at the
+/// end of its merged stream, once every worker has given up on its member.
 #[test]
 fn prune_mode_with_every_member_dead_still_errors() {
-    let (head, _links) = federation_with_faults(0, |_| Some(FaultConfig::dead(3)));
-    head.set_retry_policy(fast_retries());
-    head.set_degraded_mode(DegradedMode::Prune);
-    // Serial dispatch: the union refuses before it opens a rowset. The
-    // parallel exchange (DHQP_PARALLEL=1) has no such check yet and answers
-    // with an empty result -- ROADMAP open item.
-    head.set_parallel_config(ParallelConfig::serial());
-    let err = head.query(SCAN).unwrap_err();
-    assert_eq!(err.kind(), "unavailable", "{err}");
-    assert!(
-        err.message().contains("pruned every member"),
-        "all-members-pruned must not return an empty result: {err}"
-    );
+    for parallel in [ParallelConfig::serial(), ParallelConfig::parallel()] {
+        let (head, _links) = federation_with_faults(0, |_| Some(FaultConfig::dead(3)));
+        head.set_retry_policy(fast_retries());
+        head.set_degraded_mode(DegradedMode::Prune);
+        head.set_parallel_config(parallel.clone());
+        let err = head.query(SCAN).unwrap_err();
+        assert_eq!(err.kind(), "unavailable", "{parallel:?}: {err}");
+        assert!(
+            err.message().contains("pruned every member"),
+            "all-members-pruned must not return an empty result ({parallel:?}): {err}"
+        );
+        for member in ["member1", "member2", "member3", "member4"] {
+            assert!(err.message().contains(member), "{parallel:?}: {err}");
+        }
+    }
 }

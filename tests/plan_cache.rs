@@ -3,9 +3,12 @@
 //! the regression that a replaced linked server's old plans are never
 //! reused.
 
-use dhqp::{Engine, EngineDataSource};
+use dhqp::{BatchConfig, BreakerState, DegradedMode, Engine, EngineDataSource, ParallelConfig};
+use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
+use dhqp_oledb::{Command, DataSource, KeyRange, ProviderCapabilities, Rowset, Session, TableInfo};
 use dhqp_storage::TableDef;
-use dhqp_types::{Column, DataType, Interval, IntervalSet, Row, Schema, Value};
+use dhqp_types::{Column, DataType, Interval, IntervalSet, Result, Row, Schema, Value};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -265,6 +268,238 @@ fn dpv_member_drift_fails_cached_plan_and_redefinition_evicts() {
     assert_eq!(r.len(), 4);
     let m = head.metrics();
     assert!(m.plan_cache_evictions >= 1, "{m:?}");
+}
+
+// ---- delayed schema validation rides the open --------------------------------
+
+/// `rt_all` over `rt` on four linked members, `k` in `[10·i, 10·i + 9]` on
+/// member `i`, two rows each, every member behind its own link with no
+/// fault plan (so the links' request counts are exact under every CI leg).
+struct Dpv {
+    head: Engine,
+    members: Vec<Engine>,
+    links: Vec<NetworkLink>,
+}
+
+fn reliable(source: Arc<dyn DataSource>, link: &NetworkLink) -> Arc<dyn DataSource> {
+    Arc::new(NetworkedDataSource::reliable(source, link.clone()))
+}
+
+fn dpv(wrap: impl Fn(Arc<dyn DataSource>, &NetworkLink) -> Arc<dyn DataSource>) -> Dpv {
+    let head = head_engine();
+    let (mut members, mut links, mut view) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..4i64 {
+        let member = remote_with(&[(10 * i + 1, "a"), (10 * i + 2, "b")]);
+        let link = NetworkLink::new(format!("m{i}"), NetworkConfig::lan());
+        let source = wrap(Arc::new(EngineDataSource::new(member.clone())), &link);
+        head.add_linked_server(&format!("m{i}"), source).unwrap();
+        view.push((
+            Some(format!("m{i}")),
+            "rt".to_string(),
+            IntervalSet::single(Interval::between(
+                Value::Int(10 * i),
+                Value::Int(10 * i + 9),
+            )),
+        ));
+        members.push(member);
+        links.push(link);
+    }
+    head.define_partitioned_view("rt_all", "k", view).unwrap();
+    Dpv {
+        head,
+        members,
+        links,
+    }
+}
+
+/// Replace a member's `rt` behind the federation's back.
+fn drift(member: &Engine) {
+    member.storage().drop_table("rt").unwrap();
+    member
+        .storage()
+        .create_table(TableDef::new(
+            "rt",
+            Schema::new(vec![Column::not_null("something_else", DataType::Int)]),
+        ))
+        .unwrap();
+}
+
+fn k(value: i64) -> HashMap<String, Value> {
+    HashMap::from([("k".to_string(), Value::Int(value))])
+}
+
+/// The check that used to run before the first open now travels with each
+/// member's open — on whichever thread, in whichever pull protocol, under
+/// whichever degraded-mode policy that open happens. Drift is the member's
+/// answer to a request, not a transport fault: never retried, never
+/// quarantined, and the breaker does not hear of it.
+#[test]
+fn a_drifted_member_fails_a_cached_plan_in_every_dispatch_mode() {
+    let dispatch = [
+        ParallelConfig::serial(),
+        ParallelConfig::parallel(),
+        ParallelConfig {
+            prefetch: false,
+            ..ParallelConfig::parallel()
+        },
+    ];
+    let sql = "SELECT v FROM rt_all WHERE k >= 1";
+    for parallel in &dispatch {
+        for batch in [BatchConfig::row_at_a_time(), BatchConfig::batched(3)] {
+            for degraded in [DegradedMode::Fail, DegradedMode::Prune] {
+                let mode = format!("{parallel:?} {batch:?} {degraded:?}");
+                let f = dpv(reliable);
+                f.head.set_parallel_config(parallel.clone());
+                f.head.set_batch_config(batch.clone());
+                f.head.set_degraded_mode(degraded);
+                assert_eq!(f.head.query(sql).unwrap().len(), 8, "{mode}");
+                assert_eq!(f.head.query(sql).unwrap().len(), 8, "{mode}");
+
+                drift(&f.members[2]);
+                let before = f.head.metrics();
+                let err = f.head.query(sql).unwrap_err();
+                assert_eq!(err.kind(), "schema-drift", "{mode}: {err}");
+                let after = f.head.metrics();
+                assert_eq!(
+                    after.plan_cache_hits,
+                    before.plan_cache_hits + 1,
+                    "the stale plan is still found, and refused at run time ({mode})"
+                );
+                assert_eq!(after.remote_retries, before.remote_retries, "{mode}");
+                assert_eq!(
+                    after.remote_transient_errors, before.remote_transient_errors,
+                    "{mode}"
+                );
+                assert_eq!(after.members_pruned, before.members_pruned, "{mode}");
+                assert_eq!(
+                    after.breaker_fast_fails, before.breaker_fast_fails,
+                    "{mode}"
+                );
+                for link in f.head.link_health() {
+                    assert_eq!(link.state, BreakerState::Closed, "{mode}: {link:?}");
+                    assert_eq!((link.opens, link.consecutive_failures), (0, 0), "{mode}");
+                }
+
+                // A member table that is gone altogether keeps the
+                // provider's own error.
+                f.members[2].storage().drop_table("rt").unwrap();
+                let err = f.head.query(sql).unwrap_err();
+                assert_eq!(err.kind(), "catalog", "{mode}: {err}");
+            }
+        }
+    }
+}
+
+/// A member the statement does not open is not validated, by construction:
+/// whether the optimizer pruned it statically or a startup filter skips it
+/// for this execution's parameter value, nothing is sent to it — so its
+/// drift cannot fail a statement that never reads it.
+#[test]
+fn a_drifted_member_the_statement_does_not_open_is_never_contacted() {
+    // IN-list literals are not auto-parameterized: the optimizer prunes
+    // three members away at compile time, and the pruned plan is cached.
+    let pruned_sql = "SELECT v FROM rt_all WHERE k IN (1, 2)";
+    let param_sql = "SELECT v FROM rt_all WHERE k = @k";
+    for parallel in [ParallelConfig::serial(), ParallelConfig::parallel()] {
+        let f = dpv(reliable);
+        f.head.set_parallel_config(parallel.clone());
+        f.head.query(pruned_sql).unwrap();
+        f.head.query_with_params(param_sql, k(1)).unwrap();
+
+        drift(&f.members[2]);
+        let before = f.links[2].snapshot();
+        assert_eq!(f.head.query(pruned_sql).unwrap().len(), 2, "{parallel:?}");
+        let one = f.head.query_with_params(param_sql, k(1)).unwrap();
+        assert_eq!(one.len(), 1, "{parallel:?}");
+        assert!(
+            f.links[2].snapshot().since(&before).is_zero(),
+            "the drifted member was contacted ({parallel:?})"
+        );
+        // The same cached plan, aimed at the drifted member, is refused.
+        let err = f.head.query_with_params(param_sql, k(21)).unwrap_err();
+        assert_eq!(err.kind(), "schema-drift", "{parallel:?}: {err}");
+    }
+}
+
+/// A decorator written before `Session::check_schema` existed: it forwards
+/// the data-access calls it knows and inherits the default for the rest.
+struct Unaware(Arc<dyn DataSource>);
+
+impl DataSource for Unaware {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn capabilities(&self) -> ProviderCapabilities {
+        self.0.capabilities()
+    }
+
+    fn tables(&self) -> Result<Vec<TableInfo>> {
+        self.0.tables()
+    }
+
+    fn create_session(&self) -> Result<Box<dyn Session>> {
+        Ok(Box::new(UnawareSession(self.0.create_session()?)))
+    }
+}
+
+struct UnawareSession(Box<dyn Session>);
+
+impl Session for UnawareSession {
+    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
+        self.0.open_rowset(table)
+    }
+
+    fn create_command(&mut self) -> Result<Box<dyn Command>> {
+        self.0.create_command()
+    }
+
+    fn open_index(
+        &mut self,
+        table: &str,
+        index: &str,
+        range: &KeyRange,
+    ) -> Result<Box<dyn Rowset>> {
+        self.0.open_index(table, index, range)
+    }
+}
+
+/// Behind such a decorator — on the member's side of the link or on the
+/// head's — nobody answers the stamp, so the head fetches the member's
+/// metadata and compares the columns itself, as it always did: one
+/// metadata request per member read, and drift is still drift.
+#[test]
+fn a_member_behind_an_unaware_decorator_is_validated_by_the_head() {
+    type Wrap = fn(Arc<dyn DataSource>, &NetworkLink) -> Arc<dyn DataSource>;
+    let member_side: Wrap = |source, link| reliable(Arc::new(Unaware(source)), link);
+    let head_side: Wrap = |source, link| Arc::new(Unaware(reliable(source, link)));
+    let sql = "SELECT v FROM rt_all WHERE k >= 30";
+    for (side, wrap) in [("member side", member_side), ("head side", head_side)] {
+        let f = dpv(wrap);
+        f.head.set_parallel_config(ParallelConfig::serial());
+        // Twice: the plan is cached and the pool holds a session.
+        f.head.query(sql).unwrap();
+        f.head.query(sql).unwrap();
+
+        let before = f.links[3].snapshot();
+        assert_eq!(f.head.query(sql).unwrap().len(), 2, "{side}");
+        assert_eq!(
+            f.links[3].snapshot().since(&before).requests,
+            2,
+            "the metadata request and the open ({side})"
+        );
+
+        drift(&f.members[3]);
+        let before = f.links[3].snapshot();
+        let err = f.head.query(sql).unwrap_err();
+        assert_eq!(err.kind(), "schema-drift", "{side}: {err}");
+        assert!(err.message().contains("view 'rt_all'"), "{side}: {err}");
+        assert_eq!(
+            f.links[3].snapshot().since(&before).requests,
+            1,
+            "exactly the metadata request; the open is never sent ({side})"
+        );
+    }
 }
 
 #[test]

@@ -107,6 +107,12 @@ fn member_source(engine: &Engine, link: &NetworkLink, kind: Member) -> Arc<dyn D
 }
 
 fn federation(kind: impl Fn(usize) -> Member) -> Federation {
+    federation_of(MEMBERS, kind)
+}
+
+/// The same over `members` linked servers.
+fn federation_of(members: i64, kind: impl Fn(usize) -> Member) -> Federation {
+    let member_count = members;
     let head = Engine::new("head");
     // Counts below are per statement and serial; retries must not sleep.
     head.set_parallel_config(ParallelConfig::serial());
@@ -118,7 +124,7 @@ fn federation(kind: impl Fn(usize) -> Member) -> Federation {
         query_deadline: None,
     });
     let (mut members, mut links, mut view_members) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..MEMBERS {
+    for i in 0..member_count {
         let member = Engine::new(format!("member{i}"));
         let (lo, hi) = (i * PER_MEMBER, (i + 1) * PER_MEMBER - 1);
         let table = format!("acct_{i}");
@@ -145,12 +151,16 @@ fn federation(kind: impl Fn(usize) -> Member) -> Federation {
 
 /// Every account in one plain local table: the reference for answers.
 fn unfederated() -> Engine {
+    unfederated_of(MEMBERS)
+}
+
+fn unfederated_of(members: i64) -> Engine {
     let engine = Engine::new("solo");
     create_accounts(
         engine.storage(),
         "acct_all",
         0,
-        MEMBERS * PER_MEMBER - 1,
+        members * PER_MEMBER - 1,
         false,
     );
     engine
@@ -188,8 +198,8 @@ impl Federation {
         self.links.iter().map(|l| l.snapshot().requests).collect()
     }
 
-    /// The point lookup of `id` by the four-part name of its member table:
-    /// no view in front, so no delayed schema validation request either.
+    /// The point lookup of `id` by the four-part name of its member table
+    /// (no view in front).
     fn lookup_sql(id: i64) -> String {
         let m = id / PER_MEMBER;
         format!("SELECT id, balance FROM m{m}.db.dbo.acct_{m} WHERE id = {id}")
@@ -271,6 +281,34 @@ fn first_lookup_connects_and_later_ones_reuse_the_session() {
         oracle.query("SELECT * FROM sys.dm_os_knobs").unwrap().len(),
         27
     );
+}
+
+/// With the session pooled and the schema stamp riding the open, a warm
+/// read through the view costs what the plan costs: one request per member
+/// it opens — the open itself — on whichever thread that open runs.
+#[test]
+fn a_warm_view_read_costs_one_request_per_member_it_opens() {
+    let oracle = unfederated_of(4);
+    let range = "SELECT id, balance FROM acct_all WHERE balance >= 0";
+    let point = "SELECT id, balance FROM acct_all WHERE id = 77";
+    for parallel in [ParallelConfig::serial(), ParallelConfig::parallel()] {
+        let fed = federation_of(4, |_| Member::Reliable);
+        fed.head.set_parallel_config(parallel.clone());
+        // Twice each: plans cached, one session idle in every pool.
+        for sql in [range, point, range, point] {
+            assert_eq!(multiset(&fed.head, sql), multiset(&oracle, sql));
+        }
+        let cost = |sql: &str| -> Vec<u64> {
+            let before = fed.requests();
+            fed.head.query(sql).unwrap();
+            let after = fed.requests();
+            after.iter().zip(&before).map(|(a, b)| a - b).collect()
+        };
+        assert_eq!(cost(range), [1, 1, 1, 1], "{parallel:?}");
+        assert_eq!(cost(point), [0, 1, 0, 0], "{parallel:?}");
+        let m = fed.head.metrics();
+        assert_eq!(m.session_connects, 4, "{parallel:?}: {m:?}");
+    }
 }
 
 #[test]
