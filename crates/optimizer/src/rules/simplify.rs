@@ -22,7 +22,9 @@
 //! 5. **Column pruning** — projections are pushed over base-table gets so
 //!    only the columns a query actually consumes are produced; for remote
 //!    tables this directly narrows the decoded SELECT list and therefore
-//!    the wire traffic the cost model minimizes.
+//!    the wire traffic the cost model minimizes. A UNION ALL drops the
+//!    same positions from its output list and from every branch, and a
+//!    column only a pushed filter reads stops at that filter.
 //! 6. **Partial aggregation through UNION ALL** — an aggregate over a
 //!    partitioned view splits into per-member partial aggregates combined
 //!    by a global aggregate, so each member ships one row per group
@@ -230,31 +232,38 @@ fn prune_columns(tree: LogicalExpr, required: Option<&BTreeSet<ColumnId>>) -> Lo
                 needed.extend(e.columns());
             }
             let child = children.into_iter().next().expect("project child");
-            LogicalExpr::new(
-                LogicalOp::Project { outputs },
-                vec![prune_columns(child, Some(&needed))],
-            )
+            let child = prune_columns(child, Some(&needed));
+            // Narrowing below can leave this projection with nothing to do
+            // (the child's columns under the same ids in the same order):
+            // it would copy every row to produce the same row.
+            let identity = outputs.iter().map(|(id, _)| *id).eq(child.output_columns())
+                && outputs
+                    .iter()
+                    .all(|(id, e)| matches!(e, ScalarExpr::Column(c) if c == id));
+            if identity {
+                return child;
+            }
+            LogicalExpr::new(LogicalOp::Project { outputs }, vec![child])
         }
         LogicalOp::Filter { predicate } => {
+            let child = children.into_iter().next().expect("filter child");
+            // Keep Filter directly over Get (index fusion relies on that
+            // shape) and project above the pair. A column only the
+            // predicate reads has no reader above the filter, so it stops
+            // here: for a remote table it never crosses the link.
+            if matches!(child.op, LogicalOp::Get { .. }) {
+                let filtered = LogicalExpr::new(LogicalOp::Filter { predicate }, vec![child]);
+                return keep_required(filtered, required);
+            }
             let needed = required.map(|r| {
                 let mut n = r.clone();
                 n.extend(predicate.columns());
                 n
             });
-            let child = children.into_iter().next().expect("filter child");
-            let pruned = prune_columns(child, needed.as_ref());
-            // Keep Filter directly over Get (index fusion relies on that
-            // shape): hoist a pruning projection above the filter instead
-            // of leaving it between them.
-            if let LogicalOp::Project { outputs } = &pruned.op {
-                if matches!(pruned.children[0].op, LogicalOp::Get { .. }) {
-                    let outputs = outputs.clone();
-                    let get = pruned.children.into_iter().next().expect("project child");
-                    return LogicalExpr::new(LogicalOp::Filter { predicate }, vec![get])
-                        .project(outputs);
-                }
-            }
-            LogicalExpr::new(LogicalOp::Filter { predicate }, vec![pruned])
+            LogicalExpr::new(
+                LogicalOp::Filter { predicate },
+                vec![prune_columns(child, needed.as_ref())],
+            )
         }
         LogicalOp::StartupFilter { predicate } => {
             // Startup predicates are column-free; pass requirements through.
@@ -296,53 +305,82 @@ fn prune_columns(tree: LogicalExpr, required: Option<&BTreeSet<ColumnId>>) -> Lo
             )
         }
         LogicalOp::UnionAll { output } => {
-            // Do not narrow the view's own output (positional mapping);
-            // each branch still needs the columns feeding all outputs, but
-            // a branch may prune anything beyond its own column list —
-            // which is exactly its full list, so simply recurse with the
-            // per-branch feeding columns.
+            // Children map to `output` by position, so the view's list and
+            // every branch's list drop the same positions: the ones nothing
+            // above reads (all but one when nothing is read at all — rows
+            // must still be counted).
+            let mut keep: Vec<usize> = (0..output.len())
+                .filter(|&i| required.is_none_or(|r| r.contains(&output[i])))
+                .collect();
+            if keep.is_empty() {
+                keep.push(0);
+            }
             let pruned: Vec<LogicalExpr> = children
                 .into_iter()
                 .map(|branch| {
-                    let branch_cols: BTreeSet<ColumnId> =
-                        branch.output_columns().into_iter().collect();
-                    prune_columns(branch, Some(&branch_cols))
+                    let cols = branch.output_columns();
+                    let wanted: Vec<ColumnId> = keep.iter().map(|&i| cols[i]).collect();
+                    let req: BTreeSet<ColumnId> = wanted.iter().copied().collect();
+                    project_branch(prune_columns(branch, Some(&req)), &wanted)
                 })
                 .collect();
+            let output = keep.iter().map(|&i| output[i]).collect();
             LogicalExpr::new(LogicalOp::UnionAll { output }, pruned)
         }
         LogicalOp::Get { meta, columns } => {
-            let get = LogicalExpr::new(
-                LogicalOp::Get {
-                    meta,
-                    columns: columns.clone(),
-                },
-                vec![],
-            );
-            match required {
-                Some(req) if !columns.iter().all(|c| req.contains(c)) => {
-                    // Keep canonical (schema) order among the kept columns.
-                    let kept: Vec<(ColumnId, ScalarExpr)> = columns
-                        .iter()
-                        .filter(|c| req.contains(c))
-                        .map(|&c| (c, ScalarExpr::Column(c)))
-                        .collect();
-                    if kept.is_empty() {
-                        // Something above still needs a row count (e.g.
-                        // COUNT(*)): keep one narrow column.
-                        let first = columns[0];
-                        return get.project(vec![(first, ScalarExpr::Column(first))]);
-                    }
-                    get.project(kept)
-                }
-                _ => get,
-            }
+            let get = LogicalExpr::new(LogicalOp::Get { meta, columns }, vec![]);
+            keep_required(get, required)
         }
         other => LogicalExpr {
             op: other,
             children,
         },
     }
+}
+
+/// Project `node` (a `Get`, or a `Filter` over one) down to the columns in
+/// `required`, in the node's own (schema) order; no projection when every
+/// column is required.
+fn keep_required(node: LogicalExpr, required: Option<&BTreeSet<ColumnId>>) -> LogicalExpr {
+    let Some(required) = required else {
+        return node;
+    };
+    let columns = node.output_columns();
+    let mut kept: Vec<ColumnId> = columns
+        .iter()
+        .copied()
+        .filter(|c| required.contains(c))
+        .collect();
+    if kept.len() == columns.len() {
+        return node;
+    }
+    if kept.is_empty() {
+        // Something above still needs a row count (e.g. COUNT(*)): keep
+        // one column.
+        kept.push(columns[0]);
+    }
+    project_to(node, &kept)
+}
+
+/// A projection passing exactly `cols` through, in that order.
+fn project_to(node: LogicalExpr, cols: &[ColumnId]) -> LogicalExpr {
+    node.project(cols.iter().map(|&c| (c, ScalarExpr::Column(c))).collect())
+}
+
+/// Make a pruned union branch deliver exactly `wanted`. Usually it already
+/// does (a member `Get` narrows itself). When a projection is needed it goes
+/// *under* the branch's `StartupFilter`: the executor decides whether to open
+/// a member by looking for that operator at the branch root.
+fn project_branch(branch: LogicalExpr, wanted: &[ColumnId]) -> LogicalExpr {
+    if branch.output_columns() == wanted {
+        return branch;
+    }
+    if let LogicalOp::StartupFilter { .. } = branch.op {
+        let LogicalExpr { op, children } = branch;
+        let child = children.into_iter().next().expect("startup child");
+        return LogicalExpr::new(op, vec![project_branch(child, wanted)]);
+    }
+    project_to(branch, wanted)
 }
 
 // ---------------------------------------------------------------------------
@@ -894,18 +932,21 @@ mod tests {
     fn partitioned_view(
         reg: &mut ColumnRegistry,
     ) -> (LogicalExpr, Vec<ColumnId>, Vec<Arc<TableMeta>>) {
-        // Three partitions of k: [0,9], [10,19], [20,29].
+        wide_view(reg, &[])
+    }
+
+    /// Three partitions of k — [0,9], [10,19], [20,29] — each with the
+    /// `extra` Int columns after it.
+    fn wide_view(
+        reg: &mut ColumnRegistry,
+        extra: &[&str],
+    ) -> (LogicalExpr, Vec<ColumnId>, Vec<Arc<TableMeta>>) {
+        let names: Vec<&str> = std::iter::once("k").chain(extra.iter().copied()).collect();
+        let cols: Vec<(&str, DataType)> = names.iter().map(|&n| (n, DataType::Int)).collect();
         let mut members = Vec::new();
         for i in 0..3u32 {
-            let mut m = (*test_table_meta(
-                i,
-                &format!("p{i}"),
-                Locality::Local,
-                &[("k", DataType::Int)],
-                reg,
-                100,
-            ))
-            .clone();
+            let mut m =
+                (*test_table_meta(i, &format!("p{i}"), Locality::Local, &cols, reg, 100)).clone();
             m.checks = vec![(
                 0,
                 IntervalSet::single(Interval::between(
@@ -915,7 +956,10 @@ mod tests {
             )];
             members.push(Arc::new(m));
         }
-        let out = vec![reg.allocate("k", "v", DataType::Int, true)];
+        let out: Vec<ColumnId> = names
+            .iter()
+            .map(|&n| reg.allocate(n, "v", DataType::Int, true))
+            .collect();
         let union = LogicalExpr::new(
             LogicalOp::UnionAll {
                 output: out.clone(),
@@ -1089,12 +1133,193 @@ mod tests {
             &SimplifyOptions::default(),
             &mut ColumnRegistry::new(),
         );
-        // COUNT(*) needs no columns; pruning must still leave one so rows
-        // can be counted.
-        let agg_node = &out.children[0];
-        match &agg_node.children[0].op {
+        // The root projection renames nothing and is dropped; COUNT(*)
+        // needs no columns, but pruning must still leave one so rows can
+        // be counted.
+        assert!(matches!(out.op, LogicalOp::Aggregate { .. }));
+        match &out.children[0].op {
             LogicalOp::Project { outputs } => assert_eq!(outputs.len(), 1),
             other => panic!("expected single-column projection, got {other:?}"),
+        }
+    }
+
+    fn k_equals_param(k: ColumnId) -> ScalarExpr {
+        ScalarExpr::eq(ScalarExpr::Column(k), ScalarExpr::Param("k".into()))
+    }
+
+    /// `Project(Filter(Get))` → the projected ids and the member's alias.
+    fn narrowed_member(node: &LogicalExpr) -> (Vec<ColumnId>, String) {
+        let LogicalOp::Project { outputs } = &node.op else {
+            panic!("expected a projection:\n{}", node.display_tree());
+        };
+        let filter = &node.children[0];
+        assert!(matches!(filter.op, LogicalOp::Filter { .. }));
+        let LogicalOp::Get { meta, .. } = &filter.children[0].op else {
+            panic!("Filter must sit directly on Get:\n{}", node.display_tree());
+        };
+        (
+            outputs.iter().map(|(c, _)| *c).collect(),
+            meta.alias.clone(),
+        )
+    }
+
+    #[test]
+    fn column_pruning_narrows_union_branches() {
+        let mut reg = ColumnRegistry::new();
+        let (view, out, members) = wide_view(&mut reg, &["x", "y", "z"]);
+        // SELECT x, z FROM v WHERE k = @k AND y > 5
+        let pred = ScalarExpr::and(vec![k_equals_param(out[0]), cmp_ci(out[2], CmpOp::Gt, 5)]);
+        let tree = project_to(view.filter(pred.unwrap()), &[out[1], out[3]]);
+        let result = simplify(tree, &SimplifyOptions::default(), &mut reg);
+        // The view and every branch keep positions 1 and 3; the statement's
+        // own projection has nothing left to do and is gone.
+        let LogicalOp::UnionAll { output } = &result.op else {
+            panic!("expected the union at the root:\n{}", result.display_tree());
+        };
+        assert_eq!(output, &[out[1], out[3]]);
+        assert_eq!(result.children.len(), 3);
+        for (branch, m) in result.children.iter().zip(&members) {
+            // Still rooted at the startup filter the executor looks for.
+            assert!(
+                matches!(branch.op, LogicalOp::StartupFilter { .. }),
+                "{}",
+                result.display_tree()
+            );
+            let (kept, alias) = narrowed_member(&branch.children[0]);
+            assert_eq!(kept, [m.column_id(1), m.column_id(3)]);
+            assert_eq!(alias, m.alias);
+        }
+    }
+
+    #[test]
+    fn a_branch_projection_goes_under_the_startup_filter() {
+        let mut reg = ColumnRegistry::new();
+        let (view, out, members) = wide_view(&mut reg, &["x", "y"]);
+        // Without pushdown's filter merging, a branch can be
+        // StartupFilter(Filter(Filter(Get))): the outer filter reads k, so
+        // the branch comes back from the recursion one column too wide.
+        let branches: Vec<LogicalExpr> = members
+            .iter()
+            .map(|m| {
+                LogicalExpr::get(Arc::clone(m))
+                    .filter(cmp_ci(m.column_id(2), CmpOp::Gt, 5))
+                    .filter(k_equals_param(m.column_id(0)))
+            })
+            .collect();
+        let tree = project_to(LogicalExpr::new(view.op, branches), &[out[1]]);
+        let result = prune_columns(introduce_startup_filters(tree), None);
+        assert_eq!(result.output_columns(), [out[1]]);
+        for (branch, m) in result.children.iter().zip(&members) {
+            assert!(
+                matches!(branch.op, LogicalOp::StartupFilter { .. }),
+                "{}",
+                result.display_tree()
+            );
+            assert_eq!(branch.output_columns(), [m.column_id(1)]);
+        }
+    }
+
+    #[test]
+    fn predicate_only_columns_stop_at_the_filter() {
+        let (mut reg, a, _) = two_tables();
+        // SELECT x FROM a WHERE y > 5: y is read by the filter and by
+        // nothing above it.
+        let tree = project_to(
+            LogicalExpr::get(Arc::clone(&a)).filter(cmp_ci(a.column_id(1), CmpOp::Gt, 5)),
+            &[a.column_id(0)],
+        );
+        let result = simplify(tree, &SimplifyOptions::default(), &mut reg);
+        let (kept, _) = narrowed_member(&result);
+        assert_eq!(kept, [a.column_id(0)]);
+    }
+
+    #[test]
+    fn count_star_over_a_union_keeps_one_position() {
+        let mut reg = ColumnRegistry::new();
+        let (view, out, members) = wide_view(&mut reg, &["x", "y"]);
+        let cnt = reg.allocate("cnt", "", DataType::Int, false);
+        let tree = view.aggregate(
+            vec![],
+            vec![AggCall {
+                func: AggFunc::CountStar,
+                arg: None,
+                distinct: false,
+                output: cnt,
+            }],
+        );
+        // Unsplit, the aggregate counts the union's rows and reads none of
+        // its columns.
+        let opts = SimplifyOptions {
+            partial_aggregates: false,
+            ..Default::default()
+        };
+        let result = simplify(tree, &opts, &mut reg);
+        let union = &result.children[0];
+        assert_eq!(union.output_columns(), [out[0]]);
+        for (branch, m) in union.children.iter().zip(&members) {
+            assert_eq!(branch.output_columns(), [m.column_id(0)]);
+        }
+    }
+
+    #[test]
+    fn distinct_union_requires_every_column() {
+        let (mut reg, a, _) = two_tables();
+        let a2 = test_table_meta(
+            2,
+            "a2",
+            Locality::Local,
+            &[("x", DataType::Int), ("y", DataType::Int)],
+            &mut reg,
+            100,
+        );
+        let out = vec![
+            reg.allocate("x", "", DataType::Int, true),
+            reg.allocate("y", "", DataType::Int, true),
+        ];
+        // SELECT x FROM (SELECT x, y FROM a UNION SELECT x, y FROM a2):
+        // UNION's duplicate elimination groups by both columns, so the
+        // narrower parent narrows nothing below it.
+        let union = LogicalExpr::new(
+            LogicalOp::UnionAll {
+                output: out.clone(),
+            },
+            vec![
+                LogicalExpr::get(Arc::clone(&a)),
+                LogicalExpr::get(Arc::clone(&a2)),
+            ],
+        );
+        let tree = project_to(union.aggregate(out.clone(), vec![]), &out[..1]);
+        let result = simplify(tree, &SimplifyOptions::default(), &mut reg);
+        fn check(node: &LogicalExpr) {
+            match &node.op {
+                LogicalOp::UnionAll { output } => assert_eq!(output.len(), 2),
+                LogicalOp::Get { .. } => {}
+                LogicalOp::Project { outputs } => {
+                    assert!(
+                        !matches!(node.children[0].op, LogicalOp::Get { .. }),
+                        "a member was narrowed to {outputs:?}"
+                    );
+                }
+                _ => {}
+            }
+            node.children.iter().for_each(check);
+        }
+        check(&result);
+        assert_eq!(result.leaf_tables().len(), 2);
+    }
+
+    #[test]
+    fn a_parent_reading_the_partitioning_column_keeps_it_alone() {
+        let mut reg = ColumnRegistry::new();
+        let (view, out, members) = wide_view(&mut reg, &["x", "y"]);
+        // SELECT k FROM v WHERE k >= 5: members 0 (partly) .. 2.
+        let tree = project_to(view.filter(cmp_ci(out[0], CmpOp::Ge, 5)), &out[..1]);
+        let result = simplify(tree, &SimplifyOptions::default(), &mut reg);
+        assert_eq!(result.output_columns(), [out[0]]);
+        assert_eq!(result.children.len(), 3);
+        for (branch, m) in result.children.iter().zip(&members) {
+            let (kept, _) = narrowed_member(branch);
+            assert_eq!(kept, [m.column_id(0)]);
         }
     }
 

@@ -65,6 +65,18 @@ const CORPUS: &[&str] = &[
     "SELECT id FROM b_all WHERE score > (SELECT MIN(score) FROM b_all) AND id < 10",
     // CAST.
     "SELECT CAST(id AS FLOAT) AS f FROM a_all WHERE id = 11",
+    // Column pruning through a wide view (DESIGN.md §20): a narrow read, a
+    // column only the pushed predicate reads, the partitioning column
+    // alone, a reordered list, no column at all, aggregates that are not
+    // split into per-member partials, and `*`.
+    "SELECT grp, val FROM w_all WHERE id BETWEEN 10 AND 30",
+    "SELECT val FROM w_all WHERE note = 'n1'",
+    "SELECT id FROM w_all WHERE grp = 2",
+    "SELECT note, id FROM w_all WHERE id > 25",
+    "SELECT COUNT(*) AS n FROM w_all WHERE val > 3.5",
+    "SELECT grp, AVG(val) AS m FROM w_all GROUP BY grp",
+    "SELECT COUNT(DISTINCT note) AS n FROM w_all WHERE id < 30",
+    "SELECT * FROM w_all WHERE id BETWEEN 17 AND 20",
 ];
 
 /// Deterministic seed rows shared by every engine variant.
@@ -108,11 +120,30 @@ fn ev_rows() -> Vec<Row> {
     .collect()
 }
 
-fn table_def(name: &str, value_col: Column) -> TableDef {
-    TableDef::new(
-        name,
-        Schema::new(vec![Column::not_null("id", DataType::Int), value_col]),
-    )
+/// `(id, grp, val, note)`: the one table wide enough that most statements
+/// read only some of its columns.
+fn w_rows() -> Vec<Row> {
+    (1..=36)
+        .map(|id| {
+            let note = if id % 6 == 0 {
+                Value::Null
+            } else {
+                Value::Str(format!("n{}", id % 3))
+            };
+            Row::new(vec![
+                Value::Int(id),
+                Value::Int(id % 4),
+                Value::Float(id as f64 / 4.0),
+                note,
+            ])
+        })
+        .collect()
+}
+
+fn table_def(name: &str, value_cols: Vec<Column>) -> TableDef {
+    let mut columns = vec![Column::not_null("id", DataType::Int)];
+    columns.extend(value_cols);
+    TableDef::new(name, Schema::new(columns))
 }
 
 /// Split `rows` into a `<cut` member and a `>=cut` member on `id`, loading
@@ -120,7 +151,7 @@ fn table_def(name: &str, value_col: Column) -> TableDef {
 fn load_split(
     engines: [&dhqp_storage::StorageEngine; 2],
     base: &str,
-    value_col: Column,
+    value_cols: Vec<Column>,
     rows: Vec<Row>,
     cut: i64,
 ) -> Vec<(String, IntervalSet)> {
@@ -138,7 +169,7 @@ fn load_split(
     for (i, ((rows, domain), engine)) in halves.into_iter().zip(engines).enumerate() {
         let table = format!("{base}_p{i}");
         engine
-            .create_table(table_def(&table, value_col.clone()))
+            .create_table(table_def(&table, value_cols.clone()))
             .unwrap();
         engine.insert_rows(&table, &rows).unwrap();
         engine.analyze(&table, 8).unwrap();
@@ -150,11 +181,11 @@ fn load_split(
 /// All three views with every member table in the head engine itself.
 fn local_engine() -> Engine {
     let head = Engine::new("head-local");
-    for (base, value_col, rows, cut) in datasets() {
+    for (base, value_cols, rows, cut) in datasets() {
         let members = load_split(
             [head.storage().as_ref(), head.storage().as_ref()],
             base,
-            value_col,
+            value_cols,
             rows,
             cut,
         );
@@ -168,11 +199,17 @@ fn local_engine() -> Engine {
     head
 }
 
-fn datasets() -> Vec<(&'static str, Column, Vec<Row>, i64)> {
+fn datasets() -> Vec<(&'static str, Vec<Column>, Vec<Row>, i64)> {
+    let w_cols = vec![
+        Column::not_null("grp", DataType::Int),
+        Column::not_null("val", DataType::Float),
+        Column::new("note", DataType::Str),
+    ];
     vec![
-        ("a", Column::new("tag", DataType::Str), a_rows(), 21),
-        ("b", Column::new("score", DataType::Int), b_rows(), 16),
-        ("ev", Column::new("day", DataType::Date), ev_rows(), 3),
+        ("a", vec![Column::new("tag", DataType::Str)], a_rows(), 21),
+        ("b", vec![Column::new("score", DataType::Int)], b_rows(), 16),
+        ("ev", vec![Column::new("day", DataType::Date)], ev_rows(), 3),
+        ("w", w_cols, w_rows(), 19),
     ]
 }
 
@@ -210,11 +247,11 @@ fn distributed_engine_full(faults: Option<u64>) -> (Engine, Vec<Engine>, Vec<Net
     if faults.is_some() {
         head.set_retry_policy(RetryPolicy::standard());
     }
-    for (base, value_col, rows, cut) in datasets() {
+    for (base, value_cols, rows, cut) in datasets() {
         let members = load_split(
             [m1.storage().as_ref(), m2.storage().as_ref()],
             base,
-            value_col,
+            value_cols,
             rows,
             cut,
         );
@@ -376,7 +413,7 @@ const SEMIJOIN_CORPUS: &[&str] = &[
 /// rows, so the reduced fetch returns ~15% of the unreduced bytes.
 fn add_semijoin_tables(head: &Engine, m1: &Engine) {
     head.storage()
-        .create_table(table_def("dim", Column::new("tag", DataType::Str)))
+        .create_table(table_def("dim", vec![Column::new("tag", DataType::Str)]))
         .unwrap();
     let dim_rows: Vec<Row> = (1..=6)
         .map(|id| Row::new(vec![Value::Int(id), Value::Str(format!("d{id}"))]))
@@ -385,7 +422,7 @@ fn add_semijoin_tables(head: &Engine, m1: &Engine) {
     head.storage().analyze("dim", 8).unwrap();
 
     m1.storage()
-        .create_table(table_def("fact", Column::new("val", DataType::Str)))
+        .create_table(table_def("fact", vec![Column::new("val", DataType::Str)]))
         .unwrap();
     let fact_rows: Vec<Row> = (0..240)
         .map(|i| {

@@ -342,7 +342,23 @@ fn dm_xe_recent_events_serves_the_ring() {
 #[test]
 fn dm_exec_requests_attributes_the_dominant_wait() {
     let local = distributed();
-    local.query("SELECT a FROM srv.db.dbo.t").unwrap();
+    // The trace's root span carries the statement's own wait totals.
+    local.set_trace_config(TraceConfig::enabled());
+    let sql = "SELECT a FROM srv.db.dbo.t";
+    local.query(sql).unwrap();
+    let trace = local.last_trace().expect("tracing is armed");
+    assert_eq!(trace.sql, sql);
+    // `wait.<CLASS>` = `<count>x/<total>us`, one attribute per class waited on.
+    let totals: Vec<(&str, u64)> = trace
+        .root
+        .attrs
+        .iter()
+        .filter_map(|(key, value)| {
+            let class = key.strip_prefix("wait.")?;
+            let total = value.split_once('/')?.1.strip_suffix("us")?;
+            Some((class, total.parse().expect("microseconds")))
+        })
+        .collect();
 
     let r = local
         .query("SELECT sql, dominant_wait FROM sys.dm_exec_requests")
@@ -351,19 +367,23 @@ fn dm_exec_requests_attributes_the_dominant_wait() {
     let remote_query = r
         .rows
         .iter()
-        .find(|row| row.get(sql_c) == &Value::Str("SELECT a FROM srv.db.dbo.t".into()))
+        .find(|row| row.get(sql_c) == &Value::Str(sql.into()))
         .expect("remote query in the ring");
-    // The modeled 0.5 ms round trips dominate the statement's waits —
-    // unless the CI matrix arms fault injection (DHQP_FAULT_SEED), where
-    // the retry backoff sleeps are longer still. Either way the statement
-    // is attributed to its wire activity, not to compilation.
-    assert!(
-        matches!(
-            remote_query.get(wait_c),
-            Value::Str(w) if w == "NETWORK_IO" || w == "RETRY_BACKOFF"
-        ),
-        "{remote_query:?}"
+    // Which class that is depends on the box: real compile time races one
+    // modeled 0.5 ms round trip (and, when the CI matrix arms
+    // DHQP_FAULT_SEED, a retry backoff). What the column promises is the
+    // class this statement waited on longest, by its own totals.
+    let (longest, _) = totals
+        .iter()
+        .max_by_key(|(_, total_us)| *total_us)
+        .expect("the statement waited on something");
+    assert_eq!(
+        remote_query.get(wait_c),
+        &Value::Str(longest.to_string()),
+        "{totals:?}"
     );
+    let network = totals.iter().find(|(class, _)| *class == "NETWORK_IO");
+    assert!(matches!(network, Some((_, us)) if *us > 0), "{totals:?}");
 }
 
 #[test]
