@@ -653,7 +653,14 @@ impl<'e> Binder<'e> {
                 }
             })
         };
-        let mut rowset = open_with_retries(factory, &policy, &self.engine.exec_counters(), None)?;
+        let mut rowset = open_with_retries(
+            factory,
+            &policy,
+            &self.engine.exec_counters(),
+            None,
+            1,
+            None,
+        )?;
         let schema = rowset.schema().clone();
         let mut rows = Vec::new();
         while let Some(r) = rowset.next()? {

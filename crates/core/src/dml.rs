@@ -146,7 +146,7 @@ pub fn run_insert(
                 .collect::<Result<Vec<_>>>()?
         }
         ast::InsertSource::Select(select) => {
-            let result = engine.query_select_internal(select, params)?;
+            let result = engine.run_select(select, params)?;
             result.rows.into_iter().map(|r| r.values).collect()
         }
     };

@@ -1,7 +1,7 @@
 //! The engine: catalog, query pipeline and public API.
 
 use crate::analyze::{text_result, AnalyzeReport};
-use crate::binder::{Binder, BoundSelect, FetchedTable};
+use crate::binder::{Binder, FetchedTable};
 use crate::dml;
 use crate::dmv::{SysDataSource, SYS_SERVER};
 use crate::events::{Event, EventBus, EventConfig, EventSink};
@@ -16,8 +16,7 @@ use crate::trace::{QueryTrace, TraceBuilder, TraceConfig};
 use dhqp_dtc::TransactionCoordinator;
 use dhqp_executor::{
     BatchConfig, BreakerConfig, DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot,
-    MemberSchema, NodeRuntime, ParallelConfig, PruneLog, RetryPolicy, RuntimeStatsCollector,
-    SourceCatalog,
+    NodeRuntime, ParallelConfig, PruneLog, RetryPolicy, RuntimeStatsCollector, SourceCatalog,
 };
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
 use dhqp_fulltext::SearchService;
@@ -27,7 +26,7 @@ use dhqp_oledb::{
 };
 use dhqp_optimizer::explain::ExplainPlan;
 use dhqp_optimizer::{Optimizer, OptimizerConfig, PhysNode, PhysicalOp};
-use dhqp_sqlfront::{fingerprint, parse_statement, Fingerprint, SelectStmt, Statement};
+use dhqp_sqlfront::{fingerprint, parse_statement, SelectStmt, Statement, AUTO_PARAM_PREFIX};
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Schema, Value};
 use parking_lot::{Mutex, RwLock};
@@ -1175,26 +1174,38 @@ impl Engine {
 
     // ---- query pipeline ----------------------------------------------------
 
-    /// Install this statement's activity scope: waits recorded anywhere on
-    /// this thread (and on worker threads spawned under it) fan out to the
-    /// engine-cumulative sink and a fresh per-query sink, and events reach
-    /// the bus when it is armed. Emits `query_start`. The guard restores
-    /// the previous scope on drop, so nested statements (a DMV query issued
-    /// while serving another statement) account correctly.
-    fn begin_statement(&self, sql: &str) -> (ScopeGuard, Arc<WaitStats>) {
-        let query_waits = Arc::new(WaitStats::default());
+    /// Begin one statement: install its activity scope — waits recorded
+    /// anywhere on this thread (and on worker threads spawned under it) fan
+    /// out to the engine-cumulative sink and a fresh per-query sink, and
+    /// events reach the bus when it is armed — and emit `query_start`. The
+    /// guard restores the previous scope on drop, so nested statements (a
+    /// DMV query issued while serving another statement) account correctly.
+    fn begin_statement<'a>(&self, sql: &'a str, analyze: bool) -> StatementRun<'a> {
+        let waits = Arc::new(WaitStats::default());
         let bus = Arc::clone(&self.inner.events.read());
         let hook = bus
             .enabled()
             .then(|| Arc::clone(&bus) as Arc<dyn EventHook>);
-        let guard = install_scope(ActivityScope::new(
-            vec![self.inner.metrics.waits(), Arc::clone(&query_waits)],
+        let activity = install_scope(ActivityScope::new(
+            vec![self.inner.metrics.waits(), Arc::clone(&waits)],
             hook,
         ));
         if has_hook() {
             emit_event("query_start", &[("sql", sql.to_string())]);
         }
-        (guard, query_waits)
+        StatementRun {
+            _activity: activity,
+            waits,
+            sql,
+            started: Instant::now(),
+            tracer: self.trace_config().enabled.then(|| TraceBuilder::new(sql)),
+            pruned: Arc::new(PruneLog::default()),
+            kind: None,
+            fingerprint: None,
+            select: None,
+            collector: None,
+            analyze,
+        }
     }
 
     /// Fingerprint + annotation summary carried into the recent/slow query
@@ -1204,20 +1215,18 @@ impl Engine {
     /// `sys.dm_exec_requests` without re-running it.
     fn statement_tags(
         fingerprint: Option<&str>,
-        collector: Option<&Arc<RuntimeStatsCollector>>,
+        runtime: Option<&HashMap<usize, NodeRuntime>>,
         pruned: &PruneLog,
     ) -> StatementTags {
         let mut parts: Vec<String> = Vec::new();
-        if let Some(collector) = collector {
+        if let Some(runtime) = runtime {
             let mut keys = 0u64;
             let mut bytes = 0u64;
             let mut fallback = false;
-            for rt in collector.snapshot().values() {
-                if let Some(sj) = &rt.semijoin {
-                    keys += sj.keys;
-                    bytes += sj.filter_bytes;
-                    fallback |= sj.fallback;
-                }
+            for sj in runtime.values().filter_map(|rt| rt.semijoin.as_ref()) {
+                keys += sj.keys;
+                bytes += sj.filter_bytes;
+                fallback |= sj.fallback;
             }
             if keys > 0 || fallback {
                 parts.push(format!(
@@ -1238,43 +1247,42 @@ impl Engine {
         }
     }
 
-    /// Count one finished statement: snapshot the per-query waits for
-    /// dominant-wait attribution, push the summary, and emit `query_end`
-    /// (plus `slow_query` past the armed threshold).
-    #[allow(clippy::too_many_arguments)]
+    /// Count one finished statement — a statement whose `kind` is still
+    /// `None` only as an error — and emit the `query_end` that pairs its
+    /// `query_start`, plus `slow_query` past the armed threshold.
     fn end_statement(
         &self,
-        kind: StatementKind,
-        sql: &str,
+        run: &StatementRun<'_>,
         elapsed: Duration,
         rows: u64,
         error: Option<String>,
-        query_waits: &WaitStats,
-        pruned: &PruneLog,
+        waits: &WaitSnapshot,
         tags: StatementTags,
     ) {
-        let waits = query_waits.snapshot();
+        let pruned = &run.pruned;
         let error_text = error.clone();
         let tags_for_event = tags.clone();
         let was_slow = self.inner.metrics.finish_statement(
-            kind,
-            sql,
+            run.kind,
+            run.sql,
             elapsed,
             rows,
             error,
-            Some(&waits),
+            Some(waits),
             pruned.count(),
             tags,
         );
         if has_hook() {
             let elapsed_ms = format!("{:.3}", elapsed.as_secs_f64() * 1000.0);
+            let dominant = waits.dominant().map(|class| class.name());
+            let kind = run.kind.map_or("UNCLASSIFIED", |kind| kind.name());
             let mut attrs = vec![
-                ("kind", kind.name().to_string()),
+                ("kind", kind.to_string()),
                 ("rows", rows.to_string()),
                 ("elapsed_ms", elapsed_ms.clone()),
             ];
-            if let Some(class) = waits.dominant() {
-                attrs.push(("dominant_wait", class.name().to_string()));
+            if let Some(class) = dominant {
+                attrs.push(("dominant_wait", class.to_string()));
             }
             if !pruned.is_empty() {
                 attrs.push(("pruned_members", pruned.members().join(",")));
@@ -1291,16 +1299,9 @@ impl Engine {
             emit_event("query_end", &attrs);
             if was_slow {
                 let mut slow_attrs = vec![
-                    ("sql", sql.to_string()),
+                    ("sql", run.sql.to_string()),
                     ("elapsed_ms", elapsed_ms),
-                    (
-                        "dominant_wait",
-                        waits
-                            .dominant()
-                            .map(|c| c.name())
-                            .unwrap_or("NONE")
-                            .to_string(),
-                    ),
+                    ("dominant_wait", dominant.unwrap_or("NONE").to_string()),
                 ];
                 if let Some(fp) = tags_for_event.fingerprint {
                     slow_attrs.push(("fingerprint", fp));
@@ -1311,16 +1312,6 @@ impl Engine {
                 emit_event("slow_query", &slow_attrs);
             }
         }
-    }
-
-    /// Whether plain executions should attach a runtime-stats collector
-    /// even without EXPLAIN ANALYZE or tracing: the query store and the
-    /// cardinality feedback loop consume per-operator actuals, and an
-    /// armed slow-query log wants annotation summaries.
-    fn observe_runtime(&self) -> bool {
-        *self.inner.query_store_on.read()
-            || *self.inner.card_feedback.read()
-            || self.inner.metrics.slow_log_armed()
     }
 
     /// Post-execution observability for one successful SELECT: record the
@@ -1334,7 +1325,7 @@ impl Engine {
         runtime: &HashMap<usize, NodeRuntime>,
         elapsed: Duration,
         rows: u64,
-        query_waits: &WaitStats,
+        waits: &WaitSnapshot,
     ) {
         if *self.inner.query_store_on.read() {
             let (link_bytes, link_requests) = query_store::link_traffic(runtime);
@@ -1350,7 +1341,7 @@ impl Engine {
                 rows,
                 link_bytes,
                 link_requests,
-                dominant_wait: query_waits.snapshot().dominant().map(|c| c.name()),
+                dominant_wait: waits.dominant().map(|c| c.name()),
                 operators: query_store::operator_observations(plan, runtime),
             };
             if let Some(notice) = self.inner.query_store.lock().record(obs) {
@@ -1438,187 +1429,10 @@ impl Engine {
         sql: &str,
         params: HashMap<String, Value>,
     ) -> Result<QueryResult> {
-        let (_activity, query_waits) = self.begin_statement(sql);
-        let tracing = self.inner.trace.read().enabled;
-        // One prune log per statement: members degraded mode skips land
-        // here and surface in EXPLAIN ANALYZE / sys.dm_exec_requests.
-        let pruned = Arc::new(PruneLog::default());
-        // Plan-cache fast path: a SELECT (bare or under EXPLAIN ANALYZE)
-        // is auto-parameterized and served from — or compiled into — the
-        // cache. Statements the fast path declines fall through unchanged.
-        if self.plan_cache_enabled() {
-            if let Some(fp) = fingerprint(sql) {
-                // Plain EXPLAIN never executes; keep it on the classic path.
-                if fp.explain != Some(false) {
-                    let analyze = fp.explain == Some(true);
-                    let tracer = tracing.then(|| TraceBuilder::new(sql));
-                    // Per-operator spans need runtime stats, so tracing
-                    // instruments the plan even outside EXPLAIN ANALYZE —
-                    // as do the query store, the cardinality feedback loop
-                    // and the slow-query ring's annotation summary.
-                    let collector = (analyze || tracing || self.observe_runtime())
-                        .then(|| Arc::new(RuntimeStatsCollector::new()));
-                    let start = Instant::now();
-                    if let Some(outcome) = self.run_fingerprinted(
-                        &fp,
-                        &params,
-                        collector.clone(),
-                        tracer.as_ref(),
-                        &pruned,
-                    ) {
-                        let wait_snapshot = query_waits.snapshot();
-                        let trace = tracer.map(|t| {
-                            t.set_waits(wait_snapshot);
-                            Arc::new(t.finish())
-                        });
-                        let kind = if analyze {
-                            StatementKind::ExplainAnalyze
-                        } else {
-                            StatementKind::Select
-                        };
-                        if let (Ok((result, entry, _)), Some(collector)) = (&outcome, &collector) {
-                            self.observe_execution(
-                                &fp.template,
-                                &entry.plan,
-                                &collector.snapshot(),
-                                start.elapsed(),
-                                result.rows.len() as u64,
-                                query_waits.as_ref(),
-                            );
-                        }
-                        let result =
-                            outcome.map(|(result, entry, hit)| match (analyze, &collector) {
-                                (true, Some(collector)) => {
-                                    let mut report =
-                                        self.cached_report(result, &entry, hit, collector, &pruned);
-                                    report.waits = Some(wait_snapshot);
-                                    report.trace = trace.clone();
-                                    report.to_query_result()
-                                }
-                                _ => result,
-                            });
-                        let rows = match &result {
-                            Ok(r) => r.rows_affected.unwrap_or(r.rows.len() as u64),
-                            Err(_) => 0,
-                        };
-                        self.end_statement(
-                            kind,
-                            sql,
-                            start.elapsed(),
-                            rows,
-                            result.as_ref().err().map(|e| e.to_string()),
-                            &query_waits,
-                            &pruned,
-                            Self::statement_tags(Some(&fp.template), collector.as_ref(), &pruned),
-                        );
-                        if let Some(trace) = trace {
-                            *self.inner.last_trace.lock() = Some(trace);
-                        }
-                        return result;
-                    }
-                }
-            }
-        }
-        let mut tracer = tracing.then(|| TraceBuilder::new(sql));
-        let began = Instant::now();
-        let parsed = match parse_statement(sql) {
-            Ok(stmt) => stmt,
-            Err(e) => {
-                self.inner.metrics.record_parse_error();
-                return Err(e);
-            }
-        };
-        record_wait(WaitClass::PlanCompile, began.elapsed());
-        if let Some(tr) = &tracer {
-            tr.stage("parse", began);
-        }
-        let kind = match &parsed {
-            Statement::Select(_) => StatementKind::Select,
-            Statement::Insert(_) => StatementKind::Insert,
-            Statement::Update(_) => StatementKind::Update,
-            Statement::Delete(_) => StatementKind::Delete,
-            Statement::Explain { analyze: false, .. } => StatementKind::Explain,
-            Statement::Explain { analyze: true, .. } => StatementKind::ExplainAnalyze,
-        };
-        let start = Instant::now();
-        // Collector of the executed SELECT (when one was attached), kept
-        // for the statement tags below.
-        let mut exec_collector: Option<Arc<RuntimeStatsCollector>> = None;
-        let result = match parsed {
-            Statement::Select(stmt) => {
-                let collector = (tracer.is_some() || self.observe_runtime())
-                    .then(|| Arc::new(RuntimeStatsCollector::new()));
-                exec_collector = collector.clone();
-                match self.run_select_pipeline(
-                    &stmt,
-                    params,
-                    collector.clone(),
-                    tracer.as_ref(),
-                    &pruned,
-                ) {
-                    Ok((result, plan, _, _)) => {
-                        if let Some(c) = &collector {
-                            self.observe_execution(
-                                sql,
-                                &plan,
-                                &c.snapshot(),
-                                start.elapsed(),
-                                result.rows.len() as u64,
-                                query_waits.as_ref(),
-                            );
-                        }
-                        Ok(result)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Statement::Insert(stmt) => dml::run_insert(self, &stmt, &params),
-            Statement::Update(stmt) => dml::run_update(self, &stmt, &params),
-            Statement::Delete(stmt) => dml::run_delete(self, &stmt, &params),
-            Statement::Explain {
-                analyze: false,
-                stmt,
-            } => self
-                .explain_select(&stmt, &params)
-                .map(|plan| text_result(&plan.render())),
-            Statement::Explain {
-                analyze: true,
-                stmt,
-            } => match self.analyze_select(&stmt, params, tracer.as_ref(), &pruned) {
-                Ok(mut report) => {
-                    report.waits = Some(query_waits.snapshot());
-                    // The trace renders inside the report, so finish it
-                    // before the report turns into text.
-                    if let Some(tr) = tracer.take() {
-                        tr.set_waits(query_waits.snapshot());
-                        let trace = Arc::new(tr.finish());
-                        *self.inner.last_trace.lock() = Some(Arc::clone(&trace));
-                        report.trace = Some(trace);
-                    }
-                    Ok(report.to_query_result())
-                }
-                Err(e) => Err(e),
-            },
-        };
-        let rows = match &result {
-            Ok(r) => r.rows_affected.unwrap_or(r.rows.len() as u64),
-            Err(_) => 0,
-        };
-        self.end_statement(
-            kind,
-            sql,
-            start.elapsed(),
-            rows,
-            result.as_ref().err().map(|e| e.to_string()),
-            &query_waits,
-            &pruned,
-            Self::statement_tags(None, exec_collector.as_ref(), &pruned),
-        );
-        if let Some(tr) = tracer {
-            tr.set_waits(query_waits.snapshot());
-            *self.inner.last_trace.lock() = Some(Arc::new(tr.finish()));
-        }
-        result
+        Ok(match self.run_statement(sql, params, false)? {
+            Output::Rows(result) => result,
+            Output::Report(report) => report.to_query_result(),
+        })
     }
 
     /// Run a SELECT (alias of [`Engine::execute`] that asserts a rowset).
@@ -1654,24 +1468,14 @@ impl Engine {
                 ))
             }
         };
-        self.explain_select(&stmt, &params)
-    }
-
-    fn explain_select(
-        &self,
-        stmt: &SelectStmt,
-        params: &HashMap<String, Value>,
-    ) -> Result<ExplainPlan> {
-        let bound = Binder::new(self, params).bind_select(stmt)?;
-        let optimizer = Optimizer::new(self.optimizer_config());
-        let mut registry = bound.registry;
-        let (plan, stats) = optimizer.optimize(bound.tree, &mut registry, bound.required)?;
-        Ok(ExplainPlan::new(&plan, stats))
+        let compiled = self.compile_select(&stmt, &params, None)?;
+        Ok(ExplainPlan::new(&compiled.plan, compiled.opt_stats))
     }
 
     /// Execute a SELECT with per-operator runtime statistics attached and
     /// return the full `EXPLAIN ANALYZE` report. Accepts a bare SELECT or
-    /// an `EXPLAIN [ANALYZE]` wrapper.
+    /// an `EXPLAIN [ANALYZE]` wrapper. Counted like the same statement sent
+    /// to [`Engine::execute`] as `EXPLAIN ANALYZE …` text.
     pub fn execute_analyze(&self, sql: &str) -> Result<AnalyzeReport> {
         self.execute_analyze_with_params(sql, HashMap::new())
     }
@@ -1681,165 +1485,124 @@ impl Engine {
         sql: &str,
         params: HashMap<String, Value>,
     ) -> Result<AnalyzeReport> {
-        let (_activity, query_waits) = self.begin_statement(sql);
-        let tracing = self.inner.trace.read().enabled;
-        let pruned = Arc::new(PruneLog::default());
-        if self.plan_cache_enabled() {
-            if let Some(fp) = fingerprint(sql) {
-                let tracer = tracing.then(|| TraceBuilder::new(sql));
-                let collector = Arc::new(RuntimeStatsCollector::new());
-                let start = Instant::now();
-                if let Some(outcome) = self.run_fingerprinted(
-                    &fp,
-                    &params,
-                    Some(Arc::clone(&collector)),
-                    tracer.as_ref(),
-                    &pruned,
-                ) {
-                    if let Ok((result, entry, _)) = &outcome {
-                        self.observe_execution(
-                            &fp.template,
-                            &entry.plan,
-                            &collector.snapshot(),
-                            start.elapsed(),
-                            result.rows.len() as u64,
-                            query_waits.as_ref(),
-                        );
-                    }
-                    let wait_snapshot = query_waits.snapshot();
-                    let trace = tracer.map(|t| {
-                        t.set_waits(wait_snapshot);
-                        Arc::new(t.finish())
-                    });
-                    if let Some(trace) = &trace {
-                        *self.inner.last_trace.lock() = Some(Arc::clone(trace));
-                    }
-                    return outcome.map(|(result, entry, hit)| {
-                        let mut report =
-                            self.cached_report(result, &entry, hit, &collector, &pruned);
-                        report.waits = Some(wait_snapshot);
-                        report.trace = trace.clone();
-                        report
-                    });
+        match self.run_statement(sql, params, true)? {
+            Output::Report(report) => Ok(*report),
+            Output::Rows(_) => unreachable!("an analyze run ends in a report or an error"),
+        }
+    }
+
+    /// The statement driver every entry point goes through: begin, compile,
+    /// run, finish. `analyze` runs a SELECT (bare or under any `EXPLAIN`
+    /// wrapper) as `EXPLAIN ANALYZE` and refuses everything else.
+    fn run_statement(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+        analyze: bool,
+    ) -> Result<Output> {
+        let mut run = self.begin_statement(sql, analyze);
+        let ran = self.compile_and_run(&mut run, params);
+        self.finish_statement(run, ran)
+    }
+
+    /// The compile and run stages of one statement. Whatever the epilogue
+    /// reports about a statement that fails half-way is left on `run`.
+    fn compile_and_run(
+        &self,
+        run: &mut StatementRun<'_>,
+        mut params: HashMap<String, Value>,
+    ) -> Result<QueryResult> {
+        let tracer = run.tracer.as_ref();
+        // Through the plan cache first: a SELECT (bare or under EXPLAIN
+        // ANALYZE) is auto-parameterized and served from — or compiled
+        // into — the cache. User parameters in the reserved namespace would
+        // collide with the extracted literals, and plain EXPLAIN never
+        // executes, so neither takes this path.
+        let mut cached = None;
+        if self.plan_cache_enabled() && !params.keys().any(|k| k.starts_with(AUTO_PARAM_PREFIX)) {
+            let fp = fingerprint(run.sql).filter(|fp| run.analyze || fp.explain != Some(false));
+            if let Some(fp) = fp {
+                let mut merged = params.clone();
+                merged.extend(fp.params);
+                if let Some(found) = self.compile_cached(&fp.template, &merged, tracer) {
+                    run.analyze |= fp.explain == Some(true);
+                    run.kind = Some(select_kind(run.analyze));
+                    run.fingerprint = Some(fp.template);
+                    params = merged;
+                    cached = Some(found);
                 }
             }
         }
-        let tracer = tracing.then(|| TraceBuilder::new(sql));
-        let began = Instant::now();
-        let stmt = match parse_statement(sql)? {
-            Statement::Select(stmt) => stmt,
-            Statement::Explain { stmt, .. } => *stmt,
-            _ => {
-                return Err(DhqpError::Unsupported(
-                    "EXPLAIN ANALYZE supports SELECT statements".into(),
-                ))
+        // Everything the cache declined compiles from the original text, so
+        // an error quotes the user's literals.
+        let (compiled, cache_hit) = match cached {
+            Some((compiled, hit)) => (compiled, Some(hit)),
+            None => {
+                let began = Instant::now();
+                let parsed = parse_statement(run.sql)?;
+                compile_stage(tracer, "parse", began);
+                let select = match parsed {
+                    Statement::Select(select) => select,
+                    Statement::Explain { analyze, stmt } if analyze || run.analyze => {
+                        run.analyze = true;
+                        *stmt
+                    }
+                    Statement::Explain { stmt, .. } => {
+                        run.kind = Some(StatementKind::Explain);
+                        let compiled = self.compile_select(&stmt, &params, tracer)?;
+                        let plan = ExplainPlan::new(&compiled.plan, compiled.opt_stats);
+                        return Ok(text_result(&plan.render()));
+                    }
+                    _ if run.analyze => {
+                        return Err(DhqpError::Unsupported(
+                            "EXPLAIN ANALYZE supports SELECT statements".into(),
+                        ))
+                    }
+                    Statement::Insert(stmt) => {
+                        run.kind = Some(StatementKind::Insert);
+                        return dml::run_insert(self, &stmt, &params);
+                    }
+                    Statement::Update(stmt) => {
+                        run.kind = Some(StatementKind::Update);
+                        return dml::run_update(self, &stmt, &params);
+                    }
+                    Statement::Delete(stmt) => {
+                        run.kind = Some(StatementKind::Delete);
+                        return dml::run_delete(self, &stmt, &params);
+                    }
+                };
+                run.kind = Some(select_kind(run.analyze));
+                let compiled = self.compile_select(&select, &params, tracer)?;
+                (Arc::new(compiled), None)
             }
         };
-        record_wait(WaitClass::PlanCompile, began.elapsed());
-        if let Some(tr) = &tracer {
-            tr.stage("parse", began);
-        }
-        let start = Instant::now();
-        let report = self.analyze_select(&stmt, params, tracer.as_ref(), &pruned);
-        if let Ok(r) = &report {
-            self.observe_execution(
-                sql,
-                &r.plan,
-                &r.runtime,
-                start.elapsed(),
-                r.result.rows.len() as u64,
-                query_waits.as_ref(),
-            );
-        }
-        let wait_snapshot = query_waits.snapshot();
-        let trace = tracer.map(|t| {
-            t.set_waits(wait_snapshot);
-            Arc::new(t.finish())
-        });
-        if let Some(trace) = &trace {
-            *self.inner.last_trace.lock() = Some(Arc::clone(trace));
-        }
-        report.map(|mut r| {
-            r.waits = Some(wait_snapshot);
-            r.trace = trace;
-            r
-        })
+        run.select = Some((Arc::clone(&compiled), cache_hit));
+        // Per-operator spans need runtime stats, so tracing instruments the
+        // plan even outside EXPLAIN ANALYZE — as do the query store and the
+        // cardinality feedback loop (they consume per-operator actuals) and
+        // an armed slow-query log (it wants annotation summaries).
+        let instrument = run.analyze
+            || tracer.is_some()
+            || *self.inner.query_store_on.read()
+            || *self.inner.card_feedback.read()
+            || self.inner.metrics.slow_log_armed();
+        run.collector = instrument.then(|| Arc::new(RuntimeStatsCollector::new()));
+        let stats = run.collector.clone();
+        self.run_plan(&compiled, params, stats, tracer, &run.pruned)
     }
 
-    fn analyze_select(
+    /// Compile through the plan cache: a current entry is a hit, anything
+    /// else compiles the template once and caches it. `None` declines —
+    /// the statement's compile is not pure, or the template failed to
+    /// parse, bind or optimize — and the caller compiles the original text
+    /// instead, which reproduces any error exactly.
+    fn compile_cached(
         &self,
-        stmt: &SelectStmt,
-        params: HashMap<String, Value>,
+        template: &str,
+        params: &HashMap<String, Value>,
         tracer: Option<&TraceBuilder>,
-        pruned: &Arc<PruneLog>,
-    ) -> Result<AnalyzeReport> {
-        let collector = Arc::new(RuntimeStatsCollector::new());
-        let (result, plan, stats, used_feedback) =
-            self.run_select_pipeline(stmt, params, Some(Arc::clone(&collector)), tracer, pruned)?;
-        let explain = ExplainPlan::new(&plan, stats);
-        Ok(AnalyzeReport {
-            result,
-            runtime: collector.snapshot(),
-            plan,
-            explain,
-            cache_hit: None,
-            stats_age: None,
-            trace: None,
-            waits: None,
-            pruned: pruned.members(),
-            startup_pruned: pruned.startup_members(),
-            feedback: used_feedback,
-        })
-    }
-
-    /// An [`AnalyzeReport`] for an execution served through the plan cache.
-    fn cached_report(
-        &self,
-        result: QueryResult,
-        entry: &CachedSelect,
-        hit: bool,
-        collector: &Arc<RuntimeStatsCollector>,
-        pruned: &Arc<PruneLog>,
-    ) -> AnalyzeReport {
-        AnalyzeReport {
-            result,
-            runtime: collector.snapshot(),
-            plan: entry.plan.clone(),
-            explain: ExplainPlan::new(&entry.plan, entry.opt_stats.clone()),
-            cache_hit: Some(hit),
-            stats_age: entry.stats_age(),
-            trace: None,
-            waits: None,
-            pruned: pruned.members(),
-            startup_pruned: pruned.startup_members(),
-            feedback: entry.used_feedback,
-        }
-    }
-
-    /// The plan-cache fast path for one fingerprinted SELECT. `None` means
-    /// "not eligible" — the caller falls through to the uncached pipeline,
-    /// which re-parses the original text and reproduces any error exactly.
-    fn run_fingerprinted(
-        &self,
-        fp: &Fingerprint,
-        user_params: &HashMap<String, Value>,
-        stats: Option<Arc<RuntimeStatsCollector>>,
-        tracer: Option<&TraceBuilder>,
-        pruned: &Arc<PruneLog>,
-    ) -> Option<Result<(QueryResult, Arc<CachedSelect>, bool)>> {
-        // User parameters in the reserved namespace would collide with the
-        // extracted literals.
-        if user_params
-            .keys()
-            .any(|k| k.starts_with(dhqp_sqlfront::AUTO_PARAM_PREFIX))
-        {
-            return None;
-        }
-        let mut params = user_params.clone();
-        for (name, value) in &fp.params {
-            params.insert(name.clone(), value.clone());
-        }
-        if let Some(entry) = self.plan_cache_lookup(&fp.template) {
+    ) -> Option<(Arc<CachedSelect>, bool)> {
+        if let Some(entry) = self.plan_cache_lookup(template) {
             if let Some(tr) = tracer {
                 tr.stage_with(
                     "plan-cache",
@@ -1847,242 +1610,207 @@ impl Engine {
                     vec![("hit".to_string(), "true".to_string())],
                 );
             }
-            let began = Instant::now();
-            let res = self.execute_plan(
-                &entry.plan,
-                &entry.registry,
-                &entry.output,
-                &entry.view_members,
-                params,
-                stats.clone(),
-                pruned,
-            );
-            if let Ok(r) = &res {
-                entry.note_execution(began.elapsed(), r.rows.len() as u64);
-            }
-            if let Some(tr) = tracer {
-                match &stats {
-                    Some(c) => tr.stage_execute(began, &entry.plan, &c.snapshot()),
-                    None => tr.stage("execute", began),
-                }
-            }
-            return Some(res.map(|r| (r, entry, true)));
+            return Some((entry, true));
         }
-        // Miss: compile the template once, cache it if the statement's
-        // compile is pure, then execute. Any template-side parse, bind or
-        // optimize failure declines instead of erroring.
         let began = Instant::now();
-        let stmt = match parse_statement(&fp.template) {
-            Ok(Statement::Select(stmt)) => stmt,
+        let stmt = match parse_statement(template) {
+            Ok(Statement::Select(stmt)) if plan_cache::is_cacheable(&stmt) => stmt,
             _ => return None,
         };
-        if !plan_cache::is_cacheable(&stmt) {
-            return None;
-        }
-        record_wait(WaitClass::PlanCompile, began.elapsed());
-        if let Some(tr) = tracer {
-            tr.stage("parse", began);
-        }
-        let began = Instant::now();
-        let bound = Binder::new(self, &params).bind_select(&stmt).ok()?;
-        record_wait(WaitClass::PlanCompile, began.elapsed());
-        if let Some(tr) = tracer {
-            tr.stage("bind", began);
-        }
-        let BoundSelect {
-            tree,
-            mut registry,
-            output,
-            required,
-            view_members,
-            dep_servers,
-            stats_as_of,
-            used_feedback,
-        } = bound;
-        let optimizer = Optimizer::new(self.optimizer_config());
-        let deps = self.current_deps(dep_servers);
-        let began = Instant::now();
-        let (plan, opt_stats) = optimizer.optimize(tree, &mut registry, required).ok()?;
-        record_wait(WaitClass::PlanCompile, began.elapsed());
-        if let Some(tr) = tracer {
-            tr.stage_optimize(began, &opt_stats);
-        }
-        let entry = Arc::new(CachedSelect {
-            plan,
-            registry: Arc::new(registry),
-            output,
-            view_members,
-            opt_stats,
-            deps,
-            stats_as_of,
-            used_feedback,
-            execution_count: AtomicU64::new(0),
-            total_elapsed_us: AtomicU64::new(0),
-            total_rows: AtomicU64::new(0),
-        });
+        compile_stage(tracer, "parse", began);
+        let entry = Arc::new(self.compile_select(&stmt, params, tracer).ok()?);
         self.inner.metrics.record_plan_cache_miss();
         if has_hook() {
-            emit_event("plan_cache_miss", &[("template", fp.template.clone())]);
+            emit_event("plan_cache_miss", &[("template", template.to_string())]);
         }
         let evicted = self
             .inner
             .plan_cache
             .lock()
-            .insert(fp.template.clone(), Arc::clone(&entry));
+            .insert(template.to_string(), Arc::clone(&entry));
         self.inner.metrics.record_plan_cache_evictions(evicted);
-        let began = Instant::now();
-        let res = self.execute_plan(
-            &entry.plan,
-            &entry.registry,
-            &entry.output,
-            &entry.view_members,
-            params,
-            stats.clone(),
-            pruned,
-        );
-        if let Ok(r) = &res {
-            entry.note_execution(began.elapsed(), r.rows.len() as u64);
-        }
-        if let Some(tr) = tracer {
-            match &stats {
-                Some(c) => tr.stage_execute(began, &entry.plan, &c.snapshot()),
-                None => tr.stage("execute", began),
-            }
-        }
-        Some(res.map(|r| (r, entry, false)))
+        Some((entry, false))
     }
 
-    fn run_select(&self, stmt: &SelectStmt, params: HashMap<String, Value>) -> Result<QueryResult> {
-        // Internal path (DML subqueries, scalar subqueries): prunes are
-        // tracked for the engine counters but not attributed to a summary.
-        let pruned = Arc::new(PruneLog::default());
-        self.run_select_pipeline(stmt, params, None, None, &pruned)
-            .map(|(result, _, _, _)| result)
-    }
-
-    /// Bind, optimize and execute one SELECT. When `stats` is given, every
-    /// operator is instrumented and flushes into the collector. When
-    /// `tracer` is given, each stage records a span (and the execute span
-    /// gets per-operator children if `stats` is also present).
-    fn run_select_pipeline(
+    /// Bind and optimize one SELECT into a plan plus everything needed to
+    /// run it (and, for the plan cache, to tell when it went stale). Each
+    /// stage is a `PLAN_COMPILE` wait and, when `tracer` is given, a span.
+    fn compile_select(
         &self,
         stmt: &SelectStmt,
-        params: HashMap<String, Value>,
-        stats: Option<Arc<RuntimeStatsCollector>>,
+        params: &HashMap<String, Value>,
         tracer: Option<&TraceBuilder>,
-        pruned: &Arc<PruneLog>,
-    ) -> Result<(
-        QueryResult,
-        PhysNode,
-        dhqp_optimizer::search::OptimizerStats,
-        bool,
-    )> {
+    ) -> Result<CachedSelect> {
         let began = Instant::now();
-        let bound = Binder::new(self, &params).bind_select(stmt)?;
-        record_wait(WaitClass::PlanCompile, began.elapsed());
-        if let Some(tr) = tracer {
-            tr.stage("bind", began);
-        }
+        let bound = Binder::new(self, params).bind_select(stmt)?;
+        compile_stage(tracer, "bind", began);
         let optimizer = Optimizer::new(self.optimizer_config());
-        let BoundSelect {
-            tree,
-            mut registry,
-            output,
-            required,
-            view_members,
-            used_feedback,
-            ..
-        } = bound;
+        let deps = self.current_deps(bound.dep_servers);
+        let mut registry = bound.registry;
         let began = Instant::now();
-        let (plan, opt_stats) = optimizer.optimize(tree, &mut registry, required)?;
+        let (plan, opt_stats) = optimizer.optimize(bound.tree, &mut registry, bound.required)?;
         record_wait(WaitClass::PlanCompile, began.elapsed());
         if let Some(tr) = tracer {
             tr.stage_optimize(began, &opt_stats);
         }
-        let registry = Arc::new(registry);
+        Ok(CachedSelect {
+            plan,
+            registry: Arc::new(registry),
+            output: bound.output,
+            view_members: bound.view_members,
+            opt_stats,
+            deps,
+            stats_as_of: bound.stats_as_of,
+            used_feedback: bound.used_feedback,
+            execution_count: AtomicU64::new(0),
+            total_elapsed_us: AtomicU64::new(0),
+            total_rows: AtomicU64::new(0),
+        })
+    }
+
+    /// Run one compiled plan: the execution itself, its fold into the
+    /// plan's aggregates, and the `execute` span (with per-operator
+    /// children when `stats` is attached).
+    fn run_plan(
+        &self,
+        compiled: &CachedSelect,
+        params: HashMap<String, Value>,
+        stats: Option<Arc<RuntimeStatsCollector>>,
+        tracer: Option<&TraceBuilder>,
+        pruned: &Arc<PruneLog>,
+    ) -> Result<QueryResult> {
         let began = Instant::now();
-        let result = self.execute_plan(
-            &plan,
-            &registry,
-            &output,
-            &view_members,
-            params,
-            stats.clone(),
-            pruned,
-        )?;
+        let result = self.execute_plan(compiled, params, stats.clone(), pruned);
+        if let Ok(r) = &result {
+            compiled.note_execution(began.elapsed(), r.rows.len() as u64);
+        }
         if let Some(tr) = tracer {
             match &stats {
-                Some(c) => tr.stage_execute(began, &plan, &c.snapshot()),
+                Some(c) => tr.stage_execute(began, &compiled.plan, &c.snapshot()),
                 None => tr.stage("execute", began),
             }
         }
-        Ok((result, plan, opt_stats, used_feedback))
+        result
     }
 
-    /// Execute one already-optimized plan — the shared tail of the cached
-    /// and uncached pipelines. Delayed schema validation (§4.1.5) rides
+    /// The one epilogue, on every exit: snapshot the runtime stats once,
+    /// finish and publish the trace, feed the query store and the
+    /// cardinality feedback loop, build the report when the statement ran
+    /// as EXPLAIN ANALYZE, and end the statement.
+    fn finish_statement(
+        &self,
+        mut run: StatementRun<'_>,
+        ran: Result<QueryResult>,
+    ) -> Result<Output> {
+        let waits = run.waits.snapshot();
+        let elapsed = run.started.elapsed();
+        let trace = run.tracer.take().map(|tracer| {
+            tracer.set_waits(waits);
+            Arc::new(tracer.finish())
+        });
+        if let Some(trace) = &trace {
+            *self.inner.last_trace.lock() = Some(Arc::clone(trace));
+        }
+        let runtime = run.collector.take().map(|collector| collector.snapshot());
+        let tags = Self::statement_tags(run.fingerprint.as_deref(), runtime.as_ref(), &run.pruned);
+        // EXPLAIN ANALYZE counts the rows its SELECT produced, not the
+        // lines of the report it may be rendered into.
+        let rows = match &ran {
+            Ok(r) => r.rows_affected.unwrap_or(r.rows.len() as u64),
+            Err(_) => 0,
+        };
+        let output = ran.map(|result| {
+            let Some((compiled, cache_hit)) = run.select.take() else {
+                return Output::Rows(result);
+            };
+            if let Some(runtime) = &runtime {
+                self.observe_execution(
+                    run.fingerprint.as_deref().unwrap_or(run.sql),
+                    &compiled.plan,
+                    runtime,
+                    elapsed,
+                    rows,
+                    &waits,
+                );
+            }
+            if !run.analyze {
+                return Output::Rows(result);
+            }
+            Output::Report(Box::new(AnalyzeReport {
+                result,
+                runtime: runtime.unwrap_or_default(),
+                plan: compiled.plan.clone(),
+                explain: ExplainPlan::new(&compiled.plan, compiled.opt_stats.clone()),
+                cache_hit,
+                stats_age: cache_hit.and_then(|_| compiled.stats_age()),
+                trace,
+                waits: Some(waits),
+                pruned: run.pruned.members(),
+                startup_pruned: run.pruned.startup_members(),
+                feedback: compiled.used_feedback,
+            }))
+        });
+        let error = output.as_ref().err().map(|e| e.to_string());
+        self.end_statement(&run, elapsed, rows, error, &waits, tags);
+        output
+    }
+
+    /// A SELECT inside another statement (INSERT ... SELECT, scalar
+    /// subqueries): compiled and run, not a statement of its own. Prunes
+    /// are tracked for the engine counters but not attributed to a summary.
+    pub(crate) fn run_select(
+        &self,
+        stmt: &SelectStmt,
+        params: &HashMap<String, Value>,
+    ) -> Result<QueryResult> {
+        let compiled = self.compile_select(stmt, params, None)?;
+        let pruned = Arc::new(PruneLog::default());
+        self.run_plan(&compiled, params.clone(), None, None, &pruned)
+    }
+
+    /// Execute one compiled plan. Delayed schema validation (§4.1.5) rides
     /// every execution: the context carries what the plan assumed about its
     /// partitioned-view members, and each member is re-checked on the
     /// session that opens it — so even a cached plan re-checks exactly the
     /// members it reads, and no member it does not open is contacted.
-    #[allow(clippy::too_many_arguments)]
     fn execute_plan(
         &self,
-        plan: &PhysNode,
-        registry: &Arc<dhqp_optimizer::props::ColumnRegistry>,
-        output: &[(String, dhqp_optimizer::ColumnId)],
-        view_members: &Arc<[MemberSchema]>,
+        compiled: &CachedSelect,
         params: HashMap<String, Value>,
         stats: Option<Arc<RuntimeStatsCollector>>,
         pruned: &Arc<PruneLog>,
     ) -> Result<QueryResult> {
-        let catalog = Arc::new(EngineCatalog {
-            inner: Arc::clone(&self.inner),
-        });
-        let batch = self.batch_config();
-        let mut ctx = ExecContext::new(catalog, params, Arc::clone(registry))
-            .with_counters(self.inner.metrics.exec_counters())
-            .with_parallel(self.parallel_config())
-            .with_retry(self.retry_policy())
-            .with_batch(batch.clone())
-            .with_health(Arc::clone(&self.inner.health))
+        let (plan, registry) = (&compiled.plan, &compiled.registry);
+        let mut ctx = self
+            .exec_context(params, Arc::clone(registry))
             .with_degraded(*self.inner.degraded.read())
-            .with_runtime_prune(*self.inner.runtime_prune.read())
             .with_pruned(Arc::clone(pruned))
-            .with_view_members(view_members);
+            .with_view_members(&compiled.view_members);
         if let Some(collector) = stats {
             ctx = ctx.with_stats(collector);
         }
         let mut rowset = dhqp_executor::open(plan, &ctx)?;
         // The root drain is a drive point: with batching on, the engine
         // pulls DHQP_BATCH_SIZE-row chunks through the whole pipeline.
-        let all_rows = if batch.enabled {
-            rowset.collect_rows_batched(batch.batch_size)?
+        let all_rows = if ctx.batch().enabled {
+            rowset.collect_rows_batched(ctx.batch().batch_size)?
         } else {
             rowset.collect_rows()?
         };
         // Trim to the visible SELECT-list columns, in order.
-        let positions: Vec<usize> = output
-            .iter()
-            .map(|(name, id)| {
-                plan.output.iter().position(|c| c == id).ok_or_else(|| {
-                    DhqpError::Execute(format!("output column '{name}' missing from plan"))
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let schema = Schema::new(
-            output
-                .iter()
-                .map(|(name, id)| {
-                    let m = registry.meta(*id);
-                    dhqp_types::Column {
-                        name: name.clone(),
-                        data_type: m.data_type,
-                        nullable: m.nullable,
-                    }
-                })
-                .collect(),
-        );
+        let mut positions = Vec::with_capacity(compiled.output.len());
+        let mut columns = Vec::with_capacity(compiled.output.len());
+        for (name, id) in &compiled.output {
+            positions.push(plan.output.iter().position(|c| c == id).ok_or_else(|| {
+                DhqpError::Execute(format!("output column '{name}' missing from plan"))
+            })?);
+            let m = registry.meta(*id);
+            columns.push(dhqp_types::Column {
+                name: name.clone(),
+                data_type: m.data_type,
+                nullable: m.nullable,
+            });
+        }
         let rows = all_rows
             .into_iter()
             .map(|r| Row::new(positions.iter().map(|&p| r.values[p].clone()).collect()))
@@ -2091,19 +1819,10 @@ impl Engine {
         // runtime stats before the caller snapshots the collector.
         drop(rowset);
         Ok(QueryResult {
-            schema,
+            schema: Schema::new(columns),
             rows,
             rows_affected: None,
         })
-    }
-
-    /// Run a SELECT statement AST (DML INSERT ... SELECT path).
-    pub(crate) fn query_select_internal(
-        &self,
-        stmt: &SelectStmt,
-        params: &HashMap<String, Value>,
-    ) -> Result<QueryResult> {
-        self.run_select(stmt, params.clone())
     }
 
     /// Evaluate an uncorrelated scalar subquery eagerly at bind time.
@@ -2112,7 +1831,7 @@ impl Engine {
         stmt: &SelectStmt,
         params: &HashMap<String, Value>,
     ) -> Result<Value> {
-        let result = self.run_select(stmt, params.clone())?;
+        let result = self.run_select(stmt, params)?;
         if result.schema.len() != 1 {
             return Err(DhqpError::Bind(
                 "scalar subquery must select exactly one column".into(),
@@ -2293,6 +2012,57 @@ impl Engine {
     /// loop's own writebacks purge exactly the affected plans.
     pub fn set_card_feedback(&self, on: bool) {
         *self.inner.card_feedback.write() = on;
+    }
+}
+
+/// What a statement hands back to its entry point.
+enum Output {
+    Rows(QueryResult),
+    Report(Box<AnalyzeReport>),
+}
+
+/// What the compile and run stages leave for the epilogue, filled in as the
+/// statement advances so an error exit reports as much as a success does.
+struct StatementRun<'a> {
+    /// Restores the enclosing statement's activity scope when this one ends.
+    _activity: ScopeGuard,
+    /// This statement's own wait sink.
+    waits: Arc<WaitStats>,
+    sql: &'a str,
+    started: Instant,
+    tracer: Option<TraceBuilder>,
+    /// One prune log per statement: members degraded mode or startup
+    /// pruning skip land here and surface in EXPLAIN ANALYZE /
+    /// `sys.dm_exec_requests`.
+    pruned: Arc<PruneLog>,
+    /// `None` until the text classifies as a statement.
+    kind: Option<StatementKind>,
+    /// The plan-cache template, once the cache served or compiled the
+    /// statement.
+    fingerprint: Option<String>,
+    /// The SELECT being executed: its compiled plan and plan-cache outcome
+    /// (`Some(hit)` through the cache, `None` compiled uncached).
+    select: Option<(Arc<CachedSelect>, Option<bool>)>,
+    /// Its runtime stats, when a collector was attached.
+    collector: Option<Arc<RuntimeStatsCollector>>,
+    /// Whether it runs as EXPLAIN ANALYZE: the epilogue builds the report.
+    analyze: bool,
+}
+
+/// How an executed SELECT is counted.
+fn select_kind(analyze: bool) -> StatementKind {
+    match analyze {
+        true => StatementKind::ExplainAnalyze,
+        false => StatementKind::Select,
+    }
+}
+
+/// One finished compile stage: a `PLAN_COMPILE` wait and, when tracing, a
+/// span.
+fn compile_stage(tracer: Option<&TraceBuilder>, name: &str, began: Instant) {
+    record_wait(WaitClass::PlanCompile, began.elapsed());
+    if let Some(tr) = tracer {
+        tr.stage(name, began);
     }
 }
 

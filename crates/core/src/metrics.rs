@@ -399,10 +399,6 @@ impl EngineMetrics {
         Arc::clone(&self.exec)
     }
 
-    pub fn record_parse_error(&self) {
-        self.statement_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn record_meta_cache_hit(&self) {
         self.meta_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -469,11 +465,14 @@ impl EngineMetrics {
     /// `error` is the failure message (`None` means success); `waits` is
     /// the statement's per-query wait snapshot, whose dominant class is
     /// kept on the summary for attribution. Returns whether the statement
-    /// crossed the armed slow-query threshold.
+    /// crossed the armed slow-query threshold. `kind` is `None` for text
+    /// that failed before it classified as a statement (it did not parse):
+    /// the error is counted, and that is all — no per-kind count, no ring
+    /// entry, no latency sample.
     #[allow(clippy::too_many_arguments)]
     pub fn finish_statement(
         &self,
-        kind: StatementKind,
+        kind: Option<StatementKind>,
         sql: &str,
         elapsed: Duration,
         rows: u64,
@@ -482,6 +481,10 @@ impl EngineMetrics {
         pruned_members: u64,
         tags: StatementTags,
     ) -> bool {
+        let Some(kind) = kind else {
+            self.statement_errors.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
         let counter = match kind {
             StatementKind::Select => &self.selects,
             StatementKind::Insert => &self.inserts,
@@ -602,7 +605,7 @@ mod tests {
         let m = EngineMetrics::default();
         for i in 0..(RECENT_QUERY_CAPACITY + 5) {
             m.finish_statement(
-                StatementKind::Select,
+                Some(StatementKind::Select),
                 &format!("SELECT {i}"),
                 Duration::from_millis(1),
                 i as u64,
@@ -628,7 +631,7 @@ mod tests {
         let m = EngineMetrics::new(3, None);
         for i in 0..5 {
             m.finish_statement(
-                StatementKind::Select,
+                Some(StatementKind::Select),
                 &format!("SELECT {i}"),
                 Duration::ZERO,
                 0,
@@ -647,7 +650,7 @@ mod tests {
     fn errors_carry_their_message() {
         let m = EngineMetrics::default();
         m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "SELECT * FROM missing",
             Duration::ZERO,
             0,
@@ -670,7 +673,7 @@ mod tests {
     fn slow_query_log_gates_on_threshold() {
         let m = EngineMetrics::new(RECENT_QUERY_CAPACITY, Some(Duration::from_millis(10)));
         m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "fast",
             Duration::from_millis(1),
             0,
@@ -680,7 +683,7 @@ mod tests {
             StatementTags::default(),
         );
         m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "slow",
             Duration::from_millis(25),
             0,
@@ -695,7 +698,7 @@ mod tests {
         // Disarmed engines never log, regardless of elapsed time.
         let off = EngineMetrics::default();
         off.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "slow",
             Duration::from_secs(5),
             0,
@@ -711,7 +714,7 @@ mod tests {
     fn query_latency_histogram_records_every_statement() {
         let m = EngineMetrics::default();
         m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "q",
             Duration::from_micros(700),
             1,
@@ -734,7 +737,7 @@ mod tests {
         waits.record(WaitClass::RetryBackoff, Duration::from_millis(50));
         let snap = waits.snapshot();
         let was_slow = m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "SELECT 1",
             Duration::from_millis(40),
             1,
@@ -748,7 +751,7 @@ mod tests {
         assert_eq!(q.dominant_wait, Some("RETRY_BACKOFF"));
         // A statement that never waited carries no attribution.
         assert!(!m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "SELECT 2",
             Duration::ZERO,
             1,
@@ -771,7 +774,7 @@ mod tests {
         m.exec_counters().add_remote_roundtrip();
         m.waits().record(WaitClass::Spool, Duration::from_millis(3));
         m.finish_statement(
-            StatementKind::Select,
+            Some(StatementKind::Select),
             "SELECT 1",
             Duration::from_millis(2),
             1,
@@ -797,7 +800,7 @@ mod tests {
         m.record_meta_cache_hit();
         m.record_fulltext_search();
         m.finish_statement(
-            StatementKind::Delete,
+            Some(StatementKind::Delete),
             "DELETE FROM t",
             Duration::ZERO,
             3,

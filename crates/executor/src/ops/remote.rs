@@ -9,7 +9,7 @@
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
 use crate::health::{Admission, HealthRegistry};
-use crate::ops::retry::{open_with_retries_tagged, ReopenFactory};
+use crate::ops::retry::{open_with_retries, ReopenFactory};
 use crate::ops::scan::resolve_range;
 use crate::schema_guard::MemberChecks;
 use crate::stats::RuntimeStatsCollector;
@@ -118,7 +118,7 @@ fn open_via_breaker(
             }
         }
     }
-    let result = open_with_retries_tagged(
+    let result = open_with_retries(
         factory,
         ctx.retry(),
         &counters,

@@ -214,36 +214,15 @@ pub type ReopenFactory = Box<dyn FnMut() -> Result<Box<dyn Rowset>> + Send>;
 
 /// Open a remote rowset with retries, and keep retrying transparently on
 /// mid-stream transient faults: the stream is re-opened and already
-/// delivered rows are skipped. With `max_attempts == 1` the factory runs
-/// once, unwrapped — the fault-free fast path allocates nothing extra.
+/// delivered rows are skipped, `rewind_chunk` rows per pull (whole skipped
+/// batches cross the wire as single round trips; the final partial chunk is
+/// re-sliced to land exactly on the delivered count). With
+/// `max_attempts == 1` the factory runs once, unwrapped — the fault-free
+/// fast path allocates nothing extra. `op_tag` is appended to any give-up
+/// reason chain — how a semi-join-reduced open stamps its shipped-predicate
+/// fingerprint onto the failure that reaches the health registry
+/// (`sys.dm_link_health` last-error).
 pub fn open_with_retries(
-    factory: ReopenFactory,
-    policy: &RetryPolicy,
-    counters: &Arc<ExecCounters>,
-    stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
-) -> Result<Box<dyn Rowset>> {
-    open_with_retries_batched(factory, policy, counters, stats, 1)
-}
-
-/// [`open_with_retries`] with a batch-aware rewind: a mid-stream rewind
-/// fast-forwards past already-delivered rows `rewind_chunk` rows per pull
-/// (whole skipped batches cross the wire as single round trips; the final
-/// partial chunk is re-sliced to land exactly on the delivered count).
-pub fn open_with_retries_batched(
-    factory: ReopenFactory,
-    policy: &RetryPolicy,
-    counters: &Arc<ExecCounters>,
-    stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
-    rewind_chunk: usize,
-) -> Result<Box<dyn Rowset>> {
-    open_with_retries_tagged(factory, policy, counters, stats, rewind_chunk, None)
-}
-
-/// [`open_with_retries_batched`] with an operation tag appended to any
-/// give-up reason chain — how a semi-join-reduced open stamps its
-/// shipped-predicate fingerprint onto the failure that reaches the health
-/// registry (`sys.dm_link_health` last-error).
-pub fn open_with_retries_tagged(
     mut factory: ReopenFactory,
     policy: &RetryPolicy,
     counters: &Arc<ExecCounters>,
@@ -478,7 +457,7 @@ mod tests {
     #[test]
     fn transient_open_fault_is_absorbed() {
         let c = counters();
-        let mut rs = open_with_retries(flaky_factory(1, 0), &fast(), &c, None).unwrap();
+        let mut rs = open_with_retries(flaky_factory(1, 0), &fast(), &c, None, 1, None).unwrap();
         assert_eq!(rs.count_rows().unwrap(), 10);
         let s = c.snapshot();
         assert_eq!(s.remote_retries, 1);
@@ -488,7 +467,7 @@ mod tests {
     #[test]
     fn mid_stream_fault_rewinds_without_duplicating_rows() {
         let c = counters();
-        let mut rs = open_with_retries(flaky_factory(0, 1), &fast(), &c, None).unwrap();
+        let mut rs = open_with_retries(flaky_factory(0, 1), &fast(), &c, None, 1, None).unwrap();
         let got = rs.collect_rows().unwrap();
         assert_eq!(got.len(), 10, "no duplicates, no gaps");
         assert!(got
@@ -501,7 +480,7 @@ mod tests {
     #[test]
     fn attempts_are_bounded_and_reported() {
         let c = counters();
-        let err = match open_with_retries(flaky_factory(99, 0), &fast(), &c, None) {
+        let err = match open_with_retries(flaky_factory(99, 0), &fast(), &c, None, 1, None) {
             Err(e) => e,
             Ok(_) => panic!("permanent flakiness must surface"),
         };
@@ -523,7 +502,7 @@ mod tests {
     #[test]
     fn give_up_chain_carries_the_operation_tag() {
         let c = counters();
-        let err = match open_with_retries_tagged(
+        let err = match open_with_retries(
             flaky_factory(99, 0),
             &fast(),
             &c,
@@ -550,7 +529,7 @@ mod tests {
         let c = counters();
         let factory: ReopenFactory =
             Box::new(|| Err(DhqpError::Catalog("unknown table 'nope'".into())));
-        let err = match open_with_retries(factory, &fast(), &c, None) {
+        let err = match open_with_retries(factory, &fast(), &c, None, 1, None) {
             Err(e) => e,
             Ok(_) => panic!(),
         };
@@ -568,7 +547,7 @@ mod tests {
             attempt_deadline: None,
             query_deadline: Some(Duration::from_millis(20)),
         };
-        let err = match open_with_retries(flaky_factory(99, 0), &policy, &c, None) {
+        let err = match open_with_retries(flaky_factory(99, 0), &policy, &c, None, 1, None) {
             Err(e) => e,
             Ok(_) => panic!(),
         };
@@ -580,7 +559,14 @@ mod tests {
     #[test]
     fn no_retry_policy_returns_inner_unwrapped() {
         let c = counters();
-        let err = match open_with_retries(flaky_factory(1, 0), &RetryPolicy::no_retry(), &c, None) {
+        let err = match open_with_retries(
+            flaky_factory(1, 0),
+            &RetryPolicy::no_retry(),
+            &c,
+            None,
+            1,
+            None,
+        ) {
             Err(e) => e,
             Ok(_) => panic!("single attempt must surface the fault"),
         };
@@ -594,7 +580,7 @@ mod tests {
         // batch. The partial batch was never delivered, so the rewind skips
         // zero rows and the consumer still sees all 10 exactly once.
         let c = counters();
-        let mut rs = open_with_retries_batched(flaky_factory(0, 1), &fast(), &c, None, 4).unwrap();
+        let mut rs = open_with_retries(flaky_factory(0, 1), &fast(), &c, None, 4, None).unwrap();
         let mut got = Vec::new();
         while let Some(batch) = rs.next_batch(4).unwrap() {
             assert!(batch.len() <= 4);
@@ -627,7 +613,7 @@ mod tests {
             }
         });
         let c = counters();
-        let mut rs = open_with_retries_batched(factory, &fast(), &c, None, 3).unwrap();
+        let mut rs = open_with_retries(factory, &fast(), &c, None, 3, None).unwrap();
         let mut got = Vec::new();
         while let Some(batch) = rs.next_batch(3).unwrap() {
             got.extend(batch.into_rows());
@@ -649,6 +635,8 @@ mod tests {
             &fast(),
             &c,
             Some((4, Arc::clone(&collector))),
+            1,
+            None,
         )
         .unwrap();
         assert_eq!(rs.count_rows().unwrap(), 10);

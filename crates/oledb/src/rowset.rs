@@ -12,12 +12,6 @@
 //!   call as a [`RowBatch`]. The provided implementation coalesces `next`
 //!   calls, so every existing rowset already speaks the batch protocol;
 //!   hot-path operators override it to hand whole chunks through.
-//!
-//! [`BatchRowset`] is the batch-native trait for components that only think
-//! in chunks, with blanket adapters in both directions: [`Batched`] lifts a
-//! row cursor to the batch protocol, [`Debatched`] replays a batch cursor
-//! row by row. Together they keep the row path alive as a compatibility
-//! shim while each operator migrates independently.
 
 use dhqp_types::{Result, Row, RowBatch, Schema};
 
@@ -111,79 +105,6 @@ impl Rowset for Box<dyn Rowset> {
 
     fn size_hint(&self) -> Option<usize> {
         self.as_ref().size_hint()
-    }
-}
-
-/// A pull-based stream of row *batches* with a fixed schema — the
-/// batch-native side of the §3.1.2 abstraction.
-pub trait BatchRowset: Send {
-    /// The shape of every row in every batch.
-    fn schema(&self) -> &Schema;
-
-    /// Fetch the next batch of at most `max` rows; `None` at end of
-    /// stream, never `Some` of an empty batch.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>>;
-}
-
-/// Adapter: any [`Rowset`] speaks [`BatchRowset`] by coalescing rows (or by
-/// forwarding a native batch implementation, when the rowset has one).
-pub struct Batched<R: Rowset>(pub R);
-
-impl<R: Rowset> BatchRowset for Batched<R> {
-    fn schema(&self) -> &Schema {
-        self.0.schema()
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        self.0.next_batch(max)
-    }
-}
-
-/// Adapter: any [`BatchRowset`] speaks [`Rowset`] by replaying each batch
-/// row by row — the compatibility shim that lets a row-at-a-time consumer
-/// sit above a batch-native producer.
-pub struct Debatched<B: BatchRowset> {
-    inner: B,
-    /// How many rows to request per refill of the replay buffer.
-    chunk: usize,
-    buffer: std::vec::IntoIter<Row>,
-}
-
-impl<B: BatchRowset> Debatched<B> {
-    pub fn new(inner: B, chunk: usize) -> Self {
-        Debatched {
-            inner,
-            chunk: chunk.max(1),
-            buffer: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl<B: BatchRowset> Rowset for Debatched<B> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.buffer.next() {
-            return Ok(Some(row));
-        }
-        match self.inner.next_batch(self.chunk)? {
-            Some(batch) => {
-                self.buffer = batch.into_rows().into_iter();
-                Ok(self.buffer.next())
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        // Drain any replay remainder first, then forward whole batches.
-        let buffered: Vec<Row> = self.buffer.by_ref().collect();
-        if !buffered.is_empty() {
-            return Ok(Some(RowBatch::from(buffered)));
-        }
-        self.inner.next_batch(max)
     }
 }
 
@@ -308,25 +229,6 @@ mod tests {
         assert_eq!(r.next_batch(3).unwrap().unwrap().len(), 2);
         assert!(r.next_batch(3).unwrap().is_none());
         assert_eq!(r.size_hint(), None);
-    }
-
-    #[test]
-    fn batched_and_debatched_round_trip() {
-        let batched = Batched(rs());
-        let mut row_view = Debatched::new(batched, 2);
-        let rows = row_view.collect_rows().unwrap();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[4].get(0), &Value::Int(4));
-
-        // Mixed cursoring: a row pull mid-stream leaves a replay remainder
-        // that the next batch pull must surface before new chunks.
-        let mut mixed = Debatched::new(Batched(rs()), 3);
-        assert_eq!(mixed.next().unwrap().unwrap().get(0), &Value::Int(0));
-        let remainder = mixed.next_batch(10).unwrap().unwrap();
-        assert_eq!(remainder.len(), 2); // rows 1,2 buffered from the chunk of 3
-        let fresh = mixed.next_batch(10).unwrap().unwrap();
-        assert_eq!(fresh.len(), 2); // rows 3,4
-        assert!(mixed.next_batch(10).unwrap().is_none());
     }
 
     #[test]

@@ -1092,3 +1092,422 @@ fn chrome_trace_export_parses_with_one_track_per_exchange_worker() {
         worker_tids.push(tid.to_bits());
     }
 }
+
+// ---- one statement lifecycle ---------------------------------------------------
+
+/// Head engine for the lifecycle tests: a local `docs` table with a
+/// full-text index, `rt` on linked server `srv`, and `acct_all`
+/// partitioned over a local and a remote member. Events (start/end only),
+/// tracing and the Query Store are armed; the link injects no faults so the
+/// fixture reads the same under every CI leg. Returns `(head, remote)`.
+fn lifecycle_fixture(plan_cache: bool) -> (Engine, Engine) {
+    use dhqp::{PlanCacheConfig, QueryStoreConfig};
+    use dhqp_workload::accounts::create_account_partition;
+    let remote = Engine::new("remote");
+    remote
+        .create_table(TableDef::new(
+            "rt",
+            Schema::new(vec![
+                Column::not_null("k", DataType::Int),
+                Column::not_null("v", DataType::Int),
+            ]),
+        ))
+        .unwrap();
+    let rows: Vec<Row> = (0..20)
+        .map(|k| Row::new(vec![Value::Int(k), Value::Int(k % 3)]))
+        .collect();
+    remote.insert("rt", &rows).unwrap();
+    let hi = create_account_partition(remote.storage(), "acct_hi", 100, 119, 7).unwrap();
+
+    let head = EngineBuilder::new("head")
+        .plan_cache_config(PlanCacheConfig {
+            enabled: plan_cache,
+            ..PlanCacheConfig::default()
+        })
+        .trace_config(TraceConfig::enabled())
+        .event_config(EventConfig::only(&[
+            EventKind::QueryStart,
+            EventKind::QueryEnd,
+        ]))
+        .query_store_config(QueryStoreConfig {
+            enabled: true,
+            ..QueryStoreConfig::default()
+        })
+        .build();
+    head.create_table(
+        TableDef::new(
+            "docs",
+            Schema::new(vec![
+                Column::not_null("id", DataType::Int),
+                Column::not_null("body", DataType::Str),
+            ]),
+        )
+        .with_index("pk_docs", &["id"], true),
+    )
+    .unwrap();
+    let docs: Vec<Row> = ["remote query plans", "local plans", "query stores"]
+        .iter()
+        .enumerate()
+        .map(|(i, body)| Row::new(vec![Value::Int(i as i64), Value::Str(body.to_string())]))
+        .collect();
+    head.insert("docs", &docs).unwrap();
+    head.create_fulltext_index("docs", "id", "body", "docs_ft")
+        .unwrap();
+    let lo = create_account_partition(head.storage(), "acct_lo", 0, 19, 5).unwrap();
+    head.add_linked_server(
+        "srv",
+        Arc::new(NetworkedDataSource::reliable(
+            Arc::new(EngineDataSource::new(remote.clone())),
+            NetworkLink::new("lifecycle-link", NetworkConfig::lan()),
+        )),
+    )
+    .unwrap();
+    head.define_partitioned_view(
+        "acct_all",
+        "id",
+        vec![
+            (None, "acct_lo".to_string(), lo),
+            (Some("srv".to_string()), "acct_hi".to_string(), hi),
+        ],
+    )
+    .unwrap();
+    (head, remote)
+}
+
+fn lifecycle_head(plan_cache: bool) -> Engine {
+    lifecycle_fixture(plan_cache).0
+}
+
+/// A row multiset in comparable form.
+fn sorted(rows: Vec<Row>) -> Vec<String> {
+    let mut rows: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+    rows.sort();
+    rows
+}
+
+fn start_end_counts(engine: &Engine) -> (usize, usize) {
+    let events = engine.recent_events();
+    let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+    (count(EventKind::QueryStart), count(EventKind::QueryEnd))
+}
+
+fn query_store_executions(engine: &Engine) -> u64 {
+    engine
+        .query_store_queries()
+        .iter()
+        .map(|q| q.executions())
+        .sum()
+}
+
+/// Every way of sending a SELECT runs the same begin → compile → run →
+/// finish pipeline: SELECT corpus × entry point × plan-cache state, each
+/// cell on a fresh engine, checking what every observability surface saw
+/// of exactly one statement.
+#[test]
+fn every_entry_point_runs_one_statement_lifecycle() {
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Entry {
+        Execute,
+        ExplainAnalyzeText,
+        ExecuteAnalyze,
+    }
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Cache {
+        ColdMiss,
+        WarmHit,
+        Disabled,
+    }
+    // (statement, value of its `@top` parameter, whether the plan cache
+    // may hold it): local, remote pushdown, partitioned view, full-text
+    // (compiled afresh every time), user parameter.
+    let corpus: [(&str, Option<i64>, bool); 5] = [
+        ("SELECT id FROM docs WHERE id >= 1", None, true),
+        ("SELECT k FROM srv.db.dbo.rt WHERE v = 1", None, true),
+        (
+            "SELECT id, balance FROM acct_all WHERE id >= 10 AND id <= 105",
+            None,
+            true,
+        ),
+        (
+            "SELECT id FROM docs WHERE CONTAINS(body, 'plans')",
+            None,
+            false,
+        ),
+        ("SELECT k FROM srv.db.dbo.rt WHERE k < @top", Some(4), true),
+    ];
+    for (sql, top, cacheable) in corpus {
+        let params: std::collections::HashMap<String, Value> = top
+            .iter()
+            .map(|top| ("top".to_string(), Value::Int(*top)))
+            .collect();
+        let expected = sorted(
+            lifecycle_head(false)
+                .query_with_params(sql, params.clone())
+                .unwrap()
+                .rows,
+        );
+        assert!(!expected.is_empty(), "{sql}");
+        for cache in [Cache::ColdMiss, Cache::WarmHit, Cache::Disabled] {
+            for entry in [
+                Entry::Execute,
+                Entry::ExplainAnalyzeText,
+                Entry::ExecuteAnalyze,
+            ] {
+                let cell = format!("{sql} / {entry:?} / {cache:?}");
+                let head = lifecycle_head(cache != Cache::Disabled);
+                if cache == Cache::WarmHit {
+                    head.query_with_params(sql, params.clone()).unwrap();
+                }
+                let sent = match entry {
+                    Entry::ExplainAnalyzeText => format!("EXPLAIN ANALYZE {sql}"),
+                    _ => sql.to_string(),
+                };
+                // Restarting the event session empties its ring.
+                head.set_event_config(head.event_config());
+                let before = head.metrics();
+                let ring_before = head.recent_queries().len();
+                let stored_before = query_store_executions(&head);
+
+                let (rows, text, cache_hit) = match entry {
+                    Entry::Execute => {
+                        let r = head.execute_with_params(&sent, params.clone()).unwrap();
+                        (Some(r.rows), None, None)
+                    }
+                    Entry::ExplainAnalyzeText => {
+                        let r = head.execute_with_params(&sent, params.clone()).unwrap();
+                        let lines: Vec<String> =
+                            r.rows.iter().map(|row| row.get(0).to_string()).collect();
+                        (None, Some(lines.join("\n")), None)
+                    }
+                    Entry::ExecuteAnalyze => {
+                        let report = head
+                            .execute_analyze_with_params(&sent, params.clone())
+                            .unwrap();
+                        (
+                            Some(report.result.rows.clone()),
+                            Some(report.render()),
+                            Some(report.cache_hit),
+                        )
+                    }
+                };
+
+                let want_hit = match cache {
+                    _ if !cacheable => None,
+                    Cache::ColdMiss => Some(false),
+                    Cache::WarmHit => Some(true),
+                    Cache::Disabled => None,
+                };
+                if let Some(rows) = rows {
+                    assert_eq!(sorted(rows), expected, "{cell}");
+                }
+                if let Some(hit) = cache_hit {
+                    assert_eq!(hit, want_hit, "{cell}");
+                }
+                if let Some(text) = &text {
+                    assert!(text.contains("actual_rows="), "{cell}: {text}");
+                    let marker = match want_hit {
+                        Some(true) => text.contains("[plan cache: hit]"),
+                        Some(false) => text.contains("[plan cache: miss]"),
+                        None => !text.contains("[plan cache:"),
+                    };
+                    assert!(marker, "{cell}: {text}");
+                }
+
+                let after = head.metrics();
+                let kind = if entry == Entry::Execute {
+                    assert_eq!(after.selects, before.selects + 1, "{cell}");
+                    StatementKind::Select
+                } else {
+                    assert_eq!(
+                        after.explain_analyzes,
+                        before.explain_analyzes + 1,
+                        "{cell}"
+                    );
+                    StatementKind::ExplainAnalyze
+                };
+                assert_eq!(after.statements(), before.statements() + 1, "{cell}");
+                assert_eq!(after.statement_errors, before.statement_errors, "{cell}");
+
+                let ring = head.recent_queries();
+                assert_eq!(ring.len(), ring_before + 1, "{cell}");
+                let last = ring.last().unwrap();
+                assert_eq!(
+                    (last.sql.as_str(), last.kind, last.ok),
+                    (sent.as_str(), kind, true),
+                    "{cell}"
+                );
+                assert_eq!(last.rows, expected.len() as u64, "{cell}");
+                assert_eq!(last.fingerprint.is_some(), want_hit.is_some(), "{cell}");
+
+                assert_eq!(start_end_counts(&head), (1, 1), "{cell}");
+
+                let trace = head.last_trace().expect("tracing is armed");
+                assert_eq!(trace.sql, sent, "{cell}");
+                let stages: Vec<&str> = trace
+                    .root
+                    .children
+                    .iter()
+                    .map(|s| s.name.as_str())
+                    .collect();
+                let want_stages: &[&str] = if want_hit == Some(true) {
+                    &["plan-cache", "execute"]
+                } else {
+                    &["parse", "bind", "optimize", "execute"]
+                };
+                assert_eq!(stages, want_stages, "{cell}");
+
+                assert_eq!(query_store_executions(&head), stored_before + 1, "{cell}");
+            }
+        }
+    }
+}
+
+/// `Engine::execute_analyze` is a statement like any other: it lands on
+/// every surface `execute("EXPLAIN ANALYZE …")` lands on.
+#[test]
+fn execute_analyze_is_accounted_like_explain_analyze_text() {
+    let latency_count = |engine: &Engine| {
+        let r = engine
+            .query("SELECT value FROM sys.dm_os_counters WHERE name = 'query_latency_count'")
+            .unwrap();
+        match r.value(0, 0) {
+            Value::Int(n) => *n,
+            other => panic!("{other:?}"),
+        }
+    };
+    let sql = "SELECT k FROM srv.db.dbo.rt WHERE v = 1";
+    let mut seen = Vec::new();
+    for through_api in [false, true] {
+        let head = lifecycle_head(true);
+        let count_before = latency_count(&head);
+        let sent = if through_api {
+            head.execute_analyze(sql).unwrap();
+            sql.to_string()
+        } else {
+            let text = format!("EXPLAIN ANALYZE {sql}");
+            head.execute(&text).unwrap();
+            text
+        };
+        let m = head.metrics();
+        let last = head
+            .recent_queries()
+            .into_iter()
+            .rfind(|q| q.kind == StatementKind::ExplainAnalyze)
+            .unwrap_or_else(|| panic!("no ring entry (through_api={through_api})"));
+        assert_eq!(last.sql, sent);
+        // The reading statement itself is the +1 on top of the analyzed one.
+        let latency_samples = latency_count(&head) - count_before - 1;
+        let ends = head
+            .recent_events()
+            .iter()
+            .filter(|e| e.kind == EventKind::QueryEnd && e.detail().contains("EXPLAIN ANALYZE"))
+            .count();
+        seen.push((
+            m.explain_analyzes,
+            last.rows,
+            last.fingerprint.clone(),
+            latency_samples,
+            ends,
+        ));
+    }
+    assert_eq!(seen[0], seen[1], "(text, api)");
+    assert_eq!(seen[1].0, 1);
+    assert_eq!(seen[1].3, 1);
+    assert_eq!(seen[1].4, 1);
+    assert!(seen[1].2.is_some(), "fingerprinted: {seen:?}");
+
+    // Past an armed threshold it reaches the slow-query ring too.
+    let slow = EngineBuilder::new("slow")
+        .slow_query_threshold(Some(Duration::ZERO))
+        .build();
+    slow.create_table(TableDef::new(
+        "t",
+        Schema::new(vec![Column::not_null("a", DataType::Int)]),
+    ))
+    .unwrap();
+    slow.execute_analyze("SELECT a FROM t WHERE a = 1").unwrap();
+    let ring = slow.slow_queries();
+    assert_eq!(ring.len(), 1, "{ring:?}");
+    assert_eq!(ring[0].kind, StatementKind::ExplainAnalyze);
+}
+
+/// Every `query_start` is matched by exactly one `query_end` carrying the
+/// failure, and the failure is counted once — whichever stage raised it.
+#[test]
+fn every_error_exit_ends_the_statement_it_started() {
+    type Call = fn(&Engine, &str) -> Option<String>;
+    let execute: Call = |e, sql| e.execute(sql).err().map(|e| e.to_string());
+    let analyze: Call = |e, sql| e.execute_analyze(sql).err().map(|e| e.to_string());
+    // (what fails, statement, entry point, classified?)
+    let cases: [(&str, &str, Call, bool); 8] = [
+        ("parse", "FROB GARBAGE", execute, false),
+        ("parse", "SELECT FROM WHERE", execute, false),
+        ("parse", "FROB GARBAGE", analyze, false),
+        (
+            "unsupported",
+            "INSERT INTO docs (id, body) VALUES (9, 'x')",
+            analyze,
+            false,
+        ),
+        ("bind", "SELECT missing FROM docs", execute, true),
+        ("bind", "SELECT missing FROM docs", analyze, true),
+        (
+            "execute",
+            "SELECT k FROM srv.db.dbo.rt WHERE v = 1",
+            execute,
+            true,
+        ),
+        (
+            "dml",
+            "INSERT INTO docs (id, body) VALUES (0, 'duplicate key')",
+            execute,
+            true,
+        ),
+    ];
+    for (stage, sql, call, classified) in cases {
+        let (head, remote) = lifecycle_fixture(true);
+        if stage == "execute" {
+            // Compile against the live table, then drop it behind the
+            // cached plan and the cached metadata.
+            head.execute(sql).unwrap();
+            remote.storage().drop_table("rt").unwrap();
+        }
+        head.set_event_config(head.event_config());
+        let before = head.metrics();
+        let ring_before = head.recent_queries().len();
+        let message = call(&head, sql).unwrap_or_else(|| panic!("{stage}: {sql} must fail"));
+        let after = head.metrics();
+        assert_eq!(start_end_counts(&head), (1, 1), "{stage}: {sql}");
+        let end = head
+            .recent_events()
+            .into_iter()
+            .find(|e| e.kind == EventKind::QueryEnd)
+            .unwrap();
+        let error = end.attrs.iter().find(|(k, _)| k == "error");
+        assert_eq!(
+            error.map(|(_, v)| v.as_str()),
+            Some(message.as_str()),
+            "{stage}: {sql}"
+        );
+        assert_eq!(
+            after.statement_errors,
+            before.statement_errors + 1,
+            "{stage}: {sql}"
+        );
+        // Text that never classified as a statement stays off the ring and
+        // out of the per-kind counters.
+        let classified = classified as usize;
+        assert_eq!(
+            head.recent_queries().len(),
+            ring_before + classified,
+            "{stage}: {sql}"
+        );
+        assert_eq!(
+            after.statements(),
+            before.statements() + classified as u64,
+            "{stage}: {sql}"
+        );
+        let trace = head.last_trace().expect("tracing is armed");
+        assert_eq!(trace.sql, sql, "{stage}: {sql}");
+    }
+}
