@@ -1,0 +1,502 @@
+//! The statement driver: every entry point runs begin → compile → run →
+//! finish through [`Engine::run_statement`].
+
+use super::Engine;
+use crate::analyze::{text_result, AnalyzeReport};
+use crate::binder::Binder;
+use crate::dml;
+use crate::metrics::StatementKind;
+use crate::plan_cache::{self, CachedSelect};
+use crate::result::QueryResult;
+use crate::trace::TraceBuilder;
+use dhqp_executor::{PruneLog, RuntimeStatsCollector};
+use dhqp_oledb::{emit_event, has_hook, record_wait, RowsetExt, ScopeGuard, WaitClass, WaitStats};
+use dhqp_optimizer::explain::ExplainPlan;
+use dhqp_optimizer::Optimizer;
+use dhqp_sqlfront::{fingerprint, parse_statement, SelectStmt, Statement, AUTO_PARAM_PREFIX};
+use dhqp_types::{DhqpError, Result, Row, Schema, Value};
+use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use std::time::Instant;
+
+impl Engine {
+    /// Run any statement without parameters.
+    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        self.execute_with_params(sql, HashMap::new())
+    }
+
+    /// Run any statement with `@name` parameter values.
+    pub fn execute_with_params(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+    ) -> Result<QueryResult> {
+        Ok(match self.run_statement(sql, params, false)? {
+            Output::Rows(result) => result,
+            Output::Report(report) => report.to_query_result(),
+        })
+    }
+
+    /// Run a SELECT (alias of [`Engine::execute`] that asserts a rowset).
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.execute(sql)
+    }
+
+    pub fn query_with_params(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+    ) -> Result<QueryResult> {
+        self.execute_with_params(sql, params)
+    }
+
+    /// Optimize without executing: the plan and search telemetry.
+    pub fn explain(&self, sql: &str) -> Result<ExplainPlan> {
+        self.explain_with_params(sql, HashMap::new())
+    }
+
+    pub fn explain_with_params(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+    ) -> Result<ExplainPlan> {
+        let stmt = match parse_statement(sql)? {
+            Statement::Select(stmt) => stmt,
+            // Tolerate an explicit EXPLAIN wrapper.
+            Statement::Explain { stmt, .. } => *stmt,
+            _ => {
+                return Err(DhqpError::Unsupported(
+                    "EXPLAIN supports SELECT statements".into(),
+                ))
+            }
+        };
+        let compiled = self.compile_select(&stmt, &params, None)?;
+        Ok(ExplainPlan::new(&compiled.plan, compiled.opt_stats))
+    }
+
+    /// Execute a SELECT with per-operator runtime statistics attached and
+    /// return the full `EXPLAIN ANALYZE` report. Accepts a bare SELECT or
+    /// an `EXPLAIN [ANALYZE]` wrapper. Counted like the same statement sent
+    /// to [`Engine::execute`] as `EXPLAIN ANALYZE …` text.
+    pub fn execute_analyze(&self, sql: &str) -> Result<AnalyzeReport> {
+        self.execute_analyze_with_params(sql, HashMap::new())
+    }
+
+    pub fn execute_analyze_with_params(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+    ) -> Result<AnalyzeReport> {
+        match self.run_statement(sql, params, true)? {
+            Output::Report(report) => Ok(*report),
+            Output::Rows(_) => unreachable!("an analyze run ends in a report or an error"),
+        }
+    }
+
+    /// The statement driver every entry point goes through: begin, compile,
+    /// run, finish. `analyze` runs a SELECT (bare or under any `EXPLAIN`
+    /// wrapper) as `EXPLAIN ANALYZE` and refuses everything else.
+    fn run_statement(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+        analyze: bool,
+    ) -> Result<Output> {
+        let mut run = self.begin_statement(sql, analyze);
+        let ran = self.compile_and_run(&mut run, params);
+        self.finish_statement(run, ran)
+    }
+
+    /// The compile and run stages of one statement. Whatever the epilogue
+    /// reports about a statement that fails half-way is left on `run`.
+    fn compile_and_run(
+        &self,
+        run: &mut StatementRun<'_>,
+        mut params: HashMap<String, Value>,
+    ) -> Result<QueryResult> {
+        let tracer = run.tracer.as_ref();
+        // Through the plan cache first: a SELECT (bare or under EXPLAIN
+        // ANALYZE) is auto-parameterized and served from — or compiled
+        // into — the cache. User parameters in the reserved namespace would
+        // collide with the extracted literals, and plain EXPLAIN never
+        // executes, so neither takes this path.
+        let mut cached = None;
+        if self.plan_cache_enabled() && !params.keys().any(|k| k.starts_with(AUTO_PARAM_PREFIX)) {
+            let fp = fingerprint(run.sql).filter(|fp| run.analyze || fp.explain != Some(false));
+            if let Some(fp) = fp {
+                let mut merged = params.clone();
+                merged.extend(fp.params);
+                if let Some(found) = self.compile_cached(&fp.template, &merged, tracer) {
+                    run.analyze |= fp.explain == Some(true);
+                    run.kind = Some(select_kind(run.analyze));
+                    run.fingerprint = Some(fp.template);
+                    params = merged;
+                    cached = Some(found);
+                }
+            }
+        }
+        // Everything the cache declined compiles from the original text, so
+        // an error quotes the user's literals.
+        let (compiled, cache_hit) = match cached {
+            Some((compiled, hit)) => (compiled, Some(hit)),
+            None => {
+                let began = Instant::now();
+                let parsed = parse_statement(run.sql)?;
+                compile_stage(tracer, "parse", began);
+                let select = match parsed {
+                    Statement::Select(select) => select,
+                    Statement::Explain { analyze, stmt } if analyze || run.analyze => {
+                        run.analyze = true;
+                        *stmt
+                    }
+                    Statement::Explain { stmt, .. } => {
+                        run.kind = Some(StatementKind::Explain);
+                        let compiled = self.compile_select(&stmt, &params, tracer)?;
+                        let plan = ExplainPlan::new(&compiled.plan, compiled.opt_stats);
+                        return Ok(text_result(&plan.render()));
+                    }
+                    _ if run.analyze => {
+                        return Err(DhqpError::Unsupported(
+                            "EXPLAIN ANALYZE supports SELECT statements".into(),
+                        ))
+                    }
+                    Statement::Insert(stmt) => {
+                        run.kind = Some(StatementKind::Insert);
+                        return dml::run_insert(self, &stmt, &params);
+                    }
+                    Statement::Update(stmt) => {
+                        run.kind = Some(StatementKind::Update);
+                        return dml::run_update(self, &stmt, &params);
+                    }
+                    Statement::Delete(stmt) => {
+                        run.kind = Some(StatementKind::Delete);
+                        return dml::run_delete(self, &stmt, &params);
+                    }
+                };
+                run.kind = Some(select_kind(run.analyze));
+                let compiled = self.compile_select(&select, &params, tracer)?;
+                (Arc::new(compiled), None)
+            }
+        };
+        run.select = Some((Arc::clone(&compiled), cache_hit));
+        // Per-operator spans need runtime stats, so tracing instruments the
+        // plan even outside EXPLAIN ANALYZE — as do the query store and the
+        // cardinality feedback loop (they consume per-operator actuals) and
+        // an armed slow-query log (it wants annotation summaries).
+        let instrument = run.analyze
+            || tracer.is_some()
+            || *self.inner.query_store_on.read()
+            || *self.inner.card_feedback.read()
+            || self.inner.metrics.slow_log_armed();
+        run.collector = instrument.then(|| Arc::new(RuntimeStatsCollector::new()));
+        let stats = run.collector.clone();
+        self.run_plan(&compiled, params, stats, tracer, &run.pruned)
+    }
+
+    /// Compile through the plan cache: a current entry is a hit, anything
+    /// else compiles the template once and caches it. `None` declines —
+    /// the statement's compile is not pure, or the template failed to
+    /// parse, bind or optimize — and the caller compiles the original text
+    /// instead, which reproduces any error exactly.
+    fn compile_cached(
+        &self,
+        template: &str,
+        params: &HashMap<String, Value>,
+        tracer: Option<&TraceBuilder>,
+    ) -> Option<(Arc<CachedSelect>, bool)> {
+        if let Some(entry) = self.plan_cache_lookup(template) {
+            if let Some(tr) = tracer {
+                tr.stage_with(
+                    "plan-cache",
+                    Instant::now(),
+                    vec![("hit".to_string(), "true".to_string())],
+                );
+            }
+            return Some((entry, true));
+        }
+        let began = Instant::now();
+        let stmt = match parse_statement(template) {
+            Ok(Statement::Select(stmt)) if plan_cache::is_cacheable(&stmt) => stmt,
+            _ => return None,
+        };
+        compile_stage(tracer, "parse", began);
+        let entry = Arc::new(self.compile_select(&stmt, params, tracer).ok()?);
+        self.inner.metrics.record_plan_cache_miss();
+        if has_hook() {
+            emit_event("plan_cache_miss", &[("template", template.to_string())]);
+        }
+        let evicted = self
+            .inner
+            .plan_cache
+            .lock()
+            .insert(template.to_string(), Arc::clone(&entry));
+        self.inner.metrics.record_plan_cache_evictions(evicted);
+        Some((entry, false))
+    }
+
+    /// Bind and optimize one SELECT into a plan plus everything needed to
+    /// run it (and, for the plan cache, to tell when it went stale). Each
+    /// stage is a `PLAN_COMPILE` wait and, when `tracer` is given, a span.
+    fn compile_select(
+        &self,
+        stmt: &SelectStmt,
+        params: &HashMap<String, Value>,
+        tracer: Option<&TraceBuilder>,
+    ) -> Result<CachedSelect> {
+        let began = Instant::now();
+        let bound = Binder::new(self, params).bind_select(stmt)?;
+        compile_stage(tracer, "bind", began);
+        let optimizer = Optimizer::new(self.optimizer_config());
+        let deps = self.current_deps(bound.dep_servers);
+        let mut registry = bound.registry;
+        let began = Instant::now();
+        let (plan, opt_stats) = optimizer.optimize(bound.tree, &mut registry, bound.required)?;
+        record_wait(WaitClass::PlanCompile, began.elapsed());
+        if let Some(tr) = tracer {
+            tr.stage_optimize(began, &opt_stats);
+        }
+        Ok(CachedSelect {
+            plan,
+            registry: Arc::new(registry),
+            output: bound.output,
+            view_members: bound.view_members,
+            opt_stats,
+            deps,
+            stats_as_of: bound.stats_as_of,
+            used_feedback: bound.used_feedback,
+            execution_count: AtomicU64::new(0),
+            total_elapsed_us: AtomicU64::new(0),
+            total_rows: AtomicU64::new(0),
+        })
+    }
+
+    /// Run one compiled plan: the execution itself, its fold into the
+    /// plan's aggregates, and the `execute` span (with per-operator
+    /// children when `stats` is attached).
+    fn run_plan(
+        &self,
+        compiled: &CachedSelect,
+        params: HashMap<String, Value>,
+        stats: Option<Arc<RuntimeStatsCollector>>,
+        tracer: Option<&TraceBuilder>,
+        pruned: &Arc<PruneLog>,
+    ) -> Result<QueryResult> {
+        let began = Instant::now();
+        let result = self.execute_plan(compiled, params, stats.clone(), pruned);
+        if let Ok(r) = &result {
+            compiled.note_execution(began.elapsed(), r.rows.len() as u64);
+        }
+        if let Some(tr) = tracer {
+            match &stats {
+                Some(c) => tr.stage_execute(began, &compiled.plan, &c.snapshot()),
+                None => tr.stage("execute", began),
+            }
+        }
+        result
+    }
+
+    /// The one epilogue, on every exit: snapshot the runtime stats once,
+    /// finish and publish the trace, feed the query store and the
+    /// cardinality feedback loop, build the report when the statement ran
+    /// as EXPLAIN ANALYZE, and end the statement.
+    fn finish_statement(
+        &self,
+        mut run: StatementRun<'_>,
+        ran: Result<QueryResult>,
+    ) -> Result<Output> {
+        let waits = run.waits.snapshot();
+        let elapsed = run.started.elapsed();
+        let trace = run.tracer.take().map(|tracer| {
+            tracer.set_waits(waits);
+            Arc::new(tracer.finish())
+        });
+        if let Some(trace) = &trace {
+            *self.inner.last_trace.lock() = Some(Arc::clone(trace));
+        }
+        let runtime = run.collector.take().map(|collector| collector.snapshot());
+        let tags = Self::statement_tags(run.fingerprint.as_deref(), runtime.as_ref(), &run.pruned);
+        // EXPLAIN ANALYZE counts the rows its SELECT produced, not the
+        // lines of the report it may be rendered into.
+        let rows = match &ran {
+            Ok(r) => r.rows_affected.unwrap_or(r.rows.len() as u64),
+            Err(_) => 0,
+        };
+        let output = ran.map(|result| {
+            let Some((compiled, cache_hit)) = run.select.take() else {
+                return Output::Rows(result);
+            };
+            if let Some(runtime) = &runtime {
+                self.observe_execution(
+                    run.fingerprint.as_deref().unwrap_or(run.sql),
+                    &compiled.plan,
+                    runtime,
+                    elapsed,
+                    rows,
+                    &waits,
+                );
+            }
+            if !run.analyze {
+                return Output::Rows(result);
+            }
+            Output::Report(Box::new(AnalyzeReport {
+                result,
+                runtime: runtime.unwrap_or_default(),
+                plan: compiled.plan.clone(),
+                explain: ExplainPlan::new(&compiled.plan, compiled.opt_stats.clone()),
+                cache_hit,
+                stats_age: cache_hit.and_then(|_| compiled.stats_age()),
+                trace,
+                waits: Some(waits),
+                pruned: run.pruned.members(),
+                startup_pruned: run.pruned.startup_members(),
+                feedback: compiled.used_feedback,
+            }))
+        });
+        let error = output.as_ref().err().map(|e| e.to_string());
+        self.end_statement(&run, elapsed, rows, error, &waits, tags);
+        output
+    }
+
+    /// A SELECT inside another statement (INSERT ... SELECT, scalar
+    /// subqueries): compiled and run, not a statement of its own. Prunes
+    /// are tracked for the engine counters but not attributed to a summary.
+    pub(crate) fn run_select(
+        &self,
+        stmt: &SelectStmt,
+        params: &HashMap<String, Value>,
+    ) -> Result<QueryResult> {
+        let compiled = self.compile_select(stmt, params, None)?;
+        let pruned = Arc::new(PruneLog::default());
+        self.run_plan(&compiled, params.clone(), None, None, &pruned)
+    }
+
+    /// Execute one compiled plan. Delayed schema validation (§4.1.5) rides
+    /// every execution: the context carries what the plan assumed about its
+    /// partitioned-view members, and each member is re-checked on the
+    /// session that opens it — so even a cached plan re-checks exactly the
+    /// members it reads, and no member it does not open is contacted.
+    fn execute_plan(
+        &self,
+        compiled: &CachedSelect,
+        params: HashMap<String, Value>,
+        stats: Option<Arc<RuntimeStatsCollector>>,
+        pruned: &Arc<PruneLog>,
+    ) -> Result<QueryResult> {
+        let (plan, registry) = (&compiled.plan, &compiled.registry);
+        let mut ctx = self
+            .exec_context(params, Arc::clone(registry))
+            .with_degraded(*self.inner.degraded.read())
+            .with_pruned(Arc::clone(pruned))
+            .with_view_members(&compiled.view_members);
+        if let Some(collector) = stats {
+            ctx = ctx.with_stats(collector);
+        }
+        let mut rowset = dhqp_executor::open(plan, &ctx)?;
+        // The root drain is a drive point: with batching on, the engine
+        // pulls DHQP_BATCH_SIZE-row chunks through the whole pipeline.
+        let all_rows = if ctx.batch().enabled {
+            rowset.collect_rows_batched(ctx.batch().batch_size)?
+        } else {
+            rowset.collect_rows()?
+        };
+        // Trim to the visible SELECT-list columns, in order.
+        let mut positions = Vec::with_capacity(compiled.output.len());
+        let mut columns = Vec::with_capacity(compiled.output.len());
+        for (name, id) in &compiled.output {
+            positions.push(plan.output.iter().position(|c| c == id).ok_or_else(|| {
+                DhqpError::Execute(format!("output column '{name}' missing from plan"))
+            })?);
+            let m = registry.meta(*id);
+            columns.push(dhqp_types::Column {
+                name: name.clone(),
+                data_type: m.data_type,
+                nullable: m.nullable,
+            });
+        }
+        let rows = all_rows
+            .into_iter()
+            .map(|r| Row::new(positions.iter().map(|&p| r.values[p].clone()).collect()))
+            .collect();
+        // Drop the operator tree now so instrumented operators flush their
+        // runtime stats before the caller snapshots the collector.
+        drop(rowset);
+        Ok(QueryResult {
+            schema: Schema::new(columns),
+            rows,
+            rows_affected: None,
+        })
+    }
+
+    /// Evaluate an uncorrelated scalar subquery eagerly at bind time.
+    pub(crate) fn evaluate_scalar_subquery(
+        &self,
+        stmt: &SelectStmt,
+        params: &HashMap<String, Value>,
+    ) -> Result<Value> {
+        let result = self.run_select(stmt, params)?;
+        if result.schema.len() != 1 {
+            return Err(DhqpError::Bind(
+                "scalar subquery must select exactly one column".into(),
+            ));
+        }
+        match result.rows.len() {
+            0 => Ok(Value::Null),
+            1 => Ok(result.rows[0].get(0).clone()),
+            n => Err(DhqpError::Execute(format!(
+                "scalar subquery returned {n} rows"
+            ))),
+        }
+    }
+}
+
+/// What a statement hands back to its entry point.
+enum Output {
+    Rows(QueryResult),
+    Report(Box<AnalyzeReport>),
+}
+
+/// What the compile and run stages leave for the epilogue, filled in as the
+/// statement advances so an error exit reports as much as a success does.
+pub(super) struct StatementRun<'a> {
+    /// Restores the enclosing statement's activity scope when this one ends.
+    pub(super) _activity: ScopeGuard,
+    /// This statement's own wait sink.
+    pub(super) waits: Arc<WaitStats>,
+    pub(super) sql: &'a str,
+    pub(super) started: Instant,
+    pub(super) tracer: Option<TraceBuilder>,
+    /// One prune log per statement: members degraded mode or startup
+    /// pruning skip land here and surface in EXPLAIN ANALYZE /
+    /// `sys.dm_exec_requests`.
+    pub(super) pruned: Arc<PruneLog>,
+    /// `None` until the text classifies as a statement.
+    pub(super) kind: Option<StatementKind>,
+    /// The plan-cache template, once the cache served or compiled the
+    /// statement.
+    pub(super) fingerprint: Option<String>,
+    /// The SELECT being executed: its compiled plan and plan-cache outcome
+    /// (`Some(hit)` through the cache, `None` compiled uncached).
+    pub(super) select: Option<(Arc<CachedSelect>, Option<bool>)>,
+    /// Its runtime stats, when a collector was attached.
+    pub(super) collector: Option<Arc<RuntimeStatsCollector>>,
+    /// Whether it runs as EXPLAIN ANALYZE: the epilogue builds the report.
+    pub(super) analyze: bool,
+}
+
+/// How an executed SELECT is counted.
+fn select_kind(analyze: bool) -> StatementKind {
+    match analyze {
+        true => StatementKind::ExplainAnalyze,
+        false => StatementKind::Select,
+    }
+}
+
+/// One finished compile stage: a `PLAN_COMPILE` wait and, when tracing, a
+/// span.
+fn compile_stage(tracer: Option<&TraceBuilder>, name: &str, began: Instant) {
+    record_wait(WaitClass::PlanCompile, began.elapsed());
+    if let Some(tr) = tracer {
+        tr.stage(name, began);
+    }
+}
