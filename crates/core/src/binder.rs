@@ -11,6 +11,8 @@
 //! decoder later refuses to remote the semi-join shape, which is exactly
 //! the paper's "no direct SQL corollary" situation.
 
+mod trees;
+
 use crate::engine::Engine;
 use dhqp_executor::ops::retry::{open_with_retries, ReopenFactory};
 use dhqp_executor::{MemberSchema, RetryPolicy};
@@ -23,6 +25,7 @@ use dhqp_sqlfront as ast;
 use dhqp_types::{DataType, DhqpError, Result, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
+use trees::{all_defined_columns, contains_aggregate, decorrelate, find_aggregates};
 
 /// A bound query block: tree, visible outputs, root ordering requirement.
 type BoundBlock = (LogicalExpr, Vec<(String, ColumnId)>, RequiredProps);
@@ -653,14 +656,8 @@ impl<'e> Binder<'e> {
                 }
             })
         };
-        let mut rowset = open_with_retries(
-            factory,
-            &policy,
-            &self.engine.exec_counters(),
-            None,
-            1,
-            None,
-        )?;
+        let counters = self.engine.exec_counters();
+        let mut rowset = open_with_retries(factory, &policy, &counters, None, 1, None)?;
         let schema = rowset.schema().clone();
         let mut rows = Vec::new();
         while let Some(r) = rowset.next()? {
@@ -1408,119 +1405,6 @@ pub struct FetchedTable {
     /// True when the bundle was written by the cardinality feedback loop
     /// (observed rows, not provider-advertised statistics).
     pub feedback: bool,
-}
-
-/// Does the AST expression contain an aggregate call?
-fn contains_aggregate(e: &ast::Expr) -> bool {
-    !find_aggregates(e).is_empty()
-}
-
-/// Aggregate sub-expressions, outermost first.
-fn find_aggregates(e: &ast::Expr) -> Vec<ast::Expr> {
-    let mut out = Vec::new();
-    collect_aggregates(e, &mut out);
-    out
-}
-
-fn collect_aggregates(e: &ast::Expr, out: &mut Vec<ast::Expr>) {
-    match e {
-        ast::Expr::CountStar => out.push(e.clone()),
-        ast::Expr::Function { name, .. }
-            if matches!(name.as_str(), "COUNT" | "SUM" | "MIN" | "MAX" | "AVG") =>
-        {
-            out.push(e.clone())
-        }
-        ast::Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        ast::Expr::Unary { operand, .. } => collect_aggregates(operand, out),
-        ast::Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        ast::Expr::IsNull { expr, .. } | ast::Expr::Like { expr, .. } => {
-            collect_aggregates(expr, out)
-        }
-        ast::Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for i in list {
-                collect_aggregates(i, out);
-            }
-        }
-        ast::Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        ast::Expr::Cast { expr, .. } => collect_aggregates(expr, out),
-        _ => {}
-    }
-}
-
-/// Pull filters referencing columns outside `inner_cols` (correlation) out
-/// of a bound subquery tree, returning the cleaned tree and the extracted
-/// predicates.
-fn decorrelate(
-    tree: LogicalExpr,
-    inner_cols: &std::collections::BTreeSet<ColumnId>,
-) -> (LogicalExpr, Vec<ScalarExpr>) {
-    match tree.op.clone() {
-        LogicalOp::Filter { predicate } => {
-            let child = tree.children.into_iter().next().expect("filter child");
-            let (child, mut extracted) = decorrelate(child, inner_cols);
-            let mut keep = Vec::new();
-            for conj in predicate.conjuncts() {
-                let refs_outer = conj.columns().iter().any(|c| !inner_cols.contains(c));
-                if refs_outer {
-                    extracted.push(conj);
-                } else {
-                    keep.push(conj);
-                }
-            }
-            let tree = match ScalarExpr::and(keep) {
-                Some(p) => child.filter(p),
-                None => child,
-            };
-            (tree, extracted)
-        }
-        // Projections/limits above correlated filters are preserved; only
-        // filters directly on the spine are examined (sufficient for the
-        // WHERE-clause subqueries the dialect accepts).
-        LogicalOp::Project { outputs } => {
-            let child = tree.children.into_iter().next().expect("project child");
-            let (child, extracted) = decorrelate(child, inner_cols);
-            (child.project(outputs), extracted)
-        }
-        _ => (tree, Vec::new()),
-    }
-}
-
-/// Every column id defined by any operator inside a tree.
-fn all_defined_columns(tree: &LogicalExpr) -> std::collections::BTreeSet<ColumnId> {
-    let mut out = std::collections::BTreeSet::new();
-    fn walk(t: &LogicalExpr, out: &mut std::collections::BTreeSet<ColumnId>) {
-        match &t.op {
-            LogicalOp::Get { columns, .. }
-            | LogicalOp::EmptyGet { columns }
-            | LogicalOp::Values { columns, .. } => out.extend(columns.iter().copied()),
-            LogicalOp::Project { outputs } => out.extend(outputs.iter().map(|(c, _)| *c)),
-            LogicalOp::Aggregate { group_by, aggs } => {
-                out.extend(group_by.iter().copied());
-                out.extend(aggs.iter().map(|a| a.output));
-            }
-            LogicalOp::UnionAll { output } => out.extend(output.iter().copied()),
-            _ => {}
-        }
-        for c in &t.children {
-            walk(c, out);
-        }
-    }
-    walk(tree, &mut out);
-    out
 }
 
 fn coerce_literal(v: Value, target: Option<DataType>) -> Value {
