@@ -183,18 +183,14 @@ impl Inner {
     }
 }
 
-/// Adapter giving the executor access to this engine's sources.
-struct EngineCatalog {
-    inner: Arc<Inner>,
-}
-
-impl SourceCatalog for EngineCatalog {
+/// The executor's view of this engine's sources.
+impl SourceCatalog for Inner {
     fn local(&self) -> Arc<dyn DataSource> {
-        Arc::clone(&self.inner.local_source) as Arc<dyn DataSource>
+        Arc::clone(&self.local_source) as Arc<dyn DataSource>
     }
 
     fn linked(&self, server: &str) -> Result<Arc<dyn DataSource>> {
-        self.inner.registry.read().linked_server(server)
+        self.registry.read().linked_server(server)
     }
 }
 
@@ -609,9 +605,7 @@ impl Engine {
         params: HashMap<String, Value>,
         registry: Arc<dhqp_optimizer::props::ColumnRegistry>,
     ) -> ExecContext {
-        let catalog = Arc::new(EngineCatalog {
-            inner: Arc::clone(&self.inner),
-        });
+        let catalog = Arc::clone(&self.inner) as Arc<dyn SourceCatalog>;
         ExecContext::new(catalog, params, registry)
             .with_counters(self.inner.metrics.exec_counters())
             .with_parallel(self.parallel_config())

@@ -190,7 +190,7 @@ impl Engine {
             || *self.inner.card_feedback.read()
             || self.inner.metrics.slow_log_armed();
         run.collector = instrument.then(|| Arc::new(RuntimeStatsCollector::new()));
-        let stats = run.collector.clone();
+        let stats = run.collector.as_ref();
         self.run_plan(&compiled, params, stats, tracer, &run.pruned)
     }
 
@@ -278,17 +278,17 @@ impl Engine {
         &self,
         compiled: &CachedSelect,
         params: HashMap<String, Value>,
-        stats: Option<Arc<RuntimeStatsCollector>>,
+        stats: Option<&Arc<RuntimeStatsCollector>>,
         tracer: Option<&TraceBuilder>,
         pruned: &Arc<PruneLog>,
     ) -> Result<QueryResult> {
         let began = Instant::now();
-        let result = self.execute_plan(compiled, params, stats.clone(), pruned);
+        let result = self.execute_plan(compiled, params, stats, pruned);
         if let Ok(r) = &result {
             compiled.note_execution(began.elapsed(), r.rows.len() as u64);
         }
         if let Some(tr) = tracer {
-            match &stats {
+            match stats {
                 Some(c) => tr.stage_execute(began, &compiled.plan, &c.snapshot()),
                 None => tr.stage("execute", began),
             }
@@ -380,7 +380,7 @@ impl Engine {
         &self,
         compiled: &CachedSelect,
         params: HashMap<String, Value>,
-        stats: Option<Arc<RuntimeStatsCollector>>,
+        stats: Option<&Arc<RuntimeStatsCollector>>,
         pruned: &Arc<PruneLog>,
     ) -> Result<QueryResult> {
         let (plan, registry) = (&compiled.plan, &compiled.registry);
@@ -390,7 +390,7 @@ impl Engine {
             .with_pruned(Arc::clone(pruned))
             .with_view_members(&compiled.view_members);
         if let Some(collector) = stats {
-            ctx = ctx.with_stats(collector);
+            ctx = ctx.with_stats(Arc::clone(collector));
         }
         let mut rowset = dhqp_executor::open(plan, &ctx)?;
         // The root drain is a drive point: with batching on, the engine

@@ -466,9 +466,8 @@ impl EngineMetrics {
     /// the statement's per-query wait snapshot, whose dominant class is
     /// kept on the summary for attribution. Returns whether the statement
     /// crossed the armed slow-query threshold. `kind` is `None` for text
-    /// that failed before it classified as a statement (it did not parse):
-    /// the error is counted, and that is all — no per-kind count, no ring
-    /// entry, no latency sample.
+    /// that never classified as a statement (it did not parse): only the
+    /// error is counted — no per-kind count, ring entry or latency sample.
     #[allow(clippy::too_many_arguments)]
     pub fn finish_statement(
         &self,

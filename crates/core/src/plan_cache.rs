@@ -220,10 +220,6 @@ impl PlanCache {
 /// only) and therefore safe to reuse. Statements that run queries *during
 /// bind* embed results in the plan and must recompile every time.
 pub(crate) fn is_cacheable(stmt: &SelectStmt) -> bool {
-    select_cacheable(stmt)
-}
-
-fn select_cacheable(stmt: &SelectStmt) -> bool {
     stmt.projections.iter().all(|item| match item {
         SelectItem::Expr { expr, .. } => expr_cacheable(expr),
         SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => true,
@@ -235,7 +231,7 @@ fn select_cacheable(stmt: &SelectStmt) -> bool {
         && stmt
             .union_branches
             .iter()
-            .all(|(branch, _)| select_cacheable(branch))
+            .all(|(branch, _)| is_cacheable(branch))
 }
 
 fn table_cacheable(t: &TableRef) -> bool {
@@ -248,7 +244,7 @@ fn table_cacheable(t: &TableRef) -> bool {
                 && table_cacheable(right)
                 && on.as_ref().is_none_or(expr_cacheable)
         }
-        TableRef::Derived { query, .. } => select_cacheable(query),
+        TableRef::Derived { query, .. } => is_cacheable(query),
         // Pass-through rowsets are materialized at bind time.
         TableRef::OpenRowset { .. } | TableRef::OpenQuery { .. } => false,
     }
@@ -260,15 +256,13 @@ fn expr_cacheable(e: &Expr) -> bool {
         Expr::Unary { operand, .. } => expr_cacheable(operand),
         Expr::Binary { left, right, .. } => expr_cacheable(left) && expr_cacheable(right),
         Expr::InList { expr, list, .. } => expr_cacheable(expr) && list.iter().all(expr_cacheable),
-        Expr::InSubquery { expr, subquery, .. } => {
-            expr_cacheable(expr) && select_cacheable(subquery)
-        }
+        Expr::InSubquery { expr, subquery, .. } => expr_cacheable(expr) && is_cacheable(subquery),
         Expr::Between {
             expr, low, high, ..
         } => expr_cacheable(expr) && expr_cacheable(low) && expr_cacheable(high),
         Expr::Like { expr, pattern, .. } => expr_cacheable(expr) && expr_cacheable(pattern),
         Expr::IsNull { expr, .. } => expr_cacheable(expr),
-        Expr::Exists { subquery, .. } => select_cacheable(subquery),
+        Expr::Exists { subquery, .. } => is_cacheable(subquery),
         // Evaluated eagerly at bind time: the result would be frozen into
         // the cached plan.
         Expr::ScalarSubquery(_) => false,

@@ -1375,7 +1375,9 @@ fn execute_analyze_is_accounted_like_explain_analyze_text() {
             other => panic!("{other:?}"),
         }
     };
-    let sql = "SELECT k FROM srv.db.dbo.rt WHERE v = 1";
+    // A point read of the partitioned view: the remote member is skipped at
+    // startup, which the ring entry's annotations record.
+    let sql = "SELECT balance FROM acct_all WHERE id = 5";
     let mut seen = Vec::new();
     for through_api in [false, true] {
         let head = lifecycle_head(true);
@@ -1406,15 +1408,22 @@ fn execute_analyze_is_accounted_like_explain_analyze_text() {
             m.explain_analyzes,
             last.rows,
             last.fingerprint.clone(),
+            last.annotations.clone(),
             latency_samples,
             ends,
         ));
+        if head.runtime_prune_enabled() {
+            let annotations = last.annotations.as_deref().unwrap_or_default();
+            assert!(annotations.contains("[startup: "), "{last:?}");
+        }
     }
     assert_eq!(seen[0], seen[1], "(text, api)");
-    assert_eq!(seen[1].0, 1);
-    assert_eq!(seen[1].3, 1);
-    assert_eq!(seen[1].4, 1);
-    assert!(seen[1].2.is_some(), "fingerprinted: {seen:?}");
+    let (explain_analyzes, rows, fingerprint, _, latency_samples, ends) = &seen[1];
+    assert_eq!(
+        (*explain_analyzes, *rows, *latency_samples, *ends),
+        (1, 1, 1, 1)
+    );
+    assert!(fingerprint.is_some(), "fingerprinted: {seen:?}");
 
     // Past an armed threshold it reaches the slow-query ring too.
     let slow = EngineBuilder::new("slow")
