@@ -737,8 +737,9 @@ fn e11_federation() {
             });
             let d = total_traffic(&links).since(&before);
             format!(
-                "{:.0}/s, {:.0} B and {:.1} rows shipped per stmt",
+                "{:.0}/s, {:.0} requests, {:.0} B and {:.1} rows shipped per stmt",
                 iters as f64 / t.as_secs_f64(),
+                d.requests as f64 / iters as f64,
                 d.bytes as f64 / iters as f64,
                 d.rows as f64 / iters as f64
             )

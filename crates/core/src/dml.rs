@@ -3,6 +3,13 @@
 //! touches more than one server (paper §2: "SQL Server uses the Microsoft
 //! Distributed Transaction Coordinator to ensure atomicity of transactions
 //! across data sources").
+//!
+//! Every statement runs in three steps: **locate** every row it touches (or
+//! route every row it inserts), collect the writes that follow into one
+//! [`WritePlan`], and only then **apply** the plan. Nothing is written while
+//! rows are still being located, so a statement never meets its own writes
+//! (the Halloween problem), and the head knows each participant's last
+//! write — the one its 2PC vote rides.
 
 use crate::binder::Binder;
 use crate::engine::Engine;
@@ -17,7 +24,7 @@ use dhqp_optimizer::logical::TableMeta;
 use dhqp_optimizer::ScalarExpr;
 use dhqp_sqlfront as ast;
 use dhqp_types::{DhqpError, Interval, Result, Row, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// What a DML statement targets.
@@ -51,74 +58,177 @@ fn source_for(engine: &Engine, server: &Option<String>) -> Result<Arc<dyn DataSo
     }
 }
 
-/// Hands out per-server sessions to DML work. Two implementations: plain
-/// autocommit sessions, or sessions enlisted in one distributed
-/// transaction.
-trait SessionProvider {
-    fn session(&mut self, server: &Option<String>) -> Result<&mut Box<dyn Session>>;
+/// The per-server sessions of one statement: plain autocommit sessions
+/// when it has a single participant, sessions enlisted in one distributed
+/// transaction when it spans several.
+enum Sessions<'e> {
+    AutoCommit(&'e Engine, HashMap<String, Box<dyn Session>>),
+    Enlisted(&'e Engine, DistributedTransaction),
 }
 
-/// Autocommit sessions (single-participant statements).
-struct AutoCommitSessions<'e> {
-    engine: &'e Engine,
-    sessions: HashMap<String, Box<dyn Session>>,
-}
+impl<'e> Sessions<'e> {
+    /// `participants` are the servers the statement may write to.
+    fn new(engine: &'e Engine, participants: &[Option<String>]) -> Self {
+        let servers: HashSet<String> = participants.iter().map(server_key).collect();
+        if servers.len() <= 1 {
+            Sessions::AutoCommit(engine, HashMap::new())
+        } else {
+            Sessions::Enlisted(engine, engine.dtc().begin())
+        }
+    }
 
-impl SessionProvider for AutoCommitSessions<'_> {
+    /// The statement's one session for `server`, connected (and enlisted)
+    /// on first use.
     fn session(&mut self, server: &Option<String>) -> Result<&mut Box<dyn Session>> {
         let key = server_key(server);
-        if !self.sessions.contains_key(&key) {
-            let session = source_for(self.engine, server)?.create_session()?;
-            self.sessions.insert(key.clone(), session);
+        match self {
+            Sessions::AutoCommit(engine, sessions) => {
+                if !sessions.contains_key(&key) {
+                    let session = source_for(engine, server)?.create_session()?;
+                    sessions.insert(key.clone(), session);
+                }
+                Ok(sessions.get_mut(&key).expect("inserted above"))
+            }
+            Sessions::Enlisted(engine, txn) => {
+                if !txn.participant_names().contains(&key) {
+                    let session = source_for(engine, server)?.create_session()?;
+                    txn.enlist(key.clone(), session)?;
+                }
+                txn.session_mut(&key)
+            }
         }
-        Ok(self.sessions.get_mut(&key).expect("inserted above"))
+    }
+
+    /// Write `plan`, participant by participant in the order the statement
+    /// first wrote to them, and commit. Under 2PC a participant's last
+    /// request carries its vote, and one enlisted to locate rows that turned
+    /// out to have none is read-only.
+    fn apply(mut self, plan: &WritePlan) -> Result<Applied> {
+        let mut applied = Applied::default();
+        let mut written: Vec<&str> = Vec::new();
+        for first in &plan.tables {
+            if written.contains(&first.key.as_str()) {
+                continue;
+            }
+            written.push(&first.key);
+            let ops = participant_ops(plan.tables.iter().filter(|t| t.key == first.key));
+            let Some((last, rest)) = ops.split_last() else {
+                continue;
+            };
+            for op in rest {
+                op.apply(self.session(&first.server)?.as_mut(), &mut applied)?;
+            }
+            // An INSERT's only request may also be the participant's first.
+            self.session(&first.server)?;
+            match &mut self {
+                Sessions::AutoCommit(..) => {
+                    last.apply(self.session(&first.server)?.as_mut(), &mut applied)?
+                }
+                Sessions::Enlisted(_, txn) => {
+                    txn.write_and_vote(&first.key, |s| last.apply(s, &mut applied))?
+                }
+            }
+        }
+        if let Sessions::Enlisted(_, mut txn) = self {
+            for name in txn.participant_names() {
+                if !written.contains(&name.as_str()) {
+                    txn.read_only(&name)?;
+                }
+            }
+            txn.commit()?;
+        }
+        Ok(applied)
     }
 }
 
-/// Sessions enlisted in a distributed transaction (multi-site statements).
-struct TxnSessions<'e, 't> {
-    engine: &'e Engine,
-    txn: &'t mut DistributedTransaction,
+// ---------------------------------------------------------------------------
+// The write plan
+// ---------------------------------------------------------------------------
+
+/// Everything one statement writes to one table, coalesced: whatever
+/// number of rows it deletes, updates in place, moves out or takes in, the
+/// table sees at most one request of each kind.
+#[derive(Default)]
+struct TableWrites {
+    /// [`server_key`] of `server`: tables with one key share a participant.
+    key: String,
+    server: Option<String>,
+    table: String,
+    delete: Vec<u64>,
+    update: (Vec<u64>, Vec<Row>),
+    insert: Vec<Row>,
 }
 
-impl SessionProvider for TxnSessions<'_, '_> {
-    fn session(&mut self, server: &Option<String>) -> Result<&mut Box<dyn Session>> {
+/// The writes of one statement; a table is listed only if something is
+/// written to it.
+#[derive(Default)]
+struct WritePlan {
+    tables: Vec<TableWrites>,
+}
+
+impl WritePlan {
+    /// The entry for `table` on `server`, added on first use.
+    fn table(&mut self, server: &Option<String>, table: &str) -> &mut TableWrites {
         let key = server_key(server);
-        if !self.txn.participant_names().contains(&key) {
-            let session = source_for(self.engine, server)?.create_session()?;
-            self.txn.enlist(key.clone(), session)?;
-        }
-        self.txn.session_mut(&key)
+        let listed = self
+            .tables
+            .iter()
+            .position(|t| t.key == key && t.table == table);
+        let at = listed.unwrap_or_else(|| {
+            self.tables.push(TableWrites {
+                key,
+                server: server.clone(),
+                table: table.to_string(),
+                ..TableWrites::default()
+            });
+            self.tables.len() - 1
+        });
+        &mut self.tables[at]
     }
 }
 
-/// Run `work` with per-server sessions; if `participants` spans several
-/// servers the whole statement commits atomically via 2PC.
-fn run_write_set(
-    engine: &Engine,
-    participants: &[Option<String>],
-    work: impl FnOnce(&mut dyn SessionProvider) -> Result<u64>,
-) -> Result<u64> {
-    let mut keys: Vec<String> = participants.iter().map(server_key).collect();
-    keys.sort();
-    keys.dedup();
-    if keys.len() <= 1 {
-        let mut sessions = AutoCommitSessions {
-            engine,
-            sessions: HashMap::new(),
-        };
-        return work(&mut sessions);
+/// One request of a plan.
+enum WriteOp<'p> {
+    Delete(&'p str, &'p [u64]),
+    Update(&'p str, &'p [u64], &'p [Row]),
+    Insert(&'p str, &'p [Row]),
+}
+
+/// A participant's requests in the order they are sent: deletes, then
+/// in-place updates, then inserts, so that a key one row gives up is free
+/// before another row takes it.
+fn participant_ops<'p>(tables: impl Iterator<Item = &'p TableWrites> + Clone) -> Vec<WriteOp<'p>> {
+    let deletes = tables.clone().filter(|t| !t.delete.is_empty());
+    let updates = tables.clone().filter(|t| !t.update.0.is_empty());
+    let inserts = tables.filter(|t| !t.insert.is_empty());
+    deletes
+        .map(|t| WriteOp::Delete(&t.table, &t.delete))
+        .chain(updates.map(|t| WriteOp::Update(&t.table, &t.update.0, &t.update.1)))
+        .chain(inserts.map(|t| WriteOp::Insert(&t.table, &t.insert)))
+        .collect()
+}
+
+/// Row counts the providers reported, by kind of request.
+#[derive(Default)]
+struct Applied {
+    deleted: u64,
+    updated: u64,
+    inserted: u64,
+}
+
+impl WriteOp<'_> {
+    fn apply(&self, session: &mut dyn Session, applied: &mut Applied) -> Result<()> {
+        match *self {
+            WriteOp::Delete(table, bookmarks) => {
+                applied.deleted += session.delete_by_bookmarks(table, bookmarks)?
+            }
+            WriteOp::Update(table, bookmarks, rows) => {
+                applied.updated += session.update_by_bookmarks(table, bookmarks, rows)?
+            }
+            WriteOp::Insert(table, rows) => applied.inserted += session.insert(table, rows)?,
+        }
+        Ok(())
     }
-    let mut txn = engine.dtc().begin();
-    let n = {
-        let mut sessions = TxnSessions {
-            engine,
-            txn: &mut txn,
-        };
-        work(&mut sessions)?
-    };
-    txn.commit()?;
-    Ok(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -150,12 +260,37 @@ pub fn run_insert(
             result.rows.into_iter().map(|r| r.values).collect()
         }
     };
-    let n = match target {
+    let mut plan = WritePlan::default();
+    let local_table = match &target {
         Target::Table(server, table) => {
-            insert_into_table(engine, &server, &table, &stmt.columns, source_rows)?
+            let info = engine.fresh_table_info(server.as_deref(), table)?;
+            let arrange = |values| arrange_row(&stmt.columns, &info.columns, values);
+            let rows = source_rows
+                .into_iter()
+                .map(arrange)
+                .collect::<Result<Vec<_>>>()?;
+            if !rows.is_empty() {
+                plan.table(server, table).insert = rows;
+            }
+            server.is_none().then_some(table)
         }
-        Target::View(view) => insert_into_view(engine, &view, &stmt.columns, source_rows)?,
+        // Every row is routed before any is written, so a row no member
+        // takes aborts the statement with nothing done.
+        Target::View(view) => {
+            let info = &view.members[0].schema_snapshot;
+            for values in source_rows {
+                let row = arrange_row(&stmt.columns, &info.columns, values)?;
+                let member = &view.members[view.route(row.get(view.partition_column))?];
+                plan.table(&member.server, &member.table).insert.push(row);
+            }
+            None
+        }
     };
+    let participants: Vec<_> = plan.tables.iter().map(|t| t.server.clone()).collect();
+    let n = Sessions::new(engine, &participants).apply(&plan)?.inserted;
+    if let Some(table) = local_table {
+        engine.refresh_fulltext_index(table)?;
+    }
     Ok(QueryResult::rows_affected(n))
 }
 
@@ -201,56 +336,6 @@ fn arrange_row(
         }
     }
     Ok(Row::new(out))
-}
-
-fn insert_into_table(
-    engine: &Engine,
-    server: &Option<String>,
-    table: &str,
-    columns: &[String],
-    source_rows: Vec<Vec<Value>>,
-) -> Result<u64> {
-    let info = engine.fresh_table_info(server.as_deref(), table)?;
-    let rows = source_rows
-        .into_iter()
-        .map(|vals| arrange_row(columns, &info.columns, vals))
-        .collect::<Result<Vec<_>>>()?;
-    let n = run_write_set(engine, std::slice::from_ref(server), |sessions| {
-        sessions.session(server)?.insert(table, &rows)
-    })?;
-    if server.is_none() {
-        engine.refresh_fulltext_index(table)?;
-    }
-    Ok(n)
-}
-
-fn insert_into_view(
-    engine: &Engine,
-    view: &PartitionedView,
-    columns: &[String],
-    source_rows: Vec<Vec<Value>>,
-) -> Result<u64> {
-    let info = &view.members[0].schema_snapshot;
-    // Route every row first so constraint violations abort before any
-    // write happens.
-    let mut routed: HashMap<usize, Vec<Row>> = HashMap::new();
-    for vals in source_rows {
-        let row = arrange_row(columns, &info.columns, vals)?;
-        let member = view.route(row.get(view.partition_column))?;
-        routed.entry(member).or_default().push(row);
-    }
-    let participants: Vec<Option<String>> = routed
-        .keys()
-        .map(|&m| view.members[m].server.clone())
-        .collect();
-    run_write_set(engine, &participants, |sessions| {
-        let mut n = 0;
-        for (member, rows) in &routed {
-            let m = &view.members[*member];
-            n += sessions.session(&m.server)?.insert(&m.table, rows)?;
-        }
-        Ok(n)
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -396,12 +481,11 @@ impl WriteSet {
 
     /// Read the rows of `target` its predicate selects, bookmarks attached,
     /// through the statement's own session for that server — the one that
-    /// issues the bookmark writes afterwards, enlisted or not. All rows are
-    /// collected before the caller writes anything.
+    /// issues the bookmark writes afterwards, enlisted or not.
     fn locate_rows(
         &self,
         engine: &Engine,
-        sessions: &mut dyn SessionProvider,
+        sessions: &mut Sessions,
         target: &BoundTarget,
     ) -> Result<Vec<Row>> {
         let table = &target.meta.table;
@@ -470,20 +554,16 @@ pub fn run_delete(
     params: &HashMap<String, Value>,
 ) -> Result<QueryResult> {
     let set = WriteSet::bind(engine, &stmt.table, stmt.where_clause.as_ref(), &[], params)?;
-    let n = run_write_set(engine, &set.participants(), |sessions| {
-        let mut n = 0;
-        for target in &set.targets {
-            let rows = set.locate_rows(engine, sessions, target)?;
-            if rows.is_empty() {
-                continue;
-            }
+    let mut sessions = Sessions::new(engine, &set.participants());
+    let mut plan = WritePlan::default();
+    for target in &set.targets {
+        let rows = set.locate_rows(engine, &mut sessions, target)?;
+        if !rows.is_empty() {
             let bookmarks = rows.iter().map(bookmark_of).collect::<Result<Vec<_>>>()?;
-            n += sessions
-                .session(&target.server)?
-                .delete_by_bookmarks(&target.meta.table, &bookmarks)?;
+            plan.table(&target.server, &target.meta.table).delete = bookmarks;
         }
-        Ok(n)
-    })?;
+    }
+    let n = sessions.apply(&plan)?.deleted;
     set.refresh_fulltext(engine)?;
     Ok(QueryResult::rows_affected(n))
 }
@@ -517,77 +597,68 @@ pub fn run_update(
         }
         _ => set.participants(),
     };
-    let n = run_write_set(engine, &participants, |sessions| {
-        let mut n = 0;
-        for target in &set.targets {
-            n += update_target(engine, sessions, &set, target)?;
-        }
-        Ok(n)
-    })?;
+    let mut sessions = Sessions::new(engine, &participants);
+    let mut plan = WritePlan::default();
+    for target in &set.targets {
+        let rows = set.locate_rows(engine, &mut sessions, target)?;
+        set.plan_update(target, rows, &mut plan)?;
+    }
+    let applied = sessions.apply(&plan)?;
     set.refresh_fulltext(engine)?;
+    // A moved row is deleted at one member and inserted at another.
+    let n = applied.updated + applied.deleted;
     Ok(QueryResult::rows_affected(n))
 }
 
-/// Update one table (possibly a view member, enabling row moves when the
-/// partitioning key changes).
-fn update_target(
-    engine: &Engine,
-    sessions: &mut dyn SessionProvider,
-    set: &WriteSet,
-    target: &BoundTarget,
-) -> Result<u64> {
-    let meta = &target.meta;
-    let rows = set.locate_rows(engine, sessions, target)?;
-    let positions = positions_of(&meta.column_ids);
-    let mut in_place: (Vec<u64>, Vec<Row>) = (Vec::new(), Vec::new());
-    let mut moves: Vec<(u64, usize, Row)> = Vec::new();
-    for row in rows {
-        let bookmark = bookmark_of(&row)?;
-        let mut new_row = row.clone();
-        let env = RowEnv {
-            positions: &positions,
-            row: &row,
-            ctx: &set.ctx,
-        };
-        for (pos, e) in &target.assignments {
-            let mut v = eval_expr(e, &env)?;
-            let declared = meta.schema.column(*pos).data_type;
-            if !v.is_null() && v.data_type() != Some(declared) {
-                if let Ok(cast) = v.cast(declared) {
-                    v = cast;
+impl WriteSet {
+    /// Add to `plan` what the UPDATE does to `rows`, the rows located in
+    /// `target`: an in-place update, or — when the target is a view member
+    /// and the new partitioning key belongs to another member — a delete
+    /// here and an insert there.
+    fn plan_update(
+        &self,
+        target: &BoundTarget,
+        rows: Vec<Row>,
+        plan: &mut WritePlan,
+    ) -> Result<()> {
+        let meta = &target.meta;
+        let positions = positions_of(&meta.column_ids);
+        let (mut moved_out, mut in_place) = (Vec::new(), (Vec::new(), Vec::new()));
+        for row in rows {
+            let bookmark = bookmark_of(&row)?;
+            let mut new_row = row.clone();
+            let env = RowEnv {
+                positions: &positions,
+                row: &row,
+                ctx: &self.ctx,
+            };
+            for (pos, e) in &target.assignments {
+                let mut v = eval_expr(e, &env)?;
+                let declared = meta.schema.column(*pos).data_type;
+                if !v.is_null() && v.data_type() != Some(declared) {
+                    if let Ok(cast) = v.cast(declared) {
+                        v = cast;
+                    }
+                }
+                new_row.values[*pos] = v;
+            }
+            new_row.bookmark = None;
+            if let (Some(view), Some(my_member)) = (&self.view, target.member) {
+                let dest = view.route(new_row.get(view.partition_column))?;
+                if dest != my_member {
+                    moved_out.push(bookmark);
+                    let dest = &view.members[dest];
+                    plan.table(&dest.server, &dest.table).insert.push(new_row);
+                    continue;
                 }
             }
-            new_row.values[*pos] = v;
+            in_place.0.push(bookmark);
+            in_place.1.push(new_row);
         }
-        new_row.bookmark = None;
-        if let (Some(view), Some(my_member)) = (&set.view, target.member) {
-            let dest = view.route(new_row.get(view.partition_column))?;
-            if dest != my_member {
-                moves.push((bookmark, dest, new_row));
-                continue;
-            }
+        if !moved_out.is_empty() || !in_place.0.is_empty() {
+            let here = plan.table(&target.server, &meta.table);
+            (here.delete, here.update) = (moved_out, in_place);
         }
-        in_place.0.push(bookmark);
-        in_place.1.push(new_row);
+        Ok(())
     }
-    let mut n = 0;
-    if !in_place.0.is_empty() {
-        n += sessions.session(&target.server)?.update_by_bookmarks(
-            &meta.table,
-            &in_place.0,
-            &in_place.1,
-        )?;
-    }
-    for (bookmark, dest, new_row) in moves {
-        let view = set.view.as_ref().expect("moves only exist for views");
-        sessions
-            .session(&target.server)?
-            .delete_by_bookmarks(&meta.table, &[bookmark])?;
-        let dest_member = &view.members[dest];
-        sessions
-            .session(&dest_member.server)?
-            .insert(&dest_member.table, &[new_row])?;
-        n += 1;
-    }
-    Ok(n)
 }

@@ -179,6 +179,9 @@ pub struct MetricsSnapshot {
     pub dtc_in_doubt: u64,
     /// In-doubt transactions resolved by `recover()`.
     pub dtc_recovered: u64,
+    /// Phase-one votes that rode a participant's last write instead of
+    /// answering a `prepare` message — one saved round trip each.
+    pub dtc_votes_ridden: u64,
 }
 
 impl MetricsSnapshot {
@@ -238,6 +241,7 @@ impl MetricsSnapshot {
             ("dtc_aborts", self.dtc_aborts),
             ("dtc_in_doubt", self.dtc_in_doubt),
             ("dtc_recovered", self.dtc_recovered),
+            ("dtc_votes_ridden", self.dtc_votes_ridden),
         ]
     }
 }
@@ -591,6 +595,7 @@ impl EngineMetrics {
             dtc_aborts: dtc.aborts,
             dtc_in_doubt: dtc.in_doubt,
             dtc_recovered: dtc.recovered,
+            dtc_votes_ridden: dtc.votes_ridden,
         }
     }
 }
@@ -822,6 +827,7 @@ mod tests {
                 aborts: 2,
                 in_doubt: 1,
                 recovered: 4,
+                votes_ridden: 9,
             },
             PoolStats {
                 connects: 1,
@@ -836,6 +842,7 @@ mod tests {
         assert_eq!(s.remote_deadline_hits, 1);
         assert_eq!(s.dtc_in_doubt, 1);
         assert_eq!(s.dtc_recovered, 4);
+        assert_eq!(s.dtc_votes_ridden, 9);
         assert_eq!(s.meta_cache_hits, 1);
         assert_eq!(s.meta_cache_misses, 1);
         assert_eq!(s.fulltext_searches, 1);

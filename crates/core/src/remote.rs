@@ -103,6 +103,10 @@ impl Session for EngineSession {
         self.storage_session.prepare(txn)
     }
 
+    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        self.storage_session.vote_with_next_write(txn)
+    }
+
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.storage_session.commit(txn)
     }

@@ -10,6 +10,17 @@
 //! 2. **Commit/Abort**: the decision is logged, then delivered to all
 //!    participants.
 //!
+//! Phase one need not be a message of its own. A caller that knows a
+//! participant's last write sends it through
+//! [`DistributedTransaction::write_and_vote`], and a provider that
+//! implements [`Session::vote_with_next_write`] answers the vote with that
+//! write; a participant declared [`DistributedTransaction::read_only`] has
+//! nothing to promise. `commit()` then asks only whoever is left — every
+//! participant, for callers that drive sessions through `session_mut` alone.
+//! A participant that voted early and is aborted afterwards (another one
+//! refused, or failed a write) is in no different position from one aborted
+//! after an explicit prepare: nothing was logged, so abort is presumed.
+//!
 //! Failure injection in the storage engine (`set_fail_prepare`,
 //! `set_fail_commit`) lets tests and benches exercise the abort path and
 //! the in-doubt/recovery path.
@@ -68,6 +79,9 @@ pub struct DtcStats {
     pub in_doubt: u64,
     /// In-doubt transactions fully resolved by [`TransactionCoordinator::recover`].
     pub recovered: u64,
+    /// Phase-one votes that arrived with a participant's last write instead
+    /// of answering a `prepare` message.
+    pub votes_ridden: u64,
 }
 
 /// What one [`TransactionCoordinator::recover`] pass accomplished.
@@ -97,6 +111,7 @@ pub struct TransactionCoordinator {
     commits: AtomicU64,
     aborts: AtomicU64,
     recovered: AtomicU64,
+    votes_ridden: AtomicU64,
 }
 
 impl TransactionCoordinator {
@@ -130,6 +145,7 @@ impl TransactionCoordinator {
             aborts: self.aborts.load(Ordering::Relaxed),
             in_doubt: self.in_doubt.lock().len() as u64,
             recovered: self.recovered.load(Ordering::Relaxed),
+            votes_ridden: self.votes_ridden.load(Ordering::Relaxed),
         }
     }
 
@@ -205,11 +221,28 @@ impl TransactionCoordinator {
     }
 }
 
+/// Where a participant stands in phase one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Vote {
+    /// Not asked yet: `commit()` sends it the explicit `prepare`.
+    Pending,
+    /// Voted yes with its last write.
+    Ridden,
+    /// Wrote nothing, so has nothing to promise: it gets the outcome only.
+    ReadOnly,
+}
+
+struct Participant {
+    name: String,
+    session: Box<dyn Session>,
+    vote: Vote,
+}
+
 /// An in-flight distributed transaction owning its enlisted sessions.
 pub struct DistributedTransaction {
     coordinator: Arc<TransactionCoordinator>,
     id: TxnId,
-    participants: Vec<(String, Box<dyn Session>)>,
+    participants: Vec<Participant>,
     finished: bool,
 }
 
@@ -228,22 +261,112 @@ impl DistributedTransaction {
             ));
         }
         session.join_transaction(self.id)?;
-        self.participants.push((name.into(), session));
+        self.participants.push(Participant {
+            name: name.into(),
+            session,
+            vote: Vote::Pending,
+        });
         Ok(())
+    }
+
+    fn participant_mut(&mut self, name: &str) -> Result<&mut Participant> {
+        self.participants
+            .iter_mut()
+            .find(|p| p.name == name)
+            .ok_or_else(|| DhqpError::Transaction(format!("no participant '{name}' enlisted")))
     }
 
     /// Mutable access to an enlisted session for running work under the
     /// transaction.
     pub fn session_mut(&mut self, name: &str) -> Result<&mut Box<dyn Session>> {
-        self.participants
-            .iter_mut()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-            .ok_or_else(|| DhqpError::Transaction(format!("no participant '{name}' enlisted")))
+        self.participant_mut(name).map(|p| &mut p.session)
     }
 
     pub fn participant_names(&self) -> Vec<String> {
-        self.participants.iter().map(|(n, _)| n.clone()).collect()
+        self.participants.iter().map(|p| p.name.clone()).collect()
+    }
+
+    /// Run `write`, the last write `name` makes under this transaction,
+    /// and take the participant's vote with its answer
+    /// ([`Session::vote_with_next_write`]). A provider without that call
+    /// just runs the write and is asked in [`Self::commit`]. An error from a
+    /// write that carried the vote is a no vote: everyone is aborted, as
+    /// after a refused `prepare`.
+    pub fn write_and_vote<T>(
+        &mut self,
+        name: &str,
+        write: impl FnOnce(&mut dyn Session) -> Result<T>,
+    ) -> Result<T> {
+        let id = self.id;
+        let participant = self.participant_mut(name)?;
+        match participant.session.vote_with_next_write(id) {
+            Ok(()) => {}
+            Err(DhqpError::Unsupported(_)) => return write(participant.session.as_mut()),
+            Err(e) => return Err(e),
+        }
+        match write(participant.session.as_mut()) {
+            Ok(out) => {
+                participant.vote = Vote::Ridden;
+                self.coordinator
+                    .votes_ridden
+                    .fetch_add(1, Ordering::Relaxed);
+                Ok(out)
+            }
+            Err(e) => Err(self.refused(name, e)),
+        }
+    }
+
+    /// Declare that `name` wrote nothing under this transaction (it was
+    /// enlisted to read). It is not asked to prepare and receives the
+    /// outcome message only.
+    pub fn read_only(&mut self, name: &str) -> Result<()> {
+        self.participant_mut(name)?.vote = Vote::ReadOnly;
+        Ok(())
+    }
+
+    /// `name` voted no with `cause`. Presumed abort: tell everyone —
+    /// participants that already promised included — then report the cause.
+    fn refused(&mut self, name: &str, cause: DhqpError) -> DhqpError {
+        for p in self.participants.iter_mut() {
+            let _ = p.session.abort(self.id);
+        }
+        self.finished = true;
+        self.coordinator
+            .record(self.id, Outcome::Aborted, self.participant_names());
+        txn_event(self.id, "aborted", &format!("'{name}' refused prepare"));
+        DhqpError::Transaction(format!("participant '{name}' refused prepare: {cause}"))
+    }
+
+    /// Record `Aborted` and deliver it everywhere. Participants that fail
+    /// to acknowledge go to the in-doubt store; recovery presumes abort and
+    /// re-delivers.
+    fn abort_everyone(&mut self) {
+        self.finished = true;
+        self.coordinator
+            .record(self.id, Outcome::Aborted, self.participant_names());
+        let mut failed = Vec::new();
+        for mut p in std::mem::take(&mut self.participants) {
+            if p.session.abort(self.id).is_err() {
+                failed.push((p.name, p.session));
+            }
+        }
+        if !failed.is_empty() {
+            self.coordinator.mark_in_doubt(self.id, failed);
+        }
+    }
+
+    /// The `preparing` event's detail: every participant, then who is not
+    /// asked to prepare and why.
+    fn phase_one_detail(&self, names: &[String]) -> String {
+        let mut detail = names.join(",");
+        for (label, vote) in [("voted early", Vote::Ridden), ("read-only", Vote::ReadOnly)] {
+            let voted = self.participants.iter().filter(|p| p.vote == vote);
+            let who: Vec<&str> = voted.map(|p| p.name.as_str()).collect();
+            if !who.is_empty() {
+                detail.push_str(&format!("; {label}: {}", who.join(",")));
+            }
+        }
+        detail
     }
 
     /// Two-phase commit. On any prepare failure every participant is
@@ -255,30 +378,30 @@ impl DistributedTransaction {
             ));
         }
         let names = self.participant_names();
-        // Phase one: unanimous prepare. The whole vote-collection loop is
-        // one DTC_PREPARE wait — the coordinator is blocked on participants
-        // for its full duration.
-        txn_event(self.id, "preparing", &names.join(","));
-        let phase_one = Instant::now();
-        let mut refusal: Option<(String, DhqpError)> = None;
-        for (name, session) in self.participants.iter_mut() {
-            if let Err(e) = session.prepare(self.id) {
-                refusal = Some((name.clone(), e));
-                break;
-            }
+        if has_hook() {
+            txn_event(self.id, "preparing", &self.phase_one_detail(&names));
         }
-        record_wait(WaitClass::DtcPrepare, phase_one.elapsed());
-        if let Some((name, e)) = refusal {
-            // Presumed abort: tell everyone, then report the cause.
-            for (_, s) in self.participants.iter_mut() {
-                let _ = s.abort(self.id);
+        // Phase one: unanimous prepare, asked of whoever has not voted yet.
+        // The whole vote-collection loop is one DTC_PREPARE wait — the
+        // coordinator is blocked on participants for its full duration.
+        let mut pending = self
+            .participants
+            .iter_mut()
+            .filter(|p| p.vote == Vote::Pending)
+            .peekable();
+        if pending.peek().is_some() {
+            let phase_one = Instant::now();
+            let mut refusal: Option<(String, DhqpError)> = None;
+            for p in pending {
+                if let Err(e) = p.session.prepare(self.id) {
+                    refusal = Some((p.name.clone(), e));
+                    break;
+                }
             }
-            self.finished = true;
-            self.coordinator.record(self.id, Outcome::Aborted, names);
-            txn_event(self.id, "aborted", &format!("'{name}' refused prepare"));
-            return Err(DhqpError::Transaction(format!(
-                "participant '{name}' refused prepare: {e}"
-            )));
+            record_wait(WaitClass::DtcPrepare, phase_one.elapsed());
+            if let Some((name, e)) = refusal {
+                return Err(self.refused(&name, e));
+            }
         }
         // Decision is durable before phase two.
         self.coordinator.record(self.id, Outcome::Committed, names);
@@ -290,13 +413,10 @@ impl DistributedTransaction {
         let phase_two = Instant::now();
         let mut failed = Vec::new();
         let mut causes = Vec::new();
-        for (name, mut session) in std::mem::take(&mut self.participants) {
-            match session.commit(self.id) {
-                Ok(()) => {}
-                Err(e) => {
-                    causes.push(format!("'{name}': {e}"));
-                    failed.push((name, session));
-                }
+        for mut p in std::mem::take(&mut self.participants) {
+            if let Err(e) = p.session.commit(self.id) {
+                causes.push(format!("'{}': {e}", p.name));
+                failed.push((p.name, p.session));
             }
         }
         record_wait(WaitClass::DtcCommit, phase_two.elapsed());
@@ -314,23 +434,10 @@ impl DistributedTransaction {
         )))
     }
 
-    /// Abort everywhere. Participants that fail to acknowledge the abort go
-    /// to the in-doubt store; recovery presumes abort and re-delivers.
+    /// Abort everywhere.
     pub fn abort(mut self) -> Result<()> {
-        if self.finished {
-            return Ok(());
-        }
-        let names = self.participant_names();
-        self.finished = true;
-        self.coordinator.record(self.id, Outcome::Aborted, names);
-        let mut failed = Vec::new();
-        for (name, mut session) in std::mem::take(&mut self.participants) {
-            if session.abort(self.id).is_err() {
-                failed.push((name, session));
-            }
-        }
-        if !failed.is_empty() {
-            self.coordinator.mark_in_doubt(self.id, failed);
+        if !self.finished {
+            self.abort_everyone();
         }
         Ok(())
     }
@@ -340,17 +447,7 @@ impl Drop for DistributedTransaction {
     fn drop(&mut self) {
         // Presumed abort: a dropped in-flight transaction rolls back.
         if !self.finished {
-            let names = self.participant_names();
-            self.coordinator.record(self.id, Outcome::Aborted, names);
-            let mut failed = Vec::new();
-            for (name, mut session) in std::mem::take(&mut self.participants) {
-                if session.abort(self.id).is_err() {
-                    failed.push((name, session));
-                }
-            }
-            if !failed.is_empty() {
-                self.coordinator.mark_in_doubt(self.id, failed);
-            }
+            self.abort_everyone();
         }
     }
 }
@@ -380,6 +477,58 @@ mod tests {
 
     fn row(v: i64) -> Row {
         Row::new(vec![Value::Int(v)])
+    }
+
+    type Calls = Arc<Mutex<Vec<&'static str>>>;
+
+    /// Forwards the writes and every 2PC call, noting each by name;
+    /// `vote_with_next_write` only when the flag is set.
+    struct Noting(Box<dyn Session>, Calls, bool);
+
+    impl Noting {
+        fn note(&self, call: &'static str) {
+            self.1.lock().push(call);
+        }
+    }
+
+    impl Session for Noting {
+        fn open_rowset(&mut self, table: &str) -> Result<Box<dyn dhqp_oledb::Rowset>> {
+            self.note("open_rowset");
+            self.0.open_rowset(table)
+        }
+        fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
+            self.note("join_transaction");
+            self.0.join_transaction(txn)
+        }
+        fn prepare(&mut self, txn: TxnId) -> Result<()> {
+            self.note("prepare");
+            self.0.prepare(txn)
+        }
+        fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+            if !self.2 {
+                return Err(DhqpError::Unsupported("votes on prepare only".into()));
+            }
+            self.note("vote_with_next_write");
+            self.0.vote_with_next_write(txn)
+        }
+        fn commit(&mut self, txn: TxnId) -> Result<()> {
+            self.note("commit");
+            self.0.commit(txn)
+        }
+        fn abort(&mut self, txn: TxnId) -> Result<()> {
+            self.note("abort");
+            self.0.abort(txn)
+        }
+        fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
+            self.note("insert");
+            self.0.insert(table, rows)
+        }
+    }
+
+    fn noting_session_for(e: &Arc<StorageEngine>) -> (Box<dyn Session>, Calls) {
+        let calls = Calls::default();
+        let session = Noting(session_for(e), Arc::clone(&calls), true);
+        (Box::new(session), calls)
     }
 
     #[test]
@@ -432,6 +581,154 @@ mod tests {
         // No dangling participant state.
         assert!(!e1.has_txn(dtc.log()[0].txn));
         assert!(!e2.has_txn(dtc.log()[0].txn));
+    }
+
+    #[test]
+    fn a_participant_that_voted_with_its_write_is_not_prepared_again() {
+        let (e1, e2, e3) = (engine("s1"), engine("s2"), engine("s3"));
+        let dtc = TransactionCoordinator::new();
+        let mut txn = dtc.begin();
+        let (s1, calls1) = noting_session_for(&e1);
+        let (s2, calls2) = noting_session_for(&e2);
+        let (s3, calls3) = noting_session_for(&e3);
+        txn.enlist("s1", s1).unwrap();
+        txn.enlist("s2", s2).unwrap();
+        txn.enlist("s3", s3).unwrap();
+        let n = txn
+            .write_and_vote("s1", |s| s.insert("t", &[row(1)]))
+            .unwrap();
+        assert_eq!(n, 1);
+        // s2 is driven the old way; s3 only read.
+        txn.session_mut("s2")
+            .unwrap()
+            .insert("t", &[row(2)])
+            .unwrap();
+        let _ = txn.session_mut("s3").unwrap().open_rowset("t").unwrap();
+        txn.read_only("s3").unwrap();
+        assert!(txn.read_only("ghost").is_err());
+        txn.commit().unwrap();
+        assert_eq!(
+            *calls1.lock(),
+            [
+                "join_transaction",
+                "vote_with_next_write",
+                "insert",
+                "commit"
+            ]
+        );
+        assert_eq!(
+            *calls2.lock(),
+            ["join_transaction", "insert", "prepare", "commit"]
+        );
+        // Read-only: after its read, exactly one message — the outcome.
+        assert_eq!(
+            *calls3.lock(),
+            ["join_transaction", "open_rowset", "commit"]
+        );
+        assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
+        assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 1);
+        assert_eq!(dtc.stats(), (1, 0));
+        assert_eq!(dtc.telemetry().votes_ridden, 1);
+    }
+
+    #[test]
+    fn a_provider_without_the_call_is_prepared_explicitly() {
+        let e1 = engine("s1");
+        let dtc = TransactionCoordinator::new();
+        let mut txn = dtc.begin();
+        let calls = Calls::default();
+        let plain = Noting(session_for(&e1), Arc::clone(&calls), false);
+        txn.enlist("s1", Box::new(plain)).unwrap();
+        txn.write_and_vote("s1", |s| s.insert("t", &[row(1)]))
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(
+            *calls.lock(),
+            ["join_transaction", "insert", "prepare", "commit"]
+        );
+        assert_eq!(dtc.telemetry().votes_ridden, 0);
+        assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_refused_ridden_vote_aborts_those_who_already_voted() {
+        let (e1, e2) = (engine("s1"), engine("s2"));
+        e2.set_fail_prepare(true);
+        let dtc = TransactionCoordinator::new();
+        let mut txn = dtc.begin();
+        let id = txn.id();
+        let (s1, calls1) = noting_session_for(&e1);
+        txn.enlist("s1", s1).unwrap();
+        txn.enlist("s2", session_for(&e2)).unwrap();
+        txn.write_and_vote("s1", |s| s.insert("t", &[row(1)]))
+            .unwrap();
+        assert!(e1.has_txn(id), "s1 holds a prepared transaction");
+        let err = txn
+            .write_and_vote("s2", |s| s.insert("t", &[row(2)]))
+            .unwrap_err();
+        assert_eq!(err.kind(), "transaction");
+        assert!(err.to_string().contains("'s2' refused prepare"), "{err}");
+        // Everyone was told at once; the transaction is over.
+        assert_eq!(calls1.lock().last(), Some(&"abort"));
+        assert!(!e1.has_txn(id) && !e2.has_txn(id));
+        assert!(txn.commit().is_err());
+        assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 0);
+        assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 0);
+        assert_eq!(dtc.stats(), (0, 1));
+        assert_eq!(dtc.log().len(), 1, "aborted once, not again on drop");
+        assert_eq!(dtc.log()[0].outcome, Outcome::Aborted);
+        assert!(dtc.in_doubt_txns().is_empty());
+    }
+
+    #[test]
+    fn a_failed_write_after_a_ridden_vote_aborts_the_prepared_participant() {
+        let (e1, e2) = (engine("s1"), engine("s2"));
+        let dtc = TransactionCoordinator::new();
+        let id = {
+            let mut txn = dtc.begin();
+            txn.enlist("s1", session_for(&e1)).unwrap();
+            txn.enlist("s2", session_for(&e2)).unwrap();
+            txn.write_and_vote("s1", |s| s.insert("t", &[row(1)]))
+                .unwrap();
+            // Not the last write, so no vote rides it: the error is the
+            // write's own and dropping the transaction aborts.
+            let err = txn
+                .session_mut("s2")
+                .unwrap()
+                .insert("ghost", &[row(2)])
+                .unwrap_err();
+            assert_eq!(err.kind(), "catalog");
+            txn.id()
+        };
+        assert!(!e1.has_txn(id) && !e2.has_txn(id));
+        assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 0);
+        assert_eq!(dtc.stats(), (0, 1));
+    }
+
+    #[test]
+    fn commit_failure_after_ridden_votes_is_in_doubt_until_recovered() {
+        let (e1, e2) = (engine("s1"), engine("s2"));
+        e2.set_fail_commit(true);
+        let dtc = TransactionCoordinator::new();
+        let mut txn = dtc.begin();
+        let id = txn.id();
+        txn.enlist("s1", session_for(&e1)).unwrap();
+        txn.enlist("s2", session_for(&e2)).unwrap();
+        txn.write_and_vote("s1", |s| s.insert("t", &[row(1)]))
+            .unwrap();
+        txn.write_and_vote("s2", |s| s.insert("t", &[row(2)]))
+            .unwrap();
+        let err = txn.commit().unwrap_err();
+        assert!(err.to_string().contains("in doubt"), "{err}");
+        assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
+        assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
+        assert!(e2.has_txn(id));
+        assert_eq!(dtc.in_doubt_txns(), vec![id]);
+        e2.set_fail_commit(false);
+        assert_eq!(dtc.recover().resolved, 1);
+        assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 1);
+        assert!(!e2.has_txn(id));
+        assert_eq!(dtc.telemetry().votes_ridden, 2);
     }
 
     #[test]
@@ -564,15 +861,17 @@ mod tests {
     fn commit_reports_dtc_waits_and_2pc_events() {
         use dhqp_oledb::{install_scope, ActivityScope, EventHook, WaitStats};
 
-        struct Capture(Mutex<Vec<(String, String)>>);
+        /// `(kind, state, detail)` of every event.
+        struct Capture(Mutex<Vec<[String; 3]>>);
         impl EventHook for Capture {
             fn emit(&self, kind: &'static str, attrs: &[(&'static str, String)]) {
-                let state = attrs
-                    .iter()
-                    .find(|(k, _)| *k == "state")
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default();
-                self.0.lock().push((kind.to_string(), state));
+                let attr = |name| {
+                    let found = attrs.iter().find(|(k, _)| *k == name);
+                    found.map(|(_, v)| v.clone()).unwrap_or_default()
+                };
+                self.0
+                    .lock()
+                    .push([kind.to_string(), attr("state"), attr("detail")]);
             }
         }
 
@@ -599,16 +898,34 @@ mod tests {
         assert_eq!(snap.get(WaitClass::DtcPrepare).count, 1);
         assert_eq!(snap.get(WaitClass::DtcCommit).count, 1);
         // The 2PC state machine narrated its transitions in order.
-        let states: Vec<String> = hook
-            .0
-            .lock()
-            .iter()
-            .map(|(kind, state)| {
-                assert_eq!(kind, "2pc");
-                state.clone()
-            })
-            .collect();
-        assert_eq!(states, vec!["preparing", "committing", "committed"]);
+        let states = |hook: &Capture| -> Vec<String> {
+            let events = std::mem::take(&mut *hook.0.lock());
+            events
+                .into_iter()
+                .map(|[kind, state, _]| {
+                    assert_eq!(kind, "2pc");
+                    state
+                })
+                .collect()
+        };
+        assert_eq!(hook.0.lock()[0][2], "s1,s2");
+        assert_eq!(states(&hook), vec!["preparing", "committing", "committed"]);
+
+        // Votes that rode a write: the same transitions, `preparing` says
+        // who is not asked, and with nobody left to ask the coordinator
+        // never waits in phase one.
+        let mut txn = dtc.begin();
+        txn.enlist("s1", session_for(&e1)).unwrap();
+        txn.enlist("s2", session_for(&e2)).unwrap();
+        txn.write_and_vote("s1", |s| s.insert("t", &[row(2)]))
+            .unwrap();
+        txn.read_only("s2").unwrap();
+        txn.commit().unwrap();
+        let snap = waits.snapshot();
+        assert_eq!(snap.get(WaitClass::DtcPrepare).count, 1);
+        assert_eq!(snap.get(WaitClass::DtcCommit).count, 2);
+        assert_eq!(hook.0.lock()[0][2], "s1,s2; voted early: s1; read-only: s2");
+        assert_eq!(states(&hook), vec!["preparing", "committing", "committed"]);
     }
 
     #[test]

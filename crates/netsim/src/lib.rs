@@ -26,4 +26,4 @@ pub use fault::{FaultConfig, FaultPlan};
 pub use link::{
     HistogramSnapshot, LatencySummary, LinkStats, NetworkConfig, NetworkLink, TrafficSnapshot,
 };
-pub use wrap::{NetworkedDataSource, SCHEMA_STAMP_WIRE_BYTES};
+pub use wrap::{NetworkedDataSource, SCHEMA_STAMP_WIRE_BYTES, TXN_VERB_WIRE_BYTES};

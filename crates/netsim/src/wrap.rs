@@ -15,11 +15,16 @@
 //! transaction's outcome is acknowledged — a pooled session outlives its
 //! transaction — and `reads_only` plans exempt DML command text too.
 //!
-//! One call is *not* a round trip: [`Session::check_schema`] models a schema
-//! stamp pipelined with the open it guards. An accepted stamp only adds
-//! [`SCHEMA_STAMP_WIRE_BYTES`] to the session's next request; a refused one
-//! is charged as that request, because the member's answer to it was the
-//! refusal.
+//! Three calls are *not* round trips, because the consumer does not need
+//! their answer before it sends its next request: [`Session::check_schema`]
+//! (a schema stamp pipelined with the open it guards),
+//! [`Session::join_transaction`] (enlistment, sent with the first request
+//! made under the transaction) and [`Session::vote_with_next_write`] (the
+//! phase-one vote, answered with the participant's last write). Accepted,
+//! each only adds its bytes — [`SCHEMA_STAMP_WIRE_BYTES`],
+//! [`TXN_VERB_WIRE_BYTES`] — to the session's next request; refused, it is
+//! charged as that request, because the member's answer to it was the
+//! refusal; `Unsupported` by the provider, nothing crosses the wire.
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::link::NetworkLink;
@@ -35,6 +40,10 @@ use std::sync::Arc;
 /// Wire size of one schema stamp riding a request: the 64-bit stamp itself
 /// (the table it vouches for is already named by the request).
 pub const SCHEMA_STAMP_WIRE_BYTES: u64 = 8;
+
+/// Wire size of one 2PC verb (join, prepare, commit, abort): the verb and
+/// the transaction id, whether it is a message of its own or rides one.
+pub const TXN_VERB_WIRE_BYTES: u64 = 16;
 
 /// Raise a `fault` event for one injected fault, if the current thread's
 /// activity scope carries an event hook (attribute strings are only built
@@ -160,13 +169,13 @@ struct NetworkedSession {
     /// with the session's commands so enlisted work is exempt from
     /// injection.
     enlisted: Arc<AtomicBool>,
-    /// Bytes of accepted schema stamps waiting for the request they ride;
-    /// shared with the session's commands, whose `execute` is that request
-    /// for pushed-down statements.
+    /// Bytes of accepted schema stamps and 2PC verbs waiting for the request
+    /// they ride; shared with the session's commands, whose `execute` is
+    /// that request for pushed-down statements.
     piggyback: Arc<AtomicU64>,
 }
 
-/// Record one round trip of `bytes` plus whatever stamps were waiting for it.
+/// Record one round trip of `bytes` plus whatever was waiting to ride it.
 fn request_with_piggyback(link: &NetworkLink, piggyback: &AtomicU64, bytes: u64) {
     link.record_request(bytes + piggyback.swap(0, Ordering::Relaxed));
 }
@@ -174,6 +183,26 @@ fn request_with_piggyback(link: &NetworkLink, piggyback: &AtomicU64, bytes: u64)
 impl NetworkedSession {
     fn request(&self, bytes: u64) {
         request_with_piggyback(&self.link, &self.piggyback, bytes);
+    }
+
+    /// Account for a call that is pipelined with the session's next request
+    /// (module docs): accepted, its `bytes` wait for that request; refused,
+    /// the refusal was the answer to a request of `refused_bytes`.
+    fn ride(&self, outcome: Result<()>, bytes: u64, refused_bytes: u64) -> Result<()> {
+        match outcome {
+            Ok(()) => {
+                self.piggyback.fetch_add(bytes, Ordering::Relaxed);
+                Ok(())
+            }
+            // Nothing crossed the wire: the consumer learns from the
+            // provider's capabilities, not from a round trip, that it has to
+            // do without.
+            Err(e @ DhqpError::Unsupported(_)) => Err(e),
+            Err(e) => {
+                self.request(refused_bytes);
+                Err(e)
+            }
+        }
     }
 
     /// Deliver a transaction outcome; once the participant acknowledges it
@@ -351,21 +380,12 @@ impl Session for NetworkedSession {
     }
 
     fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
-        match self.inner.check_schema(table, stamp) {
-            Ok(()) => {
-                self.piggyback
-                    .fetch_add(SCHEMA_STAMP_WIRE_BYTES, Ordering::Relaxed);
-                Ok(())
-            }
-            // Nothing crossed the wire: the consumer learns from the
-            // provider's capabilities, not from a round trip, that it has to
-            // validate by itself.
-            Err(e @ DhqpError::Unsupported(_)) => Err(e),
-            Err(e) => {
-                self.request(32 + table.len() as u64 + SCHEMA_STAMP_WIRE_BYTES);
-                Err(e)
-            }
-        }
+        let checked = self.inner.check_schema(table, stamp);
+        self.ride(
+            checked,
+            SCHEMA_STAMP_WIRE_BYTES,
+            32 + table.len() as u64 + SCHEMA_STAMP_WIRE_BYTES,
+        )
     }
 
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
@@ -380,27 +400,33 @@ impl Session for NetworkedSession {
     }
 
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        self.request(16);
-        self.inner.join_transaction(txn)?;
+        let joined = self.inner.join_transaction(txn);
+        self.ride(joined, TXN_VERB_WIRE_BYTES, TXN_VERB_WIRE_BYTES)?;
         // From here on this session carries transactional state; faults on
-        // it would force non-idempotent resends, so injection stops.
+        // it would force non-idempotent resends, so injection stops — with
+        // the request the join rides.
         self.enlisted.store(true, Ordering::Relaxed);
         Ok(())
     }
 
     fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.request(16);
+        self.request(TXN_VERB_WIRE_BYTES);
         self.inner.prepare(txn)
     }
 
+    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        let asked = self.inner.vote_with_next_write(txn);
+        self.ride(asked, TXN_VERB_WIRE_BYTES, TXN_VERB_WIRE_BYTES)
+    }
+
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.request(16);
+        self.request(TXN_VERB_WIRE_BYTES);
         let outcome = self.inner.commit(txn);
         self.finish(outcome)
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.request(16);
+        self.request(TXN_VERB_WIRE_BYTES);
         let outcome = self.inner.abort(txn);
         self.finish(outcome)
     }
@@ -805,6 +831,117 @@ mod tests {
     }
 
     #[test]
+    fn an_accepted_join_rides_the_next_request() {
+        let ds = networked();
+        let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
+        s.join_transaction(7).unwrap();
+        assert!(
+            ds.link().snapshot().since(&before).is_zero(),
+            "an accepted join is not a round trip of its own"
+        );
+        let _open = s.open_rowset("t").unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!((delta.requests, delta.bytes), (1, 33 + TXN_VERB_WIRE_BYTES));
+        // The outcome is a message of its own, and carries nothing over.
+        s.abort(7).unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(
+            (delta.requests, delta.bytes),
+            (2, 33 + 2 * TXN_VERB_WIRE_BYTES)
+        );
+    }
+
+    #[test]
+    fn a_refused_join_is_charged_as_the_request_it_refused() {
+        struct Refusing;
+        impl Session for Refusing {
+            fn open_rowset(&mut self, _table: &str) -> Result<Box<dyn Rowset>> {
+                Ok(ten_rows())
+            }
+            fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
+                Err(DhqpError::Transaction(format!("no room for txn {txn}")))
+            }
+        }
+        struct RefusingSource;
+        impl DataSource for RefusingSource {
+            fn name(&self) -> &str {
+                "refusing"
+            }
+            fn capabilities(&self) -> ProviderCapabilities {
+                ProviderCapabilities::simple("stub")
+            }
+            fn tables(&self) -> Result<Vec<TableInfo>> {
+                Ok(vec![])
+            }
+            fn create_session(&self) -> Result<Box<dyn Session>> {
+                Ok(Box::new(Refusing))
+            }
+        }
+        let config = FaultConfig {
+            stream_drops: 1.0,
+            ..FaultConfig::none()
+        };
+        let link = NetworkLink::new("link-r0", NetworkConfig::untimed());
+        let ds = NetworkedDataSource::with_faults(Arc::new(RefusingSource), link, config);
+        let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
+        assert_eq!(s.join_transaction(7).unwrap_err().kind(), "transaction");
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!((delta.requests, delta.bytes), (1, TXN_VERB_WIRE_BYTES));
+        // Not enlisted: the session stays open to injection.
+        assert!(s.open_rowset("t").unwrap().count_rows().is_err());
+    }
+
+    #[test]
+    fn a_vote_rides_the_write_it_was_asked_with() {
+        let ds = networked();
+        let row = |x| [Row::new(vec![Value::Int(x)])];
+        let insert = 32 + 16;
+        let mut s = ds.create_session().unwrap();
+        s.join_transaction(7).unwrap();
+        let before = ds.link().snapshot();
+        s.insert("t", &row(10)).unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(
+            (delta.requests, delta.bytes),
+            (1, insert + TXN_VERB_WIRE_BYTES),
+            "the join rode the first write"
+        );
+        s.vote_with_next_write(7).unwrap();
+        assert_eq!(ds.link().snapshot().since(&before).requests, 1);
+        s.insert("t", &row(11)).unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!(
+            (delta.requests, delta.bytes),
+            (2, 2 * (insert + TXN_VERB_WIRE_BYTES))
+        );
+        s.commit(7).unwrap();
+        // Asked of a session that is not in the transaction, the refusal is
+        // the answer to a request.
+        let before = ds.link().snapshot();
+        assert_eq!(s.vote_with_next_write(7).unwrap_err().kind(), "transaction");
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!((delta.requests, delta.bytes), (1, TXN_VERB_WIRE_BYTES));
+    }
+
+    #[test]
+    fn a_provider_that_votes_only_on_prepare_puts_nothing_on_the_wire() {
+        let link = NetworkLink::new("link-r0", NetworkConfig::untimed());
+        let ds = NetworkedDataSource::reliable(Arc::new(StubSource), link);
+        let mut s = ds.create_session().unwrap();
+        s.join_transaction(7).unwrap();
+        let before = ds.link().snapshot();
+        let err = s.vote_with_next_write(7).unwrap_err();
+        assert!(matches!(err, DhqpError::Unsupported(_)), "{err}");
+        assert!(ds.link().snapshot().since(&before).is_zero());
+        // Only the join is waiting for the next request.
+        let _open = s.open_rowset("t").unwrap();
+        let delta = ds.link().snapshot().since(&before);
+        assert_eq!((delta.requests, delta.bytes), (1, 33 + TXN_VERB_WIRE_BYTES));
+    }
+
+    #[test]
     fn index_open_counts_one_round_trip() {
         let ds = networked();
         let mut s = ds.create_session().unwrap();
@@ -891,10 +1028,13 @@ mod tests {
             ..FaultConfig::none()
         });
         let mut s = ds.create_session().unwrap();
+        let before = ds.link().snapshot();
         s.join_transaction(41).unwrap();
         // Both the rowset and the command path stay clean under a plan
-        // that otherwise faults every operation.
+        // that otherwise faults every operation — from the join call on, so
+        // the request the join rides is covered too.
         assert_eq!(s.open_rowset("t").unwrap().count_rows().unwrap(), 10);
+        assert_eq!(ds.link().snapshot().since(&before).requests, 1);
         let mut cmd = s.create_command().unwrap();
         cmd.set_text("SELECT x FROM t").unwrap();
         assert_eq!(

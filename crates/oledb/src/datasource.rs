@@ -312,7 +312,9 @@ pub trait Session: Send {
 
     /// Enlist this session in a distributed transaction
     /// (`ITransactionJoin::JoinTransaction`). Writes made through this
-    /// session then commit or abort with the coordinator's decision.
+    /// session then commit or abort with the coordinator's decision. The
+    /// consumer does not wait for the answer: on the wire, enlistment goes
+    /// with the first request made under the transaction.
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
         Err(DhqpError::Unsupported(
             "provider cannot enlist in distributed transactions".into(),
@@ -323,6 +325,22 @@ pub trait Session: Send {
     /// returning Ok.
     fn prepare(&mut self, txn: TxnId) -> Result<()> {
         Err(DhqpError::Unsupported("provider cannot prepare".into()))
+    }
+
+    /// Phase one as part of a write: the consumer announces that the next
+    /// `insert`/`delete_by_bookmarks`/`update_by_bookmarks` on this session
+    /// is the last one it makes under `txn`, and asks for the vote with its
+    /// answer. A provider that implements this prepares `txn` right after
+    /// that write — with everything [`Session::prepare`] promises — and
+    /// answers a refusal in the write's place; `Ok` from the write is then a
+    /// yes vote, and no write may follow it. Like [`Session::check_schema`]
+    /// it costs no round trip of its own, and the default `Unsupported` is
+    /// the capability signal: the coordinator then sends the explicit
+    /// `prepare` as before.
+    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        Err(DhqpError::Unsupported(
+            "provider votes only when asked to prepare".into(),
+        ))
     }
 
     /// 2PC phase two: make `txn`'s writes visible.
@@ -413,6 +431,10 @@ mod tests {
         assert!(s.histogram("t", "c").unwrap().is_none());
         assert!(matches!(
             s.join_transaction(1),
+            Err(DhqpError::Unsupported(_))
+        ));
+        assert!(matches!(
+            s.vote_with_next_write(1),
             Err(DhqpError::Unsupported(_))
         ));
     }

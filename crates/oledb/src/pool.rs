@@ -277,6 +277,10 @@ impl Session for PooledSession {
         self.call(|s| s.prepare(txn))
     }
 
+    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        self.call(|s| s.vote_with_next_write(txn))
+    }
+
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.finish(|s| s.commit(txn))
     }

@@ -78,6 +78,7 @@ impl DataSource for LocalDataSource {
         Ok(Box::new(LocalSession {
             engine: Arc::clone(&self.engine),
             txn: None,
+            vote_with_next_write: false,
         }))
     }
 }
@@ -87,6 +88,25 @@ impl DataSource for LocalDataSource {
 pub struct LocalSession {
     engine: Arc<StorageEngine>,
     txn: Option<TxnId>,
+    /// The coordinator asked for the phase-one vote with the next write.
+    vote_with_next_write: bool,
+}
+
+impl LocalSession {
+    /// Run one write, buffered under the session's transaction if it has
+    /// one. When the vote was asked to ride this write the transaction is
+    /// prepared right behind it, and a refusal answers in the write's place.
+    fn write(
+        &mut self,
+        write: impl FnOnce(&StorageEngine, Option<TxnId>) -> Result<u64>,
+    ) -> Result<u64> {
+        let vote = std::mem::take(&mut self.vote_with_next_write);
+        let n = write(&self.engine, self.txn)?;
+        if let (true, Some(txn)) = (vote, self.txn) {
+            self.engine.prepare_txn(txn)?;
+        }
+        Ok(n)
+    }
 }
 
 impl Session for LocalSession {
@@ -150,6 +170,17 @@ impl Session for LocalSession {
         self.engine.prepare_txn(txn)
     }
 
+    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        if self.txn != Some(txn) {
+            return Err(DhqpError::Transaction(format!(
+                "session on '{}' is not enlisted in transaction {txn}",
+                self.engine.name()
+            )));
+        }
+        self.vote_with_next_write = true;
+        Ok(())
+    }
+
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.engine.commit_txn(txn)?;
         self.txn = None;
@@ -163,17 +194,17 @@ impl Session for LocalSession {
     }
 
     fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        match self.txn {
-            Some(txn) => self.engine.txn_insert(txn, table, rows),
-            None => self.engine.insert_rows(table, rows),
-        }
+        self.write(|engine, txn| match txn {
+            Some(txn) => engine.txn_insert(txn, table, rows),
+            None => engine.insert_rows(table, rows),
+        })
     }
 
     fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        match self.txn {
-            Some(txn) => self.engine.txn_delete(txn, table, bookmarks),
-            None => self.engine.delete_bookmarks(table, bookmarks),
-        }
+        self.write(|engine, txn| match txn {
+            Some(txn) => engine.txn_delete(txn, table, bookmarks),
+            None => engine.delete_bookmarks(table, bookmarks),
+        })
     }
 
     fn update_by_bookmarks(
@@ -182,14 +213,14 @@ impl Session for LocalSession {
         bookmarks: &[u64],
         updates: &[Row],
     ) -> Result<u64> {
-        match self.txn {
+        self.write(|engine, txn| match txn {
             // Model an update as delete+insert inside the buffer.
             Some(txn) => {
-                self.engine.txn_delete(txn, table, bookmarks)?;
-                self.engine.txn_insert(txn, table, updates)
+                engine.txn_delete(txn, table, bookmarks)?;
+                engine.txn_insert(txn, table, updates)
             }
-            None => self.engine.update_bookmarks(table, bookmarks, updates),
-        }
+            None => engine.update_bookmarks(table, bookmarks, updates),
+        })
     }
 }
 
@@ -271,6 +302,41 @@ mod tests {
         s.prepare(42).unwrap();
         s.commit(42).unwrap();
         assert_eq!(ds.engine().with_table("emp", |t| t.row_count()).unwrap(), 4);
+    }
+
+    #[test]
+    fn a_vote_rides_the_next_write_and_a_refusal_answers_in_its_place() {
+        let ds = source();
+        let row = |id| Row::new(vec![Value::Int(id), Value::Null]);
+        let mut s = ds.create_session().unwrap();
+        // Only an enlisted session can be asked, and only for its own txn.
+        assert_eq!(
+            s.vote_with_next_write(42).unwrap_err().kind(),
+            "transaction"
+        );
+        s.join_transaction(42).unwrap();
+        assert!(s.vote_with_next_write(41).is_err());
+        s.insert("emp", &[row(8)]).unwrap();
+        s.vote_with_next_write(42).unwrap();
+        s.insert("emp", &[row(9)]).unwrap();
+        // Prepared: the explicit verb has nothing left to do, and no write
+        // may follow the vote.
+        assert!(s.prepare(42).is_err());
+        assert!(s.insert("emp", &[row(10)]).is_err());
+        s.commit(42).unwrap();
+        assert_eq!(ds.engine().with_table("emp", |t| t.row_count()).unwrap(), 5);
+
+        let mut s = ds.create_session().unwrap();
+        s.join_transaction(43).unwrap();
+        s.vote_with_next_write(43).unwrap();
+        ds.engine().set_fail_prepare(true);
+        let err = s.insert("emp", &[row(11)]).unwrap_err();
+        assert!(err.to_string().contains("prepare failure"), "{err}");
+        // The request was for one write: the next one carries no vote.
+        s.insert("emp", &[row(12)]).unwrap();
+        s.abort(43).unwrap();
+        assert!(!ds.engine().has_txn(43));
+        assert_eq!(ds.engine().with_table("emp", |t| t.row_count()).unwrap(), 5);
     }
 
     #[test]

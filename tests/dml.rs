@@ -3,13 +3,16 @@
 //! predicate's key domain, on the statement's own session, and the full
 //! table is read only when no seek applies.
 //!
-//! The differential suite runs one statement list against three set-ups —
-//! a 4-member networked federation, the same federation whose providers
-//! offer no index access (today's scan path, the reference for the wire),
-//! and a single engine holding every row in one plain table (the reference
-//! for the answer) — and requires identical `rows_affected` and identical
-//! table contents after every statement. The wire tests then pin what the
-//! seek ships, on links that carry no fault plan.
+//! The differential suite runs one statement list against four set-ups —
+//! a 4-member networked federation whose members vote with their last write,
+//! the same federation whose providers offer neither index access nor that
+//! vote (the scan path and the explicit `prepare`, the reference for the
+//! wire), the four members behind one linked server (one participant, so
+//! autocommit), and a single engine holding every row in one plain table
+//! (the reference for the answer) — and requires identical `rows_affected`
+//! and identical table contents after every statement. The wire tests then
+//! pin what a statement ships and in how many requests, on links that carry
+//! no fault plan (DESIGN.md "2PC messages ride the data requests").
 
 use dhqp::{Engine, EngineDataSource, MetricsSnapshot};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
@@ -42,22 +45,29 @@ enum IndexAccess {
     Broken,
 }
 
-/// `(session id, method)` in call order, across all sessions of a source.
-type CallLog = Arc<Mutex<Vec<(u64, &'static str)>>>;
+/// `(when, session id, method)` in call order, across all sessions of a
+/// source; `when` orders calls across sources too.
+type CallLog = Arc<Mutex<Vec<(u64, u64, &'static str)>>>;
+
+static CLOCK: AtomicU64 = AtomicU64::new(0);
 
 struct Spy {
     inner: Arc<dyn DataSource>,
     index: IndexAccess,
+    /// Forward `vote_with_next_write`; without it the provider behind the
+    /// spy is one that votes only when asked to `prepare`.
+    votes: bool,
     log: CallLog,
     sessions: AtomicU64,
 }
 
 impl Spy {
-    fn new(inner: Arc<dyn DataSource>, index: IndexAccess) -> (Arc<Self>, CallLog) {
+    fn new(inner: Arc<dyn DataSource>, index: IndexAccess, votes: bool) -> (Arc<Self>, CallLog) {
         let log = CallLog::default();
         let spy = Arc::new(Spy {
             inner,
             index,
+            votes,
             log: Arc::clone(&log),
             sessions: AtomicU64::new(0),
         });
@@ -84,6 +94,7 @@ impl DataSource for Spy {
             inner: self.inner.create_session()?,
             id: self.sessions.fetch_add(1, Ordering::Relaxed),
             index: self.index,
+            votes: self.votes,
             log: Arc::clone(&self.log),
         }))
     }
@@ -93,12 +104,14 @@ struct SpySession {
     inner: Box<dyn Session>,
     id: u64,
     index: IndexAccess,
+    votes: bool,
     log: CallLog,
 }
 
 impl SpySession {
     fn note(&self, call: &'static str) {
-        self.log.lock().unwrap().push((self.id, call));
+        let when = CLOCK.fetch_add(1, Ordering::SeqCst);
+        self.log.lock().unwrap().push((when, self.id, call));
     }
 }
 
@@ -136,6 +149,12 @@ impl Session for SpySession {
     fn prepare(&mut self, txn: TxnId) -> Result<()> {
         self.note("prepare");
         self.inner.prepare(txn)
+    }
+    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        if !self.votes {
+            return Err(DhqpError::Unsupported("votes on prepare only".into()));
+        }
+        self.inner.vote_with_next_write(txn)
     }
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.note("commit");
@@ -212,25 +231,48 @@ fn member_domain(lo: i64, hi: i64) -> IntervalSet {
     IntervalSet::single(Interval::between(Value::Int(lo), Value::Int(hi)))
 }
 
-/// A head engine with `acct_all` over `acct_0..3`, one per linked server
-/// `m0..3`, ids `[50·i, 50·i + 49]`.
+/// A head engine with `acct_all` over `acct_0..3`, ids `[50·i, 50·i + 49]`,
+/// member `i` on linked server `m{i % servers}`.
 struct Federation {
     head: Engine,
     links: Vec<NetworkLink>,
     logs: Vec<CallLog>,
 }
 
-/// `reliable` links carry no fault plan whatever `DHQP_FAULT_SEED` says —
-/// for the tests that count requests and rows.
+/// Four members on four servers, behind spies that do not forward
+/// `vote_with_next_write`. `reliable` links carry no fault plan whatever
+/// `DHQP_FAULT_SEED` says — for the tests that count requests and rows.
 fn federation(index: IndexAccess, reliable: bool) -> Federation {
+    federation_on(MEMBERS, index, reliable, false)
+}
+
+/// Create member `i`'s table `acct_{i}` in `storage`; returns its entry in
+/// the view's member list, on `server`.
+fn create_member(
+    storage: &StorageEngine,
+    i: i64,
+    server: Option<String>,
+) -> (Option<String>, String, IntervalSet) {
+    let (lo, hi) = (i * PER_MEMBER, (i + 1) * PER_MEMBER - 1);
+    let table = format!("acct_{i}");
+    create_accounts(storage, &table, lo, hi, true);
+    (server, table, member_domain(lo, hi))
+}
+
+fn federation_on(servers: i64, index: IndexAccess, reliable: bool, votes: bool) -> Federation {
     let head = Engine::new("head");
-    let (mut links, mut logs, mut view_members) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..MEMBERS {
-        let member = Engine::new(format!("member{i}"));
-        let (lo, hi) = (i * PER_MEMBER, (i + 1) * PER_MEMBER - 1);
-        let table = format!("acct_{i}");
-        create_accounts(member.storage(), &table, lo, hi, true);
-        let (spy, log) = Spy::new(Arc::new(EngineDataSource::new(member)), index);
+    let (mut links, mut logs) = (Vec::new(), Vec::new());
+    let engines: Vec<Engine> = (0..servers)
+        .map(|i| Engine::new(format!("member{i}")))
+        .collect();
+    let view_members: Vec<_> = (0..MEMBERS)
+        .map(|i| {
+            let storage = engines[(i % servers) as usize].storage();
+            create_member(storage, i, Some(format!("m{}", i % servers)))
+        })
+        .collect();
+    for (i, member) in engines.into_iter().enumerate() {
+        let (spy, log) = Spy::new(Arc::new(EngineDataSource::new(member)), index, votes);
         let link = NetworkLink::new(format!("m{i}"), NetworkConfig::lan());
         let source = if reliable {
             NetworkedDataSource::reliable(spy, link.clone())
@@ -239,13 +281,24 @@ fn federation(index: IndexAccess, reliable: bool) -> Federation {
         };
         head.add_linked_server(&format!("m{i}"), Arc::new(source))
             .unwrap();
-        view_members.push((Some(format!("m{i}")), table, member_domain(lo, hi)));
         links.push(link);
         logs.push(log);
     }
     head.define_partitioned_view("acct_all", "id", view_members)
         .unwrap();
     Federation { head, links, logs }
+}
+
+/// The four members as local tables of one engine, under a local view.
+fn local_view() -> Engine {
+    let engine = Engine::new("solo-view");
+    let view_members = (0..MEMBERS)
+        .map(|i| create_member(engine.storage(), i, None))
+        .collect();
+    engine
+        .define_partitioned_view("acct_all", "id", view_members)
+        .unwrap();
+    engine
 }
 
 /// Every row of the four members in one plain local table named like the
@@ -329,10 +382,20 @@ impl Federation {
     fn calls(&self, member: usize) -> Vec<&'static str> {
         let log = self.logs[member].lock().unwrap();
         assert!(
-            log.iter().all(|(session, _)| *session == log[0].0),
+            log.iter().all(|(_, session, _)| *session == log[0].1),
             "more than one session: {log:?}"
         );
-        log.iter().map(|(_, call)| *call).collect()
+        log.iter().map(|(_, _, call)| *call).collect()
+    }
+
+    /// When each logged `call` happened, over all members.
+    fn times_of(&self, calls: &[&str]) -> Vec<u64> {
+        let logs = self.logs.iter().map(|log| log.lock().unwrap());
+        logs.flat_map(|log| {
+            let hits = log.iter().filter(|(_, _, call)| calls.contains(call));
+            hits.map(|(when, _, _)| *when).collect::<Vec<_>>()
+        })
+        .collect()
     }
 }
 
@@ -444,6 +507,9 @@ fn statements() -> Vec<Stmt> {
             "UPDATE acct_all SET id = @to, balance = 1 WHERE id = @from",
             vec![("to", int(33)), ("from", int(183))],
         ),
+        // A row moved into a range its own statement still selects (id 58
+        // left for 158 above) is not found and moved a second time.
+        lit("UPDATE acct_all SET id = id + 50, balance = balance + 1 WHERE id IN (8, 58)"),
         // DELETE + re-INSERT, then the whole table.
         lit("DELETE FROM acct_all WHERE id IN (25, 125)"),
         lit("INSERT INTO acct_all (id, balance, owner, score) VALUES \
@@ -455,17 +521,23 @@ fn statements() -> Vec<Stmt> {
 
 #[test]
 fn seek_scan_and_unfederated_agree_on_every_statement() {
-    let seek = federation(IndexAccess::Native, false);
+    let seek = federation_on(MEMBERS, IndexAccess::Native, false, true);
     let scan = federation(IndexAccess::Unadvertised, false);
+    let one_server = federation_on(1, IndexAccess::Native, false, true);
     let solo = unfederated();
     assert_eq!(contents(&seek.head), contents(&solo));
+    let federated = [
+        ("seek path", &seek.head),
+        ("scan path", &scan.head),
+        ("one server", &one_server.head),
+    ];
     for (sql, params) in statements() {
         let want = affected(&solo, sql, &params);
-        assert_eq!(affected(&seek.head, sql, &params), want, "seek path: {sql}");
-        assert_eq!(affected(&scan.head, sql, &params), want, "scan path: {sql}");
         let rows = contents(&solo);
-        assert_eq!(contents(&seek.head), rows, "seek path after: {sql}");
-        assert_eq!(contents(&scan.head), rows, "scan path after: {sql}");
+        for (name, head) in federated {
+            assert_eq!(affected(head, sql, &params), want, "{name}: {sql}");
+            assert_eq!(contents(head), rows, "{name} after: {sql}");
+        }
     }
     // Which path ran is read off the counters, not forced by a switch.
     let (seek_m, scan_m, solo_m) = (seek.head.metrics(), scan.head.metrics(), solo.metrics());
@@ -473,6 +545,58 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
     assert!(seek_m.dml_scans > 0, "non-key predicates still scan");
     assert_eq!(scan_m.dml_seeks, 0, "no seek without index_support");
     assert!(seek_m.dml_rows_located < scan_m.dml_rows_located);
+    // The same transactions committed whether the votes rode or not.
+    assert!(seek_m.dtc_votes_ridden > 0 && scan_m.dtc_votes_ridden == 0);
+    assert_eq!(seek_m.dtc_commits, scan_m.dtc_commits);
+    assert_eq!((seek_m.dtc_aborts, scan_m.dtc_aborts), (0, 0));
+    assert_eq!(one_server.head.metrics().dtc_commits, 0, "one participant");
+}
+
+/// The Halloween problem: a partition-key UPDATE whose rows land, still
+/// selected, in a member the statement has yet to visit. Where two members
+/// share a participant the writes are visible at once, so only locating
+/// every row before the first write keeps the moved rows from being found
+/// — and updated — again.
+#[test]
+fn rows_a_statement_moved_are_not_located_again() {
+    let one_server = federation_on(1, IndexAccess::Native, true, true);
+    let mut calls = Vec::new();
+    for (name, engine) in [
+        ("local view", &local_view()),
+        ("one server", &one_server.head),
+    ] {
+        affected(
+            engine,
+            "DELETE FROM acct_all WHERE id <> 60 AND id <> 120",
+            &[],
+        )
+        .unwrap();
+        one_server.clear_logs();
+        let sql = "UPDATE acct_all SET id = id + 50, balance = balance + 1 \
+                   WHERE id >= 0 AND id < 150";
+        assert_eq!(affected(engine, sql, &[]), Ok(2), "{name}");
+        calls = one_server.calls(0);
+        let left = engine
+            .query("SELECT id, balance FROM acct_all ORDER BY id")
+            .unwrap();
+        let left: Vec<_> = left.rows.iter().map(|r| r.values.clone()).collect();
+        let int = Value::Int;
+        assert_eq!(left, [[int(110), int(101)], [int(170), int(101)]], "{name}");
+    }
+    // One participant: no transaction; three members read, then one request
+    // per table and kind of write.
+    assert_eq!(one_server.head.dtc().stats(), (0, 0));
+    let (reads, writes) = calls.split_at(3);
+    assert_eq!(reads, ["open_index"; 3]);
+    assert_eq!(
+        writes,
+        [
+            "delete_by_bookmarks",
+            "delete_by_bookmarks",
+            "insert",
+            "insert"
+        ]
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -657,26 +781,113 @@ fn seek_runs_on_the_enlisted_session_before_any_write() {
     }
     assert!(fed.calls(2).is_empty() && fed.calls(3).is_empty());
 
-    // A partition-key move: every row is located before the first write,
-    // and the destination member only ever sees the insert.
-    fed.run("DELETE FROM acct_all WHERE id IN (105, 106)", &[]);
+    // Partition-key moves: every row is located, at every participant,
+    // before the first write anywhere; however many rows move, a member
+    // sees one delete, and a destination only ever one insert.
+    fed.run("DELETE FROM acct_all WHERE id IN (105, 106, 156)", &[]);
     fed.clear_logs();
-    let (n, _) = fed.run("UPDATE acct_all SET id = id + 100 WHERE id IN (5, 6)", &[]);
-    assert_eq!(n, 2);
+    let (n, _) = fed.run(
+        "UPDATE acct_all SET id = id + 100 WHERE id IN (5, 6, 56)",
+        &[],
+    );
+    assert_eq!(n, 3);
+    for source in [0, 1] {
+        assert_eq!(
+            fed.calls(source),
+            [
+                "join_transaction",
+                "open_index",
+                "delete_by_bookmarks",
+                "prepare",
+                "commit"
+            ]
+        );
+    }
+    for destination in [2, 3] {
+        assert_eq!(
+            fed.calls(destination),
+            ["join_transaction", "insert", "prepare", "commit"]
+        );
+    }
+    let last_read = fed.times_of(&["open_index"]).into_iter().max();
+    let first_write = fed.times_of(&["delete_by_bookmarks", "insert"]);
+    assert!(last_read < first_write.into_iter().min());
     assert_eq!(
-        fed.calls(0),
+        fed.head.metrics().dtc_votes_ridden,
+        0,
+        "the spies do not vote"
+    );
+}
+
+/// What a cross-site write costs on the wire once enlistment and the vote
+/// ride the data requests: per participant `open_index`(+join) →
+/// write(+vote) → `commit`, in the bytes of the five messages it used to be.
+#[test]
+fn two_phase_commit_messages_ride_the_data_requests() {
+    let voting = federation_on(MEMBERS, IndexAccess::Native, true, true);
+    // Behind spies that do not vote only the join rides; the bytes are the
+    // same, the explicit `prepare` is one more request per writer.
+    let explicit = federation(IndexAccess::Native, true);
+    let bytes = |delta: &[TrafficSnapshot]| delta.iter().map(|d| d.bytes).collect::<Vec<_>>();
+    let mut votes = 0;
+    for (sql, ridden, prepared, update_bytes) in [
+        (
+            "UPDATE acct_all SET balance = balance - 1 WHERE id IN (10, 60)",
+            [3, 3, 0, 0],
+            [4, 4, 0, 0],
+            Some(237),
+        ),
+        (
+            "DELETE FROM acct_all WHERE id IN (10, 160)",
+            [3, 0, 0, 3],
+            [4, 0, 0, 4],
+            None,
+        ),
+        // The insert is a participant's first and last request.
+        (
+            "INSERT INTO acct_all (id, balance) VALUES (10, 1), (160, 1)",
+            [2, 0, 0, 2],
+            [3, 0, 0, 3],
+            None,
+        ),
+        // A member that locates nothing (id 70 has another score) is
+        // read-only: it is not asked to vote, just told the outcome.
+        (
+            "DELETE FROM acct_all WHERE id IN (20, 70) AND score = 0.5",
+            [3, 2, 0, 0],
+            [4, 2, 0, 0],
+            None,
+        ),
+    ] {
+        let (n, delta, net) = voting.run_net_of_connects(sql, &[]);
+        let (n_ref, delta_ref, net_ref) = explicit.run_net_of_connects(sql, &[]);
+        assert_eq!((n, net), (n_ref, ridden.to_vec()), "{sql}");
+        assert_eq!(net_ref, prepared, "only the join rides: {sql}");
+        assert_eq!(
+            bytes(&delta),
+            bytes(&delta_ref),
+            "a verb keeps its bytes: {sql}"
+        );
+        if let Some(want) = update_bytes {
+            assert_eq!(delta[0].bytes, want, "{sql}");
+        }
+        votes += ridden.iter().filter(|r| **r == ridden[0]).count() as u64;
+        assert_eq!(voting.head.metrics().dtc_votes_ridden, votes, "{sql}");
+    }
+    assert_eq!(voting.head.dtc().stats(), (4, 0));
+    assert_eq!(explicit.head.dtc().stats(), (4, 0));
+    assert_eq!(explicit.head.metrics().dtc_votes_ridden, 0);
+    assert_eq!(
+        voting.calls(1),
         [
             "join_transaction",
             "open_index",
-            "delete_by_bookmarks",
-            "delete_by_bookmarks",
-            "prepare",
+            "update_by_bookmarks",
+            "commit",
+            "join_transaction",
+            "open_index",
             "commit"
         ]
-    );
-    assert_eq!(
-        fed.calls(2),
-        ["join_transaction", "insert", "insert", "prepare", "commit"]
     );
 }
 
