@@ -14,6 +14,7 @@
 mod trees;
 
 use crate::engine::Engine;
+use crate::knobs::Knobs;
 use dhqp_executor::ops::retry::{open_with_retries, ReopenFactory};
 use dhqp_executor::{MemberSchema, RetryPolicy};
 use dhqp_oledb::{DataSource, Rowset, TableInfo};
@@ -137,6 +138,9 @@ impl<'a> Scope<'a> {
 /// The binder. One instance per top-level statement.
 pub struct Binder<'e> {
     engine: &'e Engine,
+    /// The knobs of the statement being bound (metadata TTL, the retry
+    /// policy of bind-time reads, nested SELECTs).
+    knobs: Arc<Knobs>,
     registry: ColumnRegistry,
     next_table_id: u32,
     params: &'e HashMap<String, Value>,
@@ -149,9 +153,21 @@ pub struct Binder<'e> {
 }
 
 impl<'e> Binder<'e> {
+    /// A binder under the engine's current knobs, for a caller that is
+    /// not one of the engine's own statements.
     pub fn new(engine: &'e Engine, params: &'e HashMap<String, Value>) -> Self {
+        Binder::for_statement(engine, engine.knobs(), params)
+    }
+
+    /// A binder under the knobs the statement in flight began with.
+    pub(crate) fn for_statement(
+        engine: &'e Engine,
+        knobs: Arc<Knobs>,
+        params: &'e HashMap<String, Value>,
+    ) -> Self {
         Binder {
             engine,
+            knobs,
             registry: ColumnRegistry::new(),
             next_table_id: 0,
             params,
@@ -163,16 +179,14 @@ impl<'e> Binder<'e> {
         }
     }
 
-    /// A binder for UPDATE/DELETE: every `@param` with a supplied value
-    /// binds as that literal. DML is never plan-cached, so the values in
-    /// hand are the only ones the bound predicate will ever see, and as
-    /// literals they reach `domain_for` — member pruning and the
-    /// row-location seek — like any constant.
-    pub fn for_dml(engine: &'e Engine, params: &'e HashMap<String, Value>) -> Self {
-        Binder {
-            fold_params: true,
-            ..Binder::new(engine, params)
-        }
+    /// For UPDATE/DELETE: every `@param` with a supplied value binds as
+    /// that literal. DML is never plan-cached, so the values in hand are
+    /// the only ones the bound predicate will ever see, and as literals
+    /// they reach `domain_for` — member pruning and the row-location seek
+    /// — like any constant.
+    pub(crate) fn for_dml(mut self) -> Self {
+        self.fold_params = true;
+        self
     }
 
     /// Record that this bind consulted a remote server's metadata (and,
@@ -637,7 +651,7 @@ impl<'e> Binder<'e> {
                 .get(..6)
                 .is_some_and(|head| head.eq_ignore_ascii_case("select"));
         let policy = if idempotent {
-            self.engine.retry_policy()
+            self.knobs.retry.clone()
         } else {
             RetryPolicy::no_retry()
         };
@@ -742,7 +756,9 @@ impl<'e> Binder<'e> {
         table: &str,
         alias: &str,
     ) -> Result<Arc<TableMeta>> {
-        let fetched = self.engine.table_metadata(server, table)?;
+        let fetched = self
+            .engine
+            .table_metadata(server, table, self.knobs.stats_ttl)?;
         if let Some(s) = server {
             self.note_remote_dep(s, Some(fetched.fetched_at));
             self.used_feedback |= fetched.feedback;
@@ -1272,7 +1288,9 @@ impl<'e> Binder<'e> {
                 // Uncorrelated scalar subqueries evaluate eagerly at bind
                 // time (documented substitution; correlated ones are
                 // unsupported).
-                let v = self.engine.evaluate_scalar_subquery(sub, self.params)?;
+                let v = self
+                    .engine
+                    .evaluate_scalar_subquery(sub, self.params, &self.knobs)?;
                 Ok(ScalarExpr::Literal(v))
             }
             ast::Expr::Exists { .. } | ast::Expr::InSubquery { .. } => Err(DhqpError::Unsupported(

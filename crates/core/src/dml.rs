@@ -13,6 +13,7 @@
 
 use crate::binder::Binder;
 use crate::engine::Engine;
+use crate::knobs::Knobs;
 use crate::result::QueryResult;
 use dhqp_dtc::DistributedTransaction;
 use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
@@ -237,26 +238,27 @@ impl WriteOp<'_> {
 
 pub fn run_insert(
     engine: &Engine,
+    knobs: &Arc<Knobs>,
     stmt: &ast::InsertStmt,
     params: &HashMap<String, Value>,
 ) -> Result<QueryResult> {
     let target = resolve_target(engine, &stmt.table)?;
     let source_rows: Vec<Vec<Value>> = match &stmt.source {
         ast::InsertSource::Values(rows) => {
-            let mut binder = Binder::new(engine, params);
+            let mut binder = Binder::for_statement(engine, Arc::clone(knobs), params);
             let mut bound_rows = Vec::with_capacity(rows.len());
             for row in rows {
                 bound_rows.push(binder.bind_standalone_exprs(row)?);
             }
             let registry = Arc::new(binder.registry_snapshot());
-            let ctx = engine.exec_context(params.clone(), registry);
+            let ctx = engine.exec_context(knobs, params.clone(), registry);
             bound_rows
                 .into_iter()
                 .map(|exprs| dhqp_executor::ops::remote::eval_standalone(&exprs, &ctx))
                 .collect::<Result<Vec<_>>>()?
         }
         ast::InsertSource::Select(select) => {
-            let result = engine.run_select(select, params)?;
+            let result = engine.run_select(select, params, knobs)?;
             result.rows.into_iter().map(|r| r.values).collect()
         }
     };
@@ -366,12 +368,13 @@ struct WriteSet {
 impl WriteSet {
     fn bind(
         engine: &Engine,
+        knobs: &Arc<Knobs>,
         name: &ast::ObjectName,
         where_clause: Option<&ast::Expr>,
         assignments: &[(String, ast::Expr)],
         params: &HashMap<String, Value>,
     ) -> Result<WriteSet> {
-        let mut binder = Binder::for_dml(engine, params);
+        let mut binder = Binder::for_statement(engine, Arc::clone(knobs), params).for_dml();
         let mut bind = |server: &Option<String>, table: &str, member| -> Result<BoundTarget> {
             let meta = binder.bind_dml_table(server.as_deref(), table)?;
             let predicate = where_clause
@@ -423,7 +426,7 @@ impl WriteSet {
                 (Some(view), targets)
             }
         };
-        let ctx = engine.exec_context(params.clone(), Arc::new(binder.registry_snapshot()));
+        let ctx = engine.exec_context(knobs, params.clone(), Arc::new(binder.registry_snapshot()));
         Ok(WriteSet { view, targets, ctx })
     }
 
@@ -485,6 +488,7 @@ impl WriteSet {
     fn locate_rows(
         &self,
         engine: &Engine,
+        knobs: &Arc<Knobs>,
         sessions: &mut Sessions,
         target: &BoundTarget,
     ) -> Result<Vec<Row>> {
@@ -497,7 +501,7 @@ impl WriteSet {
         let session = sessions.session(&target.server)?;
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
-        let rows = with_retries(&engine.retry_policy(), &engine.exec_counters(), || {
+        let rows = with_retries(&knobs.retry, &engine.exec_counters(), || {
             if let Some((index, range)) = &seek {
                 match session.open_index(table, index, range) {
                     Ok(mut rowset) => return rowset.collect_rows(),
@@ -550,14 +554,22 @@ fn bookmark_of(row: &Row) -> Result<u64> {
 
 pub fn run_delete(
     engine: &Engine,
+    knobs: &Arc<Knobs>,
     stmt: &ast::DeleteStmt,
     params: &HashMap<String, Value>,
 ) -> Result<QueryResult> {
-    let set = WriteSet::bind(engine, &stmt.table, stmt.where_clause.as_ref(), &[], params)?;
+    let set = WriteSet::bind(
+        engine,
+        knobs,
+        &stmt.table,
+        stmt.where_clause.as_ref(),
+        &[],
+        params,
+    )?;
     let mut sessions = Sessions::new(engine, &set.participants());
     let mut plan = WritePlan::default();
     for target in &set.targets {
-        let rows = set.locate_rows(engine, &mut sessions, target)?;
+        let rows = set.locate_rows(engine, knobs, &mut sessions, target)?;
         if !rows.is_empty() {
             let bookmarks = rows.iter().map(bookmark_of).collect::<Result<Vec<_>>>()?;
             plan.table(&target.server, &target.meta.table).delete = bookmarks;
@@ -574,11 +586,13 @@ pub fn run_delete(
 
 pub fn run_update(
     engine: &Engine,
+    knobs: &Arc<Knobs>,
     stmt: &ast::UpdateStmt,
     params: &HashMap<String, Value>,
 ) -> Result<QueryResult> {
     let set = WriteSet::bind(
         engine,
+        knobs,
         &stmt.table,
         stmt.where_clause.as_ref(),
         &stmt.assignments,
@@ -600,7 +614,7 @@ pub fn run_update(
     let mut sessions = Sessions::new(engine, &participants);
     let mut plan = WritePlan::default();
     for target in &set.targets {
-        let rows = set.locate_rows(engine, &mut sessions, target)?;
+        let rows = set.locate_rows(engine, knobs, &mut sessions, target)?;
         set.plan_update(target, rows, &mut plan)?;
     }
     let applied = sessions.apply(&plan)?;

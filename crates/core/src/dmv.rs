@@ -308,7 +308,7 @@ impl DataSource for SysDataSource {
                     .map(|q| q.plans.len() as u64)
                     .sum(),
             ),
-            os_knobs_info().with_cardinality(engine.dmv_knobs().len() as u64),
+            os_knobs_info().with_cardinality(crate::knobs::KNOBS.len() as u64),
         ])
     }
 
@@ -346,7 +346,7 @@ impl Session for SysSession {
                 query_store_runtime_stats_info(),
                 query_store_runtime_stats_rows(&engine),
             ),
-            DM_OS_KNOBS => (os_knobs_info(), os_knobs_rows(&engine)),
+            DM_OS_KNOBS => (os_knobs_info(), engine.dmv_knobs()),
             other => {
                 return Err(DhqpError::Catalog(format!(
                     "table '{other}' not found in source '{SYS_SERVER}'"
@@ -447,20 +447,6 @@ fn query_store_runtime_stats_rows(engine: &Inner) -> Vec<Row> {
         }
     }
     rows
-}
-
-fn os_knobs_rows(engine: &Inner) -> Vec<Row> {
-    engine
-        .dmv_knobs()
-        .into_iter()
-        .map(|(name, value, source)| {
-            Row::new(vec![
-                Value::Str(name),
-                Value::Str(value),
-                Value::Str(source.to_string()),
-            ])
-        })
-        .collect()
 }
 
 fn query_stats_rows(engine: &Inner) -> Vec<Row> {

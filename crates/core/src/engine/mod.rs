@@ -12,21 +12,18 @@ pub use config::EngineBuilder;
 use crate::binder::FetchedTable;
 use crate::dmv::SYS_SERVER;
 use crate::events::{Event, EventBus};
+use crate::knobs::{EnvKnobs, KnobRow, Knobs, KNOBS};
 use crate::metrics::{EngineMetrics, MetricsSnapshot, QuerySummary};
 use crate::plan_cache::{CacheDeps, CachedSelect, PlanCache};
 use crate::query_store::{QueryStats, QueryStore};
-use crate::trace::{QueryTrace, TraceConfig};
+use crate::trace::QueryTrace;
 use dhqp_dtc::TransactionCoordinator;
-use dhqp_executor::{
-    BatchConfig, DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot, ParallelConfig,
-    RetryPolicy, SourceCatalog,
-};
+use dhqp_executor::{DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot, SourceCatalog};
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
 use dhqp_fulltext::SearchService;
 use dhqp_oledb::{
     emit_event, has_hook, timed_wait, DataSource, TableStatistics, WaitClass, WaitSnapshot,
 };
-use dhqp_optimizer::OptimizerConfig;
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Value};
 use parking_lot::{Mutex, RwLock};
@@ -64,47 +61,25 @@ pub(crate) struct Inner {
     schema_epoch: AtomicU64,
     /// Bumped on optimizer/parallel configuration changes.
     config_epoch: AtomicU64,
-    /// Max age of a cached remote metadata/statistics bundle before the
-    /// bind path refetches it.
-    stats_ttl: RwLock<Duration>,
-    config: RwLock<OptimizerConfig>,
-    parallel: RwLock<ParallelConfig>,
-    retry: RwLock<RetryPolicy>,
-    batch: RwLock<BatchConfig>,
+    /// Every knob, swapped whole by `Engine::update` (config.rs). A
+    /// statement snapshots it once at begin and never reads the lock
+    /// again, so it runs under exactly one configuration.
+    knobs: RwLock<Arc<Knobs>>,
+    /// What the environment resolved to at build (`sys.dm_os_knobs`).
+    env: EnvKnobs,
     dtc: Arc<TransactionCoordinator>,
     metrics: EngineMetrics,
-    /// Hierarchical span tracing switch (`DHQP_TRACE` /
-    /// [`Engine::set_trace_config`]).
-    trace: RwLock<TraceConfig>,
     /// The most recent finished trace, when tracing was armed.
     last_trace: Mutex<Option<Arc<QueryTrace>>>,
-    /// The structured event bus (`DHQP_EVENTS` /
-    /// [`Engine::set_event_config`]). Reconfiguring replaces the bus — the
-    /// ring starts fresh, like restarting an XEvents session.
+    /// The structured event bus, replaced whole by
+    /// [`Engine::set_event_config`].
     events: RwLock<Arc<EventBus>>,
-    /// Member health: one circuit breaker per linked server
-    /// (`DHQP_BREAKER_*`), fed by retry give-ups and consulted before
-    /// every remote open. Shared with every execution context.
+    /// Member health: one circuit breaker per linked server, fed by retry
+    /// give-ups and consulted before every remote open. Shared with every
+    /// execution context.
     health: Arc<HealthRegistry>,
-    /// What a query does when a DPV member is quarantined
-    /// (`DHQP_DEGRADED`). Deliberately outside the config epoch: pruning
-    /// is a drive-time decision, cached plans stay valid either way.
-    degraded: RwLock<DegradedMode>,
-    /// Runtime parameter-driven DPV pruning (`DHQP_RUNTIME_PRUNE`): skip
-    /// union/exchange members whose startup predicate rejects the bound
-    /// parameter values, without opening a connection. Like `degraded`,
-    /// a drive-time decision outside the config epoch — the same cached
-    /// plan prunes eagerly or lazily depending on the knob at execution.
-    runtime_prune: RwLock<bool>,
-    /// Query Store master switch (`DHQP_QUERY_STORE`). When on, every
-    /// successful SELECT records its plan + runtime stats into
-    /// `query_store` (and forces a runtime-stats collector).
-    query_store_on: RwLock<bool>,
     /// Per-fingerprint plan/runtime history (`sys.query_store_*`).
     query_store: Mutex<QueryStore>,
-    /// Cardinality feedback loop (`DHQP_CARD_FEEDBACK`): write observed
-    /// remote cardinalities back into `meta_cache` after execution.
-    card_feedback: RwLock<bool>,
 }
 
 // DMV accessors: read-only state snapshots the `sys` provider
@@ -174,6 +149,27 @@ impl Inner {
             .into_iter()
             .filter(|l| l.server != SYS_SERVER)
             .collect()
+    }
+
+    /// The `sys.dm_os_knobs` rows, `(name, value, source)`: `env` when the
+    /// environment named the knob at build and the value is still what
+    /// that resolved to, else `builder` when it is off the default.
+    pub(crate) fn dmv_knobs(&self) -> Vec<Row> {
+        let current = Arc::clone(&self.knobs.read());
+        let (env, default) = (&self.env, Knobs::default());
+        let row = |knob: &KnobRow| {
+            let value = (knob.render)(&current);
+            let source = if env.named.contains(&knob.name) && value == (knob.render)(&env.knobs) {
+                "env"
+            } else if value != (knob.render)(&default) {
+                "builder"
+            } else {
+                "default"
+            };
+            let cells = [knob.name.to_string(), value, source.to_string()];
+            Row::new(cells.into_iter().map(Value::Str).collect())
+        };
+        KNOBS.iter().map(row).collect()
     }
 
     /// The query store's per-fingerprint history — the data behind the
@@ -310,9 +306,10 @@ impl Engine {
         partition_column: &str,
         members: Vec<(Option<String>, String, IntervalSet)>,
     ) -> Result<()> {
+        let stats_ttl = self.stats_ttl();
         let mut built = Vec::with_capacity(members.len());
         for (server, table, check) in members {
-            let fetched = self.table_metadata(server.as_deref(), &table)?;
+            let fetched = self.table_metadata(server.as_deref(), &table, stats_ttl)?;
             if let Some(s) = &server {
                 // Member links show up in sys.dm_link_health (Closed)
                 // before any traffic touches them.
@@ -413,11 +410,12 @@ impl Engine {
 
     // ---- metadata ----------------------------------------------------------
 
-    /// Fetch a table's metadata bundle, caching remote entries.
+    /// Fetch a table's metadata bundle; remote ones cache for `stats_ttl`.
     pub(crate) fn table_metadata(
         &self,
         server: Option<&str>,
         table: &str,
+        stats_ttl: Duration,
     ) -> Result<Arc<FetchedTable>> {
         match server {
             None => {
@@ -440,12 +438,11 @@ impl Engine {
             }
             Some(server) => {
                 let key = (server.to_lowercase(), table.to_lowercase());
-                let ttl = *self.inner.stats_ttl.read();
                 if let Some(hit) = self.inner.meta_cache.read().get(&key) {
                     // A bundle past its TTL is treated as a miss: the
                     // optimizer must not cost against arbitrarily old
                     // remote statistics.
-                    if hit.fetched_at.elapsed() <= ttl {
+                    if hit.fetched_at.elapsed() <= stats_ttl {
                         self.inner.metrics.record_meta_cache_hit();
                         if hit.stats.is_some() {
                             self.inner.metrics.record_stats_cache_hit();
@@ -599,22 +596,23 @@ impl Engine {
         self.inner.metrics.record_dml_read(seek, rows);
     }
 
-    /// Build an execution context for internal evaluation (DML paths).
+    /// Build an execution context under one statement's knobs.
     pub(crate) fn exec_context(
         &self,
+        knobs: &Knobs,
         params: HashMap<String, Value>,
         registry: Arc<dhqp_optimizer::props::ColumnRegistry>,
     ) -> ExecContext {
         let catalog = Arc::clone(&self.inner) as Arc<dyn SourceCatalog>;
         ExecContext::new(catalog, params, registry)
             .with_counters(self.inner.metrics.exec_counters())
-            .with_parallel(self.parallel_config())
-            .with_retry(self.retry_policy())
-            .with_batch(self.batch_config())
+            .with_parallel(knobs.parallel.clone())
+            .with_retry(knobs.retry.clone())
+            .with_batch(knobs.batch.clone())
             .with_health(Arc::clone(&self.inner.health))
             // DML never prunes: writing around a quarantined member would
-            // silently lose rows, so internal contexts always fail.
+            // silently lose rows, so only `execute_plan` takes the knob.
             .with_degraded(DegradedMode::Fail)
-            .with_runtime_prune(*self.inner.runtime_prune.read())
+            .with_runtime_prune(knobs.runtime_prune)
     }
 }

@@ -30,7 +30,12 @@ impl Engine {
     /// DMV query issued while serving another statement) account correctly.
     pub(super) fn begin_statement<'a>(&self, sql: &'a str, analyze: bool) -> StatementRun<'a> {
         let waits = Arc::new(WaitStats::default());
-        let bus = Arc::clone(&self.inner.events.read());
+        // Knobs and bus under one guard: `Engine::update` replaces the bus
+        // while holding the write lock, so the pair is consistent.
+        let (knobs, bus) = {
+            let knobs = self.inner.knobs.read();
+            (Arc::clone(&knobs), Arc::clone(&self.inner.events.read()))
+        };
         let hook = bus
             .enabled()
             .then(|| Arc::clone(&bus) as Arc<dyn EventHook>);
@@ -43,10 +48,11 @@ impl Engine {
         }
         StatementRun {
             _activity: activity,
+            tracer: knobs.trace.enabled.then(|| TraceBuilder::new(sql)),
+            knobs,
             waits,
             sql,
             started: Instant::now(),
-            tracer: self.trace_config().enabled.then(|| TraceBuilder::new(sql)),
             pruned: Arc::new(PruneLog::default()),
             kind: None,
             fingerprint: None,
@@ -168,14 +174,15 @@ impl Engine {
     /// then run the cardinality feedback loop.
     pub(super) fn observe_execution(
         &self,
-        template: &str,
+        run: &StatementRun<'_>,
         plan: &PhysNode,
         runtime: &HashMap<usize, NodeRuntime>,
         elapsed: Duration,
         rows: u64,
         waits: &WaitSnapshot,
     ) {
-        if *self.inner.query_store_on.read() {
+        let template = run.fingerprint.as_deref().unwrap_or(run.sql);
+        if run.knobs.query_store.enabled {
             let (link_bytes, link_requests) = query_store::link_traffic(runtime);
             let obs = ExecutionObservation {
                 template: template.to_string(),
@@ -212,7 +219,7 @@ impl Engine {
                 }
             }
         }
-        if *self.inner.card_feedback.read() {
+        if run.knobs.card_feedback {
             self.apply_card_feedback(plan, runtime);
         }
     }

@@ -5,6 +5,7 @@ use super::Engine;
 use crate::analyze::{text_result, AnalyzeReport};
 use crate::binder::Binder;
 use crate::dml;
+use crate::knobs::Knobs;
 use crate::metrics::StatementKind;
 use crate::plan_cache::{self, CachedSelect};
 use crate::result::QueryResult;
@@ -71,7 +72,7 @@ impl Engine {
                 ))
             }
         };
-        let compiled = self.compile_select(&stmt, &params, None)?;
+        let compiled = self.compile_select(&stmt, &params, None, &self.knobs())?;
         Ok(ExplainPlan::new(&compiled.plan, compiled.opt_stats))
     }
 
@@ -116,18 +117,19 @@ impl Engine {
         mut params: HashMap<String, Value>,
     ) -> Result<QueryResult> {
         let tracer = run.tracer.as_ref();
+        let knobs = Arc::clone(&run.knobs);
         // Through the plan cache first: a SELECT (bare or under EXPLAIN
         // ANALYZE) is auto-parameterized and served from — or compiled
         // into — the cache. User parameters in the reserved namespace would
         // collide with the extracted literals, and plain EXPLAIN never
         // executes, so neither takes this path.
         let mut cached = None;
-        if self.plan_cache_enabled() && !params.keys().any(|k| k.starts_with(AUTO_PARAM_PREFIX)) {
+        if knobs.plan_cache.enabled && !params.keys().any(|k| k.starts_with(AUTO_PARAM_PREFIX)) {
             let fp = fingerprint(run.sql).filter(|fp| run.analyze || fp.explain != Some(false));
             if let Some(fp) = fp {
                 let mut merged = params.clone();
                 merged.extend(fp.params);
-                if let Some(found) = self.compile_cached(&fp.template, &merged, tracer) {
+                if let Some(found) = self.compile_cached(&fp.template, &merged, tracer, &knobs) {
                     run.analyze |= fp.explain == Some(true);
                     run.kind = Some(select_kind(run.analyze));
                     run.fingerprint = Some(fp.template);
@@ -152,7 +154,7 @@ impl Engine {
                     }
                     Statement::Explain { stmt, .. } => {
                         run.kind = Some(StatementKind::Explain);
-                        let compiled = self.compile_select(&stmt, &params, tracer)?;
+                        let compiled = self.compile_select(&stmt, &params, tracer, &knobs)?;
                         let plan = ExplainPlan::new(&compiled.plan, compiled.opt_stats);
                         return Ok(text_result(&plan.render()));
                     }
@@ -163,19 +165,19 @@ impl Engine {
                     }
                     Statement::Insert(stmt) => {
                         run.kind = Some(StatementKind::Insert);
-                        return dml::run_insert(self, &stmt, &params);
+                        return dml::run_insert(self, &knobs, &stmt, &params);
                     }
                     Statement::Update(stmt) => {
                         run.kind = Some(StatementKind::Update);
-                        return dml::run_update(self, &stmt, &params);
+                        return dml::run_update(self, &knobs, &stmt, &params);
                     }
                     Statement::Delete(stmt) => {
                         run.kind = Some(StatementKind::Delete);
-                        return dml::run_delete(self, &stmt, &params);
+                        return dml::run_delete(self, &knobs, &stmt, &params);
                     }
                 };
                 run.kind = Some(select_kind(run.analyze));
-                let compiled = self.compile_select(&select, &params, tracer)?;
+                let compiled = self.compile_select(&select, &params, tracer, &knobs)?;
                 (Arc::new(compiled), None)
             }
         };
@@ -186,12 +188,12 @@ impl Engine {
         // an armed slow-query log (it wants annotation summaries).
         let instrument = run.analyze
             || tracer.is_some()
-            || *self.inner.query_store_on.read()
-            || *self.inner.card_feedback.read()
-            || self.inner.metrics.slow_log_armed();
+            || knobs.query_store.enabled
+            || knobs.card_feedback
+            || knobs.slow_query.is_some();
         run.collector = instrument.then(|| Arc::new(RuntimeStatsCollector::new()));
         let stats = run.collector.as_ref();
-        self.run_plan(&compiled, params, stats, tracer, &run.pruned)
+        self.run_plan(&compiled, params, stats, tracer, &run.pruned, &knobs)
     }
 
     /// Compile through the plan cache: a current entry is a hit, anything
@@ -204,6 +206,7 @@ impl Engine {
         template: &str,
         params: &HashMap<String, Value>,
         tracer: Option<&TraceBuilder>,
+        knobs: &Arc<Knobs>,
     ) -> Option<(Arc<CachedSelect>, bool)> {
         if let Some(entry) = self.plan_cache_lookup(template) {
             if let Some(tr) = tracer {
@@ -221,7 +224,7 @@ impl Engine {
             _ => return None,
         };
         compile_stage(tracer, "parse", began);
-        let entry = Arc::new(self.compile_select(&stmt, params, tracer).ok()?);
+        let entry = Arc::new(self.compile_select(&stmt, params, tracer, knobs).ok()?);
         self.inner.metrics.record_plan_cache_miss();
         if has_hook() {
             emit_event("plan_cache_miss", &[("template", template.to_string())]);
@@ -243,11 +246,12 @@ impl Engine {
         stmt: &SelectStmt,
         params: &HashMap<String, Value>,
         tracer: Option<&TraceBuilder>,
+        knobs: &Arc<Knobs>,
     ) -> Result<CachedSelect> {
         let began = Instant::now();
-        let bound = Binder::new(self, params).bind_select(stmt)?;
+        let bound = Binder::for_statement(self, Arc::clone(knobs), params).bind_select(stmt)?;
         compile_stage(tracer, "bind", began);
-        let optimizer = Optimizer::new(self.optimizer_config());
+        let optimizer = Optimizer::new(knobs.optimizer.clone());
         let deps = self.current_deps(bound.dep_servers);
         let mut registry = bound.registry;
         let began = Instant::now();
@@ -281,9 +285,10 @@ impl Engine {
         stats: Option<&Arc<RuntimeStatsCollector>>,
         tracer: Option<&TraceBuilder>,
         pruned: &Arc<PruneLog>,
+        knobs: &Arc<Knobs>,
     ) -> Result<QueryResult> {
         let began = Instant::now();
-        let result = self.execute_plan(compiled, params, stats, pruned);
+        let result = self.execute_plan(compiled, params, stats, pruned, knobs);
         if let Ok(r) = &result {
             compiled.note_execution(began.elapsed(), r.rows.len() as u64);
         }
@@ -327,14 +332,7 @@ impl Engine {
                 return Output::Rows(result);
             };
             if let Some(runtime) = &runtime {
-                self.observe_execution(
-                    run.fingerprint.as_deref().unwrap_or(run.sql),
-                    &compiled.plan,
-                    runtime,
-                    elapsed,
-                    rows,
-                    &waits,
-                );
+                self.observe_execution(&run, &compiled.plan, runtime, elapsed, rows, &waits);
             }
             if !run.analyze {
                 return Output::Rows(result);
@@ -365,10 +363,11 @@ impl Engine {
         &self,
         stmt: &SelectStmt,
         params: &HashMap<String, Value>,
+        knobs: &Arc<Knobs>,
     ) -> Result<QueryResult> {
-        let compiled = self.compile_select(stmt, params, None)?;
+        let compiled = self.compile_select(stmt, params, None, knobs)?;
         let pruned = Arc::new(PruneLog::default());
-        self.run_plan(&compiled, params.clone(), None, None, &pruned)
+        self.run_plan(&compiled, params.clone(), None, None, &pruned, knobs)
     }
 
     /// Execute one compiled plan. Delayed schema validation (§4.1.5) rides
@@ -382,11 +381,12 @@ impl Engine {
         params: HashMap<String, Value>,
         stats: Option<&Arc<RuntimeStatsCollector>>,
         pruned: &Arc<PruneLog>,
+        knobs: &Arc<Knobs>,
     ) -> Result<QueryResult> {
         let (plan, registry) = (&compiled.plan, &compiled.registry);
         let mut ctx = self
-            .exec_context(params, Arc::clone(registry))
-            .with_degraded(*self.inner.degraded.read())
+            .exec_context(knobs, params, Arc::clone(registry))
+            .with_degraded(knobs.degraded)
             .with_pruned(Arc::clone(pruned))
             .with_view_members(&compiled.view_members);
         if let Some(collector) = stats {
@@ -433,8 +433,9 @@ impl Engine {
         &self,
         stmt: &SelectStmt,
         params: &HashMap<String, Value>,
+        knobs: &Arc<Knobs>,
     ) -> Result<Value> {
-        let result = self.run_select(stmt, params)?;
+        let result = self.run_select(stmt, params, knobs)?;
         if result.schema.len() != 1 {
             return Err(DhqpError::Bind(
                 "scalar subquery must select exactly one column".into(),
@@ -461,6 +462,9 @@ enum Output {
 pub(super) struct StatementRun<'a> {
     /// Restores the enclosing statement's activity scope when this one ends.
     pub(super) _activity: ScopeGuard,
+    /// The configuration this statement runs under from begin to end:
+    /// every stage reads this, never the engine's knob lock.
+    pub(super) knobs: Arc<Knobs>,
     /// This statement's own wait sink.
     pub(super) waits: Arc<WaitStats>,
     pub(super) sql: &'a str,

@@ -236,24 +236,6 @@ impl EventConfig {
         self
     }
 
-    /// `DHQP_EVENTS`: unset, empty or `0` disables; `1` or `all` captures
-    /// everything; otherwise a comma-separated list of kind names (unknown
-    /// names are ignored; a list with no known names disables).
-    pub fn from_env() -> Self {
-        match std::env::var("DHQP_EVENTS") {
-            Err(_) => EventConfig::disabled(),
-            Ok(v) if v.is_empty() || v == "0" => EventConfig::disabled(),
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("all") => EventConfig::all(),
-            Ok(v) => {
-                let kinds: Vec<EventKind> = v
-                    .split(',')
-                    .filter_map(|name| EventKind::from_name(name.trim()))
-                    .collect();
-                EventConfig::only(&kinds)
-            }
-        }
-    }
-
     /// Whether `kind` passes the filter.
     pub fn wants(&self, kind: EventKind) -> bool {
         self.enabled && self.mask & (1 << kind.index()) != 0
@@ -423,9 +405,7 @@ mod tests {
 
     #[test]
     fn env_parsing_covers_all_shapes() {
-        // from_env reads the live environment, so exercise the parser via
-        // the constructors it dispatches to instead of mutating env vars
-        // (tests run concurrently).
+        // The constructors the `DHQP_EVENTS` row (knobs.rs) dispatches to.
         assert!(!EventConfig::disabled().wants(EventKind::QueryStart));
         assert!(EventConfig::all().wants(EventKind::TwoPhaseCommit));
         let subset = EventConfig::only(&[EventKind::RetryAttempt, EventKind::FaultInjected]);

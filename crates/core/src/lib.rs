@@ -25,6 +25,7 @@ pub(crate) mod dml;
 pub mod dmv;
 pub mod engine;
 pub mod events;
+pub mod knobs;
 pub mod metrics;
 pub mod plan_cache;
 pub mod query_store;

@@ -336,19 +336,6 @@ impl EngineMetrics {
         Arc::clone(&self.waits)
     }
 
-    /// Whether the slow-query log is armed (statements want annotations).
-    pub fn slow_log_armed(&self) -> bool {
-        self.slow_threshold.is_some()
-    }
-
-    pub fn slow_threshold(&self) -> Option<Duration> {
-        self.slow_threshold
-    }
-
-    pub fn recent_capacity(&self) -> usize {
-        self.recent_capacity
-    }
-
     /// Point-in-time copy of the cumulative wait stats.
     pub fn wait_snapshot(&self) -> WaitSnapshot {
         self.waits.snapshot()

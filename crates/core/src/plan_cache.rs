@@ -78,10 +78,9 @@ impl CachedSelect {
     }
 }
 
-/// Plan-cache knobs, env-overridable like the other engine switches:
-/// `DHQP_PLAN_CACHE=0` disables, `DHQP_PLAN_CACHE_SIZE` bounds the entry
-/// count (default 128).
-#[derive(Debug, Clone)]
+/// Plan-cache knobs: `DHQP_PLAN_CACHE` switches it, `DHQP_PLAN_CACHE_SIZE`
+/// bounds the entry count.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanCacheConfig {
     pub enabled: bool,
     pub capacity: usize,
@@ -96,60 +95,31 @@ impl Default for PlanCacheConfig {
     }
 }
 
-impl PlanCacheConfig {
-    pub fn from_env() -> Self {
-        let mut config = PlanCacheConfig::default();
-        if let Ok(v) = std::env::var("DHQP_PLAN_CACHE") {
-            config.enabled = v != "0";
-        }
-        if let Some(n) = std::env::var("DHQP_PLAN_CACHE_SIZE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            config.capacity = n;
-        }
-        config
-    }
-}
-
 /// Bounded LRU map from template text to cached compile.
 pub(crate) struct PlanCache {
-    config: PlanCacheConfig,
+    capacity: usize,
     tick: u64,
     entries: HashMap<String, (u64, Arc<CachedSelect>)>,
 }
 
 impl PlanCache {
-    pub fn new(config: PlanCacheConfig) -> Self {
+    pub fn new(capacity: usize) -> Self {
         PlanCache {
-            config,
+            capacity,
             tick: 0,
             entries: HashMap::new(),
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.config.enabled = enabled;
     }
 
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    pub fn capacity(&self) -> usize {
-        self.config.capacity
-    }
-
     /// Shrink (or grow) the bound; returns how many entries were evicted.
     pub fn set_capacity(&mut self, capacity: usize) -> usize {
-        self.config.capacity = capacity.max(1);
+        self.capacity = capacity.max(1);
         let mut evicted = 0;
-        while self.entries.len() > self.config.capacity {
+        while self.entries.len() > self.capacity {
             self.evict_lru();
             evicted += 1;
         }
@@ -169,7 +139,7 @@ impl PlanCache {
         self.tick += 1;
         self.entries.insert(key, (self.tick, entry));
         let mut evicted = 0;
-        while self.entries.len() > self.config.capacity {
+        while self.entries.len() > self.capacity {
             self.evict_lru();
             evicted += 1;
         }
@@ -337,10 +307,7 @@ mod tests {
                 total_rows: AtomicU64::new(0),
             })
         }
-        let mut cache = PlanCache::new(PlanCacheConfig {
-            enabled: true,
-            capacity: 2,
-        });
+        let mut cache = PlanCache::new(2);
         assert_eq!(cache.insert("a".into(), entry(&[])), 0);
         assert_eq!(cache.insert("b".into(), entry(&["srv1"])), 0);
         assert!(cache.get("a").is_some()); // "b" is now least-recently used

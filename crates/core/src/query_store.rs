@@ -53,22 +53,6 @@ impl Default for QueryStoreConfig {
     }
 }
 
-impl QueryStoreConfig {
-    /// Store off unless `DHQP_QUERY_STORE` is set to something other than
-    /// `0`; capacity from `DHQP_QUERY_STORE_SIZE` (clamped to ≥ 1).
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("DHQP_QUERY_STORE")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        let capacity = std::env::var("DHQP_QUERY_STORE_SIZE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_QUERY_STORE_CAPACITY);
-        QueryStoreConfig { enabled, capacity }
-    }
-}
-
 /// Stable identity of a physical plan shape: FNV-1a over the pre-order
 /// operator descriptions. `PhysNode::describe` renders operator + access
 /// path + shipped SQL but no cardinality estimates, so the hash survives
@@ -335,10 +319,6 @@ impl QueryStore {
 
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub fn is_empty(&self) -> bool {

@@ -20,8 +20,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Tracing switch. Resolved once per engine from `DHQP_TRACE` and
-/// overridable at runtime.
+/// Tracing switch (`DHQP_TRACE`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     pub enabled: bool,
@@ -34,14 +33,6 @@ impl TraceConfig {
 
     pub fn disabled() -> Self {
         TraceConfig { enabled: false }
-    }
-
-    /// `DHQP_TRACE` set to anything but empty or `0` arms tracing.
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("DHQP_TRACE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        TraceConfig { enabled }
     }
 }
 

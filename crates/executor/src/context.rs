@@ -69,26 +69,6 @@ impl ParallelConfig {
             ..ParallelConfig::serial()
         }
     }
-
-    /// [`ParallelConfig::parallel`] when the `DHQP_PARALLEL` environment
-    /// switch is set (to anything but `0`), [`ParallelConfig::serial`]
-    /// otherwise.
-    pub fn from_env() -> Self {
-        let on = std::env::var("DHQP_PARALLEL")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if on {
-            ParallelConfig::parallel()
-        } else {
-            ParallelConfig::serial()
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::from_env()
-    }
 }
 
 /// Knobs for vectorized (batch-at-a-time) execution. When enabled, the
@@ -104,7 +84,7 @@ pub struct BatchConfig {
     pub batch_size: usize,
 }
 
-/// Default rows-per-chunk when `DHQP_BATCH_SIZE` is unset.
+/// Default rows per chunk.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 impl BatchConfig {
@@ -124,23 +104,6 @@ impl BatchConfig {
         }
     }
 
-    /// Batching on (unless `DHQP_BATCH=0`) with `DHQP_BATCH_SIZE` rows per
-    /// chunk (default [`DEFAULT_BATCH_SIZE`]).
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("DHQP_BATCH")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(true);
-        let batch_size = std::env::var("DHQP_BATCH_SIZE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_BATCH_SIZE)
-            .max(1);
-        BatchConfig {
-            enabled,
-            batch_size,
-        }
-    }
-
     /// The chunk size operators should pull with: the configured size when
     /// batching is on, 1 (today's per-row behavior) when off.
     pub fn pull_size(&self) -> usize {
@@ -150,19 +113,6 @@ impl BatchConfig {
             1
         }
     }
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig::from_env()
-    }
-}
-
-/// Runtime startup pruning on (unless `DHQP_RUNTIME_PRUNE=0`).
-pub fn runtime_prune_from_env() -> bool {
-    std::env::var("DHQP_RUNTIME_PRUNE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(true)
 }
 
 /// Per-execution state threaded through every operator.
@@ -227,12 +177,12 @@ impl ExecContext {
             registry,
             counters: Arc::new(ExecCounters::default()),
             stats: None,
-            parallel: Arc::new(ParallelConfig::from_env()),
-            retry: Arc::new(RetryPolicy::from_env()),
-            batch: Arc::new(BatchConfig::from_env()),
+            parallel: Arc::new(ParallelConfig::serial()),
+            retry: Arc::new(RetryPolicy::standard()),
+            batch: Arc::new(BatchConfig::batched(DEFAULT_BATCH_SIZE)),
             health: None,
-            degraded: DegradedMode::from_env(),
-            runtime_prune: runtime_prune_from_env(),
+            degraded: DegradedMode::Fail,
+            runtime_prune: true,
             pruned: Arc::new(PruneLog::default()),
             schema_guard: None,
         }

@@ -102,37 +102,6 @@ impl BreakerConfig {
             ..BreakerConfig::standard()
         }
     }
-
-    /// Read `DHQP_BREAKER` / `DHQP_BREAKER_THRESHOLD` /
-    /// `DHQP_BREAKER_COOLDOWN` / `DHQP_BREAKER_WINDOW` /
-    /// `DHQP_BREAKER_ERROR_RATE`, falling back to [`standard`].
-    ///
-    /// [`standard`]: BreakerConfig::standard
-    pub fn from_env() -> Self {
-        fn var_u32(name: &str) -> Option<u32> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut c = BreakerConfig::standard();
-        if let Ok(v) = std::env::var("DHQP_BREAKER") {
-            c.enabled = v.trim() != "0";
-        }
-        if let Some(n) = var_u32("DHQP_BREAKER_THRESHOLD") {
-            c.failure_threshold = n.max(1);
-        }
-        if let Some(n) = var_u32("DHQP_BREAKER_COOLDOWN") {
-            c.cooldown = n.max(1);
-        }
-        if let Some(n) = var_u32("DHQP_BREAKER_WINDOW") {
-            c.rate_window = n.max(2);
-        }
-        if let Some(f) = std::env::var("DHQP_BREAKER_ERROR_RATE")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-        {
-            c.error_rate = f.clamp(0.0, 1.0);
-        }
-        c
-    }
 }
 
 /// What happens when a remote operation asks to use a link.
@@ -222,14 +191,6 @@ impl HealthRegistry {
                 links: HashMap::new(),
             }),
         }
-    }
-
-    pub fn from_env() -> Self {
-        HealthRegistry::new(BreakerConfig::from_env())
-    }
-
-    pub fn config(&self) -> BreakerConfig {
-        self.inner.lock().expect("health lock").config
     }
 
     /// Replace the tuning knobs; existing breaker states survive.
@@ -420,14 +381,6 @@ pub enum DegradedMode {
 impl DegradedMode {
     pub fn is_prune(&self) -> bool {
         matches!(self, DegradedMode::Prune)
-    }
-
-    /// `DHQP_DEGRADED` = `prune` | `fail` (default `fail`).
-    pub fn from_env() -> Self {
-        match std::env::var("DHQP_DEGRADED") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("prune") => DegradedMode::Prune,
-            _ => DegradedMode::Fail,
-        }
     }
 }
 

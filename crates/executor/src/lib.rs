@@ -21,10 +21,7 @@ pub mod schema_guard;
 pub mod stats;
 
 pub use build::open;
-pub use context::{
-    runtime_prune_from_env, BatchConfig, ExecContext, ParallelConfig, SourceCatalog,
-    DEFAULT_BATCH_SIZE,
-};
+pub use context::{BatchConfig, ExecContext, ParallelConfig, SourceCatalog, DEFAULT_BATCH_SIZE};
 pub use eval::{eval_expr, eval_predicate, RowEnv};
 pub use health::{
     Admission, BreakerConfig, BreakerState, DegradedMode, HealthRegistry, LinkHealthSnapshot,

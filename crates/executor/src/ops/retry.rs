@@ -62,29 +62,6 @@ impl RetryPolicy {
         }
     }
 
-    /// [`RetryPolicy::standard`] overridden by the environment:
-    /// `DHQP_RETRY_ATTEMPTS`, `DHQP_RETRY_BACKOFF_MS`,
-    /// `DHQP_RETRY_MAX_BACKOFF_MS`, `DHQP_RETRY_DEADLINE_MS` (per query).
-    pub fn from_env() -> Self {
-        fn env_u64(name: &str) -> Option<u64> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut p = RetryPolicy::standard();
-        if let Some(n) = env_u64("DHQP_RETRY_ATTEMPTS") {
-            p.max_attempts = (n as u32).max(1);
-        }
-        if let Some(ms) = env_u64("DHQP_RETRY_BACKOFF_MS") {
-            p.base_backoff = Duration::from_millis(ms);
-        }
-        if let Some(ms) = env_u64("DHQP_RETRY_MAX_BACKOFF_MS") {
-            p.max_backoff = Duration::from_millis(ms);
-        }
-        if let Some(ms) = env_u64("DHQP_RETRY_DEADLINE_MS") {
-            p.query_deadline = Some(Duration::from_millis(ms));
-        }
-        p
-    }
-
     /// Deterministic backoff before attempt `attempt + 1` (attempts are
     /// 1-based): `base * 2^(attempt-1)`, capped at `max_backoff`.
     pub fn backoff(&self, attempt: u32) -> Duration {
@@ -92,12 +69,6 @@ impl RetryPolicy {
         self.base_backoff
             .saturating_mul(factor)
             .min(self.max_backoff)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::from_env()
     }
 }
 

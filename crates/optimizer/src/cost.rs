@@ -15,7 +15,7 @@ use dhqp_oledb::ProviderCapabilities;
 
 /// Tunable cost constants. The defaults produce the paper's Figure 4 plan
 /// choice on TPC-H-shaped data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Per-row cost of a local sequential scan.
     pub scan_row: f64,

@@ -37,7 +37,7 @@ use dhqp_types::{DataType, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// Options controlling which simplification passes run (ablation hooks).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimplifyOptions {
     pub pushdown: bool,
     pub constraint_pruning: bool,

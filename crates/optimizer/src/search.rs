@@ -60,7 +60,7 @@ impl OptimizationPhase {
 
 /// Optimizer configuration, including the ablation switches the benchmark
 /// suite flips.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
     /// Run exactly this phase instead of the adaptive ladder.
     pub forced_phase: Option<OptimizationPhase>,
@@ -74,8 +74,8 @@ pub struct OptimizerConfig {
     /// scans (E1/E3 ablation).
     pub enable_remote_query: bool,
     /// Implement unions with two or more remote branches as an [`Exchange`]
-    /// (parallel dispatch) instead of a serial [`UnionAll`]. Defaults to
-    /// the `DHQP_PARALLEL` environment switch.
+    /// (parallel dispatch) instead of a serial [`UnionAll`]. Off by default
+    /// (`DHQP_PARALLEL`).
     ///
     /// [`Exchange`]: PhysicalOp::Exchange
     /// [`UnionAll`]: PhysicalOp::UnionAll
@@ -83,7 +83,7 @@ pub struct OptimizerConfig {
     /// Semi-join reduction: collect the small build side's join keys at
     /// drive time and splice them into the remote statement as an
     /// `IN`-list, cutting returned rows before they cross the link.
-    /// Defaults to the `DHQP_SEMIJOIN` environment switch (on unless `0`).
+    /// On by default (`DHQP_SEMIJOIN`).
     pub enable_semijoin: bool,
     /// IN-list ceiling for the semi-join rule: past this many estimated
     /// build keys the reduction is not considered (and the executor
@@ -100,32 +100,6 @@ pub struct OptimizerConfig {
     pub max_exploration_passes: usize,
 }
 
-/// The `DHQP_PARALLEL` environment switch: set (to anything but `0` or the
-/// empty string) forces parallel remote execution on by default — CI runs
-/// the whole suite once this way to exercise the concurrent path.
-pub fn parallel_env_default() -> bool {
-    std::env::var("DHQP_PARALLEL")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-/// The `DHQP_SEMIJOIN` switch: semi-join reduction is on by default; set
-/// to `0` to disable it (CI runs a reduction-off leg this way).
-pub fn semijoin_env_default() -> bool {
-    std::env::var("DHQP_SEMIJOIN")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
-
-/// The `DHQP_SEMIJOIN_MAX_KEYS` knob: IN-list size ceiling for semi-join
-/// reduction (default 64).
-pub fn semijoin_max_keys_default() -> usize {
-    std::env::var("DHQP_SEMIJOIN_MAX_KEYS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
@@ -134,9 +108,9 @@ impl Default for OptimizerConfig {
             enable_locality_grouping: true,
             enable_remote_param: true,
             enable_remote_query: true,
-            enable_parallel_union: parallel_env_default(),
-            enable_semijoin: semijoin_env_default(),
-            semijoin_max_keys: semijoin_max_keys_default(),
+            enable_parallel_union: false,
+            enable_semijoin: true,
+            semijoin_max_keys: 64,
             simplify: SimplifyOptions::default(),
             cost: CostModel::default(),
             server_caps: HashMap::new(),

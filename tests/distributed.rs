@@ -220,10 +220,12 @@ fn ablation_disable_remote_query_ships_rows() {
     local.query(sql).unwrap();
     let pushed = link.snapshot();
 
+    // From the engine's own config, so an env leg (DHQP_SEMIJOIN=0,
+    // DHQP_PARALLEL=1) still reaches this plan.
     let config = OptimizerConfig {
         enable_remote_query: false,
         enable_remote_param: false,
-        ..Default::default()
+        ..local.optimizer_config()
     };
     local.set_optimizer_config(config);
     link.reset();
@@ -285,7 +287,7 @@ fn spool_prevents_remote_rescans() {
 
     let config = OptimizerConfig {
         enable_spool: false,
-        ..Default::default()
+        ..local.optimizer_config()
     };
     local.set_optimizer_config(config);
     warm(&local, sql);

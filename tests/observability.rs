@@ -1520,3 +1520,109 @@ fn every_error_exit_ends_the_statement_it_started() {
         assert_eq!(trace.sql, sql, "{stage}: {sql}");
     }
 }
+
+// ---- one configuration per statement ---------------------------------------------
+
+/// A statement runs under the knobs it began with. An event sink turns the
+/// Query Store and cardinality feedback on and switches to row-at-a-time
+/// shipping and the prune policy right after the in-flight SELECT has
+/// compiled (`plan_cache_miss`), before it runs: that SELECT is not
+/// observed, ships batched like an untouched engine's, and answers the
+/// same; the next statement sees all four.
+#[test]
+fn a_knob_flipped_mid_statement_applies_from_the_next_statement() {
+    use dhqp::{BatchConfig, DegradedMode, Event, EventSink, PlanCacheConfig, QueryStoreConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    struct FlipOnCompile {
+        engine: Engine,
+        flipped: AtomicBool,
+    }
+    impl EventSink for FlipOnCompile {
+        fn consume(&self, event: &Event) {
+            if event.kind == EventKind::PlanCacheMiss && !self.flipped.swap(true, Ordering::SeqCst)
+            {
+                self.engine.set_query_store_enabled(true);
+                self.engine.set_card_feedback(true);
+                self.engine.set_batch_config(BatchConfig::row_at_a_time());
+                self.engine.set_degraded_mode(DegradedMode::Prune);
+            }
+        }
+    }
+
+    /// `rt` (20 rows) behind a fault-free link; every knob the test reads is
+    /// pinned, so it reads the same under every CI leg.
+    fn fixture() -> (Engine, NetworkLink) {
+        let remote = Engine::new("remote");
+        remote
+            .create_table(TableDef::new(
+                "rt",
+                Schema::new(vec![
+                    Column::not_null("k", DataType::Int),
+                    Column::not_null("v", DataType::Int),
+                ]),
+            ))
+            .unwrap();
+        let rows: Vec<Row> = (0..20)
+            .map(|k| Row::new(vec![Value::Int(k), Value::Int(k % 3)]))
+            .collect();
+        remote.insert("rt", &rows).unwrap();
+        let head = EngineBuilder::new("head")
+            .plan_cache_config(PlanCacheConfig::default())
+            .query_store_config(QueryStoreConfig::default())
+            .card_feedback(false)
+            .batch_config(BatchConfig::batched(1024))
+            .parallel_config(ParallelConfig::serial())
+            .degraded_mode(DegradedMode::Fail)
+            .trace_config(TraceConfig::disabled())
+            .slow_query_threshold(None)
+            .event_config(EventConfig::only(&[EventKind::PlanCacheMiss]))
+            .build();
+        let link = NetworkLink::new("flip-link", NetworkConfig::lan());
+        head.add_linked_server(
+            "srv",
+            Arc::new(NetworkedDataSource::reliable(
+                Arc::new(EngineDataSource::new(remote)),
+                link.clone(),
+            )),
+        )
+        .unwrap();
+        (head, link)
+    }
+    let sql = "SELECT k, v FROM srv.db.dbo.rt";
+
+    let (plain, plain_link) = fixture();
+    let want = plain.query(sql).unwrap();
+    let plain_wire = plain_link.snapshot();
+    assert!(plain_wire.batches < plain_wire.rows, "{plain_wire:?}");
+
+    let (head, link) = fixture();
+    head.add_event_sink(Box::new(FlipOnCompile {
+        engine: head.clone(),
+        flipped: AtomicBool::new(false),
+    }));
+    let got = head.query(sql).unwrap();
+    let in_flight = link.snapshot();
+    assert!(head.query_store_enabled(), "the sink fired");
+    assert_eq!(
+        head.query_store_len(),
+        0,
+        "the in-flight SELECT was observed"
+    );
+    assert_eq!(sorted(got.rows), sorted(want.rows.clone()));
+    assert_eq!(
+        in_flight, plain_wire,
+        "the in-flight SELECT shipped unbatched"
+    );
+
+    assert!(head.card_feedback_enabled());
+    assert_eq!(head.batch_config(), BatchConfig::row_at_a_time());
+    assert_eq!(head.degraded_mode(), DegradedMode::Prune);
+    let next = head.query(sql).unwrap();
+    assert_eq!(sorted(next.rows), sorted(want.rows));
+    assert_eq!(head.query_store_len(), 1, "the next statement is observed");
+    let next_wire = link.snapshot().since(&in_flight);
+    assert_eq!(next_wire.batches, next_wire.rows, "{next_wire:?}");
+    // The sink holds the engine; dropping the bus drops the sink.
+    head.set_event_config(EventConfig::disabled());
+}

@@ -11,6 +11,7 @@ use dhqp::{
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_storage::TableDef;
 use dhqp_types::{Column, DataType, Row, Schema, Value};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -343,14 +344,25 @@ fn store_and_feedback_never_change_answers() {
 }
 
 /// `sys.dm_os_knobs` dumps every `DHQP_*` knob with provenance: `env`
-/// when the environment supplied the value, `builder` when a setter
-/// diverged from the default, `default` otherwise.
+/// when the environment supplied the value the engine still runs with,
+/// `builder` when a builder method or setter moved it off the default,
+/// `default` otherwise — judged against what the engine resolved when it
+/// was built. The environment is a fake: no test thread mutates the
+/// process environment its siblings read.
 #[test]
 fn dm_os_knobs_reports_every_knob_with_provenance() {
-    std::env::set_var("DHQP_FAULT_SEED", "9");
-    let head = Engine::new("knobs");
+    let env = HashMap::from([
+        ("DHQP_FAULT_SEED", "9"),
+        ("DHQP_BATCH_SIZE", "77"),
+        ("DHQP_RETRY_ATTEMPTS", "5"),
+        ("DHQP_SEMIJOIN", "1"),
+    ]);
+    let head =
+        EngineBuilder::from_lookup("knobs", |name| env.get(name).map(|v| v.to_string())).build();
     head.set_stats_ttl(Duration::from_millis(1234));
     head.set_query_store_capacity(77);
+    // Supplied by the environment, then overridden by a setter.
+    head.set_retry_policy(RetryPolicy::no_retry());
 
     let r = head
         .query("SELECT name, value, source FROM sys.dm_os_knobs")
@@ -367,40 +379,29 @@ fn dm_os_knobs_reports_every_knob_with_provenance() {
             _ => panic!("{name} row is not (Str, Str): {row:?}"),
         }
     };
-    for name in [
-        "DHQP_PARALLEL",
-        "DHQP_BATCH_SIZE",
-        "DHQP_RETRY_ATTEMPTS",
-        "DHQP_BREAKER",
-        "DHQP_DEGRADED",
-        "DHQP_PLAN_CACHE",
-        "DHQP_SLOW_QUERY_MS",
-        "DHQP_EVENTS",
-        "DHQP_SEMIJOIN",
-        "DHQP_QUERY_STORE",
-        "DHQP_CARD_FEEDBACK",
-    ] {
-        let (_, source) = knob(name);
-        assert!(
-            ["env", "builder", "default"].contains(&source.as_str()),
-            "{name}: bad source {source}"
+    let is = |name: &str, value: &str, source: &str| {
+        assert_eq!(
+            knob(name),
+            (value.to_string(), source.to_string()),
+            "{name}"
         );
-    }
-    // Builder/setter provenance: values no CI leg overrides via env.
-    assert_eq!(
-        knob("DHQP_STATS_TTL_MS"),
-        ("1234".to_string(), "builder".to_string())
-    );
-    assert_eq!(
-        knob("DHQP_QUERY_STORE_SIZE"),
-        ("77".to_string(), "builder".to_string())
-    );
-    // Env provenance: the harness knob reports straight from the process
-    // environment.
-    assert_eq!(
-        knob("DHQP_FAULT_SEED"),
-        ("9".to_string(), "env".to_string())
-    );
+    };
+    is("DHQP_FAULT_SEED", "9", "env");
+    is("DHQP_BATCH_SIZE", "77", "env");
+    // Named by the environment, even though the value is the default's.
+    is("DHQP_SEMIJOIN", "true", "env");
+    is("DHQP_RETRY_ATTEMPTS", "1", "builder");
+    is("DHQP_STATS_TTL_MS", "1234", "builder");
+    is("DHQP_QUERY_STORE_SIZE", "77", "builder");
+    // Nothing in the fake environment or this test touches the rest.
+    is("DHQP_PARALLEL", "false", "default");
+    is("DHQP_BREAKER", "true", "default");
+    is("DHQP_DEGRADED", "fail", "default");
+    is("DHQP_PLAN_CACHE", "true", "default");
+    is("DHQP_SLOW_QUERY_MS", "off", "default");
+    is("DHQP_EVENTS", "off", "default");
+    is("DHQP_QUERY_STORE", "false", "default");
+    is("DHQP_CARD_FEEDBACK", "false", "default");
 }
 
 /// Slow-query ring entries explain themselves: the plan-cache fingerprint
