@@ -10,6 +10,11 @@
 //! rows are still being located, so a statement never meets its own writes
 //! (the Halloween problem), and the head knows each participant's last
 //! write — the one its 2PC vote rides.
+//!
+//! A table on a provider that takes the whole UPDATE/DELETE as SQL text
+//! ([`pushed_statement`]) is not located at all: the plan carries the
+//! statement, and the member finds and writes the rows itself, inside the
+//! session's transaction.
 
 use crate::binder::Binder;
 use crate::engine::Engine;
@@ -20,10 +25,12 @@ use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
 use dhqp_executor::ops::retry::with_retries;
 use dhqp_executor::ExecContext;
 use dhqp_federation::PartitionedView;
-use dhqp_oledb::{DataSource, KeyRange, RowsetExt, Session};
+use dhqp_oledb::{CommandResult, DataSource, KeyRange, RowsetExt, Session, SqlSupport};
+use dhqp_optimizer::decoder::render_table_scalars;
 use dhqp_optimizer::logical::TableMeta;
 use dhqp_optimizer::ScalarExpr;
 use dhqp_sqlfront as ast;
+use dhqp_storage::LocalSession;
 use dhqp_types::{DhqpError, Interval, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -35,16 +42,25 @@ enum Target {
     Table(Option<String>, String),
 }
 
-fn resolve_target(engine: &Engine, name: &ast::ObjectName) -> Result<Target> {
-    if name.0.len() == 1 {
-        if let Some(view) = engine.partitioned_view(name.object()) {
-            return Ok(Target::View(view));
-        }
+/// `ambient`: the statement writes through the session it arrived on
+/// ([`Sessions::Ambient`]), which reaches this server's own tables only —
+/// any other target is refused here, before anything is read or written.
+fn resolve_target(engine: &Engine, name: &ast::ObjectName, ambient: bool) -> Result<Target> {
+    let view = match name.0.len() {
+        1 => engine.partitioned_view(name.object()),
+        _ => None,
+    };
+    if ambient && (view.is_some() || name.server().is_some()) {
+        return Err(DhqpError::Unsupported(format!(
+            "a statement sent through a command object writes a plain table of this server, \
+             and '{}' is not one",
+            name.object()
+        )));
     }
-    Ok(Target::Table(
-        name.server().map(str::to_string),
-        name.object().to_string(),
-    ))
+    Ok(match view {
+        Some(view) => Target::View(view),
+        None => Target::Table(name.server().map(str::to_string), name.object().to_string()),
+    })
 }
 
 /// Key identifying one participant server in a multi-site statement.
@@ -65,11 +81,25 @@ fn source_for(engine: &Engine, server: &Option<String>) -> Result<Arc<dyn DataSo
 enum Sessions<'e> {
     AutoCommit(&'e Engine, HashMap<String, Box<dyn Session>>),
     Enlisted(&'e Engine, DistributedTransaction),
+    /// The statement is command text a consumer sent on its session with
+    /// this server's storage ([`Engine::execute_on_session`]), and writes
+    /// through it: under the consumer's transaction when the session is
+    /// enlisted in one, whose outcome is the consumer's to decide. Its one
+    /// target is a plain local table ([`resolve_target`]), so it makes at
+    /// most one write — the one a vote the consumer asked for rides.
+    Ambient(&'e mut LocalSession),
 }
 
 impl<'e> Sessions<'e> {
     /// `participants` are the servers the statement may write to.
-    fn new(engine: &'e Engine, participants: &[Option<String>]) -> Self {
+    fn new(
+        engine: &'e Engine,
+        participants: &[Option<String>],
+        ambient: Option<&'e mut LocalSession>,
+    ) -> Self {
+        if let Some(session) = ambient {
+            return Sessions::Ambient(session);
+        }
         let servers: HashSet<String> = participants.iter().map(server_key).collect();
         if servers.len() <= 1 {
             Sessions::AutoCommit(engine, HashMap::new())
@@ -80,7 +110,7 @@ impl<'e> Sessions<'e> {
 
     /// The statement's one session for `server`, connected (and enlisted)
     /// on first use.
-    fn session(&mut self, server: &Option<String>) -> Result<&mut Box<dyn Session>> {
+    fn session(&mut self, server: &Option<String>) -> Result<&mut dyn Session> {
         let key = server_key(server);
         match self {
             Sessions::AutoCommit(engine, sessions) => {
@@ -88,15 +118,16 @@ impl<'e> Sessions<'e> {
                     let session = source_for(engine, server)?.create_session()?;
                     sessions.insert(key.clone(), session);
                 }
-                Ok(sessions.get_mut(&key).expect("inserted above"))
+                Ok(sessions.get_mut(&key).expect("inserted above").as_mut())
             }
             Sessions::Enlisted(engine, txn) => {
                 if !txn.participant_names().contains(&key) {
                     let session = source_for(engine, server)?.create_session()?;
                     txn.enlist(key.clone(), session)?;
                 }
-                txn.session_mut(&key)
+                Ok(txn.session_mut(&key)?.as_mut())
             }
+            Sessions::Ambient(session) => Ok(&mut **session),
         }
     }
 
@@ -117,26 +148,31 @@ impl<'e> Sessions<'e> {
                 continue;
             };
             for op in rest {
-                op.apply(self.session(&first.server)?.as_mut(), &mut applied)?;
+                op.apply(self.session(&first.server)?, &mut applied)?;
             }
-            // An INSERT's only request may also be the participant's first.
+            // An INSERT's or a pushed statement's only request may also be
+            // the participant's first.
             self.session(&first.server)?;
             match &mut self {
-                Sessions::AutoCommit(..) => {
-                    last.apply(self.session(&first.server)?.as_mut(), &mut applied)?
-                }
                 Sessions::Enlisted(_, txn) => {
                     txn.write_and_vote(&first.key, |s| last.apply(s, &mut applied))?
                 }
+                _ => last.apply(self.session(&first.server)?, &mut applied)?,
             }
         }
-        if let Sessions::Enlisted(_, mut txn) = self {
-            for name in txn.participant_names() {
-                if !written.contains(&name.as_str()) {
-                    txn.read_only(&name)?;
+        match self {
+            Sessions::AutoCommit(..) => {}
+            Sessions::Enlisted(_, mut txn) => {
+                for name in txn.participant_names() {
+                    if !written.contains(&name.as_str()) {
+                        txn.read_only(&name)?;
+                    }
                 }
+                txn.commit()?;
             }
-            txn.commit()?;
+            // A statement that found nothing to write leaves the vote it
+            // was to carry unanswered.
+            Sessions::Ambient(session) => session.settle_vote()?,
         }
         Ok(applied)
     }
@@ -158,6 +194,10 @@ struct TableWrites {
     delete: Vec<u64>,
     update: (Vec<u64>, Vec<Row>),
     insert: Vec<Row>,
+    /// The whole UPDATE/DELETE in the provider's dialect
+    /// ([`pushed_statement`]): the table's rows were not located, and
+    /// nothing else is listed for it.
+    statement: Option<String>,
 }
 
 /// The writes of one statement; a table is listed only if something is
@@ -193,19 +233,23 @@ enum WriteOp<'p> {
     Delete(&'p str, &'p [u64]),
     Update(&'p str, &'p [u64], &'p [Row]),
     Insert(&'p str, &'p [Row]),
+    /// Command text the provider runs itself.
+    Statement(&'p str),
 }
 
 /// A participant's requests in the order they are sent: deletes, then
 /// in-place updates, then inserts, so that a key one row gives up is free
-/// before another row takes it.
+/// before another row takes it; pushed statements (other tables, no moved
+/// rows) after them.
 fn participant_ops<'p>(tables: impl Iterator<Item = &'p TableWrites> + Clone) -> Vec<WriteOp<'p>> {
     let deletes = tables.clone().filter(|t| !t.delete.is_empty());
     let updates = tables.clone().filter(|t| !t.update.0.is_empty());
-    let inserts = tables.filter(|t| !t.insert.is_empty());
+    let inserts = tables.clone().filter(|t| !t.insert.is_empty());
     deletes
         .map(|t| WriteOp::Delete(&t.table, &t.delete))
         .chain(updates.map(|t| WriteOp::Update(&t.table, &t.update.0, &t.update.1)))
         .chain(inserts.map(|t| WriteOp::Insert(&t.table, &t.insert)))
+        .chain(tables.filter_map(|t| t.statement.as_deref().map(WriteOp::Statement)))
         .collect()
 }
 
@@ -215,6 +259,8 @@ struct Applied {
     deleted: u64,
     updated: u64,
     inserted: u64,
+    /// Rows pushed statements reported as updated or deleted.
+    pushed: u64,
 }
 
 impl WriteOp<'_> {
@@ -227,6 +273,19 @@ impl WriteOp<'_> {
                 applied.updated += session.update_by_bookmarks(table, bookmarks, rows)?
             }
             WriteOp::Insert(table, rows) => applied.inserted += session.insert(table, rows)?,
+            // Sent once: a write is never re-sent, whatever the error says.
+            WriteOp::Statement(text) => {
+                let mut command = session.create_command()?;
+                command.set_text(text)?;
+                match command.execute()? {
+                    CommandResult::RowCount(n) => applied.pushed += n,
+                    CommandResult::Rowset(_) => {
+                        return Err(DhqpError::Provider(format!(
+                            "a pushed write answered with a rowset: {text}"
+                        )))
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -241,8 +300,9 @@ pub fn run_insert(
     knobs: &Arc<Knobs>,
     stmt: &ast::InsertStmt,
     params: &HashMap<String, Value>,
+    ambient: Option<&mut LocalSession>,
 ) -> Result<QueryResult> {
-    let target = resolve_target(engine, &stmt.table)?;
+    let target = resolve_target(engine, &stmt.table, ambient.is_some())?;
     let source_rows: Vec<Vec<Value>> = match &stmt.source {
         ast::InsertSource::Values(rows) => {
             let mut binder = Binder::for_statement(engine, Arc::clone(knobs), params);
@@ -289,11 +349,20 @@ pub fn run_insert(
         }
     };
     let participants: Vec<_> = plan.tables.iter().map(|t| t.server.clone()).collect();
-    let n = Sessions::new(engine, &participants).apply(&plan)?.inserted;
-    if let Some(table) = local_table {
+    let buffered = is_buffered(&ambient);
+    let n = Sessions::new(engine, &participants, ambient)
+        .apply(&plan)?
+        .inserted;
+    if let Some(table) = local_table.filter(|_| !buffered) {
         engine.refresh_fulltext_index(table)?;
     }
     Ok(QueryResult::rows_affected(n))
+}
+
+/// Whether what the statement writes stays buffered under the transaction of
+/// the session it arrived on: nothing a reader can see has changed yet.
+fn is_buffered(ambient: &Option<&mut LocalSession>) -> bool {
+    ambient.as_ref().is_some_and(|s| s.transaction().is_some())
 }
 
 /// Arrange a source row into full table-column order, applying the column
@@ -369,7 +438,7 @@ impl WriteSet {
     fn bind(
         engine: &Engine,
         knobs: &Arc<Knobs>,
-        name: &ast::ObjectName,
+        target: Target,
         where_clause: Option<&ast::Expr>,
         assignments: &[(String, ast::Expr)],
         params: &HashMap<String, Value>,
@@ -398,7 +467,7 @@ impl WriteSet {
                 member,
             })
         };
-        let (view, targets) = match resolve_target(engine, name)? {
+        let (view, targets) = match target {
             Target::Table(server, table) => (None, vec![bind(&server, &table, None)?]),
             Target::View(view) => {
                 // Static pruning (§4.1.5): member 0's bound predicate gives
@@ -435,20 +504,38 @@ impl WriteSet {
         self.targets.iter().map(|t| t.server.clone()).collect()
     }
 
-    /// A write to a plain local table may have changed indexed text.
-    fn refresh_fulltext(&self, engine: &Engine) -> Result<()> {
+    /// A write to a plain local table may have changed indexed text —
+    /// unless it is still `buffered` under a transaction.
+    fn refresh_fulltext(&self, engine: &Engine, buffered: bool) -> Result<()> {
         match (&self.view, self.targets.as_slice()) {
-            (None, [target]) if target.server.is_none() => {
+            (None, [target]) if target.server.is_none() && !buffered => {
                 engine.refresh_fulltext_index(&target.meta.table)
             }
             _ => Ok(()),
         }
     }
 
+    /// Put the whole write to `target` into `plan` as one statement if its
+    /// provider takes it; `false` when its rows have to be located. A key
+    /// domain that proves the predicate selects nothing still sends nothing.
+    fn push(&self, engine: &Engine, target: &BoundTarget, plan: &mut WritePlan) -> bool {
+        let Some(text) = pushed_statement(target, self.view.as_ref()) else {
+            return false;
+        };
+        let seek = target.predicate.as_ref().map(|p| self.plan_seek(target, p));
+        if !matches!(seek, Some(Seek::NoRows)) {
+            plan.table(&target.server, &target.meta.table).statement = Some(text);
+            engine.record_dml_pushed();
+        }
+        true
+    }
+
     /// The index seek that reaches every row `predicate` can select in
     /// `target`: the first index whose leading key column the predicate
     /// bounds, over the hull of that column's domain (narrowed by the CHECK
-    /// range when the column partitions a view member). One seek is one
+    /// range when the column partitions a view member, and by the table's
+    /// own CHECKs on it where the metadata has them — which is what lets a
+    /// member sent `id IN (10, 60)` seek only its 10). One seek is one
     /// request, like the scan it replaces; splitting a hull with holes into
     /// a seek per interval would trade round trips for bytes, a cost
     /// decision this path does not take.
@@ -471,6 +558,9 @@ impl WriteSet {
                 if view.partition_column == lead {
                     domain = domain.intersect(&view.members[m].check);
                 }
+            }
+            for (_, check) in meta.checks.iter().filter(|(pos, _)| *pos == lead) {
+                domain = domain.intersect(check);
             }
             let Some(hull) = domain.hull() else {
                 return Seek::NoRows;
@@ -543,6 +633,43 @@ enum Seek {
     Unbounded,
 }
 
+/// *Build remote query* (§4.1.2) for a write: the UPDATE/DELETE of `target`
+/// as one statement in its provider's dialect. `None` when the rows have to
+/// be located from here instead: the table is local; its provider is not a
+/// full SQL command provider (below SQL-92, or speaking a command language
+/// of its own); the predicate or a SET expression is beyond what the
+/// dialect expresses; or a SET assigns the view's partitioning column, so a
+/// row may have to leave for another member.
+fn pushed_statement(target: &BoundTarget, view: Option<&PartitionedView>) -> Option<String> {
+    target.server.as_ref()?;
+    let meta = &target.meta;
+    if meta.caps.sql_support != SqlSupport::Sql92 || meta.caps.proprietary_command {
+        return None;
+    }
+    let moves = |(pos, _): &(usize, ScalarExpr)| view.is_some_and(|v| v.partition_column == *pos);
+    if target.assignments.iter().any(moves) {
+        return None;
+    }
+    let values = target.assignments.iter().map(|(_, e)| e);
+    let mut texts = render_table_scalars(meta, values.chain(&target.predicate))?.into_iter();
+    let quote = |name: &str| meta.caps.dialect.quote_ident(name);
+    let sets: Vec<String> = target
+        .assignments
+        .iter()
+        .zip(&mut texts)
+        .map(|((pos, _), value)| format!("{} = {value}", quote(&meta.schema.column(*pos).name)))
+        .collect();
+    let mut sql = match sets.is_empty() {
+        true => format!("DELETE FROM {}", quote(&meta.table)),
+        false => format!("UPDATE {} SET {}", quote(&meta.table), sets.join(", ")),
+    };
+    if let Some(predicate) = texts.next() {
+        sql.push_str(" WHERE ");
+        sql.push_str(&predicate);
+    }
+    Some(sql)
+}
+
 fn bookmark_of(row: &Row) -> Result<u64> {
     row.bookmark
         .ok_or_else(|| DhqpError::Execute("row without bookmark".into()))
@@ -557,27 +684,32 @@ pub fn run_delete(
     knobs: &Arc<Knobs>,
     stmt: &ast::DeleteStmt,
     params: &HashMap<String, Value>,
+    ambient: Option<&mut LocalSession>,
 ) -> Result<QueryResult> {
     let set = WriteSet::bind(
         engine,
         knobs,
-        &stmt.table,
+        resolve_target(engine, &stmt.table, ambient.is_some())?,
         stmt.where_clause.as_ref(),
         &[],
         params,
     )?;
-    let mut sessions = Sessions::new(engine, &set.participants());
+    let buffered = is_buffered(&ambient);
+    let mut sessions = Sessions::new(engine, &set.participants(), ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
+        if set.push(engine, target, &mut plan) {
+            continue;
+        }
         let rows = set.locate_rows(engine, knobs, &mut sessions, target)?;
         if !rows.is_empty() {
             let bookmarks = rows.iter().map(bookmark_of).collect::<Result<Vec<_>>>()?;
             plan.table(&target.server, &target.meta.table).delete = bookmarks;
         }
     }
-    let n = sessions.apply(&plan)?.deleted;
-    set.refresh_fulltext(engine)?;
-    Ok(QueryResult::rows_affected(n))
+    let applied = sessions.apply(&plan)?;
+    set.refresh_fulltext(engine, buffered)?;
+    Ok(QueryResult::rows_affected(applied.deleted + applied.pushed))
 }
 
 // ---------------------------------------------------------------------------
@@ -589,11 +721,12 @@ pub fn run_update(
     knobs: &Arc<Knobs>,
     stmt: &ast::UpdateStmt,
     params: &HashMap<String, Value>,
+    ambient: Option<&mut LocalSession>,
 ) -> Result<QueryResult> {
     let set = WriteSet::bind(
         engine,
         knobs,
-        &stmt.table,
+        resolve_target(engine, &stmt.table, ambient.is_some())?,
         stmt.where_clause.as_ref(),
         &stmt.assignments,
         params,
@@ -611,16 +744,20 @@ pub fn run_update(
         }
         _ => set.participants(),
     };
-    let mut sessions = Sessions::new(engine, &participants);
+    let buffered = is_buffered(&ambient);
+    let mut sessions = Sessions::new(engine, &participants, ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
+        if set.push(engine, target, &mut plan) {
+            continue;
+        }
         let rows = set.locate_rows(engine, knobs, &mut sessions, target)?;
         set.plan_update(target, rows, &mut plan)?;
     }
     let applied = sessions.apply(&plan)?;
-    set.refresh_fulltext(engine)?;
+    set.refresh_fulltext(engine, buffered)?;
     // A moved row is deleted at one member and inserted at another.
-    let n = applied.updated + applied.deleted;
+    let n = applied.updated + applied.deleted + applied.pushed;
     Ok(QueryResult::rows_affected(n))
 }
 
@@ -674,5 +811,133 @@ impl WriteSet {
             (here.delete, here.update) = (moved_out, in_place);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dhqp_oledb::ProviderCapabilities;
+    use dhqp_optimizer::logical::{test_table_meta, Locality};
+    use dhqp_optimizer::{ArithOp, ColumnRegistry};
+    use dhqp_providers::{MiniSqlProvider, Sheet, SpreadsheetProvider};
+    use dhqp_storage::StorageEngine;
+    use dhqp_types::DataType;
+
+    /// `UPDATE acct SET balance = balance - 1 WHERE id = 7`, or the DELETE
+    /// with that predicate, against a provider with `caps`.
+    fn target(caps: ProviderCapabilities, update: bool) -> BoundTarget {
+        let columns = [("id", DataType::Int), ("balance", DataType::Int)];
+        let mut registry = ColumnRegistry::new();
+        let meta = test_table_meta(
+            0,
+            "acct",
+            Locality::remote("m"),
+            &columns,
+            &mut registry,
+            100,
+        );
+        let column = |pos| ScalarExpr::Column(meta.column_id(pos));
+        let less_one = ScalarExpr::Arith {
+            op: ArithOp::Sub,
+            left: Box::new(column(1)),
+            right: Box::new(ScalarExpr::literal(Value::Int(1))),
+        };
+        BoundTarget {
+            server: Some("m".into()),
+            predicate: Some(ScalarExpr::eq(
+                column(0),
+                ScalarExpr::literal(Value::Int(7)),
+            )),
+            assignments: if update {
+                vec![(1, less_one)]
+            } else {
+                Vec::new()
+            },
+            member: None,
+            meta: Arc::new(TableMeta {
+                caps,
+                ..TableMeta::clone(&meta)
+            }),
+        }
+    }
+
+    #[test]
+    fn only_a_full_sql_command_provider_is_sent_the_statement() {
+        let engine = ProviderCapabilities::sql_server("SQLOLEDB");
+        assert_eq!(
+            pushed_statement(&target(engine.clone(), true), None).as_deref(),
+            Some("UPDATE [acct] SET [balance] = ([balance] - 1) WHERE ([id] = 7)")
+        );
+        assert_eq!(
+            pushed_statement(&target(engine.clone(), false), None).as_deref(),
+            Some("DELETE FROM [acct] WHERE ([id] = 7)")
+        );
+        let no_where = BoundTarget {
+            predicate: None,
+            ..target(engine.clone(), false)
+        };
+        assert_eq!(
+            pushed_statement(&no_where, None).as_deref(),
+            Some("DELETE FROM [acct]")
+        );
+
+        // Below SQL-92, or speaking a command language of its own: located.
+        let storage = Arc::new(StorageEngine::new("mdb"));
+        let minisql = MiniSqlProvider::new("mdb", storage, SqlSupport::OdbcCore).unwrap();
+        let sheet = SpreadsheetProvider::new("xls", vec![Sheet::new("acct", Vec::new())]);
+        let proprietary = ProviderCapabilities {
+            proprietary_command: true,
+            ..engine.clone()
+        };
+        for caps in [minisql.capabilities(), sheet.capabilities(), proprietary] {
+            let name = caps.provider_name.clone();
+            assert_eq!(
+                pushed_statement(&target(caps.clone(), true), None),
+                None,
+                "{name}"
+            );
+            assert_eq!(pushed_statement(&target(caps, false), None), None, "{name}");
+        }
+
+        // Nor is a local table, an expression the dialect cannot say, or a
+        // parameter nobody supplied.
+        let local = BoundTarget {
+            server: None,
+            ..target(engine.clone(), true)
+        };
+        assert_eq!(pushed_statement(&local, None), None);
+        for value in [
+            ScalarExpr::Param("missing".into()),
+            ScalarExpr::Func {
+                name: "DATE".into(),
+                args: vec![ScalarExpr::literal(Value::Int(1))],
+            },
+            ScalarExpr::literal(Value::Float(f64::INFINITY)),
+            ScalarExpr::literal(Value::Bool(true)),
+        ] {
+            let unsayable = BoundTarget {
+                assignments: vec![(1, value)],
+                ..target(engine.clone(), true)
+            };
+            assert_eq!(pushed_statement(&unsayable, None), None);
+        }
+    }
+
+    #[test]
+    fn a_set_on_the_partitioning_column_is_located() {
+        let engine = ProviderCapabilities::sql_server("SQLOLEDB");
+        let by = |partition_column| PartitionedView {
+            name: "acct_all".into(),
+            columns: vec!["id".into(), "balance".into()],
+            partition_column,
+            members: Vec::new(),
+        };
+        let member = BoundTarget {
+            member: Some(0),
+            ..target(engine, true)
+        };
+        assert!(pushed_statement(&member, Some(&by(0))).is_some());
+        assert_eq!(pushed_statement(&member, Some(&by(1))), None);
     }
 }

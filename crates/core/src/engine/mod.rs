@@ -596,6 +596,11 @@ impl Engine {
         self.inner.metrics.record_dml_read(seek, rows);
     }
 
+    /// Count one UPDATE/DELETE write shipped as a statement (`dml_pushed`).
+    pub(crate) fn record_dml_pushed(&self) {
+        self.inner.metrics.record_dml_pushed();
+    }
+
     /// Build an execution context under one statement's knobs.
     pub(crate) fn exec_context(
         &self,

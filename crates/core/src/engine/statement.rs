@@ -15,6 +15,7 @@ use dhqp_oledb::{emit_event, has_hook, record_wait, RowsetExt, ScopeGuard, WaitC
 use dhqp_optimizer::explain::ExplainPlan;
 use dhqp_optimizer::Optimizer;
 use dhqp_sqlfront::{fingerprint, parse_statement, SelectStmt, Statement, AUTO_PARAM_PREFIX};
+use dhqp_storage::LocalSession;
 use dhqp_types::{DhqpError, Result, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -33,10 +34,23 @@ impl Engine {
         sql: &str,
         params: HashMap<String, Value>,
     ) -> Result<QueryResult> {
-        Ok(match self.run_statement(sql, params, false)? {
-            Output::Rows(result) => result,
-            Output::Report(report) => report.to_query_result(),
-        })
+        self.run_statement(sql, params, false, None)
+            .map(Output::into_query_result)
+    }
+
+    /// Run statement text that arrived through a command object on
+    /// `session`, a consumer's session with this engine's storage. What it
+    /// writes goes through that session — buffered under the consumer's
+    /// transaction when the session is enlisted in one, and voted on with
+    /// it when the vote was asked to ride the next write — instead of
+    /// committing on its own; it may only write a plain local table.
+    pub(crate) fn execute_on_session(
+        &self,
+        sql: &str,
+        session: &mut LocalSession,
+    ) -> Result<QueryResult> {
+        self.run_statement(sql, HashMap::new(), false, Some(session))
+            .map(Output::into_query_result)
     }
 
     /// Run a SELECT (alias of [`Engine::execute`] that asserts a rowset).
@@ -89,7 +103,7 @@ impl Engine {
         sql: &str,
         params: HashMap<String, Value>,
     ) -> Result<AnalyzeReport> {
-        match self.run_statement(sql, params, true)? {
+        match self.run_statement(sql, params, true, None)? {
             Output::Report(report) => Ok(*report),
             Output::Rows(_) => unreachable!("an analyze run ends in a report or an error"),
         }
@@ -97,15 +111,18 @@ impl Engine {
 
     /// The statement driver every entry point goes through: begin, compile,
     /// run, finish. `analyze` runs a SELECT (bare or under any `EXPLAIN`
-    /// wrapper) as `EXPLAIN ANALYZE` and refuses everything else.
+    /// wrapper) as `EXPLAIN ANALYZE` and refuses everything else. `ambient`
+    /// is the session INSERT/UPDATE/DELETE write through
+    /// ([`Engine::execute_on_session`]).
     fn run_statement(
         &self,
         sql: &str,
         params: HashMap<String, Value>,
         analyze: bool,
+        ambient: Option<&mut LocalSession>,
     ) -> Result<Output> {
         let mut run = self.begin_statement(sql, analyze);
-        let ran = self.compile_and_run(&mut run, params);
+        let ran = self.compile_and_run(&mut run, params, ambient);
         self.finish_statement(run, ran)
     }
 
@@ -115,6 +132,7 @@ impl Engine {
         &self,
         run: &mut StatementRun<'_>,
         mut params: HashMap<String, Value>,
+        ambient: Option<&mut LocalSession>,
     ) -> Result<QueryResult> {
         let tracer = run.tracer.as_ref();
         let knobs = Arc::clone(&run.knobs);
@@ -165,15 +183,15 @@ impl Engine {
                     }
                     Statement::Insert(stmt) => {
                         run.kind = Some(StatementKind::Insert);
-                        return dml::run_insert(self, &knobs, &stmt, &params);
+                        return dml::run_insert(self, &knobs, &stmt, &params, ambient);
                     }
                     Statement::Update(stmt) => {
                         run.kind = Some(StatementKind::Update);
-                        return dml::run_update(self, &knobs, &stmt, &params);
+                        return dml::run_update(self, &knobs, &stmt, &params, ambient);
                     }
                     Statement::Delete(stmt) => {
                         run.kind = Some(StatementKind::Delete);
-                        return dml::run_delete(self, &knobs, &stmt, &params);
+                        return dml::run_delete(self, &knobs, &stmt, &params, ambient);
                     }
                 };
                 run.kind = Some(select_kind(run.analyze));
@@ -455,6 +473,15 @@ impl Engine {
 enum Output {
     Rows(QueryResult),
     Report(Box<AnalyzeReport>),
+}
+
+impl Output {
+    fn into_query_result(self) -> QueryResult {
+        match self {
+            Output::Rows(result) => result,
+            Output::Report(report) => report.to_query_result(),
+        }
+    }
 }
 
 /// What the compile and run stages leave for the epilogue, filled in as the

@@ -166,6 +166,10 @@ pub struct MetricsSnapshot {
     /// `rows_affected`, the price of seeking a hull rather than each
     /// interval.
     pub dml_rows_located: u64,
+    /// UPDATE/DELETE writes shipped to a table's provider as one statement
+    /// instead of being located from here: no read, so none of the three
+    /// counters above moves for them.
+    pub dml_pushed: u64,
     /// Connect requests the linked servers' session pools sent (cold
     /// opens) since the last reset; a replaced registration's count stays
     /// in, so the total never goes backwards between resets.
@@ -235,6 +239,7 @@ impl MetricsSnapshot {
             ("dml_seeks", self.dml_seeks),
             ("dml_scans", self.dml_scans),
             ("dml_rows_located", self.dml_rows_located),
+            ("dml_pushed", self.dml_pushed),
             ("session_connects", self.session_connects),
             ("session_reuses", self.session_reuses),
             ("dtc_commits", self.dtc_commits),
@@ -270,6 +275,7 @@ pub(crate) struct EngineMetrics {
     dml_seeks: AtomicU64,
     dml_scans: AtomicU64,
     dml_rows_located: AtomicU64,
+    dml_pushed: AtomicU64,
     /// Connects and reuses of session pools whose registration has been
     /// replaced: the live pools own their counts, these keep the totals
     /// from going backwards when a pool goes.
@@ -318,6 +324,7 @@ impl EngineMetrics {
             dml_seeks: AtomicU64::new(0),
             dml_scans: AtomicU64::new(0),
             dml_rows_located: AtomicU64::new(0),
+            dml_pushed: AtomicU64::new(0),
             retired_session_connects: AtomicU64::new(0),
             retired_session_reuses: AtomicU64::new(0),
             exec: Arc::new(ExecCounters::default()),
@@ -372,6 +379,7 @@ impl EngineMetrics {
             &self.dml_seeks,
             &self.dml_scans,
             &self.dml_rows_located,
+            &self.dml_pushed,
             &self.retired_session_connects,
             &self.retired_session_reuses,
         ] {
@@ -442,6 +450,11 @@ impl EngineMetrics {
         };
         path.fetch_add(1, Ordering::Relaxed);
         self.dml_rows_located.fetch_add(rows, Ordering::Relaxed);
+    }
+
+    /// Count one UPDATE/DELETE write shipped as a statement.
+    pub fn record_dml_pushed(&self) {
+        self.dml_pushed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Keep the counts of a session pool whose registration was replaced.
@@ -560,6 +573,7 @@ impl EngineMetrics {
             dml_seeks: self.dml_seeks.load(Ordering::Relaxed),
             dml_scans: self.dml_scans.load(Ordering::Relaxed),
             dml_rows_located: self.dml_rows_located.load(Ordering::Relaxed),
+            dml_pushed: self.dml_pushed.load(Ordering::Relaxed),
             session_connects: pools.connects
                 + self.retired_session_connects.load(Ordering::Relaxed),
             session_reuses: pools.reuses + self.retired_session_reuses.load(Ordering::Relaxed),

@@ -16,7 +16,10 @@ use dhqp_oledb::{
     Command, CommandResult, DataSource, Histogram, KeyRange, MemRowset, ProviderCapabilities,
     Rowset, Session, TableInfo, TxnId,
 };
+use dhqp_storage::LocalSession;
 use dhqp_types::{Result, Row};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// An engine exposed as an OLE DB-style data source (SQL-92 level, index,
 /// statistics and transaction support).
@@ -50,7 +53,7 @@ impl DataSource for EngineDataSource {
     fn create_session(&self) -> Result<Box<dyn Session>> {
         Ok(Box::new(EngineSession {
             engine: self.engine.clone(),
-            storage_session: self.engine.local_data_source().create_session()?,
+            storage_session: Arc::new(Mutex::new(self.engine.local_data_source().local_session())),
         }))
     }
 }
@@ -59,17 +62,21 @@ impl DataSource for EngineDataSource {
 /// its storage engine; commands go through its full query processor.
 struct EngineSession {
     engine: Engine,
-    storage_session: Box<dyn Session>,
+    /// Shared with the session's commands: a pushed INSERT/UPDATE/DELETE
+    /// writes through it, so it is part of whatever transaction the session
+    /// is enlisted in.
+    storage_session: Arc<Mutex<LocalSession>>,
 }
 
 impl Session for EngineSession {
     fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        self.storage_session.open_rowset(table)
+        self.storage_session.lock().open_rowset(table)
     }
 
     fn create_command(&mut self) -> Result<Box<dyn Command>> {
         Ok(Box::new(EngineCommand {
             engine: self.engine.clone(),
+            storage_session: Arc::clone(&self.storage_session),
             text: None,
         }))
     }
@@ -80,47 +87,51 @@ impl Session for EngineSession {
         index: &str,
         range: &KeyRange,
     ) -> Result<Box<dyn Rowset>> {
-        self.storage_session.open_index(table, index, range)
+        self.storage_session.lock().open_index(table, index, range)
     }
 
     fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.storage_session.fetch_by_bookmarks(table, bookmarks)
+        self.storage_session
+            .lock()
+            .fetch_by_bookmarks(table, bookmarks)
     }
 
     fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
-        self.storage_session.check_schema(table, stamp)
+        self.storage_session.lock().check_schema(table, stamp)
     }
 
     fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.storage_session.histogram(table, column)
+        self.storage_session.lock().histogram(table, column)
     }
 
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.join_transaction(txn)
+        self.storage_session.lock().join_transaction(txn)
     }
 
     fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.prepare(txn)
+        self.storage_session.lock().prepare(txn)
     }
 
     fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.vote_with_next_write(txn)
+        self.storage_session.lock().vote_with_next_write(txn)
     }
 
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.commit(txn)
+        self.storage_session.lock().commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.abort(txn)
+        self.storage_session.lock().abort(txn)
     }
 
     fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.storage_session.insert(table, rows)
+        self.storage_session.lock().insert(table, rows)
     }
 
     fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.storage_session.delete_by_bookmarks(table, bookmarks)
+        self.storage_session
+            .lock()
+            .delete_by_bookmarks(table, bookmarks)
     }
 
     fn update_by_bookmarks(
@@ -130,12 +141,14 @@ impl Session for EngineSession {
         updates: &[Row],
     ) -> Result<u64> {
         self.storage_session
+            .lock()
             .update_by_bookmarks(table, bookmarks, updates)
     }
 }
 
 struct EngineCommand {
     engine: Engine,
+    storage_session: Arc<Mutex<LocalSession>>,
     text: Option<String>,
 }
 
@@ -152,7 +165,15 @@ impl Command for EngineCommand {
             .ok_or_else(|| dhqp_types::DhqpError::Provider("command has no text".into()))?;
         let read_only =
             text.trim_start().len() >= 6 && text.trim_start()[..6].eq_ignore_ascii_case("select");
-        let result = match self.engine.execute(text) {
+        // A statement that writes runs on the session it was sent through,
+        // inside the consumer's transaction if there is one.
+        let ran = match read_only {
+            true => self.engine.execute(text),
+            false => self
+                .engine
+                .execute_on_session(text, &mut self.storage_session.lock()),
+        };
+        let result = match ran {
             Ok(result) => result,
             // A pushed-down statement that *writes* may have partially
             // applied before the failure; re-sending it is not idempotent.

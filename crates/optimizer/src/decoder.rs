@@ -14,7 +14,7 @@
 //! the group's other alternatives ("pick any remotable tree from the same
 //! group").
 
-use crate::logical::{JoinKind, LogicalOp};
+use crate::logical::{JoinKind, LogicalOp, TableMeta};
 use crate::memo::{GroupId, Memo};
 use crate::physical::{ParamSource, RemoteParam};
 use crate::props::{ColumnId, ColumnRegistry};
@@ -116,8 +116,16 @@ pub struct Decoder<'a> {
     caps: &'a ProviderCapabilities,
     server: &'a str,
     cache: HashMap<GroupId, Option<SqlQuery>>,
-    params: BTreeSet<String>,
+    scalars: ScalarRenderer<'a>,
     derived_counter: u32,
+}
+
+/// Scalar rendering for one provider: the part of the decoder that needs
+/// no memo.
+struct ScalarRenderer<'a> {
+    caps: &'a ProviderCapabilities,
+    /// Parameters the rendered text references.
+    params: BTreeSet<String>,
 }
 
 impl<'a> Decoder<'a> {
@@ -133,7 +141,10 @@ impl<'a> Decoder<'a> {
             caps,
             server,
             cache: HashMap::new(),
-            params: BTreeSet::new(),
+            scalars: ScalarRenderer {
+                caps,
+                params: BTreeSet::new(),
+            },
             derived_counter: 0,
         }
     }
@@ -161,7 +172,7 @@ impl<'a> Decoder<'a> {
                 q = self.wrap(q)?;
             }
             let map = q.colmap();
-            let frag = self.render_expr(p, &map)?;
+            let frag = self.scalars.render_expr(p, &map)?;
             q.wheres.push(frag);
         }
         let order_by: Vec<String> = if ordering.is_empty() {
@@ -184,6 +195,7 @@ impl<'a> Decoder<'a> {
         }
         let sql = q.render(&out_cols, &self.caps.dialect, top, &order_by)?;
         let mut params: Vec<RemoteParam> = self
+            .scalars
             .params
             .iter()
             .map(|name| {
@@ -267,7 +279,7 @@ impl<'a> Decoder<'a> {
                     q = self.wrap(q)?;
                 }
                 let map = q.colmap();
-                let frag = self.render_expr(predicate, &map)?;
+                let frag = self.scalars.render_expr(predicate, &map)?;
                 q.wheres.push(frag);
                 Some(q)
             }
@@ -277,7 +289,7 @@ impl<'a> Decoder<'a> {
                 let map = q.colmap();
                 let select = outputs
                     .iter()
-                    .map(|(c, e)| Some((*c, self.render_expr(e, &map)?)))
+                    .map(|(c, e)| Some((*c, self.scalars.render_expr(e, &map)?)))
                     .collect::<Option<Vec<_>>>()?;
                 Some(SqlQuery { select, ..q })
             }
@@ -302,7 +314,7 @@ impl<'a> Decoder<'a> {
                 let full_map: HashMap<ColumnId, String> =
                     select.iter().map(|(c, f)| (*c, f.clone())).collect();
                 let mut on = match predicate {
-                    Some(p) => self.render_expr(p, &full_map)?,
+                    Some(p) => self.scalars.render_expr(p, &full_map)?,
                     None => "1 = 1".to_string(),
                 };
                 let mut wheres = l.wheres.clone();
@@ -346,7 +358,7 @@ impl<'a> Decoder<'a> {
                 for agg in aggs {
                     let inner = match (&agg.func, &agg.arg) {
                         (AggFunc::CountStar, _) => "*".to_string(),
-                        (_, Some(a)) => self.render_expr(a, &map)?,
+                        (_, Some(a)) => self.scalars.render_expr(a, &map)?,
                         (_, None) => return None,
                     };
                     let frag = format!(
@@ -407,6 +419,13 @@ impl<'a> Decoder<'a> {
         })
     }
 
+    /// The registry, exposed for callers composing correlation names.
+    pub fn registry(&self) -> &ColumnRegistry {
+        self.registry
+    }
+}
+
+impl ScalarRenderer<'_> {
     /// Render a scalar expression, or `None` when the dialect/level cannot
     /// express it ("not overshooting its limitations", §3.3).
     fn render_expr(&mut self, e: &ScalarExpr, map: &HashMap<ColumnId, String>) -> Option<String> {
@@ -537,11 +556,49 @@ impl<'a> Decoder<'a> {
             other => other.to_sql_literal(),
         }
     }
+}
 
-    /// The registry, exposed for callers composing correlation names.
-    pub fn registry(&self) -> &ColumnRegistry {
-        self.registry
+/// Render `exprs`, scalar expressions over the columns of the one base
+/// table `meta`, for the provider that owns it — the scalar half of *build
+/// remote query*, for statements that name their table themselves (pushed
+/// UPDATE/DELETE). A column is its bare quoted name. `None` when the
+/// provider's level or dialect cannot express one of them, or when the text
+/// would not read back as the same expression: an unbound parameter, a
+/// boolean (rendered `0`/`1`), a float with no finite spelling, the one
+/// integer whose magnitude has no literal.
+pub fn render_table_scalars<'e>(
+    meta: &TableMeta,
+    exprs: impl IntoIterator<Item = &'e ScalarExpr>,
+) -> Option<Vec<String>> {
+    let dialect = &meta.caps.dialect;
+    let names = meta.schema.columns().iter();
+    let map: HashMap<ColumnId, String> = names
+        .zip(&meta.column_ids)
+        .map(|(column, id)| (*id, dialect.quote_ident(&column.name)))
+        .collect();
+    let mut scalars = ScalarRenderer {
+        caps: &meta.caps,
+        params: BTreeSet::new(),
+    };
+    let reads_back = |v: &Value| match v {
+        Value::Bool(_) | Value::Int(i64::MIN) => false,
+        Value::Float(f) => f.is_finite(),
+        _ => true,
+    };
+    let mut rendered = Vec::new();
+    for e in exprs {
+        let mut exact = true;
+        e.visit(&mut |node| match node {
+            ScalarExpr::Literal(v) => exact &= reads_back(v),
+            ScalarExpr::InList { list, .. } => exact &= list.iter().all(reads_back),
+            _ => {}
+        });
+        if !exact {
+            return None;
+        }
+        rendered.push(scalars.render_expr(e, &map)?);
     }
+    scalars.params.is_empty().then_some(rendered)
 }
 
 /// Data type of a scalar expression where statically known (used by the
@@ -833,6 +890,48 @@ mod tests {
             .build(root, None, &[], &[], None)
             .expect("second alternative decodes");
         assert!(out.sql.contains("INNER JOIN"));
+    }
+
+    #[test]
+    fn table_scalars_use_bare_column_names_and_read_back_exactly() {
+        let mut reg = ColumnRegistry::new();
+        let columns = [("id", DataType::Int), ("owner", DataType::Str)];
+        let t = test_table_meta(0, "acct", Locality::remote("r"), &columns, &mut reg, 10);
+        let (id, owner) = (t.column_id(0), t.column_id(1));
+        let lit = |v| ScalarExpr::literal(v);
+        let exprs = [
+            ScalarExpr::eq(ScalarExpr::Column(owner), lit(Value::Str("O'Brien".into()))),
+            ScalarExpr::InList {
+                expr: Box::new(ScalarExpr::Column(id)),
+                list: vec![Value::Int(-3), Value::Float(2.0), Value::Float(0.125)],
+                negated: false,
+            },
+        ];
+        assert_eq!(
+            render_table_scalars(&t, &exprs).unwrap(),
+            ["([owner] = 'O''Brien')", "([id] IN (-3, 2.0, 0.125))"]
+        );
+        // The provider's level still applies ...
+        let mut minimum = TableMeta::clone(&t);
+        minimum.caps.sql_support = SqlSupport::Minimum;
+        assert_eq!(render_table_scalars(&minimum, &exprs[1..]), None);
+        assert!(render_table_scalars(&minimum, &exprs[..1]).is_some());
+        // ... a column of another table has no name here, and text that
+        // would not read back as the same expression is not written.
+        for e in [
+            ScalarExpr::Column(ColumnId(99)),
+            ScalarExpr::Param("p".into()),
+            lit(Value::Bool(true)),
+            lit(Value::Float(f64::NAN)),
+            lit(Value::Int(i64::MIN)),
+            ScalarExpr::InList {
+                expr: Box::new(ScalarExpr::Column(id)),
+                list: vec![Value::Bool(false)],
+                negated: true,
+            },
+        ] {
+            assert_eq!(render_table_scalars(&t, [&e]), None, "{e:?}");
+        }
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub mod table;
 pub mod txn;
 
 pub use catalog::{CheckConstraint, StorageEngine, TableDef};
-pub use provider::LocalDataSource;
+pub use provider::{LocalDataSource, LocalSession};
 pub use table::Table;

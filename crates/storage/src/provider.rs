@@ -75,11 +75,19 @@ impl DataSource for LocalDataSource {
     }
 
     fn create_session(&self) -> Result<Box<dyn Session>> {
-        Ok(Box::new(LocalSession {
+        Ok(Box::new(self.local_session()))
+    }
+}
+
+impl LocalDataSource {
+    /// A session as its concrete type, for a caller that runs statements of
+    /// its own on it ([`LocalSession::settle_vote`]).
+    pub fn local_session(&self) -> LocalSession {
+        LocalSession {
             engine: Arc::clone(&self.engine),
             txn: None,
             vote_with_next_write: false,
-        }))
+        }
     }
 }
 
@@ -106,6 +114,27 @@ impl LocalSession {
             self.engine.prepare_txn(txn)?;
         }
         Ok(n)
+    }
+
+    /// The outcome arrived: a vote nobody collected (the write it was to
+    /// ride never came) does not outlive its transaction.
+    fn leave_transaction(&mut self) {
+        self.txn = None;
+        self.vote_with_next_write = false;
+    }
+
+    /// The transaction this session is enlisted in.
+    pub fn transaction(&self) -> Option<TxnId> {
+        self.txn
+    }
+
+    /// Answer a vote that is still waiting for its write. A statement run on
+    /// this session in the place of that write calls this when it is done: if
+    /// it wrote nothing the vote has not been given yet, and what the
+    /// transaction buffered before it — nothing, for a participant that only
+    /// read — is prepared now.
+    pub fn settle_vote(&mut self) -> Result<()> {
+        self.write(|_, _| Ok(0)).map(|_| ())
     }
 }
 
@@ -163,6 +192,7 @@ impl Session for LocalSession {
 
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
         self.txn = Some(txn);
+        self.vote_with_next_write = false;
         Ok(())
     }
 
@@ -183,13 +213,13 @@ impl Session for LocalSession {
 
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         self.engine.commit_txn(txn)?;
-        self.txn = None;
+        self.leave_transaction();
         Ok(())
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<()> {
         self.engine.abort_txn(txn)?;
-        self.txn = None;
+        self.leave_transaction();
         Ok(())
     }
 
@@ -337,6 +367,65 @@ mod tests {
         s.abort(43).unwrap();
         assert!(!ds.engine().has_txn(43));
         assert_eq!(ds.engine().with_table("emp", |t| t.row_count()).unwrap(), 5);
+    }
+
+    #[test]
+    fn a_vote_nobody_collected_does_not_outlive_its_transaction() {
+        let ds = source();
+        let row = |id| Row::new(vec![Value::Int(id), Value::Null]);
+        let rows = || ds.engine().with_table("emp", |t| t.row_count()).unwrap();
+        // The write the vote was to ride never came: whichever way the
+        // transaction ends, and even if no outcome was delivered before the
+        // session joins the next one, the next transaction's first write is
+        // not taken for its last.
+        for (txn, end) in [(50, "commit"), (52, "abort"), (54, "none")] {
+            let mut s = ds.local_session();
+            s.join_transaction(txn).unwrap();
+            s.vote_with_next_write(txn).unwrap();
+            match end {
+                "commit" => s.commit(txn).unwrap(),
+                "abort" => s.abort(txn).unwrap(),
+                _ => {}
+            }
+            let before = rows();
+            s.join_transaction(txn + 1).unwrap();
+            s.insert("emp", &[row(txn as i64)]).unwrap();
+            s.vote_with_next_write(txn + 1).unwrap();
+            s.insert("emp", &[row(txn as i64 + 1)]).unwrap();
+            s.commit(txn + 1).unwrap();
+            assert_eq!(rows(), before + 2, "after {end}");
+        }
+
+        // A statement run in the place of that write settles the vote when
+        // it is done: what the transaction buffered before is prepared ...
+        let mut s = ds.local_session();
+        s.join_transaction(60).unwrap();
+        s.insert("emp", &[row(60)]).unwrap();
+        s.vote_with_next_write(60).unwrap();
+        s.settle_vote().unwrap();
+        assert!(
+            s.insert("emp", &[row(61)]).is_err(),
+            "prepared: no more writes"
+        );
+        // ... a refusal is the statement's answer ...
+        let mut refusing = ds.local_session();
+        refusing.join_transaction(62).unwrap();
+        refusing.vote_with_next_write(62).unwrap();
+        ds.engine().set_fail_prepare(true);
+        assert!(refusing.settle_vote().is_err());
+        ds.engine().set_fail_prepare(false);
+        // ... and with no vote waiting there is nothing to settle.
+        let mut idle = ds.local_session();
+        idle.settle_vote().unwrap();
+        idle.join_transaction(63).unwrap();
+        idle.insert("emp", &[row(63)]).unwrap();
+        idle.settle_vote().unwrap();
+        idle.insert("emp", &[row(64)]).unwrap();
+        assert_eq!(idle.transaction(), Some(63));
+        for (session, txn) in [(&mut s, 60), (&mut refusing, 62), (&mut idle, 63)] {
+            session.abort(txn).unwrap();
+            assert_eq!(session.transaction(), None);
+        }
     }
 
     #[test]

@@ -3,22 +3,33 @@
 //! predicate's key domain, on the statement's own session, and the full
 //! table is read only when no seek applies.
 //!
-//! The differential suite runs one statement list against four set-ups —
-//! a 4-member networked federation whose members vote with their last write,
-//! the same federation whose providers offer neither index access nor that
-//! vote (the scan path and the explicit `prepare`, the reference for the
-//! wire), the four members behind one linked server (one participant, so
-//! autocommit), and a single engine holding every row in one plain table
-//! (the reference for the answer) — and requires identical `rows_affected`
-//! and identical table contents after every statement. The wire tests then
-//! pin what a statement ships and in how many requests, on links that carry
-//! no fault plan (DESIGN.md "2PC messages ride the data requests").
+//! A member whose provider takes a whole UPDATE/DELETE as SQL text is not
+//! located at all: the statement is shipped and runs inside the member's
+//! transaction (DESIGN.md §22 "Pushed writes"). Which way a write goes is
+//! decided by the provider's capabilities, so the spy can also lower the
+//! SQL level it reports.
+//!
+//! The differential suite runs one statement list against seven set-ups —
+//! a 4-member networked federation of engines that take the pushed
+//! statement and vote with it, the same federation reporting ODBC-core SQL
+//! (rows located by index seek, votes riding the bookmark writes), one with
+//! pushing and locating members side by side, one whose providers offer
+//! neither index access nor that vote (the scan path and the explicit
+//! `prepare`, the reference for the wire), the four members behind one
+//! linked server (one participant, so autocommit), the four members as
+//! local tables under a local view, and a single engine holding every row
+//! in one plain table (the reference for the answer) — and requires
+//! identical `rows_affected` and identical table contents after every
+//! statement. The wire tests then pin what a statement ships and in how many
+//! requests, on links that carry no fault plan (DESIGN.md "2PC messages ride
+//! the data requests").
 
 use dhqp::{Engine, EngineDataSource, MetricsSnapshot};
-use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
+use dhqp::{EventConfig, EventKind};
+use dhqp_netsim::{FaultConfig, NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{
-    Command, DataSource, Histogram, KeyRange, ProviderCapabilities, Rowset, Session, TableInfo,
-    TrafficSnapshot, TxnId,
+    Command, DataSource, Histogram, KeyRange, ProviderCapabilities, Rowset, Session, SqlSupport,
+    TableInfo, TrafficSnapshot, TxnId,
 };
 use dhqp_storage::{CheckConstraint, StorageEngine, TableDef};
 use dhqp_types::{Column, DataType, DhqpError, Interval, IntervalSet, Result, Row, Schema, Value};
@@ -45,6 +56,16 @@ enum IndexAccess {
     Broken,
 }
 
+/// What the provider behind a spy says it takes as SQL text.
+#[derive(Clone, Copy, PartialEq)]
+enum SqlLevel {
+    /// The wrapped engine's own, SQL-92: a whole UPDATE/DELETE is pushed.
+    Native,
+    /// `caps.sql_support = OdbcCore`: SELECTs are still pushed, the rows a
+    /// write touches are located from the head.
+    OdbcCore,
+}
+
 /// `(when, session id, method)` in call order, across all sessions of a
 /// source; `when` orders calls across sources too.
 type CallLog = Arc<Mutex<Vec<(u64, u64, &'static str)>>>;
@@ -57,17 +78,24 @@ struct Spy {
     /// Forward `vote_with_next_write`; without it the provider behind the
     /// spy is one that votes only when asked to `prepare`.
     votes: bool,
+    sql: SqlLevel,
     log: CallLog,
     sessions: AtomicU64,
 }
 
 impl Spy {
-    fn new(inner: Arc<dyn DataSource>, index: IndexAccess, votes: bool) -> (Arc<Self>, CallLog) {
+    fn new(
+        inner: Arc<dyn DataSource>,
+        index: IndexAccess,
+        votes: bool,
+        sql: SqlLevel,
+    ) -> (Arc<Self>, CallLog) {
         let log = CallLog::default();
         let spy = Arc::new(Spy {
             inner,
             index,
             votes,
+            sql,
             log: Arc::clone(&log),
             sessions: AtomicU64::new(0),
         });
@@ -83,6 +111,9 @@ impl DataSource for Spy {
         let mut caps = self.inner.capabilities();
         if self.index == IndexAccess::Unadvertised {
             caps.index_support = false;
+        }
+        if self.sql == SqlLevel::OdbcCore {
+            caps.sql_support = SqlSupport::OdbcCore;
         }
         caps
     }
@@ -235,15 +266,30 @@ fn member_domain(lo: i64, hi: i64) -> IntervalSet {
 /// member `i` on linked server `m{i % servers}`.
 struct Federation {
     head: Engine,
+    /// The engine behind each linked server.
+    servers: Vec<Engine>,
     links: Vec<NetworkLink>,
     logs: Vec<CallLog>,
 }
 
-/// Four members on four servers, behind spies that do not forward
-/// `vote_with_next_write`. `reliable` links carry no fault plan whatever
-/// `DHQP_FAULT_SEED` says — for the tests that count requests and rows.
+/// Four members on four servers whose rows are located from the head,
+/// behind spies that do not forward `vote_with_next_write`. `reliable` links
+/// carry no fault plan whatever `DHQP_FAULT_SEED` says — for the tests that
+/// count requests and rows.
 fn federation(index: IndexAccess, reliable: bool) -> Federation {
     federation_on(MEMBERS, index, reliable, false)
+}
+
+/// Members on `servers` servers whose rows are located from the head.
+fn federation_on(servers: i64, index: IndexAccess, reliable: bool, votes: bool) -> Federation {
+    federation_with(servers, index, reliable, votes, &[SqlLevel::OdbcCore])
+}
+
+/// Members on `servers` servers that take a pushed UPDATE/DELETE, seek and
+/// vote: engines as they are.
+fn pushing(servers: i64, reliable: bool) -> Federation {
+    let sql = [SqlLevel::Native];
+    federation_with(servers, IndexAccess::Native, reliable, true, &sql)
 }
 
 /// Create member `i`'s table `acct_{i}` in `storage`; returns its entry in
@@ -259,7 +305,14 @@ fn create_member(
     (server, table, member_domain(lo, hi))
 }
 
-fn federation_on(servers: i64, index: IndexAccess, reliable: bool, votes: bool) -> Federation {
+/// Server `i` reports the SQL level `sql[i % sql.len()]`.
+fn federation_with(
+    servers: i64,
+    index: IndexAccess,
+    reliable: bool,
+    votes: bool,
+    sql: &[SqlLevel],
+) -> Federation {
     let head = Engine::new("head");
     let (mut links, mut logs) = (Vec::new(), Vec::new());
     let engines: Vec<Engine> = (0..servers)
@@ -271,8 +324,9 @@ fn federation_on(servers: i64, index: IndexAccess, reliable: bool, votes: bool) 
             create_member(storage, i, Some(format!("m{}", i % servers)))
         })
         .collect();
-    for (i, member) in engines.into_iter().enumerate() {
-        let (spy, log) = Spy::new(Arc::new(EngineDataSource::new(member)), index, votes);
+    for (i, member) in engines.iter().cloned().enumerate() {
+        let source = Arc::new(EngineDataSource::new(member));
+        let (spy, log) = Spy::new(source, index, votes, sql[i % sql.len()]);
         let link = NetworkLink::new(format!("m{i}"), NetworkConfig::lan());
         let source = if reliable {
             NetworkedDataSource::reliable(spy, link.clone())
@@ -286,7 +340,12 @@ fn federation_on(servers: i64, index: IndexAccess, reliable: bool, votes: bool) 
     }
     head.define_partitioned_view("acct_all", "id", view_members)
         .unwrap();
-    Federation { head, links, logs }
+    Federation {
+        head,
+        servers: engines,
+        links,
+        logs,
+    }
 }
 
 /// The four members as local tables of one engine, under a local view.
@@ -510,6 +569,18 @@ fn statements() -> Vec<Stmt> {
         // A row moved into a range its own statement still selects (id 58
         // left for 158 above) is not found and moved a second time.
         lit("UPDATE acct_all SET id = id + 50, balance = balance + 1 WHERE id IN (8, 58)"),
+        // What a pushed statement has to carry across: a function only the
+        // head knows (stays located), float and quoted-string literals, a
+        // date folded from a parameter, a negative operand.
+        lit("UPDATE acct_all SET balance = DATE(balance, 3) WHERE id IN (30, 80)"),
+        lit("UPDATE acct_all SET score = score * 1.5 + 0.125 WHERE score < 0.3 AND id > 20"),
+        lit("UPDATE acct_all SET owner = 'O''Brien' WHERE owner = 'late' OR owner LIKE '%_9'"),
+        lit("UPDATE acct_all SET balance = balance - -2 WHERE owner = 'O''Brien' AND id <> 69"),
+        (
+            "UPDATE acct_all SET owner = @day WHERE id IN (31, 131) AND ABS(balance) >= @least",
+            vec![("day", Value::Date(10_561)), ("least", int(0))],
+        ),
+        lit("UPDATE acct_all SET owner = UPPER(owner), score = NULL WHERE LEN(owner) = 4"),
         // DELETE + re-INSERT, then the whole table.
         lit("DELETE FROM acct_all WHERE id IN (25, 125)"),
         lit("INSERT INTO acct_all (id, balance, owner, score) VALUES \
@@ -521,15 +592,22 @@ fn statements() -> Vec<Stmt> {
 
 #[test]
 fn seek_scan_and_unfederated_agree_on_every_statement() {
+    let pushed = pushing(MEMBERS, false);
+    let mixed_levels = [SqlLevel::Native, SqlLevel::OdbcCore];
+    let mixed = federation_with(MEMBERS, IndexAccess::Native, false, true, &mixed_levels);
     let seek = federation_on(MEMBERS, IndexAccess::Native, false, true);
     let scan = federation(IndexAccess::Unadvertised, false);
-    let one_server = federation_on(1, IndexAccess::Native, false, true);
+    let one_server = pushing(1, false);
+    let solo_view = local_view();
     let solo = unfederated();
     assert_eq!(contents(&seek.head), contents(&solo));
     let federated = [
+        ("pushed", &pushed.head),
+        ("pushed and located members", &mixed.head),
         ("seek path", &seek.head),
         ("scan path", &scan.head),
         ("one server", &one_server.head),
+        ("local view", &solo_view),
     ];
     for (sql, params) in statements() {
         let want = affected(&solo, sql, &params);
@@ -540,15 +618,31 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
         }
     }
     // Which path ran is read off the counters, not forced by a switch.
-    let (seek_m, scan_m, solo_m) = (seek.head.metrics(), scan.head.metrics(), solo.metrics());
+    let metrics = |engine: &Engine| engine.metrics();
+    let (pushed_m, mixed_m) = (metrics(&pushed.head), metrics(&mixed.head));
+    let (seek_m, scan_m, solo_m) = (metrics(&seek.head), metrics(&scan.head), metrics(&solo));
     assert!(seek_m.dml_seeks > 0 && solo_m.dml_seeks > 0);
     assert!(seek_m.dml_scans > 0, "non-key predicates still scan");
     assert_eq!(scan_m.dml_seeks, 0, "no seek without index_support");
     assert!(seek_m.dml_rows_located < scan_m.dml_rows_located);
-    // The same transactions committed whether the votes rode or not.
+    // Below SQL-92, and at home, nothing is pushed; an engine is sent every
+    // write but the key moves and the function it does not know.
+    let none = [seek_m.dml_pushed, scan_m.dml_pushed, solo_m.dml_pushed];
+    assert_eq!(none, [0, 0, 0]);
+    assert_eq!(metrics(&solo_view).dml_pushed, 0);
+    assert!(pushed_m.dml_pushed > mixed_m.dml_pushed && mixed_m.dml_pushed > 0);
+    assert!(pushed_m.dml_seeks > 0 && pushed_m.dml_seeks < mixed_m.dml_seeks);
+    assert_eq!(pushed_m.dml_scans, 0, "a key move is sought by its key");
+    assert_eq!(metrics(&one_server.head).dml_pushed, pushed_m.dml_pushed);
+    // The same transactions committed whichever way the rows were written,
+    // whether the votes rode or not.
     assert!(seek_m.dtc_votes_ridden > 0 && scan_m.dtc_votes_ridden == 0);
-    assert_eq!(seek_m.dtc_commits, scan_m.dtc_commits);
-    assert_eq!((seek_m.dtc_aborts, scan_m.dtc_aborts), (0, 0));
+    assert!(pushed_m.dtc_votes_ridden > 0 && mixed_m.dtc_votes_ridden > 0);
+    for m in [&pushed_m, &mixed_m, &seek_m] {
+        assert_eq!(m.dtc_commits, scan_m.dtc_commits);
+        assert_eq!(m.dtc_aborts, 0);
+    }
+    assert_eq!(scan_m.dtc_aborts, 0);
     assert_eq!(one_server.head.metrics().dtc_commits, 0, "one participant");
 }
 
@@ -559,7 +653,8 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
 /// — and updated — again.
 #[test]
 fn rows_a_statement_moved_are_not_located_again() {
-    let one_server = federation_on(1, IndexAccess::Native, true, true);
+    // An engine would take the statement whole, were it not moving the key.
+    let one_server = pushing(1, true);
     let mut calls = Vec::new();
     for (name, engine) in [
         ("local view", &local_view()),
@@ -819,26 +914,30 @@ fn seek_runs_on_the_enlisted_session_before_any_write() {
     );
 }
 
-/// What a cross-site write costs on the wire once enlistment and the vote
-/// ride the data requests: per participant `open_index`(+join) →
+/// What a cross-site write costs on the wire. Shipped as a statement, per
+/// participant: the statement(+join, +vote) → `commit`. Located, once
+/// enlistment and the vote ride the data requests: `open_index`(+join) →
 /// write(+vote) → `commit`, in the bytes of the five messages it used to be.
 #[test]
 fn two_phase_commit_messages_ride_the_data_requests() {
+    let pushed = pushing(MEMBERS, true);
     let voting = federation_on(MEMBERS, IndexAccess::Native, true, true);
     // Behind spies that do not vote only the join rides; the bytes are the
     // same, the explicit `prepare` is one more request per writer.
     let explicit = federation(IndexAccess::Native, true);
     let bytes = |delta: &[TrafficSnapshot]| delta.iter().map(|d| d.bytes).collect::<Vec<_>>();
-    let mut votes = 0;
-    for (sql, ridden, prepared, update_bytes) in [
+    let (mut votes, mut pushed_votes) = (0, 0);
+    for (sql, shipped, ridden, prepared, update_bytes) in [
         (
             "UPDATE acct_all SET balance = balance - 1 WHERE id IN (10, 60)",
+            [2, 2, 0, 0],
             [3, 3, 0, 0],
             [4, 4, 0, 0],
             Some(237),
         ),
         (
             "DELETE FROM acct_all WHERE id IN (10, 160)",
+            [2, 0, 0, 2],
             [3, 0, 0, 3],
             [4, 0, 0, 4],
             None,
@@ -847,20 +946,25 @@ fn two_phase_commit_messages_ride_the_data_requests() {
         (
             "INSERT INTO acct_all (id, balance) VALUES (10, 1), (160, 1)",
             [2, 0, 0, 2],
+            [2, 0, 0, 2],
             [3, 0, 0, 3],
             None,
         ),
         // A member that locates nothing (id 70 has another score) is
-        // read-only: it is not asked to vote, just told the outcome.
+        // read-only: it is not asked to vote, just told the outcome. Sent
+        // the statement, it finds that out itself, and votes all the same.
         (
             "DELETE FROM acct_all WHERE id IN (20, 70) AND score = 0.5",
+            [2, 2, 0, 0],
             [3, 2, 0, 0],
             [4, 2, 0, 0],
             None,
         ),
     ] {
+        let (n_pushed, delta_pushed, net_pushed) = pushed.run_net_of_connects(sql, &[]);
         let (n, delta, net) = voting.run_net_of_connects(sql, &[]);
         let (n_ref, delta_ref, net_ref) = explicit.run_net_of_connects(sql, &[]);
+        assert_eq!((n_pushed, net_pushed), (n_ref, shipped.to_vec()), "{sql}");
         assert_eq!((n, net), (n_ref, ridden.to_vec()), "{sql}");
         assert_eq!(net_ref, prepared, "only the join rides: {sql}");
         assert_eq!(
@@ -871,11 +975,26 @@ fn two_phase_commit_messages_ride_the_data_requests() {
         if let Some(want) = update_bytes {
             assert_eq!(delta[0].bytes, want, "{sql}");
         }
+        // No row crosses the link in either direction, so the statement is
+        // the smaller message too.
+        if !sql.starts_with("INSERT") {
+            assert_eq!(rows(&delta_pushed), [0; 4], "{sql}");
+            let located = bytes(&delta);
+            let smaller = bytes(&delta_pushed).into_iter().zip(located);
+            assert!(smaller.clone().all(|(a, b)| a <= b), "{sql}: {smaller:?}");
+        }
         votes += ridden.iter().filter(|r| **r == ridden[0]).count() as u64;
+        pushed_votes += shipped.iter().filter(|r| **r > 0).count() as u64;
         assert_eq!(voting.head.metrics().dtc_votes_ridden, votes, "{sql}");
+        assert_eq!(
+            pushed.head.metrics().dtc_votes_ridden,
+            pushed_votes,
+            "{sql}"
+        );
     }
-    assert_eq!(voting.head.dtc().stats(), (4, 0));
-    assert_eq!(explicit.head.dtc().stats(), (4, 0));
+    for fed in [&pushed, &voting, &explicit] {
+        assert_eq!(fed.head.dtc().stats(), (4, 0));
+    }
     assert_eq!(explicit.head.metrics().dtc_votes_ridden, 0);
     assert_eq!(
         voting.calls(1),
@@ -889,6 +1008,336 @@ fn two_phase_commit_messages_ride_the_data_requests() {
             "commit"
         ]
     );
+    assert_eq!(
+        pushed.calls(1),
+        [
+            "join_transaction",
+            "create_command",
+            "commit",
+            "join_transaction",
+            "create_command",
+            "commit"
+        ]
+    );
+    let m = pushed.head.metrics();
+    assert_eq!((m.dml_pushed, m.dml_seeks, m.dml_scans), (6, 0, 0));
+}
+
+/// One participant, so no transaction: the statement is the whole exchange.
+#[test]
+fn an_autocommit_pushed_write_is_one_request() {
+    let pushed = pushing(MEMBERS, true);
+    let located = federation_on(MEMBERS, IndexAccess::Native, true, true);
+    for (sql, link, n_want) in [
+        ("DELETE FROM m3.db.dbo.acct_3 WHERE id >= 197", 3, 3),
+        (
+            "UPDATE m1.db.dbo.acct_1 SET owner = 'x', balance = balance * 2 WHERE id < 52",
+            1,
+            2,
+        ),
+        // A view statement that prunes to one member.
+        ("UPDATE acct_all SET balance = 0 WHERE id = 142", 2, 1),
+        // No WHERE clause at all.
+        ("UPDATE m0.db.dbo.acct_0 SET score = 0.5", 0, 50),
+    ] {
+        pushed.clear_logs();
+        let (n, delta, net) = pushed.run_net_of_connects(sql, &[]);
+        let (n_ref, _, net_ref) = located.run_net_of_connects(sql, &[]);
+        assert_eq!((n, n_ref), (n_want, n_want), "{sql}");
+        assert_eq!((net[link], net_ref[link]), (1, 2), "{sql}");
+        assert_eq!(net.iter().sum::<u64>(), 1, "{sql}");
+        assert_eq!(rows(&delta), [0; 4], "{sql}");
+        assert_eq!(pushed.calls(link), ["create_command"], "{sql}");
+        assert_eq!(contents(&pushed.head), contents(&located.head), "{sql}");
+    }
+    assert_eq!(pushed.head.dtc().stats(), (0, 0));
+    let m = pushed.head.metrics();
+    assert_eq!((m.dml_pushed, m.dml_seeks, m.dml_scans), (4, 0, 0));
+    let dmv = pushed
+        .head
+        .query("SELECT value FROM sys.dm_os_counters WHERE name = 'dml_pushed'")
+        .unwrap();
+    assert_eq!(dmv.scalar(), Some(&Value::Int(4)));
+    // A key domain that proves the predicate empty still sends nothing.
+    let (n, _, net) = pushed.run_net_of_connects(
+        "DELETE FROM m1.db.dbo.acct_1 WHERE id > 70 AND id < 60",
+        &[],
+    );
+    assert_eq!((n, net), (0, vec![0; 4]));
+    assert_eq!(pushed.head.metrics().dml_pushed, 4);
+}
+
+/// A pushed statement that matches nothing at a member writes nothing there,
+/// so the vote it carries has no write to ride: the member answers it when
+/// the statement is done. The participant still costs two requests, and the
+/// pooled session carries no stale "vote with the next write" into its next
+/// transaction — where it writes twice, and must vote with the second.
+#[test]
+fn a_pushed_statement_that_writes_nothing_still_votes() {
+    let fed = pushing(MEMBERS, true);
+    fed.run("DELETE FROM acct_all WHERE id = 105", &[]);
+    fed.clear_logs();
+    // id 70 has another score: nothing to write at member 1.
+    let sql = "UPDATE acct_all SET balance = 7 WHERE id IN (20, 70) AND score = 0.5";
+    let (n, _, net) = fed.run_net_of_connects(sql, &[]);
+    assert_eq!((n, net), (1, vec![2, 2, 0, 0]));
+    assert_eq!(fed.head.dtc().stats(), (1, 0));
+    assert_eq!(fed.head.metrics().dtc_votes_ridden, 2);
+    let pushed = ["join_transaction", "create_command", "commit"];
+    assert_eq!(fed.calls(1), pushed);
+    assert!(!fed.servers[1].storage().has_txn(1), "nothing left behind");
+
+    // 5 → 55 and 55 → 105: member 1 gives up a row and takes one in.
+    let (n, _, net) =
+        fed.run_net_of_connects("UPDATE acct_all SET id = id + 50 WHERE id IN (5, 55)", &[]);
+    assert_eq!((n, net), (2, vec![3, 4, 2, 0]));
+    assert_eq!(
+        fed.calls(1)[pushed.len()..],
+        [
+            "join_transaction",
+            "open_index",
+            "delete_by_bookmarks",
+            "insert",
+            "commit"
+        ]
+    );
+    assert_eq!(fed.head.dtc().stats(), (2, 0));
+    let ids = fed
+        .head
+        .query("SELECT id FROM acct_all WHERE id IN (5, 55, 105) ORDER BY id")
+        .unwrap();
+    let ids: Vec<_> = ids.rows.iter().map(|r| r.get(0).clone()).collect();
+    assert_eq!(ids, [Value::Int(55), Value::Int(105)]);
+}
+
+/// A write is sent once. With a plan that faults DML text too, the injected
+/// error fails the statement and nothing re-issues it; under the default
+/// plan (every `DHQP_FAULT_SEED` CI leg) DML text is exempt from injection.
+#[test]
+fn a_pushed_write_is_never_re_sent() {
+    let one_fault = |reads_only| FaultConfig {
+        reads_only,
+        ..FaultConfig::one_transient_per_link(7)
+    };
+    for (reads_only, outcome) in [(false, Err("unavailable".to_string())), (true, Ok(1))] {
+        let member = Engine::new("member");
+        create_member(member.storage(), 0, None);
+        let source = Arc::new(EngineDataSource::new(member.clone()));
+        let (spy, log) = Spy::new(source, IndexAccess::Native, true, SqlLevel::Native);
+        let link = NetworkLink::new("m0", NetworkConfig::lan());
+        let faulty = NetworkedDataSource::with_faults(spy, link.clone(), one_fault(reads_only));
+        let head = Engine::new("head");
+        head.add_linked_server("m0", Arc::new(faulty)).unwrap();
+        let sql = "UPDATE m0.db.dbo.acct_0 SET balance = 0 WHERE id = 10";
+        assert_eq!(
+            affected(&head, sql, &[]),
+            outcome,
+            "reads_only={reads_only}"
+        );
+        let commands = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(.., call)| *call)
+            .collect::<Vec<_>>();
+        assert_eq!(commands, ["create_command"], "reads_only={reads_only}");
+        assert_eq!(link.faults_injected(), u64::from(!reads_only));
+        let balance = member
+            .query("SELECT balance FROM acct_0 WHERE id = 10")
+            .unwrap();
+        let want = if reads_only { 0 } else { 100 };
+        assert_eq!(balance.scalar(), Some(&Value::Int(want)));
+        assert_eq!(head.metrics().remote_retries, 0);
+    }
+}
+
+/// Atomicity with a pushed participant: a member whose statement fails a
+/// CHECK, and one whose ridden vote refuses, abort every participant —
+/// pushed or located, already voted or not — with no table changed; and the
+/// located participants were all read before anything was written.
+#[test]
+fn a_refused_pushed_write_aborts_every_participant() {
+    let levels = [SqlLevel::Native, SqlLevel::OdbcCore];
+    let fed = federation_with(MEMBERS, IndexAccess::Native, true, true, &levels);
+    // Members 0 and 2 take the statement, 1 and 3 are located.
+    let non_negative = CheckConstraint {
+        name: "ck_balance".into(),
+        column: "balance".into(),
+        domain: IntervalSet::single(Interval::at_least(Value::Int(0))),
+    };
+    let add_check = |t: &mut dhqp_storage::Table| {
+        t.checks.push(non_negative.clone());
+        Ok(())
+    };
+    fed.servers[2]
+        .storage()
+        .with_table_mut("acct_2", add_check)
+        .unwrap();
+    for member in &fed.servers {
+        member.set_event_config(EventConfig::only(&[
+            EventKind::QueryStart,
+            EventKind::QueryEnd,
+        ]));
+    }
+    let before = contents(&fed.head);
+    let statement_events = |member: &Engine| {
+        let events = member.recent_events();
+        let of = |kind| events.iter().filter(|e| e.kind == kind).count();
+        let failed = events
+            .iter()
+            .filter(|e| e.attrs.iter().any(|(k, _)| k == "error"));
+        (
+            of(EventKind::QueryStart),
+            of(EventKind::QueryEnd),
+            failed.count(),
+        )
+    };
+
+    // The happy path first: reads of located members precede every write.
+    fed.clear_logs();
+    let sql = "UPDATE acct_all SET balance = balance - 10 WHERE id IN (10, 60, 110, 160)";
+    assert_eq!(affected(&fed.head, sql, &[]), Ok(4));
+    let last_read = fed.times_of(&["open_index"]).into_iter().max();
+    let first_write = fed.times_of(&["create_command", "update_by_bookmarks"]);
+    assert!(last_read < first_write.into_iter().min());
+    assert_eq!(
+        fed.calls(0),
+        ["join_transaction", "create_command", "commit"]
+    );
+    assert_eq!(
+        fed.calls(1),
+        [
+            "join_transaction",
+            "open_index",
+            "update_by_bookmarks",
+            "commit"
+        ]
+    );
+    // The pushed text is a statement of the member's own: one start, one end.
+    assert_eq!(statement_events(&fed.servers[0]), (1, 1, 0));
+    assert_eq!(statement_events(&fed.servers[1]), (0, 0, 0));
+    affected(&fed.head, "UPDATE acct_all SET balance = 100", &[]).unwrap();
+    assert_eq!(contents(&fed.head), before);
+
+    // Member 2's CHECK refuses the statement it was sent; members 0 and 1
+    // have voted yes by then.
+    let sql = "UPDATE acct_all SET balance = balance - 101 WHERE id IN (10, 60, 110)";
+    assert_eq!(affected(&fed.head, sql, &[]), Err("transaction".into()));
+    assert_eq!(contents(&fed.head), before);
+
+    // Member 0's statement runs, and its vote — riding the statement — is
+    // refused. Again the member saw one statement, which failed.
+    let seen = statement_events(&fed.servers[0]);
+    fed.servers[0].storage().set_fail_prepare(true);
+    let sql = "UPDATE acct_all SET balance = balance - 1 WHERE id IN (10, 60)";
+    assert_eq!(affected(&fed.head, sql, &[]), Err("transaction".into()));
+    fed.servers[0].storage().set_fail_prepare(false);
+    assert_eq!(contents(&fed.head), before);
+    let now = statement_events(&fed.servers[0]);
+    assert_eq!((now.0 - seen.0, now.1 - seen.1, now.2 - seen.2), (1, 1, 1));
+
+    let (commits, aborts) = fed.head.dtc().stats();
+    assert_eq!((commits, aborts), (2, 2));
+    assert_eq!(fed.head.dtc().telemetry().in_doubt, 0);
+    for member in &fed.servers {
+        assert!((1..=4).all(|txn| !member.storage().has_txn(txn)));
+    }
+    // The sessions went back to their pools usable.
+    assert_eq!(
+        affected(&fed.head, "DELETE FROM acct_all WHERE id IN (10, 60)", &[]),
+        Ok(2)
+    );
+}
+
+/// What the member refuses before it writes anything: command text whose
+/// target is not a plain table of its own. (The head never sends such text;
+/// a member is handed one here through a view of the same name.)
+#[test]
+fn a_pushed_statement_writes_a_plain_local_table_or_nothing() {
+    let fed = pushing(1, true);
+    let member = &fed.servers[0];
+    let halves = (0..2)
+        .map(|i| {
+            (
+                None,
+                format!("acct_{i}"),
+                member_domain(i * PER_MEMBER, (i + 1) * PER_MEMBER - 1),
+            )
+        })
+        .collect();
+    member
+        .define_partitioned_view("acct_low", "id", halves)
+        .unwrap();
+    let source = EngineDataSource::new(member.clone());
+    let mut session = source.create_session().unwrap();
+    let mut run = |sql: &str| {
+        let mut command = session.create_command().unwrap();
+        command.set_text(sql).unwrap();
+        command.execute().map(|_| ()).map_err(|e| e.kind())
+    };
+    assert_eq!(
+        run("UPDATE acct_low SET balance = 1 WHERE id = 10"),
+        Err("unsupported")
+    );
+    assert_eq!(
+        run("DELETE FROM elsewhere.db.dbo.t WHERE id = 10"),
+        Err("unsupported")
+    );
+    assert_eq!(
+        run("INSERT INTO acct_low (id, balance) VALUES (1000, 1)"),
+        Err("unsupported")
+    );
+    assert_eq!(run("UPDATE acct_0 SET balance = 1 WHERE id = 10"), Ok(()));
+    assert_eq!(run("SELECT id FROM acct_low WHERE id = 10"), Ok(()));
+    // The member's own users write its view as before.
+    assert_eq!(
+        affected(
+            member,
+            "UPDATE acct_low SET balance = 2 WHERE id IN (10, 60)",
+            &[]
+        ),
+        Ok(2)
+    );
+}
+
+/// A member's full-text index follows a pushed write that committed with
+/// the statement (autocommit); under a transaction the write is still
+/// buffered when the statement ends, as a bookmark write's is.
+#[test]
+fn a_members_fulltext_index_follows_an_autocommit_pushed_write() {
+    let indexed = |fed: &Federation| {
+        for (i, member) in fed.servers.iter().enumerate() {
+            let table = format!("acct_{i}");
+            member
+                .create_fulltext_index(&table, "id", "owner", &format!("ft_{i}"))
+                .unwrap();
+        }
+    };
+    let (pushed, located) = (
+        pushing(MEMBERS, true),
+        federation_on(MEMBERS, IndexAccess::Native, true, true),
+    );
+    indexed(&pushed);
+    indexed(&located);
+    let found = |fed: &Federation, member: usize, word: &str| {
+        let sql =
+            format!("SELECT id FROM acct_{member} WHERE CONTAINS(owner, '{word}') ORDER BY id");
+        let hits = fed.servers[member].query(&sql).unwrap();
+        hits.rows
+            .iter()
+            .map(|r| r.get(0).clone())
+            .collect::<Vec<_>>()
+    };
+    let sql = "UPDATE acct_all SET owner = 'fresh words' WHERE id = 10";
+    assert_eq!(affected(&pushed.head, sql, &[]), Ok(1));
+    assert_eq!(found(&pushed, 0, "fresh"), [Value::Int(10)]);
+    // Two participants: whichever way the rows were written, the index is
+    // as the last refresh left it.
+    let sql = "UPDATE acct_all SET owner = 'later words' WHERE id IN (11, 61)";
+    assert_eq!(affected(&pushed.head, sql, &[]), Ok(2));
+    assert_eq!(affected(&located.head, sql, &[]), Ok(2));
+    assert_eq!(found(&pushed, 1, "later"), found(&located, 1, "later"));
+    assert_eq!(contents(&pushed.head).len(), contents(&located.head).len());
 }
 
 #[test]

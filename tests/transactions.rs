@@ -219,6 +219,26 @@ fn dpv_update_transfers_through_sql() {
     assert_eq!(r.value(0, 0), &Value::Int(75));
 }
 
+/// The SQL path ships each member its UPDATE, which runs inside the
+/// member's transaction and carries its vote: a refusal there aborts both.
+#[test]
+fn pushed_update_whose_vote_is_refused_rolls_back_both_sides() {
+    let bank = bank();
+    let sql = "UPDATE accounts_all SET balance = balance - 30 WHERE id IN (10, 60)";
+    bank.members[1].storage().set_fail_prepare(true);
+    let err = bank.head.execute(sql).unwrap_err();
+    assert_eq!(err.kind(), "transaction");
+    bank.members[1].storage().set_fail_prepare(false);
+    assert_eq!(balances(&bank), 10_000, "member 0 had already voted yes");
+    assert_eq!(bank.head.dtc().stats(), (0, 1));
+    assert_eq!(bank.head.dtc().telemetry().in_doubt, 0);
+    assert_eq!(bank.head.execute(sql).unwrap().rows_affected, Some(2));
+    assert_eq!(balances(&bank), 10_000 - 60);
+    let m = bank.head.metrics();
+    assert_eq!((m.dml_pushed, m.dml_seeks + m.dml_scans), (4, 0));
+    assert_eq!(m.dtc_votes_ridden, 3, "one before the refusal, two after");
+}
+
 #[test]
 fn federated_aggregate_over_view() {
     let bank = bank();
