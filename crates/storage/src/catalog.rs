@@ -3,7 +3,7 @@
 
 use crate::histogram::analyze_table;
 use crate::table::Table;
-use crate::txn::{PendingOp, TxnState};
+use crate::txn::{PendingOp, Replay, TxnState};
 use dhqp_oledb::{TableStatistics, TxnId};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Schema};
 use parking_lot::{Mutex, RwLock};
@@ -195,20 +195,7 @@ impl StorageEngine {
     /// Buffer an insert under `txn`; CHECK constraints are validated
     /// eagerly so the client learns of violations at statement time.
     pub fn txn_insert(&self, txn: TxnId, table: &str, rows: &[Row]) -> Result<u64> {
-        self.with_table(table, |t| -> Result<()> {
-            for r in rows {
-                if r.len() != t.schema.len() {
-                    return Err(DhqpError::Execute(format!(
-                        "row arity {} does not match table '{}' arity {}",
-                        r.len(),
-                        t.name,
-                        t.schema.len()
-                    )));
-                }
-                t.validate_checks(r)?;
-            }
-            Ok(())
-        })??;
+        self.with_table(table, |t| rows.iter().try_for_each(|r| t.validate_row(r)))??;
         let mut txns = self.txns.lock();
         let state = txns.entry(txn).or_insert_with(TxnState::active);
         let ops = state.active_ops().ok_or_else(|| {
@@ -255,23 +242,23 @@ impl StorageEngine {
             return Ok(());
         };
         // Validate every buffered op against current state so commit cannot
-        // fail: replay against a scratch copy of the touched tables.
+        // fail: each touched table as it is, plus what the ops before this
+        // one did to it.
         {
             let ops = state
                 .active_ops()
                 .ok_or_else(|| DhqpError::Transaction(format!("transaction {txn} not active")))?;
             let tables = self.tables.read();
-            let mut scratch: HashMap<String, Table> = HashMap::new();
+            let mut replays: HashMap<&str, Replay> = HashMap::new();
             for op in ops.iter() {
-                let key = Self::key(op.table());
-                if !scratch.contains_key(&key) {
-                    let t = tables.get(&key).ok_or_else(|| {
-                        DhqpError::Catalog(format!("table '{}' does not exist", op.table()))
-                    })?;
-                    scratch.insert(key.clone(), t.clone());
-                }
-                let t = scratch.get_mut(&key).expect("inserted above");
-                op.apply(t)?;
+                let (key, table) =
+                    tables
+                        .get_key_value(&Self::key(op.table()))
+                        .ok_or_else(|| {
+                            DhqpError::Catalog(format!("table '{}' does not exist", op.table()))
+                        })?;
+                let replay = replays.entry(key).or_insert_with(|| Replay::over(table));
+                replay.admit(op)?;
             }
         }
         state.mark_prepared();

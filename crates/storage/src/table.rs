@@ -79,8 +79,9 @@ impl Table {
         Ok(())
     }
 
-    /// Insert one row, maintaining indexes; returns its bookmark.
-    pub fn insert(&mut self, row: Row) -> Result<u64> {
+    /// What a candidate row must satisfy whatever else the table holds: the
+    /// table's arity and its CHECK constraints.
+    pub fn validate_row(&self, row: &Row) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(DhqpError::Execute(format!(
                 "row arity {} does not match table '{}' arity {}",
@@ -89,18 +90,24 @@ impl Table {
                 self.schema.len()
             )));
         }
-        self.validate_checks(&row)?;
+        self.validate_checks(row)
+    }
+
+    pub(crate) fn duplicate_key(&self, index: &str) -> DhqpError {
+        DhqpError::Constraint(format!(
+            "duplicate key in unique index '{index}' on '{}'",
+            self.name
+        ))
+    }
+
+    /// Insert one row, maintaining indexes; returns its bookmark.
+    pub fn insert(&mut self, row: Row) -> Result<u64> {
+        self.validate_row(&row)?;
         // Probe unique indexes before touching anything so a violation
         // leaves the table unchanged.
         for ix in &self.indexes {
-            if ix.unique {
-                let key = ix.key_of(&row.values);
-                if !ix.seek(&key).is_empty() {
-                    return Err(DhqpError::Constraint(format!(
-                        "duplicate key in unique index '{}' on '{}'",
-                        ix.name, self.name
-                    )));
-                }
+            if ix.unique && !ix.seek(&ix.key_of(&row.values)).is_empty() {
+                return Err(self.duplicate_key(&ix.name));
             }
         }
         let bookmark = self.heap.insert(row);
