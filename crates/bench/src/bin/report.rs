@@ -720,7 +720,8 @@ fn e11_federation() {
             "-".into()
         };
         // The same cross-site write as one SQL statement through the view:
-        // the DHQP locates the two rows itself, by index seek.
+        // each owning member is sent its UPDATE and runs it inside the
+        // transaction, so no row crosses a link.
         let sql_cross = if members >= 2 {
             let before = total_traffic(&links);
             let (_, t) = timed(|| {

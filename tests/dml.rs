@@ -9,14 +9,15 @@
 //! decided by the provider's capabilities, so the spy can also lower the
 //! SQL level it reports.
 //!
-//! The differential suite runs one statement list against seven set-ups —
+//! The differential suite runs one statement list against eight set-ups —
 //! a 4-member networked federation of engines that take the pushed
 //! statement and vote with it, the same federation reporting ODBC-core SQL
 //! (rows located by index seek, votes riding the bookmark writes), one with
 //! pushing and locating members side by side, one whose providers offer
 //! neither index access nor that vote (the scan path and the explicit
-//! `prepare`, the reference for the wire), the four members behind one
-//! linked server (one participant, so autocommit), the four members as
+//! `prepare`, the reference for the wire), the four members behind two
+//! linked servers and behind one (one participant, so autocommit), the
+//! four members as
 //! local tables under a local view, and a single engine holding every row
 //! in one plain table (the reference for the answer) — and requires
 //! identical `rows_affected` and identical table contents after every
@@ -597,6 +598,8 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
     let mixed = federation_with(MEMBERS, IndexAccess::Native, false, true, &mixed_levels);
     let seek = federation_on(MEMBERS, IndexAccess::Native, false, true);
     let scan = federation(IndexAccess::Unadvertised, false);
+    // Two tables per participant: the vote rides the second statement.
+    let two_servers = pushing(2, false);
     let one_server = pushing(1, false);
     let solo_view = local_view();
     let solo = unfederated();
@@ -606,6 +609,7 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
         ("pushed and located members", &mixed.head),
         ("seek path", &seek.head),
         ("scan path", &scan.head),
+        ("two servers", &two_servers.head),
         ("one server", &one_server.head),
         ("local view", &solo_view),
     ];
@@ -642,6 +646,12 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
         assert_eq!(m.dtc_commits, scan_m.dtc_commits);
         assert_eq!(m.dtc_aborts, 0);
     }
+    let two_m = metrics(&two_servers.head);
+    assert!(two_m.dtc_commits > 0 && two_m.dtc_commits < pushed_m.dtc_commits);
+    assert_eq!(
+        (two_m.dtc_aborts, two_m.dml_pushed),
+        (0, pushed_m.dml_pushed)
+    );
     assert_eq!(scan_m.dtc_aborts, 0);
     assert_eq!(one_server.head.metrics().dtc_commits, 0, "one participant");
 }
@@ -862,7 +872,7 @@ fn seek_runs_on_the_enlisted_session_before_any_write() {
     for member in [0, 1] {
         // One session per participant: it joins the transaction, locates
         // the rows, writes them and takes both 2PC phases. No command
-        // object — that would run outside the transaction.
+        // object: this provider reports ODBC-core SQL.
         assert_eq!(
             fed.calls(member),
             [
@@ -1021,6 +1031,20 @@ fn two_phase_commit_messages_ride_the_data_requests() {
     );
     let m = pushed.head.metrics();
     assert_eq!((m.dml_pushed, m.dml_seeks, m.dml_scans), (6, 0, 0));
+
+    // A provider that takes the statement but votes only when asked to
+    // `prepare` (what fedbench's traced pass puts between head and link).
+    let sql = [SqlLevel::Native];
+    let asked = federation_with(MEMBERS, IndexAccess::Native, true, false, &sql);
+    let (n, _, net) = asked.run_net_of_connects(
+        "UPDATE acct_all SET balance = balance - 1 WHERE id IN (10, 60)",
+        &[],
+    );
+    assert_eq!((n, net), (2, vec![3, 3, 0, 0]));
+    assert_eq!(
+        asked.calls(1),
+        ["join_transaction", "create_command", "prepare", "commit"]
+    );
 }
 
 /// One participant, so no transaction: the statement is the whole exchange.
@@ -1108,6 +1132,30 @@ fn a_pushed_statement_that_writes_nothing_still_votes() {
         .unwrap();
     let ids: Vec<_> = ids.rows.iter().map(|r| r.get(0).clone()).collect();
     assert_eq!(ids, [Value::Int(55), Value::Int(105)]);
+
+    // Two tables on one participant, the second statement writing nothing:
+    // what the first one buffered is what the vote is about. (id 120 has
+    // score 0; acct_0 and acct_2 live on server 0.)
+    let fed = pushing(2, true);
+    let sql = "UPDATE acct_all SET balance = 7 WHERE id IN (20, 70, 120) AND score > 0.1";
+    let before = contents(&fed.head);
+    fed.servers[0].storage().set_fail_prepare(true);
+    assert_eq!(affected(&fed.head, sql, &[]), Err("transaction".into()));
+    fed.servers[0].storage().set_fail_prepare(false);
+    assert_eq!(contents(&fed.head), before);
+    fed.clear_logs();
+    let (n, _, net) = fed.run_net_of_connects(sql, &[]);
+    assert_eq!((n, net), (2, vec![3, 2]));
+    assert_eq!(
+        fed.calls(0),
+        [
+            "join_transaction",
+            "create_command",
+            "create_command",
+            "commit"
+        ]
+    );
+    assert_eq!(fed.head.dtc().stats(), (1, 1));
 }
 
 /// A write is sent once. With a plan that faults DML text too, the injected
