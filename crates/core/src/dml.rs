@@ -172,7 +172,10 @@ impl<'e> Sessions<'e> {
             }
             // A statement that found nothing to write leaves the vote it
             // was to carry unanswered.
-            Sessions::Ambient(session) => session.settle_vote()?,
+            Sessions::Ambient(session) => {
+                session.settle_vote()?;
+                applied.buffered = session.transaction().is_some();
+            }
         }
         Ok(applied)
     }
@@ -261,6 +264,9 @@ struct Applied {
     inserted: u64,
     /// Rows pushed statements reported as updated or deleted.
     pushed: u64,
+    /// The writes are still buffered under a transaction this statement
+    /// does not end ([`Sessions::Ambient`]): no reader can see them yet.
+    buffered: bool,
 }
 
 impl WriteOp<'_> {
@@ -349,20 +355,11 @@ pub fn run_insert(
         }
     };
     let participants: Vec<_> = plan.tables.iter().map(|t| t.server.clone()).collect();
-    let buffered = is_buffered(&ambient);
-    let n = Sessions::new(engine, &participants, ambient)
-        .apply(&plan)?
-        .inserted;
-    if let Some(table) = local_table.filter(|_| !buffered) {
+    let applied = Sessions::new(engine, &participants, ambient).apply(&plan)?;
+    if let Some(table) = local_table.filter(|_| !applied.buffered) {
         engine.refresh_fulltext_index(table)?;
     }
-    Ok(QueryResult::rows_affected(n))
-}
-
-/// Whether what the statement writes stays buffered under the transaction of
-/// the session it arrived on: nothing a reader can see has changed yet.
-fn is_buffered(ambient: &Option<&mut LocalSession>) -> bool {
-    ambient.as_ref().is_some_and(|s| s.transaction().is_some())
+    Ok(QueryResult::rows_affected(applied.inserted))
 }
 
 /// Arrange a source row into full table-column order, applying the column
@@ -694,7 +691,6 @@ pub fn run_delete(
         &[],
         params,
     )?;
-    let buffered = is_buffered(&ambient);
     let mut sessions = Sessions::new(engine, &set.participants(), ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
@@ -708,7 +704,7 @@ pub fn run_delete(
         }
     }
     let applied = sessions.apply(&plan)?;
-    set.refresh_fulltext(engine, buffered)?;
+    set.refresh_fulltext(engine, applied.buffered)?;
     Ok(QueryResult::rows_affected(applied.deleted + applied.pushed))
 }
 
@@ -744,7 +740,6 @@ pub fn run_update(
         }
         _ => set.participants(),
     };
-    let buffered = is_buffered(&ambient);
     let mut sessions = Sessions::new(engine, &participants, ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
@@ -755,7 +750,7 @@ pub fn run_update(
         set.plan_update(target, rows, &mut plan)?;
     }
     let applied = sessions.apply(&plan)?;
-    set.refresh_fulltext(engine, buffered)?;
+    set.refresh_fulltext(engine, applied.buffered)?;
     // A moved row is deleted at one member and inserted at another.
     let n = applied.updated + applied.deleted + applied.pushed;
     Ok(QueryResult::rows_affected(n))

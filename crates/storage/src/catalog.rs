@@ -251,12 +251,10 @@ impl StorageEngine {
             let tables = self.tables.read();
             let mut replays: HashMap<&str, Replay> = HashMap::new();
             for op in ops.iter() {
-                let (key, table) =
-                    tables
-                        .get_key_value(&Self::key(op.table()))
-                        .ok_or_else(|| {
-                            DhqpError::Catalog(format!("table '{}' does not exist", op.table()))
-                        })?;
+                let key = Self::key(op.table());
+                let (key, table) = tables.get_key_value(&key).ok_or_else(|| {
+                    DhqpError::Catalog(format!("table '{}' does not exist", op.table()))
+                })?;
                 let replay = replays.entry(key).or_insert_with(|| Replay::over(table));
                 replay.admit(op)?;
             }

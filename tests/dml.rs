@@ -1378,6 +1378,7 @@ fn a_members_fulltext_index_follows_an_autocommit_pushed_write() {
     };
     let sql = "UPDATE acct_all SET owner = 'fresh words' WHERE id = 10";
     assert_eq!(affected(&pushed.head, sql, &[]), Ok(1));
+    assert_eq!(affected(&located.head, sql, &[]), Ok(1));
     assert_eq!(found(&pushed, 0, "fresh"), [Value::Int(10)]);
     // Two participants: whichever way the rows were written, the index is
     // as the last refresh left it.
@@ -1385,7 +1386,7 @@ fn a_members_fulltext_index_follows_an_autocommit_pushed_write() {
     assert_eq!(affected(&pushed.head, sql, &[]), Ok(2));
     assert_eq!(affected(&located.head, sql, &[]), Ok(2));
     assert_eq!(found(&pushed, 1, "later"), found(&located, 1, "later"));
-    assert_eq!(contents(&pushed.head).len(), contents(&located.head).len());
+    assert_eq!(contents(&pushed.head), contents(&located.head));
 }
 
 #[test]
