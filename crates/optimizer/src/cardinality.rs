@@ -217,17 +217,8 @@ pub fn derive_props(
             let groups = if group_by.is_empty() {
                 1.0
             } else {
-                let ndv: f64 = group_by
-                    .iter()
-                    .map(|c| {
-                        child
-                            .histograms
-                            .get(c)
-                            .map(|h| h.buckets.iter().map(|b| b.distinct).sum::<f64>())
-                            .unwrap_or(DEFAULT_NDV)
-                    })
-                    .product();
-                ndv.min(child.cardinality).max(1.0)
+                let groups: f64 = group_by.iter().map(|c| ndv(child, *c)).product();
+                groups.min(child.cardinality).max(1.0)
             };
             let mut domains = BTreeMap::new();
             let mut keys = Vec::new();
@@ -338,17 +329,27 @@ pub fn equi_key_columns(
     out
 }
 
-/// Estimated distinct values of a column.
-fn ndv(props: &LogicalProps, col: ColumnId) -> f64 {
+/// Distinct values of a column as far as the statistics say: a unique key
+/// has as many as the group has rows, otherwise the histogram's buckets are
+/// summed. `None` with neither.
+fn known_ndv(props: &LogicalProps, col: ColumnId) -> Option<f64> {
+    let rows = props.cardinality.max(1.0);
     if props.keys.contains(&col) {
-        return props.cardinality.max(1.0);
+        return Some(rows);
     }
-    props
-        .histograms
-        .get(&col)
-        .map(|h| h.buckets.iter().map(|b| b.distinct).sum::<f64>())
-        .unwrap_or(DEFAULT_NDV)
-        .min(props.cardinality.max(1.0))
+    let h = props.histograms.get(&col)?;
+    Some(
+        h.buckets
+            .iter()
+            .map(|b| b.distinct)
+            .sum::<f64>()
+            .clamp(1.0, rows),
+    )
+}
+
+/// Estimated distinct values of a column.
+pub fn ndv(props: &LogicalProps, col: ColumnId) -> f64 {
+    known_ndv(props, col).unwrap_or_else(|| DEFAULT_NDV.min(props.cardinality.max(1.0)))
 }
 
 /// Inner-join cardinality estimate.
@@ -391,27 +392,63 @@ pub fn predicate_selectivity(predicate: &ScalarExpr, input: &LogicalProps) -> f6
     sel.clamp(0.0, 1.0)
 }
 
+/// Selectivity of `col = <one of n values>` from the column's density:
+/// `n / ndv`. The System-R guess only when neither a histogram nor a key
+/// says how many values there are.
+fn eq_selectivity(input: &LogicalProps, col: ColumnId, n: usize) -> f64 {
+    match known_ndv(input, col) {
+        Some(ndv) => (n as f64 / ndv).min(1.0),
+        None => (SEL_EQ_DEFAULT * n as f64).min(0.8),
+    }
+}
+
+/// A comparison of `col` with values and no other column, estimated
+/// without looking at the values (a `@param` has none at compile time;
+/// every numeric literal of a cached statement is one).
+fn value_blind_selectivity(conj: &ScalarExpr, col: ColumnId, input: &LogicalProps) -> Option<f64> {
+    match conj {
+        ScalarExpr::Cmp { op, left, right } => {
+            let column = ScalarExpr::Column(col);
+            let against_values = (**left == column && right.is_column_free())
+                || (**right == column && left.is_column_free());
+            if !against_values {
+                return None;
+            }
+            Some(match op {
+                CmpOp::Eq => eq_selectivity(input, col, 1),
+                CmpOp::Neq => 1.0 - eq_selectivity(input, col, 1),
+                _ => SEL_RANGE_DEFAULT,
+            })
+        }
+        ScalarExpr::InList {
+            expr,
+            list,
+            negated,
+        } if **expr == ScalarExpr::Column(col) => {
+            let sel = eq_selectivity(input, col, list.len());
+            Some(if *negated { 1.0 - sel } else { sel })
+        }
+        _ => None,
+    }
+}
+
 fn conjunct_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> f64 {
-    // Single-column predicates answerable from a histogram.
+    // Single-column predicates: the histogram answers when the values are
+    // known, the column's density when they are not.
     let cols = conj.columns();
     if cols.len() == 1 {
         let col = *cols.iter().next().expect("len checked");
         let dom = conj.domain_for(col);
+        if dom.is_empty() {
+            return 0.0;
+        }
         if !dom.is_full() {
-            if dom.is_empty() {
-                return 0.0;
-            }
             if let Some(h) = input.histograms.get(&col) {
                 return h.selectivity(&dom).clamp(0.0001, 1.0);
             }
-            // No histogram: shape-based defaults.
-            return match conj {
-                ScalarExpr::Cmp { op: CmpOp::Eq, .. } => SEL_EQ_DEFAULT,
-                ScalarExpr::Cmp { op: CmpOp::Neq, .. } => 1.0 - SEL_EQ_DEFAULT,
-                ScalarExpr::Cmp { .. } => SEL_RANGE_DEFAULT,
-                ScalarExpr::InList { list, .. } => (SEL_EQ_DEFAULT * list.len() as f64).min(0.8),
-                _ => SEL_OTHER_DEFAULT,
-            };
+        }
+        if let Some(sel) = value_blind_selectivity(conj, col, input) {
+            return sel;
         }
     }
     match conj {
@@ -425,7 +462,7 @@ fn conjunct_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> f64 {
         }
         ScalarExpr::Cmp { op, .. } => {
             if *op == CmpOp::Eq {
-                SEL_EQ_DEFAULT.max(0.01)
+                SEL_EQ_DEFAULT
             } else {
                 SEL_RANGE_DEFAULT
             }
@@ -501,6 +538,132 @@ mod tests {
         let tree = LogicalExpr::get(Arc::new(bare)).filter(pred);
         let props = props_of(&tree, &reg);
         assert!((props.cardinality - 333.0).abs() < 5.0);
+    }
+
+    /// 1 000 rows: `k` unique (index + histogram), `g` 25 values of 40
+    /// rows each, `s` half zeros and 500 singletons (both with
+    /// histograms), `u` with no statistics at all.
+    fn density_table(reg: &mut ColumnRegistry) -> Arc<TableMeta> {
+        let cols = [
+            ("k", DataType::Int),
+            ("g", DataType::Int),
+            ("s", DataType::Int),
+            ("u", DataType::Int),
+        ];
+        let mut m = (*test_table_meta(0, "t", Locality::Local, &cols, reg, 1000)).clone();
+        m.indexes.push(dhqp_oledb::IndexInfo {
+            name: "pk".into(),
+            key_columns: vec!["k".into()],
+            unique: true,
+        });
+        let mut stats = TableStatistics {
+            row_count: Some(1000),
+            ..Default::default()
+        };
+        let column = |f: &dyn Fn(i64) -> i64| {
+            let mut vals: Vec<Value> = (0..1000).map(|i| Value::Int(f(i))).collect();
+            vals.sort_by(Value::total_cmp);
+            Histogram::build(&vals, 16, 0.0).unwrap()
+        };
+        stats.set_histogram("k", column(&|i| i));
+        stats.set_histogram("g", column(&|i| i % 25));
+        stats.set_histogram("s", column(&|i| if i < 500 { 0 } else { i }));
+        m.stats = Some(stats);
+        Arc::new(m)
+    }
+
+    fn filtered_rows(meta: &Arc<TableMeta>, reg: &ColumnRegistry, pred: ScalarExpr) -> f64 {
+        props_of(&LogicalExpr::get(Arc::clone(meta)).filter(pred), reg).cardinality
+    }
+
+    fn param(name: &str) -> ScalarExpr {
+        ScalarExpr::Param(name.into())
+    }
+
+    #[test]
+    fn unknown_values_take_the_columns_density() {
+        let mut reg = ColumnRegistry::new();
+        let meta = density_table(&mut reg);
+        let col = |pos: usize| ScalarExpr::Column(meta.column_id(pos));
+        let rows = |pred: ScalarExpr| filtered_rows(&meta, &reg, pred);
+        // A unique key bound by equality is one row, with no special case.
+        assert!((rows(ScalarExpr::eq(col(0), param("p"))) - 1.0).abs() < 1e-9);
+        // ... either operand order.
+        assert!((rows(ScalarExpr::eq(param("p"), col(0))) - 1.0).abs() < 1e-9);
+        // A 25-value column: rows / 25, and the complement for `<>`.
+        assert!((rows(ScalarExpr::eq(col(1), param("p"))) - 40.0).abs() < 1e-9);
+        assert!((rows(ScalarExpr::cmp(CmpOp::Neq, col(1), param("p"))) - 960.0).abs() < 1e-9);
+        // n unknown values: n / ndv.
+        let either = ScalarExpr::Or(vec![
+            ScalarExpr::eq(col(1), param("a")),
+            ScalarExpr::eq(col(1), param("b")),
+        ]);
+        assert!((rows(either) - 80.0).abs() < 1e-9);
+        // The density does not look at the value: `s = @p` is rows / 501
+        // although half the rows hold one value...
+        assert!((rows(ScalarExpr::eq(col(2), param("p"))) - 1000.0 / 501.0).abs() < 1e-9);
+        // ... which a literal comparand still gets from the histogram.
+        let zero = rows(ScalarExpr::eq(col(2), ScalarExpr::literal(Value::Int(0))));
+        let dom = IntervalSet::point(Value::Int(0));
+        let hist = meta.stats.as_ref().unwrap().histogram("s").unwrap();
+        assert_eq!(zero, 1000.0 * hist.selectivity(&dom));
+        assert!(zero >= 400.0, "the histogram sees the skew: {zero}");
+        // A range with an unknown bound stays a guess.
+        let range = rows(ScalarExpr::cmp(CmpOp::Gt, col(0), param("p")));
+        assert!((range - 1000.0 * SEL_RANGE_DEFAULT).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_key_without_a_histogram_still_has_a_density() {
+        let mut reg = ColumnRegistry::new();
+        let mut bare = (*density_table(&mut reg)).clone();
+        bare.stats = None;
+        let meta = Arc::new(bare);
+        let k = ScalarExpr::Column(meta.column_id(0));
+        let list = |negated| ScalarExpr::InList {
+            expr: Box::new(k.clone()),
+            list: (1..=3).map(Value::Int).collect(),
+            negated,
+        };
+        assert!((filtered_rows(&meta, &reg, list(false)) - 3.0).abs() < 1e-9);
+        assert!((filtered_rows(&meta, &reg, list(true)) - 997.0).abs() < 1e-9);
+        let seven = ScalarExpr::eq(k.clone(), ScalarExpr::literal(Value::Int(7)));
+        assert!((filtered_rows(&meta, &reg, seven) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn neither_histogram_nor_key_keeps_the_system_r_constants() {
+        let mut reg = ColumnRegistry::new();
+        let meta = density_table(&mut reg);
+        let u = ScalarExpr::Column(meta.column_id(3));
+        let rows = |pred: ScalarExpr| filtered_rows(&meta, &reg, pred);
+        let near = |got: f64, want: f64| (got - want).abs() < 1e-9;
+        assert!(near(
+            rows(ScalarExpr::eq(u.clone(), param("p"))),
+            1000.0 * SEL_EQ_DEFAULT
+        ));
+        assert!(near(
+            rows(ScalarExpr::eq(
+                u.clone(),
+                ScalarExpr::literal(Value::Int(3))
+            )),
+            1000.0 * SEL_EQ_DEFAULT
+        ));
+        assert!(near(
+            rows(ScalarExpr::cmp(CmpOp::Neq, u.clone(), param("p"))),
+            1000.0 * (1.0 - SEL_EQ_DEFAULT)
+        ));
+        assert!(near(
+            rows(ScalarExpr::cmp(CmpOp::Le, u.clone(), param("p"))),
+            1000.0 * SEL_RANGE_DEFAULT
+        ));
+        let list = |n: i64| ScalarExpr::InList {
+            expr: Box::new(u.clone()),
+            list: (0..n).map(Value::Int).collect(),
+            negated: false,
+        };
+        assert!(near(rows(list(3)), 1000.0 * 3.0 * SEL_EQ_DEFAULT));
+        assert!(near(rows(list(40)), 800.0), "capped at 0.8");
     }
 
     #[test]

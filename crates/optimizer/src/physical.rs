@@ -311,6 +311,26 @@ impl PhysNode {
         self.children.iter().find_map(|c| c.find_op(f))
     }
 
+    /// The first operator estimated above its only input, if any. Joins
+    /// (a semi-join reduction's one child is its build side), unions and a
+    /// scalar aggregate (one row out of none) can exceed an input; nothing
+    /// else can, whatever its predicate — the estimator's monotonicity
+    /// rule, checked over whole plans by the test suites.
+    pub fn estimate_inversion(&self) -> Option<&PhysNode> {
+        let exempt = match &self.op {
+            PhysicalOp::SemiJoinReduce { .. } => true,
+            PhysicalOp::HashAggregate { group_by, .. }
+            | PhysicalOp::StreamAggregate { group_by, .. } => group_by.is_empty(),
+            _ => false,
+        };
+        if let ([child], false) = (self.children.as_slice(), exempt) {
+            if self.est_rows > child.est_rows * (1.0 + 1e-9) {
+                return Some(self);
+            }
+        }
+        self.children.iter().find_map(PhysNode::estimate_inversion)
+    }
+
     /// Indented single-line-per-operator rendering (the engine's
     /// `EXPLAIN`).
     pub fn display_indent(&self) -> String {

@@ -6,6 +6,7 @@
 //! itself is driven from the search loop (it applies to whole groups via
 //! the decoder); everything else lives here.
 
+use crate::cardinality::{equi_key_columns, ndv, predicate_selectivity};
 use crate::decoder::Decoder;
 use crate::logical::{JoinKind, Locality, LogicalOp, TableMeta};
 use crate::memo::{GroupId, MExpr, Memo};
@@ -45,7 +46,7 @@ pub fn implementations(
             )
             .with_rows(rows.len() as f64)]
         }
-        LogicalOp::Filter { predicate } => implement_filter(predicate, expr, memo, required),
+        LogicalOp::Filter { predicate } => implement_filter(predicate, expr, memo, ctx),
         LogicalOp::StartupFilter { predicate } => {
             vec![PhysAlt::node(
                 PhysicalOp::StartupFilter {
@@ -213,7 +214,7 @@ fn implement_filter(
     predicate: &ScalarExpr,
     expr: &MExpr,
     memo: &Memo,
-    _required: &RequiredProps,
+    ctx: &RuleContext<'_>,
 ) -> Vec<PhysAlt> {
     let mut out = Vec::new();
     // Column-free predicates become startup filters ("the predicate can be
@@ -227,7 +228,7 @@ fn implement_filter(
                 vec![PhysAlt::child_with(
                     expr.children[0],
                     RequiredProps::none(),
-                    0.5,
+                    ctx.config.cost.startup_pass_probability,
                 )],
             )
             .with_delivered(Delivered::Inherit(0)),
@@ -245,7 +246,7 @@ fn implement_filter(
     );
     // Index fusion: Filter ∘ Get → (residual Filter ∘) IndexRange.
     let child_group = memo.group(expr.children[0]);
-    let child_card = child_group.props.cardinality;
+    let child_props = &child_group.props;
     for &eid in &child_group.exprs {
         let child_expr = memo.expr(eid);
         let LogicalOp::Get { meta, .. } = &child_expr.op else {
@@ -260,10 +261,14 @@ fn implement_filter(
                 continue;
             };
             let lead_col = meta.column_id(lead_pos);
-            let Some((range, sel)) = sargable_range(predicate, lead_col, child_card) else {
+            let Some((range, covered)) = sargable_range(predicate, lead_col) else {
                 continue;
             };
-            let rows = (child_card * sel).max(1.0);
+            // The range returns what the conjuncts it covers let through —
+            // the same estimator the filter above it is sized with, so the
+            // two can never be inverted.
+            let rows =
+                (child_props.cardinality * predicate_selectivity(&covered, child_props)).max(1.0);
             let access = if remote {
                 PhysicalOp::RemoteRange {
                     meta: Arc::clone(meta),
@@ -291,15 +296,12 @@ fn implement_filter(
 }
 
 /// Derive an index seek range on `col` from the predicate's conjuncts.
-/// Returns the range plus a selectivity guess for the range itself.
-fn sargable_range(
-    predicate: &ScalarExpr,
-    col: ColumnId,
-    _input_rows: f64,
-) -> Option<(IndexRangeSpec, f64)> {
-    let mut low: Option<(ScalarExpr, bool)> = None;
-    let mut high: Option<(ScalarExpr, bool)> = None;
-    let mut eq: Option<ScalarExpr> = None;
+/// Returns the range plus the conjuncts it covers (as one predicate), for
+/// the caller to size through the cardinality estimator.
+fn sargable_range(predicate: &ScalarExpr, col: ColumnId) -> Option<(IndexRangeSpec, ScalarExpr)> {
+    let mut low: Option<(ScalarExpr, bool, ScalarExpr)> = None;
+    let mut high: Option<(ScalarExpr, bool, ScalarExpr)> = None;
+    let mut eq: Option<(ScalarExpr, ScalarExpr)> = None;
     for conj in predicate.conjuncts() {
         let ScalarExpr::Cmp { op, left, right } = &conj else {
             continue;
@@ -314,47 +316,31 @@ fn sargable_range(
             _ => continue,
         };
         match op {
-            CmpOp::Eq => eq = Some(bound),
-            CmpOp::Gt => low = Some((bound, false)),
-            CmpOp::Ge => low = Some((bound, true)),
-            CmpOp::Lt => high = Some((bound, false)),
-            CmpOp::Le => high = Some((bound, true)),
+            CmpOp::Eq => eq = Some((bound, conj)),
+            CmpOp::Gt => low = Some((bound, false, conj)),
+            CmpOp::Ge => low = Some((bound, true, conj)),
+            CmpOp::Lt => high = Some((bound, false, conj)),
+            CmpOp::Le => high = Some((bound, true, conj)),
             CmpOp::Neq => {}
         }
     }
-    if let Some(b) = eq {
-        return Some((IndexRangeSpec::eq(vec![b]), 0.01));
+    if let Some((b, conj)) = eq {
+        return Some((IndexRangeSpec::eq(vec![b]), conj));
     }
-    match (low, high) {
-        (None, None) => None,
-        (lo, hi) => {
-            let sel = match (&lo, &hi) {
-                (Some(_), Some(_)) => 0.1,
-                _ => 1.0 / 3.0,
-            };
-            Some((
-                IndexRangeSpec {
-                    low: lo.map(|(e, inc)| (vec![e], inc)),
-                    high: hi.map(|(e, inc)| (vec![e], inc)),
-                },
-                sel,
-            ))
-        }
-    }
-}
-
-/// Distinct-value estimate for a column within a group.
-fn ndv_of(memo: &Memo, group: GroupId, col: ColumnId) -> f64 {
-    let props = &memo.group(group).props;
-    if props.keys.contains(&col) {
-        return props.cardinality.max(1.0);
-    }
-    props
-        .histograms
-        .get(&col)
-        .map(|h| h.buckets.iter().map(|b| b.distinct).sum::<f64>())
-        .unwrap_or(100.0)
-        .min(props.cardinality.max(1.0))
+    let covered = ScalarExpr::and(
+        [&low, &high]
+            .into_iter()
+            .flatten()
+            .map(|(_, _, conj)| conj.clone())
+            .collect(),
+    )?;
+    Some((
+        IndexRangeSpec {
+            low: low.map(|(e, inc, _)| (vec![e], inc)),
+            high: high.map(|(e, inc, _)| (vec![e], inc)),
+        },
+        covered,
+    ))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -429,13 +415,7 @@ fn implement_join(
         }
 
         let equi = predicate
-            .map(|p| {
-                crate::cardinality::equi_key_columns(
-                    p,
-                    &memo.group(lg).props,
-                    &memo.group(rg).props,
-                )
-            })
+            .map(|p| equi_key_columns(p, &memo.group(lg).props, &memo.group(rg).props))
             .unwrap_or_default();
         if !equi.is_empty() && kind != JoinKind::Cross {
             let left_keys: Vec<ScalarExpr> =
@@ -484,7 +464,7 @@ fn implement_join(
             // hash-join the reduced result back against the build rows.
             if ctx.config.enable_semijoin && matches!(kind, JoinKind::Inner | JoinKind::Semi) {
                 out.extend(semijoin_reduce_variants(
-                    kind, predicate, lg, rg, &equi, memo, ctx, l_card,
+                    kind, predicate, lg, rg, &equi, memo, ctx,
                 ));
             }
         }
@@ -494,8 +474,8 @@ fn implement_join(
 
 /// Build a semi-join-reduction alternative when the right group lives
 /// wholly on one SQL-capable remote server and the left (build) side's
-/// key count fits under the IN-list ceiling.
-#[allow(clippy::too_many_arguments)]
+/// distinct keys fit under the IN-list ceiling and are fewer than the probe
+/// column's.
 fn semijoin_reduce_variants(
     kind: JoinKind,
     predicate: Option<&ScalarExpr>,
@@ -504,7 +484,6 @@ fn semijoin_reduce_variants(
     equi: &[(ColumnId, ColumnId)],
     memo: &Memo,
     ctx: &RuleContext<'_>,
-    l_card: f64,
 ) -> Vec<PhysAlt> {
     let locs = group_localities(memo, rg);
     if locs.len() != 1 || !locs[0].is_remote() {
@@ -523,17 +502,20 @@ fn semijoin_reduce_variants(
     {
         return Vec::new();
     }
+    let (build_col, probe_col) = equi[0];
+    let keys = ndv(&memo.group(lg).props, build_col);
+    let probe_ndv = ndv(&memo.group(rg).props, probe_col);
     // Past the IN-list ceiling the reduction never pays; don't offer it —
-    // this is the Fig.-4-style crossover as the build side scales.
-    if ndv_of(memo, lg, equi[0].0) > ctx.config.semijoin_max_keys as f64 {
+    // this is the Fig.-4-style crossover as the build side scales. Nor does
+    // a list that names every value the probe column has (a probe side
+    // already bound to its key, say): it ships keys to fetch the same rows.
+    if keys > ctx.config.semijoin_max_keys as f64 || keys >= probe_ndv {
         return Vec::new();
     }
-    let (build_col, probe_col) = equi[0];
     let mut decoder = Decoder::new(memo, ctx.registry, caps, &server);
     let Some(remote) = decoder.build(rg, None, &[], &[], None) else {
         return Vec::new();
     };
-    let _ = l_card;
     // Wire cost of the reduced fetch, charged here where the probe group's
     // cardinality is visible: the remote returns the right group filtered
     // by the shipped keys — `r_card × keys/ndv(probe)` rows — NOT the final
@@ -542,9 +524,7 @@ fn semijoin_reduce_variants(
     // toward the probe side's distinct count, the reduction stops paying.
     let r_card = memo.group(rg).props.cardinality.max(1.0);
     let r_width = memo.group(rg).props.row_width;
-    let keys = ndv_of(memo, lg, build_col);
-    let probe_ndv = ndv_of(memo, rg, probe_col).max(1.0);
-    let fetch_rows = r_card * (keys / probe_ndv).min(1.0);
+    let fetch_rows = r_card * keys / probe_ndv;
     let wire = ctx
         .config
         .cost
@@ -589,7 +569,7 @@ fn param_remote_variants(
     };
     let (outer_col, inner_col) = equi[0];
     let r_card = memo.group(rg).props.cardinality.max(1.0);
-    let per_probe = (r_card / ndv_of(memo, rg, inner_col)).max(1.0);
+    let per_probe = (r_card / ndv(&memo.group(rg).props, inner_col)).max(1.0);
     let mut out = Vec::new();
 
     // (a) Remote query with a correlation parameter.
@@ -665,4 +645,161 @@ fn param_remote_variants(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::logical::{test_table_meta, LogicalExpr};
+    use crate::props::ColumnRegistry;
+    use crate::search::OptimizerConfig;
+    use dhqp_types::DataType;
+
+    struct Fixture {
+        registry: ColumnRegistry,
+        nation: Arc<TableMeta>,
+        customer: Arc<TableMeta>,
+    }
+
+    /// Local `nation` (25 rows, key `nk`) and remote `customer` (5 000
+    /// rows, key `ck`, index-capable server).
+    fn fixture() -> Fixture {
+        let mut registry = ColumnRegistry::new();
+        let keyed = |meta: Arc<TableMeta>, key: &str| {
+            let mut m = (*meta).clone();
+            m.indexes.push(dhqp_oledb::IndexInfo {
+                name: format!("pk_{}", m.table),
+                key_columns: vec![key.into()],
+                unique: true,
+            });
+            Arc::new(m)
+        };
+        let nation = test_table_meta(
+            0,
+            "nation",
+            Locality::Local,
+            &[("nk", DataType::Int)],
+            &mut registry,
+            25,
+        );
+        let customer = test_table_meta(
+            1,
+            "customer",
+            Locality::remote("r0"),
+            &[("ck", DataType::Int), ("cnk", DataType::Int)],
+            &mut registry,
+            5000,
+        );
+        Fixture {
+            registry,
+            nation: keyed(nation, "nk"),
+            customer: keyed(customer, "ck"),
+        }
+    }
+
+    /// Every alternative the rules offer for the root expression of `tree`.
+    fn root_alternatives(tree: &LogicalExpr, f: &Fixture) -> Vec<PhysAlt> {
+        let mut memo = Memo::new();
+        let root = memo.insert_tree(tree, &f.registry);
+        let mut config = OptimizerConfig::default();
+        config
+            .server_caps
+            .insert("r0".into(), f.customer.caps.clone());
+        let ctx = RuleContext {
+            registry: &f.registry,
+            config: &config,
+        };
+        let expr = memo.expr(memo.group(root).exprs[0]).clone();
+        implementations(
+            &expr,
+            &memo,
+            &ctx,
+            &RequiredProps::none(),
+            OptimizationPhase::QuickPlan,
+        )
+    }
+
+    fn key_eq_param(meta: &TableMeta) -> ScalarExpr {
+        ScalarExpr::eq(
+            ScalarExpr::Column(meta.column_id(0)),
+            ScalarExpr::Param("p".into()),
+        )
+    }
+
+    #[test]
+    fn a_semijoin_that_cannot_reduce_is_not_offered() {
+        let f = fixture();
+        let on = ScalarExpr::eq(
+            ScalarExpr::Column(f.nation.column_id(0)),
+            ScalarExpr::Column(f.customer.column_id(1)),
+        );
+        let offered = |probe: LogicalExpr| {
+            let join = LogicalExpr::join(
+                JoinKind::Inner,
+                LogicalExpr::get(Arc::clone(&f.nation)),
+                probe,
+                Some(on.clone()),
+            );
+            root_alternatives(&join, &f).iter().any(|alt| {
+                matches!(
+                    alt,
+                    PhysAlt::Node {
+                        op: PhysicalOp::SemiJoinReduce { .. },
+                        ..
+                    }
+                )
+            })
+        };
+        // 25 nation keys against the whole customer table: fewer keys
+        // than the probe column has values, the list reduces.
+        assert!(offered(LogicalExpr::get(Arc::clone(&f.customer))));
+        // The probe side already bound to its key is one row; 25 keys
+        // shipped to fetch it again reduce nothing.
+        assert!(!offered(
+            LogicalExpr::get(Arc::clone(&f.customer)).filter(key_eq_param(&f.customer))
+        ));
+    }
+
+    #[test]
+    fn a_range_is_sized_by_the_conjuncts_it_covers() {
+        let f = fixture();
+        let k = ScalarExpr::Column(f.customer.column_id(0));
+        let range_rows = |pred: ScalarExpr| {
+            let tree = LogicalExpr::get(Arc::clone(&f.customer)).filter(pred);
+            let found: Vec<f64> = root_alternatives(&tree, &f)
+                .iter()
+                .filter_map(|alt| match alt {
+                    PhysAlt::Node { children, .. } => match children.first() {
+                        Some(PhysAlt::Node {
+                            op: PhysicalOp::RemoteRange { .. },
+                            est_rows,
+                            ..
+                        }) => Some(*est_rows),
+                        _ => None,
+                    },
+                    PhysAlt::ChildRef { .. } => None,
+                })
+                .collect();
+            assert_eq!(found.len(), 1, "one index, one range alternative");
+            found[0]
+        };
+        // A bound unique key: one row.
+        assert_eq!(range_rows(key_eq_param(&f.customer)), 1.0);
+        // The equality is what the range seeks on; the residual `<>` is
+        // the filter's, so the range stays at (not below) the filter.
+        let neq = ScalarExpr::cmp(CmpOp::Neq, k.clone(), ScalarExpr::Param("q".into()));
+        let both = ScalarExpr::and(vec![key_eq_param(&f.customer), neq]).unwrap();
+        assert_eq!(range_rows(both), 1.0);
+        // Both bounds unknown: the estimator's two range guesses, not a
+        // third constant of the rule's own.
+        let between = ScalarExpr::and(vec![
+            ScalarExpr::cmp(CmpOp::Ge, k.clone(), ScalarExpr::Param("lo".into())),
+            ScalarExpr::cmp(CmpOp::Lt, k.clone(), ScalarExpr::Param("hi".into())),
+        ])
+        .unwrap();
+        let tree = LogicalExpr::get(Arc::clone(&f.customer)).filter(between.clone());
+        let mut memo = Memo::new();
+        let root = memo.insert_tree(&tree, &f.registry);
+        assert_eq!(range_rows(between), memo.group(root).props.cardinality);
+    }
 }

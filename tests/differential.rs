@@ -351,6 +351,40 @@ fn cache_disabled_matches_cache_enabled() {
     assert_eq!(off.metrics().plan_cache_misses, 0);
 }
 
+/// The estimator's monotonicity rule over whole plans: no filter, project,
+/// sort, top or grouped aggregate is estimated above its only input —
+/// compiled with the literals in hand (cache off) and as the cached
+/// template (every numeric literal a parameter).
+#[test]
+fn no_operator_is_estimated_above_its_only_input() {
+    let local = local_engine();
+    let (dist, _links) = semijoin_engine(None, true);
+    for engine in [&local, &dist] {
+        for plan_cache in [false, true] {
+            engine.set_plan_cache_enabled(plan_cache);
+            let semijoins = if std::ptr::eq(engine, &dist) {
+                SEMIJOIN_CORPUS
+            } else {
+                &[]
+            };
+            for sql in CORPUS.iter().chain(semijoins) {
+                let Ok(report) = engine.execute_analyze(sql) else {
+                    continue; // statements the corpus keeps for their error
+                };
+                if let Some(node) = report.plan.estimate_inversion() {
+                    panic!(
+                        "{} at {} rows above its input's {} (plan cache {plan_cache}): {sql}\n{}",
+                        node.describe(),
+                        node.est_rows,
+                        node.children[0].est_rows,
+                        report.plan.display_indent()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn parallel_execution_matches_serial() {
     let serial = distributed_engine(None);

@@ -111,6 +111,90 @@ fn fingerprint_equal_literals_share_one_entry() {
     assert_eq!(m.plan_cache_hits, 2, "{m:?}");
 }
 
+/// A template's plan is chosen by the columns' densities, never by the
+/// first literal it happened to be compiled for (DESIGN.md §5): whichever
+/// literal comes first, every later one served from the cache returns what
+/// an uncached compile — which sees that literal — returns. The skew makes
+/// a sniffed plan wrong for somebody: `grp = 0` is half the remote table,
+/// every other group one row.
+#[test]
+fn a_warm_hit_returns_the_cold_plans_rows_for_every_literal() {
+    let remote = Engine::new("remote-engine");
+    remote
+        .create_table(
+            TableDef::new(
+                "rt",
+                Schema::new(vec![
+                    Column::not_null("k", DataType::Int),
+                    Column::new("grp", DataType::Int),
+                    Column::new("v", DataType::Str),
+                ]),
+            )
+            .with_index("pk_rt", &["k"], true)
+            .with_index("ix_grp", &["grp"], false),
+        )
+        .unwrap();
+    let rows: Vec<Row> = (0..400)
+        .map(|k| {
+            let grp = if k < 200 { 0 } else { k };
+            Row::new(vec![
+                Value::Int(k),
+                Value::Int(grp),
+                Value::Str(format!("v{k}")),
+            ])
+        })
+        .collect();
+    remote.insert("rt", &rows).unwrap();
+    remote.analyze("rt", 8).unwrap();
+
+    let sorted = |e: &Engine, sql: &str| {
+        let mut rows: Vec<String> = e
+            .query(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let templates: [fn(i64) -> String; 4] = [
+        |n| format!("SELECT k, v FROM r0.db.dbo.rt WHERE k = {n}"),
+        |n| format!("SELECT k, v FROM r0.db.dbo.rt WHERE grp = {n}"),
+        |n| {
+            format!("SELECT t.name, r.v FROM t JOIN r0.db.dbo.rt r ON t.id = r.k WHERE r.grp = {n}")
+        },
+        |n| format!("SELECT k FROM r0.db.dbo.rt WHERE grp = {n} AND k <> 3 AND k >= 1"),
+    ];
+    let literals = [0, 1, 2, 250, 399, 1000];
+    // Each literal takes a turn at being the one the template is compiled for.
+    for first in literals {
+        let warm = local_engine();
+        link(&warm, "r0", &remote);
+        let cold = local_engine();
+        cold.set_plan_cache_enabled(false);
+        link(&cold, "r0", &remote);
+        for template in templates {
+            sorted(&warm, &template(first));
+            for n in literals {
+                let sql = template(n);
+                assert_eq!(
+                    sorted(&warm, &sql),
+                    sorted(&cold, &sql),
+                    "{sql} after {first}"
+                );
+            }
+        }
+        let m = warm.metrics();
+        assert_eq!(m.plan_cache_misses, templates.len() as u64, "{m:?}");
+        assert_eq!(
+            m.plan_cache_hits,
+            (templates.len() * literals.len()) as u64,
+            "{m:?}"
+        );
+    }
+}
+
 /// Int and float literals produce the same template (the parameter's type
 /// is not part of the shape), so a plan compiled for an integer literal
 /// serves a float literal on a hit — and must still compare correctly.

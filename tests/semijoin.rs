@@ -49,11 +49,22 @@ fn link_member(head: &Engine, name: &str, member: &Engine, fault: Option<FaultCo
 /// semi-join reduction rule rewrites. Returns `(head, member1)` — the
 /// member engine is kept alive so more fact rows can be added.
 fn semijoin_federation(fault: Option<FaultConfig>) -> (Engine, Engine) {
+    sized_federation(6, 240, 40, fault)
+}
+
+/// The same shape at any size: `dim_keys` build keys against `fact_rows`
+/// remote rows over `fact_ndv` distinct probe keys.
+fn sized_federation(
+    dim_keys: i64,
+    fact_rows: i64,
+    fact_ndv: i64,
+    fault: Option<FaultConfig>,
+) -> (Engine, Engine) {
     let head = Engine::new("sj-head");
     head.storage()
         .create_table(table_def("dim", Column::new("tag", DataType::Str)))
         .unwrap();
-    let dim_rows: Vec<Row> = (1..=6)
+    let dim_rows: Vec<Row> = (1..=dim_keys)
         .map(|id| Row::new(vec![Value::Int(id), Value::Str(format!("d{id}"))]))
         .collect();
     head.storage().insert_rows("dim", &dim_rows).unwrap();
@@ -63,10 +74,10 @@ fn semijoin_federation(fault: Option<FaultConfig>) -> (Engine, Engine) {
     m1.storage()
         .create_table(table_def("fact", Column::new("val", DataType::Str)))
         .unwrap();
-    let fact_rows: Vec<Row> = (0..240)
+    let fact_rows: Vec<Row> = (0..fact_rows)
         .map(|i| {
             Row::new(vec![
-                Value::Int((i % 40) + 1),
+                Value::Int((i % fact_ndv) + 1),
                 Value::Str(format!("payload-{i:04}-{}", "x".repeat(96))),
             ])
         })
@@ -98,6 +109,81 @@ fn explain_analyze_annotates_the_reduction() {
     assert!(m.semijoin_reductions >= 1, "{m:?}");
     assert!(m.semijoin_filter_bytes > 0, "{m:?}");
     assert_eq!(m.semijoin_fallbacks, 0, "{m:?}");
+}
+
+/// The admission rule (DESIGN.md §16): a reduction is offered only when
+/// the build side has fewer distinct keys than the probe column. A probe
+/// side already bound to its unique key is one row; shipping every `dim`
+/// key to fetch that row again would only add an `IN`-list to the wire.
+#[test]
+fn a_key_bound_probe_side_is_fetched_without_an_in_list() {
+    let (head, m1) = semijoin_federation(None);
+    // Many wide rows: were the reduction offered, its narrow reduced
+    // statement would out-cost both the full-row index seek and the plain
+    // pushed query (which is charged the member's scan), and be picked.
+    let mut columns = vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("dim_id", DataType::Int),
+    ];
+    columns.extend((0..48).map(|i| Column::new(format!("note{i}"), DataType::Str)));
+    m1.storage()
+        .create_table(TableDef::new("account", Schema::new(columns)).with_index(
+            "pk_account",
+            &["id"],
+            true,
+        ))
+        .unwrap();
+    let accounts: Vec<Row> = (1..=2400)
+        .map(|id| {
+            let mut row = vec![Value::Int(id), Value::Int(id % 40 + 1)];
+            row.extend((0..48).map(|i| Value::Str(format!("note-{id}-{i}"))));
+            Row::new(row)
+        })
+        .collect();
+    m1.storage().insert_rows("account", &accounts).unwrap();
+    m1.storage().analyze("account", 8).unwrap();
+
+    let bound = |id: i64| {
+        format!(
+            "SELECT d.tag, a.id FROM dim d JOIN member1.db.dbo.account a \
+             ON d.id = a.dim_id WHERE a.id = {id}"
+        )
+    };
+    // Compiled with the literal in hand, then served as the cached
+    // template: neither may reduce.
+    for id in [3, 5] {
+        let report = head.execute_analyze(&bound(id)).unwrap();
+        let rendered = report.render();
+        assert_eq!(report.result.rows.len(), 1, "{rendered}");
+        assert!(!rendered.contains("SemiJoinReduce"), "{rendered}");
+        assert!(!rendered.contains("[semijoin:"), "{rendered}");
+        assert!(!rendered.contains("IN ("), "{rendered}");
+    }
+    let m = head.metrics();
+    assert_eq!(m.semijoin_reductions, 0, "{m:?}");
+    assert_eq!(m.semijoin_filter_bytes, 0, "{m:?}");
+
+    // The same join without the key bound: 6 keys against a column of
+    // 40 values do reduce, and still are.
+    let report = head
+        .execute_analyze(
+            "SELECT d.tag, a.id FROM dim d JOIN member1.db.dbo.account a ON d.id = a.dim_id",
+        )
+        .unwrap();
+    let rendered = report.render();
+    assert!(rendered.contains("[semijoin: keys=6 bytes="), "{rendered}");
+    assert_eq!(report.result.rows.len(), 360, "{rendered}");
+}
+
+/// E18's headline point: 16 build keys against a 2 400-row remote fact
+/// over 200 probe keys is admitted (16 < 200) and chosen.
+#[test]
+fn e18_sixteen_key_reduction_is_still_chosen() {
+    let (head, _m1) = sized_federation(16, 2400, 200, None);
+    let report = head.execute_analyze(JOIN).unwrap();
+    let rendered = report.render();
+    assert!(rendered.contains("[semijoin: keys=16 bytes="), "{rendered}");
+    assert_eq!(report.result.rows.len(), 16 * 12, "{rendered}");
 }
 
 /// A dead probe link: the reduced open burns its retry budget, the
