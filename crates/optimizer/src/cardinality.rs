@@ -57,11 +57,12 @@ pub fn derive_props(
             let keys = meta
                 .indexes
                 .iter()
-                .filter(|ix| ix.unique && ix.key_columns.len() == 1)
+                .filter(|ix| ix.unique && !ix.key_columns.is_empty())
                 .filter_map(|ix| {
-                    meta.schema
-                        .index_of(&ix.key_columns[0])
-                        .map(|pos| meta.column_id(pos))
+                    ix.key_columns
+                        .iter()
+                        .map(|name| meta.schema.index_of(name).map(|pos| meta.column_id(pos)))
+                        .collect()
                 })
                 .collect();
             let row_width = columns
@@ -111,11 +112,21 @@ pub fn derive_props(
                     domains.insert(col, merged);
                 }
             }
-            let cardinality = if contradiction {
+            let mut cardinality = if contradiction {
                 0.0
             } else {
                 (child.cardinality * sel).max(0.0)
             };
+            // Every column of a unique key bound by equality: one row at
+            // most, however the per-column densities multiply out.
+            let bound = equality_bound_columns(predicate);
+            if child
+                .keys
+                .iter()
+                .any(|key| key.iter().all(|c| bound.contains(c)))
+            {
+                cardinality = cardinality.min(1.0);
+            }
             LogicalProps {
                 columns: child.columns.clone(),
                 cardinality,
@@ -132,21 +143,26 @@ pub fn derive_props(
         LogicalOp::Project { outputs } => {
             let child = children[0];
             let mut domains = BTreeMap::new();
-            let mut keys = Vec::new();
             let mut histograms = BTreeMap::new();
+            // Child column -> the output that passes it through unchanged.
+            let mut passed = BTreeMap::new();
             for (out, expr) in outputs {
                 if let ScalarExpr::Column(src) = expr {
                     if let Some(d) = child.domains.get(src) {
                         domains.insert(*out, d.clone());
                     }
-                    if child.keys.contains(src) {
-                        keys.push(*out);
-                    }
+                    passed.entry(*src).or_insert(*out);
                     if let Some(h) = child.histograms.get(src) {
                         histograms.insert(*out, Arc::clone(h));
                     }
                 }
             }
+            // A key survives when every one of its columns does.
+            let keys = child
+                .keys
+                .iter()
+                .filter_map(|key| key.iter().map(|c| passed.get(c).copied()).collect())
+                .collect();
             let row_width = outputs
                 .iter()
                 .map(|(c, _)| width_of(registry.meta(*c).data_type))
@@ -227,8 +243,8 @@ pub fn derive_props(
                     domains.insert(*c, d.clone());
                 }
             }
-            if group_by.len() == 1 {
-                keys.push(group_by[0]);
+            if !group_by.is_empty() {
+                keys.push(group_by.clone());
             }
             let row_width = columns
                 .iter()
@@ -334,7 +350,7 @@ pub fn equi_key_columns(
 /// summed. `None` with neither.
 fn known_ndv(props: &LogicalProps, col: ColumnId) -> Option<f64> {
     let rows = props.cardinality.max(1.0);
-    if props.keys.contains(&col) {
+    if props.is_unique(col) {
         return Some(rows);
     }
     let h = props.histograms.get(&col)?;
@@ -361,9 +377,9 @@ fn join_cardinality(predicate: Option<&ScalarExpr>, l: &LogicalProps, r: &Logica
     for (lc, rc) in &keys {
         // When one side joins on its unique key, containment gives the
         // classic FK estimate: one match per foreign-key row.
-        let divisor = if l.keys.contains(lc) {
+        let divisor = if l.is_unique(*lc) {
             ndv(l, *lc)
-        } else if r.keys.contains(rc) {
+        } else if r.is_unique(*rc) {
             ndv(r, *rc)
         } else {
             ndv(l, *lc).max(ndv(r, *rc))
@@ -381,6 +397,28 @@ fn join_cardinality(predicate: Option<&ScalarExpr>, l: &LogicalProps, r: &Logica
         }
     }
     card.max(0.0)
+}
+
+/// Columns a predicate's conjuncts pin to one value each: `col = <an
+/// expression with no columns>`, either operand order.
+fn equality_bound_columns(predicate: &ScalarExpr) -> Vec<ColumnId> {
+    predicate
+        .conjuncts()
+        .iter()
+        .filter_map(|conj| match conj {
+            ScalarExpr::Cmp {
+                op: CmpOp::Eq,
+                left,
+                right,
+            } => match (left.as_ref(), right.as_ref()) {
+                (ScalarExpr::Column(c), v) | (v, ScalarExpr::Column(c)) if v.is_column_free() => {
+                    Some(*c)
+                }
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect()
 }
 
 /// Selectivity of a filter predicate against its input.
@@ -629,6 +667,97 @@ mod tests {
         assert!((filtered_rows(&meta, &reg, list(true)) - 997.0).abs() < 1e-9);
         let seven = ScalarExpr::eq(k.clone(), ScalarExpr::literal(Value::Int(7)));
         assert!((filtered_rows(&meta, &reg, seven) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_composite_key_fully_bound_is_one_row() {
+        // lineitem-like: 6 000 rows, 1 500 orders of 4 lines each, unique
+        // on (orderkey, linenumber) together and on neither alone.
+        let mut reg = ColumnRegistry::new();
+        let cols = [
+            ("orderkey", DataType::Int),
+            ("linenumber", DataType::Int),
+            ("qty", DataType::Int),
+        ];
+        let mut m = (*test_table_meta(0, "l", Locality::Local, &cols, &mut reg, 6000)).clone();
+        m.indexes.push(dhqp_oledb::IndexInfo {
+            name: "pk".into(),
+            key_columns: vec!["orderkey".into(), "linenumber".into()],
+            unique: true,
+        });
+        let mut stats = TableStatistics {
+            row_count: Some(6000),
+            ..Default::default()
+        };
+        let column = |f: &dyn Fn(i64) -> i64| {
+            let mut vals: Vec<Value> = (0..6000).map(|i| Value::Int(f(i))).collect();
+            vals.sort_by(Value::total_cmp);
+            Histogram::build(&vals, 16, 0.0).unwrap()
+        };
+        stats.set_histogram("orderkey", column(&|i| i / 4));
+        stats.set_histogram("linenumber", column(&|i| i % 4));
+        m.stats = Some(stats);
+        let meta = Arc::new(m);
+        let col = |pos: usize| ScalarExpr::Column(meta.column_id(pos));
+        let eq = |pos: usize, name: &str| ScalarExpr::eq(col(pos), param(name));
+
+        let get = props_of(&LogicalExpr::get(Arc::clone(&meta)), &reg);
+        assert_eq!(
+            get.keys,
+            vec![vec![meta.column_id(0), meta.column_id(1)]],
+            "the pair is the key"
+        );
+        assert!(!get.is_unique(meta.column_id(0)));
+
+        // Half the key: the order's four lines.
+        let order = filtered_rows(&meta, &reg, eq(0, "o"));
+        assert!((order - 4.0).abs() < 1e-9, "{order}");
+        // The whole key: the densities multiply to 6000/1500/4 = 1; with a
+        // third conjunct the product drops below, never above.
+        let both = ScalarExpr::and(vec![eq(0, "o"), eq(1, "l")]).unwrap();
+        assert!((filtered_rows(&meta, &reg, both.clone()) - 1.0).abs() < 1e-9);
+        // Without a histogram on `orderkey` the product of the two
+        // guesses would be 6000 × 0.05 × 1/4 = 75 rows; the key knows
+        // better.
+        let mut thin = (*meta).clone();
+        thin.stats.as_mut().unwrap().histograms.remove("orderkey");
+        let thin = Arc::new(thin);
+        assert!((filtered_rows(&thin, &reg, eq(0, "o")) - 300.0).abs() < 1e-9);
+        assert!((filtered_rows(&thin, &reg, both) - 1.0).abs() < 1e-9);
+
+        // The key rides through a projection only when both columns do...
+        let tree = LogicalExpr::get(Arc::clone(&meta));
+        let outs: Vec<ColumnId> = (0..3)
+            .map(|i| reg.allocate(format!("o{i}"), "", DataType::Int, true))
+            .collect();
+        let project = |positions: &[usize]| {
+            let outputs = positions
+                .iter()
+                .map(|&p| (outs[p], col(p)))
+                .collect::<Vec<_>>();
+            props_of(
+                &LogicalExpr::new(LogicalOp::Project { outputs }, vec![tree.clone()]),
+                &reg,
+            )
+            .keys
+        };
+        assert_eq!(project(&[1, 2, 0]), vec![vec![outs[0], outs[1]]]);
+        assert!(project(&[0, 2]).is_empty());
+        // ... and a GROUP BY's columns are a key of its output, together.
+        let cnt = reg.allocate("cnt", "", DataType::Int, false);
+        let agg = tree.clone().aggregate(
+            vec![meta.column_id(0), meta.column_id(2)],
+            vec![crate::scalar::AggCall {
+                func: crate::scalar::AggFunc::CountStar,
+                arg: None,
+                distinct: false,
+                output: cnt,
+            }],
+        );
+        assert_eq!(
+            props_of(&agg, &reg).keys,
+            vec![vec![meta.column_id(0), meta.column_id(2)]]
+        );
     }
 
     #[test]

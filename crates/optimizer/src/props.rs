@@ -95,15 +95,21 @@ pub struct LogicalProps {
     /// derived from CHECK constraints and predicates. Absent columns are
     /// unconstrained.
     pub domains: BTreeMap<ColumnId, IntervalSet>,
-    /// Columns known to be unique keys of the output (single-column keys
-    /// only — enough for join cardinality refinement).
-    pub keys: Vec<ColumnId>,
+    /// Unique keys of the output: each entry is a set of columns no two
+    /// rows agree on (a one-column primary key, or a composite like
+    /// `(l_orderkey, l_linenumber)`).
+    pub keys: Vec<Vec<ColumnId>>,
     /// Histograms for columns that still carry base-table statistics
     /// (propagated upward from `Get`, §3.2.4).
     pub histograms: std::collections::BTreeMap<ColumnId, std::sync::Arc<dhqp_oledb::Histogram>>,
 }
 
 impl LogicalProps {
+    /// Whether `id` alone is a unique key of the output.
+    pub fn is_unique(&self, id: ColumnId) -> bool {
+        self.keys.iter().any(|key| key.as_slice() == [id])
+    }
+
     pub fn domain_of(&self, id: ColumnId) -> IntervalSet {
         self.domains
             .get(&id)
