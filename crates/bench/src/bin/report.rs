@@ -450,13 +450,16 @@ fn e7_stats() {
     for (label, analyze) in [("with histograms", true), ("without", false)] {
         let remote = Engine::new("skewed-engine");
         remote
-            .create_table(TableDef::new(
-                "events",
-                Schema::new(vec![
-                    Column::not_null("id", DataType::Int),
-                    Column::not_null("status", DataType::Int),
-                ]),
-            ))
+            .create_table(
+                TableDef::new(
+                    "events",
+                    Schema::new(vec![
+                        Column::not_null("id", DataType::Int),
+                        Column::not_null("status", DataType::Int),
+                    ]),
+                )
+                .with_index("pk_events", &["id"], true),
+            )
             .unwrap();
         let rows: Vec<Row> = (0..20_000i64)
             .map(|i| {
@@ -489,22 +492,34 @@ fn e7_stats() {
                 "SELECT id FROM skew.db.dbo.events WHERE status = 0",
                 19000.0,
             ),
+            (
+                "id=77 (key)",
+                "SELECT status FROM skew.db.dbo.events WHERE id = 77",
+                1.0,
+            ),
         ] {
-            let plan = local.explain(sql).unwrap();
-            let est = plan
-                .plan_text
-                .lines()
-                .find(|l| l.contains("Remote"))
-                .and_then(|l| l.split("rows=").nth(1))
-                .and_then(|s| s.trim().parse::<f64>().ok())
-                .unwrap_or(f64::NAN);
-            println!(
-                "{label:<18} {qname:<18} estimate={est:>8.0}  truth≈{truth:>8.0}  error={:>6.1}x",
-                (est.max(truth) / est.min(truth).max(1.0))
-            );
+            // `explain` compiles the statement as written: the estimator
+            // sees the literal. A second execution is served from the plan
+            // cache, compiled as the template `… = @__lit0`: it does not.
+            let literal = local.explain(sql).unwrap().plan_text;
+            local.query(sql).unwrap();
+            let template = local.execute_analyze(sql).unwrap().plan.display_indent();
+            for (how, plan_text) in [("literal", literal), ("cached template", template)] {
+                let est = plan_text
+                    .lines()
+                    .find(|l| l.contains("Remote"))
+                    .and_then(|l| l.split("rows=").nth(1))
+                    .and_then(|s| s.trim().parse::<f64>().ok())
+                    .unwrap_or(f64::NAN);
+                println!(
+                    "{label:<16} {qname:<18} {how:<16} estimate={est:>8.0}  truth≈{truth:>8.0}  error={:>6.1}x",
+                    (est.max(truth) / est.min(truth).max(1.0))
+                );
+            }
         }
     }
-    println!("→ histograms close the order-of-magnitude gap the paper describes.");
+    println!("→ histograms close the order-of-magnitude gap the paper describes;");
+    println!("  a cached template, which cannot see the value, gets the column's density.");
 }
 
 fn e8_spool() {

@@ -10,7 +10,7 @@ use crate::logical::{JoinKind, LogicalOp};
 use crate::props::{ColumnId, ColumnRegistry, LogicalProps};
 use crate::scalar::{CmpOp, ScalarExpr};
 use dhqp_oledb::Histogram;
-use dhqp_types::{DataType, IntervalSet};
+use dhqp_types::{DataType, IntervalBound, IntervalSet, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -345,22 +345,51 @@ pub fn equi_key_columns(
     out
 }
 
-/// Distinct values of a column as far as the statistics say: a unique key
-/// has as many as the group has rows, otherwise the histogram's buckets are
-/// summed. `None` with neither.
+/// Distinct values of a column as far as the optimizer knows: a unique key
+/// has as many as the group has rows, a histogram's buckets are summed, and
+/// a column that CHECK constraints (a partitioned view's member: the head
+/// holds no statistics for it) or earlier predicates confine to fewer
+/// whole values than the group has rows is taken to fill that domain.
+/// `None` with none of the three.
 fn known_ndv(props: &LogicalProps, col: ColumnId) -> Option<f64> {
     let rows = props.cardinality.max(1.0);
     if props.is_unique(col) {
         return Some(rows);
     }
-    let h = props.histograms.get(&col)?;
-    Some(
-        h.buckets
-            .iter()
-            .map(|b| b.distinct)
-            .sum::<f64>()
-            .clamp(1.0, rows),
-    )
+    if let Some(h) = props.histograms.get(&col) {
+        return Some(
+            h.buckets
+                .iter()
+                .map(|b| b.distinct)
+                .sum::<f64>()
+                .clamp(1.0, rows),
+        );
+    }
+    let values = discrete_values(props.domains.get(&col)?)?;
+    (values <= rows).then_some(values.max(1.0))
+}
+
+/// How many whole values (integers, days) a domain admits; `None` when it
+/// is unbounded or over a type with no successor.
+fn discrete_values(domain: &IntervalSet) -> Option<f64> {
+    let ordinal = |v: &Value| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Date(d) => Some(f64::from(*d)),
+        _ => None,
+    };
+    domain.intervals().iter().try_fold(0.0, |sum, iv| {
+        let low = match &iv.low {
+            IntervalBound::Included(v) => ordinal(v)?,
+            IntervalBound::Excluded(v) => ordinal(v)? + 1.0,
+            IntervalBound::Unbounded => return None,
+        };
+        let high = match &iv.high {
+            IntervalBound::Included(v) => ordinal(v)?,
+            IntervalBound::Excluded(v) => ordinal(v)? - 1.0,
+            IntervalBound::Unbounded => return None,
+        };
+        Some(sum + (high - low + 1.0).max(0.0))
+    })
 }
 
 /// Estimated distinct values of a column.
@@ -399,23 +428,13 @@ fn join_cardinality(predicate: Option<&ScalarExpr>, l: &LogicalProps, r: &Logica
     card.max(0.0)
 }
 
-/// Columns a predicate's conjuncts pin to one value each: `col = <an
-/// expression with no columns>`, either operand order.
+/// Columns a predicate's conjuncts pin to one value each.
 fn equality_bound_columns(predicate: &ScalarExpr) -> Vec<ColumnId> {
     predicate
         .conjuncts()
         .iter()
-        .filter_map(|conj| match conj {
-            ScalarExpr::Cmp {
-                op: CmpOp::Eq,
-                left,
-                right,
-            } => match (left.as_ref(), right.as_ref()) {
-                (ScalarExpr::Column(c), v) | (v, ScalarExpr::Column(c)) if v.is_column_free() => {
-                    Some(*c)
-                }
-                _ => None,
-            },
+        .filter_map(|conj| match conj.column_comparison() {
+            Some((col, CmpOp::Eq, _)) => Some(col),
             _ => None,
         })
         .collect()
@@ -431,8 +450,8 @@ pub fn predicate_selectivity(predicate: &ScalarExpr, input: &LogicalProps) -> f6
 }
 
 /// Selectivity of `col = <one of n values>` from the column's density:
-/// `n / ndv`. The System-R guess only when neither a histogram nor a key
-/// says how many values there are.
+/// `n / ndv`. The System-R guess only when nothing says how many values
+/// there are.
 fn eq_selectivity(input: &LogicalProps, col: ColumnId, n: usize) -> f64 {
     match known_ndv(input, col) {
         Some(ndv) => (n as f64 / ndv).min(1.0),
@@ -440,34 +459,28 @@ fn eq_selectivity(input: &LogicalProps, col: ColumnId, n: usize) -> f64 {
     }
 }
 
-/// A comparison of `col` with values and no other column, estimated
-/// without looking at the values (a `@param` has none at compile time;
-/// every numeric literal of a cached statement is one).
-fn value_blind_selectivity(conj: &ScalarExpr, col: ColumnId, input: &LogicalProps) -> Option<f64> {
-    match conj {
-        ScalarExpr::Cmp { op, left, right } => {
-            let column = ScalarExpr::Column(col);
-            let against_values = (**left == column && right.is_column_free())
-                || (**right == column && left.is_column_free());
-            if !against_values {
-                return None;
-            }
-            Some(match op {
-                CmpOp::Eq => eq_selectivity(input, col, 1),
-                CmpOp::Neq => 1.0 - eq_selectivity(input, col, 1),
-                _ => SEL_RANGE_DEFAULT,
-            })
-        }
-        ScalarExpr::InList {
-            expr,
-            list,
-            negated,
-        } if **expr == ScalarExpr::Column(col) => {
-            let sel = eq_selectivity(input, col, list.len());
-            Some(if *negated { 1.0 - sel } else { sel })
-        }
-        _ => None,
+/// A comparison of one column with values, estimated without looking at
+/// the values (a `@param` has none at compile time; every numeric literal
+/// of a cached statement is one).
+fn value_blind_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> Option<f64> {
+    if let ScalarExpr::InList {
+        expr,
+        list,
+        negated,
+    } = conj
+    {
+        let ScalarExpr::Column(col) = expr.as_ref() else {
+            return None;
+        };
+        let sel = eq_selectivity(input, *col, list.len());
+        return Some(if *negated { 1.0 - sel } else { sel });
     }
+    let (col, op, _) = conj.column_comparison()?;
+    Some(match op {
+        CmpOp::Eq => eq_selectivity(input, col, 1),
+        CmpOp::Neq => 1.0 - eq_selectivity(input, col, 1),
+        _ => SEL_RANGE_DEFAULT,
+    })
 }
 
 fn conjunct_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> f64 {
@@ -482,10 +495,13 @@ fn conjunct_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> f64 {
         }
         if !dom.is_full() {
             if let Some(h) = input.histograms.get(&col) {
-                return h.selectivity(&dom).clamp(0.0001, 1.0);
+                // Never estimate zero rows for a satisfiable predicate, but
+                // let the floor go down to one row of a large input.
+                let floor = (1.0 / input.cardinality.max(1.0)).min(0.0001);
+                return h.selectivity(&dom).clamp(floor, 1.0);
             }
         }
-        if let Some(sel) = value_blind_selectivity(conj, col, input) {
+        if let Some(sel) = value_blind_selectivity(conj, input) {
             return sel;
         }
     }
@@ -512,7 +528,7 @@ fn conjunct_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> f64 {
             }
             pass.min(1.0)
         }
-        ScalarExpr::Literal(dhqp_types::Value::Bool(b)) => {
+        ScalarExpr::Literal(Value::Bool(b)) => {
             if *b {
                 1.0
             } else {
@@ -528,7 +544,6 @@ mod tests {
     use super::*;
     use crate::logical::{test_table_meta, Locality, LogicalExpr, TableMeta};
     use dhqp_oledb::TableStatistics;
-    use dhqp_types::Value;
     use std::sync::Arc;
 
     fn table_with_hist(reg: &mut ColumnRegistry) -> Arc<TableMeta> {
@@ -667,6 +682,80 @@ mod tests {
         assert!((filtered_rows(&meta, &reg, list(true)) - 997.0).abs() < 1e-9);
         let seven = ScalarExpr::eq(k.clone(), ScalarExpr::literal(Value::Int(7)));
         assert!((filtered_rows(&meta, &reg, seven) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_dense_check_domain_stands_in_for_missing_statistics() {
+        // A partitioned view's member as the head sees it: a row count, a
+        // CHECK range on the partitioning column, no histogram.
+        let mut reg = ColumnRegistry::new();
+        let cols = [("day", DataType::Date), ("qty", DataType::Int)];
+        let mut m = (*test_table_meta(0, "li_97", Locality::Local, &cols, &mut reg, 3650)).clone();
+        let year = |lo: i32, hi: i32| {
+            IntervalSet::single(dhqp_types::Interval {
+                low: IntervalBound::Included(Value::Date(lo)),
+                high: IntervalBound::Excluded(Value::Date(hi)),
+            })
+        };
+        m.checks = vec![(0, year(10_000, 10_365))];
+        let meta = Arc::new(m);
+        let col = |pos: usize| ScalarExpr::Column(meta.column_id(pos));
+        // 365 days hold 3 650 rows: ten a day, not the 5 % guess (182).
+        let one_day = filtered_rows(&meta, &reg, ScalarExpr::eq(col(0), param("d")));
+        assert!((one_day - 10.0).abs() < 1e-9, "{one_day}");
+        // `qty` has no domain: the constant.
+        let qty = filtered_rows(&meta, &reg, ScalarExpr::eq(col(1), param("q")));
+        assert!((qty - 3650.0 * SEL_EQ_DEFAULT).abs() < 1e-9);
+        // A domain wider than the table says nothing about how many of its
+        // values are present: the constant again.
+        let mut sparse = (*meta).clone();
+        sparse.checks = vec![(0, year(0, 100_000))];
+        let sparse = Arc::new(sparse);
+        let day = filtered_rows(&sparse, &reg, ScalarExpr::eq(col(0), param("d")));
+        assert!((day - 3650.0 * SEL_EQ_DEFAULT).abs() < 1e-9);
+        // Half-open domains admit no count.
+        assert_eq!(
+            discrete_values(&IntervalSet::single(dhqp_types::Interval::at_least(
+                Value::Int(0)
+            ))),
+            None
+        );
+        assert_eq!(
+            discrete_values(&IntervalSet::single(dhqp_types::Interval::between(
+                Value::Int(3),
+                Value::Int(7)
+            ))),
+            Some(5.0)
+        );
+    }
+
+    #[test]
+    fn a_literal_on_a_large_key_is_one_row() {
+        // The histogram's floor is one row of the input, not a fixed
+        // 1-in-10 000 that turns a key lookup on 20 000 rows into two.
+        let mut reg = ColumnRegistry::new();
+        let cols = [("k", DataType::Int)];
+        let mut m = (*test_table_meta(0, "t", Locality::Local, &cols, &mut reg, 20_000)).clone();
+        m.indexes.push(dhqp_oledb::IndexInfo {
+            name: "pk".into(),
+            key_columns: vec!["k".into()],
+            unique: true,
+        });
+        let vals: Vec<Value> = (0..20_000).map(Value::Int).collect();
+        let mut stats = TableStatistics {
+            row_count: Some(20_000),
+            ..Default::default()
+        };
+        stats.set_histogram("k", Histogram::build(&vals, 32, 0.0).unwrap());
+        m.stats = Some(stats);
+        let meta = Arc::new(m);
+        // What an index range over the table is sized with.
+        let table = props_of(&LogicalExpr::get(Arc::clone(&meta)), &reg);
+        let k = ScalarExpr::Column(meta.column_id(0));
+        let lit = ScalarExpr::eq(k.clone(), ScalarExpr::literal(Value::Int(77)));
+        assert!((20_000.0 * predicate_selectivity(&lit, &table) - 1.0).abs() < 1e-6);
+        let blind = ScalarExpr::eq(k, param("p"));
+        assert!((20_000.0 * predicate_selectivity(&blind, &table) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -303,16 +303,8 @@ fn sargable_range(predicate: &ScalarExpr, col: ColumnId) -> Option<(IndexRangeSp
     let mut high: Option<(ScalarExpr, bool, ScalarExpr)> = None;
     let mut eq: Option<(ScalarExpr, ScalarExpr)> = None;
     for conj in predicate.conjuncts() {
-        let ScalarExpr::Cmp { op, left, right } = &conj else {
-            continue;
-        };
-        let (bound, op) = match (left.as_ref(), right.as_ref()) {
-            (ScalarExpr::Column(c), other) if *c == col && other.is_column_free() => {
-                (other.clone(), *op)
-            }
-            (other, ScalarExpr::Column(c)) if *c == col && other.is_column_free() => {
-                (other.clone(), op.flip())
-            }
+        let (bound, op) = match conj.column_comparison() {
+            Some((c, op, bound)) if c == col => (bound.clone(), op),
             _ => continue,
         };
         match op {

@@ -232,6 +232,20 @@ impl ScalarExpr {
         found
     }
 
+    /// `col <op> v` or `v <op> col` with `v` column-free: the column, the
+    /// operator as read with the column on the left, and `v`. The shape an
+    /// index seeks on and the estimator takes a density for.
+    pub fn column_comparison(&self) -> Option<(ColumnId, CmpOp, &ScalarExpr)> {
+        let ScalarExpr::Cmp { op, left, right } = self else {
+            return None;
+        };
+        match (left.as_ref(), right.as_ref()) {
+            (ScalarExpr::Column(c), v) if v.is_column_free() => Some((*c, *op, v)),
+            (v, ScalarExpr::Column(c)) if v.is_column_free() => Some((*c, op.flip(), v)),
+            _ => None,
+        }
+    }
+
     /// Depth-first visit of the expression tree.
     pub fn visit(&self, f: &mut impl FnMut(&ScalarExpr)) {
         f(self);

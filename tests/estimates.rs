@@ -19,14 +19,17 @@ use std::sync::Arc;
 fn federation(plan_cache: bool) -> (Engine, NetworkLink) {
     use rand::SeedableRng;
     let scale = TpchScale::small();
-    let remote0 = Engine::new("remote0-engine");
+    // Exact request counts are asserted: both engines run under the
+    // shipped defaults whatever `DHQP_*` leg the suite is in, and the link
+    // carries no chaos plan.
+    let remote0 = EngineBuilder::from_lookup("remote0-engine", |_| None).build();
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     tpch::create_customer(remote0.storage(), &scale, &mut rng).unwrap();
     tpch::create_supplier(remote0.storage(), &scale, &mut rng).unwrap();
     remote0.storage().analyze("customer", 24).unwrap();
     remote0.storage().analyze("supplier", 24).unwrap();
 
-    let head = EngineBuilder::new("head")
+    let head = EngineBuilder::from_lookup("head", |_| None)
         .plan_cache_config(PlanCacheConfig {
             enabled: plan_cache,
             ..Default::default()
@@ -40,7 +43,7 @@ fn federation(plan_cache: bool) -> (Engine, NetworkLink) {
     let link = NetworkLink::new("link-remote0", NetworkConfig::lan());
     head.add_linked_server(
         "remote0",
-        Arc::new(NetworkedDataSource::new(
+        Arc::new(NetworkedDataSource::reliable(
             Arc::new(EngineDataSource::new(remote0)),
             link.clone(),
         )),
