@@ -119,13 +119,15 @@ pub fn derive_props(
             };
             // Every column of a unique key bound by equality: one row at
             // most, however the per-column densities multiply out.
-            let bound = equality_bound_columns(predicate);
-            if child
-                .keys
-                .iter()
-                .any(|key| key.iter().all(|c| bound.contains(c)))
-            {
-                cardinality = cardinality.min(1.0);
+            if !child.keys.is_empty() {
+                let bound = equality_bound_columns(predicate);
+                if child
+                    .keys
+                    .iter()
+                    .any(|key| key.iter().all(|c| bound.contains(c)))
+                {
+                    cardinality = cardinality.min(1.0);
+                }
             }
             LogicalProps {
                 columns: child.columns.clone(),
@@ -593,6 +595,13 @@ mod tests {
         assert!((props.cardinality - 333.0).abs() < 5.0);
     }
 
+    /// A 16-bucket histogram over `f(0), …, f(rows - 1)`.
+    fn int_histogram(rows: i64, f: impl Fn(i64) -> i64) -> Histogram {
+        let mut vals: Vec<Value> = (0..rows).map(|i| Value::Int(f(i))).collect();
+        vals.sort_by(Value::total_cmp);
+        Histogram::build(&vals, 16, 0.0).unwrap()
+    }
+
     /// 1 000 rows: `k` unique (index + histogram), `g` 25 values of 40
     /// rows each, `s` half zeros and 500 singletons (both with
     /// histograms), `u` with no statistics at all.
@@ -613,14 +622,9 @@ mod tests {
             row_count: Some(1000),
             ..Default::default()
         };
-        let column = |f: &dyn Fn(i64) -> i64| {
-            let mut vals: Vec<Value> = (0..1000).map(|i| Value::Int(f(i))).collect();
-            vals.sort_by(Value::total_cmp);
-            Histogram::build(&vals, 16, 0.0).unwrap()
-        };
-        stats.set_histogram("k", column(&|i| i));
-        stats.set_histogram("g", column(&|i| i % 25));
-        stats.set_histogram("s", column(&|i| if i < 500 { 0 } else { i }));
+        stats.set_histogram("k", int_histogram(1000, |i| i));
+        stats.set_histogram("g", int_histogram(1000, |i| i % 25));
+        stats.set_histogram("s", int_histogram(1000, |i| if i < 500 { 0 } else { i }));
         m.stats = Some(stats);
         Arc::new(m)
     }
@@ -741,12 +745,11 @@ mod tests {
             key_columns: vec!["k".into()],
             unique: true,
         });
-        let vals: Vec<Value> = (0..20_000).map(Value::Int).collect();
         let mut stats = TableStatistics {
             row_count: Some(20_000),
             ..Default::default()
         };
-        stats.set_histogram("k", Histogram::build(&vals, 32, 0.0).unwrap());
+        stats.set_histogram("k", int_histogram(20_000, |i| i));
         m.stats = Some(stats);
         let meta = Arc::new(m);
         // What an index range over the table is sized with.
@@ -778,13 +781,8 @@ mod tests {
             row_count: Some(6000),
             ..Default::default()
         };
-        let column = |f: &dyn Fn(i64) -> i64| {
-            let mut vals: Vec<Value> = (0..6000).map(|i| Value::Int(f(i))).collect();
-            vals.sort_by(Value::total_cmp);
-            Histogram::build(&vals, 16, 0.0).unwrap()
-        };
-        stats.set_histogram("orderkey", column(&|i| i / 4));
-        stats.set_histogram("linenumber", column(&|i| i % 4));
+        stats.set_histogram("orderkey", int_histogram(6000, |i| i / 4));
+        stats.set_histogram("linenumber", int_histogram(6000, |i| i % 4));
         m.stats = Some(stats);
         let meta = Arc::new(m);
         let col = |pos: usize| ScalarExpr::Column(meta.column_id(pos));
