@@ -17,7 +17,7 @@ use crate::engine::Engine;
 use crate::knobs::Knobs;
 use dhqp_executor::ops::retry::{open_with_retries, ReopenFactory};
 use dhqp_executor::{MemberSchema, RetryPolicy};
-use dhqp_oledb::{DataSource, Rowset, TableInfo};
+use dhqp_oledb::{DataSource, Rowset, RowsetExt, TableInfo};
 use dhqp_optimizer::logical::{JoinKind, LogicalExpr, LogicalOp, TableMeta};
 use dhqp_optimizer::props::{ColumnRegistry, PhysicalProps, RequiredProps};
 use dhqp_optimizer::scalar::{AggCall, AggFunc, ArithOp, CmpOp, ScalarExpr};
@@ -671,12 +671,14 @@ impl<'e> Binder<'e> {
             })
         };
         let counters = self.engine.exec_counters();
-        let mut rowset = open_with_retries(factory, &policy, &counters, None, 1, None)?;
+        let pull = self.knobs.batch.pull_size();
+        let mut rowset = open_with_retries(factory, &policy, &counters, None, pull, None)?;
         let schema = rowset.schema().clone();
-        let mut rows = Vec::new();
-        while let Some(r) = rowset.next()? {
-            rows.push(r.values);
-        }
+        let rows: Vec<Vec<Value>> = rowset
+            .collect_rows_batched(pull)?
+            .into_iter()
+            .map(|r| r.values)
+            .collect();
         let mut columns = Vec::new();
         let mut bound_cols = Vec::new();
         for c in schema.columns() {

@@ -586,18 +586,19 @@ impl WriteSet {
             Some(Seek::Unbounded) | None => None,
         };
         let session = sessions.session(&target.server)?;
+        let pull = knobs.batch.pull_size();
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
         let rows = with_retries(&knobs.retry, &engine.exec_counters(), || {
             if let Some((index, range)) = &seek {
                 match session.open_index(table, index, range) {
-                    Ok(mut rowset) => return rowset.collect_rows(),
+                    Ok(mut rowset) => return rowset.collect_rows_batched(pull),
                     // Index metadata without IRowsetIndex behind it.
                     Err(DhqpError::Unsupported(_)) => seek = None,
                     Err(e) => return Err(e),
                 }
             }
-            session.open_rowset(table)?.collect_rows()
+            session.open_rowset(table)?.collect_rows_batched(pull)
         })?;
         engine.record_dml_read(seek.is_some(), rows.len() as u64);
         let Some(predicate) = &target.predicate else {

@@ -411,13 +411,7 @@ impl Engine {
             ctx = ctx.with_stats(Arc::clone(collector));
         }
         let mut rowset = dhqp_executor::open(plan, &ctx)?;
-        // The root drain is a drive point: with batching on, the engine
-        // pulls DHQP_BATCH_SIZE-row chunks through the whole pipeline.
-        let all_rows = if ctx.batch().enabled {
-            rowset.collect_rows_batched(ctx.batch().batch_size)?
-        } else {
-            rowset.collect_rows()?
-        };
+        let all_rows = rowset.collect_rows_batched(ctx.batch().pull_size())?;
         // Trim to the visible SELECT-list columns, in order.
         let mut positions = Vec::with_capacity(compiled.output.len());
         let mut columns = Vec::with_capacity(compiled.output.len());

@@ -3,10 +3,10 @@
 use crate::context::ExecContext;
 use crate::eval::{eval_predicate, RowEnv};
 use crate::health::PruneLog;
-use crate::ops::agg::{HashAggregate, StreamAggregate};
+use crate::ops::agg::{open_hash_aggregate, StreamAggregate};
 use crate::ops::exchange::{BranchFactory, ExchangeRowset, PrefetchRowset};
 use crate::ops::filter::{open_startup_filter, FilterRowset, ProjectRowset};
-use crate::ops::join::{HashJoin, InnerFactory, MergeJoin, NestedLoopJoin};
+use crate::ops::join::{open_hash_join, open_merge_join, InnerFactory, NestedLoopJoin};
 use crate::ops::remote::{
     open_remote_fetch, open_remote_query, open_remote_range, open_remote_scan, remote_query_text,
 };
@@ -244,25 +244,18 @@ fn open_union_serially(
 
 /// Wrap a remote rowset in a prefetching decorator when the context asks
 /// for it: a background worker pipelines the next batch across the link
-/// while the consumer drains the current one.
+/// while the consumer drains the current one. The worker's link fetches are
+/// the configured pull size like everyone else's; `prefetch_batch` is how
+/// many rows it gathers before handing them over.
 fn maybe_prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> Box<dyn Rowset> {
     let cfg = ctx.parallel();
     if cfg.enabled && cfg.prefetch {
         ctx.counters().add_remote_prefetch();
-        let batch = ctx.batch();
-        // With batching on the worker ships DHQP_BATCH_SIZE-row round
-        // trips; with it off the worker assembles prefetch_batch-row
-        // buffers from per-row pulls, preserving per-row wire accounting.
-        let (rows, batched) = if batch.enabled {
-            (batch.batch_size, true)
-        } else {
-            (cfg.prefetch_batch, false)
-        };
         Box::new(PrefetchRowset::new(
             inner,
-            rows,
+            ctx.batch().pull_size(),
+            cfg.prefetch_batch,
             cfg.prefetch_queue,
-            batched,
         ))
     } else {
         inner
@@ -382,7 +375,7 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             let left = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
             let right = open_node(&plan.children[1], ctx, child_id(plan, id, 1))?;
             let schema = ctx.schema_of(&plan.output);
-            Ok(Box::new(HashJoin::new(
+            Ok(Box::new(open_hash_join(
                 left,
                 right,
                 *kind,
@@ -403,7 +396,7 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             let left = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
             let right = open_node(&plan.children[1], ctx, child_id(plan, id, 1))?;
             let schema = ctx.schema_of(&plan.output);
-            Ok(Box::new(MergeJoin::new(
+            Ok(Box::new(open_merge_join(
                 left,
                 right,
                 left_keys,
@@ -418,7 +411,7 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
         PhysicalOp::HashAggregate { group_by, aggs } => {
             let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
             let schema = ctx.schema_of(&plan.output);
-            Ok(Box::new(HashAggregate::new(
+            Ok(Box::new(open_hash_aggregate(
                 child,
                 group_by,
                 aggs,
@@ -441,7 +434,7 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
         }
         PhysicalOp::Sort { keys } => {
             let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
-            open_sort(child, keys, &plan.children[0].output)
+            open_sort(child, keys, &plan.children[0].output, ctx)
         }
         PhysicalOp::Top { n } => {
             let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
@@ -553,6 +546,8 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
 mod tests {
     use super::*;
     use crate::context::test_support::TestCatalog;
+    use crate::context::BatchConfig;
+    use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
     use dhqp_oledb::{DataSource, RowsetExt};
     use dhqp_optimizer::logical::test_table_meta;
     use dhqp_optimizer::physical::IndexRangeSpec;
@@ -625,9 +620,13 @@ mod tests {
             Arc::new(m2)
         };
         let mut catalog = TestCatalog::with_local(local_engine);
+        // Behind a metered link, so a test can see how "r" was read.
         catalog.remotes.insert(
             "r".into(),
-            Arc::new(LocalDataSource::new(remote_engine)) as Arc<dyn DataSource>,
+            Arc::new(NetworkedDataSource::reliable(
+                Arc::new(LocalDataSource::new(remote_engine)),
+                NetworkLink::new("r", NetworkConfig::lan()),
+            )) as Arc<dyn DataSource>,
         );
         let ctx = ExecContext::new(Arc::new(catalog), HashMap::new(), Arc::new(registry));
         (ctx, local_meta, remote_meta)
@@ -656,9 +655,21 @@ mod tests {
             vec![range],
             remote.column_ids.clone(),
         );
-        let rows = open(&fetch, &ctx).unwrap().collect_rows().unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].get(1), &Value::Int(20));
+        // The three bookmarks cross the link in one fetch at batch size 64
+        // and in three at batch size 1; the base rows come back in one.
+        for (batch, flushes) in [
+            (BatchConfig::batched(64), 2),
+            (BatchConfig::row_at_a_time(), 4),
+        ] {
+            let ctx = ctx.clone().with_batch(batch);
+            let link = ctx.catalog().linked("r").unwrap();
+            let before = link.traffic().unwrap();
+            let rows = open(&fetch, &ctx).unwrap().collect_rows().unwrap();
+            assert_eq!(rows.len(), 3);
+            assert_eq!(rows[0].get(1), &Value::Int(20));
+            let traffic = link.traffic().unwrap().since(&before);
+            assert_eq!((traffic.rows, traffic.batches), (6, flushes), "{traffic:?}");
+        }
     }
 
     #[test]

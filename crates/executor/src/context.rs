@@ -42,7 +42,8 @@ pub struct ParallelConfig {
     /// Pipeline remote rowsets: a background worker pulls the next batch
     /// while the consumer drains the current one.
     pub prefetch: bool,
-    /// Rows per prefetched batch.
+    /// Rows a prefetch worker gathers before handing them to the consumer
+    /// (at least one pull of [`BatchConfig::pull_size`] rows).
     pub prefetch_batch: usize,
     /// Batches buffered ahead of the consumer.
     pub prefetch_queue: usize,
@@ -71,14 +72,15 @@ impl ParallelConfig {
     }
 }
 
-/// Knobs for vectorized (batch-at-a-time) execution. When enabled, the
-/// engine drains plans through [`dhqp_oledb::Rowset::next_batch`], batch-
-/// native operators hand whole chunks down the tree, and the network layer
-/// ships one simulated round trip per chunk. When disabled, every cursor
-/// degenerates to the classic row-at-a-time pull.
+/// How many rows the engine asks for at a time. Every drain inside a
+/// statement — the root, hash build and probe, sort, spool, aggregates,
+/// exchange and prefetch workers — pulls [`BatchConfig::pull_size`] rows
+/// through [`dhqp_oledb::Rowset::next_batch`], and the network layer ships
+/// one simulated round trip per pull. Off is batch size 1 through the same
+/// code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Master switch (`DHQP_BATCH`, default on).
+    /// Master switch (`DHQP_BATCH`, default on); off = batch size 1.
     pub enabled: bool,
     /// Rows per chunk (`DHQP_BATCH_SIZE`, default 1024, clamped to ≥ 1).
     pub batch_size: usize,
@@ -88,7 +90,7 @@ pub struct BatchConfig {
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 impl BatchConfig {
-    /// Row-at-a-time compatibility mode.
+    /// One row per pull.
     pub fn row_at_a_time() -> Self {
         BatchConfig {
             enabled: false,
@@ -96,7 +98,7 @@ impl BatchConfig {
         }
     }
 
-    /// Vectorized execution with an explicit chunk size.
+    /// An explicit chunk size.
     pub fn batched(batch_size: usize) -> Self {
         BatchConfig {
             enabled: true,
@@ -104,8 +106,8 @@ impl BatchConfig {
         }
     }
 
-    /// The chunk size operators should pull with: the configured size when
-    /// batching is on, 1 (today's per-row behavior) when off.
+    /// The chunk size to pull with: the configured size, or 1 when
+    /// batching is off.
     pub fn pull_size(&self) -> usize {
         if self.enabled {
             self.batch_size

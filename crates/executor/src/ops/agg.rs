@@ -3,7 +3,7 @@
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, positions_of, RowEnv};
-use dhqp_oledb::Rowset;
+use dhqp_oledb::{MemRowset, RowCursor, Rowset};
 use dhqp_optimizer::scalar::{AggCall, AggFunc};
 use dhqp_optimizer::ColumnId;
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
@@ -108,103 +108,65 @@ fn finish_group(group_key: Vec<Value>, accs: &[Accumulator]) -> Result<Row> {
 }
 
 /// Hash aggregation (materializes all groups at open).
-pub struct HashAggregate {
+pub fn open_hash_aggregate(
+    mut input: Box<dyn Rowset>,
+    group_by: &[ColumnId],
+    aggs: &[AggCall],
+    input_columns: &[ColumnId],
     schema: Schema,
-    output: std::vec::IntoIter<Row>,
-}
-
-impl HashAggregate {
-    pub fn new(
-        mut input: Box<dyn Rowset>,
-        group_by: &[ColumnId],
-        aggs: &[AggCall],
-        input_columns: &[ColumnId],
-        schema: Schema,
-        ctx: &ExecContext,
-    ) -> Result<Self> {
-        let positions = positions_of(input_columns);
-        let group_pos: Vec<usize> = group_by
-            .iter()
-            .map(|c| {
-                positions.get(c).copied().ok_or_else(|| {
-                    DhqpError::Execute(format!("group column #{} missing from input", c.0))
-                })
+    ctx: &ExecContext,
+) -> Result<MemRowset> {
+    let positions = positions_of(input_columns);
+    let group_pos: Vec<usize> = group_by
+        .iter()
+        .map(|c| {
+            positions.get(c).copied().ok_or_else(|| {
+                DhqpError::Execute(format!("group column #{} missing from input", c.0))
             })
-            .collect::<Result<Vec<_>>>()?;
-        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        // Preserve first-seen group order for deterministic output.
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        // Consume the input in chunks (one row per chunk when batching is
-        // off, so the wire accounting degenerates to the row path).
-        let pull = ctx.batch().pull_size();
-        while let Some(batch) = input.next_batch(pull)? {
-            for row in batch {
-                let key: Vec<Value> = group_pos.iter().map(|&p| row.values[p].clone()).collect();
-                let env = RowEnv {
-                    positions: &positions,
-                    row: &row,
-                    ctx,
-                };
-                let accs = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    aggs.iter()
-                        .map(|a| Accumulator::new(a.func, a.distinct))
-                        .collect()
-                });
-                update_group(accs, aggs, &env)?;
-            }
-        }
-        // Scalar aggregate over an empty input still yields one row.
-        if group_by.is_empty() && groups.is_empty() {
-            let accs: Vec<Accumulator> = aggs
-                .iter()
-                .map(|a| Accumulator::new(a.func, a.distinct))
-                .collect();
-            groups.insert(Vec::new(), accs);
-            order.push(Vec::new());
-        }
-        let mut out = Vec::with_capacity(groups.len());
-        for key in order {
-            let accs = groups.remove(&key).expect("group recorded in order list");
-            out.push(finish_group(key, &accs)?);
-        }
-        Ok(HashAggregate {
-            schema,
-            output: out.into_iter(),
         })
-    }
-}
-
-impl Rowset for HashAggregate {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.output.next())
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let take = max.max(1).min(self.output.len());
-        if take == 0 {
-            return Ok(None);
+        .collect::<Result<Vec<_>>>()?;
+    let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
+    // Preserve first-seen group order for deterministic output.
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    let pull = ctx.batch().pull_size();
+    while let Some(batch) = input.next_batch(pull)? {
+        for row in batch {
+            let key: Vec<Value> = group_pos.iter().map(|&p| row.values[p].clone()).collect();
+            let env = RowEnv {
+                positions: &positions,
+                row: &row,
+                ctx,
+            };
+            let accs = groups.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                aggs.iter()
+                    .map(|a| Accumulator::new(a.func, a.distinct))
+                    .collect()
+            });
+            update_group(accs, aggs, &env)?;
         }
-        Ok(Some(self.output.by_ref().take(take).collect()))
     }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.output.len())
+    // Scalar aggregate over an empty input still yields one row.
+    if group_by.is_empty() && groups.is_empty() {
+        let accs: Vec<Accumulator> = aggs
+            .iter()
+            .map(|a| Accumulator::new(a.func, a.distinct))
+            .collect();
+        groups.insert(Vec::new(), accs);
+        order.push(Vec::new());
     }
+    let mut out = Vec::with_capacity(groups.len());
+    for key in order {
+        let accs = groups.remove(&key).expect("group recorded in order list");
+        out.push(finish_group(key, &accs)?);
+    }
+    Ok(MemRowset::new(schema, out))
 }
 
 /// Stream aggregation over input sorted on the grouping columns: emits a
 /// group as soon as the key changes (no hash table).
 pub struct StreamAggregate {
-    input: Box<dyn Rowset>,
-    /// Input rows buffered from one chunked pull (vectorized input path).
-    buffered: std::vec::IntoIter<Row>,
-    /// Rows requested per input pull (1 when batching is off).
-    pull: usize,
+    input: RowCursor,
     group_pos: Vec<usize>,
     aggs: Vec<AggCall>,
     positions: HashMap<ColumnId, usize>,
@@ -234,11 +196,8 @@ impl StreamAggregate {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        let pull = ctx.batch().pull_size();
         Ok(StreamAggregate {
-            input,
-            buffered: Vec::new().into_iter(),
-            pull,
+            input: RowCursor::new(input, ctx.batch().pull_size()),
             group_pos,
             aggs,
             positions,
@@ -258,33 +217,14 @@ impl StreamAggregate {
             .collect()
     }
 
-    /// Next input row, refilling the buffer with one chunked pull when it
-    /// runs dry.
-    fn next_input(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.buffered.next() {
-            return Ok(Some(row));
-        }
-        match self.input.next_batch(self.pull)? {
-            Some(batch) => {
-                self.buffered = batch.into_rows().into_iter();
-                Ok(self.buffered.next())
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-impl Rowset for StreamAggregate {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
+    /// Read input up to the next key change (or its end) and finish the
+    /// group that closes there.
+    fn next_group(&mut self) -> Result<Option<Row>> {
         if self.done {
             return Ok(None);
         }
         loop {
-            match self.next_input()? {
+            match self.input.next_row()? {
                 Some(row) => {
                     let key: Vec<Value> = self
                         .group_pos
@@ -330,6 +270,23 @@ impl Rowset for StreamAggregate {
                 }
             }
         }
+    }
+}
+
+impl Rowset for StreamAggregate {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+        let mut out = RowBatch::default();
+        while out.len() < max.max(1) {
+            match self.next_group()? {
+                Some(group) => out.push(group),
+                None => break,
+            }
+        }
+        Ok((!out.is_empty()).then_some(out))
     }
 }
 
@@ -395,7 +352,7 @@ mod tests {
             (1, Some(20)),
             (2, Some(5)),
         ];
-        let mut agg = HashAggregate::new(
+        let mut agg = open_hash_aggregate(
             input(rows),
             &[ColumnId(0)],
             &calls(),
@@ -430,7 +387,7 @@ mod tests {
         )
         .unwrap();
         let stream_out = s.collect_rows().unwrap();
-        let mut h = HashAggregate::new(
+        let mut h = open_hash_aggregate(
             input(rows),
             &[ColumnId(0)],
             &calls(),
@@ -446,7 +403,7 @@ mod tests {
 
     #[test]
     fn scalar_aggregate_on_empty_input_yields_one_row() {
-        let mut agg = HashAggregate::new(
+        let mut agg = open_hash_aggregate(
             input(vec![]),
             &[],
             &calls(),
@@ -499,7 +456,7 @@ mod tests {
             Column::new("avg", DataType::Float),
             Column::new("cd", DataType::Int),
         ]);
-        let mut agg = HashAggregate::new(
+        let mut agg = open_hash_aggregate(
             input(rows),
             &[ColumnId(0)],
             &aggs,

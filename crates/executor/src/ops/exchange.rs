@@ -20,7 +20,7 @@ use crate::stats::{RuntimeStatsCollector, WorkerSpan};
 use dhqp_oledb::waits::{
     current_scope, emit_event, has_hook, install_scope, record_wait, WaitClass,
 };
-use dhqp_oledb::Rowset;
+use dhqp_oledb::{RowCursor, Rowset};
 use dhqp_optimizer::ColumnId;
 use dhqp_types::{Result, Row, RowBatch, Schema};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
@@ -42,13 +42,20 @@ pub type EndCheck = Box<dyn FnOnce() -> Result<()> + Send>;
 /// expressed in batches (`exchange_queue / pull_size`) to keep the buffered
 /// row budget roughly constant whichever batch size is configured.
 pub struct ExchangeRowset {
+    /// A caller may ask for fewer rows than a worker shipped at once; the
+    /// cursor hands such a batch on in pieces.
+    merged: RowCursor<MergedBranches>,
+}
+
+/// The consumer end of the workers' channel. Read only through the cursor
+/// in [`ExchangeRowset`], which asks for `pull` rows at a time — the size
+/// the workers fill their batches to.
+struct MergedBranches {
     rx: Option<Receiver<Result<RowBatch>>>,
     workers: Vec<JoinHandle<WorkerSpan>>,
     worker_count: usize,
     opened: Instant,
     schema: Schema,
-    /// Replay remainder of the last received batch for row-at-a-time pulls.
-    buffer: std::vec::IntoIter<Row>,
     done: bool,
     stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
     at_end: Option<EndCheck>,
@@ -111,16 +118,18 @@ impl ExchangeRowset {
         drop(tx);
         ctx.counters().add_parallel_exchange(n as u64);
         let stats = ctx.stats().map(|c| (node, Arc::clone(c)));
-        Ok(ExchangeRowset {
+        let merged = MergedBranches {
             rx: Some(rx),
             workers,
             worker_count: n,
             opened,
             schema,
-            buffer: Vec::new().into_iter(),
             done: false,
             stats,
             at_end: None,
+        };
+        Ok(ExchangeRowset {
+            merged: RowCursor::new(merged, pull),
         })
     }
 
@@ -129,10 +138,12 @@ impl ExchangeRowset {
     /// the end of stream. How the builder refuses an exchange whose every
     /// member was quarantined instead of answering "no rows".
     pub fn at_end(mut self, check: EndCheck) -> Self {
-        self.at_end = Some(check);
+        self.merged.child_mut().at_end = Some(check);
         self
     }
+}
 
+impl MergedBranches {
     /// All senders gone: every branch drained.
     fn finish(&mut self) -> Result<()> {
         self.done = true;
@@ -281,22 +292,19 @@ fn run_branches(
     span
 }
 
-impl Rowset for ExchangeRowset {
+impl Rowset for MergedBranches {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.buffer.next() {
-            return Ok(Some(row));
-        }
+    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         if self.done {
             return Ok(None);
         }
         match self.recv_batch() {
             Ok(Ok(batch)) => {
-                self.buffer = batch.into_rows().into_iter();
-                Ok(self.buffer.next())
+                debug_assert!(batch.len() <= max, "workers fill batches to the pull size");
+                Ok(Some(batch))
             }
             // First error wins: surface it once, then the cursor is done
             // (shutdown cancels the remaining workers).
@@ -308,196 +316,136 @@ impl Rowset for ExchangeRowset {
             Err(()) => self.finish().map(|()| None),
         }
     }
+}
+
+impl Rowset for ExchangeRowset {
+    fn schema(&self) -> &Schema {
+        self.merged.schema()
+    }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        // Drain any row-at-a-time replay remainder first so mixed cursoring
-        // never reorders rows.
-        let buffered: Vec<Row> = self.buffer.by_ref().take(max).collect();
-        if !buffered.is_empty() {
-            return Ok(Some(RowBatch::from(buffered)));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        match self.recv_batch() {
-            Ok(Ok(batch)) => {
-                if batch.len() <= max {
-                    return Ok(Some(batch));
-                }
-                // Caller asked for less than a worker shipped: hand back the
-                // head and buffer the rest for the next pull.
-                let mut rows = batch.into_rows();
-                let rest = rows.split_off(max);
-                self.buffer = rest.into_iter();
-                Ok(Some(RowBatch::from(rows)))
-            }
-            Ok(Err(e)) => {
-                self.done = true;
-                self.shutdown();
-                Err(e)
-            }
-            Err(()) => self.finish().map(|()| None),
-        }
+        self.merged.next_batch(max)
     }
 }
 
-impl Drop for ExchangeRowset {
+impl Drop for MergedBranches {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// Pipelines a (typically remote) rowset: a background worker pulls rows in
-/// batches so link latency and transfer time overlap with consumer work.
-/// Row order is preserved — batches flow through a FIFO channel.
+/// Pipelines a (typically remote) rowset: a background worker pulls rows
+/// ahead of the consumer so link latency and transfer time overlap with
+/// consumer work. Row order is preserved — batches flow through a FIFO
+/// channel.
 pub struct PrefetchRowset {
+    ahead: RowCursor<Prefetched>,
+}
+
+/// The consumer end of the prefetch worker's channel; like
+/// [`MergedBranches`], read only through the cursor in front of it, at the
+/// size the worker fills its batches to.
+struct Prefetched {
     rx: Option<Receiver<Result<RowBatch>>>,
     worker: Option<JoinHandle<()>>,
-    buffer: std::vec::IntoIter<Row>,
     schema: Schema,
-    done: bool,
 }
 
 impl PrefetchRowset {
-    /// `batched` selects how the worker drains the source: `true` pulls
-    /// whole `batch_rows` chunks over the wire (one round trip each);
-    /// `false` assembles batches row by row, preserving the per-row wire
-    /// accounting of the compatibility path (`DHQP_BATCH=0`).
+    /// The worker asks the source for `pull` rows per call — one round trip
+    /// each over a link — and hands the consumer batches of up to
+    /// `batch_rows` (at least one pull), `queue_depth` of them ahead. Rows
+    /// pulled before a fault are handed over before the fault is.
     pub fn new(
         mut inner: Box<dyn Rowset>,
+        pull: usize,
         batch_rows: usize,
         queue_depth: usize,
-        batched: bool,
     ) -> Self {
         let schema = inner.schema().clone();
-        let batch_rows = batch_rows.max(1);
+        let pull = pull.max(1);
+        let batch_rows = batch_rows.max(pull);
         let (tx, rx) = sync_channel::<Result<RowBatch>>(queue_depth.max(1));
         // The prefetcher drains a metered remote rowset off-thread; its
         // link waits must land in the spawning statement's sinks too.
         let scope = current_scope();
         let worker = std::thread::spawn(move || {
             let _scope = install_scope(scope);
-            if batched {
-                loop {
-                    match inner.next_batch(batch_rows) {
-                        Ok(Some(batch)) => {
-                            if tx.send(Ok(batch)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) => return,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            }
+            let mut ahead: Vec<Row> = Vec::new();
+            let hand_over = |ahead: &mut Vec<Row>| {
+                ahead.is_empty() || tx.send(Ok(std::mem::take(ahead).into())).is_ok()
+            };
             loop {
-                let mut batch = RowBatch::with_capacity(batch_rows);
-                let finished = loop {
-                    match inner.next() {
-                        Ok(Some(row)) => {
-                            batch.push(row);
-                            if batch.len() == batch_rows {
-                                break false;
-                            }
-                        }
-                        Ok(None) => break true,
-                        Err(e) => {
-                            if !batch.is_empty() {
-                                let _ = tx.send(Ok(batch));
-                            }
-                            let _ = tx.send(Err(e));
+                match inner.next_batch(pull) {
+                    Ok(Some(batch)) => {
+                        ahead.extend(batch);
+                        // Another pull might not fit.
+                        if ahead.len() + pull > batch_rows && !hand_over(&mut ahead) {
                             return;
                         }
                     }
-                };
-                if !batch.is_empty() && tx.send(Ok(batch)).is_err() {
-                    return;
-                }
-                if finished {
-                    return;
+                    Ok(None) => {
+                        hand_over(&mut ahead);
+                        return;
+                    }
+                    Err(e) => {
+                        if hand_over(&mut ahead) {
+                            let _ = tx.send(Err(e));
+                        }
+                        return;
+                    }
                 }
             }
         });
-        PrefetchRowset {
+        let ahead = Prefetched {
             rx: Some(rx),
             worker: Some(worker),
-            buffer: Vec::new().into_iter(),
             schema,
-            done: false,
+        };
+        PrefetchRowset {
+            ahead: RowCursor::new(ahead, batch_rows),
+        }
+    }
+}
+
+impl Rowset for Prefetched {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+        let Some(rx) = &self.rx else {
+            return Ok(None);
+        };
+        match rx.recv() {
+            Ok(Ok(batch)) => {
+                debug_assert!(batch.len() <= max, "the worker fills batches to batch_rows");
+                Ok(Some(batch))
+            }
+            // An error or the worker's exit ends the stream.
+            Ok(Err(e)) => {
+                self.rx = None;
+                Err(e)
+            }
+            Err(_) => {
+                self.rx = None;
+                Ok(None)
+            }
         }
     }
 }
 
 impl Rowset for PrefetchRowset {
     fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.buffer.next() {
-            return Ok(Some(row));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        let Some(rx) = &self.rx else {
-            return Ok(None);
-        };
-        match rx.recv() {
-            Ok(Ok(batch)) => {
-                self.buffer = batch.into_rows().into_iter();
-                Ok(self.buffer.next())
-            }
-            Ok(Err(e)) => {
-                self.done = true;
-                Err(e)
-            }
-            Err(_) => {
-                self.done = true;
-                Ok(None)
-            }
-        }
+        self.ahead.schema()
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        let buffered: Vec<Row> = self.buffer.by_ref().take(max).collect();
-        if !buffered.is_empty() {
-            return Ok(Some(RowBatch::from(buffered)));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        let Some(rx) = &self.rx else {
-            return Ok(None);
-        };
-        match rx.recv() {
-            Ok(Ok(batch)) => {
-                if batch.len() <= max {
-                    return Ok(Some(batch));
-                }
-                let mut rows = batch.into_rows();
-                let rest = rows.split_off(max);
-                self.buffer = rest.into_iter();
-                Ok(Some(RowBatch::from(rows)))
-            }
-            Ok(Err(e)) => {
-                self.done = true;
-                Err(e)
-            }
-            Err(_) => {
-                self.done = true;
-                Ok(None)
-            }
-        }
+        self.ahead.next_batch(max)
     }
 }
 
-impl Drop for PrefetchRowset {
+impl Drop for Prefetched {
     fn drop(&mut self) {
         // Hang up first so a worker blocked on a full queue exits, then
         // join it — all wire traffic is accounted before the drop returns.
@@ -512,7 +460,8 @@ impl Drop for PrefetchRowset {
 mod tests {
     use super::*;
     use crate::context::test_support::TestCatalog;
-    use dhqp_oledb::{MemRowset, RowsetExt};
+    use crate::context::BatchConfig;
+    use dhqp_oledb::{IterRowset, MemRowset, RowsetExt};
     use dhqp_optimizer::props::ColumnRegistry;
     use dhqp_storage::StorageEngine;
     use dhqp_types::{Column, DataType, DhqpError, Value};
@@ -538,28 +487,23 @@ mod tests {
     }
 
     /// Yields `ok` rows, then fails with a provider error.
-    struct FaultyRowset {
-        schema: Schema,
-        remaining: usize,
-    }
-
-    impl Rowset for FaultyRowset {
-        fn schema(&self) -> &Schema {
-            &self.schema
-        }
-
-        fn next(&mut self) -> Result<Option<Row>> {
-            if self.remaining == 0 {
-                return Err(DhqpError::Provider("link reset mid-stream".into()));
-            }
-            self.remaining -= 1;
-            Ok(Some(Row::new(vec![Value::Int(self.remaining as i64)])))
-        }
+    fn faulty(ok: i64) -> Box<dyn Rowset> {
+        let reset = Err(DhqpError::Provider("link reset mid-stream".into()));
+        let stream = (0..ok).map(|i| Ok(Row::new(vec![Value::Int(i)])));
+        Box::new(IterRowset::new(int_schema(), stream.chain([reset])))
     }
 
     fn exchange(branches: Vec<BranchFactory>, cfg: &ParallelConfig) -> ExchangeRowset {
+        exchange_in(branches, cfg, &ctx())
+    }
+
+    fn exchange_in(
+        branches: Vec<BranchFactory>,
+        cfg: &ParallelConfig,
+        ctx: &ExecContext,
+    ) -> ExchangeRowset {
         let cols = vec![vec![ColumnId(0)]; branches.len()];
-        ExchangeRowset::new(branches, &cols, &cols, int_schema(), cfg, &ctx(), 0).unwrap()
+        ExchangeRowset::new(branches, &cols, &cols, int_schema(), cfg, ctx, 0).unwrap()
     }
 
     #[test]
@@ -596,12 +540,7 @@ mod tests {
 
     #[test]
     fn first_error_wins_and_workers_unwind() {
-        let faulty: BranchFactory = Box::new(|_| {
-            Ok(Box::new(FaultyRowset {
-                schema: int_schema(),
-                remaining: 2,
-            }) as Box<dyn Rowset>)
-        });
+        let faulty: BranchFactory = Box::new(|_| Ok(faulty(2)));
         let mut rs = exchange(
             vec![ints((0..100).collect()), faulty, ints((0..100).collect())],
             &ParallelConfig {
@@ -658,81 +597,28 @@ mod tests {
     }
 
     #[test]
-    fn exchange_batched_cursor_covers_all_rows() {
-        let mut rs = exchange(
-            vec![ints((0..23).collect()), ints((100..117).collect())],
-            &ParallelConfig::parallel(),
-        );
-        // Mixed cursoring: a couple of single rows, then batch pulls.
-        let mut got: Vec<i64> = Vec::new();
-        for _ in 0..2 {
-            if let Some(row) = rs.next().unwrap() {
-                got.push(match row.get(0) {
-                    Value::Int(i) => *i,
-                    other => panic!("unexpected value {other:?}"),
-                });
-            }
-        }
-        while let Some(batch) = rs.next_batch(5).unwrap() {
-            assert!(batch.len() <= 5, "consumer cap must re-slice big batches");
-            for row in batch {
-                got.push(match row.get(0) {
-                    Value::Int(i) => *i,
-                    other => panic!("unexpected value {other:?}"),
-                });
-            }
-        }
-        got.sort_unstable();
-        let want: Vec<i64> = (0..23).chain(100..117).collect();
-        assert_eq!(got, want);
-    }
-
-    /// Yields one row, dawdles, then fails — by which time the consumer in
-    /// the regression test below has already hung up.
-    struct SlowFaultyRowset {
-        schema: Schema,
-        yielded: bool,
-    }
-
-    impl Rowset for SlowFaultyRowset {
-        fn schema(&self) -> &Schema {
-            &self.schema
-        }
-
-        fn next(&mut self) -> Result<Option<Row>> {
-            if self.yielded {
-                std::thread::sleep(Duration::from_millis(50));
-                return Err(DhqpError::Provider("late link reset".into()));
-            }
-            self.yielded = true;
-            Ok(Some(Row::new(vec![Value::Int(0)])))
-        }
-
-        // Fault on a batch boundary (like a metered link does), so the one
-        // good row reaches the consumer before the worker's late error.
-        fn next_batch(&mut self, _max: usize) -> Result<Option<RowBatch>> {
-            if self.yielded {
-                std::thread::sleep(Duration::from_millis(50));
-                return Err(DhqpError::Provider("late link reset".into()));
-            }
-            self.yielded = true;
-            Ok(Some(RowBatch::from(vec![Row::new(vec![Value::Int(0)])])))
-        }
-    }
-
-    #[test]
     fn branch_error_after_consumer_drop_is_silent() {
-        // The branch fails only after the consumer dropped the receiver.
-        // The worker's error send fails; that result must be dropped — not
-        // unwrapped — so the unwind stays clean (shutdown re-raises worker
-        // panics, so a spurious panic here would fail this test).
+        // The branch yields one row, dawdles, then fails — by which time
+        // the consumer has dropped the receiver. The worker's error send
+        // fails; that result must be dropped — not unwrapped — so the
+        // unwind stays clean (shutdown re-raises worker panics, so a
+        // spurious panic here would fail this test). Workers pull one row
+        // at a time, so the good row is on its way before the source is
+        // asked for the one that fails.
         let slow: BranchFactory = Box::new(|_| {
-            Ok(Box::new(SlowFaultyRowset {
-                schema: int_schema(),
-                yielded: false,
-            }) as Box<dyn Rowset>)
+            let mut yielded = false;
+            let stream = std::iter::from_fn(move || {
+                if yielded {
+                    std::thread::sleep(Duration::from_millis(50));
+                    return Some(Err(DhqpError::Provider("late link reset".into())));
+                }
+                yielded = true;
+                Some(Ok(Row::new(vec![Value::Int(0)])))
+            });
+            Ok(Box::new(IterRowset::new(int_schema(), stream)) as Box<dyn Rowset>)
         });
-        let mut rs = exchange(vec![slow], &ParallelConfig::parallel());
+        let ctx = ctx().with_batch(BatchConfig::row_at_a_time());
+        let mut rs = exchange_in(vec![slow], &ParallelConfig::parallel(), &ctx);
         assert!(rs.next().unwrap().is_some());
         drop(rs);
     }
@@ -756,10 +642,10 @@ mod tests {
 
     #[test]
     fn prefetch_preserves_order_and_completes() {
-        for batched in [false, true] {
+        for pull in [1, 16] {
             let rows: Vec<Row> = (0..103).map(|i| Row::new(vec![Value::Int(i)])).collect();
             let inner: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows));
-            let mut rs = PrefetchRowset::new(inner, 16, 2, batched);
+            let mut rs = PrefetchRowset::new(inner, pull, 16, 2);
             let got = rs.collect_rows().unwrap();
             assert_eq!(got.len(), 103);
             assert!(got
@@ -772,11 +658,7 @@ mod tests {
 
     #[test]
     fn prefetch_surfaces_buffered_rows_before_error() {
-        let inner: Box<dyn Rowset> = Box::new(FaultyRowset {
-            schema: int_schema(),
-            remaining: 3,
-        });
-        let mut rs = PrefetchRowset::new(inner, 2, 2, false);
+        let mut rs = PrefetchRowset::new(faulty(3), 1, 2, 2);
         let mut seen = 0;
         let err = loop {
             match rs.next() {
@@ -791,30 +673,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_batched_pull_forwards_whole_chunks() {
-        let rows: Vec<Row> = (0..10).map(|i| Row::new(vec![Value::Int(i)])).collect();
-        let inner: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows));
-        let mut rs = PrefetchRowset::new(inner, 4, 2, true);
-        // A mixed cursor: one row off the front, then batches — order holds.
-        assert_eq!(rs.next().unwrap().unwrap().get(0), &Value::Int(0));
-        let mut got = vec![0i64];
-        while let Some(batch) = rs.next_batch(4).unwrap() {
-            assert!(batch.len() <= 4);
-            for row in batch {
-                got.push(match row.get(0) {
-                    Value::Int(i) => *i,
-                    other => panic!("unexpected value {other:?}"),
-                });
-            }
-        }
-        assert_eq!(got, (0..10).collect::<Vec<i64>>());
-    }
-
-    #[test]
     fn prefetch_early_drop_joins_worker() {
         let rows: Vec<Row> = (0..10_000).map(|i| Row::new(vec![Value::Int(i)])).collect();
         let inner: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows));
-        let mut rs = PrefetchRowset::new(inner, 8, 1, true);
+        let mut rs = PrefetchRowset::new(inner, 8, 8, 1);
         rs.next().unwrap();
         drop(rs);
     }

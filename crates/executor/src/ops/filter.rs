@@ -36,20 +36,6 @@ impl Rowset for FilterRowset {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.inner.next()? {
-            let env = RowEnv {
-                positions: &self.positions,
-                row: &row,
-                ctx: &self.ctx,
-            };
-            if eval_predicate(&self.predicate, &env)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         // Pull whole chunks from the child and keep the survivors; loop so
         // a fully-filtered chunk never surfaces as an empty batch.
@@ -129,23 +115,6 @@ impl ProjectRowset {
 impl Rowset for ProjectRowset {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        let Some(row) = self.inner.next()? else {
-            return Ok(None);
-        };
-        let env = RowEnv {
-            positions: &self.positions,
-            row: &row,
-            ctx: &self.ctx,
-        };
-        let values = self
-            .outputs
-            .iter()
-            .map(|(_, e)| eval_expr(e, &env))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Some(Row::new(values)))
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {

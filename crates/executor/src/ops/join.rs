@@ -3,22 +3,62 @@
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
-use dhqp_oledb::{Rowset, RowsetExt};
+use dhqp_oledb::{MemRowset, RowCursor, Rowset, RowsetExt};
 use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr};
-use dhqp_types::{DhqpError, Result, Row, Schema, Value};
+use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
 use std::collections::HashMap;
 
 /// Factory re-opening the inner side of a nested-loop join under fresh
 /// correlation bindings.
 pub type InnerFactory = Box<dyn Fn(&ExecContext) -> Result<Box<dyn Rowset>> + Send>;
 
-/// Tuple-at-a-time nested-loop join. The inner side is re-opened for every
-/// outer row with that row's columns exposed as correlation bindings, which
-/// is what lets a `RemoteQuery`/`RemoteRange` inner child push the current
-/// join key to the remote source (§4.1.2 parameterization).
+/// Does `combined` (a left row followed by a right row) pass the join's
+/// predicate? No predicate passes everything.
+fn passes(
+    predicate: Option<&ScalarExpr>,
+    positions: &HashMap<ColumnId, usize>,
+    combined: &Row,
+    ctx: &ExecContext,
+) -> Result<bool> {
+    predicate.map_or(Ok(true), |p| {
+        let env = RowEnv {
+            positions,
+            row: combined,
+            ctx,
+        };
+        eval_predicate(p, &env)
+    })
+}
+
+/// `left` followed by `right`: the left values are copied (the row joins
+/// again), the right ones moved.
+fn concat(left: &Row, right: Row) -> Row {
+    let mut values = Vec::with_capacity(left.values.len() + right.values.len());
+    values.extend_from_slice(&left.values);
+    values.extend(right.values);
+    Row::new(values)
+}
+
+fn null_pad(left: &Row, right_width: usize) -> Row {
+    let mut values = left.values.clone();
+    values.resize(values.len() + right_width, Value::Null);
+    Row::new(values)
+}
+
+/// Nested-loop join. The inner side is re-opened for every outer row with
+/// that row's columns exposed as correlation bindings, which is what lets a
+/// `RemoteQuery`/`RemoteRange` inner child push the current join key to the
+/// remote source (§4.1.2 parameterization).
+///
+/// The outer side is pipelined: a refill asks it for as many rows as the
+/// caller still wants, never more, so `TOP n` above the join over-ships at
+/// most `n − 1` outer rows. The inner side is read to its end for every
+/// outer row — at the configured pull size — except by a semi or anti join,
+/// which stops at the first match and so asks for one row at a time.
 pub struct NestedLoopJoin {
-    outer: Box<dyn Rowset>,
+    outer: RowCursor,
     inner_factory: InnerFactory,
+    inner_pull: usize,
     kind: JoinKind,
     predicate: Option<ScalarExpr>,
     positions: HashMap<ColumnId, usize>,
@@ -26,8 +66,8 @@ pub struct NestedLoopJoin {
     inner_width: usize,
     schema: Schema,
     ctx: ExecContext,
-    current_outer: Option<Row>,
-    current_inner: Option<Box<dyn Rowset>>,
+    /// The outer row being joined and its inner side, between calls.
+    current: Option<(Row, RowCursor)>,
     matched: bool,
 }
 
@@ -45,9 +85,14 @@ impl NestedLoopJoin {
     ) -> Self {
         let mut combined = outer_columns.clone();
         combined.extend(inner_columns.iter().copied());
+        let inner_pull = match kind {
+            JoinKind::Semi | JoinKind::Anti => 1,
+            JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter => ctx.batch().pull_size(),
+        };
         NestedLoopJoin {
-            outer,
+            outer: RowCursor::new(outer, 1),
             inner_factory,
+            inner_pull,
             kind,
             predicate,
             positions: positions_of(&combined),
@@ -55,8 +100,7 @@ impl NestedLoopJoin {
             inner_width: inner_columns.len(),
             schema,
             ctx,
-            current_outer: None,
-            current_inner: None,
+            current: None,
             matched: false,
         }
     }
@@ -70,12 +114,6 @@ impl NestedLoopJoin {
             .collect();
         self.ctx.with_bindings(bindings)
     }
-
-    fn null_pad(&self, outer_row: &Row) -> Row {
-        let mut values = outer_row.values.clone();
-        values.extend(std::iter::repeat_n(Value::Null, self.inner_width));
-        Row::new(values)
-    }
 }
 
 impl Rowset for NestedLoopJoin {
@@ -83,145 +121,123 @@ impl Rowset for NestedLoopJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if self.current_outer.is_none() {
-                let Some(outer_row) = self.outer.next()? else {
-                    return Ok(None);
-                };
-                let child_ctx = self.rebind(&outer_row);
-                self.current_inner = Some((self.inner_factory)(&child_ctx)?);
-                self.current_outer = Some(outer_row);
-                self.matched = false;
-            }
-            let outer_row = self.current_outer.clone().expect("outer row set above");
-            let inner = self.current_inner.as_mut().expect("inner open");
-            let mut emit: Option<Row> = None;
-            let mut outer_done = false;
-            loop {
-                match inner.next()? {
-                    Some(inner_row) => {
-                        let combined = outer_row.join(&inner_row);
-                        let passes = match &self.predicate {
-                            None => true,
-                            Some(p) => {
-                                let env = RowEnv {
-                                    positions: &self.positions,
-                                    row: &combined,
-                                    ctx: &self.ctx,
-                                };
-                                eval_predicate(p, &env)?
-                            }
-                        };
-                        if !passes {
-                            continue;
-                        }
-                        match self.kind {
-                            JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter => {
-                                self.matched = true;
-                                emit = Some(combined);
-                            }
-                            JoinKind::Semi => {
-                                emit = Some(outer_row.clone());
-                                outer_done = true;
-                            }
-                            JoinKind::Anti => {
-                                // A single match disqualifies the outer row.
-                                self.matched = true;
-                                outer_done = true;
-                            }
-                        }
+    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+        let max = max.max(1);
+        let mut out = RowBatch::default();
+        while out.len() < max {
+            let (outer_row, mut inner) = match self.current.take() {
+                Some(current) => current,
+                None => {
+                    self.outer.demand(max - out.len());
+                    let Some(outer_row) = self.outer.next_row()? else {
                         break;
-                    }
-                    None => {
-                        // Inner exhausted for this outer row.
-                        match self.kind {
-                            JoinKind::LeftOuter if !self.matched => {
-                                emit = Some(self.null_pad(&outer_row));
-                            }
-                            JoinKind::Anti if !self.matched => {
-                                emit = Some(outer_row.clone());
-                            }
-                            _ => {}
+                    };
+                    let inner = (self.inner_factory)(&self.rebind(&outer_row))?;
+                    self.matched = false;
+                    (outer_row, RowCursor::new(inner, self.inner_pull))
+                }
+            };
+            // The outer row is borrowed for the whole inner loop; it is
+            // copied once per joined row and moved out when it is itself
+            // the output (semi, anti).
+            let mut outer_done = false;
+            let mut emit_outer = false;
+            while out.len() < max {
+                let Some(inner_row) = inner.next_row()? else {
+                    match self.kind {
+                        JoinKind::LeftOuter if !self.matched => {
+                            out.push(null_pad(&outer_row, self.inner_width));
                         }
+                        JoinKind::Anti => emit_outer = !self.matched,
+                        _ => {}
+                    }
+                    outer_done = true;
+                    break;
+                };
+                let combined = concat(&outer_row, inner_row);
+                if !passes(
+                    self.predicate.as_ref(),
+                    &self.positions,
+                    &combined,
+                    &self.ctx,
+                )? {
+                    continue;
+                }
+                self.matched = true;
+                match self.kind {
+                    JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter => out.push(combined),
+                    // One match decides a semi or anti join's outer row.
+                    JoinKind::Semi | JoinKind::Anti => {
+                        emit_outer = self.kind == JoinKind::Semi;
                         outer_done = true;
                         break;
                     }
                 }
             }
-            if outer_done {
-                self.current_outer = None;
-                self.current_inner = None;
-            }
-            if let Some(row) = emit {
-                return Ok(Some(row));
+            if !outer_done {
+                self.current = Some((outer_row, inner));
+            } else if emit_outer {
+                out.push(outer_row);
             }
         }
+        Ok((!out.is_empty()).then_some(out))
     }
 }
 
-/// Hash join: builds on the right input, probes with the left.
-pub struct HashJoin {
+/// Hash join: builds on the right input, probes with the left. Both inputs
+/// are read to their end at open, a batch at a time.
+#[allow(clippy::too_many_arguments)]
+pub fn open_hash_join(
+    mut left: Box<dyn Rowset>,
+    mut right: Box<dyn Rowset>,
+    kind: JoinKind,
+    left_keys: &[ScalarExpr],
+    right_keys: &[ScalarExpr],
+    residual: Option<&ScalarExpr>,
+    left_columns: &[ColumnId],
+    right_columns: &[ColumnId],
     schema: Schema,
-    output: std::vec::IntoIter<Row>,
-}
+    ctx: &ExecContext,
+) -> Result<MemRowset> {
+    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
+        return Err(DhqpError::Execute(
+            "hash join requires matching key lists".into(),
+        ));
+    }
+    let left_pos = positions_of(left_columns);
+    let right_pos = positions_of(right_columns);
+    let mut combined_cols = left_columns.to_vec();
+    combined_cols.extend(right_columns.iter().copied());
+    let combined_pos = positions_of(&combined_cols);
+    let key_of = |keys: &[ScalarExpr], positions: &HashMap<ColumnId, usize>, row: &Row| {
+        let env = RowEnv {
+            positions,
+            row,
+            ctx,
+        };
+        keys.iter()
+            .map(|k| eval_expr(k, &env))
+            .collect::<Result<Vec<_>>>()
+    };
+    let pull = ctx.batch().pull_size();
 
-impl HashJoin {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        mut left: Box<dyn Rowset>,
-        mut right: Box<dyn Rowset>,
-        kind: JoinKind,
-        left_keys: &[ScalarExpr],
-        right_keys: &[ScalarExpr],
-        residual: Option<&ScalarExpr>,
-        left_columns: &[ColumnId],
-        right_columns: &[ColumnId],
-        schema: Schema,
-        ctx: &ExecContext,
-    ) -> Result<Self> {
-        if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-            return Err(DhqpError::Execute(
-                "hash join requires matching key lists".into(),
-            ));
-        }
-        let left_pos = positions_of(left_columns);
-        let right_pos = positions_of(right_columns);
-        let mut combined_cols = left_columns.to_vec();
-        combined_cols.extend(right_columns.iter().copied());
-        let combined_pos = positions_of(&combined_cols);
-
-        // Build phase: hash the right input (null keys never match).
-        let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-        while let Some(row) = right.next()? {
-            let env = RowEnv {
-                positions: &right_pos,
-                row: &row,
-                ctx,
-            };
-            let key = right_keys
-                .iter()
-                .map(|k| eval_expr(k, &env))
-                .collect::<Result<Vec<_>>>()?;
-            if key.iter().any(Value::is_null) {
-                continue;
+    // Build phase: hash the right input (null keys never match).
+    let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
+    while let Some(batch) = right.next_batch(pull)? {
+        for row in batch {
+            let key = key_of(right_keys, &right_pos, &row)?;
+            if !key.iter().any(Value::is_null) {
+                table.entry(key).or_default().push(row);
             }
-            table.entry(key).or_default().push(row);
         }
+    }
 
-        // Probe phase.
-        let right_width = right_columns.len();
-        let mut out = Vec::new();
-        while let Some(lrow) = left.next()? {
-            let env = RowEnv {
-                positions: &left_pos,
-                row: &lrow,
-                ctx,
-            };
-            let key = left_keys
-                .iter()
-                .map(|k| eval_expr(k, &env))
-                .collect::<Result<Vec<_>>>()?;
+    // Probe phase.
+    let right_width = right_columns.len();
+    let mut out = Vec::new();
+    while let Some(batch) = left.next_batch(pull)? {
+        for lrow in batch {
+            let key = key_of(left_keys, &left_pos, &lrow)?;
             let candidates: &[Row] = if key.iter().any(Value::is_null) {
                 &[]
             } else {
@@ -230,184 +246,123 @@ impl HashJoin {
             let mut matched = false;
             for rrow in candidates {
                 let combined = lrow.join(rrow);
-                let passes = match residual {
-                    None => true,
-                    Some(p) => {
-                        let env = RowEnv {
-                            positions: &combined_pos,
-                            row: &combined,
-                            ctx,
-                        };
-                        eval_predicate(p, &env)?
-                    }
-                };
-                if !passes {
+                if !passes(residual, &combined_pos, &combined, ctx)? {
                     continue;
                 }
                 matched = true;
                 match kind {
                     JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter => out.push(combined),
-                    JoinKind::Semi => break,
-                    JoinKind::Anti => break,
+                    JoinKind::Semi | JoinKind::Anti => break,
                 }
             }
             match kind {
-                JoinKind::LeftOuter if !matched => {
-                    let mut values = lrow.values.clone();
-                    values.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(Row::new(values));
-                }
+                JoinKind::LeftOuter if !matched => out.push(null_pad(&lrow, right_width)),
                 JoinKind::Semi if matched => out.push(lrow),
                 JoinKind::Anti if !matched => out.push(lrow),
                 _ => {}
             }
         }
-        Ok(HashJoin {
-            schema,
-            output: out.into_iter(),
-        })
     }
-}
-
-impl Rowset for HashJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.output.next())
-    }
+    Ok(MemRowset::new(schema, out))
 }
 
 /// Merge join over inputs sorted ascending on the key columns (inner join
 /// only; the optimizer requests the orderings via enforcers).
-pub struct MergeJoin {
+#[allow(clippy::too_many_arguments)]
+pub fn open_merge_join(
+    mut left: Box<dyn Rowset>,
+    mut right: Box<dyn Rowset>,
+    left_keys: &[ColumnId],
+    right_keys: &[ColumnId],
+    residual: Option<&ScalarExpr>,
+    left_columns: &[ColumnId],
+    right_columns: &[ColumnId],
     schema: Schema,
-    output: std::vec::IntoIter<Row>,
-}
-
-impl MergeJoin {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        mut left: Box<dyn Rowset>,
-        mut right: Box<dyn Rowset>,
-        left_keys: &[ColumnId],
-        right_keys: &[ColumnId],
-        residual: Option<&ScalarExpr>,
-        left_columns: &[ColumnId],
-        right_columns: &[ColumnId],
-        schema: Schema,
-        ctx: &ExecContext,
-    ) -> Result<Self> {
-        let lpos = positions_of(left_columns);
-        let rpos = positions_of(right_columns);
-        let lkey_pos: Vec<usize> = left_keys
-            .iter()
-            .map(|c| {
-                lpos.get(c).copied().ok_or_else(|| {
-                    DhqpError::Execute(format!("merge key #{} missing from left input", c.0))
-                })
+    ctx: &ExecContext,
+) -> Result<MemRowset> {
+    let lpos = positions_of(left_columns);
+    let rpos = positions_of(right_columns);
+    let lkey_pos: Vec<usize> = left_keys
+        .iter()
+        .map(|c| {
+            lpos.get(c).copied().ok_or_else(|| {
+                DhqpError::Execute(format!("merge key #{} missing from left input", c.0))
             })
-            .collect::<Result<Vec<_>>>()?;
-        let rkey_pos: Vec<usize> = right_keys
-            .iter()
-            .map(|c| {
-                rpos.get(c).copied().ok_or_else(|| {
-                    DhqpError::Execute(format!("merge key #{} missing from right input", c.0))
-                })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let rkey_pos: Vec<usize> = right_keys
+        .iter()
+        .map(|c| {
+            rpos.get(c).copied().ok_or_else(|| {
+                DhqpError::Execute(format!("merge key #{} missing from right input", c.0))
             })
-            .collect::<Result<Vec<_>>>()?;
-        let mut combined_cols = left_columns.to_vec();
-        combined_cols.extend(right_columns.iter().copied());
-        let combined_pos = positions_of(&combined_cols);
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut combined_cols = left_columns.to_vec();
+    combined_cols.extend(right_columns.iter().copied());
+    let combined_pos = positions_of(&combined_cols);
 
-        let lrows = left.collect_rows()?;
-        let rrows = right.collect_rows()?;
-        let key_of = |row: &Row, pos: &[usize]| -> Vec<Value> {
-            pos.iter().map(|&p| row.values[p].clone()).collect()
-        };
-        let cmp_keys = |a: &[Value], b: &[Value]| -> std::cmp::Ordering {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let o = x.total_cmp(y);
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lrows.len() && j < rrows.len() {
-            let lk = key_of(&lrows[i], &lkey_pos);
-            let rk = key_of(&rrows[j], &rkey_pos);
-            // SQL semantics: null keys never join.
-            if lk.iter().any(Value::is_null) {
-                i += 1;
-                continue;
-            }
-            if rk.iter().any(Value::is_null) {
-                j += 1;
-                continue;
-            }
-            match cmp_keys(&lk, &rk) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Group boundaries on both sides.
-                    let mut i_end = i;
-                    while i_end < lrows.len()
-                        && cmp_keys(&key_of(&lrows[i_end], &lkey_pos), &lk)
-                            == std::cmp::Ordering::Equal
-                    {
-                        i_end += 1;
-                    }
-                    let mut j_end = j;
-                    while j_end < rrows.len()
-                        && cmp_keys(&key_of(&rrows[j_end], &rkey_pos), &rk)
-                            == std::cmp::Ordering::Equal
-                    {
-                        j_end += 1;
-                    }
-                    for lrow in &lrows[i..i_end] {
-                        for rrow in &rrows[j..j_end] {
-                            let combined = lrow.join(rrow);
-                            let passes = match residual {
-                                None => true,
-                                Some(p) => {
-                                    let env = RowEnv {
-                                        positions: &combined_pos,
-                                        row: &combined,
-                                        ctx,
-                                    };
-                                    eval_predicate(p, &env)?
-                                }
-                            };
-                            if passes {
-                                out.push(combined);
-                            }
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
+    let pull = ctx.batch().pull_size();
+    let lrows = left.collect_rows_batched(pull)?;
+    let rrows = right.collect_rows_batched(pull)?;
+    let key_of = |row: &Row, pos: &[usize]| -> Vec<Value> {
+        pos.iter().map(|&p| row.values[p].clone()).collect()
+    };
+    let cmp_keys = |a: &[Value], b: &[Value]| -> std::cmp::Ordering {
+        for (x, y) in a.iter().zip(b.iter()) {
+            let o = x.total_cmp(y);
+            if o != std::cmp::Ordering::Equal {
+                return o;
             }
         }
-        Ok(MergeJoin {
-            schema,
-            output: out.into_iter(),
-        })
-    }
-}
+        std::cmp::Ordering::Equal
+    };
 
-impl Rowset for MergeJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < lrows.len() && j < rrows.len() {
+        let lk = key_of(&lrows[i], &lkey_pos);
+        let rk = key_of(&rrows[j], &rkey_pos);
+        // SQL semantics: null keys never join.
+        if lk.iter().any(Value::is_null) {
+            i += 1;
+            continue;
+        }
+        if rk.iter().any(Value::is_null) {
+            j += 1;
+            continue;
+        }
+        match cmp_keys(&lk, &rk) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                // Group boundaries on both sides.
+                let mut i_end = i;
+                while i_end < lrows.len()
+                    && cmp_keys(&key_of(&lrows[i_end], &lkey_pos), &lk) == std::cmp::Ordering::Equal
+                {
+                    i_end += 1;
+                }
+                let mut j_end = j;
+                while j_end < rrows.len()
+                    && cmp_keys(&key_of(&rrows[j_end], &rkey_pos), &rk) == std::cmp::Ordering::Equal
+                {
+                    j_end += 1;
+                }
+                for lrow in &lrows[i..i_end] {
+                    for rrow in &rrows[j..j_end] {
+                        let combined = lrow.join(rrow);
+                        if passes(residual, &combined_pos, &combined, ctx)? {
+                            out.push(combined);
+                        }
+                    }
+                }
+                i = i_end;
+                j = j_end;
+            }
+        }
     }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.output.next())
-    }
+    Ok(MemRowset::new(schema, out))
 }
 
 #[cfg(test)]
@@ -505,7 +460,7 @@ mod tests {
             } else {
                 Schema::new(vec![Column::new("l", DataType::Int)])
             };
-            let mut j = HashJoin::new(
+            let mut j = open_hash_join(
                 l,
                 r,
                 kind,
@@ -537,7 +492,7 @@ mod tests {
             schema,
             vec![Row::new(vec![Value::Null]), Row::new(vec![Value::Int(1)])],
         ));
-        let mut j = HashJoin::new(
+        let mut j = open_hash_join(
             l,
             r,
             JoinKind::Inner,
@@ -557,7 +512,7 @@ mod tests {
     fn merge_join_with_duplicates() {
         let (l, _) = ints(&[1, 2, 2, 3]);
         let (r, _) = ints(&[2, 2, 3, 4]);
-        let mut j = MergeJoin::new(
+        let mut j = open_merge_join(
             l,
             r,
             &[ColumnId(0)],
@@ -611,7 +566,7 @@ mod tests {
                 ScalarExpr::literal(Value::Int(3)),
             ),
         ]);
-        let mut j = HashJoin::new(
+        let mut j = open_hash_join(
             l,
             r,
             JoinKind::Inner,

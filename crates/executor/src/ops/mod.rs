@@ -9,3 +9,6 @@ pub mod retry;
 pub mod scan;
 pub mod semijoin;
 pub mod sort;
+
+#[cfg(test)]
+mod protocol;

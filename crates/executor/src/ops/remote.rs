@@ -14,7 +14,7 @@ use crate::ops::scan::resolve_range;
 use crate::schema_guard::MemberChecks;
 use crate::stats::RuntimeStatsCollector;
 use dhqp_oledb::waits::{record_wait, WaitClass};
-use dhqp_oledb::{DataSource, MemRowset, Rowset};
+use dhqp_oledb::{DataSource, MemRowset, Rowset, RowsetExt};
 use dhqp_optimizer::physical::{IndexRangeSpec, ParamSource, RemoteParam};
 use dhqp_optimizer::{ColumnId, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
@@ -177,11 +177,6 @@ impl Rowset for HealthWatchRowset {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        let r = self.inner.next();
-        self.observe(r)
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         let r = self.inner.next_batch(max);
         self.observe(r)
@@ -297,12 +292,15 @@ pub fn open_remote_fetch(
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
     let (server, source, checks) = remote_table(meta, ctx, "fetch")?;
-    let mut bookmarks = Vec::new();
-    while let Some(row) = child.next()? {
-        bookmarks.push(row.bookmark.ok_or_else(|| {
-            DhqpError::Execute("remote fetch child produced a row without a bookmark".into())
-        })?);
-    }
+    let bookmarks = child
+        .collect_rows_batched(ctx.batch().pull_size())?
+        .into_iter()
+        .map(|row| {
+            row.bookmark.ok_or_else(|| {
+                DhqpError::Execute("remote fetch child produced a row without a bookmark".into())
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
     let table = meta.table.clone();
     let schema = meta.schema.clone();
     let counters = Arc::clone(ctx.counters());

@@ -16,7 +16,7 @@
 use crate::stats::{ExecCounters, RuntimeStatsCollector};
 use dhqp_oledb::waits::{emit_event, has_hook, record_wait, WaitClass};
 use dhqp_oledb::Rowset;
-use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema};
+use dhqp_types::{DhqpError, Result, RowBatch, Schema};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -308,21 +308,6 @@ impl Rowset for RetryRowset {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            let attempt_started = Instant::now();
-            match self.inner.next() {
-                Ok(Some(row)) => {
-                    self.delivered += 1;
-                    return Ok(Some(row));
-                }
-                Ok(None) => return Ok(None),
-                Err(e) if e.is_retryable() => self.rewind(e, attempt_started.elapsed())?,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         loop {
             let attempt_started = Instant::now();
@@ -346,8 +331,8 @@ impl Rowset for RetryRowset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhqp_oledb::{MemRowset, RowsetExt};
-    use dhqp_types::{Column, DataType, Value};
+    use dhqp_oledb::{IterRowset, MemRowset, RowsetExt};
+    use dhqp_types::{Column, DataType, Row, Value};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn int_schema() -> Schema {
@@ -367,35 +352,19 @@ mod tests {
             if k < open_faults {
                 return Err(DhqpError::Unavailable("injected connect fault".into()));
             }
-            let full: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows(10)));
             if k < open_faults + stream_faults {
-                Ok(Box::new(DropAfter {
-                    inner: full,
-                    remaining: 3,
-                }))
+                Ok(drop_after(3))
             } else {
-                Ok(full)
+                Ok(Box::new(MemRowset::new(int_schema(), rows(10))))
             }
         })
     }
 
-    struct DropAfter {
-        inner: Box<dyn Rowset>,
-        remaining: usize,
-    }
-
-    impl Rowset for DropAfter {
-        fn schema(&self) -> &Schema {
-            self.inner.schema()
-        }
-
-        fn next(&mut self) -> Result<Option<Row>> {
-            if self.remaining == 0 {
-                return Err(DhqpError::Unavailable("injected stream drop".into()));
-            }
-            self.remaining -= 1;
-            self.inner.next()
-        }
+    /// The first `n` of the ten rows, then the stream drops.
+    fn drop_after(n: usize) -> Box<dyn Rowset> {
+        let dropped = Err(DhqpError::Unavailable("injected stream drop".into()));
+        let stream = rows(10).into_iter().take(n).map(Ok).chain([dropped]);
+        Box::new(IterRowset::new(int_schema(), stream))
     }
 
     fn fast() -> RetryPolicy {
@@ -548,8 +517,9 @@ mod tests {
     #[test]
     fn batched_pull_rewinds_mid_batch_fault_without_duplicates() {
         // The stream drops after 3 rows — mid-way through the first 4-row
-        // batch. The partial batch was never delivered, so the rewind skips
-        // zero rows and the consumer still sees all 10 exactly once.
+        // batch. The 3 rows before the drop are delivered as a short batch,
+        // the rewind skips exactly those, and the consumer still sees all
+        // 10 exactly once.
         let c = counters();
         let mut rs = open_with_retries(flaky_factory(0, 1), &fast(), &c, None, 4, None).unwrap();
         let mut got = Vec::new();
@@ -567,20 +537,16 @@ mod tests {
 
     #[test]
     fn batched_rewind_reslices_final_partial_chunk() {
-        // Deliver 2 full 3-row batches (6 rows), then hit a fresh stream
-        // drop on a second flaky open: the rewind must fast-forward exactly
-        // 6 rows in 3-row pulls and resume at row 6.
+        // Deliver 7 rows (two full 3-row batches and the one row before the
+        // drop): the rewind must fast-forward exactly 7 rows — two 3-row
+        // pulls and a last one re-sliced to 1 — and resume at row 7.
         let opens = Arc::new(AtomicU32::new(0));
         let factory: ReopenFactory = Box::new(move || {
             let k = opens.fetch_add(1, Ordering::Relaxed);
-            let full: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows(10)));
             if k == 0 {
-                Ok(Box::new(DropAfter {
-                    inner: full,
-                    remaining: 7,
-                }))
+                Ok(drop_after(7))
             } else {
-                Ok(full)
+                Ok(Box::new(MemRowset::new(int_schema(), rows(10))))
             }
         });
         let c = counters();

@@ -21,7 +21,7 @@
 //!   round trips.
 
 use crate::context::ExecContext;
-use crate::ops::join::HashJoin;
+use crate::ops::join::open_hash_join;
 use crate::ops::remote::{open_remote_text, remote_query_text};
 use crate::stats::{RemoteProbe, SemiJoinTrace};
 use dhqp_oledb::{MemRowset, Rowset, RowsetExt};
@@ -92,7 +92,7 @@ pub fn open_semijoin_reduce(
                 spec.build_key.0
             ))
         })?;
-    let build_rows = build.collect_rows()?;
+    let build_rows = build.collect_rows_batched(ctx.batch().pull_size())?;
     let mut seen = HashSet::new();
     let mut keys = Vec::new();
     for row in &build_rows {
@@ -182,7 +182,7 @@ pub fn open_semijoin_reduce(
     let left: Box<dyn Rowset> = Box::new(MemRowset::new(ctx.schema_of(build_columns), build_rows));
     let left_keys = [ScalarExpr::Column(spec.build_key)];
     let right_keys = [ScalarExpr::Column(spec.probe_key)];
-    let join = HashJoin::new(
+    let join = open_hash_join(
         left,
         remote,
         spec.kind,

@@ -13,6 +13,7 @@ pub fn open_sort(
     mut input: Box<dyn Rowset>,
     keys: &[(ColumnId, bool)],
     input_columns: &[ColumnId],
+    ctx: &ExecContext,
 ) -> Result<Box<dyn Rowset>> {
     let positions = positions_of(input_columns);
     let key_pos: Vec<(usize, bool)> =
@@ -24,7 +25,7 @@ pub fn open_sort(
             })
             .collect::<Result<Vec<_>>>()?;
     let schema = input.schema().clone();
-    let mut rows = input.collect_rows()?;
+    let mut rows = input.collect_rows_batched(ctx.batch().pull_size())?;
     rows.sort_by(|a, b| {
         for &(p, asc) in &key_pos {
             let o = a.values[p].total_cmp(&b.values[p]);
@@ -55,22 +56,6 @@ impl TopRowset {
 impl Rowset for TopRowset {
     fn schema(&self) -> &Schema {
         self.inner.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.inner.next()? {
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-        }
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
@@ -157,20 +142,6 @@ impl Rowset for UnionAllRowset {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        while self.current < self.children.len() {
-            match self.children[self.current].next()? {
-                Some(row) => {
-                    let perm = &self.perms[self.current];
-                    let values = perm.iter().map(|&p| row.values[p].clone()).collect();
-                    return Ok(Some(Row::new(values)));
-                }
-                None => self.current += 1,
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         // Forward whole chunks from the current child (this is the serial
         // fallback of the Exchange operator, so DPV member streams ship
@@ -207,7 +178,7 @@ pub fn open_spool(
         None => dhqp_oledb::timed_wait(dhqp_oledb::WaitClass::Spool, || {
             let mut child = open_child()?;
             let schema = child.schema().clone();
-            let rows = child.collect_rows()?;
+            let rows = child.collect_rows_batched(ctx.batch().pull_size())?;
             let data: SpoolData = Arc::new((schema, rows));
             ctx.store_spool(key, Arc::clone(&data));
             Ok::<SpoolData, dhqp_types::DhqpError>(data)
@@ -248,13 +219,13 @@ mod tests {
             Row::new(vec![Value::Int(1)]),
         ];
         let input: Box<dyn Rowset> = Box::new(MemRowset::new(schema, rows));
-        let mut sorted = open_sort(input, &[(ColumnId(0), true)], &[ColumnId(0)]).unwrap();
+        let mut sorted = open_sort(input, &[(ColumnId(0), true)], &[ColumnId(0)], &ctx()).unwrap();
         let out = sorted.collect_rows().unwrap();
         assert!(out[0].get(0).is_null());
         assert_eq!(out[1].get(0), &Value::Int(1));
         // Descending.
         let input = ints(&[1, 3, 2]);
-        let mut sorted = open_sort(input, &[(ColumnId(0), false)], &[ColumnId(0)]).unwrap();
+        let mut sorted = open_sort(input, &[(ColumnId(0), false)], &[ColumnId(0)], &ctx()).unwrap();
         let out = sorted.collect_rows().unwrap();
         assert_eq!(out[0].get(0), &Value::Int(3));
     }

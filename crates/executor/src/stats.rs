@@ -9,7 +9,7 @@
 //! are lock-free atomics bumped at open time, never per row.
 
 use dhqp_oledb::{DataSource, LatencySummary, Rowset, TrafficSnapshot};
-use dhqp_types::{Result, Row, Schema};
+use dhqp_types::{Result, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -444,16 +444,6 @@ impl Rowset for StatsRowset {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        let start = Instant::now();
-        let row = self.inner.next();
-        self.next_time += start.elapsed();
-        if let Ok(Some(_)) = &row {
-            self.rows += 1;
-        }
-        row
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<dhqp_types::RowBatch>> {
         let start = Instant::now();
         let batch = self.inner.next_batch(max);
@@ -491,7 +481,7 @@ impl Drop for StatsRowset {
 mod tests {
     use super::*;
     use dhqp_oledb::MemRowset;
-    use dhqp_types::{Column, DataType, Value};
+    use dhqp_types::{Column, DataType, Row, Value};
 
     fn three_rows() -> Box<dyn Rowset> {
         let schema = Schema::new(vec![Column::not_null("x", DataType::Int)]);

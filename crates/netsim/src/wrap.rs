@@ -268,29 +268,11 @@ impl Rowset for MeteredRowset {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        if let Some(at) = self.drop_at {
-            if self.delivered >= at {
-                return Err(DhqpError::Unavailable(format!(
-                    "injected fault: stream dropped after {} rows on '{}'",
-                    self.delivered,
-                    self.link.name()
-                )));
-            }
-        }
-        let row = self.inner.next()?;
-        if let Some(r) = &row {
-            self.delivered += 1;
-            self.link.record_rows(1, r.wire_size() as u64);
-        }
-        Ok(row)
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         // One simulated round trip per chunk: one latency/bandwidth charge,
-        // one NETWORK_IO wait slice, one fault window. Rows and bytes land
-        // on the same counters as the row path, so traffic totals are
-        // byte-identical — only the flush count (and the amortized waits)
+        // one NETWORK_IO wait slice, one fault window. Rows and bytes are
+        // counted per row, so traffic totals are byte-identical at every
+        // batch size — only the flush count (and the amortized waits)
         // differ.
         let mut want = max.max(1);
         if let Some(at) = self.drop_at {
@@ -313,7 +295,9 @@ impl Rowset for MeteredRowset {
         self.delivered += batch.len() as u64;
         self.link
             .record_rows(batch.len() as u64, batch.wire_size() as u64);
-        if has_hook() {
+        // A pull of one row is a row fetch, not a flush: at batch size 1
+        // an event per row would only wrap the ring.
+        if max > 1 && has_hook() {
             emit_event(
                 "batch_flush",
                 &[

@@ -38,7 +38,7 @@ pub use datasource::{
     Command, CommandResult, DataSource, KeyRange, Session, TrafficSnapshot, TxnId,
 };
 pub use pool::{PoolStats, PooledDataSource, MAX_IDLE_SESSIONS};
-pub use rowset::{MemRowset, Rowset, RowsetExt};
+pub use rowset::{IterRowset, MemRowset, RowCursor, Rowset, RowsetExt};
 pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo};
 pub use statistics::{Histogram, HistogramBucket, TableStatistics};
 pub use telemetry::{HistogramSnapshot, LatencySummary, LogHistogram, HISTOGRAM_BUCKETS};

@@ -341,10 +341,6 @@ impl Rowset for PooledRowset {
         self.inner.schema()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.lease.watch(self.inner.next())
-    }
-
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
         self.lease.watch(self.inner.next_batch(max))
     }
@@ -357,7 +353,7 @@ impl Rowset for PooledRowset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rowset::{MemRowset, RowsetExt};
+    use crate::rowset::{IterRowset, MemRowset, RowsetExt};
     use dhqp_types::{Column, DataType, DhqpError};
     use std::sync::atomic::AtomicUsize;
 
@@ -378,18 +374,6 @@ mod tests {
     impl Drop for CountingSession {
         fn drop(&mut self) {
             self.live.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    struct FailingRowset(Schema);
-
-    impl Rowset for FailingRowset {
-        fn schema(&self) -> &Schema {
-            &self.0
-        }
-
-        fn next(&mut self) -> Result<Option<Row>> {
-            Err(DhqpError::Unavailable("stream dropped".into()))
         }
     }
 
@@ -423,7 +407,8 @@ mod tests {
                 return Err(DhqpError::Timeout("open timed out".into()));
             }
             if self.fail_next_read.swap(false, Ordering::SeqCst) {
-                return Ok(Box::new(FailingRowset(schema)));
+                let dropped = [Err(DhqpError::Unavailable("stream dropped".into()))];
+                return Ok(Box::new(IterRowset::new(schema, dropped.into_iter())));
             }
             let rows = (0..3).map(|i| Row::new(vec![Value::Int(i)])).collect();
             Ok(Box::new(MemRowset::new(schema, rows)))

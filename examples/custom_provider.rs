@@ -97,6 +97,8 @@ impl Session for ChangelogSession {
                 )
             })
             .collect();
+        // A source that produces its rows one at a time need not collect them:
+        // `IterRowset::new(schema, iter)` makes any `Iterator<Item = Result<Row>>` a rowset.
         Ok(Box::new(MemRowset::new(schema, rows)))
     }
 }

@@ -296,3 +296,206 @@ fn gauge_surfaces_in_dmv_and_explain_analyze() {
         "EXPLAIN ANALYZE must show the per-link batch gauge:\n{rendered}"
     );
 }
+
+/// A head holding `nation`, with three linked servers behind one metered
+/// link each: `remote0` (customer, supplier) and `remote1` (supplier,
+/// orders) are SQL engines that take pushed statements; `store` (customer,
+/// orders) is an index provider the head scans and seeks by rowset.
+fn join_federation() -> (Engine, Vec<NetworkLink>) {
+    use rand::SeedableRng;
+    let scale = TpchScale::tiny();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let remote0 = Engine::new("remote0-engine");
+    tpch::create_customer(remote0.storage(), &scale, &mut rng).unwrap();
+    tpch::create_supplier(remote0.storage(), &scale, &mut rng).unwrap();
+    let remote1 = Engine::new("remote1-engine");
+    tpch::create_supplier(remote1.storage(), &scale, &mut rng).unwrap();
+    tpch::create_orders(remote1.storage(), &scale, &mut rng).unwrap();
+    let store = Arc::new(dhqp_storage::StorageEngine::new("store-engine"));
+    tpch::create_customer(&store, &scale, &mut rng).unwrap();
+    tpch::create_orders(&store, &scale, &mut rng).unwrap();
+    for (engine, tables) in [
+        (remote0.storage(), ["customer", "supplier"]),
+        (remote1.storage(), ["supplier", "orders"]),
+        (&store, ["customer", "orders"]),
+    ] {
+        for table in tables {
+            engine.analyze(table, 24).unwrap();
+        }
+    }
+    let head = Engine::new("head");
+    tpch::create_nation(head.storage(), &scale).unwrap();
+    head.analyze("nation", 8).unwrap();
+
+    let sources: [(&str, Arc<dyn dhqp_oledb::DataSource>); 3] = [
+        ("remote0", Arc::new(EngineDataSource::new(remote0))),
+        ("remote1", Arc::new(EngineDataSource::new(remote1))),
+        ("store", Arc::new(dhqp_storage::LocalDataSource::new(store))),
+    ];
+    let mut links = Vec::new();
+    for (name, source) in sources {
+        let link = NetworkLink::new(name, NetworkConfig::lan());
+        head.add_linked_server(
+            name,
+            Arc::new(NetworkedDataSource::reliable(source, link.clone())),
+        )
+        .unwrap();
+        links.push(link);
+    }
+    // Pin the rewrite on: the suite may run under DHQP_SEMIJOIN=0.
+    let mut config = head.optimizer_config();
+    config.enable_semijoin = true;
+    head.set_optimizer_config(config);
+    (head, links)
+}
+
+/// Run `sql` at batch size 1 and at 64, each on warm metadata and a warm
+/// plan, and return each link's traffic under each.
+fn traffic_per_mode(head: &Engine, links: &[NetworkLink], sql: &str) -> [Vec<TrafficSnapshot>; 2] {
+    [BatchConfig::row_at_a_time(), BatchConfig::batched(64)].map(|mode| {
+        head.set_batch_config(mode);
+        head.query(sql).unwrap();
+        reset(head, links);
+        head.query(sql).unwrap();
+        measure(head, links)
+    })
+}
+
+#[test]
+fn joins_sorts_and_spools_pull_their_remote_inputs_by_the_batch() {
+    let (head, links) = join_federation();
+    let default_config = head.optimizer_config();
+    // Hash joins priced out and the full search forced: the one way this
+    // optimizer picks a merge join over two remote scans.
+    let mut merge_config = default_config.clone();
+    merge_config.forced_phase = Some(dhqp_optimizer::OptimizationPhase::Full);
+    merge_config.cost.hash_build_row = 1000.0;
+    merge_config.cost.hash_probe_row = 1000.0;
+
+    // (what the statement is here for, the operators its plan must hold,
+    // the optimizer configuration, the statement)
+    let statements = [
+        (
+            "the Fig.-4 three-way join",
+            &["HashJoin", "NestedLoopJoin[Cross]", "Spool"][..],
+            &default_config,
+            "SELECT c.c_name, c.c_address, c.c_phone \
+             FROM remote0.t.dbo.customer c, remote0.t.dbo.supplier s, nation n \
+             WHERE c.c_nationkey = n.n_nationkey AND n.n_nationkey = s.s_nationkey",
+        ),
+        (
+            "a hash join with a remote build and a remote probe",
+            &["HashJoin", "@remote0", "@remote1"][..],
+            &default_config,
+            "SELECT c.c_name, s.s_name FROM remote0.t.dbo.customer c \
+             JOIN remote1.t.dbo.supplier s ON c.c_nationkey = s.s_nationkey",
+        ),
+        (
+            "a merge join",
+            &["MergeJoin", "Sort", "RemoteScan"][..],
+            &merge_config,
+            "SELECT c.c_name, o.o_totalprice FROM store.t.dbo.customer c \
+             JOIN store.t.dbo.orders o ON c.c_custkey = o.o_custkey",
+        ),
+        (
+            "a semi-join reduction",
+            &["SemiJoinReduce"][..],
+            &default_config,
+            "SELECT n.n_name, o.o_totalprice FROM nation n \
+             JOIN remote1.t.dbo.orders o ON n.n_nationkey = o.o_custkey",
+        ),
+        (
+            "ORDER BY over a remote scan",
+            &["Sort", "RemoteScan"][..],
+            &default_config,
+            "SELECT o_orderkey, o_totalprice FROM store.t.dbo.orders ORDER BY o_totalprice",
+        ),
+        (
+            "a spooled nested-loop inner",
+            &["NestedLoopJoin[LeftOuter]", "Spool"][..],
+            &default_config,
+            "SELECT COUNT(*) AS n FROM nation n \
+             LEFT OUTER JOIN remote1.t.dbo.supplier s ON s.s_suppkey > n.n_nationkey",
+        ),
+        (
+            "a remote index range",
+            &["RemoteRange"][..],
+            &default_config,
+            "SELECT o_orderkey, o_totalprice FROM store.t.dbo.orders \
+             WHERE o_orderkey BETWEEN 10 AND 40",
+        ),
+    ];
+    for (what, operators, config, sql) in statements {
+        head.set_optimizer_config(config.clone());
+        let plan = head.execute_analyze(sql).unwrap().render();
+        for op in operators {
+            assert!(plan.contains(op), "{what}: no {op} in\n{plan}");
+        }
+        let [row, batch] = traffic_per_mode(&head, &links, sql);
+        let mut shipped = 0;
+        for (link, (r, b)) in links.iter().zip(row.iter().zip(&batch)) {
+            let name = link.name();
+            assert_eq!(r.rows, b.rows, "{what}: rows on '{name}'");
+            assert_eq!(r.bytes, b.bytes, "{what}: bytes on '{name}'");
+            assert_eq!(r.requests, b.requests, "{what}: requests on '{name}'");
+            assert_eq!(r.batches, r.rows, "{what}: row mode on '{name}'");
+            // Every opened rowset ships ⌈rows / 64⌉ batches.
+            assert!(
+                b.batches <= b.requests + b.rows / 64,
+                "{what}: '{name}' was pulled by the row: {b:?}"
+            );
+            shipped += b.rows;
+        }
+        assert!(shipped > 1, "{what}: nothing crossed a link");
+    }
+}
+
+#[test]
+fn top_over_a_remote_filter_ships_the_same_rows_at_any_batch_size() {
+    // TOP asks its child for no more than it still needs and the filter
+    // passes that on, so the scan stops at the fifth qualifying row whether
+    // rows are asked for one at a time or sixty-four.
+    let (head, links) = join_federation();
+    // A prefetcher reads ahead of any demand; that is what it is for.
+    head.set_parallel_config(ParallelConfig::serial());
+    let sql = "SELECT TOP 5 c_custkey, c_name FROM store.t.dbo.customer WHERE c_acctbal > 5000";
+    let plan = head.execute_analyze(sql).unwrap().render();
+    for op in ["Top", "Filter", "RemoteScan"] {
+        assert!(plan.contains(op), "no {op} in\n{plan}");
+    }
+    let [row, batch] = traffic_per_mode(&head, &links, sql);
+    let (row, batch) = (&row[2], &batch[2]);
+    assert_eq!((row.rows, row.bytes), (batch.rows, batch.bytes));
+    let customers = TpchScale::tiny().customers as u64;
+    assert!(
+        row.rows > 5 && row.rows < customers,
+        "the filter must reject some rows and TOP must stop the scan: {row:?}"
+    );
+    assert!(batch.batches < batch.rows, "{batch:?}");
+}
+
+#[test]
+fn top_over_a_nested_loop_join_overships_less_than_n_outer_rows() {
+    // The demand rule on a join: the outer side is asked for as many rows
+    // as the caller still wants. One outer row can fill TOP n by itself, so
+    // up to n − 1 of them may cross the link for nothing — never more.
+    const N: u64 = 4;
+    let (head, links) = join_federation();
+    head.set_parallel_config(ParallelConfig::serial());
+    let sql = "SELECT TOP 4 c.c_custkey, n.n_name FROM store.t.dbo.customer c, nation n \
+               WHERE c.c_nationkey >= n.n_nationkey";
+    let plan = head.execute_analyze(sql).unwrap().render();
+    let outer = plan.find("RemoteScan").expect("remote outer");
+    let inner = plan.find("Spool").expect("spooled local inner");
+    assert!(
+        plan.contains("NestedLoopJoin[Inner]") && outer < inner,
+        "{plan}"
+    );
+    let [row, batch] = traffic_per_mode(&head, &links, sql);
+    let (needed, shipped) = (row[2].rows, batch[2].rows);
+    assert!(needed >= 1, "{row:?}");
+    assert!(
+        needed <= shipped && shipped < needed + N,
+        "needed {needed} outer rows, shipped {shipped}"
+    );
+}

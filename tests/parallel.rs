@@ -5,10 +5,10 @@
 use dhqp::{Engine, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{
-    Command, CommandResult, DataSource, Histogram, KeyRange, ProviderCapabilities, Rowset, Session,
-    TableInfo, TrafficSnapshot, TxnId,
+    Command, CommandResult, DataSource, Histogram, IterRowset, KeyRange, ProviderCapabilities,
+    Rowset, Session, TableInfo, TrafficSnapshot, TxnId,
 };
-use dhqp_types::{DhqpError, Result, Row, Schema, Value};
+use dhqp_types::{DhqpError, Result, Row, Value};
 use dhqp_workload::tpch::{self, TpchScale};
 use std::sync::Arc;
 
@@ -201,10 +201,7 @@ struct FaultySession {
 
 impl FaultySession {
     fn wrap(&self, rs: Box<dyn Rowset>) -> Box<dyn Rowset> {
-        Box::new(FaultyRowset {
-            inner: rs,
-            remaining: self.fail_after,
-        })
+        faulty(rs, self.fail_after)
     }
 }
 
@@ -260,32 +257,21 @@ impl Command for FaultyCommand {
 
     fn execute(&mut self) -> Result<CommandResult> {
         match self.inner.execute()? {
-            CommandResult::Rowset(rs) => Ok(CommandResult::Rowset(Box::new(FaultyRowset {
-                inner: rs,
-                remaining: self.fail_after,
-            }))),
+            CommandResult::Rowset(rs) => Ok(CommandResult::Rowset(faulty(rs, self.fail_after))),
             CommandResult::RowCount(n) => Ok(CommandResult::RowCount(n)),
         }
     }
 }
 
-struct FaultyRowset {
-    inner: Box<dyn Rowset>,
-    remaining: usize,
-}
-
-impl Rowset for FaultyRowset {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Err(DhqpError::Provider(FAULT.into()));
-        }
-        self.remaining -= 1;
-        self.inner.next()
-    }
+/// The first `fail_after` rows of `inner`, then the connection drops.
+fn faulty(mut inner: Box<dyn Rowset>, fail_after: usize) -> Box<dyn Rowset> {
+    let schema = inner.schema().clone();
+    let rows = std::iter::from_fn(move || inner.next().transpose());
+    let dropped = Err(DhqpError::Provider(FAULT.into()));
+    Box::new(IterRowset::new(
+        schema,
+        rows.take(fail_after).chain([dropped]),
+    ))
 }
 
 #[test]
