@@ -950,25 +950,25 @@ fn e14_trace_overhead() {
     let measure = |trace: TraceConfig| {
         fed.head.set_trace_config(trace);
         warm(&fed.head, sql);
-        let mut best: Option<(usize, std::time::Duration)> = None;
+        let mut best: Option<(usize, std::time::Duration, usize)> = None;
         for _ in 0..3 {
             reset_links(&fed.links);
-            let (r, t) = timed(|| fed.head.query(sql).unwrap());
-            if best.is_none_or(|(_, b)| t < b) {
-                best = Some((r.len(), t));
+            let ((r, record), t) = timed(|| fed.head.execute_recorded(sql, Default::default()));
+            if best.is_none_or(|(_, b, _)| t < b) {
+                let spans = record.trace.as_ref().map_or(0, |trace| trace.span_count());
+                best = Some((r.unwrap().len(), t, spans));
             }
         }
         best.expect("measured")
     };
 
-    let (rows_off, t_off) = measure(TraceConfig::disabled());
-    let (rows_on, t_on) = measure(TraceConfig::enabled());
+    let (rows_off, t_off, _) = measure(TraceConfig::disabled());
+    let (rows_on, t_on, spans) = measure(TraceConfig::enabled());
     assert_eq!(rows_off, rows_on, "tracing must not change results");
-    let spans = fed
-        .head
-        .last_trace()
-        .expect("traced run retains its span tree")
-        .span_count();
+    assert!(
+        spans > 0,
+        "a traced statement's record carries its span tree"
+    );
     let overhead = t_on.as_secs_f64() / t_off.as_secs_f64().max(1e-9) - 1.0;
 
     println!("{:<16} {:>10} {:>12}", "tracing", "rows", "time");

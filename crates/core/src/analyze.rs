@@ -9,14 +9,11 @@
 //! earlier siblings), so runtime facts line up with the rendered tree even
 //! for subtrees the nested-loop join re-opens per outer row.
 
+use crate::record::{OperatorRecord, StatementRecord};
 use crate::result::QueryResult;
-use crate::trace::QueryTrace;
-use dhqp_executor::NodeRuntime;
-use dhqp_oledb::WaitSnapshot;
 use dhqp_optimizer::explain::ExplainPlan;
-use dhqp_optimizer::{PhysNode, PhysicalOp};
+use dhqp_optimizer::PhysNode;
 use dhqp_types::{Column, DataType, Row, Schema, Value};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,31 +25,12 @@ pub struct AnalyzeReport {
     pub result: QueryResult,
     /// The optimized physical plan that was executed.
     pub plan: PhysNode,
-    /// Per-node runtime stats keyed by pre-order node id.
-    pub runtime: HashMap<usize, NodeRuntime>,
     /// Optimizer-side telemetry for the same statement.
     pub explain: ExplainPlan,
-    /// Plan-cache outcome: `Some(true)` served from cache, `Some(false)`
-    /// compiled and inserted, `None` when the statement bypassed the cache.
-    pub cache_hit: Option<bool>,
-    /// Age of the oldest remote statistics bundle the plan was costed
-    /// against (cache-path executions of remote-touching plans only).
-    pub stats_age: Option<std::time::Duration>,
-    /// The statement's span tree, when tracing was armed.
-    pub trace: Option<Arc<QueryTrace>>,
-    /// Per-query wait accounting: what this statement blocked on, by class.
-    pub waits: Option<WaitSnapshot>,
-    /// DPV members degraded mode pruned during this execution, sorted —
-    /// rendered as the `-- [degraded: ...]` warning line.
-    pub pruned: Vec<String>,
-    /// DPV members runtime parameter pruning skipped at drive time (their
-    /// startup predicate rejected the parameter values), sorted — rendered
-    /// as the `-- [startup: ...]` line. Distinct from degraded pruning:
-    /// these members were healthy, just provably irrelevant.
-    pub startup_pruned: Vec<String>,
-    /// Whether the compile consulted cardinality-feedback-corrected
-    /// statistics — rendered as the `-- [feedback: applied]` line.
-    pub feedback: bool,
+    /// The statement's record: per-operator runtime (`operators`, indexed
+    /// by pre-order node id), plan-cache outcome, waits, pruned members,
+    /// the trace when tracing was armed.
+    pub record: Arc<StatementRecord>,
 }
 
 /// Adaptive duration formatting: µs below 1 ms, ms below 1 s, else s.
@@ -68,50 +46,36 @@ pub(crate) fn fmt_duration(d: Duration) -> String {
 }
 
 impl AnalyzeReport {
-    /// Runtime stats for the plan node with the given pre-order id.
-    pub fn node(&self, id: usize) -> Option<&NodeRuntime> {
-        self.runtime.get(&id)
-    }
-
-    /// Every remote node's runtime trace, in pre-order.
-    pub fn remote_nodes(&self) -> Vec<(usize, &NodeRuntime)> {
-        let mut ids: Vec<usize> = self
-            .runtime
-            .iter()
-            .filter(|(_, rt)| rt.remote.is_some())
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|id| (id, &self.runtime[&id])).collect()
-    }
-
     /// The full human-readable report: annotated plan tree followed by the
     /// optimizer's search telemetry.
     pub fn render(&self) -> String {
+        let record = &self.record;
         let mut out = String::new();
-        render_node(&self.plan, 0, &self.runtime, 0, &mut out);
-        if !self.pruned.is_empty() {
+        for op in &record.operators {
+            render_operator(op, &mut out);
+        }
+        if !record.pruned.is_empty() {
             let _ = writeln!(
                 out,
                 "-- [degraded: pruned members={}]",
-                self.pruned.join(", ")
+                record.pruned.join(", ")
             );
         }
-        if !self.startup_pruned.is_empty() {
+        if !record.startup_pruned.is_empty() {
             let _ = writeln!(
                 out,
                 "-- [startup: skipped members={}]",
-                self.startup_pruned.join(", ")
+                record.startup_pruned.join(", ")
             );
         }
-        if let Some(hit) = self.cache_hit {
+        if let Some(hit) = record.cache_hit {
             let _ = write!(out, "-- [plan cache: {}]", if hit { "hit" } else { "miss" });
-            if let Some(age) = self.stats_age {
+            if let Some(age) = record.stats_age {
                 let _ = write!(out, " statistics age: {age:.2?}");
             }
             out.push('\n');
         }
-        if self.feedback {
+        if record.feedback {
             out.push_str("-- [feedback: applied]\n");
         }
         let stats = &self.explain.stats;
@@ -136,23 +100,21 @@ impl AnalyzeReport {
         if stats.early_exit {
             out.push_str("-- early exit: phase threshold met\n");
         }
-        if let Some(waits) = &self.waits {
-            let nonzero = waits.nonzero();
-            if !nonzero.is_empty() {
-                out.push_str("-- [waits:");
-                for (class, totals) in nonzero {
-                    let _ = write!(
-                        out,
-                        " {}={}x/{}",
-                        class.name(),
-                        totals.count,
-                        fmt_duration(Duration::from_micros(totals.total_us))
-                    );
-                }
-                out.push_str("]\n");
+        let waits = record.waits.nonzero();
+        if !waits.is_empty() {
+            out.push_str("-- [waits:");
+            for (class, totals) in waits {
+                let _ = write!(
+                    out,
+                    " {}={}x/{}",
+                    class.name(),
+                    totals.count,
+                    fmt_duration(Duration::from_micros(totals.total_us))
+                );
             }
+            out.push_str("]\n");
         }
-        if let Some(trace) = &self.trace {
+        if let Some(trace) = &record.trace {
             out.push_str("-- trace:\n");
             for line in trace.render().lines() {
                 let _ = writeln!(out, "--   {line}");
@@ -180,109 +142,80 @@ pub(crate) fn text_result(text: &str) -> QueryResult {
     }
 }
 
-fn render_node(
-    node: &PhysNode,
-    id: usize,
-    runtime: &HashMap<usize, NodeRuntime>,
-    depth: usize,
-    out: &mut String,
-) {
-    let pad = "  ".repeat(depth);
-    let label = node.describe();
-    match runtime.get(&id) {
-        Some(rt) => {
-            let rescans = rt.opens.saturating_sub(1);
-            // Self time: this node's cursor time minus its direct
-            // children's (the executor's cumulative timings nest).
-            let mut children_time = Duration::ZERO;
-            let mut child_id = id + 1;
-            for c in &node.children {
-                if let Some(crt) = runtime.get(&child_id) {
-                    children_time += crt.next_time;
-                }
-                child_id += c.subtree_size();
-            }
-            let cum = fmt_duration(rt.next_time);
-            let own = fmt_duration(rt.next_time.saturating_sub(children_time));
-            if matches!(node.op, PhysicalOp::StartupFilter { .. }) {
-                // Startup filters pass rows through; estimates would just
-                // repeat the child's.
-                let _ = writeln!(
-                    out,
-                    "{pad}{label}  actual_rows={} rescans={rescans} time={cum} self={own}",
-                    rt.rows
-                );
-            } else {
-                // Skew: how far off the estimate was, per execution that
-                // opened the node (rescans average out).
-                let avg_rows = rt.rows as f64 / rt.opens.max(1) as f64;
-                let skew = crate::query_store::skew_ratio(node.est_rows, avg_rows);
-                let _ = writeln!(
-                    out,
-                    "{pad}{label}  est_rows={:.0} actual_rows={} skew={skew:.1}x rescans={rescans} time={cum} self={own}",
-                    node.est_rows, rt.rows
-                );
-            }
-            if rt.retries > 0 {
-                let _ = writeln!(out, "{pad}    [retries={}]", rt.retries);
-            }
-            if let Some(ex) = &rt.exchange {
-                let _ = writeln!(
-                    out,
-                    "{pad}    [exchange: workers={} busy={:.2?} wall={:.2?} overlap={:.2?}]",
-                    ex.workers,
-                    ex.busy,
-                    ex.wall,
-                    ex.overlap()
-                );
-            }
-            if let Some(sj) = &rt.semijoin {
-                let _ = writeln!(
-                    out,
-                    "{pad}    [semijoin: keys={} bytes={}{}]",
-                    sj.keys,
-                    sj.filter_bytes,
-                    if sj.fallback { " fallback" } else { "" }
-                );
-            }
-            if let Some(remote) = &rt.remote {
-                let _ = writeln!(
-                    out,
-                    "{pad}    [wire @{}: requests={} rows={} bytes={}]",
-                    remote.server,
-                    remote.traffic.requests,
-                    remote.traffic.rows,
-                    remote.traffic.bytes
-                );
-                if let Some(avg) = remote.traffic.rows_per_round_trip() {
-                    let _ = writeln!(out, "{pad}    [link batch: avg={avg:.1}]");
-                }
-                if let Some(l) = &remote.link_latency {
-                    let _ = writeln!(
-                        out,
-                        "{pad}    [link latency: p50={} p95={} p99={} max={}]",
-                        fmt_duration(Duration::from_micros(l.p50_us)),
-                        fmt_duration(Duration::from_micros(l.p95_us)),
-                        fmt_duration(Duration::from_micros(l.p99_us)),
-                        fmt_duration(Duration::from_micros(l.max_us)),
-                    );
-                }
-                let _ = writeln!(out, "{pad}    [shipped: {}]", remote.sql);
-            }
+fn render_operator(op: &OperatorRecord, out: &mut String) {
+    let pad = "  ".repeat(op.depth);
+    let label = &op.label;
+    // A subtree behind a failed startup filter (or a spool replay) never
+    // opens.
+    let Some(rt) = &op.runtime else {
+        let _ = writeln!(
+            out,
+            "{pad}{label}  est_rows={:.0} (never executed)",
+            op.est_rows
+        );
+        return;
+    };
+    let rescans = rt.opens.saturating_sub(1);
+    let cum = fmt_duration(rt.next_time);
+    let own = fmt_duration(op.self_time);
+    if op.passthrough {
+        let _ = writeln!(
+            out,
+            "{pad}{label}  actual_rows={} rescans={rescans} time={cum} self={own}",
+            rt.rows
+        );
+    } else {
+        // Skew: how far off the estimate was, per execution that opened
+        // the node (rescans average out).
+        let avg_rows = rt.rows as f64 / rt.opens.max(1) as f64;
+        let skew = crate::query_store::skew_ratio(op.est_rows, avg_rows);
+        let _ = writeln!(
+            out,
+            "{pad}{label}  est_rows={:.0} actual_rows={} skew={skew:.1}x rescans={rescans} time={cum} self={own}",
+            op.est_rows, rt.rows
+        );
+    }
+    if rt.retries > 0 {
+        let _ = writeln!(out, "{pad}    [retries={}]", rt.retries);
+    }
+    if let Some(ex) = &rt.exchange {
+        let _ = writeln!(
+            out,
+            "{pad}    [exchange: workers={} busy={:.2?} wall={:.2?} overlap={:.2?}]",
+            ex.workers,
+            ex.busy,
+            ex.wall,
+            ex.overlap()
+        );
+    }
+    if let Some(sj) = &rt.semijoin {
+        let _ = writeln!(
+            out,
+            "{pad}    [semijoin: keys={} bytes={}{}]",
+            sj.keys,
+            sj.filter_bytes,
+            if sj.fallback { " fallback" } else { "" }
+        );
+    }
+    if let Some(remote) = &rt.remote {
+        let _ = writeln!(
+            out,
+            "{pad}    [wire @{}: requests={} rows={} bytes={}]",
+            remote.server, remote.traffic.requests, remote.traffic.rows, remote.traffic.bytes
+        );
+        if let Some(avg) = remote.traffic.rows_per_round_trip() {
+            let _ = writeln!(out, "{pad}    [link batch: avg={avg:.1}]");
         }
-        // A subtree behind a failed startup filter (or a spool replay)
-        // never opens.
-        None => {
+        if let Some(l) = &remote.link_latency {
             let _ = writeln!(
                 out,
-                "{pad}{label}  est_rows={:.0} (never executed)",
-                node.est_rows
+                "{pad}    [link latency: p50={} p95={} p99={} max={}]",
+                fmt_duration(Duration::from_micros(l.p50_us)),
+                fmt_duration(Duration::from_micros(l.p95_us)),
+                fmt_duration(Duration::from_micros(l.p99_us)),
+                fmt_duration(Duration::from_micros(l.max_us)),
             );
         }
-    }
-    let mut child_id = id + 1;
-    for c in &node.children {
-        render_node(c, child_id, runtime, depth + 1, out);
-        child_id += c.subtree_size();
+        let _ = writeln!(out, "{pad}    [shipped: {}]", remote.sql);
     }
 }

@@ -358,23 +358,22 @@ impl Session for SysSession {
 }
 
 fn requests_rows(engine: &Inner) -> Vec<Row> {
+    let text = |s: Option<String>| s.map_or(Value::Null, Value::Str);
     engine
         .dmv_recent()
-        .into_iter()
+        .iter()
         .map(|q| {
             Row::new(vec![
-                Value::Str(q.sql),
-                Value::Str(q.kind.name().to_string()),
+                Value::Str(q.sql.clone()),
+                Value::Str(q.kind_name().to_string()),
                 Value::Int(q.rows as i64),
                 Value::Float(q.elapsed.as_secs_f64() * 1000.0),
-                Value::Bool(q.ok),
-                q.error.map(Value::Str).unwrap_or(Value::Null),
-                q.dominant_wait
-                    .map(|w| Value::Str(w.to_string()))
-                    .unwrap_or(Value::Null),
-                Value::Int(q.pruned_members as i64),
-                q.fingerprint.map(Value::Str).unwrap_or(Value::Null),
-                q.annotations.map(Value::Str).unwrap_or(Value::Null),
+                Value::Bool(q.ok()),
+                text(q.error.clone()),
+                text(q.dominant_wait().map(str::to_string)),
+                Value::Int(q.pruned.len() as i64),
+                text(q.fingerprint.clone()),
+                text(q.annotations()),
             ])
         })
         .collect()

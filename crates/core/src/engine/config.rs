@@ -105,7 +105,7 @@ impl EngineBuilder {
         self
     }
 
-    /// How many finished-statement summaries the recent-query ring
+    /// How many finished statements' records the recent-query ring
     /// (`sys.dm_exec_requests`) retains.
     pub fn recent_query_capacity(mut self, capacity: usize) -> Self {
         self.knobs.recent_queries = capacity;
@@ -182,8 +182,7 @@ impl EngineBuilder {
                 schema_epoch: AtomicU64::new(0),
                 config_epoch: AtomicU64::new(0),
                 dtc: TransactionCoordinator::new(),
-                metrics: EngineMetrics::new(knobs.recent_queries, knobs.slow_query),
-                last_trace: Mutex::new(None),
+                metrics: EngineMetrics::new(knobs.recent_queries),
                 events: RwLock::new(Arc::new(EventBus::new(knobs.events))),
                 health: Arc::new(HealthRegistry::new(knobs.breaker)),
                 query_store: Mutex::new(QueryStore::new(knobs.query_store.capacity)),

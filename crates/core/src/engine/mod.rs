@@ -13,10 +13,10 @@ use crate::binder::FetchedTable;
 use crate::dmv::SYS_SERVER;
 use crate::events::{Event, EventBus};
 use crate::knobs::{EnvKnobs, KnobRow, Knobs, KNOBS};
-use crate::metrics::{EngineMetrics, MetricsSnapshot, QuerySummary};
+use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::plan_cache::{CacheDeps, CachedSelect, PlanCache};
 use crate::query_store::{QueryStats, QueryStore};
-use crate::trace::QueryTrace;
+use crate::record::StatementRecord;
 use dhqp_dtc::TransactionCoordinator;
 use dhqp_executor::{DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot, SourceCatalog};
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
@@ -69,8 +69,6 @@ pub(crate) struct Inner {
     env: EnvKnobs,
     dtc: Arc<TransactionCoordinator>,
     metrics: EngineMetrics,
-    /// The most recent finished trace, when tracing was armed.
-    last_trace: Mutex<Option<Arc<QueryTrace>>>,
     /// The structured event bus, replaced whole by
     /// [`Engine::set_event_config`].
     events: RwLock<Arc<EventBus>>,
@@ -85,7 +83,7 @@ pub(crate) struct Inner {
 // DMV accessors: read-only state snapshots the `sys` provider
 // (crate::dmv) materializes into rowsets at open time.
 impl Inner {
-    pub(crate) fn dmv_recent(&self) -> Vec<QuerySummary> {
+    pub(crate) fn dmv_recent(&self) -> Vec<Arc<StatementRecord>> {
         self.metrics.recent_queries()
     }
 

@@ -1,22 +1,22 @@
-//! What the engine records about the statements it runs: the begin/end
-//! bookkeeping around each one, the post-execution hooks (Query Store,
-//! cardinality feedback) and the accessors over metrics, rings, traces
-//! and events.
+//! What the engine records about the statements it runs: the begin
+//! bookkeeping, the readers the epilogue hands each finished
+//! [`StatementRecord`] to (counters and rings, events, Query Store,
+//! cardinality feedback) and the accessors over metrics, rings and events.
 
 use super::statement::StatementRun;
 use super::Engine;
 use crate::binder::FetchedTable;
 use crate::events::{Event, EventSink};
-use crate::metrics::{MetricsSnapshot, QuerySummary, StatementTags};
-use crate::query_store::{self, ExecutionObservation};
-use crate::trace::{QueryTrace, TraceBuilder};
-use dhqp_executor::{LinkHealthSnapshot, NodeRuntime, PruneLog};
+use crate::knobs::Knobs;
+use crate::metrics::MetricsSnapshot;
+use crate::record::{OperatorRecord, StatementRecord};
+use crate::trace::TraceBuilder;
+use dhqp_executor::{LinkHealthSnapshot, PruneLog};
 use dhqp_oledb::{
     emit_event, has_hook, install_scope, ActivityScope, EventHook, TableStatistics, WaitSnapshot,
     WaitStats,
 };
 use dhqp_optimizer::{PhysNode, PhysicalOp};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,13 +46,14 @@ impl Engine {
         if has_hook() {
             emit_event("query_start", &[("sql", sql.to_string())]);
         }
+        let started = Instant::now();
         StatementRun {
             _activity: activity,
-            tracer: knobs.trace.enabled.then(|| TraceBuilder::new(sql)),
+            tracer: knobs.trace.enabled.then(|| TraceBuilder::new(sql, started)),
             knobs,
             waits,
             sql,
-            started: Instant::now(),
+            started,
             pruned: Arc::new(PruneLog::default()),
             kind: None,
             fingerprint: None,
@@ -62,108 +63,15 @@ impl Engine {
         }
     }
 
-    /// Fingerprint + annotation summary carried into the recent/slow query
-    /// rings and the `slow_query` event: the same `[semijoin: ...]` /
-    /// `[degraded: ...]` / `[startup: ...]` markers EXPLAIN ANALYZE renders,
-    /// condensed to one line so a slow statement can be triaged from
-    /// `sys.dm_exec_requests` without re-running it.
-    pub(super) fn statement_tags(
-        fingerprint: Option<&str>,
-        runtime: Option<&HashMap<usize, NodeRuntime>>,
-        pruned: &PruneLog,
-    ) -> StatementTags {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(runtime) = runtime {
-            let mut keys = 0u64;
-            let mut bytes = 0u64;
-            let mut fallback = false;
-            for sj in runtime.values().filter_map(|rt| rt.semijoin.as_ref()) {
-                keys += sj.keys;
-                bytes += sj.filter_bytes;
-                fallback |= sj.fallback;
-            }
-            if keys > 0 || fallback {
-                parts.push(format!(
-                    "[semijoin: keys={keys} bytes={bytes}{}]",
-                    if fallback { " fallback" } else { "" }
-                ));
-            }
-        }
-        if !pruned.is_empty() {
-            parts.push(format!("[degraded: {}]", pruned.members().join(",")));
-        }
-        if !pruned.startup_is_empty() {
-            parts.push(format!("[startup: {}]", pruned.startup_members().join(",")));
-        }
-        StatementTags {
-            fingerprint: fingerprint.map(|s| s.to_string()),
-            annotations: (!parts.is_empty()).then(|| parts.join(" ")),
-        }
-    }
-
-    /// Count one finished statement — a statement whose `kind` is still
-    /// `None` only as an error — and emit the `query_end` that pairs its
-    /// `query_start`, plus `slow_query` past the armed threshold.
-    pub(super) fn end_statement(
-        &self,
-        run: &StatementRun<'_>,
-        elapsed: Duration,
-        rows: u64,
-        error: Option<String>,
-        waits: &WaitSnapshot,
-        tags: StatementTags,
-    ) {
-        let pruned = &run.pruned;
-        let error_text = error.clone();
-        let tags_for_event = tags.clone();
-        let was_slow = self.inner.metrics.finish_statement(
-            run.kind,
-            run.sql,
-            elapsed,
-            rows,
-            error,
-            Some(waits),
-            pruned.count(),
-            tags,
-        );
+    /// Count one finished statement — onto the recent ring, and the slow
+    /// ring past the threshold it began under — and emit the `query_end`
+    /// that pairs its `query_start`, plus `slow_query` when it was slow.
+    pub(super) fn publish(&self, record: &Arc<StatementRecord>, slow_query: Option<Duration>) {
+        let was_slow = self.inner.metrics.finish_statement(record, slow_query);
         if has_hook() {
-            let elapsed_ms = format!("{:.3}", elapsed.as_secs_f64() * 1000.0);
-            let dominant = waits.dominant().map(|class| class.name());
-            let kind = run.kind.map_or("UNCLASSIFIED", |kind| kind.name());
-            let mut attrs = vec![
-                ("kind", kind.to_string()),
-                ("rows", rows.to_string()),
-                ("elapsed_ms", elapsed_ms.clone()),
-            ];
-            if let Some(class) = dominant {
-                attrs.push(("dominant_wait", class.to_string()));
-            }
-            if !pruned.is_empty() {
-                attrs.push(("pruned_members", pruned.members().join(",")));
-            }
-            if !pruned.startup_is_empty() {
-                attrs.push((
-                    "startup_skipped_members",
-                    pruned.startup_members().join(","),
-                ));
-            }
-            if let Some(e) = error_text {
-                attrs.push(("error", e));
-            }
-            emit_event("query_end", &attrs);
+            emit_event("query_end", &record.query_end_attrs());
             if was_slow {
-                let mut slow_attrs = vec![
-                    ("sql", run.sql.to_string()),
-                    ("elapsed_ms", elapsed_ms),
-                    ("dominant_wait", dominant.unwrap_or("NONE").to_string()),
-                ];
-                if let Some(fp) = tags_for_event.fingerprint {
-                    slow_attrs.push(("fingerprint", fp));
-                }
-                if let Some(ann) = tags_for_event.annotations {
-                    slow_attrs.push(("annotations", ann));
-                }
-                emit_event("slow_query", &slow_attrs);
+                emit_event("slow_query", &record.slow_query_attrs());
             }
         }
     }
@@ -171,35 +79,19 @@ impl Engine {
     /// Post-execution observability for one successful SELECT: record the
     /// execution into the query store (emitting `plan_change` — and
     /// bumping `plan_regressions` — when the fingerprint switched plans),
-    /// then run the cardinality feedback loop.
+    /// then run the cardinality feedback loop. Both read
+    /// `record.operators`; either knob attaches the collector that fills it.
     pub(super) fn observe_execution(
         &self,
-        run: &StatementRun<'_>,
+        knobs: &Knobs,
         plan: &PhysNode,
-        runtime: &HashMap<usize, NodeRuntime>,
-        elapsed: Duration,
-        rows: u64,
-        waits: &WaitSnapshot,
+        record: &StatementRecord,
     ) {
-        let template = run.fingerprint.as_deref().unwrap_or(run.sql);
-        if run.knobs.query_store.enabled {
-            let (link_bytes, link_requests) = query_store::link_traffic(runtime);
-            let obs = ExecutionObservation {
-                template: template.to_string(),
-                plan_hash: query_store::plan_hash(plan),
-                plan_text: plan.display_indent(),
-                est_rows: plan.est_rows,
-                est_cost: plan.est_cost,
-                schema_epoch: self.inner.schema_epoch.load(Ordering::Relaxed),
-                config_epoch: self.inner.config_epoch.load(Ordering::Relaxed),
-                elapsed_us: elapsed.as_micros() as u64,
-                rows,
-                link_bytes,
-                link_requests,
-                dominant_wait: waits.dominant().map(|c| c.name()),
-                operators: query_store::operator_observations(plan, runtime),
-            };
-            if let Some(notice) = self.inner.query_store.lock().record(obs) {
+        if knobs.query_store.enabled {
+            let schema_epoch = self.inner.schema_epoch.load(Ordering::Relaxed);
+            let config_epoch = self.inner.config_epoch.load(Ordering::Relaxed);
+            let mut store = self.inner.query_store.lock();
+            if let Some(notice) = store.record(record, schema_epoch, config_epoch) {
                 if notice.regressed {
                     self.inner.metrics.record_plan_regression();
                 }
@@ -219,8 +111,8 @@ impl Engine {
                 }
             }
         }
-        if run.knobs.card_feedback {
-            self.apply_card_feedback(plan, runtime);
+        if knobs.card_feedback {
+            self.apply_card_feedback(plan, &record.operators);
         }
     }
 
@@ -233,9 +125,9 @@ impl Engine {
     /// would be unsound. Corrected bundles drop their histograms (they
     /// described the stale snapshot) and carry the `feedback` flag EXPLAIN
     /// ANALYZE renders as `-- [feedback: applied]`.
-    fn apply_card_feedback(&self, plan: &PhysNode, runtime: &HashMap<usize, NodeRuntime>) {
+    fn apply_card_feedback(&self, plan: &PhysNode, operators: &[OperatorRecord]) {
         let mut touched_servers: Vec<String> = Vec::new();
-        for (server, table, observed) in feedback_candidates(plan, runtime) {
+        for (server, table, observed) in feedback_candidates(plan, operators) {
             let key = (server.to_lowercase(), table.to_lowercase());
             let cached = self.inner.meta_cache.read().get(&key).cloned();
             let Some(cached) = cached else { continue };
@@ -286,24 +178,18 @@ impl Engine {
         self.inner.dmv_metrics()
     }
 
-    /// The most recent statement summaries, oldest first. Ring capacity
+    /// The most recent statements' records, oldest first. Ring capacity
     /// defaults to [`crate::metrics::RECENT_QUERY_CAPACITY`] and is set by
     /// [`EngineBuilder::recent_query_capacity`] / `DHQP_RECENT_QUERIES`.
-    pub fn recent_queries(&self) -> Vec<QuerySummary> {
+    pub fn recent_queries(&self) -> Vec<Arc<StatementRecord>> {
         self.inner.metrics.recent_queries()
     }
 
     /// Statements at or above the armed slow-query threshold
     /// ([`EngineBuilder::slow_query_threshold`] / `DHQP_SLOW_QUERY_MS`),
     /// oldest first. Empty when no threshold is armed.
-    pub fn slow_queries(&self) -> Vec<QuerySummary> {
+    pub fn slow_queries(&self) -> Vec<Arc<StatementRecord>> {
         self.inner.metrics.slow_queries()
-    }
-
-    /// The span tree of the most recent statement run with tracing armed,
-    /// or `None` if no statement has been traced.
-    pub fn last_trace(&self) -> Option<Arc<QueryTrace>> {
-        self.inner.last_trace.lock().clone()
     }
 
     /// Cumulative per-class wait accounting since engine start (or the
@@ -369,7 +255,7 @@ impl Engine {
 /// so observed rows are a true lower bound on the table's cardinality.
 fn feedback_candidates(
     plan: &PhysNode,
-    runtime: &HashMap<usize, NodeRuntime>,
+    operators: &[OperatorRecord],
 ) -> Vec<(String, String, u64)> {
     /// The bare table of `SELECT <cols> FROM <table>` — `None` for any
     /// statement shape whose row count is not the table's.
@@ -398,12 +284,8 @@ fn feedback_candidates(
                 .to_string(),
         )
     }
-    fn walk(
-        node: &PhysNode,
-        id: usize,
-        runtime: &HashMap<usize, NodeRuntime>,
-        out: &mut Vec<(String, String, u64)>,
-    ) {
+    let mut out = Vec::new();
+    for ((_, _, node), op) in plan.preorder().zip(operators) {
         let target = match &node.op {
             PhysicalOp::RemoteScan { meta } => meta
                 .source
@@ -417,18 +299,9 @@ fn feedback_candidates(
             } if params.is_empty() => bare_table(sql).map(|t| (server.to_string(), t)),
             _ => None,
         };
-        if let (Some((server, table)), Some(rt)) = (target, runtime.get(&id)) {
-            if let Some(avg) = rt.rows.checked_div(rt.opens) {
-                out.push((server, table, avg));
-            }
-        }
-        let mut child_id = id + 1;
-        for child in &node.children {
-            walk(child, child_id, runtime, out);
-            child_id += child.subtree_size();
+        if let (Some((server, table)), Some(avg)) = (target, op.rows().checked_div(op.opens())) {
+            out.push((server, table, avg));
         }
     }
-    let mut out = Vec::new();
-    walk(plan, 0, runtime, &mut out);
     out
 }

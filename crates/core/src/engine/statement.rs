@@ -8,6 +8,7 @@ use crate::dml;
 use crate::knobs::Knobs;
 use crate::metrics::StatementKind;
 use crate::plan_cache::{self, CachedSelect};
+use crate::record::{self, StatementRecord};
 use crate::result::QueryResult;
 use crate::trace::TraceBuilder;
 use dhqp_executor::{PruneLog, RuntimeStatsCollector};
@@ -34,8 +35,20 @@ impl Engine {
         sql: &str,
         params: HashMap<String, Value>,
     ) -> Result<QueryResult> {
-        self.run_statement(sql, params, false, None)
-            .map(Output::into_query_result)
+        self.execute_recorded(sql, params).0
+    }
+
+    /// [`Engine::execute_with_params`], returning the statement's record
+    /// beside its outcome — on failure too, and for text that does not
+    /// parse. This statement's own record: on an engine other sessions
+    /// share, the rings' newest entry may be somebody else's.
+    pub fn execute_recorded(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+    ) -> (Result<QueryResult>, Arc<StatementRecord>) {
+        let (output, record) = self.run_statement(sql, params, false, None);
+        (output.map(Output::into_query_result), record)
     }
 
     /// Run statement text that arrived through a command object on
@@ -49,8 +62,8 @@ impl Engine {
         sql: &str,
         session: &mut LocalSession,
     ) -> Result<QueryResult> {
-        self.run_statement(sql, HashMap::new(), false, Some(session))
-            .map(Output::into_query_result)
+        let (output, _) = self.run_statement(sql, HashMap::new(), false, Some(session));
+        output.map(Output::into_query_result)
     }
 
     /// Run a SELECT (alias of [`Engine::execute`] that asserts a rowset).
@@ -103,10 +116,22 @@ impl Engine {
         sql: &str,
         params: HashMap<String, Value>,
     ) -> Result<AnalyzeReport> {
-        match self.run_statement(sql, params, true, None)? {
-            Output::Report(report) => Ok(*report),
+        self.execute_analyze_recorded(sql, params).0
+    }
+
+    /// [`Engine::execute_analyze_with_params`], returning the statement's
+    /// record on failure too (a report carries its own).
+    pub fn execute_analyze_recorded(
+        &self,
+        sql: &str,
+        params: HashMap<String, Value>,
+    ) -> (Result<AnalyzeReport>, Arc<StatementRecord>) {
+        let (output, record) = self.run_statement(sql, params, true, None);
+        let report = output.map(|output| match output {
+            Output::Report(report) => *report,
             Output::Rows(_) => unreachable!("an analyze run ends in a report or an error"),
-        }
+        });
+        (report, record)
     }
 
     /// The statement driver every entry point goes through: begin, compile,
@@ -120,7 +145,7 @@ impl Engine {
         params: HashMap<String, Value>,
         analyze: bool,
         ambient: Option<&mut LocalSession>,
-    ) -> Result<Output> {
+    ) -> (Result<Output>, Arc<StatementRecord>) {
         let mut run = self.begin_statement(sql, analyze);
         let ran = self.compile_and_run(&mut run, params, ambient);
         self.finish_statement(run, ran)
@@ -294,8 +319,8 @@ impl Engine {
     }
 
     /// Run one compiled plan: the execution itself, its fold into the
-    /// plan's aggregates, and the `execute` span (with per-operator
-    /// children when `stats` is attached).
+    /// plan's aggregates, and the `execute` span (the epilogue hangs the
+    /// per-operator spans under it when `stats` is attached).
     fn run_plan(
         &self,
         compiled: &CachedSelect,
@@ -311,72 +336,78 @@ impl Engine {
             compiled.note_execution(began.elapsed(), r.rows.len() as u64);
         }
         if let Some(tr) = tracer {
-            match stats {
-                Some(c) => tr.stage_execute(began, &compiled.plan, &c.snapshot()),
-                None => tr.stage("execute", began),
-            }
+            tr.stage("execute", began);
         }
         result
     }
 
-    /// The one epilogue, on every exit: snapshot the runtime stats once,
-    /// finish and publish the trace, feed the query store and the
-    /// cardinality feedback loop, build the report when the statement ran
-    /// as EXPLAIN ANALYZE, and end the statement.
+    /// The one epilogue, on every exit: build the statement's record —
+    /// the one reading of the stopwatch, the waits and the runtime stats —
+    /// then let every surface read it (DESIGN.md §21): Query Store and
+    /// cardinality feedback, counters and rings, `query_end`, and the
+    /// report when the statement ran as EXPLAIN ANALYZE.
     fn finish_statement(
         &self,
         mut run: StatementRun<'_>,
         ran: Result<QueryResult>,
-    ) -> Result<Output> {
-        let waits = run.waits.snapshot();
+    ) -> (Result<Output>, Arc<StatementRecord>) {
         let elapsed = run.started.elapsed();
-        let trace = run.tracer.take().map(|tracer| {
-            tracer.set_waits(waits);
-            Arc::new(tracer.finish())
-        });
-        if let Some(trace) = &trace {
-            *self.inner.last_trace.lock() = Some(Arc::clone(trace));
-        }
-        let runtime = run.collector.take().map(|collector| collector.snapshot());
-        let tags = Self::statement_tags(run.fingerprint.as_deref(), runtime.as_ref(), &run.pruned);
-        // EXPLAIN ANALYZE counts the rows its SELECT produced, not the
-        // lines of the report it may be rendered into.
-        let rows = match &ran {
-            Ok(r) => r.rows_affected.unwrap_or(r.rows.len() as u64),
-            Err(_) => 0,
+        let waits = run.waits.snapshot();
+        let (select, cache_hit) = run.select.take().unzip();
+        let (compiled, cache_hit) = (select.as_deref(), cache_hit.flatten());
+        let operators = match (compiled, run.collector.take()) {
+            (Some(compiled), Some(collector)) => {
+                record::operators(&compiled.plan, collector.snapshot())
+            }
+            _ => Vec::new(),
         };
-        let output = ran.map(|result| {
-            let Some((compiled, cache_hit)) = run.select.take() else {
-                return Output::Rows(result);
-            };
-            if let Some(runtime) = &runtime {
-                self.observe_execution(&run, &compiled.plan, runtime, elapsed, rows, &waits);
-            }
-            if !run.analyze {
-                return Output::Rows(result);
-            }
-            Output::Report(Box::new(AnalyzeReport {
+        // When `elapsed` was read: ages are taken against it, not a new clock.
+        let finished = run.started + elapsed;
+        let record = Arc::new(StatementRecord {
+            sql: run.sql.to_string(),
+            kind: run.kind,
+            fingerprint: run.fingerprint.take(),
+            cache_hit,
+            plan_hash: (!operators.is_empty()).then(|| record::plan_hash(&operators)),
+            elapsed,
+            rows: match &ran {
+                Ok(r) => r.rows_affected.unwrap_or(r.rows.len() as u64),
+                Err(_) => 0,
+            },
+            error: ran.as_ref().err().map(|e| e.to_string()),
+            waits,
+            pruned: run.pruned.members(),
+            startup_pruned: run.pruned.startup_members(),
+            stats_age: cache_hit
+                .and(compiled)
+                .and_then(|compiled| compiled.stats_as_of)
+                .map(|as_of| finished.saturating_duration_since(as_of)),
+            feedback: compiled.is_some_and(|compiled| compiled.used_feedback),
+            trace: run
+                .tracer
+                .take()
+                .map(|tracer| tracer.finish(elapsed, &waits, &operators)),
+            operators,
+        });
+        if let (Ok(_), Some(compiled)) = (&ran, compiled) {
+            self.observe_execution(&run.knobs, &compiled.plan, &record);
+        }
+        self.publish(&record, run.knobs.slow_query);
+        let output = ran.map(|result| match compiled {
+            Some(compiled) if run.analyze => Output::Report(Box::new(AnalyzeReport {
                 result,
-                runtime: runtime.unwrap_or_default(),
                 plan: compiled.plan.clone(),
                 explain: ExplainPlan::new(&compiled.plan, compiled.opt_stats.clone()),
-                cache_hit,
-                stats_age: cache_hit.and_then(|_| compiled.stats_age()),
-                trace,
-                waits: Some(waits),
-                pruned: run.pruned.members(),
-                startup_pruned: run.pruned.startup_members(),
-                feedback: compiled.used_feedback,
-            }))
+                record: Arc::clone(&record),
+            })),
+            _ => Output::Rows(result),
         });
-        let error = output.as_ref().err().map(|e| e.to_string());
-        self.end_statement(&run, elapsed, rows, error, &waits, tags);
-        output
+        (output, record)
     }
 
     /// A SELECT inside another statement (INSERT ... SELECT, scalar
     /// subqueries): compiled and run, not a statement of its own. Prunes
-    /// are tracked for the engine counters but not attributed to a summary.
+    /// are tracked for the engine counters but not attributed to a record.
     pub(crate) fn run_select(
         &self,
         stmt: &SelectStmt,

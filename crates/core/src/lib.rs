@@ -29,6 +29,7 @@ pub mod knobs;
 pub mod metrics;
 pub mod plan_cache;
 pub mod query_store;
+pub mod record;
 pub mod remote;
 pub mod result;
 pub mod trace;
@@ -37,9 +38,10 @@ pub use analyze::AnalyzeReport;
 pub use dmv::SYS_SERVER;
 pub use engine::{Engine, EngineBuilder};
 pub use events::{Event, EventBus, EventConfig, EventKind, EventSink, JsonlSink};
-pub use metrics::{MetricsSnapshot, QuerySummary, StatementKind};
+pub use metrics::{MetricsSnapshot, StatementKind};
 pub use plan_cache::PlanCacheConfig;
 pub use query_store::QueryStoreConfig;
+pub use record::{OperatorRecord, StatementRecord};
 pub use remote::EngineDataSource;
 pub use result::QueryResult;
 pub use trace::{QueryTrace, TraceConfig, TraceSpan};

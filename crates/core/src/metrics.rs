@@ -1,11 +1,12 @@
 //! Engine-wide observability: lock-free counters plus a bounded ring of
-//! recent query summaries.
+//! recent statement records.
 //!
 //! Counter updates on the query path are single relaxed atomic increments;
 //! the only lock is around the recent-query ring, taken once per statement
 //! (never per row). [`MetricsSnapshot`] is a plain-value copy safe to hold
 //! across further engine activity.
 
+use crate::record::StatementRecord;
 use dhqp_dtc::DtcStats;
 use dhqp_executor::ExecCounters;
 use dhqp_oledb::{HistogramSnapshot, LogHistogram, PoolStats, WaitSnapshot, WaitStats};
@@ -19,7 +20,7 @@ use std::time::Duration;
 /// [`crate::EngineBuilder::recent_query_capacity`] or `DHQP_RECENT_QUERIES`.
 pub const RECENT_QUERY_CAPACITY: usize = 32;
 
-/// How many summaries the slow-query ring retains (the ring only fills
+/// How many records the slow-query ring retains (the ring only fills
 /// when a threshold is armed, so a fixed bound suffices).
 pub const SLOW_QUERY_CAPACITY: usize = 32;
 
@@ -48,44 +49,6 @@ impl StatementKind {
             StatementKind::ExplainAnalyze => "EXPLAIN ANALYZE",
         }
     }
-}
-
-/// One finished statement, as kept in the recent-query ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuerySummary {
-    /// The statement text as submitted.
-    pub sql: String,
-    pub kind: StatementKind,
-    /// Rows returned (queries) or affected (DML); 0 on error.
-    pub rows: u64,
-    /// End-to-end wall time including parse, bind, optimize and execute.
-    pub elapsed: Duration,
-    /// Whether the statement succeeded.
-    pub ok: bool,
-    /// The failure message when `ok` is false, so a zero-row error is
-    /// distinguishable from a legitimately empty result.
-    pub error: Option<String>,
-    /// The wait class that dominated this statement's waited time, if the
-    /// statement waited at all — a slow query's one-word diagnosis.
-    pub dominant_wait: Option<&'static str>,
-    /// DPV members degraded mode pruned while serving this statement
-    /// (0 unless `DHQP_DEGRADED=prune` skipped a quarantined member).
-    pub pruned_members: u64,
-    /// Plan-cache fingerprint template, when the statement parameterized —
-    /// the join key against plan-cache and query-store rows.
-    pub fingerprint: Option<String>,
-    /// Compressed runtime annotations (`[semijoin: …]`, `[degraded: …]`,
-    /// `[startup: …]`), so a slow-query entry explains itself without the
-    /// full EXPLAIN ANALYZE re-run.
-    pub annotations: Option<String>,
-}
-
-/// Statement identity + annotation extras for the query rings, bundled so
-/// [`EngineMetrics::finish_statement`] stays callable.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatementTags {
-    pub fingerprint: Option<String>,
-    pub annotations: Option<String>,
 }
 
 /// Point-in-time copy of every engine counter. DTC commit/abort counts are
@@ -283,11 +246,9 @@ pub(crate) struct EngineMetrics {
     retired_session_reuses: AtomicU64,
     exec: Arc<ExecCounters>,
     recent_capacity: usize,
-    recent: Mutex<VecDeque<QuerySummary>>,
-    /// Statements slower than the armed threshold (`None` disarms the log
-    /// entirely, the default).
-    slow_threshold: Option<Duration>,
-    slow: Mutex<VecDeque<QuerySummary>>,
+    recent: Mutex<VecDeque<Arc<StatementRecord>>>,
+    /// Statements at or above the slow-query threshold they began under.
+    slow: Mutex<VecDeque<Arc<StatementRecord>>>,
     /// End-to-end statement latency in microseconds, every statement kind.
     query_latency: LogHistogram,
     /// Engine-cumulative wait accounting — `sys.dm_os_wait_stats`. Shared
@@ -297,12 +258,12 @@ pub(crate) struct EngineMetrics {
 
 impl Default for EngineMetrics {
     fn default() -> Self {
-        EngineMetrics::new(RECENT_QUERY_CAPACITY, None)
+        EngineMetrics::new(RECENT_QUERY_CAPACITY)
     }
 }
 
 impl EngineMetrics {
-    pub fn new(recent_capacity: usize, slow_threshold: Option<Duration>) -> Self {
+    pub fn new(recent_capacity: usize) -> Self {
         EngineMetrics {
             selects: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -330,7 +291,6 @@ impl EngineMetrics {
             exec: Arc::new(ExecCounters::default()),
             recent_capacity: recent_capacity.max(1),
             recent: Mutex::new(VecDeque::new()),
-            slow_threshold,
             slow: Mutex::new(VecDeque::new()),
             query_latency: LogHistogram::default(),
             waits: Arc::new(WaitStats::default()),
@@ -465,26 +425,18 @@ impl EngineMetrics {
             .fetch_add(pool.reuses, Ordering::Relaxed);
     }
 
-    /// Count one finished statement and push its summary onto the ring.
-    /// `error` is the failure message (`None` means success); `waits` is
-    /// the statement's per-query wait snapshot, whose dominant class is
-    /// kept on the summary for attribution. Returns whether the statement
-    /// crossed the armed slow-query threshold. `kind` is `None` for text
-    /// that never classified as a statement (it did not parse): only the
-    /// error is counted — no per-kind count, ring entry or latency sample.
-    #[allow(clippy::too_many_arguments)]
+    /// Count one finished statement and push its record onto the ring —
+    /// and onto the slow ring when it took `slow_threshold` (the knob the
+    /// statement began under) or longer, which is what this returns. A
+    /// record whose `kind` is `None` is text that never classified as a
+    /// statement (it did not parse): only the error is counted — no
+    /// per-kind count, ring entry or latency sample.
     pub fn finish_statement(
         &self,
-        kind: Option<StatementKind>,
-        sql: &str,
-        elapsed: Duration,
-        rows: u64,
-        error: Option<String>,
-        waits: Option<&WaitSnapshot>,
-        pruned_members: u64,
-        tags: StatementTags,
+        record: &Arc<StatementRecord>,
+        slow_threshold: Option<Duration>,
     ) -> bool {
-        let Some(kind) = kind else {
+        let Some(kind) = record.kind else {
             self.statement_errors.fetch_add(1, Ordering::Relaxed);
             return false;
         };
@@ -497,49 +449,33 @@ impl EngineMetrics {
             StatementKind::ExplainAnalyze => &self.explain_analyzes,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        if error.is_some() {
+        if record.error.is_some() {
             self.statement_errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.query_latency.record(elapsed.as_micros() as u64);
-        let summary = QuerySummary {
-            sql: sql.to_string(),
-            kind,
-            rows,
-            elapsed,
-            ok: error.is_none(),
-            error,
-            dominant_wait: waits.and_then(|w| w.dominant()).map(|c| c.name()),
-            pruned_members,
-            fingerprint: tags.fingerprint,
-            annotations: tags.annotations,
-        };
-        let was_slow = self
-            .slow_threshold
-            .map(|threshold| elapsed >= threshold)
-            .unwrap_or(false);
-        if was_slow {
-            let mut slow = self.slow.lock();
-            if slow.len() == SLOW_QUERY_CAPACITY {
-                slow.pop_front();
+        self.query_latency.record(record.elapsed.as_micros() as u64);
+        let push = |ring: &Mutex<VecDeque<Arc<StatementRecord>>>, capacity: usize| {
+            let mut ring = ring.lock();
+            if ring.len() >= capacity {
+                ring.pop_front();
             }
-            slow.push_back(summary.clone());
+            ring.push_back(Arc::clone(record));
+        };
+        let was_slow = slow_threshold.is_some_and(|threshold| record.elapsed >= threshold);
+        if was_slow {
+            push(&self.slow, SLOW_QUERY_CAPACITY);
         }
-        let mut recent = self.recent.lock();
-        if recent.len() >= self.recent_capacity {
-            recent.pop_front();
-        }
-        recent.push_back(summary);
+        push(&self.recent, self.recent_capacity);
         was_slow
     }
 
     /// Most-recent-last copy of the query ring.
-    pub fn recent_queries(&self) -> Vec<QuerySummary> {
+    pub fn recent_queries(&self) -> Vec<Arc<StatementRecord>> {
         self.recent.lock().iter().cloned().collect()
     }
 
     /// Most-recent-last copy of the slow-query ring (empty unless a
     /// threshold is armed).
-    pub fn slow_queries(&self) -> Vec<QuerySummary> {
+    pub fn slow_queries(&self) -> Vec<Arc<StatementRecord>> {
         self.slow.lock().iter().cloned().collect()
     }
 
@@ -604,21 +540,18 @@ impl EngineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhqp_oledb::WaitClass;
+
+    fn select(sql: &str, elapsed: Duration, rows: u64) -> Arc<StatementRecord> {
+        Arc::new(StatementRecord::select(sql, elapsed, rows))
+    }
 
     #[test]
     fn ring_is_bounded_and_ordered() {
         let m = EngineMetrics::default();
         for i in 0..(RECENT_QUERY_CAPACITY + 5) {
-            m.finish_statement(
-                Some(StatementKind::Select),
-                &format!("SELECT {i}"),
-                Duration::from_millis(1),
-                i as u64,
-                None,
-                None,
-                0,
-                StatementTags::default(),
-            );
+            let record = select(&format!("SELECT {i}"), Duration::from_millis(1), i as u64);
+            m.finish_statement(&record, None);
         }
         let recent = m.recent_queries();
         assert_eq!(recent.len(), RECENT_QUERY_CAPACITY);
@@ -633,18 +566,9 @@ mod tests {
 
     #[test]
     fn ring_capacity_is_configurable() {
-        let m = EngineMetrics::new(3, None);
+        let m = EngineMetrics::new(3);
         for i in 0..5 {
-            m.finish_statement(
-                Some(StatementKind::Select),
-                &format!("SELECT {i}"),
-                Duration::ZERO,
-                0,
-                None,
-                None,
-                0,
-                StatementTags::default(),
-            );
+            m.finish_statement(&select(&format!("SELECT {i}"), Duration::ZERO, 0), None);
         }
         let recent = m.recent_queries();
         assert_eq!(recent.len(), 3);
@@ -654,18 +578,13 @@ mod tests {
     #[test]
     fn errors_carry_their_message() {
         let m = EngineMetrics::default();
-        m.finish_statement(
-            Some(StatementKind::Select),
-            "SELECT * FROM missing",
-            Duration::ZERO,
-            0,
-            Some("table 'missing' not found".into()),
-            None,
-            0,
-            StatementTags::default(),
-        );
+        let failed = Arc::new(StatementRecord {
+            error: Some("table 'missing' not found".into()),
+            ..StatementRecord::select("SELECT * FROM missing", Duration::ZERO, 0)
+        });
+        m.finish_statement(&failed, None);
         let q = &m.recent_queries()[0];
-        assert!(!q.ok);
+        assert!(!q.ok());
         assert_eq!(q.error.as_deref(), Some("table 'missing' not found"));
         assert_eq!(
             m.snapshot(DtcStats::default(), PoolStats::default())
@@ -676,58 +595,23 @@ mod tests {
 
     #[test]
     fn slow_query_log_gates_on_threshold() {
-        let m = EngineMetrics::new(RECENT_QUERY_CAPACITY, Some(Duration::from_millis(10)));
-        m.finish_statement(
-            Some(StatementKind::Select),
-            "fast",
-            Duration::from_millis(1),
-            0,
-            None,
-            None,
-            0,
-            StatementTags::default(),
-        );
-        m.finish_statement(
-            Some(StatementKind::Select),
-            "slow",
-            Duration::from_millis(25),
-            0,
-            None,
-            None,
-            0,
-            StatementTags::default(),
-        );
+        let m = EngineMetrics::default();
+        let armed = Some(Duration::from_millis(10));
+        assert!(!m.finish_statement(&select("fast", Duration::from_millis(1), 0), armed));
+        assert!(m.finish_statement(&select("slow", Duration::from_millis(25), 0), armed));
         let slow = m.slow_queries();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].sql, "slow");
-        // Disarmed engines never log, regardless of elapsed time.
+        // Disarmed, nothing is logged, regardless of elapsed time.
         let off = EngineMetrics::default();
-        off.finish_statement(
-            Some(StatementKind::Select),
-            "slow",
-            Duration::from_secs(5),
-            0,
-            None,
-            None,
-            0,
-            StatementTags::default(),
-        );
+        assert!(!off.finish_statement(&select("slow", Duration::from_secs(5), 0), None));
         assert!(off.slow_queries().is_empty());
     }
 
     #[test]
     fn query_latency_histogram_records_every_statement() {
         let m = EngineMetrics::default();
-        m.finish_statement(
-            Some(StatementKind::Select),
-            "q",
-            Duration::from_micros(700),
-            1,
-            None,
-            None,
-            0,
-            StatementTags::default(),
-        );
+        m.finish_statement(&select("q", Duration::from_micros(700), 1), None);
         let h = m.query_latency();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 700);
@@ -735,59 +619,34 @@ mod tests {
 
     #[test]
     fn dominant_wait_lands_on_the_summary() {
-        use dhqp_oledb::WaitClass;
-        let m = EngineMetrics::new(RECENT_QUERY_CAPACITY, Some(Duration::from_millis(1)));
+        let m = EngineMetrics::default();
+        let armed = Some(Duration::from_millis(1));
         let waits = WaitStats::default();
         waits.record(WaitClass::NetworkIo, Duration::from_millis(5));
         waits.record(WaitClass::RetryBackoff, Duration::from_millis(50));
-        let snap = waits.snapshot();
-        let was_slow = m.finish_statement(
-            Some(StatementKind::Select),
-            "SELECT 1",
-            Duration::from_millis(40),
-            1,
-            None,
-            Some(&snap),
-            0,
-            StatementTags::default(),
-        );
-        assert!(was_slow);
+        let waited = Arc::new(StatementRecord {
+            waits: waits.snapshot(),
+            ..StatementRecord::select("SELECT 1", Duration::from_millis(40), 1)
+        });
+        assert!(m.finish_statement(&waited, armed));
         let q = &m.slow_queries()[0];
-        assert_eq!(q.dominant_wait, Some("RETRY_BACKOFF"));
+        assert_eq!(q.dominant_wait(), Some("RETRY_BACKOFF"));
         // A statement that never waited carries no attribution.
-        assert!(!m.finish_statement(
-            Some(StatementKind::Select),
-            "SELECT 2",
-            Duration::ZERO,
-            1,
-            None,
-            Some(&WaitStats::default().snapshot()),
-            0,
-            StatementTags::default(),
-        ));
-        assert_eq!(m.recent_queries().last().unwrap().dominant_wait, None);
+        assert!(!m.finish_statement(&select("SELECT 2", Duration::ZERO, 1), armed));
+        assert_eq!(m.recent_queries().last().unwrap().dominant_wait(), None);
     }
 
     #[test]
     fn reset_zeroes_counters_rings_and_waits() {
-        use dhqp_oledb::WaitClass;
-        let m = EngineMetrics::new(RECENT_QUERY_CAPACITY, Some(Duration::ZERO));
+        let m = EngineMetrics::default();
         m.record_meta_cache_hit();
         m.record_plan_cache_miss();
         m.record_dml_read(true, 2);
         m.record_dml_read(false, 40);
         m.exec_counters().add_remote_roundtrip();
         m.waits().record(WaitClass::Spool, Duration::from_millis(3));
-        m.finish_statement(
-            Some(StatementKind::Select),
-            "SELECT 1",
-            Duration::from_millis(2),
-            1,
-            None,
-            None,
-            0,
-            StatementTags::default(),
-        );
+        let record = select("SELECT 1", Duration::from_millis(2), 1);
+        assert!(m.finish_statement(&record, Some(Duration::ZERO)));
         m.reset();
         let s = m.snapshot(DtcStats::default(), PoolStats::default());
         assert_eq!(s, MetricsSnapshot::default());
@@ -804,16 +663,12 @@ mod tests {
         m.record_meta_cache_miss();
         m.record_meta_cache_hit();
         m.record_fulltext_search();
-        m.finish_statement(
-            Some(StatementKind::Delete),
-            "DELETE FROM t",
-            Duration::ZERO,
-            3,
-            Some("boom".into()),
-            None,
-            0,
-            StatementTags::default(),
-        );
+        let failed_delete = Arc::new(StatementRecord {
+            kind: Some(StatementKind::Delete),
+            error: Some("boom".into()),
+            ..StatementRecord::select("DELETE FROM t", Duration::ZERO, 3)
+        });
+        m.finish_statement(&failed_delete, None);
         m.exec_counters().add_remote_retry();
         m.exec_counters().add_remote_transient_error();
         m.exec_counters().add_remote_deadline_hit();

@@ -64,11 +64,6 @@ pub(crate) struct CachedSelect {
 }
 
 impl CachedSelect {
-    /// Age of the statistics the plan was costed with.
-    pub fn stats_age(&self) -> Option<Duration> {
-        self.stats_as_of.map(|t| t.elapsed())
-    }
-
     /// Fold one execution into the aggregates.
     pub fn note_execution(&self, elapsed: Duration, rows: u64) {
         self.execution_count.fetch_add(1, Ordering::Relaxed);

@@ -17,10 +17,10 @@
 //! reconfiguration is distinguishable from one caused by drifting
 //! statistics.
 
-use dhqp_executor::NodeRuntime;
-use dhqp_optimizer::PhysNode;
-use dhqp_sqlfront::{fnv1a_64, Fnv1a};
+use crate::record::StatementRecord;
+use dhqp_sqlfront::fnv1a_64;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Default fingerprint capacity when `DHQP_QUERY_STORE_SIZE` is unset.
 pub const DEFAULT_QUERY_STORE_CAPACITY: usize = 128;
@@ -51,25 +51,6 @@ impl Default for QueryStoreConfig {
             capacity: DEFAULT_QUERY_STORE_CAPACITY,
         }
     }
-}
-
-/// Stable identity of a physical plan shape: FNV-1a over the pre-order
-/// operator descriptions. `PhysNode::describe` renders operator + access
-/// path + shipped SQL but no cardinality estimates, so the hash survives
-/// statistics drift and changes only when the *shape* changes.
-pub fn plan_hash(plan: &PhysNode) -> u64 {
-    fn walk(node: &PhysNode, h: &mut Fnv1a, depth: usize) {
-        // Depth is part of the identity: a chain and a flat list of the
-        // same operators must hash differently.
-        h.write(&[depth.min(255) as u8]);
-        h.write_line(&node.describe());
-        for child in &node.children {
-            walk(child, h, depth + 1);
-        }
-    }
-    let mut h = Fnv1a::new();
-    walk(plan, &mut h, 0);
-    h.finish()
 }
 
 /// Stable identity of a query fingerprint template.
@@ -132,7 +113,7 @@ pub fn skew_ratio(est: f64, actual: f64) -> f64 {
 pub struct PlanStats {
     /// 1-based ordinal within the fingerprint (order of first sighting).
     pub plan_id: u64,
-    /// Shape hash from [`plan_hash`].
+    /// Shape hash from [`crate::record::plan_hash`].
     pub plan_hash: u64,
     /// Rendered plan tree as of first sighting.
     pub plan_text: String,
@@ -211,34 +192,6 @@ impl QueryStats {
     }
 }
 
-/// One operator observation extracted from a finished execution.
-#[derive(Debug, Clone)]
-pub struct OperatorObservation {
-    pub node_id: usize,
-    pub operator: String,
-    pub est_rows: f64,
-    pub rows: u64,
-    pub opens: u64,
-}
-
-/// Everything the engine hands the store after one successful execution.
-#[derive(Debug, Clone)]
-pub struct ExecutionObservation {
-    pub template: String,
-    pub plan_hash: u64,
-    pub plan_text: String,
-    pub est_rows: f64,
-    pub est_cost: f64,
-    pub schema_epoch: u64,
-    pub config_epoch: u64,
-    pub elapsed_us: u64,
-    pub rows: u64,
-    pub link_bytes: u64,
-    pub link_requests: u64,
-    pub dominant_wait: Option<&'static str>,
-    pub operators: Vec<OperatorObservation>,
-}
-
 /// Outcome of recording an execution whose plan differs from the
 /// fingerprint's previous plan — the engine turns this into a
 /// `plan_change` event and, when `regressed`, a `plan_regressions` bump.
@@ -253,51 +206,6 @@ pub struct PlanChangeNotice {
     /// Average wall time of the new plan including this execution.
     pub new_avg_us: u64,
     pub regressed: bool,
-}
-
-/// Walk a physical plan in pre-order (the same node-id scheme the runtime
-/// stats collector and EXPLAIN ANALYZE use) and pair each operator with
-/// its runtime record.
-pub fn operator_observations(
-    plan: &PhysNode,
-    runtime: &HashMap<usize, NodeRuntime>,
-) -> Vec<OperatorObservation> {
-    fn walk(
-        node: &PhysNode,
-        id: usize,
-        runtime: &HashMap<usize, NodeRuntime>,
-        out: &mut Vec<OperatorObservation>,
-    ) {
-        let rt = runtime.get(&id);
-        out.push(OperatorObservation {
-            node_id: id,
-            operator: node.describe(),
-            est_rows: node.est_rows,
-            rows: rt.map(|r| r.rows).unwrap_or(0),
-            opens: rt.map(|r| r.opens).unwrap_or(0),
-        });
-        let mut child_id = id + 1;
-        for child in &node.children {
-            walk(child, child_id, runtime, out);
-            child_id += child.subtree_size();
-        }
-    }
-    let mut out = Vec::with_capacity(plan.subtree_size());
-    walk(plan, 0, runtime, &mut out);
-    out
-}
-
-/// Total wire traffic attributed to remote operators in one execution.
-pub fn link_traffic(runtime: &HashMap<usize, NodeRuntime>) -> (u64, u64) {
-    let mut bytes = 0;
-    let mut requests = 0;
-    for node in runtime.values() {
-        if let Some(remote) = &node.remote {
-            bytes += remote.traffic.bytes;
-            requests += remote.traffic.requests;
-        }
-    }
-    (bytes, requests)
 }
 
 /// The store proper: bounded LRU over fingerprints.
@@ -347,12 +255,19 @@ impl QueryStore {
         }
     }
 
-    /// Record one successful execution. Returns a notice when the
-    /// fingerprint switched plans.
-    pub fn record(&mut self, obs: ExecutionObservation) -> Option<PlanChangeNotice> {
+    /// Record one successful execution that ran with a stats collector
+    /// (`record.operators` is the plan), compiled under the given epochs.
+    /// Returns a notice when the fingerprint switched plans.
+    pub fn record(
+        &mut self,
+        record: &StatementRecord,
+        schema_epoch: u64,
+        config_epoch: u64,
+    ) -> Option<PlanChangeNotice> {
+        let (root, plan_hash) = (record.operators.first()?, record.plan_hash?);
         self.tick += 1;
         let tick = self.tick;
-        let qid = query_id(&obs.template);
+        let qid = query_id(record.template());
         if !self.entries.contains_key(&qid) {
             while self.entries.len() >= self.capacity {
                 self.evict_lru();
@@ -361,7 +276,7 @@ impl QueryStore {
                 qid,
                 QueryStats {
                     query_id: qid,
-                    template: obs.template.clone(),
+                    template: record.template().to_string(),
                     plans: Vec::new(),
                     last_plan_hash: None,
                     last_active: tick,
@@ -373,11 +288,11 @@ impl QueryStore {
         entry.last_active = tick;
         let previous_hash = entry.last_plan_hash;
         let old_avg_us = previous_hash
-            .filter(|h| *h != obs.plan_hash)
+            .filter(|h| *h != plan_hash)
             .and_then(|h| entry.plans.iter().find(|p| p.plan_hash == h))
             .map(|p| p.avg_elapsed_us());
 
-        if !entry.plans.iter().any(|p| p.plan_hash == obs.plan_hash) {
+        if !entry.plans.iter().any(|p| p.plan_hash == plan_hash) {
             while entry.plans.len() >= MAX_PLANS_PER_QUERY {
                 if let Some(pos) = entry
                     .plans
@@ -391,14 +306,23 @@ impl QueryStore {
             }
             let plan_id = entry.next_plan_id;
             entry.next_plan_id += 1;
+            // The plan as `EXPLAIN` renders it (`PhysNode::display_indent`).
+            let mut plan_text = String::new();
+            for op in &record.operators {
+                let _ = write!(plan_text, "{}{}", "  ".repeat(op.depth), op.label);
+                if !op.passthrough {
+                    let _ = write!(plan_text, "  rows={:.0}", op.est_rows);
+                }
+                plan_text.push('\n');
+            }
             entry.plans.push(PlanStats {
                 plan_id,
-                plan_hash: obs.plan_hash,
-                plan_text: obs.plan_text.clone(),
-                est_rows: obs.est_rows,
-                est_cost: obs.est_cost,
-                compile_schema_epoch: obs.schema_epoch,
-                compile_config_epoch: obs.config_epoch,
+                plan_hash,
+                plan_text,
+                est_rows: root.est_rows,
+                est_cost: root.est_cost,
+                compile_schema_epoch: schema_epoch,
+                compile_config_epoch: config_epoch,
                 executions: 0,
                 total_rows: 0,
                 total_elapsed_us: 0,
@@ -413,39 +337,40 @@ impl QueryStore {
         let plan = entry
             .plans
             .iter_mut()
-            .find(|p| p.plan_hash == obs.plan_hash)
+            .find(|p| p.plan_hash == plan_hash)
             .expect("just inserted");
+        let (link_bytes, link_requests) = record.link_traffic();
         plan.last_active = tick;
         plan.executions += 1;
-        plan.total_rows += obs.rows;
-        plan.total_elapsed_us += obs.elapsed_us;
-        plan.total_link_bytes += obs.link_bytes;
-        plan.total_link_requests += obs.link_requests;
-        if let Some(wait) = obs.dominant_wait {
+        plan.total_rows += record.rows;
+        plan.total_elapsed_us += record.elapsed.as_micros() as u64;
+        plan.total_link_bytes += link_bytes;
+        plan.total_link_requests += link_requests;
+        if let Some(wait) = record.dominant_wait() {
             *plan.wait_tally.entry(wait).or_insert(0) += 1;
         }
-        for op in &obs.operators {
-            match plan.operators.iter_mut().find(|o| o.node_id == op.node_id) {
+        for (node_id, op) in record.operators.iter().enumerate() {
+            match plan.operators.iter_mut().find(|o| o.node_id == node_id) {
                 Some(agg) => {
-                    agg.total_rows += op.rows;
-                    agg.total_opens += op.opens;
-                    if op.opens > 0 {
+                    agg.total_rows += op.rows();
+                    agg.total_opens += op.opens();
+                    if op.opens() > 0 {
                         agg.executions += 1;
                     }
                 }
                 None => plan.operators.push(OperatorStats {
-                    node_id: op.node_id,
-                    operator: op.operator.clone(),
+                    node_id,
+                    operator: op.label.clone(),
                     est_rows: op.est_rows,
-                    total_rows: op.rows,
-                    total_opens: op.opens,
-                    executions: u64::from(op.opens > 0),
+                    total_rows: op.rows(),
+                    total_opens: op.opens(),
+                    executions: u64::from(op.opens() > 0),
                 }),
             }
         }
 
         let notice = match previous_hash {
-            Some(old) if old != obs.plan_hash => {
+            Some(old) if old != plan_hash => {
                 let new_avg_us = plan.avg_elapsed_us();
                 let old_avg = old_avg_us.unwrap_or(0);
                 let regressed =
@@ -457,7 +382,7 @@ impl QueryStore {
                     query_id: qid,
                     template: entry.template.clone(),
                     old_plan_hash: old,
-                    new_plan_hash: obs.plan_hash,
+                    new_plan_hash: plan_hash,
                     old_avg_us: old_avg,
                     new_avg_us,
                     regressed,
@@ -465,7 +390,7 @@ impl QueryStore {
             }
             _ => None,
         };
-        entry.last_plan_hash = Some(obs.plan_hash);
+        entry.last_plan_hash = Some(plan_hash);
         notice
     }
 
@@ -480,43 +405,59 @@ impl QueryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::OperatorRecord;
+    use dhqp_executor::{NodeRuntime, RemoteTrace};
+    use dhqp_oledb::{TrafficSnapshot, WaitClass, WaitStats};
+    use std::time::Duration;
 
-    fn obs(template: &str, hash: u64, elapsed_us: u64) -> ExecutionObservation {
-        ExecutionObservation {
-            template: template.to_string(),
-            plan_hash: hash,
-            plan_text: format!("plan-{hash}"),
-            est_rows: 10.0,
-            est_cost: 100.0,
-            schema_epoch: 1,
-            config_epoch: 1,
-            elapsed_us,
-            rows: 5,
-            link_bytes: 64,
-            link_requests: 1,
-            dominant_wait: Some("remote_io"),
-            operators: vec![OperatorObservation {
-                node_id: 0,
-                operator: "HashJoin".into(),
+    /// One execution of `template` under the plan `hash` stands for: a
+    /// lone remote `HashJoin` estimated at 10 rows that produced 200 and
+    /// shipped 64 bytes in one request.
+    fn obs(template: &str, hash: u64, elapsed_us: u64) -> StatementRecord {
+        let runtime = NodeRuntime {
+            opens: 1,
+            rows: 200,
+            remote: Some(RemoteTrace {
+                traffic: TrafficSnapshot {
+                    requests: 1,
+                    bytes: 64,
+                    ..TrafficSnapshot::default()
+                },
+                ..RemoteTrace::default()
+            }),
+            ..NodeRuntime::default()
+        };
+        let waits = WaitStats::default();
+        waits.record(WaitClass::NetworkIo, Duration::from_micros(1));
+        StatementRecord {
+            fingerprint: Some(template.to_string()),
+            plan_hash: Some(hash),
+            waits: waits.snapshot(),
+            operators: vec![OperatorRecord {
+                depth: 0,
+                label: "HashJoin".into(),
                 est_rows: 10.0,
-                rows: 200,
-                opens: 1,
+                est_cost: 100.0,
+                passthrough: false,
+                runtime: Some(runtime),
+                self_time: Duration::ZERO,
             }],
+            ..StatementRecord::select("q", Duration::from_micros(elapsed_us), 5)
         }
     }
 
     #[test]
     fn aggregates_per_plan() {
         let mut store = QueryStore::new(8);
-        assert!(store.record(obs("q1", 7, 1_000)).is_none());
-        assert!(store.record(obs("q1", 7, 3_000)).is_none());
+        assert!(store.record(&obs("q1", 7, 1_000), 1, 1).is_none());
+        assert!(store.record(&obs("q1", 7, 3_000), 1, 1).is_none());
         let snap = store.snapshot();
         assert_eq!(snap.len(), 1);
         let plan = &snap[0].plans[0];
         assert_eq!(plan.executions, 2);
         assert_eq!(plan.avg_elapsed_us(), 2_000);
         assert_eq!(plan.total_link_bytes, 128);
-        assert_eq!(plan.dominant_wait(), Some("remote_io"));
+        assert_eq!(plan.dominant_wait(), Some("NETWORK_IO"));
         // est 10 vs avg actual 200 → 20x skew.
         assert!((plan.operators[0].skew() - 20.0).abs() < 1e-9);
     }
@@ -524,13 +465,17 @@ mod tests {
     #[test]
     fn plan_change_and_regression() {
         let mut store = QueryStore::new(8);
-        store.record(obs("q1", 7, 1_000));
+        store.record(&obs("q1", 7, 1_000), 1, 1);
         // Faster new plan: change notice, no regression.
-        let notice = store.record(obs("q1", 8, 500)).expect("plan changed");
+        let notice = store
+            .record(&obs("q1", 8, 500), 1, 1)
+            .expect("plan changed");
         assert_eq!(notice.old_plan_hash, 7);
         assert!(!notice.regressed);
         // Much slower third plan: regression flagged on the plan row.
-        let notice = store.record(obs("q1", 9, 50_000)).expect("plan changed");
+        let notice = store
+            .record(&obs("q1", 9, 50_000), 1, 1)
+            .expect("plan changed");
         assert!(notice.regressed);
         let snap = store.snapshot();
         let q = &snap[0];
@@ -542,10 +487,10 @@ mod tests {
     #[test]
     fn lru_eviction_is_bounded() {
         let mut store = QueryStore::new(2);
-        store.record(obs("q1", 1, 10));
-        store.record(obs("q2", 1, 10));
-        store.record(obs("q1", 1, 10)); // refresh q1
-        store.record(obs("q3", 1, 10)); // evicts q2
+        store.record(&obs("q1", 1, 10), 1, 1);
+        store.record(&obs("q2", 1, 10), 1, 1);
+        store.record(&obs("q1", 1, 10), 1, 1); // refresh q1
+        store.record(&obs("q3", 1, 10), 1, 1); // evicts q2
         let names: Vec<String> = store
             .snapshot()
             .iter()

@@ -8,15 +8,13 @@
 //! optimize span carries per-rule application counts from the memo search,
 //! and the execute span gets one child per plan operator (reusing the
 //! executor's pre-order node ids) annotated with rows, opens, cumulative
-//! and self time. The finished [`QueryTrace`] is retained on the engine
-//! ([`crate::Engine::last_trace`]) and exportable as JSON.
+//! and self time. The finished [`QueryTrace`] rides the statement's
+//! [`crate::StatementRecord`] and is exportable as JSON.
 
-use dhqp_executor::NodeRuntime;
+use crate::record::OperatorRecord;
 use dhqp_oledb::{WaitClass, WaitSnapshot};
 use dhqp_optimizer::search::OptimizerStats;
-use dhqp_optimizer::PhysNode;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -220,23 +218,17 @@ pub(crate) struct TraceBuilder {
     start: Instant,
     sql: String,
     phases: Mutex<Vec<TraceSpan>>,
-    waits: Mutex<Option<WaitSnapshot>>,
 }
 
 impl TraceBuilder {
-    pub fn new(sql: &str) -> Self {
+    /// `started` is the statement's own stopwatch: span offsets count from
+    /// the instant `elapsed` counts from.
+    pub fn new(sql: &str, started: Instant) -> Self {
         TraceBuilder {
-            start: Instant::now(),
+            start: started,
             sql: sql.to_string(),
             phases: Mutex::new(Vec::new()),
-            waits: Mutex::new(None),
         }
-    }
-
-    /// Attach the statement's per-query wait accounting; rendered as
-    /// `wait.CLASS` attributes on the root span.
-    pub fn set_waits(&self, snapshot: WaitSnapshot) {
-        *self.waits.lock() = Some(snapshot);
     }
 
     /// Record one completed top-level stage that began at `began`.
@@ -270,43 +262,37 @@ impl TraceBuilder {
         self.stage_with("optimize", began, attrs);
     }
 
-    /// Record the execute stage with one child span per plan operator,
-    /// mapped through the executor's pre-order node ids.
-    pub fn stage_execute(
-        &self,
-        began: Instant,
-        plan: &PhysNode,
-        runtime: &HashMap<usize, NodeRuntime>,
-    ) {
-        let offset = began.duration_since(self.start);
-        let mut span = TraceSpan {
-            name: "execute".to_string(),
-            start: offset,
-            elapsed: began.elapsed(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-        };
-        span.children.push(operator_span(plan, 0, runtime, offset));
-        self.phases.lock().push(span);
-    }
-
-    /// Assemble the final trace; the root span covers new() to now.
-    pub fn finish(self) -> QueryTrace {
-        let mut attrs = Vec::new();
-        if let Some(waits) = self.waits.into_inner() {
-            for (class, totals) in waits.nonzero() {
-                attrs.push((
+    /// Assemble the final trace. The root span is the statement's
+    /// `elapsed` and carries its waits as `wait.CLASS` attributes; the
+    /// `execute` stage gets one child span per operator.
+    pub fn finish(
+        self,
+        elapsed: Duration,
+        waits: &WaitSnapshot,
+        operators: &[OperatorRecord],
+    ) -> QueryTrace {
+        let mut phases = self.phases.into_inner();
+        let execute = phases.iter_mut().rfind(|span| span.name == "execute");
+        if let (Some(execute), false) = (execute, operators.is_empty()) {
+            let root = operator_span(operators, &mut 0, execute.start);
+            execute.children.push(root);
+        }
+        let attrs = waits
+            .nonzero()
+            .into_iter()
+            .map(|(class, totals)| {
+                (
                     format!("wait.{}", class.name()),
                     format!("{}x/{}us", totals.count, totals.total_us),
-                ));
-            }
-        }
+                )
+            })
+            .collect();
         let root = TraceSpan {
             name: "query".to_string(),
             start: Duration::ZERO,
-            elapsed: self.start.elapsed(),
+            elapsed,
             attrs,
-            children: self.phases.into_inner(),
+            children: phases,
         };
         QueryTrace {
             sql: self.sql,
@@ -315,39 +301,26 @@ impl TraceBuilder {
     }
 }
 
-/// Per-operator span: cumulative cursor time as the span length, self time
-/// (cumulative minus direct children's) as an attribute, pre-order node id
-/// as in EXPLAIN ANALYZE.
-fn operator_span(
-    node: &PhysNode,
-    id: usize,
-    runtime: &HashMap<usize, NodeRuntime>,
-    base: Duration,
-) -> TraceSpan {
-    let rt = runtime.get(&id);
-    let cumulative = rt.map(|r| r.next_time).unwrap_or_default();
-    let mut children = Vec::with_capacity(node.children.len());
-    let mut child_id = id + 1;
-    let mut children_time = Duration::ZERO;
-    for c in &node.children {
-        if let Some(crt) = runtime.get(&child_id) {
-            children_time += crt.next_time;
-        }
-        children.push(operator_span(c, child_id, runtime, base));
-        child_id += c.subtree_size();
+/// The span of the operator at `*next` (advanced past its whole subtree):
+/// cumulative cursor time as the span length, self time as an attribute,
+/// pre-order node id as in EXPLAIN ANALYZE.
+fn operator_span(operators: &[OperatorRecord], next: &mut usize, base: Duration) -> TraceSpan {
+    let id = *next;
+    let op = &operators[id];
+    *next += 1;
+    let mut children = Vec::new();
+    while operators
+        .get(*next)
+        .is_some_and(|below| below.depth > op.depth)
+    {
+        children.push(operator_span(operators, next, base));
     }
     let mut attrs = vec![("node".to_string(), id.to_string())];
-    match rt {
+    match &op.runtime {
         Some(rt) => {
             attrs.push(("rows".to_string(), rt.rows.to_string()));
             attrs.push(("opens".to_string(), rt.opens.to_string()));
-            attrs.push((
-                "self_us".to_string(),
-                cumulative
-                    .saturating_sub(children_time)
-                    .as_micros()
-                    .to_string(),
-            ));
+            attrs.push(("self_us".to_string(), op.self_time.as_micros().to_string()));
             if let Some(exchange) = &rt.exchange {
                 attrs.push(("workers".to_string(), exchange.workers.to_string()));
                 for (i, ws) in exchange.worker_spans.iter().enumerate() {
@@ -358,9 +331,9 @@ fn operator_span(
         None => attrs.push(("never_executed".to_string(), "true".to_string())),
     }
     TraceSpan {
-        name: node.describe(),
+        name: op.label.clone(),
         start: base,
-        elapsed: cumulative,
+        elapsed: op.time(),
         attrs,
         children,
     }
@@ -398,13 +371,21 @@ fn worker_span(i: usize, ws: &dhqp_executor::WorkerSpan, base: Duration) -> Trac
 mod tests {
     use super::*;
 
+    fn builder(sql: &str) -> TraceBuilder {
+        TraceBuilder::new(sql, Instant::now())
+    }
+
+    fn finish(b: TraceBuilder) -> QueryTrace {
+        b.finish(Duration::ZERO, &WaitSnapshot::default(), &[])
+    }
+
     #[test]
     fn builder_assembles_a_tree() {
-        let b = TraceBuilder::new("SELECT 1");
+        let b = builder("SELECT 1");
         let t0 = Instant::now();
         b.stage("parse", t0);
         b.stage("bind", Instant::now());
-        let trace = b.finish();
+        let trace = finish(b);
         assert_eq!(trace.span_count(), 3); // query + parse + bind
         assert!(trace.find("parse").is_some());
         assert!(trace.find("optimize").is_none());
@@ -413,9 +394,9 @@ mod tests {
 
     #[test]
     fn json_is_escaped_and_shaped() {
-        let b = TraceBuilder::new("SELECT '\"quoted\"\nline'");
+        let b = builder("SELECT '\"quoted\"\nline'");
         b.stage("parse", Instant::now());
-        let json = b.finish().to_json();
+        let json = finish(b).to_json();
         assert!(json.starts_with("{\"sql\":\"SELECT '\\\"quoted\\\"\\nline'\""));
         assert!(json.contains("\"name\":\"query\""));
         assert!(json.contains("\"name\":\"parse\""));
@@ -429,9 +410,9 @@ mod tests {
         let stats = WaitStats::default();
         stats.record(WaitClass::NetworkIo, Duration::from_micros(1500));
         stats.record(WaitClass::NetworkIo, Duration::from_micros(500));
-        let b = TraceBuilder::new("q");
-        b.set_waits(stats.snapshot());
-        let trace = b.finish();
+        let elapsed = Duration::from_millis(3);
+        let trace = builder("q").finish(elapsed, &stats.snapshot(), &[]);
+        assert_eq!(trace.root.elapsed, elapsed);
         assert_eq!(trace.root.attr("wait.NETWORK_IO"), Some("2x/2000us"));
         assert_eq!(trace.root.attr("wait.SPOOL"), None);
     }
@@ -486,9 +467,9 @@ mod tests {
             phases: vec![],
             early_exit: false,
         };
-        let b = TraceBuilder::new("q");
+        let b = builder("q");
         b.stage_optimize(Instant::now(), &stats);
-        let trace = b.finish();
+        let trace = finish(b);
         let opt = trace.find("optimize").unwrap();
         assert_eq!(opt.attr("rule.JoinCommute"), Some("2"));
         assert_eq!(opt.attr("rules_fired"), Some("3"));

@@ -258,6 +258,20 @@ impl PhysNode {
             .sum::<usize>()
     }
 
+    /// Every node of this subtree as `(id, depth, node)` in pre-order — the
+    /// one walk that hands out the ids [`PhysNode::subtree_size`] describes,
+    /// so whatever pairs a plan with its runtime stats iterates this.
+    pub fn preorder(&self) -> impl Iterator<Item = (usize, usize, &PhysNode)> {
+        let mut pending = vec![(0, self)];
+        std::iter::from_fn(move || {
+            let (depth, node) = pending.pop()?;
+            pending.extend(node.children.iter().rev().map(|c| (depth + 1, c)));
+            Some((depth, node))
+        })
+        .enumerate()
+        .map(|(id, (depth, node))| (id, depth, node))
+    }
+
     /// One-line operator label (no estimates, no indent) — shared between
     /// `EXPLAIN` and `EXPLAIN ANALYZE` rendering.
     pub fn describe(&self) -> String {
@@ -392,5 +406,18 @@ mod tests {
         let text = spool.display_indent();
         assert!(text.contains("Spool"));
         assert!(text.contains("RemoteScan(@r0.t)"));
+    }
+
+    #[test]
+    fn preorder_hands_out_the_subtree_size_ids() {
+        let leaf = || PhysNode::new(PhysicalOp::Spool, vec![], vec![]);
+        let chain = PhysNode::new(PhysicalOp::Spool, vec![leaf()], vec![]);
+        let root = PhysNode::new(PhysicalOp::Spool, vec![chain, leaf()], vec![]);
+        let walk: Vec<(usize, usize)> = root.preorder().map(|(id, d, _)| (id, d)).collect();
+        assert_eq!(walk, [(0, 0), (1, 1), (2, 2), (3, 1)]);
+        // A later child follows its earlier sibling's whole subtree.
+        let (second_child, _, node) = root.preorder().nth(3).unwrap();
+        assert_eq!(second_child, 1 + root.children[0].subtree_size());
+        assert!(std::ptr::eq(node, &root.children[1]));
     }
 }

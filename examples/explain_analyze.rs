@@ -58,8 +58,8 @@ fn main() -> dhqp_types::Result<()> {
     let report = local.execute_analyze(example1)?;
     println!("\n== structured AnalyzeReport ==");
     println!("result rows: {}", report.result.len());
-    for (id, rt) in report.remote_nodes() {
-        let trace = rt.remote.as_ref().expect("remote node has a trace");
+    for (id, op) in report.record.operators.iter().enumerate() {
+        let Some(trace) = op.remote() else { continue };
         println!(
             "node {id}: @{} shipped {} request(s), {} row(s), {} byte(s)",
             trace.server, trace.traffic.requests, trace.traffic.rows, trace.traffic.bytes
@@ -92,9 +92,9 @@ fn main() -> dhqp_types::Result<()> {
     for q in local.recent_queries() {
         let sql: String = q.sql.chars().take(60).collect();
         println!(
-            "[{}] {:?} rows={} in {:.2?}: {sql}...",
-            if q.ok { "ok" } else { "ERR" },
-            q.kind,
+            "[{}] {} rows={} in {:.2?}: {sql}...",
+            if q.ok() { "ok" } else { "ERR" },
+            q.kind_name(),
             q.rows,
             q.elapsed
         );

@@ -485,7 +485,11 @@ fn a_narrowed_branch_is_still_skipped_before_it_is_opened() {
         let before: Vec<_> = f.links.iter().map(NetworkLink::snapshot).collect();
         let report = f.head.execute_analyze_with_params(sql, d()).unwrap();
         assert_eq!(report.result.rows, want, "{parallel:?}");
-        assert_eq!(report.startup_pruned, ["m0", "m2", "m3"], "{parallel:?}");
+        assert_eq!(
+            report.record.startup_pruned,
+            ["m0", "m2", "m3"],
+            "{parallel:?}"
+        );
         assert_eq!(
             f.head.metrics().startup_members_skipped,
             skipped + 3,

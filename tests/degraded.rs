@@ -121,7 +121,7 @@ fn prune_mode_answers_from_surviving_members() {
         // fail-fast (no fresh retry storm), and EXPLAIN ANALYZE says so.
         let report = head.execute_analyze(SCAN).unwrap();
         assert_eq!(multiset(&report.result.rows, 3), expected);
-        assert_eq!(report.pruned, vec!["member2".to_string()]);
+        assert_eq!(report.record.pruned, vec!["member2".to_string()]);
         let rendered = report.render();
         assert!(
             rendered.contains("[degraded: pruned members=member2]"),

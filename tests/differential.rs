@@ -351,6 +351,66 @@ fn cache_disabled_matches_cache_enabled() {
     assert_eq!(off.metrics().plan_cache_misses, 0);
 }
 
+/// Every statement of the corpus, federated and dispatched serially with
+/// tracing and the start/end events armed, returns one record that agrees
+/// with its result and with itself: the row count is the result's, the
+/// operators' self times fit in the execute span and the span in `elapsed`
+/// (serial dispatch: one thread's time is counted once), and the ring and
+/// the event bus each received that record, once.
+#[test]
+fn every_statement_record_reconciles() {
+    use dhqp::{EventConfig, EventKind, TraceConfig};
+    let head = distributed_engine(None);
+    head.set_parallel_config(ParallelConfig::serial());
+    head.set_trace_config(TraceConfig::enabled());
+    let start_end = EventConfig::only(&[EventKind::QueryStart, EventKind::QueryEnd]);
+    for sql in CORPUS.iter().copied().chain(["FROB GARBAGE"]) {
+        head.set_event_config(start_end); // a new session: an empty ring
+        let (result, record) = head.execute_recorded(sql, Default::default());
+        assert_eq!(record.sql, sql);
+        assert_eq!(record.ok(), result.is_ok(), "{sql}");
+        assert_eq!(record.rows, result.map_or(0, |r| r.len() as u64), "{sql}");
+
+        let trace = record.trace.as_ref().expect("tracing is armed");
+        assert_eq!(trace.root.elapsed, record.elapsed, "{sql}");
+        if let Some(execute) = trace.find("execute") {
+            let self_time: std::time::Duration =
+                record.operators.iter().map(|op| op.self_time).sum();
+            assert!(!record.operators.is_empty(), "{sql}");
+            assert!(self_time <= execute.elapsed, "{sql}\n{}", trace.render());
+            assert!(
+                execute.elapsed <= record.elapsed,
+                "{sql}\n{}",
+                trace.render()
+            );
+        }
+
+        let events = head.recent_events();
+        let ends: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::QueryEnd)
+            .collect();
+        assert_eq!(ends.len(), 1, "{sql}: {events:?}");
+        let attrs = ends[0].attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let want = record.query_end_attrs();
+        assert!(
+            attrs.eq(want.iter().map(|(k, v)| (*k, v.as_str()))),
+            "{sql}"
+        );
+        let ring = head.recent_queries();
+        let entries = ring.iter().filter(|q| std::sync::Arc::ptr_eq(q, &record));
+        // DESIGN.md §21: text that never classified reaches `query_end` and
+        // the error counter, not the ring.
+        assert_eq!(entries.count(), usize::from(record.kind.is_some()), "{sql}");
+    }
+    let (result, unparsed) = head.execute_recorded("FROB GARBAGE", Default::default());
+    assert!(result.is_err() && unparsed.kind.is_none() && unparsed.error.is_some());
+    assert_eq!(
+        unparsed.query_end_attrs()[0],
+        ("kind", "UNCLASSIFIED".into())
+    );
+}
+
 /// The estimator's monotonicity rule over whole plans: no filter, project,
 /// sort, top or grouped aggregate is estimated above its only input —
 /// compiled with the literals in hand (cache off) and as the cached

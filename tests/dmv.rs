@@ -345,8 +345,9 @@ fn dm_exec_requests_attributes_the_dominant_wait() {
     // The trace's root span carries the statement's own wait totals.
     local.set_trace_config(TraceConfig::enabled());
     let sql = "SELECT a FROM srv.db.dbo.t";
-    local.query(sql).unwrap();
-    let trace = local.last_trace().expect("tracing is armed");
+    let (result, record) = local.execute_recorded(sql, Default::default());
+    result.unwrap();
+    let trace = record.trace.as_ref().expect("tracing is armed");
     assert_eq!(trace.sql, sql);
     // `wait.<CLASS>` = `<count>x/<total>us`, one attribute per class waited on.
     let totals: Vec<(&str, u64)> = trace
@@ -392,9 +393,12 @@ fn tracing_disabled_leaves_no_spans() {
     // Explicit config wins over any DHQP_TRACE=1 in the environment (the
     // CI matrix runs this suite with tracing armed).
     engine.set_trace_config(TraceConfig::disabled());
-    engine.query("SELECT a FROM t").unwrap();
-    engine.execute_analyze("SELECT a FROM t").unwrap();
-    assert!(engine.last_trace().is_none(), "no spans when disarmed");
+    let (result, record) = engine.execute_recorded("SELECT a FROM t", Default::default());
+    result.unwrap();
+    let report = engine.execute_analyze("SELECT a FROM t").unwrap();
+    for record in [&record, &report.record] {
+        assert!(record.trace.is_none(), "no spans when disarmed");
+    }
 }
 
 #[test]
@@ -409,8 +413,12 @@ fn traced_distributed_analyze_covers_all_phases() {
     let report = local
         .execute_analyze("SELECT a FROM srv.db.dbo.t WHERE a = 1")
         .unwrap();
-    let trace = report.trace.as_ref().expect("report carries the trace");
-    assert_eq!(local.last_trace().unwrap().sql, trace.sql);
+    let trace = report
+        .record
+        .trace
+        .as_ref()
+        .expect("report carries the trace");
+    assert_eq!(report.record.sql, trace.sql);
     for stage in ["parse", "bind", "optimize", "execute"] {
         assert!(
             trace.find(stage).is_some(),
@@ -451,10 +459,10 @@ fn traced_distributed_analyze_covers_all_phases() {
 
     // A second run is a plan-cache hit: compile spans collapse into a
     // plan-cache marker, execution is still traced per-operator.
-    local
+    let report = local
         .execute_analyze("SELECT a FROM srv.db.dbo.t WHERE a = 1")
         .unwrap();
-    let hit = local.last_trace().unwrap();
+    let hit = report.record.trace.as_ref().unwrap();
     let marker = hit.find("plan-cache").expect("hit path traced");
     assert_eq!(marker.attr("hit"), Some("true"));
     assert!(hit.find("optimize").is_none(), "hit skips the compile");

@@ -213,6 +213,7 @@ fn explain_analyze_renders_per_node_retries() {
     let report = head.execute_analyze(SCAN).unwrap();
     let rendered = report.render();
     assert!(rendered.contains("[retries=1]"), "{rendered}");
-    let retried: u64 = report.runtime.values().map(|rt| rt.retries).sum();
+    let runtimes = report.record.operators.iter().flat_map(|op| &op.runtime);
+    let retried: u64 = runtimes.map(|rt| rt.retries).sum();
     assert_eq!(retried, 4, "one retry per member link:\n{rendered}");
 }

@@ -3,7 +3,7 @@
 
 use dhqp::{
     Engine, EngineBuilder, EngineDataSource, EventConfig, EventKind, FaultConfig, ParallelConfig,
-    RetryPolicy, StatementKind, TraceConfig, WaitClass,
+    RetryPolicy, StatementKind, StatementRecord, TraceConfig, WaitClass,
 };
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_storage::TableDef;
@@ -72,24 +72,26 @@ fn explain_analyze_distributed_join_reports_wire_activity() {
     );
 
     // The root operator's actual row count matches what came back.
-    let root = report.node(0).expect("root node executed");
-    assert_eq!(root.rows, expected_rows as u64);
+    let root = &report.record.operators[0];
+    assert!(root.runtime.is_some(), "root node executed");
+    assert_eq!(root.rows(), expected_rows as u64);
 
     // Both servers appear as remote nodes with shipped text and nonzero
     // traffic deltas.
-    let remotes = report.remote_nodes();
+    let operators = report.record.operators.iter().enumerate();
+    let remotes: Vec<_> = operators.filter(|(_, op)| op.remote().is_some()).collect();
     let servers: Vec<&str> = remotes
         .iter()
-        .map(|(_, rt)| rt.remote.as_ref().unwrap().server.as_str())
+        .map(|(_, op)| op.remote().unwrap().server.as_str())
         .collect();
     assert!(servers.contains(&"remote0"), "remote0 missing: {servers:?}");
     assert!(servers.contains(&"remote1"), "remote1 missing: {servers:?}");
-    for (id, rt) in &remotes {
-        let trace = rt.remote.as_ref().unwrap();
+    for (id, op) in &remotes {
+        let trace = op.remote().unwrap();
         assert!(!trace.sql.is_empty(), "node {id} has no shipped text");
         assert!(trace.traffic.requests > 0, "node {id} recorded no requests");
         assert!(trace.traffic.bytes > 0, "node {id} recorded no bytes");
-        assert!(rt.rows > 0, "node {id} produced no rows");
+        assert!(op.rows() > 0, "node {id} produced no rows");
     }
 
     // The rendered report carries the wire and SQL annotations.
@@ -111,7 +113,7 @@ fn figure4_cardinality_estimates_within_bounds() {
     // within an order of magnitude of the actual row count.
     let (local, _l0, _l1) = two_server_setup(TpchScale::small());
     let report = local.execute_analyze(TWO_SERVER_JOIN).unwrap();
-    let actual = report.node(0).unwrap().rows as f64;
+    let actual = report.record.operators[0].rows() as f64;
     let est = report.plan.est_rows;
     assert!(actual > 0.0);
     assert!(
@@ -173,13 +175,13 @@ fn metrics_count_statements_and_recent_queries() {
 
     let recent = engine.recent_queries();
     assert_eq!(recent.len(), 6, "unparseable text never reaches the ring");
-    assert_eq!(recent[0].kind, StatementKind::Insert);
+    assert_eq!(recent[0].kind, Some(StatementKind::Insert));
     assert_eq!(recent[0].rows, 1);
-    assert!(recent[0].ok);
+    assert!(recent[0].ok());
     let last = recent.last().unwrap();
-    assert_eq!(last.kind, StatementKind::Select);
+    assert_eq!(last.kind, Some(StatementKind::Select));
     assert_eq!(last.sql, "SELECT missing_col FROM t");
-    assert!(!last.ok);
+    assert!(!last.ok());
 }
 
 #[test]
@@ -409,6 +411,106 @@ fn explain_analyze_reports_self_time_with_adaptive_units() {
     );
 }
 
+/// One plan × runtime walk: the operator spans and the EXPLAIN ANALYZE
+/// lines are two renderings of `record.operators`, so for every node of the
+/// two-server join the span's `self_us` is the self time the report prints.
+#[test]
+fn operator_spans_and_explain_analyze_agree_on_self_time() {
+    let (local, _l0, _l1) = two_server_setup(TpchScale::tiny());
+    local.set_trace_config(TraceConfig::enabled());
+    let report = local.execute_analyze(TWO_SERVER_JOIN).unwrap();
+    let rendered = report.render();
+    // The tree comes first, one line per operator in pre-order, each
+    // followed by its indented `[...]` annotations.
+    let lines: Vec<&str> = rendered
+        .lines()
+        .take_while(|l| !l.starts_with("--"))
+        .filter(|l| !l.trim_start().starts_with('['))
+        .collect();
+    fn collect(span: &dhqp::TraceSpan, out: &mut Vec<(usize, u128)>) {
+        if let (Some(node), Some(self_us)) = (span.attr("node"), span.attr("self_us")) {
+            out.push((node.parse().unwrap(), self_us.parse().unwrap()));
+        }
+        span.children.iter().for_each(|c| collect(c, out));
+    }
+    let trace = report.record.trace.as_ref().expect("tracing is armed");
+    let mut spans = Vec::new();
+    collect(trace.find("execute").unwrap(), &mut spans);
+    let operators = &report.record.operators;
+    assert!(operators.len() >= 5, "two remotes, nation, two joins");
+    assert_eq!(
+        (lines.len(), spans.len()),
+        (operators.len(), operators.len())
+    );
+    for (at, (node, self_us)) in spans.into_iter().enumerate() {
+        assert_eq!(node, at, "spans are in pre-order");
+        assert_eq!(self_us, operators[node].self_time.as_micros());
+        let printed = match self_us {
+            us if us < 1_000 => format!(" self={us}µs"),
+            us if us < 1_000_000 => format!(" self={:.2}ms", us as f64 / 1_000.0),
+            us => format!(" self={:.2}s", us as f64 / 1_000_000.0),
+        };
+        assert!(
+            lines[node].ends_with(&printed),
+            "{printed}: {}",
+            lines[node]
+        );
+    }
+}
+
+/// Four sessions on one shared engine, fifty distinct traced statements
+/// each, started together: what a session gets back is the record of the
+/// statement it sent, never the one that happened to finish last.
+#[test]
+fn each_statement_gets_its_own_record_under_concurrency() {
+    use dhqp::PlanCacheConfig;
+    const SESSIONS: usize = 4;
+    const STATEMENTS: i64 = 50;
+    let engine = EngineBuilder::new("shared")
+        .trace_config(TraceConfig::enabled())
+        .plan_cache_config(PlanCacheConfig::default())
+        .build();
+    engine
+        .create_table(TableDef::new(
+            "t",
+            Schema::new(vec![Column::not_null("a", DataType::Int)]),
+        ))
+        .unwrap();
+    let rows: Vec<Row> = (0..STATEMENTS)
+        .map(|a| Row::new(vec![Value::Int(a)]))
+        .collect();
+    engine.insert("t", &rows).unwrap();
+
+    let start = std::sync::Barrier::new(SESSIONS);
+    std::thread::scope(|scope| {
+        for session in 0..SESSIONS {
+            let (engine, start) = (engine.clone(), &start);
+            scope.spawn(move || {
+                start.wait();
+                for k in 1..=STATEMENTS {
+                    // The alias tells the sessions' templates apart, the
+                    // bound tells one session's statements apart.
+                    let sql = format!("SELECT a AS c{session} FROM t WHERE a < {k}");
+                    let (result, record) = engine.execute_recorded(&sql, Default::default());
+                    assert_eq!(result.unwrap().len() as i64, k, "{sql}");
+                    let template = dhqp_sqlfront::fingerprint(&sql).unwrap().template;
+                    let trace = record.trace.as_ref().expect("tracing is armed");
+                    assert_eq!(
+                        (record.sql.as_str(), trace.sql.as_str(), record.rows as i64),
+                        (sql.as_str(), sql.as_str(), k)
+                    );
+                    assert_eq!(record.fingerprint.as_ref(), Some(&template), "{sql}");
+                    assert_eq!(trace.root.elapsed, record.elapsed, "{sql}");
+                }
+            });
+        }
+    });
+    assert_eq!(
+        engine.metrics().selects,
+        SESSIONS as u64 * STATEMENTS as u64
+    );
+}
+
 /// Head engine federating four members that hold the seven `lineitem_9x`
 /// partitions, each behind a *timed* LAN link (so blocking is real wall
 /// time) armed with exactly one transient fault.
@@ -479,9 +581,7 @@ fn parallel_flaky_federation_reports_waits_events_and_worker_tracks() {
 
     // (a) Per-query wait accounting: the statement blocked on the wire,
     // on retry backoff and on the exchange's bounded channel.
-    let waits = report
-        .waits
-        .expect("EXPLAIN ANALYZE carries per-query waits");
+    let waits = report.record.waits;
     let net = waits.get(WaitClass::NetworkIo);
     assert!(
         net.count > 0 && net.total_us > 0,
@@ -574,7 +674,7 @@ fn parallel_flaky_federation_reports_waits_events_and_worker_tracks() {
 
     // (c) The Perfetto export is a trace_event document with one thread
     // track per exchange worker (7 branches under the 8-worker cap).
-    let trace = report.trace.as_ref().expect("tracing was armed");
+    let trace = report.record.trace.as_ref().expect("tracing was armed");
     let json = trace.to_chrome_json();
     assert!(
         json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
@@ -692,7 +792,7 @@ fn slow_query_events_carry_the_dominant_wait() {
     // backoff sleeps are longer still. Either way the attribution is the
     // wire, not the compiler.
     let slow = local.slow_queries();
-    let dominant = slow[0].dominant_wait.expect("slow query carries a wait");
+    let dominant = slow[0].dominant_wait().expect("slow query carries a wait");
     assert!(
         dominant == "NETWORK_IO" || dominant == "RETRY_BACKOFF",
         "{slow:?}"
@@ -1047,11 +1147,12 @@ fn chrome_trace_export_parses_with_one_track_per_exchange_worker() {
     head.set_parallel_config(ParallelConfig::parallel());
     head.set_trace_config(TraceConfig::enabled());
 
-    head.query(FEDERATION_SCAN).unwrap();
+    let (result, record) = head.execute_recorded(FEDERATION_SCAN, Default::default());
+    result.unwrap();
     let faults: u64 = links.iter().map(NetworkLink::faults_injected).sum();
     assert_eq!(faults, links.len() as u64, "chaos leg armed");
 
-    let trace = head.last_trace().expect("tracing was armed");
+    let trace = record.trace.as_ref().expect("tracing was armed");
     let json = trace.to_chrome_json();
     let doc = parse_json(&json).unwrap_or_else(|e| panic!("unparseable export: {e}\n{json}"));
 
@@ -1268,16 +1369,17 @@ fn every_entry_point_runs_one_statement_lifecycle() {
                 let ring_before = head.recent_queries().len();
                 let stored_before = query_store_executions(&head);
 
-                let (rows, text, cache_hit) = match entry {
+                let (rows, text, record) = match entry {
                     Entry::Execute => {
-                        let r = head.execute_with_params(&sent, params.clone()).unwrap();
-                        (Some(r.rows), None, None)
+                        let (r, record) = head.execute_recorded(&sent, params.clone());
+                        (Some(r.unwrap().rows), None, record)
                     }
                     Entry::ExplainAnalyzeText => {
-                        let r = head.execute_with_params(&sent, params.clone()).unwrap();
+                        let (r, record) = head.execute_recorded(&sent, params.clone());
+                        let rows = r.unwrap().rows;
                         let lines: Vec<String> =
-                            r.rows.iter().map(|row| row.get(0).to_string()).collect();
-                        (None, Some(lines.join("\n")), None)
+                            rows.iter().map(|row| row.get(0).to_string()).collect();
+                        (None, Some(lines.join("\n")), record)
                     }
                     Entry::ExecuteAnalyze => {
                         let report = head
@@ -1286,10 +1388,11 @@ fn every_entry_point_runs_one_statement_lifecycle() {
                         (
                             Some(report.result.rows.clone()),
                             Some(report.render()),
-                            Some(report.cache_hit),
+                            Arc::clone(&report.record),
                         )
                     }
                 };
+                let cache_hit = (entry == Entry::ExecuteAnalyze).then_some(record.cache_hit);
 
                 let want_hit = match cache {
                     _ if !cacheable => None,
@@ -1331,9 +1434,13 @@ fn every_entry_point_runs_one_statement_lifecycle() {
                 let ring = head.recent_queries();
                 assert_eq!(ring.len(), ring_before + 1, "{cell}");
                 let last = ring.last().unwrap();
+                assert!(
+                    Arc::ptr_eq(last, &record),
+                    "{cell}: the ring holds the record"
+                );
                 assert_eq!(
-                    (last.sql.as_str(), last.kind, last.ok),
-                    (sent.as_str(), kind, true),
+                    (last.sql.as_str(), last.kind, last.ok()),
+                    (sent.as_str(), Some(kind), true),
                     "{cell}"
                 );
                 assert_eq!(last.rows, expected.len() as u64, "{cell}");
@@ -1341,8 +1448,9 @@ fn every_entry_point_runs_one_statement_lifecycle() {
 
                 assert_eq!(start_end_counts(&head), (1, 1), "{cell}");
 
-                let trace = head.last_trace().expect("tracing is armed");
+                let trace = record.trace.as_ref().expect("tracing is armed");
                 assert_eq!(trace.sql, sent, "{cell}");
+                assert_eq!(trace.root.elapsed, record.elapsed, "{cell}: one stopwatch");
                 let stages: Vec<&str> = trace
                     .root
                     .children
@@ -1394,7 +1502,7 @@ fn execute_analyze_is_accounted_like_explain_analyze_text() {
         let last = head
             .recent_queries()
             .into_iter()
-            .rfind(|q| q.kind == StatementKind::ExplainAnalyze)
+            .rfind(|q| q.kind == Some(StatementKind::ExplainAnalyze))
             .unwrap_or_else(|| panic!("no ring entry (through_api={through_api})"));
         assert_eq!(last.sql, sent);
         // The reading statement itself is the +1 on top of the analyzed one.
@@ -1408,12 +1516,12 @@ fn execute_analyze_is_accounted_like_explain_analyze_text() {
             m.explain_analyzes,
             last.rows,
             last.fingerprint.clone(),
-            last.annotations.clone(),
+            last.annotations(),
             latency_samples,
             ends,
         ));
         if head.runtime_prune_enabled() {
-            let annotations = last.annotations.as_deref().unwrap_or_default();
+            let annotations = last.annotations().unwrap_or_default();
             assert!(annotations.contains("[startup: "), "{last:?}");
         }
     }
@@ -1437,16 +1545,22 @@ fn execute_analyze_is_accounted_like_explain_analyze_text() {
     slow.execute_analyze("SELECT a FROM t WHERE a = 1").unwrap();
     let ring = slow.slow_queries();
     assert_eq!(ring.len(), 1, "{ring:?}");
-    assert_eq!(ring[0].kind, StatementKind::ExplainAnalyze);
+    assert_eq!(ring[0].kind, Some(StatementKind::ExplainAnalyze));
 }
 
 /// Every `query_start` is matched by exactly one `query_end` carrying the
 /// failure, and the failure is counted once — whichever stage raised it.
 #[test]
 fn every_error_exit_ends_the_statement_it_started() {
-    type Call = fn(&Engine, &str) -> Option<String>;
-    let execute: Call = |e, sql| e.execute(sql).err().map(|e| e.to_string());
-    let analyze: Call = |e, sql| e.execute_analyze(sql).err().map(|e| e.to_string());
+    type Call = fn(&Engine, &str) -> (Option<String>, Arc<StatementRecord>);
+    let execute: Call = |e, sql| {
+        let (result, record) = e.execute_recorded(sql, Default::default());
+        (result.err().map(|e| e.to_string()), record)
+    };
+    let analyze: Call = |e, sql| {
+        let (report, record) = e.execute_analyze_recorded(sql, Default::default());
+        (report.err().map(|e| e.to_string()), record)
+    };
     // (what fails, statement, entry point, classified?)
     let cases: [(&str, &str, Call, bool); 8] = [
         ("parse", "FROB GARBAGE", execute, false),
@@ -1484,7 +1598,8 @@ fn every_error_exit_ends_the_statement_it_started() {
         head.set_event_config(head.event_config());
         let before = head.metrics();
         let ring_before = head.recent_queries().len();
-        let message = call(&head, sql).unwrap_or_else(|| panic!("{stage}: {sql} must fail"));
+        let (message, record) = call(&head, sql);
+        let message = message.unwrap_or_else(|| panic!("{stage}: {sql} must fail"));
         let after = head.metrics();
         assert_eq!(start_end_counts(&head), (1, 1), "{stage}: {sql}");
         let end = head
@@ -1516,8 +1631,9 @@ fn every_error_exit_ends_the_statement_it_started() {
             before.statements() + classified as u64,
             "{stage}: {sql}"
         );
-        let trace = head.last_trace().expect("tracing is armed");
+        let trace = record.trace.as_ref().expect("tracing is armed");
         assert_eq!(trace.sql, sql, "{stage}: {sql}");
+        assert_eq!(record.error.as_deref(), Some(message.as_str()));
     }
 }
 

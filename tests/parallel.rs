@@ -123,9 +123,10 @@ fn exchange_reports_workers_and_traffic_stays_exact() {
     // The report carries the exchange runtime: seven branches, one worker
     // each (under the default eight-worker cap).
     let exchange = report
-        .runtime
-        .values()
-        .find_map(|rt| rt.exchange.clone())
+        .record
+        .operators
+        .iter()
+        .find_map(|op| op.runtime.as_ref()?.exchange.clone())
         .expect("parallel run records exchange runtime");
     assert_eq!(exchange.workers, 7);
     let rendered = report.render();

@@ -71,14 +71,14 @@ fn second_execution_hits_and_explain_analyze_says_so() {
     let e = local_engine();
     let sql = "SELECT name FROM t WHERE id = 2";
     let first = e.execute_analyze(sql).unwrap();
-    assert_eq!(first.cache_hit, Some(false));
+    assert_eq!(first.record.cache_hit, Some(false));
     assert!(
         first.render().contains("[plan cache: miss]"),
         "{}",
         first.render()
     );
     let second = e.execute_analyze(sql).unwrap();
-    assert_eq!(second.cache_hit, Some(true));
+    assert_eq!(second.record.cache_hit, Some(true));
     assert!(
         second.render().contains("[plan cache: hit]"),
         "{}",

@@ -140,6 +140,9 @@ fn feedback_corrects_semijoin_crossover_after_one_skewed_execution() {
         "tiny fact must not be worth a reduction:\n{}",
         queries[0].plans[0].plan_text
     );
+    // The stored text is the plan as EXPLAIN renders it.
+    let explained = head.explain(JOIN).unwrap();
+    assert_eq!(queries[0].plans[0].plan_text, explained.plan_text);
 
     // The table explodes behind the cached statistics.
     grow_fact(&m1);
@@ -440,7 +443,7 @@ fn slow_query_ring_carries_fingerprint_and_annotations() {
         .unwrap_or_else(|| panic!("join missing from slow ring: {slow:?}"));
     let fp = entry.fingerprint.as_deref().expect("fingerprint tag");
     assert!(fp.starts_with("SELECT"), "{fp}");
-    let ann = entry.annotations.as_deref().expect("annotation summary");
+    let ann = entry.annotations().expect("annotation summary");
     assert!(ann.contains("[semijoin: keys=6 bytes="), "{ann}");
 
     let ev = head

@@ -322,8 +322,8 @@ fn degraded_prune_and_startup_prune_report_distinctly() {
     // report names each member under its own channel.
     let report = head.execute_analyze(Q).unwrap();
     assert!(report.result.rows.is_empty());
-    assert_eq!(report.pruned, vec!["member1".to_string()]);
-    assert_eq!(report.startup_pruned, vec!["member2".to_string()]);
+    assert_eq!(report.record.pruned, vec!["member1".to_string()]);
+    assert_eq!(report.record.startup_pruned, vec!["member2".to_string()]);
     let rendered = report.render();
     assert!(
         rendered.contains("[degraded: pruned members=member1]"),
