@@ -20,13 +20,14 @@ use crate::record::StatementRecord;
 use dhqp_dtc::TransactionCoordinator;
 use dhqp_executor::{DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot, SourceCatalog};
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
-use dhqp_fulltext::SearchService;
+use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::{
     emit_event, has_hook, timed_wait, DataSource, TableStatistics, WaitClass, WaitSnapshot,
 };
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Value};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -333,7 +334,7 @@ impl Engine {
 
     /// Create a full-text index over a local table's text column, keyed by
     /// an integer key column (§2.3: indexes live *outside* the database
-    /// engine, in the search service).
+    /// engine, in the search service). A catalog indexes one table column.
     pub fn create_fulltext_index(
         &self,
         table: &str,
@@ -341,18 +342,30 @@ impl Engine {
         text_column: &str,
         catalog: &str,
     ) -> Result<()> {
-        if !self.inner.fulltext.has_catalog(catalog) {
-            self.inner.fulltext.create_catalog(catalog)?;
+        let column = (table.to_lowercase(), text_column.to_lowercase());
+        {
+            let mut bindings = self.inner.ft_bindings.write();
+            let taken = bindings
+                .iter()
+                .find(|(bound, (cat, _))| cat.eq_ignore_ascii_case(catalog) && **bound != column);
+            if let Some(((t, c), _)) = taken {
+                return Err(DhqpError::Catalog(format!(
+                    "full-text catalog '{catalog}' already indexes {t}.{c}"
+                )));
+            }
+            if !self.inner.fulltext.has_catalog(catalog) {
+                self.inner.fulltext.create_catalog(catalog)?;
+            }
+            bindings.insert(column, (catalog.to_string(), key_column.to_string()));
         }
-        self.inner.ft_bindings.write().insert(
-            (table.to_lowercase(), text_column.to_lowercase()),
-            (catalog.to_string(), key_column.to_string()),
-        );
         self.refresh_fulltext_index(table)
     }
 
-    /// Rebuild the full-text index entries for a table (index maintenance;
-    /// invoked automatically after engine-mediated DML).
+    /// Rebuild the full-text catalogs over a table's columns (index
+    /// maintenance; invoked automatically after engine-mediated DML): each
+    /// catalog is built afresh from the rows, read in place under the
+    /// table's read lock, and swapped in whole — a deleted or rewritten row
+    /// leaves nothing behind (DESIGN.md §24).
     pub fn refresh_fulltext_index(&self, table: &str) -> Result<()> {
         let bindings: Vec<((String, String), (String, String))> = self
             .inner
@@ -363,32 +376,33 @@ impl Engine {
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         for ((table, text_col), (catalog, key_col)) in bindings {
-            let rows = self.inner.storage.with_table(&table, |t| {
-                let key_pos = t.schema.index_of(&key_col);
-                let text_pos = t.schema.index_of(&text_col);
-                (key_pos, text_pos, t.scan_rows())
-            })?;
-            let (Some(key_pos), Some(text_pos), rows) = rows else {
-                return Err(DhqpError::Catalog(format!(
-                    "full-text binding on {table} references missing columns"
-                )));
-            };
-            // Re-key the whole catalog for this table.
-            let mut keys = Vec::new();
-            for row in &rows {
-                let Value::Int(k) = row.get(key_pos) else {
-                    return Err(DhqpError::Type(
-                        "full-text key column must be BIGINT".into(),
-                    ));
+            let index = self.inner.storage.with_table(&table, |t| {
+                let (Some(key_pos), Some(text_pos)) =
+                    (t.schema.index_of(&key_col), t.schema.index_of(&text_col))
+                else {
+                    return Err(DhqpError::Catalog(format!(
+                        "full-text binding on {table} references missing columns"
+                    )));
                 };
-                let text = match row.get(text_pos) {
-                    Value::Str(s) => s.clone(),
-                    Value::Null => String::new(),
-                    other => other.to_string(),
-                };
-                self.inner.fulltext.index_row(&catalog, *k as u64, &text)?;
-                keys.push(*k as u64);
-            }
+                let mut docs = Vec::with_capacity(t.heap.len());
+                for (_, row) in t.heap.scan() {
+                    let Value::Int(k) = row.get(key_pos) else {
+                        return Err(DhqpError::Type(
+                            "full-text key column must be BIGINT".into(),
+                        ));
+                    };
+                    let text = match row.get(text_pos) {
+                        Value::Str(s) => Cow::Borrowed(s.as_str()),
+                        Value::Null => Cow::Borrowed(""),
+                        other => Cow::Owned(other.to_string()),
+                    };
+                    docs.push((*k as u64, text));
+                }
+                Ok(InvertedIndex::build(
+                    docs.iter().map(|(k, text)| (*k, text.as_ref())),
+                ))
+            })??;
+            self.inner.fulltext.replace_index(&catalog, index)?;
         }
         Ok(())
     }

@@ -26,7 +26,7 @@ pub mod service;
 pub mod stemmer;
 pub mod tokenizer;
 
-pub use index::InvertedIndex;
+pub use index::{InvertedIndex, Postings};
 pub use provider::FullTextProvider;
 pub use query::FtQuery;
 pub use service::{Document, FullTextCatalog, SearchService};

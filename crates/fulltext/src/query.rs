@@ -10,7 +10,7 @@
 //! primary := "phrase words" | word NEAR word | word | ( expr )
 //! ```
 
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, Postings};
 use dhqp_types::{DhqpError, Result};
 use std::collections::BTreeMap;
 
@@ -46,25 +46,57 @@ impl FtQuery {
 
     /// Evaluate against an index, producing `doc → rank` (descending rank
     /// is the provider's job). A bare NOT is rejected: negation only
-    /// restricts a positive query.
+    /// restricts a positive query. Each term's postings are looked up once
+    /// per node.
     pub fn evaluate(&self, index: &InvertedIndex) -> Result<BTreeMap<u64, f64>> {
         match self {
             FtQuery::Word(w) => {
-                let mut out = BTreeMap::new();
-                if let Some(postings) = index.lookup(w) {
-                    for (&doc, positions) in postings {
-                        out.insert(doc, index.tf_idf(w, doc, positions.len() as u32));
-                    }
-                }
-                Ok(out)
+                let Some(postings) = index.lookup(w) else {
+                    return Ok(BTreeMap::new());
+                };
+                let df = postings.len();
+                Ok(postings
+                    .iter()
+                    .map(|(doc, positions)| (doc, index.tf_idf(df, doc, positions.len() as u32)))
+                    .collect())
             }
             FtQuery::Phrase(words) => {
                 let mut out = BTreeMap::new();
-                for (doc, tf) in index.phrase_docs(words) {
-                    // Score a phrase by its rarest word, scaled by hits.
-                    let score = words
+                let Some(postings) = words
+                    .iter()
+                    .map(|w| index.lookup(w))
+                    .collect::<Option<Vec<Postings>>>()
+                else {
+                    return Ok(out);
+                };
+                let Some((first, rest)) = postings.split_first() else {
+                    return Ok(out);
+                };
+                // The later words' positions in the document at hand.
+                let mut later: Vec<&[u32]> = Vec::with_capacity(rest.len());
+                'docs: for (doc, starts) in first.iter() {
+                    later.clear();
+                    for p in rest {
+                        let Some(positions) = p.positions(doc) else {
+                            continue 'docs;
+                        };
+                        later.push(positions);
+                    }
+                    let tf = starts
                         .iter()
-                        .map(|w| index.tf_idf(w, doc, tf))
+                        .filter(|&&start| {
+                            (1..).zip(&later).all(|(offset, positions)| {
+                                positions.binary_search(&(start + offset)).is_ok()
+                            })
+                        })
+                        .count() as u32;
+                    if tf == 0 {
+                        continue;
+                    }
+                    // Score a phrase by its rarest word, scaled by hits.
+                    let score = postings
+                        .iter()
+                        .map(|p| index.tf_idf(p.len(), doc, tf))
                         .fold(f64::INFINITY, f64::min);
                     out.insert(doc, if score.is_finite() { score * 1.5 } else { 0.0 });
                 }
@@ -76,9 +108,22 @@ impl FtQuery {
                 distance,
             } => {
                 let mut out = BTreeMap::new();
-                for (doc, hits) in index.near_docs(left, right, *distance) {
-                    let score = index.tf_idf(left, doc, hits) + index.tf_idf(right, doc, hits);
-                    out.insert(doc, score);
+                let (Some(a), Some(b)) = (index.lookup(left), index.lookup(right)) else {
+                    return Ok(out);
+                };
+                for (doc, pos_a) in a.iter() {
+                    let Some(pos_b) = b.positions(doc) else {
+                        continue;
+                    };
+                    let hits = pos_a
+                        .iter()
+                        .filter(|&&x| within(pos_b, x, *distance))
+                        .count() as u32;
+                    if hits > 0 {
+                        let score =
+                            index.tf_idf(a.len(), doc, hits) + index.tf_idf(b.len(), doc, hits);
+                        out.insert(doc, score);
+                    }
                 }
                 Ok(out)
             }
@@ -122,6 +167,14 @@ impl FtQuery {
             )),
         }
     }
+}
+
+/// Whether some position in `sorted` is within `distance` words of `x`.
+fn within(sorted: &[u32], x: u32, distance: u32) -> bool {
+    let first_near = sorted.partition_point(|&y| y.saturating_add(distance) < x);
+    sorted
+        .get(first_near)
+        .is_some_and(|&y| y <= x.saturating_add(distance))
 }
 
 #[derive(Debug, Clone, PartialEq)]

@@ -242,6 +242,18 @@ impl SearchService {
         Ok(())
     }
 
+    /// Swap in a catalog's rebuilt index — the maintenance rule for a
+    /// catalog over a table column: build from the table, then swap
+    /// (DESIGN.md §24).
+    pub fn replace_index(&self, catalog: &str, index: InvertedIndex) -> Result<()> {
+        let mut catalogs = self.catalogs.write();
+        let cat = catalogs
+            .get_mut(&catalog.to_lowercase())
+            .ok_or_else(|| DhqpError::Catalog(format!("no full-text catalog '{catalog}'")))?;
+        cat.index = index;
+        Ok(())
+    }
+
     pub fn remove_row(&self, catalog: &str, key: u64) -> Result<()> {
         let mut catalogs = self.catalogs.write();
         let cat = catalogs

@@ -4,11 +4,20 @@
 
 /// Stem a lowercase term to its index form.
 pub fn stem(term: &str) -> String {
+    let mut out = String::new();
+    stem_into(term, &mut out);
+    out
+}
+
+/// [`stem`] into a reused buffer: `out` is cleared and receives the stem.
+pub fn stem_into(term: &str, out: &mut String) {
+    out.clear();
     // Irregular forms first.
     if let Some(base) = irregular(term) {
-        return base.to_string();
+        out.push_str(base);
+        return;
     }
-    let mut s = term.to_string();
+    out.push_str(term);
     // Plural / verbal suffixes, longest first.
     for (suffix, replace) in [
         ("sses", "ss"),
@@ -24,25 +33,25 @@ pub fn stem(term: &str) -> String {
         ("est", ""),
         ("s", ""),
     ] {
-        if let Some(stripped) = s.strip_suffix(suffix) {
+        if let Some(stripped) = out.strip_suffix(suffix) {
             // Never strip a word to fewer than 2 characters.
             if stripped.len() >= 2 {
-                s = format!("{stripped}{replace}");
+                out.truncate(stripped.len());
+                out.push_str(replace);
                 break;
             }
         }
     }
     // Undouble trailing consonants introduced by -er/-ing/-ed stripping
     // (runner → runn → run, stopped → stopp → stop).
-    let bytes = s.as_bytes();
+    let bytes = out.as_bytes();
     if bytes.len() >= 3 {
         let last = bytes[bytes.len() - 1];
         let prev = bytes[bytes.len() - 2];
         if last == prev && !matches!(last, b'a' | b'e' | b'i' | b'o' | b'u' | b's' | b'l') {
-            s.pop();
+            out.pop();
         }
     }
-    s
 }
 
 /// Small irregular table covering common verbs in technical prose.

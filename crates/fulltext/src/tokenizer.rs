@@ -11,36 +11,58 @@ pub struct Token {
 /// proximity queries reason in word distances.
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut out = Vec::new();
-    let mut position = 0u32;
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() || c == '\'' {
-            current.extend(c.to_lowercase());
-        } else if !current.is_empty() {
-            out.push(Token {
-                term: strip_apostrophes(&current),
-                position,
-            });
-            position += 1;
-            current.clear();
-        }
-    }
-    if !current.is_empty() {
+    for_each_token(text, &mut String::new(), |term, position| {
         out.push(Token {
-            term: strip_apostrophes(&current),
+            term: term.to_string(),
             position,
-        });
-    }
+        })
+    });
     out
 }
 
+/// [`tokenize`] without a `String` per word: each word is written into `buf`
+/// (reused across words and across calls) and handed to `f` with its
+/// position.
+pub fn for_each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str, u32)) {
+    buf.clear();
+    let mut position = 0u32;
+    for c in text.chars() {
+        if c.is_ascii_alphanumeric() || c == '\'' {
+            buf.push(c.to_ascii_lowercase());
+        } else if !c.is_ascii() && c.is_alphanumeric() {
+            buf.extend(c.to_lowercase());
+        } else if !buf.is_empty() {
+            f(strip_apostrophes(buf), position);
+            position += 1;
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        f(strip_apostrophes(buf), position);
+        buf.clear();
+    }
+}
+
 /// Drop possessive apostrophes (`server's` → `servers` would be wrong; we
-/// strip the suffix instead: `server's` → `server`).
-fn strip_apostrophes(term: &str) -> String {
-    term.trim_matches('\'')
-        .strip_suffix("'s")
-        .map(str::to_string)
-        .unwrap_or_else(|| term.trim_matches('\'').replace('\'', ""))
+/// strip the suffix instead: `server's` → `server`), in place.
+fn strip_apostrophes(word: &mut String) -> &str {
+    if !word.contains('\'') {
+        return word;
+    }
+    let start = word.len() - word.trim_start_matches('\'').len();
+    let end = word.trim_end_matches('\'').len();
+    if start >= end {
+        word.clear();
+        return word;
+    }
+    word.truncate(end);
+    word.drain(..start);
+    if word.ends_with("'s") {
+        word.truncate(word.len() - 2);
+    } else {
+        word.retain(|c| c != '\'');
+    }
+    word
 }
 
 #[cfg(test)]
@@ -76,6 +98,16 @@ mod tests {
     #[test]
     fn possessives_fold() {
         assert_eq!(terms("the server's log"), vec!["the", "server", "log"]);
+    }
+
+    #[test]
+    fn apostrophes_trim_and_drop() {
+        // Only a final 's is a possessive; other apostrophes go, and a word
+        // of apostrophes alone is still a (blank) word.
+        assert_eq!(
+            terms("'quoted' o'neil's rock'n'roll ''"),
+            vec!["quoted", "o'neil", "rocknroll", ""]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A table: heap + secondary indexes + CHECK constraints, kept consistent
 //! across DML.
 
-use crate::btree::BTreeIndex;
+use crate::btree::{BTreeIndex, IndexKey};
 use crate::catalog::CheckConstraint;
 use crate::heap::Heap;
 use dhqp_oledb::{IndexInfo, KeyRange};
@@ -100,21 +100,25 @@ impl Table {
         ))
     }
 
-    /// Insert one row, maintaining indexes; returns its bookmark.
+    /// Insert one row, maintaining indexes; returns its bookmark. The index
+    /// keys are taken from the row before it moves into the heap.
     pub fn insert(&mut self, row: Row) -> Result<u64> {
         self.validate_row(&row)?;
+        let keys: Vec<IndexKey> = self
+            .indexes
+            .iter()
+            .map(|ix| ix.key_of(&row.values))
+            .collect();
         // Probe unique indexes before touching anything so a violation
         // leaves the table unchanged.
-        for ix in &self.indexes {
-            if ix.unique && !ix.seek(&ix.key_of(&row.values)).is_empty() {
+        for (ix, key) in self.indexes.iter().zip(&keys) {
+            if ix.unique && ix.holds(key) {
                 return Err(self.duplicate_key(&ix.name));
             }
         }
         let bookmark = self.heap.insert(row);
-        let row_ref = self.heap.get(bookmark).expect("row just inserted").clone();
-        for ix in &mut self.indexes {
-            let key = ix.key_of(&row_ref.values);
-            ix.insert(key, bookmark)?;
+        for (ix, key) in self.indexes.iter_mut().zip(keys) {
+            ix.insert_unchecked(key, bookmark);
         }
         Ok(bookmark)
     }
@@ -132,10 +136,14 @@ impl Table {
     /// Update by bookmark, maintaining indexes and constraints.
     pub fn update(&mut self, bookmark: u64, new_row: Row) -> Result<Row> {
         self.validate_checks(&new_row)?;
-        let old = self.heap.update(bookmark, new_row.clone())?;
-        for ix in &mut self.indexes {
+        let new_keys: Vec<IndexKey> = self
+            .indexes
+            .iter()
+            .map(|ix| ix.key_of(&new_row.values))
+            .collect();
+        let old = self.heap.update(bookmark, new_row)?;
+        for (ix, new_key) in self.indexes.iter_mut().zip(new_keys) {
             let old_key = ix.key_of(&old.values);
-            let new_key = ix.key_of(&new_row.values);
             if old_key != new_key {
                 ix.remove(&old_key, bookmark);
                 ix.insert(new_key, bookmark)?;
@@ -164,8 +172,7 @@ impl Table {
             })?;
         Ok(ix
             .range(range)
-            .into_iter()
-            .filter_map(|(_, b)| {
+            .filter_map(|b| {
                 self.heap
                     .get(b)
                     .map(|r| Row::with_bookmark(r.values.clone(), b))

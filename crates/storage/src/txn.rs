@@ -78,7 +78,7 @@ impl<'t> Replay<'t> {
                 let unique = t.indexes.iter().zip(&mut self.inserted);
                 for (ix, inserted) in unique.filter(|(ix, _)| ix.unique) {
                     let key = ix.key_of(&row.values);
-                    let held = ix.seek(&key).iter().any(|b| !self.deleted.contains(b));
+                    let held = ix.seek(key.values()).any(|b| !self.deleted.contains(&b));
                     if held || !inserted.insert(key) {
                         return Err(t.duplicate_key(&ix.name));
                     }

@@ -284,6 +284,33 @@ fn contains_over_relational_table() {
         .query("SELECT id FROM articles WHERE CONTAINS(body, 'database')")
         .unwrap();
     assert!(r.is_empty(), "deleted rows must leave the full-text index");
+    // ... the service itself, not only the semi-join back to the table.
+    let service = engine.fulltext_service();
+    let doc_count = || {
+        service
+            .with_catalog("articles_ft", |c| c.doc_count())
+            .unwrap()
+    };
+    let keys = |q: &str| service.query_keys("articles_ft", q).unwrap();
+    assert!(keys("database").is_empty(), "{:?}", keys("database"));
+    assert_eq!(doc_count(), 2);
+    // An UPDATE of the text column: the new text is found, the old is not.
+    engine
+        .execute("UPDATE articles SET body = 'Risotto with mushrooms' WHERE id = 3")
+        .unwrap();
+    assert!(keys("pasta").is_empty(), "{:?}", keys("pasta"));
+    assert_eq!(keys("risotto"), [(3, 1000)]);
+    assert_eq!(keys("run"), [(1, 1000)]);
+    assert_eq!(doc_count(), 2);
+    // A catalog indexes one column: a rebuild from a second would erase the
+    // first's rows. Binding the same column again is a plain refresh.
+    assert!(engine
+        .create_fulltext_index("articles", "id", "title", "articles_ft")
+        .is_err());
+    engine
+        .create_fulltext_index("articles", "id", "body", "articles_ft")
+        .unwrap();
+    assert_eq!(keys("risotto"), [(3, 1000)]);
 }
 
 /// The §2.4 salesman scenario: unanswered mail from Seattle customers in
