@@ -9,6 +9,7 @@ use crate::binder::FetchedTable;
 use crate::events::{Event, EventSink};
 use crate::knobs::Knobs;
 use crate::metrics::MetricsSnapshot;
+use crate::plan_cache::CachedSelect;
 use crate::record::{OperatorRecord, StatementRecord};
 use crate::trace::TraceBuilder;
 use dhqp_executor::{LinkHealthSnapshot, PruneLog};
@@ -76,17 +77,26 @@ impl Engine {
         }
     }
 
-    /// Post-execution observability for one successful SELECT: record the
-    /// execution into the query store (emitting `plan_change` — and
-    /// bumping `plan_regressions` — when the fingerprint switched plans),
-    /// then run the cardinality feedback loop. Both read
-    /// `record.operators`; either knob attaches the collector that fills it.
+    /// Post-execution observability for one successful SELECT: fold the
+    /// record's `elapsed` and `rows` into its plan's
+    /// `sys.dm_exec_query_stats` aggregates, record the execution into the
+    /// query store (emitting `plan_change` — and bumping `plan_regressions`
+    /// — when the fingerprint switched plans), then run the cardinality
+    /// feedback loop. The last two read `record.operators`; either knob
+    /// attaches the collector that fills it.
     pub(super) fn observe_execution(
         &self,
         knobs: &Knobs,
-        plan: &PhysNode,
+        compiled: &CachedSelect,
         record: &StatementRecord,
     ) {
+        compiled.execution_count.fetch_add(1, Ordering::Relaxed);
+        compiled
+            .total_elapsed_us
+            .fetch_add(record.elapsed.as_micros() as u64, Ordering::Relaxed);
+        compiled
+            .total_rows
+            .fetch_add(record.rows, Ordering::Relaxed);
         if knobs.query_store.enabled {
             let schema_epoch = self.inner.schema_epoch.load(Ordering::Relaxed);
             let config_epoch = self.inner.config_epoch.load(Ordering::Relaxed);
@@ -112,7 +122,7 @@ impl Engine {
             }
         }
         if knobs.card_feedback {
-            self.apply_card_feedback(plan, &record.operators);
+            self.apply_card_feedback(&compiled.plan, &record.operators);
         }
     }
 

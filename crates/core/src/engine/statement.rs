@@ -318,9 +318,9 @@ impl Engine {
         })
     }
 
-    /// Run one compiled plan: the execution itself, its fold into the
-    /// plan's aggregates, and the `execute` span (the epilogue hangs the
-    /// per-operator spans under it when `stats` is attached).
+    /// Run one compiled plan: the execution itself and the `execute` span
+    /// (the epilogue hangs the per-operator spans under it when `stats` is
+    /// attached).
     fn run_plan(
         &self,
         compiled: &CachedSelect,
@@ -330,12 +330,9 @@ impl Engine {
         pruned: &Arc<PruneLog>,
         knobs: &Arc<Knobs>,
     ) -> Result<QueryResult> {
-        let began = Instant::now();
+        let traced = tracer.map(|tr| (tr, Instant::now()));
         let result = self.execute_plan(compiled, params, stats, pruned, knobs);
-        if let Ok(r) = &result {
-            compiled.note_execution(began.elapsed(), r.rows.len() as u64);
-        }
-        if let Some(tr) = tracer {
+        if let Some((tr, began)) = traced {
             tr.stage("execute", began);
         }
         result
@@ -390,7 +387,7 @@ impl Engine {
             operators,
         });
         if let (Ok(_), Some(compiled)) = (&ran, compiled) {
-            self.observe_execution(&run.knobs, &compiled.plan, &record);
+            self.observe_execution(&run.knobs, compiled, &record);
         }
         self.publish(&record, run.knobs.slow_query);
         let output = ran.map(|result| match compiled {

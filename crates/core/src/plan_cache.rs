@@ -21,9 +21,9 @@ use dhqp_optimizer::search::OptimizerStats;
 use dhqp_optimizer::{ColumnId, ColumnRegistry, PhysNode};
 use dhqp_sqlfront::{Expr, SelectItem, SelectStmt, TableRef};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Epoch snapshot a plan was compiled against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,21 +56,12 @@ pub(crate) struct CachedSelect {
     /// (`[feedback: applied]` in EXPLAIN output).
     pub used_feedback: bool,
     /// Per-fingerprint execution aggregates (the `sys.dm_exec_query_stats`
-    /// substrate): bumped on every run of this plan, cache hit or the
+    /// substrate): the epilogue folds in each succeeded statement's record
+    /// — its `elapsed`, in whole µs, and its `rows` — cache hit or the
     /// compiling miss alike.
     pub execution_count: AtomicU64,
     pub total_elapsed_us: AtomicU64,
     pub total_rows: AtomicU64,
-}
-
-impl CachedSelect {
-    /// Fold one execution into the aggregates.
-    pub fn note_execution(&self, elapsed: Duration, rows: u64) {
-        self.execution_count.fetch_add(1, Ordering::Relaxed);
-        self.total_elapsed_us
-            .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
-        self.total_rows.fetch_add(rows, Ordering::Relaxed);
-    }
 }
 
 /// Plan-cache knobs: `DHQP_PLAN_CACHE` switches it, `DHQP_PLAN_CACHE_SIZE`

@@ -32,8 +32,8 @@ impl TpchScale {
         }
     }
 
-    /// Bench-sized data: large enough for plan effects, small enough for
-    /// Criterion iteration.
+    /// Large enough for plan effects (Figure 4's choice), small enough to
+    /// build inside a test.
     pub fn small() -> Self {
         TpchScale {
             nations: 25,

@@ -201,6 +201,47 @@ fn dm_exec_query_stats_joins_against_a_user_table() {
     assert_eq!(hit.get(label_c), &Value::Str("thrice".into()));
 }
 
+/// `sys.dm_exec_query_stats` is a fold of the statements' records: after N
+/// executions of one template, `execution_count` is N, `total_rows` the
+/// records' Σ rows and `total_elapsed_ms` their Σ `elapsed` — kept in whole
+/// µs, so each execution may lose under 1 µs to truncation.
+#[test]
+fn dm_exec_query_stats_folds_the_statement_records() {
+    let engine = local_with_table();
+    engine.set_plan_cache_enabled(true);
+    let records: Vec<_> = [1, 3, 2, 9, 0]
+        .iter()
+        .map(|a| {
+            let sql = format!("SELECT a FROM t WHERE a <= {a}");
+            let (result, record) = engine.execute_recorded(&sql, Default::default());
+            result.unwrap();
+            record
+        })
+        .collect();
+
+    let r = engine
+        .query("SELECT * FROM sys.dm_exec_query_stats")
+        .unwrap();
+    let row = r
+        .rows
+        .iter()
+        .find(|row| matches!(row.get(col(&r, "template")), Value::Str(t) if t.contains("a <=")))
+        .expect("the template's entry");
+    assert_eq!(row.get(col(&r, "execution_count")), &Value::Int(5));
+    let rows: u64 = records.iter().map(|record| record.rows).sum();
+    assert_eq!(rows, 1 + 3 + 2 + 3);
+    assert_eq!(row.get(col(&r, "total_rows")), &Value::Int(rows as i64));
+    let Value::Float(ms) = row.get(col(&r, "total_elapsed_ms")) else {
+        panic!("{row:?}")
+    };
+    let stored_ns = (ms * 1000.0).round() as u128 * 1000;
+    let elapsed_ns: u128 = records.iter().map(|record| record.elapsed.as_nanos()).sum();
+    assert!(
+        stored_ns <= elapsed_ns && elapsed_ns < stored_ns + 1000 * records.len() as u128,
+        "stored {stored_ns} ns, records {elapsed_ns} ns"
+    );
+}
+
 #[test]
 fn dm_link_stats_reports_nonzero_percentiles_after_a_distributed_query() {
     let local = distributed();

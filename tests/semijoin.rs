@@ -186,6 +186,51 @@ fn e18_sixteen_key_reduction_is_still_chosen() {
     assert_eq!(report.result.rows.len(), 16 * 12, "{rendered}");
 }
 
+/// E18's crossover (§4.1.5: minimize what crosses the link): against the
+/// unreduced fetch of the same join, 16 build keys cut member1's link
+/// bytes at least 2× and ship fewer rows; at 200 build keys, past
+/// `semijoin_max_keys` = 64, the optimizer keeps the unreduced fetch and
+/// ships exactly what it ships.
+#[test]
+fn e18_reduction_cuts_link_bytes_until_max_keys_keeps_the_plain_fetch() {
+    // (rows, bytes) member1's link carries for the warm join, and the plan.
+    let run = |keys: i64, reduce: bool| {
+        let (head, _m1) = sized_federation(keys, 2400, 200, None);
+        let mut config = head.optimizer_config();
+        config.enable_semijoin = reduce;
+        config.semijoin_max_keys = 64;
+        head.set_optimizer_config(config);
+        let traffic = || {
+            let r = head
+                .query("SELECT rows, bytes FROM sys.dm_link_stats")
+                .unwrap();
+            match (r.value(0, 0), r.value(0, 1)) {
+                (Value::Int(rows), Value::Int(bytes)) => (*rows, *bytes),
+                other => panic!("{other:?}"),
+            }
+        };
+        let answer = head.query(JOIN).unwrap().rows.len();
+        let before = traffic();
+        assert_eq!(head.query(JOIN).unwrap().rows.len(), answer);
+        let after = traffic();
+        let plan = head.explain(JOIN).unwrap().plan_text;
+        ((after.0 - before.0, after.1 - before.1), plan)
+    };
+
+    let ((reduced_rows, reduced_bytes), plan) = run(16, true);
+    let ((plain_rows, plain_bytes), _) = run(16, false);
+    assert!(plan.contains("SemiJoinReduce"), "{plan}");
+    assert!(reduced_rows < plain_rows, "{reduced_rows} vs {plain_rows}");
+    assert!(
+        2 * reduced_bytes <= plain_bytes,
+        "{reduced_bytes} B reduced vs {plain_bytes} B plain"
+    );
+
+    let (past_max, plan) = run(200, true);
+    assert!(!plan.contains("SemiJoinReduce"), "{plan}");
+    assert_eq!(past_max, run(200, false).0);
+}
+
 /// A dead probe link: the reduced open burns its retry budget, the
 /// fallback open hits the (now Open) breaker, and the query errors — no
 /// partial results. The give-up that tripped the breaker stays attributed
