@@ -8,12 +8,12 @@ use crate::ops::exchange::{BranchFactory, ExchangeRowset, PrefetchRowset};
 use crate::ops::filter::{open_startup_filter, FilterRowset, ProjectRowset};
 use crate::ops::join::{open_hash_join, open_merge_join, InnerFactory, NestedLoopJoin};
 use crate::ops::remote::{
-    open_remote_fetch, open_remote_query, open_remote_range, open_remote_scan, remote_query_text,
+    open_remote_fetch, open_remote_query, open_remote_range, open_remote_scan,
 };
 use crate::ops::scan::{open_index_range, open_table_scan};
 use crate::ops::semijoin::{open_semijoin_reduce, SemiJoinSpec};
 use crate::ops::sort::{open_sort, open_spool, TopRowset, UnionAllRowset};
-use crate::stats::{RemoteProbe, StatsRowset};
+use crate::stats::StatsRowset;
 use dhqp_oledb::{MemRowset, Rowset};
 use dhqp_optimizer::{ColumnId, PhysNode, PhysicalOp};
 use dhqp_types::{DhqpError, Result, Row};
@@ -43,52 +43,16 @@ fn child_id(plan: &PhysNode, id: usize, k: usize) -> usize {
 }
 
 /// Open one node: build its rowset, then (only when a stats collector is
-/// attached) wrap it so rows/time — and, for remote operators, the shipped
-/// command text plus the wire-traffic delta — land on this node's id.
+/// attached) wrap it so rows/time land on this node's id. A remote node's
+/// shipped text and wire traffic are charged where it opens
+/// (`ops::remote`).
 fn open_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn Rowset>> {
     let Some(collector) = ctx.stats() else {
         return build_node(plan, ctx, id);
     };
     let collector = Arc::clone(collector);
-    // Snapshot the source's wire counters *before* the open: the open
-    // itself is a metered round trip that belongs to this node.
-    let probe = remote_probe(plan, ctx)?;
     let inner = build_node(plan, ctx, id)?;
-    Ok(Box::new(StatsRowset::new(inner, id, collector, probe)))
-}
-
-/// For remote operators, resolve the target source and describe the exact
-/// request that will cross the link.
-fn remote_probe(plan: &PhysNode, ctx: &ExecContext) -> Result<Option<RemoteProbe>> {
-    let (server, request) = match &plan.op {
-        PhysicalOp::RemoteQuery {
-            server,
-            sql,
-            params,
-            ..
-        } => (server.to_string(), remote_query_text(sql, params, ctx)?),
-        PhysicalOp::RemoteScan { meta } => match meta.source.server_name() {
-            Some(s) => (s.to_string(), format!("IOpenRowset([{}])", meta.table)),
-            None => return Ok(None),
-        },
-        PhysicalOp::RemoteRange { meta, index, .. } => match meta.source.server_name() {
-            Some(s) => (
-                s.to_string(),
-                format!("IRowsetIndex([{}].[{index}] range)", meta.table),
-            ),
-            None => return Ok(None),
-        },
-        PhysicalOp::RemoteFetch { meta } => match meta.source.server_name() {
-            Some(s) => (
-                s.to_string(),
-                format!("IRowsetLocate([{}] bookmarks)", meta.table),
-            ),
-            None => return Ok(None),
-        },
-        _ => return Ok(None),
-    };
-    let source = ctx.catalog().linked(&server)?;
-    Ok(Some(RemoteProbe::new(source, &server, request)))
+    Ok(Box::new(StatsRowset::new(inner, id, collector)))
 }
 
 /// First linked server a subtree would touch, if any — the member identity
