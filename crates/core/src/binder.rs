@@ -17,7 +17,7 @@ use crate::engine::Engine;
 use crate::knobs::Knobs;
 use dhqp_executor::ops::retry::{open_with_retries, ReopenFactory};
 use dhqp_executor::{MemberSchema, RetryPolicy};
-use dhqp_oledb::{DataSource, Rowset, RowsetExt, TableInfo};
+use dhqp_oledb::{is_read_only, DataSource, Rowset, RowsetExt, TableInfo};
 use dhqp_optimizer::logical::{JoinKind, LogicalExpr, LogicalOp, TableMeta};
 use dhqp_optimizer::props::{ColumnRegistry, PhysicalProps, RequiredProps};
 use dhqp_optimizer::scalar::{AggCall, AggFunc, ArithOp, CmpOp, ScalarExpr};
@@ -645,11 +645,7 @@ impl<'e> Binder<'e> {
         let has_command = source.capabilities().has_command();
         // Pass-through text we can prove is a read (or a plain table open)
         // may be re-sent on transient link faults; anything else runs once.
-        let idempotent = !has_command
-            || query
-                .trim_start()
-                .get(..6)
-                .is_some_and(|head| head.eq_ignore_ascii_case("select"));
+        let idempotent = !has_command || is_read_only(query);
         let policy = if idempotent {
             self.knobs.retry.clone()
         } else {

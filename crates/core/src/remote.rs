@@ -13,11 +13,11 @@
 
 use crate::engine::Engine;
 use dhqp_oledb::{
-    Command, CommandResult, DataSource, Histogram, KeyRange, MemRowset, ProviderCapabilities,
-    Rowset, Session, TableInfo, TxnId,
+    is_read_only, Command, CommandResult, DataSource, MemRowset, ProviderCapabilities, Reply,
+    Session, SessionLayer, TableInfo, Verb,
 };
 use dhqp_storage::LocalSession;
-use dhqp_types::{Result, Row};
+use dhqp_types::Result;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -68,81 +68,16 @@ struct EngineSession {
     storage_session: Arc<Mutex<LocalSession>>,
 }
 
-impl Session for EngineSession {
-    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        self.storage_session.lock().open_rowset(table)
-    }
-
-    fn create_command(&mut self) -> Result<Box<dyn Command>> {
-        Ok(Box::new(EngineCommand {
-            engine: self.engine.clone(),
-            storage_session: Arc::clone(&self.storage_session),
-            text: None,
-        }))
-    }
-
-    fn open_index(
-        &mut self,
-        table: &str,
-        index: &str,
-        range: &KeyRange,
-    ) -> Result<Box<dyn Rowset>> {
-        self.storage_session.lock().open_index(table, index, range)
-    }
-
-    fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.storage_session
-            .lock()
-            .fetch_by_bookmarks(table, bookmarks)
-    }
-
-    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
-        self.storage_session.lock().check_schema(table, stamp)
-    }
-
-    fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.storage_session.lock().histogram(table, column)
-    }
-
-    fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.lock().join_transaction(txn)
-    }
-
-    fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.lock().prepare(txn)
-    }
-
-    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.lock().vote_with_next_write(txn)
-    }
-
-    fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.lock().commit(txn)
-    }
-
-    fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.storage_session.lock().abort(txn)
-    }
-
-    fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.storage_session.lock().insert(table, rows)
-    }
-
-    fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.storage_session
-            .lock()
-            .delete_by_bookmarks(table, bookmarks)
-    }
-
-    fn update_by_bookmarks(
-        &mut self,
-        table: &str,
-        bookmarks: &[u64],
-        updates: &[Row],
-    ) -> Result<u64> {
-        self.storage_session
-            .lock()
-            .update_by_bookmarks(table, bookmarks, updates)
+impl SessionLayer for EngineSession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        match verb {
+            Verb::CreateCommand() => Ok(Reply::Command(Box::new(EngineCommand {
+                engine: self.engine.clone(),
+                storage_session: Arc::clone(&self.storage_session),
+                text: None,
+            }))),
+            verb => verb.send(&mut *self.storage_session.lock()),
+        }
     }
 }
 
@@ -163,8 +98,7 @@ impl Command for EngineCommand {
             .text
             .as_deref()
             .ok_or_else(|| dhqp_types::DhqpError::Provider("command has no text".into()))?;
-        let read_only =
-            text.trim_start().len() >= 6 && text.trim_start()[..6].eq_ignore_ascii_case("select");
+        let read_only = is_read_only(text);
         // A statement that writes runs on the session it was sent through,
         // inside the consumer's transaction if there is one.
         let ran = match read_only {

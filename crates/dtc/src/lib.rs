@@ -455,7 +455,7 @@ impl Drop for DistributedTransaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhqp_oledb::DataSource;
+    use dhqp_oledb::{DataSource, Reply, SessionLayer, Verb};
     use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
     use dhqp_types::{Column, DataType, Row, Schema, Value};
 
@@ -481,47 +481,17 @@ mod tests {
 
     type Calls = Arc<Mutex<Vec<&'static str>>>;
 
-    /// Forwards the writes and every 2PC call, noting each by name;
-    /// `vote_with_next_write` only when the flag is set.
+    /// Forwards every call, noting each by name; `vote_with_next_write`
+    /// only when the flag is set.
     struct Noting(Box<dyn Session>, Calls, bool);
 
-    impl Noting {
-        fn note(&self, call: &'static str) {
-            self.1.lock().push(call);
-        }
-    }
-
-    impl Session for Noting {
-        fn open_rowset(&mut self, table: &str) -> Result<Box<dyn dhqp_oledb::Rowset>> {
-            self.note("open_rowset");
-            self.0.open_rowset(table)
-        }
-        fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-            self.note("join_transaction");
-            self.0.join_transaction(txn)
-        }
-        fn prepare(&mut self, txn: TxnId) -> Result<()> {
-            self.note("prepare");
-            self.0.prepare(txn)
-        }
-        fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-            if !self.2 {
+    impl SessionLayer for Noting {
+        fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+            if matches!(verb, Verb::VoteWithNextWrite(_)) && !self.2 {
                 return Err(DhqpError::Unsupported("votes on prepare only".into()));
             }
-            self.note("vote_with_next_write");
-            self.0.vote_with_next_write(txn)
-        }
-        fn commit(&mut self, txn: TxnId) -> Result<()> {
-            self.note("commit");
-            self.0.commit(txn)
-        }
-        fn abort(&mut self, txn: TxnId) -> Result<()> {
-            self.note("abort");
-            self.0.abort(txn)
-        }
-        fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-            self.note("insert");
-            self.0.insert(table, rows)
+            self.1.lock().push(verb.name());
+            verb.send(&mut *self.0)
         }
     }
 

@@ -12,6 +12,7 @@
 //! Faults are injected by [`crate::NetworkedDataSource`], i.e. below the
 //! OLE DB provider seam, so every provider inherits them without knowing.
 
+use dhqp_oledb::is_read_only;
 use dhqp_types::{DhqpError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -240,14 +241,6 @@ impl FaultPlan {
         let op = self.streams.load(Ordering::Relaxed);
         Some(1 + splitmix64(self.config.seed ^ self.link_hash ^ op) % 8)
     }
-}
-
-/// Conservative idempotency test: only plain `SELECT` text is fair game
-/// for injection (and hence transparent retry) under `reads_only` plans.
-pub fn is_read_only(text: &str) -> bool {
-    text.trim_start()
-        .get(..6)
-        .is_some_and(|head| head.eq_ignore_ascii_case("select"))
 }
 
 #[cfg(test)]

@@ -28,12 +28,12 @@
 
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::link::NetworkLink;
-use dhqp_oledb::{emit_event, has_hook};
+use dhqp_oledb::{emit_event, has_hook, is_read_only};
 use dhqp_oledb::{
-    Command, CommandResult, DataSource, Histogram, KeyRange, LatencySummary, ProviderCapabilities,
-    Rowset, Session, TableInfo, TrafficSnapshot, TxnId,
+    Command, CommandLayer, CommandVerb, DataSource, LatencySummary, ProviderCapabilities, Reply,
+    Rowset, Session, SessionLayer, SourceLayer, TrafficSnapshot, Verb,
 };
-use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
+use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,10 +45,11 @@ pub const SCHEMA_STAMP_WIRE_BYTES: u64 = 8;
 /// the transaction id, whether it is a message of its own or rides one.
 pub const TXN_VERB_WIRE_BYTES: u64 = 16;
 
-/// Raise a `fault` event for one injected fault, if the current thread's
-/// activity scope carries an event hook (attribute strings are only built
-/// when someone is listening).
-fn fault_event(link: &NetworkLink, site: &str, detail: &str) {
+/// Count one injected fault on `link`, and raise a `fault` event for it if
+/// the current thread's activity scope carries an event hook (attribute
+/// strings are only built when someone is listening).
+fn record_fault(link: &NetworkLink, site: &str, detail: &str) {
+    link.record_fault();
     if has_hook() {
         emit_event(
             "fault",
@@ -74,8 +75,22 @@ impl NetworkedDataSource {
     /// transient read fault per link), so the whole test suite can run
     /// under fault injection without per-callsite changes.
     pub fn new(inner: Arc<dyn DataSource>, link: NetworkLink) -> Self {
-        let faults =
-            FaultConfig::from_env().map(|config| Arc::new(FaultPlan::new(link.name(), config)));
+        Self::armed(inner, link, FaultConfig::from_env())
+    }
+
+    /// Wrap with an explicit fault plan (chaos tests).
+    pub fn with_faults(inner: Arc<dyn DataSource>, link: NetworkLink, config: FaultConfig) -> Self {
+        Self::armed(inner, link, Some(config))
+    }
+
+    /// Wrap with injection disabled even if `DHQP_FAULT_SEED` is set —
+    /// for tests asserting exact traffic parity.
+    pub fn reliable(inner: Arc<dyn DataSource>, link: NetworkLink) -> Self {
+        Self::armed(inner, link, None)
+    }
+
+    fn armed(inner: Arc<dyn DataSource>, link: NetworkLink, faults: Option<FaultConfig>) -> Self {
+        let faults = faults.map(|config| Arc::new(FaultPlan::new(link.name(), config)));
         NetworkedDataSource {
             inner,
             link,
@@ -83,116 +98,86 @@ impl NetworkedDataSource {
         }
     }
 
-    /// Wrap with an explicit fault plan (chaos tests).
-    pub fn with_faults(inner: Arc<dyn DataSource>, link: NetworkLink, config: FaultConfig) -> Self {
-        let plan = Arc::new(FaultPlan::new(link.name(), config));
-        NetworkedDataSource {
-            inner,
-            link,
-            faults: Some(plan),
-        }
-    }
-
-    /// Wrap with injection disabled even if `DHQP_FAULT_SEED` is set —
-    /// for tests asserting exact traffic parity.
-    pub fn reliable(inner: Arc<dyn DataSource>, link: NetworkLink) -> Self {
-        NetworkedDataSource {
-            inner,
-            link,
-            faults: None,
-        }
-    }
-
     pub fn link(&self) -> &NetworkLink {
         &self.link
     }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
 }
 
-impl DataSource for NetworkedDataSource {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl SourceLayer for NetworkedDataSource {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.inner
     }
 
-    fn capabilities(&self) -> ProviderCapabilities {
-        let mut caps = self.inner.capabilities();
+    fn advertise(&self, mut caps: ProviderCapabilities) -> ProviderCapabilities {
         // Advertise the link latency so the optimizer's remote cost model
         // sees it (connection property, §4.1.3).
         caps.latency_hint_us = caps.latency_hint_us.max(self.link.config().latency_us);
         caps
     }
 
-    fn traffic(&self) -> Option<TrafficSnapshot> {
-        Some(self.link.snapshot())
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        Some(self.link.latency_summary())
-    }
-
-    fn tables(&self) -> Result<Vec<TableInfo>> {
+    fn metadata<T>(&self, ask: impl FnOnce(&dyn DataSource) -> Result<T>) -> Result<T> {
         // Metadata round trip; schema rowsets are small, charge a nominal
         // payload.
         self.link.record_request(64);
-        self.inner.tables()
+        ask(&*self.inner)
     }
 
-    fn create_session(&self) -> Result<Box<dyn Session>> {
+    fn link_traffic(&self) -> Option<TrafficSnapshot> {
+        Some(self.link.snapshot())
+    }
+
+    fn link_latency(&self) -> Option<LatencySummary> {
+        Some(self.link.latency_summary())
+    }
+
+    fn session(&self) -> Result<Box<dyn Session>> {
         self.link.record_request(32);
         if let Some(plan) = &self.faults {
             if let Err(e) = plan.on_connect(self.link.name()) {
-                self.link.record_fault();
-                fault_event(&self.link, "connect", e.message());
+                record_fault(&self.link, "connect", e.message());
                 return Err(e);
             }
         }
         Ok(Box::new(NetworkedSession {
             inner: self.inner.create_session()?,
-            link: self.link.clone(),
-            faults: self.faults.clone(),
-            enlisted: Arc::new(AtomicBool::new(false)),
-            piggyback: Arc::new(AtomicU64::new(0)),
+            wire: Arc::new(Wire {
+                link: self.link.clone(),
+                faults: self.faults.clone(),
+                enlisted: AtomicBool::new(false),
+                piggyback: AtomicU64::new(0),
+            }),
         }))
     }
 }
 
-struct NetworkedSession {
-    inner: Box<dyn Session>,
+/// One session's end of the link, shared with the session's commands.
+struct Wire {
     link: NetworkLink,
     faults: Option<Arc<FaultPlan>>,
     /// Set while the session is in a distributed transaction (from
-    /// `join_transaction` until `commit`/`abort` is acknowledged); shared
-    /// with the session's commands so enlisted work is exempt from
-    /// injection.
-    enlisted: Arc<AtomicBool>,
+    /// `join_transaction` until `commit`/`abort` is acknowledged), so that
+    /// enlisted work is exempt from injection.
+    enlisted: AtomicBool,
     /// Bytes of accepted schema stamps and 2PC verbs waiting for the request
-    /// they ride; shared with the session's commands, whose `execute` is
-    /// that request for pushed-down statements.
-    piggyback: Arc<AtomicU64>,
+    /// they ride — for a pushed-down statement, a command's `execute`.
+    piggyback: AtomicU64,
 }
 
-/// Record one round trip of `bytes` plus whatever was waiting to ride it.
-fn request_with_piggyback(link: &NetworkLink, piggyback: &AtomicU64, bytes: u64) {
-    link.record_request(bytes + piggyback.swap(0, Ordering::Relaxed));
-}
-
-impl NetworkedSession {
+impl Wire {
+    /// Record one round trip of `bytes` plus whatever was waiting to ride it.
     fn request(&self, bytes: u64) {
-        request_with_piggyback(&self.link, &self.piggyback, bytes);
+        let riding = self.piggyback.swap(0, Ordering::Relaxed);
+        self.link.record_request(bytes + riding);
     }
 
     /// Account for a call that is pipelined with the session's next request
     /// (module docs): accepted, its `bytes` wait for that request; refused,
     /// the refusal was the answer to a request of `refused_bytes`.
-    fn ride(&self, outcome: Result<()>, bytes: u64, refused_bytes: u64) -> Result<()> {
+    fn ride(&self, outcome: Result<Reply>, bytes: u64, refused_bytes: u64) -> Result<Reply> {
         match outcome {
-            Ok(()) => {
+            Ok(reply) => {
                 self.piggyback.fetch_add(bytes, Ordering::Relaxed);
-                Ok(())
+                Ok(reply)
             }
             // Nothing crossed the wire: the consumer learns from the
             // provider's capabilities, not from a round trip, that it has to
@@ -205,40 +190,138 @@ impl NetworkedSession {
         }
     }
 
-    /// Deliver a transaction outcome; once the participant acknowledges it
-    /// the session is an ordinary one again, open to injection.
-    fn finish(&mut self, outcome: Result<()>) -> Result<()> {
-        outcome?;
-        self.enlisted.store(false, Ordering::Relaxed);
-        Ok(())
+    /// The fault plan, unless the session is enlisted (module docs).
+    fn plan(&self) -> Option<&FaultPlan> {
+        let enlisted = self.enlisted.load(Ordering::Relaxed);
+        self.faults.as_deref().filter(|_| !enlisted)
     }
 
-    /// Stream-drop decision for a rowset this session is about to serve:
-    /// `Some(n)` means the stream fails after delivering `n` rows.
-    fn stream_drop(&self) -> Option<u64> {
-        if self.enlisted.load(Ordering::Relaxed) {
-            return None;
-        }
-        let at = self.faults.as_ref()?.on_stream()?;
-        self.link.record_fault();
-        fault_event(&self.link, "stream", &format!("drop after {at} rows"));
+    /// Fail with an injected fault.
+    fn fault<T>(&self, site: &str, e: DhqpError) -> Result<T> {
+        record_fault(&self.link, site, e.message());
+        Err(e)
+    }
+
+    /// Stream-drop decision for a rowset about to be served: `Some(n)`
+    /// means the stream fails after delivering `n` rows.
+    fn stream_drop(&self, plan: &FaultPlan) -> Option<u64> {
+        let at = plan.on_stream()?;
+        record_fault(&self.link, "stream", &format!("drop after {at} rows"));
         Some(at)
     }
 
-    /// Fault decision for a rowset/index open (a read request; enlisted
-    /// sessions are exempt like everywhere else).
-    fn open_fault(&self) -> Result<()> {
-        if self.enlisted.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        if let Some(plan) = &self.faults {
-            if let Err(e) = plan.on_open(self.link.name()) {
-                self.link.record_fault();
-                fault_event(&self.link, "open", e.message());
-                return Err(e);
+    /// A rowset that crosses this wire.
+    fn metered(&self, inner: Box<dyn Rowset>, drop_at: Option<u64>) -> Reply {
+        Reply::Rowset(Box::new(MeteredRowset {
+            inner,
+            link: self.link.clone(),
+            drop_at,
+            delivered: 0,
+        }))
+    }
+}
+
+/// What a session verb costs on the wire (module docs).
+enum Cost {
+    /// Nothing crosses the wire.
+    Free,
+    /// A round trip of this many bytes.
+    Request(u64),
+    /// A rowset or index open: a read request, which may be faulted.
+    Open(u64),
+    /// Pipelined with the next request: `bytes` when accepted, a request of
+    /// `refused` bytes when refused.
+    Rides { bytes: u64, refused: u64 },
+}
+
+struct NetworkedSession {
+    inner: Box<dyn Session>,
+    wire: Arc<Wire>,
+}
+
+fn rows_wire_size(rows: &[Row]) -> u64 {
+    rows.iter().map(|r| r.wire_size() as u64).sum()
+}
+
+impl SessionLayer for NetworkedSession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        let cost = match verb {
+            Verb::OpenRowset(table) => Cost::Open(32 + table.len() as u64),
+            Verb::OpenIndex(table, index, _) => {
+                Cost::Open(48 + table.len() as u64 + index.len() as u64)
             }
+            Verb::CreateCommand() => Cost::Free,
+            Verb::FetchByBookmarks(_, bookmarks) | Verb::DeleteByBookmarks(_, bookmarks) => {
+                Cost::Request(32 + 8 * bookmarks.len() as u64)
+            }
+            Verb::CheckSchema(table, _) => Cost::Rides {
+                bytes: SCHEMA_STAMP_WIRE_BYTES,
+                refused: 32 + table.len() as u64 + SCHEMA_STAMP_WIRE_BYTES,
+            },
+            Verb::Histogram(..) => Cost::Request(32),
+            Verb::JoinTransaction(_) | Verb::VoteWithNextWrite(_) => Cost::Rides {
+                bytes: TXN_VERB_WIRE_BYTES,
+                refused: TXN_VERB_WIRE_BYTES,
+            },
+            Verb::Prepare(_) | Verb::Commit(_) | Verb::Abort(_) => {
+                Cost::Request(TXN_VERB_WIRE_BYTES)
+            }
+            Verb::Insert(_, rows) => Cost::Request(32 + rows_wire_size(rows)),
+            Verb::UpdateByBookmarks(_, bookmarks, updates) => {
+                Cost::Request(32 + 8 * bookmarks.len() as u64 + rows_wire_size(updates))
+            }
+        };
+        let wire = &self.wire;
+        let mut drop_at = None;
+        match cost {
+            Cost::Request(bytes) => wire.request(bytes),
+            Cost::Open(bytes) => {
+                wire.request(bytes);
+                if let Some(plan) = wire.plan() {
+                    if let Err(e) = plan.on_open(wire.link.name()) {
+                        return wire.fault("open", e);
+                    }
+                    drop_at = wire.stream_drop(plan);
+                }
+            }
+            Cost::Free | Cost::Rides { .. } => {}
         }
-        Ok(())
+        let reply = verb.send(&mut *self.inner);
+        let reply = match cost {
+            Cost::Rides { bytes, refused } => wire.ride(reply, bytes, refused)?,
+            _ => reply?,
+        };
+        match verb {
+            // From here on this session carries transactional state; faults
+            // on it would force non-idempotent resends, so injection stops —
+            // with the request the join rides.
+            Verb::JoinTransaction(_) => wire.enlisted.store(true, Ordering::Relaxed),
+            // Acknowledged: an ordinary session again, open to injection.
+            Verb::Commit(_) | Verb::Abort(_) => wire.enlisted.store(false, Ordering::Relaxed),
+            _ => {}
+        }
+        Ok(match reply {
+            Reply::Rowset(rowset) => wire.metered(rowset, drop_at),
+            Reply::Command(inner) => Reply::Command(Box::new(NetworkedCommand {
+                inner,
+                wire: Arc::clone(wire),
+                text: String::new(),
+                text_len: 0,
+            })),
+            Reply::Rows(rows) => {
+                wire.link
+                    .record_rows(rows.len() as u64, rows_wire_size(&rows));
+                Reply::Rows(rows)
+            }
+            Reply::Histogram(Some(h)) => {
+                // A histogram ships one (upper, rows, distinct) triple per
+                // step.
+                let steps = h.buckets.len() as u64;
+                wire.link.record_rows(steps, 24 * steps);
+                Reply::Histogram(Some(h))
+            }
+            reply => reply,
+        })
     }
 }
 
@@ -250,17 +333,6 @@ struct MeteredRowset {
     /// Injected fault: fail after this many rows were delivered.
     drop_at: Option<u64>,
     delivered: u64,
-}
-
-impl MeteredRowset {
-    fn new(inner: Box<dyn Rowset>, link: NetworkLink, drop_at: Option<u64>) -> Self {
-        MeteredRowset {
-            inner,
-            link,
-            drop_at,
-            delivered: 0,
-        }
-    }
 }
 
 impl Rowset for MeteredRowset {
@@ -311,181 +383,41 @@ impl Rowset for MeteredRowset {
     }
 }
 
-fn rows_wire_size(rows: &[Row]) -> u64 {
-    rows.iter().map(|r| r.wire_size() as u64).sum()
-}
-
-impl Session for NetworkedSession {
-    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        self.request(32 + table.len() as u64);
-        self.open_fault()?;
-        let drop_at = self.stream_drop();
-        Ok(Box::new(MeteredRowset::new(
-            self.inner.open_rowset(table)?,
-            self.link.clone(),
-            drop_at,
-        )))
-    }
-
-    fn create_command(&mut self) -> Result<Box<dyn Command>> {
-        Ok(Box::new(NetworkedCommand {
-            inner: self.inner.create_command()?,
-            link: self.link.clone(),
-            faults: self.faults.clone(),
-            enlisted: Arc::clone(&self.enlisted),
-            piggyback: Arc::clone(&self.piggyback),
-            text: String::new(),
-            text_len: 0,
-        }))
-    }
-
-    fn open_index(
-        &mut self,
-        table: &str,
-        index: &str,
-        range: &KeyRange,
-    ) -> Result<Box<dyn Rowset>> {
-        self.request(48 + table.len() as u64 + index.len() as u64);
-        self.open_fault()?;
-        let drop_at = self.stream_drop();
-        Ok(Box::new(MeteredRowset::new(
-            self.inner.open_index(table, index, range)?,
-            self.link.clone(),
-            drop_at,
-        )))
-    }
-
-    fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.request(32 + 8 * bookmarks.len() as u64);
-        let rows = self.inner.fetch_by_bookmarks(table, bookmarks)?;
-        self.link
-            .record_rows(rows.len() as u64, rows_wire_size(&rows));
-        Ok(rows)
-    }
-
-    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
-        let checked = self.inner.check_schema(table, stamp);
-        self.ride(
-            checked,
-            SCHEMA_STAMP_WIRE_BYTES,
-            32 + table.len() as u64 + SCHEMA_STAMP_WIRE_BYTES,
-        )
-    }
-
-    fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.request(32);
-        let h = self.inner.histogram(table, column)?;
-        if let Some(h) = &h {
-            // A histogram ships one (upper, rows, distinct) triple per step.
-            self.link
-                .record_rows(h.buckets.len() as u64, 24 * h.buckets.len() as u64);
-        }
-        Ok(h)
-    }
-
-    fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        let joined = self.inner.join_transaction(txn);
-        self.ride(joined, TXN_VERB_WIRE_BYTES, TXN_VERB_WIRE_BYTES)?;
-        // From here on this session carries transactional state; faults on
-        // it would force non-idempotent resends, so injection stops — with
-        // the request the join rides.
-        self.enlisted.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.request(TXN_VERB_WIRE_BYTES);
-        self.inner.prepare(txn)
-    }
-
-    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-        let asked = self.inner.vote_with_next_write(txn);
-        self.ride(asked, TXN_VERB_WIRE_BYTES, TXN_VERB_WIRE_BYTES)
-    }
-
-    fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.request(TXN_VERB_WIRE_BYTES);
-        let outcome = self.inner.commit(txn);
-        self.finish(outcome)
-    }
-
-    fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.request(TXN_VERB_WIRE_BYTES);
-        let outcome = self.inner.abort(txn);
-        self.finish(outcome)
-    }
-
-    fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.request(32 + rows_wire_size(rows));
-        self.inner.insert(table, rows)
-    }
-
-    fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.request(32 + 8 * bookmarks.len() as u64);
-        self.inner.delete_by_bookmarks(table, bookmarks)
-    }
-
-    fn update_by_bookmarks(
-        &mut self,
-        table: &str,
-        bookmarks: &[u64],
-        updates: &[Row],
-    ) -> Result<u64> {
-        self.request(32 + 8 * bookmarks.len() as u64 + rows_wire_size(updates));
-        self.inner.update_by_bookmarks(table, bookmarks, updates)
-    }
-}
-
 struct NetworkedCommand {
     inner: Box<dyn Command>,
-    link: NetworkLink,
-    faults: Option<Arc<FaultPlan>>,
-    enlisted: Arc<AtomicBool>,
-    piggyback: Arc<AtomicU64>,
+    wire: Arc<Wire>,
     text: String,
     text_len: u64,
 }
 
-impl Command for NetworkedCommand {
-    fn set_text(&mut self, text: &str) -> Result<()> {
-        self.text_len = text.len() as u64;
-        self.text = text.to_string();
-        self.inner.set_text(text)
-    }
-
-    fn bind_parameter(&mut self, ordinal: usize, value: Value) -> Result<()> {
-        self.text_len += value.wire_size() as u64;
-        self.inner.bind_parameter(ordinal, value)
-    }
-
-    fn execute(&mut self) -> Result<CommandResult> {
-        // The command text crosses the wire on execute.
-        request_with_piggyback(&self.link, &self.piggyback, self.text_len.max(16));
-        let mut drop_at = None;
-        if let Some(plan) = &self.faults {
-            if !self.enlisted.load(Ordering::Relaxed) {
-                if let Err(e) = plan.on_command(self.link.name(), &self.text) {
-                    self.link.record_fault();
-                    fault_event(&self.link, "command", e.message());
-                    return Err(e);
-                }
-                if crate::fault::is_read_only(&self.text) {
-                    drop_at = plan.on_stream();
-                    if let Some(at) = drop_at {
-                        self.link.record_fault();
-                        fault_event(&self.link, "stream", &format!("drop after {at} rows"));
+impl CommandLayer for NetworkedCommand {
+    fn call(&mut self, verb: CommandVerb<'_>) -> Result<Reply> {
+        match &verb {
+            CommandVerb::SetText(text) => {
+                self.text_len = text.len() as u64;
+                self.text = text.to_string();
+            }
+            CommandVerb::BindParameter(_, value) => self.text_len += value.wire_size() as u64,
+            CommandVerb::Execute() => {
+                // The command text crosses the wire on execute.
+                let wire = &self.wire;
+                wire.request(self.text_len.max(16));
+                let mut drop_at = None;
+                if let Some(plan) = wire.plan() {
+                    if let Err(e) = plan.on_command(wire.link.name(), &self.text) {
+                        return wire.fault("command", e);
+                    }
+                    if is_read_only(&self.text) {
+                        drop_at = wire.stream_drop(plan);
                     }
                 }
+                return Ok(match verb.send(&mut *self.inner)? {
+                    Reply::Rowset(rowset) => wire.metered(rowset, drop_at),
+                    reply => reply,
+                });
             }
         }
-        match self.inner.execute()? {
-            CommandResult::Rowset(rs) => Ok(CommandResult::Rowset(Box::new(MeteredRowset::new(
-                rs,
-                self.link.clone(),
-                drop_at,
-            )))),
-            CommandResult::RowCount(n) => Ok(CommandResult::RowCount(n)),
-        }
+        verb.send(&mut *self.inner)
     }
 }
 
@@ -493,9 +425,9 @@ impl Command for NetworkedCommand {
 mod tests {
     use super::*;
     use crate::link::NetworkConfig;
-    use dhqp_oledb::RowsetExt;
+    use dhqp_oledb::{CommandResult, KeyRange, RowsetExt, TableInfo, TxnId};
     use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
-    use dhqp_types::{Column, DataType};
+    use dhqp_types::{Column, DataType, Value};
 
     /// Minimal command-capable provider: any command returns ten int rows
     /// (the storage-crate `LocalDataSource` has no command support).

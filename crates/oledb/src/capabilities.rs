@@ -8,6 +8,8 @@
 //! such that the provider's capabilities are fully used while not
 //! overshooting its limitations".
 
+use dhqp_types::value::format_date;
+use dhqp_types::Value;
 use serde::{Deserialize, Serialize};
 
 /// Level of SQL the provider's command object accepts — the analog of the
@@ -84,9 +86,6 @@ pub struct Dialect {
     /// one of the extended properties the paper says providers communicate
     /// "beyond what is defined in SQL".
     pub nested_select: bool,
-    /// Whether the dialect accepts `?`-style parameter markers, enabling the
-    /// *parameterization* exploration rule against this source.
-    pub parameter_markers: bool,
     /// Row-limit syntax available in this dialect, if any.
     pub limit_syntax: LimitSyntax,
 }
@@ -117,7 +116,6 @@ impl Default for Dialect {
             quote_close: ']',
             date_literal: DateLiteralStyle::PlainString,
             nested_select: true,
-            parameter_markers: true,
             limit_syntax: LimitSyntax::Top,
         }
     }
@@ -145,6 +143,15 @@ impl Dialect {
             DateLiteralStyle::PlainString => format!("'{iso}'"),
             DateLiteralStyle::Keyword => format!("DATE '{iso}'"),
             DateLiteralStyle::OdbcEscape => format!("{{d '{iso}'}}"),
+        }
+    }
+
+    /// Render a value as a literal of this dialect: the decoder's literals
+    /// and the parameter values substituted into a shipped statement alike.
+    pub fn literal(&self, v: &Value) -> String {
+        match v {
+            Value::Date(d) => self.date_literal(&format_date(*d)),
+            other => other.to_sql_literal(),
         }
     }
 }

@@ -231,6 +231,20 @@ impl CommandResult {
     }
 }
 
+/// Whether command text is a plain `SELECT`, the one test of "this only
+/// reads" that fault injection, retries and a provider running pushed text
+/// share. Conservative: anything else counts as a write.
+pub fn is_read_only(text: &str) -> bool {
+    text.trim_start()
+        .get(..6)
+        .is_some_and(|head| head.eq_ignore_ascii_case("select"))
+}
+
+/// The answer of an optional verb a provider has not claimed.
+fn unsupported<T>(what: &str) -> Result<T> {
+    Err(DhqpError::Unsupported(what.into()))
+}
+
 /// The command object (`ICommand`): a textual query in whatever language the
 /// provider speaks (Table 1 of the paper lists T-SQL, the Index Server
 /// query language, MDX, LDAP, ...).
@@ -242,9 +256,7 @@ pub trait Command: Send {
     /// exploration rule of §4.1.2).
     fn bind_parameter(&mut self, ordinal: usize, value: Value) -> Result<()> {
         let _ = (ordinal, value);
-        Err(DhqpError::Unsupported(
-            "provider does not support command parameters".into(),
-        ))
+        unsupported("provider does not support command parameters")
     }
 
     /// Execute and return rows or an affected count.
@@ -260,9 +272,7 @@ pub trait Session: Send {
 
     /// Create a command object, for providers with query support.
     fn create_command(&mut self) -> Result<Box<dyn Command>> {
-        Err(DhqpError::Unsupported(
-            "provider has no command support".into(),
-        ))
+        unsupported("provider has no command support")
     }
 
     /// Open a rowset over an index restricted to a key range
@@ -273,17 +283,13 @@ pub trait Session: Send {
         index: &str,
         range: &KeyRange,
     ) -> Result<Box<dyn Rowset>> {
-        Err(DhqpError::Unsupported(
-            "provider has no index support".into(),
-        ))
+        unsupported("provider has no index support")
     }
 
     /// Fetch base-table rows by bookmark (`IRowsetLocate`), in the order
     /// given; the basis of the *remote fetch* access path.
     fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        Err(DhqpError::Unsupported(
-            "provider has no bookmark support".into(),
-        ))
+        unsupported("provider has no bookmark support")
     }
 
     /// Delayed schema validation (§4.1.5) as part of the open: the consumer
@@ -299,9 +305,7 @@ pub trait Session: Send {
     /// that implements nothing stays exactly as safe, one metadata request
     /// dearer.
     fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
-        Err(DhqpError::Unsupported(
-            "provider does not check schema stamps".into(),
-        ))
+        unsupported("provider does not check schema stamps")
     }
 
     /// Histogram over one column (the §3.2.4 statistics extension), `None`
@@ -316,15 +320,13 @@ pub trait Session: Send {
     /// consumer does not wait for the answer: on the wire, enlistment goes
     /// with the first request made under the transaction.
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        Err(DhqpError::Unsupported(
-            "provider cannot enlist in distributed transactions".into(),
-        ))
+        unsupported("provider cannot enlist in distributed transactions")
     }
 
     /// 2PC phase one: promise to commit `txn`. Must be durable before
     /// returning Ok.
     fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        Err(DhqpError::Unsupported("provider cannot prepare".into()))
+        unsupported("provider cannot prepare")
     }
 
     /// Phase one as part of a write: the consumer announces that the next
@@ -338,35 +340,29 @@ pub trait Session: Send {
     /// the capability signal: the coordinator then sends the explicit
     /// `prepare` as before.
     fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-        Err(DhqpError::Unsupported(
-            "provider votes only when asked to prepare".into(),
-        ))
+        unsupported("provider votes only when asked to prepare")
     }
 
     /// 2PC phase two: make `txn`'s writes visible.
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        Err(DhqpError::Unsupported("provider cannot commit".into()))
+        unsupported("provider cannot commit")
     }
 
     /// 2PC phase two (failure path): discard `txn`'s writes.
     fn abort(&mut self, txn: TxnId) -> Result<()> {
-        Err(DhqpError::Unsupported("provider cannot abort".into()))
+        unsupported("provider cannot abort")
     }
 
     /// Insert rows into a base table. Providers that only support command
     /// text can leave this unimplemented; the DHQP will send INSERT
     /// statements instead.
     fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        Err(DhqpError::Unsupported(
-            "provider does not support direct inserts".into(),
-        ))
+        unsupported("provider does not support direct inserts")
     }
 
     /// Delete rows by bookmark. Returns the number deleted.
     fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        Err(DhqpError::Unsupported(
-            "provider does not support direct deletes".into(),
-        ))
+        unsupported("provider does not support direct deletes")
     }
 
     /// Update rows by bookmark: `updates[i]` replaces the row at
@@ -377,9 +373,7 @@ pub trait Session: Send {
         bookmarks: &[u64],
         updates: &[Row],
     ) -> Result<u64> {
-        Err(DhqpError::Unsupported(
-            "provider does not support direct updates".into(),
-        ))
+        unsupported("provider does not support direct updates")
     }
 }
 

@@ -9,6 +9,7 @@
 //! |--------------------------------------|----------------------------------------|
 //! | `IDBInitialize` / `IDBCreateSession` | [`DataSource`]                         |
 //! | session pooling (OLE DB services)    | [`PooledDataSource`]                   |
+//! | service components (decorators)      | [`layer`]: [`SessionLayer`] etc.       |
 //! | `IOpenRowset` / `IDBCreateCommand`   | [`Session`]                            |
 //! | `ICommand::Execute`                  | [`Command`]                            |
 //! | `IRowset`                            | [`Rowset`]                             |
@@ -24,6 +25,7 @@
 
 pub mod capabilities;
 pub mod datasource;
+pub mod layer;
 pub mod pool;
 pub mod rowset;
 pub mod schema;
@@ -35,8 +37,9 @@ pub use capabilities::{
     DateLiteralStyle, Dialect, LimitSyntax, ProviderCapabilities, ProviderClass, SqlSupport,
 };
 pub use datasource::{
-    Command, CommandResult, DataSource, KeyRange, Session, TrafficSnapshot, TxnId,
+    is_read_only, Command, CommandResult, DataSource, KeyRange, Session, TrafficSnapshot, TxnId,
 };
+pub use layer::{CommandLayer, CommandVerb, Reply, SessionLayer, SourceLayer, Verb};
 pub use pool::{PoolStats, PooledDataSource, MAX_IDLE_SESSIONS};
 pub use rowset::{IterRowset, MemRowset, RowCursor, Rowset, RowsetExt};
 pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo};

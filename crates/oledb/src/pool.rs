@@ -22,15 +22,10 @@
 //! * the idle list already holds [`MAX_IDLE_SESSIONS`];
 //! * the pool itself is gone (its data source was dropped).
 
-use crate::capabilities::ProviderCapabilities;
-use crate::datasource::{
-    Command, CommandResult, DataSource, KeyRange, Session, TrafficSnapshot, TxnId,
-};
+use crate::datasource::{Command, DataSource, Session};
+use crate::layer::{CommandLayer, CommandVerb, Reply, SessionLayer, SourceLayer, Verb};
 use crate::rowset::Rowset;
-use crate::schema::TableInfo;
-use crate::statistics::Histogram;
-use crate::telemetry::LatencySummary;
-use dhqp_types::{Result, Row, RowBatch, Schema, Value};
+use dhqp_types::{Result, RowBatch, Schema};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
@@ -96,32 +91,12 @@ impl PooledDataSource {
     }
 }
 
-impl DataSource for PooledDataSource {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl SourceLayer for PooledDataSource {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.inner
     }
 
-    fn capabilities(&self) -> ProviderCapabilities {
-        self.inner.capabilities()
-    }
-
-    fn tables(&self) -> Result<Vec<TableInfo>> {
-        self.inner.tables()
-    }
-
-    fn table(&self, name: &str) -> Result<TableInfo> {
-        self.inner.table(name)
-    }
-
-    fn traffic(&self) -> Option<TrafficSnapshot> {
-        self.inner.traffic()
-    }
-
-    fn latency(&self) -> Option<LatencySummary> {
-        self.inner.latency()
-    }
-
-    fn create_session(&self) -> Result<Box<dyn Session>> {
+    fn session(&self) -> Result<Box<dyn Session>> {
         // Own statement: the idle list must be unlocked during a connect.
         let idle = self.state.idle().pop();
         let session = match idle {
@@ -169,11 +144,19 @@ impl Lease {
         result
     }
 
-    fn rowset(self: &Arc<Self>, inner: Box<dyn Rowset>) -> Box<dyn Rowset> {
-        Box::new(PooledRowset {
-            inner,
-            lease: Arc::clone(self),
-        })
+    /// Tie a rowset or command a reply carries to this lease.
+    fn lend(self: &Arc<Self>, reply: Reply) -> Reply {
+        match reply {
+            Reply::Rowset(inner) => Reply::Rowset(Box::new(PooledRowset {
+                inner,
+                lease: Arc::clone(self),
+            })),
+            Reply::Command(inner) => Reply::Command(Box::new(PooledCommand {
+                inner,
+                lease: Arc::clone(self),
+            })),
+            reply => reply,
+        }
     }
 }
 
@@ -204,24 +187,6 @@ struct PooledSession {
     lease: Arc<Lease>,
 }
 
-impl PooledSession {
-    /// Run one call on the wire session under the lease's poison rule.
-    fn call<T>(&mut self, f: impl FnOnce(&mut dyn Session) -> Result<T>) -> Result<T> {
-        let session = self
-            .session
-            .as_deref_mut()
-            .expect("the session is present until the handle drops");
-        self.lease.watch(f(session))
-    }
-
-    /// `commit`/`abort`: an acknowledged outcome ends the transaction.
-    fn finish(&mut self, f: impl FnOnce(&mut dyn Session) -> Result<()>) -> Result<()> {
-        self.call(f)?;
-        self.lease.in_transaction.store(false, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
 impl Drop for PooledSession {
     fn drop(&mut self) {
         if let Ok(mut parked) = self.lease.parked.lock() {
@@ -230,80 +195,38 @@ impl Drop for PooledSession {
     }
 }
 
-impl Session for PooledSession {
-    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        let rowset = self.call(|s| s.open_rowset(table))?;
-        Ok(self.lease.rowset(rowset))
-    }
-
-    fn create_command(&mut self) -> Result<Box<dyn Command>> {
-        let inner = self.call(|s| s.create_command())?;
-        Ok(Box::new(PooledCommand {
-            inner,
-            lease: Arc::clone(&self.lease),
-        }))
-    }
-
-    fn open_index(
-        &mut self,
-        table: &str,
-        index: &str,
-        range: &KeyRange,
-    ) -> Result<Box<dyn Rowset>> {
-        let rowset = self.call(|s| s.open_index(table, index, range))?;
-        Ok(self.lease.rowset(rowset))
-    }
-
-    fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.call(|s| s.fetch_by_bookmarks(table, bookmarks))
-    }
-
-    fn check_schema(&mut self, table: &str, stamp: u64) -> Result<()> {
-        self.call(|s| s.check_schema(table, stamp))
-    }
-
-    fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.call(|s| s.histogram(table, column))
-    }
-
-    fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        // Set first: a join that failed half-way leaves the session's
-        // transactional state unknown.
-        self.lease.in_transaction.store(true, Ordering::Relaxed);
-        self.call(|s| s.join_transaction(txn))
-    }
-
-    fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.call(|s| s.prepare(txn))
-    }
-
-    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-        self.call(|s| s.vote_with_next_write(txn))
-    }
-
-    fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.finish(|s| s.commit(txn))
-    }
-
-    fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.finish(|s| s.abort(txn))
-    }
-
-    fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.call(|s| s.insert(table, rows))
-    }
-
-    fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.call(|s| s.delete_by_bookmarks(table, bookmarks))
-    }
-
-    fn update_by_bookmarks(
-        &mut self,
-        table: &str,
-        bookmarks: &[u64],
-        updates: &[Row],
-    ) -> Result<u64> {
-        self.call(|s| s.update_by_bookmarks(table, bookmarks, updates))
+impl SessionLayer for PooledSession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        let ends_transaction = match verb {
+            Verb::JoinTransaction(_) => {
+                // Set first: a join that failed half-way leaves the
+                // session's transactional state unknown.
+                self.lease.in_transaction.store(true, Ordering::Relaxed);
+                false
+            }
+            // An acknowledged outcome ends the transaction.
+            Verb::Commit(_) | Verb::Abort(_) => true,
+            Verb::OpenRowset(..)
+            | Verb::CreateCommand()
+            | Verb::OpenIndex(..)
+            | Verb::FetchByBookmarks(..)
+            | Verb::CheckSchema(..)
+            | Verb::Histogram(..)
+            | Verb::Prepare(_)
+            | Verb::VoteWithNextWrite(_)
+            | Verb::Insert(..)
+            | Verb::DeleteByBookmarks(..)
+            | Verb::UpdateByBookmarks(..) => false,
+        };
+        let session = self
+            .session
+            .as_deref_mut()
+            .expect("the session is present until the handle drops");
+        let reply = self.lease.watch(verb.send(session))?;
+        if ends_transaction {
+            self.lease.in_transaction.store(false, Ordering::Relaxed);
+        }
+        Ok(self.lease.lend(reply))
     }
 }
 
@@ -312,20 +235,10 @@ struct PooledCommand {
     lease: Arc<Lease>,
 }
 
-impl Command for PooledCommand {
-    fn set_text(&mut self, text: &str) -> Result<()> {
-        self.lease.watch(self.inner.set_text(text))
-    }
-
-    fn bind_parameter(&mut self, ordinal: usize, value: Value) -> Result<()> {
-        self.lease.watch(self.inner.bind_parameter(ordinal, value))
-    }
-
-    fn execute(&mut self) -> Result<CommandResult> {
-        Ok(match self.lease.watch(self.inner.execute())? {
-            CommandResult::Rowset(rowset) => CommandResult::Rowset(self.lease.rowset(rowset)),
-            count @ CommandResult::RowCount(_) => count,
-        })
+impl CommandLayer for PooledCommand {
+    fn call(&mut self, verb: CommandVerb<'_>) -> Result<Reply> {
+        let reply = self.lease.watch(verb.send(&mut *self.inner))?;
+        Ok(self.lease.lend(reply))
     }
 }
 
@@ -353,8 +266,10 @@ impl Rowset for PooledRowset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasource::TxnId;
     use crate::rowset::{IterRowset, MemRowset, RowsetExt};
-    use dhqp_types::{Column, DataType, DhqpError};
+    use crate::{ProviderCapabilities, TableInfo};
+    use dhqp_types::{Column, DataType, DhqpError, Row, Value};
     use std::sync::atomic::AtomicUsize;
 
     /// A source that counts its connects and live sessions; sessions serve

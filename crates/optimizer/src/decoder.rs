@@ -431,12 +431,9 @@ impl ScalarRenderer<'_> {
     fn render_expr(&mut self, e: &ScalarExpr, map: &HashMap<ColumnId, String>) -> Option<String> {
         let minimum = self.caps.sql_support == SqlSupport::Minimum;
         Some(match e {
-            ScalarExpr::Literal(v) => self.render_literal(v),
+            ScalarExpr::Literal(v) => self.caps.dialect.literal(v),
             ScalarExpr::Column(c) => map.get(c)?.clone(),
             ScalarExpr::Param(p) => {
-                if !self.caps.dialect.parameter_markers {
-                    return None;
-                }
                 self.params.insert(p.clone());
                 format!("@{p}")
             }
@@ -513,7 +510,7 @@ impl ScalarRenderer<'_> {
                 if minimum {
                     return None;
                 }
-                let vals: Vec<String> = list.iter().map(|v| self.render_literal(v)).collect();
+                let vals: Vec<String> = list.iter().map(|v| self.caps.dialect.literal(v)).collect();
                 format!(
                     "({} {}IN ({}))",
                     self.render_expr(expr, map)?,
@@ -545,16 +542,6 @@ impl ScalarRenderer<'_> {
             // Startup predicates are evaluated by the local executor only.
             ScalarExpr::ParamInDomain { .. } => return None,
         })
-    }
-
-    fn render_literal(&self, v: &Value) -> String {
-        match v {
-            Value::Date(d) => self
-                .caps
-                .dialect
-                .date_literal(&dhqp_types::value::format_date(*d)),
-            other => other.to_sql_literal(),
-        }
     }
 }
 

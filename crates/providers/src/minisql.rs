@@ -72,7 +72,6 @@ impl DataSource for MiniSqlProvider {
             dialect: dhqp_oledb::Dialect {
                 // Access-style brackets, no nested SELECT support.
                 nested_select: false,
-                parameter_markers: false,
                 ..Default::default()
             },
             latency_hint_us: 300,

@@ -9,14 +9,10 @@
 
 use dhqp::{BatchConfig, Engine, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource, SCHEMA_STAMP_WIRE_BYTES};
-use dhqp_oledb::{
-    DataSource, ProviderCapabilities, Session, SqlSupport, TableInfo, TrafficSnapshot,
-};
+use dhqp_oledb::{DataSource, ProviderCapabilities, SourceLayer, SqlSupport, TrafficSnapshot};
 use dhqp_optimizer::{PhysNode, PhysicalOp};
 use dhqp_storage::{StorageEngine, TableDef};
-use dhqp_types::{
-    value::parse_date, Column, DataType, Interval, IntervalSet, Result, Row, Schema, Value,
-};
+use dhqp_types::{value::parse_date, Column, DataType, Interval, IntervalSet, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -93,21 +89,15 @@ fn create_evt(storage: &StorageEngine, table: &str, rows: &[Row]) {
 /// the statement needs from it is computed at the head.
 struct NoSql(Arc<dyn DataSource>);
 
-impl DataSource for NoSql {
-    fn name(&self) -> &str {
-        self.0.name()
+impl SourceLayer for NoSql {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.0
     }
-    fn capabilities(&self) -> ProviderCapabilities {
+    fn advertise(&self, caps: ProviderCapabilities) -> ProviderCapabilities {
         ProviderCapabilities {
             sql_support: SqlSupport::None,
-            ..self.0.capabilities()
+            ..caps
         }
-    }
-    fn tables(&self) -> Result<Vec<TableInfo>> {
-        self.0.tables()
-    }
-    fn create_session(&self) -> Result<Box<dyn Session>> {
-        self.0.create_session()
     }
 }
 

@@ -29,8 +29,8 @@ use dhqp::{Engine, EngineDataSource, MetricsSnapshot};
 use dhqp::{EventConfig, EventKind};
 use dhqp_netsim::{FaultConfig, NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{
-    Command, DataSource, Histogram, KeyRange, ProviderCapabilities, Rowset, Session, SqlSupport,
-    TableInfo, TrafficSnapshot, TxnId,
+    DataSource, ProviderCapabilities, Reply, Session, SessionLayer, SourceLayer, SqlSupport,
+    TrafficSnapshot, Verb,
 };
 use dhqp_storage::{CheckConstraint, StorageEngine, TableDef};
 use dhqp_types::{Column, DataType, DhqpError, Interval, IntervalSet, Result, Row, Schema, Value};
@@ -104,12 +104,11 @@ impl Spy {
     }
 }
 
-impl DataSource for Spy {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl SourceLayer for Spy {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.inner
     }
-    fn capabilities(&self) -> ProviderCapabilities {
-        let mut caps = self.inner.capabilities();
+    fn advertise(&self, mut caps: ProviderCapabilities) -> ProviderCapabilities {
         if self.index == IndexAccess::Unadvertised {
             caps.index_support = false;
         }
@@ -118,10 +117,7 @@ impl DataSource for Spy {
         }
         caps
     }
-    fn tables(&self) -> Result<Vec<TableInfo>> {
-        self.inner.tables()
-    }
-    fn create_session(&self) -> Result<Box<dyn Session>> {
+    fn session(&self) -> Result<Box<dyn Session>> {
         Ok(Box::new(SpySession {
             inner: self.inner.create_session()?,
             id: self.sessions.fetch_add(1, Ordering::Relaxed),
@@ -140,78 +136,23 @@ struct SpySession {
     log: CallLog,
 }
 
-impl SpySession {
-    fn note(&self, call: &'static str) {
-        let when = CLOCK.fetch_add(1, Ordering::SeqCst);
-        self.log.lock().unwrap().push((when, self.id, call));
-    }
-}
-
-impl Session for SpySession {
-    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        self.note("open_rowset");
-        self.inner.open_rowset(table)
-    }
-    fn create_command(&mut self) -> Result<Box<dyn Command>> {
-        self.note("create_command");
-        self.inner.create_command()
-    }
-    fn open_index(
-        &mut self,
-        table: &str,
-        index: &str,
-        range: &KeyRange,
-    ) -> Result<Box<dyn Rowset>> {
-        self.note("open_index");
-        if self.index != IndexAccess::Native {
+impl SessionLayer for SpySession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        match verb {
+            Verb::FetchByBookmarks(..) | Verb::Histogram(..) | Verb::CheckSchema(..) => {}
+            Verb::VoteWithNextWrite(_) if !self.votes => {
+                return Err(DhqpError::Unsupported("votes on prepare only".into()));
+            }
+            Verb::VoteWithNextWrite(_) => {}
+            _ => {
+                let when = CLOCK.fetch_add(1, Ordering::SeqCst);
+                self.log.lock().unwrap().push((when, self.id, verb.name()));
+            }
+        }
+        if matches!(verb, Verb::OpenIndex(..)) && self.index != IndexAccess::Native {
             return Err(DhqpError::Unsupported("no IRowsetIndex here".into()));
         }
-        self.inner.open_index(table, index, range)
-    }
-    fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.inner.fetch_by_bookmarks(table, bookmarks)
-    }
-    fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.inner.histogram(table, column)
-    }
-    fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        self.note("join_transaction");
-        self.inner.join_transaction(txn)
-    }
-    fn prepare(&mut self, txn: TxnId) -> Result<()> {
-        self.note("prepare");
-        self.inner.prepare(txn)
-    }
-    fn vote_with_next_write(&mut self, txn: TxnId) -> Result<()> {
-        if !self.votes {
-            return Err(DhqpError::Unsupported("votes on prepare only".into()));
-        }
-        self.inner.vote_with_next_write(txn)
-    }
-    fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.note("commit");
-        self.inner.commit(txn)
-    }
-    fn abort(&mut self, txn: TxnId) -> Result<()> {
-        self.note("abort");
-        self.inner.abort(txn)
-    }
-    fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.note("insert");
-        self.inner.insert(table, rows)
-    }
-    fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.note("delete_by_bookmarks");
-        self.inner.delete_by_bookmarks(table, bookmarks)
-    }
-    fn update_by_bookmarks(
-        &mut self,
-        table: &str,
-        bookmarks: &[u64],
-        updates: &[Row],
-    ) -> Result<u64> {
-        self.note("update_by_bookmarks");
-        self.inner.update_by_bookmarks(table, bookmarks, updates)
+        verb.send(&mut *self.inner)
     }
 }
 

@@ -49,10 +49,7 @@ fn truth(keep: impl Fn(i64) -> bool) -> (i64, i64) {
 /// One engine reaching the same `t` at every Table-2 level, each behind a
 /// metered fault-free link of its own: `simple` (CSV rowsets, no command),
 /// `minimum` and `odbccore` (SQL at that level over a storage engine) and
-/// `sql92` (a whole engine). Statements compile as written: a plan-cache
-/// template's `v < @__lit0` cannot be rendered for a source without
-/// parameter markers, so through the cache the ODBC-core source is sent no
-/// filter at all.
+/// `sql92` (a whole engine).
 fn one_table_every_level() -> (Engine, Vec<(&'static str, NetworkLink)>) {
     let (schema, rows) = table();
     let mut csv = String::from("k,grp,v\n");
@@ -86,7 +83,6 @@ fn one_table_every_level() -> (Engine, Vec<(&'static str, NetworkLink)>) {
         ("sql92", Arc::new(EngineDataSource::new(sql92))),
     ];
     let engine = Engine::new("local");
-    engine.set_plan_cache_enabled(false);
     let links = sources
         .into_iter()
         .map(|(name, source)| {
@@ -183,6 +179,35 @@ fn table2_rows_shipped_fall_with_the_capability_level() {
     assert_eq!(shipped, [ROWS, ROWS, matching, groups]);
     assert!(ROWS > matching && matching > groups, "{shipped:?}");
     assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+}
+
+/// A plan-cache template reaches a provider without parameter markers: its
+/// `v < @__lit0 OR v > @__lit1` crosses the link with the values substituted
+/// as literals, so the ODBC-core source filters the cached run exactly as it
+/// filters the run compiled from the text.
+#[test]
+fn table2_odbc_core_source_keeps_its_filter_through_the_plan_cache() {
+    let (engine, links) = one_table_every_level();
+    engine.set_plan_cache_enabled(true);
+    let link = &links
+        .iter()
+        .find(|(name, _)| *name == "odbccore")
+        .unwrap()
+        .1;
+    let sql = "SELECT grp, COUNT(*) AS n FROM odbccore.db.dbo.t \
+               WHERE v < 50 OR v > 450 GROUP BY grp";
+    let shipped = || {
+        link.reset();
+        engine.query(sql).unwrap();
+        link.snapshot().rows as i64
+    };
+    let hits = engine.metrics().plan_cache_hits;
+    let cold = shipped();
+    let cached = shipped();
+    assert_eq!(engine.metrics().plan_cache_hits, hits + 1);
+    let (matching, _) = truth(|v| !(50..=450).contains(&v));
+    assert_eq!((cold, cached), (matching, matching));
+    assert_eq!(matching, 594);
 }
 
 /// Figure 2 / §2.3: `CONTAINS` is the search service's (key, rank) rowset

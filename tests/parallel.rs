@@ -5,8 +5,8 @@
 use dhqp::{Engine, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{
-    Command, CommandResult, DataSource, Histogram, IterRowset, KeyRange, ProviderCapabilities,
-    Rowset, Session, TableInfo, TrafficSnapshot, TxnId,
+    Command, CommandLayer, CommandVerb, DataSource, IterRowset, Reply, Rowset, Session,
+    SessionLayer, SourceLayer, TrafficSnapshot, Verb,
 };
 use dhqp_types::{DhqpError, Result, Row, Value};
 use dhqp_workload::tpch::{self, TpchScale};
@@ -170,24 +170,12 @@ struct FaultySource {
 
 const FAULT: &str = "simulated link reset mid-stream";
 
-impl DataSource for FaultySource {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl SourceLayer for FaultySource {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.inner
     }
 
-    fn capabilities(&self) -> ProviderCapabilities {
-        self.inner.capabilities()
-    }
-
-    fn traffic(&self) -> Option<TrafficSnapshot> {
-        self.inner.traffic()
-    }
-
-    fn tables(&self) -> Result<Vec<TableInfo>> {
-        self.inner.tables()
-    }
-
-    fn create_session(&self) -> Result<Box<dyn Session>> {
+    fn session(&self) -> Result<Box<dyn Session>> {
         Ok(Box::new(FaultySession {
             inner: self.inner.create_session()?,
             fail_after: self.fail_after,
@@ -200,45 +188,16 @@ struct FaultySession {
     fail_after: usize,
 }
 
-impl FaultySession {
-    fn wrap(&self, rs: Box<dyn Rowset>) -> Box<dyn Rowset> {
-        faulty(rs, self.fail_after)
-    }
-}
-
-impl Session for FaultySession {
-    fn open_rowset(&mut self, table: &str) -> Result<Box<dyn Rowset>> {
-        let rs = self.inner.open_rowset(table)?;
-        Ok(self.wrap(rs))
-    }
-
-    fn open_index(
-        &mut self,
-        table: &str,
-        index: &str,
-        range: &KeyRange,
-    ) -> Result<Box<dyn Rowset>> {
-        let rs = self.inner.open_index(table, index, range)?;
-        Ok(self.wrap(rs))
-    }
-
-    fn create_command(&mut self) -> Result<Box<dyn Command>> {
-        Ok(Box::new(FaultyCommand {
-            inner: self.inner.create_command()?,
-            fail_after: self.fail_after,
-        }))
-    }
-
-    fn fetch_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<Vec<Row>> {
-        self.inner.fetch_by_bookmarks(table, bookmarks)
-    }
-
-    fn histogram(&mut self, table: &str, column: &str) -> Result<Option<Histogram>> {
-        self.inner.histogram(table, column)
-    }
-
-    fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
-        self.inner.join_transaction(txn)
+impl SessionLayer for FaultySession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        Ok(match verb.send(&mut *self.inner)? {
+            Reply::Rowset(rs) => Reply::Rowset(faulty(rs, self.fail_after)),
+            Reply::Command(inner) => Reply::Command(Box::new(FaultyCommand {
+                inner,
+                fail_after: self.fail_after,
+            })),
+            reply => reply,
+        })
     }
 }
 
@@ -247,20 +206,12 @@ struct FaultyCommand {
     fail_after: usize,
 }
 
-impl Command for FaultyCommand {
-    fn set_text(&mut self, text: &str) -> Result<()> {
-        self.inner.set_text(text)
-    }
-
-    fn bind_parameter(&mut self, ordinal: usize, value: Value) -> Result<()> {
-        self.inner.bind_parameter(ordinal, value)
-    }
-
-    fn execute(&mut self) -> Result<CommandResult> {
-        match self.inner.execute()? {
-            CommandResult::Rowset(rs) => Ok(CommandResult::Rowset(faulty(rs, self.fail_after))),
-            CommandResult::RowCount(n) => Ok(CommandResult::RowCount(n)),
-        }
+impl CommandLayer for FaultyCommand {
+    fn call(&mut self, verb: CommandVerb<'_>) -> Result<Reply> {
+        Ok(match verb.send(&mut *self.inner)? {
+            Reply::Rowset(rs) => Reply::Rowset(faulty(rs, self.fail_after)),
+            reply => reply,
+        })
     }
 }
 

@@ -10,11 +10,9 @@
 
 use dhqp::{Engine, EngineDataSource, FaultConfig, ParallelConfig, RetryPolicy};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
-use dhqp_oledb::{
-    DataSource, ProviderCapabilities, RowsetExt, Session, TableInfo, MAX_IDLE_SESSIONS,
-};
+use dhqp_oledb::{DataSource, ProviderCapabilities, RowsetExt, SourceLayer, MAX_IDLE_SESSIONS};
 use dhqp_storage::{CheckConstraint, StorageEngine, TableDef};
-use dhqp_types::{Column, DataType, Interval, IntervalSet, Result, Row, Schema, Value};
+use dhqp_types::{Column, DataType, Interval, IntervalSet, Row, Schema, Value};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -53,24 +51,16 @@ fn create_accounts(storage: &StorageEngine, table: &str, lo: i64, hi: i64, check
 /// pool is still cold when the first statement runs.
 struct NoStatistics(EngineDataSource);
 
-impl DataSource for NoStatistics {
-    fn name(&self) -> &str {
-        self.0.name()
+impl SourceLayer for NoStatistics {
+    fn inner(&self) -> &dyn DataSource {
+        &self.0
     }
 
-    fn capabilities(&self) -> ProviderCapabilities {
+    fn advertise(&self, caps: ProviderCapabilities) -> ProviderCapabilities {
         ProviderCapabilities {
             statistics_support: false,
-            ..self.0.capabilities()
+            ..caps
         }
-    }
-
-    fn tables(&self) -> Result<Vec<TableInfo>> {
-        self.0.tables()
-    }
-
-    fn create_session(&self) -> Result<Box<dyn Session>> {
-        self.0.create_session()
     }
 }
 

@@ -240,6 +240,24 @@ fn chained_federation_via_openquery() {
     assert_eq!(r.scalar(), Some(&Value::Int(2)));
 }
 
+/// Pass-through text is classified read or write by its first six bytes;
+/// here byte six falls inside `É`. The member takes the text for a write,
+/// runs it on the session and answers with its own error.
+#[test]
+fn openquery_text_split_mid_character_is_the_members_error() {
+    let member = Engine::new("member-engine");
+    let local = Engine::new("local");
+    local
+        .add_linked_server("m", Arc::new(EngineDataSource::new(member.clone())))
+        .unwrap();
+    let err = local
+        .query("SELECT * FROM OPENQUERY(m, 'aÉÉÉ')")
+        .unwrap_err();
+    let own = member.query("aÉÉÉ").unwrap_err();
+    assert_eq!(err.kind(), own.kind(), "{err}");
+    assert!(err.to_string().contains(own.message()), "{err} vs {own}");
+}
+
 #[test]
 fn qualified_wildcard_and_aliases() {
     let e = engine_ab();
