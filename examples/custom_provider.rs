@@ -4,6 +4,11 @@
 //!
 //! This ~100-line provider exposes an in-memory key/value changelog as a
 //! rowset; the DHQP supplies all querying on top (simple-provider class).
+//! A provider implements the traits directly, as here; a decorator around
+//! one (a meter, a cache, a fault injector) is a layer from
+//! `dhqp_oledb::layer` and writes only what it changes. A provider added to
+//! the tree joins `tests/conformance.rs`, which runs it bare and under the
+//! pool and the link.
 //!
 //! ```text
 //! cargo run --example custom_provider
