@@ -6,6 +6,7 @@ use dhqp::{Engine, EngineDataSource};
 use dhqp_fulltext::FullTextProvider;
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{DataSource, SqlSupport};
+use dhqp_optimizer::OptimizerConfig;
 use dhqp_providers::{CsvProvider, MailboxProvider, MiniSqlProvider, Sheet, SpreadsheetProvider};
 use dhqp_storage::{StorageEngine, TableDef};
 use dhqp_types::{value::parse_date, Column, DataType, Row, Schema, Value};
@@ -173,6 +174,101 @@ fn sql_minimum_provider_gets_only_simple_pushdown() {
         plan.plan_text
     );
     assert_eq!(engine.query(sql).unwrap().len(), 2);
+}
+
+/// A nested-loop join probes a SQL-Minimum or ODBC-Core source through a
+/// correlation parameter (the parameterized remote query of §4.1.2): each
+/// probe ships `k = <outer key>` with the key as a literal, never a marker,
+/// and the join answers what the plan that reads the whole table answers.
+#[test]
+fn minisql_source_probed_through_correlation_parameter() {
+    for level in [SqlSupport::Minimum, SqlSupport::OdbcCore] {
+        let storage = Arc::new(StorageEngine::new("mini"));
+        storage
+            .create_table(TableDef::new(
+                "t",
+                Schema::new(vec![
+                    Column::not_null("k", DataType::Int),
+                    Column::not_null("v", DataType::Int),
+                ]),
+            ))
+            .unwrap();
+        let rows: Vec<Row> = (0..500)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 3)]))
+            .collect();
+        storage.insert_rows("t", &rows).unwrap();
+        let engine = Engine::new("local");
+        engine
+            .create_table(TableDef::new(
+                "o",
+                Schema::new(vec![
+                    Column::not_null("id", DataType::Int),
+                    Column::not_null("k", DataType::Int),
+                ]),
+            ))
+            .unwrap();
+        engine
+            .insert(
+                "o",
+                &[
+                    Row::new(vec![Value::Int(1), Value::Int(31)]),
+                    Row::new(vec![Value::Int(2), Value::Int(402)]),
+                ],
+            )
+            .unwrap();
+        engine.analyze("o", 2).unwrap();
+        let provider = MiniSqlProvider::new("minidb", storage, level).unwrap();
+        engine
+            .add_linked_server("mini", Arc::new(provider))
+            .unwrap();
+        // Semi-join reduction off, whatever the environment says, so the
+        // parameterized probe competes with reading the whole table only.
+        engine.set_optimizer_config(OptimizerConfig {
+            enable_semijoin: false,
+            ..engine.optimizer_config()
+        });
+
+        let sql = "SELECT o.id, t.v FROM o, mini.db.dbo.t t WHERE o.k = t.k";
+        let run = |engine: &Engine| {
+            let report = engine.execute_analyze(sql).unwrap();
+            let shipped: Vec<String> = report
+                .record
+                .operators
+                .iter()
+                .filter_map(|op| op.remote().map(|r| r.sql.clone()))
+                .collect();
+            let mut rows: Vec<String> = report
+                .result
+                .rows
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            rows.sort();
+            (report.plan.display_indent(), shipped, rows)
+        };
+
+        let (plan, shipped, probed) = run(&engine);
+        assert!(plan.contains("@__corr0"), "{level:?}:\n{plan}");
+        assert_eq!(shipped.len(), 1, "{level:?}: {shipped:?}\n{plan}");
+        assert!(
+            !shipped[0].contains('@') && shipped[0].contains("[k] = 402"),
+            "{level:?}: the last probe ships its key as a literal: {}",
+            shipped[0]
+        );
+        assert_eq!(probed.len(), 2, "{level:?}: {probed:?}");
+
+        engine.set_optimizer_config(OptimizerConfig {
+            enable_remote_param: false,
+            ..engine.optimizer_config()
+        });
+        let (plan, shipped, read) = run(&engine);
+        assert!(!plan.contains("@__corr0"), "{level:?}:\n{plan}");
+        assert!(
+            shipped.iter().all(|text| !text.contains("[k] =")),
+            "{level:?}: {shipped:?}"
+        );
+        assert_eq!(probed, read, "{level:?}");
+    }
 }
 
 /// The §2.2 scenario: OPENROWSET against the MSIDXS full-text provider.
