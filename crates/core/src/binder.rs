@@ -666,9 +666,9 @@ impl<'e> Binder<'e> {
                 }
             })
         };
-        let counters = self.engine.exec_counters();
+        let counters = self.engine.counters();
         let pull = self.knobs.batch.pull_size();
-        let mut rowset = open_with_retries(factory, &policy, &counters, None, pull, None)?;
+        let mut rowset = open_with_retries(factory, &policy, counters, None, pull, None)?;
         let schema = rowset.schema().clone();
         let rows: Vec<Vec<Value>> = rowset
             .collect_rows_batched(pull)?

@@ -522,7 +522,7 @@ impl WriteSet {
         let seek = target.predicate.as_ref().map(|p| self.plan_seek(target, p));
         if !matches!(seek, Some(Seek::NoRows)) {
             plan.table(&target.server, &target.meta.table).statement = Some(text);
-            engine.record_dml_pushed();
+            engine.counters().dml_pushed.bump();
         }
         true
     }
@@ -589,7 +589,7 @@ impl WriteSet {
         let pull = knobs.batch.pull_size();
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
-        let rows = with_retries(&knobs.retry, &engine.exec_counters(), || {
+        let rows = with_retries(&knobs.retry, engine.counters(), || {
             if let Some((index, range)) = &seek {
                 match session.open_index(table, index, range) {
                     Ok(mut rowset) => return rowset.collect_rows_batched(pull),
@@ -600,7 +600,12 @@ impl WriteSet {
             }
             session.open_rowset(table)?.collect_rows_batched(pull)
         })?;
-        engine.record_dml_read(seek.is_some(), rows.len() as u64);
+        let counters = engine.counters();
+        match seek {
+            Some(_) => counters.dml_seeks.bump(),
+            None => counters.dml_scans.bump(),
+        }
+        counters.dml_rows_located.add(rows.len() as u64);
         let Some(predicate) = &target.predicate else {
             return Ok(rows);
         };

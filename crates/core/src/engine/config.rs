@@ -232,7 +232,11 @@ impl Engine {
                 if !knobs.plan_cache.enabled {
                     evicted += cache.clear();
                 }
-                inner.metrics.record_plan_cache_evictions(evicted);
+                inner
+                    .metrics
+                    .counters
+                    .plan_cache_evictions
+                    .add(evicted as u64);
             }
             Effect::QueryStore => {
                 let mut store = inner.query_store.lock();

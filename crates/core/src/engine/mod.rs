@@ -13,12 +13,15 @@ use crate::binder::FetchedTable;
 use crate::dmv::SYS_SERVER;
 use crate::events::{Event, EventBus};
 use crate::knobs::{EnvKnobs, KnobRow, Knobs, KNOBS};
-use crate::metrics::{EngineMetrics, MetricsSnapshot};
+use crate::metrics::EngineMetrics;
 use crate::plan_cache::{CacheDeps, CachedSelect, PlanCache};
 use crate::query_store::{QueryStats, QueryStore};
 use crate::record::StatementRecord;
 use dhqp_dtc::TransactionCoordinator;
-use dhqp_executor::{DegradedMode, ExecContext, HealthRegistry, LinkHealthSnapshot, SourceCatalog};
+use dhqp_executor::{
+    DegradedMode, ExecContext, ExecCounters, HealthRegistry, LinkHealthSnapshot, MetricsSnapshot,
+    SourceCatalog,
+};
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
 use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::{
@@ -153,7 +156,7 @@ impl Inner {
     /// The `sys.dm_os_knobs` rows, `(name, value, source)`: `env` when the
     /// environment named the knob at build and the value is still what
     /// that resolved to, else `builder` when it is off the default.
-    pub(crate) fn dmv_knobs(&self) -> Vec<Row> {
+    pub(crate) fn dmv_knobs(&self) -> Vec<(&'static str, String, &'static str)> {
         let current = Arc::clone(&self.knobs.read());
         let (env, default) = (&self.env, Knobs::default());
         let row = |knob: &KnobRow| {
@@ -165,8 +168,7 @@ impl Inner {
             } else {
                 "default"
             };
-            let cells = [knob.name.to_string(), value, source.to_string()];
-            Row::new(cells.into_iter().map(Value::Str).collect())
+            (knob.name, value, source)
         };
         KNOBS.iter().map(row).collect()
     }
@@ -257,7 +259,9 @@ impl Engine {
             let replaced = registry.session_pool(name).ok();
             registry.add_linked_server(name, source)?;
             if let Some(old) = replaced {
-                self.inner.metrics.retire_session_pool(old.stats());
+                let (retired, counters) = (old.stats(), self.counters());
+                counters.session_connects.add(retired.connects);
+                counters.session_reuses.add(retired.reuses);
             }
         }
         let key = name.to_lowercase();
@@ -276,7 +280,7 @@ impl Engine {
             .entry(key.clone())
             .or_insert(0) += 1;
         let evicted = self.inner.plan_cache.lock().purge_server(&key);
-        self.inner.metrics.record_plan_cache_evictions(evicted);
+        self.counters().plan_cache_evictions.add(evicted as u64);
         Ok(())
     }
 
@@ -416,7 +420,7 @@ impl Engine {
     }
 
     pub(crate) fn fulltext_query(&self, catalog: &str, query: &str) -> Result<Vec<(u64, i64)>> {
-        self.inner.metrics.record_fulltext_search();
+        self.counters().fulltext_searches.bump();
         self.inner.fulltext.query_keys(catalog, query)
     }
 
@@ -455,14 +459,14 @@ impl Engine {
                     // optimizer must not cost against arbitrarily old
                     // remote statistics.
                     if hit.fetched_at.elapsed() <= stats_ttl {
-                        self.inner.metrics.record_meta_cache_hit();
+                        self.counters().meta_cache_hits.bump();
                         if hit.stats.is_some() {
-                            self.inner.metrics.record_stats_cache_hit();
+                            self.counters().stats_cache_hits.bump();
                         }
                         return Ok(Arc::clone(hit));
                     }
                 }
-                self.inner.metrics.record_meta_cache_miss();
+                self.counters().meta_cache_misses.bump();
                 let source = self.linked_server(server)?;
                 // The whole remote fetch — schema plus per-column
                 // histograms — is one STATS_FETCH wait: the compile is
@@ -488,7 +492,7 @@ impl Engine {
                     Ok((info, caps, stats))
                 })?;
                 if stats.is_some() {
-                    self.inner.metrics.record_stats_cache_miss();
+                    self.counters().stats_cache_misses.bump();
                 }
                 let fetched = Arc::new(FetchedTable {
                     info,
@@ -578,17 +582,17 @@ impl Engine {
     fn plan_cache_lookup(&self, key: &str) -> Option<Arc<CachedSelect>> {
         let entry = self.inner.plan_cache.lock().get(key)?;
         if self.deps_current(&entry.deps) {
-            self.inner.metrics.record_plan_cache_hit();
+            self.counters().plan_cache_hits.bump();
             if has_hook() {
                 emit_event("plan_cache_hit", &[("template", key.to_string())]);
             }
             for _ in &entry.deps.servers {
-                self.inner.metrics.record_meta_cache_hit();
+                self.counters().meta_cache_hits.bump();
             }
             Some(entry)
         } else {
             if self.inner.plan_cache.lock().remove(key) {
-                self.inner.metrics.record_plan_cache_evictions(1);
+                self.counters().plan_cache_evictions.bump();
             }
             None
         }
@@ -596,21 +600,10 @@ impl Engine {
 
     // ---- services for the binder and DML ----------------------------------------
 
-    /// The executor counters shared with every execution context (used by
-    /// bind-time pass-through reads so their retries are counted too).
-    pub(crate) fn exec_counters(&self) -> Arc<dhqp_executor::ExecCounters> {
-        self.inner.metrics.exec_counters()
-    }
-
-    /// Count one UPDATE/DELETE row-location read (`dml_seeks` /
-    /// `dml_scans` / `dml_rows_located`).
-    pub(crate) fn record_dml_read(&self, seek: bool, rows: u64) {
-        self.inner.metrics.record_dml_read(seek, rows);
-    }
-
-    /// Count one UPDATE/DELETE write shipped as a statement (`dml_pushed`).
-    pub(crate) fn record_dml_pushed(&self) {
-        self.inner.metrics.record_dml_pushed();
+    /// The engine's counters, shared with every execution context (and
+    /// with bind-time pass-through reads, so their retries count too).
+    pub(crate) fn counters(&self) -> &Arc<ExecCounters> {
+        &self.inner.metrics.counters
     }
 
     /// Build an execution context under one statement's knobs.
@@ -622,7 +615,7 @@ impl Engine {
     ) -> ExecContext {
         let catalog = Arc::clone(&self.inner) as Arc<dyn SourceCatalog>;
         ExecContext::new(catalog, params, registry)
-            .with_counters(self.inner.metrics.exec_counters())
+            .with_counters(Arc::clone(self.counters()))
             .with_parallel(knobs.parallel.clone())
             .with_retry(knobs.retry.clone())
             .with_batch(knobs.batch.clone())

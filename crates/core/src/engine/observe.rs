@@ -8,11 +8,10 @@ use super::Engine;
 use crate::binder::FetchedTable;
 use crate::events::{Event, EventSink};
 use crate::knobs::Knobs;
-use crate::metrics::MetricsSnapshot;
 use crate::plan_cache::CachedSelect;
 use crate::record::{OperatorRecord, StatementRecord};
 use crate::trace::TraceBuilder;
-use dhqp_executor::{LinkHealthSnapshot, PruneLog};
+use dhqp_executor::{LinkHealthSnapshot, MetricsSnapshot, PruneLog};
 use dhqp_oledb::{
     emit_event, has_hook, install_scope, ActivityScope, EventHook, TableStatistics, WaitSnapshot,
     WaitStats,
@@ -103,7 +102,7 @@ impl Engine {
             let mut store = self.inner.query_store.lock();
             if let Some(notice) = store.record(record, schema_epoch, config_epoch) {
                 if notice.regressed {
-                    self.inner.metrics.record_plan_regression();
+                    self.counters().plan_regressions.bump();
                 }
                 if has_hook() {
                     emit_event(
@@ -163,7 +162,7 @@ impl Engine {
                 feedback: true,
             });
             self.inner.meta_cache.write().insert(key.clone(), corrected);
-            self.inner.metrics.record_card_feedback();
+            self.counters().card_feedback_applied.bump();
             if !touched_servers.contains(&key.0) {
                 touched_servers.push(key.0);
             }
@@ -171,7 +170,7 @@ impl Engine {
         // Plans costed against the stale bundles must not be reused.
         for server in touched_servers {
             let evicted = self.inner.plan_cache.lock().purge_server(&server);
-            self.inner.metrics.record_plan_cache_evictions(evicted);
+            self.counters().plan_cache_evictions.add(evicted as u64);
         }
     }
 

@@ -268,7 +268,7 @@ impl Engine {
         };
         compile_stage(tracer, "parse", began);
         let entry = Arc::new(self.compile_select(&stmt, params, tracer, knobs).ok()?);
-        self.inner.metrics.record_plan_cache_miss();
+        self.counters().plan_cache_misses.bump();
         if has_hook() {
             emit_event("plan_cache_miss", &[("template", template.to_string())]);
         }
@@ -277,7 +277,7 @@ impl Engine {
             .plan_cache
             .lock()
             .insert(template.to_string(), Arc::clone(&entry));
-        self.inner.metrics.record_plan_cache_evictions(evicted);
+        self.counters().plan_cache_evictions.add(evicted as u64);
         Some((entry, false))
     }
 

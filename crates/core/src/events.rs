@@ -20,6 +20,7 @@
 //! (`DHQP_EVENTS=1`), or a comma-separated subset of kind names
 //! (`DHQP_EVENTS=retry,fault`).
 
+use crate::trace::json_escape;
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +28,7 @@ use std::time::Instant;
 
 /// Number of event kinds (mask-indexed filtering).
 pub const EVENT_KINDS: usize = 14;
+const _: () = assert!(EVENT_KINDS <= 16, "EventConfig::mask is a u16");
 
 /// The typed event taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +65,8 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Every kind, in declaration order (the mask index order).
+    /// Every kind, in declaration order: `ALL[i] as usize == i`, the
+    /// kind's bit in [`EventConfig::mask`].
     pub const ALL: [EventKind; EVENT_KINDS] = [
         EventKind::QueryStart,
         EventKind::QueryEnd,
@@ -105,13 +108,6 @@ impl EventKind {
     /// `DHQP_EVENTS`).
     pub fn from_name(name: &str) -> Option<EventKind> {
         EventKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-
-    fn index(self) -> usize {
-        EventKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("every kind is in ALL")
     }
 }
 
@@ -161,24 +157,6 @@ impl Event {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Default ring capacity ([`EventConfig::capacity`]).
 pub const EVENT_RING_CAPACITY: usize = 256;
 
@@ -222,7 +200,7 @@ impl EventConfig {
     pub fn only(kinds: &[EventKind]) -> Self {
         let mut mask = 0u16;
         for k in kinds {
-            mask |= 1 << k.index();
+            mask |= 1 << *k as usize;
         }
         EventConfig {
             enabled: mask != 0,
@@ -238,7 +216,7 @@ impl EventConfig {
 
     /// Whether `kind` passes the filter.
     pub fn wants(&self, kind: EventKind) -> bool {
-        self.enabled && self.mask & (1 << kind.index()) != 0
+        self.enabled && self.mask & (1 << kind as usize) != 0
     }
 }
 
@@ -393,6 +371,13 @@ mod tests {
         let off = EventBus::new(EventConfig::disabled());
         ev(&off, EventKind::FaultInjected, 3);
         assert!(off.recent().is_empty());
+    }
+
+    #[test]
+    fn all_lists_kinds_in_discriminant_order() {
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use analyze::AnalyzeReport;
 pub use dmv::SYS_SERVER;
 pub use engine::{Engine, EngineBuilder};
 pub use events::{Event, EventBus, EventConfig, EventKind, EventSink, JsonlSink};
-pub use metrics::{MetricsSnapshot, StatementKind};
+pub use metrics::StatementKind;
 pub use plan_cache::PlanCacheConfig;
 pub use query_store::QueryStoreConfig;
 pub use record::{OperatorRecord, StatementRecord};
@@ -49,7 +49,7 @@ pub use trace::{QueryTrace, TraceConfig, TraceSpan};
 pub use dhqp_dtc::{DtcStats, RecoveryReport};
 pub use dhqp_executor::{
     BatchConfig, BreakerConfig, BreakerState, DegradedMode, HealthRegistry, LinkHealthSnapshot,
-    ParallelConfig, RetryPolicy,
+    MetricsSnapshot, ParallelConfig, RetryPolicy,
 };
 pub use dhqp_netsim::FaultConfig;
 pub use dhqp_oledb::{WaitClass, WaitSnapshot, WaitStats, WaitTotals};

@@ -1,18 +1,17 @@
-//! Engine-wide observability: lock-free counters plus a bounded ring of
-//! recent statement records.
+//! Engine-wide observability: the counter table's live set plus a bounded
+//! ring of recent statement records.
 //!
 //! Counter updates on the query path are single relaxed atomic increments;
 //! the only lock is around the recent-query ring, taken once per statement
-//! (never per row). [`MetricsSnapshot`] is a plain-value copy safe to hold
-//! across further engine activity.
+//! (never per row). Every counter is one row of the table in
+//! [`dhqp_executor::stats`]; [`MetricsSnapshot`] is its plain-value copy.
 
 use crate::record::StatementRecord;
 use dhqp_dtc::DtcStats;
-use dhqp_executor::ExecCounters;
+use dhqp_executor::{ExecCounters, MetricsSnapshot};
 use dhqp_oledb::{HistogramSnapshot, LogHistogram, PoolStats, WaitSnapshot, WaitStats};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,200 +50,14 @@ impl StatementKind {
     }
 }
 
-/// Point-in-time copy of every engine counter. DTC commit/abort counts are
-/// read from the transaction coordinator at snapshot time; spool and remote
-/// counts come from the executor counters the engine shares with every
-/// execution context.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    pub selects: u64,
-    pub inserts: u64,
-    pub updates: u64,
-    pub deletes: u64,
-    pub explains: u64,
-    pub explain_analyzes: u64,
-    /// Statements that failed (including parse errors).
-    pub statement_errors: u64,
-    pub meta_cache_hits: u64,
-    pub meta_cache_misses: u64,
-    /// Parameterized plan-cache activity. A hit skips parse, bind and
-    /// optimize entirely; hits also credit one `meta_cache_hits` per remote
-    /// server the cached plan depends on (metadata consultation avoided
-    /// altogether).
-    pub plan_cache_hits: u64,
-    pub plan_cache_misses: u64,
-    /// Plans dropped by LRU pressure or epoch invalidation.
-    pub plan_cache_evictions: u64,
-    /// Remote statistics bundles served from (or fetched into) the TTL'd
-    /// metadata cache at bind time.
-    pub stats_cache_hits: u64,
-    pub stats_cache_misses: u64,
-    pub fulltext_searches: u64,
-    pub spool_hits: u64,
-    pub spool_builds: u64,
-    pub remote_roundtrips: u64,
-    /// Exchange operators that ran with parallel branch dispatch.
-    pub parallel_exchanges: u64,
-    /// Worker threads those exchanges spawned, summed.
-    pub exchange_workers: u64,
-    /// Remote rowsets that ran behind a prefetching decorator.
-    pub remote_prefetches: u64,
-    /// Remote attempts re-issued after a transient transport fault.
-    pub remote_retries: u64,
-    /// Transient transport faults observed on the remote path (whether or
-    /// not a retry ultimately succeeded).
-    pub remote_transient_errors: u64,
-    /// Remote attempts abandoned because a per-attempt or per-query
-    /// deadline expired.
-    pub remote_deadline_hits: u64,
-    /// Remote opens rejected without touching the wire because the link's
-    /// circuit breaker was open.
-    pub breaker_fast_fails: u64,
-    /// DPV members skipped by degraded-mode pruning, summed over
-    /// statements.
-    pub members_pruned: u64,
-    /// DPV members skipped at drive time because their startup predicate
-    /// rejected the runtime parameter values (`DHQP_RUNTIME_PRUNE`).
-    pub startup_members_skipped: u64,
-    /// Remote fetches reduced by a shipped semi-join `IN`-list filter.
-    pub semijoin_reductions: u64,
-    /// Semi-join reductions abandoned at runtime (key count past the
-    /// splice ceiling, or the reduced open exhausted its retry budget).
-    pub semijoin_fallbacks: u64,
-    /// Extra request bytes spent shipping semi-join filters, summed — the
-    /// price paid for the result-byte savings.
-    pub semijoin_filter_bytes: u64,
-    /// Query-store plan changes whose new plan averaged slower than the
-    /// fingerprint's previous plan.
-    pub plan_regressions: u64,
-    /// Observed remote cardinalities written back into the statistics
-    /// cache by the feedback loop (`DHQP_CARD_FEEDBACK`).
-    pub card_feedback_applied: u64,
-    /// UPDATE/DELETE row-location reads answered by one index seek over
-    /// the hull of the predicate's key domain.
-    pub dml_seeks: u64,
-    /// UPDATE/DELETE row-location reads that read the whole table.
-    pub dml_scans: u64,
-    /// Rows those reads returned, before the predicate re-check — against
-    /// `rows_affected`, the price of seeking a hull rather than each
-    /// interval.
-    pub dml_rows_located: u64,
-    /// UPDATE/DELETE writes shipped to a table's provider as one statement
-    /// instead of being located from here: no read, so none of the three
-    /// counters above moves for them.
-    pub dml_pushed: u64,
-    /// Connect requests the linked servers' session pools sent (cold
-    /// opens) since the last reset; a replaced registration's count stays
-    /// in, so the total never goes backwards between resets.
-    pub session_connects: u64,
-    /// Sessions those pools handed out from their idle lists (warm opens).
-    pub session_reuses: u64,
-    pub dtc_commits: u64,
-    pub dtc_aborts: u64,
-    /// Distributed transactions currently in doubt (decision logged,
-    /// delivery pending at some participant).
-    pub dtc_in_doubt: u64,
-    /// In-doubt transactions resolved by `recover()`.
-    pub dtc_recovered: u64,
-    /// Phase-one votes that rode a participant's last write instead of
-    /// answering a `prepare` message — one saved round trip each.
-    pub dtc_votes_ridden: u64,
-}
-
-impl MetricsSnapshot {
-    /// Total statements counted, across every kind.
-    pub fn statements(&self) -> u64 {
-        self.selects
-            + self.inserts
-            + self.updates
-            + self.deletes
-            + self.explains
-            + self.explain_analyzes
-    }
-
-    /// Every counter as a `(name, value)` row — the shape
-    /// `sys.dm_os_counters` serves, kept here so the DMV cannot drift from
-    /// the snapshot struct.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("selects", self.selects),
-            ("inserts", self.inserts),
-            ("updates", self.updates),
-            ("deletes", self.deletes),
-            ("explains", self.explains),
-            ("explain_analyzes", self.explain_analyzes),
-            ("statement_errors", self.statement_errors),
-            ("meta_cache_hits", self.meta_cache_hits),
-            ("meta_cache_misses", self.meta_cache_misses),
-            ("plan_cache_hits", self.plan_cache_hits),
-            ("plan_cache_misses", self.plan_cache_misses),
-            ("plan_cache_evictions", self.plan_cache_evictions),
-            ("stats_cache_hits", self.stats_cache_hits),
-            ("stats_cache_misses", self.stats_cache_misses),
-            ("fulltext_searches", self.fulltext_searches),
-            ("spool_hits", self.spool_hits),
-            ("spool_builds", self.spool_builds),
-            ("remote_roundtrips", self.remote_roundtrips),
-            ("parallel_exchanges", self.parallel_exchanges),
-            ("exchange_workers", self.exchange_workers),
-            ("remote_prefetches", self.remote_prefetches),
-            ("remote_retries", self.remote_retries),
-            ("remote_transient_errors", self.remote_transient_errors),
-            ("remote_deadline_hits", self.remote_deadline_hits),
-            ("breaker_fast_fails", self.breaker_fast_fails),
-            ("members_pruned", self.members_pruned),
-            ("startup_members_skipped", self.startup_members_skipped),
-            ("semijoin_reductions", self.semijoin_reductions),
-            ("semijoin_fallbacks", self.semijoin_fallbacks),
-            ("semijoin_filter_bytes", self.semijoin_filter_bytes),
-            ("plan_regressions", self.plan_regressions),
-            ("card_feedback_applied", self.card_feedback_applied),
-            ("dml_seeks", self.dml_seeks),
-            ("dml_scans", self.dml_scans),
-            ("dml_rows_located", self.dml_rows_located),
-            ("dml_pushed", self.dml_pushed),
-            ("session_connects", self.session_connects),
-            ("session_reuses", self.session_reuses),
-            ("dtc_commits", self.dtc_commits),
-            ("dtc_aborts", self.dtc_aborts),
-            ("dtc_in_doubt", self.dtc_in_doubt),
-            ("dtc_recovered", self.dtc_recovered),
-            ("dtc_votes_ridden", self.dtc_votes_ridden),
-        ]
-    }
-}
-
-/// The engine's live counters (one per [`crate::Engine`], shared by all
-/// clones).
+/// The engine's counters, rings and latency histogram (one per
+/// [`crate::Engine`], shared by all clones).
 #[derive(Debug)]
 pub(crate) struct EngineMetrics {
-    selects: AtomicU64,
-    inserts: AtomicU64,
-    updates: AtomicU64,
-    deletes: AtomicU64,
-    explains: AtomicU64,
-    explain_analyzes: AtomicU64,
-    statement_errors: AtomicU64,
-    meta_cache_hits: AtomicU64,
-    meta_cache_misses: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_evictions: AtomicU64,
-    stats_cache_hits: AtomicU64,
-    stats_cache_misses: AtomicU64,
-    fulltext_searches: AtomicU64,
-    plan_regressions: AtomicU64,
-    card_feedback_applied: AtomicU64,
-    dml_seeks: AtomicU64,
-    dml_scans: AtomicU64,
-    dml_rows_located: AtomicU64,
-    dml_pushed: AtomicU64,
-    /// Connects and reuses of session pools whose registration has been
-    /// replaced: the live pools own their counts, these keep the totals
-    /// from going backwards when a pool goes.
-    retired_session_connects: AtomicU64,
-    retired_session_reuses: AtomicU64,
-    exec: Arc<ExecCounters>,
+    /// Every engine counter ([`dhqp_executor::stats`] declares them),
+    /// shared with the execution contexts so spool and remote activity
+    /// survives each execution.
+    pub counters: Arc<ExecCounters>,
     recent_capacity: usize,
     recent: Mutex<VecDeque<Arc<StatementRecord>>>,
     /// Statements at or above the slow-query threshold they began under.
@@ -265,30 +78,7 @@ impl Default for EngineMetrics {
 impl EngineMetrics {
     pub fn new(recent_capacity: usize) -> Self {
         EngineMetrics {
-            selects: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            explains: AtomicU64::new(0),
-            explain_analyzes: AtomicU64::new(0),
-            statement_errors: AtomicU64::new(0),
-            meta_cache_hits: AtomicU64::new(0),
-            meta_cache_misses: AtomicU64::new(0),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_evictions: AtomicU64::new(0),
-            stats_cache_hits: AtomicU64::new(0),
-            stats_cache_misses: AtomicU64::new(0),
-            fulltext_searches: AtomicU64::new(0),
-            plan_regressions: AtomicU64::new(0),
-            card_feedback_applied: AtomicU64::new(0),
-            dml_seeks: AtomicU64::new(0),
-            dml_scans: AtomicU64::new(0),
-            dml_rows_located: AtomicU64::new(0),
-            dml_pushed: AtomicU64::new(0),
-            retired_session_connects: AtomicU64::new(0),
-            retired_session_reuses: AtomicU64::new(0),
-            exec: Arc::new(ExecCounters::default()),
+            counters: Arc::new(ExecCounters::default()),
             recent_capacity: recent_capacity.max(1),
             recent: Mutex::new(VecDeque::new()),
             slow: Mutex::new(VecDeque::new()),
@@ -318,111 +108,11 @@ impl EngineMetrics {
     /// `DBCC SQLPERF(..., CLEAR)` analog. The DTC's own counters live on
     /// the coordinator and are not touched.
     pub fn reset(&self) {
-        for counter in [
-            &self.selects,
-            &self.inserts,
-            &self.updates,
-            &self.deletes,
-            &self.explains,
-            &self.explain_analyzes,
-            &self.statement_errors,
-            &self.meta_cache_hits,
-            &self.meta_cache_misses,
-            &self.plan_cache_hits,
-            &self.plan_cache_misses,
-            &self.plan_cache_evictions,
-            &self.stats_cache_hits,
-            &self.stats_cache_misses,
-            &self.fulltext_searches,
-            &self.plan_regressions,
-            &self.card_feedback_applied,
-            &self.dml_seeks,
-            &self.dml_scans,
-            &self.dml_rows_located,
-            &self.dml_pushed,
-            &self.retired_session_connects,
-            &self.retired_session_reuses,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.exec.reset();
+        self.counters.reset();
         self.recent.lock().clear();
         self.slow.lock().clear();
         self.query_latency.clear();
         self.waits.clear();
-    }
-
-    /// The executor counters this engine shares with its execution
-    /// contexts, so spool/remote activity survives each execution.
-    pub fn exec_counters(&self) -> Arc<ExecCounters> {
-        Arc::clone(&self.exec)
-    }
-
-    pub fn record_meta_cache_hit(&self) {
-        self.meta_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_meta_cache_miss(&self) {
-        self.meta_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_plan_cache_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_plan_cache_miss(&self) {
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_plan_cache_evictions(&self, n: usize) {
-        if n > 0 {
-            self.plan_cache_evictions
-                .fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-
-    pub fn record_stats_cache_hit(&self) {
-        self.stats_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_stats_cache_miss(&self) {
-        self.stats_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_fulltext_search(&self) {
-        self.fulltext_searches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_plan_regression(&self) {
-        self.plan_regressions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_card_feedback(&self) {
-        self.card_feedback_applied.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one UPDATE/DELETE row-location read and the rows it returned.
-    pub fn record_dml_read(&self, seek: bool, rows: u64) {
-        let path = if seek {
-            &self.dml_seeks
-        } else {
-            &self.dml_scans
-        };
-        path.fetch_add(1, Ordering::Relaxed);
-        self.dml_rows_located.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Count one UPDATE/DELETE write shipped as a statement.
-    pub fn record_dml_pushed(&self) {
-        self.dml_pushed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Keep the counts of a session pool whose registration was replaced.
-    pub fn retire_session_pool(&self, pool: PoolStats) {
-        self.retired_session_connects
-            .fetch_add(pool.connects, Ordering::Relaxed);
-        self.retired_session_reuses
-            .fetch_add(pool.reuses, Ordering::Relaxed);
     }
 
     /// Count one finished statement and push its record onto the ring —
@@ -436,21 +126,22 @@ impl EngineMetrics {
         record: &Arc<StatementRecord>,
         slow_threshold: Option<Duration>,
     ) -> bool {
+        let c = &self.counters;
         let Some(kind) = record.kind else {
-            self.statement_errors.fetch_add(1, Ordering::Relaxed);
+            c.statement_errors.bump();
             return false;
         };
-        let counter = match kind {
-            StatementKind::Select => &self.selects,
-            StatementKind::Insert => &self.inserts,
-            StatementKind::Update => &self.updates,
-            StatementKind::Delete => &self.deletes,
-            StatementKind::Explain => &self.explains,
-            StatementKind::ExplainAnalyze => &self.explain_analyzes,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        match kind {
+            StatementKind::Select => &c.selects,
+            StatementKind::Insert => &c.inserts,
+            StatementKind::Update => &c.updates,
+            StatementKind::Delete => &c.deletes,
+            StatementKind::Explain => &c.explains,
+            StatementKind::ExplainAnalyze => &c.explain_analyzes,
+        }
+        .bump();
         if record.error.is_some() {
-            self.statement_errors.fetch_add(1, Ordering::Relaxed);
+            c.statement_errors.bump();
         }
         self.query_latency.record(record.elapsed.as_micros() as u64);
         let push = |ring: &Mutex<VecDeque<Arc<StatementRecord>>>, capacity: usize| {
@@ -484,55 +175,19 @@ impl EngineMetrics {
         self.query_latency.snapshot()
     }
 
-    /// `pools` is the sum over the session pools registered now; retired
-    /// pools' counts are added here.
+    /// The counters plus what their owners keep: `pools` is the sum over
+    /// the session pools registered now, `dtc` the coordinator's outcomes.
     pub fn snapshot(&self, dtc: DtcStats, pools: PoolStats) -> MetricsSnapshot {
-        let exec = self.exec.snapshot();
+        let counted = self.counters.snapshot();
         MetricsSnapshot {
-            selects: self.selects.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            updates: self.updates.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            explains: self.explains.load(Ordering::Relaxed),
-            explain_analyzes: self.explain_analyzes.load(Ordering::Relaxed),
-            statement_errors: self.statement_errors.load(Ordering::Relaxed),
-            meta_cache_hits: self.meta_cache_hits.load(Ordering::Relaxed),
-            meta_cache_misses: self.meta_cache_misses.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            plan_cache_evictions: self.plan_cache_evictions.load(Ordering::Relaxed),
-            stats_cache_hits: self.stats_cache_hits.load(Ordering::Relaxed),
-            stats_cache_misses: self.stats_cache_misses.load(Ordering::Relaxed),
-            fulltext_searches: self.fulltext_searches.load(Ordering::Relaxed),
-            plan_regressions: self.plan_regressions.load(Ordering::Relaxed),
-            card_feedback_applied: self.card_feedback_applied.load(Ordering::Relaxed),
-            dml_seeks: self.dml_seeks.load(Ordering::Relaxed),
-            dml_scans: self.dml_scans.load(Ordering::Relaxed),
-            dml_rows_located: self.dml_rows_located.load(Ordering::Relaxed),
-            dml_pushed: self.dml_pushed.load(Ordering::Relaxed),
-            session_connects: pools.connects
-                + self.retired_session_connects.load(Ordering::Relaxed),
-            session_reuses: pools.reuses + self.retired_session_reuses.load(Ordering::Relaxed),
-            spool_hits: exec.spool_hits,
-            spool_builds: exec.spool_builds,
-            remote_roundtrips: exec.remote_roundtrips,
-            parallel_exchanges: exec.parallel_exchanges,
-            exchange_workers: exec.exchange_workers,
-            remote_prefetches: exec.remote_prefetches,
-            remote_retries: exec.remote_retries,
-            remote_transient_errors: exec.remote_transient_errors,
-            remote_deadline_hits: exec.remote_deadline_hits,
-            breaker_fast_fails: exec.breaker_fast_fails,
-            members_pruned: exec.members_pruned,
-            startup_members_skipped: exec.startup_members_skipped,
-            semijoin_reductions: exec.semijoin_reductions,
-            semijoin_fallbacks: exec.semijoin_fallbacks,
-            semijoin_filter_bytes: exec.semijoin_filter_bytes,
+            session_connects: counted.session_connects + pools.connects,
+            session_reuses: counted.session_reuses + pools.reuses,
             dtc_commits: dtc.commits,
             dtc_aborts: dtc.aborts,
             dtc_in_doubt: dtc.in_doubt,
             dtc_recovered: dtc.recovered,
             dtc_votes_ridden: dtc.votes_ridden,
+            ..counted
         }
     }
 }
@@ -639,17 +294,22 @@ mod tests {
     #[test]
     fn reset_zeroes_counters_rings_and_waits() {
         let m = EngineMetrics::default();
-        m.record_meta_cache_hit();
-        m.record_plan_cache_miss();
-        m.record_dml_read(true, 2);
-        m.record_dml_read(false, 40);
-        m.exec_counters().add_remote_roundtrip();
+        let c = &m.counters;
+        c.meta_cache_hits.bump();
+        c.plan_cache_misses.bump();
+        c.dml_seeks.bump();
+        c.dml_rows_located.add(42);
+        c.remote_roundtrips.bump();
+        c.session_connects.add(2);
         m.waits().record(WaitClass::Spool, Duration::from_millis(3));
         let record = select("SELECT 1", Duration::from_millis(2), 1);
         assert!(m.finish_statement(&record, Some(Duration::ZERO)));
+        let before = m.snapshot(DtcStats::default(), PoolStats::default());
+        assert!(before.counters().iter().any(|&(_, v)| v > 0));
         m.reset();
         let s = m.snapshot(DtcStats::default(), PoolStats::default());
         assert_eq!(s, MetricsSnapshot::default());
+        assert!(s.counters().iter().all(|&(_, v)| v == 0));
         assert!(m.recent_queries().is_empty());
         assert!(m.slow_queries().is_empty());
         assert_eq!(m.query_latency().count, 0);
@@ -659,24 +319,23 @@ mod tests {
     #[test]
     fn snapshot_merges_exec_and_dtc_counters() {
         let m = EngineMetrics::default();
-        m.exec_counters().add_remote_roundtrip();
-        m.record_meta_cache_miss();
-        m.record_meta_cache_hit();
-        m.record_fulltext_search();
+        let c = &m.counters;
+        c.remote_roundtrips.bump();
+        c.meta_cache_misses.bump();
+        c.meta_cache_hits.bump();
+        c.fulltext_searches.bump();
         let failed_delete = Arc::new(StatementRecord {
             kind: Some(StatementKind::Delete),
             error: Some("boom".into()),
             ..StatementRecord::select("DELETE FROM t", Duration::ZERO, 3)
         });
         m.finish_statement(&failed_delete, None);
-        m.exec_counters().add_remote_retry();
-        m.exec_counters().add_remote_transient_error();
-        m.exec_counters().add_remote_deadline_hit();
-        m.retire_session_pool(PoolStats {
-            connects: 2,
-            reuses: 5,
-            idle: 1,
-        });
+        c.remote_retries.bump();
+        c.remote_transient_errors.bump();
+        c.remote_deadline_hits.bump();
+        // A replaced pool's counts, folded in when its registration went.
+        c.session_connects.add(2);
+        c.session_reuses.add(5);
         let s = m.snapshot(
             DtcStats {
                 commits: 7,

@@ -193,7 +193,8 @@ fn worker_tid(name: &str) -> Option<u64> {
     Some(n + 1)
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as the body of a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -113,14 +113,14 @@ fn skip_startup_member(member: &PhysNode, ctx: &ExecContext) {
         .or_else(|| branch_table(member))
         .unwrap_or_else(|| "local".to_string());
     ctx.pruned().record_startup(&label);
-    ctx.counters().add_startup_member_skipped();
+    ctx.counters().startup_members_skipped.bump();
 }
 
 /// Quarantine one union/exchange member: note it in the per-query prune
 /// log (EXPLAIN ANALYZE, `sys.dm_exec_requests`) and the engine counters.
 fn prune_member(server: &str, ctx: &ExecContext) {
     ctx.pruned().record(server);
-    ctx.counters().add_member_pruned();
+    ctx.counters().members_pruned.bump();
 }
 
 /// Open one union/exchange member under the degraded-mode policy. In
@@ -214,7 +214,7 @@ fn open_union_serially(
 fn maybe_prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> Box<dyn Rowset> {
     let cfg = ctx.parallel();
     if cfg.enabled && cfg.prefetch {
-        ctx.counters().add_remote_prefetch();
+        ctx.counters().remote_prefetches.bump();
         Box::new(PrefetchRowset::new(
             inner,
             ctx.batch().pull_size(),

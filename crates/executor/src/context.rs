@@ -362,13 +362,13 @@ impl ExecContext {
     pub fn cached_spool(&self, key: usize) -> Option<SpoolData> {
         let cached = self.spools.lock().expect("spool lock").get(&key).cloned();
         if cached.is_some() {
-            self.counters.add_spool_hit();
+            self.counters.spool_hits.bump();
         }
         cached
     }
 
     pub fn store_spool(&self, key: usize, data: SpoolData) {
-        self.counters.add_spool_build();
+        self.counters.spool_builds.bump();
         self.spools.lock().expect("spool lock").insert(key, data);
     }
 }

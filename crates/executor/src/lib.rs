@@ -31,6 +31,6 @@ pub use ops::retry::RetryPolicy;
 pub use ops::semijoin::{predicate_fingerprint, semijoin_remote_sql};
 pub use schema_guard::{MemberSchema, ValidateMember};
 pub use stats::{
-    ExchangeRuntime, ExecCounterSnapshot, ExecCounters, NodeRuntime, RemoteTrace,
+    ExchangeRuntime, ExecCounters, MetricsSnapshot, NodeRuntime, RemoteTrace,
     RuntimeStatsCollector, SemiJoinTrace, WorkerSpan,
 };

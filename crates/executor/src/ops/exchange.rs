@@ -116,7 +116,8 @@ impl ExchangeRowset {
         // Only worker-held senders remain: the channel disconnects exactly
         // when the last branch finishes.
         drop(tx);
-        ctx.counters().add_parallel_exchange(n as u64);
+        ctx.counters().parallel_exchanges.bump();
+        ctx.counters().exchange_workers.add(n as u64);
         let stats = ctx.stats().map(|c| (node, Arc::clone(c)));
         let merged = MergedBranches {
             rx: Some(rx),

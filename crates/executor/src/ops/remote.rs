@@ -133,7 +133,7 @@ fn open_gated(
             Admission::Reject {
                 consecutive_failures,
             } => {
-                counters.add_breaker_fast_fail();
+                counters.breaker_fast_fails.bump();
                 // Near-zero time was spent, but the rejection must be
                 // countable (and attributable as a dominant wait).
                 record_wait(
@@ -250,7 +250,7 @@ pub(crate) fn open_remote_text(
         checks.open_session(&source, |session| {
             let mut command = session.create_command()?;
             command.set_text(&text)?;
-            counters.add_remote_roundtrip();
+            counters.remote_roundtrips.bump();
             command.execute()?.into_rowset()
         })
     });
@@ -286,7 +286,7 @@ pub fn open_remote_scan(
     let counters = Arc::clone(ctx.counters());
     let factory: ReopenFactory = Box::new(move || {
         checks.open_session(&source, |session| {
-            counters.add_remote_roundtrip();
+            counters.remote_roundtrips.bump();
             session.open_rowset(&table)
         })
     });
@@ -310,7 +310,7 @@ pub fn open_remote_range(
     let counters = Arc::clone(ctx.counters());
     let factory: ReopenFactory = Box::new(move || {
         checks.open_session(&source, |session| {
-            counters.add_remote_roundtrip();
+            counters.remote_roundtrips.bump();
             session.open_index(&table, &index_name, &range)
         })
     });
@@ -342,7 +342,7 @@ pub fn open_remote_fetch(
     let counters = Arc::clone(ctx.counters());
     let factory: ReopenFactory = Box::new(move || {
         checks.open_session(&source, |session| {
-            counters.add_remote_roundtrip();
+            counters.remote_roundtrips.bump();
             let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;
             Ok(Box::new(MemRowset::new(schema.clone(), rows)) as Box<dyn Rowset>)
         })

@@ -125,10 +125,10 @@ impl RetryState {
     /// `attempt_elapsed`) and decide: `Ok(())` to back off and retry, or
     /// the final error to surface.
     fn absorb(&mut self, error: DhqpError, attempt_elapsed: Duration) -> Result<()> {
-        self.counters.add_remote_transient_error();
+        self.counters.remote_transient_errors.bump();
         let error = match self.policy.attempt_deadline {
             Some(limit) if attempt_elapsed >= limit => {
-                self.counters.add_remote_deadline_hit();
+                self.counters.remote_deadline_hits.bump();
                 DhqpError::Timeout(format!(
                     "attempt deadline ({limit:?}) exceeded: {}",
                     error.message()
@@ -147,7 +147,7 @@ impl RetryState {
         let backoff = self.policy.backoff(self.attempt);
         if let Some(deadline) = self.policy.query_deadline {
             if self.started.elapsed() + backoff >= deadline {
-                self.counters.add_remote_deadline_hit();
+                self.counters.remote_deadline_hits.bump();
                 return Err(DhqpError::Timeout(format!(
                     "query deadline ({deadline:?}) exceeded after {} attempts: {}",
                     self.attempt,
@@ -170,7 +170,7 @@ impl RetryState {
             record_wait(WaitClass::RetryBackoff, backoff);
         }
         self.attempt += 1;
-        self.counters.add_remote_retry();
+        self.counters.remote_retries.bump();
         if let Some((node, collector)) = &self.stats {
             collector.record_retries(*node, 1);
         }

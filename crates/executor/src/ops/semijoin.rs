@@ -105,7 +105,7 @@ pub fn open_semijoin_reduce(
     if keys.is_empty() {
         // No joinable build rows: an inner/semi join is empty by
         // construction. Zero round trips, zero bytes.
-        ctx.counters().add_semijoin_reduction(0);
+        ctx.counters().semijoin_reductions.bump();
         if let Some(collector) = ctx.stats() {
             collector.record_semijoin(node, SemiJoinTrace::default());
         }
@@ -142,7 +142,8 @@ pub fn open_semijoin_reduce(
         match open_shipped(&reduced, Some(tag)) {
             Ok(rs) => {
                 trace.filter_bytes = filter_bytes;
-                ctx.counters().add_semijoin_reduction(filter_bytes);
+                ctx.counters().semijoin_reductions.bump();
+                ctx.counters().semijoin_filter_bytes.add(filter_bytes);
                 rs
             }
             Err(e) if e.is_retryable() => {
@@ -152,7 +153,7 @@ pub fn open_semijoin_reduce(
                 // what the unreduced plan would have done; the reduction
                 // never turns a full answer into a partial one.
                 trace.fallback = true;
-                ctx.counters().add_semijoin_fallback();
+                ctx.counters().semijoin_fallbacks.bump();
                 open_shipped(&base, None)?
             }
             Err(e) => return Err(e),
@@ -161,7 +162,7 @@ pub fn open_semijoin_reduce(
         // More distinct keys than the splice threshold: the plan-time
         // cardinality estimate undershot, abandon the reduction.
         trace.fallback = true;
-        ctx.counters().add_semijoin_fallback();
+        ctx.counters().semijoin_fallbacks.bump();
         open_shipped(&base, None)?
     };
 

@@ -1,12 +1,13 @@
 //! Per-operator runtime statistics (the `EXPLAIN ANALYZE` substrate) and
-//! engine-wide execution counters.
+//! the engine's one counter table.
 //!
 //! Collection is designed to stay off the per-row hot path: each opened
 //! operator accumulates its row count and cursor time in plain local fields
 //! inside [`StatsRowset`] and flushes them into the shared collector exactly
 //! once, on drop. The only synchronized operations happen at open/close
-//! (one mutex acquisition per operator open) and the engine-level counters
-//! are lock-free atomics bumped at open time, never per row.
+//! (one mutex acquisition per operator open) and the engine counters are
+//! lock-free atomics bumped at open time or once per statement, never per
+//! row.
 
 use dhqp_oledb::{DataSource, LatencySummary, Rowset, TrafficSnapshot};
 use dhqp_types::{Result, Schema};
@@ -15,169 +16,209 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Lock-free counters shared between one engine and every execution it
-/// runs. Snapshot with [`ExecCounters::snapshot`].
+/// One engine counter. Relaxed: a count publishes no other data.
 #[derive(Debug, Default)]
-pub struct ExecCounters {
-    /// Remote opens: one per `IOpenRowset`/`IRowsetIndex`/`IRowsetLocate`/
-    /// command execution issued against a linked server.
-    pub remote_roundtrips: AtomicU64,
-    /// Spool rescans served from the in-memory cache instead of re-running
-    /// (and possibly re-shipping) the child.
-    pub spool_hits: AtomicU64,
-    /// Spool first-time materializations.
-    pub spool_builds: AtomicU64,
-    /// Exchange operators that opened with parallel dispatch (the serial
-    /// fallback does not count).
-    pub parallel_exchanges: AtomicU64,
-    /// Worker threads spawned by parallel exchanges, summed.
-    pub exchange_workers: AtomicU64,
-    /// Remote rowsets wrapped in a prefetching decorator.
-    pub remote_prefetches: AtomicU64,
-    /// Remote operations re-issued after a transient fault.
-    pub remote_retries: AtomicU64,
-    /// Transient (retryable) errors observed on remote operations,
-    /// whether or not a retry followed.
-    pub remote_transient_errors: AtomicU64,
-    /// Retries abandoned because an attempt or query deadline was hit.
-    pub remote_deadline_hits: AtomicU64,
-    /// Remote opens rejected immediately by an open circuit breaker
-    /// (no wire traffic, no retry budget burned).
-    pub breaker_fast_fails: AtomicU64,
-    /// DPV members skipped by degraded-mode pruning, summed over queries.
-    pub members_pruned: AtomicU64,
-    /// DPV members skipped by runtime startup-predicate pruning (the
-    /// parameter value proved the member empty before any open).
-    pub startup_members_skipped: AtomicU64,
-    /// Semi-join reductions executed: remote fetches that shipped a
-    /// drive-time `IN`-list of build-side join keys.
-    pub semijoin_reductions: AtomicU64,
-    /// Semi-join reductions abandoned at drive time (key overflow past
-    /// `DHQP_SEMIJOIN_MAX_KEYS`, or a reduced open that exhausted its
-    /// retries and fell back to the unreduced statement).
-    pub semijoin_fallbacks: AtomicU64,
-    /// Bytes of spliced `IN`-list text shipped outbound by reductions.
-    pub semijoin_filter_bytes: AtomicU64,
-}
+pub struct Counter(AtomicU64);
 
-impl ExecCounters {
-    pub fn add_remote_roundtrip(&self) {
-        self.remote_roundtrips.fetch_add(1, Ordering::Relaxed);
+impl Counter {
+    /// Count one.
+    pub fn bump(&self) {
+        self.add(1);
     }
 
-    pub fn add_spool_hit(&self) {
-        self.spool_hits.fetch_add(1, Ordering::Relaxed);
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_spool_build(&self) {
-        self.spool_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_parallel_exchange(&self, workers: u64) {
-        self.parallel_exchanges.fetch_add(1, Ordering::Relaxed);
-        self.exchange_workers.fetch_add(workers, Ordering::Relaxed);
-    }
-
-    pub fn add_remote_prefetch(&self) {
-        self.remote_prefetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_remote_retry(&self) {
-        self.remote_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_remote_transient_error(&self) {
-        self.remote_transient_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_remote_deadline_hit(&self) {
-        self.remote_deadline_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_breaker_fast_fail(&self) {
-        self.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_member_pruned(&self) {
-        self.members_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_startup_member_skipped(&self) {
-        self.startup_members_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_semijoin_reduction(&self, filter_bytes: u64) {
-        self.semijoin_reductions.fetch_add(1, Ordering::Relaxed);
-        self.semijoin_filter_bytes
-            .fetch_add(filter_bytes, Ordering::Relaxed);
-    }
-
-    pub fn add_semijoin_fallback(&self) {
-        self.semijoin_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> ExecCounterSnapshot {
-        ExecCounterSnapshot {
-            remote_roundtrips: self.remote_roundtrips.load(Ordering::Relaxed),
-            spool_hits: self.spool_hits.load(Ordering::Relaxed),
-            spool_builds: self.spool_builds.load(Ordering::Relaxed),
-            parallel_exchanges: self.parallel_exchanges.load(Ordering::Relaxed),
-            exchange_workers: self.exchange_workers.load(Ordering::Relaxed),
-            remote_prefetches: self.remote_prefetches.load(Ordering::Relaxed),
-            remote_retries: self.remote_retries.load(Ordering::Relaxed),
-            remote_transient_errors: self.remote_transient_errors.load(Ordering::Relaxed),
-            remote_deadline_hits: self.remote_deadline_hits.load(Ordering::Relaxed),
-            breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
-            members_pruned: self.members_pruned.load(Ordering::Relaxed),
-            startup_members_skipped: self.startup_members_skipped.load(Ordering::Relaxed),
-            semijoin_reductions: self.semijoin_reductions.load(Ordering::Relaxed),
-            semijoin_fallbacks: self.semijoin_fallbacks.load(Ordering::Relaxed),
-            semijoin_filter_bytes: self.semijoin_filter_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (`DBCC SQLPERF(..., CLEAR)` between bench phases).
-    pub fn reset(&self) {
-        for counter in [
-            &self.remote_roundtrips,
-            &self.spool_hits,
-            &self.spool_builds,
-            &self.parallel_exchanges,
-            &self.exchange_workers,
-            &self.remote_prefetches,
-            &self.remote_retries,
-            &self.remote_transient_errors,
-            &self.remote_deadline_hits,
-            &self.breaker_fast_fails,
-            &self.members_pruned,
-            &self.startup_members_skipped,
-            &self.semijoin_reductions,
-            &self.semijoin_fallbacks,
-            &self.semijoin_filter_bytes,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// Point-in-time copy of [`ExecCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecCounterSnapshot {
-    pub remote_roundtrips: u64,
-    pub spool_hits: u64,
-    pub spool_builds: u64,
-    pub parallel_exchanges: u64,
-    pub exchange_workers: u64,
-    pub remote_prefetches: u64,
-    pub remote_retries: u64,
-    pub remote_transient_errors: u64,
-    pub remote_deadline_hits: u64,
-    pub breaker_fast_fails: u64,
-    pub members_pruned: u64,
-    pub startup_members_skipped: u64,
-    pub semijoin_reductions: u64,
-    pub semijoin_fallbacks: u64,
-    pub semijoin_filter_bytes: u64,
+/// Declares every engine counter from one row each: its [`Counter`] in
+/// [`ExecCounters`], its field in [`MetricsSnapshot`], its part of `reset`
+/// and its `sys.dm_os_counters` row. A `filled` row is a snapshot field with
+/// no counter here: its owner fills it in when the engine takes a snapshot.
+macro_rules! counters {
+    (
+        counted { $($(#[$doc:meta])* $counted:ident,)* }
+        filled { $($(#[$filled_doc:meta])* $filled:ident,)* }
+    ) => {
+        /// The engine's live counters: one set per engine, shared with every
+        /// execution context it builds. Read them with
+        /// [`ExecCounters::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct ExecCounters {
+            $($(#[$doc])* pub $counted: Counter,)*
+        }
+
+        /// Point-in-time copy of every engine counter, safe to hold across
+        /// further engine activity.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $counted: u64,)*
+            $($(#[$filled_doc])* pub $filled: u64,)*
+        }
+
+        impl ExecCounters {
+            /// Every counter's value now; the `filled` fields read 0.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($counted: self.$counted.get(),)*
+                    ..MetricsSnapshot::default()
+                }
+            }
+
+            /// Zero every counter (`DBCC SQLPERF(..., CLEAR)`).
+            pub fn reset(&self) {
+                $(self.$counted.0.store(0, Ordering::Relaxed);)*
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every field as a `(name, value)` row, in table order — the
+            /// rows `sys.dm_os_counters` serves.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![
+                    $((stringify!($counted), self.$counted),)*
+                    $((stringify!($filled), self.$filled),)*
+                ]
+            }
+        }
+    };
+}
+
+counters! {
+    counted {
+        /// SELECT statements finished.
+        selects,
+        /// INSERT statements finished.
+        inserts,
+        /// UPDATE statements finished.
+        updates,
+        /// DELETE statements finished.
+        deletes,
+        /// `EXPLAIN` statements finished.
+        explains,
+        /// `EXPLAIN ANALYZE` statements finished.
+        explain_analyzes,
+        /// Statements that failed (including parse errors).
+        statement_errors,
+        /// Remote metadata bundles served from the TTL'd metadata cache at
+        /// bind time.
+        meta_cache_hits,
+        /// Remote metadata bundles fetched over the link at bind time.
+        meta_cache_misses,
+        /// Parameterized plan-cache activity. A hit skips parse, bind and
+        /// optimize entirely; hits also credit one `meta_cache_hits` per
+        /// remote server the cached plan depends on (metadata consultation
+        /// avoided altogether).
+        plan_cache_hits,
+        plan_cache_misses,
+        /// Plans dropped by LRU pressure or epoch invalidation.
+        plan_cache_evictions,
+        /// Remote statistics bundles served from (or fetched into) the TTL'd
+        /// metadata cache at bind time.
+        stats_cache_hits,
+        stats_cache_misses,
+        /// Full-text catalog searches run for `CONTAINS`.
+        fulltext_searches,
+        /// Spool rescans served from the in-memory cache instead of
+        /// re-running (and possibly re-shipping) the child.
+        spool_hits,
+        /// Spool first-time materializations.
+        spool_builds,
+        /// Remote opens: one per `IOpenRowset`/`IRowsetIndex`/
+        /// `IRowsetLocate`/command execution issued against a linked server.
+        remote_roundtrips,
+        /// Exchange operators that opened with parallel dispatch (the serial
+        /// fallback does not count).
+        parallel_exchanges,
+        /// Worker threads those exchanges spawned, summed.
+        exchange_workers,
+        /// Remote rowsets that ran behind a prefetching decorator.
+        remote_prefetches,
+        /// Remote attempts re-issued after a transient transport fault.
+        remote_retries,
+        /// Transient transport faults observed on the remote path (whether
+        /// or not a retry ultimately succeeded).
+        remote_transient_errors,
+        /// Remote attempts abandoned because a per-attempt or per-query
+        /// deadline expired.
+        remote_deadline_hits,
+        /// Remote opens rejected without touching the wire because the
+        /// link's circuit breaker was open (no retry budget burned).
+        breaker_fast_fails,
+        /// DPV members skipped by degraded-mode pruning, summed over
+        /// statements.
+        members_pruned,
+        /// DPV members skipped at drive time because their startup predicate
+        /// rejected the runtime parameter values (`DHQP_RUNTIME_PRUNE`).
+        startup_members_skipped,
+        /// Remote fetches reduced by a shipped semi-join `IN`-list of
+        /// build-side join keys.
+        semijoin_reductions,
+        /// Semi-join reductions abandoned at drive time (key count past
+        /// `DHQP_SEMIJOIN_MAX_KEYS`, or the reduced open exhausted its retry
+        /// budget and the unreduced statement shipped instead).
+        semijoin_fallbacks,
+        /// Extra request bytes spent shipping semi-join filters, summed —
+        /// the price paid for the result-byte savings.
+        semijoin_filter_bytes,
+        /// Query-store plan changes whose new plan averaged slower than the
+        /// fingerprint's previous plan.
+        plan_regressions,
+        /// Observed remote cardinalities written back into the statistics
+        /// cache by the feedback loop (`DHQP_CARD_FEEDBACK`).
+        card_feedback_applied,
+        /// UPDATE/DELETE row-location reads answered by one index seek over
+        /// the hull of the predicate's key domain.
+        dml_seeks,
+        /// UPDATE/DELETE row-location reads that read the whole table.
+        dml_scans,
+        /// Rows those reads returned, before the predicate re-check —
+        /// against `rows_affected`, the price of seeking a hull rather than
+        /// each interval.
+        dml_rows_located,
+        /// UPDATE/DELETE writes shipped to a table's provider as one
+        /// statement instead of being located from here: no read, so none of
+        /// the three counters above moves for them.
+        dml_pushed,
+        /// Connect requests the linked servers' session pools sent (cold
+        /// opens) since the last reset. The counter keeps the counts of
+        /// pools whose registration was replaced and a snapshot adds the
+        /// live pools', so the total never goes backwards between resets.
+        session_connects,
+        /// Sessions those pools handed out from their idle lists (warm
+        /// opens), kept the same way.
+        session_reuses,
+    }
+    filled {
+        /// Distributed transactions committed, from the coordinator.
+        dtc_commits,
+        /// Distributed transactions aborted, from the coordinator.
+        dtc_aborts,
+        /// Distributed transactions currently in doubt (decision logged,
+        /// delivery pending at some participant).
+        dtc_in_doubt,
+        /// In-doubt transactions resolved by `recover()`.
+        dtc_recovered,
+        /// Phase-one votes that rode a participant's last write instead of
+        /// answering a `prepare` message — one saved round trip each.
+        dtc_votes_ridden,
+    }
+}
+
+impl MetricsSnapshot {
+    /// Total statements counted, across every kind.
+    pub fn statements(&self) -> u64 {
+        self.selects
+            + self.inserts
+            + self.updates
+            + self.deletes
+            + self.explains
+            + self.explain_analyzes
+    }
 }
 
 /// What one remote plan node actually did on the wire.
@@ -555,13 +596,14 @@ mod tests {
     #[test]
     fn counters_snapshot() {
         let c = ExecCounters::default();
-        c.add_remote_roundtrip();
-        c.add_spool_build();
-        c.add_spool_hit();
-        c.add_spool_hit();
+        c.remote_roundtrips.bump();
+        c.spool_builds.bump();
+        c.spool_hits.add(2);
         let s = c.snapshot();
         assert_eq!(s.remote_roundtrips, 1);
         assert_eq!(s.spool_builds, 1);
         assert_eq!(s.spool_hits, 2);
+        c.reset();
+        assert_eq!(c.snapshot(), MetricsSnapshot::default());
     }
 }

@@ -56,7 +56,8 @@ pub enum WaitClass {
 pub const WAIT_CLASSES: usize = 10;
 
 impl WaitClass {
-    /// Every class, in DMV display order.
+    /// Every class, in DMV display order: `ALL[i] as usize == i`, the
+    /// class's slot in [`WaitStats`].
     pub const ALL: [WaitClass; WAIT_CLASSES] = [
         WaitClass::NetworkIo,
         WaitClass::RetryBackoff,
@@ -85,21 +86,6 @@ impl WaitClass {
             WaitClass::CircuitOpen => "CIRCUIT_OPEN",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            WaitClass::NetworkIo => 0,
-            WaitClass::RetryBackoff => 1,
-            WaitClass::ExchangeQueueFull => 2,
-            WaitClass::ExchangeQueueEmpty => 3,
-            WaitClass::Spool => 4,
-            WaitClass::DtcPrepare => 5,
-            WaitClass::DtcCommit => 6,
-            WaitClass::PlanCompile => 7,
-            WaitClass::StatsFetch => 8,
-            WaitClass::CircuitOpen => 9,
-        }
-    }
 }
 
 /// Per-class `(count, total, max)` atomics — the same relaxed lock-free
@@ -115,7 +101,7 @@ pub struct WaitStats {
 impl WaitStats {
     /// Record one wait of `d` under `class`.
     pub fn record(&self, class: WaitClass, d: Duration) {
-        let i = class.index();
+        let i = class as usize;
         let us = d.as_micros() as u64;
         self.counts[i].fetch_add(1, Ordering::Relaxed);
         self.total_us[i].fetch_add(us, Ordering::Relaxed);
@@ -161,7 +147,7 @@ pub struct WaitSnapshot {
 
 impl WaitSnapshot {
     pub fn get(&self, class: WaitClass) -> WaitTotals {
-        self.classes[class.index()]
+        self.classes[class as usize]
     }
 
     /// `(class, totals)` for every class with at least one wait.
@@ -386,6 +372,13 @@ mod tests {
         let t = sink.snapshot().get(WaitClass::PlanCompile);
         assert_eq!(t.count, 1);
         assert!(t.total_us >= 1500, "{t:?}");
+    }
+
+    #[test]
+    fn all_lists_classes_in_discriminant_order() {
+        for (i, class) in WaitClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
     }
 
     #[test]

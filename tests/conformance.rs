@@ -8,11 +8,13 @@
 //! - `check_schema` refuses exactly when `PartitionedView::validate_member`
 //!   would;
 //! - a vote that rides a write stands or falls with that write;
+//! - its metadata is honest: every listed table opens with exactly the
+//!   listed columns, and each value fits its column;
 //! - a wrapped source answers every verb as the bare one does.
 //!
 //! A new provider is one more [`Subject`] in `every_provider_conforms`.
 
-use dhqp::{Engine, EngineDataSource, SYS_SERVER};
+use dhqp::{Engine, EngineDataSource, EventConfig, SYS_SERVER};
 use dhqp_federation::{MemberTable, PartitionedView};
 use dhqp_fulltext::{FullTextProvider, SearchService};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
@@ -114,10 +116,22 @@ fn mini_sql(level: SqlSupport) -> Arc<dyn DataSource> {
 }
 
 /// An engine's own `sys` provider, as the engine registered it. It holds its
-/// engine weakly, so the engine lives as long as the test binary.
+/// engine weakly, so the engine lives as long as the test binary. The engine
+/// has done some work first — a plan-cached and a failed statement, over a
+/// linked server, with the query store and events on — so every view has
+/// rows to check.
 fn sys() -> Arc<dyn DataSource> {
     static HOST: OnceLock<Engine> = OnceLock::new();
-    let host = HOST.get_or_init(|| Engine::new("sys-host"));
+    let host = HOST.get_or_init(|| {
+        let host = Engine::new("sys-host");
+        host.add_linked_server("m", Arc::new(link(csv()))).unwrap();
+        host.set_plan_cache_enabled(true);
+        host.set_query_store_enabled(true);
+        host.set_event_config(EventConfig::all());
+        host.query("SELECT k FROM m.db.dbo.t WHERE k = 1").unwrap();
+        host.query("SELECT nope FROM m.db.dbo.t").unwrap_err();
+        host
+    });
     host.linked_server(SYS_SERVER).unwrap()
 }
 
@@ -209,6 +223,7 @@ fn conforms(subject: &Subject) {
         sql_level_is_honest(&source, &at);
         check_schema_agrees_with_validate_member(&*source, subject.table, &at);
         a_ridden_vote_stands_or_falls_with_its_write(&*source, subject.table, &at);
+        metadata_is_honest(&*source, &at);
         let wrapped = transcript(&*wrap((subject.make)()), subject);
         for (answer, bare) in wrapped.iter().zip(&reference) {
             assert_eq!(answer, bare, "{at}");
@@ -558,4 +573,27 @@ fn a_ridden_vote_stands_or_falls_with_its_write(source: &dyn DataSource, table: 
     assert!(after_vote.is_err(), "{at}: a write after the vote");
     s.commit(22).unwrap();
     assert_eq!(count(), before + 1, "{at}");
+}
+
+/// Every table `tables()` lists opens through `open_rowset` with exactly
+/// the listed columns — names, types and nullability — and every value it
+/// delivers is NULL only in a nullable column and otherwise of the column's
+/// type.
+fn metadata_is_honest(source: &dyn DataSource, at: &str) {
+    let mut s = source.create_session().unwrap();
+    for info in source.tables().unwrap() {
+        let what = format!("{at}: {}", info.name);
+        let opened = s.open_rowset(&info.name);
+        let mut rowset = opened.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(rowset.schema(), &info.schema(), "{what}");
+        for row in rowset.collect_rows().unwrap() {
+            assert_eq!(row.values.len(), info.columns.len(), "{what}: {row:?}");
+            for (value, column) in row.values.iter().zip(&info.columns) {
+                match value.data_type() {
+                    None => assert!(column.nullable, "{what}: NULL in {}", column.name),
+                    Some(ty) => assert_eq!(ty, column.data_type, "{what}: {value:?} in {column:?}"),
+                }
+            }
+        }
+    }
 }

@@ -2,12 +2,16 @@
 //! ordinary linked-server machinery, plus the hierarchical tracer.
 
 use dhqp::{
-    Engine, EngineBuilder, EngineDataSource, EventConfig, QueryResult, TraceConfig, WaitClass,
+    Engine, EngineBuilder, EngineDataSource, EventConfig, FaultConfig, QueryResult, RetryPolicy,
+    TraceConfig, WaitClass, SYS_SERVER,
 };
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
-use dhqp_storage::TableDef;
-use dhqp_types::{Column, DataType, Row, Schema, Value};
+use dhqp_oledb::RowsetExt;
+use dhqp_storage::{StorageEngine, TableDef};
+use dhqp_types::{Column, DataType, Interval, IntervalSet, Row, Schema, Value};
+use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Column position by name (DMV assertions shouldn't depend on order).
 fn col(r: &QueryResult, name: &str) -> usize {
@@ -539,4 +543,134 @@ fn sys_views_survive_ordering_and_projection() {
         .unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0].get(col(&r, "name")), &Value::Str("srv".into()));
+}
+
+/// `name(id, val)`, indexed on `id`, holding `(id, val)` for each id given.
+fn keyed(storage: &StorageEngine, name: &str, ids: impl Iterator<Item = i64>, val: &str) {
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("val", DataType::Str),
+    ]);
+    let def = TableDef::new(name, schema).with_index(&format!("ix_{name}"), &["id"], false);
+    storage.create_table(def).unwrap();
+    let rows: Vec<Row> = ids
+        .map(|id| Row::new(vec![Value::Int(id), Value::Str(val.to_string())]))
+        .collect();
+    storage.insert_rows(name, &rows).unwrap();
+    storage.analyze(name, 8).unwrap();
+}
+
+/// `sys.dm_os_counters` as its provider serves it: opening the rowset is not
+/// a statement, so no counter moves while it is read.
+fn served_counters(engine: &Engine) -> Vec<(String, i64)> {
+    let sys = engine.linked_server(SYS_SERVER).unwrap();
+    let mut session = sys.create_session().unwrap();
+    let rows = session
+        .open_rowset("dm_os_counters")
+        .unwrap()
+        .collect_rows();
+    let cell = |row: &Row| match (row.get(0), row.get(1)) {
+        (Value::Str(name), Value::Int(value)) => (name.clone(), *value),
+        other => panic!("{other:?}"),
+    };
+    rows.unwrap().iter().map(cell).collect()
+}
+
+/// Every counter family moves — a retried fault, a DTC commit, a semi-join
+/// reduction, a DML seek and a pushed write, a plan-cache hit and miss, a
+/// pool connect — and the two accounts of them agree: `sys.dm_os_counters`
+/// is `Engine::metrics().counters()` row for row plus the five latency
+/// rows, every name once, and after `reset_metrics` every row reads 0 but
+/// the durable DTC outcomes.
+#[test]
+fn counter_accounts_reconcile() {
+    let head = Engine::new("head");
+    head.set_plan_cache_enabled(true);
+    let mut config = head.optimizer_config();
+    config.enable_semijoin = true;
+    head.set_optimizer_config(config);
+    head.set_retry_policy(RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        attempt_deadline: None,
+        query_deadline: None,
+    });
+    keyed(head.storage(), "dim", 1..=6, "d");
+    let (m1, m2) = (Engine::new("m1"), Engine::new("m2"));
+    // A wide, wholly remote probe side: 6 build keys against 40.
+    keyed(
+        m1.storage(),
+        "fact",
+        (0..240).map(|i| i % 40 + 1),
+        &"x".repeat(96),
+    );
+    keyed(m1.storage(), "acct", 0..10, "a");
+    keyed(m2.storage(), "acct", 10..20, "a");
+    let member = |engine: &Engine, faults: Option<FaultConfig>| {
+        let provider = Arc::new(EngineDataSource::new(engine.clone()));
+        let link = NetworkLink::new(engine.name(), NetworkConfig::lan());
+        Arc::new(match faults {
+            Some(plan) => NetworkedDataSource::with_faults(provider, link, plan),
+            None => NetworkedDataSource::reliable(provider, link),
+        })
+    };
+    let faults = FaultConfig::one_transient_per_link(11);
+    head.add_linked_server("srv1", member(&m1, Some(faults)))
+        .unwrap();
+    head.add_linked_server("srv2", member(&m2, None)).unwrap();
+    let range = |lo, hi| IntervalSet::single(Interval::between(Value::Int(lo), Value::Int(hi)));
+    let members = vec![
+        (Some("srv1".to_string()), "acct".to_string(), range(0, 9)),
+        (Some("srv2".to_string()), "acct".to_string(), range(10, 19)),
+    ];
+    head.define_partitioned_view("acct_all", "id", members)
+        .unwrap();
+
+    for sql in [
+        "SELECT d.id, f.val FROM dim d JOIN srv1.db.dbo.fact f ON d.id = f.id WHERE d.id <= 3",
+        "SELECT val FROM dim WHERE id = 1",
+        "SELECT val FROM dim WHERE id = 1",
+        "UPDATE dim SET val = 'e' WHERE id = 2",
+        "UPDATE acct_all SET val = 'b' WHERE id >= 5 AND id < 15",
+    ] {
+        head.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+
+    let metrics = head.metrics();
+    let served = served_counters(&head);
+    assert_eq!(head.metrics(), metrics, "reading the view moved a counter");
+    let counted: Vec<(String, i64)> = metrics
+        .counters()
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), value as i64))
+        .collect();
+    let (rows, latency) = served.split_at(counted.len());
+    assert_eq!(rows, counted);
+    let latency: Vec<&str> = latency.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(latency.len(), 5, "{latency:?}");
+    assert!(latency
+        .iter()
+        .all(|name| name.starts_with("query_latency_")));
+    let names: HashSet<&str> = served.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names.len(), served.len(), "a counter named twice");
+    for moved in [
+        metrics.remote_retries,
+        metrics.dtc_commits,
+        metrics.semijoin_reductions,
+        metrics.dml_seeks,
+        metrics.dml_pushed,
+        metrics.plan_cache_hits,
+        metrics.plan_cache_misses,
+        metrics.session_connects,
+    ] {
+        assert!(moved > 0, "a counter family never moved: {metrics:?}");
+    }
+
+    // The coordinator's outcome log is durable state: reset leaves it.
+    head.reset_metrics();
+    for (row, before) in served_counters(&head).iter().zip(&served) {
+        let durable = row.0.starts_with("dtc_");
+        assert_eq!(row.1, if durable { before.1 } else { 0 }, "{}", row.0);
+    }
 }
