@@ -293,7 +293,7 @@ impl<'e> Binder<'e> {
         let scope = Scope { bindings, outer };
 
         // WHERE: conjunct-level dispatch (subqueries → semi/anti joins,
-        // CONTAINS → full-text semi-join, everything else → filter).
+        // everything else → filter).
         if let Some(where_clause) = &stmt.where_clause {
             let mut filters = Vec::new();
             for conj in where_clause.clone().split_conjuncts() {
@@ -924,12 +924,6 @@ impl<'e> Binder<'e> {
                 };
                 self.bind_subquery_join(tree, &subquery, kind, Some(probe), scope)
             }
-            ast::Expr::Function {
-                ref name, ref args, ..
-            } if name == "CONTAINS" => {
-                let pred = self.bind_contains(args, scope)?;
-                Ok(self.attach_fulltext_join(tree, pred)?)
-            }
             other => {
                 filters.push(self.bind_expr(&other, scope)?);
                 Ok(tree)
@@ -967,8 +961,12 @@ impl<'e> Binder<'e> {
         Ok(LogicalExpr::join(kind, outer_tree, inner_tree, predicate))
     }
 
-    /// `CONTAINS(column, 'query')` → the full-text predicate of §2.3.
-    fn bind_contains(&mut self, args: &[ast::Expr], scope: &Scope<'_>) -> Result<FtPredicate> {
+    /// `CONTAINS(column, 'query')` → `key IN (<hits>)`: the search service
+    /// answers with the keys of the matching rows (§2.3, Fig. 2), and the
+    /// relational side keeps the rows whose full-text key is one of them —
+    /// a predicate like any other, pushed to the indexed table and, across
+    /// an equi-join, to the other side (DESIGN.md §16).
+    fn bind_contains(&mut self, args: &[ast::Expr], scope: &Scope<'_>) -> Result<ScalarExpr> {
         let [col_expr, ast::Expr::Literal(Value::Str(query))] = args else {
             return Err(DhqpError::Bind(
                 "CONTAINS takes a column and a string literal".into(),
@@ -998,42 +996,15 @@ impl<'e> Binder<'e> {
         let key_pos = meta.schema.index_of(&key_column).ok_or_else(|| {
             DhqpError::Bind(format!("full-text key column '{key_column}' missing"))
         })?;
-        Ok(FtPredicate {
-            key_col: meta.column_id(key_pos),
-            catalog,
-            query: query.clone(),
+        let hits = self.engine.fulltext_query(&catalog, query)?;
+        Ok(ScalarExpr::InList {
+            expr: Box::new(ScalarExpr::Column(meta.column_id(key_pos))),
+            list: hits
+                .into_iter()
+                .map(|(k, _)| Value::Int(k as i64))
+                .collect(),
+            negated: false,
         })
-    }
-
-    /// Join the (key, rank) full-text rowset against the base table — the
-    /// relational-engine side of Figure 2.
-    fn attach_fulltext_join(
-        &mut self,
-        tree: LogicalExpr,
-        pred: FtPredicate,
-    ) -> Result<LogicalExpr> {
-        let hits = self.engine.fulltext_query(&pred.catalog, &pred.query)?;
-        let key_id = self.registry.allocate("ftkey", "", DataType::Int, false);
-        let rank_id = self.registry.allocate("rank", "", DataType::Int, false);
-        let rows: Vec<Vec<Value>> = hits
-            .into_iter()
-            .map(|(k, rank)| vec![Value::Int(k as i64), Value::Int(rank)])
-            .collect();
-        let values = LogicalExpr::new(
-            LogicalOp::Values {
-                columns: vec![key_id, rank_id],
-                rows: Arc::new(rows),
-            },
-            vec![],
-        );
-        let join_pred =
-            ScalarExpr::eq(ScalarExpr::Column(pred.key_col), ScalarExpr::Column(key_id));
-        Ok(LogicalExpr::join(
-            JoinKind::Semi,
-            tree,
-            values,
-            Some(join_pred),
-        ))
     }
 
     // ------------------------------------------------------------------
@@ -1278,7 +1249,7 @@ impl<'e> Binder<'e> {
                     .collect::<Result<Vec<_>>>()?;
                 Ok(ScalarExpr::InList {
                     expr: Box::new(v),
-                    list: values,
+                    list: values.into(),
                     negated: *negated,
                 })
             }
@@ -1304,9 +1275,7 @@ impl<'e> Binder<'e> {
                     )));
                 }
                 if name == "CONTAINS" {
-                    return Err(DhqpError::Unsupported(
-                        "CONTAINS is supported as a top-level WHERE conjunct".into(),
-                    ));
+                    return self.bind_contains(args, scope);
                 }
                 let bound = args
                     .iter()
@@ -1400,13 +1369,6 @@ impl<'e> Binder<'e> {
             _ => (l, r),
         }
     }
-}
-
-/// The parsed shape of a CONTAINS predicate before join attachment.
-struct FtPredicate {
-    key_col: ColumnId,
-    catalog: String,
-    query: String,
 }
 
 /// Metadata bundle fetched by the engine for one table.

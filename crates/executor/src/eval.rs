@@ -139,21 +139,9 @@ fn eval_bool(expr: &ScalarExpr, env: &RowEnv<'_>) -> Result<Option<bool>> {
             expr,
             list,
             negated,
-        } => {
-            let v = eval_expr(expr, env)?;
-            if v.is_null() {
-                return Ok(None);
-            }
-            let mut saw_null = false;
-            for item in list {
-                match v.sql_eq(item) {
-                    Some(true) => return Ok(Some(!*negated)),
-                    None => saw_null = true,
-                    Some(false) => {}
-                }
-            }
-            Ok(if saw_null { None } else { Some(*negated) })
-        }
+        } => Ok(list
+            .contains(&eval_expr(expr, env)?)
+            .map(|hit| hit != *negated)),
         ScalarExpr::ParamInDomain { param, domain } => {
             let v = env.ctx.param(param)?;
             Ok(Some(domain.contains(v)))
@@ -319,7 +307,7 @@ mod tests {
         // 9 NOT IN (1, NULL) is UNKNOWN, not TRUE.
         let e = ScalarExpr::InList {
             expr: Box::new(ScalarExpr::Column(ColumnId(0))),
-            list: vec![Value::Int(1), Value::Null],
+            list: vec![Value::Int(1), Value::Null].into(),
             negated: true,
         };
         assert_eq!(eval_bool(&e, &env).unwrap(), None);
@@ -328,7 +316,7 @@ mod tests {
         let env = env_for(&positions, &row, &ctx);
         let e = ScalarExpr::InList {
             expr: Box::new(ScalarExpr::Column(ColumnId(0))),
-            list: vec![Value::Int(1), Value::Null],
+            list: vec![Value::Int(1), Value::Null].into(),
             negated: false,
         };
         assert_eq!(eval_bool(&e, &env).unwrap(), Some(true));

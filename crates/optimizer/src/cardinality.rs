@@ -199,11 +199,15 @@ pub fn derive_props(
                 domains.extend(r.domains.iter().map(|(k, v)| (*k, v.clone())));
                 histograms.extend(r.histograms.iter().map(|(k, v)| (*k, Arc::clone(v))));
             }
-            // Equi-join transfers domain knowledge across sides.
+            // Equi-join transfers domain knowledge across sides — to the
+            // rows that found a match. An outer join also keeps left rows
+            // that found none, and an anti join keeps only those.
             if let Some(p) = predicate {
                 for (lc, rc) in equi_key_columns(p, l, r) {
                     let merged = join_domains(&domains, l, r, lc, rc);
-                    domains.insert(lc, merged.clone());
+                    if !matches!(kind, JoinKind::LeftOuter | JoinKind::Anti) {
+                        domains.insert(lc, merged.clone());
+                    }
                     if kind.produces_right() {
                         domains.insert(rc, merged);
                     }
@@ -907,6 +911,51 @@ mod tests {
             "50<k AND k=20 is contradictory"
         );
         assert_eq!(props.cardinality, 0.0);
+    }
+
+    #[test]
+    fn only_matched_rows_take_the_other_sides_domain() {
+        use crate::logical::JoinKind;
+        let mut reg = ColumnRegistry::new();
+        let a = test_table_meta(
+            0,
+            "a",
+            Locality::Local,
+            &[("x", DataType::Int)],
+            &mut reg,
+            100,
+        );
+        let b = test_table_meta(
+            1,
+            "b",
+            Locality::Local,
+            &[("y", DataType::Int)],
+            &mut reg,
+            100,
+        );
+        let (x, y) = (a.column_id(0), b.column_id(0));
+        let keys = ScalarExpr::InList {
+            expr: Box::new(ScalarExpr::Column(y)),
+            list: [1, 2].into_iter().map(Value::Int).collect(),
+            negated: false,
+        };
+        // An outer join also keeps the left rows that found no match, an
+        // anti join keeps only those: neither confines `x` to `y`'s keys.
+        for (kind, confined) in [
+            (JoinKind::Inner, true),
+            (JoinKind::Semi, true),
+            (JoinKind::LeftOuter, false),
+            (JoinKind::Anti, false),
+        ] {
+            let join = LogicalExpr::join(
+                kind,
+                LogicalExpr::get(Arc::clone(&a)),
+                LogicalExpr::get(Arc::clone(&b)).filter(keys.clone()),
+                Some(ScalarExpr::eq(ScalarExpr::Column(x), ScalarExpr::Column(y))),
+            );
+            let props = props_of(&join, &reg);
+            assert_eq!(!props.domain_of(x).is_full(), confined, "{kind:?}");
+        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub struct CostModel {
     /// Expected probability that a startup filter lets its subtree run; the
     /// expected-cost multiplier for runtime-pruned branches.
     pub startup_pass_probability: f64,
-    /// Bytes one rendered join-key literal occupies inside a shipped
-    /// `IN`-list (semi-join reduction's outbound payload).
+    /// Bytes one rendered key literal occupies inside a shipped `IN`-list
+    /// (a pushed key set's or semi-join reduction's outbound payload).
     pub semijoin_key_width: f64,
 }
 
@@ -90,28 +90,14 @@ impl CostModel {
         n * n.log2() * self.sort_cmp
     }
 
-    /// Cost of a remote operator returning `out_rows` of `width` bytes,
-    /// where the remote side must process roughly `remote_input_rows`.
-    /// "Based on the output cardinality of a remote operator" — the output
-    /// terms dominate by construction.
+    /// Cost of a remote operator that ships `keys` literals outbound as
+    /// `IN`-list text — a key set pushed into the statement, or semi-join
+    /// reduction's drive-time keys — and returns `out_rows` of `width`
+    /// bytes, where the remote side must process roughly
+    /// `remote_input_rows`. "Based on the output cardinality of a remote
+    /// operator": the output terms dominate unless the list is long, which
+    /// is the crossover a key set or a reduction has to win.
     pub fn remote_result(
-        &self,
-        caps: &ProviderCapabilities,
-        out_rows: f64,
-        width: f64,
-        remote_input_rows: f64,
-    ) -> f64 {
-        self.round_trip(caps)
-            + self.transfer(out_rows, width)
-            + out_rows.max(0.0) * self.cpu_row
-            + remote_input_rows.max(0.0) * self.remote_exec_row
-    }
-
-    /// Cost of a semi-join-reduced remote fetch: `keys` join keys ship
-    /// outbound as `IN`-list text, then the remote returns only the
-    /// `out_rows` matching rows — the Fig.-4 crossover lives in the
-    /// tension between these two terms as the build side grows.
-    pub fn semijoin_remote(
         &self,
         caps: &ProviderCapabilities,
         keys: f64,
@@ -119,8 +105,11 @@ impl CostModel {
         width: f64,
         remote_input_rows: f64,
     ) -> f64 {
-        self.transfer(keys, self.semijoin_key_width)
-            + self.remote_result(caps, out_rows, width, remote_input_rows)
+        self.round_trip(caps)
+            + self.transfer(keys, self.semijoin_key_width)
+            + self.transfer(out_rows, width)
+            + out_rows.max(0.0) * self.cpu_row
+            + remote_input_rows.max(0.0) * self.remote_exec_row
     }
 }
 
@@ -136,8 +125,8 @@ mod tests {
     fn remote_cost_scales_with_output_not_input() {
         let m = CostModel::default();
         // Same remote work, small vs large result: result size dominates.
-        let small = m.remote_result(&caps(), 100.0, 50.0, 1_000_000.0);
-        let large = m.remote_result(&caps(), 1_000_000.0, 50.0, 1_000_000.0);
+        let small = m.remote_result(&caps(), 0.0, 100.0, 50.0, 1_000_000.0);
+        let large = m.remote_result(&caps(), 0.0, 1_000_000.0, 50.0, 1_000_000.0);
         assert!(large > small * 10.0, "large={large} small={small}");
     }
 
@@ -152,9 +141,9 @@ mod tests {
         let suppliers = 10_000.0;
         let nations = 25.0;
         let join_out = customers * suppliers / nations; // ≈ 60M pairs
-        let plan_a = m.remote_result(&caps(), join_out, 60.0, customers + suppliers);
-        let plan_b = m.remote_result(&caps(), customers, 40.0, customers)
-            + m.remote_result(&caps(), suppliers, 20.0, suppliers);
+        let plan_a = m.remote_result(&caps(), 0.0, join_out, 60.0, customers + suppliers);
+        let plan_b = m.remote_result(&caps(), 0.0, customers, 40.0, customers)
+            + m.remote_result(&caps(), 0.0, suppliers, 20.0, suppliers);
         assert!(plan_b < plan_a / 100.0, "plan_b={plan_b} plan_a={plan_a}");
     }
 

@@ -5,11 +5,13 @@
 //! check (`matches`) so the engine never attempts rules that cannot fire —
 //! the paper's mechanism for keeping search cheap.
 
+use crate::cardinality::equi_key_columns;
 use crate::logical::{JoinKind, Locality, LogicalOp};
 use crate::memo::{AltExpr, GroupId, MExpr, Memo};
-use crate::props::ColumnId;
+use crate::props::{ColumnId, LogicalProps};
 use crate::rules::RuleContext;
 use crate::scalar::ScalarExpr;
+use dhqp_types::{IntervalBound, ValueSet};
 use std::collections::BTreeSet;
 
 /// An exploration rule.
@@ -222,6 +224,122 @@ impl ExplorationRule for JoinAssociate {
     }
 }
 
+/// `A ⋈[l = r] B ≡ A ⋈[l = r] σ[r IN (P)](B)` when the domain A derives
+/// for `l` (from `IN`-lists and `=` literals, a CONTAINS hit list among
+/// them) meets B's domain for `r` in a finite set of points P, and the
+/// mirror image. Every row of B that can join has its `r` equal to a member
+/// of P, so the filter is implied and the group's rows do not change; the
+/// search keeps the alternative only when it is cheaper, which for a remote
+/// B means the list costs less to ship than the rows it saves (DESIGN.md
+/// §16). The rule adds filters, never join predicates.
+pub struct ImpliedKeySet;
+
+impl ImpliedKeySet {
+    /// `to_col IN (P)` over `to`, or `None` when the two columns differ in
+    /// type, P is not a non-empty set of points of that type, or `to`
+    /// already confines `to_col` to P.
+    fn filter(
+        from: &LogicalProps,
+        from_col: ColumnId,
+        to: &LogicalProps,
+        to_col: ColumnId,
+        ctx: &RuleContext<'_>,
+    ) -> Option<LogicalOp> {
+        let ty = ctx.registry.meta(from_col).data_type;
+        if ctx.registry.meta(to_col).data_type != ty {
+            return None;
+        }
+        let points = from.domains.get(&from_col)?;
+        // The rule meets its own filter again on every exploration pass: an
+        // unconstrained `to_col` and one already confined to P are told
+        // apart without building the intersection.
+        let met;
+        let shipped = match to.domains.get(&to_col) {
+            None => points,
+            Some(to_domain) if to_domain == points => return None,
+            Some(to_domain) => {
+                met = points.intersect(to_domain);
+                if met == *to_domain {
+                    return None;
+                }
+                &met
+            }
+        };
+        let list: ValueSet = shipped
+            .intervals()
+            .iter()
+            .map(|iv| match (&iv.low, &iv.high) {
+                (IntervalBound::Included(a), IntervalBound::Included(b))
+                    if a == b && a.data_type() == Some(ty) =>
+                {
+                    Some(a.clone())
+                }
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        if list.is_empty() {
+            return None;
+        }
+        let predicate = ScalarExpr::InList {
+            expr: Box::new(ScalarExpr::Column(to_col)),
+            list,
+            negated: false,
+        };
+        Some(LogicalOp::Filter { predicate })
+    }
+}
+
+impl ExplorationRule for ImpliedKeySet {
+    fn name(&self) -> &'static str {
+        "ImpliedKeySet"
+    }
+
+    fn promise(&self) -> u8 {
+        40
+    }
+
+    fn matches(&self, op: &LogicalOp) -> bool {
+        matches!(
+            op,
+            LogicalOp::Join {
+                kind: JoinKind::Inner,
+                predicate: Some(_),
+            }
+        )
+    }
+
+    fn apply(
+        &self,
+        expr: &MExpr,
+        _group: GroupId,
+        memo: &Memo,
+        ctx: &RuleContext<'_>,
+    ) -> Vec<AltExpr> {
+        let LogicalOp::Join {
+            predicate: Some(p), ..
+        } = &expr.op
+        else {
+            return vec![];
+        };
+        let (lg, rg) = (expr.children[0], expr.children[1]);
+        let (lp, rp) = (&memo.group(lg).props, &memo.group(rg).props);
+        let filtered =
+            |filter: LogicalOp, group: GroupId| AltExpr::op(filter, vec![AltExpr::Group(group)]);
+        let mut out = Vec::new();
+        for (l, r) in equi_key_columns(p, lp, rp) {
+            if let Some(f) = Self::filter(lp, l, rp, r, ctx) {
+                let children = vec![AltExpr::Group(lg), filtered(f, rg)];
+                out.push(AltExpr::op(expr.op.clone(), children));
+            }
+            if let Some(f) = Self::filter(rp, r, lp, l, ctx) {
+                let children = vec![filtered(f, lg), AltExpr::Group(rg)];
+                out.push(AltExpr::op(expr.op.clone(), children));
+            }
+        }
+        out
+    }
+}
+
 /// Distinct source localities of a group's leaf tables (derived from its
 /// first logical alternative; all alternatives share the same leaves).
 pub fn group_localities(memo: &Memo, group: GroupId) -> Vec<Locality> {
@@ -258,8 +376,11 @@ pub fn group_localities(memo: &Memo, group: GroupId) -> Vec<Locality> {
 
 /// The standard exploration rule set, promise-ordered.
 pub fn all_rules() -> Vec<Box<dyn ExplorationRule>> {
-    let mut rules: Vec<Box<dyn ExplorationRule>> =
-        vec![Box::new(JoinCommute), Box::new(JoinAssociate)];
+    let mut rules: Vec<Box<dyn ExplorationRule>> = vec![
+        Box::new(JoinCommute),
+        Box::new(ImpliedKeySet),
+        Box::new(JoinAssociate),
+    ];
     rules.sort_by_key(|r| std::cmp::Reverse(r.promise()));
     rules
 }
@@ -386,6 +507,65 @@ mod tests {
         };
         let alts = JoinAssociate.apply(&expr, root, &memo, &ctx_with(&reg, &config));
         assert!(alts.is_empty());
+    }
+
+    #[test]
+    fn implied_key_set_filters_the_other_side_once() {
+        use dhqp_types::Value;
+        let mut reg = ColumnRegistry::new();
+        let a = test_table_meta(
+            0,
+            "a",
+            Locality::Local,
+            &[("x", DataType::Int)],
+            &mut reg,
+            10,
+        );
+        let cols = [("y", DataType::Int), ("s", DataType::Str)];
+        let b = test_table_meta(1, "b", Locality::remote("r0"), &cols, &mut reg, 1000);
+        let (x, y, s) = (a.column_id(0), b.column_id(0), b.column_id(1));
+        let keys = ScalarExpr::InList {
+            expr: Box::new(ScalarExpr::Column(x)),
+            list: [3, 1, 2].into_iter().map(Value::Int).collect(),
+            negated: false,
+        };
+        let config = OptimizerConfig::default();
+        let ctx = ctx_with(&reg, &config);
+        let alternatives = |on: ColumnId| {
+            let tree = LogicalExpr::join(
+                JoinKind::Inner,
+                LogicalExpr::get(Arc::clone(&a)).filter(keys.clone()),
+                LogicalExpr::get(Arc::clone(&b)),
+                Some(ScalarExpr::eq(
+                    ScalarExpr::Column(x),
+                    ScalarExpr::Column(on),
+                )),
+            );
+            let mut memo = Memo::new();
+            let root = memo.insert_tree(&tree, &reg);
+            let expr = memo.expr(memo.group(root).exprs[0]).clone();
+            let alts = ImpliedKeySet.apply(&expr, root, &memo, &ctx);
+            (memo, root, alts)
+        };
+        let (mut memo, root, alts) = alternatives(y);
+        assert_eq!(alts.len(), 1, "{alts:?}");
+        let AltExpr::Op { children, .. } = &alts[0] else {
+            panic!("{alts:?}")
+        };
+        let AltExpr::Op {
+            op: LogicalOp::Filter { predicate },
+            ..
+        } = &children[1]
+        else {
+            panic!("{alts:?}")
+        };
+        assert_eq!(predicate.to_string(), format!("#{} IN (1, 2, 3)", y.0));
+        // Over the filtered side both columns are confined: nothing more.
+        let eid = memo.insert_alternative_tree(&alts[0], root, &reg).unwrap();
+        let filtered = memo.expr(eid).clone();
+        assert!(ImpliedKeySet.apply(&filtered, root, &memo, &ctx).is_empty());
+        // Integer keys do not filter a string column.
+        assert!(alternatives(s).2.is_empty());
     }
 
     #[test]

@@ -517,10 +517,11 @@ fn semijoin_reduce_variants(
     let r_card = memo.group(rg).props.cardinality.max(1.0);
     let r_width = memo.group(rg).props.row_width;
     let fetch_rows = r_card * keys / probe_ndv;
+    let shipped = keys + remote.keys as f64;
     let wire = ctx
         .config
         .cost
-        .semijoin_remote(caps, keys, fetch_rows, r_width, r_card);
+        .remote_result(caps, shipped, fetch_rows, r_width, r_card);
     vec![PhysAlt::node(
         PhysicalOp::SemiJoinReduce {
             kind,

@@ -598,7 +598,12 @@ fn fold_constants(tree: LogicalExpr) -> LogicalExpr {
     if let LogicalOp::Filter { predicate } = &op {
         let mut kept = Vec::new();
         for c in predicate.conjuncts() {
-            match const_eval(&c) {
+            // `x IN ()` (a CONTAINS with no hits) is FALSE, or UNKNOWN for a
+            // NULL `x`: as a conjunct it keeps no row either way. Under a NOT
+            // the two differ, so `const_eval` does not fold it.
+            let empty_list =
+                matches!(&c, ScalarExpr::InList { list, negated: false, .. } if list.is_empty());
+            match const_eval(&c).or(empty_list.then_some(false)) {
                 Some(true) => {}
                 Some(false) => {
                     let columns = children[0].output_columns();

@@ -8,7 +8,7 @@
 //! framework.
 
 use crate::props::ColumnId;
-use dhqp_types::{DataType, Interval, IntervalSet, Value};
+use dhqp_types::{DataType, Interval, IntervalSet, Value, ValueSet};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -134,10 +134,10 @@ pub enum ScalarExpr {
         pattern: String,
         negated: bool,
     },
-    /// `expr IN (v1, v2, ...)` over constants.
+    /// `expr IN (v1, v2, ...)` over constants, sorted and deduplicated.
     InList {
         expr: Box<ScalarExpr>,
-        list: Vec<Value>,
+        list: ValueSet,
         negated: bool,
     },
     /// Scalar function call evaluated row-at-a-time (`UPPER`, `ABS`, ...).
@@ -373,12 +373,9 @@ impl ScalarExpr {
                 negated,
             } => match expr.as_ref() {
                 ScalarExpr::Column(c) if *c == column => {
-                    let set = list
-                        .iter()
-                        .filter(|v| !v.is_null())
-                        .fold(IntervalSet::empty(), |acc, v| {
-                            acc.union(&IntervalSet::point(v.clone()))
-                        });
+                    // NULLs sort first and match nothing.
+                    let set =
+                        IntervalSet::from_points(&list[list.partition_point(Value::is_null)..]);
                     if *negated {
                         set.complement()
                     } else {
@@ -547,7 +544,7 @@ mod tests {
         let e = ScalarExpr::Or(vec![
             ScalarExpr::InList {
                 expr: Box::new(col(0)),
-                list: vec![Value::Int(1), Value::Int(5)],
+                list: vec![Value::Int(1), Value::Int(5)].into(),
                 negated: false,
             },
             ScalarExpr::And(vec![
@@ -579,7 +576,7 @@ mod tests {
         assert!(d.contains(&Value::Int(8)));
         let ni = ScalarExpr::InList {
             expr: Box::new(col(0)),
-            list: vec![Value::Int(1), Value::Int(2)],
+            list: vec![Value::Int(1), Value::Int(2)].into(),
             negated: true,
         };
         let d = ni.domain_for(ColumnId(0));

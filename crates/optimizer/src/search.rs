@@ -29,8 +29,8 @@ pub enum OptimizationPhase {
     /// Minimal rule set for cheap OLTP-style plans: scans, filters, nested
     /// loops, remote query pushdown — no exploration.
     TransactionProcessing,
-    /// Adds join commutation, hash joins, spools and parameterized remote
-    /// access.
+    /// Adds join commutation, implied key sets, hash joins, spools and
+    /// parameterized remote access.
     QuickPlan,
     /// Adds join re-association (with locality grouping), merge joins,
     /// stream aggregates.
@@ -51,7 +51,7 @@ impl OptimizationPhase {
             OptimizationPhase::TransactionProcessing => Vec::new(),
             OptimizationPhase::QuickPlan => all_rules()
                 .into_iter()
-                .filter(|r| r.name() == "JoinCommute")
+                .filter(|r| r.name() != "JoinAssociate")
                 .collect(),
             OptimizationPhase::Full => all_rules(),
         }
@@ -434,10 +434,10 @@ impl<'a> SearchDriver<'a> {
         let props = &self.memo.group(group).props;
         let (card, width) = (props.cardinality, props.row_width);
         let leaf_rows = self.leaf_rows(group);
-        let cost = self
-            .config
-            .cost
-            .remote_result(&caps, card, width, leaf_rows);
+        let cost =
+            self.config
+                .cost
+                .remote_result(&caps, remote.keys as f64, card, width, leaf_rows);
         let mut node = PhysNode::new(
             PhysicalOp::RemoteQuery {
                 server: std::sync::Arc::from(server.as_str()),
@@ -507,11 +507,17 @@ impl<'a> SearchDriver<'a> {
             PhysicalOp::IndexRange { .. } => m.index_seek + rows * m.index_row,
             PhysicalOp::RemoteScan { meta } => {
                 let w = meta.schema.estimated_row_width() as f64 + 8.0;
-                m.remote_result(&meta.caps, meta.estimated_rows(), w, meta.estimated_rows())
+                m.remote_result(
+                    &meta.caps,
+                    0.0,
+                    meta.estimated_rows(),
+                    w,
+                    meta.estimated_rows(),
+                )
             }
             PhysicalOp::RemoteRange { meta, .. } => {
                 let w = meta.schema.estimated_row_width() as f64 + 8.0;
-                m.remote_result(&meta.caps, rows, w, rows)
+                m.remote_result(&meta.caps, 0.0, rows, w, rows)
             }
             PhysicalOp::RemoteFetch { meta } => {
                 let w = meta.schema.estimated_row_width() as f64 + 8.0;
@@ -526,7 +532,7 @@ impl<'a> SearchDriver<'a> {
                     .unwrap_or_else(|| ProviderCapabilities::sql_server("SQLOLEDB"));
                 // Remote input work is unknown for rule-built param queries;
                 // charge the output-driven terms (the paper's model).
-                m.remote_result(&caps, rows, width, rows)
+                m.remote_result(&caps, 0.0, rows, width, rows)
             }
             PhysicalOp::SemiJoinReduce { .. } => {
                 // Local terms only: the build side (c0) hashes locally and

@@ -13,6 +13,7 @@ pub mod hash;
 pub mod interval;
 pub mod row;
 pub mod value;
+pub mod value_set;
 
 pub use batch::RowBatch;
 pub use error::{DhqpError, Result};
@@ -20,3 +21,4 @@ pub use hash::{fnv1a_64, hash_lines, Fnv1a};
 pub use interval::{Interval, IntervalBound, IntervalSet};
 pub use row::{schema_stamp, Column, Row, Schema};
 pub use value::{DataType, Value};
+pub use value_set::ValueSet;

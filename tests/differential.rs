@@ -77,6 +77,12 @@ const CORPUS: &[&str] = &[
     "SELECT grp, AVG(val) AS m FROM w_all GROUP BY grp",
     "SELECT COUNT(DISTINCT note) AS n FROM w_all WHERE id < 30",
     "SELECT * FROM w_all WHERE id BETWEEN 17 AND 20",
+    // CONTAINS binds as its hit list, which may cross the join to the one
+    // remote table: with a residual predicate there, and with no hit at all.
+    "SELECT n.id, c.score FROM notes n JOIN c_all c ON n.id = c.id \
+     WHERE CONTAINS(n.body, 'alpha') AND c.score > 1",
+    "SELECT n.id, c.score FROM notes n JOIN c_all c ON n.id = c.id \
+     WHERE CONTAINS(n.body, 'xylophone')",
 ];
 
 /// The corpus statements with an uncorrelated scalar subquery, which the
@@ -185,7 +191,46 @@ fn load_split(
     members
 }
 
-/// All three views with every member table in the head engine itself.
+/// A full-text-indexed `notes(id, body)` in `head`, and `c_all`: a
+/// one-member view over `c_p0(id, score)` on `member` (the head itself when
+/// `None`), so the CONTAINS statements join one table.
+fn add_contains_tables(head: &Engine, member: Option<(&str, &Engine)>) {
+    head.create_table(table_def("notes", vec![Column::new("body", DataType::Str)]))
+        .unwrap();
+    let notes: Vec<Row> = (1..=40)
+        .map(|id| {
+            let word = if id % 3 == 0 { "alpha" } else { "beta" };
+            Row::new(vec![
+                Value::Int(id),
+                Value::Str(format!("{word} note {id}")),
+            ])
+        })
+        .collect();
+    head.insert("notes", &notes).unwrap();
+    head.create_fulltext_index("notes", "id", "body", "notes_ft")
+        .unwrap();
+    let (server, storage) = match member {
+        Some((name, engine)) => (Some(name.to_string()), engine.storage()),
+        None => (None, head.storage()),
+    };
+    let c = table_def("c_p0", vec![Column::new("score", DataType::Int)]);
+    storage
+        .create_table(c.with_index("pk_c_p0", &["id"], true))
+        .unwrap();
+    let rows: Vec<Row> = (1..=200)
+        .map(|id| Row::new(vec![Value::Int(id), Value::Int(id % 5)]))
+        .collect();
+    storage.insert_rows("c_p0", &rows).unwrap();
+    storage.analyze("c_p0", 8).unwrap();
+    head.define_partitioned_view(
+        "c_all",
+        "id",
+        vec![(server, "c_p0".into(), IntervalSet::full())],
+    )
+    .unwrap();
+}
+
+/// All the views with every member table in the head engine itself.
 fn local_engine() -> Engine {
     let head = Engine::new("head-local");
     for (base, value_cols, rows, cut) in datasets() {
@@ -203,6 +248,7 @@ fn local_engine() -> Engine {
         )
         .unwrap();
     }
+    add_contains_tables(&head, None);
     head
 }
 
@@ -273,6 +319,7 @@ fn distributed_engine_full(faults: Option<u64>) -> (Engine, Vec<Engine>, Vec<Net
         )
         .unwrap();
     }
+    add_contains_tables(&head, Some(("member1", &m1)));
     (head, vec![m1, m2], links)
 }
 

@@ -12,6 +12,9 @@ use dhqp_storage::{StorageEngine, TableDef};
 use dhqp_types::{value::parse_date, Column, DataType, Row, Schema, Value};
 use dhqp_workload::docs::generate_documents;
 use dhqp_workload::mailgen::{generate_mailbox, MailboxSpec};
+use dhqp_workload::tpch::{self, TpchScale};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 #[test]
@@ -407,6 +410,179 @@ fn contains_over_relational_table() {
         .create_fulltext_index("articles", "id", "body", "articles_ft")
         .unwrap();
     assert_eq!(keys("risotto"), [(3, 1000)]);
+}
+
+/// `docs` (full-text indexed on `body`, ids from 0) in a head that reaches
+/// `customers` TPC-H customers (keys from 0) on `remote0` over a counting
+/// link, and an all-local engine holding both tables as the oracle.
+struct FullTextJoin {
+    head: Engine,
+    member: Engine,
+    link: NetworkLink,
+    oracle: Engine,
+}
+
+const FT_JOIN: &str = "SELECT d.id, c.c_name FROM docs d JOIN remote0.tpch.dbo.customer c \
+                       ON d.id = c.c_custkey WHERE CONTAINS(d.body, '{term}') AND c.c_acctbal > 0";
+
+fn fulltext_join(customers: usize) -> FullTextJoin {
+    let docs: Vec<Row> = generate_documents(1200, 29)
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| Row::new(vec![Value::Int(i as i64), Value::Str(d.raw)]))
+        .collect();
+    let with_docs = |name: &str| {
+        let engine = Engine::new(name);
+        let schema = Schema::new(vec![
+            Column::not_null("id", DataType::Int),
+            Column::new("body", DataType::Str),
+        ]);
+        engine
+            .create_table(TableDef::new("docs", schema).with_index("pk_docs", &["id"], true))
+            .unwrap();
+        engine.insert("docs", &docs).unwrap();
+        engine
+            .create_fulltext_index("docs", "id", "body", "docs_ft")
+            .unwrap();
+        engine.analyze("docs", 24).unwrap();
+        engine
+    };
+    let (head, oracle) = (with_docs("ft-head"), with_docs("ft-oracle"));
+    let member = Engine::new("ft-remote0");
+    let scale = TpchScale {
+        customers,
+        ..TpchScale::small()
+    };
+    for engine in [&oracle, &member] {
+        let mut rng = StdRng::seed_from_u64(11);
+        tpch::create_customer(engine.storage(), &scale, &mut rng).unwrap();
+        engine.analyze("customer", 24).unwrap();
+    }
+    let link = NetworkLink::new("remote0", NetworkConfig::lan());
+    let source: Arc<dyn DataSource> = Arc::new(EngineDataSource::new(member.clone()));
+    let linked = NetworkedDataSource::reliable(source, link.clone());
+    head.add_linked_server("remote0", Arc::new(linked)).unwrap();
+    // Bind once, so the metadata and statistics requests are behind us.
+    head.explain("SELECT c_name FROM remote0.tpch.dbo.customer")
+        .unwrap();
+    FullTextJoin {
+        head,
+        member,
+        link,
+        oracle,
+    }
+}
+
+impl FullTextJoin {
+    /// The search service's keys for `term`, sorted.
+    fn hits(&self, term: &str) -> Vec<i64> {
+        let hits = self.head.fulltext_service().query_keys("docs_ft", term);
+        let mut keys: Vec<i64> = hits.unwrap().iter().map(|&(k, _)| k as i64).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Run `sql` at the head; the rows, the oracle's rows (both sorted), and
+    /// the traffic it put on the link.
+    fn run(&self, sql: &str) -> (Vec<Row>, Vec<Row>, dhqp_oledb::TrafficSnapshot) {
+        let before = self.link.snapshot();
+        let mut got = self.head.query(sql).unwrap().rows;
+        let traffic = self.link.snapshot().since(&before);
+        let local = sql.replace("remote0.tpch.dbo.", "");
+        let mut want = self.oracle.query(&local).unwrap().rows;
+        got.sort_by(|a, b| a.values[0].total_cmp(&b.values[0]));
+        want.sort_by(|a, b| a.values[0].total_cmp(&b.values[0]));
+        (got, want, traffic)
+    }
+}
+
+/// §2.3 with the table on the far side of a link (E4): CONTAINS binds as
+/// `d.id IN (<hits>)`, and across `d.id = c.c_custkey` the hit list is
+/// shipped to `remote0`, which returns the matching customers instead of
+/// the whole table.
+#[test]
+fn contains_ships_its_hit_list_across_a_remote_join() {
+    let fed = fulltext_join(3000);
+    for term in ["pasta", "latency", "compiler", "garlic AND basil", "join"] {
+        let hits = fed.hits(term);
+        assert!(hits.len() > 25, "{term}: {} hits", hits.len());
+        let sql = FT_JOIN.replace("{term}", term);
+        let (got, want, traffic) = fed.run(&sql);
+        assert_eq!(got, want, "{term}");
+        assert_eq!(traffic.requests, 1, "{term}");
+        // Every customer the link carried joins a hit.
+        assert_eq!(traffic.rows, want.len() as u64, "{term}");
+        let shipped = fed.member.recent_queries().last().unwrap().sql.clone();
+        let list = shipped
+            .split(" IN (")
+            .nth(1)
+            .unwrap_or_else(|| panic!("{shipped}"));
+        let list = &list[..list.find(')').unwrap()];
+        let keys: Vec<i64> = list.split(", ").map(|k| k.parse().unwrap()).collect();
+        assert_eq!(keys, hits, "{term}: {shipped}");
+    }
+    // A term that matches nothing is an empty answer found at the head.
+    let (got, _, traffic) = fed.run(&FT_JOIN.replace("{term}", "xylophone"));
+    assert!(got.is_empty());
+    assert_eq!((traffic.requests, traffic.bytes), (0, 0));
+}
+
+/// The key set is costed, not forced: against a 25-row remote table a
+/// list of hundreds of keys costs more to ship than the rows it could
+/// save, so the plain fetch is kept and the hits filter only `docs`.
+#[test]
+fn contains_keeps_the_plain_fetch_of_a_table_smaller_than_its_hit_list() {
+    let fed = fulltext_join(25);
+    let term = "join";
+    assert!(fed.hits(term).len() > 100);
+    let sql = FT_JOIN.replace("{term}", term);
+    let plan = fed.head.explain(&sql).unwrap().plan_text;
+    let remote: Vec<&str> = plan.lines().filter(|l| l.contains("RemoteQuery")).collect();
+    assert_eq!(remote.len(), 1, "{plan}");
+    assert!(!remote[0].contains(" IN ("), "{plan}");
+    assert!(
+        plan.lines()
+            .any(|l| !l.contains("RemoteQuery") && l.contains(" IN (")),
+        "the hit list filters docs at the head:\n{plan}"
+    );
+    let (got, want, traffic) = fed.run(&sql);
+    assert_eq!(got, want);
+    assert_eq!(traffic.requests, 1);
+    let positive = fed
+        .oracle
+        .query("SELECT c_custkey FROM customer WHERE c_acctbal > 0")
+        .unwrap();
+    assert_eq!(traffic.rows, positive.len() as u64);
+}
+
+/// An `IN`-list compiles in about linear time: its literals are sorted
+/// once, its domain is built without a union per key and intersected by a
+/// merge walk. Ten times the keys may take at most 25 times as long to
+/// EXPLAIN (linear predicts about 10, a quadratic compile about 100).
+#[test]
+fn in_list_explain_time_grows_linearly() {
+    let fed = fulltext_join(3000);
+    let explain = |n: i64| {
+        let keys: Vec<String> = (0..n).map(|k| (k * 7 % 3000).to_string()).collect();
+        let sql = format!(
+            "SELECT c_name FROM remote0.tpch.dbo.customer WHERE c_custkey IN ({})",
+            keys.join(", ")
+        );
+        (0..3)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                fed.head.explain(&sql).unwrap();
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    explain(10);
+    let (short, long) = (explain(200), explain(2000));
+    assert!(
+        long <= short * 25,
+        "200 keys: {short:?}, 2 000 keys: {long:?}"
+    );
 }
 
 /// The §2.4 salesman scenario: unanswered mail from Seattle customers in

@@ -83,40 +83,49 @@ proptest! {
 // interval algebra (the constraint property framework substrate)
 // ---------------------------------------------------------------------------
 
+/// Points, and ranges whose ends are each included, excluded or unbounded.
 fn arb_interval() -> impl Strategy<Value = Interval> {
-    (-50i64..50, 0i64..30, any::<bool>(), any::<bool>()).prop_map(|(lo, width, linc, hinc)| {
+    (-50i64..50, 0i64..30, 0u8..3, 0u8..3, 0u8..4).prop_map(|(lo, width, low, high, point)| {
         use dhqp_types::IntervalBound::*;
-        let low = if linc {
-            Included(Value::Int(lo))
-        } else {
-            Excluded(Value::Int(lo))
+        if point == 0 {
+            return Interval::point(Value::Int(lo));
+        }
+        let end = |kind, v| match kind {
+            0 => Included(Value::Int(v)),
+            1 => Excluded(Value::Int(v)),
+            _ => Unbounded,
         };
-        let high = if hinc {
-            Included(Value::Int(lo + width))
-        } else {
-            Excluded(Value::Int(lo + width))
-        };
-        Interval { low, high }
+        Interval {
+            low: end(low, lo),
+            high: end(high, lo + width),
+        }
     })
 }
 
 fn arb_set() -> impl Strategy<Value = IntervalSet> {
-    prop::collection::vec(arb_interval(), 0..4).prop_map(IntervalSet::from_intervals)
+    prop::collection::vec(arb_interval(), 0..6).prop_map(IntervalSet::from_intervals)
 }
 
 proptest! {
+    /// Every integer and half-integer in and around the generated ranges
+    /// is a member of a union, intersection or complement exactly when the
+    /// operands' memberships say it is.
     #[test]
-    fn interval_ops_match_membership_oracle(
-        a in arb_set(),
-        b in arb_set(),
-        probe in -60i64..60,
-    ) {
-        let v = Value::Int(probe);
-        let in_a = a.contains(&v);
-        let in_b = b.contains(&v);
-        prop_assert_eq!(a.union(&b).contains(&v), in_a || in_b);
-        prop_assert_eq!(a.intersect(&b).contains(&v), in_a && in_b);
-        prop_assert_eq!(a.complement().contains(&v), !in_a);
+    fn interval_ops_match_membership_oracle(a in arb_set(), b in arb_set()) {
+        let (union, intersection, complement) = (a.union(&b), a.intersect(&b), a.complement());
+        for half in -130i64..170 {
+            let v = Value::Float(half as f64 / 2.0);
+            let in_a = a.contains(&v);
+            let in_b = b.contains(&v);
+            prop_assert!(union.contains(&v) == (in_a || in_b), "{} in {} U {}", v, a, b);
+            prop_assert!(intersection.contains(&v) == (in_a && in_b), "{} in {} ^ {}", v, a, b);
+            prop_assert!(complement.contains(&v) != in_a, "{} in ~{}", v, a);
+        }
+        // Each result is already normalized: sorted, disjoint, not touching.
+        for set in [union, intersection, complement] {
+            let renormalized = IntervalSet::from_intervals(set.intervals().to_vec());
+            prop_assert!(renormalized == set, "{} is not normalized", set);
+        }
     }
 
     #[test]
@@ -378,6 +387,82 @@ proptest! {
             // `sys.dm_link_health` attribution ambiguous.
             prop_assert_ne!(fa, dhqp_executor::predicate_fingerprint(&b));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// IN-lists: the sorted, deduplicated list answers what a scan answers
+// ---------------------------------------------------------------------------
+
+/// NULLs, integers and halves (an integer and a float can be equal), both
+/// zeros, NaN, two numbers past 2^53 that one float equals, and strings,
+/// which compare with none of the others.
+fn arb_in_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-4i64..4).prop_map(Value::Int),
+        (-8i64..8).prop_map(|h| Value::Float(h as f64 / 2.0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        (0i64..2).prop_map(|i| Value::Int((1 << 53) + i)),
+        Just(Value::Float((1i64 << 53) as f64)),
+        "[ab]{1,1}".prop_map(Value::Str),
+    ]
+}
+
+/// `v [NOT] IN (list)` as a scan of the list with `sql_eq`.
+fn in_by_scan(v: &Value, list: &[Value], negated: bool) -> Value {
+    let mut unknown = v.is_null();
+    for item in list {
+        match v.sql_eq(item) {
+            Some(true) => return Value::Bool(!negated),
+            Some(false) => {}
+            None => unknown = true,
+        }
+    }
+    if unknown {
+        Value::Null
+    } else {
+        Value::Bool(negated)
+    }
+}
+
+/// Evaluation reads no source.
+struct NoSources;
+
+impl dhqp_executor::SourceCatalog for NoSources {
+    fn local(&self) -> std::sync::Arc<dyn dhqp_oledb::DataSource> {
+        unreachable!("an IN-list reads no table")
+    }
+
+    fn linked(&self, _: &str) -> dhqp_types::Result<std::sync::Arc<dyn dhqp_oledb::DataSource>> {
+        unreachable!("an IN-list reads no table")
+    }
+}
+
+proptest! {
+    #[test]
+    fn in_list_membership_matches_a_scan(
+        list in prop::collection::vec(arb_in_value(), 0..8),
+        probe in arb_in_value(),
+        negated in any::<bool>(),
+    ) {
+        use dhqp_optimizer::{props::ColumnRegistry, scalar::ScalarExpr, ColumnId};
+        let expr = ScalarExpr::InList {
+            expr: Box::new(ScalarExpr::Column(ColumnId(0))),
+            list: list.clone().into(),
+            negated,
+        };
+        let ctx = dhqp_executor::ExecContext::new(
+            std::sync::Arc::new(NoSources),
+            Default::default(),
+            std::sync::Arc::new(ColumnRegistry::new()),
+        );
+        let positions = dhqp_executor::eval::positions_of(&[ColumnId(0)]);
+        let row = Row::new(vec![probe.clone()]);
+        let env = dhqp_executor::RowEnv { positions: &positions, row: &row, ctx: &ctx };
+        let got = dhqp_executor::eval_expr(&expr, &env).unwrap();
+        prop_assert_eq!(got, in_by_scan(&probe, &list, negated));
     }
 }
 
