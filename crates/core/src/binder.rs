@@ -182,8 +182,8 @@ impl<'e> Binder<'e> {
     /// For UPDATE/DELETE: every `@param` with a supplied value binds as
     /// that literal. DML is never plan-cached, so the values in hand are
     /// the only ones the bound predicate will ever see, and as literals
-    /// they reach `domain_for` — member pruning and the row-location seek
-    /// — like any constant.
+    /// they reach `ScalarExpr::domains` — member pruning and the
+    /// row-location seek — like any constant.
     pub(crate) fn for_dml(mut self) -> Self {
         self.fold_params = true;
         self

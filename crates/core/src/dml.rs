@@ -28,10 +28,10 @@ use dhqp_federation::PartitionedView;
 use dhqp_oledb::{CommandResult, DataSource, KeyRange, RowsetExt, Session, SqlSupport};
 use dhqp_optimizer::decoder::render_table_scalars;
 use dhqp_optimizer::logical::TableMeta;
-use dhqp_optimizer::ScalarExpr;
+use dhqp_optimizer::{Domains, ScalarExpr};
 use dhqp_sqlfront as ast;
 use dhqp_storage::LocalSession;
-use dhqp_types::{DhqpError, Interval, Result, Row, Value};
+use dhqp_types::{DhqpError, Interval, IntervalSet, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -470,15 +470,21 @@ impl WriteSet {
                 // Static pruning (§4.1.5): member 0's bound predicate gives
                 // the partitioning-column domain that decides which other
                 // members are bound, and written, at all.
-                let mut bind_member = |m: usize| {
+                let mut bind_member = |m: usize| -> Result<BoundTarget> {
                     let member = &view.members[m];
-                    bind(&member.server, &member.table, Some(m))
+                    let mut bound = bind(&member.server, &member.table, Some(m))?;
+                    // The member's CHECK range, as a SELECT's member `Get`
+                    // carries it (`Binder::bind_partitioned_view`).
+                    Arc::make_mut(&mut bound.meta)
+                        .checks
+                        .push((view.partition_column, member.check.clone()));
+                    Ok(bound)
                 };
                 let first = bind_member(0)?;
-                let members = match &first.predicate {
-                    Some(p) => view.members_for_domain(
-                        &p.domain_for(first.meta.column_id(view.partition_column)),
-                    ),
+                let key = first.meta.column_id(view.partition_column);
+                let domains = first.predicate.as_ref().map(ScalarExpr::domains);
+                let members = match domains.as_ref().and_then(|d| d.get(key)) {
+                    Some(domain) => view.members_for_domain(domain),
                     None => (0..view.members.len()).collect(),
                 };
                 let mut first = Some(first);
@@ -529,40 +535,38 @@ impl WriteSet {
 
     /// The index seek that reaches every row `predicate` can select in
     /// `target`: the first index whose leading key column the predicate
-    /// bounds, over the hull of that column's domain (narrowed by the CHECK
-    /// range when the column partitions a view member, and by the table's
-    /// own CHECKs on it where the metadata has them — which is what lets a
-    /// member sent `id IN (10, 60)` seek only its 10). One seek is one
-    /// request, like the scan it replaces; splitting a hull with holes into
-    /// a seek per interval would trade round trips for bytes, a cost
-    /// decision this path does not take.
+    /// bounds, over the hull of that column's domain — the predicate's
+    /// domains met with the table's CHECKs, a view member's range among
+    /// them (`id > 190` on the `[150, 199]` member seeks `(190, 199]`, a
+    /// member sent `id IN (10, 60)` seeks only its 10). A column the meet
+    /// empties means no row qualifies. One seek is one request, like the
+    /// scan it replaces; splitting a hull with holes into a seek per
+    /// interval would trade round trips for bytes, a cost decision this
+    /// path does not take.
     fn plan_seek(&self, target: &BoundTarget, predicate: &ScalarExpr) -> Seek {
         let meta = &target.meta;
         if target.server.is_some() && !meta.caps.index_support {
             return Seek::Unbounded;
         }
+        let bounds = predicate.domains();
+        let mut domains = Domains::of_checks(meta);
+        if domains.meet(&bounds) {
+            return Seek::NoRows;
+        }
         for index in &meta.indexes {
             let Some(lead) = meta.schema.index_of(&index.key_columns[0]) else {
                 continue;
             };
-            let mut domain = predicate.domain_for(meta.column_id(lead));
-            if domain.hull() == Some(Interval::full()) {
-                // The predicate does not bound this key; a CHECK range
-                // alone would only re-read the whole member in key order.
+            let key = meta.column_id(lead);
+            // The predicate does not bound this key; a CHECK range alone
+            // would only re-read the whole member in key order.
+            let bounded = bounds.get(key).and_then(IntervalSet::hull);
+            if bounded.is_none_or(|hull| hull == Interval::full()) {
                 continue;
             }
-            if let (Some(view), Some(m)) = (&self.view, target.member) {
-                if view.partition_column == lead {
-                    domain = domain.intersect(&view.members[m].check);
-                }
-            }
-            for (_, check) in meta.checks.iter().filter(|(pos, _)| *pos == lead) {
-                domain = domain.intersect(check);
-            }
-            let Some(hull) = domain.hull() else {
-                return Seek::NoRows;
-            };
-            if let Some(range) = KeyRange::covering(&hull, meta.schema.column(lead).data_type) {
+            let hull = domains.get(key).and_then(IntervalSet::hull);
+            let key_type = meta.schema.column(lead).data_type;
+            if let Some(range) = hull.and_then(|hull| KeyRange::covering(&hull, key_type)) {
                 return Seek::Range(index.name.clone(), range);
             }
         }
@@ -628,7 +632,7 @@ impl WriteSet {
 
 /// How the rows a predicate can select are read.
 enum Seek {
-    /// The key domain is empty: no row qualifies, nothing is read.
+    /// A column's domain is empty: no row qualifies, nothing is read.
     NoRows,
     /// `(index, range)`.
     Range(String, KeyRange),

@@ -154,8 +154,7 @@ impl KeyRange {
     /// prefixes). `None` when there is nothing to seek — the interval is
     /// unbounded on both sides — or when a bound cannot be placed in the
     /// index order without a cast: its value is not exactly `key_type`, or
-    /// it is a float zero or NaN, where B-tree order (`-0.0 < 0.0`) and SQL
-    /// comparison (`-0.0 = 0.0`) disagree.
+    /// it is NaN, which SQL compares with nothing.
     pub fn covering(interval: &Interval, key_type: DataType) -> Option<KeyRange> {
         fn bound(b: &IntervalBound, key_type: DataType) -> Option<Option<(Vec<Value>, bool)>> {
             let (v, inclusive) = match b {
@@ -163,9 +162,8 @@ impl KeyRange {
                 IntervalBound::Included(v) => (v, true),
                 IntervalBound::Excluded(v) => (v, false),
             };
-            let ambiguous = matches!(v, Value::Float(f) if *f == 0.0 || f.is_nan());
-            (v.data_type() == Some(key_type) && !ambiguous)
-                .then(|| Some((vec![v.clone()], inclusive)))
+            let nan = matches!(v, Value::Float(f) if f.is_nan());
+            (v.data_type() == Some(key_type) && !nan).then(|| Some((vec![v.clone()], inclusive)))
         }
         let range = KeyRange {
             low: bound(&interval.low, key_type)?,
@@ -477,10 +475,14 @@ mod tests {
             KeyRange::covering(&Interval::between(int(1), Value::Float(9.0)), DataType::Int),
             None
         );
-        // Float zero: the index holds -0.0 and 0.0 as different keys, SQL
-        // compares them equal.
+        // B-tree order agrees with SQL at zero: a float zero bounds a range
+        // like any value. NaN, which SQL compares with nothing, does not.
         assert_eq!(
-            KeyRange::covering(&Interval::point(Value::Float(0.0)), DataType::Float),
+            KeyRange::covering(&Interval::point(Value::Float(-0.0)), DataType::Float),
+            Some(KeyRange::eq(vec![Value::Float(0.0)]))
+        );
+        assert_eq!(
+            KeyRange::covering(&Interval::point(Value::Float(f64::NAN)), DataType::Float),
             None
         );
         assert!(KeyRange::covering(&Interval::point(Value::Float(0.5)), DataType::Float).is_some());

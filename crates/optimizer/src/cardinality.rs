@@ -7,7 +7,7 @@
 //! "order of magnitude improvements on cardinality estimates" claim.
 
 use crate::logical::{JoinKind, LogicalOp};
-use crate::props::{ColumnId, ColumnRegistry, LogicalProps};
+use crate::props::{derive_domains, ColumnId, ColumnRegistry, Domains, LogicalProps};
 use crate::scalar::{CmpOp, ScalarExpr};
 use dhqp_oledb::Histogram;
 use dhqp_types::{DataType, IntervalBound, IntervalSet, Value};
@@ -40,12 +40,13 @@ pub fn derive_props(
     children: &[&LogicalProps],
     registry: &ColumnRegistry,
 ) -> LogicalProps {
+    let inputs: Vec<(&[ColumnId], &Domains)> = children
+        .iter()
+        .map(|c| (c.columns.as_slice(), &c.domains))
+        .collect();
+    let (domains, empty) = derive_domains(op, &inputs);
     match op {
         LogicalOp::Get { meta, columns } => {
-            let mut domains = BTreeMap::new();
-            for (pos, domain) in &meta.checks {
-                domains.insert(meta.column_id(*pos), domain.clone());
-            }
             let mut histograms = BTreeMap::new();
             if let Some(stats) = &meta.stats {
                 for (pos, col) in meta.schema.columns().iter().enumerate() {
@@ -83,7 +84,7 @@ pub fn derive_props(
             columns: columns.clone(),
             cardinality: 0.0,
             row_width: 8.0,
-            domains: BTreeMap::new(),
+            domains,
             keys: Vec::new(),
             histograms: BTreeMap::new(),
         },
@@ -95,24 +96,15 @@ pub fn derive_props(
                 .map(|&c| width_of(registry.meta(c).data_type))
                 .sum::<f64>()
                 + 8.0,
-            domains: BTreeMap::new(),
+            domains,
             keys: Vec::new(),
             histograms: BTreeMap::new(),
         },
         LogicalOp::Filter { predicate } => {
             let child = children[0];
             let sel = predicate_selectivity(predicate, child);
-            let mut domains = child.domains.clone();
-            let mut contradiction = false;
-            for col in predicate.columns() {
-                let pred_dom = predicate.domain_for(col);
-                if !pred_dom.is_full() {
-                    let merged = child.domain_of(col).intersect(&pred_dom);
-                    contradiction |= merged.is_empty();
-                    domains.insert(col, merged);
-                }
-            }
-            let mut cardinality = if contradiction {
+            // A column the predicate confines to nothing: no row at all.
+            let mut cardinality = if empty {
                 0.0
             } else {
                 (child.cardinality * sel).max(0.0)
@@ -138,21 +130,17 @@ pub fn derive_props(
                 histograms: child.histograms.clone(),
             }
         }
-        LogicalOp::StartupFilter { .. } => {
-            let child = children[0];
-            child.clone()
-        }
+        LogicalOp::StartupFilter { .. } => LogicalProps {
+            domains,
+            ..children[0].clone()
+        },
         LogicalOp::Project { outputs } => {
             let child = children[0];
-            let mut domains = BTreeMap::new();
             let mut histograms = BTreeMap::new();
             // Child column -> the output that passes it through unchanged.
             let mut passed = BTreeMap::new();
             for (out, expr) in outputs {
                 if let ScalarExpr::Column(src) = expr {
-                    if let Some(d) = child.domains.get(src) {
-                        domains.insert(*out, d.clone());
-                    }
                     passed.entry(*src).or_insert(*out);
                     if let Some(h) = child.histograms.get(src) {
                         histograms.insert(*out, Arc::clone(h));
@@ -193,25 +181,9 @@ pub fn derive_props(
                 JoinKind::Semi => (l.cardinality * 0.5).max(1.0).min(l.cardinality),
                 JoinKind::Anti => (l.cardinality * 0.5).max(0.0),
             };
-            let mut domains = l.domains.clone();
             let mut histograms = l.histograms.clone();
             if kind.produces_right() {
-                domains.extend(r.domains.iter().map(|(k, v)| (*k, v.clone())));
                 histograms.extend(r.histograms.iter().map(|(k, v)| (*k, Arc::clone(v))));
-            }
-            // Equi-join transfers domain knowledge across sides — to the
-            // rows that found a match. An outer join also keeps left rows
-            // that found none, and an anti join keeps only those.
-            if let Some(p) = predicate {
-                for (lc, rc) in equi_key_columns(p, l, r) {
-                    let merged = join_domains(&domains, l, r, lc, rc);
-                    if !matches!(kind, JoinKind::LeftOuter | JoinKind::Anti) {
-                        domains.insert(lc, merged.clone());
-                    }
-                    if kind.produces_right() {
-                        domains.insert(rc, merged);
-                    }
-                }
             }
             let keys = match kind {
                 JoinKind::Semi | JoinKind::Anti => l.keys.clone(),
@@ -242,13 +214,7 @@ pub fn derive_props(
                 let groups: f64 = group_by.iter().map(|c| ndv(child, *c)).product();
                 groups.min(child.cardinality).max(1.0)
             };
-            let mut domains = BTreeMap::new();
             let mut keys = Vec::new();
-            for c in group_by {
-                if let Some(d) = child.domains.get(c) {
-                    domains.insert(*c, d.clone());
-                }
-            }
             if !group_by.is_empty() {
                 keys.push(group_by.clone());
             }
@@ -268,28 +234,6 @@ pub fn derive_props(
         }
         LogicalOp::UnionAll { output } => {
             let cardinality = children.iter().map(|c| c.cardinality).sum();
-            // Domain of output column i is the union of each child's i-th
-            // column domain — this is how a partitioned view's combined
-            // domain is known to the pruning rules.
-            let mut domains = BTreeMap::new();
-            for (i, out) in output.iter().enumerate() {
-                let mut dom: Option<IntervalSet> = None;
-                for child in children {
-                    let child_col = child.columns.get(i);
-                    let d = child_col
-                        .map(|c| child.domain_of(*c))
-                        .unwrap_or_else(IntervalSet::full);
-                    dom = Some(match dom {
-                        None => d,
-                        Some(acc) => acc.union(&d),
-                    });
-                }
-                if let Some(d) = dom {
-                    if !d.is_full() {
-                        domains.insert(*out, d);
-                    }
-                }
-            }
             let row_width = children.first().map(|c| c.row_width).unwrap_or(8.0);
             LogicalProps {
                 columns: output.clone(),
@@ -304,31 +248,19 @@ pub fn derive_props(
             let child = children[0];
             LogicalProps {
                 cardinality: child.cardinality.min(*n as f64),
+                domains,
                 ..child.clone()
             }
         }
     }
 }
 
-/// Merge the domains of two equi-joined columns.
-fn join_domains(
-    domains: &BTreeMap<ColumnId, IntervalSet>,
-    l: &LogicalProps,
-    r: &LogicalProps,
-    lc: ColumnId,
-    rc: ColumnId,
-) -> IntervalSet {
-    let ld = domains.get(&lc).cloned().unwrap_or_else(|| l.domain_of(lc));
-    let rd = domains.get(&rc).cloned().unwrap_or_else(|| r.domain_of(rc));
-    ld.intersect(&rd)
-}
-
 /// Extract `(left column, right column)` pairs from equality conjuncts that
 /// bridge the two sides.
 pub fn equi_key_columns(
     predicate: &ScalarExpr,
-    l: &LogicalProps,
-    r: &LogicalProps,
+    l: &[ColumnId],
+    r: &[ColumnId],
 ) -> Vec<(ColumnId, ColumnId)> {
     let mut out = Vec::new();
     for conj in predicate.conjuncts() {
@@ -340,9 +272,9 @@ pub fn equi_key_columns(
         {
             if let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (left.as_ref(), right.as_ref())
             {
-                if l.columns.contains(a) && r.columns.contains(b) {
+                if l.contains(a) && r.contains(b) {
                     out.push((*a, *b));
-                } else if l.columns.contains(b) && r.columns.contains(a) {
+                } else if l.contains(b) && r.contains(a) {
                     out.push((*b, *a));
                 }
             }
@@ -371,7 +303,7 @@ fn known_ndv(props: &LogicalProps, col: ColumnId) -> Option<f64> {
                 .clamp(1.0, rows),
         );
     }
-    let values = discrete_values(props.domains.get(&col)?)?;
+    let values = discrete_values(props.domains.get(col)?)?;
     (values <= rows).then_some(values.max(1.0))
 }
 
@@ -407,7 +339,7 @@ pub fn ndv(props: &LogicalProps, col: ColumnId) -> f64 {
 fn join_cardinality(predicate: Option<&ScalarExpr>, l: &LogicalProps, r: &LogicalProps) -> f64 {
     let cross = l.cardinality * r.cardinality;
     let Some(p) = predicate else { return cross };
-    let keys = equi_key_columns(p, l, r);
+    let keys = equi_key_columns(p, &l.columns, &r.columns);
     let mut card = cross;
     for (lc, rc) in &keys {
         // When one side joins on its unique key, containment gives the
@@ -495,16 +427,15 @@ fn conjunct_selectivity(conj: &ScalarExpr, input: &LogicalProps) -> f64 {
     let cols = conj.columns();
     if cols.len() == 1 {
         let col = *cols.iter().next().expect("len checked");
-        let dom = conj.domain_for(col);
-        if dom.is_empty() {
-            return 0.0;
-        }
-        if !dom.is_full() {
+        if let Some(dom) = conj.domains().get(col) {
+            if dom.is_empty() {
+                return 0.0;
+            }
             if let Some(h) = input.histograms.get(&col) {
                 // Never estimate zero rows for a satisfiable predicate, but
                 // let the floor go down to one row of a large input.
                 let floor = (1.0 / input.cardinality.max(1.0)).min(0.0001);
-                return h.selectivity(&dom).clamp(floor, 1.0);
+                return h.selectivity(dom).clamp(floor, 1.0);
             }
         }
         if let Some(sel) = value_blind_selectivity(conj, input) {
@@ -907,7 +838,7 @@ mod tests {
         let tree = LogicalExpr::get(meta).filter(gt50).filter(eq20);
         let props = props_of(&tree, &reg);
         assert!(
-            props.domain_of(col).is_empty(),
+            props.domains.get(col).is_some_and(IntervalSet::is_empty),
             "50<k AND k=20 is contradictory"
         );
         assert_eq!(props.cardinality, 0.0);
@@ -954,7 +885,7 @@ mod tests {
                 Some(ScalarExpr::eq(ScalarExpr::Column(x), ScalarExpr::Column(y))),
             );
             let props = props_of(&join, &reg);
-            assert_eq!(!props.domain_of(x).is_full(), confined, "{kind:?}");
+            assert_eq!(props.domains.get(x).is_some(), confined, "{kind:?}");
         }
     }
 
@@ -1035,7 +966,7 @@ mod tests {
         );
         let props = props_of(&union, &reg);
         assert_eq!(props.cardinality, 200.0);
-        let dom = props.domain_of(out[0]);
+        let dom = props.domains.get(out[0]).unwrap();
         assert!(dom.contains(&Value::Int(5)));
         assert!(dom.contains(&Value::Int(15)));
         assert!(!dom.contains(&Value::Int(25)));

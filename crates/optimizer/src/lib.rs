@@ -38,6 +38,6 @@ pub mod search;
 
 pub use logical::{JoinKind, Locality, LogicalExpr, LogicalOp, TableMeta};
 pub use physical::{PhysNode, PhysicalOp};
-pub use props::{ColumnId, ColumnMeta, ColumnRegistry};
+pub use props::{derive_domains, ColumnId, ColumnMeta, ColumnRegistry, Domains};
 pub use scalar::{AggCall, AggFunc, ArithOp, CmpOp, ScalarExpr};
 pub use search::{OptimizationPhase, Optimizer, OptimizerConfig, OptimizerStats};

@@ -5,6 +5,8 @@
 //! need to renumber expressions. Positions are assigned only when a chosen
 //! physical plan is extracted for execution.
 
+use crate::cardinality::equi_key_columns;
+use crate::logical::{JoinKind, LogicalOp, TableMeta};
 use crate::scalar::ScalarExpr;
 use dhqp_types::{DataType, IntervalSet};
 use serde::{Deserialize, Serialize};
@@ -91,10 +93,9 @@ pub struct LogicalProps {
     /// Estimated average row wire-width in bytes (drives the remote cost
     /// model's traffic estimates).
     pub row_width: f64,
-    /// The constraint property framework (§4.1.5): per-column value domains
-    /// derived from CHECK constraints and predicates. Absent columns are
-    /// unconstrained.
-    pub domains: BTreeMap<ColumnId, IntervalSet>,
+    /// The constraint property framework (§4.1.5): per-column value domains,
+    /// written only by [`derive_domains`].
+    pub domains: Domains,
     /// Unique keys of the output: each entry is a set of columns no two
     /// rows agree on (a one-column primary key, or a composite like
     /// `(l_orderkey, l_linenumber)`).
@@ -109,13 +110,156 @@ impl LogicalProps {
     pub fn is_unique(&self, id: ColumnId) -> bool {
         self.keys.iter().any(|key| key.as_slice() == [id])
     }
+}
 
-    pub fn domain_of(&self, id: ColumnId) -> IntervalSet {
-        self.domains
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(IntervalSet::full)
+/// The values each column can hold (§4.1.5's constraint property
+/// framework): every row a predicate calls TRUE, and every row a group
+/// produces, holds a value inside its column's domain. An absent column is
+/// unconstrained; a full set is never stored. NULL is in no domain, which
+/// is what pruning needs: no comparison is TRUE for it.
+///
+/// There are two derivations: [`ScalarExpr::domains`] for a predicate and
+/// [`derive_domains`] for a group from its children's. Static pruning,
+/// startup filters, estimates, key sets and DML seeks read what they give.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Domains(BTreeMap<ColumnId, IntervalSet>);
+
+impl Domains {
+    /// `column` confined to `domain`.
+    pub fn column(column: ColumnId, domain: IntervalSet) -> Domains {
+        let mut out = Domains::default();
+        out.set(column, domain);
+        out
     }
+
+    /// The seeds of a base table: its CHECK constraints, met column by
+    /// column.
+    pub fn of_checks(meta: &TableMeta) -> Domains {
+        let mut out = Domains::default();
+        for (pos, check) in &meta.checks {
+            out.meet(&Domains::column(meta.column_id(*pos), check.clone()));
+        }
+        out
+    }
+
+    /// `column`'s domain; `None` when it is unconstrained.
+    pub fn get(&self, column: ColumnId) -> Option<&IntervalSet> {
+        self.0.get(&column)
+    }
+
+    fn set(&mut self, column: ColumnId, domain: IntervalSet) {
+        if !domain.is_full() {
+            self.0.insert(column, domain);
+        }
+    }
+
+    /// Intersect with `other`, column by column (AND, a filter over its
+    /// input). Whether a column `other` constrains came out empty: then no
+    /// row qualifies.
+    pub fn meet(&mut self, other: &Domains) -> bool {
+        let mut emptied = false;
+        for (&column, domain) in &other.0 {
+            let met = match self.0.get(&column) {
+                Some(mine) => mine.intersect(domain),
+                None => domain.clone(),
+            };
+            emptied |= met.is_empty();
+            self.0.insert(column, met);
+        }
+        emptied
+    }
+
+    /// Union, column by column (OR, UNION ALL over renamed branches): a
+    /// column unconstrained on either side is unconstrained.
+    pub fn union(&self, other: &Domains) -> Domains {
+        let mut out = Domains::default();
+        for (&column, domain) in &self.0 {
+            if let Some(theirs) = other.0.get(&column) {
+                out.set(column, domain.union(theirs));
+            }
+        }
+        out
+    }
+
+    /// The domains of `(from, to)` pairs' `from` columns under the `to`
+    /// names (a projection, a grouping, a union branch); every other column
+    /// is dropped.
+    pub fn rename(&self, pairs: impl IntoIterator<Item = (ColumnId, ColumnId)>) -> Domains {
+        let mut out = Domains::default();
+        for (from, to) in pairs {
+            if let Some(domain) = self.0.get(&from) {
+                out.0.insert(to, domain.clone());
+            }
+        }
+        out
+    }
+}
+
+/// A group's domains from its children's `(output columns, domains)`, and
+/// whether the group provably holds no rows: a filter whose predicate's
+/// domains meet its input's in an empty column. The only writer of
+/// [`LogicalProps::domains`], and what static pruning and startup filters
+/// read before the memo exists.
+pub fn derive_domains(op: &LogicalOp, children: &[(&[ColumnId], &Domains)]) -> (Domains, bool) {
+    let child = || children[0].1.clone();
+    let domains = match op {
+        LogicalOp::Get { meta, .. } => Domains::of_checks(meta),
+        LogicalOp::EmptyGet { .. } | LogicalOp::Values { .. } => Domains::default(),
+        LogicalOp::Filter { predicate } => {
+            let mut domains = child();
+            let empty = domains.meet(&predicate.domains());
+            return (domains, empty);
+        }
+        LogicalOp::StartupFilter { .. } | LogicalOp::Limit { .. } => child(),
+        LogicalOp::Project { outputs } => {
+            children[0]
+                .1
+                .rename(outputs.iter().filter_map(|(out, e)| match e {
+                    ScalarExpr::Column(src) => Some((*src, *out)),
+                    _ => None,
+                }))
+        }
+        LogicalOp::Aggregate { group_by, .. } => {
+            children[0].1.rename(group_by.iter().map(|c| (*c, *c)))
+        }
+        // A partitioned view's combined domain: output `i` holds what any
+        // branch's `i`-th column holds.
+        LogicalOp::UnionAll { output } => children
+            .iter()
+            .map(|(columns, domains)| {
+                domains.rename(columns.iter().copied().zip(output.iter().copied()))
+            })
+            .reduce(|a, b| a.union(&b))
+            .unwrap_or_default(),
+        LogicalOp::Join { kind, predicate } => {
+            let ((l_cols, l), (r_cols, r)) = (children[0], children[1]);
+            let mut domains = l.clone();
+            if kind.produces_right() {
+                domains.0.extend(r.0.iter().map(|(k, v)| (*k, v.clone())));
+            }
+            // An equi-join confines both columns to both domains — in the
+            // rows that found a match. An outer join also keeps left rows
+            // that found none, and an anti join keeps only those.
+            for (lc, rc) in predicate
+                .iter()
+                .flat_map(|p| equi_key_columns(p, l_cols, r_cols))
+            {
+                let shared = match (domains.get(lc), domains.get(rc).or(r.get(rc))) {
+                    (Some(a), Some(b)) => a.intersect(b),
+                    (Some(d), None) | (None, Some(d)) => d.clone(),
+                    (None, None) => continue,
+                };
+                if !matches!(kind, JoinKind::LeftOuter | JoinKind::Anti) {
+                    domains.set(lc, shared.clone());
+                }
+                if kind.produces_right() {
+                    domains.set(rc, shared);
+                }
+            }
+            domains
+        }
+    };
+    (domains, false)
 }
 
 /// Physical properties delivered by a physical plan: sort order.

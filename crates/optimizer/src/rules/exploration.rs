@@ -249,12 +249,12 @@ impl ImpliedKeySet {
         if ctx.registry.meta(to_col).data_type != ty {
             return None;
         }
-        let points = from.domains.get(&from_col)?;
+        let points = from.domains.get(from_col)?;
         // The rule meets its own filter again on every exploration pass: an
         // unconstrained `to_col` and one already confined to P are told
         // apart without building the intersection.
         let met;
-        let shipped = match to.domains.get(&to_col) {
+        let shipped = match to.domains.get(to_col) {
             None => points,
             Some(to_domain) if to_domain == points => return None,
             Some(to_domain) => {
@@ -326,7 +326,7 @@ impl ExplorationRule for ImpliedKeySet {
         let filtered =
             |filter: LogicalOp, group: GroupId| AltExpr::op(filter, vec![AltExpr::Group(group)]);
         let mut out = Vec::new();
-        for (l, r) in equi_key_columns(p, lp, rp) {
+        for (l, r) in equi_key_columns(p, &lp.columns, &rp.columns) {
             if let Some(f) = Self::filter(lp, l, rp, r, ctx) {
                 let children = vec![AltExpr::Group(lg), filtered(f, rg)];
                 out.push(AltExpr::op(expr.op.clone(), children));

@@ -407,7 +407,10 @@ fn implement_join(
         }
 
         let equi = predicate
-            .map(|p| equi_key_columns(p, &memo.group(lg).props, &memo.group(rg).props))
+            .map(|p| {
+                let (l, r) = (&memo.group(lg).props, &memo.group(rg).props);
+                equi_key_columns(p, &l.columns, &r.columns)
+            })
             .unwrap_or_default();
         if !equi.is_empty() && kind != JoinKind::Cross {
             let left_keys: Vec<ScalarExpr> =

@@ -12,13 +12,15 @@
 //!    largest remotable subtree.
 //! 2. **Constant folding** — literal-only predicates collapse to
 //!    TRUE/FALSE; a FALSE filter becomes an `EmptyGet`.
-//! 3. **Static partition pruning** (§4.1.5) — a filter contradicting a
-//!    `Get`'s CHECK-constraint domains reduces the subtree to `EmptyGet`;
-//!    empty UNION ALL branches are dropped.
-//! 4. **Startup-filter introduction** (§4.1.5) — parameterized equality
-//!    predicates over CHECK-constrained columns gain a column-free
-//!    `STARTUP(@p IN domain)` guard so pruning can happen at execution
-//!    time.
+//! 3. **Static partition pruning** (§4.1.5) — one bottom-up walk derives
+//!    every node's column domains with `derive_domains`, as the memo will
+//!    derive them; a filter that empties a column (a CHECK range it
+//!    contradicts below any operator, or a contradiction of its own)
+//!    reduces to `EmptyGet`, and empty UNION ALL branches are dropped.
+//! 4. **Startup-filter introduction** (§4.1.5), in the same walk —
+//!    parameterized equality predicates over a column with a domain gain
+//!    a column-free `STARTUP(@p IN domain)` guard so pruning can happen at
+//!    execution time.
 //! 5. **Column pruning** — projections are pushed over base-table gets so
 //!    only the columns a query actually consumes are produced; for remote
 //!    tables this directly narrows the decoded SELECT list and therefore
@@ -31,7 +33,7 @@
 //!    instead of its raw rows (COUNT becomes SUM of partial counts).
 
 use crate::logical::{JoinKind, LogicalExpr, LogicalOp};
-use crate::props::{ColumnId, ColumnRegistry};
+use crate::props::{derive_domains, ColumnId, ColumnRegistry, Domains};
 use crate::scalar::{AggCall, AggFunc, CmpOp, ScalarExpr};
 use dhqp_types::{DataType, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -70,13 +72,8 @@ pub fn simplify(
         tree
     };
     let tree = fold_constants(tree);
-    let tree = if opts.constraint_pruning {
-        prune_static(tree)
-    } else {
-        tree
-    };
-    let tree = if opts.startup_filters {
-        introduce_startup_filters(tree)
+    let tree = if opts.constraint_pruning || opts.startup_filters {
+        constrain(tree, opts).0
     } else {
         tree
     };
@@ -619,139 +616,105 @@ fn fold_constants(tree: LogicalExpr) -> LogicalExpr {
 }
 
 // ---------------------------------------------------------------------------
-// pass 3: static partition pruning (constraint property framework)
+// passes 3 and 4: static and runtime pruning (constraint property framework)
 // ---------------------------------------------------------------------------
 
-fn prune_static(tree: LogicalExpr) -> LogicalExpr {
-    let LogicalExpr { op, children } = tree;
-    let mut children: Vec<LogicalExpr> = children.into_iter().map(prune_static).collect();
-    match op {
-        LogicalOp::Filter { predicate } => {
-            let child = &children[0];
-            // Contradiction test: for each referenced column, intersect the
-            // predicate's implied domain with the child's CHECK domain.
-            if let Some(domains) = get_check_domains(child) {
-                for col in predicate.columns() {
-                    if let Some(check) = domains.get(&col) {
-                        let pred_dom = predicate.domain_for(col);
-                        if !check.intersects(&pred_dom) {
-                            let columns = child.output_columns();
-                            return LogicalExpr::new(LogicalOp::EmptyGet { columns }, vec![]);
-                        }
-                    }
-                }
-            }
-            LogicalExpr::new(LogicalOp::Filter { predicate }, children)
-        }
-        LogicalOp::UnionAll { output } => {
-            let live: Vec<LogicalExpr> = children
-                .drain(..)
-                .filter(|c| !matches!(c.op, LogicalOp::EmptyGet { .. }))
-                .collect();
-            match live.len() {
-                0 => LogicalExpr::new(LogicalOp::EmptyGet { columns: output }, vec![]),
-                // A single surviving member needs no union: a projection
-                // renames its columns to the view's outputs, leaving the
-                // member subtree free to be pushed whole to its server.
-                1 => {
-                    let branch = live.into_iter().next().expect("len checked");
-                    let branch_cols = branch.output_columns();
-                    let outputs = output
-                        .iter()
-                        .zip(branch_cols)
-                        .map(|(&o, b)| (o, ScalarExpr::Column(b)))
-                        .collect();
-                    branch.project(outputs)
-                }
-                _ => LogicalExpr::new(LogicalOp::UnionAll { output }, live),
-            }
-        }
-        LogicalOp::Join { kind, .. }
-            if matches!(kind, JoinKind::Inner | JoinKind::Cross | JoinKind::Semi)
-                && children
+/// One bottom-up walk that derives each node's column domains with
+/// [`derive_domains`] — what the memo will derive for its group — and
+/// prunes from them (§4.1.5).
+///
+/// Static pruning: a filter whose predicate's domains meet its input's in
+/// an empty column is an `EmptyGet`, the rule the filter's estimate applies
+/// (a CHECK range it contradicts, however deep below, or a contradiction of
+/// its own such as `k = NULL`); so is an inner, cross or semi join with an
+/// empty input, and a UNION ALL drops its empty branches.
+///
+/// Startup filters: a `col = @param` conjunct (either operand order) over a
+/// column its input confines gains a column-free `STARTUP(@param IN
+/// domain)` guard above the filter, so the subtree runs only when the
+/// parameter can match.
+fn constrain(tree: LogicalExpr, opts: &SimplifyOptions) -> (LogicalExpr, Domains) {
+    let LogicalExpr { mut op, children } = tree;
+    let mut inputs: Vec<(LogicalExpr, Domains)> =
+        children.into_iter().map(|c| constrain(c, opts)).collect();
+    let is_empty = |node: &LogicalExpr| matches!(node.op, LogicalOp::EmptyGet { .. });
+    if let (true, LogicalOp::UnionAll { output }) = (opts.constraint_pruning, &op) {
+        inputs.retain(|(branch, _)| !is_empty(branch));
+        match inputs.as_slice() {
+            [] => return (empty_get(output.clone()), Domains::default()),
+            // A single surviving member needs no union: a projection
+            // renames its columns to the view's outputs, leaving the
+            // member subtree free to be pushed whole to its server.
+            [(branch, _)] => {
+                let outputs = output
                     .iter()
-                    .any(|c| matches!(c.op, LogicalOp::EmptyGet { .. })) =>
-        {
-            let columns = LogicalExpr {
-                op: LogicalOp::Join {
-                    kind,
-                    predicate: None,
-                },
-                children,
+                    .zip(branch.output_columns())
+                    .map(|(&o, b)| (o, ScalarExpr::Column(b)))
+                    .collect();
+                op = LogicalOp::Project { outputs };
             }
-            .output_columns();
-            LogicalExpr::new(LogicalOp::EmptyGet { columns }, vec![])
+            _ => {}
         }
-        other => LogicalExpr {
-            op: other,
-            children,
-        },
     }
-}
-
-/// CHECK-constraint domains visible at `tree` without running full property
-/// derivation: only `Get` (possibly under filters/startup filters) exposes
-/// them here.
-fn get_check_domains(tree: &LogicalExpr) -> Option<HashMap<ColumnId, dhqp_types::IntervalSet>> {
-    match &tree.op {
-        LogicalOp::Get { meta, .. } => Some(
-            meta.checks
-                .iter()
-                .map(|(pos, dom)| (meta.column_id(*pos), dom.clone()))
-                .collect(),
-        ),
-        LogicalOp::Filter { .. } | LogicalOp::StartupFilter { .. } => {
-            get_check_domains(&tree.children[0])
+    let columns: Vec<Vec<ColumnId>> = inputs.iter().map(|(c, _)| c.output_columns()).collect();
+    let derived: Vec<(&[ColumnId], &Domains)> = columns
+        .iter()
+        .zip(&inputs)
+        .map(|(cols, (_, domains))| (cols.as_slice(), domains))
+        .collect();
+    let (domains, contradiction) = derive_domains(&op, &derived);
+    let starved = matches!(
+        op,
+        LogicalOp::Join {
+            kind: JoinKind::Inner | JoinKind::Cross | JoinKind::Semi,
+            ..
+        }
+    ) && inputs.iter().any(|(c, _)| is_empty(c));
+    let guards = match &op {
+        LogicalOp::Filter { predicate } if opts.startup_filters => {
+            startup_guards(predicate, &inputs[0].1)
         }
         _ => None,
+    };
+    let node = LogicalExpr::new(op, inputs.into_iter().map(|(c, _)| c).collect());
+    if opts.constraint_pruning && (contradiction || starved) {
+        return (empty_get(node.output_columns()), Domains::default());
+    }
+    match guards {
+        Some(predicate) => (
+            LogicalExpr::new(LogicalOp::StartupFilter { predicate }, vec![node]),
+            domains,
+        ),
+        None => (node, domains),
     }
 }
 
-// ---------------------------------------------------------------------------
-// pass 4: startup filters for runtime pruning
-// ---------------------------------------------------------------------------
+fn empty_get(columns: Vec<ColumnId>) -> LogicalExpr {
+    LogicalExpr::new(LogicalOp::EmptyGet { columns }, vec![])
+}
 
-fn introduce_startup_filters(tree: LogicalExpr) -> LogicalExpr {
-    let LogicalExpr { op, children } = tree;
-    let children: Vec<LogicalExpr> = children
-        .into_iter()
-        .map(introduce_startup_filters)
-        .collect();
-    if let LogicalOp::Filter { predicate } = &op {
-        if let Some(domains) = get_check_domains(&children[0]) {
-            let mut startup_preds = Vec::new();
-            for conj in predicate.conjuncts() {
-                // col = @param (either operand order) over a CHECK-constrained
-                // column: the subtree can only produce rows when the
-                // parameter falls in the column's domain.
-                if let ScalarExpr::Cmp {
-                    op: CmpOp::Eq,
-                    left,
-                    right,
-                } = &conj
-                {
-                    let pair = match (left.as_ref(), right.as_ref()) {
-                        (ScalarExpr::Column(c), ScalarExpr::Param(p))
-                        | (ScalarExpr::Param(p), ScalarExpr::Column(c)) => Some((*c, p.clone())),
-                        _ => None,
-                    };
-                    if let Some((col, param)) = pair {
-                        if let Some(domain) = domains.get(&col) {
-                            startup_preds.push(ScalarExpr::ParamInDomain {
-                                param,
-                                domain: domain.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-            if let Some(p) = ScalarExpr::and(startup_preds) {
-                let filtered = LogicalExpr { op, children };
-                return LogicalExpr::new(LogicalOp::StartupFilter { predicate: p }, vec![filtered]);
-            }
-        }
-    }
-    LogicalExpr { op, children }
+/// `STARTUP(@p IN domain)` for each `col = @p` conjunct of `predicate`
+/// (either operand order) whose column `input` confines; `None` without
+/// one.
+fn startup_guards(predicate: &ScalarExpr, input: &Domains) -> Option<ScalarExpr> {
+    let guards = predicate.conjuncts().into_iter().filter_map(|conj| {
+        let ScalarExpr::Cmp {
+            op: CmpOp::Eq,
+            left,
+            right,
+        } = conj
+        else {
+            return None;
+        };
+        let (column, param) = match (*left, *right) {
+            (ScalarExpr::Column(c), ScalarExpr::Param(p))
+            | (ScalarExpr::Param(p), ScalarExpr::Column(c)) => (c, p),
+            _ => return None,
+        };
+        let domain = input.get(column)?.clone();
+        Some(ScalarExpr::ParamInDomain { param, domain })
+    });
+    ScalarExpr::and(guards.collect())
 }
 
 #[cfg(test)]
@@ -1035,6 +998,39 @@ mod tests {
     }
 
     #[test]
+    fn contradictions_prune_above_any_operator() {
+        let mut reg = ColumnRegistry::new();
+        let (view, out, _) = partitioned_view(&mut reg);
+        // Pushdown stops at the aggregate; the union's domain for k reaches
+        // the filter through it.
+        let n = reg.allocate("n", "", DataType::Int, false);
+        let count = AggCall {
+            func: AggFunc::CountStar,
+            arg: None,
+            distinct: false,
+            output: n,
+        };
+        let tree = view
+            .aggregate(vec![out[0]], vec![count])
+            .filter(cmp_ci(out[0], CmpOp::Gt, 99));
+        let result = simplify(tree, &SimplifyOptions::default(), &mut reg);
+        assert!(
+            matches!(result.op, LogicalOp::EmptyGet { .. }),
+            "{}",
+            result.display_tree()
+        );
+        // `x = NULL` contradicts itself, CHECK or not.
+        let (mut reg, a, _) = two_tables();
+        let null = ScalarExpr::eq(
+            ScalarExpr::Column(a.column_id(0)),
+            ScalarExpr::literal(Value::Null),
+        );
+        let tree = LogicalExpr::get(a).filter(null);
+        let result = simplify(tree, &SimplifyOptions::default(), &mut reg);
+        assert!(matches!(result.op, LogicalOp::EmptyGet { .. }));
+    }
+
+    #[test]
     fn parameterized_filter_gains_startup_guards() {
         let mut reg = ColumnRegistry::new();
         let (view, out, members) = partitioned_view(&mut reg);
@@ -1212,7 +1208,7 @@ mod tests {
             })
             .collect();
         let tree = project_to(LogicalExpr::new(view.op, branches), &[out[1]]);
-        let result = prune_columns(introduce_startup_filters(tree), None);
+        let result = prune_columns(constrain(tree, &SimplifyOptions::default()).0, None);
         assert_eq!(result.output_columns(), [out[1]]);
         for (branch, m) in result.children.iter().zip(&members) {
             assert!(

@@ -7,7 +7,7 @@
 //! filters*, §4.1.5), and domain extraction for the constraint property
 //! framework.
 
-use crate::props::ColumnId;
+use crate::props::{ColumnId, Domains};
 use dhqp_types::{DataType, Interval, IntervalSet, Value, ValueSet};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -336,64 +336,81 @@ impl ScalarExpr {
         }
     }
 
-    /// Derive the value domain this predicate implies for `column`, for the
-    /// constraint property framework. Returns the *full* domain when the
-    /// predicate says nothing usable about the column.
-    ///
-    /// Handles the paper's §4.1.5 forms: comparisons against constants
-    /// (either operand order), `BETWEEN` (as two comparisons), `IN` lists,
-    /// `OR`-disjunctions and `AND`-conjunctions of the above.
-    pub fn domain_for(&self, column: ColumnId) -> IntervalSet {
+    /// The value domain this predicate implies for every column it
+    /// constrains (the constraint property framework, §4.1.5): each row it
+    /// calls TRUE holds values inside them. One walk over the paper's forms
+    /// — comparisons with a literal in either operand order (`BETWEEN` is
+    /// two), `[NOT] IN`-lists, and ANDs and ORs of them; anything else
+    /// constrains nothing.
+    pub fn domains(&self) -> Domains {
         match self {
             ScalarExpr::Cmp { op, left, right } => {
-                let (col_side, lit, op) = match (left.as_ref(), right.as_ref()) {
-                    (ScalarExpr::Column(c), ScalarExpr::Literal(v)) if *c == column => (c, v, *op),
-                    (ScalarExpr::Literal(v), ScalarExpr::Column(c)) if *c == column => {
-                        (c, v, op.flip())
-                    }
-                    _ => return IntervalSet::full(),
+                let (column, lit, op) = match (left.as_ref(), right.as_ref()) {
+                    (ScalarExpr::Column(c), ScalarExpr::Literal(v)) => (*c, v, *op),
+                    (ScalarExpr::Literal(v), ScalarExpr::Column(c)) => (*c, v, op.flip()),
+                    _ => return Domains::default(),
                 };
-                let _ = col_side;
-                if lit.is_null() {
+                let domain = if lit.is_null() {
                     // col <op> NULL is never true.
-                    return IntervalSet::empty();
-                }
-                match op {
-                    CmpOp::Eq => IntervalSet::point(lit.clone()),
-                    CmpOp::Neq => IntervalSet::point(lit.clone()).complement(),
-                    CmpOp::Lt => IntervalSet::single(Interval::less_than(lit.clone())),
-                    CmpOp::Le => IntervalSet::single(Interval::at_most(lit.clone())),
-                    CmpOp::Gt => IntervalSet::single(Interval::greater_than(lit.clone())),
-                    CmpOp::Ge => IntervalSet::single(Interval::at_least(lit.clone())),
-                }
+                    IntervalSet::empty()
+                } else if !bounds_exactly(lit) {
+                    return Domains::default();
+                } else {
+                    match op {
+                        CmpOp::Eq => IntervalSet::point(lit.clone()),
+                        CmpOp::Neq => IntervalSet::point(lit.clone()).complement(),
+                        CmpOp::Lt => IntervalSet::single(Interval::less_than(lit.clone())),
+                        CmpOp::Le => IntervalSet::single(Interval::at_most(lit.clone())),
+                        CmpOp::Gt => IntervalSet::single(Interval::greater_than(lit.clone())),
+                        CmpOp::Ge => IntervalSet::single(Interval::at_least(lit.clone())),
+                    }
+                };
+                Domains::column(column, domain)
             }
             ScalarExpr::InList {
                 expr,
                 list,
                 negated,
-            } => match expr.as_ref() {
-                ScalarExpr::Column(c) if *c == column => {
-                    // NULLs sort first and match nothing.
-                    let set =
-                        IntervalSet::from_points(&list[list.partition_point(Value::is_null)..]);
-                    if *negated {
-                        set.complement()
-                    } else {
-                        set
-                    }
+            } => {
+                let ScalarExpr::Column(column) = expr.as_ref() else {
+                    return Domains::default();
+                };
+                // NULLs sort first and match nothing.
+                let values = &list[list.partition_point(Value::is_null)..];
+                if !values.iter().all(bounds_exactly) {
+                    return Domains::default();
                 }
-                _ => IntervalSet::full(),
-            },
-            ScalarExpr::And(list) => list.iter().fold(IntervalSet::full(), |acc, p| {
-                acc.intersect(&p.domain_for(column))
-            }),
+                let set = IntervalSet::from_points(values);
+                Domains::column(*column, if *negated { set.complement() } else { set })
+            }
+            ScalarExpr::And(list) => {
+                let mut domains = Domains::default();
+                for p in list {
+                    domains.meet(&p.domains());
+                }
+                domains
+            }
             ScalarExpr::Or(list) => list
                 .iter()
-                .map(|p| p.domain_for(column))
+                .map(ScalarExpr::domains)
                 .reduce(|a, b| a.union(&b))
-                .unwrap_or_else(IntervalSet::full),
-            _ => IntervalSet::full(),
+                .unwrap_or_default(),
+            _ => Domains::default(),
         }
+    }
+}
+
+/// Whether a literal can bound a domain. A number of magnitude 2^53 or more
+/// compares as the `f64` it rounds to, and SQL calls that equal to several
+/// integers that differ from each other (`9007199254740993 =
+/// 9007199254740992.0 = 9007199254740992`); no interval holds exactly the
+/// values such a number equals, so it bounds nothing.
+fn bounds_exactly(v: &Value) -> bool {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match v {
+        Value::Int(i) => i.unsigned_abs() < 1 << 53,
+        Value::Float(f) => f.abs() < EXACT || !f.is_finite(),
+        _ => true,
     }
 }
 
@@ -528,13 +545,13 @@ mod tests {
 
     #[test]
     fn domain_from_comparison_both_orders() {
-        let c = ColumnId(0);
-        let gt = ScalarExpr::cmp(CmpOp::Gt, col(0), lit(50));
-        assert!(!gt.domain_for(c).contains(&Value::Int(50)));
-        assert!(gt.domain_for(c).contains(&Value::Int(51)));
+        let gt = ScalarExpr::cmp(CmpOp::Gt, col(0), lit(50)).domains();
+        let d = gt.get(ColumnId(0)).unwrap();
+        assert!(!d.contains(&Value::Int(50)));
+        assert!(d.contains(&Value::Int(51)));
         // 50 < col is the same constraint.
         let flipped = ScalarExpr::cmp(CmpOp::Lt, lit(50), col(0));
-        assert_eq!(flipped.domain_for(c), gt.domain_for(c));
+        assert_eq!(flipped.domains(), gt);
     }
 
     #[test]
@@ -552,7 +569,8 @@ mod tests {
                 ScalarExpr::cmp(CmpOp::Le, col(0), lit(100)),
             ]),
         ]);
-        let d = e.domain_for(c);
+        let domains = e.domains();
+        let d = domains.get(c).unwrap();
         assert_eq!(d.intervals().len(), 3);
         assert!(d.contains(&Value::Int(5)));
         assert!(d.contains(&Value::Int(75)));
@@ -562,16 +580,17 @@ mod tests {
     #[test]
     fn domain_of_other_column_is_full() {
         let e = ScalarExpr::eq(col(0), lit(1));
-        assert!(e.domain_for(ColumnId(9)).is_full());
+        assert!(e.domains().get(ColumnId(9)).is_none());
         // Param comparisons contribute nothing statically.
         let p = ScalarExpr::eq(col(0), ScalarExpr::Param("p".into()));
-        assert!(p.domain_for(ColumnId(0)).is_full());
+        assert_eq!(p.domains(), Domains::default());
     }
 
     #[test]
     fn neq_and_not_in_via_complement() {
         let e = ScalarExpr::cmp(CmpOp::Neq, col(0), lit(7));
-        let d = e.domain_for(ColumnId(0));
+        let domains = e.domains();
+        let d = domains.get(ColumnId(0)).unwrap();
         assert!(!d.contains(&Value::Int(7)));
         assert!(d.contains(&Value::Int(8)));
         let ni = ScalarExpr::InList {
@@ -579,9 +598,56 @@ mod tests {
             list: vec![Value::Int(1), Value::Int(2)].into(),
             negated: true,
         };
-        let d = ni.domain_for(ColumnId(0));
+        let domains = ni.domains();
+        let d = domains.get(ColumnId(0)).unwrap();
         assert!(!d.contains(&Value::Int(1)));
         assert!(d.contains(&Value::Int(3)));
+    }
+
+    #[test]
+    fn one_walk_gives_every_column() {
+        // (x = 1 AND y > 2) OR x = 3: x is one of two points; y is
+        // unconstrained, since the second branch says nothing about it.
+        let e = ScalarExpr::Or(vec![
+            ScalarExpr::And(vec![
+                ScalarExpr::eq(col(0), lit(1)),
+                ScalarExpr::cmp(CmpOp::Gt, col(1), lit(2)),
+            ]),
+            ScalarExpr::eq(col(0), lit(3)),
+        ]);
+        let d = e.domains();
+        let points = IntervalSet::from_points(&[Value::Int(1), Value::Int(3)]);
+        assert_eq!(d.get(ColumnId(0)), Some(&points));
+        assert_eq!(d.get(ColumnId(1)), None);
+        // A contradiction of its own empties the column.
+        let null = ScalarExpr::eq(col(0), ScalarExpr::Literal(Value::Null));
+        let apart = ScalarExpr::And(vec![
+            ScalarExpr::cmp(CmpOp::Gt, col(0), lit(5)),
+            ScalarExpr::cmp(CmpOp::Lt, col(0), lit(3)),
+        ]);
+        for e in [null, apart] {
+            assert!(e.domains().get(ColumnId(0)).unwrap().is_empty(), "{e}");
+        }
+    }
+
+    #[test]
+    fn numbers_past_2_pow_53_bound_nothing() {
+        // 2^53 + 1 and 2^53 both equal the float 2^53, not each other.
+        let eq = |v: Value| ScalarExpr::eq(col(0), ScalarExpr::Literal(v));
+        assert_eq!(eq(Value::Int((1 << 53) + 1)).domains(), Domains::default());
+        assert_eq!(
+            eq(Value::Float((1u64 << 53) as f64)).domains(),
+            Domains::default()
+        );
+        let list = ScalarExpr::InList {
+            expr: Box::new(col(0)),
+            list: vec![Value::Int(1), Value::Int(1 << 53)].into(),
+            negated: false,
+        };
+        assert_eq!(list.domains(), Domains::default());
+        for exact in [Value::Int((1 << 53) - 1), Value::Float(f64::INFINITY)] {
+            assert!(eq(exact).domains().get(ColumnId(0)).is_some());
+        }
     }
 
     #[test]

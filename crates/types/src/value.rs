@@ -113,8 +113,11 @@ impl Value {
 
     /// Total ordering used for sorting and B-tree keys: NULL sorts first,
     /// then by type tag for heterogeneous columns, then by value; NaN sorts
-    /// after every other float. This is *not* SQL comparison — predicates
-    /// must use [`Value::sql_cmp`].
+    /// after every other float. Wherever SQL comparison is defined the two
+    /// agree — `-0.0` and `0.0` are one value here too — so an index seek,
+    /// a hash key and a value domain hold exactly the values a predicate
+    /// accepts. It is *not* SQL comparison otherwise: predicates must use
+    /// [`Value::sql_cmp`].
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         fn rank(v: &Value) -> u8 {
@@ -130,9 +133,9 @@ impl Value {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Float(a), Float(b)) => unsigned_zero(*a).total_cmp(&unsigned_zero(*b)),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(&unsigned_zero(*b)),
+            (Float(a), Int(b)) => unsigned_zero(*a).total_cmp(&(*b as f64)),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
             _ => rank(self).cmp(&rank(other)),
@@ -260,6 +263,12 @@ impl Value {
     }
 }
 
+/// `f` with `-0.0` read as `0.0` (IEEE addition of `+0.0` does exactly
+/// that and leaves every other value, NaN included, as it is).
+fn unsigned_zero(f: f64) -> f64 {
+    f + 0.0
+}
+
 /// SQL LIKE with `%` (any run) and `_` (any single char), case-sensitive.
 pub fn like_match(s: &str, pattern: &str) -> bool {
     fn rec(s: &[u8], p: &[u8]) -> bool {
@@ -354,7 +363,7 @@ impl Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                unsigned_zero(*f).to_bits().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);

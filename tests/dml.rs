@@ -748,6 +748,33 @@ fn counters_tell_seek_from_scan() {
     assert_eq!((m.dml_seeks, m.dml_scans, m.dml_rows_located), (0, 0, 0));
 }
 
+/// B-tree order agrees with SQL at zero, so a float zero bounds a seek like
+/// any other key: `score = 0.0` reads both zeros through the index.
+#[test]
+fn a_float_zero_key_seeks_both_zeros() {
+    let engine = Engine::new("zeros");
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("score", DataType::Float),
+    ]);
+    let def = TableDef::new("scores", schema).with_index("ix_score", &["score"], false);
+    engine.create_table(def).unwrap();
+    let rows: Vec<Row> = [-0.0, 0.0, 0.5, 1.0]
+        .into_iter()
+        .zip(0..)
+        .map(|(score, id)| Row::new(vec![Value::Int(id), Value::Float(score)]))
+        .collect();
+    engine.insert("scores", &rows).unwrap();
+    let before = engine.metrics();
+    let sql = "UPDATE scores SET id = id + 10 WHERE score = 0.0";
+    assert_eq!(affected(&engine, sql, &[]), Ok(2));
+    assert_eq!(dml_reads(&before, &engine.metrics()), (1, 0, 2), "one seek");
+    let moved = engine
+        .query("SELECT id FROM scores WHERE id >= 10")
+        .unwrap();
+    assert_eq!(moved.len(), 2);
+}
+
 #[test]
 fn empty_key_domain_reads_nothing() {
     let fed = federation(IndexAccess::Native, true);

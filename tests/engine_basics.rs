@@ -207,6 +207,59 @@ fn select_without_from() {
     assert_eq!(r.value(0, 1), &Value::Str("x".into()));
 }
 
+/// `-0.0` and `0.0` are one value to SQL, and so to everything that orders
+/// or hashes values: an index seek, a range, a parameter, a hash join and a
+/// grouping see both zeros where a scan does.
+#[test]
+fn float_zeros_are_one_value_everywhere() {
+    let e = Engine::new("zeros");
+    let schema = || {
+        Schema::new(vec![
+            Column::not_null("id", DataType::Int),
+            Column::new("f", DataType::Float),
+        ])
+    };
+    let indexed = TableDef::new("indexed", schema()).with_index("ix_f", &["f"], false);
+    for def in [indexed, TableDef::new("plain", schema())] {
+        e.create_table(def).unwrap();
+    }
+    let row = |id: i64, f: f64| Row::new(vec![Value::Int(id), Value::Float(f)]);
+    let mut rows: Vec<Row> = (0..40).map(|i| row(i, 10.0 + i as f64)).collect();
+    rows.extend([row(100, -0.0), row(101, 0.0)]);
+    for table in ["indexed", "plain"] {
+        e.insert(table, &rows).unwrap();
+        e.analyze(table, 8).unwrap();
+    }
+    let count = |sql: &str, z: f64| {
+        let params = [("z".to_string(), Value::Float(z))].into_iter().collect();
+        e.query_with_params(sql, params).unwrap().scalar().cloned()
+    };
+    for table in ["indexed", "plain"] {
+        for (predicate, z) in [
+            ("f = 0.0", 0.0),
+            ("f >= 0.0 AND f < 1.5", 0.0),
+            ("f = @z", 0.0),
+        ] {
+            let sql = format!("SELECT COUNT(*) AS n FROM {table} WHERE {predicate}");
+            assert_eq!(count(&sql, z), Some(Value::Int(2)), "{sql}");
+        }
+    }
+    let zero = |table: &str, f: f64| {
+        let def = TableDef::new(table, schema());
+        e.create_table(def).unwrap();
+        e.insert(table, &[row(1, f)]).unwrap();
+    };
+    zero("neg", -0.0);
+    zero("pos", 0.0);
+    let sql = "SELECT COUNT(*) AS n FROM neg JOIN pos ON neg.f = pos.f";
+    assert_eq!(count(sql, 0.0), Some(Value::Int(1)), "{sql}");
+    let groups = e
+        .query("SELECT f, COUNT(*) AS n FROM plain WHERE f < 1.0 GROUP BY f")
+        .unwrap();
+    assert_eq!(groups.len(), 1, "one zero group");
+    assert_eq!(groups.value(0, 1), &Value::Int(2));
+}
+
 #[test]
 fn errors_surface_cleanly() {
     let e = engine_with_emp();

@@ -467,6 +467,176 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// constraint domains: sound against the evaluator
+// ---------------------------------------------------------------------------
+
+use dhqp_optimizer::{derive_domains, CmpOp, ColumnId, Domains, JoinKind, LogicalOp, ScalarExpr};
+
+/// A comparison of one of `cols` with a literal, in either operand order,
+/// or a `[NOT] IN`-list; literals from `arb_in_value`, NULLs among them.
+fn arb_domain_atom(cols: [u32; 2]) -> impl Strategy<Value = ScalarExpr> {
+    let column = move || (0usize..2).prop_map(move |i| ScalarExpr::Column(ColumnId(cols[i])));
+    prop_oneof![
+        (column(), 0usize..6, arb_in_value(), any::<bool>()).prop_map(|(c, op, v, flip)| {
+            let op = [
+                CmpOp::Eq,
+                CmpOp::Neq,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ][op];
+            let lit = ScalarExpr::Literal(v);
+            if flip {
+                ScalarExpr::cmp(op, lit, c)
+            } else {
+                ScalarExpr::cmp(op, c, lit)
+            }
+        }),
+        (
+            column(),
+            prop::collection::vec(arb_in_value(), 0..4),
+            any::<bool>()
+        )
+            .prop_map(|(c, list, negated)| ScalarExpr::InList {
+                expr: Box::new(c),
+                list: list.into(),
+                negated,
+            }),
+    ]
+}
+
+/// ANDs and ORs of atoms over `cols`, up to two levels deep.
+fn arb_domain_pred(cols: [u32; 2]) -> impl Strategy<Value = ScalarExpr> {
+    let level = move || {
+        prop_oneof![
+            arb_domain_atom(cols),
+            prop::collection::vec(arb_domain_atom(cols), 2..4).prop_map(ScalarExpr::And),
+            prop::collection::vec(arb_domain_atom(cols), 2..4).prop_map(ScalarExpr::Or),
+        ]
+    };
+    prop_oneof![
+        level(),
+        prop::collection::vec(level(), 2..3).prop_map(ScalarExpr::And),
+        prop::collection::vec(level(), 2..3).prop_map(ScalarExpr::Or),
+    ]
+}
+
+/// What the executor's `eval_predicate` says of `row`, laid out as `cols`.
+fn calls_true(pred: &ScalarExpr, cols: &[ColumnId], row: &[Value]) -> bool {
+    let ctx = dhqp_executor::ExecContext::new(
+        std::sync::Arc::new(NoSources),
+        Default::default(),
+        std::sync::Arc::new(dhqp_optimizer::ColumnRegistry::new()),
+    );
+    let positions = dhqp_executor::eval::positions_of(cols);
+    let row = Row::new(row.to_vec());
+    let env = dhqp_executor::RowEnv {
+        positions: &positions,
+        row: &row,
+        ctx: &ctx,
+    };
+    dhqp_executor::eval_predicate(pred, &env).unwrap()
+}
+
+/// Whether every value of `row` (laid out as `cols`) lies inside its
+/// column's domain. NULL is in no domain; `padded` lets it through where an
+/// outer join supplies it.
+fn inside(domains: &Domains, cols: &[ColumnId], row: &[Value], padded: bool) -> bool {
+    cols.iter().zip(row).all(|(c, v)| match domains.get(*c) {
+        Some(domain) => domain.contains(v) || (padded && v.is_null()),
+        None => true,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both derivations are sound: every row the evaluator calls TRUE lies
+    /// inside `predicate.domains()`, and every row a Filter, an equi-join or
+    /// a UNION ALL makes of such rows lies inside what `derive_domains` gives
+    /// the group. A filter it reports empty keeps no row.
+    #[test]
+    fn domains_hold_every_row_the_evaluator_keeps(
+        p in arb_domain_pred([0, 1]),
+        f in arb_domain_pred([0, 1]),
+        q in arb_domain_pred([2, 3]),
+        left in prop::collection::vec((arb_in_value(), arb_in_value()), 0..6),
+        right in prop::collection::vec((arb_in_value(), arb_in_value()), 0..6),
+    ) {
+        let c = ColumnId;
+        let (lc, rc, all) = ([c(0), c(1)], [c(2), c(3)], [c(0), c(1), c(2), c(3)]);
+        let rows = |pairs: &[(Value, Value)]| -> Vec<Vec<Value>> {
+            pairs.iter().map(|(a, b)| vec![a.clone(), b.clone()]).collect()
+        };
+        let (left, right) = (rows(&left), rows(&right));
+        for (pred, cols, rows) in [(&p, &lc, &left), (&f, &lc, &left), (&q, &rc, &right)] {
+            let domains = pred.domains();
+            for row in rows.iter().filter(|r| calls_true(pred, cols, r)) {
+                prop_assert!(inside(&domains, cols, row, false), "{pred} on {row:?}: {domains:?}");
+            }
+        }
+        // The relations: `left` rows p keeps, `right` rows q keeps.
+        let l: Vec<_> = left.into_iter().filter(|r| calls_true(&p, &lc, r)).collect();
+        let r: Vec<_> = right.into_iter().filter(|r| calls_true(&q, &rc, r)).collect();
+        let (pd, qd) = (p.domains(), q.domains());
+        let filter = LogicalOp::Filter { predicate: f.clone() };
+        let (fd, empty) = derive_domains(&filter, &[(&lc[..], &pd)]);
+        for row in l.iter().filter(|row| calls_true(&f, &lc, row)) {
+            prop_assert!(!empty && inside(&fd, &lc, row, false), "{p} then {f} on {row:?}");
+        }
+        let on = ScalarExpr::eq(ScalarExpr::Column(c(0)), ScalarExpr::Column(c(2)));
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Semi, JoinKind::Anti] {
+            let join = LogicalOp::Join { kind, predicate: Some(on.clone()) };
+            let (jd, _) = derive_domains(&join, &[(&lc[..], &pd), (&rc[..], &qd)]);
+            let mut out = Vec::new();
+            for a in &l {
+                let matched: Vec<Vec<Value>> = r
+                    .iter()
+                    .map(|b| [a.clone(), b.clone()].concat())
+                    .filter(|ab| calls_true(&on, &all, ab))
+                    .collect();
+                match kind {
+                    JoinKind::Inner => out.extend(matched),
+                    JoinKind::LeftOuter if matched.is_empty() => {
+                        out.push([a.clone(), vec![Value::Null, Value::Null]].concat())
+                    }
+                    JoinKind::LeftOuter => out.extend(matched),
+                    JoinKind::Semi if !matched.is_empty() => out.push(a.clone()),
+                    JoinKind::Anti if matched.is_empty() => out.push(a.clone()),
+                    _ => {}
+                }
+            }
+            for row in &out {
+                let padded = kind == JoinKind::LeftOuter;
+                prop_assert!(inside(&jd, &all[..row.len()], row, padded), "{kind:?} {row:?}");
+            }
+        }
+        let union = LogicalOp::UnionAll { output: vec![c(4), c(5)] };
+        let (ud, _) = derive_domains(&union, &[(&lc[..], &pd), (&rc[..], &qd)]);
+        for row in l.iter().chain(&r) {
+            prop_assert!(inside(&ud, &[c(4), c(5)], row, false), "UNION ALL {row:?}");
+        }
+    }
+}
+
+/// Past 2^53 one float equals integers that differ from each other, so a
+/// column pinned to two such integers is satisfiable, and no domain may call
+/// it a contradiction.
+#[test]
+fn domains_hold_numbers_past_2_pow_53() {
+    let x = || ScalarExpr::Column(ColumnId(0));
+    let int = |i: i64| ScalarExpr::Literal(Value::Int(i));
+    let both = ScalarExpr::And(vec![
+        ScalarExpr::eq(x(), int(1 << 53)),
+        ScalarExpr::eq(x(), int((1 << 53) + 1)),
+    ]);
+    let row = [Value::Float((1u64 << 53) as f64)];
+    assert!(calls_true(&both, &[ColumnId(0)], &row));
+    assert!(inside(&both.domains(), &[ColumnId(0)], &row, false));
+}
+
+// ---------------------------------------------------------------------------
 // runtime startup pruning: never skips a member whose range qualifies
 // ---------------------------------------------------------------------------
 
