@@ -15,7 +15,7 @@ mod trees;
 
 use crate::engine::Engine;
 use crate::knobs::Knobs;
-use dhqp_executor::ops::retry::{open_with_retries, ReopenFactory};
+use dhqp_executor::ops::retry::{ReopenFactory, RetryState};
 use dhqp_executor::{MemberSchema, RetryPolicy};
 use dhqp_oledb::{is_read_only, DataSource, Rowset, RowsetExt, TableInfo};
 use dhqp_optimizer::logical::{JoinKind, LogicalExpr, LogicalOp, TableMeta};
@@ -616,7 +616,7 @@ impl<'e> Binder<'e> {
                 let alias = alias
                     .clone()
                     .ok_or_else(|| DhqpError::Bind("OPENROWSET requires an alias".into()))?;
-                self.materialize_pass_through(&source, query, &alias)
+                self.materialize_pass_through(&source, None, query, &alias)
             }
             ast::TableRef::OpenQuery {
                 server,
@@ -625,7 +625,7 @@ impl<'e> Binder<'e> {
             } => {
                 let source = self.engine.linked_server(server)?;
                 let alias = alias.clone().unwrap_or_else(|| server.clone());
-                self.materialize_pass_through(&source, query, &alias)
+                self.materialize_pass_through(&source, Some(server), query, &alias)
             }
         }
     }
@@ -636,9 +636,12 @@ impl<'e> Binder<'e> {
     /// Pass-through results are *values to the optimizer*: the provider's
     /// language is opaque (§3.3 "DHQP supports only pass-through queries
     /// against this provider"), so nothing can be pushed into it anyway.
+    /// The read answers to `server`'s breaker: an `OPENQUERY` linked
+    /// server has one, an ad hoc `OPENROWSET` source none.
     fn materialize_pass_through(
         &mut self,
         source: &Arc<dyn DataSource>,
+        server: Option<&str>,
         query: &str,
         alias: &str,
     ) -> Result<(LogicalExpr, Vec<Binding>)> {
@@ -666,9 +669,11 @@ impl<'e> Binder<'e> {
                 }
             })
         };
-        let counters = self.engine.counters();
         let pull = self.knobs.batch.pull_size();
-        let mut rowset = open_with_retries(factory, &policy, counters, None, pull, None)?;
+        let mut rowset = RetryState::new(&policy, self.engine.counters())
+            .gated(Some(self.engine.health()), server)
+            .rewind_by(pull)
+            .open(factory)?;
         let schema = rowset.schema().clone();
         let rows: Vec<Vec<Value>> = rowset
             .collect_rows_batched(pull)?

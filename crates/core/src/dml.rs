@@ -22,7 +22,7 @@ use crate::knobs::Knobs;
 use crate::result::QueryResult;
 use dhqp_dtc::DistributedTransaction;
 use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
-use dhqp_executor::ops::retry::with_retries;
+use dhqp_executor::ops::retry::RetryState;
 use dhqp_executor::ExecContext;
 use dhqp_federation::PartitionedView;
 use dhqp_oledb::{CommandResult, DataSource, KeyRange, RowsetExt, Session, SqlSupport};
@@ -575,36 +575,35 @@ impl WriteSet {
 
     /// Read the rows of `target` its predicate selects, bookmarks attached,
     /// through the statement's own session for that server — the one that
-    /// issues the bookmark writes afterwards, enlisted or not.
-    fn locate_rows(
-        &self,
-        engine: &Engine,
-        knobs: &Arc<Knobs>,
-        sessions: &mut Sessions,
-        target: &BoundTarget,
-    ) -> Result<Vec<Row>> {
+    /// issues the bookmark writes afterwards, enlisted or not. The server's
+    /// breaker admits the read before that session is leased, so an Open
+    /// breaker sends nothing, not even a connect.
+    fn locate_rows(&self, sessions: &mut Sessions, target: &BoundTarget) -> Result<Vec<Row>> {
         let table = &target.meta.table;
         let mut seek = match target.predicate.as_ref().map(|p| self.plan_seek(target, p)) {
             Some(Seek::NoRows) => return Ok(Vec::new()),
             Some(Seek::Range(index, range)) => Some((index, range)),
             Some(Seek::Unbounded) | None => None,
         };
-        let session = sessions.session(&target.server)?;
-        let pull = knobs.batch.pull_size();
+        let (ctx, pull) = (&self.ctx, self.ctx.batch().pull_size());
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
-        let rows = with_retries(&knobs.retry, engine.counters(), || {
-            if let Some((index, range)) = &seek {
-                match session.open_index(table, index, range) {
-                    Ok(mut rowset) => return rowset.collect_rows_batched(pull),
-                    // Index metadata without IRowsetIndex behind it.
-                    Err(DhqpError::Unsupported(_)) => seek = None,
-                    Err(e) => return Err(e),
+        let read = RetryState::new(ctx.retry(), ctx.counters());
+        let rows = read
+            .gated(ctx.health(), target.server.as_deref())
+            .read(|| {
+                let session = sessions.session(&target.server)?;
+                if let Some((index, range)) = &seek {
+                    match session.open_index(table, index, range) {
+                        Ok(mut rowset) => return rowset.collect_rows_batched(pull),
+                        // Index metadata without IRowsetIndex behind it.
+                        Err(DhqpError::Unsupported(_)) => seek = None,
+                        Err(e) => return Err(e),
+                    }
                 }
-            }
-            session.open_rowset(table)?.collect_rows_batched(pull)
-        })?;
-        let counters = engine.counters();
+                session.open_rowset(table)?.collect_rows_batched(pull)
+            })?;
+        let counters = ctx.counters();
         match seek {
             Some(_) => counters.dml_seeks.bump(),
             None => counters.dml_scans.bump(),
@@ -707,7 +706,7 @@ pub fn run_delete(
         if set.push(engine, target, &mut plan) {
             continue;
         }
-        let rows = set.locate_rows(engine, knobs, &mut sessions, target)?;
+        let rows = set.locate_rows(&mut sessions, target)?;
         if !rows.is_empty() {
             let bookmarks = rows.iter().map(bookmark_of).collect::<Result<Vec<_>>>()?;
             plan.table(&target.server, &target.meta.table).delete = bookmarks;
@@ -756,7 +755,7 @@ pub fn run_update(
         if set.push(engine, target, &mut plan) {
             continue;
         }
-        let rows = set.locate_rows(engine, knobs, &mut sessions, target)?;
+        let rows = set.locate_rows(&mut sessions, target)?;
         set.plan_update(target, rows, &mut plan)?;
     }
     let applied = sessions.apply(&plan)?;

@@ -606,6 +606,11 @@ impl Engine {
         &self.inner.metrics.counters
     }
 
+    /// The per-link breakers a bind-time pass-through read answers to.
+    pub(crate) fn health(&self) -> &Arc<HealthRegistry> {
+        &self.inner.health
+    }
+
     /// Build an execution context under one statement's knobs.
     pub(crate) fn exec_context(
         &self,

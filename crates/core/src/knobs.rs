@@ -250,14 +250,6 @@ pub const KNOBS: &[KnobRow] = &[
         "consecutive retry-exhausted failures that open a breaker (≥ 1)"),
     number!("DHQP_BREAKER_COOLDOWN", breaker.cooldown: u32, 1,
         "rejected admissions an open breaker absorbs before one probe (≥ 1)"),
-    number!("DHQP_BREAKER_WINDOW", breaker.rate_window: u32, 2,
-        "outcomes observed before the error rate applies (≥ 2)"),
-    knob!("DHQP_BREAKER_ERROR_RATE", Text,
-        "failure fraction in the window that opens a breaker (0.0–1.0)",
-        |k, v| if let Ok(rate) = v.trim().parse::<f64>() {
-            k.breaker.error_rate = rate.clamp(0.0, 1.0);
-        },
-        |k| format!("{:.2}", k.breaker.error_rate)),
     knob!("DHQP_DEGRADED", Text,
         "a quarantined DPV member fails the statement (`fail`) or is skipped (`prune`)",
         |k, v| match v.trim().to_ascii_lowercase().as_str() {

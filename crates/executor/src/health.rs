@@ -6,7 +6,6 @@
 //!
 //! ```text
 //!            consecutive give-ups >= threshold
-//!            or windowed error rate >= rate
 //!   Closed ────────────────────────────────────▶ Open
 //!     ▲                                           │
 //!     │ probe succeeds                            │ `cooldown` rejected
@@ -15,6 +14,11 @@
 //!   HalfOpen ◀────────────────────────────── (admit one probe)
 //!      └──────────────── reopens ▲
 //! ```
+//!
+//! While HalfOpen every other admission is rejected until the probe
+//! reports, so parallel readers of a recovering link send one request, not
+//! one retry budget each. The retry layer (`ops::retry`) is the only
+//! caller: it admits, and reports every admitted operation's outcome.
 //!
 //! Determinism: the cooldown is not wall-clock time. It is counted in
 //! *rejected admissions on that link* — the same operation clock the
@@ -42,7 +46,8 @@ pub enum BreakerState {
     /// Quarantined: admissions are rejected without touching the wire
     /// until the cooldown elapses.
     Open,
-    /// Probing: one admission has been let through to test the link.
+    /// Probing: one admission has been let through to test the link; the
+    /// rest are rejected until it reports.
     HalfOpen,
 }
 
@@ -67,12 +72,6 @@ pub struct BreakerConfig {
     /// Each one already stands for a full retry budget burned, so the
     /// default is 1.
     pub failure_threshold: u32,
-    /// Alternative trip condition for non-consecutive failures: open when
-    /// at least `rate_window` outcomes were observed since the last
-    /// transition and the failure fraction reaches this rate.
-    pub error_rate: f64,
-    /// Minimum observations before `error_rate` applies.
-    pub rate_window: u32,
     /// Rejected admissions an Open breaker absorbs before letting one
     /// probe through (the deterministic cooldown clock).
     pub cooldown: u32,
@@ -89,8 +88,6 @@ impl BreakerConfig {
         BreakerConfig {
             enabled: true,
             failure_threshold: 1,
-            error_rate: 0.5,
-            rate_window: 8,
             cooldown: 4,
         }
     }
@@ -112,8 +109,9 @@ pub enum Admission {
     /// Breaker was Open and the cooldown elapsed: proceed, but this
     /// operation is the half-open probe — its outcome decides the link.
     Probe,
-    /// Breaker Open and still cooling: fail fast without touching the
-    /// wire. Carries the failure streak for the error message.
+    /// Breaker Open and still cooling, or HalfOpen with its probe out:
+    /// fail fast without touching the wire. Carries the failure streak for
+    /// the error message.
     Reject {
         /// Consecutive give-ups recorded when the breaker opened.
         consecutive_failures: u32,
@@ -142,8 +140,6 @@ pub struct LinkHealthSnapshot {
 struct LinkBreaker {
     state: Option<BreakerState>, // None renders as Closed; set on first transition-relevant op
     consecutive_failures: u32,
-    window_ops: u32,
-    window_failures: u32,
     rejections_since_open: u32,
     opens: u64,
     probes: u64,
@@ -207,7 +203,8 @@ impl HealthRegistry {
 
     /// Ask to use a link. Advances the operation clock; an Open breaker
     /// counts the rejection toward its cooldown and eventually converts
-    /// the admission into the half-open probe.
+    /// the admission into the half-open probe. A HalfOpen breaker rejects,
+    /// counting toward no cooldown, until its probe reports.
     pub fn admit(&self, server: &str) -> Admission {
         let mut g = self.inner.lock().expect("health lock");
         if !g.config.enabled {
@@ -218,7 +215,10 @@ impl HealthRegistry {
         let cooldown = g.config.cooldown;
         let link = g.links.entry(server.to_string()).or_default();
         match link.state() {
-            BreakerState::Closed | BreakerState::HalfOpen => Admission::Allow,
+            BreakerState::Closed => Admission::Allow,
+            BreakerState::HalfOpen => Admission::Reject {
+                consecutive_failures: link.consecutive_failures,
+            },
             BreakerState::Open => {
                 link.rejections_since_open += 1;
                 if link.rejections_since_open > cooldown {
@@ -245,22 +245,15 @@ impl HealthRegistry {
             }
             g.clock += 1;
             let now = g.clock;
-            let config = g.config;
+            let threshold = g.config.failure_threshold;
             let link = g.links.entry(server.to_string()).or_default();
             link.consecutive_failures += 1;
-            link.window_ops += 1;
-            link.window_failures += 1;
             link.last_error = Some(error.to_string());
             let trip = match link.state() {
                 BreakerState::Open => false,
                 // A failed probe reopens immediately.
                 BreakerState::HalfOpen => true,
-                BreakerState::Closed => {
-                    link.consecutive_failures >= config.failure_threshold
-                        || (link.window_ops >= config.rate_window
-                            && link.window_failures as f64 / link.window_ops as f64
-                                >= config.error_rate)
-                }
+                BreakerState::Closed => link.consecutive_failures >= threshold,
             };
             if trip {
                 link.state = Some(BreakerState::Open);
@@ -296,7 +289,6 @@ impl HealthRegistry {
             let now = g.clock;
             let link = g.links.entry(server.to_string()).or_default();
             link.consecutive_failures = 0;
-            link.window_ops += 1;
             match link.state() {
                 BreakerState::Closed => None,
                 // HalfOpen: the probe succeeded. Open: an operation
@@ -304,8 +296,6 @@ impl HealthRegistry {
                 // fresh evidence, close rather than hold the quarantine.
                 BreakerState::HalfOpen | BreakerState::Open => {
                     link.state = Some(BreakerState::Closed);
-                    link.window_ops = 0;
-                    link.window_failures = 0;
                     link.rejections_since_open = 0;
                     link.last_transition = now;
                     Some(link.probes)
@@ -497,21 +487,21 @@ mod tests {
     }
 
     #[test]
-    fn error_rate_trips_without_a_consecutive_streak() {
-        let h = HealthRegistry::new(BreakerConfig {
-            failure_threshold: 100, // out of reach
-            error_rate: 0.5,
-            rate_window: 4,
-            ..BreakerConfig::standard()
-        });
-        // Alternating outcomes never build a streak but hit 50% over the
-        // 4-op window.
-        h.record_failure("m1", "e1");
+    fn half_open_admits_one_probe_until_it_reports() {
+        let h = registry(1, 2);
+        h.record_failure("m1", "dead");
+        for _ in 0..2 {
+            assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
+        }
+        assert_eq!(h.admit("m1"), Admission::Probe);
+        // Parallel readers of the recovering link wait for the probe.
+        for _ in 0..3 {
+            assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
+        }
+        assert_eq!(h.state("m1"), BreakerState::HalfOpen);
+        assert_eq!(h.snapshot()[0].probes, 1, "one probe, not four");
         h.record_success("m1");
-        h.record_failure("m1", "e2");
-        assert_eq!(h.state("m1"), BreakerState::Closed);
-        h.record_failure("m1", "e3");
-        assert_eq!(h.state("m1"), BreakerState::Open, "3/5 >= 50% over window");
+        assert_eq!(h.admit("m1"), Admission::Allow);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::ops::exchange::{BranchFactory, ExchangeRowset, PrefetchRowset};
 use crate::ops::filter::{FilterRowset, ProjectRowset};
 use crate::ops::join::{open_hash_join, open_merge_join, InnerFactory, NestedLoopJoin};
 use crate::ops::remote::open_remote_scan;
-use crate::ops::retry::{open_with_retries, RetryPolicy};
+use crate::ops::retry::{RetryPolicy, RetryState};
 use crate::ops::sort::{open_sort, open_spool, TopRowset, UnionAllRowset};
 use crate::stats::{RuntimeStatsCollector, StatsRowset};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
@@ -268,27 +268,22 @@ fn every_rowset(ctx: &ExecContext, remote: &TableMeta) -> Vec<(&'static str, Box
         ),
         (
             "Retry",
-            open_with_retries(
-                Box::new(|| Ok(mem(&INPUT))),
-                &RetryPolicy::standard(),
-                ctx.counters(),
-                None,
-                ctx.batch().pull_size(),
-                None,
-            )
-            .unwrap(),
+            RetryState::new(&RetryPolicy::standard(), ctx.counters())
+                .rewind_by(ctx.batch().pull_size())
+                .open(Box::new(|| Ok(mem(&INPUT))))
+                .unwrap(),
         ),
         (
             "Stats",
             Box::new(StatsRowset::new(mem(&INPUT), 0, Arc::clone(&collector))),
         ),
         (
-            "HealthWatch(Retry(Pooled(Metered(scan))))",
+            "Retry(Pooled(Metered(scan)))",
             open_remote_scan(remote, ctx, 0).unwrap(),
         ),
         (
             // A stats collector attached: every pull runs in a charge window.
-            "Charged(HealthWatch(Retry(Pooled(Metered(scan)))))",
+            "Charged(Retry(Pooled(Metered(scan))))",
             open_remote_scan(remote, &ctx.clone().with_stats(collector), 1).unwrap(),
         ),
     ]

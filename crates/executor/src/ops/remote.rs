@@ -9,19 +9,16 @@
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
-use crate::health::{Admission, HealthRegistry};
-use crate::ops::retry::{open_with_retries, ReopenFactory};
+use crate::ops::retry::{ReopenFactory, RetryState};
 use crate::ops::scan::resolve_range;
 use crate::schema_guard::MemberChecks;
-use crate::stats::{ChargedRowset, RemoteCharge, RuntimeStatsCollector};
-use dhqp_oledb::waits::{record_wait, WaitClass};
-use dhqp_oledb::{DataSource, Dialect, MemRowset, Rowset, RowsetExt};
+use crate::stats::{ChargedRowset, RemoteCharge};
+use dhqp_oledb::{Dialect, MemRowset, Rowset, RowsetExt, Session};
 use dhqp_optimizer::physical::{IndexRangeSpec, ParamSource, RemoteParam};
 use dhqp_optimizer::{ColumnId, TableMeta};
-use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
+use dhqp_types::{DhqpError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Resolve one remote parameter to a concrete value.
 fn param_value(p: &RemoteParam, ctx: &ExecContext) -> Result<Value> {
@@ -84,136 +81,41 @@ pub fn remote_query_text(
     Ok(substitute_params(sql, &bound, &dialect))
 }
 
-/// Per-node retry attribution, attached only when a stats collector is.
-fn retry_stats(ctx: &ExecContext, node: usize) -> Option<(usize, Arc<RuntimeStatsCollector>)> {
-    ctx.stats().map(|c| (node, Arc::clone(c)))
-}
-
-/// The tail shared by every remote open path. With a stats collector
-/// attached, the open and every later pull are charged to `node`, labelled
-/// with `request` (the shipped text, or the rowset interface used).
+/// The tail shared by every remote open path: lease a session on `server`
+/// that carries the schema checks, run `verb` on it, all through the
+/// breaker-gated retry loop. With a stats collector attached, the open and
+/// every later pull are charged to `node`, labelled with `request` (the
+/// shipped text, or the rowset interface used). Exchange workers and the
+/// prefetcher inherit the gate because their branch opens land here too.
 fn open_via_breaker(
     server: &str,
+    checks: MemberChecks,
     ctx: &ExecContext,
     node: usize,
-    factory: ReopenFactory,
     op_tag: Option<String>,
     request: impl FnOnce() -> String,
+    mut verb: impl FnMut(&mut dyn Session) -> Result<Box<dyn Rowset>> + Send + 'static,
 ) -> Result<Box<dyn Rowset>> {
-    let Some(collector) = ctx.stats() else {
-        return open_gated(server, ctx, node, factory, op_tag);
-    };
     let source = ctx.catalog().linked(server)?;
-    let mut charge = RemoteCharge::new(source, collector, node, server, request());
-    let inner = charge.window(|| open_gated(server, ctx, node, factory, op_tag))?;
-    Ok(Box::new(ChargedRowset { inner, charge }))
-}
-
-/// Consult the link's circuit breaker before touching the wire (an Open
-/// breaker fails fast with `Unavailable`, no retry budget burned, no
-/// session leased and so no schema stamp sent), run the retrying open, and
-/// feed the outcome back into the health registry. Exchange workers and the
-/// prefetcher inherit the gate because their branch opens land here too.
-/// `op_tag` is stamped onto any retry give-up, so a failure that opened the
-/// breaker is attributable to the exact request shape (e.g. a
-/// semi-join-reduced statement's shipped-predicate fingerprint) in
-/// `sys.dm_link_health`.
-fn open_gated(
-    server: &str,
-    ctx: &ExecContext,
-    node: usize,
-    factory: ReopenFactory,
-    op_tag: Option<String>,
-) -> Result<Box<dyn Rowset>> {
     let counters = Arc::clone(ctx.counters());
-    if let Some(health) = ctx.health() {
-        let checked = Instant::now();
-        match health.admit(server) {
-            Admission::Allow | Admission::Probe => {}
-            Admission::Reject {
-                consecutive_failures,
-            } => {
-                counters.breaker_fast_fails.bump();
-                // Near-zero time was spent, but the rejection must be
-                // countable (and attributable as a dominant wait).
-                record_wait(
-                    WaitClass::CircuitOpen,
-                    checked.elapsed().max(Duration::from_micros(1)),
-                );
-                return Err(DhqpError::Unavailable(format!(
-                    "linked server '{server}' unavailable: circuit breaker open after \
-                     {consecutive_failures} consecutive retry-exhausted failures (fail-fast)"
-                )));
-            }
-        }
-    }
-    let result = open_with_retries(
-        factory,
-        ctx.retry(),
-        &counters,
-        retry_stats(ctx, node),
-        ctx.batch().pull_size(),
-        op_tag,
-    );
-    let Some(health) = ctx.health() else {
-        return result;
+    let reopen = Arc::clone(&source);
+    let factory: ReopenFactory = Box::new(move || {
+        checks.open_session(&reopen, |session| {
+            counters.remote_roundtrips.bump();
+            verb(session)
+        })
+    });
+    let open = RetryState::new(ctx.retry(), ctx.counters())
+        .gated(ctx.health(), Some(server))
+        .on_node(node, ctx.stats())
+        .tagged(op_tag)
+        .rewind_by(ctx.batch().pull_size());
+    let Some(collector) = ctx.stats() else {
+        return open.open(factory);
     };
-    match result {
-        Ok(inner) => {
-            health.record_success(server);
-            Ok(Box::new(HealthWatchRowset {
-                inner,
-                server: server.to_string(),
-                health: Arc::clone(health),
-                reported: false,
-            }))
-        }
-        Err(e) => {
-            // A retryable error surfacing here means the retry budget was
-            // exhausted (transients were absorbed below) — breaker food.
-            // Permanent errors say nothing about link health.
-            if e.is_retryable() {
-                health.record_failure(server, e.message());
-            }
-            Err(e)
-        }
-    }
-}
-
-/// Reports mid-stream retry exhaustion to the health registry: the open
-/// succeeded, but a later rewind can still burn the whole budget.
-struct HealthWatchRowset {
-    inner: Box<dyn Rowset>,
-    server: String,
-    health: Arc<HealthRegistry>,
-    reported: bool,
-}
-
-impl HealthWatchRowset {
-    fn observe<T>(&mut self, result: Result<T>) -> Result<T> {
-        if let Err(e) = &result {
-            if e.is_retryable() && !self.reported {
-                self.reported = true;
-                self.health.record_failure(&self.server, e.message());
-            }
-        }
-        result
-    }
-}
-
-impl Rowset for HealthWatchRowset {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let r = self.inner.next_batch(max);
-        self.observe(r)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        self.inner.size_hint()
-    }
+    let mut charge = RemoteCharge::new(source, collector, node, server, request());
+    let inner = charge.window(|| open.open(factory))?;
+    Ok(Box::new(ChargedRowset { inner, charge }))
 }
 
 /// Execute a pushed-down SQL statement on a linked server. The open (and
@@ -243,36 +145,27 @@ pub(crate) fn open_remote_text(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let source = ctx.catalog().linked(server)?;
-    let counters = Arc::clone(ctx.counters());
     let shipped = ctx.stats().map(|_| text.clone());
-    let factory: ReopenFactory = Box::new(move || {
-        checks.open_session(&source, |session| {
-            let mut command = session.create_command()?;
-            command.set_text(&text)?;
-            counters.remote_roundtrips.bump();
-            command.execute()?.into_rowset()
-        })
-    });
-    open_via_breaker(server, ctx, node, factory, op_tag, || {
-        shipped.unwrap_or_default()
+    let request = || shipped.unwrap_or_default();
+    open_via_breaker(server, checks, ctx, node, op_tag, request, move |session| {
+        let mut command = session.create_command()?;
+        command.set_text(&text)?;
+        command.execute()?.into_rowset()
     })
 }
 
-/// The server, its source and the schema checks every base-table open
-/// (`scan`, `range`, `fetch`) of a remote `meta` starts from.
+/// The server and the schema checks every base-table open (`scan`,
+/// `range`, `fetch`) of a remote `meta` starts from.
 fn remote_table<'a>(
     meta: &'a TableMeta,
     ctx: &ExecContext,
     what: &str,
-) -> Result<(&'a str, Arc<dyn DataSource>, MemberChecks)> {
+) -> Result<(&'a str, MemberChecks)> {
     let server = meta
         .source
         .server_name()
         .ok_or_else(|| DhqpError::Execute(format!("remote {what} of a local table")))?;
-    let source = ctx.catalog().linked(server)?;
-    let checks = ctx.member_checks(Some(server), &meta.table);
-    Ok((server, source, checks))
+    Ok((server, ctx.member_checks(Some(server), &meta.table)))
 }
 
 /// `IOpenRowset` against a remote base table (ships the whole table).
@@ -281,17 +174,11 @@ pub fn open_remote_scan(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let (server, source, checks) = remote_table(meta, ctx, "scan")?;
+    let (server, checks) = remote_table(meta, ctx, "scan")?;
     let table = meta.table.clone();
-    let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = Box::new(move || {
-        checks.open_session(&source, |session| {
-            counters.remote_roundtrips.bump();
-            session.open_rowset(&table)
-        })
-    });
-    open_via_breaker(server, ctx, node, factory, None, || {
-        format!("IOpenRowset([{}])", meta.table)
+    let request = || format!("IOpenRowset([{}])", meta.table);
+    open_via_breaker(server, checks, ctx, node, None, request, move |session| {
+        session.open_rowset(&table)
     })
 }
 
@@ -303,19 +190,12 @@ pub fn open_remote_range(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let (server, source, checks) = remote_table(meta, ctx, "range")?;
+    let (server, checks) = remote_table(meta, ctx, "range")?;
     let range = resolve_range(spec, ctx)?;
-    let table = meta.table.clone();
-    let index_name = index.to_string();
-    let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = Box::new(move || {
-        checks.open_session(&source, |session| {
-            counters.remote_roundtrips.bump();
-            session.open_index(&table, &index_name, &range)
-        })
-    });
-    open_via_breaker(server, ctx, node, factory, None, || {
-        format!("IRowsetIndex([{}].[{index}] range)", meta.table)
+    let (table, index_name) = (meta.table.clone(), index.to_string());
+    let request = || format!("IRowsetIndex([{}].[{index}] range)", meta.table);
+    open_via_breaker(server, checks, ctx, node, None, request, move |session| {
+        session.open_index(&table, &index_name, &range)
     })
 }
 
@@ -327,7 +207,7 @@ pub fn open_remote_fetch(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let (server, source, checks) = remote_table(meta, ctx, "fetch")?;
+    let (server, checks) = remote_table(meta, ctx, "fetch")?;
     let bookmarks = child
         .collect_rows_batched(ctx.batch().pull_size())?
         .into_iter()
@@ -337,18 +217,11 @@ pub fn open_remote_fetch(
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let table = meta.table.clone();
-    let schema = meta.schema.clone();
-    let counters = Arc::clone(ctx.counters());
-    let factory: ReopenFactory = Box::new(move || {
-        checks.open_session(&source, |session| {
-            counters.remote_roundtrips.bump();
-            let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;
-            Ok(Box::new(MemRowset::new(schema.clone(), rows)) as Box<dyn Rowset>)
-        })
-    });
-    open_via_breaker(server, ctx, node, factory, None, || {
-        format!("IRowsetLocate([{}] bookmarks)", meta.table)
+    let (table, schema) = (meta.table.clone(), meta.schema.clone());
+    let request = || format!("IRowsetLocate([{}] bookmarks)", meta.table);
+    open_via_breaker(server, checks, ctx, node, None, request, move |session| {
+        let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;
+        Ok(Box::new(MemRowset::new(schema.clone(), rows)) as Box<dyn Rowset>)
     })
 }
 

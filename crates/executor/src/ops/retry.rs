@@ -1,18 +1,29 @@
-//! Transparent retry for idempotent remote reads.
+//! Transparent retry for idempotent remote reads, behind the link's circuit
+//! breaker.
 //!
-//! Remote opens (scans, ranges, bookmark fetches, pushed-down queries) are
-//! read-only and deterministic, so a transient transport fault —
+//! Remote opens (scans, ranges, bookmark fetches, pushed-down queries,
+//! bind-time pass-through reads, DML row location) are read-only and
+//! deterministic, so a transient transport fault —
 //! [`DhqpError::Unavailable`], [`DhqpError::Timeout`] — can be absorbed by
 //! re-issuing the operation: bounded attempts, deterministic exponential
 //! backoff, and an optional per-query deadline. Mid-stream faults rewind by
 //! re-opening the rowset and skipping the rows already delivered (provider
 //! row order is deterministic for the same request).
 //!
+//! A [`RetryState`] with a gate is the only code that talks to a link's
+//! breaker in the [`HealthRegistry`]: it admits before the first attempt (an
+//! Open breaker fails fast, with no wire use), runs the one attempt loop that
+//! the open, the rewind and a borrowed read share, and reports how the
+//! operation ended exactly once — a retry give-up as a failure, success or a
+//! permanent error as success (the link answered) — plus a mid-stream
+//! give-up once.
+//!
 //! Permanent errors — anything the provider said about the request itself —
 //! are never retried; DML and enlisted-transaction traffic never reaches
 //! this layer (the DTC owns those failure semantics, and the fault injector
 //! exempts them too).
 
+use crate::health::{Admission, HealthRegistry};
 use crate::stats::{ExecCounters, RuntimeStatsCollector};
 use dhqp_oledb::waits::{emit_event, has_hook, record_wait, WaitClass};
 use dhqp_oledb::Rowset;
@@ -92,39 +103,148 @@ fn give_up(e: DhqpError, attempts: u32, elapsed: Duration, op_tag: Option<&str>)
     }
 }
 
-/// Shared bookkeeping for one retried operation: the attempt counter, the
-/// operation's start instant, and where retries/faults are counted.
-struct RetryState {
+/// Re-opens a remote rowset from scratch. `FnMut` because a rewind can
+/// re-open any number of times; `Send` because exchange workers and the
+/// prefetcher move rowsets across threads.
+pub type ReopenFactory = Box<dyn FnMut() -> Result<Box<dyn Rowset>> + Send>;
+
+/// One retried remote operation: its policy, where retries and faults are
+/// counted, the attempt counter and start instant, and the breaker it
+/// answers to. Built per operation, then spent by [`RetryState::open`] or
+/// [`RetryState::read`].
+pub struct RetryState {
     policy: RetryPolicy,
     counters: Arc<ExecCounters>,
     stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
-    started: Instant,
-    attempt: u32,
     /// Operation descriptor appended to the give-up reason chain (e.g. the
     /// shipped-predicate fingerprint of a semi-join-reduced open).
     op_tag: Option<String>,
+    /// The engine's registry and the linked server read. A give-up spends
+    /// it, so one operation never reports two failures.
+    gate: Option<(Arc<HealthRegistry>, String)>,
+    /// Rows per pull while a rewind skips what was delivered.
+    rewind_chunk: usize,
+    started: Instant,
+    attempt: u32,
 }
 
 impl RetryState {
-    fn new(
-        policy: RetryPolicy,
-        counters: Arc<ExecCounters>,
-        stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
-    ) -> Self {
+    pub fn new(policy: &RetryPolicy, counters: &Arc<ExecCounters>) -> Self {
         RetryState {
-            policy,
-            counters,
-            stats,
+            policy: policy.clone(),
+            counters: Arc::clone(counters),
+            stats: None,
+            op_tag: None,
+            gate: None,
+            rewind_chunk: 1,
             started: Instant::now(),
             attempt: 1,
-            op_tag: None,
         }
+    }
+
+    /// Answer to `server`'s breaker in `health`. Without either (a local
+    /// table, an ad hoc `OPENROWSET` source) nothing is gated.
+    pub fn gated(mut self, health: Option<&Arc<HealthRegistry>>, server: Option<&str>) -> Self {
+        self.gate = health
+            .zip(server)
+            .map(|(h, s)| (Arc::clone(h), s.to_string()));
+        self
+    }
+
+    /// Land retries on plan node `node` of `collector`, too.
+    pub(crate) fn on_node(
+        mut self,
+        node: usize,
+        collector: Option<&Arc<RuntimeStatsCollector>>,
+    ) -> Self {
+        self.stats = collector.map(|c| (node, Arc::clone(c)));
+        self
+    }
+
+    /// Stamp `op_tag` onto any give-up reason chain — how a
+    /// semi-join-reduced open names its shipped predicate in
+    /// `sys.dm_link_health` last-error.
+    pub(crate) fn tagged(mut self, op_tag: Option<String>) -> Self {
+        self.op_tag = op_tag;
+        self
+    }
+
+    /// Skip delivered rows `chunk` at a time on a rewind: whole skipped
+    /// batches cross the wire as single round trips, and the final partial
+    /// chunk is re-sliced to land exactly on the delivered count.
+    pub fn rewind_by(mut self, chunk: usize) -> Self {
+        self.rewind_chunk = chunk.max(1);
+        self
+    }
+
+    /// Ask the breaker for the link. A rejection touches no wire, burns no
+    /// retry budget and leases no session, but is counted and accounted as
+    /// a `CIRCUIT_OPEN` wait.
+    fn admit(&self) -> Result<()> {
+        let Some((health, server)) = &self.gate else {
+            return Ok(());
+        };
+        let checked = Instant::now();
+        let Admission::Reject {
+            consecutive_failures,
+        } = health.admit(server)
+        else {
+            return Ok(());
+        };
+        self.counters.breaker_fast_fails.bump();
+        // Near-zero time was spent, but the rejection must be countable
+        // (and attributable as a dominant wait).
+        record_wait(
+            WaitClass::CircuitOpen,
+            checked.elapsed().max(Duration::from_micros(1)),
+        );
+        Err(DhqpError::Unavailable(format!(
+            "linked server '{server}' unavailable: circuit breaker open after \
+             {consecutive_failures} consecutive retry-exhausted failures (fail-fast)"
+        )))
+    }
+
+    /// The one attempt loop: run `op` until it succeeds, fails permanently
+    /// or the budget is spent.
+    fn attempts<T>(&mut self, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+        loop {
+            let attempt_started = Instant::now();
+            match op() {
+                Err(e) if e.is_retryable() => self.absorb(e, attempt_started.elapsed())?,
+                done => return done,
+            }
+        }
+    }
+
+    /// Admit, run the attempt loop, and report a result that was not a
+    /// give-up (a give-up reported itself and spent the gate) as the link
+    /// answering.
+    fn gated_attempts<T>(&mut self, op: impl FnMut() -> Result<T>) -> Result<T> {
+        self.admit()?;
+        let done = self.attempts(op);
+        if let Some((health, server)) = &self.gate {
+            health.record_success(server);
+        }
+        done
     }
 
     /// Account one transient failure of the current attempt (which took
     /// `attempt_elapsed`) and decide: `Ok(())` to back off and retry, or
-    /// the final error to surface.
+    /// the give-up to surface, which the breaker hears about.
     fn absorb(&mut self, error: DhqpError, attempt_elapsed: Duration) -> Result<()> {
+        let verdict = self.backoff_or_give_up(error, attempt_elapsed);
+        if let Err(e) = &verdict {
+            if let Some((health, server)) = self.gate.take() {
+                health.record_failure(&server, e.message());
+            }
+        }
+        verdict
+    }
+
+    fn backoff_or_give_up(&mut self, error: DhqpError, attempt_elapsed: Duration) -> Result<()> {
+        if self.policy.max_attempts <= 1 {
+            return Err(error);
+        }
         self.counters.remote_transient_errors.bump();
         let error = match self.policy.attempt_deadline {
             Some(limit) if attempt_elapsed >= limit => {
@@ -176,75 +296,30 @@ impl RetryState {
         }
         Ok(())
     }
-}
 
-/// Re-opens a remote rowset from scratch. `FnMut` because a rewind can
-/// re-open any number of times; `Send` because exchange workers and the
-/// prefetcher move rowsets across threads.
-pub type ReopenFactory = Box<dyn FnMut() -> Result<Box<dyn Rowset>> + Send>;
-
-/// Open a remote rowset with retries, and keep retrying transparently on
-/// mid-stream transient faults: the stream is re-opened and already
-/// delivered rows are skipped, `rewind_chunk` rows per pull (whole skipped
-/// batches cross the wire as single round trips; the final partial chunk is
-/// re-sliced to land exactly on the delivered count). With
-/// `max_attempts == 1` the factory runs once, unwrapped — the fault-free
-/// fast path allocates nothing extra. `op_tag` is appended to any give-up
-/// reason chain — how a semi-join-reduced open stamps its shipped-predicate
-/// fingerprint onto the failure that reaches the health registry
-/// (`sys.dm_link_health` last-error).
-pub fn open_with_retries(
-    mut factory: ReopenFactory,
-    policy: &RetryPolicy,
-    counters: &Arc<ExecCounters>,
-    stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
-    rewind_chunk: usize,
-    op_tag: Option<String>,
-) -> Result<Box<dyn Rowset>> {
-    if policy.max_attempts <= 1 {
-        return factory();
-    }
-    let mut state = RetryState::new(policy.clone(), Arc::clone(counters), stats);
-    state.op_tag = op_tag;
-    let inner = loop {
-        let attempt_started = Instant::now();
-        match factory() {
-            Ok(rs) => break rs,
-            Err(e) if e.is_retryable() => state.absorb(e, attempt_started.elapsed())?,
-            Err(e) => return Err(e),
+    /// Open a remote rowset, and keep retrying transparently on mid-stream
+    /// transient faults: the stream is re-opened and already delivered rows
+    /// are skipped. Ungated with `max_attempts == 1`, the factory runs once
+    /// and its rowset comes back unwrapped.
+    pub fn open(mut self, mut factory: ReopenFactory) -> Result<Box<dyn Rowset>> {
+        let inner = self.gated_attempts(&mut factory)?;
+        if self.gate.is_none() && self.policy.max_attempts <= 1 {
+            return Ok(inner);
         }
-    };
-    let schema = inner.schema().clone();
-    Ok(Box::new(RetryRowset {
-        factory,
-        inner,
-        schema,
-        delivered: 0,
-        rewind_chunk: rewind_chunk.max(1),
-        state,
-    }))
-}
-
-/// Run a borrowed idempotent read with retries. Unlike
-/// [`open_with_retries`] the closure may borrow local state (a cached DML
-/// session, say); each attempt must produce the full result, so there is
-/// no mid-stream rewind here.
-pub fn with_retries<T>(
-    policy: &RetryPolicy,
-    counters: &Arc<ExecCounters>,
-    mut op: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    if policy.max_attempts <= 1 {
-        return op();
+        let schema = inner.schema().clone();
+        Ok(Box::new(RetryRowset {
+            factory,
+            inner,
+            schema,
+            delivered: 0,
+            state: self,
+        }))
     }
-    let mut state = RetryState::new(policy.clone(), Arc::clone(counters), None);
-    loop {
-        let attempt_started = Instant::now();
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() => state.absorb(e, attempt_started.elapsed())?,
-            Err(e) => return Err(e),
-        }
+
+    /// Run a read that borrows local state (a statement's session, say).
+    /// Each attempt must produce the full result, so there is no rewind.
+    pub fn read<T>(mut self, op: impl FnMut() -> Result<T>) -> Result<T> {
+        self.gated_attempts(op)
     }
 }
 
@@ -256,51 +331,44 @@ struct RetryRowset {
     schema: Schema,
     /// Rows already handed to the consumer — the rewind skip count.
     delivered: u64,
-    /// Chunk size for the rewind fast-forward: skipped rows are re-pulled
-    /// `rewind_chunk` at a time so whole already-delivered batches cost one
-    /// round trip each, and the last pull is re-sliced to the exact count.
-    rewind_chunk: usize,
     state: RetryState,
 }
 
 impl RetryRowset {
     /// Re-open the stream and skip `delivered` rows. Transient faults
     /// during the rewind consume attempts from the same budget.
-    fn rewind(&mut self, mut cause: DhqpError, mut attempt_elapsed: Duration) -> Result<()> {
-        loop {
-            self.state.absorb(cause, attempt_elapsed)?;
-            let attempt_started = Instant::now();
-            match self.try_reopen() {
-                Ok(rs) => {
-                    self.inner = rs;
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => {
-                    cause = e;
-                    attempt_elapsed = attempt_started.elapsed();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    fn rewind(&mut self, cause: DhqpError, attempt_elapsed: Duration) -> Result<()> {
+        self.state.absorb(cause, attempt_elapsed)?;
+        let (factory, delivered, chunk) =
+            (&mut self.factory, self.delivered, self.state.rewind_chunk);
+        self.inner = self
+            .state
+            .attempts(|| reopen_past(factory, delivered, chunk))?;
+        Ok(())
     }
+}
 
-    fn try_reopen(&mut self) -> Result<Box<dyn Rowset>> {
-        let mut rs = (self.factory)()?;
-        let mut skipped: u64 = 0;
-        while skipped < self.delivered {
-            let want = (self.delivered - skipped).min(self.rewind_chunk as u64) as usize;
-            match rs.next_batch(want)? {
-                Some(batch) => skipped += batch.len() as u64,
-                None => {
-                    return Err(DhqpError::Execute(format!(
-                        "remote stream shrank during retry rewind ({} of {} rows)",
-                        skipped, self.delivered
-                    )))
-                }
+/// Re-open through `factory` and pull `delivered` rows, `chunk` at a time,
+/// the last pull re-sliced to land exactly on the count.
+fn reopen_past(
+    factory: &mut ReopenFactory,
+    delivered: u64,
+    chunk: usize,
+) -> Result<Box<dyn Rowset>> {
+    let mut rs = factory()?;
+    let mut skipped: u64 = 0;
+    while skipped < delivered {
+        let want = (delivered - skipped).min(chunk as u64) as usize;
+        match rs.next_batch(want)? {
+            Some(batch) => skipped += batch.len() as u64,
+            None => {
+                return Err(DhqpError::Execute(format!(
+                    "remote stream shrank during retry rewind ({skipped} of {delivered} rows)"
+                )))
             }
         }
-        Ok(rs)
     }
+    Ok(rs)
 }
 
 impl Rowset for RetryRowset {
@@ -331,6 +399,7 @@ impl Rowset for RetryRowset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::{BreakerConfig, BreakerState};
     use dhqp_oledb::{IterRowset, MemRowset, RowsetExt};
     use dhqp_types::{Column, DataType, Row, Value};
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -397,7 +466,9 @@ mod tests {
     #[test]
     fn transient_open_fault_is_absorbed() {
         let c = counters();
-        let mut rs = open_with_retries(flaky_factory(1, 0), &fast(), &c, None, 1, None).unwrap();
+        let mut rs = RetryState::new(&fast(), &c)
+            .open(flaky_factory(1, 0))
+            .unwrap();
         assert_eq!(rs.count_rows().unwrap(), 10);
         let s = c.snapshot();
         assert_eq!(s.remote_retries, 1);
@@ -407,7 +478,9 @@ mod tests {
     #[test]
     fn mid_stream_fault_rewinds_without_duplicating_rows() {
         let c = counters();
-        let mut rs = open_with_retries(flaky_factory(0, 1), &fast(), &c, None, 1, None).unwrap();
+        let mut rs = RetryState::new(&fast(), &c)
+            .open(flaky_factory(0, 1))
+            .unwrap();
         let got = rs.collect_rows().unwrap();
         assert_eq!(got.len(), 10, "no duplicates, no gaps");
         assert!(got
@@ -420,7 +493,7 @@ mod tests {
     #[test]
     fn attempts_are_bounded_and_reported() {
         let c = counters();
-        let err = match open_with_retries(flaky_factory(99, 0), &fast(), &c, None, 1, None) {
+        let err = match RetryState::new(&fast(), &c).open(flaky_factory(99, 0)) {
             Err(e) => e,
             Ok(_) => panic!("permanent flakiness must surface"),
         };
@@ -442,14 +515,10 @@ mod tests {
     #[test]
     fn give_up_chain_carries_the_operation_tag() {
         let c = counters();
-        let err = match open_with_retries(
-            flaky_factory(99, 0),
-            &fast(),
-            &c,
-            None,
-            1,
-            Some("shipped predicate fp=deadbeef keys=4".into()),
-        ) {
+        let err = match RetryState::new(&fast(), &c)
+            .tagged(Some("shipped predicate fp=deadbeef keys=4".into()))
+            .open(flaky_factory(99, 0))
+        {
             Err(e) => e,
             Ok(_) => panic!("permanent flakiness must surface"),
         };
@@ -469,7 +538,7 @@ mod tests {
         let c = counters();
         let factory: ReopenFactory =
             Box::new(|| Err(DhqpError::Catalog("unknown table 'nope'".into())));
-        let err = match open_with_retries(factory, &fast(), &c, None, 1, None) {
+        let err = match RetryState::new(&fast(), &c).open(factory) {
             Err(e) => e,
             Ok(_) => panic!(),
         };
@@ -487,7 +556,7 @@ mod tests {
             attempt_deadline: None,
             query_deadline: Some(Duration::from_millis(20)),
         };
-        let err = match open_with_retries(flaky_factory(99, 0), &policy, &c, None, 1, None) {
+        let err = match RetryState::new(&policy, &c).open(flaky_factory(99, 0)) {
             Err(e) => e,
             Ok(_) => panic!(),
         };
@@ -499,14 +568,7 @@ mod tests {
     #[test]
     fn no_retry_policy_returns_inner_unwrapped() {
         let c = counters();
-        let err = match open_with_retries(
-            flaky_factory(1, 0),
-            &RetryPolicy::no_retry(),
-            &c,
-            None,
-            1,
-            None,
-        ) {
+        let err = match RetryState::new(&RetryPolicy::no_retry(), &c).open(flaky_factory(1, 0)) {
             Err(e) => e,
             Ok(_) => panic!("single attempt must surface the fault"),
         };
@@ -521,7 +583,10 @@ mod tests {
         // the rewind skips exactly those, and the consumer still sees all
         // 10 exactly once.
         let c = counters();
-        let mut rs = open_with_retries(flaky_factory(0, 1), &fast(), &c, None, 4, None).unwrap();
+        let mut rs = RetryState::new(&fast(), &c)
+            .rewind_by(4)
+            .open(flaky_factory(0, 1))
+            .unwrap();
         let mut got = Vec::new();
         while let Some(batch) = rs.next_batch(4).unwrap() {
             assert!(batch.len() <= 4);
@@ -550,7 +615,10 @@ mod tests {
             }
         });
         let c = counters();
-        let mut rs = open_with_retries(factory, &fast(), &c, None, 3, None).unwrap();
+        let mut rs = RetryState::new(&fast(), &c)
+            .rewind_by(3)
+            .open(factory)
+            .unwrap();
         let mut got = Vec::new();
         while let Some(batch) = rs.next_batch(3).unwrap() {
             got.extend(batch.into_rows());
@@ -567,16 +635,142 @@ mod tests {
     fn retries_land_on_the_node_runtime() {
         let c = counters();
         let collector = Arc::new(RuntimeStatsCollector::new());
-        let mut rs = open_with_retries(
-            flaky_factory(1, 1),
-            &fast(),
-            &c,
-            Some((4, Arc::clone(&collector))),
-            1,
-            None,
-        )
-        .unwrap();
+        let mut rs = RetryState::new(&fast(), &c)
+            .on_node(4, Some(&collector))
+            .open(flaky_factory(1, 1))
+            .unwrap();
         assert_eq!(rs.count_rows().unwrap(), 10);
         assert_eq!(collector.node(4).unwrap().retries, 2);
+    }
+
+    /// A registry whose breakers never trip, so every report stays visible
+    /// as the failure streak.
+    fn patient_registry() -> Arc<HealthRegistry> {
+        Arc::new(HealthRegistry::new(BreakerConfig {
+            failure_threshold: 100,
+            ..BreakerConfig::standard()
+        }))
+    }
+
+    fn streak(health: &HealthRegistry) -> u32 {
+        health.snapshot()[0].consecutive_failures
+    }
+
+    #[test]
+    fn mid_stream_give_up_records_one_failure_on_the_gate() {
+        // The open succeeds, the stream drops after 3 rows, and every
+        // re-open fails: the rewind spends the budget and gives up.
+        let opens = Arc::new(AtomicU32::new(0));
+        let factory: ReopenFactory = Box::new(move || {
+            if opens.fetch_add(1, Ordering::Relaxed) == 0 {
+                Ok(drop_after(3))
+            } else {
+                Err(DhqpError::Unavailable("injected connect fault".into()))
+            }
+        });
+        let health = patient_registry();
+        let c = counters();
+        let mut rs = RetryState::new(&fast(), &c)
+            .gated(Some(&health), Some("m1"))
+            .open(factory)
+            .unwrap();
+        assert_eq!(streak(&health), 0, "the open reported success");
+        let err = loop {
+            match rs.next_batch(1) {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("the stream must give up"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            err.message().contains("giving up after 3 attempts"),
+            "{err}"
+        );
+        assert_eq!(streak(&health), 1);
+        // Pulling again reports nothing more.
+        let _ = rs.next_batch(1);
+        assert_eq!(streak(&health), 1);
+        let last = health.snapshot()[0].last_error.clone().unwrap();
+        assert!(last.contains("injected connect fault"), "{last}");
+    }
+
+    #[test]
+    fn an_open_breaker_fails_fast_without_an_attempt() {
+        let health = Arc::new(HealthRegistry::new(BreakerConfig::standard()));
+        health.record_failure("m1", "dead");
+        let calls = Arc::new(AtomicU32::new(0));
+        let counted = Arc::clone(&calls);
+        let factory: ReopenFactory = Box::new(move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            Ok(Box::new(MemRowset::new(int_schema(), rows(10))))
+        });
+        let c = counters();
+        let err = match RetryState::new(&fast(), &c)
+            .gated(Some(&health), Some("m1"))
+            .open(factory)
+        {
+            Err(e) => e,
+            Ok(_) => panic!("an Open breaker must reject"),
+        };
+        assert_eq!(err.kind(), "unavailable");
+        assert!(err.message().contains("circuit breaker open"), "{err}");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no attempt");
+        assert_eq!(c.snapshot().breaker_fast_fails, 1);
+        // Another server's breaker is not consulted.
+        let read = RetryState::new(&fast(), &c)
+            .gated(Some(&health), Some("m2"))
+            .read(|| Ok(7));
+        assert_eq!(read.unwrap(), 7);
+    }
+
+    #[test]
+    fn a_probe_that_meets_a_permanent_error_closes_the_breaker() {
+        let health = Arc::new(HealthRegistry::new(BreakerConfig {
+            cooldown: 1,
+            ..BreakerConfig::standard()
+        }));
+        health.record_failure("m1", "dead");
+        assert!(matches!(health.admit("m1"), Admission::Reject { .. }));
+        let c = counters();
+        let err = RetryState::new(&fast(), &c)
+            .gated(Some(&health), Some("m1"))
+            .read(|| -> Result<()> { Err(DhqpError::Catalog("unknown table 'nope'".into())) })
+            .unwrap_err();
+        assert_eq!(err.kind(), "catalog");
+        assert_eq!(
+            health.state("m1"),
+            BreakerState::Closed,
+            "the link answered"
+        );
+        assert_eq!(c.snapshot().remote_retries, 0);
+    }
+
+    #[test]
+    fn a_borrowed_read_retries_in_the_same_loop() {
+        let mut tries = 0;
+        let health = patient_registry();
+        let c = counters();
+        let got = RetryState::new(&fast(), &c)
+            .gated(Some(&health), Some("m1"))
+            .read(|| {
+                tries += 1;
+                match tries {
+                    1 => Err(DhqpError::Timeout("slow".into())),
+                    _ => Ok(tries),
+                }
+            })
+            .unwrap();
+        assert_eq!(got, 2);
+        assert_eq!(c.snapshot().remote_retries, 1);
+        assert_eq!(streak(&health), 0);
+        let err = RetryState::new(&fast(), &c)
+            .gated(Some(&health), Some("m1"))
+            .read(|| -> Result<()> { Err(DhqpError::Unavailable("down".into())) })
+            .unwrap_err();
+        assert!(
+            err.message().contains("giving up after 3 attempts"),
+            "{err}"
+        );
+        assert_eq!(streak(&health), 1, "one give-up, one failure");
     }
 }

@@ -12,7 +12,9 @@ use dhqp::{
     FaultConfig, ParallelConfig, RetryPolicy,
 };
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
-use dhqp_types::{Row, Value};
+use dhqp_oledb::{DataSource, ProviderCapabilities, SourceLayer, SqlSupport};
+use dhqp_storage::TableDef;
+use dhqp_types::{Column, DataType, Row, Schema, Value};
 use dhqp_workload::tpch::{self, TpchScale};
 use std::sync::Arc;
 use std::time::Duration;
@@ -336,6 +338,75 @@ fn disabled_breaker_retries_every_query() {
         "two full retry budgets: {m:?}"
     );
     assert_eq!(m.breaker_fast_fails, 0, "{m:?}");
+}
+
+/// A provider that takes no UPDATE/DELETE text, so a write's rows are
+/// located from the head.
+struct BelowSql92(Arc<dyn DataSource>);
+
+impl SourceLayer for BelowSql92 {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.0
+    }
+    fn advertise(&self, mut caps: ProviderCapabilities) -> ProviderCapabilities {
+        caps.sql_support = SqlSupport::OdbcCore;
+        caps
+    }
+}
+
+/// A head whose linked server `member` (one table `t(k)`) sits behind a
+/// dead link, pinned like the federation tests above; and that link.
+fn dead_member() -> (Engine, NetworkLink) {
+    let member = Engine::new("member-engine");
+    let schema = Schema::new(vec![Column::not_null("k", DataType::Int)]);
+    member.create_table(TableDef::new("t", schema)).unwrap();
+    member
+        .insert("t", &[Row::new(vec![Value::Int(1)])])
+        .unwrap();
+    let link = NetworkLink::new("member", NetworkConfig::lan());
+    let source = Arc::new(BelowSql92(Arc::new(EngineDataSource::new(member))));
+    let dead = NetworkedDataSource::with_faults(source, link.clone(), FaultConfig::dead(7));
+    let head = Engine::new("head");
+    head.add_linked_server("member", Arc::new(dead)).unwrap();
+    head.set_degraded_mode(DegradedMode::Fail);
+    head.set_parallel_config(ParallelConfig::serial());
+    head.set_retry_policy(fast_retries());
+    (head, link)
+}
+
+/// The first `sql` burns one retry budget and opens `member`'s breaker; the
+/// second is refused by it without a wire attempt or a request.
+fn trips_once_then_fails_fast(sql: &str) {
+    let (head, link) = dead_member();
+    let err = head.execute(sql).unwrap_err();
+    assert!(
+        err.message().contains("giving up after 3 attempts"),
+        "{err}"
+    );
+    let sick = head.link_health();
+    let sick = sick.iter().find(|l| l.server == "member").unwrap();
+    assert_eq!(
+        (sick.state, sick.opens),
+        (BreakerState::Open, 1),
+        "{sick:?}"
+    );
+
+    let errors = head.metrics().remote_transient_errors;
+    let requests = link.snapshot().requests;
+    let err = head.execute(sql).unwrap_err();
+    assert!(err.message().contains("circuit breaker open"), "{err}");
+    assert_eq!(head.metrics().remote_transient_errors, errors);
+    assert_eq!(link.snapshot().requests, requests, "not even a connect");
+}
+
+#[test]
+fn located_dml_read_opens_the_breaker() {
+    trips_once_then_fails_fast("UPDATE member.db.dbo.t SET k = 2 WHERE k = 1");
+}
+
+#[test]
+fn openquery_bind_opens_the_breaker() {
+    trips_once_then_fails_fast("SELECT * FROM OPENQUERY(member, 'SELECT k FROM t') q");
 }
 
 /// `sys.dm_link_health` serves one row per linked server through the

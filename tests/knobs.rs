@@ -1,4 +1,4 @@
-//! The knob table's contract (`dhqp::knobs`): 27 uniquely named rows, one
+//! The knob table's contract (`dhqp::knobs`): 25 uniquely named rows, one
 //! parsing rule per kind of row, values that round-trip through their own
 //! rendering, and a README table that is the table.
 
@@ -21,12 +21,12 @@ fn row(name: &str) -> &'static KnobRow {
 }
 
 #[test]
-fn twenty_seven_rows_with_unique_names() {
-    assert_eq!(KNOBS.len(), 27);
+fn twenty_five_rows_with_unique_names() {
+    assert_eq!(KNOBS.len(), 25);
     let mut names: Vec<&str> = KNOBS.iter().map(|row| row.name).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 27);
+    assert_eq!(names.len(), 25);
     assert!(names.iter().all(|name| name.starts_with("DHQP_")));
 }
 
@@ -63,7 +63,7 @@ fn one_switch_rule_for_every_switch_row() {
 
 #[test]
 fn one_numeric_rule_for_every_number_row() {
-    assert_eq!(rows(Kind::Number).count(), 15);
+    assert_eq!(rows(Kind::Number).count(), 14);
     let default = Knobs::default();
     for row in rows(Kind::Number) {
         let unset = (row.render)(&default);
@@ -84,8 +84,6 @@ fn numbers_clamp_and_saturate() {
     assert_eq!(applied(row("DHQP_RETRY_ATTEMPTS"), "0"), "1");
     assert_eq!(applied(row("DHQP_BATCH_SIZE"), "0"), "1");
     assert_eq!(applied(row("DHQP_PLAN_CACHE_SIZE"), "0"), "1");
-    assert_eq!(applied(row("DHQP_BREAKER_WINDOW"), "1"), "2");
-    assert_eq!(applied(row("DHQP_BREAKER_ERROR_RATE"), "7"), "1.00");
     assert_eq!(applied(row("DHQP_SLOW_QUERY_MS"), "0"), "0");
 }
 

@@ -370,7 +370,7 @@ fn dm_os_knobs_reports_every_knob_with_provenance() {
     let r = head
         .query("SELECT name, value, source FROM sys.dm_os_knobs")
         .unwrap();
-    assert_eq!(r.rows.len(), 27, "{r:?}");
+    assert_eq!(r.rows.len(), 25, "{r:?}");
     let knob = |name: &str| -> (String, String) {
         let row = r
             .rows
