@@ -11,7 +11,7 @@ use crate::ops::remote::{
     open_remote_fetch, open_remote_query, open_remote_range, open_remote_scan,
 };
 use crate::ops::scan::{open_index_range, open_table_scan};
-use crate::ops::semijoin::{open_semijoin_reduce, SemiJoinSpec};
+use crate::ops::semijoin::open_semijoin_reduce;
 use crate::ops::sort::{open_sort, open_spool, TopRowset, UnionAllRowset};
 use crate::stats::StatsRowset;
 use dhqp_oledb::{MemRowset, Rowset};
@@ -253,36 +253,9 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             open_remote_query(server, sql, params, ctx, id)?,
             ctx,
         )),
-        PhysicalOp::SemiJoinReduce {
-            kind,
-            build_key,
-            probe_key,
-            residual,
-            server,
-            sql,
-            columns,
-            params,
-            max_keys,
-        } => {
+        PhysicalOp::SemiJoinReduce { .. } => {
             let build = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
-            open_semijoin_reduce(
-                SemiJoinSpec {
-                    kind: *kind,
-                    build_key: *build_key,
-                    probe_key: *probe_key,
-                    residual: residual.as_ref(),
-                    server,
-                    sql,
-                    params,
-                    columns,
-                    max_keys: *max_keys,
-                },
-                build,
-                &plan.children[0].output,
-                &plan.output,
-                ctx,
-                id,
-            )
+            open_semijoin_reduce(plan, build, ctx, id)
         }
         PhysicalOp::Filter { predicate } => {
             let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;

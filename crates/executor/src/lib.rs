@@ -28,7 +28,7 @@ pub use health::{
     PruneLog,
 };
 pub use ops::retry::RetryPolicy;
-pub use ops::semijoin::{predicate_fingerprint, semijoin_remote_sql};
+pub use ops::semijoin::predicate_fingerprint;
 pub use schema_guard::{MemberSchema, ValidateMember};
 pub use stats::{
     ExchangeRuntime, ExecCounters, MetricsSnapshot, NodeRuntime, RemoteTrace,

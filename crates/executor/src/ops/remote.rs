@@ -2,10 +2,11 @@
 //! query*, *remote scan*, *remote range* and *remote fetch* rules (§4.1.2).
 //!
 //! A remote query's parameters (`@__corr0`-style correlation markers,
-//! `@__lit0`-style plan-cache literals and `@user` parameters) are
-//! substituted as literals of the provider's dialect into the SQL text
-//! before it crosses the link — no provider ever receives a parameter
-//! marker, and the traffic accounting stays honest.
+//! `@__lit0`-style plan-cache literals, `@user` parameters and a semi-join
+//! reduction's `@__keys0` key set) are substituted as literals of the
+//! provider's dialect into the SQL text before it crosses the link — no
+//! provider ever receives a parameter marker, and the traffic accounting
+//! stays honest.
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
@@ -20,38 +21,47 @@ use dhqp_types::{DhqpError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Resolve one remote parameter to a concrete value.
-fn param_value(p: &RemoteParam, ctx: &ExecContext) -> Result<Value> {
-    match &p.source {
-        ParamSource::QueryParam(name) => ctx.param(name).cloned(),
-        ParamSource::OuterColumn(col) => ctx.binding(col.0).cloned().ok_or_else(|| {
+/// Resolve one remote parameter to the values it binds: one value, or
+/// `keys` for a key set.
+fn param_values<'a>(
+    p: &RemoteParam,
+    keys: &'a [Value],
+    ctx: &'a ExecContext,
+) -> Result<&'a [Value]> {
+    let value = match &p.source {
+        ParamSource::QueryParam(name) => ctx.param(name)?,
+        ParamSource::OuterColumn(col) => ctx.binding(col.0).ok_or_else(|| {
             DhqpError::Execute(format!(
                 "no outer binding for correlation column #{} (parameter @{})",
                 col.0, p.name
             ))
-        }),
-    }
+        })?,
+        ParamSource::KeySet => return Ok(keys),
+    };
+    Ok(std::slice::from_ref(value))
 }
 
 /// Substitute `@name` placeholders with literals of `dialect` in one
-/// left-to-right scan. At each `@` the longest matching parameter name wins
-/// (so `@p10` is never clobbered by `@p1`), and substituted literals are
-/// never rescanned — a string value containing `@name` cannot be
-/// re-substituted.
-pub fn substitute_params(sql: &str, params: &[(String, Value)], dialect: &Dialect) -> String {
-    let mut ordered: Vec<&(String, Value)> = params.iter().collect();
+/// left-to-right scan, a parameter's values comma-separated. At each `@`
+/// the longest matching parameter name wins (so `@p10` is never clobbered
+/// by `@p1`), and substituted literals are never rescanned — a string value
+/// containing `@name` cannot be re-substituted.
+pub fn substitute_params(sql: &str, params: &[(&str, &[Value])], dialect: &Dialect) -> String {
+    let mut ordered: Vec<&(&str, &[Value])> = params.iter().collect();
     ordered.sort_by_key(|(n, _)| std::cmp::Reverse(n.len()));
     let mut out = String::with_capacity(sql.len());
     let mut rest = sql;
     while let Some(at) = rest.find('@') {
         out.push_str(&rest[..at]);
         let after = &rest[at + 1..];
-        match ordered
-            .iter()
-            .find(|(name, _)| after.starts_with(name.as_str()))
-        {
-            Some((name, value)) => {
-                out.push_str(&dialect.literal(value));
+        match ordered.iter().find(|(name, _)| after.starts_with(name)) {
+            Some((name, values)) => {
+                for (i, value) in values.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    out.push_str(&dialect.literal(value));
+                }
                 rest = &after[name.len()..];
             }
             None => {
@@ -65,17 +75,18 @@ pub fn substitute_params(sql: &str, params: &[(String, Value)], dialect: &Dialec
 }
 
 /// The exact text a remote query ships to `server` for the current
-/// parameter values — what `EXPLAIN ANALYZE` reports as the decoder-emitted
-/// SQL.
+/// parameter values, a key-set parameter bound to `keys` — what `EXPLAIN
+/// ANALYZE` reports as the decoder-emitted SQL.
 pub fn remote_query_text(
     server: &str,
     sql: &str,
     params: &[RemoteParam],
+    keys: &[Value],
     ctx: &ExecContext,
 ) -> Result<String> {
-    let bound: Vec<(String, Value)> = params
+    let bound: Vec<(&str, &[Value])> = params
         .iter()
-        .map(|p| Ok((p.name.clone(), param_value(p, ctx)?)))
+        .map(|p| Ok((p.name.as_str(), param_values(p, keys, ctx)?)))
         .collect::<Result<Vec<_>>>()?;
     let dialect = ctx.catalog().linked(server)?.capabilities().dialect;
     Ok(substitute_params(sql, &bound, &dialect))
@@ -128,7 +139,7 @@ pub fn open_remote_query(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let text = remote_query_text(server, sql, params, ctx)?;
+    let text = remote_query_text(server, sql, params, &[], ctx)?;
     let checks = ctx.member_checks_in_sql(server, sql);
     open_remote_text(server, text, checks, None, ctx, node)
 }
@@ -249,7 +260,7 @@ mod tests {
         let sql = "SELECT * FROM t WHERE a = @p1 AND b = @p10";
         let out = substitute_params(
             sql,
-            &[("p1".into(), Value::Int(1)), ("p10".into(), Value::Int(10))],
+            &[("p1", &[Value::Int(1)]), ("p10", &[Value::Int(10)])],
             &Dialect::default(),
         );
         assert_eq!(out, "SELECT * FROM t WHERE a = 1 AND b = 10");
@@ -259,7 +270,7 @@ mod tests {
     fn substitution_quotes_strings() {
         let out = substitute_params(
             "WHERE n = @name",
-            &[("name".into(), Value::Str("O'Brien".into()))],
+            &[("name", &[Value::Str("O'Brien".into())])],
             &Dialect::default(),
         );
         assert_eq!(out, "WHERE n = 'O''Brien'");
@@ -271,10 +282,7 @@ mod tests {
         // @q is bound too (the old repeated-replace implementation did).
         let out = substitute_params(
             "SELECT @p, @q",
-            &[
-                ("p".into(), Value::Str("@q".into())),
-                ("q".into(), Value::Int(1)),
-            ],
+            &[("p", &[Value::Str("@q".into())]), ("q", &[Value::Int(1)])],
             &Dialect::default(),
         );
         assert_eq!(out, "SELECT '@q', 1");
@@ -284,7 +292,7 @@ mod tests {
     fn substitution_leaves_unknown_placeholders_and_trailing_text() {
         let out = substitute_params(
             "a = @p AND b = @unknown @",
-            &[("p".into(), Value::Int(5))],
+            &[("p", &[Value::Int(5)])],
             &Dialect::default(),
         );
         assert_eq!(out, "a = 5 AND b = @unknown @");
@@ -293,7 +301,7 @@ mod tests {
     #[test]
     fn substitution_spells_dates_in_the_providers_dialect() {
         let day = Value::Date(dhqp_types::value::parse_date("1992-01-01").unwrap());
-        let params = [("d".into(), day.clone())];
+        let params = [("d", std::slice::from_ref(&day))];
         let escape = Dialect {
             date_literal: dhqp_oledb::DateLiteralStyle::OdbcEscape,
             ..Dialect::default()
@@ -303,5 +311,26 @@ mod tests {
         // The default dialect spells every value as `Value::to_sql_literal`.
         let plain = substitute_params("WHERE day = @d", &params, &Dialect::default());
         assert_eq!(plain, format!("WHERE day = {}", day.to_sql_literal()));
+    }
+
+    #[test]
+    fn a_key_set_substitutes_as_a_list_in_the_providers_dialect() {
+        let days: Vec<Value> = ["1994-03-01", "1995-12-31"]
+            .iter()
+            .map(|d| Value::Date(dhqp_types::value::parse_date(d).unwrap()))
+            .collect();
+        let escape = Dialect {
+            date_literal: dhqp_oledb::DateLiteralStyle::OdbcEscape,
+            ..Dialect::default()
+        };
+        let out = substitute_params(
+            "WHERE ([t0].[day] IN (@__keys0))",
+            &[("__keys0", &days)],
+            &escape,
+        );
+        assert_eq!(
+            out,
+            "WHERE ([t0].[day] IN ({d '1994-03-01'}, {d '1995-12-31'}))"
+        );
     }
 }

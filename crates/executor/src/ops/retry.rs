@@ -85,7 +85,7 @@ impl RetryPolicy {
 
 /// Append the give-up reason chain — attempt count, wall time burned, the
 /// kind of the last underlying error and, when the operation shipped a
-/// spliced predicate, that predicate's fingerprint — to a transient error
+/// semi-join key set, that predicate's fingerprint — to a transient error
 /// that exhausted its retries, preserving the variant (and hence `kind()`).
 /// The base message is the last underlying error's own text, so a chaos
 /// failure is diagnosable from the string alone, and the fingerprint lets

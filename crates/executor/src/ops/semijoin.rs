@@ -1,13 +1,15 @@
 //! Semi-join reduction: the executor half of the paper's §4.1.5 byte
 //! minimization.
 //!
-//! The optimizer's `SemiJoinReduce` operator arrives with the *unreduced*
-//! remote statement already decoded. At drive time this module drains the
-//! build (local/cheap) child, collects its distinct non-NULL join keys,
-//! splices them into the statement as an `IN`-list over the probe column,
-//! and ships the reduced text — so only matching rows ever cross the link.
-//! The reduced rows are then hash-joined back against the buffered build
-//! rows, which also re-checks the full join predicate.
+//! The optimizer's `SemiJoinReduce` operator arrives with two decoded
+//! remote statements: the reduced one, whose probe column is restricted to
+//! the key-set parameter `IN (@__keys0)`, and the unreduced one. At drive
+//! time this module drains the build (local/cheap) child, binds its
+//! distinct non-NULL join keys to the key set — spelled in the provider's
+//! dialect like every other shipped value — and ships the reduced text, so
+//! only matching rows ever cross the link. The reduced rows are then
+//! hash-joined back against the buffered build rows, which also re-checks
+//! the full join predicate.
 //!
 //! Runtime fallbacks keep the reduction an optimization, never a semantic
 //! change:
@@ -25,44 +27,10 @@ use crate::ops::join::open_hash_join;
 use crate::ops::remote::{open_remote_text, remote_query_text};
 use crate::stats::SemiJoinTrace;
 use dhqp_oledb::{MemRowset, Rowset, RowsetExt};
-use dhqp_optimizer::physical::RemoteParam;
-use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr};
-use dhqp_types::{DhqpError, Result, Value};
+use dhqp_optimizer::physical::{PhysNode, PhysicalOp};
+use dhqp_optimizer::ScalarExpr;
+use dhqp_types::{DhqpError, Result};
 use std::collections::HashSet;
-
-/// Everything the builder destructures out of a `SemiJoinReduce` plan node.
-pub struct SemiJoinSpec<'a> {
-    pub kind: JoinKind,
-    pub build_key: ColumnId,
-    pub probe_key: ColumnId,
-    pub residual: Option<&'a ScalarExpr>,
-    pub server: &'a str,
-    pub sql: &'a str,
-    pub params: &'a [RemoteParam],
-    pub columns: &'a [ColumnId],
-    pub max_keys: usize,
-}
-
-/// Render the reduced remote statement: wrap the (parameter-substituted)
-/// base statement as a derived table and restrict the probe column to the
-/// collected keys. NULL keys are dropped — `x IN (..., NULL)` can never
-/// match more rows, only ship more bytes — and an empty (or all-NULL) key
-/// set degenerates to the provably-empty `WHERE 1=0`.
-pub fn semijoin_remote_sql(base_sql: &str, probe_column: &str, keys: &[Value]) -> String {
-    let literals: Vec<String> = keys
-        .iter()
-        .filter(|v| !v.is_null())
-        .map(Value::to_sql_literal)
-        .collect();
-    if literals.is_empty() {
-        format!("SELECT * FROM ({base_sql}) AS [__sj] WHERE 1=0")
-    } else {
-        format!(
-            "SELECT * FROM ({base_sql}) AS [__sj] WHERE [{probe_column}] IN ({})",
-            literals.join(", ")
-        )
-    }
-}
 
 /// Stable 64-bit FNV-1a fingerprint of a shipped predicate, rendered as
 /// 16 hex digits. Short enough for an error message, stable enough that
@@ -75,21 +43,35 @@ pub fn predicate_fingerprint(text: &str) -> String {
 /// Open a `SemiJoinReduce` node: collect keys from the (already opened)
 /// build child, fetch the reduced remote side, and hash-join the two.
 pub fn open_semijoin_reduce(
-    spec: SemiJoinSpec<'_>,
+    plan: &PhysNode,
     mut build: Box<dyn Rowset>,
-    build_columns: &[ColumnId],
-    output: &[ColumnId],
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let schema = ctx.schema_of(output);
+    let PhysicalOp::SemiJoinReduce {
+        kind,
+        build_key,
+        probe_key,
+        residual,
+        server,
+        sql,
+        unreduced,
+        columns,
+        params,
+        max_keys,
+    } = &plan.op
+    else {
+        unreachable!("open_semijoin_reduce on {}", plan.op.name());
+    };
+    let build_columns = &plan.children[0].output;
+    let schema = ctx.schema_of(&plan.output);
     let key_pos = build_columns
         .iter()
-        .position(|c| *c == spec.build_key)
+        .position(|c| c == build_key)
         .ok_or_else(|| {
             DhqpError::Execute(format!(
                 "semi-join build key #{} is not among the build child's outputs",
-                spec.build_key.0
+                build_key.0
             ))
         })?;
     let build_rows = build.collect_rows_batched(ctx.batch().pull_size())?;
@@ -112,27 +94,19 @@ pub fn open_semijoin_reduce(
         return Ok(Box::new(MemRowset::empty(schema)));
     }
 
-    let base = remote_query_text(spec.server, spec.sql, spec.params, ctx)?;
+    let base = remote_query_text(server, unreduced, params, &[], ctx)?;
     // Reduced or not, the statement reads the same view members.
-    let checks = ctx.member_checks_in_sql(spec.server, spec.sql);
+    let checks = ctx.member_checks_in_sql(server, unreduced);
     let open_shipped = |text: &str, op_tag: Option<String>| {
-        open_remote_text(
-            spec.server,
-            text.to_string(),
-            checks.clone(),
-            op_tag,
-            ctx,
-            node,
-        )
+        open_remote_text(server, text.to_string(), checks.clone(), op_tag, ctx, node)
     };
-    let probe_column = format!("c{}", spec.probe_key.0);
     let mut trace = SemiJoinTrace {
         keys: keys.len() as u64,
         filter_bytes: 0,
         fallback: false,
     };
-    let remote: Box<dyn Rowset> = if keys.len() <= spec.max_keys {
-        let reduced = semijoin_remote_sql(&base, &probe_column, &keys);
+    let remote: Box<dyn Rowset> = if keys.len() <= *max_keys {
+        let reduced = remote_query_text(server, sql, params, &keys, ctx)?;
         let filter_bytes = reduced.len().saturating_sub(base.len()) as u64;
         let tag = format!(
             "shipped predicate fp={} keys={}",
@@ -159,7 +133,7 @@ pub fn open_semijoin_reduce(
             Err(e) => return Err(e),
         }
     } else {
-        // More distinct keys than the splice threshold: the plan-time
+        // More distinct keys than the key-set ceiling: the plan-time
         // cardinality estimate undershot, abandon the reduction.
         trace.fallback = true;
         ctx.counters().semijoin_fallbacks.bump();
@@ -167,17 +141,15 @@ pub fn open_semijoin_reduce(
     };
 
     let left: Box<dyn Rowset> = Box::new(MemRowset::new(ctx.schema_of(build_columns), build_rows));
-    let left_keys = [ScalarExpr::Column(spec.build_key)];
-    let right_keys = [ScalarExpr::Column(spec.probe_key)];
     let join = open_hash_join(
         left,
         remote,
-        spec.kind,
-        &left_keys,
-        &right_keys,
-        spec.residual,
+        *kind,
+        &[ScalarExpr::Column(*build_key)],
+        &[ScalarExpr::Column(*probe_key)],
+        residual.as_ref(),
         build_columns,
-        spec.columns,
+        columns,
         schema,
         ctx,
     )?;
@@ -191,36 +163,6 @@ pub fn open_semijoin_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn in_list_renders_escaped_literals_and_drops_nulls() {
-        let sql = semijoin_remote_sql(
-            "SELECT [a] AS [c3] FROM [t]",
-            "c3",
-            &[
-                Value::Int(1),
-                Value::Str("O'Brien".into()),
-                Value::Null,
-                Value::Int(2),
-            ],
-        );
-        assert_eq!(
-            sql,
-            "SELECT * FROM (SELECT [a] AS [c3] FROM [t]) AS [__sj] \
-             WHERE [c3] IN (1, 'O''Brien', 2)"
-        );
-    }
-
-    #[test]
-    fn empty_or_all_null_key_set_degenerates_to_provably_empty() {
-        let base = "SELECT [a] AS [c3] FROM [t]";
-        let expect = "SELECT * FROM (SELECT [a] AS [c3] FROM [t]) AS [__sj] WHERE 1=0";
-        assert_eq!(semijoin_remote_sql(base, "c3", &[]), expect);
-        assert_eq!(
-            semijoin_remote_sql(base, "c3", &[Value::Null, Value::Null]),
-            expect
-        );
-    }
 
     #[test]
     fn fingerprint_is_stable_and_shape_sensitive() {

@@ -282,7 +282,7 @@ impl ExchangeRuntime {
 pub struct SemiJoinTrace {
     /// Distinct non-NULL build-side join keys collected at drive time.
     pub keys: u64,
-    /// Bytes of spliced `IN`-list text added to the shipped statement.
+    /// Bytes the key-set restriction added to the shipped statement.
     pub filter_bytes: u64,
     /// The reduction was abandoned (key overflow or a reduced open that
     /// exhausted its retries) and the unreduced statement shipped instead.

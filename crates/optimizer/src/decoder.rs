@@ -23,6 +23,9 @@ use dhqp_oledb::{LimitSyntax, ProviderCapabilities, SqlSupport};
 use dhqp_types::{DataType, Value};
 use std::collections::{BTreeSet, HashMap};
 
+/// The parameter a `key_set` restriction binds (see [`Decoder::build`]).
+const KEY_SET: &str = "__keys0";
+
 /// A fully rendered remote statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteSql {
@@ -157,28 +160,44 @@ impl<'a> Decoder<'a> {
     /// query* implementation rule's core. `extra_pred` is ANDed into the
     /// statement (used by the parameterization rule to push correlation
     /// predicates), `corr_params` names parameters bound from outer rows.
+    /// `key_set` restricts that column to `IN (@__keys0)`, a parameter the
+    /// semi-join reduction binds to its build keys at drive time; its
+    /// literals are not counted in `keys`, which the text does not carry.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         &mut self,
         group: GroupId,
         extra_pred: Option<&ScalarExpr>,
         corr_params: &[(String, ColumnId)],
+        key_set: Option<ColumnId>,
         ordering: &[(ColumnId, bool)],
         top: Option<u64>,
     ) -> Option<RemoteSql> {
         if self.caps.sql_support == SqlSupport::None || self.caps.proprietary_command {
             return None;
         }
+        // SQL Minimum renders no `IN`, so it cannot restrict a key set.
+        if key_set.is_some() && self.caps.sql_support == SqlSupport::Minimum {
+            return None;
+        }
         let mut q = self.decode_group(group)?;
         let out_cols: Vec<ColumnId> = self.memo.group(group).props.columns.clone();
+        if (extra_pred.is_some() || key_set.is_some()) && !q.is_simple() {
+            q = self.wrap(q)?;
+        }
         if let Some(p) = extra_pred {
-            if !q.is_simple() {
-                q = self.wrap(q)?;
-            }
-            let map = q.colmap();
-            let frag = self.scalars.render_expr(p, &map)?;
+            let frag = self.scalars.render_expr(p, &q.colmap())?;
             q.wheres.push(frag);
             q.keys += in_list_keys(p);
+        }
+        let mut params = Vec::new();
+        if let Some(probe) = key_set {
+            let frag = q.fragment_of(probe)?;
+            q.wheres.push(format!("({frag} IN (@{KEY_SET}))"));
+            params.push(RemoteParam {
+                name: KEY_SET.into(),
+                source: ParamSource::KeySet,
+            });
         }
         let order_by: Vec<String> = if ordering.is_empty() {
             Vec::new()
@@ -199,22 +218,17 @@ impl<'a> Decoder<'a> {
             return None;
         }
         let sql = q.render(&out_cols, &self.caps.dialect, top, &order_by)?;
-        let mut params: Vec<RemoteParam> = self
-            .scalars
-            .params
-            .iter()
-            .map(|name| {
-                let source = corr_params
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, col)| ParamSource::OuterColumn(*col))
-                    .unwrap_or_else(|| ParamSource::QueryParam(name.clone()));
-                RemoteParam {
-                    name: name.clone(),
-                    source,
-                }
-            })
-            .collect();
+        params.extend(self.scalars.params.iter().map(|name| {
+            let source = corr_params
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, col)| ParamSource::OuterColumn(*col))
+                .unwrap_or_else(|| ParamSource::QueryParam(name.clone()));
+            RemoteParam {
+                name: name.clone(),
+                source,
+            }
+        }));
         params.sort_by(|a, b| a.name.cmp(&b.name));
         Some(RemoteSql {
             sql,
@@ -693,7 +707,7 @@ mod tests {
         let (reg, memo, root, ..) = remote_pair();
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let out = d.build(root, None, &[], &[], None).unwrap();
+        let out = d.build(root, None, &[], None, &[], None).unwrap();
         assert_eq!(
             out.sql,
             "SELECT [t0].[c_custkey] AS [c0], [t0].[c_nationkey] AS [c1], \
@@ -712,7 +726,7 @@ mod tests {
         caps.sql_support = SqlSupport::Minimum;
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
         assert!(
-            d.build(root, None, &[], &[], None).is_none(),
+            d.build(root, None, &[], None, &[], None).is_none(),
             "joins exceed SQL Minimum"
         );
 
@@ -725,7 +739,7 @@ mod tests {
         ));
         let g = memo2.insert_tree(&filter, &reg);
         let mut d = Decoder::new(&memo2, &reg, &caps, "remote0");
-        let out = d.build(g, None, &[], &[], None).unwrap();
+        let out = d.build(g, None, &[], None, &[], None).unwrap();
         assert!(out.sql.contains("WHERE ([t0].[c_custkey] > 10)"));
 
         // ...but an OR predicate exceeds Minimum.
@@ -742,7 +756,7 @@ mod tests {
         ]));
         let g3 = memo3.insert_tree(&or_filter, &reg);
         let mut d = Decoder::new(&memo3, &reg, &caps, "remote0");
-        assert!(d.build(g3, None, &[], &[], None).is_none());
+        assert!(d.build(g3, None, &[], None, &[], None).is_none());
     }
 
     #[test]
@@ -750,7 +764,7 @@ mod tests {
         let (reg, memo, root, ..) = remote_pair();
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         let mut d = Decoder::new(&memo, &reg, &caps, "other-server");
-        assert!(d.build(root, None, &[], &[], None).is_none());
+        assert!(d.build(root, None, &[], None, &[], None).is_none());
     }
 
     #[test]
@@ -767,6 +781,7 @@ mod tests {
                 root,
                 Some(&corr),
                 &[("__corr0".into(), ColumnId(99))],
+                None,
                 &[],
                 None,
             )
@@ -782,7 +797,7 @@ mod tests {
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
         let out = d
-            .build(root, None, &[], &[(c.column_id(0), false)], Some(10))
+            .build(root, None, &[], None, &[(c.column_id(0), false)], Some(10))
             .unwrap();
         assert!(out.sql.starts_with("SELECT TOP 10 "));
         assert!(out.sql.ends_with("ORDER BY [t0].[c_custkey] DESC"));
@@ -813,7 +828,7 @@ mod tests {
         let g = memo.insert_tree(&agg, &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         let mut d = Decoder::new(&memo, &reg, &caps, "r");
-        let out = d.build(g, None, &[], &[], None).unwrap();
+        let out = d.build(g, None, &[], None, &[], None).unwrap();
         assert!(out.sql.contains("GROUP BY [t0].[o_k]"));
         assert!(out.sql.contains("COUNT(*) AS [c1]"));
 
@@ -821,7 +836,7 @@ mod tests {
         odbc.sql_support = SqlSupport::OdbcCore;
         let mut d = Decoder::new(&memo, &reg, &odbc, "r");
         assert!(
-            d.build(g, None, &[], &[], None).is_none(),
+            d.build(g, None, &[], None, &[], None).is_none(),
             "GROUP BY exceeds ODBC Core"
         );
     }
@@ -858,7 +873,7 @@ mod tests {
         let g = memo.insert_tree(&semi, &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         let mut d = Decoder::new(&memo, &reg, &caps, "r");
-        assert!(d.build(g, None, &[], &[], None).is_none());
+        assert!(d.build(g, None, &[], None, &[], None).is_none());
     }
 
     #[test]
@@ -881,7 +896,7 @@ mod tests {
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
         assert!(
-            d.build(root, None, &[], &[], None).is_none(),
+            d.build(root, None, &[], None, &[], None).is_none(),
             "semi join alone is undecodable"
         );
 
@@ -902,7 +917,7 @@ mod tests {
         .expect("new alternative");
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
         let out = d
-            .build(root, None, &[], &[], None)
+            .build(root, None, &[], None, &[], None)
             .expect("second alternative decodes");
         assert!(out.sql.contains("INNER JOIN"));
     }
@@ -934,7 +949,7 @@ mod tests {
         let root = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)).filter(unrenderable), &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
         assert!(Decoder::new(&memo, &reg, &caps, "remote0")
-            .build(root, None, &[], &[], None)
+            .build(root, None, &[], None, &[], None)
             .is_none());
         // The alternative that decodes carries no list, so nothing is counted ...
         let children = memo.expr(memo.group(root).exprs[0]).children.clone();
@@ -942,16 +957,90 @@ mod tests {
         memo.insert_alternative(LogicalOp::Filter { predicate: gt }, children, root)
             .expect("new alternative");
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let out = d.build(root, None, &[], &[], None).unwrap();
+        let out = d.build(root, None, &[], None, &[], None).unwrap();
         assert!(!out.sql.contains(" IN "), "{}", out.sql);
         assert_eq!(out.keys, 0);
         // ... and a list the text does carry is.
         let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
         let out = d
-            .build(root, Some(&in_list(&[4, 5])), &[], &[], None)
+            .build(root, Some(&in_list(&[4, 5])), &[], None, &[], None)
             .unwrap();
         assert!(out.sql.contains("IN (4, 5)"), "{}", out.sql);
         assert_eq!(out.keys, 2);
+    }
+
+    #[test]
+    fn a_key_set_restricts_the_probe_column_and_adds_no_keys() {
+        let (mut reg, _, _, c, _) = remote_pair();
+        let listed = ScalarExpr::InList {
+            expr: Box::new(ScalarExpr::Column(c.column_id(1))),
+            list: vec![Value::Int(1), Value::Int(2), Value::Int(3)].into(),
+            negated: false,
+        };
+        let mut memo = Memo::new();
+        let root = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)).filter(listed), &reg);
+        let caps = ProviderCapabilities::sql_server("SQLOLEDB");
+        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let base = d.build(root, None, &[], None, &[], None).unwrap();
+        let reduced = d
+            .build(root, None, &[], Some(c.column_id(0)), &[], None)
+            .unwrap();
+        assert_eq!(
+            reduced.sql,
+            format!("{} AND ([t0].[c_custkey] IN (@__keys0))", base.sql)
+        );
+        // The placeholder carries no literal: costing sees the base's keys.
+        assert_eq!((base.keys, reduced.keys), (3, 3));
+        assert_eq!(
+            reduced.params,
+            [RemoteParam {
+                name: "__keys0".into(),
+                source: ParamSource::KeySet
+            }]
+        );
+
+        // SQL Minimum has no IN.
+        let mut minimum = caps.clone();
+        minimum.sql_support = SqlSupport::Minimum;
+        let mut memo = Memo::new();
+        let get = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)), &reg);
+        let mut d = Decoder::new(&memo, &reg, &minimum, "remote0");
+        assert!(d.build(get, None, &[], None, &[], None).is_some());
+        assert!(d
+            .build(get, None, &[], Some(c.column_id(0)), &[], None)
+            .is_none());
+
+        // An aggregated probe side is restricted from outside a derived
+        // table, which a provider without nested selects cannot read.
+        let cnt = reg.allocate("cnt", "", DataType::Int, false);
+        let agg = LogicalExpr::get(Arc::clone(&c)).aggregate(
+            vec![c.column_id(0)],
+            vec![crate::scalar::AggCall {
+                func: AggFunc::CountStar,
+                arg: None,
+                distinct: false,
+                output: cnt,
+            }],
+        );
+        let mut memo = Memo::new();
+        let g = memo.insert_tree(&agg, &reg);
+        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let out = d
+            .build(g, None, &[], Some(c.column_id(0)), &[], None)
+            .unwrap();
+        assert!(
+            out.sql
+                .ends_with(") AS [d1] WHERE ([d1].[c0] IN (@__keys0))"),
+            "{}",
+            out.sql
+        );
+        let mut flat = caps.clone();
+        flat.dialect.nested_select = false;
+        let mut d = Decoder::new(&memo, &reg, &flat, "remote0");
+        assert!(d.build(g, None, &[], None, &[], None).is_some());
+        assert!(d
+            .build(g, None, &[], Some(c.column_id(0)), &[], None)
+            .is_none());
     }
 
     #[test]
@@ -1020,7 +1109,7 @@ mod tests {
         let mut caps = ProviderCapabilities::sql_server("ORAOLEDB");
         caps.dialect.date_literal = dhqp_oledb::capabilities::DateLiteralStyle::Keyword;
         let mut d = Decoder::new(&memo, &reg, &caps, "r");
-        let out = d.build(g, None, &[], &[], None).unwrap();
+        let out = d.build(g, None, &[], None, &[], None).unwrap();
         assert!(out.sql.contains("DATE '1992-01-01'"), "{}", out.sql);
     }
 }

@@ -134,20 +134,23 @@ pub enum PhysicalOp {
         meta: Arc<TableMeta>,
     },
     /// Semi-join reduction (§4.1.5 byte minimization): the build child is
-    /// drained at drive time, its distinct join keys are spliced into the
-    /// remote statement as an `IN`-list, and the reduced remote result is
-    /// hash-joined back against the build rows. Past `max_keys` distinct
-    /// keys the executor abandons the reduction and ships `sql` unchanged.
+    /// drained at drive time, its distinct join keys bind the key-set
+    /// parameter of `sql`, and the reduced remote result is hash-joined
+    /// back against the build rows. Past `max_keys` distinct keys, or when
+    /// the reduced open gives up, the executor ships `unreduced` instead.
     SemiJoinReduce {
         kind: JoinKind,
         /// Join key column of the (local, cheap) build child.
         build_key: ColumnId,
-        /// Join key column of the remote side; aliased `c<id>` in `sql`.
+        /// Join key column of the remote side.
         probe_key: ColumnId,
         residual: Option<ScalarExpr>,
         server: Arc<str>,
-        /// Decoder-built base statement for the remote side (unreduced).
+        /// Decoder-built statement for the remote side, `probe_key`
+        /// restricted to the key set `IN (@__keys0)`.
         sql: String,
+        /// The same statement without the restriction.
+        unreduced: String,
         /// Remote output columns, matching `sql`'s select-list order.
         columns: Vec<ColumnId>,
         params: Vec<RemoteParam>,
@@ -179,6 +182,9 @@ pub enum ParamSource {
     OuterColumn(ColumnId),
     /// A session query parameter.
     QueryParam(String),
+    /// The distinct non-NULL build keys of a semi-join reduction, spelled
+    /// as a comma-separated list.
+    KeySet,
 }
 
 impl PhysicalOp {

@@ -455,8 +455,8 @@ fn implement_join(
             }
             // Semi-join reduction (§4.1.5 byte minimization): drain the
             // small build side at drive time, ship its distinct join keys
-            // as an `IN`-list spliced into the remote statement, and
-            // hash-join the reduced result back against the build rows.
+            // as the remote statement's key-set parameter, and hash-join
+            // the reduced result back against the build rows.
             if ctx.config.enable_semijoin && matches!(kind, JoinKind::Inner | JoinKind::Semi) {
                 out.extend(semijoin_reduce_variants(
                     kind, predicate, lg, rg, &equi, memo, ctx,
@@ -468,9 +468,9 @@ fn implement_join(
 }
 
 /// Build a semi-join-reduction alternative when the right group lives
-/// wholly on one SQL-capable remote server and the left (build) side's
-/// distinct keys fit under the IN-list ceiling and are fewer than the probe
-/// column's.
+/// wholly on one remote server whose decoder can restrict it to a key set,
+/// and the left (build) side's distinct keys fit under the IN-list ceiling
+/// and are fewer than the probe column's.
 fn semijoin_reduce_variants(
     kind: JoinKind,
     predicate: Option<&ScalarExpr>,
@@ -488,15 +488,6 @@ fn semijoin_reduce_variants(
     let Some(caps) = ctx.config.server_caps.get(&server) else {
         return Vec::new();
     };
-    // The reduced statement wraps the base SELECT as a derived table with
-    // an IN predicate, so the provider must speak at least ODBC Core with
-    // nested selects.
-    if caps.sql_support < dhqp_oledb::SqlSupport::OdbcCore
-        || caps.proprietary_command
-        || !caps.dialect.nested_select
-    {
-        return Vec::new();
-    }
     let (build_col, probe_col) = equi[0];
     let keys = ndv(&memo.group(lg).props, build_col);
     let probe_ndv = ndv(&memo.group(rg).props, probe_col);
@@ -508,7 +499,10 @@ fn semijoin_reduce_variants(
         return Vec::new();
     }
     let mut decoder = Decoder::new(memo, ctx.registry, caps, &server);
-    let Some(remote) = decoder.build(rg, None, &[], &[], None) else {
+    let (Some(unreduced), Some(remote)) = (
+        decoder.build(rg, None, &[], None, &[], None),
+        decoder.build(rg, None, &[], Some(probe_col), &[], None),
+    ) else {
         return Vec::new();
     };
     // Wire cost of the reduced fetch, charged here where the probe group's
@@ -533,6 +527,7 @@ fn semijoin_reduce_variants(
             residual: predicate.cloned(),
             server: Arc::from(server.as_str()),
             sql: remote.sql,
+            unreduced: unreduced.sql,
             columns: remote.columns,
             params: remote.params,
             max_keys: ctx.config.semijoin_max_keys,
@@ -575,9 +570,14 @@ fn param_remote_variants(
             ScalarExpr::Column(inner_col),
             ScalarExpr::Param("__corr0".into()),
         );
-        if let Some(remote) =
-            decoder.build(rg, Some(&corr), &[("__corr0".into(), outer_col)], &[], None)
-        {
+        if let Some(remote) = decoder.build(
+            rg,
+            Some(&corr),
+            &[("__corr0".into(), outer_col)],
+            None,
+            &[],
+            None,
+        ) {
             let inner = PhysAlt::node(
                 PhysicalOp::RemoteQuery {
                     server: Arc::from(server.as_str()),

@@ -81,7 +81,7 @@ pub struct OptimizerConfig {
     /// [`UnionAll`]: PhysicalOp::UnionAll
     pub enable_parallel_union: bool,
     /// Semi-join reduction: collect the small build side's join keys at
-    /// drive time and splice them into the remote statement as an
+    /// drive time and bind them to the remote statement's key-set
     /// `IN`-list, cutting returned rows before they cross the link.
     /// On by default (`DHQP_SEMIJOIN`).
     pub enable_semijoin: bool,
@@ -430,7 +430,7 @@ impl<'a> SearchDriver<'a> {
         let server = locs[0].server_name()?.to_string();
         let caps = self.config.server_caps.get(&server)?.clone();
         let mut decoder = Decoder::new(self.memo, self.registry, &caps, &server);
-        let remote = decoder.build(group, None, &[], &required.ordering, None)?;
+        let remote = decoder.build(group, None, &[], None, &required.ordering, None)?;
         let props = &self.memo.group(group).props;
         let (card, width) = (props.cardinality, props.row_width);
         let leaf_rows = self.leaf_rows(group);

@@ -179,6 +179,72 @@ fn sql_minimum_provider_gets_only_simple_pushdown() {
     assert_eq!(engine.query(sql).unwrap().len(), 2);
 }
 
+/// 500 rows `t(k, v)` on a SQL-Minimum or ODBC-Core source `mini`, and two
+/// local rows `o(id, k)` whose keys 31 and 402 pick two of them.
+fn minisql_probe_fixture(level: SqlSupport) -> Engine {
+    let storage = Arc::new(StorageEngine::new("mini"));
+    storage
+        .create_table(TableDef::new(
+            "t",
+            Schema::new(vec![
+                Column::not_null("k", DataType::Int),
+                Column::not_null("v", DataType::Int),
+            ]),
+        ))
+        .unwrap();
+    let rows: Vec<Row> = (0..500)
+        .map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 3)]))
+        .collect();
+    storage.insert_rows("t", &rows).unwrap();
+    let engine = Engine::new("local");
+    engine
+        .create_table(TableDef::new(
+            "o",
+            Schema::new(vec![
+                Column::not_null("id", DataType::Int),
+                Column::not_null("k", DataType::Int),
+            ]),
+        ))
+        .unwrap();
+    engine
+        .insert(
+            "o",
+            &[
+                Row::new(vec![Value::Int(1), Value::Int(31)]),
+                Row::new(vec![Value::Int(2), Value::Int(402)]),
+            ],
+        )
+        .unwrap();
+    engine.analyze("o", 2).unwrap();
+    let provider = MiniSqlProvider::new("minidb", storage, level).unwrap();
+    engine
+        .add_linked_server("mini", Arc::new(provider))
+        .unwrap();
+    engine
+}
+
+const MINI_JOIN: &str = "SELECT o.id, t.v FROM o, mini.db.dbo.t t WHERE o.k = t.k";
+
+/// Run `sql` under EXPLAIN ANALYZE: the plan, the text each remote
+/// operator shipped last, and the answer rows sorted.
+fn shipped_and_answer(engine: &Engine, sql: &str) -> (String, Vec<String>, Vec<String>) {
+    let report = engine.execute_analyze(sql).unwrap();
+    let shipped: Vec<String> = report
+        .record
+        .operators
+        .iter()
+        .filter_map(|op| op.remote().map(|r| r.sql.clone()))
+        .collect();
+    let mut rows: Vec<String> = report
+        .result
+        .rows
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    (report.plan.display_indent(), shipped, rows)
+}
+
 /// A nested-loop join probes a SQL-Minimum or ODBC-Core source through a
 /// correlation parameter (the parameterized remote query of §4.1.2): each
 /// probe ships `k = <outer key>` with the key as a literal, never a marker,
@@ -186,44 +252,7 @@ fn sql_minimum_provider_gets_only_simple_pushdown() {
 #[test]
 fn minisql_source_probed_through_correlation_parameter() {
     for level in [SqlSupport::Minimum, SqlSupport::OdbcCore] {
-        let storage = Arc::new(StorageEngine::new("mini"));
-        storage
-            .create_table(TableDef::new(
-                "t",
-                Schema::new(vec![
-                    Column::not_null("k", DataType::Int),
-                    Column::not_null("v", DataType::Int),
-                ]),
-            ))
-            .unwrap();
-        let rows: Vec<Row> = (0..500)
-            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 3)]))
-            .collect();
-        storage.insert_rows("t", &rows).unwrap();
-        let engine = Engine::new("local");
-        engine
-            .create_table(TableDef::new(
-                "o",
-                Schema::new(vec![
-                    Column::not_null("id", DataType::Int),
-                    Column::not_null("k", DataType::Int),
-                ]),
-            ))
-            .unwrap();
-        engine
-            .insert(
-                "o",
-                &[
-                    Row::new(vec![Value::Int(1), Value::Int(31)]),
-                    Row::new(vec![Value::Int(2), Value::Int(402)]),
-                ],
-            )
-            .unwrap();
-        engine.analyze("o", 2).unwrap();
-        let provider = MiniSqlProvider::new("minidb", storage, level).unwrap();
-        engine
-            .add_linked_server("mini", Arc::new(provider))
-            .unwrap();
+        let engine = minisql_probe_fixture(level);
         // Semi-join reduction off, whatever the environment says, so the
         // parameterized probe competes with reading the whole table only.
         engine.set_optimizer_config(OptimizerConfig {
@@ -231,24 +260,7 @@ fn minisql_source_probed_through_correlation_parameter() {
             ..engine.optimizer_config()
         });
 
-        let sql = "SELECT o.id, t.v FROM o, mini.db.dbo.t t WHERE o.k = t.k";
-        let run = |engine: &Engine| {
-            let report = engine.execute_analyze(sql).unwrap();
-            let shipped: Vec<String> = report
-                .record
-                .operators
-                .iter()
-                .filter_map(|op| op.remote().map(|r| r.sql.clone()))
-                .collect();
-            let mut rows: Vec<String> = report
-                .result
-                .rows
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            rows.sort();
-            (report.plan.display_indent(), shipped, rows)
-        };
+        let run = |engine: &Engine| shipped_and_answer(engine, MINI_JOIN);
 
         let (plan, shipped, probed) = run(&engine);
         assert!(plan.contains("@__corr0"), "{level:?}:\n{plan}");
@@ -271,6 +283,39 @@ fn minisql_source_probed_through_correlation_parameter() {
             "{level:?}: {shipped:?}"
         );
         assert_eq!(probed, read, "{level:?}");
+    }
+}
+
+/// The semi-join reduction reaches an ODBC-Core source that has no nested
+/// SELECT: the decoder ANDs `k IN (@__keys0)` into the probe statement's own
+/// WHERE, and the two build keys cross as literals in one request. SQL
+/// Minimum has no `IN`, so its decoder offers no reduced statement.
+#[test]
+fn minisql_source_reduced_by_the_semijoin_key_set() {
+    for level in [SqlSupport::Minimum, SqlSupport::OdbcCore] {
+        let engine = minisql_probe_fixture(level);
+        engine.set_optimizer_config(OptimizerConfig {
+            enable_semijoin: true,
+            ..engine.optimizer_config()
+        });
+        let (plan, shipped, reduced) = shipped_and_answer(&engine, MINI_JOIN);
+        engine.set_optimizer_config(OptimizerConfig {
+            enable_semijoin: false,
+            ..engine.optimizer_config()
+        });
+        let (_, _, plain) = shipped_and_answer(&engine, MINI_JOIN);
+        assert_eq!(reduced, plain, "{level:?}:\n{plan}");
+        assert_eq!(reduced.len(), 2, "{level:?}: {reduced:?}");
+        if level == SqlSupport::Minimum {
+            assert!(!plan.contains("SemiJoinReduce"), "{plan}");
+            continue;
+        }
+        assert!(plan.contains("SemiJoinReduce"), "{plan}");
+        assert_eq!(shipped.len(), 1, "{shipped:?}\n{plan}");
+        let text = &shipped[0];
+        assert!(text.contains("IN (31, 402)"), "{text}");
+        assert!(!text.contains('@'), "{text}");
+        assert!(!text.contains("(SELECT"), "no derived table: {text}");
     }
 }
 

@@ -94,7 +94,7 @@ fn sized_federation(
 
 /// EXPLAIN ANALYZE on a reduced join: the plan node announces itself and
 /// the runtime annotation reports the key count and the extra bytes the
-/// spliced `IN`-list added to the shipped statement.
+/// key set's `IN`-list added to the shipped statement.
 #[test]
 fn explain_analyze_annotates_the_reduction() {
     let (head, _m1) = semijoin_federation(None);
@@ -173,6 +173,34 @@ fn a_key_bound_probe_side_is_fetched_without_an_in_list() {
     let rendered = report.render();
     assert!(rendered.contains("[semijoin: keys=6 bytes="), "{rendered}");
     assert_eq!(report.result.rows.len(), 360, "{rendered}");
+}
+
+/// The build side is empty at drive time although the plan, compiled and
+/// cached while `dim` held six keys, chose the reduction: the join answers
+/// empty without opening the probe side — not one request on member1's
+/// link.
+#[test]
+fn an_empty_build_side_answers_without_touching_the_link() {
+    let (head, _m1) = semijoin_federation(None);
+    head.set_plan_cache_enabled(true);
+    assert!(!head.query(JOIN).unwrap().rows.is_empty());
+    head.execute("DELETE FROM dim").unwrap();
+    let requests = || {
+        let r = head
+            .query("SELECT requests FROM sys.dm_link_stats WHERE name = 'member1'")
+            .unwrap();
+        match r.value(0, 0) {
+            Value::Int(n) => *n,
+            other => panic!("{other:?}"),
+        }
+    };
+    let before = requests();
+    let report = head.execute_analyze(JOIN).unwrap();
+    let rendered = report.render();
+    assert_eq!(requests(), before, "{rendered}");
+    assert!(report.result.rows.is_empty(), "{rendered}");
+    assert!(rendered.contains("SemiJoinReduce"), "{rendered}");
+    assert!(rendered.contains("[semijoin: keys=0"), "{rendered}");
 }
 
 /// E18's headline point: 16 build keys against a 2 400-row remote fact
@@ -268,7 +296,7 @@ fn dead_probe_link_errors_and_fingerprints_the_shipped_predicate() {
 
 /// Plan-time cardinality undershoot: the rule fired against stale
 /// statistics, drive time finds more distinct keys than `max_keys`, and
-/// the executor abandons the splice — shipping the unreduced statement
+/// the executor abandons the key set — shipping the unreduced statement
 /// instead of an oversized `IN`-list, with identical results.
 #[test]
 fn oversized_key_set_falls_back_to_the_unreduced_statement_at_runtime() {
