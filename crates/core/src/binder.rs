@@ -17,7 +17,9 @@ use crate::engine::Engine;
 use crate::knobs::Knobs;
 use dhqp_executor::ops::retry::{ReopenFactory, RetryState};
 use dhqp_executor::{MemberSchema, RetryPolicy};
-use dhqp_oledb::{is_read_only, DataSource, Rowset, RowsetExt, TableInfo};
+use dhqp_oledb::{
+    is_read_only, DataSource, ProviderCapabilities, Rowset, RowsetExt, TableSnapshot,
+};
 use dhqp_optimizer::logical::{JoinKind, LogicalExpr, LogicalOp, TableMeta};
 use dhqp_optimizer::props::{ColumnRegistry, PhysicalProps, RequiredProps};
 use dhqp_optimizer::scalar::{AggCall, AggFunc, ArithOp, CmpOp, ScalarExpr};
@@ -59,7 +61,7 @@ pub struct BoundSelect {
 /// One name visible in a FROM scope.
 #[derive(Clone)]
 struct BoundColumn {
-    name: String,
+    name: Arc<str>,
     id: ColumnId,
     #[allow(dead_code)] // kept for diagnostics and future type checking
     data_type: DataType,
@@ -69,9 +71,33 @@ struct BoundColumn {
 /// the binding is a plain table, needed by full-text rewriting).
 #[derive(Clone)]
 struct Binding {
-    alias: String,
+    alias: Arc<str>,
     columns: Vec<BoundColumn>,
     table: Option<Arc<TableMeta>>,
+}
+
+impl Binding {
+    /// A base table's binding: its alias and columns, shared with `meta`.
+    fn of_table(meta: &Arc<TableMeta>) -> Binding {
+        let columns = meta
+            .catalog
+            .schema
+            .columns()
+            .iter()
+            .zip(&meta.catalog.names)
+            .zip(&meta.column_ids)
+            .map(|((c, name), &id)| BoundColumn {
+                name: Arc::clone(name),
+                id,
+                data_type: c.data_type,
+            })
+            .collect();
+        Binding {
+            alias: Arc::clone(&meta.alias),
+            columns,
+            table: Some(Arc::clone(meta)),
+        }
+    }
 }
 
 /// Lexical scope: bindings of the current SELECT plus an optional outer
@@ -229,24 +255,8 @@ impl<'e> Binder<'e> {
         e: &ast::Expr,
         meta: &Arc<TableMeta>,
     ) -> Result<ScalarExpr> {
-        let columns = meta
-            .schema
-            .columns()
-            .iter()
-            .zip(&meta.column_ids)
-            .map(|(c, &id)| BoundColumn {
-                name: c.name.clone(),
-                id,
-                data_type: c.data_type,
-            })
-            .collect();
-        let binding = Binding {
-            alias: meta.alias.clone(),
-            columns,
-            table: Some(Arc::clone(meta)),
-        };
         let scope = Scope {
-            bindings: vec![binding],
+            bindings: vec![Binding::of_table(meta)],
             outer: None,
         };
         self.bind_expr(e, &scope)
@@ -332,7 +342,7 @@ impl<'e> Binder<'e> {
                     for b in &scope.bindings {
                         for c in &b.columns {
                             outputs.push((c.id, ScalarExpr::Column(c.id)));
-                            visible.push((c.name.clone(), c.id));
+                            visible.push((c.name.to_string(), c.id));
                         }
                     }
                 }
@@ -344,7 +354,7 @@ impl<'e> Binder<'e> {
                         .ok_or_else(|| DhqpError::Bind(format!("unknown alias '{alias}'")))?;
                     for c in &b.columns {
                         outputs.push((c.id, ScalarExpr::Column(c.id)));
-                        visible.push((c.name.clone(), c.id));
+                        visible.push((c.name.to_string(), c.id));
                     }
                 }
                 ast::SelectItem::Expr { expr, alias } => {
@@ -355,7 +365,7 @@ impl<'e> Binder<'e> {
                     };
                     let (id, name) = match (&bound, alias) {
                         (ScalarExpr::Column(id), None) => {
-                            let name = self.registry.meta(*id).name.clone();
+                            let name = self.registry.meta(*id).name.to_string();
                             (*id, name)
                         }
                         (ScalarExpr::Column(id), Some(a)) => (*id, a.clone()),
@@ -592,7 +602,7 @@ impl<'e> Binder<'e> {
                 let columns = output
                     .iter()
                     .map(|(name, id)| BoundColumn {
-                        name: name.clone(),
+                        name: name.as_str().into(),
                         id: *id,
                         data_type: self.registry.meta(*id).data_type,
                     })
@@ -600,7 +610,7 @@ impl<'e> Binder<'e> {
                 Ok((
                     tree,
                     vec![Binding {
-                        alias: alias.clone(),
+                        alias: alias.as_str().into(),
                         columns,
                         table: None,
                     }],
@@ -680,15 +690,20 @@ impl<'e> Binder<'e> {
             .into_iter()
             .map(|r| r.values)
             .collect();
+        let alias: Arc<str> = alias.into();
         let mut columns = Vec::new();
         let mut bound_cols = Vec::new();
         for c in schema.columns() {
-            let id = self
-                .registry
-                .allocate(c.name.clone(), alias, c.data_type, c.nullable);
+            let name: Arc<str> = c.name.as_str().into();
+            let id = self.registry.allocate(
+                Arc::clone(&name),
+                Arc::clone(&alias),
+                c.data_type,
+                c.nullable,
+            );
             columns.push(id);
             bound_cols.push(BoundColumn {
-                name: c.name.clone(),
+                name,
                 id,
                 data_type: c.data_type,
             });
@@ -703,7 +718,7 @@ impl<'e> Binder<'e> {
         Ok((
             tree,
             vec![Binding {
-                alias: alias.to_string(),
+                alias,
                 columns: bound_cols,
                 table: None,
             }],
@@ -725,34 +740,19 @@ impl<'e> Binder<'e> {
         // A one-part name may be a partitioned view.
         if server.is_none() && name.0.len() == 1 {
             if let Some(view) = self.engine.partitioned_view(&table_name) {
-                return self.bind_partitioned_view(&Arc::new(view), alias);
+                return self.bind_partitioned_view(&view, alias);
             }
         }
         let alias = alias
             .map(str::to_string)
             .unwrap_or_else(|| table_name.clone());
         let meta = self.fetch_table_meta(server.as_deref(), &table_name, &alias)?;
-        let columns = meta
-            .schema
-            .columns()
-            .iter()
-            .zip(&meta.column_ids)
-            .map(|(c, &id)| BoundColumn {
-                name: c.name.clone(),
-                id,
-                data_type: c.data_type,
-            })
-            .collect();
-        let binding = Binding {
-            alias,
-            columns,
-            table: Some(Arc::clone(&meta)),
-        };
+        let binding = Binding::of_table(&meta);
         Ok((LogicalExpr::get(meta), vec![binding]))
     }
 
-    /// Snapshot a table's metadata into a [`TableMeta`] with fresh column
-    /// ids.
+    /// A [`TableMeta`] over a table's shared catalog snapshot: the bind
+    /// allocates only the reference's alias and fresh column ids.
     fn fetch_table_meta(
         &mut self,
         server: Option<&str>,
@@ -766,33 +766,56 @@ impl<'e> Binder<'e> {
             self.note_remote_dep(s, Some(fetched.fetched_at));
             self.used_feedback |= fetched.feedback;
         }
-        let column_ids = fetched
-            .info
-            .columns
+        let source = match server {
+            None => Locality::Local,
+            Some(s) => Locality::remote(s),
+        };
+        Ok(Arc::new(self.table_meta(
+            source,
+            table,
+            alias.into(),
+            fetched.cardinality,
+            fetched.catalog,
+            fetched.caps,
+        )))
+    }
+
+    /// One table reference: a fresh id and fresh column ids over `catalog`.
+    fn table_meta(
+        &mut self,
+        source: Locality,
+        table: &str,
+        alias: Arc<str>,
+        cardinality: Option<u64>,
+        catalog: Arc<TableSnapshot>,
+        caps: Arc<ProviderCapabilities>,
+    ) -> TableMeta {
+        let column_ids = catalog
+            .schema
+            .columns()
             .iter()
-            .map(|c| {
-                self.registry
-                    .allocate(c.name.clone(), alias, c.data_type, c.nullable)
+            .zip(&catalog.names)
+            .map(|(c, name)| {
+                self.registry.allocate(
+                    Arc::clone(name),
+                    Arc::clone(&alias),
+                    c.data_type,
+                    c.nullable,
+                )
             })
             .collect();
         let id = self.next_table_id;
         self.next_table_id += 1;
-        Ok(Arc::new(TableMeta {
+        TableMeta {
             id,
-            source: match server {
-                None => Locality::Local,
-                Some(s) => Locality::remote(s),
-            },
+            source,
             table: table.to_string(),
-            alias: alias.to_string(),
-            schema: fetched.info.schema(),
+            alias,
             column_ids,
-            cardinality: fetched.info.cardinality,
-            indexes: fetched.info.indexes.clone(),
-            stats: fetched.stats.clone(),
-            caps: fetched.caps.clone(),
-            checks: fetched.checks.clone(),
-        }))
+            cardinality,
+            catalog,
+            caps,
+        }
     }
 
     /// Record what this bind assumes about member `i` of `view`: the stamp
@@ -835,52 +858,41 @@ impl<'e> Binder<'e> {
                 // plan still becomes stale if the member's server changes.
                 self.note_remote_dep(srv, None);
             }
-            let member_alias = format!("{}__p{}", alias, i);
             // Delayed schema validation (§4.1.5): compile against the
             // definition-time snapshot WITHOUT contacting the member; the
             // live check happens at execution, only for members the plan
-            // actually touches.
-            let info = &member.schema_snapshot;
-            let column_ids = info
-                .columns
-                .iter()
-                .map(|c| {
-                    self.registry
-                        .allocate(c.name.clone(), &member_alias, c.data_type, c.nullable)
-                })
-                .collect();
-            let id = self.next_table_id;
-            self.next_table_id += 1;
-            let meta = TableMeta {
-                id,
-                source: match &member.server {
-                    None => Locality::Local,
-                    Some(srv) => Locality::remote(srv),
-                },
-                table: member.table.clone(),
-                alias: member_alias,
-                schema: info.schema(),
-                column_ids,
-                cardinality: info.cardinality,
-                indexes: info.indexes.clone(),
-                stats: None,
-                caps: self.engine.server_capabilities(member.server.as_deref())?,
-                // The member's CHECK range on the partitioning column.
-                checks: vec![(view.partition_column, member.check.clone())],
+            // actually touches. The snapshot carries the member's CHECK
+            // range on the partitioning column.
+            let source = match &member.server {
+                None => Locality::Local,
+                Some(srv) => Locality::remote(srv),
             };
+            let caps = self.engine.server_capabilities(member.server.as_deref())?;
+            let meta = self.table_meta(
+                source,
+                &member.table,
+                format!("{alias}__p{i}").into(),
+                member.schema_snapshot.cardinality,
+                Arc::clone(&view.catalogs[i]),
+                caps,
+            );
             children.push(LogicalExpr::get(Arc::new(meta)));
         }
         // The view's output columns.
-        let first = &view.members[0].schema_snapshot;
+        let first = &view.catalogs[0];
+        let alias: Arc<str> = alias.into();
         let mut out_cols = Vec::new();
         let mut bound_cols = Vec::new();
-        for c in &first.columns {
-            let id = self
-                .registry
-                .allocate(c.name.clone(), &alias, c.data_type, c.nullable);
+        for (c, name) in first.schema.columns().iter().zip(&first.names) {
+            let id = self.registry.allocate(
+                Arc::clone(name),
+                Arc::clone(&alias),
+                c.data_type,
+                c.nullable,
+            );
             out_cols.push(id);
             bound_cols.push(BoundColumn {
-                name: c.name.clone(),
+                name: Arc::clone(name),
                 id,
                 data_type: c.data_type,
             });
@@ -998,7 +1010,7 @@ impl<'e> Binder<'e> {
                     meta.table, bound.name
                 ))
             })?;
-        let key_pos = meta.schema.index_of(&key_column).ok_or_else(|| {
+        let key_pos = meta.catalog.schema.index_of(&key_column).ok_or_else(|| {
             DhqpError::Bind(format!("full-text key column '{key_column}' missing"))
         })?;
         let hits = self.engine.fulltext_query(&catalog, query)?;
@@ -1376,12 +1388,15 @@ impl<'e> Binder<'e> {
     }
 }
 
-/// Metadata bundle fetched by the engine for one table.
+/// Metadata bundle fetched by the engine for one table: handles on shared
+/// values, so a clone costs two reference counts.
+#[derive(Clone)]
 pub struct FetchedTable {
-    pub info: TableInfo,
-    pub stats: Option<dhqp_oledb::TableStatistics>,
-    pub caps: dhqp_oledb::ProviderCapabilities,
-    pub checks: Vec<(usize, dhqp_types::IntervalSet)>,
+    pub catalog: Arc<TableSnapshot>,
+    pub caps: Arc<ProviderCapabilities>,
+    /// The row count: live for a local table; as reported by TABLES_INFO
+    /// (or corrected by feedback) for a remote one.
+    pub cardinality: Option<u64>,
     /// When this bundle was fetched — drives the statistics-cache TTL and
     /// the statistics age `EXPLAIN ANALYZE` reports for cached plans.
     pub fetched_at: std::time::Instant,

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 /// What a DML statement targets.
 enum Target {
-    View(PartitionedView),
+    View(Arc<PartitionedView>),
     /// `(server, table)`; server None = local.
     Table(Option<String>, String),
 }
@@ -426,7 +426,7 @@ struct BoundTarget {
 /// Everything an UPDATE/DELETE writes: the tables its WHERE clause can
 /// touch, and the context its expressions evaluate in.
 struct WriteSet {
-    view: Option<PartitionedView>,
+    view: Option<Arc<PartitionedView>>,
     targets: Vec<BoundTarget>,
     ctx: ExecContext,
 }
@@ -449,10 +449,10 @@ impl WriteSet {
             let assignments = assignments
                 .iter()
                 .map(|(col, e)| {
-                    let pos = meta
-                        .schema
-                        .index_of(col)
-                        .ok_or_else(|| DhqpError::Bind(format!("unknown UPDATE column '{col}'")))?;
+                    let pos =
+                        meta.catalog.schema.index_of(col).ok_or_else(|| {
+                            DhqpError::Bind(format!("unknown UPDATE column '{col}'"))
+                        })?;
                     Ok((pos, binder.bind_expr_in_table(e, &meta)?))
                 })
                 .collect::<Result<Vec<_>>>()?;
@@ -475,7 +475,8 @@ impl WriteSet {
                     let mut bound = bind(&member.server, &member.table, Some(m))?;
                     // The member's CHECK range, as a SELECT's member `Get`
                     // carries it (`Binder::bind_partitioned_view`).
-                    Arc::make_mut(&mut bound.meta)
+                    let meta = Arc::make_mut(&mut bound.meta);
+                    Arc::make_mut(&mut meta.catalog)
                         .checks
                         .push((view.partition_column, member.check.clone()));
                     Ok(bound)
@@ -522,7 +523,7 @@ impl WriteSet {
     /// provider takes it; `false` when its rows have to be located. A key
     /// domain that proves the predicate selects nothing still sends nothing.
     fn push(&self, engine: &Engine, target: &BoundTarget, plan: &mut WritePlan) -> bool {
-        let Some(text) = pushed_statement(target, self.view.as_ref()) else {
+        let Some(text) = pushed_statement(target, self.view.as_deref()) else {
             return false;
         };
         let seek = target.predicate.as_ref().map(|p| self.plan_seek(target, p));
@@ -553,8 +554,8 @@ impl WriteSet {
         if domains.meet(&bounds) {
             return Seek::NoRows;
         }
-        for index in &meta.indexes {
-            let Some(lead) = meta.schema.index_of(&index.key_columns[0]) else {
+        for index in &meta.catalog.indexes {
+            let Some(lead) = meta.catalog.schema.index_of(&index.key_columns[0]) else {
                 continue;
             };
             let key = meta.column_id(lead);
@@ -565,7 +566,7 @@ impl WriteSet {
                 continue;
             }
             let hull = domains.get(key).and_then(IntervalSet::hull);
-            let key_type = meta.schema.column(lead).data_type;
+            let key_type = meta.catalog.schema.column(lead).data_type;
             if let Some(range) = hull.and_then(|hull| KeyRange::covering(&hull, key_type)) {
                 return Seek::Range(index.name.clone(), range);
             }
@@ -663,7 +664,12 @@ fn pushed_statement(target: &BoundTarget, view: Option<&PartitionedView>) -> Opt
         .assignments
         .iter()
         .zip(&mut texts)
-        .map(|((pos, _), value)| format!("{} = {value}", quote(&meta.schema.column(*pos).name)))
+        .map(|((pos, _), value)| {
+            format!(
+                "{} = {value}",
+                quote(&meta.catalog.schema.column(*pos).name)
+            )
+        })
         .collect();
     let mut sql = match sets.is_empty() {
         true => format!("DELETE FROM {}", quote(&meta.table)),
@@ -789,7 +795,7 @@ impl WriteSet {
             };
             for (pos, e) in &target.assignments {
                 let mut v = eval_expr(e, &env)?;
-                let declared = meta.schema.column(*pos).data_type;
+                let declared = meta.catalog.schema.column(*pos).data_type;
                 if !v.is_null() && v.data_type() != Some(declared) {
                     if let Ok(cast) = v.cast(declared) {
                         v = cast;
@@ -860,7 +866,7 @@ mod tests {
             },
             member: None,
             meta: Arc::new(TableMeta {
-                caps,
+                caps: Arc::new(caps),
                 ..TableMeta::clone(&meta)
             }),
         }
@@ -936,6 +942,7 @@ mod tests {
             columns: vec!["id".into(), "balance".into()],
             partition_column,
             members: Vec::new(),
+            catalogs: Vec::new(),
         };
         let member = BoundTarget {
             member: Some(0),

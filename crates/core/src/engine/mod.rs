@@ -25,7 +25,8 @@ use dhqp_executor::{
 use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
 use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::{
-    emit_event, has_hook, timed_wait, DataSource, TableStatistics, WaitClass, WaitSnapshot,
+    emit_event, has_hook, timed_wait, DataSource, TableSnapshot, TableStatistics, WaitClass,
+    WaitSnapshot,
 };
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Value};
@@ -48,13 +49,13 @@ pub(crate) struct Inner {
     storage: Arc<StorageEngine>,
     local_source: Arc<LocalDataSource>,
     registry: RwLock<LinkedServerRegistry>,
-    views: RwLock<HashMap<String, PartitionedView>>,
+    views: RwLock<HashMap<String, Arc<PartitionedView>>>,
     fulltext: Arc<SearchService>,
     /// `(table, column)` → `(catalog, key column)` full-text bindings.
     ft_bindings: RwLock<HashMap<(String, String), (String, String)>>,
     /// Remote metadata cache: `(server, table)` → fetched bundle. Local
     /// tables are never cached (they are cheap and always fresh).
-    meta_cache: RwLock<HashMap<(String, String), Arc<FetchedTable>>>,
+    meta_cache: RwLock<HashMap<(String, String), FetchedTable>>,
     /// Parameterized plan cache: template text → cached compile.
     plan_cache: Mutex<PlanCache>,
     /// Per-linked-server invalidation epochs (lowercased names). Bumped on
@@ -318,21 +319,25 @@ impl Engine {
                 // before any traffic touches them.
                 self.inner.health.ensure(s);
             }
+            let schema_snapshot = fetched.catalog.table_info(&table, fetched.cardinality);
             built.push(MemberTable {
                 server,
                 table,
                 check,
-                schema_snapshot: fetched.info.clone(),
+                schema_snapshot,
             });
         }
         let view = PartitionedView::define(name, partition_column, built)?;
-        self.inner.views.write().insert(name.to_lowercase(), view);
+        self.inner
+            .views
+            .write()
+            .insert(name.to_lowercase(), Arc::new(view));
         // (Re)defining a view changes what its name binds to.
         self.bump_schema_epoch();
         Ok(())
     }
 
-    pub fn partitioned_view(&self, name: &str) -> Option<PartitionedView> {
+    pub fn partitioned_view(&self, name: &str) -> Option<Arc<PartitionedView>> {
         self.inner.views.read().get(&name.to_lowercase()).cloned()
     }
 
@@ -427,30 +432,25 @@ impl Engine {
     // ---- metadata ----------------------------------------------------------
 
     /// Fetch a table's metadata bundle; remote ones cache for `stats_ttl`.
+    /// A local table's comes from storage as it is now: the snapshot
+    /// storage replaced on its last `ANALYZE` or DDL, and the live row
+    /// count.
     pub(crate) fn table_metadata(
         &self,
         server: Option<&str>,
         table: &str,
         stats_ttl: Duration,
-    ) -> Result<Arc<FetchedTable>> {
+    ) -> Result<FetchedTable> {
         match server {
             None => {
-                let info = self.inner.local_source.table(table)?;
-                let stats = self.inner.storage.statistics(table);
-                let checks = self.inner.storage.with_table(table, |t| {
-                    t.checks
-                        .iter()
-                        .filter_map(|c| t.schema.index_of(&c.column).map(|p| (p, c.domain.clone())))
-                        .collect::<Vec<_>>()
-                })?;
-                Ok(Arc::new(FetchedTable {
-                    info,
-                    stats,
-                    caps: self.inner.local_source.capabilities(),
-                    checks,
+                let (catalog, rows) = self.inner.local_source.catalog(table)?;
+                Ok(FetchedTable {
+                    catalog,
+                    caps: Arc::clone(self.inner.local_source.shared_capabilities()),
+                    cardinality: Some(rows),
                     fetched_at: Instant::now(),
                     feedback: false,
-                }))
+                })
             }
             Some(server) => {
                 let key = (server.to_lowercase(), table.to_lowercase());
@@ -460,10 +460,10 @@ impl Engine {
                     // remote statistics.
                     if hit.fetched_at.elapsed() <= stats_ttl {
                         self.counters().meta_cache_hits.bump();
-                        if hit.stats.is_some() {
+                        if hit.catalog.stats.is_some() {
                             self.counters().stats_cache_hits.bump();
                         }
-                        return Ok(Arc::clone(hit));
+                        return Ok(hit.clone());
                     }
                 }
                 self.counters().meta_cache_misses.bump();
@@ -485,7 +485,7 @@ impl Engine {
                                 stats.set_histogram(&c.name, h);
                             }
                         }
-                        Some(stats)
+                        Some(Arc::new(stats))
                     } else {
                         None
                     };
@@ -494,18 +494,14 @@ impl Engine {
                 if stats.is_some() {
                     self.counters().stats_cache_misses.bump();
                 }
-                let fetched = Arc::new(FetchedTable {
-                    info,
-                    stats,
-                    caps,
-                    checks: Vec::new(),
+                let fetched = FetchedTable {
+                    catalog: Arc::new(TableSnapshot::of(&info).with_stats(stats)),
+                    caps: Arc::new(caps),
+                    cardinality: info.cardinality,
                     fetched_at: Instant::now(),
                     feedback: false,
-                });
-                self.inner
-                    .meta_cache
-                    .write()
-                    .insert(key, Arc::clone(&fetched));
+                };
+                self.inner.meta_cache.write().insert(key, fetched.clone());
                 Ok(fetched)
             }
         }
@@ -515,10 +511,10 @@ impl Engine {
     pub(crate) fn server_capabilities(
         &self,
         server: Option<&str>,
-    ) -> Result<dhqp_oledb::ProviderCapabilities> {
+    ) -> Result<Arc<dhqp_oledb::ProviderCapabilities>> {
         match server {
-            None => Ok(self.inner.local_source.capabilities()),
-            Some(s) => Ok(self.linked_server(s)?.capabilities()),
+            None => Ok(Arc::clone(self.inner.local_source.shared_capabilities())),
+            Some(s) => Ok(Arc::new(self.linked_server(s)?.capabilities())),
         }
     }
 

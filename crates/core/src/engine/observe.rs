@@ -141,26 +141,24 @@ impl Engine {
             let cached = self.inner.meta_cache.read().get(&key).cloned();
             let Some(cached) = cached else { continue };
             let known = cached
-                .info
                 .cardinality
-                .or_else(|| cached.stats.as_ref().and_then(|s| s.row_count))
+                .or_else(|| cached.catalog.stats.as_ref().and_then(|s| s.row_count))
                 .unwrap_or(0);
             if observed < known.max(1).saturating_mul(2) {
                 continue;
             }
-            let mut info = cached.info.clone();
-            info.cardinality = Some(observed);
-            let corrected = Arc::new(FetchedTable {
-                info,
-                stats: Some(TableStatistics {
-                    row_count: Some(observed),
-                    ..TableStatistics::default()
-                }),
-                caps: cached.caps.clone(),
-                checks: cached.checks.clone(),
+            let stats = TableStatistics {
+                row_count: Some(observed),
+                ..TableStatistics::default()
+            };
+            let catalog = (*cached.catalog).clone().with_stats(Some(Arc::new(stats)));
+            let corrected = FetchedTable {
+                catalog: Arc::new(catalog),
+                caps: cached.caps,
+                cardinality: Some(observed),
                 fetched_at: Instant::now(),
                 feedback: true,
-            });
+            };
             self.inner.meta_cache.write().insert(key.clone(), corrected);
             self.counters().card_feedback_applied.bump();
             if !touched_servers.contains(&key.0) {

@@ -50,6 +50,10 @@ impl DataSource for EngineDataSource {
         self.engine.local_data_source().tables()
     }
 
+    fn table(&self, name: &str) -> Result<TableInfo> {
+        self.engine.local_data_source().table(name)
+    }
+
     fn create_session(&self) -> Result<Box<dyn Session>> {
         Ok(Box::new(EngineSession {
             engine: self.engine.clone(),

@@ -461,10 +461,7 @@ mod tests {
             groups: 4,
             exprs: 9,
             rules_fired: 3,
-            rule_counts: vec![
-                ("JoinCommute".to_string(), 2),
-                ("PushFilter".to_string(), 1),
-            ],
+            rule_counts: vec![("JoinCommute", 2), ("PushFilter", 1)],
             phases: vec![],
             early_exit: false,
         };

@@ -532,7 +532,7 @@ mod tests {
                 8,
             );
             let mut m2 = (*m).clone();
-            m2.indexes = vec![dhqp_oledb::IndexInfo {
+            Arc::make_mut(&mut m2.catalog).indexes = vec![dhqp_oledb::IndexInfo {
                 name: "pk_t".into(),
                 key_columns: vec!["k".into()],
                 unique: true,
@@ -549,7 +549,7 @@ mod tests {
                 8,
             );
             let mut m2 = (*m).clone();
-            m2.indexes = vec![dhqp_oledb::IndexInfo {
+            Arc::make_mut(&mut m2.catalog).indexes = vec![dhqp_oledb::IndexInfo {
                 name: "pk_t".into(),
                 key_columns: vec!["k".into()],
                 unique: true,

@@ -313,7 +313,7 @@ impl ExecContext {
                 .map(|&c| {
                     let m = self.registry.meta(c);
                     Column {
-                        name: m.name.clone(),
+                        name: m.name.to_string(),
                         data_type: m.data_type,
                         nullable: m.nullable,
                     }

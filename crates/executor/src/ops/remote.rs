@@ -228,7 +228,7 @@ pub fn open_remote_fetch(
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let (table, schema) = (meta.table.clone(), meta.schema.clone());
+    let (table, schema) = (meta.table.clone(), meta.catalog.schema.clone());
     let request = || format!("IRowsetLocate([{}] bookmarks)", meta.table);
     open_via_breaker(server, checks, ctx, node, None, request, move |session| {
         let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;

@@ -85,7 +85,7 @@ mod tests {
             20,
         );
         let mut m = (*meta).clone();
-        m.indexes = vec![dhqp_oledb::IndexInfo {
+        Arc::make_mut(&mut m.catalog).indexes = vec![dhqp_oledb::IndexInfo {
             name: "pk".into(),
             key_columns: vec!["k".into()],
             unique: true,

@@ -6,8 +6,9 @@
 //! column designated as the partitioning column. Each table must store a
 //! disjoint range of partitioned values."
 
-use dhqp_oledb::TableInfo;
+use dhqp_oledb::{TableInfo, TableSnapshot};
 use dhqp_types::{DhqpError, IntervalSet, Result, Value};
+use std::sync::Arc;
 
 /// One member table of a partitioned view.
 #[derive(Debug, Clone)]
@@ -33,6 +34,11 @@ pub struct PartitionedView {
     /// Position of the partitioning column within `columns`.
     pub partition_column: usize,
     pub members: Vec<MemberTable>,
+    /// One catalog snapshot per member, built once by
+    /// [`PartitionedView::define`]: the definition-time schema and indexes,
+    /// no statistics, and the member's CHECK range on the partitioning
+    /// column. Every bind of the view shares them.
+    pub catalogs: Vec<Arc<TableSnapshot>>,
 }
 
 impl PartitionedView {
@@ -101,11 +107,19 @@ impl PartitionedView {
                 }
             }
         }
+        let catalogs = members
+            .iter()
+            .map(|m| {
+                let checks = vec![(partition_column_pos, m.check.clone())];
+                Arc::new(TableSnapshot::of(&m.schema_snapshot).with_checks(checks))
+            })
+            .collect();
         Ok(PartitionedView {
             name,
             columns,
             partition_column: partition_column_pos,
             members,
+            catalogs,
         })
     }
 

@@ -42,7 +42,7 @@ pub use datasource::{
 pub use layer::{CommandLayer, CommandVerb, Reply, SessionLayer, SourceLayer, Verb};
 pub use pool::{PoolStats, PooledDataSource, MAX_IDLE_SESSIONS};
 pub use rowset::{IterRowset, MemRowset, RowCursor, Rowset, RowsetExt};
-pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo};
+pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo, TableSnapshot};
 pub use statistics::{Histogram, HistogramBucket, TableStatistics};
 pub use telemetry::{HistogramSnapshot, LatencySummary, LogHistogram, HISTOGRAM_BUCKETS};
 pub use waits::{

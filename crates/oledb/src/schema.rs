@@ -8,8 +8,10 @@
 //! `TABLES_INFO` schema rowset carries cardinality, §3.2.4).
 
 use crate::rowset::MemRowset;
-use dhqp_types::{Column, DataType, Row, Schema, Value};
+use crate::statistics::TableStatistics;
+use dhqp_types::{Column, DataType, IntervalSet, Row, Schema, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Column metadata as exposed by a provider.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,6 +112,77 @@ impl TableInfo {
                 .first()
                 .is_some_and(|k| k.eq_ignore_ascii_case(column))
         })
+    }
+}
+
+/// One table's catalog facts — schema, index list, CHECK domains and
+/// statistics — as one immutable value shared by `Arc` (paper §3.2.4: the
+/// metadata and histograms are fetched once and the optimizer only reads
+/// them). Every bind and every cached plan that references the table points
+/// at the same snapshot; its owner replaces it whole when a fact changes:
+/// the storage engine on `ANALYZE` and DDL, the engine's remote metadata
+/// cache on a fetch or a feedback correction, a partitioned view when it is
+/// (re)defined.
+#[derive(Debug, Clone)]
+pub struct TableSnapshot {
+    pub schema: Schema,
+    /// The column names, in schema order, as the shared strings column
+    /// registries name bound columns with.
+    pub names: Vec<Arc<str>>,
+    pub indexes: Vec<IndexInfo>,
+    /// CHECK constraint domains: `(schema column position, domain)`.
+    pub checks: Vec<(usize, IntervalSet)>,
+    /// Histogram statistics, when built or fetched.
+    pub stats: Option<Arc<TableStatistics>>,
+}
+
+impl TableSnapshot {
+    pub fn new(schema: Schema, indexes: Vec<IndexInfo>) -> Self {
+        TableSnapshot {
+            names: schema
+                .columns()
+                .iter()
+                .map(|c| Arc::from(c.name.as_str()))
+                .collect(),
+            schema,
+            indexes,
+            checks: Vec::new(),
+            stats: None,
+        }
+    }
+
+    /// The snapshot of a provider's table metadata.
+    pub fn of(info: &TableInfo) -> Self {
+        TableSnapshot::new(info.schema(), info.indexes.clone())
+    }
+
+    pub fn with_checks(mut self, checks: Vec<(usize, IntervalSet)>) -> Self {
+        self.checks = checks;
+        self
+    }
+
+    pub fn with_stats(mut self, stats: Option<Arc<TableStatistics>>) -> Self {
+        self.stats = stats;
+        self
+    }
+
+    /// The provider metadata this snapshot describes, as table `name`.
+    pub fn table_info(&self, name: &str, cardinality: Option<u64>) -> TableInfo {
+        TableInfo {
+            name: name.to_string(),
+            columns: self
+                .schema
+                .columns()
+                .iter()
+                .map(|c| ColumnInfo {
+                    name: c.name.clone(),
+                    data_type: c.data_type,
+                    nullable: c.nullable,
+                })
+                .collect(),
+            indexes: self.indexes.clone(),
+            cardinality,
+        }
     }
 }
 

@@ -14,6 +14,7 @@ use dhqp_types::{Interval, IntervalBound, IntervalSet, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One histogram step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -212,17 +213,19 @@ fn fraction_of(bucket: &Interval, overlap: &Interval, distinct: f64) -> f64 {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TableStatistics {
     pub row_count: Option<u64>,
-    /// Histograms keyed by lower-cased column name.
-    pub histograms: BTreeMap<String, Histogram>,
+    /// Histograms keyed by lower-cased column name, each shared with the
+    /// logical properties of every group that reads its column.
+    pub histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
 impl TableStatistics {
-    pub fn histogram(&self, column: &str) -> Option<&Histogram> {
+    pub fn histogram(&self, column: &str) -> Option<&Arc<Histogram>> {
         self.histograms.get(&column.to_ascii_lowercase())
     }
 
     pub fn set_histogram(&mut self, column: &str, h: Histogram) {
-        self.histograms.insert(column.to_ascii_lowercase(), h);
+        self.histograms
+            .insert(column.to_ascii_lowercase(), Arc::new(h));
     }
 }
 

@@ -48,21 +48,27 @@ pub fn derive_props(
     match op {
         LogicalOp::Get { meta, columns } => {
             let mut histograms = BTreeMap::new();
-            if let Some(stats) = &meta.stats {
-                for (pos, col) in meta.schema.columns().iter().enumerate() {
+            if let Some(stats) = &meta.catalog.stats {
+                for (pos, col) in meta.catalog.schema.columns().iter().enumerate() {
                     if let Some(h) = stats.histogram(&col.name) {
-                        histograms.insert(meta.column_id(pos), Arc::new(h.clone()));
+                        histograms.insert(meta.column_id(pos), Arc::clone(h));
                     }
                 }
             }
             let keys = meta
+                .catalog
                 .indexes
                 .iter()
                 .filter(|ix| ix.unique && !ix.key_columns.is_empty())
                 .filter_map(|ix| {
                     ix.key_columns
                         .iter()
-                        .map(|name| meta.schema.index_of(name).map(|pos| meta.column_id(pos)))
+                        .map(|name| {
+                            meta.catalog
+                                .schema
+                                .index_of(name)
+                                .map(|pos| meta.column_id(pos))
+                        })
                         .collect()
                 })
                 .collect();
@@ -492,7 +498,7 @@ mod tests {
         };
         stats.set_histogram("k", Histogram::build(&vals, 16, 0.0).unwrap());
         let mut m = (*meta).clone();
-        m.stats = Some(stats);
+        Arc::make_mut(&mut m.catalog).stats = Some(Arc::new(stats));
         Arc::new(m)
     }
 
@@ -523,7 +529,7 @@ mod tests {
         );
         // Without the histogram the default range guess (1/3) applies.
         let mut bare = (*meta).clone();
-        bare.stats = None;
+        Arc::make_mut(&mut bare.catalog).stats = None;
         bare.id = 7;
         let tree = LogicalExpr::get(Arc::new(bare)).filter(pred);
         let props = props_of(&tree, &reg);
@@ -548,11 +554,13 @@ mod tests {
             ("u", DataType::Int),
         ];
         let mut m = (*test_table_meta(0, "t", Locality::Local, &cols, reg, 1000)).clone();
-        m.indexes.push(dhqp_oledb::IndexInfo {
-            name: "pk".into(),
-            key_columns: vec!["k".into()],
-            unique: true,
-        });
+        Arc::make_mut(&mut m.catalog)
+            .indexes
+            .push(dhqp_oledb::IndexInfo {
+                name: "pk".into(),
+                key_columns: vec!["k".into()],
+                unique: true,
+            });
         let mut stats = TableStatistics {
             row_count: Some(1000),
             ..Default::default()
@@ -560,7 +568,7 @@ mod tests {
         stats.set_histogram("k", int_histogram(1000, |i| i));
         stats.set_histogram("g", int_histogram(1000, |i| i % 25));
         stats.set_histogram("s", int_histogram(1000, |i| if i < 500 { 0 } else { i }));
-        m.stats = Some(stats);
+        Arc::make_mut(&mut m.catalog).stats = Some(Arc::new(stats));
         Arc::new(m)
     }
 
@@ -597,7 +605,7 @@ mod tests {
         // ... which a literal comparand still gets from the histogram.
         let zero = rows(ScalarExpr::eq(col(2), ScalarExpr::literal(Value::Int(0))));
         let dom = IntervalSet::point(Value::Int(0));
-        let hist = meta.stats.as_ref().unwrap().histogram("s").unwrap();
+        let hist = meta.catalog.stats.as_ref().unwrap().histogram("s").unwrap();
         assert_eq!(zero, 1000.0 * hist.selectivity(&dom));
         assert!(zero >= 400.0, "the histogram sees the skew: {zero}");
         // A range with an unknown bound stays a guess.
@@ -609,7 +617,7 @@ mod tests {
     fn a_key_without_a_histogram_still_has_a_density() {
         let mut reg = ColumnRegistry::new();
         let mut bare = (*density_table(&mut reg)).clone();
-        bare.stats = None;
+        Arc::make_mut(&mut bare.catalog).stats = None;
         let meta = Arc::new(bare);
         let k = ScalarExpr::Column(meta.column_id(0));
         let list = |negated| ScalarExpr::InList {
@@ -636,7 +644,7 @@ mod tests {
                 high: IntervalBound::Excluded(Value::Date(hi)),
             })
         };
-        m.checks = vec![(0, year(10_000, 10_365))];
+        Arc::make_mut(&mut m.catalog).checks = vec![(0, year(10_000, 10_365))];
         let meta = Arc::new(m);
         let col = |pos: usize| ScalarExpr::Column(meta.column_id(pos));
         // 365 days hold 3 650 rows: ten a day, not the 5 % guess (182).
@@ -648,7 +656,7 @@ mod tests {
         // A domain wider than the table says nothing about how many of its
         // values are present: the constant again.
         let mut sparse = (*meta).clone();
-        sparse.checks = vec![(0, year(0, 100_000))];
+        Arc::make_mut(&mut sparse.catalog).checks = vec![(0, year(0, 100_000))];
         let sparse = Arc::new(sparse);
         let day = filtered_rows(&sparse, &reg, ScalarExpr::eq(col(0), param("d")));
         assert!((day - 3650.0 * SEL_EQ_DEFAULT).abs() < 1e-9);
@@ -675,17 +683,19 @@ mod tests {
         let mut reg = ColumnRegistry::new();
         let cols = [("k", DataType::Int)];
         let mut m = (*test_table_meta(0, "t", Locality::Local, &cols, &mut reg, 20_000)).clone();
-        m.indexes.push(dhqp_oledb::IndexInfo {
-            name: "pk".into(),
-            key_columns: vec!["k".into()],
-            unique: true,
-        });
+        Arc::make_mut(&mut m.catalog)
+            .indexes
+            .push(dhqp_oledb::IndexInfo {
+                name: "pk".into(),
+                key_columns: vec!["k".into()],
+                unique: true,
+            });
         let mut stats = TableStatistics {
             row_count: Some(20_000),
             ..Default::default()
         };
         stats.set_histogram("k", int_histogram(20_000, |i| i));
-        m.stats = Some(stats);
+        Arc::make_mut(&mut m.catalog).stats = Some(Arc::new(stats));
         let meta = Arc::new(m);
         // What an index range over the table is sized with.
         let table = props_of(&LogicalExpr::get(Arc::clone(&meta)), &reg);
@@ -707,18 +717,20 @@ mod tests {
             ("qty", DataType::Int),
         ];
         let mut m = (*test_table_meta(0, "l", Locality::Local, &cols, &mut reg, 6000)).clone();
-        m.indexes.push(dhqp_oledb::IndexInfo {
-            name: "pk".into(),
-            key_columns: vec!["orderkey".into(), "linenumber".into()],
-            unique: true,
-        });
+        Arc::make_mut(&mut m.catalog)
+            .indexes
+            .push(dhqp_oledb::IndexInfo {
+                name: "pk".into(),
+                key_columns: vec!["orderkey".into(), "linenumber".into()],
+                unique: true,
+            });
         let mut stats = TableStatistics {
             row_count: Some(6000),
             ..Default::default()
         };
         stats.set_histogram("orderkey", int_histogram(6000, |i| i / 4));
         stats.set_histogram("linenumber", int_histogram(6000, |i| i % 4));
-        m.stats = Some(stats);
+        Arc::make_mut(&mut m.catalog).stats = Some(Arc::new(stats));
         let meta = Arc::new(m);
         let col = |pos: usize| ScalarExpr::Column(meta.column_id(pos));
         let eq = |pos: usize, name: &str| ScalarExpr::eq(col(pos), param(name));
@@ -742,7 +754,10 @@ mod tests {
         // guesses would be 6000 × 0.05 × 1/4 = 75 rows; the key knows
         // better.
         let mut thin = (*meta).clone();
-        thin.stats.as_mut().unwrap().histograms.remove("orderkey");
+        let catalog = Arc::make_mut(&mut thin.catalog);
+        Arc::make_mut(catalog.stats.as_mut().unwrap())
+            .histograms
+            .remove("orderkey");
         let thin = Arc::new(thin);
         assert!((filtered_rows(&thin, &reg, eq(0, "o")) - 300.0).abs() < 1e-9);
         assert!((filtered_rows(&thin, &reg, both) - 1.0).abs() < 1e-9);
@@ -901,11 +916,13 @@ mod tests {
             25,
         ))
         .clone();
-        nation.indexes.push(dhqp_oledb::IndexInfo {
-            name: "pk".into(),
-            key_columns: vec!["nk".into()],
-            unique: true,
-        });
+        Arc::make_mut(&mut nation.catalog)
+            .indexes
+            .push(dhqp_oledb::IndexInfo {
+                name: "pk".into(),
+                key_columns: vec!["nk".into()],
+                unique: true,
+            });
         let nation = Arc::new(nation);
         let cust = test_table_meta(
             1,
@@ -946,7 +963,7 @@ mod tests {
                 100,
             ))
             .clone();
-            m.checks = vec![(
+            Arc::make_mut(&mut m.catalog).checks = vec![(
                 0,
                 IntervalSet::single(dhqp_types::Interval::between(
                     Value::Int(lo),

@@ -274,7 +274,7 @@ impl<'a> Decoder<'a> {
                     .iter()
                     .map(|&c| {
                         let pos = meta.position_of(c)?;
-                        let col_name = &meta.schema.column(pos).name;
+                        let col_name = &meta.catalog.schema.column(pos).name;
                         Some((
                             c,
                             format!(
@@ -600,7 +600,7 @@ pub fn render_table_scalars<'e>(
     exprs: impl IntoIterator<Item = &'e ScalarExpr>,
 ) -> Option<Vec<String>> {
     let dialect = &meta.caps.dialect;
-    let names = meta.schema.columns().iter();
+    let names = meta.catalog.schema.columns().iter();
     let map: HashMap<ColumnId, String> = names
         .zip(&meta.column_ids)
         .map(|(column, id)| (*id, dialect.quote_ident(&column.name)))
@@ -1064,7 +1064,7 @@ mod tests {
         );
         // The provider's level still applies ...
         let mut minimum = TableMeta::clone(&t);
-        minimum.caps.sql_support = SqlSupport::Minimum;
+        Arc::make_mut(&mut minimum.caps).sql_support = SqlSupport::Minimum;
         assert_eq!(render_table_scalars(&minimum, &exprs[1..]), None);
         assert!(render_table_scalars(&minimum, &exprs[..1]).is_some());
         // ... a column of another table has no name here, and text that

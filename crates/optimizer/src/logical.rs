@@ -9,8 +9,8 @@
 
 use crate::props::ColumnId;
 use crate::scalar::{AggCall, ScalarExpr};
-use dhqp_oledb::{IndexInfo, ProviderCapabilities, TableStatistics};
-use dhqp_types::{IntervalSet, Schema, Value};
+use dhqp_oledb::{ProviderCapabilities, TableSnapshot};
+use dhqp_types::{Schema, Value};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -76,8 +76,10 @@ impl JoinKind {
     }
 }
 
-/// Snapshot of everything the optimizer knows about one base table
-/// reference, captured by the binder from provider metadata.
+/// Everything the optimizer knows about one base table reference. The
+/// binder allocates only what is this reference's own — its id, alias and
+/// column ids — and points at the table's shared catalog snapshot and its
+/// provider's capability record.
 #[derive(Debug, Clone)]
 pub struct TableMeta {
     /// Unique per FROM-clause reference within one optimization (two scans
@@ -86,21 +88,17 @@ pub struct TableMeta {
     pub source: Locality,
     /// Table name as known to the source.
     pub table: String,
-    /// FROM-clause binding (alias).
-    pub alias: String,
-    pub schema: Schema,
+    /// FROM-clause binding (alias), shared with the column registry.
+    pub alias: Arc<str>,
     /// One [`ColumnId`] per schema column, in schema order.
     pub column_ids: Vec<ColumnId>,
     /// Cardinality from TABLES_INFO, if the provider reports one.
     pub cardinality: Option<u64>,
-    pub indexes: Vec<IndexInfo>,
-    /// Histogram statistics, when fetched (§3.2.4).
-    pub stats: Option<TableStatistics>,
-    /// Capability snapshot of the owning provider.
-    pub caps: ProviderCapabilities,
-    /// CHECK constraint domains: `(schema column position, domain)` —
-    /// seeds for the constraint property framework.
-    pub checks: Vec<(usize, IntervalSet)>,
+    /// Schema, index list, CHECK domains (the constraint property
+    /// framework's seeds) and histogram statistics (§3.2.4).
+    pub catalog: Arc<TableSnapshot>,
+    /// Capability record of the owning provider.
+    pub caps: Arc<ProviderCapabilities>,
 }
 
 impl TableMeta {
@@ -379,14 +377,11 @@ pub fn test_table_meta(
         id,
         source,
         table: alias.to_string(),
-        alias: alias.to_string(),
-        schema,
+        alias: Arc::from(alias),
         column_ids,
         cardinality: Some(cardinality),
-        indexes: Vec::new(),
-        stats: None,
-        caps,
-        checks: Vec::new(),
+        catalog: Arc::new(TableSnapshot::new(schema, Vec::new())),
+        caps: Arc::new(caps),
     })
 }
 

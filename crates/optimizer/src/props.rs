@@ -11,6 +11,7 @@ use crate::scalar::ScalarExpr;
 use dhqp_types::{DataType, IntervalSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A stable identity for one column produced somewhere in a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -20,11 +21,12 @@ pub struct ColumnId(pub u32);
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ColumnMeta {
     pub id: ColumnId,
-    /// Base column name (`c_custkey`).
-    pub name: String,
+    /// Base column name (`c_custkey`), shared with the table's catalog
+    /// snapshot.
+    pub name: Arc<str>,
     /// The FROM-clause binding that introduced it (`c` in `customer c`),
-    /// empty for derived columns.
-    pub binding: String,
+    /// shared by the binding's columns; empty for derived columns.
+    pub binding: Arc<str>,
     pub data_type: DataType,
     pub nullable: bool,
 }
@@ -42,8 +44,8 @@ impl ColumnRegistry {
 
     pub fn allocate(
         &mut self,
-        name: impl Into<String>,
-        binding: impl Into<String>,
+        name: impl Into<Arc<str>>,
+        binding: impl Into<Arc<str>>,
         data_type: DataType,
         nullable: bool,
     ) -> ColumnId {
@@ -74,7 +76,7 @@ impl ColumnRegistry {
     pub fn qualified_name(&self, id: ColumnId) -> String {
         let m = self.meta(id);
         if m.binding.is_empty() {
-            m.name.clone()
+            m.name.to_string()
         } else {
             format!("{}.{}", m.binding, m.name)
         }
@@ -136,7 +138,7 @@ impl Domains {
     /// column.
     pub fn of_checks(meta: &TableMeta) -> Domains {
         let mut out = Domains::default();
-        for (pos, check) in &meta.checks {
+        for (pos, check) in &meta.catalog.checks {
             out.meet(&Domains::column(meta.column_id(*pos), check.clone()));
         }
         out

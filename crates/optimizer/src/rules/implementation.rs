@@ -192,7 +192,7 @@ fn implement_get(
 
 /// Name of an index whose ascending key order satisfies `ordering`.
 fn index_delivering(meta: &TableMeta, ordering: &[(ColumnId, bool)]) -> Option<String> {
-    'ix: for ix in &meta.indexes {
+    'ix: for ix in &meta.catalog.indexes {
         if ix.key_columns.len() < ordering.len() {
             continue;
         }
@@ -200,7 +200,7 @@ fn index_delivering(meta: &TableMeta, ordering: &[(ColumnId, bool)]) -> Option<S
             if !asc {
                 continue 'ix;
             }
-            let pos = meta.schema.index_of(&ix.key_columns[i]);
+            let pos = meta.catalog.schema.index_of(&ix.key_columns[i]);
             if pos.map(|p| meta.column_id(p)) != Some(*col) {
                 continue 'ix;
             }
@@ -256,8 +256,8 @@ fn implement_filter(
         if remote && !meta.caps.index_support {
             continue;
         }
-        for ix in &meta.indexes {
-            let Some(lead_pos) = meta.schema.index_of(&ix.key_columns[0]) else {
+        for ix in &meta.catalog.indexes {
+            let Some(lead_pos) = meta.catalog.schema.index_of(&ix.key_columns[0]) else {
                 continue;
             };
             let lead_col = meta.column_id(lead_pos);
@@ -609,8 +609,9 @@ fn param_remote_variants(
             let LogicalOp::Get { meta, .. } = &memo.expr(eid).op else {
                 continue;
             };
-            let Some(ix) = meta.indexes.iter().find(|ix| {
-                meta.schema
+            let Some(ix) = meta.catalog.indexes.iter().find(|ix| {
+                meta.catalog
+                    .schema
                     .index_of(&ix.key_columns[0])
                     .map(|p| meta.column_id(p))
                     == Some(inner_col)
@@ -663,11 +664,13 @@ mod tests {
         let mut registry = ColumnRegistry::new();
         let keyed = |meta: Arc<TableMeta>, key: &str| {
             let mut m = (*meta).clone();
-            m.indexes.push(dhqp_oledb::IndexInfo {
-                name: format!("pk_{}", m.table),
-                key_columns: vec![key.into()],
-                unique: true,
-            });
+            Arc::make_mut(&mut m.catalog)
+                .indexes
+                .push(dhqp_oledb::IndexInfo {
+                    name: format!("pk_{}", m.table),
+                    key_columns: vec![key.into()],
+                    unique: true,
+                });
             Arc::new(m)
         };
         let nation = test_table_meta(

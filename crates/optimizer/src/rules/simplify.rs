@@ -915,7 +915,7 @@ mod tests {
         for i in 0..3u32 {
             let mut m =
                 (*test_table_meta(i, &format!("p{i}"), Locality::Local, &cols, reg, 100)).clone();
-            m.checks = vec![(
+            Arc::make_mut(&mut m.catalog).checks = vec![(
                 0,
                 IntervalSet::single(Interval::between(
                     Value::Int(i as i64 * 10),
@@ -962,7 +962,7 @@ mod tests {
                 let LogicalOp::Get { meta, .. } = &node.children[0].op else {
                     panic!("filter over member get: {}", result.display_tree());
                 };
-                assert_eq!(meta.alias, "p1");
+                assert_eq!(&*meta.alias, "p1");
             }
             other => panic!("expected collapsed member access, got {other:?}"),
         }
@@ -1055,7 +1055,7 @@ mod tests {
                                 panic!("expected ParamInDomain, got {predicate}");
                             };
                             assert_eq!(param, "k");
-                            assert_eq!(domain, &members[i].checks[0].1);
+                            assert_eq!(domain, &members[i].catalog.checks[0].1);
                         }
                         other => panic!("branch {i} missing startup filter: {other:?}"),
                     }
@@ -1160,7 +1160,7 @@ mod tests {
         };
         (
             outputs.iter().map(|(c, _)| *c).collect(),
-            meta.alias.clone(),
+            meta.alias.to_string(),
         )
     }
 
@@ -1188,7 +1188,7 @@ mod tests {
             );
             let (kept, alias) = narrowed_member(&branch.children[0]);
             assert_eq!(kept, [m.column_id(1), m.column_id(3)]);
-            assert_eq!(alias, m.alias);
+            assert_eq!(alias, &*m.alias);
         }
     }
 

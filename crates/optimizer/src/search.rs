@@ -21,6 +21,7 @@ use crate::rules::{Delivered, PhysAlt, RuleContext};
 use dhqp_oledb::ProviderCapabilities;
 use dhqp_types::{DhqpError, Result};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// SQL Server's optimization phases, in escalation order.
@@ -92,7 +93,7 @@ pub struct OptimizerConfig {
     pub simplify: SimplifyOptions,
     pub cost: CostModel,
     /// Capabilities per linked server (merged with what tree leaves carry).
-    pub server_caps: HashMap<String, ProviderCapabilities>,
+    pub server_caps: HashMap<String, Arc<ProviderCapabilities>>,
     /// Early-exit thresholds: stop after a phase whose best cost is below.
     pub tp_cost_threshold: f64,
     pub quick_cost_threshold: f64,
@@ -133,7 +134,7 @@ pub struct OptimizerStats {
     /// memo search spent its alternatives. (The enforcer entries are not
     /// part of `rules_fired`, which keeps its original exploration-only
     /// meaning.)
-    pub rule_counts: Vec<(String, usize)>,
+    pub rule_counts: Vec<(&'static str, usize)>,
     /// `(phase, best cost found, time spent)` per executed phase.
     pub phases: Vec<(OptimizationPhase, f64, Duration)>,
     /// True when a phase threshold stopped the ladder early.
@@ -221,14 +222,8 @@ impl Optimizer {
         }
         stats.groups = memo.group_count();
         stats.exprs = memo.expr_count();
-        stats.rule_counts = {
-            let mut v: Vec<(String, usize)> = rule_counts
-                .into_iter()
-                .map(|(name, n)| (name.to_string(), n))
-                .collect();
-            v.sort();
-            v
-        };
+        stats.rule_counts = rule_counts.into_iter().collect();
+        stats.rule_counts.sort_unstable();
         let best =
             best.ok_or_else(|| DhqpError::Optimize("no physical plan found for query".into()))?;
         let mut plan = best.plan;
@@ -239,11 +234,11 @@ impl Optimizer {
 
 /// Harvest provider capabilities from the leaves so the rules can consult
 /// them by server name.
-fn collect_server_caps(tree: &LogicalExpr, out: &mut HashMap<String, ProviderCapabilities>) {
+fn collect_server_caps(tree: &LogicalExpr, out: &mut HashMap<String, Arc<ProviderCapabilities>>) {
     for meta in tree.leaf_tables() {
         if let Some(server) = meta.source.server_name() {
             out.entry(server.to_string())
-                .or_insert_with(|| meta.caps.clone());
+                .or_insert_with(|| Arc::clone(&meta.caps));
         }
     }
 }
@@ -428,7 +423,7 @@ impl<'a> SearchDriver<'a> {
             return None;
         }
         let server = locs[0].server_name()?.to_string();
-        let caps = self.config.server_caps.get(&server)?.clone();
+        let caps = Arc::clone(self.config.server_caps.get(&server)?);
         let mut decoder = Decoder::new(self.memo, self.registry, &caps, &server);
         let remote = decoder.build(group, None, &[], None, &required.ordering, None)?;
         let props = &self.memo.group(group).props;
@@ -506,7 +501,7 @@ impl<'a> SearchDriver<'a> {
             PhysicalOp::TableScan { meta } => meta.estimated_rows() * m.scan_row,
             PhysicalOp::IndexRange { .. } => m.index_seek + rows * m.index_row,
             PhysicalOp::RemoteScan { meta } => {
-                let w = meta.schema.estimated_row_width() as f64 + 8.0;
+                let w = meta.catalog.schema.estimated_row_width() as f64 + 8.0;
                 m.remote_result(
                     &meta.caps,
                     0.0,
@@ -516,23 +511,25 @@ impl<'a> SearchDriver<'a> {
                 )
             }
             PhysicalOp::RemoteRange { meta, .. } => {
-                let w = meta.schema.estimated_row_width() as f64 + 8.0;
+                let w = meta.catalog.schema.estimated_row_width() as f64 + 8.0;
                 m.remote_result(&meta.caps, 0.0, rows, w, rows)
             }
             PhysicalOp::RemoteFetch { meta } => {
-                let w = meta.schema.estimated_row_width() as f64 + 8.0;
+                let w = meta.catalog.schema.estimated_row_width() as f64 + 8.0;
                 m.round_trip(&meta.caps) + m.transfer(rows, w)
             }
             PhysicalOp::RemoteQuery { server, .. } => {
-                let caps = self
-                    .config
-                    .server_caps
-                    .get(server.as_ref())
-                    .cloned()
-                    .unwrap_or_else(|| ProviderCapabilities::sql_server("SQLOLEDB"));
+                let fallback;
+                let caps = match self.config.server_caps.get(server.as_ref()) {
+                    Some(caps) => caps.as_ref(),
+                    None => {
+                        fallback = ProviderCapabilities::sql_server("SQLOLEDB");
+                        &fallback
+                    }
+                };
                 // Remote input work is unknown for rule-built param queries;
                 // charge the output-driven terms (the paper's model).
-                m.remote_result(&caps, 0.0, rows, width, rows)
+                m.remote_result(caps, 0.0, rows, width, rows)
             }
             PhysicalOp::SemiJoinReduce { .. } => {
                 // Local terms only: the build side (c0) hashes locally and

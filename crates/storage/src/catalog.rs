@@ -4,10 +4,11 @@
 use crate::histogram::analyze_table;
 use crate::table::Table;
 use crate::txn::{PendingOp, Replay, TxnState};
-use dhqp_oledb::{TableStatistics, TxnId};
+use dhqp_oledb::{TableSnapshot, TableStatistics, TxnId};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A single-column CHECK constraint expressed as a value domain — the form
 /// the paper's constraint property framework consumes ("the range of values
@@ -55,6 +56,26 @@ impl TableDef {
     }
 }
 
+/// A table and the snapshot of its catalog facts that binds share.
+struct Entry {
+    table: Table,
+    /// Replaced whole by `ANALYZE` and by any access that may change the
+    /// schema, an index or a CHECK ([`StorageEngine::with_table_mut`]);
+    /// row writes leave it alone.
+    catalog: Arc<TableSnapshot>,
+}
+
+impl Entry {
+    fn missing(name: &str) -> DhqpError {
+        DhqpError::Catalog(format!("table '{name}' does not exist"))
+    }
+
+    /// Rebuild the snapshot from the table as it is now, with `stats`.
+    fn refresh(&mut self, stats: Option<Arc<TableStatistics>>) {
+        self.catalog = Arc::new(self.table.snapshot(stats));
+    }
+}
+
 /// An in-memory multi-table storage engine instance.
 ///
 /// One `StorageEngine` plays the role of one server: the local SQL Server
@@ -62,8 +83,7 @@ impl TableDef {
 /// server. Interior locking makes it shareable across sessions.
 pub struct StorageEngine {
     name: String,
-    tables: RwLock<BTreeMap<String, Table>>,
-    stats: RwLock<HashMap<String, TableStatistics>>,
+    tables: RwLock<BTreeMap<String, Entry>>,
     txns: Mutex<HashMap<TxnId, TxnState>>,
     /// Test hook: when true, `prepare` fails (2PC failure injection).
     fail_prepare: std::sync::atomic::AtomicBool,
@@ -77,7 +97,6 @@ impl StorageEngine {
         StorageEngine {
             name: name.into(),
             tables: RwLock::new(BTreeMap::new()),
-            stats: RwLock::new(HashMap::new()),
             txns: Mutex::new(HashMap::new()),
             fail_prepare: std::sync::atomic::AtomicBool::new(false),
             fail_commit: std::sync::atomic::AtomicBool::new(false),
@@ -107,7 +126,8 @@ impl StorageEngine {
             let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
             table.create_index(ix_name, &col_refs, *unique)?;
         }
-        tables.insert(key, table);
+        let catalog = Arc::new(table.snapshot(None));
+        tables.insert(key, Entry { table, catalog });
         Ok(())
     }
 
@@ -117,16 +137,14 @@ impl StorageEngine {
             .write()
             .remove(&key)
             .map(|_| ())
-            .ok_or_else(|| DhqpError::Catalog(format!("table '{name}' does not exist")))?;
-        self.stats.write().remove(&key);
-        Ok(())
+            .ok_or_else(|| Entry::missing(name))
     }
 
     pub fn table_names(&self) -> Vec<String> {
         self.tables
             .read()
             .values()
-            .map(|t| t.name.clone())
+            .map(|e| e.table.name.clone())
             .collect()
     }
 
@@ -136,30 +154,41 @@ impl StorageEngine {
 
     /// Run `f` against a table under a read lock.
     pub fn with_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> R) -> Result<R> {
-        let tables = self.tables.read();
-        let t = tables
-            .get(&Self::key(name))
-            .ok_or_else(|| DhqpError::Catalog(format!("table '{name}' does not exist")))?;
-        Ok(f(t))
+        self.with_entry(name, |e| f(&e.table))
     }
 
-    /// Run `f` against a table under a write lock.
+    /// Run `f` against a table under a write lock. `f` may change what the
+    /// table's catalog snapshot records (its schema, an index, a CHECK), so
+    /// the snapshot is rebuilt afterwards, keeping its statistics.
     pub fn with_table_mut<R>(
         &self,
         name: &str,
         f: impl FnOnce(&mut Table) -> Result<R>,
     ) -> Result<R> {
+        self.with_entry_mut(name, |e| {
+            let out = f(&mut e.table);
+            e.refresh(e.catalog.stats.clone());
+            out
+        })
+    }
+
+    fn with_entry_mut<R>(&self, name: &str, f: impl FnOnce(&mut Entry) -> Result<R>) -> Result<R> {
         let mut tables = self.tables.write();
-        let t = tables
+        let e = tables
             .get_mut(&Self::key(name))
-            .ok_or_else(|| DhqpError::Catalog(format!("table '{name}' does not exist")))?;
-        f(t)
+            .ok_or_else(|| Entry::missing(name))?;
+        f(e)
+    }
+
+    /// Row writes: they change no catalog fact, so the snapshot stays.
+    fn with_rows_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> Result<R>) -> Result<R> {
+        self.with_entry_mut(name, |e| f(&mut e.table))
     }
 
     // ---- autocommit DML --------------------------------------------------
 
     pub fn insert_rows(&self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.with_table_mut(table, |t| {
+        self.with_rows_mut(table, |t| {
             for r in rows {
                 t.insert(r.clone())?;
             }
@@ -168,7 +197,7 @@ impl StorageEngine {
     }
 
     pub fn delete_bookmarks(&self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.with_table_mut(table, |t| {
+        self.with_rows_mut(table, |t| {
             for &b in bookmarks {
                 t.delete(b)?;
             }
@@ -182,7 +211,7 @@ impl StorageEngine {
                 "update bookmark/row arity mismatch".into(),
             ));
         }
-        self.with_table_mut(table, |t| {
+        self.with_rows_mut(table, |t| {
             for (&b, r) in bookmarks.iter().zip(rows) {
                 t.update(b, r.clone())?;
             }
@@ -252,10 +281,12 @@ impl StorageEngine {
             let mut replays: HashMap<&str, Replay> = HashMap::new();
             for op in ops.iter() {
                 let key = Self::key(op.table());
-                let (key, table) = tables.get_key_value(&key).ok_or_else(|| {
-                    DhqpError::Catalog(format!("table '{}' does not exist", op.table()))
-                })?;
-                let replay = replays.entry(key).or_insert_with(|| Replay::over(table));
+                let (key, entry) = tables
+                    .get_key_value(&key)
+                    .ok_or_else(|| Entry::missing(op.table()))?;
+                let replay = replays
+                    .entry(key)
+                    .or_insert_with(|| Replay::over(&entry.table));
                 replay.admit(op)?;
             }
         }
@@ -280,12 +311,12 @@ impl StorageEngine {
         let mut tables = self.tables.write();
         for op in state.into_ops() {
             let key = Self::key(op.table());
-            let t = tables
+            let e = tables
                 .get_mut(&key)
                 .ok_or_else(|| DhqpError::Catalog(format!("table '{}' vanished", op.table())))?;
             // Prepared transactions were validated; a failure here is an
             // engine invariant violation, not a user error.
-            op.apply(t)?;
+            op.apply(&mut e.table)?;
         }
         Ok(())
     }
@@ -317,16 +348,34 @@ impl StorageEngine {
 
     // ---- statistics -------------------------------------------------------
 
-    /// Build (or rebuild) histogram statistics for a table.
+    /// Build (or rebuild) histogram statistics for a table: the next bind
+    /// sees them through a new catalog snapshot.
     pub fn analyze(&self, table: &str, buckets: usize) -> Result<()> {
         let stats = self.with_table(table, |t| analyze_table(t, buckets))??;
-        self.stats.write().insert(Self::key(table), stats);
-        Ok(())
+        self.with_entry_mut(table, |e| {
+            e.refresh(Some(stats));
+            Ok(())
+        })
     }
 
     /// Statistics previously built by [`StorageEngine::analyze`].
-    pub fn statistics(&self, table: &str) -> Option<TableStatistics> {
-        self.stats.read().get(&Self::key(table)).cloned()
+    pub fn statistics(&self, table: &str) -> Option<Arc<TableStatistics>> {
+        let tables = self.tables.read();
+        tables.get(&Self::key(table))?.catalog.stats.clone()
+    }
+
+    /// What a bind reads of a table: its shared catalog snapshot and its
+    /// live row count, under one lock.
+    pub fn catalog(&self, table: &str) -> Result<(Arc<TableSnapshot>, u64)> {
+        self.with_entry(table, |e| (Arc::clone(&e.catalog), e.table.row_count()))
+    }
+
+    fn with_entry<R>(&self, name: &str, f: impl FnOnce(&Entry) -> R) -> Result<R> {
+        let tables = self.tables.read();
+        let e = tables
+            .get(&Self::key(name))
+            .ok_or_else(|| Entry::missing(name))?;
+        Ok(f(e))
     }
 }
 

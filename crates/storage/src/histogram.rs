@@ -5,12 +5,13 @@
 use crate::table::Table;
 use dhqp_oledb::{Histogram, TableStatistics};
 use dhqp_types::Result;
+use std::sync::Arc;
 
 /// Build statistics for every column of a table.
 ///
 /// Columns whose values are all NULL get no histogram (there is nothing to
 /// bucket), but their null counts still shape `row_count`.
-pub fn analyze_table(table: &Table, buckets: usize) -> Result<TableStatistics> {
+pub fn analyze_table(table: &Table, buckets: usize) -> Result<Arc<TableStatistics>> {
     let mut stats = TableStatistics {
         row_count: Some(table.row_count()),
         ..Default::default()
@@ -23,7 +24,7 @@ pub fn analyze_table(table: &Table, buckets: usize) -> Result<TableStatistics> {
             stats.set_histogram(&col.name, h);
         }
     }
-    Ok(stats)
+    Ok(Arc::new(stats))
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! provider lives in `dhqp-providers` and wraps a whole engine.
 
 use crate::catalog::StorageEngine;
+use crate::table::Table;
 use dhqp_oledb::{
     ColumnInfo, DataSource, KeyRange, MemRowset, ProviderCapabilities, Rowset, Session, SqlSupport,
-    TableInfo, TxnId,
+    TableInfo, TableSnapshot, TxnId,
 };
 use dhqp_types::{DhqpError, Result, Row};
 use std::sync::Arc;
@@ -18,15 +19,64 @@ use std::sync::Arc;
 /// An OLE DB-style data source over a [`StorageEngine`].
 pub struct LocalDataSource {
     engine: Arc<StorageEngine>,
+    /// One capability record for every table reference that binds here.
+    caps: Arc<ProviderCapabilities>,
 }
 
 impl LocalDataSource {
     pub fn new(engine: Arc<StorageEngine>) -> Self {
-        LocalDataSource { engine }
+        let caps = Arc::new(ProviderCapabilities {
+            provider_name: "NATIVE-STORAGE".into(),
+            sql_support: SqlSupport::None,
+            proprietary_command: false,
+            index_support: true,
+            statistics_support: true,
+            transaction_support: true,
+            dialect: Default::default(),
+            latency_hint_us: 0,
+        });
+        LocalDataSource { engine, caps }
     }
 
     pub fn engine(&self) -> &Arc<StorageEngine> {
         &self.engine
+    }
+
+    /// [`DataSource::capabilities`] as the shared record.
+    pub fn shared_capabilities(&self) -> &Arc<ProviderCapabilities> {
+        &self.caps
+    }
+
+    /// What a bind reads of a table ([`StorageEngine::catalog`]), with
+    /// [`DataSource::table`]'s error when there is no such table.
+    pub fn catalog(&self, name: &str) -> Result<(Arc<TableSnapshot>, u64)> {
+        self.engine.catalog(name).map_err(|_| self.not_found(name))
+    }
+
+    fn not_found(&self, name: &str) -> DhqpError {
+        DhqpError::Catalog(format!(
+            "table '{name}' not found in source '{}'",
+            self.name()
+        ))
+    }
+
+    fn info(t: &Table) -> TableInfo {
+        let columns = t
+            .schema
+            .columns()
+            .iter()
+            .map(|c| ColumnInfo {
+                name: c.name.clone(),
+                data_type: c.data_type,
+                nullable: c.nullable,
+            })
+            .collect();
+        TableInfo {
+            name: t.name.clone(),
+            columns,
+            indexes: t.index_infos(),
+            cardinality: Some(t.row_count()),
+        }
     }
 }
 
@@ -36,42 +86,22 @@ impl DataSource for LocalDataSource {
     }
 
     fn capabilities(&self) -> ProviderCapabilities {
-        ProviderCapabilities {
-            provider_name: "NATIVE-STORAGE".into(),
-            sql_support: SqlSupport::None,
-            proprietary_command: false,
-            index_support: true,
-            statistics_support: true,
-            transaction_support: true,
-            dialect: Default::default(),
-            latency_hint_us: 0,
-        }
+        (*self.caps).clone()
     }
 
     fn tables(&self) -> Result<Vec<TableInfo>> {
-        let mut out = Vec::new();
-        for name in self.engine.table_names() {
-            let info = self.engine.with_table(&name, |t| {
-                let columns = t
-                    .schema
-                    .columns()
-                    .iter()
-                    .map(|c| ColumnInfo {
-                        name: c.name.clone(),
-                        data_type: c.data_type,
-                        nullable: c.nullable,
-                    })
-                    .collect();
-                TableInfo {
-                    name: t.name.clone(),
-                    columns,
-                    indexes: t.index_infos(),
-                    cardinality: Some(t.row_count()),
-                }
-            })?;
-            out.push(info);
-        }
-        Ok(out)
+        self.engine
+            .table_names()
+            .iter()
+            .map(|name| self.engine.with_table(name, Self::info))
+            .collect()
+    }
+
+    /// The one table asked for, not every table's metadata.
+    fn table(&self, name: &str) -> Result<TableInfo> {
+        self.engine
+            .with_table(name, Self::info)
+            .map_err(|_| self.not_found(name))
     }
 
     fn create_session(&self) -> Result<Box<dyn Session>> {
@@ -187,7 +217,7 @@ impl Session for LocalSession {
         Ok(self
             .engine
             .statistics(table)
-            .and_then(|s| s.histogram(column).cloned()))
+            .and_then(|s| s.histogram(column).map(|h| (**h).clone())))
     }
 
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {

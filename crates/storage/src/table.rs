@@ -4,8 +4,9 @@
 use crate::btree::{BTreeIndex, IndexKey};
 use crate::catalog::CheckConstraint;
 use crate::heap::Heap;
-use dhqp_oledb::{IndexInfo, KeyRange};
+use dhqp_oledb::{IndexInfo, KeyRange, TableSnapshot, TableStatistics};
 use dhqp_types::{DhqpError, Result, Row, Schema, Value};
+use std::sync::Arc;
 
 /// A base table in the storage engine.
 #[derive(Debug, Clone)]
@@ -194,6 +195,21 @@ impl Table {
                 unique: ix.unique,
             })
             .collect()
+    }
+
+    /// This table's catalog facts as one shareable snapshot, with `stats`.
+    pub fn snapshot(&self, stats: Option<Arc<TableStatistics>>) -> TableSnapshot {
+        let checks = self
+            .checks
+            .iter()
+            .filter_map(|c| {
+                let pos = self.schema.index_of(&c.column)?;
+                Some((pos, c.domain.clone()))
+            })
+            .collect();
+        TableSnapshot::new(self.schema.clone(), self.index_infos())
+            .with_checks(checks)
+            .with_stats(stats)
     }
 
     /// Non-null values of one column, sorted — histogram input.

@@ -339,3 +339,92 @@ fn a_key_equality_range_prints_one_row() {
         .unwrap_or_else(|| panic!("a local key lookup seeks the index:\n{}", r.rendered));
     assert_eq!(range.est_rows, 1.0, "{}", r.rendered);
 }
+
+/// Every estimated `rows=` figure of `sql`'s EXPLAIN text, in plan order.
+fn explained_rows(engine: &Engine, sql: &str) -> Vec<String> {
+    let plan = engine.explain(sql).unwrap().plan_text;
+    plan.split_whitespace()
+        .filter_map(|word| word.strip_prefix("rows="))
+        .map(str::to_string)
+        .collect()
+}
+
+/// A local table's catalog facts are as fresh at the next compile as the
+/// storage engine holding them, with the plan cache off: its live row
+/// count after an insert, a direct `StorageEngine::analyze` (which moves
+/// no schema epoch, as fedbench's `remote0` fixture calls it), and an
+/// `Engine::analyze`. The figures were recorded before catalog snapshots
+/// were shared and must not move.
+#[test]
+fn the_next_compile_sees_inserts_and_either_analyze() {
+    use dhqp_storage::TableDef;
+    use dhqp_types::{Column, DataType, Row, Schema, Value};
+    let engine = EngineBuilder::from_lookup("fresh", |_| None)
+        .plan_cache_config(PlanCacheConfig {
+            enabled: false,
+            ..Default::default()
+        })
+        .build();
+    engine
+        .create_table(
+            TableDef::new(
+                "f",
+                Schema::new(vec![
+                    Column::not_null("k", DataType::Int),
+                    Column::not_null("v", DataType::Int),
+                ]),
+            )
+            .with_index("pk_f", &["k"], true),
+        )
+        .unwrap();
+    let insert = |keys: std::ops::Range<i64>, v: &dyn Fn(i64) -> i64| {
+        let rows: Vec<Row> = keys
+            .map(|k| Row::new(vec![Value::Int(k), Value::Int(v(k))]))
+            .collect();
+        engine.insert("f", &rows).unwrap();
+    };
+    let statements = [
+        "SELECT k, v FROM f",
+        "SELECT k FROM f WHERE v = 7",
+        "SELECT v FROM f WHERE k < 50",
+        "SELECT v FROM f WHERE k = 3",
+    ];
+    let explained = || -> Vec<Vec<String>> {
+        statements
+            .iter()
+            .map(|sql| explained_rows(&engine, sql))
+            .collect()
+    };
+    insert(0..100, &|k| k % 10);
+    let mut steps = vec![("created", explained())];
+    // Skewed rows: `v = 7` becomes most of the table.
+    insert(100..400, &|_| 7);
+    steps.push(("inserted", explained()));
+    engine.storage().analyze("f", 8).unwrap();
+    steps.push(("storage analyze", explained()));
+    insert(400..1000, &|k| k % 3);
+    engine.analyze("f", 16).unwrap();
+    steps.push(("engine analyze", explained()));
+    let expected = [
+        (
+            "created",
+            r#"[["100"], ["5", "5", "100"], ["33", "33", "33"], ["1", "1", "1"]]"#,
+        ),
+        (
+            "inserted",
+            r#"[["400"], ["20", "20", "400"], ["133", "133", "133"], ["1", "1", "1"]]"#,
+        ),
+        (
+            "storage analyze",
+            r#"[["400"], ["110", "110", "400"], ["51", "51", "51"], ["1", "1", "1"]]"#,
+        ),
+        (
+            "engine analyze",
+            r#"[["1000"], ["70", "70", "1000"], ["51", "51", "51"], ["1", "1", "1"]]"#,
+        ),
+    ];
+    for ((step, rows), (want_step, want)) in steps.iter().zip(expected) {
+        assert_eq!(*step, want_step);
+        assert_eq!(format!("{rows:?}"), want, "{step}");
+    }
+}

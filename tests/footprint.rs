@@ -1,5 +1,6 @@
 //! What the two in-memory access structures hold, counted exactly
-//! (DESIGN.md §24): this binary installs its own counting allocator, and
+//! (DESIGN.md §24), and what the catalog costs a bind and a cached plan
+//! (DESIGN.md §11): this binary installs its own counting allocator, and
 //! counts per thread, so the numbers do not depend on what else runs.
 //!
 //! * The fedbench `docs_ft` catalog — `generate_documents(2000, 29)` —
@@ -9,18 +10,23 @@
 //!   allocations (a `Vec<Value>` key and a `Vec<u64>` of one bookmark per
 //!   row); with the key and the bookmark inline, 636 014 B in 1 665.
 
+use dhqp::{EngineBuilder, EngineDataSource};
 use dhqp_fulltext::{InvertedIndex, SearchService};
-use dhqp_storage::Table;
+use dhqp_oledb::DataSource;
+use dhqp_storage::{LocalDataSource, StorageEngine, Table, TableDef};
 use dhqp_types::{Column, DataType, Row, Schema, Value};
 use dhqp_workload::docs::generate_documents;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
 thread_local! {
     /// Live bytes and live allocations made by this thread.
     static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    /// Allocations and bytes this thread asked for, frees not subtracted.
+    static MADE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 fn count(bytes: i64, allocations: i64) {
@@ -31,12 +37,20 @@ fn count(bytes: i64, allocations: i64) {
     });
 }
 
+fn asked(bytes: usize) {
+    let _ = MADE.try_with(|made| {
+        let (a, b) = made.get();
+        made.set((a + 1, b + bytes as u64));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counters are plain thread-local statistics
 // that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size() as i64, 1);
+        asked(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -49,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size as i64 - layout.size() as i64, 0);
+        asked(new_size);
         // SAFETY: forwarded with the caller's guarantees intact.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,6 +78,22 @@ fn held<T>(make: impl FnOnce() -> T) -> ((i64, i64), T) {
     let value = make();
     let (b1, a1) = LIVE.with(Cell::get);
     ((b1 - b0, a1 - a0), value)
+}
+
+/// What `make` asked the allocator for: `(allocations, bytes)`.
+fn made<T>(make: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let (a0, b0) = MADE.with(Cell::get);
+    let value = make();
+    let (a1, b1) = MADE.with(Cell::get);
+    ((a1 - a0, b1 - b0), value)
+}
+
+/// An eight-column table definition, keyed on `c0`.
+fn wide(name: &str) -> TableDef {
+    let columns = (0..8)
+        .map(|j| Column::not_null(format!("c{j}"), DataType::Int))
+        .collect();
+    TableDef::new(name, Schema::new(columns)).with_index(&format!("pk_{name}"), &["c0"], true)
 }
 
 #[test]
@@ -114,5 +145,97 @@ fn a_unique_one_column_index_holds_under_a_megabyte() {
     assert!(
         allocations <= 2_000,
         "index holds {allocations} allocations"
+    );
+}
+
+/// A table lookup costs the one table asked for: the provider default
+/// built every table's metadata (columns, indexes, row count) to return
+/// one, on every local table reference of every bind.
+#[test]
+fn one_table_lookup_allocates_the_same_whatever_the_catalog_holds() {
+    let local = |tables: usize| {
+        let storage = Arc::new(StorageEngine::new("local"));
+        for i in 0..tables {
+            storage.create_table(wide(&format!("t{i}"))).unwrap();
+        }
+        LocalDataSource::new(storage)
+    };
+    let lookup = |source: &dyn DataSource| {
+        let (asked, info) = made(|| source.table("T0").unwrap());
+        assert_eq!((info.name.as_str(), info.columns.len()), ("t0", 8));
+        asked
+    };
+    let (one, many) = (local(1), local(64));
+    assert_eq!(lookup(&one), lookup(&many));
+    let missing = many.table("t64").unwrap_err();
+    assert_eq!(missing.kind(), "catalog");
+    assert!(
+        missing
+            .to_string()
+            .contains("table 't64' not found in source 'local'"),
+        "{missing}"
+    );
+
+    // A member engine's source answers through the same lookup.
+    let engine = |tables: usize| {
+        let engine = EngineBuilder::from_lookup("member", |_| None).build();
+        for i in 0..tables {
+            engine.create_table(wide(&format!("t{i}"))).unwrap();
+        }
+        EngineDataSource::new(engine)
+    };
+    assert_eq!(lookup(&engine(1)), lookup(&engine(64)));
+}
+
+/// A cached plan points at its table's statistics instead of holding a
+/// copy: two engines whose one table differs only in histogram size (16
+/// against 256 buckets on each of eight columns) hold the same bytes per
+/// cached plan. A copy per plan held 9.1 KB against 85.9 KB.
+#[test]
+fn a_cached_plan_holds_no_copy_of_its_statistics() {
+    let per_plan = |buckets: usize| -> i64 {
+        // Defaults whatever `DHQP_*` leg runs the suite: the plan cache
+        // is on and every statement compiles on this thread.
+        let engine = EngineBuilder::from_lookup("stats", |_| None).build();
+        engine.create_table(wide("w")).unwrap();
+        let rows: Vec<Row> = (0..4096i64)
+            .map(|i| {
+                Row::new(
+                    (0..8)
+                        .map(|j| Value::Int((i * (2 * j + 1)) % 4096))
+                        .collect(),
+                )
+            })
+            .collect();
+        engine.insert("w", &rows).unwrap();
+        engine.analyze("w", buckets).unwrap();
+        // 32 templates, one per projection: even ones seek the key, odd
+        // ones scan.
+        let statements = (1..=32u32).map(|mask| {
+            let columns: Vec<String> = (0..6)
+                .filter(|j| mask & (1 << j) != 0)
+                .map(|j| format!("c{j}"))
+                .collect();
+            let filter = if mask % 2 == 0 {
+                "c0 = 17"
+            } else {
+                "c1 > 4000"
+            };
+            format!("SELECT {} FROM w WHERE {filter}", columns.join(", "))
+        });
+        for sql in statements {
+            engine.execute(&sql).unwrap();
+        }
+        assert_eq!(engine.plan_cache_len(), 32);
+        let (live, _) = LIVE.with(Cell::get);
+        engine.set_plan_cache_enabled(false);
+        assert_eq!(engine.plan_cache_len(), 0);
+        let (evicted, _) = LIVE.with(Cell::get);
+        (live - evicted) / 32
+    };
+    let (small, large) = (per_plan(16), per_plan(256));
+    assert!(
+        (large - small).abs() < 1024,
+        "a cached plan holds {small} B over 16-bucket histograms and {large} B over 256"
     );
 }
