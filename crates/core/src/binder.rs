@@ -679,7 +679,7 @@ impl<'e> Binder<'e> {
                 }
             })
         };
-        let pull = self.knobs.batch.pull_size();
+        let pull = self.knobs.batch.batch_size;
         let mut rowset = RetryState::new(&policy, self.engine.counters())
             .gated(Some(self.engine.health()), server)
             .rewind_by(pull)

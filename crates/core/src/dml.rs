@@ -586,7 +586,7 @@ impl WriteSet {
             Some(Seek::Range(index, range)) => Some((index, range)),
             Some(Seek::Unbounded) | None => None,
         };
-        let (ctx, pull) = (&self.ctx, self.ctx.batch().pull_size());
+        let (ctx, pull) = (&self.ctx, self.ctx.batch().batch_size);
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
         let read = RetryState::new(ctx.retry(), ctx.counters());

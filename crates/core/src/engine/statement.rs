@@ -439,7 +439,7 @@ impl Engine {
             ctx = ctx.with_stats(Arc::clone(collector));
         }
         let mut rowset = dhqp_executor::open(plan, &ctx)?;
-        let all_rows = rowset.collect_rows_batched(ctx.batch().pull_size())?;
+        let all_rows = rowset.collect_rows_batched(ctx.batch().batch_size)?;
         // Trim to the visible SELECT-list columns, in order.
         let mut positions = Vec::with_capacity(compiled.output.len());
         let mut columns = Vec::with_capacity(compiled.output.len());

@@ -232,9 +232,8 @@ pub const KNOBS: &[KnobRow] = &[
             None => {}
         },
         |k| k.parallel.enabled.to_string()),
-    switch!("DHQP_BATCH", batch.enabled,
-        "batched row shipping across operators and links; off = batch size 1"),
-    number!("DHQP_BATCH_SIZE", batch.batch_size: usize, 1, "rows per batch (≥ 1)"),
+    number!("DHQP_BATCH_SIZE", batch.batch_size: usize, 1,
+        "rows per batch across operators and links (≥ 1; 1 = row at a time)"),
     number!("DHQP_RETRY_ATTEMPTS", retry.max_attempts: u32, 1,
         "attempts per idempotent remote read, first try included (≥ 1; 1 = no retry)"),
     millis!("DHQP_RETRY_BACKOFF_MS", retry.base_backoff,

@@ -217,7 +217,7 @@ fn maybe_prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> Box<dyn Rowset> 
         ctx.counters().remote_prefetches.bump();
         Box::new(PrefetchRowset::new(
             inner,
-            ctx.batch().pull_size(),
+            ctx.batch().batch_size,
             cfg.prefetch_batch,
             cfg.prefetch_queue,
         ))
@@ -594,10 +594,7 @@ mod tests {
         );
         // The three bookmarks cross the link in one fetch at batch size 64
         // and in three at batch size 1; the base rows come back in one.
-        for (batch, flushes) in [
-            (BatchConfig::batched(64), 2),
-            (BatchConfig::row_at_a_time(), 4),
-        ] {
+        for (batch, flushes) in [(BatchConfig::batched(64), 2), (BatchConfig::batched(1), 4)] {
             let ctx = ctx.clone().with_batch(batch);
             let link = ctx.catalog().linked("r").unwrap();
             let before = link.traffic().unwrap();

@@ -43,7 +43,7 @@ pub struct ParallelConfig {
     /// while the consumer drains the current one.
     pub prefetch: bool,
     /// Rows a prefetch worker gathers before handing them to the consumer
-    /// (at least one pull of [`BatchConfig::pull_size`] rows).
+    /// (at least one pull of [`BatchConfig::batch_size`] rows).
     pub prefetch_batch: usize,
     /// Batches buffered ahead of the consumer.
     pub prefetch_queue: usize,
@@ -74,14 +74,12 @@ impl ParallelConfig {
 
 /// How many rows the engine asks for at a time. Every drain inside a
 /// statement — the root, hash build and probe, sort, spool, aggregates,
-/// exchange and prefetch workers — pulls [`BatchConfig::pull_size`] rows
+/// exchange and prefetch workers — pulls [`BatchConfig::batch_size`] rows
 /// through [`dhqp_oledb::Rowset::next_batch`], and the network layer ships
-/// one simulated round trip per pull. Off is batch size 1 through the same
-/// code.
+/// one simulated round trip per pull. Row at a time is batch size 1
+/// through the same code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Master switch (`DHQP_BATCH`, default on); off = batch size 1.
-    pub enabled: bool,
     /// Rows per chunk (`DHQP_BATCH_SIZE`, default 1024, clamped to ≥ 1).
     pub batch_size: usize,
 }
@@ -90,29 +88,10 @@ pub struct BatchConfig {
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 impl BatchConfig {
-    /// One row per pull.
-    pub fn row_at_a_time() -> Self {
-        BatchConfig {
-            enabled: false,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
-
     /// An explicit chunk size.
     pub fn batched(batch_size: usize) -> Self {
         BatchConfig {
-            enabled: true,
             batch_size: batch_size.max(1),
-        }
-    }
-
-    /// The chunk size to pull with: the configured size, or 1 when
-    /// batching is off.
-    pub fn pull_size(&self) -> usize {
-        if self.enabled {
-            self.batch_size
-        } else {
-            1
         }
     }
 }

@@ -128,7 +128,7 @@ pub fn open_hash_aggregate(
     let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
     // Preserve first-seen group order for deterministic output.
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let pull = ctx.batch().pull_size();
+    let pull = ctx.batch().batch_size;
     while let Some(batch) = input.next_batch(pull)? {
         for row in batch {
             let key: Vec<Value> = group_pos.iter().map(|&p| row.values[p].clone()).collect();
@@ -197,7 +197,7 @@ impl StreamAggregate {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(StreamAggregate {
-            input: RowCursor::new(input, ctx.batch().pull_size()),
+            input: RowCursor::new(input, ctx.batch().batch_size),
             group_pos,
             aggs,
             positions,

@@ -39,7 +39,7 @@ pub type EndCheck = Box<dyn FnOnce() -> Result<()> + Send>;
 /// Parallel bag union: branches open and drain on worker threads, the
 /// consumer pulls merged row batches (arrival order) from a bounded channel.
 /// Each channel slot carries a whole [`RowBatch`], so the queue bound is
-/// expressed in batches (`exchange_queue / pull_size`) to keep the buffered
+/// expressed in batches (`exchange_queue / batch_size`) to keep the buffered
 /// row budget roughly constant whichever batch size is configured.
 pub struct ExchangeRowset {
     /// A caller may ask for fewer rows than a worker shipped at once; the
@@ -77,7 +77,7 @@ impl ExchangeRowset {
         let perms = union_perms(child_delivered, input_columns)?;
         let n = branches.len().min(cfg.max_workers).max(1);
         let branch_count = branches.len();
-        let pull = ctx.batch().pull_size();
+        let pull = ctx.batch().batch_size;
         // Queue depth in batches: with batching off (pull = 1) this is the
         // historical row-granular bound, unchanged.
         let depth = cfg.exchange_queue.max(1).div_ceil(pull).max(1);
@@ -618,7 +618,7 @@ mod tests {
             });
             Ok(Box::new(IterRowset::new(int_schema(), stream)) as Box<dyn Rowset>)
         });
-        let ctx = ctx().with_batch(BatchConfig::row_at_a_time());
+        let ctx = ctx().with_batch(BatchConfig::batched(1));
         let mut rs = exchange_in(vec![slow], &ParallelConfig::parallel(), &ctx);
         assert!(rs.next().unwrap().is_some());
         drop(rs);

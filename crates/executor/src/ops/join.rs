@@ -1,5 +1,5 @@
 //! Join operators: nested loops (with per-row inner rebinds — the vehicle
-//! for parameterized remote access), hash join and merge join.
+//! for remote index probes), hash join and merge join.
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
@@ -14,7 +14,7 @@ pub type InnerFactory = Box<dyn Fn(&ExecContext) -> Result<Box<dyn Rowset>> + Se
 
 /// Does `combined` (a left row followed by a right row) pass the join's
 /// predicate? No predicate passes everything.
-fn passes(
+pub(crate) fn passes(
     predicate: Option<&ScalarExpr>,
     positions: &HashMap<ColumnId, usize>,
     combined: &Row,
@@ -47,8 +47,7 @@ fn null_pad(left: &Row, right_width: usize) -> Row {
 
 /// Nested-loop join. The inner side is re-opened for every outer row with
 /// that row's columns exposed as correlation bindings, which is what lets a
-/// `RemoteQuery`/`RemoteRange` inner child push the current join key to the
-/// remote source (§4.1.2 parameterization).
+/// `RemoteRange` inner child seek on the current join key (§4.1.2).
 ///
 /// The outer side is pipelined: a refill asks it for as many rows as the
 /// caller still wants, never more, so `TOP n` above the join over-ships at
@@ -87,7 +86,7 @@ impl NestedLoopJoin {
         combined.extend(inner_columns.iter().copied());
         let inner_pull = match kind {
             JoinKind::Semi | JoinKind::Anti => 1,
-            JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter => ctx.batch().pull_size(),
+            JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter => ctx.batch().batch_size,
         };
         NestedLoopJoin {
             outer: RowCursor::new(outer, 1),
@@ -219,7 +218,7 @@ pub fn open_hash_join(
             .map(|k| eval_expr(k, &env))
             .collect::<Result<Vec<_>>>()
     };
-    let pull = ctx.batch().pull_size();
+    let pull = ctx.batch().batch_size;
 
     // Build phase: hash the right input (null keys never match).
     let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
@@ -302,7 +301,7 @@ pub fn open_merge_join(
     combined_cols.extend(right_columns.iter().copied());
     let combined_pos = positions_of(&combined_cols);
 
-    let pull = ctx.batch().pull_size();
+    let pull = ctx.batch().batch_size;
     let lrows = left.collect_rows_batched(pull)?;
     let rrows = right.collect_rows_batched(pull)?;
     let key_of = |row: &Row, pos: &[usize]| -> Vec<Value> {

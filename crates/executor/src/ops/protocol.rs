@@ -269,7 +269,7 @@ fn every_rowset(ctx: &ExecContext, remote: &TableMeta) -> Vec<(&'static str, Box
         (
             "Retry",
             RetryState::new(&RetryPolicy::standard(), ctx.counters())
-                .rewind_by(ctx.batch().pull_size())
+                .rewind_by(ctx.batch().batch_size)
                 .open(Box::new(|| Ok(mem(&INPUT))))
                 .unwrap(),
         ),

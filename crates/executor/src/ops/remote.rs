@@ -1,12 +1,11 @@
 //! Remote access paths: the executor side of the paper's *build remote
 //! query*, *remote scan*, *remote range* and *remote fetch* rules (§4.1.2).
 //!
-//! A remote query's parameters (`@__corr0`-style correlation markers,
-//! `@__lit0`-style plan-cache literals, `@user` parameters and a semi-join
-//! reduction's `@__keys0` key set) are substituted as literals of the
-//! provider's dialect into the SQL text before it crosses the link — no
-//! provider ever receives a parameter marker, and the traffic accounting
-//! stays honest.
+//! A remote query's parameters (`@__lit0`-style plan-cache literals,
+//! `@user` parameters and a key-shipping request's `@__keys0` key set) are
+//! substituted as literals of the provider's dialect into the SQL text
+//! before it crosses the link — no provider ever receives a parameter
+//! marker, and the traffic accounting stays honest.
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
@@ -15,31 +14,11 @@ use crate::ops::scan::resolve_range;
 use crate::schema_guard::MemberChecks;
 use crate::stats::{ChargedRowset, RemoteCharge};
 use dhqp_oledb::{Dialect, MemRowset, Rowset, RowsetExt, Session};
-use dhqp_optimizer::physical::{IndexRangeSpec, ParamSource, RemoteParam};
+use dhqp_optimizer::physical::{IndexRangeSpec, RemoteParam, KEY_SET};
 use dhqp_optimizer::{ColumnId, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Resolve one remote parameter to the values it binds: one value, or
-/// `keys` for a key set.
-fn param_values<'a>(
-    p: &RemoteParam,
-    keys: &'a [Value],
-    ctx: &'a ExecContext,
-) -> Result<&'a [Value]> {
-    let value = match &p.source {
-        ParamSource::QueryParam(name) => ctx.param(name)?,
-        ParamSource::OuterColumn(col) => ctx.binding(col.0).ok_or_else(|| {
-            DhqpError::Execute(format!(
-                "no outer binding for correlation column #{} (parameter @{})",
-                col.0, p.name
-            ))
-        })?,
-        ParamSource::KeySet => return Ok(keys),
-    };
-    Ok(std::slice::from_ref(value))
-}
 
 /// Substitute `@name` placeholders with literals of `dialect` in one
 /// left-to-right scan, a parameter's values comma-separated. At each `@`
@@ -84,9 +63,12 @@ pub fn remote_query_text(
     keys: &[Value],
     ctx: &ExecContext,
 ) -> Result<String> {
-    let bound: Vec<(&str, &[Value])> = params
+    let bound = params
         .iter()
-        .map(|p| Ok((p.name.as_str(), param_values(p, keys, ctx)?)))
+        .map(|p| match p {
+            RemoteParam::Query(name) => Ok((name.as_str(), std::slice::from_ref(ctx.param(name)?))),
+            RemoteParam::KeySet => Ok((KEY_SET, keys)),
+        })
         .collect::<Result<Vec<_>>>()?;
     let dialect = ctx.catalog().linked(server)?.capabilities().dialect;
     Ok(substitute_params(sql, &bound, &dialect))
@@ -120,7 +102,7 @@ fn open_via_breaker(
         .gated(ctx.health(), Some(server))
         .on_node(node, ctx.stats())
         .tagged(op_tag)
-        .rewind_by(ctx.batch().pull_size());
+        .rewind_by(ctx.batch().batch_size);
     let Some(collector) = ctx.stats() else {
         return open.open(factory);
     };
@@ -220,7 +202,7 @@ pub fn open_remote_fetch(
 ) -> Result<Box<dyn Rowset>> {
     let (server, checks) = remote_table(meta, ctx, "fetch")?;
     let bookmarks = child
-        .collect_rows_batched(ctx.batch().pull_size())?
+        .collect_rows_batched(ctx.batch().batch_size)?
         .into_iter()
         .map(|row| {
             row.bookmark.ok_or_else(|| {

@@ -25,7 +25,7 @@ pub fn open_sort(
             })
             .collect::<Result<Vec<_>>>()?;
     let schema = input.schema().clone();
-    let mut rows = input.collect_rows_batched(ctx.batch().pull_size())?;
+    let mut rows = input.collect_rows_batched(ctx.batch().batch_size)?;
     rows.sort_by(|a, b| {
         for &(p, asc) in &key_pos {
             let o = a.values[p].total_cmp(&b.values[p]);
@@ -178,7 +178,7 @@ pub fn open_spool(
         None => dhqp_oledb::timed_wait(dhqp_oledb::WaitClass::Spool, || {
             let mut child = open_child()?;
             let schema = child.schema().clone();
-            let rows = child.collect_rows_batched(ctx.batch().pull_size())?;
+            let rows = child.collect_rows_batched(ctx.batch().batch_size)?;
             let data: SpoolData = Arc::new((schema, rows));
             ctx.store_spool(key, Arc::clone(&data));
             Ok::<SpoolData, dhqp_types::DhqpError>(data)

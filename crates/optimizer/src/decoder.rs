@@ -16,22 +16,26 @@
 
 use crate::logical::{JoinKind, LogicalOp, TableMeta};
 use crate::memo::{GroupId, Memo};
-use crate::physical::{ParamSource, RemoteParam};
+use crate::physical::{RemoteParam, KEY_SET};
 use crate::props::{ColumnId, ColumnRegistry};
 use crate::scalar::{AggFunc, ScalarExpr};
 use dhqp_oledb::{LimitSyntax, ProviderCapabilities, SqlSupport};
 use dhqp_types::{DataType, Value};
 use std::collections::{BTreeSet, HashMap};
 
-/// The parameter a `key_set` restriction binds (see [`Decoder::build`]).
-const KEY_SET: &str = "__keys0";
+/// A column restricted to one key (`= @__keys0`) or to all keys (`IN
+/// (@__keys0)`) of a key-shipping request (see [`Decoder::build`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeySet {
+    One(ColumnId),
+    All(ColumnId),
+}
 
 /// A fully rendered remote statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteSql {
     pub sql: String,
-    /// Parameters referenced by the statement, in the order they should be
-    /// bound.
+    /// Parameters the statement references.
     pub params: Vec<RemoteParam>,
     /// Output columns, matching the group's canonical column order.
     pub columns: Vec<ColumnId>,
@@ -119,7 +123,6 @@ impl SqlQuery {
 /// Decoder for one target server.
 pub struct Decoder<'a> {
     memo: &'a Memo,
-    registry: &'a ColumnRegistry,
     caps: &'a ProviderCapabilities,
     server: &'a str,
     cache: HashMap<GroupId, Option<SqlQuery>>,
@@ -136,15 +139,9 @@ struct ScalarRenderer<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    pub fn new(
-        memo: &'a Memo,
-        registry: &'a ColumnRegistry,
-        caps: &'a ProviderCapabilities,
-        server: &'a str,
-    ) -> Self {
+    pub fn new(memo: &'a Memo, caps: &'a ProviderCapabilities, server: &'a str) -> Self {
         Decoder {
             memo,
-            registry,
             caps,
             server,
             cache: HashMap::new(),
@@ -157,47 +154,42 @@ impl<'a> Decoder<'a> {
     }
 
     /// Build the complete remote statement for a group: the *build remote
-    /// query* implementation rule's core. `extra_pred` is ANDed into the
-    /// statement (used by the parameterization rule to push correlation
-    /// predicates), `corr_params` names parameters bound from outer rows.
-    /// `key_set` restricts that column to `IN (@__keys0)`, a parameter the
-    /// semi-join reduction binds to its build keys at drive time; its
-    /// literals are not counted in `keys`, which the text does not carry.
-    #[allow(clippy::too_many_arguments)]
+    /// query* implementation rule's core. `key_set` restricts a column to
+    /// the key-set parameter `@__keys0`, which a key-shipping operator binds
+    /// at drive time: `= @__keys0` for one key per request, `IN (@__keys0)`
+    /// for the whole set. The keys are not counted in `keys`, which the
+    /// text does not carry.
     pub fn build(
         &mut self,
         group: GroupId,
-        extra_pred: Option<&ScalarExpr>,
-        corr_params: &[(String, ColumnId)],
-        key_set: Option<ColumnId>,
+        key_set: Option<KeySet>,
         ordering: &[(ColumnId, bool)],
         top: Option<u64>,
     ) -> Option<RemoteSql> {
         if self.caps.sql_support == SqlSupport::None || self.caps.proprietary_command {
             return None;
         }
-        // SQL Minimum renders no `IN`, so it cannot restrict a key set.
-        if key_set.is_some() && self.caps.sql_support == SqlSupport::Minimum {
+        // SQL Minimum renders no `IN`, so it cannot take a whole key set.
+        if matches!(key_set, Some(KeySet::All(_))) && self.caps.sql_support == SqlSupport::Minimum {
             return None;
         }
         let mut q = self.decode_group(group)?;
         let out_cols: Vec<ColumnId> = self.memo.group(group).props.columns.clone();
-        if (extra_pred.is_some() || key_set.is_some()) && !q.is_simple() {
-            q = self.wrap(q)?;
-        }
-        if let Some(p) = extra_pred {
-            let frag = self.scalars.render_expr(p, &q.colmap())?;
-            q.wheres.push(frag);
-            q.keys += in_list_keys(p);
-        }
         let mut params = Vec::new();
-        if let Some(probe) = key_set {
-            let frag = q.fragment_of(probe)?;
-            q.wheres.push(format!("({frag} IN (@{KEY_SET}))"));
-            params.push(RemoteParam {
-                name: KEY_SET.into(),
-                source: ParamSource::KeySet,
-            });
+        if let Some(key_set) = key_set {
+            if !q.is_simple() {
+                // The wrapped text is this statement's own, so its alias
+                // need not stay unique across the statements built here.
+                let mark = self.derived_counter;
+                q = self.wrap(q)?;
+                self.derived_counter = mark;
+            }
+            let restriction = match key_set {
+                KeySet::One(probe) => format!("({} = @{KEY_SET})", q.fragment_of(probe)?),
+                KeySet::All(probe) => format!("({} IN (@{KEY_SET}))", q.fragment_of(probe)?),
+            };
+            q.wheres.push(restriction);
+            params.push(RemoteParam::KeySet);
         }
         let order_by: Vec<String> = if ordering.is_empty() {
             Vec::new()
@@ -218,18 +210,7 @@ impl<'a> Decoder<'a> {
             return None;
         }
         let sql = q.render(&out_cols, &self.caps.dialect, top, &order_by)?;
-        params.extend(self.scalars.params.iter().map(|name| {
-            let source = corr_params
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, col)| ParamSource::OuterColumn(*col))
-                .unwrap_or_else(|| ParamSource::QueryParam(name.clone()));
-            RemoteParam {
-                name: name.clone(),
-                source,
-            }
-        }));
-        params.sort_by(|a, b| a.name.cmp(&b.name));
+        params.extend(self.scalars.params.iter().cloned().map(RemoteParam::Query));
         Some(RemoteSql {
             sql,
             params,
@@ -448,11 +429,6 @@ impl<'a> Decoder<'a> {
             aggregated: false,
             keys: q.keys,
         })
-    }
-
-    /// The registry, exposed for callers composing correlation names.
-    pub fn registry(&self) -> &ColumnRegistry {
-        self.registry
     }
 }
 
@@ -704,10 +680,10 @@ mod tests {
 
     #[test]
     fn decodes_paper_join_to_sql() {
-        let (reg, memo, root, ..) = remote_pair();
+        let (_, memo, root, ..) = remote_pair();
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let out = d.build(root, None, &[], None, &[], None).unwrap();
+        let mut d = Decoder::new(&memo, &caps, "remote0");
+        let out = d.build(root, None, &[], None).unwrap();
         assert_eq!(
             out.sql,
             "SELECT [t0].[c_custkey] AS [c0], [t0].[c_nationkey] AS [c1], \
@@ -724,9 +700,9 @@ mod tests {
         let (reg, memo, root, c, _) = remote_pair();
         let mut caps = ProviderCapabilities::sql_server("EXCELISH");
         caps.sql_support = SqlSupport::Minimum;
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let mut d = Decoder::new(&memo, &caps, "remote0");
         assert!(
-            d.build(root, None, &[], None, &[], None).is_none(),
+            d.build(root, None, &[], None).is_none(),
             "joins exceed SQL Minimum"
         );
 
@@ -738,8 +714,8 @@ mod tests {
             ScalarExpr::literal(Value::Int(10)),
         ));
         let g = memo2.insert_tree(&filter, &reg);
-        let mut d = Decoder::new(&memo2, &reg, &caps, "remote0");
-        let out = d.build(g, None, &[], None, &[], None).unwrap();
+        let mut d = Decoder::new(&memo2, &caps, "remote0");
+        let out = d.build(g, None, &[], None).unwrap();
         assert!(out.sql.contains("WHERE ([t0].[c_custkey] > 10)"));
 
         // ...but an OR predicate exceeds Minimum.
@@ -755,49 +731,49 @@ mod tests {
             ),
         ]));
         let g3 = memo3.insert_tree(&or_filter, &reg);
-        let mut d = Decoder::new(&memo3, &reg, &caps, "remote0");
-        assert!(d.build(g3, None, &[], None, &[], None).is_none());
+        let mut d = Decoder::new(&memo3, &caps, "remote0");
+        assert!(d.build(g3, None, &[], None).is_none());
     }
 
     #[test]
     fn wrong_server_does_not_decode() {
-        let (reg, memo, root, ..) = remote_pair();
+        let (_, memo, root, ..) = remote_pair();
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "other-server");
-        assert!(d.build(root, None, &[], None, &[], None).is_none());
+        let mut d = Decoder::new(&memo, &caps, "other-server");
+        assert!(d.build(root, None, &[], None).is_none());
     }
 
     #[test]
-    fn extra_predicate_and_params() {
+    fn one_key_per_request_is_an_equality_even_at_sql_minimum() {
         let (reg, memo, root, c, _) = remote_pair();
-        let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let corr = ScalarExpr::eq(
-            ScalarExpr::Column(c.column_id(0)),
-            ScalarExpr::Param("__corr0".into()),
-        );
-        let out = d
-            .build(
-                root,
-                Some(&corr),
-                &[("__corr0".into(), ColumnId(99))],
-                None,
-                &[],
-                None,
-            )
+        let mut caps = ProviderCapabilities::sql_server("SQLOLEDB");
+        let one = Some(KeySet::One(c.column_id(0)));
+        let out = Decoder::new(&memo, &caps, "remote0")
+            .build(root, one, &[], None)
             .unwrap();
-        assert!(out.sql.contains("([t0].[c_custkey] = @__corr0)"));
-        assert_eq!(out.params.len(), 1);
-        assert_eq!(out.params[0].source, ParamSource::OuterColumn(ColumnId(99)));
+        assert!(out.sql.contains("([t0].[c_custkey] = @__keys0)"));
+        assert_eq!(out.params, [RemoteParam::KeySet]);
+        // SQL Minimum has no IN, but it has `=`.
+        caps.sql_support = SqlSupport::Minimum;
+        let mut memo = Memo::new();
+        let get = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)), &reg);
+        let out = Decoder::new(&memo, &caps, "remote0")
+            .build(get, one, &[], None)
+            .unwrap();
+        assert!(
+            out.sql.ends_with("WHERE ([t0].[c_custkey] = @__keys0)"),
+            "{}",
+            out.sql
+        );
     }
 
     #[test]
     fn ordering_and_top_render() {
-        let (reg, memo, root, c, _) = remote_pair();
+        let (_, memo, root, c, _) = remote_pair();
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let mut d = Decoder::new(&memo, &caps, "remote0");
         let out = d
-            .build(root, None, &[], None, &[(c.column_id(0), false)], Some(10))
+            .build(root, None, &[(c.column_id(0), false)], Some(10))
             .unwrap();
         assert!(out.sql.starts_with("SELECT TOP 10 "));
         assert!(out.sql.ends_with("ORDER BY [t0].[c_custkey] DESC"));
@@ -827,16 +803,16 @@ mod tests {
         let mut memo = Memo::new();
         let g = memo.insert_tree(&agg, &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "r");
-        let out = d.build(g, None, &[], None, &[], None).unwrap();
+        let mut d = Decoder::new(&memo, &caps, "r");
+        let out = d.build(g, None, &[], None).unwrap();
         assert!(out.sql.contains("GROUP BY [t0].[o_k]"));
         assert!(out.sql.contains("COUNT(*) AS [c1]"));
 
         let mut odbc = caps.clone();
         odbc.sql_support = SqlSupport::OdbcCore;
-        let mut d = Decoder::new(&memo, &reg, &odbc, "r");
+        let mut d = Decoder::new(&memo, &odbc, "r");
         assert!(
-            d.build(g, None, &[], None, &[], None).is_none(),
+            d.build(g, None, &[], None).is_none(),
             "GROUP BY exceeds ODBC Core"
         );
     }
@@ -872,8 +848,8 @@ mod tests {
         let mut memo = Memo::new();
         let g = memo.insert_tree(&semi, &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "r");
-        assert!(d.build(g, None, &[], None, &[], None).is_none());
+        let mut d = Decoder::new(&memo, &caps, "r");
+        assert!(d.build(g, None, &[], None).is_none());
     }
 
     #[test]
@@ -894,9 +870,9 @@ mod tests {
         let mut memo = Memo::new();
         let root = memo.insert_tree(&semi, &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let mut d = Decoder::new(&memo, &caps, "remote0");
         assert!(
-            d.build(root, None, &[], None, &[], None).is_none(),
+            d.build(root, None, &[], None).is_none(),
             "semi join alone is undecodable"
         );
 
@@ -915,9 +891,9 @@ mod tests {
             root,
         )
         .expect("new alternative");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let mut d = Decoder::new(&memo, &caps, "remote0");
         let out = d
-            .build(root, None, &[], None, &[], None)
+            .build(root, None, &[], None)
             .expect("second alternative decodes");
         assert!(out.sql.contains("INNER JOIN"));
     }
@@ -948,22 +924,24 @@ mod tests {
         let mut memo = Memo::new();
         let root = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)).filter(unrenderable), &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        assert!(Decoder::new(&memo, &reg, &caps, "remote0")
-            .build(root, None, &[], None, &[], None)
+        assert!(Decoder::new(&memo, &caps, "remote0")
+            .build(root, None, &[], None)
             .is_none());
         // The alternative that decodes carries no list, so nothing is counted ...
         let children = memo.expr(memo.group(root).exprs[0]).children.clone();
         let gt = ScalarExpr::cmp(CmpOp::Gt, key(), ScalarExpr::literal(Value::Int(10)));
         memo.insert_alternative(LogicalOp::Filter { predicate: gt }, children, root)
             .expect("new alternative");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let out = d.build(root, None, &[], None, &[], None).unwrap();
+        let mut d = Decoder::new(&memo, &caps, "remote0");
+        let out = d.build(root, None, &[], None).unwrap();
         assert!(!out.sql.contains(" IN "), "{}", out.sql);
         assert_eq!(out.keys, 0);
         // ... and a list the text does carry is.
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let out = d
-            .build(root, Some(&in_list(&[4, 5])), &[], None, &[], None)
+        let mut memo = Memo::new();
+        let listed = LogicalExpr::get(Arc::clone(&c)).filter(in_list(&[4, 5]));
+        let root = memo.insert_tree(&listed, &reg);
+        let out = Decoder::new(&memo, &caps, "remote0")
+            .build(root, None, &[], None)
             .unwrap();
         assert!(out.sql.contains("IN (4, 5)"), "{}", out.sql);
         assert_eq!(out.keys, 2);
@@ -980,10 +958,10 @@ mod tests {
         let mut memo = Memo::new();
         let root = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)).filter(listed), &reg);
         let caps = ProviderCapabilities::sql_server("SQLOLEDB");
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
-        let base = d.build(root, None, &[], None, &[], None).unwrap();
+        let mut d = Decoder::new(&memo, &caps, "remote0");
+        let base = d.build(root, None, &[], None).unwrap();
         let reduced = d
-            .build(root, None, &[], Some(c.column_id(0)), &[], None)
+            .build(root, Some(KeySet::All(c.column_id(0))), &[], None)
             .unwrap();
         assert_eq!(
             reduced.sql,
@@ -991,23 +969,17 @@ mod tests {
         );
         // The placeholder carries no literal: costing sees the base's keys.
         assert_eq!((base.keys, reduced.keys), (3, 3));
-        assert_eq!(
-            reduced.params,
-            [RemoteParam {
-                name: "__keys0".into(),
-                source: ParamSource::KeySet
-            }]
-        );
+        assert_eq!(reduced.params, [RemoteParam::KeySet]);
 
         // SQL Minimum has no IN.
         let mut minimum = caps.clone();
         minimum.sql_support = SqlSupport::Minimum;
         let mut memo = Memo::new();
         let get = memo.insert_tree(&LogicalExpr::get(Arc::clone(&c)), &reg);
-        let mut d = Decoder::new(&memo, &reg, &minimum, "remote0");
-        assert!(d.build(get, None, &[], None, &[], None).is_some());
+        let mut d = Decoder::new(&memo, &minimum, "remote0");
+        assert!(d.build(get, None, &[], None).is_some());
         assert!(d
-            .build(get, None, &[], Some(c.column_id(0)), &[], None)
+            .build(get, Some(KeySet::All(c.column_id(0))), &[], None)
             .is_none());
 
         // An aggregated probe side is restricted from outside a derived
@@ -1024,9 +996,9 @@ mod tests {
         );
         let mut memo = Memo::new();
         let g = memo.insert_tree(&agg, &reg);
-        let mut d = Decoder::new(&memo, &reg, &caps, "remote0");
+        let mut d = Decoder::new(&memo, &caps, "remote0");
         let out = d
-            .build(g, None, &[], Some(c.column_id(0)), &[], None)
+            .build(g, Some(KeySet::All(c.column_id(0))), &[], None)
             .unwrap();
         assert!(
             out.sql
@@ -1036,10 +1008,10 @@ mod tests {
         );
         let mut flat = caps.clone();
         flat.dialect.nested_select = false;
-        let mut d = Decoder::new(&memo, &reg, &flat, "remote0");
-        assert!(d.build(g, None, &[], None, &[], None).is_some());
+        let mut d = Decoder::new(&memo, &flat, "remote0");
+        assert!(d.build(g, None, &[], None).is_some());
         assert!(d
-            .build(g, None, &[], Some(c.column_id(0)), &[], None)
+            .build(g, Some(KeySet::All(c.column_id(0))), &[], None)
             .is_none());
     }
 
@@ -1108,8 +1080,8 @@ mod tests {
         let g = memo.insert_tree(&tree, &reg);
         let mut caps = ProviderCapabilities::sql_server("ORAOLEDB");
         caps.dialect.date_literal = dhqp_oledb::capabilities::DateLiteralStyle::Keyword;
-        let mut d = Decoder::new(&memo, &reg, &caps, "r");
-        let out = d.build(g, None, &[], None, &[], None).unwrap();
+        let mut d = Decoder::new(&memo, &caps, "r");
+        let out = d.build(g, None, &[], None).unwrap();
         assert!(out.sql.contains("DATE '1992-01-01'"), "{}", out.sql);
     }
 }

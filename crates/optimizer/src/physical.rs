@@ -133,11 +133,11 @@ pub enum PhysicalOp {
     RemoteFetch {
         meta: Arc<TableMeta>,
     },
-    /// Semi-join reduction (§4.1.5 byte minimization): the build child is
-    /// drained at drive time, its distinct join keys bind the key-set
-    /// parameter of `sql`, and the reduced remote result is hash-joined
-    /// back against the build rows. Past `max_keys` distinct keys, or when
-    /// the reduced open gives up, the executor ships `unreduced` instead.
+    /// Key shipping (§4.1.2 parameterization, §4.1.5 semi-join
+    /// reduction): the build child's distinct non-NULL join keys bind the
+    /// key-set parameter of `sql`, and what the remote returns is
+    /// hash-joined back against the build rows. `per_request` says how many
+    /// keys one statement carries.
     SemiJoinReduce {
         kind: JoinKind,
         /// Join key column of the (local, cheap) build child.
@@ -147,14 +147,12 @@ pub enum PhysicalOp {
         residual: Option<ScalarExpr>,
         server: Arc<str>,
         /// Decoder-built statement for the remote side, `probe_key`
-        /// restricted to the key set `IN (@__keys0)`.
+        /// restricted to the key-set parameter `@__keys0`.
         sql: String,
-        /// The same statement without the restriction.
-        unreduced: String,
         /// Remote output columns, matching `sql`'s select-list order.
         columns: Vec<ColumnId>,
         params: Vec<RemoteParam>,
-        max_keys: usize,
+        per_request: KeysPerRequest,
     },
     Values {
         columns: Vec<ColumnId>,
@@ -166,24 +164,25 @@ pub enum PhysicalOp {
     },
 }
 
-/// A parameter of a remote query: `@name` placeholders in the SQL text are
-/// bound from the session's query parameters or from the current outer row
-/// of a parameterized nested-loop join (the §4.1.2 parameterization rule).
+/// How many join keys one [`PhysicalOp::SemiJoinReduce`] request carries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RemoteParam {
-    /// Placeholder name as it appears in the SQL text (without `@`).
-    pub name: String,
-    pub source: ParamSource,
+pub enum KeysPerRequest {
+    /// Each distinct outer key on its own: `probe = @__keys0`.
+    One,
+    /// The drained build side's keys at once: `probe IN (@__keys0)`. Past
+    /// `max_keys` keys, or when that open gives up, `unreduced` ships.
+    All { max_keys: usize, unreduced: String },
 }
 
+/// The placeholder a key-shipping request binds to its keys.
+pub const KEY_SET: &str = "__keys0";
+
+/// A `@name` placeholder in a remote statement's text, bound at open time.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ParamSource {
-    /// A column of the outer row (correlation).
-    OuterColumn(ColumnId),
-    /// A session query parameter.
-    QueryParam(String),
-    /// The distinct non-NULL build keys of a semi-join reduction, spelled
-    /// as a comma-separated list.
+pub enum RemoteParam {
+    /// A session query parameter of that name.
+    Query(String),
+    /// [`KEY_SET`]: one key-shipping request's keys, comma-separated.
     KeySet,
 }
 
@@ -305,9 +304,14 @@ impl PhysNode {
             PhysicalOp::SemiJoinReduce {
                 server,
                 sql,
-                max_keys,
+                per_request,
                 ..
-            } => format!("SemiJoinReduce(@{server} max_keys={max_keys}: {sql})"),
+            } => match per_request {
+                KeysPerRequest::One => format!("SemiJoinReduce(@{server} keys=1: {sql})"),
+                KeysPerRequest::All { max_keys, .. } => {
+                    format!("SemiJoinReduce(@{server} max_keys={max_keys}: {sql})")
+                }
+            },
             PhysicalOp::Sort { keys } => format!("Sort({} keys)", keys.len()),
             PhysicalOp::Exchange { .. } => format!("Exchange({} branches)", self.children.len()),
             other => other.name().to_string(),

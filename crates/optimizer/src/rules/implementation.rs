@@ -7,10 +7,10 @@
 //! the decoder); everything else lives here.
 
 use crate::cardinality::{equi_key_columns, ndv, predicate_selectivity};
-use crate::decoder::Decoder;
+use crate::decoder::{Decoder, KeySet, RemoteSql};
 use crate::logical::{JoinKind, Locality, LogicalOp, TableMeta};
 use crate::memo::{GroupId, MExpr, Memo};
-use crate::physical::{IndexRangeSpec, PhysicalOp};
+use crate::physical::{IndexRangeSpec, KeysPerRequest, PhysicalOp};
 use crate::props::{ColumnId, PhysicalProps, RequiredProps};
 use crate::rules::exploration::group_localities;
 use crate::rules::{Delivered, PhysAlt, RuleContext};
@@ -445,20 +445,12 @@ fn implement_join(
                     .with_delivered(Delivered::Keys(l_order)),
                 );
             }
-            // Parameterized remote access (§4.1.2 "parameterization enables
-            // pushing parameters into the remote sources"): drive the inner
-            // remote side with the outer join key.
-            if ctx.config.enable_remote_param && matches!(kind, JoinKind::Inner | JoinKind::Semi) {
-                out.extend(param_remote_variants(
-                    kind, predicate, lg, rg, &equi, memo, ctx, l_card,
-                ));
-            }
-            // Semi-join reduction (§4.1.5 byte minimization): drain the
-            // small build side at drive time, ship its distinct join keys
-            // as the remote statement's key-set parameter, and hash-join
-            // the reduced result back against the build rows.
-            if ctx.config.enable_semijoin && matches!(kind, JoinKind::Inner | JoinKind::Semi) {
-                out.extend(semijoin_reduce_variants(
+            // Key shipping: the build side's join keys go to a remote
+            // probe side, one per request (§4.1.2 "parameterization enables
+            // pushing parameters into the remote sources") or all at once
+            // (§4.1.5 semi-join reduction).
+            if matches!(kind, JoinKind::Inner | JoinKind::Semi) {
+                out.extend(bind_join_variants(
                     kind, predicate, lg, rg, &equi, memo, ctx,
                 ));
             }
@@ -467,11 +459,11 @@ fn implement_join(
     out
 }
 
-/// Build a semi-join-reduction alternative when the right group lives
-/// wholly on one remote server whose decoder can restrict it to a key set,
-/// and the left (build) side's distinct keys fit under the IN-list ceiling
-/// and are fewer than the probe column's.
-fn semijoin_reduce_variants(
+/// Key-shipping alternatives for a join whose probe (right) group lives
+/// wholly on one remote server: one key per request (a `SemiJoinReduce`
+/// over `probe = @__keys0`, or a nested loop over a remote index range for
+/// a provider without SQL), or all keys at once (`probe IN (@__keys0)`).
+fn bind_join_variants(
     kind: JoinKind,
     predicate: Option<&ScalarExpr>,
     lg: GroupId,
@@ -484,26 +476,98 @@ fn semijoin_reduce_variants(
     if locs.len() != 1 || !locs[0].is_remote() {
         return Vec::new();
     }
-    let server = locs[0].server_name().expect("remote locality").to_string();
-    let Some(caps) = ctx.config.server_caps.get(&server) else {
+    let server = locs[0].server_name().expect("remote locality");
+    let Some(caps) = ctx.config.server_caps.get(server) else {
         return Vec::new();
     };
     let (build_col, probe_col) = equi[0];
-    let keys = ndv(&memo.group(lg).props, build_col);
-    let probe_ndv = ndv(&memo.group(rg).props, probe_col);
-    // Past the IN-list ceiling the reduction never pays; don't offer it —
-    // this is the Fig.-4-style crossover as the build side scales. Nor does
-    // a list that names every value the probe column has (a probe side
-    // already bound to its key, say): it ships keys to fetch the same rows.
-    if keys > ctx.config.semijoin_max_keys as f64 || keys >= probe_ndv {
-        return Vec::new();
+    let (build, probe) = (&memo.group(lg).props, &memo.group(rg).props);
+    let (l_card, r_card) = (build.cardinality.max(1.0), probe.cardinality.max(1.0));
+    let probe_ndv = ndv(probe, probe_col);
+    let cost = &ctx.config.cost;
+    let mut decoder = Decoder::new(memo, caps, server);
+    let ship = |remote: RemoteSql, per_request| PhysicalOp::SemiJoinReduce {
+        kind,
+        build_key: build_col,
+        probe_key: probe_col,
+        residual: predicate.cloned(),
+        server: Arc::from(server),
+        sql: remote.sql,
+        columns: remote.columns,
+        params: remote.params,
+        per_request,
+    };
+    let mut out = Vec::new();
+
+    if ctx.config.enable_remote_param {
+        let per_probe = (r_card / probe_ndv).max(1.0);
+        // One key per request, priced as the nested loop it stands for:
+        // `l_card` probes of `per_probe` rows each (at the join's row
+        // width), plus the loop's CPU over them.
+        if let Some(remote) = decoder.build(rg, Some(KeySet::One(probe_col)), &[], None) {
+            let right = if kind.produces_right() {
+                probe.row_width
+            } else {
+                0.0
+            };
+            let width = build.row_width + right;
+            let probes = cost.remote_result(caps, 0.0, per_probe, width, per_probe) * l_card;
+            let loop_cpu = l_card * per_probe * cost.cpu_row;
+            out.push(
+                PhysAlt::node(ship(remote, KeysPerRequest::One), vec![PhysAlt::child(lg)])
+                    .with_extra_cost(loop_cpu + probes)
+                    .with_delivered(Delivered::Inherit(0)),
+            );
+        }
+        // A remote index range keyed by the outer column works even for
+        // providers with no SQL support at all, as long as they expose
+        // indexes.
+        let mut gets = memo.group(rg).exprs.iter().filter(|_| caps.index_support);
+        let range = gets.find_map(|&eid| {
+            let LogicalOp::Get { meta, .. } = &memo.expr(eid).op else {
+                return None;
+            };
+            let schema = &meta.catalog.schema;
+            let ix = meta.catalog.indexes.iter().find(|ix| {
+                schema
+                    .index_of(&ix.key_columns[0])
+                    .map(|p| meta.column_id(p))
+                    == Some(probe_col)
+            })?;
+            Some(PhysicalOp::RemoteRange {
+                meta: Arc::clone(meta),
+                index: ix.name.clone(),
+                range: IndexRangeSpec::eq(vec![ScalarExpr::Column(build_col)]),
+            })
+        });
+        if let Some(range) = range {
+            let inner = PhysAlt::node(range, vec![]).with_rows(per_probe);
+            let join = PhysicalOp::NestedLoopJoin {
+                kind,
+                predicate: predicate.cloned(),
+            };
+            let children = vec![PhysAlt::child(lg), inner.with_multiplier(l_card)];
+            out.push(PhysAlt::node(join, children).with_delivered(Delivered::Inherit(0)));
+        }
     }
-    let mut decoder = Decoder::new(memo, ctx.registry, caps, &server);
+
+    // All keys at once. Past the key-set ceiling the reduction never pays;
+    // don't offer it — this is the Fig.-4-style crossover as the build side
+    // scales. Nor does a list that names every value the probe column has
+    // (a probe side already bound to its key, say): it ships keys to fetch
+    // the same rows.
+    let keys = ndv(build, build_col);
+    if !ctx.config.enable_semijoin
+        || keys > ctx.config.semijoin_max_keys as f64
+        || keys >= probe_ndv
+    {
+        return out;
+    }
     let (Some(unreduced), Some(remote)) = (
-        decoder.build(rg, None, &[], None, &[], None),
-        decoder.build(rg, None, &[], Some(probe_col), &[], None),
+        decoder.build(rg, None, &[], None),
+        decoder.build(rg, Some(KeySet::All(probe_col)), &[], None),
     ) else {
-        return Vec::new();
+        return out;
     };
     // Wire cost of the reduced fetch, charged here where the probe group's
     // cardinality is visible: the remote returns the right group filtered
@@ -511,136 +575,17 @@ fn semijoin_reduce_variants(
     // join output (the local join-back does that reduction). This is the
     // cardinality-dependent crossover: as the build side's key count grows
     // toward the probe side's distinct count, the reduction stops paying.
-    let r_card = memo.group(rg).props.cardinality.max(1.0);
-    let r_width = memo.group(rg).props.row_width;
     let fetch_rows = r_card * keys / probe_ndv;
     let shipped = keys + remote.keys as f64;
-    let wire = ctx
-        .config
-        .cost
-        .remote_result(caps, shipped, fetch_rows, r_width, r_card);
-    vec![PhysAlt::node(
-        PhysicalOp::SemiJoinReduce {
-            kind,
-            build_key: build_col,
-            probe_key: probe_col,
-            residual: predicate.cloned(),
-            server: Arc::from(server.as_str()),
-            sql: remote.sql,
-            unreduced: unreduced.sql,
-            columns: remote.columns,
-            params: remote.params,
-            max_keys: ctx.config.semijoin_max_keys,
-        },
-        vec![PhysAlt::child(lg)],
-    )
-    .with_extra_cost(wire + fetch_rows * ctx.config.cost.hash_probe_row)]
-}
-
-/// Build parameterized inner-side alternatives for a join whose inner group
-/// lives wholly on one remote server.
-#[allow(clippy::too_many_arguments)]
-fn param_remote_variants(
-    kind: JoinKind,
-    predicate: Option<&ScalarExpr>,
-    lg: GroupId,
-    rg: GroupId,
-    equi: &[(ColumnId, ColumnId)],
-    memo: &Memo,
-    ctx: &RuleContext<'_>,
-    l_card: f64,
-) -> Vec<PhysAlt> {
-    let locs = group_localities(memo, rg);
-    if locs.len() != 1 || !locs[0].is_remote() {
-        return Vec::new();
-    }
-    let server = locs[0].server_name().expect("remote locality").to_string();
-    let Some(caps) = ctx.config.server_caps.get(&server) else {
-        return Vec::new();
+    let wire = cost.remote_result(caps, shipped, fetch_rows, probe.row_width, r_card);
+    let per_request = KeysPerRequest::All {
+        max_keys: ctx.config.semijoin_max_keys,
+        unreduced: unreduced.sql,
     };
-    let (outer_col, inner_col) = equi[0];
-    let r_card = memo.group(rg).props.cardinality.max(1.0);
-    let per_probe = (r_card / ndv(&memo.group(rg).props, inner_col)).max(1.0);
-    let mut out = Vec::new();
-
-    // (a) Remote query with a correlation parameter.
-    if caps.sql_support >= dhqp_oledb::SqlSupport::Minimum && !caps.proprietary_command {
-        let mut decoder = Decoder::new(memo, ctx.registry, caps, &server);
-        let corr = ScalarExpr::eq(
-            ScalarExpr::Column(inner_col),
-            ScalarExpr::Param("__corr0".into()),
-        );
-        if let Some(remote) = decoder.build(
-            rg,
-            Some(&corr),
-            &[("__corr0".into(), outer_col)],
-            None,
-            &[],
-            None,
-        ) {
-            let inner = PhysAlt::node(
-                PhysicalOp::RemoteQuery {
-                    server: Arc::from(server.as_str()),
-                    sql: remote.sql,
-                    columns: remote.columns,
-                    params: remote.params,
-                },
-                vec![],
-            )
-            .with_rows(per_probe)
-            .with_multiplier(l_card);
-            out.push(
-                PhysAlt::node(
-                    PhysicalOp::NestedLoopJoin {
-                        kind,
-                        predicate: predicate.cloned(),
-                    },
-                    vec![PhysAlt::child(lg), inner],
-                )
-                .with_delivered(Delivered::Inherit(0)),
-            );
-        }
-    }
-
-    // (b) Remote index range keyed by the outer column — works even for
-    // providers with no SQL support at all, as long as they expose indexes.
-    if caps.index_support {
-        for &eid in &memo.group(rg).exprs {
-            let LogicalOp::Get { meta, .. } = &memo.expr(eid).op else {
-                continue;
-            };
-            let Some(ix) = meta.catalog.indexes.iter().find(|ix| {
-                meta.catalog
-                    .schema
-                    .index_of(&ix.key_columns[0])
-                    .map(|p| meta.column_id(p))
-                    == Some(inner_col)
-            }) else {
-                continue;
-            };
-            let inner = PhysAlt::node(
-                PhysicalOp::RemoteRange {
-                    meta: Arc::clone(meta),
-                    index: ix.name.clone(),
-                    range: IndexRangeSpec::eq(vec![ScalarExpr::Column(outer_col)]),
-                },
-                vec![],
-            )
-            .with_rows(per_probe)
-            .with_multiplier(l_card);
-            out.push(
-                PhysAlt::node(
-                    PhysicalOp::NestedLoopJoin {
-                        kind,
-                        predicate: predicate.cloned(),
-                    },
-                    vec![PhysAlt::child(lg), inner],
-                )
-                .with_delivered(Delivered::Inherit(0)),
-            );
-            break;
-        }
-    }
+    out.push(
+        PhysAlt::node(ship(remote, per_request), vec![PhysAlt::child(lg)])
+            .with_extra_cost(wire + fetch_rows * cost.hash_probe_row),
+    );
     out
 }
 
@@ -743,7 +688,10 @@ mod tests {
                 matches!(
                     alt,
                     PhysAlt::Node {
-                        op: PhysicalOp::SemiJoinReduce { .. },
+                        op: PhysicalOp::SemiJoinReduce {
+                            per_request: KeysPerRequest::All { .. },
+                            ..
+                        },
                         ..
                     }
                 )

@@ -12,7 +12,7 @@ use crate::cost::CostModel;
 use crate::decoder::Decoder;
 use crate::logical::{LogicalExpr, LogicalOp};
 use crate::memo::{GroupId, Memo, Winner};
-use crate::physical::{PhysNode, PhysicalOp};
+use crate::physical::{KeysPerRequest, PhysNode, PhysicalOp};
 use crate::props::{ColumnId, ColumnRegistry, RequiredProps};
 use crate::rules::exploration::{all_rules, group_localities, ExplorationRule};
 use crate::rules::implementation::implementations;
@@ -424,8 +424,8 @@ impl<'a> SearchDriver<'a> {
         }
         let server = locs[0].server_name()?.to_string();
         let caps = Arc::clone(self.config.server_caps.get(&server)?);
-        let mut decoder = Decoder::new(self.memo, self.registry, &caps, &server);
-        let remote = decoder.build(group, None, &[], None, &required.ordering, None)?;
+        let mut decoder = Decoder::new(self.memo, &caps, &server);
+        let remote = decoder.build(group, None, &required.ordering, None)?;
         let props = &self.memo.group(group).props;
         let (card, width) = (props.cardinality, props.row_width);
         let leaf_rows = self.leaf_rows(group);
@@ -480,8 +480,7 @@ impl<'a> SearchDriver<'a> {
                 } else {
                     props.cardinality
                 };
-                let width = props.row_width;
-                let local = self.op_cost(op, rows, width, &child_nodes) + extra_cost;
+                let local = self.op_cost(op, rows, &child_nodes) + extra_cost;
                 let cost = (local + child_cost_sum) * multiplier;
                 let output = node_output(op, &child_nodes);
                 let mut node = PhysNode::new(op.clone(), child_nodes, output);
@@ -493,7 +492,7 @@ impl<'a> SearchDriver<'a> {
     }
 
     /// Local cost of one operator given its (already built) children.
-    fn op_cost(&self, op: &PhysicalOp, rows: f64, width: f64, children: &[PhysNode]) -> f64 {
+    fn op_cost(&self, op: &PhysicalOp, rows: f64, children: &[PhysNode]) -> f64 {
         let m = &self.config.cost;
         let c0 = children.first().map(|c| c.est_rows).unwrap_or(0.0);
         let c1 = children.get(1).map(|c| c.est_rows).unwrap_or(0.0);
@@ -518,27 +517,14 @@ impl<'a> SearchDriver<'a> {
                 let w = meta.catalog.schema.estimated_row_width() as f64 + 8.0;
                 m.round_trip(&meta.caps) + m.transfer(rows, w)
             }
-            PhysicalOp::RemoteQuery { server, .. } => {
-                let fallback;
-                let caps = match self.config.server_caps.get(server.as_ref()) {
-                    Some(caps) => caps.as_ref(),
-                    None => {
-                        fallback = ProviderCapabilities::sql_server("SQLOLEDB");
-                        &fallback
-                    }
-                };
-                // Remote input work is unknown for rule-built param queries;
-                // charge the output-driven terms (the paper's model).
-                m.remote_result(caps, 0.0, rows, width, rows)
-            }
-            PhysicalOp::SemiJoinReduce { .. } => {
-                // Local terms only: the build side (c0) hashes locally and
-                // the join output probes back. The wire cost of the reduced
-                // fetch — which depends on the *probe group's* cardinality,
-                // not the join output — is attached as extra cost by the
-                // implementation rule, where the memo is in scope.
-                c0 * m.hash_build_row + rows * m.hash_probe_row
-            }
+            // Local terms only: the build side (c0) hashes locally and the
+            // join output probes back. The wire cost — which depends on the
+            // *probe group's* cardinality, not the join output — is extra
+            // cost from the rule, which prices one key per request whole.
+            PhysicalOp::SemiJoinReduce { per_request, .. } => match per_request {
+                KeysPerRequest::All { .. } => c0 * m.hash_build_row + rows * m.hash_probe_row,
+                KeysPerRequest::One => 0.0,
+            },
             PhysicalOp::Filter { .. } => c0 * m.cpu_row,
             PhysicalOp::StartupFilter { .. } => 1.0,
             PhysicalOp::Project { .. } => c0 * m.cpu_row,
@@ -554,7 +540,9 @@ impl<'a> SearchDriver<'a> {
             PhysicalOp::UnionAll { .. } | PhysicalOp::Exchange { .. } => {
                 children.iter().map(|c| c.est_rows).sum::<f64>() * m.cpu_row * 0.1
             }
-            PhysicalOp::Spool => 0.0, // charged via extra_cost
+            // Costed where they are built: a spool by its rule's extra cost,
+            // a remote query by the build-remote-query rule.
+            PhysicalOp::Spool | PhysicalOp::RemoteQuery { .. } => 0.0,
             PhysicalOp::Values { .. } | PhysicalOp::Empty { .. } => rows.max(1.0) * m.cpu_row,
         }
     }

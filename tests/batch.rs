@@ -110,7 +110,7 @@ const SCAN: &str = "SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem_al
 fn batched_multiset_matches_row_mode_across_serial_parallel_and_faults() {
     // Reference answer: classic per-row serial pipeline, clean links.
     let (reference, _links) = federation();
-    reference.set_batch_config(BatchConfig::row_at_a_time());
+    reference.set_batch_config(BatchConfig::batched(1));
     reference.set_parallel_config(ParallelConfig::serial());
     let want = multiset(&reference.query(SCAN).unwrap().rows, 3);
     let scale = TpchScale::tiny();
@@ -150,7 +150,7 @@ fn batched_multiset_matches_row_mode_across_serial_parallel_and_faults() {
 fn batching_ships_identical_bytes_in_fewer_round_trips() {
     let (head, links) = federation();
     // Warm the metadata cache so both measured runs bind identically.
-    head.set_batch_config(BatchConfig::row_at_a_time());
+    head.set_batch_config(BatchConfig::batched(1));
     head.query(SCAN).unwrap();
 
     reset(&head, &links);
@@ -181,7 +181,7 @@ fn batching_ships_identical_bytes_in_fewer_round_trips() {
 #[test]
 fn batch_size_one_degenerates_to_row_mode_accounting() {
     let (head, links) = federation();
-    head.set_batch_config(BatchConfig::row_at_a_time());
+    head.set_batch_config(BatchConfig::batched(1));
     head.query(SCAN).unwrap(); // warm metadata
 
     reset(&head, &links);
@@ -352,7 +352,7 @@ fn join_federation() -> (Engine, Vec<NetworkLink>) {
 /// Run `sql` at batch size 1 and at 64, each on warm metadata and a warm
 /// plan, and return each link's traffic under each.
 fn traffic_per_mode(head: &Engine, links: &[NetworkLink], sql: &str) -> [Vec<TrafficSnapshot>; 2] {
-    [BatchConfig::row_at_a_time(), BatchConfig::batched(64)].map(|mode| {
+    [BatchConfig::batched(1), BatchConfig::batched(64)].map(|mode| {
         head.set_batch_config(mode);
         head.query(sql).unwrap();
         reset(head, links);
@@ -399,7 +399,7 @@ fn joins_sorts_and_spools_pull_their_remote_inputs_by_the_batch() {
         ),
         (
             "a semi-join reduction",
-            &["SemiJoinReduce"][..],
+            &["SemiJoinReduce(@remote1 max_keys="][..],
             &default_config,
             "SELECT n.n_name, o.o_totalprice FROM nation n \
              JOIN remote1.t.dbo.orders o ON n.n_nationkey = o.o_custkey",

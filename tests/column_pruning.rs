@@ -427,7 +427,7 @@ fn every_shape_matches_the_unfederated_engine_in_every_mode() {
         .collect();
     assert!(expected.iter().all(|rows| !rows.is_empty()));
     for parallel in [ParallelConfig::serial(), ParallelConfig::parallel()] {
-        for batch in [BatchConfig::row_at_a_time(), BatchConfig::batched(3)] {
+        for batch in [BatchConfig::batched(1), BatchConfig::batched(3)] {
             // One SQL-less member in the mix: its branch keeps the
             // head-side projection while the others ship narrow statements.
             for no_sql in [&[][..], &[2][..]] {
@@ -557,7 +557,7 @@ fn drift_in_a_column_the_statement_does_not_read_still_fails_it() {
         },
     ];
     for parallel in &dispatch {
-        for batch in [BatchConfig::row_at_a_time(), BatchConfig::batched(3)] {
+        for batch in [BatchConfig::batched(1), BatchConfig::batched(3)] {
             for change in [None, Some(Column::not_null("pad", DataType::Int))] {
                 let mode = format!("{parallel:?} {batch:?} pad -> {change:?}");
                 let f = federation(&[]);

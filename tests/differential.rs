@@ -580,7 +580,7 @@ fn faulted_links_with_retry_match_clean_links() {
 #[test]
 fn batched_shipping_matches_row_at_a_time() {
     let row = distributed_engine(None);
-    row.set_batch_config(BatchConfig::row_at_a_time());
+    row.set_batch_config(BatchConfig::batched(1));
     let batch = distributed_engine(None);
     batch.set_batch_config(BatchConfig::batched(7));
     // Replay twice on the batched engine so cached plans execute under
@@ -734,7 +734,7 @@ fn runtime_pruning_matches_lazy_startup_filters() {
 fn semijoin_prune_chaos_stack_matches_plain() {
     let (plain, _) = semijoin_engine(None, false);
     plain.set_runtime_prune(false);
-    plain.set_batch_config(BatchConfig::row_at_a_time());
+    plain.set_batch_config(BatchConfig::batched(1));
     let (chaos, _) = semijoin_engine(Some(5), true);
     chaos.set_runtime_prune(true);
     chaos.set_batch_config(BatchConfig::batched(3));
@@ -766,7 +766,7 @@ fn batched_parallel_faulted_matches_serial_row_clean() {
     // The full chaos stack: batching, exchanges, prefetch, and seeded link
     // faults on one side; the plain serial row pipeline on the other.
     let plain = distributed_engine(None);
-    plain.set_batch_config(BatchConfig::row_at_a_time());
+    plain.set_batch_config(BatchConfig::batched(1));
     let chaos = distributed_engine(Some(3));
     chaos.set_batch_config(BatchConfig::batched(5));
     chaos.set_parallel_config(ParallelConfig::parallel());

@@ -1409,5 +1409,5 @@ fn no_knob_was_added() {
     let knobs = unfederated()
         .query("SELECT * FROM sys.dm_os_knobs")
         .unwrap();
-    assert_eq!(knobs.len(), 25);
+    assert_eq!(knobs.len(), 24);
 }

@@ -179,9 +179,10 @@ fn sql_minimum_provider_gets_only_simple_pushdown() {
     assert_eq!(engine.query(sql).unwrap().len(), 2);
 }
 
-/// 500 rows `t(k, v)` on a SQL-Minimum or ODBC-Core source `mini`, and two
-/// local rows `o(id, k)` whose keys 31 and 402 pick two of them.
-fn minisql_probe_fixture(level: SqlSupport) -> Engine {
+/// 500 rows `t(k, v)` on a SQL-Minimum or ODBC-Core source `mini`, behind
+/// a reliable simulated link, and one local row `o(id, k)` per outer key:
+/// `PROBED` picks two of them.
+fn minisql_probe_fixture(level: SqlSupport, outer_keys: &[Option<i64>]) -> (Engine, NetworkLink) {
     let storage = Arc::new(StorageEngine::new("mini"));
     storage
         .create_table(TableDef::new(
@@ -202,26 +203,24 @@ fn minisql_probe_fixture(level: SqlSupport) -> Engine {
             "o",
             Schema::new(vec![
                 Column::not_null("id", DataType::Int),
-                Column::not_null("k", DataType::Int),
+                Column::new("k", DataType::Int),
             ]),
         ))
         .unwrap();
-    engine
-        .insert(
-            "o",
-            &[
-                Row::new(vec![Value::Int(1), Value::Int(31)]),
-                Row::new(vec![Value::Int(2), Value::Int(402)]),
-            ],
-        )
-        .unwrap();
+    let outer: Vec<Row> = (1..)
+        .zip(outer_keys)
+        .map(|(id, k)| Row::new(vec![Value::Int(id), k.map_or(Value::Null, Value::Int)]))
+        .collect();
+    engine.insert("o", &outer).unwrap();
     engine.analyze("o", 2).unwrap();
     let provider = MiniSqlProvider::new("minidb", storage, level).unwrap();
-    engine
-        .add_linked_server("mini", Arc::new(provider))
-        .unwrap();
-    engine
+    let link = NetworkLink::new("mini", NetworkConfig::lan());
+    let linked = NetworkedDataSource::reliable(Arc::new(provider), link.clone());
+    engine.add_linked_server("mini", Arc::new(linked)).unwrap();
+    (engine, link)
 }
+
+const PROBED: [Option<i64>; 2] = [Some(31), Some(402)];
 
 const MINI_JOIN: &str = "SELECT o.id, t.v FROM o, mini.db.dbo.t t WHERE o.k = t.k";
 
@@ -245,14 +244,24 @@ fn shipped_and_answer(engine: &Engine, sql: &str) -> (String, Vec<String>, Vec<S
     (report.plan.display_indent(), shipped, rows)
 }
 
-/// A nested-loop join probes a SQL-Minimum or ODBC-Core source through a
-/// correlation parameter (the parameterized remote query of §4.1.2): each
-/// probe ships `k = <outer key>` with the key as a literal, never a marker,
-/// and the join answers what the plan that reads the whole table answers.
+/// Whether `plan` probes its remote side with one key per request: a
+/// one-key `SemiJoinReduce`, and no nested loop re-opening a remote query.
+fn probes_one_key_per_request(plan: &str) -> bool {
+    let nested_remote_query = plan
+        .lines()
+        .zip(plan.lines().skip(1))
+        .any(|(a, b)| a.contains("NestedLoopJoin") && b.contains("RemoteQuery"));
+    plan.contains("SemiJoinReduce(@mini keys=1: ") && !nested_remote_query
+}
+
+/// A SQL-Minimum or ODBC-Core source is probed with one outer key per
+/// request (the parameterized remote query of §4.1.2): each probe ships
+/// `k = <outer key>` with the key as a literal, never a marker, and the
+/// join answers what the plan that reads the whole table answers.
 #[test]
 fn minisql_source_probed_through_correlation_parameter() {
     for level in [SqlSupport::Minimum, SqlSupport::OdbcCore] {
-        let engine = minisql_probe_fixture(level);
+        let (engine, _) = minisql_probe_fixture(level, &PROBED);
         // Semi-join reduction off, whatever the environment says, so the
         // parameterized probe competes with reading the whole table only.
         engine.set_optimizer_config(OptimizerConfig {
@@ -263,7 +272,7 @@ fn minisql_source_probed_through_correlation_parameter() {
         let run = |engine: &Engine| shipped_and_answer(engine, MINI_JOIN);
 
         let (plan, shipped, probed) = run(&engine);
-        assert!(plan.contains("@__corr0"), "{level:?}:\n{plan}");
+        assert!(probes_one_key_per_request(&plan), "{level:?}:\n{plan}");
         assert_eq!(shipped.len(), 1, "{level:?}: {shipped:?}\n{plan}");
         assert!(
             !shipped[0].contains('@') && shipped[0].contains("[k] = 402"),
@@ -277,12 +286,42 @@ fn minisql_source_probed_through_correlation_parameter() {
             ..engine.optimizer_config()
         });
         let (plan, shipped, read) = run(&engine);
-        assert!(!plan.contains("@__corr0"), "{level:?}:\n{plan}");
+        assert!(!plan.contains("SemiJoinReduce"), "{level:?}:\n{plan}");
         assert!(
             shipped.iter().all(|text| !text.contains("[k] =")),
             "{level:?}: {shipped:?}"
         );
         assert_eq!(probed, read, "{level:?}");
+    }
+}
+
+/// A NULL outer key joins nothing, so the one-key probe never ships it:
+/// the link sees one request per distinct non-NULL key, and the answer is
+/// the plan's that reads the whole table.
+#[test]
+fn minisql_probe_ships_no_request_for_a_null_key() {
+    for level in [SqlSupport::Minimum, SqlSupport::OdbcCore] {
+        let (engine, link) = minisql_probe_fixture(level, &[None, Some(402)]);
+        engine.set_optimizer_config(OptimizerConfig {
+            enable_semijoin: false,
+            ..engine.optimizer_config()
+        });
+        let (plan, _, _) = shipped_and_answer(&engine, MINI_JOIN);
+        assert!(probes_one_key_per_request(&plan), "{level:?}:\n{plan}");
+
+        link.reset();
+        let (_, _, probed) = shipped_and_answer(&engine, MINI_JOIN);
+        let traffic = link.snapshot();
+        assert_eq!(traffic.requests, 1, "{level:?}: {traffic:?}\n{plan}");
+        assert_eq!(traffic.rows, 1, "{level:?}: {traffic:?}");
+
+        engine.set_optimizer_config(OptimizerConfig {
+            enable_remote_param: false,
+            ..engine.optimizer_config()
+        });
+        let (_, _, read) = shipped_and_answer(&engine, MINI_JOIN);
+        assert_eq!(probed, read, "{level:?}");
+        assert_eq!(probed.len(), 1, "{level:?}: {probed:?}");
     }
 }
 
@@ -293,7 +332,7 @@ fn minisql_source_probed_through_correlation_parameter() {
 #[test]
 fn minisql_source_reduced_by_the_semijoin_key_set() {
     for level in [SqlSupport::Minimum, SqlSupport::OdbcCore] {
-        let engine = minisql_probe_fixture(level);
+        let (engine, _) = minisql_probe_fixture(level, &PROBED);
         engine.set_optimizer_config(OptimizerConfig {
             enable_semijoin: true,
             ..engine.optimizer_config()
@@ -306,11 +345,12 @@ fn minisql_source_reduced_by_the_semijoin_key_set() {
         let (_, _, plain) = shipped_and_answer(&engine, MINI_JOIN);
         assert_eq!(reduced, plain, "{level:?}:\n{plan}");
         assert_eq!(reduced.len(), 2, "{level:?}: {reduced:?}");
+        // `max_keys=` marks the all-keys form.
         if level == SqlSupport::Minimum {
-            assert!(!plan.contains("SemiJoinReduce"), "{plan}");
+            assert!(!plan.contains("max_keys="), "{plan}");
             continue;
         }
-        assert!(plan.contains("SemiJoinReduce"), "{plan}");
+        assert!(plan.contains("SemiJoinReduce(@mini max_keys="), "{plan}");
         assert_eq!(shipped.len(), 1, "{shipped:?}\n{plan}");
         let text = &shipped[0];
         assert!(text.contains("IN (31, 402)"), "{text}");

@@ -1,4 +1,4 @@
-//! The knob table's contract (`dhqp::knobs`): 25 uniquely named rows, one
+//! The knob table's contract (`dhqp::knobs`): 24 uniquely named rows, one
 //! parsing rule per kind of row, values that round-trip through their own
 //! rendering, and a README table that is the table.
 
@@ -21,12 +21,12 @@ fn row(name: &str) -> &'static KnobRow {
 }
 
 #[test]
-fn twenty_five_rows_with_unique_names() {
-    assert_eq!(KNOBS.len(), 25);
+fn twenty_four_rows_with_unique_names() {
+    assert_eq!(KNOBS.len(), 24);
     let mut names: Vec<&str> = KNOBS.iter().map(|row| row.name).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 25);
+    assert_eq!(names.len(), 24);
     assert!(names.iter().all(|name| name.starts_with("DHQP_")));
 }
 
@@ -42,7 +42,7 @@ fn every_default_round_trips_through_its_own_rendering() {
 
 #[test]
 fn one_switch_rule_for_every_switch_row() {
-    assert_eq!(rows(Kind::Switch).count(), 9);
+    assert_eq!(rows(Kind::Switch).count(), 8);
     let default = Knobs::default();
     for row in rows(Kind::Switch) {
         let unset = (row.render)(&default);

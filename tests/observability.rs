@@ -1660,7 +1660,7 @@ fn a_knob_flipped_mid_statement_applies_from_the_next_statement() {
             {
                 self.engine.set_query_store_enabled(true);
                 self.engine.set_card_feedback(true);
-                self.engine.set_batch_config(BatchConfig::row_at_a_time());
+                self.engine.set_batch_config(BatchConfig::batched(1));
                 self.engine.set_degraded_mode(DegradedMode::Prune);
             }
         }
@@ -1732,7 +1732,7 @@ fn a_knob_flipped_mid_statement_applies_from_the_next_statement() {
     );
 
     assert!(head.card_feedback_enabled());
-    assert_eq!(head.batch_config(), BatchConfig::row_at_a_time());
+    assert_eq!(head.batch_config(), BatchConfig::batched(1));
     assert_eq!(head.degraded_mode(), DegradedMode::Prune);
     let next = head.query(sql).unwrap();
     assert_eq!(sorted(next.rows), sorted(want.rows));

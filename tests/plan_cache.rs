@@ -429,7 +429,7 @@ fn a_drifted_member_fails_a_cached_plan_in_every_dispatch_mode() {
     ];
     let sql = "SELECT v FROM rt_all WHERE k >= 1";
     for parallel in &dispatch {
-        for batch in [BatchConfig::row_at_a_time(), BatchConfig::batched(3)] {
+        for batch in [BatchConfig::batched(1), BatchConfig::batched(3)] {
             for degraded in [DegradedMode::Fail, DegradedMode::Prune] {
                 let mode = format!("{parallel:?} {batch:?} {degraded:?}");
                 let f = dpv(reliable);

@@ -64,10 +64,7 @@ fn link_member(
 /// plan choice and traffic accounting stay deterministic under every leg.
 fn pin_knobs(head: &Engine) {
     head.set_plan_cache_enabled(true);
-    head.set_batch_config(BatchConfig {
-        enabled: true,
-        batch_size: 1024,
-    });
+    head.set_batch_config(BatchConfig::batched(1024));
     let mut config = head.optimizer_config();
     config.enable_semijoin = true;
     config.semijoin_max_keys = 64;
@@ -176,7 +173,10 @@ fn feedback_corrects_semijoin_crossover_after_one_skewed_execution() {
     let report = head.execute_analyze(JOIN).unwrap();
     let bytes_reduced = link.snapshot().bytes - before3;
     let rendered = report.render();
-    assert!(rendered.contains("SemiJoinReduce"), "{rendered}");
+    assert!(
+        rendered.contains("SemiJoinReduce(@member1 max_keys="),
+        "{rendered}"
+    );
     assert!(rendered.contains("-- [feedback: applied]"), "{rendered}");
     assert!(rendered.contains("[semijoin: keys=24 bytes="), "{rendered}");
     assert_eq!(sorted_rows(&report.result.rows), sorted_rows(&r2.rows));
@@ -259,7 +259,9 @@ fn slower_plan_switch_is_flagged_as_regression() {
     let queries = head.query_store_queries();
     assert_eq!(queries[0].plans.len(), 1);
     assert!(
-        queries[0].plans[0].plan_text.contains("SemiJoinReduce"),
+        queries[0].plans[0]
+            .plan_text
+            .contains("SemiJoinReduce(@member1 max_keys="),
         "{}",
         queries[0].plans[0].plan_text
     );
@@ -370,7 +372,7 @@ fn dm_os_knobs_reports_every_knob_with_provenance() {
     let r = head
         .query("SELECT name, value, source FROM sys.dm_os_knobs")
         .unwrap();
-    assert_eq!(r.rows.len(), 25, "{r:?}");
+    assert_eq!(r.rows.len(), 24, "{r:?}");
     let knob = |name: &str| -> (String, String) {
         let row = r
             .rows

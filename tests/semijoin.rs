@@ -247,7 +247,7 @@ fn e18_reduction_cuts_link_bytes_until_max_keys_keeps_the_plain_fetch() {
 
     let ((reduced_rows, reduced_bytes), plan) = run(16, true);
     let ((plain_rows, plain_bytes), _) = run(16, false);
-    assert!(plan.contains("SemiJoinReduce"), "{plan}");
+    assert!(plan.contains("SemiJoinReduce(@member1 max_keys="), "{plan}");
     assert!(reduced_rows < plain_rows, "{reduced_rows} vs {plain_rows}");
     assert!(
         2 * reduced_bytes <= plain_bytes,

@@ -269,7 +269,7 @@ fn first_lookup_connects_and_later_ones_reuse_the_session() {
     assert_eq!(counters.len(), 2);
     assert_eq!(
         oracle.query("SELECT * FROM sys.dm_os_knobs").unwrap().len(),
-        25
+        24
     );
 }
 
