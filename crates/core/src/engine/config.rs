@@ -74,10 +74,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Parallel remote execution knobs (exchange workers, prefetch). Also
-    /// switches the optimizer's parallel-union rule to match.
+    /// Parallel remote execution knobs (exchange workers, prefetch).
     pub fn parallel_config(mut self, parallel: ParallelConfig) -> Self {
-        self.knobs.set_parallel(parallel);
+        self.knobs.parallel = parallel;
         self
     }
 
@@ -263,11 +262,11 @@ impl Engine {
         self.knobs().parallel.clone()
     }
 
-    /// Set the parallel remote-execution knobs. Keeps the optimizer's
-    /// parallel-union rule in sync with the master switch, so plans and
-    /// runtime agree on whether exchanges are wanted.
+    /// Set the parallel remote-execution knobs. Whether a union dispatches
+    /// its members in parallel is decided when it opens, so a cached plan
+    /// serves both settings.
     pub fn set_parallel_config(&self, parallel: ParallelConfig) {
-        self.update(Effect::StalePlans, |k| k.set_parallel(parallel));
+        self.update(Effect::None, |k| k.parallel = parallel);
     }
 
     pub fn retry_policy(&self) -> RetryPolicy {

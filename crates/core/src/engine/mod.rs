@@ -64,7 +64,7 @@ pub(crate) struct Inner {
     /// Bumped on local DDL, `ANALYZE`, DPV (re)definition and
     /// `clear_metadata_cache` — invalidates every cached plan.
     schema_epoch: AtomicU64,
-    /// Bumped on optimizer/parallel configuration changes.
+    /// Bumped on optimizer configuration changes.
     config_epoch: AtomicU64,
     /// Every knob, swapped whole by `Engine::update` (config.rs). A
     /// statement snapshots it once at begin and never reads the lock

@@ -111,13 +111,6 @@ impl Knobs {
         self.query_store.capacity = self.query_store.capacity.max(1);
         self.recent_queries = self.recent_queries.max(1);
     }
-
-    /// Set the parallel-execution knobs with the optimizer's parallel-union
-    /// rule in step, so plans and runtime agree on whether to exchange.
-    pub fn set_parallel(&mut self, parallel: ParallelConfig) {
-        self.optimizer.enable_parallel_union = parallel.enabled;
-        self.parallel = parallel;
-    }
 }
 
 /// How a row reads its string.
@@ -224,11 +217,11 @@ macro_rules! millis {
 #[rustfmt::skip] // one or two lines per row, so the table reads as one
 pub const KNOBS: &[KnobRow] = &[
     knob!("DHQP_PARALLEL", Switch,
-        "parallel remote execution: Exchange over multi-member unions (optimizer) plus \
-         exchange workers and remote prefetch (executor)",
+        "parallel remote execution: a union with two or more remote members opens them on \
+         exchange workers, and every remote rowset is prefetched",
         |k, v| match parse_switch(v) {
-            Some(true) => k.set_parallel(ParallelConfig::parallel()),
-            Some(false) => k.set_parallel(ParallelConfig::serial()),
+            Some(true) => k.parallel = ParallelConfig::parallel(),
+            Some(false) => k.parallel = ParallelConfig::serial(),
             None => {}
         },
         |k| k.parallel.enabled.to_string()),

@@ -33,7 +33,7 @@ pub(crate) struct CacheDeps {
     pub servers: Vec<(String, u64)>,
     /// Global local-DDL/statistics epoch.
     pub schema_epoch: u64,
-    /// Optimizer/parallel configuration epoch.
+    /// Optimizer configuration epoch.
     pub config_epoch: u64,
 }
 

@@ -2,9 +2,8 @@
 
 use crate::context::ExecContext;
 use crate::eval::{eval_predicate, RowEnv};
-use crate::health::PruneLog;
 use crate::ops::agg::{open_hash_aggregate, StreamAggregate};
-use crate::ops::exchange::{BranchFactory, ExchangeRowset, PrefetchRowset};
+use crate::ops::exchange::{BranchFactory, ExchangeRowset};
 use crate::ops::filter::{open_startup_filter, FilterRowset, ProjectRowset};
 use crate::ops::join::{open_hash_join, open_merge_join, InnerFactory, NestedLoopJoin};
 use crate::ops::remote::{
@@ -81,9 +80,9 @@ fn branch_table(plan: &PhysNode) -> Option<String> {
     }
 }
 
-/// Runtime parameter-driven pruning (§4.1.5): does this union/exchange
-/// member start with a startup filter whose column-free predicate is false
-/// for the current parameter values? When it does, the member is skipped
+/// Runtime parameter-driven pruning (§4.1.5): does this union member
+/// start with a startup filter whose column-free predicate is false for the
+/// current parameter values? When it does, the member is skipped
 /// before a connection, worker thread, or breaker admission is spent on
 /// it. With the knob off the startup filter still gates lazily inside the
 /// member, so results are identical either way — only the reporting and
@@ -116,114 +115,124 @@ fn skip_startup_member(member: &PhysNode, ctx: &ExecContext) {
     ctx.counters().startup_members_skipped.bump();
 }
 
-/// Quarantine one union/exchange member: note it in the per-query prune
-/// log (EXPLAIN ANALYZE, `sys.dm_exec_requests`) and the engine counters.
+/// Quarantine one union member: note it in the per-query prune log
+/// (EXPLAIN ANALYZE, `sys.dm_exec_requests`) and the engine counters.
 fn prune_member(server: &str, ctx: &ExecContext) {
     ctx.pruned().record(server);
     ctx.counters().members_pruned.bump();
 }
 
-/// Open one union/exchange member under the degraded-mode policy. In
-/// prune mode a remote branch whose open fails with a transport error
-/// (breaker fail-fast or a genuinely exhausted retry budget) is skipped —
-/// `Ok(None)` — instead of failing the statement. Everything else (fail
-/// mode, local branches, permanent errors) propagates.
-fn open_member(c: &PhysNode, ctx: &ExecContext, cid: usize) -> Result<Option<Box<dyn Rowset>>> {
+/// Open one union member under the degraded-mode policy. In prune mode a
+/// remote member whose open fails with a transport error (breaker fail-fast
+/// or a genuinely exhausted retry budget) is quarantined — counted in
+/// `quarantined` and opened as an empty rowset — instead of failing the
+/// statement. Everything else (fail mode, local members, permanent errors)
+/// propagates.
+fn open_member(
+    c: &PhysNode,
+    ctx: &ExecContext,
+    cid: usize,
+    quarantined: &AtomicUsize,
+) -> Result<Box<dyn Rowset>> {
     match open_node(c, ctx, cid) {
-        Ok(rs) => Ok(Some(rs)),
         Err(e) if ctx.degraded().is_prune() && e.is_retryable() => match branch_server(c) {
             Some(server) => {
                 prune_member(server, ctx);
-                Ok(None)
+                quarantined.fetch_add(1, Ordering::Relaxed);
+                Ok(Box::new(MemRowset::empty(ctx.schema_of(&c.output))))
             }
             None => Err(e),
         },
-        Err(e) => Err(e),
+        other => other,
     }
 }
 
-/// Degraded mode refuses an answer that silently means "nothing survived":
-/// of `members` union/exchange members, none produced a rowset, and not
-/// because a startup filter legitimately skipped some (an all-startup-pruned
-/// view is an honest empty answer — the lazy filters would have produced the
-/// same) but because every one of them was quarantined. One rule for the
-/// serial union, the exchange's serial fallback and the end of the merged
-/// exchange stream.
-fn refuse_if_none_survived(
-    members: usize,
-    survivors: usize,
-    startup_skips: usize,
-    pruned: &PruneLog,
-) -> Result<()> {
-    if members > 0 && survivors == 0 && startup_skips == 0 {
-        return Err(DhqpError::Unavailable(format!(
-            "degraded mode pruned every member of the partitioned view \
-             (quarantined: {})",
-            pruned.members().join(", ")
-        )));
-    }
-    Ok(())
-}
-
-/// Open a union's members one after the other (`UnionAll`, and `Exchange`
-/// with parallel dispatch off — same semantics, same deterministic
-/// branch-by-branch row order). Startup-pruned members are skipped before
-/// anything is spent on them, quarantined ones under the degraded-mode
-/// policy; children / delivered / inputs are filtered in lockstep, keeping
-/// the permutation maps index-aligned with the surviving branches.
-fn open_union_serially(
+/// Open a union's members: on exchange workers when parallel dispatch is on
+/// and at least two members reach a remote server, so member servers work
+/// concurrently (§4.1.5) instead of paying each link's latency in sequence;
+/// otherwise one after the other, in branch order. Either way a
+/// startup-pruned member is skipped before a connection, worker or breaker
+/// admission is spent on it, a quarantined one opens empty, and a union all
+/// of whose members were quarantined is refused rather than answered "no
+/// rows" (an all-startup-pruned view is an honest empty answer: the lazy
+/// filters would have produced the same). The exchange can only tell once
+/// every worker has tried its open, so it asks at the end of its stream.
+fn open_union(
     plan: &PhysNode,
     input_columns: &[Vec<ColumnId>],
     ctx: &ExecContext,
     id: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let mut children = Vec::with_capacity(plan.children.len());
-    let mut delivered = Vec::with_capacity(plan.children.len());
-    let mut inputs = Vec::with_capacity(plan.children.len());
-    let mut startup_skips = 0usize;
+    let remote_members = plan
+        .children
+        .iter()
+        .filter(|c| c.count_ops(&mut PhysicalOp::is_remote) > 0)
+        .count();
+    let mut live = Vec::with_capacity(plan.children.len());
     for (k, c) in plan.children.iter().enumerate() {
         if startup_prunes(c, ctx)? {
-            startup_skips += 1;
             skip_startup_member(c, ctx);
-            continue;
+        } else {
+            live.push(k);
         }
-        let Some(rs) = open_member(c, ctx, child_id(plan, id, k))? else {
-            continue;
-        };
-        children.push(rs);
-        delivered.push(c.output.clone());
-        inputs.push(input_columns[k].clone());
     }
-    refuse_if_none_survived(
-        plan.children.len(),
-        children.len(),
-        startup_skips,
-        ctx.pruned(),
-    )?;
+    // Delivered and wanted columns stay index-aligned with the live members.
+    let delivered: Vec<Vec<ColumnId>> = live
+        .iter()
+        .map(|&k| plan.children[k].output.clone())
+        .collect();
+    let inputs: Vec<Vec<ColumnId>> = live.iter().map(|&k| input_columns[k].clone()).collect();
     let schema = ctx.schema_of(&plan.output);
+    let members = plan.children.len();
+    let quarantined = Arc::new(AtomicUsize::new(0));
+    let verdict = {
+        let (quarantined, pruned) = (Arc::clone(&quarantined), Arc::clone(ctx.pruned()));
+        move || {
+            if members > 0 && quarantined.load(Ordering::Relaxed) == members {
+                return Err(DhqpError::Unavailable(format!(
+                    "degraded mode pruned every member of the partitioned view \
+                     (quarantined: {})",
+                    pruned.members().join(", ")
+                )));
+            }
+            Ok(())
+        }
+    };
+    if ctx.parallel().enabled && remote_members >= 2 && !live.is_empty() {
+        // Workers re-enter the builder with the member's own pre-order id,
+        // so per-branch instrumentation (stats, wire probes) lands on the
+        // right node.
+        let branches = live
+            .iter()
+            .map(|&k| {
+                let member = plan.children[k].clone();
+                let (cid, quarantined) = (child_id(plan, id, k), Arc::clone(&quarantined));
+                Box::new(move |cx: &ExecContext| open_member(&member, cx, cid, &quarantined))
+                    as BranchFactory
+            })
+            .collect();
+        let exchange = ExchangeRowset::new(branches, &delivered, &inputs, schema, ctx, id)?;
+        return Ok(Box::new(exchange.at_end(Box::new(verdict))));
+    }
+    let children = live
+        .iter()
+        .map(|&k| open_member(&plan.children[k], ctx, child_id(plan, id, k), &quarantined))
+        .collect::<Result<Vec<_>>>()?;
+    verdict()?;
     Ok(Box::new(UnionAllRowset::new(
         children, &delivered, &inputs, schema,
     )?))
 }
 
-/// Wrap a remote rowset in a prefetching decorator when the context asks
-/// for it: a background worker pipelines the next batch across the link
-/// while the consumer drains the current one. The worker's link fetches are
-/// the configured pull size like everyone else's; `prefetch_batch` is how
-/// many rows it gathers before handing them over.
+/// With parallel dispatch on, a remote rowset is drained ahead of its
+/// consumer by one exchange worker of its own, so the next pull crosses the
+/// link while the current one is consumed.
 fn maybe_prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> Box<dyn Rowset> {
-    let cfg = ctx.parallel();
-    if cfg.enabled && cfg.prefetch {
-        ctx.counters().remote_prefetches.bump();
-        Box::new(PrefetchRowset::new(
-            inner,
-            ctx.batch().batch_size,
-            cfg.prefetch_batch,
-            cfg.prefetch_queue,
-        ))
-    } else {
-        inner
+    if !ctx.parallel().enabled {
+        return inner;
     }
+    ctx.counters().remote_prefetches.bump();
+    Box::new(ExchangeRowset::prefetch(inner, ctx))
 }
 
 fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn Rowset>> {
@@ -377,88 +386,7 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
             Ok(Box::new(TopRowset::new(child, *n)))
         }
-        PhysicalOp::UnionAll { input_columns, .. } => {
-            open_union_serially(plan, input_columns, ctx, id)
-        }
-        PhysicalOp::Exchange { input_columns, .. } => {
-            if !ctx.parallel().enabled {
-                return open_union_serially(plan, input_columns, ctx, id);
-            }
-            let schema = ctx.schema_of(&plan.output);
-            // Startup-pruned members are dropped before a worker is spawned
-            // for them; branches/delivered/inputs stay index-aligned.
-            let mut branches: Vec<BranchFactory> = Vec::with_capacity(plan.children.len());
-            let mut delivered: Vec<Vec<ColumnId>> = Vec::with_capacity(plan.children.len());
-            let mut inputs: Vec<Vec<ColumnId>> = Vec::with_capacity(plan.children.len());
-            let mut startup_skips = 0usize;
-            // Branches a worker quarantined instead of opening.
-            let quarantined = Arc::new(AtomicUsize::new(0));
-            for (k, c) in plan.children.iter().enumerate() {
-                if startup_prunes(c, ctx)? {
-                    startup_skips += 1;
-                    skip_startup_member(c, ctx);
-                    continue;
-                }
-                // Workers re-enter the builder with the branch's own
-                // pre-order id, so per-branch instrumentation (stats,
-                // wire probes) lands on the right node.
-                let branch_plan = Arc::new(c.clone());
-                let branch_id = child_id(plan, id, k);
-                // In prune mode a remote branch that fails its open
-                // with a transport error yields an empty rowset and
-                // quarantines the member instead of poisoning the
-                // whole exchange.
-                let mut factory: Option<BranchFactory> = None;
-                if ctx.degraded().is_prune() {
-                    if let Some(server) = branch_server(c) {
-                        let server = server.to_string();
-                        let branch_schema = ctx.schema_of(&c.output);
-                        let quarantined = Arc::clone(&quarantined);
-                        factory = Some(Box::new(move |cx: &ExecContext| {
-                            match open_node(&branch_plan, cx, branch_id) {
-                                Err(e) if e.is_retryable() => {
-                                    prune_member(&server, cx);
-                                    quarantined.fetch_add(1, Ordering::Relaxed);
-                                    Ok(Box::new(MemRowset::empty(branch_schema.clone()))
-                                        as Box<dyn Rowset>)
-                                }
-                                other => other,
-                            }
-                        }));
-                    }
-                }
-                branches.push(factory.unwrap_or_else(|| {
-                    let branch_plan = Arc::new(c.clone());
-                    Box::new(move |cx: &ExecContext| open_node(&branch_plan, cx, branch_id))
-                }));
-                delivered.push(c.output.clone());
-                inputs.push(input_columns[k].clone());
-            }
-            if branches.is_empty() && !plan.children.is_empty() {
-                // Every member was startup-pruned: a legitimately empty
-                // parameterized answer, with zero workers spawned.
-                return Ok(Box::new(MemRowset::empty(schema)));
-            }
-            // Whether anything survived is only known once every worker
-            // has tried its open: the exchange asks at the end of the
-            // merged stream, after joining them.
-            let (members, opened) = (plan.children.len(), branches.len());
-            let pruned = Arc::clone(ctx.pruned());
-            let at_end = Box::new(move || {
-                let survivors = opened - quarantined.load(Ordering::Relaxed);
-                refuse_if_none_survived(members, survivors, startup_skips, &pruned)
-            });
-            let exchange = ExchangeRowset::new(
-                branches,
-                &delivered,
-                &inputs,
-                schema,
-                ctx.parallel(),
-                ctx,
-                id,
-            )?;
-            Ok(Box::new(exchange.at_end(at_end)))
-        }
+        PhysicalOp::UnionAll { input_columns, .. } => open_union(plan, input_columns, ctx, id),
         PhysicalOp::Spool => {
             // Keyed by pre-order node id: stable across the inner-subtree
             // clones a nested-loop join makes per rescan (a raw pointer

@@ -25,28 +25,20 @@ pub trait SourceCatalog: Send + Sync {
 /// A materialized spool, shared across rescans of the same plan node.
 pub type SpoolData = Arc<(Schema, Vec<Row>)>;
 
-/// Knobs for intra-query parallel remote execution: exchange worker fan-out
-/// and remote-rowset prefetching. Threaded through [`ExecContext`] so every
-/// operator open sees the same settings.
+/// Knobs for intra-query parallel remote execution. Threaded through
+/// [`ExecContext`] so every operator open sees the same settings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Master switch. Off, Exchange nodes drain their branches serially
-    /// (UnionAll semantics) and no prefetch workers are spawned.
+    /// Master switch. On, a union with two or more remote members opens
+    /// them on exchange workers and every remote rowset is prefetched by one
+    /// worker of its own; off, nothing leaves the consumer's thread.
     pub enabled: bool,
     /// Maximum worker threads per exchange; branches are distributed
     /// round-robin when there are more branches than workers.
     pub max_workers: usize,
-    /// Bounded-channel capacity (rows) between exchange workers and the
-    /// consumer cursor — the backpressure window.
+    /// Bounded-channel capacity (rows, counted in pulls) between workers
+    /// and their consumer — the backpressure window.
     pub exchange_queue: usize,
-    /// Pipeline remote rowsets: a background worker pulls the next batch
-    /// while the consumer drains the current one.
-    pub prefetch: bool,
-    /// Rows a prefetch worker gathers before handing them to the consumer
-    /// (at least one pull of [`BatchConfig::batch_size`] rows).
-    pub prefetch_batch: usize,
-    /// Batches buffered ahead of the consumer.
-    pub prefetch_queue: usize,
 }
 
 impl ParallelConfig {
@@ -56,9 +48,6 @@ impl ParallelConfig {
             enabled: false,
             max_workers: 8,
             exchange_queue: 256,
-            prefetch: false,
-            prefetch_batch: 64,
-            prefetch_queue: 2,
         }
     }
 
@@ -66,7 +55,6 @@ impl ParallelConfig {
     pub fn parallel() -> Self {
         ParallelConfig {
             enabled: true,
-            prefetch: true,
             ..ParallelConfig::serial()
         }
     }

@@ -9,8 +9,9 @@
 //! distributed implementation rules.
 //!
 //! Remote work can run concurrently: the [`ops::exchange`] module hosts the
-//! parallel union (`Exchange`) and the remote-rowset prefetcher, both
-//! governed by the [`ParallelConfig`] knobs on the execution context.
+//! exchange workers a union opens its members on and the remote-rowset
+//! prefetcher (one such worker over one branch), both governed by the
+//! [`ParallelConfig`] knobs on the execution context.
 
 pub mod build;
 pub mod context;

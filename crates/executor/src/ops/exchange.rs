@@ -1,28 +1,31 @@
-//! Intra-query parallelism for remote work: the exchange operator and the
-//! remote-rowset prefetcher.
+//! Intra-query parallelism for remote work: worker threads that drain
+//! branches into one bounded channel.
 //!
 //! The paper's distributed partitioned views (§4.1.5) assume member servers
 //! work concurrently, but a single-threaded pull pipeline pays every link's
-//! latency in sequence. [`ExchangeRowset`] runs each union branch on a
+//! latency in sequence. [`ExchangeRowset::new`] runs each union branch on a
 //! worker thread, funneling rows through one bounded channel to the
-//! consumer cursor; [`PrefetchRowset`] pipelines the next batch of a remote
-//! rowset on a background worker while the consumer drains the current one.
+//! consumer cursor; [`ExchangeRowset::prefetch`] is the same worker over one
+//! open remote rowset, pulling its next batch while the consumer drains the
+//! current one.
 //!
 //! Error contract: the first branch error to reach the channel is the one
 //! the consumer surfaces (original [`dhqp_types::DhqpError`], not a wrapper);
 //! after that the cursor is done and remaining workers unwind cleanly —
 //! dropping the receiver makes their blocked sends fail, and the drop path
-//! joins every worker before returning.
+//! joins every worker before returning. A worker that panicked re-raises its
+//! panic on the consumer thread when it is joined.
 
-use crate::context::{ExecContext, ParallelConfig};
-use crate::ops::sort::union_perms;
+use crate::context::ExecContext;
+use crate::ops::sort::{permute, union_perms};
 use crate::stats::{RuntimeStatsCollector, WorkerSpan};
 use dhqp_oledb::waits::{
     current_scope, emit_event, has_hook, install_scope, record_wait, WaitClass,
 };
 use dhqp_oledb::{RowCursor, Rowset};
 use dhqp_optimizer::ColumnId;
-use dhqp_types::{Result, Row, RowBatch, Schema};
+use dhqp_types::{Result, RowBatch, Schema};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,28 +39,32 @@ pub type BranchFactory = Box<dyn FnOnce(&ExecContext) -> Result<Box<dyn Rowset>>
 /// finished (see [`ExchangeRowset::at_end`]).
 pub type EndCheck = Box<dyn FnOnce() -> Result<()> + Send>;
 
-/// Parallel bag union: branches open and drain on worker threads, the
-/// consumer pulls merged row batches (arrival order) from a bounded channel.
-/// Each channel slot carries a whole [`RowBatch`], so the queue bound is
-/// expressed in batches (`exchange_queue / batch_size`) to keep the buffered
-/// row budget roughly constant whichever batch size is configured.
+/// Branches drained on worker threads; the consumer pulls row batches
+/// (arrival order across branches, branch order within one) from a bounded
+/// channel. Each channel slot carries a whole [`RowBatch`], so the queue
+/// bound is expressed in batches (`exchange_queue / batch_size`) to keep the
+/// buffered row budget roughly constant whichever batch size is configured.
 pub struct ExchangeRowset {
     /// A caller may ask for fewer rows than a worker shipped at once; the
     /// cursor hands such a batch on in pieces.
-    merged: RowCursor<MergedBranches>,
+    merged: RowCursor<Workers>,
 }
 
 /// The consumer end of the workers' channel. Read only through the cursor
 /// in [`ExchangeRowset`], which asks for `pull` rows at a time — the size
 /// the workers fill their batches to.
-struct MergedBranches {
+struct Workers {
     rx: Option<Receiver<Result<RowBatch>>>,
-    workers: Vec<JoinHandle<WorkerSpan>>,
-    worker_count: usize,
+    handles: Vec<JoinHandle<WorkerSpan>>,
+    /// Workers that returned rather than panicked.
+    returned: Arc<AtomicUsize>,
     opened: Instant,
     schema: Schema,
     done: bool,
-    stats: Option<(usize, Arc<RuntimeStatsCollector>)>,
+    /// The union node whose runtime this exchange records; `None` for a
+    /// prefetcher, which the exchange counters and events do not see.
+    node: Option<usize>,
+    stats: Option<Arc<RuntimeStatsCollector>>,
     at_end: Option<EndCheck>,
 }
 
@@ -70,39 +77,18 @@ impl ExchangeRowset {
         child_delivered: &[Vec<ColumnId>],
         input_columns: &[Vec<ColumnId>],
         schema: Schema,
-        cfg: &ParallelConfig,
         ctx: &ExecContext,
         node: usize,
     ) -> Result<ExchangeRowset> {
         let perms = union_perms(child_delivered, input_columns)?;
-        let n = branches.len().min(cfg.max_workers).max(1);
+        let n = branches.len().min(ctx.parallel().max_workers).max(1);
         let branch_count = branches.len();
-        let pull = ctx.batch().batch_size;
-        // Queue depth in batches: with batching off (pull = 1) this is the
-        // historical row-granular bound, unchanged.
-        let depth = cfg.exchange_queue.max(1).div_ceil(pull).max(1);
-        let (tx, rx) = sync_channel::<Result<RowBatch>>(depth);
         let mut assigned: Vec<Vec<(BranchFactory, Vec<usize>)>> =
             (0..n).map(|_| Vec::new()).collect();
-        for (k, (open, perm)) in branches.into_iter().zip(perms).enumerate() {
-            assigned[k % n].push((open, perm));
+        for (k, branch) in branches.into_iter().zip(perms).enumerate() {
+            assigned[k % n].push(branch);
         }
-        let opened = Instant::now();
-        let workers: Vec<JoinHandle<WorkerSpan>> = assigned
-            .into_iter()
-            .map(|work| {
-                let tx = tx.clone();
-                let wctx = ctx.clone();
-                // Waits a worker incurs (link time, channel backpressure)
-                // must land in the spawning statement's sinks, so the
-                // consumer's activity scope rides into the thread.
-                let scope = current_scope();
-                std::thread::spawn(move || {
-                    let _scope = install_scope(scope);
-                    run_branches(work, &wctx, &tx, opened, pull)
-                })
-            })
-            .collect();
+        let mut workers = Workers::spawn(assigned, schema, ctx);
         if has_hook() {
             emit_event(
                 "exchange_spawn",
@@ -113,30 +99,35 @@ impl ExchangeRowset {
                 ],
             );
         }
-        // Only worker-held senders remain: the channel disconnects exactly
-        // when the last branch finishes.
-        drop(tx);
         ctx.counters().parallel_exchanges.bump();
         ctx.counters().exchange_workers.add(n as u64);
-        let stats = ctx.stats().map(|c| (node, Arc::clone(c)));
-        let merged = MergedBranches {
-            rx: Some(rx),
-            workers,
-            worker_count: n,
-            opened,
-            schema,
-            done: false,
-            stats,
-            at_end: None,
-        };
+        workers.node = Some(node);
+        workers.stats = ctx.stats().cloned();
         Ok(ExchangeRowset {
-            merged: RowCursor::new(merged, pull),
+            merged: RowCursor::new(workers, ctx.batch().batch_size),
         })
+    }
+
+    /// The prefetcher: one worker drains the already-open `inner` ahead of
+    /// its consumer, so link latency and transfer time overlap with
+    /// consumer work. Row order is preserved and rows move through as they
+    /// arrived; rows pulled before a fault are handed over before the fault
+    /// is.
+    pub fn prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> ExchangeRowset {
+        let schema = inner.schema().clone();
+        let identity = (0..schema.len()).collect();
+        let open: BranchFactory = Box::new(move |_| Ok(inner));
+        ExchangeRowset {
+            merged: RowCursor::new(
+                Workers::spawn(vec![vec![(open, identity)]], schema, ctx),
+                ctx.batch().batch_size,
+            ),
+        }
     }
 
     /// Run `check` when the merged stream ends cleanly — every branch
     /// drained and every worker joined — and surface its error in place of
-    /// the end of stream. How the builder refuses an exchange whose every
+    /// the end of stream. How the builder refuses a union whose every
     /// member was quarantined instead of answering "no rows".
     pub fn at_end(mut self, check: EndCheck) -> Self {
         self.merged.child_mut().at_end = Some(check);
@@ -144,11 +135,65 @@ impl ExchangeRowset {
     }
 }
 
-impl MergedBranches {
+impl Workers {
+    /// One worker thread per entry of `assigned`, each opening and draining
+    /// its branches in turn into one channel of `exchange_queue` rows,
+    /// counted in pulls of the configured batch size.
+    fn spawn(
+        assigned: Vec<Vec<(BranchFactory, Vec<usize>)>>,
+        schema: Schema,
+        ctx: &ExecContext,
+    ) -> Workers {
+        let pull = ctx.batch().batch_size;
+        // At pull = 1 the bound is `exchange_queue` rows exactly.
+        let depth = ctx.parallel().exchange_queue.max(1).div_ceil(pull).max(1);
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(depth);
+        let opened = Instant::now();
+        let returned = Arc::new(AtomicUsize::new(0));
+        let handles = assigned
+            .into_iter()
+            .map(|work| {
+                let (tx, returned) = (tx.clone(), Arc::clone(&returned));
+                let wctx = ctx.clone();
+                // Waits a worker incurs (link time, channel backpressure)
+                // must land in the spawning statement's sinks, so the
+                // consumer's activity scope rides into the thread.
+                let scope = current_scope();
+                std::thread::spawn(move || {
+                    let _scope = install_scope(scope);
+                    let span = run_branches(work, &wctx, &tx, opened, pull);
+                    // Counted before `tx` drops, so a disconnect that finds
+                    // fewer returns than workers means one panicked.
+                    returned.fetch_add(1, Ordering::Release);
+                    span
+                })
+            })
+            .collect();
+        // Only worker-held senders remain once `tx` drops here: the channel
+        // disconnects exactly when the last branch finishes.
+        Workers {
+            rx: Some(rx),
+            handles,
+            returned,
+            opened,
+            schema,
+            done: false,
+            node: None,
+            stats: None,
+            at_end: None,
+        }
+    }
+
     /// All senders gone: every branch drained.
     fn finish(&mut self) -> Result<()> {
         self.done = true;
-        self.shutdown();
+        // A union accounts its workers now. A prefetcher whose worker
+        // returned is joined when dropped, so the thread's exit overlaps the
+        // consumer's remaining work; one whose worker did not panicked, and
+        // the join re-raises it.
+        if self.node.is_some() || self.returned.load(Ordering::Acquire) < self.handles.len() {
+            self.shutdown();
+        }
         self.at_end.take().map_or(Ok(()), |check| check())
     }
 
@@ -171,24 +216,19 @@ impl MergedBranches {
         }
     }
 
-    /// Drop the receiver (failing any blocked sends), join every worker and
-    /// record the exchange runtime. Idempotent. A worker panic is re-raised
-    /// on the consumer thread (unless it is already unwinding) — branch
-    /// errors travel through the channel, so a panicking worker is a bug
-    /// that must not be swallowed by the join.
+    /// Drop the receiver (failing any blocked sends), join every worker and,
+    /// for a union, record the exchange runtime. Idempotent. A worker panic
+    /// is re-raised on the consumer thread (unless it is already unwinding)
+    /// — branch errors travel through the channel, so a panicking worker is
+    /// a bug that must not be swallowed by the join or read as the end of
+    /// the stream.
     fn shutdown(&mut self) {
         self.rx = None;
-        if self.workers.is_empty() {
-            return;
-        }
-        let mut busy = Duration::ZERO;
-        let mut spans = Vec::with_capacity(self.workers.len());
-        for handle in self.workers.drain(..) {
+        let workers = self.handles.len() as u64;
+        let mut spans = Vec::with_capacity(self.handles.len());
+        for handle in self.handles.drain(..) {
             match handle.join() {
-                Ok(span) => {
-                    busy += Duration::from_micros(span.elapsed_us);
-                    spans.push(span);
-                }
+                Ok(span) => spans.push(span),
                 Err(panic) => {
                     if !std::thread::panicking() {
                         std::panic::resume_unwind(panic);
@@ -196,6 +236,13 @@ impl MergedBranches {
                 }
             }
         }
+        let Some(node) = self.node.take() else {
+            return;
+        };
+        let busy: Duration = spans
+            .iter()
+            .map(|s| Duration::from_micros(s.elapsed_us))
+            .sum();
         if has_hook() {
             let rows: u64 = spans.iter().map(|s| s.rows).sum();
             emit_event(
@@ -208,14 +255,8 @@ impl MergedBranches {
                 ],
             );
         }
-        if let Some((node, collector)) = self.stats.take() {
-            collector.record_exchange(
-                node,
-                self.worker_count as u64,
-                busy,
-                self.opened.elapsed(),
-                spans,
-            );
+        if let Some(collector) = self.stats.take() {
+            collector.record_exchange(node, workers, busy, self.opened.elapsed(), spans);
         }
     }
 }
@@ -270,13 +311,8 @@ fn run_branches(
         loop {
             match rowset.next_batch(pull) {
                 Ok(Some(batch)) => {
-                    let mut out = RowBatch::with_capacity(batch.len());
-                    for row in batch {
-                        let values = perm.iter().map(|&p| row.values[p].clone()).collect();
-                        out.push(Row::new(values));
-                    }
-                    let n = out.len() as u64;
-                    if !send_with_backpressure(tx, Ok(out), &mut span) {
+                    let n = batch.len() as u64;
+                    if !send_with_backpressure(tx, Ok(permute(batch, &perm)), &mut span) {
                         break 'branches;
                     }
                     span.rows += n;
@@ -293,7 +329,7 @@ fn run_branches(
     span
 }
 
-impl Rowset for MergedBranches {
+impl Rowset for Workers {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -329,131 +365,9 @@ impl Rowset for ExchangeRowset {
     }
 }
 
-impl Drop for MergedBranches {
+impl Drop for Workers {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Pipelines a (typically remote) rowset: a background worker pulls rows
-/// ahead of the consumer so link latency and transfer time overlap with
-/// consumer work. Row order is preserved — batches flow through a FIFO
-/// channel.
-pub struct PrefetchRowset {
-    ahead: RowCursor<Prefetched>,
-}
-
-/// The consumer end of the prefetch worker's channel; like
-/// [`MergedBranches`], read only through the cursor in front of it, at the
-/// size the worker fills its batches to.
-struct Prefetched {
-    rx: Option<Receiver<Result<RowBatch>>>,
-    worker: Option<JoinHandle<()>>,
-    schema: Schema,
-}
-
-impl PrefetchRowset {
-    /// The worker asks the source for `pull` rows per call — one round trip
-    /// each over a link — and hands the consumer batches of up to
-    /// `batch_rows` (at least one pull), `queue_depth` of them ahead. Rows
-    /// pulled before a fault are handed over before the fault is.
-    pub fn new(
-        mut inner: Box<dyn Rowset>,
-        pull: usize,
-        batch_rows: usize,
-        queue_depth: usize,
-    ) -> Self {
-        let schema = inner.schema().clone();
-        let pull = pull.max(1);
-        let batch_rows = batch_rows.max(pull);
-        let (tx, rx) = sync_channel::<Result<RowBatch>>(queue_depth.max(1));
-        // The prefetcher drains a metered remote rowset off-thread; its
-        // link waits must land in the spawning statement's sinks too.
-        let scope = current_scope();
-        let worker = std::thread::spawn(move || {
-            let _scope = install_scope(scope);
-            let mut ahead: Vec<Row> = Vec::new();
-            let hand_over = |ahead: &mut Vec<Row>| {
-                ahead.is_empty() || tx.send(Ok(std::mem::take(ahead).into())).is_ok()
-            };
-            loop {
-                match inner.next_batch(pull) {
-                    Ok(Some(batch)) => {
-                        ahead.extend(batch);
-                        // Another pull might not fit.
-                        if ahead.len() + pull > batch_rows && !hand_over(&mut ahead) {
-                            return;
-                        }
-                    }
-                    Ok(None) => {
-                        hand_over(&mut ahead);
-                        return;
-                    }
-                    Err(e) => {
-                        if hand_over(&mut ahead) {
-                            let _ = tx.send(Err(e));
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-        let ahead = Prefetched {
-            rx: Some(rx),
-            worker: Some(worker),
-            schema,
-        };
-        PrefetchRowset {
-            ahead: RowCursor::new(ahead, batch_rows),
-        }
-    }
-}
-
-impl Rowset for Prefetched {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let Some(rx) = &self.rx else {
-            return Ok(None);
-        };
-        match rx.recv() {
-            Ok(Ok(batch)) => {
-                debug_assert!(batch.len() <= max, "the worker fills batches to batch_rows");
-                Ok(Some(batch))
-            }
-            // An error or the worker's exit ends the stream.
-            Ok(Err(e)) => {
-                self.rx = None;
-                Err(e)
-            }
-            Err(_) => {
-                self.rx = None;
-                Ok(None)
-            }
-        }
-    }
-}
-
-impl Rowset for PrefetchRowset {
-    fn schema(&self) -> &Schema {
-        self.ahead.schema()
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        self.ahead.next_batch(max)
-    }
-}
-
-impl Drop for Prefetched {
-    fn drop(&mut self) {
-        // Hang up first so a worker blocked on a full queue exits, then
-        // join it — all wire traffic is accounted before the drop returns.
-        self.rx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -462,10 +376,11 @@ mod tests {
     use super::*;
     use crate::context::test_support::TestCatalog;
     use crate::context::BatchConfig;
+    use crate::context::ParallelConfig;
     use dhqp_oledb::{IterRowset, MemRowset, RowsetExt};
     use dhqp_optimizer::props::ColumnRegistry;
     use dhqp_storage::StorageEngine;
-    use dhqp_types::{Column, DataType, DhqpError, Value};
+    use dhqp_types::{Column, DataType, DhqpError, Row, Value};
     use std::collections::HashMap;
 
     fn ctx() -> ExecContext {
@@ -504,7 +419,13 @@ mod tests {
         ctx: &ExecContext,
     ) -> ExchangeRowset {
         let cols = vec![vec![ColumnId(0)]; branches.len()];
-        ExchangeRowset::new(branches, &cols, &cols, int_schema(), cfg, ctx, 0).unwrap()
+        let ctx = ctx.clone().with_parallel(cfg.clone());
+        ExchangeRowset::new(branches, &cols, &cols, int_schema(), &ctx, 0).unwrap()
+    }
+
+    /// A prefetcher pulling `pull` rows at a time.
+    fn prefetch(inner: Box<dyn Rowset>, pull: usize) -> ExchangeRowset {
+        ExchangeRowset::prefetch(inner, &ctx().with_batch(BatchConfig::batched(pull)))
     }
 
     #[test]
@@ -579,16 +500,7 @@ mod tests {
         let ctx = ctx().with_stats(Arc::clone(&collector));
         let cols = vec![vec![ColumnId(0)]; 2];
         let branches = vec![ints(vec![1]), ints(vec![2])];
-        let mut rs = ExchangeRowset::new(
-            branches,
-            &cols,
-            &cols,
-            int_schema(),
-            &ParallelConfig::parallel(),
-            &ctx,
-            7,
-        )
-        .unwrap();
+        let mut rs = ExchangeRowset::new(branches, &cols, &cols, int_schema(), &ctx, 7).unwrap();
         assert_eq!(rs.count_rows().unwrap(), 2);
         drop(rs);
         let ex = collector.node(7).unwrap().exchange.unwrap();
@@ -646,7 +558,7 @@ mod tests {
         for pull in [1, 16] {
             let rows: Vec<Row> = (0..103).map(|i| Row::new(vec![Value::Int(i)])).collect();
             let inner: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows));
-            let mut rs = PrefetchRowset::new(inner, pull, 16, 2);
+            let mut rs = prefetch(inner, pull);
             let got = rs.collect_rows().unwrap();
             assert_eq!(got.len(), 103);
             assert!(got
@@ -659,7 +571,7 @@ mod tests {
 
     #[test]
     fn prefetch_surfaces_buffered_rows_before_error() {
-        let mut rs = PrefetchRowset::new(faulty(3), 1, 2, 2);
+        let mut rs = prefetch(faulty(3), 1);
         let mut seen = 0;
         let err = loop {
             match rs.next() {
@@ -677,8 +589,28 @@ mod tests {
     fn prefetch_early_drop_joins_worker() {
         let rows: Vec<Row> = (0..10_000).map(|i| Row::new(vec![Value::Int(i)])).collect();
         let inner: Box<dyn Rowset> = Box::new(MemRowset::new(int_schema(), rows));
-        let mut rs = PrefetchRowset::new(inner, 8, 8, 1);
+        let mut rs = prefetch(inner, 8);
         rs.next().unwrap();
         drop(rs);
+    }
+
+    #[test]
+    fn prefetch_worker_panic_reraises_on_the_consumer() {
+        // The source panics when asked for its sixth row: a bug, not a
+        // provider error. The consumer must not read the dead worker as the
+        // end of a five-row answer.
+        let mut yielded = 0;
+        let stream = std::iter::from_fn(move || {
+            assert!(yielded < 5, "source bug at row {}", yielded + 1);
+            yielded += 1;
+            Some(Ok(Row::new(vec![Value::Int(yielded)])))
+        });
+        let inner: Box<dyn Rowset> = Box::new(IterRowset::new(int_schema(), stream));
+        let mut rs = prefetch(inner, 2);
+        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rs.count_rows()));
+        assert!(
+            drained.is_err(),
+            "a worker panic must re-raise, got {drained:?}"
+        );
     }
 }

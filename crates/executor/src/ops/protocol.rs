@@ -4,10 +4,10 @@
 //! batch, never more than `max` rows, and `None` stays `None`.
 
 use crate::context::test_support::TestCatalog;
-use crate::context::{BatchConfig, ExecContext, ParallelConfig};
+use crate::context::{BatchConfig, ExecContext};
 use crate::health::{BreakerConfig, HealthRegistry};
 use crate::ops::agg::{open_hash_aggregate, StreamAggregate};
-use crate::ops::exchange::{BranchFactory, ExchangeRowset, PrefetchRowset};
+use crate::ops::exchange::{BranchFactory, ExchangeRowset};
 use crate::ops::filter::{FilterRowset, ProjectRowset};
 use crate::ops::join::{open_hash_join, open_merge_join, InnerFactory, NestedLoopJoin};
 use crate::ops::remote::open_remote_scan;
@@ -255,7 +255,6 @@ fn every_rowset(ctx: &ExecContext, remote: &TableMeta) -> Vec<(&'static str, Box
                     &one_col[..1],
                     &one_col[..1],
                     schema(&["v"]),
-                    &ParallelConfig::parallel(),
                     ctx,
                     0,
                 )
@@ -264,7 +263,7 @@ fn every_rowset(ctx: &ExecContext, remote: &TableMeta) -> Vec<(&'static str, Box
         ),
         (
             "Prefetch",
-            Box::new(PrefetchRowset::new(mem(&INPUT), 2, 4, 2)),
+            Box::new(ExchangeRowset::prefetch(mem(&INPUT), ctx)),
         ),
         (
             "Retry",

@@ -106,6 +106,20 @@ pub(crate) fn union_perms(
         .collect()
 }
 
+/// Reorder a batch's rows by a [`union_perms`] permutation. A batch already
+/// in output order — an identity permutation over rows of its width, as
+/// every prefetched batch is — is moved, not copied.
+pub(crate) fn permute(batch: RowBatch, perm: &[usize]) -> RowBatch {
+    let identity = perm.iter().enumerate().all(|(i, &p)| i == p);
+    if identity && batch.iter().all(|row| row.values.len() == perm.len()) {
+        return batch;
+    }
+    batch
+        .into_iter()
+        .map(|row| Row::new(perm.iter().map(|&p| row.values[p].clone()).collect()))
+        .collect()
+}
+
 /// Bag union over children, permuting each child's physical column order to
 /// the view's output order (children may deliver equivalent plans whose
 /// column order differs).
@@ -143,20 +157,11 @@ impl Rowset for UnionAllRowset {
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        // Forward whole chunks from the current child (this is the serial
-        // fallback of the Exchange operator, so DPV member streams ship
-        // batched here too), permuting each row to the output order.
+        // Forward whole chunks from the current child, permuted to the
+        // output order.
         while self.current < self.children.len() {
             match self.children[self.current].next_batch(max)? {
-                Some(batch) => {
-                    let perm = &self.perms[self.current];
-                    let mut out = RowBatch::with_capacity(batch.len());
-                    for row in batch {
-                        let values = perm.iter().map(|&p| row.values[p].clone()).collect();
-                        out.push(Row::new(values));
-                    }
-                    return Ok(Some(out));
-                }
+                Some(batch) => return Ok(Some(permute(batch, &self.perms[self.current]))),
                 None => self.current += 1,
             }
         }

@@ -131,12 +131,13 @@ counters! {
         /// Remote opens: one per `IOpenRowset`/`IRowsetIndex`/
         /// `IRowsetLocate`/command execution issued against a linked server.
         remote_roundtrips,
-        /// Exchange operators that opened with parallel dispatch (the serial
-        /// fallback does not count).
+        /// Unions that opened their members on exchange workers (a serial
+        /// open does not count, nor does a prefetcher).
         parallel_exchanges,
         /// Worker threads those exchanges spawned, summed.
         exchange_workers,
-        /// Remote rowsets that ran behind a prefetching decorator.
+        /// Remote rowsets drained ahead of their consumer by a prefetch
+        /// worker.
         remote_prefetches,
         /// Remote attempts re-issued after a transient transport fault.
         remote_retries,

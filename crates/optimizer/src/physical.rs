@@ -97,16 +97,6 @@ pub enum PhysicalOp {
         output: Vec<ColumnId>,
         input_columns: Vec<Vec<ColumnId>>,
     },
-    /// Parallel bag union: every child runs on its own worker thread and
-    /// rows funnel through a bounded channel to the single consumer cursor.
-    /// Inserted above unions whose branches open remote sources, so member
-    /// servers of a partitioned view work concurrently (§4.1.5) instead of
-    /// paying each link's latency in sequence. Column semantics match
-    /// [`PhysicalOp::UnionAll`]; row order across branches is unspecified.
-    Exchange {
-        output: Vec<ColumnId>,
-        input_columns: Vec<Vec<ColumnId>>,
-    },
     /// Materializes its child on first open; rescans replay the cache
     /// without re-running the child (the *spool over remote* enforcer).
     Spool,
@@ -202,7 +192,6 @@ impl PhysicalOp {
             PhysicalOp::Sort { .. } => "Sort",
             PhysicalOp::Top { .. } => "Top",
             PhysicalOp::UnionAll { .. } => "UnionAll",
-            PhysicalOp::Exchange { .. } => "Exchange",
             PhysicalOp::Spool => "Spool",
             PhysicalOp::RemoteQuery { .. } => "RemoteQuery",
             PhysicalOp::RemoteScan { .. } => "RemoteScan",
@@ -313,7 +302,6 @@ impl PhysNode {
                 }
             },
             PhysicalOp::Sort { keys } => format!("Sort({} keys)", keys.len()),
-            PhysicalOp::Exchange { .. } => format!("Exchange({} branches)", self.children.len()),
             other => other.name().to_string(),
         }
     }

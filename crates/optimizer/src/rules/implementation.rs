@@ -8,7 +8,7 @@
 
 use crate::cardinality::{equi_key_columns, ndv, predicate_selectivity};
 use crate::decoder::{Decoder, KeySet, RemoteSql};
-use crate::logical::{JoinKind, Locality, LogicalOp, TableMeta};
+use crate::logical::{JoinKind, LogicalOp, TableMeta};
 use crate::memo::{GroupId, MExpr, Memo};
 use crate::physical::{IndexRangeSpec, KeysPerRequest, PhysicalOp};
 use crate::props::{ColumnId, PhysicalProps, RequiredProps};
@@ -113,30 +113,11 @@ pub fn implementations(
                 .iter()
                 .map(|&g| memo.group(g).props.columns.clone())
                 .collect();
-            // Parallel-union rule: when two or more branches reach remote
-            // sources, dispatch them concurrently through an Exchange so
-            // member servers work in parallel (§4.1.5) instead of paying
-            // each link's latency in sequence. The Exchange *replaces* the
-            // serial UnionAll (same cost formula) so plan choice stays
-            // deterministic under the switch.
-            let remote_branches = expr
-                .children
-                .iter()
-                .filter(|&&g| group_localities(memo, g).iter().any(Locality::is_remote))
-                .count();
-            let op = if ctx.config.enable_parallel_union && remote_branches >= 2 {
-                PhysicalOp::Exchange {
-                    output: output.clone(),
-                    input_columns,
-                }
-            } else {
+            vec![PhysAlt::node(
                 PhysicalOp::UnionAll {
                     output: output.clone(),
                     input_columns,
-                }
-            };
-            vec![PhysAlt::node(
-                op,
+                },
                 expr.children.iter().map(|&g| PhysAlt::child(g)).collect(),
             )]
         }
@@ -592,7 +573,7 @@ fn bind_join_variants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::{test_table_meta, LogicalExpr};
+    use crate::logical::{test_table_meta, Locality, LogicalExpr};
     use crate::props::ColumnRegistry;
     use crate::search::OptimizerConfig;
     use dhqp_types::DataType;

@@ -74,13 +74,6 @@ pub struct OptimizerConfig {
     /// The *build remote query* rule; off forces row shipping via remote
     /// scans (E1/E3 ablation).
     pub enable_remote_query: bool,
-    /// Implement unions with two or more remote branches as an [`Exchange`]
-    /// (parallel dispatch) instead of a serial [`UnionAll`]. Off by default
-    /// (`DHQP_PARALLEL`).
-    ///
-    /// [`Exchange`]: PhysicalOp::Exchange
-    /// [`UnionAll`]: PhysicalOp::UnionAll
-    pub enable_parallel_union: bool,
     /// Semi-join reduction: collect the small build side's join keys at
     /// drive time and bind them to the remote statement's key-set
     /// `IN`-list, cutting returned rows before they cross the link.
@@ -109,7 +102,6 @@ impl Default for OptimizerConfig {
             enable_locality_grouping: true,
             enable_remote_param: true,
             enable_remote_query: true,
-            enable_parallel_union: false,
             enable_semijoin: true,
             semijoin_max_keys: 64,
             simplify: SimplifyOptions::default(),
@@ -537,7 +529,7 @@ impl<'a> SearchDriver<'a> {
             PhysicalOp::StreamAggregate { .. } => c0 * m.cpu_row,
             PhysicalOp::Sort { .. } => m.sort(c0),
             PhysicalOp::Top { .. } => rows * m.cpu_row,
-            PhysicalOp::UnionAll { .. } | PhysicalOp::Exchange { .. } => {
+            PhysicalOp::UnionAll { .. } => {
                 children.iter().map(|c| c.est_rows).sum::<f64>() * m.cpu_row * 0.1
             }
             // Costed where they are built: a spool by its rule's extra cost,
@@ -604,7 +596,7 @@ fn node_output(op: &PhysicalOp, children: &[PhysNode]) -> Vec<ColumnId> {
             out.extend(aggs.iter().map(|a| a.output));
             out
         }
-        PhysicalOp::UnionAll { output, .. } | PhysicalOp::Exchange { output, .. } => output.clone(),
+        PhysicalOp::UnionAll { output, .. } => output.clone(),
         PhysicalOp::Values { columns, .. } | PhysicalOp::Empty { columns } => columns.clone(),
     }
 }

@@ -276,10 +276,7 @@ fn a_narrow_read_ships_the_columns_it_returns_and_nothing_else() {
         }
         // Nothing is left for a projection to do above the union.
         assert!(
-            matches!(
-                report.plan.op,
-                PhysicalOp::UnionAll { .. } | PhysicalOp::Exchange { .. }
-            ),
+            matches!(report.plan.op, PhysicalOp::UnionAll { .. }),
             "{}",
             report.render()
         );
@@ -548,15 +545,7 @@ fn change_pad(member: &Engine, with: Option<Column>) {
 /// own: one per touched member, in every dispatch mode.
 #[test]
 fn drift_in_a_column_the_statement_does_not_read_still_fails_it() {
-    let dispatch = [
-        ParallelConfig::serial(),
-        ParallelConfig::parallel(),
-        ParallelConfig {
-            prefetch: false,
-            ..ParallelConfig::parallel()
-        },
-    ];
-    for parallel in &dispatch {
+    for parallel in &[ParallelConfig::serial(), ParallelConfig::parallel()] {
         for batch in [BatchConfig::batched(1), BatchConfig::batched(3)] {
             for change in [None, Some(Column::not_null("pad", DataType::Int))] {
                 let mode = format!("{parallel:?} {batch:?} pad -> {change:?}");

@@ -560,6 +560,17 @@ fn parallel_execution_matches_serial() {
     let a = run_corpus(&serial);
     let b = run_corpus(&par);
     assert_same("serial", &a, "parallel", &b);
+    // One plan in both dispatch modes: a union decides how it runs its
+    // members when it opens.
+    let explain = |engine: &Engine, sql: &str| {
+        engine
+            .explain(sql)
+            .map(|e| e.plan_text)
+            .map_err(|e| e.to_string())
+    };
+    for sql in CORPUS {
+        assert_eq!(explain(&serial, sql), explain(&par, sql), "{sql}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! rendering, and a README table that is the table.
 
 use dhqp::knobs::{render_markdown, Kind, KnobRow, Knobs, KNOBS};
-use dhqp::{EventConfig, EventKind, ParallelConfig};
+use dhqp::{EventConfig, EventKind, OptimizerConfig, ParallelConfig};
 
 /// What `row` prints after `text` is applied to the defaults.
 fn applied(row: &KnobRow, text: &str) -> String {
@@ -92,7 +92,8 @@ fn parallel_switch_moves_plan_and_runtime_together() {
     let env = Knobs::from_lookup(|name| (name == "DHQP_PARALLEL").then(|| "1".to_string()));
     assert_eq!(env.named, ["DHQP_PARALLEL"]);
     assert_eq!(env.knobs.parallel, ParallelConfig::parallel());
-    assert!(env.knobs.optimizer.enable_parallel_union);
+    // Plans do not depend on it: a union decides its dispatch when it opens.
+    assert_eq!(env.knobs.optimizer, OptimizerConfig::default());
     let none = Knobs::from_lookup(|_| None);
     assert!(none.named.is_empty());
     assert_eq!(none.knobs, Knobs::default());

@@ -1,6 +1,7 @@
-//! Parallel remote execution (§4.1.5): the exchange operator dispatches
-//! DPV member branches concurrently, prefetching overlaps remote fetches
-//! with consumption, and errors from any branch surface unchanged.
+//! Parallel remote execution (§4.1.5): a union opened with parallel
+//! dispatch on runs DPV member branches on exchange workers, prefetching
+//! overlaps remote fetches with consumption, and errors from any branch
+//! surface unchanged. The plan is the same in both dispatch modes.
 
 use dhqp::{Engine, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
@@ -71,17 +72,18 @@ fn parallel_dpv_union_matches_serial_multiset() {
     head.set_parallel_config(ParallelConfig::serial());
     let serial_plan = head.explain(SCAN).unwrap().plan_text;
     assert!(serial_plan.contains("UnionAll"), "{serial_plan}");
-    assert!(!serial_plan.contains("Exchange"), "{serial_plan}");
     let serial = head.query(SCAN).unwrap();
     assert_eq!(serial.len(), scale.orders * scale.lineitems_per_order);
 
     head.set_parallel_config(ParallelConfig::parallel());
     let parallel_plan = head.explain(SCAN).unwrap().plan_text;
-    assert!(
-        parallel_plan.contains("Exchange(7 branches)"),
-        "parallel plans must dispatch DPV members through an exchange:\n{parallel_plan}"
+    assert_eq!(
+        parallel_plan, serial_plan,
+        "dispatch is decided where the union opens, not in the plan"
     );
+    let before = head.metrics().parallel_exchanges;
     let parallel = head.query(SCAN).unwrap();
+    assert_eq!(head.metrics().parallel_exchanges, before + 1);
 
     assert_eq!(multiset(&serial.rows, 3), multiset(&parallel.rows, 3));
 }
@@ -130,7 +132,7 @@ fn exchange_reports_workers_and_traffic_stays_exact() {
         .expect("parallel run records exchange runtime");
     assert_eq!(exchange.workers, 7);
     let rendered = report.render();
-    assert!(rendered.contains("Exchange(7 branches)"), "{rendered}");
+    assert!(rendered.contains("UnionAll"), "{rendered}");
     assert!(rendered.contains("[exchange: workers=7"), "{rendered}");
 
     let m = head.metrics();
@@ -140,23 +142,31 @@ fn exchange_reports_workers_and_traffic_stays_exact() {
 }
 
 #[test]
-fn exchange_plan_falls_back_to_serial_execution() {
-    // Plan with an Exchange but execute with parallelism disabled (e.g. a
-    // cached plan after the knob was turned off): the operator degrades to
-    // an in-line union, spawning no workers.
+fn a_cached_plan_survives_the_parallel_flip() {
+    // Flipping the switch changes how a union opens, not what was
+    // compiled: the plan cached under serial dispatch serves the parallel
+    // run, and the one after it back under serial dispatch.
     let (head, _links) = federation();
+    let rows = TpchScale::tiny().orders * TpchScale::tiny().lineitems_per_order;
+    head.set_plan_cache_enabled(true);
     head.set_parallel_config(ParallelConfig::serial());
-    let mut config = head.optimizer_config();
-    config.enable_parallel_union = true;
-    head.set_optimizer_config(config);
+    assert_eq!(head.query(SCAN).unwrap().len(), rows);
 
-    let plan = head.explain(SCAN).unwrap().plan_text;
-    assert!(plan.contains("Exchange"), "{plan}");
-    let before = head.metrics().parallel_exchanges;
-    let r = head.query(SCAN).unwrap();
-    let scale = TpchScale::tiny();
-    assert_eq!(r.len(), scale.orders * scale.lineitems_per_order);
-    assert_eq!(head.metrics().parallel_exchanges, before);
+    for (parallel, exchanges) in [
+        (ParallelConfig::parallel(), 1),
+        (ParallelConfig::serial(), 0),
+    ] {
+        head.set_parallel_config(parallel);
+        let before = head.metrics();
+        assert_eq!(head.query(SCAN).unwrap().len(), rows);
+        let after = head.metrics();
+        assert_eq!(after.plan_cache_hits, before.plan_cache_hits + 1);
+        assert_eq!(after.plan_cache_misses, before.plan_cache_misses);
+        assert_eq!(
+            after.parallel_exchanges,
+            before.parallel_exchanges + exchanges
+        );
+    }
 }
 
 // --- fault injection -------------------------------------------------------

@@ -419,16 +419,8 @@ fn k(value: i64) -> HashMap<String, Value> {
 /// quarantined, and the breaker does not hear of it.
 #[test]
 fn a_drifted_member_fails_a_cached_plan_in_every_dispatch_mode() {
-    let dispatch = [
-        ParallelConfig::serial(),
-        ParallelConfig::parallel(),
-        ParallelConfig {
-            prefetch: false,
-            ..ParallelConfig::parallel()
-        },
-    ];
     let sql = "SELECT v FROM rt_all WHERE k >= 1";
-    for parallel in &dispatch {
+    for parallel in &[ParallelConfig::serial(), ParallelConfig::parallel()] {
         for batch in [BatchConfig::batched(1), BatchConfig::batched(3)] {
             for degraded in [DegradedMode::Fail, DegradedMode::Prune] {
                 let mode = format!("{parallel:?} {batch:?} {degraded:?}");
