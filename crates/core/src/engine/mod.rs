@@ -395,12 +395,12 @@ impl Engine {
                 };
                 let mut docs = Vec::with_capacity(t.heap.len());
                 for (_, row) in t.heap.scan() {
-                    let Value::Int(k) = row.get(key_pos) else {
+                    let Value::Int(k) = &row[key_pos] else {
                         return Err(DhqpError::Type(
                             "full-text key column must be BIGINT".into(),
                         ));
                     };
-                    let text = match row.get(text_pos) {
+                    let text = match &row[text_pos] {
                         Value::Str(s) => Cow::Borrowed(s.as_str()),
                         Value::Null => Cow::Borrowed(""),
                         other => Cow::Owned(other.to_string()),

@@ -189,8 +189,9 @@ impl StorageEngine {
 
     pub fn insert_rows(&self, table: &str, rows: &[Row]) -> Result<u64> {
         self.with_rows_mut(table, |t| {
+            t.heap.reserve(rows.len());
             for r in rows {
-                t.insert(r.clone())?;
+                t.insert(&r.values)?;
             }
             Ok(rows.len() as u64)
         })
@@ -213,7 +214,7 @@ impl StorageEngine {
         }
         self.with_rows_mut(table, |t| {
             for (&b, r) in bookmarks.iter().zip(rows) {
-                t.update(b, r.clone())?;
+                t.update(b, &r.values)?;
             }
             Ok(bookmarks.len() as u64)
         })
@@ -224,7 +225,9 @@ impl StorageEngine {
     /// Buffer an insert under `txn`; CHECK constraints are validated
     /// eagerly so the client learns of violations at statement time.
     pub fn txn_insert(&self, txn: TxnId, table: &str, rows: &[Row]) -> Result<u64> {
-        self.with_table(table, |t| rows.iter().try_for_each(|r| t.validate_row(r)))??;
+        self.with_table(table, |t| {
+            rows.iter().try_for_each(|r| t.validate_row(&r.values))
+        })??;
         let mut txns = self.txns.lock();
         let state = txns.entry(txn).or_insert_with(TxnState::active);
         let ops = state.active_ops().ok_or_else(|| {
@@ -413,6 +416,24 @@ mod tests {
         let e = engine();
         e.insert_rows("t", &[row(1), row(2)]).unwrap();
         assert_eq!(e.with_table("t", |t| t.row_count()).unwrap(), 2);
+    }
+
+    /// An autocommit update is held to the table's arity, as a buffered
+    /// insert is: a one-column row on a two-column table is refused and the
+    /// row stays as it was.
+    #[test]
+    fn autocommit_update_refuses_a_row_of_another_arity() {
+        let e = StorageEngine::new("local");
+        let int = |name| Column::not_null(name, DataType::Int);
+        e.create_table(TableDef::new("w", Schema::new(vec![int("a"), int("b")])))
+            .unwrap();
+        let pair = Row::new(vec![Value::Int(1), Value::Int(2)]);
+        e.insert_rows("w", std::slice::from_ref(&pair)).unwrap();
+        let err = e.update_bookmarks("w", &[0], &[row(7)]).unwrap_err();
+        assert!(err.to_string().contains("row arity 1"), "{err}");
+        assert!(e.txn_insert(1, "w", &[row(7)]).is_err());
+        let rows = e.with_table("w", |t| t.scan_rows()).unwrap();
+        assert_eq!(rows, [Row::with_bookmark(pair.values, 0)]);
     }
 
     #[test]

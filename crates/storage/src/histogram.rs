@@ -30,7 +30,7 @@ pub fn analyze_table(table: &Table, buckets: usize) -> Result<Arc<TableStatistic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhqp_types::{Column, DataType, Interval, IntervalSet, Row, Schema, Value};
+    use dhqp_types::{Column, DataType, Interval, IntervalSet, Schema, Value};
 
     fn table_with_ints(n: i64) -> Table {
         let mut t = Table::new(
@@ -46,7 +46,7 @@ mod tests {
             } else {
                 Value::Null
             };
-            t.insert(Row::new(vec![Value::Int(i), maybe])).unwrap();
+            t.insert(&[Value::Int(i), maybe]).unwrap();
         }
         t
     }
@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn all_null_column_has_no_histogram() {
         let mut t = Table::new("t", Schema::new(vec![Column::new("n", DataType::Int)]));
-        t.insert(Row::new(vec![Value::Null])).unwrap();
+        t.insert(&[Value::Null]).unwrap();
         let stats = analyze_table(&t, 4).unwrap();
         assert!(stats.histogram("n").is_none());
     }

@@ -22,8 +22,8 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
+            heap: Heap::new(schema.len()),
             schema,
-            heap: Heap::new(),
             indexes: Vec::new(),
             checks: Vec::new(),
         }
@@ -52,7 +52,7 @@ impl Table {
         }
         let mut ix = BTreeIndex::new(name, positions, unique);
         for (bookmark, row) in self.heap.scan() {
-            let key = ix.key_of(&row.values);
+            let key = ix.key_of(row);
             ix.insert(key, bookmark)?;
         }
         self.indexes.push(ix);
@@ -61,7 +61,7 @@ impl Table {
 
     /// Validate CHECK constraints for a candidate row. SQL semantics: a
     /// constraint is violated only when it evaluates to FALSE; NULL passes.
-    pub fn validate_checks(&self, row: &Row) -> Result<()> {
+    pub fn validate_checks(&self, row: &[Value]) -> Result<()> {
         for check in &self.checks {
             let pos = self.schema.index_of(&check.column).ok_or_else(|| {
                 DhqpError::Catalog(format!(
@@ -69,7 +69,7 @@ impl Table {
                     check.name, check.column
                 ))
             })?;
-            let v = row.get(pos);
+            let v = &row[pos];
             if !v.is_null() && !check.domain.contains(v) {
                 return Err(DhqpError::Constraint(format!(
                     "value {v} for column '{}' violates CHECK constraint '{}' (domain {})",
@@ -82,7 +82,7 @@ impl Table {
 
     /// What a candidate row must satisfy whatever else the table holds: the
     /// table's arity and its CHECK constraints.
-    pub fn validate_row(&self, row: &Row) -> Result<()> {
+    pub fn validate_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(DhqpError::Execute(format!(
                 "row arity {} does not match table '{}' arity {}",
@@ -101,15 +101,10 @@ impl Table {
         ))
     }
 
-    /// Insert one row, maintaining indexes; returns its bookmark. The index
-    /// keys are taken from the row before it moves into the heap.
-    pub fn insert(&mut self, row: Row) -> Result<u64> {
-        self.validate_row(&row)?;
-        let keys: Vec<IndexKey> = self
-            .indexes
-            .iter()
-            .map(|ix| ix.key_of(&row.values))
-            .collect();
+    /// Insert one row, maintaining indexes; returns its bookmark.
+    pub fn insert(&mut self, row: &[Value]) -> Result<u64> {
+        self.validate_row(row)?;
+        let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(row)).collect();
         // Probe unique indexes before touching anything so a violation
         // leaves the table unchanged.
         for (ix, key) in self.indexes.iter().zip(&keys) {
@@ -117,37 +112,47 @@ impl Table {
                 return Err(self.duplicate_key(&ix.name));
             }
         }
-        let bookmark = self.heap.insert(row);
+        let bookmark = self.heap.insert(row)?;
         for (ix, key) in self.indexes.iter_mut().zip(keys) {
             ix.insert_unchecked(key, bookmark);
         }
         Ok(bookmark)
     }
 
-    /// Delete by bookmark, maintaining indexes.
-    pub fn delete(&mut self, bookmark: u64) -> Result<Row> {
+    /// Delete by bookmark, maintaining indexes; returns the removed values.
+    pub fn delete(&mut self, bookmark: u64) -> Result<Vec<Value>> {
         let row = self.heap.delete(bookmark)?;
         for ix in &mut self.indexes {
-            let key = ix.key_of(&row.values);
+            let key = ix.key_of(&row);
             ix.remove(&key, bookmark);
         }
         Ok(row)
     }
 
-    /// Update by bookmark, maintaining indexes and constraints.
-    pub fn update(&mut self, bookmark: u64, new_row: Row) -> Result<Row> {
-        self.validate_checks(&new_row)?;
-        let new_keys: Vec<IndexKey> = self
+    /// Update by bookmark, maintaining indexes and constraints; returns the
+    /// old values. Like an insert, a row the table refuses — of another
+    /// arity, outside a CHECK, or a key a unique index holds for another
+    /// row — leaves the table unchanged.
+    pub fn update(&mut self, bookmark: u64, new_row: &[Value]) -> Result<Vec<Value>> {
+        self.validate_row(new_row)?;
+        let old_row = self.heap.slot(bookmark)?;
+        let keys: Vec<(IndexKey, IndexKey)> = self
             .indexes
             .iter()
-            .map(|ix| ix.key_of(&new_row.values))
+            .map(|ix| (ix.key_of(old_row), ix.key_of(new_row)))
             .collect();
+        // Probe unique indexes before touching anything, as an insert does;
+        // a key the update leaves as it was is the row's own.
+        for (ix, (old_key, new_key)) in self.indexes.iter().zip(&keys) {
+            if ix.unique && old_key != new_key && ix.holds(new_key) {
+                return Err(self.duplicate_key(&ix.name));
+            }
+        }
         let old = self.heap.update(bookmark, new_row)?;
-        for (ix, new_key) in self.indexes.iter_mut().zip(new_keys) {
-            let old_key = ix.key_of(&old.values);
+        for (ix, (old_key, new_key)) in self.indexes.iter_mut().zip(keys) {
             if old_key != new_key {
                 ix.remove(&old_key, bookmark);
-                ix.insert(new_key, bookmark)?;
+                ix.insert_unchecked(new_key, bookmark);
             }
         }
         Ok(old)
@@ -157,7 +162,7 @@ impl Table {
     pub fn scan_rows(&self) -> Vec<Row> {
         self.heap
             .scan()
-            .map(|(b, r)| Row::with_bookmark(r.values.clone(), b))
+            .map(|(b, r)| Row::with_bookmark(r.to_vec(), b))
             .collect()
     }
 
@@ -173,11 +178,7 @@ impl Table {
             })?;
         Ok(ix
             .range(range)
-            .filter_map(|b| {
-                self.heap
-                    .get(b)
-                    .map(|r| Row::with_bookmark(r.values.clone(), b))
-            })
+            .filter_map(|b| self.heap.get(b).map(|r| Row::with_bookmark(r.to_vec(), b)))
             .collect())
     }
 
@@ -220,7 +221,7 @@ impl Table {
         let mut vals: Vec<Value> = self
             .heap
             .scan()
-            .map(|(_, r)| r.get(pos).clone())
+            .map(|(_, r)| r[pos].clone())
             .filter(|v| !v.is_null())
             .collect();
         vals.sort_by(|a, b| a.total_cmp(b));
@@ -241,15 +242,15 @@ mod tests {
         Table::new("t", schema)
     }
 
-    fn row(id: i64, name: &str) -> Row {
-        Row::new(vec![Value::Int(id), Value::Str(name.into())])
+    fn row(id: i64, name: &str) -> Vec<Value> {
+        vec![Value::Int(id), Value::Str(name.into())]
     }
 
     #[test]
     fn insert_and_scan() {
         let mut t = table();
-        t.insert(row(1, "a")).unwrap();
-        t.insert(row(2, "b")).unwrap();
+        t.insert(&row(1, "a")).unwrap();
+        t.insert(&row(2, "b")).unwrap();
         let rows = t.scan_rows();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].bookmark.is_some());
@@ -258,17 +259,17 @@ mod tests {
     #[test]
     fn arity_mismatch_rejected() {
         let mut t = table();
-        assert!(t.insert(Row::new(vec![Value::Int(1)])).is_err());
+        assert!(t.insert(&[Value::Int(1)]).is_err());
     }
 
     #[test]
     fn index_maintained_across_dml() {
         let mut t = table();
-        let b1 = t.insert(row(5, "a")).unwrap();
-        t.insert(row(3, "b")).unwrap();
+        let b1 = t.insert(&row(5, "a")).unwrap();
+        t.insert(&row(3, "b")).unwrap();
         t.create_index("ix_id", &["id"], true).unwrap();
         // New inserts hit the index.
-        t.insert(row(4, "c")).unwrap();
+        t.insert(&row(4, "c")).unwrap();
         let hits = t.index_range("ix_id", &KeyRange::all()).unwrap();
         let ids: Vec<i64> = hits
             .iter()
@@ -279,7 +280,7 @@ mod tests {
             .collect();
         assert_eq!(ids, vec![3, 4, 5]);
         // Update moves the index entry.
-        t.update(b1, row(9, "a2")).unwrap();
+        t.update(b1, &row(9, "a2")).unwrap();
         let hits = t
             .index_range("ix_id", &KeyRange::eq(vec![Value::Int(9)]))
             .unwrap();
@@ -300,10 +301,34 @@ mod tests {
     fn unique_violation_leaves_table_unchanged() {
         let mut t = table();
         t.create_index("ix_id", &["id"], true).unwrap();
-        t.insert(row(1, "a")).unwrap();
-        assert!(t.insert(row(1, "dup")).is_err());
+        t.insert(&row(1, "a")).unwrap();
+        assert!(t.insert(&row(1, "dup")).is_err());
         assert_eq!(t.row_count(), 1);
         assert_eq!(t.indexes[0].len(), 1);
+    }
+
+    #[test]
+    fn a_refused_update_leaves_table_and_indexes_unchanged() {
+        let mut t = table();
+        t.create_index("ix_id", &["id"], true).unwrap();
+        t.create_index("ix_name", &["name"], false).unwrap();
+        let b1 = t.insert(&row(1, "a")).unwrap();
+        t.insert(&row(2, "b")).unwrap();
+        let state = |t: &Table| {
+            let through = |ix| t.index_range(ix, &KeyRange::all()).unwrap();
+            (t.scan_rows(), through("ix_id"), through("ix_name"))
+        };
+        let before = state(&t);
+        let err = t.update(b1, &row(2, "z")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate key in unique index 'ix_id'"),
+            "{err}"
+        );
+        assert!(t.update(b1, &[Value::Int(7)]).is_err());
+        assert_eq!(state(&t), before);
+        // The row keeps its own key: an update that leaves it is no clash.
+        assert_eq!(t.update(b1, &row(1, "a2")).unwrap(), row(1, "a"));
     }
 
     #[test]
@@ -314,19 +339,18 @@ mod tests {
             column: "id".into(),
             domain: IntervalSet::single(Interval::between(Value::Int(0), Value::Int(10))),
         });
-        assert!(t.insert(row(5, "ok")).is_ok());
-        assert!(t.insert(row(50, "bad")).is_err());
+        assert!(t.insert(&row(5, "ok")).is_ok());
+        assert!(t.insert(&row(50, "bad")).is_err());
         // NULL passes a CHECK (SQL semantics).
-        let null_row = Row::new(vec![Value::Null, Value::Str("n".into())]);
+        let null_row = [Value::Null, Value::Str("n".into())];
         assert!(t.validate_checks(&null_row).is_ok());
     }
 
     #[test]
     fn sorted_column_values_excludes_nulls() {
         let mut t = table();
-        t.insert(row(3, "a")).unwrap();
-        t.insert(Row::new(vec![Value::Int(1), Value::Null]))
-            .unwrap();
+        t.insert(&row(3, "a")).unwrap();
+        t.insert(&[Value::Int(1), Value::Null]).unwrap();
         let vals = t.sorted_column_values("id").unwrap();
         assert_eq!(vals, vec![Value::Int(1), Value::Int(3)]);
         let names = t.sorted_column_values("name").unwrap();

@@ -28,7 +28,7 @@ impl PendingOp {
     /// at prepare time that it will succeed.
     pub fn apply(&self, t: &mut Table) -> Result<()> {
         match self {
-            PendingOp::Insert { row, .. } => t.insert(row.clone()).map(|_| ()),
+            PendingOp::Insert { row, .. } => t.insert(&row.values).map(|_| ()),
             PendingOp::Delete { bookmark, .. } => t.delete(*bookmark).map(|_| ()),
         }
     }
@@ -64,9 +64,7 @@ impl<'t> Replay<'t> {
         let t = self.table;
         match op {
             PendingOp::Delete { bookmark, .. } => {
-                if t.heap.get(*bookmark).is_none() {
-                    return Err(DhqpError::Execute(format!("invalid bookmark {bookmark}")));
-                }
+                t.heap.slot(*bookmark)?;
                 if !self.deleted.insert(*bookmark) {
                     return Err(DhqpError::Execute(format!(
                         "bookmark {bookmark} already deleted"
@@ -74,7 +72,7 @@ impl<'t> Replay<'t> {
                 }
             }
             PendingOp::Insert { row, .. } => {
-                t.validate_row(row)?;
+                t.validate_row(&row.values)?;
                 let unique = t.indexes.iter().zip(&mut self.inserted);
                 for (ix, inserted) in unique.filter(|(ix, _)| ix.unique) {
                     let key = ix.key_of(&row.values);
@@ -174,7 +172,7 @@ mod tests {
             domain: IntervalSet::single(Interval::between(Value::Int(0), Value::Int(9))),
         });
         for id in 0..4 {
-            t.insert(keyed_row(id, id, 1)).unwrap();
+            t.insert(&keyed_row(id, id, 1).values).unwrap();
         }
         t
     }

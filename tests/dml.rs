@@ -1404,6 +1404,45 @@ fn local_and_linked_tables_seek_too() {
     assert_eq!(net, [0, 0, 0, 2], "one read, one write");
 }
 
+/// An UPDATE a unique index refuses leaves the table as it was: the new
+/// keys are probed before the heap or any index changes, as an INSERT's
+/// are.
+#[test]
+fn a_refused_unique_key_update_leaves_the_table_unchanged() {
+    let engine = Engine::new("solo");
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("name", DataType::Str),
+    ]);
+    engine
+        .create_table(TableDef::new("t", schema).with_index("ix_id", &["id"], true))
+        .unwrap();
+    let row = |id, name: &str| Row::new(vec![Value::Int(id), Value::Str(name.into())]);
+    engine.insert("t", &[row(1, "a"), row(2, "b")]).unwrap();
+
+    let err = engine
+        .execute("UPDATE t SET id = 2 WHERE id = 1")
+        .unwrap_err();
+    assert_eq!(err.kind(), "constraint");
+    assert!(
+        err.to_string()
+            .contains("duplicate key in unique index 'ix_id'"),
+        "{err}"
+    );
+    let read = |sql: &str| -> Vec<Vec<Value>> {
+        let r = engine.query(sql).unwrap();
+        r.rows.into_iter().map(|r| r.values).collect()
+    };
+    assert_eq!(
+        read("SELECT id, name FROM t ORDER BY id"),
+        [row(1, "a").values, row(2, "b").values]
+    );
+    assert_eq!(
+        read("SELECT name FROM t WHERE id = 1"),
+        [vec![Value::Str("a".into())]]
+    );
+}
+
 #[test]
 fn no_knob_was_added() {
     let knobs = unfederated()
