@@ -13,10 +13,10 @@
 
 mod trees;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, LinkedServer};
 use crate::knobs::Knobs;
 use dhqp_executor::ops::retry::{ReopenFactory, RetryState};
-use dhqp_executor::{MemberSchema, RetryPolicy};
+use dhqp_executor::{Breaker, MemberSchema, RetryPolicy};
 use dhqp_oledb::{
     is_read_only, DataSource, ProviderCapabilities, Rowset, RowsetExt, TableSnapshot,
 };
@@ -47,9 +47,9 @@ pub struct BoundSelect {
     /// may read (the definition-time snapshots it was bound against) —
     /// consumed by delayed schema validation as the executor opens them.
     pub view_members: Arc<[MemberSchema]>,
-    /// Lowercased linked-server names whose metadata this bind consulted —
-    /// the plan cache keys invalidation on their epochs.
-    pub dep_servers: Vec<String>,
+    /// Every linked server this bind resolved — the plan cache holds the
+    /// plan current while each is still the registered one.
+    pub(crate) servers: Vec<Arc<LinkedServer>>,
     /// When the oldest remote metadata/statistics bundle used here was
     /// fetched (`None` for purely local binds).
     pub stats_as_of: Option<std::time::Instant>,
@@ -173,7 +173,9 @@ pub struct Binder<'e> {
     /// Bind a supplied `@param` as its value (UPDATE/DELETE binds).
     fold_params: bool,
     view_members: Vec<MemberSchema>,
-    dep_servers: Vec<String>,
+    /// Every linked server resolved so far, once per statement: what its
+    /// fetches go through and its plan depends on.
+    servers: Vec<Arc<LinkedServer>>,
     stats_as_of: Option<std::time::Instant>,
     used_feedback: bool,
 }
@@ -199,7 +201,7 @@ impl<'e> Binder<'e> {
             params,
             fold_params: false,
             view_members: Vec::new(),
-            dep_servers: Vec::new(),
+            servers: Vec::new(),
             stats_as_of: None,
             used_feedback: false,
         }
@@ -215,19 +217,20 @@ impl<'e> Binder<'e> {
         self
     }
 
-    /// Record that this bind consulted a remote server's metadata (and,
-    /// when known, how old the consulted bundle is).
-    fn note_remote_dep(&mut self, server: &str, fetched_at: Option<std::time::Instant>) {
-        let key = server.to_lowercase();
-        if !self.dep_servers.contains(&key) {
-            self.dep_servers.push(key);
+    /// The linked server `name` names in this statement: resolved on first
+    /// use, then the same one for the rest of the bind, whatever happens to
+    /// the registration meanwhile.
+    fn link(&mut self, name: &str) -> Result<Arc<LinkedServer>> {
+        if let Some(link) = self
+            .servers
+            .iter()
+            .find(|l| l.name.eq_ignore_ascii_case(name))
+        {
+            return Ok(Arc::clone(link));
         }
-        if let Some(at) = fetched_at {
-            self.stats_as_of = Some(match self.stats_as_of {
-                Some(prev) => prev.min(at),
-                None => at,
-            });
-        }
+        let link = self.engine.link(name)?;
+        self.servers.push(Arc::clone(&link));
+        Ok(link)
     }
 
     /// Snapshot of the registry built so far (DML paths).
@@ -271,7 +274,7 @@ impl<'e> Binder<'e> {
             output,
             required,
             view_members: self.view_members.into(),
-            dep_servers: self.dep_servers,
+            servers: self.servers,
             stats_as_of: self.stats_as_of,
             used_feedback: self.used_feedback,
         })
@@ -633,9 +636,10 @@ impl<'e> Binder<'e> {
                 query,
                 alias,
             } => {
-                let source = self.engine.linked_server(server)?;
+                let link = self.link(server)?;
                 let alias = alias.clone().unwrap_or_else(|| server.clone());
-                self.materialize_pass_through(&source, Some(server), query, &alias)
+                let source = Arc::clone(&link.pool) as Arc<dyn DataSource>;
+                self.materialize_pass_through(&source, Some(&link.breaker), query, &alias)
             }
         }
     }
@@ -646,12 +650,12 @@ impl<'e> Binder<'e> {
     /// Pass-through results are *values to the optimizer*: the provider's
     /// language is opaque (§3.3 "DHQP supports only pass-through queries
     /// against this provider"), so nothing can be pushed into it anyway.
-    /// The read answers to `server`'s breaker: an `OPENQUERY` linked
-    /// server has one, an ad hoc `OPENROWSET` source none.
+    /// The read answers to `breaker`: an `OPENQUERY` linked server has
+    /// one, an ad hoc `OPENROWSET` source none.
     fn materialize_pass_through(
         &mut self,
         source: &Arc<dyn DataSource>,
-        server: Option<&str>,
+        breaker: Option<&Arc<Breaker>>,
         query: &str,
         alias: &str,
     ) -> Result<(LogicalExpr, Vec<Binding>)> {
@@ -681,7 +685,7 @@ impl<'e> Binder<'e> {
         };
         let pull = self.knobs.batch.batch_size;
         let mut rowset = RetryState::new(&policy, self.engine.counters())
-            .gated(Some(self.engine.health()), server)
+            .gated(breaker.cloned())
             .rewind_by(pull)
             .open(factory)?;
         let schema = rowset.schema().clone();
@@ -759,16 +763,18 @@ impl<'e> Binder<'e> {
         table: &str,
         alias: &str,
     ) -> Result<Arc<TableMeta>> {
+        let link = server.map(|s| self.link(s)).transpose()?;
         let fetched = self
             .engine
-            .table_metadata(server, table, self.knobs.stats_ttl)?;
-        if let Some(s) = server {
-            self.note_remote_dep(s, Some(fetched.fetched_at));
-            self.used_feedback |= fetched.feedback;
-        }
-        let source = match server {
-            None => Locality::Local,
-            Some(s) => Locality::remote(s),
+            .table_metadata(link.as_deref(), table, self.knobs.stats_ttl)?;
+        let (source, caps) = match server.zip(link) {
+            Some((name, link)) => {
+                let at = fetched.fetched_at;
+                self.stats_as_of = Some(self.stats_as_of.map_or(at, |prev| prev.min(at)));
+                self.used_feedback |= fetched.feedback;
+                (Locality::remote(name), Arc::clone(&link.caps))
+            }
+            None => (Locality::Local, self.engine.local_capabilities()),
         };
         Ok(Arc::new(self.table_meta(
             source,
@@ -776,7 +782,7 @@ impl<'e> Binder<'e> {
             alias.into(),
             fetched.cardinality,
             fetched.catalog,
-            fetched.caps,
+            caps,
         )))
     }
 
@@ -853,21 +859,16 @@ impl<'e> Binder<'e> {
         let mut children = Vec::with_capacity(view.members.len());
         for (i, member) in view.members.iter().enumerate() {
             self.expect_member_schema(view, i);
-            if let Some(srv) = &member.server {
-                // Member binds use the definition-time snapshot, but the
-                // plan still becomes stale if the member's server changes.
-                self.note_remote_dep(srv, None);
-            }
             // Delayed schema validation (§4.1.5): compile against the
             // definition-time snapshot WITHOUT contacting the member; the
             // live check happens at execution, only for members the plan
             // actually touches. The snapshot carries the member's CHECK
-            // range on the partitioning column.
-            let source = match &member.server {
-                None => Locality::Local,
-                Some(srv) => Locality::remote(srv),
+            // range on the partitioning column. The member's server is
+            // still resolved: the plan goes stale if it is replaced.
+            let (source, caps) = match &member.server {
+                None => (Locality::Local, self.engine.local_capabilities()),
+                Some(srv) => (Locality::remote(srv), Arc::clone(&self.link(srv)?.caps)),
             };
-            let caps = self.engine.server_capabilities(member.server.as_deref())?;
             let meta = self.table_meta(
                 source,
                 &member.table,
@@ -1388,12 +1389,11 @@ impl<'e> Binder<'e> {
     }
 }
 
-/// Metadata bundle fetched by the engine for one table: handles on shared
-/// values, so a clone costs two reference counts.
+/// Metadata bundle fetched by the engine for one table: a handle on its
+/// shared catalog snapshot, so a clone costs one reference count.
 #[derive(Clone)]
 pub struct FetchedTable {
     pub catalog: Arc<TableSnapshot>,
-    pub caps: Arc<ProviderCapabilities>,
     /// The row count: live for a local table; as reported by TABLES_INFO
     /// (or corrected by feedback) for a remote one.
     pub cardinality: Option<u64>,

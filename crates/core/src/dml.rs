@@ -589,9 +589,12 @@ impl WriteSet {
         let (ctx, pull) = (&self.ctx, self.ctx.batch().batch_size);
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
-        let read = RetryState::new(ctx.retry(), ctx.counters());
-        let rows = read
-            .gated(ctx.health(), target.server.as_deref())
+        let breaker = target
+            .server
+            .as_deref()
+            .and_then(|s| ctx.catalog().breaker(s));
+        let rows = RetryState::new(ctx.retry(), ctx.counters())
+            .gated(breaker)
             .read(|| {
                 let session = sessions.session(&target.server)?;
                 if let Some((index, range)) = &seek {

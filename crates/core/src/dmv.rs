@@ -173,9 +173,10 @@ fn query_stats(engine: &Inner) -> View {
 /// and the session pool's connect count and idle sessions.
 fn link_stats(engine: &Inner) -> View {
     type Link = (String, TrafficSnapshot, PoolStats, Option<LatencySummary>);
-    let links = engine.dmv_links().into_iter().map(|(name, source)| {
-        let traffic = source.traffic().unwrap_or_default();
-        (name, traffic, source.stats(), source.latency())
+    let links = engine.dmv_links().into_iter().map(|link| {
+        let pool = &link.pool;
+        let traffic = pool.traffic().unwrap_or_default();
+        (link.name.clone(), traffic, pool.stats(), pool.latency())
     });
     view(
         links,

@@ -13,7 +13,7 @@ use dhqp_dtc::TransactionCoordinator;
 use dhqp_executor::{
     BatchConfig, BreakerConfig, DegradedMode, HealthRegistry, ParallelConfig, RetryPolicy,
 };
-use dhqp_federation::LinkedServerRegistry;
+use dhqp_federation::AdHocProviders;
 use dhqp_fulltext::SearchService;
 use dhqp_optimizer::OptimizerConfig;
 use dhqp_storage::{LocalDataSource, StorageEngine};
@@ -171,13 +171,12 @@ impl EngineBuilder {
                 name: self.name,
                 storage,
                 local_source,
-                registry: RwLock::new(LinkedServerRegistry::new()),
+                servers: RwLock::new(HashMap::new()),
+                providers: RwLock::new(AdHocProviders::new()),
                 views: RwLock::new(HashMap::new()),
                 fulltext: Arc::new(SearchService::new()),
                 ft_bindings: RwLock::new(HashMap::new()),
-                meta_cache: RwLock::new(HashMap::new()),
                 plan_cache: Mutex::new(PlanCache::new(knobs.plan_cache.capacity)),
-                server_epochs: RwLock::new(HashMap::new()),
                 schema_epoch: AtomicU64::new(0),
                 config_epoch: AtomicU64::new(0),
                 dtc: TransactionCoordinator::new(),
@@ -191,15 +190,9 @@ impl EngineBuilder {
         };
         // Every engine self-registers its DMVs as the built-in `sys`
         // linked server — observability rowsets flow through the same
-        // provider machinery as any remote source. Registered directly on
-        // the registry: no epochs exist yet to invalidate.
+        // provider machinery as any remote source.
         let sys = Arc::new(SysDataSource::new(Arc::downgrade(&engine.inner)));
-        engine
-            .inner
-            .registry
-            .write()
-            .add_linked_server(SYS_SERVER, sys)
-            .expect("registering the built-in sys provider cannot fail");
+        engine.inner.register(SYS_SERVER, sys);
         engine
     }
 }

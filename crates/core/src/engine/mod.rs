@@ -19,14 +19,14 @@ use crate::query_store::{QueryStats, QueryStore};
 use crate::record::StatementRecord;
 use dhqp_dtc::TransactionCoordinator;
 use dhqp_executor::{
-    DegradedMode, ExecContext, ExecCounters, HealthRegistry, LinkHealthSnapshot, MetricsSnapshot,
-    SourceCatalog,
+    Breaker, DegradedMode, ExecContext, ExecCounters, HealthRegistry, LinkHealthSnapshot,
+    MetricsSnapshot, SourceCatalog,
 };
-use dhqp_federation::{LinkedServerRegistry, MemberTable, PartitionedView};
+use dhqp_federation::{AdHocProviders, MemberTable, PartitionedView};
 use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::{
-    emit_event, has_hook, timed_wait, DataSource, TableSnapshot, TableStatistics, WaitClass,
-    WaitSnapshot,
+    emit_event, has_hook, timed_wait, DataSource, PooledDataSource, ProviderCapabilities,
+    TableSnapshot, TableStatistics, WaitClass, WaitSnapshot,
 };
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Value};
@@ -34,7 +34,7 @@ use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// The distributed/heterogeneous query processor. Cheap to clone; clones
@@ -44,23 +44,47 @@ pub struct Engine {
     inner: Arc<Inner>,
 }
 
+/// One linked server (paper §2.1): its session pool, the capabilities it
+/// advertised when registered, its breaker, and the metadata bundles
+/// fetched through it. Re-registering the name swaps in a new one whole;
+/// what was fetched through the old one dies with it.
+pub(crate) struct LinkedServer {
+    /// The lowercased name it is registered under.
+    pub name: String,
+    pub pool: Arc<PooledDataSource>,
+    pub caps: Arc<ProviderCapabilities>,
+    /// Carried over from the registration it replaces, if any.
+    pub breaker: Arc<Breaker>,
+    /// Remote metadata bundles by lowercased table name, each good for the
+    /// stats TTL.
+    tables: RwLock<HashMap<String, FetchedTable>>,
+}
+
+impl LinkedServer {
+    pub(crate) fn new(name: &str, source: Arc<dyn DataSource>, breaker: Arc<Breaker>) -> Self {
+        LinkedServer {
+            name: name.to_lowercase(),
+            caps: Arc::new(source.capabilities()),
+            pool: Arc::new(PooledDataSource::new(source)),
+            breaker,
+            tables: RwLock::default(),
+        }
+    }
+}
+
 pub(crate) struct Inner {
     name: String,
     storage: Arc<StorageEngine>,
     local_source: Arc<LocalDataSource>,
-    registry: RwLock<LinkedServerRegistry>,
+    /// Every linked server by lowercased name — the one per-server map.
+    servers: RwLock<HashMap<String, Arc<LinkedServer>>>,
+    providers: RwLock<AdHocProviders>,
     views: RwLock<HashMap<String, Arc<PartitionedView>>>,
     fulltext: Arc<SearchService>,
     /// `(table, column)` → `(catalog, key column)` full-text bindings.
     ft_bindings: RwLock<HashMap<(String, String), (String, String)>>,
-    /// Remote metadata cache: `(server, table)` → fetched bundle. Local
-    /// tables are never cached (they are cheap and always fresh).
-    meta_cache: RwLock<HashMap<(String, String), FetchedTable>>,
     /// Parameterized plan cache: template text → cached compile.
     plan_cache: Mutex<PlanCache>,
-    /// Per-linked-server invalidation epochs (lowercased names). Bumped on
-    /// re-registration; cached plans depending on an older epoch are stale.
-    server_epochs: RwLock<HashMap<String, u64>>,
     /// Bumped on local DDL, `ANALYZE`, DPV (re)definition and
     /// `clear_metadata_cache` — invalidates every cached plan.
     schema_epoch: AtomicU64,
@@ -77,9 +101,7 @@ pub(crate) struct Inner {
     /// The structured event bus, replaced whole by
     /// [`Engine::set_event_config`].
     events: RwLock<Arc<EventBus>>,
-    /// Member health: one circuit breaker per linked server, fed by retry
-    /// give-ups and consulted before every remote open. Shared with every
-    /// execution context.
+    /// The breaker knobs and clock every linked server's breaker shares.
     health: Arc<HealthRegistry>,
     /// Per-fingerprint plan/runtime history (`sys.query_store_*`).
     query_store: Mutex<QueryStore>,
@@ -96,36 +118,29 @@ impl Inner {
         self.plan_cache.lock().entries()
     }
 
-    /// Every linked server's pooled face by name — the `sys` provider
-    /// itself is excluded (it has no wire).
-    pub(crate) fn dmv_links(&self) -> Vec<(String, Arc<dhqp_oledb::PooledDataSource>)> {
-        Self::pools_of(&self.registry.read())
-    }
-
-    fn pools_of(
-        registry: &LinkedServerRegistry,
-    ) -> Vec<(String, Arc<dhqp_oledb::PooledDataSource>)> {
-        registry
-            .server_names()
-            .into_iter()
-            .filter(|name| name != SYS_SERVER)
-            .filter_map(|name| {
-                let pool = registry.session_pool(&name).ok()?;
-                Some((name, pool))
-            })
-            .collect()
+    /// Every linked server, sorted by name — the `sys` provider itself is
+    /// excluded (it has no wire).
+    pub(crate) fn dmv_links(&self) -> Vec<Arc<LinkedServer>> {
+        let servers = self.servers.read();
+        let mut links: Vec<_> = servers
+            .values()
+            .filter(|link| link.name != SYS_SERVER)
+            .cloned()
+            .collect();
+        links.sort_by(|a, b| a.name.cmp(&b.name));
+        links
     }
 
     /// Engine counters plus the session pools' `connects`/`reuses`. The
-    /// live pools are summed under the registry lock that
-    /// `Engine::add_linked_server` retires a replaced pool under, so a
-    /// reader sees a pool's counts exactly once.
+    /// live pools are summed under the lock that
+    /// [`Inner::register`] retires a replaced pool under, so a reader sees
+    /// a pool's counts exactly once.
     pub(crate) fn dmv_metrics(&self) -> MetricsSnapshot {
         let dtc = self.dtc.telemetry();
-        let registry = self.registry.read();
+        let servers = self.servers.read();
         let mut pools = dhqp_oledb::PoolStats::default();
-        for (_, pool) in Self::pools_of(&registry) {
-            let stats = pool.stats();
+        for link in servers.values().filter(|link| link.name != SYS_SERVER) {
+            let stats = link.pool.stats();
             pools.connects += stats.connects;
             pools.reuses += stats.reuses;
         }
@@ -147,10 +162,9 @@ impl Inner {
     /// Per-link breaker snapshots — the `sys.dm_link_health` rows. The
     /// built-in `sys` provider is excluded (it has no wire to break).
     pub(crate) fn dmv_link_health(&self) -> Vec<LinkHealthSnapshot> {
-        self.health
-            .snapshot()
-            .into_iter()
-            .filter(|l| l.server != SYS_SERVER)
+        self.dmv_links()
+            .iter()
+            .map(|link| link.breaker.snapshot())
             .collect()
     }
 
@@ -181,6 +195,35 @@ impl Inner {
     }
 }
 
+impl Inner {
+    /// The linked server registered as `name` now.
+    fn link(&self, name: &str) -> Result<Arc<LinkedServer>> {
+        self.servers
+            .read()
+            .get(&name.to_lowercase())
+            .cloned()
+            .ok_or_else(|| DhqpError::Catalog(format!("unknown linked server '{name}'")))
+    }
+
+    /// Register `source` as `name`, swapped in whole under one write lock:
+    /// the new registration takes over the breaker of the one it replaces,
+    /// and the replaced pool's counts are folded into the engine's under
+    /// the same lock. Returns the replaced server.
+    fn register(&self, name: &str, source: Arc<dyn DataSource>) -> Option<Arc<LinkedServer>> {
+        let mut servers = self.servers.write();
+        let key = name.to_lowercase();
+        let breaker = match servers.get(&key) {
+            Some(old) => Arc::clone(&old.breaker),
+            None => Arc::new(Breaker::new(&key, &self.health)),
+        };
+        let old = servers.insert(key, Arc::new(LinkedServer::new(name, source, breaker)))?;
+        let (retired, counters) = (old.pool.stats(), &self.metrics.counters);
+        counters.session_connects.add(retired.connects);
+        counters.session_reuses.add(retired.reuses);
+        Some(old)
+    }
+}
+
 /// The executor's view of this engine's sources.
 impl SourceCatalog for Inner {
     fn local(&self) -> Arc<dyn DataSource> {
@@ -188,7 +231,12 @@ impl SourceCatalog for Inner {
     }
 
     fn linked(&self, server: &str) -> Result<Arc<dyn DataSource>> {
-        self.registry.read().linked_server(server)
+        Ok(self.link(server)?.pool.clone())
+    }
+
+    fn breaker(&self, server: &str) -> Option<Arc<Breaker>> {
+        let link = self.link(server).ok()?;
+        Some(Arc::clone(&link.breaker))
     }
 }
 
@@ -248,45 +296,22 @@ impl Engine {
     }
 
     /// Define a linked server (paper §2.1), reached from then on through
-    /// its own session pool. Re-registering a name closes the old source's
-    /// idle sessions and drops any metadata cached for it — the new server
-    /// may expose different schemas under the same table names — and bumps
-    /// the server's epoch so every plan compiled against the old source is
-    /// evicted too, statistics included. A replaced server's plan must
-    /// never be reused.
+    /// its own session pool. Re-registering a name replaces the server
+    /// whole: the old source's idle sessions and the metadata fetched
+    /// through it go with it — the new server may expose different schemas
+    /// under the same table names — and no plan compiled against it is
+    /// reused, statistics included. Its breaker stays: re-pointing a name
+    /// at a new source does not vouch for the link being healthy.
     pub fn add_linked_server(&self, name: &str, source: Arc<dyn DataSource>) -> Result<()> {
-        {
-            let mut registry = self.inner.registry.write();
-            let replaced = registry.session_pool(name).ok();
-            registry.add_linked_server(name, source)?;
-            if let Some(old) = replaced {
-                let (retired, counters) = (old.stats(), self.counters());
-                counters.session_connects.add(retired.connects);
-                counters.session_reuses.add(retired.reuses);
-            }
+        if let Some(old) = self.inner.register(name, source) {
+            let evicted = self.inner.plan_cache.lock().purge_server(&old);
+            self.counters().plan_cache_evictions.add(evicted as u64);
         }
-        let key = name.to_lowercase();
-        // A freshly (re)defined link starts visible in sys.dm_link_health;
-        // a pre-existing breaker keeps its state (re-pointing a name at a
-        // new source does not vouch for the link being healthy).
-        self.inner.health.ensure(&key);
-        self.inner
-            .meta_cache
-            .write()
-            .retain(|(server, _), _| server != &key);
-        *self
-            .inner
-            .server_epochs
-            .write()
-            .entry(key.clone())
-            .or_insert(0) += 1;
-        let evicted = self.inner.plan_cache.lock().purge_server(&key);
-        self.counters().plan_cache_evictions.add(evicted as u64);
         Ok(())
     }
 
     pub fn linked_server(&self, name: &str) -> Result<Arc<dyn DataSource>> {
-        self.inner.registry.read().linked_server(name)
+        self.inner.linked(name)
     }
 
     /// Register an `OPENROWSET` provider factory.
@@ -295,11 +320,17 @@ impl Engine {
         name: &str,
         factory: dhqp_federation::linked::AdHocFactory,
     ) {
-        self.inner.registry.write().register_provider(name, factory);
+        self.inner
+            .providers
+            .write()
+            .register_provider(name, factory);
     }
 
     pub fn open_ad_hoc(&self, provider: &str, datasource: &str) -> Result<Arc<dyn DataSource>> {
-        self.inner.registry.read().open_ad_hoc(provider, datasource)
+        self.inner
+            .providers
+            .read()
+            .open_ad_hoc(provider, datasource)
     }
 
     /// Define a (distributed) partitioned view: each member is
@@ -313,12 +344,8 @@ impl Engine {
         let stats_ttl = self.stats_ttl();
         let mut built = Vec::with_capacity(members.len());
         for (server, table, check) in members {
-            let fetched = self.table_metadata(server.as_deref(), &table, stats_ttl)?;
-            if let Some(s) = &server {
-                // Member links show up in sys.dm_link_health (Closed)
-                // before any traffic touches them.
-                self.inner.health.ensure(s);
-            }
+            let link = server.as_deref().map(|s| self.link(s)).transpose()?;
+            let fetched = self.table_metadata(link.as_deref(), &table, stats_ttl)?;
             let schema_snapshot = fetched.catalog.table_info(&table, fetched.cardinality);
             built.push(MemberTable {
                 server,
@@ -431,13 +458,15 @@ impl Engine {
 
     // ---- metadata ----------------------------------------------------------
 
-    /// Fetch a table's metadata bundle; remote ones cache for `stats_ttl`.
-    /// A local table's comes from storage as it is now: the snapshot
-    /// storage replaced on its last `ANALYZE` or DDL, and the live row
-    /// count.
+    /// Fetch a table's metadata bundle; a remote one is fetched through,
+    /// and cached for `stats_ttl` in, the linked server given — the one
+    /// the statement resolved, even if the name has been re-registered
+    /// since. A local table's comes from storage as it is now: the
+    /// snapshot storage replaced on its last `ANALYZE` or DDL, and the live
+    /// row count.
     pub(crate) fn table_metadata(
         &self,
-        server: Option<&str>,
+        server: Option<&LinkedServer>,
         table: &str,
         stats_ttl: Duration,
     ) -> Result<FetchedTable> {
@@ -446,15 +475,14 @@ impl Engine {
                 let (catalog, rows) = self.inner.local_source.catalog(table)?;
                 Ok(FetchedTable {
                     catalog,
-                    caps: Arc::clone(self.inner.local_source.shared_capabilities()),
                     cardinality: Some(rows),
                     fetched_at: Instant::now(),
                     feedback: false,
                 })
             }
-            Some(server) => {
-                let key = (server.to_lowercase(), table.to_lowercase());
-                if let Some(hit) = self.inner.meta_cache.read().get(&key) {
+            Some(link) => {
+                let key = table.to_lowercase();
+                if let Some(hit) = link.tables.read().get(&key) {
                     // A bundle past its TTL is treated as a miss: the
                     // optimizer must not cost against arbitrarily old
                     // remote statistics.
@@ -467,15 +495,13 @@ impl Engine {
                     }
                 }
                 self.counters().meta_cache_misses.bump();
-                let source = self.linked_server(server)?;
                 // The whole remote fetch — schema plus per-column
                 // histograms — is one STATS_FETCH wait: the compile is
                 // blocked on the wire for its full duration.
-                let (info, caps, stats) = timed_wait(WaitClass::StatsFetch, || -> Result<_> {
-                    let info = source.table(table)?;
-                    let caps = source.capabilities();
-                    let stats = if caps.statistics_support {
-                        let mut session = source.create_session()?;
+                let (info, stats) = timed_wait(WaitClass::StatsFetch, || -> Result<_> {
+                    let info = link.pool.table(table)?;
+                    let stats = if link.caps.statistics_support {
+                        let mut session = link.pool.create_session()?;
                         let mut stats = TableStatistics {
                             row_count: info.cardinality,
                             ..Default::default()
@@ -489,33 +515,30 @@ impl Engine {
                     } else {
                         None
                     };
-                    Ok((info, caps, stats))
+                    Ok((info, stats))
                 })?;
                 if stats.is_some() {
                     self.counters().stats_cache_misses.bump();
                 }
                 let fetched = FetchedTable {
                     catalog: Arc::new(TableSnapshot::of(&info).with_stats(stats)),
-                    caps: Arc::new(caps),
                     cardinality: info.cardinality,
                     fetched_at: Instant::now(),
                     feedback: false,
                 };
-                self.inner.meta_cache.write().insert(key, fetched.clone());
+                link.tables.write().insert(key, fetched.clone());
                 Ok(fetched)
             }
         }
     }
 
-    /// Capabilities of a server without fetching any table metadata.
-    pub(crate) fn server_capabilities(
-        &self,
-        server: Option<&str>,
-    ) -> Result<Arc<dhqp_oledb::ProviderCapabilities>> {
-        match server {
-            None => Ok(Arc::clone(self.inner.local_source.shared_capabilities())),
-            Some(s) => Ok(Arc::new(self.linked_server(s)?.capabilities())),
-        }
+    /// The linked server registered as `name` now.
+    pub(crate) fn link(&self, name: &str) -> Result<Arc<LinkedServer>> {
+        self.inner.link(name)
+    }
+
+    pub(crate) fn local_capabilities(&self) -> Arc<ProviderCapabilities> {
+        Arc::clone(self.inner.local_source.shared_capabilities())
     }
 
     /// Current (uncached) table info.
@@ -533,7 +556,9 @@ impl Engine {
     /// Drop cached remote metadata (after remote DDL/bulk changes). Also
     /// invalidates every cached plan — they may embed the stale schemas.
     pub fn clear_metadata_cache(&self) {
-        self.inner.meta_cache.write().clear();
+        for link in self.inner.servers.read().values() {
+            link.tables.write().clear();
+        }
         self.bump_schema_epoch();
     }
 
@@ -543,32 +568,30 @@ impl Engine {
         self.inner.schema_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Epoch snapshot for a plan compiled right now against `servers`.
-    fn current_deps(&self, servers: Vec<String>) -> CacheDeps {
-        let epochs = self.inner.server_epochs.read();
+    /// What a plan compiled right now against `servers` depends on.
+    fn current_deps(&self, servers: &[Arc<LinkedServer>]) -> CacheDeps {
         CacheDeps {
-            servers: servers
-                .into_iter()
-                .map(|s| {
-                    let e = epochs.get(&s).copied().unwrap_or(0);
-                    (s, e)
-                })
-                .collect(),
+            servers: servers.iter().map(Arc::downgrade).collect(),
             schema_epoch: self.inner.schema_epoch.load(Ordering::Relaxed),
             config_epoch: self.inner.config_epoch.load(Ordering::Relaxed),
         }
     }
 
+    /// The server `link` points at, while it is still what its name is
+    /// registered as: a replaced server's plans and feedback are dropped.
+    fn still_registered(&self, link: &Weak<LinkedServer>) -> Option<Arc<LinkedServer>> {
+        let link = link.upgrade()?;
+        let servers = self.inner.servers.read();
+        Arc::ptr_eq(servers.get(&link.name)?, &link).then_some(link)
+    }
+
     fn deps_current(&self, deps: &CacheDeps) -> bool {
-        if deps.schema_epoch != self.inner.schema_epoch.load(Ordering::Relaxed)
-            || deps.config_epoch != self.inner.config_epoch.load(Ordering::Relaxed)
-        {
-            return false;
-        }
-        let epochs = self.inner.server_epochs.read();
-        deps.servers
-            .iter()
-            .all(|(s, e)| epochs.get(s).copied().unwrap_or(0) == *e)
+        deps.schema_epoch == self.inner.schema_epoch.load(Ordering::Relaxed)
+            && deps.config_epoch == self.inner.config_epoch.load(Ordering::Relaxed)
+            && deps
+                .servers
+                .iter()
+                .all(|link| self.still_registered(link).is_some())
     }
 
     /// Look up a cached plan, validating its epochs. A stale entry is
@@ -602,11 +625,6 @@ impl Engine {
         &self.inner.metrics.counters
     }
 
-    /// The per-link breakers a bind-time pass-through read answers to.
-    pub(crate) fn health(&self) -> &Arc<HealthRegistry> {
-        &self.inner.health
-    }
-
     /// Build an execution context under one statement's knobs.
     pub(crate) fn exec_context(
         &self,
@@ -620,10 +638,67 @@ impl Engine {
             .with_parallel(knobs.parallel.clone())
             .with_retry(knobs.retry.clone())
             .with_batch(knobs.batch.clone())
-            .with_health(Arc::clone(&self.inner.health))
             // DML never prunes: writing around a quarantined member would
             // silently lose rows, so only `execute_plan` takes the knob.
             .with_degraded(DegradedMode::Fail)
             .with_runtime_prune(knobs.runtime_prune)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn source(name: &str) -> Arc<dyn DataSource> {
+        Arc::new(LocalDataSource::new(Arc::new(StorageEngine::new(name))))
+    }
+
+    #[test]
+    fn add_resolve_replace() {
+        let engine = Engine::new("head");
+        engine
+            .add_linked_server("DeptSQLSrvr", source("dept"))
+            .unwrap();
+        assert!(
+            engine.linked_server("deptsqlsrvr").is_ok(),
+            "names are case-insensitive"
+        );
+        let breaker = Arc::clone(&engine.link("deptsqlsrvr").unwrap().breaker);
+        // Re-registration replaces the server whole, breaker excepted.
+        engine
+            .add_linked_server("DEPTSQLSRVR", source("x"))
+            .unwrap();
+        assert_eq!(engine.linked_server("deptsqlsrvr").unwrap().name(), "x");
+        let link = engine.link("DeptSqlSrvr").unwrap();
+        assert!(Arc::ptr_eq(&link.breaker, &breaker));
+        let names: Vec<String> = engine
+            .inner
+            .dmv_links()
+            .iter()
+            .map(|l| l.name.clone())
+            .collect();
+        assert_eq!(names, vec!["deptsqlsrvr"]);
+        assert!(engine.linked_server("other").is_err());
+    }
+
+    #[test]
+    fn sessions_are_pooled_per_registration() {
+        let engine = Engine::new("head");
+        engine.add_linked_server("s", source("a")).unwrap();
+        for _ in 0..3 {
+            engine.linked_server("s").unwrap().create_session().unwrap();
+        }
+        let stats = engine.link("S").unwrap().pool.stats();
+        assert_eq!((stats.connects, stats.reuses, stats.idle), (1, 2, 1));
+        // A new registration starts with a new, empty pool.
+        let old = engine.link("s").unwrap();
+        engine.add_linked_server("s", source("b")).unwrap();
+        let stats = engine.link("s").unwrap().pool.stats();
+        assert_eq!((stats.connects, stats.reuses, stats.idle), (0, 0, 0));
+        assert_eq!(
+            old.pool.stats().idle,
+            1,
+            "the old pool goes with its last holder"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! cardinality feedback) and the accessors over metrics, rings and events.
 
 use super::statement::StatementRun;
-use super::Engine;
+use super::{Engine, LinkedServer};
 use crate::binder::FetchedTable;
 use crate::events::{Event, EventSink};
 use crate::knobs::Knobs;
@@ -121,7 +121,7 @@ impl Engine {
             }
         }
         if knobs.card_feedback {
-            self.apply_card_feedback(&compiled.plan, &record.operators);
+            self.apply_card_feedback(compiled, &record.operators);
         }
     }
 
@@ -129,16 +129,24 @@ impl Engine {
     /// bundle of any remote table whose whole, unfiltered fetch observed at
     /// least twice the cardinality the optimizer costed with, then purge
     /// the plans compiled against the stale bundle so the next compilation
-    /// costs with truth. Feedback only ever *raises* cardinalities — a
-    /// partially drained cursor undercounts, so shrinking on observation
-    /// would be unsound. Corrected bundles drop their histograms (they
-    /// described the stale snapshot) and carry the `feedback` flag EXPLAIN
-    /// ANALYZE renders as `-- [feedback: applied]`.
-    fn apply_card_feedback(&self, plan: &PhysNode, operators: &[OperatorRecord]) {
-        let mut touched_servers: Vec<String> = Vec::new();
-        for (server, table, observed) in feedback_candidates(plan, operators) {
-            let key = (server.to_lowercase(), table.to_lowercase());
-            let cached = self.inner.meta_cache.read().get(&key).cloned();
+    /// costs with truth. The bundle is the one in the linked server the
+    /// statement bound against; if that server has been replaced since, the
+    /// observation is about a source nobody reads any more and is dropped.
+    /// Feedback only ever *raises* cardinalities — a partially drained
+    /// cursor undercounts, so shrinking on observation would be unsound.
+    /// Corrected bundles drop their histograms (they described the stale
+    /// snapshot) and carry the `feedback` flag EXPLAIN ANALYZE renders as
+    /// `-- [feedback: applied]`.
+    fn apply_card_feedback(&self, compiled: &CachedSelect, operators: &[OperatorRecord]) {
+        let mut touched: Vec<Arc<LinkedServer>> = Vec::new();
+        for (server, table, observed) in feedback_candidates(&compiled.plan, operators) {
+            let link = compiled.deps.servers.iter().find_map(|link| {
+                self.still_registered(link)
+                    .filter(|link| link.name.eq_ignore_ascii_case(&server))
+            });
+            let Some(link) = link else { continue };
+            let key = table.to_lowercase();
+            let cached = link.tables.read().get(&key).cloned();
             let Some(cached) = cached else { continue };
             let known = cached
                 .cardinality
@@ -154,20 +162,19 @@ impl Engine {
             let catalog = (*cached.catalog).clone().with_stats(Some(Arc::new(stats)));
             let corrected = FetchedTable {
                 catalog: Arc::new(catalog),
-                caps: cached.caps,
                 cardinality: Some(observed),
                 fetched_at: Instant::now(),
                 feedback: true,
             };
-            self.inner.meta_cache.write().insert(key.clone(), corrected);
+            link.tables.write().insert(key, corrected);
             self.counters().card_feedback_applied.bump();
-            if !touched_servers.contains(&key.0) {
-                touched_servers.push(key.0);
+            if !touched.iter().any(|t| Arc::ptr_eq(t, &link)) {
+                touched.push(link);
             }
         }
         // Plans costed against the stale bundles must not be reused.
-        for server in touched_servers {
-            let evicted = self.inner.plan_cache.lock().purge_server(&server);
+        for link in touched {
+            let evicted = self.inner.plan_cache.lock().purge_server(&link);
             self.counters().plan_cache_evictions.add(evicted as u64);
         }
     }
@@ -212,7 +219,7 @@ impl Engine {
     }
 
     /// Zero every engine counter, query ring, latency histogram and wait
-    /// class, plus the health registry's resettable counters (breaker
+    /// class, plus every link breaker's resettable counters (breaker
     /// opens, probes) and the session pools' connect/reuse counts. Breaker
     /// *state* survives — a metrics reset must not quietly re-admit a
     /// quarantined member — and so do idle pooled sessions. The DTC's
@@ -220,9 +227,9 @@ impl Engine {
     /// reset them by creating a new engine.
     pub fn reset_metrics(&self) {
         self.inner.metrics.reset();
-        self.inner.health.reset_counters();
-        for (_, pool) in self.inner.dmv_links() {
-            pool.reset_counters();
+        for link in self.inner.dmv_links() {
+            link.breaker.reset_counters();
+            link.pool.reset_counters();
         }
     }
 

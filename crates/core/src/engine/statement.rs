@@ -295,7 +295,7 @@ impl Engine {
         let bound = Binder::for_statement(self, Arc::clone(knobs), params).bind_select(stmt)?;
         compile_stage(tracer, "bind", began);
         let optimizer = Optimizer::new(knobs.optimizer.clone());
-        let deps = self.current_deps(bound.dep_servers);
+        let deps = self.current_deps(&bound.servers);
         let mut registry = bound.registry;
         let began = Instant::now();
         let (plan, opt_stats) = optimizer.optimize(bound.tree, &mut registry, bound.required)?;

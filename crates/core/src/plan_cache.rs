@@ -3,9 +3,9 @@
 //! SQL Server amortizes its Cascades compiles through a plan cache keyed by
 //! the auto-parameterized statement text; this module is that cache for the
 //! reproduction. An entry stores the optimized physical plan together with
-//! everything `Engine::execute` needs to run it again, plus the *epochs* it
-//! was compiled against — per-linked-server counters and global schema /
-//! optimizer-config counters. A lookup validates the epochs and treats any
+//! everything `Engine::execute` needs to run it again, plus what it was
+//! compiled against — the linked servers its bind resolved and the global
+//! schema / optimizer-config epochs. A lookup validates them and treats any
 //! mismatch as a miss (lazy invalidation), so re-registered servers, remote
 //! DDL (`clear_metadata_cache`), local DDL and config changes can never
 //! resurrect a stale plan.
@@ -16,21 +16,22 @@
 //! `CONTAINS` (hit lists frozen at bind time) — are never cached, because
 //! their plans embed query *results*, not just shapes.
 
+use crate::engine::LinkedServer;
 use dhqp_executor::MemberSchema;
 use dhqp_optimizer::search::OptimizerStats;
 use dhqp_optimizer::{ColumnId, ColumnRegistry, PhysNode};
 use dhqp_sqlfront::{Expr, SelectItem, SelectStmt, TableRef};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// Epoch snapshot a plan was compiled against.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a plan was compiled against.
 pub(crate) struct CacheDeps {
-    /// `(lowercased linked-server name, its epoch at compile time)` for
-    /// every remote source the plan's bind consulted.
-    pub servers: Vec<(String, u64)>,
+    /// Every linked server the plan's bind resolved, as registered then.
+    /// The plan is current while each is still what its name is registered
+    /// as; `Weak`, so a cached plan never keeps a replaced pool alive.
+    pub servers: Vec<Weak<LinkedServer>>,
     /// Global local-DDL/statistics epoch.
     pub schema_epoch: u64,
     /// Optimizer configuration epoch.
@@ -145,12 +146,13 @@ impl PlanCache {
             .collect()
     }
 
-    /// Drop every plan that depends on `server` (lowercased); returns the
-    /// eviction count.
-    pub fn purge_server(&mut self, server: &str) -> usize {
+    /// Drop every plan that depends on `server`; returns the eviction
+    /// count.
+    pub fn purge_server(&mut self, server: &Arc<LinkedServer>) -> usize {
         let before = self.entries.len();
+        let server = Arc::as_ptr(server);
         self.entries
-            .retain(|_, (_, e)| !e.deps.servers.iter().any(|(s, _)| s == server));
+            .retain(|_, (_, e)| !e.deps.servers.iter().any(|s| s.as_ptr() == server));
         before - self.entries.len()
     }
 
@@ -267,7 +269,14 @@ mod tests {
 
     #[test]
     fn lru_eviction_and_purge() {
-        fn entry(servers: &[&str]) -> Arc<CachedSelect> {
+        fn server(name: &str) -> Arc<LinkedServer> {
+            let storage = Arc::new(dhqp_storage::StorageEngine::new(name));
+            let source = Arc::new(dhqp_storage::LocalDataSource::new(storage));
+            let health = Arc::new(dhqp_executor::HealthRegistry::new(Default::default()));
+            let breaker = Arc::new(dhqp_executor::Breaker::new(name, &health));
+            Arc::new(LinkedServer::new(name, source, breaker))
+        }
+        fn entry(servers: &[&Arc<LinkedServer>]) -> Arc<CachedSelect> {
             Arc::new(CachedSelect {
                 plan: PhysNode::new(
                     dhqp_optimizer::PhysicalOp::Values {
@@ -282,7 +291,7 @@ mod tests {
                 view_members: Arc::new([]),
                 opt_stats: OptimizerStats::default(),
                 deps: CacheDeps {
-                    servers: servers.iter().map(|s| (s.to_string(), 0)).collect(),
+                    servers: servers.iter().map(|s| Arc::downgrade(s)).collect(),
                     schema_epoch: 0,
                     config_epoch: 0,
                 },
@@ -293,13 +302,15 @@ mod tests {
                 total_rows: AtomicU64::new(0),
             })
         }
+        let (srv1, srv2) = (server("srv1"), server("srv2"));
         let mut cache = PlanCache::new(2);
         assert_eq!(cache.insert("a".into(), entry(&[])), 0);
-        assert_eq!(cache.insert("b".into(), entry(&["srv1"])), 0);
+        assert_eq!(cache.insert("b".into(), entry(&[&srv1])), 0);
         assert!(cache.get("a").is_some()); // "b" is now least-recently used
-        assert_eq!(cache.insert("c".into(), entry(&["srv2"])), 1);
+        assert_eq!(cache.insert("c".into(), entry(&[&srv2])), 1);
         assert!(cache.get("b").is_none(), "LRU entry evicted");
-        assert_eq!(cache.purge_server("srv2"), 1);
+        assert_eq!(cache.purge_server(&srv1), 0);
+        assert_eq!(cache.purge_server(&srv2), 1);
         assert!(cache.get("c").is_none());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.clear(), 1);

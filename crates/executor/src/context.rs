@@ -1,7 +1,7 @@
 //! Execution context: parameter values, correlation bindings, data-source
 //! resolution and the shared spool cache.
 
-use crate::health::{DegradedMode, HealthRegistry, PruneLog};
+use crate::health::{Breaker, DegradedMode, PruneLog};
 use crate::ops::retry::RetryPolicy;
 use crate::schema_guard::{MemberChecks, MemberSchema, SchemaGuard};
 use crate::stats::{ExecCounters, RuntimeStatsCollector};
@@ -20,6 +20,12 @@ pub trait SourceCatalog: Send + Sync {
 
     /// A linked server by name.
     fn linked(&self, server: &str) -> Result<Arc<dyn DataSource>>;
+
+    /// The breaker a linked server's reads answer to; `None` (test stubs)
+    /// means they are not gated.
+    fn breaker(&self, _server: &str) -> Option<Arc<Breaker>> {
+        None
+    }
 }
 
 /// A materialized spool, shared across rescans of the same plan node.
@@ -112,10 +118,6 @@ pub struct ExecContext {
     retry: Arc<RetryPolicy>,
     /// Vectorized-execution knobs (chunked pulls, batched wire shipping).
     batch: Arc<BatchConfig>,
-    /// Per-link circuit breakers: fail-fast gate for remote opens and the
-    /// quarantine source for degraded-mode pruning. `None` (bare contexts,
-    /// unit tests) means no health gating at all.
-    health: Option<Arc<HealthRegistry>>,
     /// What to do when a DPV member is quarantined: fail or prune.
     degraded: DegradedMode,
     /// Runtime parameter-driven DPV pruning (§4.1.5): evaluate member
@@ -149,7 +151,6 @@ impl ExecContext {
             parallel: Arc::new(ParallelConfig::serial()),
             retry: Arc::new(RetryPolicy::standard()),
             batch: Arc::new(BatchConfig::batched(DEFAULT_BATCH_SIZE)),
-            health: None,
             degraded: DegradedMode::Fail,
             runtime_prune: true,
             pruned: Arc::new(PruneLog::default()),
@@ -184,12 +185,6 @@ impl ExecContext {
     /// Override the vectorized-execution knobs for this execution.
     pub fn with_batch(mut self, batch: BatchConfig) -> Self {
         self.batch = Arc::new(batch);
-        self
-    }
-
-    /// Share the engine's per-link health registry with this execution.
-    pub fn with_health(mut self, health: Arc<HealthRegistry>) -> Self {
-        self.health = Some(health);
         self
     }
 
@@ -256,10 +251,6 @@ impl ExecContext {
         self.stats.as_ref()
     }
 
-    pub fn health(&self) -> Option<&Arc<HealthRegistry>> {
-        self.health.as_ref()
-    }
-
     pub fn degraded(&self) -> DegradedMode {
         self.degraded
     }
@@ -318,7 +309,6 @@ impl ExecContext {
             parallel: Arc::clone(&self.parallel),
             retry: Arc::clone(&self.retry),
             batch: Arc::clone(&self.batch),
-            health: self.health.clone(),
             degraded: self.degraded,
             runtime_prune: self.runtime_prune,
             pruned: Arc::clone(&self.pruned),
@@ -345,10 +335,12 @@ pub(crate) mod test_support {
     use super::*;
     use dhqp_storage::{LocalDataSource, StorageEngine};
 
-    /// A catalog over one local engine plus named remote sources.
+    /// A catalog over one local engine plus named remote sources, gated by
+    /// the breakers in `breakers`.
     pub struct TestCatalog {
         pub local: Arc<dyn DataSource>,
         pub remotes: HashMap<String, Arc<dyn DataSource>>,
+        pub breakers: HashMap<String, Arc<Breaker>>,
     }
 
     impl TestCatalog {
@@ -356,6 +348,7 @@ pub(crate) mod test_support {
             TestCatalog {
                 local: Arc::new(LocalDataSource::new(engine)),
                 remotes: HashMap::new(),
+                breakers: HashMap::new(),
             }
         }
     }
@@ -370,6 +363,10 @@ pub(crate) mod test_support {
                 .get(server)
                 .cloned()
                 .ok_or_else(|| DhqpError::Catalog(format!("unknown linked server '{server}'")))
+        }
+
+        fn breaker(&self, server: &str) -> Option<Arc<Breaker>> {
+            self.breakers.get(server).cloned()
         }
     }
 }

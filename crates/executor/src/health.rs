@@ -1,8 +1,9 @@
 //! Member health: per-link circuit breakers and the degraded-mode policy
 //! that lets DPV execution plan around quarantined members.
 //!
-//! Every linked server gets one breaker in the engine's [`HealthRegistry`].
-//! The state machine is the classic three-state breaker:
+//! Every linked server owns one [`Breaker`]; the engine's
+//! [`HealthRegistry`] is what they share — the tuning knobs and the logical
+//! clock. The state machine is the classic three-state breaker:
 //!
 //! ```text
 //!            consecutive give-ups >= threshold
@@ -35,13 +36,13 @@
 //! wait class.
 
 use dhqp_oledb::waits::emit_event;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One breaker's position in the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: every admission passes.
+    #[default]
     Closed,
     /// Quarantined: admissions are rejected without touching the wire
     /// until the cooldown elapses.
@@ -136,9 +137,9 @@ pub struct LinkHealthSnapshot {
     pub last_error: Option<String>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct LinkBreaker {
-    state: Option<BreakerState>, // None renders as Closed; set on first transition-relevant op
+    state: BreakerState,
     consecutive_failures: u32,
     rejections_since_open: u32,
     opens: u64,
@@ -147,82 +148,89 @@ struct LinkBreaker {
     last_error: Option<String>,
 }
 
-impl LinkBreaker {
-    fn state(&self) -> BreakerState {
-        self.state.unwrap_or(BreakerState::Closed)
-    }
-}
-
-#[derive(Debug)]
-struct RegistryInner {
-    config: BreakerConfig,
-    /// Logical operation clock: advances once per observed admission or
-    /// outcome, across all links. Timestamps transitions without touching
-    /// the wall clock.
-    clock: u64,
-    links: HashMap<String, LinkBreaker>,
-}
-
-/// Engine-wide member health: one circuit breaker per linked server,
-/// fed by the executor's retry give-ups and consulted before every
-/// remote open. Shared by reference between the engine (DMV, reset) and
-/// every execution context (fail-fast, pruning).
+/// Engine-wide member health: the breaker knobs and the logical operation
+/// clock every link's [`Breaker`] reads. Shared by reference between the
+/// engine (knob changes) and every breaker it hands out.
 #[derive(Debug)]
 pub struct HealthRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl Default for HealthRegistry {
-    fn default() -> Self {
-        HealthRegistry::new(BreakerConfig::standard())
-    }
+    /// The knobs, and the clock: it advances once per observed admission
+    /// or outcome, across all links, and timestamps transitions without
+    /// touching the wall clock.
+    inner: Mutex<(BreakerConfig, u64)>,
 }
 
 impl HealthRegistry {
     pub fn new(config: BreakerConfig) -> Self {
         HealthRegistry {
-            inner: Mutex::new(RegistryInner {
-                config,
-                clock: 0,
-                links: HashMap::new(),
-            }),
+            inner: Mutex::new((config, 0)),
         }
     }
 
     /// Replace the tuning knobs; existing breaker states survive.
     pub fn set_config(&self, config: BreakerConfig) {
-        self.inner.lock().expect("health lock").config = config;
+        self.inner.lock().expect("health lock").0 = config;
     }
 
-    /// Register a link as Closed so health views list it before any
-    /// traffic (called when a linked server or DPV member is defined).
-    pub fn ensure(&self, server: &str) {
+    /// Advance the clock for one admission or outcome: the knobs and the
+    /// new tick, or `None` when breakers are off and nothing is tracked.
+    fn tick(&self) -> Option<(BreakerConfig, u64)> {
         let mut g = self.inner.lock().expect("health lock");
-        g.links.entry(server.to_string()).or_default();
+        if !g.0.enabled {
+            return None;
+        }
+        g.1 += 1;
+        Some(*g)
+    }
+}
+
+/// One linked server's circuit breaker, fed by the executor's retry
+/// give-ups and consulted before every remote read of that server. It
+/// lives on the link: a re-registration of the name carries it over,
+/// since re-pointing a name at a new source does not vouch for the link.
+#[derive(Debug)]
+pub struct Breaker {
+    server: String,
+    health: Arc<HealthRegistry>,
+    link: Mutex<LinkBreaker>,
+}
+
+impl Breaker {
+    /// A Closed breaker for `server`, on `health`'s knobs and clock.
+    pub fn new(server: &str, health: &Arc<HealthRegistry>) -> Self {
+        Breaker {
+            server: server.to_string(),
+            health: Arc::clone(health),
+            link: Mutex::new(LinkBreaker::default()),
+        }
     }
 
-    /// Ask to use a link. Advances the operation clock; an Open breaker
+    /// The linked server this breaker guards.
+    pub fn server(&self) -> &str {
+        &self.server
+    }
+
+    fn link(&self) -> MutexGuard<'_, LinkBreaker> {
+        self.link.lock().expect("breaker lock")
+    }
+
+    /// Ask to use the link. Advances the operation clock; an Open breaker
     /// counts the rejection toward its cooldown and eventually converts
     /// the admission into the half-open probe. A HalfOpen breaker rejects,
     /// counting toward no cooldown, until its probe reports.
-    pub fn admit(&self, server: &str) -> Admission {
-        let mut g = self.inner.lock().expect("health lock");
-        if !g.config.enabled {
+    pub fn admit(&self) -> Admission {
+        let mut link = self.link();
+        let Some((config, now)) = self.health.tick() else {
             return Admission::Allow;
-        }
-        g.clock += 1;
-        let now = g.clock;
-        let cooldown = g.config.cooldown;
-        let link = g.links.entry(server.to_string()).or_default();
-        match link.state() {
+        };
+        match link.state {
             BreakerState::Closed => Admission::Allow,
             BreakerState::HalfOpen => Admission::Reject {
                 consecutive_failures: link.consecutive_failures,
             },
             BreakerState::Open => {
                 link.rejections_since_open += 1;
-                if link.rejections_since_open > cooldown {
-                    link.state = Some(BreakerState::HalfOpen);
+                if link.rejections_since_open > config.cooldown {
+                    link.state = BreakerState::HalfOpen;
                     link.probes += 1;
                     link.last_transition = now;
                     Admission::Probe
@@ -236,27 +244,23 @@ impl HealthRegistry {
     }
 
     /// Record a retry-exhausted (or otherwise terminal transport) failure
-    /// on a link. May trip the breaker, publishing `breaker_open`.
-    pub fn record_failure(&self, server: &str, error: &str) {
+    /// on the link. May trip the breaker, publishing `breaker_open`.
+    pub fn record_failure(&self, error: &str) {
         let opened = {
-            let mut g = self.inner.lock().expect("health lock");
-            if !g.config.enabled {
+            let mut link = self.link();
+            let Some((config, now)) = self.health.tick() else {
                 return;
-            }
-            g.clock += 1;
-            let now = g.clock;
-            let threshold = g.config.failure_threshold;
-            let link = g.links.entry(server.to_string()).or_default();
+            };
             link.consecutive_failures += 1;
             link.last_error = Some(error.to_string());
-            let trip = match link.state() {
+            let trip = match link.state {
                 BreakerState::Open => false,
                 // A failed probe reopens immediately.
                 BreakerState::HalfOpen => true,
-                BreakerState::Closed => link.consecutive_failures >= threshold,
+                BreakerState::Closed => link.consecutive_failures >= config.failure_threshold,
             };
             if trip {
-                link.state = Some(BreakerState::Open);
+                link.state = BreakerState::Open;
                 link.opens += 1;
                 link.rejections_since_open = 0;
                 link.last_transition = now;
@@ -269,7 +273,7 @@ impl HealthRegistry {
             emit_event(
                 "breaker_open",
                 &[
-                    ("server", server.to_string()),
+                    ("server", self.server.clone()),
                     ("consecutive_failures", streak.to_string()),
                     ("error", error.to_string()),
                 ],
@@ -277,25 +281,22 @@ impl HealthRegistry {
         }
     }
 
-    /// Record a successful remote operation on a link. Closes a probing
+    /// Record a successful remote operation on the link. Closes a probing
     /// (or stale Open) breaker, publishing `breaker_close`.
-    pub fn record_success(&self, server: &str) {
+    pub fn record_success(&self) {
         let closed = {
-            let mut g = self.inner.lock().expect("health lock");
-            if !g.config.enabled {
+            let mut link = self.link();
+            let Some((_, now)) = self.health.tick() else {
                 return;
-            }
-            g.clock += 1;
-            let now = g.clock;
-            let link = g.links.entry(server.to_string()).or_default();
+            };
             link.consecutive_failures = 0;
-            match link.state() {
+            match link.state {
                 BreakerState::Closed => None,
                 // HalfOpen: the probe succeeded. Open: an operation
                 // admitted before the trip came back healthy — equally
                 // fresh evidence, close rather than hold the quarantine.
                 BreakerState::HalfOpen | BreakerState::Open => {
-                    link.state = Some(BreakerState::Closed);
+                    link.state = BreakerState::Closed;
                     link.rejections_since_open = 0;
                     link.last_transition = now;
                     Some(link.probes)
@@ -306,53 +307,39 @@ impl HealthRegistry {
             emit_event(
                 "breaker_close",
                 &[
-                    ("server", server.to_string()),
+                    ("server", self.server.clone()),
                     ("probes", probes.to_string()),
                 ],
             );
         }
     }
 
-    /// Current state of one link's breaker (Closed if never seen).
-    pub fn state(&self, server: &str) -> BreakerState {
-        self.inner
-            .lock()
-            .expect("health lock")
-            .links
-            .get(server)
-            .map(LinkBreaker::state)
-            .unwrap_or(BreakerState::Closed)
+    /// Current state of the breaker.
+    pub fn state(&self) -> BreakerState {
+        self.link().state
     }
 
-    /// All known links, sorted by name (the `sys.dm_link_health` rows).
-    pub fn snapshot(&self) -> Vec<LinkHealthSnapshot> {
-        let g = self.inner.lock().expect("health lock");
-        let mut out: Vec<LinkHealthSnapshot> = g
-            .links
-            .iter()
-            .map(|(server, l)| LinkHealthSnapshot {
-                server: server.clone(),
-                state: l.state(),
-                consecutive_failures: l.consecutive_failures,
-                opens: l.opens,
-                probes: l.probes,
-                last_transition: l.last_transition,
-                last_error: l.last_error.clone(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.server.cmp(&b.server));
-        out
+    /// The breaker as `sys.dm_link_health` shows it.
+    pub fn snapshot(&self) -> LinkHealthSnapshot {
+        let l = self.link();
+        LinkHealthSnapshot {
+            server: self.server.clone(),
+            state: l.state,
+            consecutive_failures: l.consecutive_failures,
+            opens: l.opens,
+            probes: l.probes,
+            last_transition: l.last_transition,
+            last_error: l.last_error.clone(),
+        }
     }
 
     /// `DBCC SQLPERF` analog: zero the resettable counters (opens,
     /// probes). Breaker *state* deliberately survives — a quarantined
     /// link stays quarantined across a metrics reset.
     pub fn reset_counters(&self) {
-        let mut g = self.inner.lock().expect("health lock");
-        for link in g.links.values_mut() {
-            link.opens = 0;
-            link.probes = 0;
-        }
+        let mut l = self.link();
+        l.opens = 0;
+        l.probes = 0;
     }
 }
 
@@ -443,44 +430,45 @@ impl PruneLog {
 mod tests {
     use super::*;
 
-    fn registry(threshold: u32, cooldown: u32) -> HealthRegistry {
-        HealthRegistry::new(BreakerConfig {
+    fn breaker(threshold: u32, cooldown: u32) -> Breaker {
+        let health = HealthRegistry::new(BreakerConfig {
             failure_threshold: threshold,
             cooldown,
             ..BreakerConfig::standard()
-        })
+        });
+        Breaker::new("m1", &Arc::new(health))
     }
 
     #[test]
     fn trips_on_consecutive_giveups_and_cools_down_into_a_probe() {
-        let h = registry(2, 3);
-        assert_eq!(h.admit("m1"), Admission::Allow);
-        h.record_failure("m1", "boom");
-        assert_eq!(h.state("m1"), BreakerState::Closed, "below threshold");
-        h.record_failure("m1", "boom");
-        assert_eq!(h.state("m1"), BreakerState::Open);
+        let h = breaker(2, 3);
+        assert_eq!(h.admit(), Admission::Allow);
+        h.record_failure("boom");
+        assert_eq!(h.state(), BreakerState::Closed, "below threshold");
+        h.record_failure("boom");
+        assert_eq!(h.state(), BreakerState::Open);
         // Cooldown: exactly `cooldown` rejections, then one probe.
         for _ in 0..3 {
-            assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
+            assert!(matches!(h.admit(), Admission::Reject { .. }));
         }
-        assert_eq!(h.admit("m1"), Admission::Probe);
-        assert_eq!(h.state("m1"), BreakerState::HalfOpen);
+        assert_eq!(h.admit(), Admission::Probe);
+        assert_eq!(h.state(), BreakerState::HalfOpen);
     }
 
     #[test]
     fn probe_success_closes_and_probe_failure_reopens() {
-        let h = registry(1, 1);
-        h.record_failure("m1", "dead");
-        assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
-        assert_eq!(h.admit("m1"), Admission::Probe);
-        h.record_failure("m1", "still dead");
-        assert_eq!(h.state("m1"), BreakerState::Open, "failed probe reopens");
-        assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
-        assert_eq!(h.admit("m1"), Admission::Probe);
-        h.record_success("m1");
-        assert_eq!(h.state("m1"), BreakerState::Closed);
-        assert_eq!(h.admit("m1"), Admission::Allow);
-        let snap = &h.snapshot()[0];
+        let h = breaker(1, 1);
+        h.record_failure("dead");
+        assert!(matches!(h.admit(), Admission::Reject { .. }));
+        assert_eq!(h.admit(), Admission::Probe);
+        h.record_failure("still dead");
+        assert_eq!(h.state(), BreakerState::Open, "failed probe reopens");
+        assert!(matches!(h.admit(), Admission::Reject { .. }));
+        assert_eq!(h.admit(), Admission::Probe);
+        h.record_success();
+        assert_eq!(h.state(), BreakerState::Closed);
+        assert_eq!(h.admit(), Admission::Allow);
+        let snap = h.snapshot();
         assert_eq!(snap.opens, 2);
         assert_eq!(snap.probes, 2);
         assert_eq!(snap.consecutive_failures, 0);
@@ -488,42 +476,42 @@ mod tests {
 
     #[test]
     fn half_open_admits_one_probe_until_it_reports() {
-        let h = registry(1, 2);
-        h.record_failure("m1", "dead");
+        let h = breaker(1, 2);
+        h.record_failure("dead");
         for _ in 0..2 {
-            assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
+            assert!(matches!(h.admit(), Admission::Reject { .. }));
         }
-        assert_eq!(h.admit("m1"), Admission::Probe);
+        assert_eq!(h.admit(), Admission::Probe);
         // Parallel readers of the recovering link wait for the probe.
         for _ in 0..3 {
-            assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
+            assert!(matches!(h.admit(), Admission::Reject { .. }));
         }
-        assert_eq!(h.state("m1"), BreakerState::HalfOpen);
-        assert_eq!(h.snapshot()[0].probes, 1, "one probe, not four");
-        h.record_success("m1");
-        assert_eq!(h.admit("m1"), Admission::Allow);
+        assert_eq!(h.state(), BreakerState::HalfOpen);
+        assert_eq!(h.snapshot().probes, 1, "one probe, not four");
+        h.record_success();
+        assert_eq!(h.admit(), Admission::Allow);
     }
 
     #[test]
     fn success_clears_the_streak() {
-        let h = registry(2, 1);
-        h.record_failure("m1", "x");
-        h.record_success("m1");
-        h.record_failure("m1", "x");
-        assert_eq!(h.state("m1"), BreakerState::Closed, "streak was broken");
+        let h = breaker(2, 1);
+        h.record_failure("x");
+        h.record_success();
+        h.record_failure("x");
+        assert_eq!(h.state(), BreakerState::Closed, "streak was broken");
     }
 
     #[test]
     fn reset_counters_keeps_state_but_zeroes_opens_and_probes() {
-        let h = registry(1, 1);
-        h.record_failure("m1", "dead");
-        assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
-        assert_eq!(h.admit("m1"), Admission::Probe);
-        h.record_failure("m1", "dead again");
-        let before = &h.snapshot()[0];
+        let h = breaker(1, 1);
+        h.record_failure("dead");
+        assert!(matches!(h.admit(), Admission::Reject { .. }));
+        assert_eq!(h.admit(), Admission::Probe);
+        h.record_failure("dead again");
+        let before = h.snapshot();
         assert_eq!((before.opens, before.probes), (2, 1));
         h.reset_counters();
-        let after = &h.snapshot()[0];
+        let after = h.snapshot();
         assert_eq!((after.opens, after.probes), (0, 0));
         assert_eq!(after.state, BreakerState::Open, "reset must not heal");
         assert_eq!(after.consecutive_failures, before.consecutive_failures);
@@ -531,25 +519,30 @@ mod tests {
 
     #[test]
     fn disabled_registry_is_inert() {
-        let h = HealthRegistry::new(BreakerConfig::disabled());
-        h.record_failure("m1", "x");
-        h.record_failure("m1", "x");
-        assert_eq!(h.admit("m1"), Admission::Allow);
-        assert_eq!(h.state("m1"), BreakerState::Closed);
-        assert!(h.snapshot().is_empty());
+        let health = Arc::new(HealthRegistry::new(BreakerConfig::disabled()));
+        let h = Breaker::new("m1", &health);
+        h.record_failure("x");
+        h.record_failure("x");
+        assert_eq!(h.admit(), Admission::Allow);
+        assert_eq!(h.state(), BreakerState::Closed);
+        let snap = h.snapshot();
+        assert_eq!((snap.consecutive_failures, snap.last_transition), (0, 0));
+        assert_eq!(snap.last_error, None);
     }
 
     #[test]
     fn links_are_isolated() {
-        let h = registry(1, 4);
-        h.ensure("m2");
-        h.record_failure("m1", "x");
-        assert!(matches!(h.admit("m1"), Admission::Reject { .. }));
-        assert_eq!(h.admit("m2"), Admission::Allow);
-        let snap = h.snapshot();
-        assert_eq!(snap.len(), 2, "ensure() pre-registers: {snap:?}");
-        assert_eq!(snap[0].server, "m1");
-        assert_eq!(snap[1].state, BreakerState::Closed);
+        let h = breaker(1, 4);
+        let m2 = Breaker::new("m2", &h.health);
+        h.record_failure("x");
+        assert!(matches!(h.admit(), Admission::Reject { .. }));
+        assert_eq!(m2.admit(), Admission::Allow);
+        assert_eq!(m2.snapshot().server, "m2");
+        assert_eq!(m2.state(), BreakerState::Closed);
+        // One clock for both: m2's admission came after m1's trip.
+        assert_eq!(h.snapshot().last_transition, 1);
+        m2.record_failure("y");
+        assert_eq!(m2.snapshot().last_transition, 4);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub use build::open;
 pub use context::{BatchConfig, ExecContext, ParallelConfig, SourceCatalog, DEFAULT_BATCH_SIZE};
 pub use eval::{eval_expr, eval_predicate, RowEnv};
 pub use health::{
-    Admission, BreakerConfig, BreakerState, DegradedMode, HealthRegistry, LinkHealthSnapshot,
-    PruneLog,
+    Admission, Breaker, BreakerConfig, BreakerState, DegradedMode, HealthRegistry,
+    LinkHealthSnapshot, PruneLog,
 };
 pub use ops::retry::RetryPolicy;
 pub use ops::semijoin::predicate_fingerprint;

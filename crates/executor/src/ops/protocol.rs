@@ -5,7 +5,7 @@
 
 use crate::context::test_support::TestCatalog;
 use crate::context::{BatchConfig, ExecContext};
-use crate::health::{BreakerConfig, HealthRegistry};
+use crate::health::{Breaker, BreakerConfig, HealthRegistry};
 use crate::ops::agg::{open_hash_aggregate, StreamAggregate};
 use crate::ops::exchange::{BranchFactory, ExchangeRowset};
 use crate::ops::filter::{FilterRowset, ProjectRowset};
@@ -71,6 +71,11 @@ fn remote_setup() -> (ExecContext, Arc<TableMeta>) {
     catalog
         .remotes
         .insert("r".into(), Arc::new(PooledDataSource::new(remote)));
+    let breaker = Breaker::new(
+        "r",
+        &Arc::new(HealthRegistry::new(BreakerConfig::standard())),
+    );
+    catalog.breakers.insert("r".into(), Arc::new(breaker));
     let mut registry = ColumnRegistry::new();
     let meta = test_table_meta(
         0,
@@ -81,8 +86,7 @@ fn remote_setup() -> (ExecContext, Arc<TableMeta>) {
         INPUT.len() as u64,
     );
     let ctx = ExecContext::new(Arc::new(catalog), HashMap::new(), Arc::new(registry))
-        .with_retry(RetryPolicy::standard())
-        .with_health(Arc::new(HealthRegistry::new(BreakerConfig::standard())));
+        .with_retry(RetryPolicy::standard());
     (ctx, meta)
 }
 

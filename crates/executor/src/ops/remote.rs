@@ -99,7 +99,7 @@ fn open_via_breaker(
         })
     });
     let open = RetryState::new(ctx.retry(), ctx.counters())
-        .gated(ctx.health(), Some(server))
+        .gated(ctx.catalog().breaker(server))
         .on_node(node, ctx.stats())
         .tagged(op_tag)
         .rewind_by(ctx.batch().batch_size);

@@ -11,19 +11,18 @@
 //! row order is deterministic for the same request).
 //!
 //! A [`RetryState`] with a gate is the only code that talks to a link's
-//! breaker in the [`HealthRegistry`]: it admits before the first attempt (an
-//! Open breaker fails fast, with no wire use), runs the one attempt loop that
-//! the open, the rewind and a borrowed read share, and reports how the
-//! operation ended exactly once — a retry give-up as a failure, success or a
-//! permanent error as success (the link answered) — plus a mid-stream
-//! give-up once.
+//! [`Breaker`]: it admits before the first attempt (an Open breaker fails
+//! fast, with no wire use), runs the one attempt loop that the open, the
+//! rewind and a borrowed read share, and reports how the operation ended
+//! exactly once — a retry give-up as a failure, success or a permanent
+//! error as success (the link answered) — plus a mid-stream give-up once.
 //!
 //! Permanent errors — anything the provider said about the request itself —
 //! are never retried; DML and enlisted-transaction traffic never reaches
 //! this layer (the DTC owns those failure semantics, and the fault injector
 //! exempts them too).
 
-use crate::health::{Admission, HealthRegistry};
+use crate::health::{Admission, Breaker};
 use crate::stats::{ExecCounters, RuntimeStatsCollector};
 use dhqp_oledb::waits::{emit_event, has_hook, record_wait, WaitClass};
 use dhqp_oledb::Rowset;
@@ -119,9 +118,9 @@ pub struct RetryState {
     /// Operation descriptor appended to the give-up reason chain (e.g. the
     /// shipped-predicate fingerprint of a semi-join-reduced open).
     op_tag: Option<String>,
-    /// The engine's registry and the linked server read. A give-up spends
-    /// it, so one operation never reports two failures.
-    gate: Option<(Arc<HealthRegistry>, String)>,
+    /// The breaker of the linked server read. A give-up spends it, so one
+    /// operation never reports two failures.
+    gate: Option<Arc<Breaker>>,
     /// Rows per pull while a rewind skips what was delivered.
     rewind_chunk: usize,
     started: Instant,
@@ -142,12 +141,10 @@ impl RetryState {
         }
     }
 
-    /// Answer to `server`'s breaker in `health`. Without either (a local
-    /// table, an ad hoc `OPENROWSET` source) nothing is gated.
-    pub fn gated(mut self, health: Option<&Arc<HealthRegistry>>, server: Option<&str>) -> Self {
-        self.gate = health
-            .zip(server)
-            .map(|(h, s)| (Arc::clone(h), s.to_string()));
+    /// Answer to a linked server's breaker. Without one (a local table, an
+    /// ad hoc `OPENROWSET` source) nothing is gated.
+    pub fn gated(mut self, breaker: Option<Arc<Breaker>>) -> Self {
+        self.gate = breaker;
         self
     }
 
@@ -181,13 +178,13 @@ impl RetryState {
     /// retry budget and leases no session, but is counted and accounted as
     /// a `CIRCUIT_OPEN` wait.
     fn admit(&self) -> Result<()> {
-        let Some((health, server)) = &self.gate else {
+        let Some(breaker) = &self.gate else {
             return Ok(());
         };
         let checked = Instant::now();
         let Admission::Reject {
             consecutive_failures,
-        } = health.admit(server)
+        } = breaker.admit()
         else {
             return Ok(());
         };
@@ -199,8 +196,9 @@ impl RetryState {
             checked.elapsed().max(Duration::from_micros(1)),
         );
         Err(DhqpError::Unavailable(format!(
-            "linked server '{server}' unavailable: circuit breaker open after \
-             {consecutive_failures} consecutive retry-exhausted failures (fail-fast)"
+            "linked server '{}' unavailable: circuit breaker open after \
+             {consecutive_failures} consecutive retry-exhausted failures (fail-fast)",
+            breaker.server()
         )))
     }
 
@@ -222,8 +220,8 @@ impl RetryState {
     fn gated_attempts<T>(&mut self, op: impl FnMut() -> Result<T>) -> Result<T> {
         self.admit()?;
         let done = self.attempts(op);
-        if let Some((health, server)) = &self.gate {
-            health.record_success(server);
+        if let Some(breaker) = &self.gate {
+            breaker.record_success();
         }
         done
     }
@@ -234,8 +232,8 @@ impl RetryState {
     fn absorb(&mut self, error: DhqpError, attempt_elapsed: Duration) -> Result<()> {
         let verdict = self.backoff_or_give_up(error, attempt_elapsed);
         if let Err(e) = &verdict {
-            if let Some((health, server)) = self.gate.take() {
-                health.record_failure(&server, e.message());
+            if let Some(breaker) = self.gate.take() {
+                breaker.record_failure(e.message());
             }
         }
         verdict
@@ -399,7 +397,7 @@ impl Rowset for RetryRowset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::{BreakerConfig, BreakerState};
+    use crate::health::{BreakerConfig, BreakerState, HealthRegistry};
     use dhqp_oledb::{IterRowset, MemRowset, RowsetExt};
     use dhqp_types::{Column, DataType, Row, Value};
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -643,17 +641,21 @@ mod tests {
         assert_eq!(collector.node(4).unwrap().retries, 2);
     }
 
-    /// A registry whose breakers never trip, so every report stays visible
-    /// as the failure streak.
-    fn patient_registry() -> Arc<HealthRegistry> {
-        Arc::new(HealthRegistry::new(BreakerConfig {
+    /// A breaker that never trips, so every report stays visible as the
+    /// failure streak.
+    fn patient_breaker() -> Arc<Breaker> {
+        breaker(BreakerConfig {
             failure_threshold: 100,
             ..BreakerConfig::standard()
-        }))
+        })
     }
 
-    fn streak(health: &HealthRegistry) -> u32 {
-        health.snapshot()[0].consecutive_failures
+    fn breaker(config: BreakerConfig) -> Arc<Breaker> {
+        Arc::new(Breaker::new("m1", &Arc::new(HealthRegistry::new(config))))
+    }
+
+    fn streak(breaker: &Breaker) -> u32 {
+        breaker.snapshot().consecutive_failures
     }
 
     #[test]
@@ -668,10 +670,10 @@ mod tests {
                 Err(DhqpError::Unavailable("injected connect fault".into()))
             }
         });
-        let health = patient_registry();
+        let health = patient_breaker();
         let c = counters();
         let mut rs = RetryState::new(&fast(), &c)
-            .gated(Some(&health), Some("m1"))
+            .gated(Some(Arc::clone(&health)))
             .open(factory)
             .unwrap();
         assert_eq!(streak(&health), 0, "the open reported success");
@@ -690,14 +692,14 @@ mod tests {
         // Pulling again reports nothing more.
         let _ = rs.next_batch(1);
         assert_eq!(streak(&health), 1);
-        let last = health.snapshot()[0].last_error.clone().unwrap();
+        let last = health.snapshot().last_error.clone().unwrap();
         assert!(last.contains("injected connect fault"), "{last}");
     }
 
     #[test]
     fn an_open_breaker_fails_fast_without_an_attempt() {
-        let health = Arc::new(HealthRegistry::new(BreakerConfig::standard()));
-        health.record_failure("m1", "dead");
+        let health = breaker(BreakerConfig::standard());
+        health.record_failure("dead");
         let calls = Arc::new(AtomicU32::new(0));
         let counted = Arc::clone(&calls);
         let factory: ReopenFactory = Box::new(move || {
@@ -706,7 +708,7 @@ mod tests {
         });
         let c = counters();
         let err = match RetryState::new(&fast(), &c)
-            .gated(Some(&health), Some("m1"))
+            .gated(Some(Arc::clone(&health)))
             .open(factory)
         {
             Err(e) => e,
@@ -717,41 +719,41 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 0, "no attempt");
         assert_eq!(c.snapshot().breaker_fast_fails, 1);
         // Another server's breaker is not consulted.
+        let m2 = Breaker::new(
+            "m2",
+            &Arc::new(HealthRegistry::new(BreakerConfig::standard())),
+        );
         let read = RetryState::new(&fast(), &c)
-            .gated(Some(&health), Some("m2"))
+            .gated(Some(Arc::new(m2)))
             .read(|| Ok(7));
         assert_eq!(read.unwrap(), 7);
     }
 
     #[test]
     fn a_probe_that_meets_a_permanent_error_closes_the_breaker() {
-        let health = Arc::new(HealthRegistry::new(BreakerConfig {
+        let health = breaker(BreakerConfig {
             cooldown: 1,
             ..BreakerConfig::standard()
-        }));
-        health.record_failure("m1", "dead");
-        assert!(matches!(health.admit("m1"), Admission::Reject { .. }));
+        });
+        health.record_failure("dead");
+        assert!(matches!(health.admit(), Admission::Reject { .. }));
         let c = counters();
         let err = RetryState::new(&fast(), &c)
-            .gated(Some(&health), Some("m1"))
+            .gated(Some(Arc::clone(&health)))
             .read(|| -> Result<()> { Err(DhqpError::Catalog("unknown table 'nope'".into())) })
             .unwrap_err();
         assert_eq!(err.kind(), "catalog");
-        assert_eq!(
-            health.state("m1"),
-            BreakerState::Closed,
-            "the link answered"
-        );
+        assert_eq!(health.state(), BreakerState::Closed, "the link answered");
         assert_eq!(c.snapshot().remote_retries, 0);
     }
 
     #[test]
     fn a_borrowed_read_retries_in_the_same_loop() {
         let mut tries = 0;
-        let health = patient_registry();
+        let health = patient_breaker();
         let c = counters();
         let got = RetryState::new(&fast(), &c)
-            .gated(Some(&health), Some("m1"))
+            .gated(Some(Arc::clone(&health)))
             .read(|| {
                 tries += 1;
                 match tries {
@@ -764,7 +766,7 @@ mod tests {
         assert_eq!(c.snapshot().remote_retries, 1);
         assert_eq!(streak(&health), 0);
         let err = RetryState::new(&fast(), &c)
-            .gated(Some(&health), Some("m1"))
+            .gated(Some(Arc::clone(&health)))
             .read(|| -> Result<()> { Err(DhqpError::Unavailable("down".into())) })
             .unwrap_err();
         assert!(

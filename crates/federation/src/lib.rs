@@ -1,5 +1,5 @@
-//! Federation support: linked servers and distributed partitioned views
-//! (paper §2.1, §4.1.5).
+//! Federation support: ad-hoc (`OPENROWSET`) providers and distributed
+//! partitioned views (paper §2.1, §4.1.5).
 //!
 //! "Linked server names associate a server name with an OLE DB data
 //! source"; a distributed partitioned view "unions horizontally partitioned
@@ -19,4 +19,4 @@ pub mod dpv;
 pub mod linked;
 
 pub use dpv::{MemberTable, PartitionedView};
-pub use linked::LinkedServerRegistry;
+pub use linked::AdHocProviders;

@@ -409,6 +409,54 @@ fn openquery_bind_opens_the_breaker() {
     trips_once_then_fails_fast("SELECT * FROM OPENQUERY(member, 'SELECT k FROM t') q");
 }
 
+/// The breaker lives on the link, not on the source behind it: re-pointing
+/// a tripped name at a healthy source keeps it Open with the same trip
+/// count, statements keep failing fast through the cooldown, and the probe
+/// — the first request the new source sees — closes it.
+#[test]
+fn a_re_registered_name_keeps_its_open_breaker() {
+    let sql = "SELECT * FROM OPENQUERY(member, 'SELECT k FROM t') q";
+    let (head, _dead) = dead_member();
+    head.execute(sql).unwrap_err();
+    let health = |head: &Engine| {
+        let links = head.link_health();
+        links.into_iter().find(|l| l.server == "member").unwrap()
+    };
+    let tripped = health(&head);
+    assert_eq!((tripped.state, tripped.opens), (BreakerState::Open, 1));
+
+    let healthy = Engine::new("healthy-engine");
+    let schema = Schema::new(vec![Column::not_null("k", DataType::Int)]);
+    healthy.create_table(TableDef::new("t", schema)).unwrap();
+    healthy
+        .insert("t", &[Row::new(vec![Value::Int(5)])])
+        .unwrap();
+    let link = NetworkLink::new("member-new", NetworkConfig::lan());
+    let source =
+        NetworkedDataSource::reliable(Arc::new(EngineDataSource::new(healthy)), link.clone());
+    head.add_linked_server("member", Arc::new(source)).unwrap();
+    let r = head
+        .query("SELECT state, opens FROM sys.dm_link_health WHERE server = 'member'")
+        .unwrap();
+    assert_eq!(r.value(0, 0), &Value::Str("open".into()), "{r:?}");
+    assert_eq!(r.value(0, 1), &Value::Int(1), "{r:?}");
+
+    for i in 0..head.breaker_config().cooldown {
+        let err = head.execute(sql).unwrap_err();
+        assert!(err.message().contains("circuit breaker open"), "{i}: {err}");
+        assert_eq!(link.snapshot().requests, 0, "{i}: the new source was asked");
+    }
+    let got = head.query(sql).unwrap();
+    assert_eq!(got.value(0, 0), &Value::Int(5));
+    assert!(link.snapshot().requests > 0, "the probe went elsewhere");
+    let closed = health(&head);
+    assert_eq!(
+        (closed.state, closed.opens, closed.probes),
+        (BreakerState::Closed, 1, 1),
+        "{closed:?}"
+    );
+}
+
 /// `sys.dm_link_health` serves one row per linked server through the
 /// ordinary provider pipeline (filter pushed locally like any DMV).
 #[test]

@@ -5,11 +5,13 @@
 
 use dhqp::{BatchConfig, BreakerState, DegradedMode, Engine, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
-use dhqp_oledb::{Command, DataSource, KeyRange, ProviderCapabilities, Rowset, Session, TableInfo};
+use dhqp_oledb::{
+    Command, DataSource, KeyRange, ProviderCapabilities, Rowset, Session, SourceLayer, TableInfo,
+};
 use dhqp_storage::TableDef;
 use dhqp_types::{Column, DataType, Interval, IntervalSet, Result, Row, Schema, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn local_engine() -> Engine {
@@ -36,12 +38,17 @@ fn local_engine() -> Engine {
 /// A remote engine holding `rt(k, v)` with the given rows, analyzed so a
 /// statistics bundle ships with its metadata.
 fn remote_with(rows: &[(i64, &str)]) -> Engine {
+    remote_named("v", rows)
+}
+
+/// [`remote_with`], its second column named `column`.
+fn remote_named(column: &str, rows: &[(i64, &str)]) -> Engine {
     let r = Engine::new("remote-engine");
     r.create_table(TableDef::new(
         "rt",
         Schema::new(vec![
             Column::not_null("k", DataType::Int),
-            Column::new("v", DataType::Str),
+            Column::new(column, DataType::Str),
         ]),
     ))
     .unwrap();
@@ -252,6 +259,68 @@ fn replaced_server_never_reuses_old_plan() {
     // The fresh plan is normal: it hits on re-execution.
     head.query(sql).unwrap();
     assert_eq!(head.metrics().plan_cache_hits, 1);
+}
+
+/// A source whose first metadata request parks: it says so on `parked`,
+/// then waits for `release` before it asks the source it wraps.
+struct ParkOnce {
+    inner: Arc<dyn DataSource>,
+    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl SourceLayer for ParkOnce {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.inner
+    }
+
+    fn metadata<T>(&self, ask: impl FnOnce(&dyn DataSource) -> Result<T>) -> Result<T> {
+        let gate = self.gate.lock().unwrap().take();
+        if let Some((parked, release)) = gate {
+            parked.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        ask(self.inner())
+    }
+}
+
+/// A compile whose metadata fetch is still on the wire when its server is
+/// re-registered must not leave the replaced server's schema behind: not
+/// in the metadata cache (the next bind sees the new columns) and not in
+/// the plan cache (the racing template is compiled again).
+#[test]
+fn a_fetch_from_a_replaced_source_does_not_outlive_it() {
+    let head = head_engine();
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let old = ParkOnce {
+        inner: Arc::new(EngineDataSource::new(remote_with(&[(1, "old-world")]))),
+        gate: Mutex::new(Some((parked_tx, release_rx))),
+    };
+    head.add_linked_server("srv", Arc::new(old)).unwrap();
+    let racing = "SELECT v FROM srv.db.dbo.rt WHERE k = 1";
+    let compile = {
+        let head = head.clone();
+        std::thread::spawn(move || head.query(racing).map(|_| ()))
+    };
+    parked.recv().unwrap();
+    link(&head, "srv", &remote_named("w", &[(1, "new-world")]));
+    release.send(()).unwrap();
+    // It bound `rt(k, v)` and runs against `rt(k, w)`: whether that run
+    // fails is not this test's question.
+    let _ = compile.join().unwrap();
+
+    let r = head
+        .query("SELECT w FROM srv.db.dbo.rt WHERE k = 1")
+        .unwrap();
+    assert_eq!(r.value(0, 0), &Value::Str("new-world".into()));
+    let hits = head.metrics().plan_cache_hits;
+    let again = head.query(racing);
+    assert_eq!(
+        head.metrics().plan_cache_hits,
+        hits,
+        "a plan compiled against the replaced server was reused: {:?}",
+        again.map(|r| r.rows)
+    );
 }
 
 #[test]

@@ -9,10 +9,11 @@ use dhqp::{
     ParallelConfig, RetryPolicy,
 };
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
+use dhqp_oledb::{DataSource, Reply, Session, SessionLayer, SourceLayer, Verb};
 use dhqp_storage::TableDef;
 use dhqp_types::{Column, DataType, Row, Schema, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const JOIN: &str = "SELECT d.id, f.val FROM dim d JOIN member1.db.dbo.fact f ON d.id = f.id";
@@ -217,6 +218,98 @@ fn feedback_corrects_semijoin_crossover_after_one_skewed_execution() {
         .find(|p| !p.plan_text.contains("SemiJoinReduce"))
         .expect("stale plan retained");
     assert!(old_plan.max_skew() >= 10.0, "{:?}", old_plan.max_skew());
+}
+
+/// Parks the first call on any of its sessions once armed: says so on the
+/// gate's sender, then waits on its receiver.
+type Gate = Arc<Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>>;
+
+struct Parking {
+    inner: Arc<dyn DataSource>,
+    gate: Gate,
+}
+
+impl SourceLayer for Parking {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.inner
+    }
+
+    fn session(&self) -> dhqp_types::Result<Box<dyn Session>> {
+        Ok(Box::new(ParkingSession {
+            inner: self.inner.create_session()?,
+            gate: Arc::clone(&self.gate),
+        }))
+    }
+}
+
+struct ParkingSession {
+    inner: Box<dyn Session>,
+    gate: Gate,
+}
+
+impl SessionLayer for ParkingSession {
+    fn call(&mut self, verb: Verb<'_>) -> dhqp_types::Result<Reply> {
+        let gate = self.gate.lock().unwrap().take();
+        if let Some((parked, release)) = gate {
+            parked.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        verb.send(&mut *self.inner)
+    }
+}
+
+/// Feedback is about the server a statement bound against. One that
+/// observes a grown table on a source replaced while it ran must not
+/// correct the statistics of the server now registered under that name.
+#[test]
+fn feedback_from_a_replaced_server_is_dropped() {
+    const SCAN: &str = "SELECT id, val FROM member1.db.dbo.fact";
+    let head = Engine::new("fb-head");
+    let fact = |name: &str| {
+        let member = Engine::new(name);
+        member
+            .storage()
+            .create_table(table_def("fact", Column::new("val", DataType::Str)))
+            .unwrap();
+        let seed: Vec<Row> = (0..12).map(|i| fact_row(i as i64 + 1, i)).collect();
+        member.storage().insert_rows("fact", &seed).unwrap();
+        member
+    };
+    let old = fact("fb-old");
+    let gate = Gate::default();
+    let parking = Parking {
+        inner: Arc::new(EngineDataSource::new(old.clone())),
+        gate: Arc::clone(&gate),
+    };
+    head.add_linked_server("member1", Arc::new(parking))
+        .unwrap();
+    pin_knobs(&head);
+    head.set_card_feedback(true);
+    assert_eq!(head.query(SCAN).unwrap().rows.len(), 12);
+
+    // The old fact grows behind the cached cardinality, and the statement
+    // that will see it parks on its first request.
+    grow_fact(&old);
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    *gate.lock().unwrap() = Some((parked_tx, release_rx));
+    let stale = {
+        let head = head.clone();
+        std::thread::spawn(move || head.query(SCAN).map(|r| r.rows.len()))
+    };
+    parked.recv().unwrap();
+    let new = fact("fb-new");
+    head.add_linked_server("member1", Arc::new(EngineDataSource::new(new)))
+        .unwrap();
+    assert_eq!(head.query(SCAN).unwrap().rows.len(), 12);
+    release.send(()).unwrap();
+    assert_eq!(stale.join().unwrap().unwrap(), 2520);
+
+    let m = head.metrics();
+    assert_eq!(m.card_feedback_applied, 0, "{m:?}");
+    let report = head.execute_analyze(SCAN).unwrap();
+    assert_eq!(report.result.rows.len(), 12);
+    assert!(!report.record.feedback, "{}", report.render());
 }
 
 /// A plan switch to a *slower* plan is a regression: flagged on the plan
