@@ -187,6 +187,7 @@ impl EngineMetrics {
             dtc_in_doubt: dtc.in_doubt,
             dtc_recovered: dtc.recovered,
             dtc_votes_ridden: dtc.votes_ridden,
+            dtc_commits_ridden: dtc.commits_ridden,
             ..counted
         }
     }
@@ -343,6 +344,7 @@ mod tests {
                 in_doubt: 1,
                 recovered: 4,
                 votes_ridden: 9,
+                commits_ridden: 6,
             },
             PoolStats {
                 connects: 1,
@@ -358,6 +360,7 @@ mod tests {
         assert_eq!(s.dtc_in_doubt, 1);
         assert_eq!(s.dtc_recovered, 4);
         assert_eq!(s.dtc_votes_ridden, 9);
+        assert_eq!(s.dtc_commits_ridden, 6);
         assert_eq!(s.meta_cache_hits, 1);
         assert_eq!(s.meta_cache_misses, 1);
         assert_eq!(s.fulltext_searches, 1);

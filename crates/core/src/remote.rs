@@ -80,8 +80,23 @@ impl SessionLayer for EngineSession {
                 storage_session: Arc::clone(&self.storage_session),
                 text: None,
             }))),
-            verb => verb.send(&mut *self.storage_session.lock()),
+            verb => {
+                let reply = verb.send(&mut *self.storage_session.lock());
+                refresh_committed(&self.engine, &self.storage_session);
+                reply
+            }
         }
+    }
+}
+
+/// Index what a commit on `session` made visible — a `commit`, or a write
+/// the commit rode — as the engine does after a write of its own. The
+/// outcome is decided by then: a catalog that fails to rebuild is not the
+/// commit's failure, and keeps what the last refresh left in it.
+fn refresh_committed(engine: &Engine, session: &Mutex<LocalSession>) {
+    let committed = session.lock().take_committed();
+    for table in committed {
+        let _ = engine.refresh_fulltext_index(&table);
     }
 }
 
@@ -107,9 +122,13 @@ impl Command for EngineCommand {
         // inside the consumer's transaction if there is one.
         let ran = match read_only {
             true => self.engine.execute(text),
-            false => self
-                .engine
-                .execute_on_session(text, &mut self.storage_session.lock()),
+            false => {
+                let ran = self
+                    .engine
+                    .execute_on_session(text, &mut self.storage_session.lock());
+                refresh_committed(&self.engine, &self.storage_session);
+                ran
+            }
         };
         let result = match ran {
             Ok(result) => result,

@@ -207,6 +207,10 @@ counters! {
         /// Phase-one votes that rode a participant's last write instead of
         /// answering a `prepare` message — one saved round trip each.
         dtc_votes_ridden,
+        /// Commit decisions that rode the last participant's last write
+        /// instead of a `commit` message of their own — one saved round trip
+        /// each.
+        dtc_commits_ridden,
     }
 }
 

@@ -341,6 +341,23 @@ pub trait Session: Send {
         unsupported("provider votes only when asked to prepare")
     }
 
+    /// Both phases as part of a write — the last-agent optimization: every
+    /// other participant has voted yes, so this one's vote is the decision.
+    /// The consumer announces that the next write on this session (a write
+    /// verb, or a command that writes) is the last one it makes under `txn`;
+    /// a provider that implements this runs that write, then prepares and
+    /// commits `txn` right behind it, all or nothing. `Ok` from the write
+    /// means committed; an error means `txn` was rolled back here, whether
+    /// the write, the prepare or the commit failed. Either way the session
+    /// has left the transaction when the write is answered, and no `commit`
+    /// or `abort` follows. It costs no round trip of its own, and the
+    /// default `Unsupported` is the capability signal: the coordinator then
+    /// asks for the vote with the write ([`Session::vote_with_next_write`])
+    /// and sends `commit` after it.
+    fn commit_with_next_write(&mut self, txn: TxnId) -> Result<()> {
+        unsupported("provider commits only when told the outcome")
+    }
+
     /// 2PC phase two: make `txn`'s writes visible.
     fn commit(&mut self, txn: TxnId) -> Result<()> {
         unsupported("provider cannot commit")
@@ -427,6 +444,10 @@ mod tests {
         ));
         assert!(matches!(
             s.vote_with_next_write(1),
+            Err(DhqpError::Unsupported(_))
+        ));
+        assert!(matches!(
+            s.commit_with_next_write(1),
             Err(DhqpError::Unsupported(_))
         ));
     }

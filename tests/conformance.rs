@@ -223,6 +223,7 @@ fn conforms(subject: &Subject) {
         sql_level_is_honest(&source, &at);
         check_schema_agrees_with_validate_member(&*source, subject.table, &at);
         a_ridden_vote_stands_or_falls_with_its_write(&*source, subject.table, &at);
+        a_ridden_commit_stands_or_falls_with_its_write(&*source, subject.table, &at);
         metadata_is_honest(&*source, &at);
         let wrapped = transcript(&*wrap((subject.make)()), subject);
         for (answer, bare) in wrapped.iter().zip(&reference) {
@@ -339,6 +340,10 @@ fn transcript(source: &dyn DataSource, subject: &Subject) -> Vec<String> {
     out.push(format!("commit {}", show(s.commit(7))));
     out.push(format!("abort unknown {}", show(s.abort(8))));
     out.push(format!("prepare unknown {}", show(s.prepare(8))));
+    out.push(format!(
+        "commit_with_next_write unknown {}",
+        show(s.commit_with_next_write(8))
+    ));
     let marks = [marks.first().copied().unwrap_or(0)];
     out.push(format!(
         "update {}",
@@ -573,6 +578,41 @@ fn a_ridden_vote_stands_or_falls_with_its_write(source: &dyn DataSource, table: 
     assert!(after_vote.is_err(), "{at}: a write after the vote");
     s.commit(22).unwrap();
     assert_eq!(count(), before + 1, "{at}");
+}
+
+/// A commit asked to ride a write goes with that write, all or nothing: a
+/// write that fails rolls the transaction back, what was buffered before it
+/// included; one that succeeds commits it, with no message after it.
+fn a_ridden_commit_stands_or_falls_with_its_write(source: &dyn DataSource, table: &str, at: &str) {
+    if !source.capabilities().transaction_support {
+        return;
+    }
+    let count = || {
+        let mut s = source.create_session().unwrap();
+        rows(s.open_rowset(table)).unwrap().len()
+    };
+    let row = |k: i64| [Row::new(vec![Value::Int(k), Value::Int(1), Value::Int(2)])];
+    let before = count();
+
+    let mut s = source.create_session().unwrap();
+    s.join_transaction(31).unwrap();
+    assert_eq!(s.insert(table, &row(300)).unwrap(), 1, "{at}");
+    if let Err(e) = s.commit_with_next_write(31) {
+        assert!(matches!(e, DhqpError::Unsupported(_)), "{at}: {e}");
+        s.abort(31).unwrap();
+        return;
+    }
+    assert!(s.insert(MISSING, &row(301)).is_err(), "{at}");
+    drop(s);
+    assert_eq!(count(), before, "{at}: rolled back with the failed write");
+
+    let mut s = source.create_session().unwrap();
+    s.join_transaction(32).unwrap();
+    assert_eq!(s.insert(table, &row(302)).unwrap(), 1, "{at}");
+    s.commit_with_next_write(32).unwrap();
+    assert_eq!(s.insert(table, &row(303)).unwrap(), 1, "{at}");
+    drop(s);
+    assert_eq!(count(), before + 2, "{at}: committed with the write");
 }
 
 /// Every table `tables()` lists opens through `open_rowset` with exactly

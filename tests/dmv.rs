@@ -657,6 +657,7 @@ fn counter_accounts_reconcile() {
     for moved in [
         metrics.remote_retries,
         metrics.dtc_commits,
+        metrics.dtc_commits_ridden,
         metrics.semijoin_reductions,
         metrics.dml_seeks,
         metrics.dml_pushed,

@@ -405,6 +405,70 @@ fn a_session_is_open_to_injection_again_after_its_transaction_commits() {
     );
 }
 
+/// The same when the transaction's commit rode the faulty member's write:
+/// the answer to that write ends the enlistment on the link and in the pool,
+/// with no `commit` message to do it.
+#[test]
+fn a_session_that_committed_with_its_write_is_open_to_injection_again() {
+    let fed = federation(|i| {
+        if i == 1 {
+            Member::Faulty(FaultConfig::one_transient_per_link(9))
+        } else {
+            Member::Reliable
+        }
+    });
+    let n = fed
+        .head
+        .execute("UPDATE acct_all SET balance = balance + 1 WHERE id IN (10, 60)")
+        .unwrap()
+        .rows_affected;
+    assert_eq!(n, Some(2));
+    let m = fed.head.metrics();
+    assert_eq!((m.dtc_commits, m.dtc_commits_ridden), (1, 1));
+    assert_eq!(fed.links[1].faults_injected(), 0);
+    assert_eq!(
+        fed.pools(),
+        [Pool {
+            connects: 1,
+            idle: 1
+        }; 2]
+    );
+
+    // The read draws m1's once-enlisted session, and the fault fires.
+    let got = fed.head.query(&Federation::lookup_sql(60)).unwrap();
+    assert_eq!(got.value(0, 1), &Value::Int(balance_of(60) + 1));
+    assert_eq!(
+        fed.links[1].faults_injected(),
+        1,
+        "a session that stayed exempt after its ridden commit would never fault"
+    );
+    assert_eq!(
+        fed.pools()[1],
+        Pool {
+            connects: 2,
+            idle: 1
+        }
+    );
+}
+
+/// Every participant's session goes back to its pool, the decider's
+/// included: a steady stream of two-member writes connects once per member.
+#[test]
+fn two_member_writes_reuse_their_sessions() {
+    let fed = federation(|_| Member::Reliable);
+    let sql = "UPDATE acct_all SET balance = balance + 1 WHERE id IN (10, 60)";
+    fed.head.execute(sql).unwrap();
+    let connects = fed.head.metrics().session_connects;
+    for _ in 0..100 {
+        fed.head.execute(sql).unwrap();
+    }
+    let m = fed.head.metrics();
+    assert_eq!(m.session_connects, connects);
+    assert_eq!((m.dtc_commits, m.dtc_commits_ridden), (101, 101));
+    let got = fed.head.query(&Federation::lookup_sql(60)).unwrap();
+    assert_eq!(got.value(0, 1), &Value::Int(balance_of(60) + 101));
+}
+
 #[test]
 fn an_in_doubt_participant_stays_out_of_the_pool_until_recovery() {
     let fed = federation(|_| Member::Reliable);
@@ -416,33 +480,35 @@ fn an_in_doubt_participant_stays_out_of_the_pool_until_recovery() {
         }; 2]
     );
 
-    fed.members[1].storage().set_fail_commit(true);
+    // m1 writes last and commits with its write, so only m0 — told the
+    // outcome in a message of its own — can miss it.
+    fed.members[0].storage().set_fail_commit(true);
     let err = fed
         .head
         .execute("UPDATE acct_all SET balance = balance + 1 WHERE id IN (10, 60)")
         .unwrap_err();
     assert!(err.to_string().contains("in doubt"), "{err}");
     assert_eq!(fed.head.metrics().dtc_in_doubt, 1);
-    // m0 acknowledged the commit and is idle again; m1's session is parked
-    // in the coordinator with its prepared transaction.
+    // m1 committed and is idle again; m0's session is parked in the
+    // coordinator with its prepared transaction.
     assert_eq!(
         fed.pools(),
         [
             Pool {
                 connects: 1,
-                idle: 1
+                idle: 0
             },
             Pool {
                 connects: 1,
-                idle: 0
+                idle: 1
             }
         ]
     );
 
-    // Work on m1 meanwhile gets a session of its own.
-    fed.head.query(&Federation::lookup_sql(61)).unwrap();
+    // Work on m0 meanwhile gets a session of its own.
+    fed.head.query(&Federation::lookup_sql(11)).unwrap();
     assert_eq!(
-        fed.pools()[1],
+        fed.pools()[0],
         Pool {
             connects: 2,
             idle: 1
@@ -452,18 +518,18 @@ fn an_in_doubt_participant_stays_out_of_the_pool_until_recovery() {
     // Recovery that cannot deliver keeps the session; one that can
     // releases it into the pool.
     assert_eq!(fed.head.dtc().recover().still_in_doubt, 1);
-    assert_eq!(fed.pools()[1].idle, 1);
-    fed.members[1].storage().set_fail_commit(false);
+    assert_eq!(fed.pools()[0].idle, 1);
+    fed.members[0].storage().set_fail_commit(false);
     assert_eq!(fed.head.dtc().recover().resolved, 1);
     assert_eq!(
-        fed.pools()[1],
+        fed.pools()[0],
         Pool {
             connects: 2,
             idle: 2
         }
     );
-    let got = fed.head.query(&Federation::lookup_sql(60)).unwrap();
-    assert_eq!(got.value(0, 1), &Value::Int(balance_of(60) + 1));
+    let got = fed.head.query(&Federation::lookup_sql(10)).unwrap();
+    assert_eq!(got.value(0, 1), &Value::Int(balance_of(10) + 1));
 }
 
 #[test]

@@ -239,6 +239,90 @@ fn pushed_update_whose_vote_is_refused_rolls_back_both_sides() {
     assert_eq!(m.dtc_votes_ridden, 3, "one before the refusal, two after");
 }
 
+/// The cross-member UPDATE of the tests below: member 1 writes last.
+const DEBIT_BOTH: &str = "UPDATE accounts_all SET balance = balance - 30 WHERE id IN (10, 60)";
+
+/// `balance` of account `id`, read at its member.
+fn balance(bank: &Bank, id: i64) -> Value {
+    let member = (id / 50) as usize;
+    let sql = format!("SELECT balance FROM accounts_{member} WHERE id = {id}");
+    bank.members[member]
+        .query(&sql)
+        .unwrap()
+        .value(0, 0)
+        .clone()
+}
+
+/// `(connects, sessions_idle)` of a linked server's pool.
+fn pool(bank: &Bank, server: &str) -> (Value, Value) {
+    let sql =
+        format!("SELECT connects, sessions_idle FROM sys.dm_link_stats WHERE name = '{server}'");
+    let r = bank.head.query(&sql).unwrap();
+    (r.value(0, 0).clone(), r.value(0, 1).clone())
+}
+
+/// The last participant's UPDATE carries the commit. Whatever fails there —
+/// its vote or its commit — it rolls back itself, member 0 (which voted yes)
+/// is aborted, nothing is left in doubt, and member 1's session is back in
+/// its pool.
+#[test]
+fn the_last_participant_decides_and_a_failure_there_aborts_both_sides() {
+    for fail in ["prepare", "commit"] {
+        let bank = bank();
+        let storage = bank.members[1].storage();
+        let set = |on| match fail {
+            "prepare" => storage.set_fail_prepare(on),
+            _ => storage.set_fail_commit(on),
+        };
+        set(true);
+        let err = bank.head.execute(DEBIT_BOTH).unwrap_err();
+        set(false);
+        assert_eq!(err.kind(), "transaction", "{fail}: {err}");
+        assert_eq!(balances(&bank), 10_000, "{fail}");
+        assert_eq!(balance(&bank, 60), Value::Int(100), "{fail}");
+        let dtc = bank.head.dtc();
+        assert_eq!(dtc.log().len(), 1, "{fail}");
+        assert_eq!(dtc.log()[0].outcome, Outcome::Aborted, "{fail}");
+        let m = bank.head.metrics();
+        assert_eq!((m.dtc_in_doubt, m.dtc_commits_ridden), (0, 0), "{fail}");
+        assert!(bank.members.iter().all(|e| !e.storage().has_txn(1)));
+        let (connects, idle) = pool(&bank, "bank1");
+        assert_eq!(
+            connects, idle,
+            "{fail}: every session bank1 connected is idle"
+        );
+        // And the next try commits, on the sessions the pools kept.
+        assert_eq!(
+            bank.head.execute(DEBIT_BOTH).unwrap().rows_affected,
+            Some(2)
+        );
+        assert_eq!(pool(&bank, "bank1").0, connects, "{fail}");
+        assert_eq!(balances(&bank), 10_000 - 60, "{fail}");
+        assert_eq!(bank.head.metrics().dtc_commits_ridden, 1, "{fail}");
+    }
+}
+
+/// A participant told the outcome in a message of its own can still miss
+/// it: the first one is in doubt until recovery, the last one committed
+/// with its write.
+#[test]
+fn a_first_participant_that_misses_the_commit_is_in_doubt_until_recovery() {
+    let bank = bank();
+    bank.members[0].storage().set_fail_commit(true);
+    let err = bank.head.execute(DEBIT_BOTH).unwrap_err();
+    assert!(err.to_string().contains("in doubt"), "{err}");
+    let dtc = bank.head.dtc();
+    assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
+    assert_eq!(balance(&bank, 60), Value::Int(70));
+    assert_eq!(balance(&bank, 10), Value::Int(100));
+    assert_eq!(bank.head.metrics().dtc_in_doubt, 1);
+    bank.members[0].storage().set_fail_commit(false);
+    assert_eq!(dtc.recover().resolved, 1);
+    assert_eq!(balance(&bank, 10), Value::Int(70));
+    assert_eq!(balances(&bank), 10_000 - 60);
+    assert_eq!(bank.head.metrics().dtc_in_doubt, 0);
+}
+
 #[test]
 fn federated_aggregate_over_view() {
     let bank = bank();
