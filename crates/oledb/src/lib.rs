@@ -39,7 +39,7 @@ pub use capabilities::{
 pub use datasource::{
     is_read_only, Command, CommandResult, DataSource, KeyRange, Session, TrafficSnapshot, TxnId,
 };
-pub use layer::{CommandLayer, CommandVerb, Reply, SessionLayer, SourceLayer, Verb};
+pub use layer::{CommandLayer, CommandVerb, Enlistment, Reply, SessionLayer, SourceLayer, Verb};
 pub use pool::{PoolStats, PooledDataSource, MAX_IDLE_SESSIONS};
 pub use rowset::{IterRowset, MemRowset, RowCursor, Rowset, RowsetExt};
 pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo, TableSnapshot};
