@@ -191,10 +191,8 @@ fn render_operator(op: &OperatorRecord, out: &mut String) {
     if let Some(sj) = &rt.semijoin {
         let _ = writeln!(
             out,
-            "{pad}    [semijoin: keys={} bytes={}{}]",
-            sj.keys,
-            sj.filter_bytes,
-            if sj.fallback { " fallback" } else { "" }
+            "{pad}    [semijoin: keys={} bytes={}]",
+            sj.keys, sj.filter_bytes
         );
     }
     if let Some(remote) = &rt.remote {

@@ -285,7 +285,7 @@ pub const KNOBS: &[KnobRow] = &[
     switch!("DHQP_SEMIJOIN", optimizer.enable_semijoin,
         "semi-join reduction: ship the small side's join keys as an IN-list"),
     number!("DHQP_SEMIJOIN_MAX_KEYS", optimizer.semijoin_max_keys: usize, 0,
-        "IN-list ceiling for semi-join reduction"),
+        "keys per request of the all-keys semi-join reduction, and its admission ceiling"),
     switch!("DHQP_QUERY_STORE", query_store.enabled,
         "per-fingerprint plan and runtime history (`sys.query_store_*`)"),
     number!("DHQP_QUERY_STORE_SIZE", query_store.capacity: usize, 1,

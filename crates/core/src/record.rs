@@ -186,16 +186,14 @@ impl StatementRecord {
     /// re-running it. `None` when nothing noteworthy happened.
     pub fn annotations(&self) -> Option<String> {
         let mut parts: Vec<String> = Vec::new();
-        let (mut keys, mut bytes, mut fallback) = (0, 0, false);
+        let (mut keys, mut bytes) = (0, 0);
         let runtimes = self.operators.iter().filter_map(|op| op.runtime.as_ref());
         for sj in runtimes.filter_map(|rt| rt.semijoin.as_ref()) {
             keys += sj.keys;
             bytes += sj.filter_bytes;
-            fallback |= sj.fallback;
         }
-        if keys > 0 || fallback {
-            let fallback = if fallback { " fallback" } else { "" };
-            parts.push(format!("[semijoin: keys={keys} bytes={bytes}{fallback}]"));
+        if keys > 0 {
+            parts.push(format!("[semijoin: keys={keys} bytes={bytes}]"));
         }
         if !self.pruned.is_empty() {
             parts.push(format!("[degraded: {}]", self.pruned.join(",")));

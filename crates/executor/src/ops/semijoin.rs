@@ -2,14 +2,15 @@
 //! access (§4.1.2) and semi-join reduction (§4.1.5 byte minimization).
 //!
 //! A request binds the remote statement's key-set parameter `@__keys0` to
-//! distinct non-NULL join keys of the build (outer) child, spelled in the
-//! provider's dialect, so only matching rows cross the link; they are
-//! hash-joined back against the build rows, re-checking the full predicate.
-//! One key per request reads the outer side a block at a time; all keys at
-//! once drain it, and fall back to the unreduced statement — never a
-//! semantic change — past `max_keys` keys (the estimate undershot) or when
-//! the reduced open exhausts its retries. An empty key set answers locally
-//! with zero round trips.
+//! up to `n` distinct non-NULL join keys of the build (outer) child,
+//! spelled in the provider's dialect, so only matching rows cross the link;
+//! they are hash-joined back against the build rows, re-checking the full
+//! predicate. The outer side is read a block at a time until the rows read
+//! hold `n` keys or it ends, and the keys ship `n` to a request; short of
+//! the end, fewer than `n` left over wait for more rows. `k` distinct keys
+//! thus cost ⌈k/n⌉ requests (a key met again after it shipped ships
+//! again). Nothing ships at open, and an empty key set answers with zero
+//! round trips.
 
 use crate::context::ExecContext;
 use crate::eval::positions_of;
@@ -17,10 +18,10 @@ use crate::ops::join::{open_hash_join, passes};
 use crate::ops::remote::{open_remote_text, remote_query_text};
 use crate::stats::SemiJoinTrace;
 use dhqp_oledb::{MemRowset, RowCursor, Rowset, RowsetExt};
-use dhqp_optimizer::physical::{KeysPerRequest, PhysNode, PhysicalOp, RemoteParam};
+use dhqp_optimizer::physical::{PhysNode, PhysicalOp, RemoteParam};
 use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr};
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Stable 64-bit FNV-1a fingerprint of a shipped predicate, rendered as
@@ -31,8 +32,8 @@ pub fn predicate_fingerprint(text: &str) -> String {
     format!("{:016x}", dhqp_types::fnv1a_64(text))
 }
 
-/// Open a `SemiJoinReduce` node over its (already opened) build child: all
-/// keys ship and join back now, one key per request as rows are read.
+/// Open a `SemiJoinReduce` node over its (already opened) build child.
+/// Nothing is read or shipped until the first pull.
 pub fn open_semijoin_reduce(
     plan: &PhysNode,
     build: Box<dyn Rowset>,
@@ -54,16 +55,20 @@ pub fn open_semijoin_reduce(
         unreachable!("open_semijoin_reduce on {}", plan.op.name());
     };
     let build_columns = plan.children[0].output.clone();
-    let key_pos = build_columns
-        .iter()
-        .position(|c| c == build_key)
-        .ok_or_else(|| {
+    let at = |columns: &[ColumnId], key: &ColumnId, side: &str| {
+        columns.iter().position(|c| c == key).ok_or_else(|| {
             DhqpError::Execute(format!(
-                "semi-join build key #{} is not among the build child's outputs",
-                build_key.0
+                "semi-join {side} key #{} is not among the {side} side's outputs",
+                key.0
             ))
-        })?;
-    let mut shipping = KeyShipping {
+        })
+    };
+    let key_pos = [
+        at(&build_columns, build_key, "build")?,
+        at(columns, probe_key, "probe")?,
+    ];
+    let unbound = remote_query_text(server, sql, params, &[], ctx)?.len();
+    Ok(Box::new(KeyShipping {
         kind: *kind,
         join_keys: [
             ScalarExpr::Column(*build_key),
@@ -74,21 +79,17 @@ pub fn open_semijoin_reduce(
         server: Arc::clone(server),
         sql: sql.clone(),
         params: params.clone(),
+        unbound,
+        per_request: *per_request,
         build_columns,
         columns: columns.clone(),
         ctx: ctx.clone(),
         node,
-        outer: build,
+        outer: Some(build),
+        held: Vec::new(),
         joined: MemRowset::empty(ctx.schema_of(&plan.output)),
-    };
-    if let KeysPerRequest::All {
-        max_keys,
-        unreduced,
-    } = per_request
-    {
-        shipping.all_keys(*max_keys, unreduced)?;
-    }
-    Ok(Box::new(shipping))
+        trace: None,
+    }))
 }
 
 /// A `SemiJoinReduce` being read.
@@ -96,51 +97,87 @@ struct KeyShipping {
     kind: JoinKind,
     /// The build and the probe join key.
     join_keys: [ScalarExpr; 2],
-    /// Where the build key sits in a build row.
-    key_pos: usize,
+    /// Where the join key sits in a build row and in a remote row.
+    key_pos: [usize; 2],
     residual: Option<ScalarExpr>,
     server: Arc<str>,
     sql: String,
     params: Vec<RemoteParam>,
+    /// Length of `sql` rendered with no keys: a request's text is longer by
+    /// its rendered key list.
+    unbound: usize,
+    /// Keys one request carries at most.
+    per_request: usize,
     build_columns: Vec<ColumnId>,
     columns: Vec<ColumnId>,
     ctx: ExecContext,
     node: usize,
-    /// The build child: drained at open by the all-keys form, read a
-    /// block at a time — at most the caller's demand, so `TOP n` above
-    /// sends at most `n` requests — by the one-key form.
-    outer: Box<dyn Rowset>,
+    /// The build child, read a block at a time — at most the caller's
+    /// demand, so `TOP n` over one key per request sends at most `n`
+    /// requests — and dropped at its end.
+    outer: Option<Box<dyn Rowset>>,
+    /// Outer rows read but not shipped for yet: their keys are short of a
+    /// whole request.
+    held: Vec<Row>,
     /// Joined rows not handed on yet.
     joined: MemRowset,
+    /// What this open has shipped so far; `None` before its first round.
+    trace: Option<SemiJoinTrace>,
 }
 
 impl KeyShipping {
-    /// The distinct non-NULL join keys of `rows`, in first-seen order.
-    fn keys(&self, rows: &[Row]) -> Vec<Value> {
-        let mut seen = HashSet::new();
-        let keys = rows.iter().map(|row| row.get(self.key_pos));
-        keys.filter(|v| !v.is_null() && seen.insert(*v))
-            .cloned()
-            .collect()
+    /// The next rows to ship for, and their distinct non-NULL join keys in
+    /// first-seen order: the held rows, then outer blocks until the rows
+    /// hold `per_request` keys or the outer side ends. Short of the end,
+    /// only whole blocks of keys ship; the rows of the rest are held.
+    fn pending(&mut self, max: usize) -> Result<(Vec<Row>, Vec<Value>)> {
+        let (mut rows, mut keys, mut seen) = (Vec::new(), Vec::new(), HashSet::new());
+        let mut block = std::mem::take(&mut self.held);
+        loop {
+            for row in block {
+                let key = row.get(self.key_pos[0]);
+                if !key.is_null() && seen.insert(key.clone()) {
+                    keys.push(key.clone());
+                }
+                rows.push(row);
+            }
+            if keys.len() >= self.per_request {
+                break;
+            }
+            let Some(outer) = self.outer.as_mut() else {
+                break;
+            };
+            let Some(next) = outer.next_batch(max)? else {
+                self.outer = None;
+                break;
+            };
+            block = next.into_rows();
+        }
+        if self.outer.is_some() {
+            let whole = keys.len() / self.per_request * self.per_request;
+            let rest: HashSet<Value> = keys.drain(whole..).collect();
+            (self.held, rows) = rows
+                .into_iter()
+                .partition(|row| rest.contains(row.get(self.key_pos[0])));
+        }
+        Ok((rows, keys))
     }
 
-    /// `template` with the key set bound to `keys`.
-    fn text(&self, template: &str, keys: &[Value]) -> Result<String> {
-        remote_query_text(&self.server, template, &self.params, keys, &self.ctx)
-    }
-
-    fn open(&self, text: String, op_tag: Option<String>) -> Result<Box<dyn Rowset>> {
-        // Whatever keys are bound, the statement reads the same members.
-        let checks = self.ctx.member_checks_in_sql(&self.server, &self.sql);
-        open_remote_text(&self.server, text, checks, op_tag, &self.ctx, self.node)
-    }
-
-    /// Hash-join `remote` back against `build`, in build-row order.
-    fn join_back(&mut self, build: Vec<Row>, remote: Box<dyn Rowset>) -> Result<()> {
-        let build = MemRowset::new(self.ctx.schema_of(&self.build_columns), build);
+    /// Ship `keys` in requests of up to `per_request` keys each, and join
+    /// what comes back against `rows`.
+    fn ship(&mut self, rows: Vec<Row>, keys: &[Value]) -> Result<()> {
+        let (mut fetched, mut filter_bytes) = (Vec::new(), 0);
+        for block in keys.chunks(self.per_request) {
+            let text = remote_query_text(&self.server, &self.sql, &self.params, block, &self.ctx)?;
+            filter_bytes += text.len().saturating_sub(self.unbound) as u64;
+            fetched.extend(self.fetch(text, block, &rows)?);
+        }
+        self.report(keys.len() as u64, filter_bytes);
+        let fetched = MemRowset::new(self.ctx.schema_of(&self.columns), fetched);
+        let build = MemRowset::new(self.ctx.schema_of(&self.build_columns), rows);
         self.joined = open_hash_join(
             Box::new(build),
-            remote,
+            Box::new(fetched),
             self.kind,
             &self.join_keys[..1],
             &self.join_keys[1..],
@@ -153,89 +190,68 @@ impl KeyShipping {
         Ok(())
     }
 
-    /// All keys in one request, or the unreduced statement past `max_keys`
-    /// or when the reduced open gives up on a transient fault (on a dead
-    /// link that open fails too, as the unreduced plan would have).
-    fn all_keys(&mut self, max_keys: usize, unreduced: &str) -> Result<()> {
-        let ctx = self.ctx.clone();
-        // Drained and closed here, like the one-key form's after its last row.
-        let empty = Box::new(MemRowset::empty(self.joined.schema().clone()));
-        let build = std::mem::replace(&mut self.outer, empty)
-            .collect_rows_batched(ctx.batch().batch_size)?;
-        let keys = self.keys(&build);
-        let mut trace = SemiJoinTrace {
-            keys: keys.len() as u64,
-            ..SemiJoinTrace::default()
-        };
-        // The reduced open, `Err(None)` past the key-set ceiling; none for
-        // an empty key set, whose inner/semi join is empty by construction.
-        let reduced = match keys.len() {
-            0 => None,
-            n if n > max_keys => Some(Err(None)),
-            n => {
-                let (base, reduced) = (self.text(unreduced, &[])?, self.text(&self.sql, &keys)?);
-                trace.filter_bytes = reduced.len().saturating_sub(base.len()) as u64;
-                let fp = predicate_fingerprint(&reduced);
-                let tag = format!("shipped predicate fp={fp} keys={n}");
-                Some(self.open(reduced, Some(tag)).map_err(Some))
-            }
-        };
-        let remote = match reduced {
-            None => None,
-            Some(Ok(remote)) => Some(remote),
-            Some(Err(Some(e))) if !e.is_retryable() => return Err(e),
-            Some(Err(_)) => {
-                trace.fallback = true;
-                trace.filter_bytes = 0;
-                ctx.counters().semijoin_fallbacks.bump();
-                Some(self.open(self.text(unreduced, &[])?, None)?)
-            }
-        };
-        if !trace.fallback {
-            ctx.counters().semijoin_reductions.bump();
-            ctx.counters().semijoin_filter_bytes.add(trace.filter_bytes);
-        }
-        if let Some(remote) = remote {
-            self.join_back(build, remote)?;
-        }
-        if let Some(collector) = ctx.stats() {
-            collector.record_semijoin(self.node, trace);
-        }
-        Ok(())
-    }
-
-    /// One request for `key`, read as far as the join back needs it: to
-    /// its end, or by a semi join until every outer row of `block` with
-    /// that key has matched.
-    fn fetch(&self, key: &Value, block: &[Row]) -> Result<Vec<Row>> {
-        let text = self.text(&self.sql, std::slice::from_ref(key))?;
-        let mut remote = self.open(text, None)?;
+    /// One request for `keys`, read as far as the join back needs it: to
+    /// its end, or by a semi join until every row of `rows` holding one of
+    /// `keys` has matched.
+    fn fetch(&self, text: String, keys: &[Value], rows: &[Row]) -> Result<Vec<Row>> {
+        let fp = predicate_fingerprint(&text);
+        let tag = format!("shipped predicate fp={fp} keys={}", keys.len());
+        // Whatever keys are bound, the statement reads the same members.
+        let checks = self.ctx.member_checks_in_sql(&self.server, &self.sql);
+        let mut remote =
+            open_remote_text(&self.server, text, checks, Some(tag), &self.ctx, self.node)?;
         if self.kind != JoinKind::Semi {
             return remote.collect_rows_batched(self.ctx.batch().batch_size);
         }
+        let mut waiting: HashMap<&Value, Vec<&Row>> = keys.iter().map(|k| (k, vec![])).collect();
+        for row in rows {
+            if let Some(same_key) = waiting.get_mut(row.get(self.key_pos[0])) {
+                same_key.push(row);
+            }
+        }
         let positions = positions_of(&[&self.build_columns[..], &self.columns].concat());
-        let mut waiting: Vec<&Row> = block
-            .iter()
-            .filter(|r| r.get(self.key_pos) == key)
-            .collect();
         let (mut remote, mut kept) = (RowCursor::new(remote, 1), Vec::new());
         let residual = self.residual.as_ref();
         while !waiting.is_empty() {
             let Some(row) = remote.next_row()? else {
                 break;
             };
-            let mut still = Vec::with_capacity(waiting.len());
-            for outer in &waiting {
+            let Some(same_key) = waiting.get_mut(row.get(self.key_pos[1])) else {
+                continue;
+            };
+            let mut still = Vec::with_capacity(same_key.len());
+            for outer in same_key.iter() {
                 if !passes(residual, &positions, &outer.join(&row), &self.ctx)? {
                     still.push(*outer);
                 }
             }
-            if still.len() < waiting.len() {
+            let matched = still.len() < same_key.len();
+            if still.is_empty() {
+                waiting.remove(row.get(self.key_pos[1]));
+            } else {
+                *same_key = still;
+            }
+            if matched {
                 kept.push(row);
             }
-            waiting = still;
         }
         Ok(kept)
+    }
+
+    /// Count one round of shipping, and attribute this open's running
+    /// total to its node (a rescan starts its own).
+    fn report(&mut self, keys: u64, filter_bytes: u64) {
+        let counters = self.ctx.counters();
+        if self.trace.is_none() {
+            counters.semijoin_reductions.bump();
+        }
+        counters.semijoin_filter_bytes.add(filter_bytes);
+        let trace = self.trace.get_or_insert_with(SemiJoinTrace::default);
+        trace.keys += keys;
+        trace.filter_bytes += filter_bytes;
+        if let Some(collector) = self.ctx.stats() {
+            collector.record_semijoin(self.node, *trace);
+        }
     }
 }
 
@@ -249,16 +265,11 @@ impl Rowset for KeyShipping {
             if let Some(batch) = self.joined.next_batch(max)? {
                 return Ok(Some(batch));
             }
-            // One key per request: the next block of outer rows.
-            let Some(block) = self.outer.next_batch(max)? else {
+            if self.outer.is_none() {
                 return Ok(None);
-            };
-            let (block, mut fetched) = (block.into_rows(), Vec::new());
-            for key in self.keys(&block) {
-                fetched.extend(self.fetch(&key, &block)?);
             }
-            let fetched = MemRowset::new(self.ctx.schema_of(&self.columns), fetched);
-            self.join_back(block, Box::new(fetched))?;
+            let (rows, keys) = self.pending(max)?;
+            self.ship(rows, &keys)?;
         }
     }
 }
@@ -370,7 +381,9 @@ mod tests {
             }
         }
 
-        fn shipping(&self, kind: JoinKind, ranged: bool, per_request: KeysPerRequest) -> PhysNode {
+        /// Key shipping at `per_request` keys per request: `k = @__keys0`
+        /// for one, `k IN (@__keys0)` for more, as the decoder renders them.
+        fn shipping(&self, kind: JoinKind, ranged: bool, per_request: usize) -> PhysNode {
             let op = PhysicalOp::SemiJoinReduce {
                 kind,
                 build_key: self.o.column_id(1),
@@ -378,8 +391,8 @@ mod tests {
                 residual: Some(self.predicate(ranged)),
                 server: Arc::from("mini"),
                 sql: match per_request {
-                    KeysPerRequest::One => self.sql(" WHERE ([t0].[k] = @__keys0)"),
-                    KeysPerRequest::All { .. } => self.sql(" WHERE ([t0].[k] IN (@__keys0))"),
+                    1 => self.sql(" WHERE ([t0].[k] = @__keys0)"),
+                    _ => self.sql(" WHERE ([t0].[k] IN (@__keys0))"),
                 },
                 columns: self.t.column_ids.clone(),
                 params: vec![RemoteParam::KeySet],
@@ -437,14 +450,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// One key per request and all keys at once answer what fetching
-        /// the whole table and hash-joining it answers — NULL, duplicate
-        /// and missing outer keys, an empty outer side, a residual beyond
-        /// the key — and the one-key form also keeps the outer order and
-        /// ships one request per distinct non-NULL key when one block
-        /// holds them all.
+        /// Every `n` keys per request answers what fetching the whole
+        /// table and hash-joining it answers — NULL, duplicate and missing
+        /// outer keys, an empty outer side, a residual beyond the key —
+        /// and ships ⌈distinct non-NULL keys / n⌉ requests when one block
+        /// holds them all; one key per request also keeps the outer order.
         #[test]
-        fn one_key_and_all_keys_answer_like_the_unreduced_fetch(
+        fn every_n_keys_per_request_answers_like_the_unreduced_fetch(
             keys in prop::collection::vec(prop::option::of(0i64..12), 0..10),
             semi in any::<bool>(),
             ranged in any::<bool>(),
@@ -455,15 +467,16 @@ mod tests {
             let kind = if semi { JoinKind::Semi } else { JoinKind::Inner };
             let (want, _) = f.run(&f.unreduced(kind, ranged), batch);
 
-            let (one, _) = f.run(&f.shipping(kind, ranged, KeysPerRequest::One), batch);
-            prop_assert_eq!(&one, &want);
-            let all = KeysPerRequest::All { max_keys: 64, unreduced: f.sql("") };
-            let (all, _) = f.run(&f.shipping(kind, ranged, all), batch);
-            prop_assert_eq!(sorted(all), sorted(want));
-
-            let distinct: HashSet<i64> = keys.iter().flatten().copied().collect();
-            let (_, requests) = f.run(&f.shipping(kind, ranged, KeysPerRequest::One), 1024);
-            prop_assert_eq!(requests, distinct.len() as u64);
+            let distinct = keys.iter().flatten().collect::<HashSet<_>>().len() as u64;
+            for n in [1, 2, 3, 64] {
+                let (got, _) = f.run(&f.shipping(kind, ranged, n), batch);
+                if n == 1 {
+                    prop_assert_eq!(&got, &want);
+                }
+                prop_assert_eq!((n, sorted(got)), (n, sorted(want.clone())));
+                let (_, requests) = f.run(&f.shipping(kind, ranged, n), 1024);
+                prop_assert_eq!((n, requests), (n, distinct.div_ceil(n as u64)));
+            }
         }
     }
 
@@ -475,7 +488,7 @@ mod tests {
         let f = fixture(&outer);
         for kind in [JoinKind::Inner, JoinKind::Semi] {
             for n in 1..=4 {
-                let probe = f.shipping(kind, false, KeysPerRequest::One);
+                let probe = f.shipping(kind, false, 1);
                 let output = probe.output.clone();
                 let top = PhysNode::new(PhysicalOp::Top { n }, vec![probe], output);
                 for batch in [1, 3, 1024] {
@@ -487,6 +500,19 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Nothing ships at open: a node dropped before its first pull sent
+    /// no request, whatever `n` it carries.
+    #[test]
+    fn an_unpulled_open_sends_no_request() {
+        let outer: Vec<(i64, Option<i64>)> = (0..8).map(|i| (i, Some(i % 3))).collect();
+        let f = fixture(&outer);
+        for n in [1, 64] {
+            let before = f.link.snapshot().requests;
+            drop(open(&f.shipping(JoinKind::Inner, false, n), &f.ctx).unwrap());
+            assert_eq!(f.link.snapshot().requests, before, "n={n}");
         }
     }
 

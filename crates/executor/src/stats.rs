@@ -156,14 +156,10 @@ counters! {
         /// DPV members skipped at drive time because their startup predicate
         /// rejected the runtime parameter values (`DHQP_RUNTIME_PRUNE`).
         startup_members_skipped,
-        /// Remote fetches reduced by a shipped semi-join `IN`-list of
-        /// build-side join keys.
+        /// Key-shipping (`SemiJoinReduce`) opens whose remote fetches were
+        /// reduced to the build side's join keys.
         semijoin_reductions,
-        /// Semi-join reductions abandoned at drive time (key count past
-        /// `DHQP_SEMIJOIN_MAX_KEYS`, or the reduced open exhausted its retry
-        /// budget and the unreduced statement shipped instead).
-        semijoin_fallbacks,
-        /// Extra request bytes spent shipping semi-join filters, summed —
+        /// Request bytes spent on shipped key lists, summed over requests —
         /// the price paid for the result-byte savings.
         semijoin_filter_bytes,
         /// Query-store plan changes whose new plan averaged slower than the
@@ -282,16 +278,13 @@ impl ExchangeRuntime {
     }
 }
 
-/// What one semi-join-reduced remote fetch actually shipped.
+/// What one key-shipping open actually shipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SemiJoinTrace {
-    /// Distinct non-NULL build-side join keys collected at drive time.
+    /// Distinct non-NULL build-side join keys shipped.
     pub keys: u64,
-    /// Bytes the key-set restriction added to the shipped statement.
+    /// Bytes of the rendered key lists, summed over requests.
     pub filter_bytes: u64,
-    /// The reduction was abandoned (key overflow or a reduced open that
-    /// exhausted its retries) and the unreduced statement shipped instead.
-    pub fallback: bool,
 }
 
 /// Runtime facts about one plan node, keyed by its pre-order id.

@@ -126,8 +126,8 @@ pub enum PhysicalOp {
     /// Key shipping (§4.1.2 parameterization, §4.1.5 semi-join
     /// reduction): the build child's distinct non-NULL join keys bind the
     /// key-set parameter of `sql`, and what the remote returns is
-    /// hash-joined back against the build rows. `per_request` says how many
-    /// keys one statement carries.
+    /// hash-joined back against the build rows. A request carries up to
+    /// `per_request` keys (n ≥ 1).
     SemiJoinReduce {
         kind: JoinKind,
         /// Join key column of the (local, cheap) build child.
@@ -142,7 +142,7 @@ pub enum PhysicalOp {
         /// Remote output columns, matching `sql`'s select-list order.
         columns: Vec<ColumnId>,
         params: Vec<RemoteParam>,
-        per_request: KeysPerRequest,
+        per_request: usize,
     },
     Values {
         columns: Vec<ColumnId>,
@@ -152,16 +152,6 @@ pub enum PhysicalOp {
     Empty {
         columns: Vec<ColumnId>,
     },
-}
-
-/// How many join keys one [`PhysicalOp::SemiJoinReduce`] request carries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KeysPerRequest {
-    /// Each distinct outer key on its own: `probe = @__keys0`.
-    One,
-    /// The drained build side's keys at once: `probe IN (@__keys0)`. Past
-    /// `max_keys` keys, or when that open gives up, `unreduced` ships.
-    All { max_keys: usize, unreduced: String },
 }
 
 /// The placeholder a key-shipping request binds to its keys.
@@ -295,12 +285,7 @@ impl PhysNode {
                 sql,
                 per_request,
                 ..
-            } => match per_request {
-                KeysPerRequest::One => format!("SemiJoinReduce(@{server} keys=1: {sql})"),
-                KeysPerRequest::All { max_keys, .. } => {
-                    format!("SemiJoinReduce(@{server} max_keys={max_keys}: {sql})")
-                }
-            },
+            } => format!("SemiJoinReduce(@{server} keys={per_request}: {sql})"),
             PhysicalOp::Sort { keys } => format!("Sort({} keys)", keys.len()),
             other => other.name().to_string(),
         }

@@ -11,8 +11,10 @@ use crate::memo::{AltExpr, GroupId, MExpr, Memo};
 use crate::props::{ColumnId, LogicalProps};
 use crate::rules::RuleContext;
 use crate::scalar::ScalarExpr;
+use dhqp_oledb::ProviderCapabilities;
 use dhqp_types::{IntervalBound, ValueSet};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// An exploration rule.
 pub trait ExplorationRule: Sync {
@@ -372,6 +374,25 @@ pub fn group_localities(memo: &Memo, group: GroupId) -> Vec<Locality> {
     let mut seen = BTreeSet::new();
     walk(memo, group, &mut out, &mut seen);
     out
+}
+
+/// The one remote server a group lives wholly on, with the capabilities its
+/// leaf tables carry; `None` for a local or mixed group.
+pub fn remote_group_caps(
+    memo: &Memo,
+    group: GroupId,
+) -> Option<(Arc<str>, Arc<ProviderCapabilities>)> {
+    let [Locality::Remote(server)] = &group_localities(memo, group)[..] else {
+        return None;
+    };
+    // Every leaf lives on `server`: the first one down carries its caps.
+    let mut expr = memo.expr(*memo.group(group).exprs.first()?);
+    loop {
+        if let LogicalOp::Get { meta, .. } = &expr.op {
+            return Some((Arc::clone(server), Arc::clone(&meta.caps)));
+        }
+        expr = memo.expr(*memo.group(*expr.children.first()?).exprs.first()?);
+    }
 }
 
 /// The standard exploration rule set, promise-ordered.

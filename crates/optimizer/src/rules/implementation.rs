@@ -10,9 +10,9 @@ use crate::cardinality::{equi_key_columns, ndv, predicate_selectivity};
 use crate::decoder::{Decoder, KeySet, RemoteSql};
 use crate::logical::{JoinKind, LogicalOp, TableMeta};
 use crate::memo::{GroupId, MExpr, Memo};
-use crate::physical::{IndexRangeSpec, KeysPerRequest, PhysicalOp};
+use crate::physical::{IndexRangeSpec, PhysicalOp};
 use crate::props::{ColumnId, PhysicalProps, RequiredProps};
-use crate::rules::exploration::group_localities;
+use crate::rules::exploration::remote_group_caps;
 use crate::rules::{Delivered, PhysAlt, RuleContext};
 use crate::scalar::{CmpOp, ScalarExpr};
 use crate::search::OptimizationPhase;
@@ -428,8 +428,8 @@ fn implement_join(
             }
             // Key shipping: the build side's join keys go to a remote
             // probe side, one per request (§4.1.2 "parameterization enables
-            // pushing parameters into the remote sources") or all at once
-            // (§4.1.5 semi-join reduction).
+            // pushing parameters into the remote sources") or up to
+            // `semijoin_max_keys` at once (§4.1.5 semi-join reduction).
             if matches!(kind, JoinKind::Inner | JoinKind::Semi) {
                 out.extend(bind_join_variants(
                     kind, predicate, lg, rg, &equi, memo, ctx,
@@ -443,7 +443,8 @@ fn implement_join(
 /// Key-shipping alternatives for a join whose probe (right) group lives
 /// wholly on one remote server: one key per request (a `SemiJoinReduce`
 /// over `probe = @__keys0`, or a nested loop over a remote index range for
-/// a provider without SQL), or all keys at once (`probe IN (@__keys0)`).
+/// a provider without SQL), or `semijoin_max_keys` keys per request
+/// (`probe IN (@__keys0)`).
 fn bind_join_variants(
     kind: JoinKind,
     predicate: Option<&ScalarExpr>,
@@ -453,12 +454,7 @@ fn bind_join_variants(
     memo: &Memo,
     ctx: &RuleContext<'_>,
 ) -> Vec<PhysAlt> {
-    let locs = group_localities(memo, rg);
-    if locs.len() != 1 || !locs[0].is_remote() {
-        return Vec::new();
-    }
-    let server = locs[0].server_name().expect("remote locality");
-    let Some(caps) = ctx.config.server_caps.get(server) else {
+    let Some((server, caps)) = remote_group_caps(memo, rg) else {
         return Vec::new();
     };
     let (build_col, probe_col) = equi[0];
@@ -466,13 +462,13 @@ fn bind_join_variants(
     let (l_card, r_card) = (build.cardinality.max(1.0), probe.cardinality.max(1.0));
     let probe_ndv = ndv(probe, probe_col);
     let cost = &ctx.config.cost;
-    let mut decoder = Decoder::new(memo, caps, server);
+    let mut decoder = Decoder::new(memo, &caps, &server);
     let ship = |remote: RemoteSql, per_request| PhysicalOp::SemiJoinReduce {
         kind,
         build_key: build_col,
         probe_key: probe_col,
         residual: predicate.cloned(),
-        server: Arc::from(server),
+        server: Arc::clone(&server),
         sql: remote.sql,
         columns: remote.columns,
         params: remote.params,
@@ -492,10 +488,10 @@ fn bind_join_variants(
                 0.0
             };
             let width = build.row_width + right;
-            let probes = cost.remote_result(caps, 0.0, per_probe, width, per_probe) * l_card;
+            let probes = cost.remote_result(&caps, 0.0, per_probe, width, per_probe) * l_card;
             let loop_cpu = l_card * per_probe * cost.cpu_row;
             out.push(
-                PhysAlt::node(ship(remote, KeysPerRequest::One), vec![PhysAlt::child(lg)])
+                PhysAlt::node(ship(remote, 1), vec![PhysAlt::child(lg)])
                     .with_extra_cost(loop_cpu + probes)
                     .with_delivered(Delivered::Inherit(0)),
             );
@@ -532,7 +528,8 @@ fn bind_join_variants(
         }
     }
 
-    // All keys at once. Past the key-set ceiling the reduction never pays;
+    // Up to `semijoin_max_keys` keys per request, all of them in one when
+    // the estimate holds. Past the key-set ceiling the reduction never pays;
     // don't offer it — this is the Fig.-4-style crossover as the build side
     // scales. Nor does a list that names every value the probe column has
     // (a probe side already bound to its key, say): it ships keys to fetch
@@ -544,10 +541,7 @@ fn bind_join_variants(
     {
         return out;
     }
-    let (Some(unreduced), Some(remote)) = (
-        decoder.build(rg, None, &[], None),
-        decoder.build(rg, Some(KeySet::All(probe_col)), &[], None),
-    ) else {
+    let Some(remote) = decoder.build(rg, Some(KeySet::All(probe_col)), &[], None) else {
         return out;
     };
     // Wire cost of the reduced fetch, charged here where the probe group's
@@ -558,11 +552,8 @@ fn bind_join_variants(
     // toward the probe side's distinct count, the reduction stops paying.
     let fetch_rows = r_card * keys / probe_ndv;
     let shipped = keys + remote.keys as f64;
-    let wire = cost.remote_result(caps, shipped, fetch_rows, probe.row_width, r_card);
-    let per_request = KeysPerRequest::All {
-        max_keys: ctx.config.semijoin_max_keys,
-        unreduced: unreduced.sql,
-    };
+    let wire = cost.remote_result(&caps, shipped, fetch_rows, probe.row_width, r_card);
+    let per_request = ctx.config.semijoin_max_keys.max(1);
     out.push(
         PhysAlt::node(ship(remote, per_request), vec![PhysAlt::child(lg)])
             .with_extra_cost(wire + fetch_rows * cost.hash_probe_row),
@@ -626,10 +617,7 @@ mod tests {
     fn root_alternatives(tree: &LogicalExpr, f: &Fixture) -> Vec<PhysAlt> {
         let mut memo = Memo::new();
         let root = memo.insert_tree(tree, &f.registry);
-        let mut config = OptimizerConfig::default();
-        config
-            .server_caps
-            .insert("r0".into(), f.customer.caps.clone());
+        let config = OptimizerConfig::default();
         let ctx = RuleContext {
             registry: &f.registry,
             config: &config,
@@ -670,7 +658,7 @@ mod tests {
                     alt,
                     PhysAlt::Node {
                         op: PhysicalOp::SemiJoinReduce {
-                            per_request: KeysPerRequest::All { .. },
+                            per_request: 64,
                             ..
                         },
                         ..

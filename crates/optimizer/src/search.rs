@@ -12,16 +12,14 @@ use crate::cost::CostModel;
 use crate::decoder::Decoder;
 use crate::logical::{LogicalExpr, LogicalOp};
 use crate::memo::{GroupId, Memo, Winner};
-use crate::physical::{KeysPerRequest, PhysNode, PhysicalOp};
+use crate::physical::{PhysNode, PhysicalOp};
 use crate::props::{ColumnId, ColumnRegistry, RequiredProps};
-use crate::rules::exploration::{all_rules, group_localities, ExplorationRule};
+use crate::rules::exploration::{all_rules, remote_group_caps, ExplorationRule};
 use crate::rules::implementation::implementations;
 use crate::rules::simplify::{simplify, SimplifyOptions};
 use crate::rules::{Delivered, PhysAlt, RuleContext};
-use dhqp_oledb::ProviderCapabilities;
 use dhqp_types::{DhqpError, Result};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// SQL Server's optimization phases, in escalation order.
@@ -79,14 +77,12 @@ pub struct OptimizerConfig {
     /// `IN`-list, cutting returned rows before they cross the link.
     /// On by default (`DHQP_SEMIJOIN`).
     pub enable_semijoin: bool,
-    /// IN-list ceiling for the semi-join rule: past this many estimated
-    /// build keys the reduction is not considered (and the executor
-    /// abandons it at runtime). `DHQP_SEMIJOIN_MAX_KEYS`, default 64.
+    /// Keys per request of the all-keys semi-join reduction, and its
+    /// admission ceiling: past this many estimated build keys it is not
+    /// considered. `DHQP_SEMIJOIN_MAX_KEYS`, default 64.
     pub semijoin_max_keys: usize,
     pub simplify: SimplifyOptions,
     pub cost: CostModel,
-    /// Capabilities per linked server (merged with what tree leaves carry).
-    pub server_caps: HashMap<String, Arc<ProviderCapabilities>>,
     /// Early-exit thresholds: stop after a phase whose best cost is below.
     pub tp_cost_threshold: f64,
     pub quick_cost_threshold: f64,
@@ -106,7 +102,6 @@ impl Default for OptimizerConfig {
             semijoin_max_keys: 64,
             simplify: SimplifyOptions::default(),
             cost: CostModel::default(),
-            server_caps: HashMap::new(),
             tp_cost_threshold: 500.0,
             quick_cost_threshold: 500_000.0,
             max_exploration_passes: 4,
@@ -156,8 +151,7 @@ impl Optimizer {
         registry: &mut ColumnRegistry,
         required: RequiredProps,
     ) -> Result<(PhysNode, OptimizerStats)> {
-        let mut config = self.config.clone();
-        collect_server_caps(&tree, &mut config.server_caps);
+        let config = &self.config;
         let tree = simplify(tree, &config.simplify, registry);
         let mut memo = Memo::new();
         let root = memo.insert_tree(&tree, registry);
@@ -178,7 +172,7 @@ impl Optimizer {
             let mut driver = SearchDriver {
                 memo: &mut memo,
                 registry,
-                config: &config,
+                config,
                 phase,
                 leaf_rows_cache: HashMap::new(),
                 rules_fired: 0,
@@ -221,17 +215,6 @@ impl Optimizer {
         let mut plan = best.plan;
         plan.est_cost = best.cost;
         Ok((plan, stats))
-    }
-}
-
-/// Harvest provider capabilities from the leaves so the rules can consult
-/// them by server name.
-fn collect_server_caps(tree: &LogicalExpr, out: &mut HashMap<String, Arc<ProviderCapabilities>>) {
-    for meta in tree.leaf_tables() {
-        if let Some(server) = meta.source.server_name() {
-            out.entry(server.to_string())
-                .or_insert_with(|| Arc::clone(&meta.caps));
-        }
     }
 }
 
@@ -410,12 +393,7 @@ impl<'a> SearchDriver<'a> {
 
     /// Attempt to decode the whole group into one remote statement.
     fn try_remote_query(&mut self, group: GroupId, required: &RequiredProps) -> Option<Winner> {
-        let locs = group_localities(self.memo, group);
-        if locs.len() != 1 || !locs[0].is_remote() {
-            return None;
-        }
-        let server = locs[0].server_name()?.to_string();
-        let caps = Arc::clone(self.config.server_caps.get(&server)?);
+        let (server, caps) = remote_group_caps(self.memo, group)?;
         let mut decoder = Decoder::new(self.memo, &caps, &server);
         let remote = decoder.build(group, None, &required.ordering, None)?;
         let props = &self.memo.group(group).props;
@@ -427,7 +405,7 @@ impl<'a> SearchDriver<'a> {
                 .remote_result(&caps, remote.keys as f64, card, width, leaf_rows);
         let mut node = PhysNode::new(
             PhysicalOp::RemoteQuery {
-                server: std::sync::Arc::from(server.as_str()),
+                server,
                 sql: remote.sql,
                 columns: remote.columns.clone(),
                 params: remote.params,
@@ -513,10 +491,8 @@ impl<'a> SearchDriver<'a> {
             // join output probes back. The wire cost — which depends on the
             // *probe group's* cardinality, not the join output — is extra
             // cost from the rule, which prices one key per request whole.
-            PhysicalOp::SemiJoinReduce { per_request, .. } => match per_request {
-                KeysPerRequest::All { .. } => c0 * m.hash_build_row + rows * m.hash_probe_row,
-                KeysPerRequest::One => 0.0,
-            },
+            PhysicalOp::SemiJoinReduce { per_request: 1, .. } => 0.0,
+            PhysicalOp::SemiJoinReduce { .. } => c0 * m.hash_build_row + rows * m.hash_probe_row,
             PhysicalOp::Filter { .. } => c0 * m.cpu_row,
             PhysicalOp::StartupFilter { .. } => 1.0,
             PhysicalOp::Project { .. } => c0 * m.cpu_row,

@@ -399,7 +399,7 @@ fn joins_sorts_and_spools_pull_their_remote_inputs_by_the_batch() {
         ),
         (
             "a semi-join reduction",
-            &["SemiJoinReduce(@remote1 max_keys="][..],
+            &["SemiJoinReduce(@remote1 keys=64:"][..],
             &default_config,
             "SELECT n.n_name, o.o_totalprice FROM nation n \
              JOIN remote1.t.dbo.orders o ON n.n_nationkey = o.o_custkey",

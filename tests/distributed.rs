@@ -319,7 +319,7 @@ fn semi_join_against_remote_is_not_decoded() {
     assert!(
         plan.plan_text.contains("Join[Semi]")
             || plan.plan_text.contains("HashJoin[Semi]")
-            || plan.plan_text.contains("SemiJoinReduce(@remote0 max_keys="),
+            || plan.plan_text.contains("SemiJoinReduce(@remote0 keys=64:"),
         "semi join stays local:\n{}",
         plan.plan_text
     );

@@ -345,12 +345,13 @@ fn minisql_source_reduced_by_the_semijoin_key_set() {
         let (_, _, plain) = shipped_and_answer(&engine, MINI_JOIN);
         assert_eq!(reduced, plain, "{level:?}:\n{plan}");
         assert_eq!(reduced.len(), 2, "{level:?}: {reduced:?}");
-        // `max_keys=` marks the all-keys form.
+        // `keys=64:`, not `keys=1:`, marks the all-keys form.
         if level == SqlSupport::Minimum {
-            assert!(!plan.contains("max_keys="), "{plan}");
+            assert!(!plan.contains("keys=64:"), "{plan}");
             continue;
         }
-        assert!(plan.contains("SemiJoinReduce(@mini max_keys="), "{plan}");
+        assert!(!plan.contains("keys=1:"), "{plan}");
+        assert!(plan.contains("SemiJoinReduce(@mini keys=64:"), "{plan}");
         assert_eq!(shipped.len(), 1, "{shipped:?}\n{plan}");
         let text = &shipped[0];
         assert!(text.contains("IN (31, 402)"), "{text}");

@@ -175,7 +175,7 @@ fn feedback_corrects_semijoin_crossover_after_one_skewed_execution() {
     let bytes_reduced = link.snapshot().bytes - before3;
     let rendered = report.render();
     assert!(
-        rendered.contains("SemiJoinReduce(@member1 max_keys="),
+        rendered.contains("SemiJoinReduce(@member1 keys=64:"),
         "{rendered}"
     );
     assert!(rendered.contains("-- [feedback: applied]"), "{rendered}");
@@ -354,7 +354,7 @@ fn slower_plan_switch_is_flagged_as_regression() {
     assert!(
         queries[0].plans[0]
             .plan_text
-            .contains("SemiJoinReduce(@member1 max_keys="),
+            .contains("SemiJoinReduce(@member1 keys=64:"),
         "{}",
         queries[0].plans[0].plan_text
     );

@@ -1,10 +1,10 @@
 //! Semi-join reduction under chaos: the reduction is an optimization,
-//! never a semantic change. A dead probe link must surface the same error
-//! the unreduced plan would have (never partial results), with the
-//! shipped predicate's fingerprint preserved in `sys.dm_link_health` so a
-//! filter-ship failure is distinguishable from a plain scan failure; a
-//! plan-time cardinality undershoot must fall back to the unreduced
-//! statement at runtime; and degraded-mode pruning must stay visibly
+//! never a semantic change. A dead probe link must surface an error
+//! (never partial results), with the shipped predicate's fingerprint
+//! preserved in `sys.dm_link_health` so a filter-ship failure is
+//! distinguishable from a plain scan failure; a plan-time cardinality
+//! undershoot must ship its keys in blocks of `max_keys`, answering what
+//! the unreduced plan answers; and degraded-mode pruning must stay visibly
 //! distinct from runtime startup pruning when both fire in one query.
 
 use dhqp::{DegradedMode, Engine, EngineDataSource, FaultConfig, RetryPolicy};
@@ -108,7 +108,6 @@ fn explain_analyze_annotates_the_reduction() {
     let m = head.metrics();
     assert!(m.semijoin_reductions >= 1, "{m:?}");
     assert!(m.semijoin_filter_bytes > 0, "{m:?}");
-    assert_eq!(m.semijoin_fallbacks, 0, "{m:?}");
 }
 
 /// The admission rule (DESIGN.md §16): a reduction is offered only when
@@ -247,7 +246,7 @@ fn e18_reduction_cuts_link_bytes_until_max_keys_keeps_the_plain_fetch() {
 
     let ((reduced_rows, reduced_bytes), plan) = run(16, true);
     let ((plain_rows, plain_bytes), _) = run(16, false);
-    assert!(plan.contains("SemiJoinReduce(@member1 max_keys="), "{plan}");
+    assert!(plan.contains("SemiJoinReduce(@member1 keys=64:"), "{plan}");
     assert!(reduced_rows < plain_rows, "{reduced_rows} vs {plain_rows}");
     assert!(
         2 * reduced_bytes <= plain_bytes,
@@ -259,10 +258,10 @@ fn e18_reduction_cuts_link_bytes_until_max_keys_keeps_the_plain_fetch() {
     assert_eq!(past_max, run(200, false).0);
 }
 
-/// A dead probe link: the reduced open burns its retry budget, the
-/// fallback open hits the (now Open) breaker, and the query errors — no
-/// partial results. The give-up that tripped the breaker stays attributed
-/// to the exact shipped predicate in `sys.dm_link_health`.
+/// A dead probe link: the reduced open burns its retry budget and the
+/// query errors — no partial results. The give-up that tripped the breaker
+/// stays attributed to the exact shipped predicate in
+/// `sys.dm_link_health`.
 #[test]
 fn dead_probe_link_errors_and_fingerprints_the_shipped_predicate() {
     let (head, _m1) = semijoin_federation(Some(FaultConfig::dead(11)));
@@ -272,11 +271,10 @@ fn dead_probe_link_errors_and_fingerprints_the_shipped_predicate() {
     let err = head.query(JOIN).unwrap_err();
     assert_eq!(err.kind(), "unavailable", "{err}");
     let m = head.metrics();
-    assert!(m.semijoin_fallbacks >= 1, "{m:?}");
     assert_eq!(m.semijoin_reductions, 0, "{m:?}");
 
     // The breaker opened on the tagged reduced-statement give-up, so the
-    // recorded last error names the filter-ship, not the fallback scan.
+    // recorded last error names the filter-ship.
     let health = head.link_health();
     let sick = health.iter().find(|l| l.server == "member1").unwrap();
     let last = sick.last_error.as_deref().unwrap_or_default();
@@ -294,49 +292,102 @@ fn dead_probe_link_errors_and_fingerprints_the_shipped_predicate() {
     );
 }
 
-/// Plan-time cardinality undershoot: the rule fired against stale
-/// statistics, drive time finds more distinct keys than `max_keys`, and
-/// the executor abandons the key set — shipping the unreduced statement
-/// instead of an oversized `IN`-list, with identical results.
-#[test]
-fn oversized_key_set_falls_back_to_the_unreduced_statement_at_runtime() {
-    let (head, _m1) = semijoin_federation(None);
-    // Grow dim to 20 distinct keys *after* ANALYZE: the optimizer still
-    // believes ndv=6 and keeps the reduction with max_keys=10.
-    let extra: Vec<Row> = (7..=20)
+/// `dim` grown by `ids` after ANALYZE: the optimizer still believes the
+/// six keys it was analyzed with.
+fn grow_dim(head: &Engine, ids: std::ops::RangeInclusive<i64>) {
+    let extra: Vec<Row> = ids
         .map(|id| Row::new(vec![Value::Int(id), Value::Str(format!("d{id}"))]))
         .collect();
     head.storage().insert_rows("dim", &extra).unwrap();
+}
+
+/// `JOIN`'s rows, sorted, and member1's link traffic for it as
+/// `(requests, bytes)`, measured on a warm second run.
+fn answer_and_traffic(head: &Engine) -> (Vec<String>, (i64, i64)) {
+    let traffic = || {
+        let r = head
+            .query("SELECT requests, bytes FROM sys.dm_link_stats WHERE name = 'member1'")
+            .unwrap();
+        match (r.value(0, 0), r.value(0, 1)) {
+            (Value::Int(requests), Value::Int(bytes)) => (*requests, *bytes),
+            other => panic!("{other:?}"),
+        }
+    };
+    head.query(JOIN).unwrap();
+    let before = traffic();
+    let mut rows: Vec<String> = head
+        .query(JOIN)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    let after = traffic();
+    (rows, (after.0 - before.0, after.1 - before.1))
+}
+
+/// Plan-time cardinality undershoot: the rule fired against stale
+/// statistics (ndv=6 under `max_keys` 10), drive time finds 20 distinct
+/// keys, and the executor ships them as two blocks of ten — answering
+/// what the reduction-off engine answers.
+#[test]
+fn oversized_key_set_ships_in_blocks_of_max_keys() {
+    let (head, _m1) = semijoin_federation(None);
+    grow_dim(&head, 7..=20);
     let mut config = head.optimizer_config();
     config.semijoin_max_keys = 10;
     head.set_optimizer_config(config);
 
-    let got = head.query(JOIN).unwrap();
+    let report = head.execute_analyze(JOIN).unwrap();
+    let rendered = report.render();
+    assert!(
+        rendered.contains("SemiJoinReduce(@member1 keys=10:"),
+        "{rendered}"
+    );
+    assert!(rendered.contains("[semijoin: keys=20 bytes="), "{rendered}");
+    let (got, (requests, _)) = answer_and_traffic(&head);
+    assert_eq!(requests, 2, "{rendered}");
     let m = head.metrics();
-    assert!(m.semijoin_fallbacks >= 1, "{m:?}");
-    assert_eq!(m.semijoin_reductions, 0, "{m:?}");
-    assert_eq!(m.semijoin_filter_bytes, 0, "{m:?}");
+    assert!(m.semijoin_reductions >= 1, "{m:?}");
+    assert!(m.semijoin_filter_bytes > 0, "{m:?}");
 
     // Reference: the same data with the reduction rule disabled.
     let (off, _m1) = semijoin_federation(None);
-    off.storage()
-        .insert_rows(
-            "dim",
-            &(7..=20)
-                .map(|id| Row::new(vec![Value::Int(id), Value::Str(format!("d{id}"))]))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+    grow_dim(&off, 7..=20);
     let mut config = off.optimizer_config();
     config.enable_semijoin = false;
     off.set_optimizer_config(config);
-    let want = off.query(JOIN).unwrap();
-    let sort = |rows: &[Row]| {
-        let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-        v.sort();
-        v
+    assert_eq!(got, answer_and_traffic(&off).0);
+}
+
+/// Past `max_keys` by far: 200 build keys behind statistics that promise
+/// six ship as ⌈200/64⌉ = 4 requests of `IN`-lists against a fact of 400
+/// probe keys — the same answer as the reduction-off engine's plain fetch,
+/// for fewer bytes on member1's link.
+#[test]
+fn two_hundred_stale_keys_ship_in_four_requests_for_fewer_bytes() {
+    let run = |reduce: bool| {
+        let (head, _m1) = sized_federation(6, 2400, 400, None);
+        grow_dim(&head, 7..=200);
+        let mut config = head.optimizer_config();
+        config.enable_semijoin = reduce;
+        config.semijoin_max_keys = 64;
+        head.set_optimizer_config(config);
+        let plan = head.explain(JOIN).unwrap().plan_text;
+        (answer_and_traffic(&head), plan)
     };
-    assert_eq!(sort(&got.rows), sort(&want.rows));
+    let ((reduced, (requests, reduced_bytes)), plan) = run(true);
+    assert!(plan.contains("SemiJoinReduce(@member1 keys=64:"), "{plan}");
+    assert_eq!(requests, 4, "{plan}");
+    let ((plain, (_, plain_bytes)), plain_plan) = run(false);
+    assert!(!plain_plan.contains("SemiJoinReduce"), "{plain_plan}");
+    assert_eq!(reduced.len(), 200 * 6);
+    assert_eq!(reduced, plain);
+    assert!(
+        reduced_bytes < plain_bytes,
+        "{reduced_bytes} B reduced vs {plain_bytes} B plain"
+    );
 }
 
 /// One query, both prune channels: degraded mode quarantines the dead
