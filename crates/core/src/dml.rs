@@ -406,12 +406,11 @@ fn arrange_row(
             out[pos] = v;
         }
     }
-    // Coerce to declared types (string dates → DATE etc.).
+    // Coerce to declared types (string dates → DATE etc.); a value that
+    // fails its cast refuses the statement.
     for (v, c) in out.iter_mut().zip(table_columns) {
         if !v.is_null() && v.data_type() != Some(c.data_type) {
-            if let Ok(cast) = v.cast(c.data_type) {
-                *v = cast;
-            }
+            *v = v.cast(c.data_type)?;
         }
     }
     Ok(Row::new(out))
@@ -798,9 +797,7 @@ impl WriteSet {
                 let mut v = eval_expr(e, &env)?;
                 let declared = meta.catalog.schema.column(*pos).data_type;
                 if !v.is_null() && v.data_type() != Some(declared) {
-                    if let Ok(cast) = v.cast(declared) {
-                        v = cast;
-                    }
+                    v = v.cast(declared)?;
                 }
                 new_row.values[*pos] = v;
             }

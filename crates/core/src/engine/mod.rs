@@ -28,6 +28,7 @@ use dhqp_oledb::{
     emit_event, has_hook, timed_wait, DataSource, PooledDataSource, ProviderCapabilities,
     TableSnapshot, TableStatistics, WaitClass, WaitSnapshot,
 };
+use dhqp_storage::heap::Cell;
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Value};
 use parking_lot::{Mutex, RwLock};
@@ -421,18 +422,18 @@ impl Engine {
                     )));
                 };
                 let mut docs = Vec::with_capacity(t.heap.len());
-                for (_, row) in t.heap.scan() {
-                    let Value::Int(k) = &row[key_pos] else {
+                for (key, text) in t.heap.column(key_pos).zip(t.heap.column(text_pos)) {
+                    let Cell::Int(k) = key else {
                         return Err(DhqpError::Type(
                             "full-text key column must be BIGINT".into(),
                         ));
                     };
-                    let text = match &row[text_pos] {
-                        Value::Str(s) => Cow::Borrowed(s.as_str()),
-                        Value::Null => Cow::Borrowed(""),
-                        other => Cow::Owned(other.to_string()),
+                    let text = match text {
+                        Cell::Str(s) => Cow::Borrowed(s),
+                        Cell::Null => Cow::Borrowed(""),
+                        other => Cow::Owned(other.to_value().to_string()),
                     };
-                    docs.push((*k as u64, text));
+                    docs.push((k as u64, text));
                 }
                 Ok(InvertedIndex::build(
                     docs.iter().map(|(k, text)| (*k, text.as_ref())),

@@ -436,6 +436,27 @@ mod tests {
         assert_eq!(rows, [Row::with_bookmark(pair.values, 0)]);
     }
 
+    /// A buffered row is held to the columns' declared types when it is
+    /// buffered, as it is to the table's arity: a mistyped row never reaches
+    /// phase two, and the rest of the transaction prepares and commits.
+    #[test]
+    fn txn_insert_refuses_a_mistyped_row_before_phase_two() {
+        let e = engine();
+        e.txn_insert(10, "t", &[row(1)]).unwrap();
+        let mistyped = Row::new(vec![Value::Str("2".into())]);
+        let err = e.txn_insert(10, "t", &[row(3), mistyped]).unwrap_err();
+        assert_eq!(err.kind(), "type");
+        assert!(
+            err.to_string()
+                .contains("a VARCHAR value does not fit column 'id' of table 't' (BIGINT)"),
+            "{err}"
+        );
+        e.prepare_txn(10).unwrap();
+        e.commit_txn(10).unwrap();
+        let rows = e.with_table("t", |t| t.scan_rows()).unwrap();
+        assert_eq!(rows, [Row::with_bookmark(row(1).values, 0)]);
+    }
+
     #[test]
     fn txn_writes_invisible_until_commit() {
         let e = engine();

@@ -4,29 +4,174 @@
 //! `IRowsetLocate` exposes and the *remote fetch* access path uses to pull
 //! base rows located through an index.
 //!
-//! Every slot holds exactly `arity` values, so the heap is one array: the
-//! row at bookmark `b` is `values[b * arity..(b + 1) * arity]`, and a row
-//! costs no allocation of its own (DESIGN.md §24).
+//! A heap keeps one array per column at the column's declared type, with a
+//! NULL bit per slot beside it: the value of column `c` at bookmark `b` is
+//! `columns[c]`'s `b`-th entry, and an INT costs 8 B rather than a 24-B
+//! `Value` (DESIGN.md §24). Rows cross the storage boundary as `Value`s,
+//! built when they are read.
 
-use dhqp_types::{DhqpError, Result, Value};
+use dhqp_types::{DataType, DhqpError, Result, Value};
 
 /// An unordered collection of rows in stable slots.
 #[derive(Debug, Clone)]
 pub struct Heap {
-    arity: usize,
-    /// Every slot's values, slot after slot; a deleted slot's are NULL.
-    values: Vec<Value>,
+    columns: Vec<Column>,
     /// Whether each slot holds a row; its length is the slot count.
     live_slots: Vec<bool>,
     live: usize,
 }
 
+/// One column's values, one per slot, at the column's declared type. A
+/// NULL slot's entry is not read; a string there is empty, so it owns no
+/// allocation.
+#[derive(Debug, Clone)]
+enum Values {
+    Bool(Vec<bool>),
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Str(Vec<Box<str>>),
+    Date(Vec<i32>),
+}
+
+#[derive(Debug, Clone)]
+struct Column {
+    values: Values,
+    /// One bit per slot, set where the slot holds NULL.
+    nulls: Vec<u64>,
+}
+
+/// One stored value, text by reference: what a one-column reader sees
+/// without building a `Value`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Date(i32),
+}
+
+impl Cell<'_> {
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Date(d) => Value::Date(d),
+        }
+    }
+}
+
+impl Column {
+    fn new(data_type: DataType) -> Self {
+        let values = match data_type {
+            DataType::Bool => Values::Bool(Vec::new()),
+            DataType::Int => Values::Int(Vec::new()),
+            DataType::Float => Values::Float(Vec::new()),
+            DataType::Str => Values::Str(Vec::new()),
+            DataType::Date => Values::Date(Vec::new()),
+        };
+        Column {
+            values,
+            nulls: Vec::new(),
+        }
+    }
+
+    fn data_type(&self) -> DataType {
+        match self.values {
+            Values::Bool(_) => DataType::Bool,
+            Values::Int(_) => DataType::Int,
+            Values::Float(_) => DataType::Float,
+            Values::Str(_) => DataType::Str,
+            Values::Date(_) => DataType::Date,
+        }
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        match &mut self.values {
+            Values::Bool(v) => v.reserve(rows),
+            Values::Int(v) => v.reserve(rows),
+            Values::Float(v) => v.reserve(rows),
+            Values::Str(v) => v.reserve(rows),
+            Values::Date(v) => v.reserve(rows),
+        }
+    }
+
+    /// Append slot `at`, which is the column's length, holding `value`.
+    fn push(&mut self, at: usize, value: &Value) {
+        if at.is_multiple_of(64) {
+            self.nulls.push(0);
+        }
+        match &mut self.values {
+            Values::Bool(v) => v.push(false),
+            Values::Int(v) => v.push(0),
+            Values::Float(v) => v.push(0.0),
+            Values::Str(v) => v.push(Box::default()),
+            Values::Date(v) => v.push(0),
+        }
+        self.set(at, value);
+    }
+
+    /// Store `value` at slot `at`; the heap has checked its type. NULL sets
+    /// the slot's bit and empties a string, freeing it.
+    fn set(&mut self, at: usize, value: &Value) {
+        match (&mut self.values, value) {
+            (Values::Bool(v), Value::Bool(b)) => v[at] = *b,
+            (Values::Int(v), Value::Int(i)) => v[at] = *i,
+            (Values::Float(v), Value::Float(f)) => v[at] = *f,
+            (Values::Str(v), Value::Str(s)) => v[at] = s.as_str().into(),
+            (Values::Str(v), _) => v[at] = Box::default(),
+            (Values::Date(v), Value::Date(d)) => v[at] = *d,
+            _ => {}
+        }
+        let bit = 1 << (at % 64);
+        if value.is_null() {
+            self.nulls[at / 64] |= bit;
+        } else {
+            self.nulls[at / 64] &= !bit;
+        }
+    }
+
+    /// Move the value out of slot `at`, leaving NULL; a string moves rather
+    /// than being copied.
+    fn take(&mut self, at: usize) -> Value {
+        if self.is_null(at) {
+            return Value::Null;
+        }
+        let old = match &mut self.values {
+            Values::Str(v) => Value::Str(std::mem::take(&mut v[at]).into()),
+            _ => self.cell(at).to_value(),
+        };
+        self.set(at, &Value::Null);
+        old
+    }
+
+    fn is_null(&self, at: usize) -> bool {
+        self.nulls[at / 64] & (1 << (at % 64)) != 0
+    }
+
+    fn cell(&self, at: usize) -> Cell<'_> {
+        if self.is_null(at) {
+            return Cell::Null;
+        }
+        match &self.values {
+            Values::Bool(v) => Cell::Bool(v[at]),
+            Values::Int(v) => Cell::Int(v[at]),
+            Values::Float(v) => Cell::Float(v[at]),
+            Values::Str(v) => Cell::Str(&v[at]),
+            Values::Date(v) => Cell::Date(v[at]),
+        }
+    }
+}
+
 impl Heap {
-    /// An empty heap whose rows have `arity` values.
-    pub fn new(arity: usize) -> Self {
+    /// An empty heap whose rows hold one value of each of `types`.
+    pub fn new(types: impl IntoIterator<Item = DataType>) -> Self {
         Heap {
-            arity,
-            values: Vec::new(),
+            columns: types.into_iter().map(Column::new).collect(),
             live_slots: Vec::new(),
             live: 0,
         }
@@ -41,73 +186,83 @@ impl Heap {
         self.live == 0
     }
 
-    /// Room for `rows` more rows without growing the array.
+    /// Room for `rows` more rows without growing the arrays.
     pub fn reserve(&mut self, rows: usize) {
-        self.values.reserve(rows.saturating_mul(self.arity));
+        for c in &mut self.columns {
+            c.reserve(rows);
+            c.nulls.reserve(rows.div_ceil(64));
+        }
         self.live_slots.reserve(rows);
     }
 
     /// Append a row, returning its bookmark. Slots are never reused, so
     /// bookmarks stay unique for the heap's lifetime (deleted bookmarks
-    /// dangle rather than aliasing new rows). A row of another arity is
-    /// refused: it would spill into the next slot.
+    /// dangle rather than aliasing new rows). A row of another arity, or
+    /// with a non-NULL value of another type than its column's, is refused:
+    /// it has no place in the columns.
     pub fn insert(&mut self, values: &[Value]) -> Result<u64> {
-        if values.len() != self.arity {
-            return Err(self.arity_mismatch(values.len()));
+        self.check(values)?;
+        let at = self.live_slots.len();
+        for (c, v) in self.columns.iter_mut().zip(values) {
+            c.push(at, v);
         }
-        self.values.extend_from_slice(values);
-        let bookmark = self.live_slots.len() as u64;
         self.live_slots.push(true);
         self.live += 1;
-        Ok(bookmark)
+        Ok(at as u64)
     }
 
     /// Fetch by bookmark.
-    pub fn get(&self, bookmark: u64) -> Option<&[Value]> {
+    pub fn get(&self, bookmark: u64) -> Option<Box<[Value]>> {
         self.slot(bookmark).ok()
     }
 
     /// The live row at `bookmark`, or why there is none.
-    pub fn slot(&self, bookmark: u64) -> Result<&[Value]> {
+    pub fn slot(&self, bookmark: u64) -> Result<Box<[Value]>> {
         let at = self.live_index(bookmark)?;
-        Ok(&self.values[at * self.arity..(at + 1) * self.arity])
+        Ok(self.row(at))
     }
 
     /// Delete by bookmark; returns the removed values. The slot's values
     /// become NULL, so what they owned is freed.
-    pub fn delete(&mut self, bookmark: u64) -> Result<Vec<Value>> {
+    pub fn delete(&mut self, bookmark: u64) -> Result<Box<[Value]>> {
         let at = self.live_index(bookmark)?;
         self.live_slots[at] = false;
         self.live -= 1;
-        Ok(self
-            .values_mut(at)
-            .iter_mut()
-            .map(|v| std::mem::replace(v, Value::Null))
-            .collect())
+        Ok(self.columns.iter_mut().map(|c| c.take(at)).collect())
     }
 
-    /// Replace the row at `bookmark`, returning the old values.
-    pub fn update(&mut self, bookmark: u64, values: &[Value]) -> Result<Vec<Value>> {
+    /// Replace the row at `bookmark`. A row the heap refuses on insert is
+    /// refused here too, and leaves the slot as it was.
+    pub fn update(&mut self, bookmark: u64, values: &[Value]) -> Result<()> {
         let at = self.live_index(bookmark)?;
-        if values.len() != self.arity {
-            return Err(self.arity_mismatch(values.len()));
+        self.check(values)?;
+        for (c, v) in self.columns.iter_mut().zip(values) {
+            c.set(at, v);
         }
-        Ok(self
-            .values_mut(at)
-            .iter_mut()
-            .zip(values)
-            .map(|(slot, new)| std::mem::replace(slot, new.clone()))
-            .collect())
+        Ok(())
     }
 
     /// Iterate live rows with their bookmarks, in slot order.
-    pub fn scan(&self) -> impl Iterator<Item = (u64, &[Value])> + '_ {
-        let arity = self.arity;
+    pub fn scan(&self) -> impl Iterator<Item = (u64, Box<[Value]>)> + '_ {
+        self.live_at().map(|at| (at as u64, self.row(at)))
+    }
+
+    /// One column's values of the live rows, in slot order, read in place.
+    pub fn column(&self, pos: usize) -> impl Iterator<Item = Cell<'_>> + '_ {
+        let column = &self.columns[pos];
+        self.live_at().map(move |at| column.cell(at))
+    }
+
+    fn live_at(&self) -> impl Iterator<Item = usize> + '_ {
         self.live_slots
             .iter()
             .enumerate()
             .filter(|(_, live)| **live)
-            .map(move |(at, _)| (at as u64, &self.values[at * arity..(at + 1) * arity]))
+            .map(|(at, _)| at)
+    }
+
+    fn row(&self, at: usize) -> Box<[Value]> {
+        self.columns.iter().map(|c| c.cell(at).to_value()).collect()
     }
 
     fn live_index(&self, bookmark: u64) -> Result<usize> {
@@ -123,15 +278,26 @@ impl Heap {
         Ok(at)
     }
 
-    fn values_mut(&mut self, at: usize) -> &mut [Value] {
-        &mut self.values[at * self.arity..(at + 1) * self.arity]
-    }
-
-    fn arity_mismatch(&self, given: usize) -> DhqpError {
-        DhqpError::Execute(format!(
-            "row arity {given} does not match heap arity {}",
-            self.arity
-        ))
+    /// Whether `values` fit the columns: the heap's arity, and each value
+    /// NULL or of its column's type.
+    fn check(&self, values: &[Value]) -> Result<()> {
+        if values.len() != self.columns.len() {
+            return Err(DhqpError::Execute(format!(
+                "row arity {} does not match heap arity {}",
+                values.len(),
+                self.columns.len()
+            )));
+        }
+        for (pos, (c, v)) in self.columns.iter().zip(values).enumerate() {
+            if v.data_type().is_some_and(|t| t != c.data_type()) {
+                return Err(DhqpError::Type(format!(
+                    "a {} value does not fit heap column {pos} of type {}",
+                    v.type_name(),
+                    c.data_type().sql_name()
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -139,13 +305,17 @@ impl Heap {
 mod tests {
     use super::*;
 
-    fn row(i: i64) -> [Value; 1] {
-        [Value::Int(i)]
+    fn row(i: i64) -> Box<[Value]> {
+        Box::new([Value::Int(i)])
+    }
+
+    fn ints(arity: usize) -> Heap {
+        Heap::new(vec![DataType::Int; arity])
     }
 
     #[test]
     fn insert_assigns_increasing_bookmarks() {
-        let mut h = Heap::new(1);
+        let mut h = ints(1);
         assert_eq!(h.insert(&row(1)).unwrap(), 0);
         assert_eq!(h.insert(&row(2)).unwrap(), 1);
         assert_eq!(h.len(), 2);
@@ -153,9 +323,9 @@ mod tests {
 
     #[test]
     fn delete_frees_slot_without_reuse() {
-        let mut h = Heap::new(1);
+        let mut h = ints(1);
         let b = h.insert(&row(1)).unwrap();
-        h.delete(b).unwrap();
+        assert_eq!(h.delete(b).unwrap(), row(1));
         assert!(h.get(b).is_none());
         assert_eq!(h.len(), 0);
         // New insert gets a fresh bookmark, never the deleted one.
@@ -165,27 +335,25 @@ mod tests {
 
     #[test]
     fn update_replaces_in_place() {
-        let mut h = Heap::new(1);
+        let mut h = ints(1);
         let b = h.insert(&row(1)).unwrap();
-        let old = h.update(b, &row(9)).unwrap();
-        assert_eq!(old, row(1));
-        assert_eq!(h.get(b).unwrap(), &row(9));
+        h.update(b, &row(9)).unwrap();
+        assert_eq!(h.get(b).unwrap(), row(9));
     }
 
     #[test]
     fn scan_skips_deleted() {
-        let mut h = Heap::new(1);
+        let mut h = ints(1);
         let a = h.insert(&row(1)).unwrap();
         h.insert(&row(2)).unwrap();
         h.delete(a).unwrap();
         let rows: Vec<_> = h.scan().collect();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, 1);
+        assert_eq!(rows, [(1, row(2))]);
     }
 
     #[test]
     fn invalid_bookmark_errors() {
-        let mut h = Heap::new(1);
+        let mut h = ints(1);
         assert!(h.delete(42).is_err());
         assert!(h.update(42, &row(0)).is_err());
         assert!(h.get(42).is_none());
@@ -193,7 +361,7 @@ mod tests {
 
     #[test]
     fn a_row_of_another_arity_is_refused_and_leaves_the_heap_as_it_was() {
-        let mut h = Heap::new(2);
+        let mut h = ints(2);
         let b = h.insert(&[Value::Int(1), Value::Int(2)]).unwrap();
         for wrong in [vec![], vec![Value::Int(7)], vec![Value::Null; 3]] {
             let err = h.insert(&wrong).unwrap_err().to_string();
@@ -203,18 +371,71 @@ mod tests {
         assert_eq!(h.len(), 1);
         assert_eq!(
             h.scan().collect::<Vec<_>>(),
-            [(0, &[Value::Int(1), Value::Int(2)][..])]
+            [(0, [Value::Int(1), Value::Int(2)].into())]
         );
         assert_eq!(h.insert(&[Value::Int(3), Value::Int(4)]).unwrap(), 1);
     }
 
-    fn value() -> impl proptest::Strategy<Value = Value> {
-        use proptest::prelude::*;
-        prop_oneof![
-            Just(Value::Null),
-            any::<i64>().prop_map(Value::Int),
-            "[a-z]{0,12}".prop_map(Value::Str),
-        ]
+    #[test]
+    fn a_value_of_another_type_is_refused_and_null_fits_every_column() {
+        let mut h = Heap::new([DataType::Int, DataType::Str]);
+        let b = h.insert(&[Value::Int(1), Value::Str("a".into())]).unwrap();
+        let wrong = [Value::Str("1".into()), Value::Str("b".into())];
+        let err = h.insert(&wrong).unwrap_err().to_string();
+        assert!(
+            err.contains("a VARCHAR value does not fit heap column 0 of type BIGINT"),
+            "{err}"
+        );
+        assert!(h.update(b, &wrong).is_err());
+        assert_eq!(*h.get(b).unwrap(), [Value::Int(1), Value::Str("a".into())]);
+        h.update(b, &[Value::Null, Value::Null]).unwrap();
+        assert_eq!(*h.get(b).unwrap(), [Value::Null, Value::Null]);
+        assert_eq!(h.column(1).collect::<Vec<_>>(), [Cell::Null]);
+    }
+
+    const TYPES: [DataType; 5] = [
+        DataType::Bool,
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Date,
+    ];
+
+    /// One drawn value: `(pick, bits, text)`.
+    type Draw = (u8, u64, String);
+
+    /// The value a draw gives a column of type `ty`: `pick` 0 is NULL, 1 a
+    /// value of another type, anything else one of `ty` — for FLOAT, `-0.0`
+    /// and a NaN with sign and payload bits among them.
+    fn value_of(ty: DataType, (pick, bits, text): &Draw) -> Value {
+        let of = |ty| match ty {
+            DataType::Bool => Value::Bool(bits & 1 == 0),
+            DataType::Int => Value::Int(*bits as i64),
+            DataType::Float => Value::Float(match bits % 4 {
+                0 => -0.0,
+                1 => f64::from_bits(0xfff8_0000_0000_0000 | (bits >> 2 & 0xffff)),
+                _ => f64::from_bits(*bits),
+            }),
+            DataType::Str => Value::Str(text.clone()),
+            DataType::Date => Value::Date(*bits as i32),
+        };
+        let at = TYPES.iter().position(|t| *t == ty).unwrap();
+        match pick {
+            0 => Value::Null,
+            1 => of(TYPES[(at + 1 + (bits % 4) as usize) % TYPES.len()]),
+            _ => of(ty),
+        }
+    }
+
+    /// A row as its values' exact representations: a float by its bits, so
+    /// `-0.0` is not `0.0`, NaN equals itself, and no INT equals a FLOAT.
+    fn exact(row: &[Value]) -> Vec<String> {
+        row.iter()
+            .map(|v| match v {
+                Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+                v => format!("{v:?}"),
+            })
+            .collect()
     }
 
     /// The error the model expects for a bookmark it holds no row at.
@@ -227,60 +448,98 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Against one `Option<Vec<Value>>` per slot: the same rows, the
-        /// same bookmarks (never one twice), scans in slot order, the same
-        /// errors for a bookmark past the heap and one already deleted.
-        /// Each op is `(kind, bookmark, values)`; a row is the first
-        /// `arity` values, and bookmarks run a little past the slots made.
+        /// Against one `Option<Vec<Value>>` per slot, over a random schema
+        /// of 0–4 columns: the same rows bit for bit, the same bookmarks
+        /// (never one twice), scans and column reads in slot order, the
+        /// same errors for a bookmark past the heap and one already
+        /// deleted, and a row holding a value of another type than its
+        /// column's refused by insert and update with the heap unchanged.
+        /// Each op is `(kind, bookmark, draws)`; a row takes one draw per
+        /// column, and bookmarks run a little past the slots made.
         #[test]
         fn heap_agrees_with_a_slot_per_row_model(
-            arity in 0usize..5,
+            schema in proptest::collection::vec(0usize..5, 0..5),
             ops in proptest::collection::vec(
-                (0u8..9, 0u64..24, proptest::collection::vec(value(), 4..5)), 0..40),
+                (0u8..9, 0u64..24, proptest::collection::vec(
+                    (0u8..8, 0u64..u64::MAX, "[a-z]{0,12}"), 4..5)),
+                0..40),
         ) {
-            use proptest::prop_assert_eq;
-            let mut heap = Heap::new(arity);
+            use proptest::{prop_assert, prop_assert_eq};
+            let types: Vec<DataType> = schema.iter().map(|&t| TYPES[t]).collect();
+            let mut heap = Heap::new(types.iter().copied());
             let mut model: Vec<Option<Vec<Value>>> = Vec::new();
-            for (kind, b, mut row) in ops {
-                row.truncate(arity);
+            let rows = |model: &[Option<Vec<Value>>]| -> Vec<(u64, Vec<String>)> {
+                model
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(b, s)| Some((b as u64, exact(s.as_deref()?))))
+                    .collect()
+            };
+            for (kind, b, draws) in ops {
+                let row: Vec<Value> =
+                    types.iter().zip(&draws).map(|(t, d)| value_of(*t, d)).collect();
+                let fits = row
+                    .iter()
+                    .zip(&types)
+                    .all(|(v, t)| v.data_type().is_none_or(|vt| vt == *t));
                 match kind {
-                    0..=2 => {
-                        let bookmark = heap.insert(&row).unwrap();
-                        // Never a bookmark handed out before.
-                        prop_assert_eq!(bookmark, model.len() as u64);
-                        model.push(Some(row));
-                    }
+                    0..=2 => match heap.insert(&row) {
+                        Ok(bookmark) => {
+                            prop_assert!(fits, "{row:?} was stored in {types:?}");
+                            // Never a bookmark handed out before.
+                            prop_assert_eq!(bookmark, model.len() as u64);
+                            model.push(Some(row));
+                        }
+                        Err(e) => {
+                            prop_assert!(!fits, "{row:?} was refused: {e}");
+                            prop_assert_eq!(e.kind(), "type");
+                        }
+                    },
                     3 | 4 => {
                         let want = match model.get_mut(b as usize).and_then(Option::take) {
-                            Some(old) => Ok(old),
+                            Some(old) => Ok(exact(&old)),
                             None => Err(missing(&model, b)),
                         };
-                        prop_assert_eq!(heap.delete(b).map_err(|e| e.to_string()), want);
+                        let got = heap.delete(b).map(|old| exact(&old));
+                        prop_assert_eq!(got.map_err(|e| e.to_string()), want);
                     }
                     5 | 6 => {
-                        let want = match model.get_mut(b as usize) {
-                            Some(Some(old)) => Ok(std::mem::replace(old, row.clone())),
-                            _ => Err(missing(&model, b)),
-                        };
-                        prop_assert_eq!(heap.update(b, &row).map_err(|e| e.to_string()), want);
+                        let got = heap.update(b, &row).map_err(|e| e.to_string());
+                        match model.get_mut(b as usize) {
+                            Some(Some(old)) if fits => {
+                                prop_assert_eq!(got, Ok(()));
+                                *old = row;
+                            }
+                            Some(Some(_)) => prop_assert!(
+                                got.as_ref().is_err_and(|e| e.contains("does not fit")),
+                                "{got:?}"
+                            ),
+                            _ => prop_assert_eq!(got, Err(missing(&model, b))),
+                        }
                     }
                     7 => {
-                        let want = model.get(b as usize).and_then(|s| s.as_deref());
-                        prop_assert_eq!(heap.get(b), want);
+                        let want = model.get(b as usize).and_then(|s| s.as_deref()).map(exact);
+                        prop_assert_eq!(heap.get(b).map(|r| exact(&r)), want.clone());
                         prop_assert_eq!(
-                            heap.slot(b).map_err(|e| e.to_string()),
+                            heap.slot(b).map(|r| exact(&r)).map_err(|e| e.to_string()),
                             want.ok_or_else(|| missing(&model, b))
                         );
                     }
                     _ => {
-                        let want: Vec<(u64, &[Value])> = model
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(b, s)| Some((b as u64, s.as_deref()?)))
-                            .collect();
-                        prop_assert_eq!(heap.scan().collect::<Vec<_>>(), want);
+                        for pos in 0..types.len() {
+                            let column: Vec<Vec<String>> =
+                                heap.column(pos).map(|v| exact(&[v.to_value()])).collect();
+                            let want: Vec<Vec<String>> = rows(&model)
+                                .into_iter()
+                                .map(|(_, r)| vec![r[pos].clone()])
+                                .collect();
+                            prop_assert_eq!(column, want);
+                        }
                     }
                 }
+                let scanned: Vec<(u64, Vec<String>)> =
+                    heap.scan().map(|(b, r)| (b, exact(&r))).collect();
+                prop_assert_eq!(scanned, rows(&model));
                 prop_assert_eq!(heap.len(), model.iter().flatten().count());
             }
         }

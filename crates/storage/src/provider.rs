@@ -270,7 +270,7 @@ impl Session for LocalSession {
                 .map(|&b| {
                     t.heap
                         .get(b)
-                        .map(|r| Row::with_bookmark(r.to_vec(), b))
+                        .map(|r| Row::with_bookmark(r.into_vec(), b))
                         .ok_or_else(|| DhqpError::Execute(format!("dangling bookmark {b}")))
                 })
                 .collect::<Result<Vec<Row>>>()

@@ -3,7 +3,7 @@
 
 use crate::btree::{BTreeIndex, IndexKey};
 use crate::catalog::CheckConstraint;
-use crate::heap::Heap;
+use crate::heap::{Cell, Heap};
 use dhqp_oledb::{IndexInfo, KeyRange, TableSnapshot, TableStatistics};
 use dhqp_types::{DhqpError, Result, Row, Schema, Value};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            heap: Heap::new(schema.len()),
+            heap: Heap::new(schema.columns().iter().map(|c| c.data_type)),
             schema,
             indexes: Vec::new(),
             checks: Vec::new(),
@@ -52,7 +52,7 @@ impl Table {
         }
         let mut ix = BTreeIndex::new(name, positions, unique);
         for (bookmark, row) in self.heap.scan() {
-            let key = ix.key_of(row);
+            let key = ix.key_of(&row);
             ix.insert(key, bookmark)?;
         }
         self.indexes.push(ix);
@@ -81,7 +81,8 @@ impl Table {
     }
 
     /// What a candidate row must satisfy whatever else the table holds: the
-    /// table's arity and its CHECK constraints.
+    /// table's arity, each value NULL or of its column's declared type, and
+    /// the CHECK constraints.
     pub fn validate_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(DhqpError::Execute(format!(
@@ -90,6 +91,17 @@ impl Table {
                 self.name,
                 self.schema.len()
             )));
+        }
+        for (v, c) in row.iter().zip(self.schema.columns()) {
+            if v.data_type().is_some_and(|t| t != c.data_type) {
+                return Err(DhqpError::Type(format!(
+                    "a {} value does not fit column '{}' of table '{}' ({})",
+                    v.type_name(),
+                    c.name,
+                    self.name,
+                    c.data_type.sql_name()
+                )));
+            }
         }
         self.validate_checks(row)
     }
@@ -126,7 +138,7 @@ impl Table {
             let key = ix.key_of(&row);
             ix.remove(&key, bookmark);
         }
-        Ok(row)
+        Ok(row.into_vec())
     }
 
     /// Update by bookmark, maintaining indexes and constraints; returns the
@@ -139,7 +151,7 @@ impl Table {
         let keys: Vec<(IndexKey, IndexKey)> = self
             .indexes
             .iter()
-            .map(|ix| (ix.key_of(old_row), ix.key_of(new_row)))
+            .map(|ix| (ix.key_of(&old_row), ix.key_of(new_row)))
             .collect();
         // Probe unique indexes before touching anything, as an insert does;
         // a key the update leaves as it was is the row's own.
@@ -148,21 +160,21 @@ impl Table {
                 return Err(self.duplicate_key(&ix.name));
             }
         }
-        let old = self.heap.update(bookmark, new_row)?;
+        self.heap.update(bookmark, new_row)?;
         for (ix, (old_key, new_key)) in self.indexes.iter_mut().zip(keys) {
             if old_key != new_key {
                 ix.remove(&old_key, bookmark);
                 ix.insert_unchecked(new_key, bookmark);
             }
         }
-        Ok(old)
+        Ok(old_row.into_vec())
     }
 
     /// All live rows with bookmarks attached (table scan order).
     pub fn scan_rows(&self) -> Vec<Row> {
         self.heap
             .scan()
-            .map(|(b, r)| Row::with_bookmark(r.to_vec(), b))
+            .map(|(b, r)| Row::with_bookmark(r.into_vec(), b))
             .collect()
     }
 
@@ -178,7 +190,11 @@ impl Table {
             })?;
         Ok(ix
             .range(range)
-            .filter_map(|b| self.heap.get(b).map(|r| Row::with_bookmark(r.to_vec(), b)))
+            .filter_map(|b| {
+                self.heap
+                    .get(b)
+                    .map(|r| Row::with_bookmark(r.into_vec(), b))
+            })
             .collect())
     }
 
@@ -220,9 +236,9 @@ impl Table {
         })?;
         let mut vals: Vec<Value> = self
             .heap
-            .scan()
-            .map(|(_, r)| r[pos].clone())
-            .filter(|v| !v.is_null())
+            .column(pos)
+            .filter(|v| *v != Cell::Null)
+            .map(Cell::to_value)
             .collect();
         vals.sort_by(|a, b| a.total_cmp(b));
         Ok(vals)

@@ -1588,3 +1588,85 @@ fn no_knob_was_added() {
         .unwrap();
     assert_eq!(knobs.len(), 24);
 }
+
+/// `(id, name, d)`, one row `(1, 'a', 1995-01-01)`.
+fn typed_table() -> Engine {
+    let engine = Engine::new("solo");
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("name", DataType::Str),
+        Column::new("d", DataType::Date),
+    ]);
+    engine.create_table(TableDef::new("t", schema)).unwrap();
+    engine
+        .execute("INSERT INTO t (id, name, d) VALUES (1, 'a', '1995-01-01')")
+        .unwrap();
+    engine
+}
+
+/// A value that fails the cast to its column's declared type refuses the
+/// statement and leaves the table as it was; before, it was stored as it
+/// was, and `SUM(id)` failed on the string later.
+#[test]
+fn a_value_that_fails_its_cast_refuses_the_statement() {
+    let engine = typed_table();
+    let read = || {
+        let r = engine
+            .query("SELECT id, name, d FROM t ORDER BY id")
+            .unwrap();
+        r.rows.into_iter().map(|r| r.values).collect::<Vec<_>>()
+    };
+    let before = read();
+    for (sql, why) in [
+        (
+            "INSERT INTO t (id, name, d) VALUES ('abc', 'b', '1995-01-02')",
+            "cannot cast VARCHAR to BIGINT",
+        ),
+        (
+            "INSERT INTO t (id, name, d) VALUES (3, 'c', 'not a date')",
+            "cannot cast VARCHAR to DATE",
+        ),
+        (
+            "UPDATE t SET id = 'zzz' WHERE name = 'a'",
+            "cannot cast VARCHAR to BIGINT",
+        ),
+    ] {
+        let err = engine.execute(sql).unwrap_err();
+        assert_eq!(err.kind(), "type", "{sql}: {err}");
+        assert!(err.to_string().contains(why), "{sql}: {err}");
+        assert_eq!(read(), before, "{sql}");
+    }
+    let sum = engine.query("SELECT SUM(id) FROM t").unwrap();
+    assert_eq!(sum.rows[0].values, [Value::Int(1)]);
+    // A value that casts is still coerced to its column's type.
+    engine
+        .execute("INSERT INTO t (id, name, d) VALUES ('2', 'b', '1995-01-02')")
+        .unwrap();
+    assert_eq!(read()[1][0], Value::Int(2));
+}
+
+/// The same holds where the statement runs: an UPDATE pushed to an
+/// `acct_all` member as text fails its cast there, every participant rolls
+/// back, and no member stores the string.
+#[test]
+fn a_pushed_write_that_fails_its_cast_changes_no_member() {
+    let fed = pushing(MEMBERS, true);
+    let before = contents(&fed.head);
+    let pushed = fed.head.metrics().dml_pushed;
+    let err = fed
+        .head
+        .execute("UPDATE acct_all SET balance = 'zzz' WHERE id BETWEEN 40 AND 60")
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("cannot cast VARCHAR to BIGINT"),
+        "{err}"
+    );
+    assert_eq!(
+        fed.head.metrics().dml_pushed - pushed,
+        2,
+        "both members took the text"
+    );
+    assert_eq!(contents(&fed.head), before);
+    let sum = fed.head.query("SELECT SUM(balance) FROM acct_all").unwrap();
+    assert_eq!(sum.rows[0].values, [Value::Int(100 * MEMBERS * PER_MEMBER)]);
+}
