@@ -1,8 +1,8 @@
 //! DML execution: INSERT / UPDATE / DELETE against local tables, remote
 //! tables and (distributed) partitioned views, with 2PC when a statement
-//! touches more than one server (paper §2: "SQL Server uses the Microsoft
-//! Distributed Transaction Coordinator to ensure atomicity of transactions
-//! across data sources").
+//! touches more than one server, or sends one server more than one write
+//! (paper §2: "SQL Server uses the Microsoft Distributed Transaction
+//! Coordinator to ensure atomicity of transactions across data sources").
 //!
 //! Every statement runs in three steps: **locate** every row it touches (or
 //! route every row it inserts), collect the writes that follow into one
@@ -78,9 +78,11 @@ fn source_for(engine: &Engine, server: &Option<String>) -> Result<Arc<dyn DataSo
 
 /// The per-server sessions of one statement: plain autocommit sessions
 /// when it has a single participant, sessions enlisted in one distributed
-/// transaction when it spans several.
+/// transaction when it spans several — or when its one participant is sent
+/// more than one write ([`Sessions::apply`]).
 enum Sessions<'e> {
-    AutoCommit(&'e Engine, HashMap<String, Box<dyn Session>>),
+    /// At most one session: the statement writes to one server.
+    AutoCommit(&'e Engine, Option<Box<dyn Session>>),
     Enlisted(&'e Engine, DistributedTransaction),
     /// The statement is command text a consumer sent on its session with
     /// this server's storage ([`Engine::execute_on_session`]), and writes
@@ -104,7 +106,7 @@ impl<'e> Sessions<'e> {
         }
         let servers: HashSet<String> = participants.iter().map(server_key).collect();
         if servers.len() <= 1 {
-            Sessions::AutoCommit(engine, HashMap::new())
+            Sessions::AutoCommit(engine, None)
         } else {
             Sessions::Enlisted(engine, engine.dtc().begin())
         }
@@ -115,12 +117,11 @@ impl<'e> Sessions<'e> {
     fn session(&mut self, server: &Option<String>) -> Result<&mut dyn Session> {
         let key = server_key(server);
         match self {
-            Sessions::AutoCommit(engine, sessions) => {
-                if !sessions.contains_key(&key) {
-                    let session = source_for(engine, server)?.create_session()?;
-                    sessions.insert(key.clone(), session);
+            Sessions::AutoCommit(engine, session) => {
+                if session.is_none() {
+                    *session = Some(source_for(engine, server)?.create_session()?);
                 }
-                Ok(sessions.get_mut(&key).expect("inserted above").as_mut())
+                Ok(session.as_deref_mut().expect("opened above"))
             }
             Sessions::Enlisted(engine, txn) => {
                 if !txn.participant_names().contains(&key) {
@@ -149,6 +150,18 @@ impl<'e> Sessions<'e> {
             }
         }
         let consumer_txn = matches!(&self, Sessions::Ambient(_, s) if s.transaction().is_some());
+        // One participant sent several writes (a row moving between two
+        // members of a view on one server): they commit together, the
+        // commit riding the last of them, or not at all.
+        if let Sessions::AutoCommit(engine, session) = &mut self {
+            if participant_ops(plan.tables.iter()).len() > 1 {
+                let mut txn = engine.dtc().begin();
+                if let Some(session) = session.take() {
+                    txn.enlist(firsts[0].key.clone(), session)?;
+                }
+                self = Sessions::Enlisted(engine, txn);
+            }
+        }
         if let Sessions::Enlisted(_, txn) = &mut self {
             for name in txn.participant_names() {
                 if !firsts.iter().any(|first| first.key == name) {

@@ -232,8 +232,8 @@ impl BTreeIndex {
         self.seek(key.values()).next().is_some()
     }
 
-    /// [`insert`](Self::insert) for a caller that has asked
-    /// [`holds`](Self::holds) of a unique index itself.
+    /// [`insert`](Self::insert) of a key admitted already
+    /// ([`Replay`](crate::txn::Replay)).
     pub(crate) fn insert_unchecked(&mut self, key: IndexKey, bookmark: u64) {
         self.entries.insert(Entry { key, bookmark });
     }

@@ -1,13 +1,14 @@
 //! The storage engine catalog: named tables, constraints and statistics,
-//! plus the transactional write path.
+//! plus the one write path (DESIGN.md §24).
 
 use crate::histogram::analyze_table;
 use crate::table::Table;
-use crate::txn::{PendingOp, Replay, TxnState};
+use crate::txn::{Batch, Replay, TxnState};
 use dhqp_oledb::{TableSnapshot, TableStatistics, TxnId};
 use dhqp_types::{DhqpError, IntervalSet, Result, Row, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A single-column CHECK constraint expressed as a value domain — the form
@@ -86,10 +87,10 @@ pub struct StorageEngine {
     tables: RwLock<BTreeMap<String, Entry>>,
     txns: Mutex<HashMap<TxnId, TxnState>>,
     /// Test hook: when true, `prepare` fails (2PC failure injection).
-    fail_prepare: std::sync::atomic::AtomicBool,
+    fail_prepare: AtomicBool,
     /// Test hook: when true, `commit_txn` fails without consuming state,
     /// leaving the transaction recoverable (in-doubt at the coordinator).
-    fail_commit: std::sync::atomic::AtomicBool,
+    fail_commit: AtomicBool,
 }
 
 impl StorageEngine {
@@ -98,8 +99,8 @@ impl StorageEngine {
             name: name.into(),
             tables: RwLock::new(BTreeMap::new()),
             txns: Mutex::new(HashMap::new()),
-            fail_prepare: std::sync::atomic::AtomicBool::new(false),
-            fail_commit: std::sync::atomic::AtomicBool::new(false),
+            fail_prepare: AtomicBool::new(false),
+            fail_commit: AtomicBool::new(false),
         }
     }
 
@@ -180,148 +181,139 @@ impl StorageEngine {
         f(e)
     }
 
-    /// Row writes: they change no catalog fact, so the snapshot stays.
-    fn with_rows_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> Result<R>) -> Result<R> {
-        self.with_entry_mut(name, |e| f(&mut e.table))
-    }
+    // ---- the write path ----------------------------------------------------
 
-    // ---- autocommit DML --------------------------------------------------
-
+    /// Autocommit insert of `rows`: [`StorageEngine::write`] of one batch.
     pub fn insert_rows(&self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.with_rows_mut(table, |t| {
-            t.heap.reserve(rows.len());
-            for r in rows {
-                t.insert(&r.values)?;
-            }
-            Ok(rows.len() as u64)
-        })
+        self.write(None, table, Batch::Insert(rows.into()))
     }
 
-    pub fn delete_bookmarks(&self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.with_rows_mut(table, |t| {
-            for &b in bookmarks {
-                t.delete(b)?;
-            }
-            Ok(bookmarks.len() as u64)
-        })
-    }
-
-    pub fn update_bookmarks(&self, table: &str, bookmarks: &[u64], rows: &[Row]) -> Result<u64> {
-        if bookmarks.len() != rows.len() {
-            return Err(DhqpError::Execute(
-                "update bookmark/row arity mismatch".into(),
-            ));
-        }
-        self.with_rows_mut(table, |t| {
-            for (&b, r) in bookmarks.iter().zip(rows) {
-                t.update(b, &r.values)?;
-            }
-            Ok(bookmarks.len() as u64)
-        })
-    }
-
-    // ---- transactional write path (2PC participant) ----------------------
-
-    /// Buffer an insert under `txn`; CHECK constraints are validated
-    /// eagerly so the client learns of violations at statement time.
-    pub fn txn_insert(&self, txn: TxnId, table: &str, rows: &[Row]) -> Result<u64> {
+    /// Write `batch` to `table`. Under autocommit (`txn` `None`) it is
+    /// admitted and applied under one write lock, so a refused batch
+    /// changes nothing. Under `txn` an owned copy is buffered until the
+    /// transaction prepares; its rows are held to the table's arity, types
+    /// and CHECKs now, so the client learns of a violation at statement
+    /// time.
+    ///
+    /// Locks are taken in one order everywhere: `tables`, then `txns`.
+    pub fn write(&self, txn: Option<TxnId>, table: &str, batch: Batch<'_>) -> Result<u64> {
+        let n = batch.rows();
+        let Some(txn) = txn else {
+            return self.with_entry_mut(table, |e| {
+                Self::replay(&e.table, &self.txns.lock(), None).admit(&batch)?;
+                // Row writes change no catalog fact: the snapshot stays.
+                e.table.apply(&batch).map(|()| n)
+            });
+        };
         self.with_table(table, |t| {
-            rows.iter().try_for_each(|r| t.validate_row(&r.values))
+            let mut rows = batch.arriving();
+            rows.try_for_each(|(_, row)| t.validate_row(row))
         })??;
         let mut txns = self.txns.lock();
-        let state = txns.entry(txn).or_insert_with(TxnState::active);
-        let ops = state.active_ops().ok_or_else(|| {
-            DhqpError::Transaction(format!("transaction {txn} is no longer active"))
-        })?;
-        for r in rows {
-            ops.push(PendingOp::Insert {
-                table: table.to_string(),
-                row: r.clone(),
-            });
+        let state = txns.entry(txn).or_default();
+        if state.prepared {
+            return Err(DhqpError::Transaction(format!(
+                "transaction {txn} is no longer active"
+            )));
         }
-        Ok(rows.len() as u64)
+        state.ops.push((Self::key(table), batch.into_owned()));
+        Ok(n)
     }
 
-    /// Buffer deletes under `txn`.
-    pub fn txn_delete(&self, txn: TxnId, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        let mut txns = self.txns.lock();
-        let state = txns.entry(txn).or_insert_with(TxnState::active);
-        let ops = state.active_ops().ok_or_else(|| {
-            DhqpError::Transaction(format!("transaction {txn} is no longer active"))
-        })?;
-        for &b in bookmarks {
-            ops.push(PendingOp::Delete {
-                table: table.to_string(),
-                bookmark: b,
-            });
+    /// A replay over `table` holding what every prepared transaction but
+    /// `except` writes to it.
+    fn replay<'a>(
+        table: &'a Table,
+        txns: &'a HashMap<TxnId, TxnState>,
+        except: Option<TxnId>,
+    ) -> Replay<'a> {
+        let mut replay = Replay::over(table);
+        let key = Self::key(&table.name);
+        let prepared = txns
+            .iter()
+            .filter(|(id, s)| s.prepared && Some(**id) != except);
+        for (table, batch) in prepared.flat_map(|(_, s)| &s.ops) {
+            if *table == key {
+                replay.reserve(batch);
+            }
         }
-        Ok(bookmarks.len() as u64)
+        replay
     }
 
-    /// 2PC phase one. After `Ok`, this participant guarantees `commit_txn`
-    /// will succeed.
+    /// 2PC phase one: admit every buffered batch, table by table in buffer
+    /// order, against the tables as they are and what the other prepared
+    /// transactions hold. After `Ok`, this participant guarantees
+    /// `commit_txn` will succeed, whatever autocommit writes and other
+    /// transactions do meanwhile.
     pub fn prepare_txn(&self, txn: TxnId) -> Result<()> {
-        if self.fail_prepare.load(std::sync::atomic::Ordering::Relaxed) {
+        if self.fail_prepare.load(Ordering::Relaxed) {
             return Err(DhqpError::Transaction(format!(
                 "injected prepare failure on '{}' for txn {txn}",
                 self.name
             )));
         }
+        let tables = self.tables.read();
         let mut txns = self.txns.lock();
         // A participant that only read (no buffered writes) prepares
         // trivially.
-        let Some(state) = txns.get_mut(&txn) else {
+        let Some(state) = txns.get(&txn) else {
             return Ok(());
         };
-        // Validate every buffered op against current state so commit cannot
-        // fail: each touched table as it is, plus what the ops before this
-        // one did to it.
-        {
-            let ops = state
-                .active_ops()
-                .ok_or_else(|| DhqpError::Transaction(format!("transaction {txn} not active")))?;
-            let tables = self.tables.read();
-            let mut replays: HashMap<&str, Replay> = HashMap::new();
-            for op in ops.iter() {
-                let key = Self::key(op.table());
-                let (key, entry) = tables
-                    .get_key_value(&key)
-                    .ok_or_else(|| Entry::missing(op.table()))?;
-                let replay = replays
-                    .entry(key)
-                    .or_insert_with(|| Replay::over(&entry.table));
-                replay.admit(op)?;
-            }
+        if state.prepared {
+            return Err(DhqpError::Transaction(format!(
+                "transaction {txn} is no longer active"
+            )));
         }
-        state.mark_prepared();
+        let mut replays: HashMap<&str, Replay> = HashMap::new();
+        for (table, batch) in &state.ops {
+            let (key, entry) = tables
+                .get_key_value(table)
+                .ok_or_else(|| Entry::missing(table))?;
+            let replay = replays
+                .entry(key)
+                .or_insert_with(|| Self::replay(&entry.table, &txns, Some(txn)));
+            replay.admit(batch)?;
+        }
+        drop(replays);
+        txns.get_mut(&txn).expect("buffered above").prepared = true;
         Ok(())
     }
 
-    /// 2PC phase two: apply buffered writes. Unknown transactions commit
-    /// trivially (read-only participant).
-    pub fn commit_txn(&self, txn: TxnId) -> Result<()> {
+    /// 2PC phase two: apply the buffered batches through the apply step
+    /// autocommit uses, and name the tables whose rows changed. Unknown
+    /// transactions commit trivially (read-only participant); one that
+    /// never prepared is prepared first.
+    pub fn commit_txn(&self, txn: TxnId) -> Result<Vec<String>> {
         // Fail *before* consuming the buffered state: a coordinator that saw
         // this error can re-deliver the commit during recovery and succeed.
-        if self.fail_commit.load(std::sync::atomic::Ordering::Relaxed) {
+        if self.fail_commit.load(Ordering::Relaxed) {
             return Err(DhqpError::Transaction(format!(
                 "injected commit failure on '{}' for txn {txn}",
                 self.name
             )));
         }
-        let Some(state) = self.txns.lock().remove(&txn) else {
-            return Ok(());
-        };
-        let mut tables = self.tables.write();
-        for op in state.into_ops() {
-            let key = Self::key(op.table());
-            let e = tables
-                .get_mut(&key)
-                .ok_or_else(|| DhqpError::Catalog(format!("table '{}' vanished", op.table())))?;
-            // Prepared transactions were validated; a failure here is an
-            // engine invariant violation, not a user error.
-            op.apply(&mut e.table)?;
+        if self.txns.lock().get(&txn).is_some_and(|s| !s.prepared) {
+            self.prepare_txn(txn)?;
         }
-        Ok(())
+        // The batches leave `txns` and reach the tables under one write
+        // lock, so no admission finds them in neither place.
+        let mut tables = self.tables.write();
+        let Some(state) = self.txns.lock().remove(&txn) else {
+            return Ok(Vec::new());
+        };
+        let mut written: Vec<String> = Vec::new();
+        for (table, batch) in state.ops {
+            let e = tables
+                .get_mut(&table)
+                .ok_or_else(|| DhqpError::Catalog(format!("table '{table}' vanished")))?;
+            // Prepared batches were admitted; a failure here is an engine
+            // invariant violation, not a user error.
+            e.table.apply(&batch)?;
+            if batch.rows() > 0 && !written.contains(&e.table.name) {
+                written.push(e.table.name.clone());
+            }
+        }
+        Ok(written)
     }
 
     /// 2PC phase two (failure path): discard buffered writes.
@@ -337,16 +329,14 @@ impl StorageEngine {
 
     /// Failure-injection hook for 2PC tests/benches.
     pub fn set_fail_prepare(&self, fail: bool) {
-        self.fail_prepare
-            .store(fail, std::sync::atomic::Ordering::Relaxed);
+        self.fail_prepare.store(fail, Ordering::Relaxed);
     }
 
     /// Failure-injection hook for the commit phase: while set, `commit_txn`
     /// errors without consuming the prepared state, modeling a participant
     /// that crashed between prepare and commit delivery.
     pub fn set_fail_commit(&self, fail: bool) {
-        self.fail_commit
-            .store(fail, std::sync::atomic::Ordering::Relaxed);
+        self.fail_commit.store(fail, Ordering::Relaxed);
     }
 
     // ---- statistics -------------------------------------------------------
@@ -397,8 +387,36 @@ mod tests {
         e
     }
 
+    /// [`engine`] with a unique index on `id`.
+    fn unique_engine() -> StorageEngine {
+        let e = StorageEngine::new("local");
+        e.create_table(
+            TableDef::new(
+                "u",
+                Schema::new(vec![Column::not_null("id", DataType::Int)]),
+            )
+            .with_index("pk", &["id"], true),
+        )
+        .unwrap();
+        e
+    }
+
     fn row(i: i64) -> Row {
         Row::new(vec![Value::Int(i)])
+    }
+
+    /// Buffer an insert of `rows` under `txn`.
+    fn buffer(e: &StorageEngine, txn: TxnId, table: &str, rows: &[Row]) -> Result<u64> {
+        e.write(Some(txn), table, Batch::Insert(rows.into()))
+    }
+
+    fn ids(e: &StorageEngine, table: &str) -> Vec<i64> {
+        let rows = e.with_table(table, |t| t.scan_rows()).unwrap();
+        let id = |r: &Row| match r.get(0) {
+            Value::Int(i) => *i,
+            other => panic!("id is an integer, got {other:?}"),
+        };
+        rows.iter().map(id).collect()
     }
 
     #[test]
@@ -429,9 +447,15 @@ mod tests {
             .unwrap();
         let pair = Row::new(vec![Value::Int(1), Value::Int(2)]);
         e.insert_rows("w", std::slice::from_ref(&pair)).unwrap();
-        let err = e.update_bookmarks("w", &[0], &[row(7)]).unwrap_err();
+        let err = e
+            .write(
+                None,
+                "w",
+                Batch::Update(vec![0].into(), vec![row(7)].into()),
+            )
+            .unwrap_err();
         assert!(err.to_string().contains("row arity 1"), "{err}");
-        assert!(e.txn_insert(1, "w", &[row(7)]).is_err());
+        assert!(buffer(&e, 1, "w", &[row(7)]).is_err());
         let rows = e.with_table("w", |t| t.scan_rows()).unwrap();
         assert_eq!(rows, [Row::with_bookmark(pair.values, 0)]);
     }
@@ -442,9 +466,9 @@ mod tests {
     #[test]
     fn txn_insert_refuses_a_mistyped_row_before_phase_two() {
         let e = engine();
-        e.txn_insert(10, "t", &[row(1)]).unwrap();
+        buffer(&e, 10, "t", &[row(1)]).unwrap();
         let mistyped = Row::new(vec![Value::Str("2".into())]);
-        let err = e.txn_insert(10, "t", &[row(3), mistyped]).unwrap_err();
+        let err = buffer(&e, 10, "t", &[row(3), mistyped]).unwrap_err();
         assert_eq!(err.kind(), "type");
         assert!(
             err.to_string()
@@ -460,7 +484,7 @@ mod tests {
     #[test]
     fn txn_writes_invisible_until_commit() {
         let e = engine();
-        e.txn_insert(7, "t", &[row(1)]).unwrap();
+        buffer(&e, 7, "t", &[row(1)]).unwrap();
         assert_eq!(e.with_table("t", |t| t.row_count()).unwrap(), 0);
         e.prepare_txn(7).unwrap();
         e.commit_txn(7).unwrap();
@@ -471,7 +495,7 @@ mod tests {
     #[test]
     fn abort_discards_buffered_writes() {
         let e = engine();
-        e.txn_insert(8, "t", &[row(1)]).unwrap();
+        buffer(&e, 8, "t", &[row(1)]).unwrap();
         e.abort_txn(8).unwrap();
         assert_eq!(e.with_table("t", |t| t.row_count()).unwrap(), 0);
     }
@@ -479,7 +503,7 @@ mod tests {
     #[test]
     fn prepare_failure_injection() {
         let e = engine();
-        e.txn_insert(9, "t", &[row(1)]).unwrap();
+        buffer(&e, 9, "t", &[row(1)]).unwrap();
         e.set_fail_prepare(true);
         assert!(e.prepare_txn(9).is_err());
         e.set_fail_prepare(false);
@@ -488,16 +512,8 @@ mod tests {
 
     #[test]
     fn prepare_detects_unique_violation_across_buffered_ops() {
-        let e = StorageEngine::new("local");
-        e.create_table(
-            TableDef::new(
-                "u",
-                Schema::new(vec![Column::not_null("id", DataType::Int)]),
-            )
-            .with_index("pk", &["id"], true),
-        )
-        .unwrap();
-        e.txn_insert(1, "u", &[row(5), row(5)]).unwrap();
+        let e = unique_engine();
+        buffer(&e, 1, "u", &[row(5), row(5)]).unwrap();
         assert!(
             e.prepare_txn(1).is_err(),
             "duplicate buffered keys must fail prepare"
@@ -506,12 +522,58 @@ mod tests {
         assert_eq!(e.with_table("u", |t| t.row_count()).unwrap(), 0);
     }
 
+    /// The participant contract (DESIGN.md §22): a yes vote commits. Once
+    /// transaction 7 has prepared keys 5 and 6, an autocommit insert of 6
+    /// and a second transaction preparing 6 are refused, and 7 commits
+    /// whole. (An autocommit write that did not see the prepared keys made
+    /// 7's commit fail after applying row 5.)
+    #[test]
+    fn a_yes_vote_holds_against_autocommit_writes_and_other_prepares() {
+        let e = unique_engine();
+        buffer(&e, 7, "u", &[row(5), row(6)]).unwrap();
+        e.prepare_txn(7).unwrap();
+        let err = e.insert_rows("u", &[row(6)]).unwrap_err();
+        assert_eq!(err.kind(), "constraint", "{err}");
+        buffer(&e, 8, "u", &[row(6)]).unwrap();
+        assert!(e.prepare_txn(8).is_err(), "a second yes vote for key 6");
+        e.abort_txn(8).unwrap();
+        e.insert_rows("u", &[row(7)]).unwrap();
+        e.commit_txn(7).unwrap();
+        assert_eq!(ids(&e, "u"), [7, 5, 6]);
+
+        // The rows a prepared transaction deletes are its own until it
+        // ends, and so are their keys, whichever way it ends.
+        e.write(Some(9), "u", Batch::Delete(vec![0].into()))
+            .unwrap();
+        e.prepare_txn(9).unwrap();
+        for refused in [
+            e.write(None, "u", Batch::Delete(vec![0].into())),
+            e.write(
+                None,
+                "u",
+                Batch::Update(vec![0].into(), vec![row(70)].into()),
+            ),
+            e.insert_rows("u", &[row(7)]),
+        ] {
+            assert!(refused.is_err());
+        }
+        e.abort_txn(9).unwrap();
+        assert_eq!(ids(&e, "u"), [7, 5, 6]);
+        e.write(
+            None,
+            "u",
+            Batch::Update(vec![0].into(), vec![row(70)].into()),
+        )
+        .unwrap();
+        assert_eq!(ids(&e, "u"), [70, 5, 6]);
+    }
+
     #[test]
     fn no_writes_after_prepare() {
         let e = engine();
-        e.txn_insert(3, "t", &[row(1)]).unwrap();
+        buffer(&e, 3, "t", &[row(1)]).unwrap();
         e.prepare_txn(3).unwrap();
-        assert!(e.txn_insert(3, "t", &[row(2)]).is_err());
+        assert!(buffer(&e, 3, "t", &[row(2)]).is_err());
         e.commit_txn(3).unwrap();
     }
 

@@ -265,7 +265,8 @@ impl Heap {
         self.columns.iter().map(|c| c.cell(at).to_value()).collect()
     }
 
-    fn live_index(&self, bookmark: u64) -> Result<usize> {
+    /// The slot of the live row at `bookmark`, or why there is none.
+    pub(crate) fn live_index(&self, bookmark: u64) -> Result<usize> {
         let at = usize::try_from(bookmark)
             .ok()
             .filter(|&at| at < self.live_slots.len())

@@ -30,7 +30,8 @@ pub fn analyze_table(table: &Table, buckets: usize) -> Result<Arc<TableStatistic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhqp_types::{Column, DataType, Interval, IntervalSet, Schema, Value};
+    use crate::txn::Batch;
+    use dhqp_types::{Column, DataType, Interval, IntervalSet, Row, Schema, Value};
 
     fn table_with_ints(n: i64) -> Table {
         let mut t = Table::new(
@@ -40,14 +41,17 @@ mod tests {
                 Column::new("maybe", DataType::Int),
             ]),
         );
-        for i in 0..n {
-            let maybe = if i % 2 == 0 {
-                Value::Int(i * 10)
-            } else {
-                Value::Null
-            };
-            t.insert(&[Value::Int(i), maybe]).unwrap();
-        }
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let maybe = if i % 2 == 0 {
+                    Value::Int(i * 10)
+                } else {
+                    Value::Null
+                };
+                Row::new(vec![Value::Int(i), maybe])
+            })
+            .collect();
+        t.apply(&Batch::Insert(rows.into())).unwrap();
         t
     }
 
@@ -76,7 +80,8 @@ mod tests {
     #[test]
     fn all_null_column_has_no_histogram() {
         let mut t = Table::new("t", Schema::new(vec![Column::new("n", DataType::Int)]));
-        t.insert(&[Value::Null]).unwrap();
+        let nulls = vec![Row::new(vec![Value::Null])];
+        t.apply(&Batch::Insert(nulls.into())).unwrap();
         let stats = analyze_table(&t, 4).unwrap();
         assert!(stats.histogram("n").is_none());
     }

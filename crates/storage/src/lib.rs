@@ -4,9 +4,10 @@
 //! patterns to access data from local and external sources are almost
 //! identical" (paper §2). This crate follows suit: it implements heap
 //! tables with bookmarks, B-tree secondary indexes with range seeks,
-//! CHECK constraints, equi-depth histogram statistics and a transactional
-//! write buffer with two-phase-commit participant hooks — and then exposes
-//! all of it through the `dhqp_oledb` traits via [`provider::LocalDataSource`].
+//! CHECK constraints, equi-depth histogram statistics and one write path
+//! (a batch admitted whole, then applied, at once or at a two-phase
+//! commit) — and then exposes all of it through the `dhqp_oledb` traits via
+//! [`provider::LocalDataSource`].
 //!
 //! The same engine type doubles as the "remote SQL Server" when wrapped
 //! behind a network-simulating provider, which is how the repo reproduces
@@ -23,3 +24,4 @@ pub mod txn;
 pub use catalog::{CheckConstraint, StorageEngine, TableDef};
 pub use provider::{LocalDataSource, LocalSession};
 pub use table::Table;
+pub use txn::Batch;

@@ -9,6 +9,7 @@
 
 use crate::catalog::StorageEngine;
 use crate::table::Table;
+use crate::txn::Batch;
 use dhqp_oledb::{
     ColumnInfo, DataSource, KeyRange, MemRowset, ProviderCapabilities, Rowset, Session, SqlSupport,
     TableInfo, TableSnapshot, TxnId,
@@ -117,7 +118,6 @@ impl LocalDataSource {
             engine: Arc::clone(&self.engine),
             txn: None,
             ride: Ride::Nothing,
-            written: Vec::new(),
             committed: Vec::new(),
         }
     }
@@ -140,42 +140,34 @@ pub struct LocalSession {
     engine: Arc<StorageEngine>,
     txn: Option<TxnId>,
     ride: Ride,
-    /// Tables written under `txn`.
-    written: Vec<String>,
     /// Tables whose writes the last commit made visible, until taken.
     committed: Vec<String>,
 }
 
 impl LocalSession {
     /// Run one write to `table`, buffered under the session's transaction if
-    /// it has one. When the vote was asked to ride this write the
-    /// transaction is prepared right behind it, and a refusal answers in
-    /// the write's place; when the commit was, it is prepared and committed,
-    /// and any failure rolls it back.
-    fn write(
-        &mut self,
-        table: &str,
-        write: impl FnOnce(&StorageEngine, Option<TxnId>) -> Result<u64>,
-    ) -> Result<u64> {
+    /// it has one. When the vote was asked to ride it the transaction is
+    /// prepared right behind it, and a refusal answers in the write's place;
+    /// when the commit was, it is prepared and committed, and any failure
+    /// rolls it back.
+    fn write(&mut self, table: &str, batch: Batch<'_>) -> Result<u64> {
+        let written = self.engine.write(self.txn, table, batch);
+        self.answer_ride(written)
+    }
+
+    /// [`Self::write`]'s answer to what rides a write, whose outcome is
+    /// `written`.
+    fn answer_ride(&mut self, written: Result<u64>) -> Result<u64> {
         let ride = std::mem::take(&mut self.ride);
-        let written = write(&self.engine, self.txn);
         let Some(txn) = self.txn else {
             return written;
         };
-        if matches!(written, Ok(n) if n > 0) && !self.written.iter().any(|t| t == table) {
-            self.written.push(table.to_string());
-        }
         match ride {
             Ride::Nothing => written,
-            Ride::Vote => {
-                let n = written?;
-                self.engine.prepare_txn(txn)?;
-                Ok(n)
-            }
+            Ride::Vote => written.and_then(|n| self.engine.prepare_txn(txn).map(|()| n)),
             Ride::Commit => {
                 let outcome = written.and_then(|n| {
-                    self.engine.prepare_txn(txn)?;
-                    self.engine.commit_txn(txn)?;
+                    self.committed = self.engine.commit_txn(txn)?;
                     Ok(n)
                 });
                 if outcome.is_err() {
@@ -183,7 +175,7 @@ impl LocalSession {
                     // there: roll them back.
                     self.engine.abort_txn(txn)?;
                 }
-                self.leave_transaction(outcome.is_ok());
+                self.leave_transaction();
                 outcome
             }
         }
@@ -191,13 +183,9 @@ impl LocalSession {
 
     /// The outcome arrived: a ride nobody collected (the write it was to
     /// ride never came) does not outlive its transaction.
-    fn leave_transaction(&mut self, committed: bool) {
+    fn leave_transaction(&mut self) {
         self.txn = None;
         self.ride = Ride::Nothing;
-        let written = std::mem::take(&mut self.written);
-        if committed {
-            self.committed = written;
-        }
     }
 
     /// Only an enlisted session can be asked, and only for its own
@@ -234,9 +222,9 @@ impl LocalSession {
     /// a failed write would: a no vote, or a commit rolled back.
     pub fn settle_ride<T>(&mut self, ran: Result<T>) -> Result<T> {
         match ran {
-            Ok(out) => self.write("", |_, _| Ok(0)).map(|_| out),
+            Ok(out) => self.answer_ride(Ok(0)).map(|_| out),
             Err(e) => Err(self
-                .write("", |_, _| Err(e))
+                .answer_ride(Err(e))
                 .expect_err("a failed write is answered with an error")),
         }
     }
@@ -297,7 +285,6 @@ impl Session for LocalSession {
     fn join_transaction(&mut self, txn: TxnId) -> Result<()> {
         self.txn = Some(txn);
         self.ride = Ride::Nothing;
-        self.written.clear();
         Ok(())
     }
 
@@ -314,45 +301,33 @@ impl Session for LocalSession {
     }
 
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.engine.commit_txn(txn)?;
-        self.leave_transaction(true);
+        self.committed = self.engine.commit_txn(txn)?;
+        self.leave_transaction();
         Ok(())
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<()> {
         self.engine.abort_txn(txn)?;
-        self.leave_transaction(false);
+        self.leave_transaction();
         Ok(())
     }
 
     fn insert(&mut self, table: &str, rows: &[Row]) -> Result<u64> {
-        self.write(table, |engine, txn| match txn {
-            Some(txn) => engine.txn_insert(txn, table, rows),
-            None => engine.insert_rows(table, rows),
-        })
+        self.write(table, Batch::Insert(rows.into()))
     }
 
     fn delete_by_bookmarks(&mut self, table: &str, bookmarks: &[u64]) -> Result<u64> {
-        self.write(table, |engine, txn| match txn {
-            Some(txn) => engine.txn_delete(txn, table, bookmarks),
-            None => engine.delete_bookmarks(table, bookmarks),
-        })
+        self.write(table, Batch::Delete(bookmarks.into()))
     }
 
+    /// In place on both paths: a row keeps its bookmark.
     fn update_by_bookmarks(
         &mut self,
         table: &str,
         bookmarks: &[u64],
         updates: &[Row],
     ) -> Result<u64> {
-        self.write(table, |engine, txn| match txn {
-            // Model an update as delete+insert inside the buffer.
-            Some(txn) => {
-                engine.txn_delete(txn, table, bookmarks)?;
-                engine.txn_insert(txn, table, updates)
-            }
-            None => engine.update_bookmarks(table, bookmarks, updates),
-        })
+        self.write(table, Batch::Update(bookmarks.into(), updates.into()))
     }
 }
 

@@ -1,9 +1,10 @@
 //! A table: heap + secondary indexes + CHECK constraints, kept consistent
 //! across DML.
 
-use crate::btree::{BTreeIndex, IndexKey};
+use crate::btree::BTreeIndex;
 use crate::catalog::CheckConstraint;
 use crate::heap::{Cell, Heap};
+use crate::txn::Batch;
 use dhqp_oledb::{IndexInfo, KeyRange, TableSnapshot, TableStatistics};
 use dhqp_types::{DhqpError, Result, Row, Schema, Value};
 use std::sync::Arc;
@@ -113,61 +114,34 @@ impl Table {
         ))
     }
 
-    /// Insert one row, maintaining indexes; returns its bookmark.
-    pub fn insert(&mut self, row: &[Value]) -> Result<u64> {
-        self.validate_row(row)?;
-        let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(row)).collect();
-        // Probe unique indexes before touching anything so a violation
-        // leaves the table unchanged.
-        for (ix, key) in self.indexes.iter().zip(&keys) {
-            if ix.unique && ix.holds(key) {
-                return Err(self.duplicate_key(&ix.name));
+    /// Apply a batch [`Replay`](crate::txn::Replay) admitted, as it was
+    /// admitted: the rows that leave take their index entries with them
+    /// before the rows that arrive bring theirs. Nothing is probed here, so
+    /// a failure is an engine invariant violation, not a user error.
+    pub fn apply(&mut self, batch: &Batch<'_>) -> Result<()> {
+        for &bookmark in batch.leaving() {
+            let old = match batch {
+                Batch::Delete(_) => self.heap.delete(bookmark)?,
+                _ => self.heap.slot(bookmark)?,
+            };
+            for ix in &mut self.indexes {
+                ix.remove(&ix.key_of(&old), bookmark);
             }
         }
-        let bookmark = self.heap.insert(row)?;
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert_unchecked(key, bookmark);
+        if let Batch::Insert(rows) = batch {
+            self.heap.reserve(rows.len());
         }
-        Ok(bookmark)
-    }
-
-    /// Delete by bookmark, maintaining indexes; returns the removed values.
-    pub fn delete(&mut self, bookmark: u64) -> Result<Vec<Value>> {
-        let row = self.heap.delete(bookmark)?;
-        for ix in &mut self.indexes {
-            let key = ix.key_of(&row);
-            ix.remove(&key, bookmark);
-        }
-        Ok(row.into_vec())
-    }
-
-    /// Update by bookmark, maintaining indexes and constraints; returns the
-    /// old values. Like an insert, a row the table refuses — of another
-    /// arity, outside a CHECK, or a key a unique index holds for another
-    /// row — leaves the table unchanged.
-    pub fn update(&mut self, bookmark: u64, new_row: &[Value]) -> Result<Vec<Value>> {
-        self.validate_row(new_row)?;
-        let old_row = self.heap.slot(bookmark)?;
-        let keys: Vec<(IndexKey, IndexKey)> = self
-            .indexes
-            .iter()
-            .map(|ix| (ix.key_of(&old_row), ix.key_of(new_row)))
-            .collect();
-        // Probe unique indexes before touching anything, as an insert does;
-        // a key the update leaves as it was is the row's own.
-        for (ix, (old_key, new_key)) in self.indexes.iter().zip(&keys) {
-            if ix.unique && old_key != new_key && ix.holds(new_key) {
-                return Err(self.duplicate_key(&ix.name));
+        for (bookmark, row) in batch.arriving() {
+            let bookmark = match bookmark {
+                // Replaced in place: the row keeps its bookmark.
+                Some(bookmark) => self.heap.update(bookmark, row).map(|()| bookmark)?,
+                None => self.heap.insert(row)?,
+            };
+            for ix in &mut self.indexes {
+                ix.insert_unchecked(ix.key_of(row), bookmark);
             }
         }
-        self.heap.update(bookmark, new_row)?;
-        for (ix, (old_key, new_key)) in self.indexes.iter_mut().zip(keys) {
-            if old_key != new_key {
-                ix.remove(&old_key, bookmark);
-                ix.insert_unchecked(new_key, bookmark);
-            }
-        }
-        Ok(old_row.into_vec())
+        Ok(())
     }
 
     /// All live rows with bookmarks attached (table scan order).
@@ -258,15 +232,27 @@ mod tests {
         Table::new("t", schema)
     }
 
-    fn row(id: i64, name: &str) -> Vec<Value> {
-        vec![Value::Int(id), Value::Str(name.into())]
+    fn row(id: i64, name: &str) -> Row {
+        Row::new(vec![Value::Int(id), Value::Str(name.into())])
+    }
+
+    fn write(t: &mut Table, batch: Batch<'_>) -> Result<()> {
+        crate::txn::tests::admit_and_apply(t, &batch)
+    }
+
+    fn insert(t: &mut Table, r: Row) -> Result<()> {
+        write(t, Batch::Insert(vec![r].into()))
+    }
+
+    fn update(t: &mut Table, bookmark: u64, r: Row) -> Result<()> {
+        write(t, Batch::Update(vec![bookmark].into(), vec![r].into()))
     }
 
     #[test]
     fn insert_and_scan() {
         let mut t = table();
-        t.insert(&row(1, "a")).unwrap();
-        t.insert(&row(2, "b")).unwrap();
+        insert(&mut t, row(1, "a")).unwrap();
+        insert(&mut t, row(2, "b")).unwrap();
         let rows = t.scan_rows();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].bookmark.is_some());
@@ -275,17 +261,19 @@ mod tests {
     #[test]
     fn arity_mismatch_rejected() {
         let mut t = table();
-        assert!(t.insert(&[Value::Int(1)]).is_err());
+        assert!(insert(&mut t, Row::new(vec![Value::Int(1)])).is_err());
+        let short = Batch::Insert(vec![Row::new(vec![Value::Int(1)])].into());
+        assert!(t.apply(&short).is_err(), "the heap refuses it too");
     }
 
     #[test]
     fn index_maintained_across_dml() {
         let mut t = table();
-        let b1 = t.insert(&row(5, "a")).unwrap();
-        t.insert(&row(3, "b")).unwrap();
+        insert(&mut t, row(5, "a")).unwrap();
+        insert(&mut t, row(3, "b")).unwrap();
         t.create_index("ix_id", &["id"], true).unwrap();
         // New inserts hit the index.
-        t.insert(&row(4, "c")).unwrap();
+        insert(&mut t, row(4, "c")).unwrap();
         let hits = t.index_range("ix_id", &KeyRange::all()).unwrap();
         let ids: Vec<i64> = hits
             .iter()
@@ -295,18 +283,19 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![3, 4, 5]);
-        // Update moves the index entry.
-        t.update(b1, &row(9, "a2")).unwrap();
+        // Update moves the index entry; the row keeps its bookmark.
+        update(&mut t, 0, row(9, "a2")).unwrap();
         let hits = t
             .index_range("ix_id", &KeyRange::eq(vec![Value::Int(9)]))
             .unwrap();
         assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].bookmark, Some(0));
         assert!(t
             .index_range("ix_id", &KeyRange::eq(vec![Value::Int(5)]))
             .unwrap()
             .is_empty());
         // Delete removes it.
-        t.delete(b1).unwrap();
+        write(&mut t, Batch::Delete(vec![0].into())).unwrap();
         assert!(t
             .index_range("ix_id", &KeyRange::eq(vec![Value::Int(9)]))
             .unwrap()
@@ -317,8 +306,11 @@ mod tests {
     fn unique_violation_leaves_table_unchanged() {
         let mut t = table();
         t.create_index("ix_id", &["id"], true).unwrap();
-        t.insert(&row(1, "a")).unwrap();
-        assert!(t.insert(&row(1, "dup")).is_err());
+        insert(&mut t, row(1, "a")).unwrap();
+        assert!(insert(&mut t, row(1, "dup")).is_err());
+        // A batch is refused whole: the rows before the clash stay out too.
+        let batch = [row(10, "x"), row(1, "y"), row(11, "z")];
+        assert!(write(&mut t, Batch::Insert(batch[..].into())).is_err());
         assert_eq!(t.row_count(), 1);
         assert_eq!(t.indexes[0].len(), 1);
     }
@@ -328,23 +320,33 @@ mod tests {
         let mut t = table();
         t.create_index("ix_id", &["id"], true).unwrap();
         t.create_index("ix_name", &["name"], false).unwrap();
-        let b1 = t.insert(&row(1, "a")).unwrap();
-        t.insert(&row(2, "b")).unwrap();
+        insert(&mut t, row(1, "a")).unwrap();
+        insert(&mut t, row(2, "b")).unwrap();
         let state = |t: &Table| {
             let through = |ix| t.index_range(ix, &KeyRange::all()).unwrap();
             (t.scan_rows(), through("ix_id"), through("ix_name"))
         };
         let before = state(&t);
-        let err = t.update(b1, &row(2, "z")).unwrap_err();
+        let err = update(&mut t, 0, row(2, "z")).unwrap_err();
         assert!(
             err.to_string()
                 .contains("duplicate key in unique index 'ix_id'"),
             "{err}"
         );
-        assert!(t.update(b1, &[Value::Int(7)]).is_err());
+        assert!(update(&mut t, 0, Row::new(vec![Value::Int(7)])).is_err());
         assert_eq!(state(&t), before);
-        // The row keeps its own key: an update that leaves it is no clash.
-        assert_eq!(t.update(b1, &row(1, "a2")).unwrap(), row(1, "a"));
+        // The row keeps its own key: an update that leaves it is no clash,
+        // and neither is a key another row of the batch gives up.
+        update(&mut t, 0, row(1, "a2")).unwrap();
+        let shift = [row(2, "a3"), row(3, "b3")];
+        write(&mut t, Batch::Update(vec![0, 1].into(), shift[..].into())).unwrap();
+        assert_eq!(
+            t.scan_rows(),
+            [
+                Row::with_bookmark(row(2, "a3").values, 0),
+                Row::with_bookmark(row(3, "b3").values, 1)
+            ]
+        );
     }
 
     #[test]
@@ -355,8 +357,8 @@ mod tests {
             column: "id".into(),
             domain: IntervalSet::single(Interval::between(Value::Int(0), Value::Int(10))),
         });
-        assert!(t.insert(&row(5, "ok")).is_ok());
-        assert!(t.insert(&row(50, "bad")).is_err());
+        assert!(insert(&mut t, row(5, "ok")).is_ok());
+        assert!(insert(&mut t, row(50, "bad")).is_err());
         // NULL passes a CHECK (SQL semantics).
         let null_row = [Value::Null, Value::Str("n".into())];
         assert!(t.validate_checks(&null_row).is_ok());
@@ -365,8 +367,8 @@ mod tests {
     #[test]
     fn sorted_column_values_excludes_nulls() {
         let mut t = table();
-        t.insert(&row(3, "a")).unwrap();
-        t.insert(&[Value::Int(1), Value::Null]).unwrap();
+        insert(&mut t, row(3, "a")).unwrap();
+        insert(&mut t, Row::new(vec![Value::Int(1), Value::Null])).unwrap();
         let vals = t.sorted_column_values("id").unwrap();
         assert_eq!(vals, vec![Value::Int(1), Value::Int(3)]);
         let names = t.sorted_column_values("name").unwrap();

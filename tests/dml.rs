@@ -16,8 +16,8 @@
 //! pushing and locating members side by side, one whose providers offer
 //! neither index access nor that vote (the scan path and the explicit
 //! `prepare`, the reference for the wire), the four members behind two
-//! linked servers and behind one (one participant, so autocommit), the
-//! four members as
+//! linked servers and behind one (one participant, in a transaction only
+//! when a statement sends it more than one write), the four members as
 //! local tables under a local view, and a single engine holding every row
 //! in one plain table (the reference for the answer) — and requires
 //! identical `rows_affected` and identical table contents after every
@@ -34,7 +34,7 @@ use dhqp_oledb::{
     DataSource, ProviderCapabilities, Reply, Session, SessionLayer, SourceLayer, SqlSupport,
     TrafficSnapshot, Verb,
 };
-use dhqp_storage::{CheckConstraint, StorageEngine, TableDef};
+use dhqp_storage::{Batch, CheckConstraint, StorageEngine, TableDef};
 use dhqp_types::{Column, DataType, DhqpError, Interval, IntervalSet, Result, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -605,21 +605,26 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
         assert_eq!(m.dtc_commits, scan_m.dtc_commits);
         assert_eq!(m.dtc_aborts, 0);
     }
+    // A statement that sends one server several writes runs them in a
+    // transaction too, so two servers commit as often as four; one server
+    // commits wherever a statement sends it more than one write, and not
+    // the key move that stays on its member (one write, one request).
     let two_m = metrics(&two_servers.head);
-    assert!(two_m.dtc_commits > 0 && two_m.dtc_commits < pushed_m.dtc_commits);
     assert_eq!(
-        (two_m.dtc_aborts, two_m.dml_pushed),
-        (0, pushed_m.dml_pushed)
+        (two_m.dtc_commits, two_m.dtc_aborts, two_m.dml_pushed),
+        (pushed_m.dtc_commits, 0, pushed_m.dml_pushed)
     );
     assert_eq!(scan_m.dtc_aborts, 0);
-    assert_eq!(one_server.head.metrics().dtc_commits, 0, "one participant");
+    let one_m = metrics(&one_server.head);
+    assert!(one_m.dtc_commits > 0 && one_m.dtc_commits < pushed_m.dtc_commits);
+    assert_eq!(one_m.dtc_aborts, 0);
 }
 
 /// The Halloween problem: a partition-key UPDATE whose rows land, still
-/// selected, in a member the statement has yet to visit. Where two members
-/// share a participant the writes are visible at once, so only locating
-/// every row before the first write keeps the moved rows from being found
-/// — and updated — again.
+/// selected, in a member the statement has yet to visit. Locating every
+/// row before the first write keeps the moved rows from being found — and
+/// updated — again, whatever the writes do after: here two members share a
+/// participant, which takes the statement's writes in one transaction.
 #[test]
 fn rows_a_statement_moved_are_not_located_again() {
     // An engine would take the statement whole, were it not moving the key.
@@ -647,14 +652,17 @@ fn rows_a_statement_moved_are_not_located_again() {
         let int = Value::Int;
         assert_eq!(left, [[int(110), int(101)], [int(170), int(101)]], "{name}");
     }
-    // One participant: no transaction; three members read, then one request
-    // per table and kind of write.
-    assert_eq!(one_server.head.dtc().stats(), (0, 0));
+    // One participant sent several writes: a transaction, as for the
+    // pushed DELETE before it. Three members read, then the participant
+    // joins and takes one request per table and kind of write, the last
+    // carrying the commit.
+    assert_eq!(one_server.head.dtc().stats(), (2, 0));
     let (reads, writes) = calls.split_at(3);
     assert_eq!(reads, ["open_index"; 3]);
     assert_eq!(
         writes,
         [
+            "join_transaction",
             "delete_by_bookmarks",
             "delete_by_bookmarks",
             "insert",
@@ -1669,4 +1677,265 @@ fn a_pushed_write_that_fails_its_cast_changes_no_member() {
     assert_eq!(contents(&fed.head), before);
     let sum = fed.head.query("SELECT SUM(balance) FROM acct_all").unwrap();
     assert_eq!(sum.rows[0].values, [Value::Int(100 * MEMBERS * PER_MEMBER)]);
+}
+
+// ---------------------------------------------------------------------------
+// One write path: a statement's writes to a table are admitted whole, then
+// applied (DESIGN.md §24), so a refused statement changes nothing.
+// ---------------------------------------------------------------------------
+
+/// `table (id unique, name)` in `storage` holding `ids`, named `'r{id}'`,
+/// its ids held to `range` by a CHECK when one is given.
+fn create_keyed(storage: &StorageEngine, table: &str, ids: &[i64], range: Option<(i64, i64)>) {
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::new("name", DataType::Str),
+    ]);
+    let mut def = TableDef::new(table, schema).with_index(&format!("pk_{table}"), &["id"], true);
+    if let Some((lo, hi)) = range {
+        def = def.with_check(CheckConstraint {
+            name: format!("ck_{table}"),
+            column: "id".into(),
+            domain: member_domain(lo, hi),
+        });
+    }
+    storage.create_table(def).unwrap();
+    let rows: Vec<Row> = ids
+        .iter()
+        .map(|&id| Row::new(vec![Value::Int(id), Value::Str(format!("r{id}"))]))
+        .collect();
+    storage.insert_rows(table, &rows).unwrap();
+}
+
+/// `(id, name)` of every row of `table`, by id.
+fn keyed_rows(engine: &Engine, table: &str) -> Vec<(i64, String)> {
+    let r = engine
+        .query(&format!("SELECT id, name FROM {table} ORDER BY id"))
+        .unwrap();
+    r.rows
+        .iter()
+        .map(|r| match (r.get(0), r.get(1)) {
+            (Value::Int(id), Value::Str(name)) => (*id, name.clone()),
+            other => panic!("an (id, name) row, got {other:?}"),
+        })
+        .collect()
+}
+
+/// One engine with `t` holding `ids`.
+fn keyed_table(ids: &[i64]) -> Engine {
+    let engine = Engine::new("solo");
+    create_keyed(engine.storage(), "t", ids, None);
+    engine
+}
+
+/// `t` as a view over `t_0` (ids 0..=99) on server `m0` and `t_1`
+/// (100..=199) on `m1`, each holding the `ids` in its range: a statement
+/// that writes both runs in a two-member distributed transaction. `sql`
+/// picks whether the members take the statement as text or the head
+/// locates the rows and writes them by bookmark.
+fn keyed_pair(ids: &[i64], sql: SqlLevel) -> Engine {
+    let head = Engine::new("head");
+    let mut members = Vec::new();
+    for (m, (lo, hi)) in [(0, 99), (100, 199)].into_iter().enumerate() {
+        let server = Engine::new(format!("member{m}"));
+        let table = format!("t_{m}");
+        let mine: Vec<i64> = ids
+            .iter()
+            .copied()
+            .filter(|id| (lo..=hi).contains(id))
+            .collect();
+        create_keyed(server.storage(), &table, &mine, Some((lo, hi)));
+        let source = Arc::new(EngineDataSource::new(server));
+        let (spy, _) = Spy::new(source, IndexAccess::Native, Rides::Both, sql);
+        let link = NetworkLink::new(format!("m{m}"), NetworkConfig::lan());
+        let source = NetworkedDataSource::reliable(spy, link);
+        head.add_linked_server(&format!("m{m}"), Arc::new(source))
+            .unwrap();
+        members.push((Some(format!("m{m}")), table, member_domain(lo, hi)));
+    }
+    head.define_partitioned_view("t", "id", members).unwrap();
+    head
+}
+
+fn named(rows: &[i64]) -> Vec<(i64, String)> {
+    rows.iter().map(|&id| (id, format!("r{id}"))).collect()
+}
+
+/// Fault (a): SQL checks a unique key once the statement's old keys have
+/// left, so shifting every id by one is no clash. Row by row, 1 → 2 met
+/// the 2 that was about to leave, and the statement was refused.
+#[test]
+fn a_statement_checks_unique_keys_once_its_old_keys_have_left() {
+    let engine = keyed_table(&[1, 2]);
+    assert_eq!(affected(&engine, "UPDATE t SET id = id + 1", &[]), Ok(2));
+    assert_eq!(
+        keyed_rows(&engine, "t"),
+        [(2, "r1".to_string()), (3, "r2".to_string())]
+    );
+    // Two rows trade keys.
+    assert_eq!(affected(&engine, "UPDATE t SET id = 5 - id", &[]), Ok(2));
+    assert_eq!(
+        keyed_rows(&engine, "t"),
+        [(2, "r2".to_string()), (3, "r1".to_string())]
+    );
+}
+
+/// Fault (b): a multi-row INSERT refused by its second row leaves no row
+/// behind; the first one stayed.
+#[test]
+fn a_refused_insert_leaves_no_row_behind() {
+    let engine = keyed_table(&[1, 2]);
+    let sql = "INSERT INTO t VALUES (10, 'x'), (1, 'y'), (11, 'z')";
+    assert_eq!(affected(&engine, sql, &[]), Err("constraint".to_string()));
+    assert_eq!(keyed_rows(&engine, "t"), named(&[1, 2]));
+}
+
+/// Fault (c): an UPDATE refused by its second row leaves the first as it
+/// was; it was rewritten, 1 → 5.
+#[test]
+fn a_refused_update_leaves_every_row_as_it_was() {
+    let engine = keyed_table(&[1, 2, 10]);
+    let sql = "UPDATE t SET id = id * 5 WHERE id < 10";
+    assert_eq!(affected(&engine, sql, &[]), Err("constraint".to_string()));
+    assert_eq!(keyed_rows(&engine, "t"), named(&[1, 2, 10]));
+}
+
+/// Faults (a) to (c) where each statement writes two members on two
+/// servers: one distributed transaction, every member's writes admitted
+/// at prepare, whether the members take the text or the head writes the
+/// rows it located.
+#[test]
+fn the_same_statements_agree_inside_a_two_member_distributed_transaction() {
+    for sql_level in [SqlLevel::Native, SqlLevel::OdbcCore] {
+        let engine = keyed_pair(&[1, 2, 101, 102], sql_level);
+        let sql = "UPDATE t SET id = id + 1";
+        assert_eq!(affected(&engine, sql, &[]), Ok(4));
+        assert_eq!(
+            keyed_rows(&engine, "t"),
+            [
+                (2, "r1".to_string()),
+                (3, "r2".to_string()),
+                (102, "r101".to_string()),
+                (103, "r102".to_string())
+            ]
+        );
+
+        let engine = keyed_pair(&[1, 2, 101], sql_level);
+        let sql = "INSERT INTO t VALUES (10, 'x'), (1, 'y'), (110, 'z')";
+        assert_eq!(affected(&engine, sql, &[]), Err("transaction".to_string()));
+        assert_eq!(keyed_rows(&engine, "t"), named(&[1, 2, 101]));
+
+        let engine = keyed_pair(&[1, 2, 10, 101, 102, 110], sql_level);
+        let sql = "UPDATE t SET id = id + 8 WHERE id IN (1, 2, 101, 102)";
+        assert_eq!(affected(&engine, sql, &[]), Err("transaction".to_string()));
+        assert_eq!(keyed_rows(&engine, "t"), named(&[1, 2, 10, 101, 102, 110]));
+        let (commits, aborts) = engine.dtc().stats();
+        assert_eq!((commits, aborts), (0, 1));
+    }
+}
+
+/// Fault (d): a row that moves between two members of a view on one server
+/// is a delete at one and an insert at the other. The insert was refused
+/// and the delete had applied, so the row was gone; now the two run in one
+/// transaction, whose commit rides the insert, and a refusal undoes both.
+#[test]
+fn a_refused_move_between_members_on_one_server_changes_nothing() {
+    let local = Engine::new("solo-view");
+    let one_server = Engine::new("head");
+    let member = Engine::new("member0");
+    for (engine, storage, server) in [
+        (&local, local.storage(), None),
+        (&one_server, member.storage(), Some("m0".to_string())),
+    ] {
+        create_keyed(storage, "p_low", &[1], Some((0, 99)));
+        create_keyed(storage, "p_high", &[101], Some((100, 199)));
+        if server.is_some() {
+            let source = Arc::new(EngineDataSource::new(member.clone()));
+            let link = NetworkLink::new("m0", NetworkConfig::lan());
+            let source = NetworkedDataSource::reliable(source, link);
+            engine.add_linked_server("m0", Arc::new(source)).unwrap();
+        }
+        let members = vec![
+            (server.clone(), "p_low".to_string(), member_domain(0, 99)),
+            (
+                server.clone(),
+                "p_high".to_string(),
+                member_domain(100, 199),
+            ),
+        ];
+        engine
+            .define_partitioned_view("all_k", "id", members)
+            .unwrap();
+        let name = if server.is_some() {
+            "one server"
+        } else {
+            "local view"
+        };
+
+        let sql = "UPDATE all_k SET id = 101 WHERE id = 1";
+        let refused = affected(engine, sql, &[]);
+        assert!(refused.is_err(), "{name}");
+        assert_eq!(keyed_rows(engine, "all_k"), named(&[1, 101]), "{name}");
+        assert_eq!(refused, Err("transaction".to_string()), "{name}");
+        assert_eq!(engine.dtc().stats(), (0, 1), "{name}");
+
+        // A move that is admitted commits whole.
+        let sql = "UPDATE all_k SET id = 150 WHERE id = 1";
+        assert_eq!(affected(engine, sql, &[]), Ok(1), "{name}");
+        let moved = [(101, "r101".to_string()), (150, "r1".to_string())];
+        assert_eq!(keyed_rows(engine, "all_k"), moved, "{name}");
+        assert_eq!(engine.dtc().stats(), (1, 1), "{name}");
+        // One request, to one table: no transaction.
+        let sql = "UPDATE all_k SET name = 'same' WHERE id = 150";
+        assert_eq!(affected(engine, sql, &[]), Ok(1), "{name}");
+        assert_eq!(engine.dtc().stats(), (1, 1), "{name}");
+    }
+}
+
+/// An UPDATE under a transaction replaces each row in place, as under
+/// autocommit: every row keeps its bookmark, and after N committed UPDATEs
+/// of a member's row the member's next insert gets bookmark k, its row
+/// count — not k + N, as when a buffered UPDATE was a delete and an insert
+/// and every one left a dead slot behind.
+#[test]
+fn a_transactional_update_keeps_its_bookmark() {
+    const UPDATES: u64 = 5;
+    let k = PER_MEMBER as u64;
+    for fed in [
+        pushing(2, true),
+        federation_on(2, IndexAccess::Native, true, true),
+    ] {
+        let bookmarks = |server: &Engine, table: &str| -> Vec<u64> {
+            let rows = server.storage().with_table(table, |t| t.scan_rows());
+            rows.unwrap().iter().map(|r| r.bookmark.unwrap()).collect()
+        };
+        let (m0, m1) = (&fed.servers[0], &fed.servers[1]);
+        let before = [bookmarks(m0, "acct_0"), bookmarks(m1, "acct_1")];
+        let commits = fed.head.dtc().stats().0;
+        for _ in 0..UPDATES {
+            let sql = "UPDATE acct_all SET balance = balance + 1 WHERE id IN (7, 57)";
+            assert_eq!(affected(&fed.head, sql, &[]), Ok(2));
+        }
+        assert_eq!(fed.head.dtc().stats().0 - commits, UPDATES);
+        assert_eq!([bookmarks(m0, "acct_0"), bookmarks(m1, "acct_1")], before);
+        let balance = fed
+            .head
+            .query("SELECT balance FROM acct_all WHERE id = 57")
+            .unwrap();
+        assert_eq!(balance.rows[0].values, [Value::Int(100 + UPDATES as i64)]);
+
+        // Row 49 leaves and comes back: the slot it gets is the next one.
+        let storage = m0.storage();
+        storage
+            .write(None, "acct_0", Batch::Delete(vec![49].into()))
+            .unwrap();
+        let row = Row::new(vec![
+            Value::Int(49),
+            Value::Int(100),
+            Value::Null,
+            Value::Null,
+        ]);
+        storage.insert_rows("acct_0", &[row]).unwrap();
+        assert_eq!(bookmarks(m0, "acct_0").last(), Some(&k));
+    }
 }

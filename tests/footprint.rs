@@ -13,7 +13,7 @@
 use dhqp::{EngineBuilder, EngineDataSource};
 use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::DataSource;
-use dhqp_storage::{LocalDataSource, StorageEngine, Table, TableDef};
+use dhqp_storage::{Batch, LocalDataSource, StorageEngine, Table, TableDef};
 use dhqp_types::{Column, DataType, Row, Schema, Value};
 use dhqp_workload::docs::generate_documents;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,9 +131,10 @@ fn a_unique_one_column_index_holds_under_a_megabyte() {
         if indexed {
             t.create_index("pk_w", &["id"], true).unwrap();
         }
-        for i in 0..10_000 {
-            t.insert(&[Value::Int(i), Value::Int(i)]).unwrap();
-        }
+        let rows: Vec<Row> = (0..10_000)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i)]))
+            .collect();
+        t.apply(&Batch::Insert(rows.into())).unwrap();
         t
     };
     let (plain, _t) = held(|| table(false));
@@ -192,8 +193,11 @@ fn a_heap_holds_one_array_per_column() {
     assert!(bytes <= 400_000, "the heap holds {bytes} B");
 
     let every_other: Vec<u64> = (0..10_000).step_by(2).collect();
-    let ((freed_bytes, freed_allocations), _) =
-        held(|| storage.delete_bookmarks("h", &every_other).unwrap());
+    let ((freed_bytes, freed_allocations), _) = held(|| {
+        storage
+            .write(None, "h", Batch::Delete(every_other[..].into()))
+            .unwrap()
+    });
     assert_eq!(freed_allocations, -5_000, "a delete frees the row's string");
     assert!(
         -freed_bytes >= 5_000 * name_bytes,
