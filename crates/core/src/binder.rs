@@ -220,7 +220,7 @@ impl<'e> Binder<'e> {
     /// The linked server `name` names in this statement: resolved on first
     /// use, then the same one for the rest of the bind, whatever happens to
     /// the registration meanwhile.
-    fn link(&mut self, name: &str) -> Result<Arc<LinkedServer>> {
+    pub(crate) fn link(&mut self, name: &str) -> Result<Arc<LinkedServer>> {
         if let Some(link) = self
             .servers
             .iter()

@@ -1,16 +1,18 @@
 //! DML execution: INSERT / UPDATE / DELETE against local tables, remote
 //! tables and (distributed) partitioned views, with 2PC when a statement
-//! touches more than one server, or sends one server more than one write
-//! (paper §2: "SQL Server uses the Microsoft Distributed Transaction
-//! Coordinator to ensure atomicity of transactions across data sources").
+//! sends more than one write request (paper §2: "SQL Server uses the
+//! Microsoft Distributed Transaction Coordinator to ensure atomicity of
+//! transactions across data sources").
 //!
 //! Every statement runs in three steps: **locate** every row it touches (or
 //! route every row it inserts), collect the writes that follow into one
 //! [`WritePlan`], and only then **apply** the plan. Nothing is written while
 //! rows are still being located, so a statement never meets its own writes
-//! (the Halloween problem), and the head knows each participant's last
-//! write — the one its 2PC vote rides, or for the last participant, the
-//! commit.
+//! (the Halloween problem), and the head knows, before its first write,
+//! which servers it writes to and each one's last write — the one its 2PC
+//! vote rides, or for the last participant, the commit. [`Sessions::apply`]
+//! decides the statement's transaction from that plan alone, and a server
+//! the statement only read from is no participant.
 //!
 //! A table on a provider that takes the whole UPDATE/DELETE as SQL text
 //! ([`pushed_statement`]) is not located at all: the plan carries the
@@ -18,10 +20,9 @@
 //! session's transaction.
 
 use crate::binder::Binder;
-use crate::engine::Engine;
+use crate::engine::{Engine, LinkedServer};
 use crate::knobs::Knobs;
 use crate::result::QueryResult;
-use dhqp_dtc::DistributedTransaction;
 use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
 use dhqp_executor::ops::retry::RetryState;
 use dhqp_executor::ExecContext;
@@ -33,7 +34,7 @@ use dhqp_optimizer::{Domains, ScalarExpr};
 use dhqp_sqlfront as ast;
 use dhqp_storage::LocalSession;
 use dhqp_types::{DhqpError, Interval, IntervalSet, Result, Row, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a DML statement targets.
@@ -64,26 +65,38 @@ fn resolve_target(engine: &Engine, name: &ast::ObjectName, ambient: bool) -> Res
     })
 }
 
-/// Key identifying one participant server in a multi-site statement.
-fn server_key(server: &Option<String>) -> String {
-    server.as_deref().unwrap_or("(local)").to_lowercase()
+/// Where a table lives: this server's own storage (`None`), or the linked
+/// server the statement resolved — once, when it was bound: its sessions
+/// are opened on that registration's pool, and its reads gated by that
+/// registration's breaker, whatever happens to the name meanwhile.
+type Server = Option<Arc<LinkedServer>>;
+
+/// `server` as the statement resolves it, through `binder`: once per name.
+fn resolve(binder: &mut Binder, server: &Option<String>) -> Result<Server> {
+    server.as_deref().map(|s| binder.link(s)).transpose()
 }
 
-fn source_for(engine: &Engine, server: &Option<String>) -> Result<Arc<dyn DataSource>> {
+/// Key identifying one participant server in a multi-site statement.
+fn server_key(server: &Server) -> String {
+    server
+        .as_ref()
+        .map_or_else(|| "(local)".to_string(), |link| link.name.clone())
+}
+
+/// A new session on `server`: a linked server's is leased from its pool.
+fn connect(engine: &Engine, server: &Server) -> Result<Box<dyn Session>> {
     match server {
-        None => Ok(engine.local_data_source() as Arc<dyn DataSource>),
-        Some(s) => engine.linked_server(s),
+        None => engine.local_data_source().create_session(),
+        Some(link) => link.pool.create_session(),
     }
 }
 
-/// The per-server sessions of one statement: plain autocommit sessions
-/// when it has a single participant, sessions enlisted in one distributed
-/// transaction when it spans several — or when its one participant is sent
-/// more than one write ([`Sessions::apply`]).
+/// The sessions a statement reads and writes through.
 enum Sessions<'e> {
-    /// At most one session: the statement writes to one server.
-    AutoCommit(&'e Engine, Option<Box<dyn Session>>),
-    Enlisted(&'e Engine, DistributedTransaction),
+    /// The statement's own: one plain session per server, opened by the
+    /// first read or write there and kept for the statement, so a server's
+    /// writes go through the session that located its rows.
+    Own(&'e Engine, HashMap<String, Box<dyn Session>>),
     /// The statement is command text a consumer sent on its session with
     /// this server's storage ([`Engine::execute_on_session`]), and writes
     /// through it: under the consumer's transaction when the session is
@@ -95,115 +108,74 @@ enum Sessions<'e> {
 }
 
 impl<'e> Sessions<'e> {
-    /// `participants` are the servers the statement may write to.
-    fn new(
-        engine: &'e Engine,
-        participants: &[Option<String>],
-        ambient: Option<&'e mut LocalSession>,
-    ) -> Self {
-        if let Some(session) = ambient {
-            return Sessions::Ambient(engine, session);
-        }
-        let servers: HashSet<String> = participants.iter().map(server_key).collect();
-        if servers.len() <= 1 {
-            Sessions::AutoCommit(engine, None)
-        } else {
-            Sessions::Enlisted(engine, engine.dtc().begin())
+    fn new(engine: &'e Engine, ambient: Option<&'e mut LocalSession>) -> Self {
+        match ambient {
+            Some(session) => Sessions::Ambient(engine, session),
+            None => Sessions::Own(engine, HashMap::new()),
         }
     }
 
-    /// The statement's one session for `server`, connected (and enlisted)
-    /// on first use.
-    fn session(&mut self, server: &Option<String>) -> Result<&mut dyn Session> {
-        let key = server_key(server);
+    /// The statement's session for `server`, opened on first use.
+    fn session(&mut self, server: &Server) -> Result<&mut dyn Session> {
         match self {
-            Sessions::AutoCommit(engine, session) => {
-                if session.is_none() {
-                    *session = Some(source_for(engine, server)?.create_session()?);
+            Sessions::Own(engine, open) => {
+                let key = server_key(server);
+                if !open.contains_key(&key) {
+                    open.insert(key.clone(), connect(engine, server)?);
                 }
-                Ok(session.as_deref_mut().expect("opened above"))
-            }
-            Sessions::Enlisted(engine, txn) => {
-                if !txn.participant_names().contains(&key) {
-                    let session = source_for(engine, server)?.create_session()?;
-                    txn.enlist(key.clone(), session)?;
-                }
-                Ok(txn.session_mut(&key)?.as_mut())
+                Ok(open.get_mut(&key).expect("opened above").as_mut())
             }
             Sessions::Ambient(_, session) => Ok(&mut **session),
         }
     }
 
-    /// Write `plan`, participant by participant in the order the statement
-    /// first wrote to them, and commit. Under 2PC a participant's last
-    /// request carries its vote and the last participant's carries the
-    /// commit; one enlisted to locate rows that turned out to have none is
-    /// read-only. Then index what became visible: the local tables written,
-    /// unless the statement wrote under a consumer's transaction, whose
-    /// commit does it ([`LocalSession::take_committed`]).
+    /// Write `plan` and commit. A plan of one request is written on its
+    /// server's session as it is. A plan of more runs under one distributed
+    /// transaction over the servers it writes to, in the order the
+    /// statement first wrote to them: each one's session joins with its
+    /// first write, its last request carries its vote, and the last one's
+    /// carries the commit. Then index what became visible: the local tables
+    /// written, unless the statement wrote under a consumer's transaction,
+    /// whose commit does it ([`LocalSession::take_committed`]).
     fn apply(mut self, plan: &WritePlan) -> Result<Applied> {
         let mut applied = Applied::default();
-        let mut firsts: Vec<&TableWrites> = Vec::new();
-        for table in &plan.tables {
-            if !firsts.iter().any(|first| first.key == table.key) {
-                firsts.push(table);
-            }
-        }
+        let writers = plan.writers();
+        let requests: usize = writers.iter().map(|(_, ops)| ops.len()).sum();
         let consumer_txn = matches!(&self, Sessions::Ambient(_, s) if s.transaction().is_some());
-        // One participant sent several writes (a row moving between two
-        // members of a view on one server): they commit together, the
-        // commit riding the last of them, or not at all.
-        if let Sessions::AutoCommit(engine, session) = &mut self {
-            if participant_ops(plan.tables.iter()).len() > 1 {
+        match &mut self {
+            Sessions::Own(engine, open) if requests > 1 => {
                 let mut txn = engine.dtc().begin();
-                if let Some(session) = session.take() {
-                    txn.enlist(firsts[0].key.clone(), session)?;
-                }
-                self = Sessions::Enlisted(engine, txn);
-            }
-        }
-        if let Sessions::Enlisted(_, txn) = &mut self {
-            for name in txn.participant_names() {
-                if !firsts.iter().any(|first| first.key == name) {
-                    txn.read_only(&name)?;
-                }
-            }
-        }
-        let mut decider = None;
-        for (i, first) in firsts.iter().enumerate() {
-            let mut ops = participant_ops(plan.tables.iter().filter(|t| t.key == first.key));
-            let Some(last) = ops.pop() else {
-                continue;
-            };
-            for op in &ops {
-                op.apply(self.session(&first.server)?, &mut applied)?;
-            }
-            // An INSERT's or a pushed statement's only request may also be
-            // the participant's first.
-            self.session(&first.server)?;
-            match &mut self {
-                Sessions::Enlisted(..) if i + 1 == firsts.len() => decider = Some((first, last)),
-                Sessions::Enlisted(_, txn) => {
-                    txn.write_and_vote(&first.key, |s| last.apply(s, &mut applied))?
-                }
-                _ => last.apply(self.session(&first.server)?, &mut applied)?,
-            }
-        }
-        let engine = match self {
-            Sessions::AutoCommit(engine, _) => engine,
-            Sessions::Enlisted(engine, txn) => {
-                match decider {
-                    Some((first, last)) => {
-                        txn.write_and_commit(&first.key, |s| last.apply(s, &mut applied))?
+                let mut decider = None;
+                for (i, (writer, ops)) in writers.iter().enumerate() {
+                    let session = match open.remove(&writer.key) {
+                        Some(session) => session,
+                        None => connect(engine, &writer.server)?,
+                    };
+                    txn.enlist(writer.key.clone(), session)?;
+                    let (last, ops) = ops.split_last().expect("a listed table is written");
+                    for op in ops {
+                        op.apply(txn.session_mut(&writer.key)?.as_mut(), &mut applied)?;
                     }
-                    None => txn.commit()?,
+                    match i + 1 < writers.len() {
+                        true => txn.write_and_vote(&writer.key, |s| last.apply(s, &mut applied))?,
+                        false => decider = Some((&writer.key, last)),
+                    }
                 }
-                engine
+                let (key, last) = decider.expect("two requests or more");
+                txn.write_and_commit(key, |s| last.apply(s, &mut applied))?;
             }
-            // The statement's outcome, once it is done, answers a vote or
-            // commit it was to carry (`Engine::run_statement`).
-            Sessions::Ambient(engine, _) => engine,
-        };
+            // One request, or an ambient session's writes: the statement's
+            // outcome, once it is done, answers a vote or commit the
+            // consumer asked its write to carry (`Engine::run_statement`).
+            _ => {
+                for (writer, ops) in &writers {
+                    for op in ops {
+                        op.apply(self.session(&writer.server)?, &mut applied)?;
+                    }
+                }
+            }
+        }
+        let (Sessions::Own(engine, _) | Sessions::Ambient(engine, _)) = self;
         if !consumer_txn {
             for table in plan.tables.iter().filter(|t| t.server.is_none()) {
                 engine.refresh_fulltext_index(&table.table)?;
@@ -224,7 +196,7 @@ impl<'e> Sessions<'e> {
 struct TableWrites {
     /// [`server_key`] of `server`: tables with one key share a participant.
     key: String,
-    server: Option<String>,
+    server: Server,
     table: String,
     delete: Vec<u64>,
     update: (Vec<u64>, Vec<Row>),
@@ -244,7 +216,7 @@ struct WritePlan {
 
 impl WritePlan {
     /// The entry for `table` on `server`, added on first use.
-    fn table(&mut self, server: &Option<String>, table: &str) -> &mut TableWrites {
+    fn table(&mut self, server: &Server, table: &str) -> &mut TableWrites {
         let key = server_key(server);
         let listed = self
             .tables
@@ -260,6 +232,19 @@ impl WritePlan {
             self.tables.len() - 1
         });
         &mut self.tables[at]
+    }
+
+    /// Each server the plan writes to, in the order the statement first
+    /// wrote to it, with its requests.
+    fn writers(&self) -> Vec<(&TableWrites, Vec<WriteOp<'_>>)> {
+        let mut writers: Vec<(&TableWrites, Vec<WriteOp>)> = Vec::new();
+        for table in &self.tables {
+            if !writers.iter().any(|(writer, _)| writer.key == table.key) {
+                let ops = participant_ops(self.tables.iter().filter(|t| t.key == table.key));
+                writers.push((table, ops));
+            }
+        }
+        writers
     }
 }
 
@@ -338,9 +323,9 @@ pub fn run_insert(
     ambient: Option<&mut LocalSession>,
 ) -> Result<QueryResult> {
     let target = resolve_target(engine, &stmt.table, ambient.is_some())?;
+    let mut binder = Binder::for_statement(engine, Arc::clone(knobs), params);
     let source_rows: Vec<Vec<Value>> = match &stmt.source {
         ast::InsertSource::Values(rows) => {
-            let mut binder = Binder::for_statement(engine, Arc::clone(knobs), params);
             let mut bound_rows = Vec::with_capacity(rows.len());
             for row in rows {
                 bound_rows.push(binder.bind_standalone_exprs(row)?);
@@ -360,6 +345,7 @@ pub fn run_insert(
     let mut plan = WritePlan::default();
     match &target {
         Target::Table(server, table) => {
+            let server = resolve(&mut binder, server)?;
             let info = engine.fresh_table_info(server.as_deref(), table)?;
             let arrange = |values| arrange_row(&stmt.columns, &info.columns, values);
             let rows = source_rows
@@ -367,7 +353,7 @@ pub fn run_insert(
                 .map(arrange)
                 .collect::<Result<Vec<_>>>()?;
             if !rows.is_empty() {
-                plan.table(server, table).insert = rows;
+                plan.table(&server, table).insert = rows;
             }
         }
         // Every row is routed before any is written, so a row no member
@@ -377,12 +363,12 @@ pub fn run_insert(
             for values in source_rows {
                 let row = arrange_row(&stmt.columns, &info.columns, values)?;
                 let member = &view.members[view.route(row.get(view.partition_column))?];
-                plan.table(&member.server, &member.table).insert.push(row);
+                let server = resolve(&mut binder, &member.server)?;
+                plan.table(&server, &member.table).insert.push(row);
             }
         }
     }
-    let participants: Vec<_> = plan.tables.iter().map(|t| t.server.clone()).collect();
-    let applied = Sessions::new(engine, &participants, ambient).apply(&plan)?;
+    let applied = Sessions::new(engine, ambient).apply(&plan)?;
     Ok(QueryResult::rows_affected(applied.inserted))
 }
 
@@ -435,7 +421,7 @@ fn arrange_row(
 
 /// One table an UPDATE/DELETE writes, bound once for the statement.
 struct BoundTarget {
-    server: Option<String>,
+    server: Server,
     meta: Arc<TableMeta>,
     /// The WHERE clause over `meta`'s columns, supplied parameters folded
     /// to literals.
@@ -450,6 +436,8 @@ struct BoundTarget {
 /// touch, and the context its expressions evaluate in.
 struct WriteSet {
     view: Option<Arc<PartitionedView>>,
+    /// The server of each of the view's members, where a moved row may go.
+    members: Vec<Server>,
     targets: Vec<BoundTarget>,
     ctx: ExecContext,
 }
@@ -466,6 +454,7 @@ impl WriteSet {
         let mut binder = Binder::for_statement(engine, Arc::clone(knobs), params).for_dml();
         let mut bind = |server: &Option<String>, table: &str, member| -> Result<BoundTarget> {
             let meta = binder.bind_dml_table(server.as_deref(), table)?;
+            let server = resolve(&mut binder, server)?;
             let predicate = where_clause
                 .map(|e| binder.bind_expr_in_table(e, &meta))
                 .transpose()?;
@@ -480,7 +469,7 @@ impl WriteSet {
                 })
                 .collect::<Result<Vec<_>>>()?;
             Ok(BoundTarget {
-                server: server.clone(),
+                server,
                 meta,
                 predicate,
                 assignments,
@@ -522,13 +511,17 @@ impl WriteSet {
                 (Some(view), targets)
             }
         };
+        let members = view.iter().flat_map(|v| &v.members);
+        let members = members
+            .map(|m| resolve(&mut binder, &m.server))
+            .collect::<Result<_>>()?;
         let ctx = engine.exec_context(knobs, params.clone(), Arc::new(binder.registry_snapshot()));
-        Ok(WriteSet { view, targets, ctx })
-    }
-
-    /// Servers the bound targets live on.
-    fn participants(&self) -> Vec<Option<String>> {
-        self.targets.iter().map(|t| t.server.clone()).collect()
+        Ok(WriteSet {
+            view,
+            members,
+            targets,
+            ctx,
+        })
     }
 
     /// Put the whole write to `target` into `plan` as one statement if its
@@ -601,10 +594,7 @@ impl WriteSet {
         let (ctx, pull) = (&self.ctx, self.ctx.batch().batch_size);
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
-        let breaker = target
-            .server
-            .as_deref()
-            .and_then(|s| ctx.catalog().breaker(s));
+        let breaker = target.server.as_ref().map(|link| Arc::clone(&link.breaker));
         let rows = RetryState::new(ctx.retry(), ctx.counters())
             .gated(breaker)
             .read(|| {
@@ -721,7 +711,7 @@ pub fn run_delete(
         &[],
         params,
     )?;
-    let mut sessions = Sessions::new(engine, &set.participants(), ambient);
+    let mut sessions = Sessions::new(engine, ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
         if set.push(engine, target, &mut plan) {
@@ -756,20 +746,7 @@ pub fn run_update(
         &stmt.assignments,
         params,
     )?;
-    // Partition-key updates may move rows to any member, so every member
-    // becomes a potential participant.
-    let participants = match &set.view {
-        Some(view)
-            if stmt
-                .assignments
-                .iter()
-                .any(|(c, _)| view.columns[view.partition_column].eq_ignore_ascii_case(c)) =>
-        {
-            view.members.iter().map(|m| m.server.clone()).collect()
-        }
-        _ => set.participants(),
-    };
-    let mut sessions = Sessions::new(engine, &participants, ambient);
+    let mut sessions = Sessions::new(engine, ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
         if set.push(engine, target, &mut plan) {
@@ -819,8 +796,8 @@ impl WriteSet {
                 let dest = view.route(new_row.get(view.partition_column))?;
                 if dest != my_member {
                     moved_out.push(bookmark);
-                    let dest = &view.members[dest];
-                    plan.table(&dest.server, &dest.table).insert.push(new_row);
+                    let table = &view.members[dest].table;
+                    plan.table(&self.members[dest], table).insert.push(new_row);
                     continue;
                 }
             }
@@ -864,8 +841,11 @@ mod tests {
             left: Box::new(column(1)),
             right: Box::new(ScalarExpr::literal(Value::Int(1))),
         };
+        let head = Engine::new("head");
+        let sheet = SpreadsheetProvider::new("xls", Vec::new());
+        head.add_linked_server("m", Arc::new(sheet)).unwrap();
         BoundTarget {
-            server: Some("m".into()),
+            server: Some(head.link("m").unwrap()),
             predicate: Some(ScalarExpr::eq(
                 column(0),
                 ScalarExpr::literal(Value::Int(7)),

@@ -545,12 +545,12 @@ impl Engine {
     /// Current (uncached) table info.
     pub(crate) fn fresh_table_info(
         &self,
-        server: Option<&str>,
+        server: Option<&LinkedServer>,
         table: &str,
     ) -> Result<dhqp_oledb::TableInfo> {
         match server {
             None => self.inner.local_source.table(table),
-            Some(s) => self.linked_server(s)?.table(table),
+            Some(link) => link.pool.table(table),
         }
     }
 

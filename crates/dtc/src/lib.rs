@@ -7,25 +7,26 @@
 //!
 //! 1. **Prepare**: every participant must durably promise to commit.
 //!    Any refusal aborts everyone.
-//! 2. **Commit/Abort**: the decision is logged, then delivered to all
+//! 2. **Commit/Abort**: the decision is taken, then delivered to all
 //!    participants.
 //!
 //! Phase one need not be a message of its own. A caller that knows a
 //! participant's last write sends it through
 //! [`DistributedTransaction::write_and_vote`], and a provider that
 //! implements [`Session::vote_with_next_write`] answers the vote with that
-//! write; a participant declared [`DistributedTransaction::read_only`] has
-//! nothing to promise. `commit()` then asks only whoever is left — every
-//! participant, for callers that drive sessions through `session_mut` alone.
+//! write. `commit()` then asks only whoever is left — every participant,
+//! for callers that drive sessions through `session_mut` alone. Every
+//! participant is owed the outcome, so a caller enlists only the sessions
+//! that write: a server a statement only read from is none.
 //! A participant that voted early and is aborted afterwards (another one
 //! refused, or failed a write) is in no different position from one aborted
-//! after an explicit prepare: nothing was logged, so abort is presumed.
+//! after an explicit prepare: nothing was decided, so abort is presumed.
 //!
 //! Once every other participant has voted, the last one's vote *is* the
 //! decision (the last-agent optimization): [`DistributedTransaction::
 //! write_and_commit`] sends its last write with
 //! [`Session::commit_with_next_write`], and a provider that implements it
-//! prepares and commits with that write. Its `Ok` is logged `Committed` and
+//! prepares and commits with that write. Its `Ok` is the decision `Committed`,
 //! delivered to the others; its error is a no, and everyone is aborted. A
 //! two-member write then costs three requests, not four.
 //!
@@ -33,11 +34,12 @@
 //! `set_fail_commit`) lets tests and benches exercise the abort path and
 //! the in-doubt/recovery path.
 //!
-//! A participant that fails *after* the decision was logged leaves the
+//! A participant that fails *after* the decision was taken leaves the
 //! transaction **in doubt**: the coordinator keeps the participant's session
-//! in an in-doubt store, and [`TransactionCoordinator::recover`] replays the
-//! persisted outcome (presumed abort when no `Committed` record exists)
-//! until every participant has acknowledged the decision.
+//! in an in-doubt store together with the outcome it missed, and
+//! [`TransactionCoordinator::recover`] re-delivers that outcome until every
+//! participant has acknowledged it. A decided transaction with no
+//! participant left owing an answer leaves nothing behind but the counters.
 
 use dhqp_oledb::{emit_event, has_hook, record_wait, Session, TxnId, WaitClass};
 use dhqp_types::{DhqpError, Result};
@@ -61,29 +63,21 @@ fn txn_event(txn: TxnId, state: &str, detail: &str) {
     }
 }
 
-/// Final decision for a transaction, as recorded in the outcome log.
+/// Final decision for a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     Committed,
     Aborted,
 }
 
-/// One outcome-log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    pub txn: TxnId,
-    pub outcome: Outcome,
-    pub participants: Vec<String>,
-}
-
 /// Coordinator counters, including in-doubt/recovery telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DtcStats {
-    /// Transactions whose outcome was logged `Committed`.
+    /// Transactions decided `Committed`.
     pub commits: u64,
-    /// Transactions whose outcome was logged `Aborted`.
+    /// Transactions decided `Aborted`.
     pub aborts: u64,
-    /// Transactions currently in doubt (decision logged, delivery pending).
+    /// Transactions currently in doubt (decision taken, delivery pending).
     pub in_doubt: u64,
     /// In-doubt transactions fully resolved by [`TransactionCoordinator::recover`].
     pub recovered: u64,
@@ -99,25 +93,25 @@ pub struct DtcStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// In-doubt transactions whose every participant acknowledged the
-    /// logged outcome during this pass.
+    /// outcome during this pass.
     pub resolved: u64,
     /// In-doubt transactions with at least one participant still failing.
     pub still_in_doubt: u64,
 }
 
-/// An in-doubt transaction: the decision is durable in the log, but at
-/// least one participant has not acknowledged it. The coordinator keeps the
-/// unacknowledged sessions so recovery can re-deliver the outcome.
+/// An in-doubt transaction: the decision is taken, but at least one
+/// participant has not acknowledged it. The coordinator keeps the decision
+/// and the unacknowledged sessions so recovery can re-deliver it.
 struct InDoubt {
     txn: TxnId,
+    outcome: Outcome,
     participants: Vec<(String, Box<dyn Session>)>,
 }
 
-/// The coordinator: allocates transaction ids and keeps the outcome log.
+/// The coordinator: allocates transaction ids and keeps what is in doubt.
 #[derive(Default)]
 pub struct TransactionCoordinator {
     next_txn: AtomicU64,
-    log: Mutex<Vec<LogRecord>>,
     in_doubt: Mutex<Vec<InDoubt>>,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -167,36 +161,22 @@ impl TransactionCoordinator {
         self.in_doubt.lock().iter().map(|d| d.txn).collect()
     }
 
-    /// The outcome log, oldest first.
-    pub fn log(&self) -> Vec<LogRecord> {
-        self.log.lock().clone()
-    }
-
-    /// Resolve in-doubt transactions from the persisted outcome log.
+    /// Resolve in-doubt transactions.
     ///
-    /// For each in-doubt transaction the logged decision is re-delivered to
-    /// every unacknowledged participant: `Committed` re-sends the commit;
-    /// anything else — including a missing record — presumes abort, the
-    /// classic presumed-abort recovery rule. Participants that fail again
-    /// stay in the in-doubt store for a later pass.
+    /// For each in-doubt transaction the decision it was marked with is
+    /// re-delivered to every unacknowledged participant: `Committed`
+    /// re-sends the commit, `Aborted` the abort. Participants that fail
+    /// again stay in the in-doubt store for a later pass.
     pub fn recover(&self) -> RecoveryReport {
         let pending = std::mem::take(&mut *self.in_doubt.lock());
         let mut report = RecoveryReport::default();
         let mut still = Vec::new();
         for entry in pending {
-            let outcome = self
-                .log
-                .lock()
-                .iter()
-                .rev()
-                .find(|r| r.txn == entry.txn)
-                .map(|r| r.outcome);
             let mut failed = Vec::new();
             for (name, mut session) in entry.participants {
-                let delivery = match outcome {
-                    Some(Outcome::Committed) => session.commit(entry.txn),
-                    // Presumed abort: no commit record means roll back.
-                    _ => session.abort(entry.txn),
+                let delivery = match entry.outcome {
+                    Outcome::Committed => session.commit(entry.txn),
+                    Outcome::Aborted => session.abort(entry.txn),
                 };
                 if delivery.is_err() {
                     failed.push((name, session));
@@ -208,8 +188,8 @@ impl TransactionCoordinator {
             } else {
                 report.still_in_doubt += 1;
                 still.push(InDoubt {
-                    txn: entry.txn,
                     participants: failed,
+                    ..entry
                 });
             }
         }
@@ -217,20 +197,26 @@ impl TransactionCoordinator {
         report
     }
 
-    fn mark_in_doubt(&self, txn: TxnId, participants: Vec<(String, Box<dyn Session>)>) {
-        self.in_doubt.lock().push(InDoubt { txn, participants });
-    }
-
-    fn record(&self, txn: TxnId, outcome: Outcome, participants: Vec<String>) {
-        match outcome {
-            Outcome::Committed => self.commits.fetch_add(1, Ordering::Relaxed),
-            Outcome::Aborted => self.aborts.fetch_add(1, Ordering::Relaxed),
-        };
-        self.log.lock().push(LogRecord {
+    /// Keep `participants`, which did not acknowledge `outcome`, for
+    /// [`Self::recover`].
+    fn mark_in_doubt(
+        &self,
+        txn: TxnId,
+        outcome: Outcome,
+        participants: Vec<(String, Box<dyn Session>)>,
+    ) {
+        self.in_doubt.lock().push(InDoubt {
             txn,
             outcome,
             participants,
         });
+    }
+
+    fn record(&self, outcome: Outcome) {
+        match outcome {
+            Outcome::Committed => self.commits.fetch_add(1, Ordering::Relaxed),
+            Outcome::Aborted => self.aborts.fetch_add(1, Ordering::Relaxed),
+        };
     }
 }
 
@@ -241,8 +227,6 @@ enum Vote {
     Pending,
     /// Voted yes with its last write.
     Ridden,
-    /// Wrote nothing, so has nothing to promise: it gets the outcome only.
-    ReadOnly,
     /// Committed with its last write: it is owed nothing.
     Decided,
 }
@@ -331,19 +315,11 @@ impl DistributedTransaction {
         }
     }
 
-    /// Declare that `name` wrote nothing under this transaction (it was
-    /// enlisted to read). It is not asked to prepare and receives the
-    /// outcome message only.
-    pub fn read_only(&mut self, name: &str) -> Result<()> {
-        self.participant_mut(name)?.vote = Vote::ReadOnly;
-        Ok(())
-    }
-
     /// Run `write`, the last write the last participant `name` makes, with
     /// the commit riding it ([`Session::commit_with_next_write`]), once every
-    /// other participant has voted or is read-only. `write` must send that
-    /// write as its first request on the session. `Ok` from it is the
-    /// decision: logged `Committed`, then delivered to the others as by
+    /// other participant has voted. `write` must send that write as its
+    /// first request on the session. `Ok` from it is the decision:
+    /// `Committed`, delivered to the others as by
     /// [`Self::commit`]. An error is a no: everyone is aborted, as after a
     /// refused `prepare` — `name` too, which rolled back already if the
     /// write reached it (aborting it again is harmless), and may not have
@@ -410,19 +386,16 @@ impl DistributedTransaction {
             let _ = p.session.abort(self.id);
         }
         self.finished = true;
-        self.coordinator
-            .record(self.id, Outcome::Aborted, self.participant_names());
+        self.coordinator.record(Outcome::Aborted);
         txn_event(self.id, "aborted", &format!("'{name}' refused prepare"));
         DhqpError::Transaction(format!("participant '{name}' refused prepare: {cause}"))
     }
 
     /// Record `Aborted` and deliver it everywhere. Participants that fail
-    /// to acknowledge go to the in-doubt store; recovery presumes abort and
-    /// re-delivers.
+    /// to acknowledge go to the in-doubt store, and recovery re-delivers it.
     fn abort_everyone(&mut self) {
         self.finished = true;
-        self.coordinator
-            .record(self.id, Outcome::Aborted, self.participant_names());
+        self.coordinator.record(Outcome::Aborted);
         let mut failed = Vec::new();
         for mut p in std::mem::take(&mut self.participants) {
             if p.session.abort(self.id).is_err() {
@@ -430,20 +403,19 @@ impl DistributedTransaction {
             }
         }
         if !failed.is_empty() {
-            self.coordinator.mark_in_doubt(self.id, failed);
+            self.coordinator
+                .mark_in_doubt(self.id, Outcome::Aborted, failed);
         }
     }
 
-    /// The `preparing` event's detail: every participant, then who is not
-    /// asked to prepare and why.
+    /// The `preparing` event's detail: every participant, then those not
+    /// asked to prepare because they voted with their last write.
     fn phase_one_detail(&self, names: &[String]) -> String {
         let mut detail = names.join(",");
-        for (label, vote) in [("voted early", Vote::Ridden), ("read-only", Vote::ReadOnly)] {
-            let voted = self.participants.iter().filter(|p| p.vote == vote);
-            let who: Vec<&str> = voted.map(|p| p.name.as_str()).collect();
-            if !who.is_empty() {
-                detail.push_str(&format!("; {label}: {}", who.join(",")));
-            }
+        let voted = self.participants.iter().filter(|p| p.vote == Vote::Ridden);
+        let who: Vec<&str> = voted.map(|p| p.name.as_str()).collect();
+        if !who.is_empty() {
+            detail.push_str(&format!("; voted early: {}", who.join(",")));
         }
         detail
     }
@@ -483,15 +455,14 @@ impl DistributedTransaction {
             }
         }
         self.finished = true;
-        self.deliver_commit("decision logged")
+        self.deliver_commit("every vote is yes")
     }
 
-    /// Log `Committed` and deliver it to every participant that has not
+    /// Record `Committed` and deliver it to every participant that has not
     /// decided already.
     fn deliver_commit(&mut self, detail: &str) -> Result<()> {
-        // Decision is durable before phase two.
-        self.coordinator
-            .record(self.id, Outcome::Committed, self.participant_names());
+        // The decision is taken before phase two.
+        self.coordinator.record(Outcome::Committed);
         txn_event(self.id, "committing", detail);
         // Phase two: deliver commit to *every* participant even when some
         // fail — a prepared participant that missed the decision must still
@@ -512,9 +483,10 @@ impl DistributedTransaction {
             return Ok(());
         }
         txn_event(self.id, "in_doubt", &causes.join(", "));
-        self.coordinator.mark_in_doubt(self.id, failed);
+        self.coordinator
+            .mark_in_doubt(self.id, Outcome::Committed, failed);
         Err(DhqpError::Transaction(format!(
-            "transaction {} is in doubt: log has Committed but commit delivery failed for {} \
+            "transaction {} is in doubt: decided Committed but commit delivery failed for {} \
              (run recover() to resolve)",
             self.id,
             causes.join(", ")
@@ -635,12 +607,12 @@ mod tests {
             .unwrap();
         // Invisible before commit.
         assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 0);
+        assert_eq!(txn.participant_names(), ["s1", "s2"]);
         txn.commit().unwrap();
         assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
         assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 1);
         assert_eq!(dtc.stats(), (1, 0));
-        assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
-        assert_eq!(dtc.log()[0].participants, vec!["s1", "s2"]);
+        assert!(dtc.in_doubt_txns().is_empty());
     }
 
     #[test]
@@ -649,6 +621,7 @@ mod tests {
         e2.set_fail_prepare(true);
         let dtc = TransactionCoordinator::new();
         let mut txn = dtc.begin();
+        let id = txn.id();
         txn.enlist("s1", session_for(&e1)).unwrap();
         txn.enlist("s2", session_for(&e2)).unwrap();
         txn.session_mut("s1")
@@ -666,33 +639,28 @@ mod tests {
         assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 0);
         assert_eq!(dtc.stats(), (0, 1));
         // No dangling participant state.
-        assert!(!e1.has_txn(dtc.log()[0].txn));
-        assert!(!e2.has_txn(dtc.log()[0].txn));
+        assert!(!e1.has_txn(id));
+        assert!(!e2.has_txn(id));
     }
 
     #[test]
     fn a_participant_that_voted_with_its_write_is_not_prepared_again() {
-        let (e1, e2, e3) = (engine("s1"), engine("s2"), engine("s3"));
+        let (e1, e2) = (engine("s1"), engine("s2"));
         let dtc = TransactionCoordinator::new();
         let mut txn = dtc.begin();
         let (s1, calls1) = noting_session_for(&e1);
         let (s2, calls2) = noting_session_for(&e2);
-        let (s3, calls3) = noting_session_for(&e3);
         txn.enlist("s1", s1).unwrap();
         txn.enlist("s2", s2).unwrap();
-        txn.enlist("s3", s3).unwrap();
         let n = txn
             .write_and_vote("s1", |s| s.insert("t", &[row(1)]))
             .unwrap();
         assert_eq!(n, 1);
-        // s2 is driven the old way; s3 only read.
+        // s2 is driven the old way.
         txn.session_mut("s2")
             .unwrap()
             .insert("t", &[row(2)])
             .unwrap();
-        let _ = txn.session_mut("s3").unwrap().open_rowset("t").unwrap();
-        txn.read_only("s3").unwrap();
-        assert!(txn.read_only("ghost").is_err());
         txn.commit().unwrap();
         assert_eq!(
             *calls1.lock(),
@@ -706,11 +674,6 @@ mod tests {
         assert_eq!(
             *calls2.lock(),
             ["join_transaction", "insert", "prepare", "commit"]
-        );
-        // Read-only: after its read, exactly one message — the outcome.
-        assert_eq!(
-            *calls3.lock(),
-            ["join_transaction", "open_rowset", "commit"]
         );
         assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
         assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 1);
@@ -778,12 +741,12 @@ mod tests {
             assert_eq!(e.with_table("t", |t| t.row_count()).unwrap(), 1);
         }
         assert_eq!(dtc.stats(), (1, 0));
-        assert_eq!(dtc.log()[0].participants, ["s1", "s2", "s3"]);
         let t = dtc.telemetry();
         assert_eq!((t.votes_ridden, t.commits_ridden, t.in_doubt), (3, 1, 0));
         let events = hook.0.lock();
         let states: Vec<&str> = events.iter().map(|[_, state, _]| state.as_str()).collect();
         assert_eq!(states, ["preparing", "committing", "committed"]);
+        assert_eq!(events[0][2], "s1,s2,s3; voted early: s1,s2");
         assert_eq!(events[1][2], "'s3' committed with its last write");
     }
 
@@ -862,8 +825,7 @@ mod tests {
             ]
         );
         assert!(!e1.has_txn(id) && !e2.has_txn(id));
-        assert_eq!(dtc.log()[0].outcome, Outcome::Aborted);
-        assert_eq!(dtc.log()[0].participants, ["s1", "s2"]);
+        assert_eq!(dtc.stats(), (0, 1));
 
         // The error came before the write reached the last participant, so
         // it has not rolled back what it buffered earlier: the abort does.
@@ -913,8 +875,7 @@ mod tests {
         assert!(err.to_string().contains("in doubt"), "{err}");
         assert!(!calls2.lock().contains(&"abort"));
         assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 1);
-        assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
-        assert_eq!(dtc.log().len(), 1);
+        assert_eq!(dtc.stats(), (1, 0));
         assert_eq!(dtc.in_doubt_txns(), [id]);
         e1.set_fail_commit(false);
         assert_eq!(dtc.recover().resolved, 1);
@@ -947,9 +908,7 @@ mod tests {
         assert!(txn.commit().is_err());
         assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 0);
         assert_eq!(e2.with_table("t", |t| t.row_count()).unwrap(), 0);
-        assert_eq!(dtc.stats(), (0, 1));
-        assert_eq!(dtc.log().len(), 1, "aborted once, not again on drop");
-        assert_eq!(dtc.log()[0].outcome, Outcome::Aborted);
+        assert_eq!(dtc.stats(), (0, 1), "aborted once, not again on drop");
         assert!(dtc.in_doubt_txns().is_empty());
     }
 
@@ -993,7 +952,7 @@ mod tests {
             .unwrap();
         let err = txn.commit().unwrap_err();
         assert!(err.to_string().contains("in doubt"), "{err}");
-        assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
+        assert_eq!(dtc.stats(), (1, 0));
         assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
         assert!(e2.has_txn(id));
         assert_eq!(dtc.in_doubt_txns(), vec![id]);
@@ -1055,9 +1014,9 @@ mod tests {
         let id = txn.id();
         let err = txn.commit().unwrap_err();
         assert!(err.to_string().contains("in doubt"), "{err}");
-        // The decision is durable: the log says Committed and the healthy
+        // The decision stands: it was Committed, and the healthy
         // participant applied its writes.
-        assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
+        assert_eq!(dtc.stats(), (1, 0));
         assert_eq!(e1.with_table("t", |t| t.row_count()).unwrap(), 1);
         // The failed participant still buffers its state for recovery.
         assert!(e2.has_txn(id));
@@ -1109,15 +1068,15 @@ mod tests {
 
     #[test]
     fn recover_presumes_abort_without_a_commit_record() {
-        // Forge an in-doubt entry with no log record at all (a coordinator
-        // that crashed before logging): presumed abort must roll it back.
+        // Forge an in-doubt entry marked Aborted (no commit was decided):
+        // recovery must roll it back.
         let e1 = engine("s1");
         let dtc = TransactionCoordinator::new();
         let mut session = session_for(&e1);
         session.join_transaction(99).unwrap();
         session.insert("t", &[row(1)]).unwrap();
         assert!(e1.has_txn(99));
-        dtc.mark_in_doubt(99, vec![("s1".into(), session)]);
+        dtc.mark_in_doubt(99, Outcome::Aborted, vec![("s1".into(), session)]);
         let report = dtc.recover();
         assert_eq!(
             report,
@@ -1178,12 +1137,13 @@ mod tests {
         txn.enlist("s2", session_for(&e2)).unwrap();
         txn.write_and_vote("s1", |s| s.insert("t", &[row(2)]))
             .unwrap();
-        txn.read_only("s2").unwrap();
+        txn.write_and_vote("s2", |s| s.insert("t", &[row(3)]))
+            .unwrap();
         txn.commit().unwrap();
         let snap = waits.snapshot();
         assert_eq!(snap.get(WaitClass::DtcPrepare).count, 1);
         assert_eq!(snap.get(WaitClass::DtcCommit).count, 2);
-        assert_eq!(hook.0.lock()[0][2], "s1,s2; voted early: s1; read-only: s2");
+        assert_eq!(hook.0.lock()[0][2], "s1,s2; voted early: s1,s2");
         assert_eq!(states(&hook), vec!["preparing", "committing", "committed"]);
     }
 

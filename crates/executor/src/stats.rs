@@ -195,7 +195,7 @@ counters! {
         dtc_commits,
         /// Distributed transactions aborted, from the coordinator.
         dtc_aborts,
-        /// Distributed transactions currently in doubt (decision logged,
+        /// Distributed transactions currently in doubt (decision taken,
         /// delivery pending at some participant).
         dtc_in_doubt,
         /// In-doubt transactions resolved by `recover()`.

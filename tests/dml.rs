@@ -596,28 +596,27 @@ fn seek_scan_and_unfederated_agree_on_every_statement() {
     assert!(pushed_m.dml_pushed > mixed_m.dml_pushed && mixed_m.dml_pushed > 0);
     assert!(pushed_m.dml_seeks > 0 && pushed_m.dml_seeks < mixed_m.dml_seeks);
     assert_eq!(pushed_m.dml_scans, 0, "a key move is sought by its key");
-    assert_eq!(metrics(&one_server.head).dml_pushed, pushed_m.dml_pushed);
-    // The same transactions committed whichever way the rows were written,
-    // whether the votes rode or not.
+    // A statement is a transaction when it sends more than one write
+    // request: the located paths agree whether the votes rode or not, and a
+    // pushed statement is sent to every member its predicate may select,
+    // rows or none, so it is a transaction at least as often.
     assert!(seek_m.dtc_votes_ridden > 0 && scan_m.dtc_votes_ridden == 0);
     assert!(pushed_m.dtc_votes_ridden > 0 && mixed_m.dtc_votes_ridden > 0);
-    for m in [&pushed_m, &mixed_m, &seek_m] {
-        assert_eq!(m.dtc_commits, scan_m.dtc_commits);
+    assert_eq!(seek_m.dtc_commits, scan_m.dtc_commits);
+    assert!(scan_m.dtc_commits <= mixed_m.dtc_commits);
+    assert!(mixed_m.dtc_commits <= pushed_m.dtc_commits);
+    for m in [&pushed_m, &mixed_m, &seek_m, &scan_m] {
         assert_eq!(m.dtc_aborts, 0);
     }
-    // A statement that sends one server several writes runs them in a
-    // transaction too, so two servers commit as often as four; one server
-    // commits wherever a statement sends it more than one write, and not
-    // the key move that stays on its member (one write, one request).
-    let two_m = metrics(&two_servers.head);
-    assert_eq!(
-        (two_m.dtc_commits, two_m.dtc_aborts, two_m.dml_pushed),
-        (pushed_m.dtc_commits, 0, pushed_m.dml_pushed)
-    );
-    assert_eq!(scan_m.dtc_aborts, 0);
-    let one_m = metrics(&one_server.head);
-    assert!(one_m.dtc_commits > 0 && one_m.dtc_commits < pushed_m.dtc_commits);
-    assert_eq!(one_m.dtc_aborts, 0);
+    // Counting requests, not servers, the decision does not depend on how
+    // the members are spread: one server, two and four commit alike.
+    for servers in [&two_servers.head, &one_server.head] {
+        let m = metrics(servers);
+        assert_eq!(
+            (m.dtc_commits, m.dtc_aborts, m.dml_pushed),
+            (pushed_m.dtc_commits, 0, pushed_m.dml_pushed)
+        );
+    }
 }
 
 /// The Halloween problem: a partition-key UPDATE whose rows land, still
@@ -864,14 +863,14 @@ fn seek_runs_on_the_enlisted_session_before_any_write() {
     assert_eq!(n, 2);
     assert_eq!(fed.head.dtc().stats(), (1, 0));
     for member in [0, 1] {
-        // One session per participant: it joins the transaction, locates
-        // the rows, writes them and takes both 2PC phases. No command
+        // One session per participant: it locates the rows, joins the
+        // transaction, writes them and takes both 2PC phases. No command
         // object: this provider reports ODBC-core SQL.
         assert_eq!(
             fed.calls(member),
             [
-                "join_transaction",
                 "open_index",
+                "join_transaction",
                 "update_by_bookmarks",
                 "prepare",
                 "commit",
@@ -894,8 +893,8 @@ fn seek_runs_on_the_enlisted_session_before_any_write() {
         assert_eq!(
             fed.calls(source),
             [
-                "join_transaction",
                 "open_index",
+                "join_transaction",
                 "delete_by_bookmarks",
                 "prepare",
                 "commit"
@@ -918,6 +917,35 @@ fn seek_runs_on_the_enlisted_session_before_any_write() {
     );
 }
 
+/// A partition-key UPDATE whose row stays on its member sends that member
+/// one write: no transaction, whichever members the row could have gone to.
+#[test]
+fn a_key_move_that_stays_on_its_member_begins_no_transaction() {
+    let fed = federation(IndexAccess::Native, true);
+    fed.run("DELETE FROM acct_all WHERE id = 199", &[]);
+    fed.clear_logs();
+    let stats = fed.head.dtc().stats();
+    let (n, _, net) = fed.run_net_of_connects("UPDATE acct_all SET id = 199 WHERE id = 150", &[]);
+    assert_eq!((n, net), (1, vec![0, 0, 0, 2]), "one read, one write");
+    assert_eq!(fed.head.dtc().stats(), stats);
+    assert_eq!(fed.calls(3), ["open_index", "update_by_bookmarks"]);
+}
+
+/// A located statement that matches no row writes nothing: each member is
+/// sent its read and nothing else — no join, no outcome — and there is no
+/// transaction to commit.
+#[test]
+fn a_located_statement_that_matches_no_row_sends_only_its_reads() {
+    let fed = federation(IndexAccess::Native, true);
+    let (n, delta, net) = fed.run_net_of_connects("DELETE FROM acct_all WHERE balance = -5", &[]);
+    assert_eq!((n, net), (0, vec![1; 4]));
+    assert_eq!(rows(&delta), [50; 4]);
+    assert_eq!(fed.head.dtc().stats(), (0, 0));
+    for member in 0..4 {
+        assert_eq!(fed.calls(member), ["open_rowset"]);
+    }
+}
+
 /// What a cross-site write costs on the wire. Shipped as a statement, per
 /// participant: the statement(+join, +vote) → `commit`. Located, once
 /// enlistment and the vote ride the data requests: `open_index`(+join) →
@@ -935,15 +963,15 @@ fn two_phase_commit_messages_ride_the_data_requests() {
     let explicit = federation(IndexAccess::Native, true);
     let bytes = |delta: &[TrafficSnapshot]| delta.iter().map(|d| d.bytes).collect::<Vec<_>>();
     let (mut votes, mut pushed_votes) = (0, 0);
-    // `decider`: the last member the located path writes to; `writers`:
-    // how many it writes to.
-    for (sql, shipped, ridden, prepared, decider, writers, update_bytes) in [
+    // `decider`: the last member the located path writes to under 2PC;
+    // `voters`: how many vote with a write.
+    for (sql, shipped, ridden, prepared, decider, voters, update_bytes) in [
         (
             "UPDATE acct_all SET balance = balance - 1 WHERE id IN (10, 60)",
             [2, 1, 0, 0],
             [3, 2, 0, 0],
             [4, 4, 0, 0],
-            1,
+            Some(1),
             2,
             Some(237),
         ),
@@ -952,7 +980,7 @@ fn two_phase_commit_messages_ride_the_data_requests() {
             [2, 0, 0, 1],
             [3, 0, 0, 2],
             [4, 0, 0, 4],
-            3,
+            Some(3),
             2,
             None,
         ),
@@ -962,21 +990,21 @@ fn two_phase_commit_messages_ride_the_data_requests() {
             [2, 0, 0, 1],
             [2, 0, 0, 1],
             [3, 0, 0, 3],
-            3,
+            Some(3),
             2,
             None,
         ),
-        // A member that locates nothing (id 70 has another score) is
-        // read-only: it is not asked to vote, just told the outcome, and the
-        // other one decides. Sent the statement, it finds that out itself,
-        // and — last — commits with it all the same.
+        // A member that locates nothing (id 70 has another score) is no
+        // participant: it is sent its read and nothing else, and the one
+        // write left is autocommit. Sent the statement, it finds that out
+        // itself, and — last — commits with it all the same.
         (
             "DELETE FROM acct_all WHERE id IN (20, 70) AND score = 0.5",
             [2, 1, 0, 0],
-            [2, 2, 0, 0],
-            [4, 2, 0, 0],
+            [2, 1, 0, 0],
+            [2, 1, 0, 0],
+            None,
             0,
-            1,
             None,
         ),
     ] {
@@ -987,7 +1015,9 @@ fn two_phase_commit_messages_ride_the_data_requests() {
         assert_eq!((n, net), (n_ref, ridden.to_vec()), "{sql}");
         assert_eq!(net_ref, prepared, "only the join rides: {sql}");
         let mut saved = bytes(&delta);
-        saved[decider] += TXN_VERB_WIRE_BYTES;
+        if let Some(decider) = decider {
+            saved[decider] += TXN_VERB_WIRE_BYTES;
+        }
         assert_eq!(saved, bytes(&delta_ref), "a verb keeps its bytes: {sql}");
         if let Some(want) = update_bytes {
             assert_eq!(delta[0].bytes, want, "{sql}");
@@ -1000,7 +1030,7 @@ fn two_phase_commit_messages_ride_the_data_requests() {
             let smaller = bytes(&delta_pushed).into_iter().zip(located);
             assert!(smaller.clone().all(|(a, b)| a <= b), "{sql}: {smaller:?}");
         }
-        votes += writers;
+        votes += voters;
         pushed_votes += shipped.iter().filter(|r| **r > 0).count() as u64;
         assert_eq!(voting.head.metrics().dtc_votes_ridden, votes, "{sql}");
         assert_eq!(
@@ -1009,22 +1039,21 @@ fn two_phase_commit_messages_ride_the_data_requests() {
             "{sql}"
         );
     }
-    for fed in [&pushed, &voting, &explicit] {
-        assert_eq!(fed.head.dtc().stats(), (4, 0));
+    assert_eq!(pushed.head.dtc().stats(), (4, 0));
+    for fed in [&voting, &explicit] {
+        assert_eq!(fed.head.dtc().stats(), (3, 0));
     }
     assert_eq!(pushed.head.metrics().dtc_commits_ridden, 4);
-    assert_eq!(voting.head.metrics().dtc_commits_ridden, 4);
+    assert_eq!(voting.head.metrics().dtc_commits_ridden, 3);
     let m = explicit.head.metrics();
     assert_eq!((m.dtc_votes_ridden, m.dtc_commits_ridden), (0, 0));
     assert_eq!(
         voting.calls(1),
         [
-            "join_transaction",
             "open_index",
+            "join_transaction",
             "update_by_bookmarks",
-            "join_transaction",
-            "open_index",
-            "commit"
+            "open_index"
         ]
     );
     assert_eq!(
@@ -1162,8 +1191,8 @@ fn a_pushed_statement_that_writes_nothing_still_votes() {
     assert_eq!(
         fed.calls(1)[pushed.len()..],
         [
-            "join_transaction",
             "open_index",
+            "join_transaction",
             "delete_by_bookmarks",
             "insert",
             "commit"
@@ -1356,8 +1385,8 @@ fn a_refused_pushed_write_aborts_every_participant() {
     assert_eq!(
         fed.calls(1),
         [
-            "join_transaction",
             "open_index",
+            "join_transaction",
             "update_by_bookmarks",
             "commit"
         ]
@@ -1890,6 +1919,72 @@ fn a_refused_move_between_members_on_one_server_changes_nothing() {
         assert_eq!(affected(engine, sql, &[]), Ok(1), "{name}");
         assert_eq!(engine.dtc().stats(), (1, 1), "{name}");
     }
+}
+
+type Hook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+/// Runs the hook it holds, if any, when its next rowset is opened.
+struct OnRead(Arc<dyn DataSource>, Hook);
+
+impl SourceLayer for OnRead {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.0
+    }
+    fn session(&self) -> Result<Box<dyn Session>> {
+        let inner = self.0.create_session()?;
+        Ok(Box::new(OnReadSession(inner, Arc::clone(&self.1))))
+    }
+}
+
+struct OnReadSession(Box<dyn Session>, Hook);
+
+impl SessionLayer for OnReadSession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        if matches!(verb, Verb::OpenIndex(..) | Verb::OpenRowset(..)) {
+            let hook = self.1.lock().unwrap().take();
+            hook.into_iter().for_each(|hook| hook());
+        }
+        verb.send(&mut *self.0)
+    }
+}
+
+/// A partition-key UPDATE writes a moved row through the linked server the
+/// statement bound for its destination: the name re-registered while the
+/// statement locates its rows sends the row nowhere else.
+#[test]
+fn a_moved_row_lands_in_the_registration_the_statement_bound() {
+    let head = Engine::new("head");
+    let (a, b, later) = (Engine::new("a"), Engine::new("b"), Engine::new("later"));
+    let members = vec![
+        create_member(a.storage(), 0, Some("a".into())),
+        create_member(b.storage(), 1, Some("b".into())),
+    ];
+    create_member(later.storage(), 1, None);
+    later.execute("DELETE FROM acct_1").unwrap();
+    let hook = Hook::default();
+    let at_a = OnRead(Arc::new(EngineDataSource::new(a)), Arc::clone(&hook));
+    head.add_linked_server("a", Arc::new(at_a)).unwrap();
+    head.add_linked_server("b", Arc::new(EngineDataSource::new(b.clone())))
+        .unwrap();
+    head.define_partitioned_view("acct_all", "id", members)
+        .unwrap();
+    affected(&head, "DELETE FROM acct_all WHERE id = 60", &[]).unwrap();
+
+    let (engine, replacement) = (head.clone(), later.clone());
+    *hook.lock().unwrap() = Some(Box::new(move || {
+        let source = Arc::new(EngineDataSource::new(replacement));
+        engine.add_linked_server("b", source).unwrap();
+    }));
+    let sql = "UPDATE acct_all SET id = 60 WHERE id = 10";
+    assert_eq!(affected(&head, sql, &[]), Ok(1));
+    assert!(hook.lock().unwrap().is_none(), "b was re-registered");
+    let ids = |engine: &Engine| {
+        engine
+            .query("SELECT id FROM acct_1 WHERE id = 60")
+            .unwrap()
+            .len()
+    };
+    assert_eq!((ids(&b), ids(&later)), (1, 0));
 }
 
 /// An UPDATE under a transaction replaces each row in place, as under

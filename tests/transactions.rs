@@ -3,7 +3,6 @@
 //! experiment E11.
 
 use dhqp::{Engine, EngineDataSource};
-use dhqp_dtc::Outcome;
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{DataSource, RowsetExt};
 use dhqp_types::{Row, Value};
@@ -121,8 +120,7 @@ fn prepare_failure_rolls_back_both_sides() {
         .query("SELECT balance FROM accounts_0 WHERE id = 10")
         .unwrap();
     assert_eq!(r.value(0, 0), &Value::Int(100), "debit must be rolled back");
-    let log = bank.head.dtc().log();
-    assert_eq!(log[0].outcome, Outcome::Aborted);
+    assert_eq!(bank.head.dtc().stats(), (0, 1));
 }
 
 #[test]
@@ -132,10 +130,9 @@ fn commit_phase_failure_leaves_in_doubt_until_recovery() {
     let err = transfer(&bank, 10, 60, 30).unwrap_err();
     assert_eq!(err.kind(), "transaction");
     assert!(err.to_string().contains("in doubt"), "{err}");
-    // The decision is durable — the log already says Committed — and the
-    // healthy member applied its half of the transfer.
+    // The decision stands — it was Committed — and the healthy member
+    // applied its half of the transfer.
     let dtc = bank.head.dtc();
-    assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
     assert_eq!(dtc.stats(), (1, 0));
     let r = bank.members[0]
         .query("SELECT balance FROM accounts_0 WHERE id = 10")
@@ -175,7 +172,7 @@ fn prepare_failure_is_never_in_doubt() {
     bank.members[0].storage().set_fail_prepare(true);
     transfer(&bank, 10, 60, 30).unwrap_err();
     let dtc = bank.head.dtc();
-    assert_eq!(dtc.log()[0].outcome, Outcome::Aborted);
+    assert_eq!(dtc.stats(), (0, 1));
     assert!(dtc.in_doubt_txns().is_empty());
     let report = dtc.recover();
     assert_eq!(report.resolved, 0);
@@ -281,8 +278,7 @@ fn the_last_participant_decides_and_a_failure_there_aborts_both_sides() {
         assert_eq!(balances(&bank), 10_000, "{fail}");
         assert_eq!(balance(&bank, 60), Value::Int(100), "{fail}");
         let dtc = bank.head.dtc();
-        assert_eq!(dtc.log().len(), 1, "{fail}");
-        assert_eq!(dtc.log()[0].outcome, Outcome::Aborted, "{fail}");
+        assert_eq!(dtc.stats(), (0, 1), "{fail}");
         let m = bank.head.metrics();
         assert_eq!((m.dtc_in_doubt, m.dtc_commits_ridden), (0, 0), "{fail}");
         assert!(bank.members.iter().all(|e| !e.storage().has_txn(1)));
@@ -312,7 +308,7 @@ fn a_first_participant_that_misses_the_commit_is_in_doubt_until_recovery() {
     let err = bank.head.execute(DEBIT_BOTH).unwrap_err();
     assert!(err.to_string().contains("in doubt"), "{err}");
     let dtc = bank.head.dtc();
-    assert_eq!(dtc.log()[0].outcome, Outcome::Committed);
+    assert_eq!(dtc.stats(), (1, 0));
     assert_eq!(balance(&bank, 60), Value::Int(70));
     assert_eq!(balance(&bank, 10), Value::Int(100));
     assert_eq!(bank.head.metrics().dtc_in_doubt, 1);
