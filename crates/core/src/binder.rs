@@ -233,6 +233,11 @@ impl<'e> Binder<'e> {
         Ok(link)
     }
 
+    /// The linked servers this bind has resolved so far.
+    pub(crate) fn servers(&self) -> &[Arc<LinkedServer>] {
+        &self.servers
+    }
+
     /// Snapshot of the registry built so far (DML paths).
     pub fn registry_snapshot(&self) -> ColumnRegistry {
         self.registry.clone()

@@ -83,11 +83,11 @@ fn server_key(server: &Server) -> String {
         .map_or_else(|| "(local)".to_string(), |link| link.name.clone())
 }
 
-/// A new session on `server`: a linked server's is leased from its pool.
-fn connect(engine: &Engine, server: &Server) -> Result<Box<dyn Session>> {
+/// `server`'s source: a linked server's sessions are leased from its pool.
+fn source(engine: &Engine, server: &Server) -> Arc<dyn DataSource> {
     match server {
-        None => engine.local_data_source().create_session(),
-        Some(link) => link.pool.create_session(),
+        None => engine.local_data_source(),
+        Some(link) => link.pool.clone(),
     }
 }
 
@@ -121,7 +121,7 @@ impl<'e> Sessions<'e> {
             Sessions::Own(engine, open) => {
                 let key = server_key(server);
                 if !open.contains_key(&key) {
-                    open.insert(key.clone(), connect(engine, server)?);
+                    open.insert(key.clone(), source(engine, server).create_session()?);
                 }
                 Ok(open.get_mut(&key).expect("opened above").as_mut())
             }
@@ -149,7 +149,7 @@ impl<'e> Sessions<'e> {
                 for (i, (writer, ops)) in writers.iter().enumerate() {
                     let session = match open.remove(&writer.key) {
                         Some(session) => session,
-                        None => connect(engine, &writer.server)?,
+                        None => source(engine, &writer.server).create_session()?,
                     };
                     txn.enlist(writer.key.clone(), session)?;
                     let (last, ops) = ops.split_last().expect("a listed table is written");
@@ -331,7 +331,7 @@ pub fn run_insert(
                 bound_rows.push(binder.bind_standalone_exprs(row)?);
             }
             let registry = Arc::new(binder.registry_snapshot());
-            let ctx = engine.exec_context(knobs, params.clone(), registry);
+            let ctx = engine.exec_context(knobs, params.clone(), registry, &[]);
             bound_rows
                 .into_iter()
                 .map(|exprs| dhqp_executor::ops::remote::eval_standalone(&exprs, &ctx))
@@ -346,7 +346,7 @@ pub fn run_insert(
     match &target {
         Target::Table(server, table) => {
             let server = resolve(&mut binder, server)?;
-            let info = engine.fresh_table_info(server.as_deref(), table)?;
+            let info = source(engine, &server).table(table)?;
             let arrange = |values| arrange_row(&stmt.columns, &info.columns, values);
             let rows = source_rows
                 .into_iter()
@@ -515,7 +515,8 @@ impl WriteSet {
         let members = members
             .map(|m| resolve(&mut binder, &m.server))
             .collect::<Result<_>>()?;
-        let ctx = engine.exec_context(knobs, params.clone(), Arc::new(binder.registry_snapshot()));
+        let registry = Arc::new(binder.registry_snapshot());
+        let ctx = engine.exec_context(knobs, params.clone(), registry, binder.servers());
         Ok(WriteSet {
             view,
             members,

@@ -197,15 +197,6 @@ impl Inner {
 }
 
 impl Inner {
-    /// The linked server registered as `name` now.
-    fn link(&self, name: &str) -> Result<Arc<LinkedServer>> {
-        self.servers
-            .read()
-            .get(&name.to_lowercase())
-            .cloned()
-            .ok_or_else(|| DhqpError::Catalog(format!("unknown linked server '{name}'")))
-    }
-
     /// Register `source` as `name`, swapped in whole under one write lock:
     /// the new registration takes over the breaker of the one it replaces,
     /// and the replaced pool's counts are folded into the engine's under
@@ -225,19 +216,30 @@ impl Inner {
     }
 }
 
-/// The executor's view of this engine's sources.
-impl SourceCatalog for Inner {
+/// The sources one statement runs on: this engine's storage and the linked
+/// servers the statement bound (DESIGN.md §11). A name resolves against
+/// that short list only, so no registration the statement did not bind is
+/// ever read or written.
+struct StatementSources(Arc<LocalDataSource>, Vec<Arc<LinkedServer>>);
+
+impl StatementSources {
+    fn server(&self, name: &str) -> Result<&Arc<LinkedServer>> {
+        let bound = self.1.iter().find(|l| l.name.eq_ignore_ascii_case(name));
+        bound.ok_or_else(|| DhqpError::Catalog(format!("linked server '{name}' is not bound")))
+    }
+}
+
+impl SourceCatalog for StatementSources {
     fn local(&self) -> Arc<dyn DataSource> {
-        Arc::clone(&self.local_source) as Arc<dyn DataSource>
+        self.0.clone()
     }
 
     fn linked(&self, server: &str) -> Result<Arc<dyn DataSource>> {
-        Ok(self.link(server)?.pool.clone())
+        Ok(self.server(server)?.pool.clone())
     }
 
     fn breaker(&self, server: &str) -> Option<Arc<Breaker>> {
-        let link = self.link(server).ok()?;
-        Some(Arc::clone(&link.breaker))
+        Some(Arc::clone(&self.server(server).ok()?.breaker))
     }
 }
 
@@ -312,7 +314,7 @@ impl Engine {
     }
 
     pub fn linked_server(&self, name: &str) -> Result<Arc<dyn DataSource>> {
-        self.inner.linked(name)
+        Ok(self.link(name)?.pool.clone())
     }
 
     /// Register an `OPENROWSET` provider factory.
@@ -535,23 +537,13 @@ impl Engine {
 
     /// The linked server registered as `name` now.
     pub(crate) fn link(&self, name: &str) -> Result<Arc<LinkedServer>> {
-        self.inner.link(name)
+        let servers = self.inner.servers.read();
+        let link = servers.get(&name.to_lowercase()).cloned();
+        link.ok_or_else(|| DhqpError::Catalog(format!("unknown linked server '{name}'")))
     }
 
     pub(crate) fn local_capabilities(&self) -> Arc<ProviderCapabilities> {
         Arc::clone(self.inner.local_source.shared_capabilities())
-    }
-
-    /// Current (uncached) table info.
-    pub(crate) fn fresh_table_info(
-        &self,
-        server: Option<&LinkedServer>,
-        table: &str,
-    ) -> Result<dhqp_oledb::TableInfo> {
-        match server {
-            None => self.inner.local_source.table(table),
-            Some(link) => link.pool.table(table),
-        }
     }
 
     /// Drop cached remote metadata (after remote DDL/bulk changes). Also
@@ -578,38 +570,36 @@ impl Engine {
         }
     }
 
-    /// The server `link` points at, while it is still what its name is
-    /// registered as: a replaced server's plans and feedback are dropped.
-    fn still_registered(&self, link: &Weak<LinkedServer>) -> Option<Arc<LinkedServer>> {
-        let link = link.upgrade()?;
+    /// Whether `link` is still what its name is registered as: a replaced
+    /// server's plans and feedback are dropped.
+    fn is_registered(&self, link: &Arc<LinkedServer>) -> bool {
         let servers = self.inner.servers.read();
-        Arc::ptr_eq(servers.get(&link.name)?, &link).then_some(link)
+        matches!(servers.get(&link.name), Some(now) if Arc::ptr_eq(now, link))
     }
 
-    fn deps_current(&self, deps: &CacheDeps) -> bool {
-        deps.schema_epoch == self.inner.schema_epoch.load(Ordering::Relaxed)
-            && deps.config_epoch == self.inner.config_epoch.load(Ordering::Relaxed)
-            && deps
-                .servers
-                .iter()
-                .all(|link| self.still_registered(link).is_some())
+    /// The servers a cached plan was compiled against, while the plan is
+    /// current: no epoch has moved and each of them is still what its name
+    /// is registered as. A hit runs on exactly these.
+    fn deps_current(&self, deps: &CacheDeps) -> Option<Vec<Arc<LinkedServer>>> {
+        let epochs = deps.schema_epoch == self.inner.schema_epoch.load(Ordering::Relaxed)
+            && deps.config_epoch == self.inner.config_epoch.load(Ordering::Relaxed);
+        let current = |link: &Weak<LinkedServer>| link.upgrade().filter(|l| self.is_registered(l));
+        epochs.then(|| deps.servers.iter().map(current).collect())?
     }
 
-    /// Look up a cached plan, validating its epochs. A stale entry is
-    /// evicted and reported as a miss. A valid hit also credits one
-    /// metadata-cache hit per remote dependency: the bind-time metadata
+    /// Look up a cached plan, validating its epochs, with the servers it
+    /// runs on. A stale entry is evicted and reported as a miss. A hit
+    /// credits one metadata-cache hit per server: the bind-time metadata
     /// consultation was avoided entirely.
-    fn plan_cache_lookup(&self, key: &str) -> Option<Arc<CachedSelect>> {
+    fn plan_cache_lookup(&self, key: &str) -> Option<(Arc<CachedSelect>, Vec<Arc<LinkedServer>>)> {
         let entry = self.inner.plan_cache.lock().get(key)?;
-        if self.deps_current(&entry.deps) {
+        if let Some(servers) = self.deps_current(&entry.deps) {
             self.counters().plan_cache_hits.bump();
             if has_hook() {
                 emit_event("plan_cache_hit", &[("template", key.to_string())]);
             }
-            for _ in &entry.deps.servers {
-                self.counters().meta_cache_hits.bump();
-            }
-            Some(entry)
+            self.counters().meta_cache_hits.add(servers.len() as u64);
+            Some((entry, servers))
         } else {
             if self.inner.plan_cache.lock().remove(key) {
                 self.counters().plan_cache_evictions.bump();
@@ -626,15 +616,17 @@ impl Engine {
         &self.inner.metrics.counters
     }
 
-    /// Build an execution context under one statement's knobs.
+    /// Build an execution context under one statement's knobs, on the
+    /// linked servers the statement bound.
     pub(crate) fn exec_context(
         &self,
         knobs: &Knobs,
         params: HashMap<String, Value>,
         registry: Arc<dhqp_optimizer::props::ColumnRegistry>,
+        servers: &[Arc<LinkedServer>],
     ) -> ExecContext {
-        let catalog = Arc::clone(&self.inner) as Arc<dyn SourceCatalog>;
-        ExecContext::new(catalog, params, registry)
+        let catalog = StatementSources(Arc::clone(&self.inner.local_source), servers.to_vec());
+        ExecContext::new(Arc::new(catalog), params, registry)
             .with_counters(Arc::clone(self.counters()))
             .with_parallel(knobs.parallel.clone())
             .with_retry(knobs.retry.clone())

@@ -58,6 +58,7 @@ impl Engine {
             kind: None,
             fingerprint: None,
             select: None,
+            servers: Vec::new(),
             collector: None,
             analyze,
         }
@@ -87,6 +88,7 @@ impl Engine {
         &self,
         knobs: &Knobs,
         compiled: &CachedSelect,
+        servers: &[Arc<LinkedServer>],
         record: &StatementRecord,
     ) {
         compiled.execution_count.fetch_add(1, Ordering::Relaxed);
@@ -121,7 +123,7 @@ impl Engine {
             }
         }
         if knobs.card_feedback {
-            self.apply_card_feedback(compiled, &record.operators);
+            self.apply_card_feedback(compiled, servers, &record.operators);
         }
     }
 
@@ -130,21 +132,25 @@ impl Engine {
     /// least twice the cardinality the optimizer costed with, then purge
     /// the plans compiled against the stale bundle so the next compilation
     /// costs with truth. The bundle is the one in the linked server the
-    /// statement bound against; if that server has been replaced since, the
-    /// observation is about a source nobody reads any more and is dropped.
+    /// statement bound and ran on, found among `servers`; if that server has
+    /// been replaced since, the observation is about a source nobody reads
+    /// any more and is dropped.
     /// Feedback only ever *raises* cardinalities — a partially drained
     /// cursor undercounts, so shrinking on observation would be unsound.
     /// Corrected bundles drop their histograms (they described the stale
     /// snapshot) and carry the `feedback` flag EXPLAIN ANALYZE renders as
     /// `-- [feedback: applied]`.
-    fn apply_card_feedback(&self, compiled: &CachedSelect, operators: &[OperatorRecord]) {
-        let mut touched: Vec<Arc<LinkedServer>> = Vec::new();
-        for (server, table, observed) in feedback_candidates(&compiled.plan, operators) {
-            let link = compiled.deps.servers.iter().find_map(|link| {
-                self.still_registered(link)
-                    .filter(|link| link.name.eq_ignore_ascii_case(&server))
-            });
-            let Some(link) = link else { continue };
+    fn apply_card_feedback(
+        &self,
+        compiled: &CachedSelect,
+        servers: &[Arc<LinkedServer>],
+        operators: &[OperatorRecord],
+    ) {
+        for (name, table, observed) in feedback_candidates(&compiled.plan, operators) {
+            let bound = servers.iter().find(|l| l.name.eq_ignore_ascii_case(&name));
+            let Some(link) = bound.filter(|link| self.is_registered(link)) else {
+                continue;
+            };
             let key = table.to_lowercase();
             let cached = link.tables.read().get(&key).cloned();
             let Some(cached) = cached else { continue };
@@ -168,13 +174,8 @@ impl Engine {
             };
             link.tables.write().insert(key, corrected);
             self.counters().card_feedback_applied.bump();
-            if !touched.iter().any(|t| Arc::ptr_eq(t, &link)) {
-                touched.push(link);
-            }
-        }
-        // Plans costed against the stale bundles must not be reused.
-        for link in touched {
-            let evicted = self.inner.plan_cache.lock().purge_server(&link);
+            // Plans costed against the stale bundle must not be reused.
+            let evicted = self.inner.plan_cache.lock().purge_server(link);
             self.counters().plan_cache_evictions.add(evicted as u64);
         }
     }

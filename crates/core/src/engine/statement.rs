@@ -1,7 +1,7 @@
 //! The statement driver: every entry point runs begin → compile → run →
 //! finish through [`Engine::run_statement`].
 
-use super::Engine;
+use super::{Engine, LinkedServer};
 use crate::analyze::{text_result, AnalyzeReport};
 use crate::binder::Binder;
 use crate::dml;
@@ -100,8 +100,8 @@ impl Engine {
                 ))
             }
         };
-        let compiled = self.compile_select(&stmt, &params, None, &self.knobs())?;
-        Ok(ExplainPlan::new(&compiled.plan, compiled.opt_stats))
+        let (compiled, _) = self.compile_select(&stmt, &params, None, &self.knobs())?;
+        Ok(ExplainPlan::new(&compiled.plan, compiled.opt_stats.clone()))
     }
 
     /// Execute a SELECT with per-operator runtime statistics attached and
@@ -191,8 +191,8 @@ impl Engine {
         }
         // Everything the cache declined compiles from the original text, so
         // an error quotes the user's literals.
-        let (compiled, cache_hit) = match cached {
-            Some((compiled, hit)) => (compiled, Some(hit)),
+        let (compiled, servers, cache_hit) = match cached {
+            Some((compiled, servers, hit)) => (compiled, servers, Some(hit)),
             None => {
                 let began = Instant::now();
                 let parsed = parse_statement(run.sql)?;
@@ -205,8 +205,8 @@ impl Engine {
                     }
                     Statement::Explain { stmt, .. } => {
                         run.kind = Some(StatementKind::Explain);
-                        let compiled = self.compile_select(&stmt, &params, tracer, &knobs)?;
-                        let plan = ExplainPlan::new(&compiled.plan, compiled.opt_stats);
+                        let (compiled, _) = self.compile_select(&stmt, &params, tracer, &knobs)?;
+                        let plan = ExplainPlan::new(&compiled.plan, compiled.opt_stats.clone());
                         return Ok(text_result(&plan.render()));
                     }
                     _ if run.analyze => {
@@ -228,11 +228,12 @@ impl Engine {
                     }
                 };
                 run.kind = Some(select_kind(run.analyze));
-                let compiled = self.compile_select(&select, &params, tracer, &knobs)?;
-                (Arc::new(compiled), None)
+                let (compiled, servers) = self.compile_select(&select, &params, tracer, &knobs)?;
+                (compiled, servers, None)
             }
         };
         run.select = Some((Arc::clone(&compiled), cache_hit));
+        run.servers = servers;
         // Per-operator spans need runtime stats, so tracing instruments the
         // plan even outside EXPLAIN ANALYZE — as do the query store and the
         // cardinality feedback loop (they consume per-operator actuals) and
@@ -243,12 +244,19 @@ impl Engine {
             || knobs.card_feedback
             || knobs.slow_query.is_some();
         run.collector = instrument.then(|| Arc::new(RuntimeStatsCollector::new()));
+        // The `execute` span, which the epilogue hangs operator spans under.
+        let began = Instant::now();
         let stats = run.collector.as_ref();
-        self.run_plan(&compiled, params, stats, tracer, &run.pruned, &knobs)
+        let result = self.execute_plan(&compiled, &run.servers, params, stats, &run.pruned, &knobs);
+        if let Some(tr) = tracer {
+            tr.stage("execute", began);
+        }
+        result
     }
 
     /// Compile through the plan cache: a current entry is a hit, anything
-    /// else compiles the template once and caches it. `None` declines —
+    /// else compiles the template once and caches it. Either way the plan
+    /// comes with the linked servers it runs on. `None` declines —
     /// the statement's compile is not pure, or the template failed to
     /// parse, bind or optimize — and the caller compiles the original text
     /// instead, which reproduces any error exactly.
@@ -258,8 +266,8 @@ impl Engine {
         params: &HashMap<String, Value>,
         tracer: Option<&TraceBuilder>,
         knobs: &Arc<Knobs>,
-    ) -> Option<(Arc<CachedSelect>, bool)> {
-        if let Some(entry) = self.plan_cache_lookup(template) {
+    ) -> Option<(Arc<CachedSelect>, Vec<Arc<LinkedServer>>, bool)> {
+        if let Some((entry, servers)) = self.plan_cache_lookup(template) {
             if let Some(tr) = tracer {
                 tr.stage_with(
                     "plan-cache",
@@ -267,7 +275,7 @@ impl Engine {
                     vec![("hit".to_string(), "true".to_string())],
                 );
             }
-            return Some((entry, true));
+            return Some((entry, servers, true));
         }
         let began = Instant::now();
         let stmt = match parse_statement(template) {
@@ -275,7 +283,7 @@ impl Engine {
             _ => return None,
         };
         compile_stage(tracer, "parse", began);
-        let entry = Arc::new(self.compile_select(&stmt, params, tracer, knobs).ok()?);
+        let (entry, servers) = self.compile_select(&stmt, params, tracer, knobs).ok()?;
         self.counters().plan_cache_misses.bump();
         if has_hook() {
             emit_event("plan_cache_miss", &[("template", template.to_string())]);
@@ -286,19 +294,20 @@ impl Engine {
             .lock()
             .insert(template.to_string(), Arc::clone(&entry));
         self.counters().plan_cache_evictions.add(evicted as u64);
-        Some((entry, false))
+        Some((entry, servers, false))
     }
 
     /// Bind and optimize one SELECT into a plan plus everything needed to
-    /// run it (and, for the plan cache, to tell when it went stale). Each
-    /// stage is a `PLAN_COMPILE` wait and, when `tracer` is given, a span.
+    /// run it (and, for the plan cache, to tell when it went stale), and the
+    /// linked servers its bind resolved. Each stage is a `PLAN_COMPILE` wait
+    /// and, when `tracer` is given, a span.
     fn compile_select(
         &self,
         stmt: &SelectStmt,
         params: &HashMap<String, Value>,
         tracer: Option<&TraceBuilder>,
         knobs: &Arc<Knobs>,
-    ) -> Result<CachedSelect> {
+    ) -> Result<(Arc<CachedSelect>, Vec<Arc<LinkedServer>>)> {
         let began = Instant::now();
         let bound = Binder::for_statement(self, Arc::clone(knobs), params).bind_select(stmt)?;
         compile_stage(tracer, "bind", began);
@@ -311,7 +320,7 @@ impl Engine {
         if let Some(tr) = tracer {
             tr.stage_optimize(began, &opt_stats);
         }
-        Ok(CachedSelect {
+        let compiled = CachedSelect {
             plan,
             registry: Arc::new(registry),
             output: bound.output,
@@ -323,27 +332,8 @@ impl Engine {
             execution_count: AtomicU64::new(0),
             total_elapsed_us: AtomicU64::new(0),
             total_rows: AtomicU64::new(0),
-        })
-    }
-
-    /// Run one compiled plan: the execution itself and the `execute` span
-    /// (the epilogue hangs the per-operator spans under it when `stats` is
-    /// attached).
-    fn run_plan(
-        &self,
-        compiled: &CachedSelect,
-        params: HashMap<String, Value>,
-        stats: Option<&Arc<RuntimeStatsCollector>>,
-        tracer: Option<&TraceBuilder>,
-        pruned: &Arc<PruneLog>,
-        knobs: &Arc<Knobs>,
-    ) -> Result<QueryResult> {
-        let traced = tracer.map(|tr| (tr, Instant::now()));
-        let result = self.execute_plan(compiled, params, stats, pruned, knobs);
-        if let Some((tr, began)) = traced {
-            tr.stage("execute", began);
-        }
-        result
+        };
+        Ok((Arc::new(compiled), bound.servers))
     }
 
     /// The one epilogue, on every exit: build the statement's record —
@@ -395,7 +385,7 @@ impl Engine {
             operators,
         });
         if let (Ok(_), Some(compiled)) = (&ran, compiled) {
-            self.observe_execution(&run.knobs, compiled, &record);
+            self.observe_execution(&run.knobs, compiled, &run.servers, &record);
         }
         self.publish(&record, run.knobs.slow_query);
         let output = ran.map(|result| match compiled {
@@ -419,19 +409,21 @@ impl Engine {
         params: &HashMap<String, Value>,
         knobs: &Arc<Knobs>,
     ) -> Result<QueryResult> {
-        let compiled = self.compile_select(stmt, params, None, knobs)?;
+        let (compiled, servers) = self.compile_select(stmt, params, None, knobs)?;
         let pruned = Arc::new(PruneLog::default());
-        self.run_plan(&compiled, params.clone(), None, None, &pruned, knobs)
+        self.execute_plan(&compiled, &servers, params.clone(), None, &pruned, knobs)
     }
 
-    /// Execute one compiled plan. Delayed schema validation (§4.1.5) rides
-    /// every execution: the context carries what the plan assumed about its
-    /// partitioned-view members, and each member is re-checked on the
-    /// session that opens it — so even a cached plan re-checks exactly the
-    /// members it reads, and no member it does not open is contacted.
+    /// Execute one compiled plan on the linked servers it bound. Delayed
+    /// schema validation (§4.1.5) rides every execution: the context carries
+    /// what the plan assumed about its partitioned-view members, and each
+    /// member is re-checked on the session that opens it — so even a cached
+    /// plan re-checks exactly the members it reads, and no member it does
+    /// not open is contacted.
     fn execute_plan(
         &self,
         compiled: &CachedSelect,
+        servers: &[Arc<LinkedServer>],
         params: HashMap<String, Value>,
         stats: Option<&Arc<RuntimeStatsCollector>>,
         pruned: &Arc<PruneLog>,
@@ -439,7 +431,7 @@ impl Engine {
     ) -> Result<QueryResult> {
         let (plan, registry) = (&compiled.plan, &compiled.registry);
         let mut ctx = self
-            .exec_context(knobs, params, Arc::clone(registry))
+            .exec_context(knobs, params, Arc::clone(registry), servers)
             .with_degraded(knobs.degraded)
             .with_pruned(Arc::clone(pruned))
             .with_view_members(&compiled.view_members);
@@ -539,6 +531,8 @@ pub(super) struct StatementRun<'a> {
     /// The SELECT being executed: its compiled plan and plan-cache outcome
     /// (`Some(hit)` through the cache, `None` compiled uncached).
     pub(super) select: Option<(Arc<CachedSelect>, Option<bool>)>,
+    /// The linked servers it bound — and runs on, and feeds back into.
+    pub(super) servers: Vec<Arc<LinkedServer>>,
     /// Its runtime stats, when a collector was attached.
     pub(super) collector: Option<Arc<RuntimeStatsCollector>>,
     /// Whether it runs as EXPLAIN ANALYZE: the epilogue builds the report.

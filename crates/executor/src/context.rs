@@ -12,8 +12,11 @@ use dhqp_types::{Column, DhqpError, Result, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Resolves data sources by linked-server name. The engine's federated
-/// catalog implements this; tests provide small stubs.
+/// The sources one execution reads: the local store and the linked servers
+/// its plan names. The engine hands each statement the servers its bind
+/// resolved, so a name resolves against that short list only and never
+/// against whatever the name is registered as by then (DESIGN.md §11);
+/// tests provide small stubs.
 pub trait SourceCatalog: Send + Sync {
     /// The local storage engine's data source.
     fn local(&self) -> Arc<dyn DataSource>;
@@ -299,20 +302,8 @@ impl ExecContext {
     /// spools survive rescans.
     pub fn with_bindings(&self, bindings: HashMap<u32, Value>) -> ExecContext {
         ExecContext {
-            catalog: Arc::clone(&self.catalog),
-            params: Arc::clone(&self.params),
             bindings: Arc::new(bindings),
-            spools: Arc::clone(&self.spools),
-            registry: Arc::clone(&self.registry),
-            counters: Arc::clone(&self.counters),
-            stats: self.stats.clone(),
-            parallel: Arc::clone(&self.parallel),
-            retry: Arc::clone(&self.retry),
-            batch: Arc::clone(&self.batch),
-            degraded: self.degraded,
-            runtime_prune: self.runtime_prune,
-            pruned: Arc::clone(&self.pruned),
-            schema_guard: self.schema_guard.clone(),
+            ..self.clone()
         }
     }
 

@@ -9,13 +9,14 @@
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
+use crate::health::Breaker;
 use crate::ops::retry::{ReopenFactory, RetryState};
 use crate::ops::scan::resolve_range;
 use crate::schema_guard::MemberChecks;
 use crate::stats::{ChargedRowset, RemoteCharge};
-use dhqp_oledb::{Dialect, MemRowset, Rowset, RowsetExt, Session};
+use dhqp_oledb::{DataSource, Dialect, MemRowset, Rowset, RowsetExt, Session};
 use dhqp_optimizer::physical::{IndexRangeSpec, RemoteParam, KEY_SET};
-use dhqp_optimizer::{ColumnId, TableMeta};
+use dhqp_optimizer::{ColumnId, Locality, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,14 +54,14 @@ pub fn substitute_params(sql: &str, params: &[(&str, &[Value])], dialect: &Diale
     out
 }
 
-/// The exact text a remote query ships to `server` for the current
-/// parameter values, a key-set parameter bound to `keys` — what `EXPLAIN
-/// ANALYZE` reports as the decoder-emitted SQL.
+/// The exact text a remote query ships for the current parameter values, a
+/// key-set parameter bound to `keys`, spelled in the provider's `dialect` —
+/// what `EXPLAIN ANALYZE` reports as the decoder-emitted SQL.
 pub fn remote_query_text(
-    server: &str,
     sql: &str,
     params: &[RemoteParam],
     keys: &[Value],
+    dialect: &Dialect,
     ctx: &ExecContext,
 ) -> Result<String> {
     let bound = params
@@ -70,43 +71,63 @@ pub fn remote_query_text(
             RemoteParam::KeySet => Ok((KEY_SET, keys)),
         })
         .collect::<Result<Vec<_>>>()?;
-    let dialect = ctx.catalog().linked(server)?.capabilities().dialect;
-    Ok(substitute_params(sql, &bound, &dialect))
+    Ok(substitute_params(sql, &bound, dialect))
 }
 
-/// The tail shared by every remote open path: lease a session on `server`
-/// that carries the schema checks, run `verb` on it, all through the
+/// A linked server as one plan node reaches it, resolved once when the node
+/// opens against the statement's own servers: the source its open, every
+/// retry and every later request go to, the breaker they answer to, and
+/// the view members it reads.
+#[derive(Clone)]
+pub(crate) struct Remote {
+    server: Arc<str>,
+    pub(crate) source: Arc<dyn DataSource>,
+    breaker: Option<Arc<Breaker>>,
+    checks: MemberChecks,
+}
+
+impl Remote {
+    /// `server` as the statement bound it, for a node that reads `checks`.
+    pub(crate) fn new(server: &Arc<str>, checks: MemberChecks, ctx: &ExecContext) -> Result<Self> {
+        Ok(Remote {
+            source: ctx.catalog().linked(server)?,
+            breaker: ctx.catalog().breaker(server),
+            server: Arc::clone(server),
+            checks,
+        })
+    }
+}
+
+/// The tail shared by every remote open path: lease a session on `remote`
+/// that carries its schema checks, run `verb` on it, all through the
 /// breaker-gated retry loop. With a stats collector attached, the open and
 /// every later pull are charged to `node`, labelled with `request` (the
 /// shipped text, or the rowset interface used). Exchange workers and the
 /// prefetcher inherit the gate because their branch opens land here too.
 fn open_via_breaker(
-    server: &str,
-    checks: MemberChecks,
+    remote: Remote,
     ctx: &ExecContext,
     node: usize,
     op_tag: Option<String>,
     request: impl FnOnce() -> String,
     mut verb: impl FnMut(&mut dyn Session) -> Result<Box<dyn Rowset>> + Send + 'static,
 ) -> Result<Box<dyn Rowset>> {
-    let source = ctx.catalog().linked(server)?;
-    let counters = Arc::clone(ctx.counters());
-    let reopen = Arc::clone(&source);
+    let (counters, reopen) = (Arc::clone(ctx.counters()), Arc::clone(&remote.source));
     let factory: ReopenFactory = Box::new(move || {
-        checks.open_session(&reopen, |session| {
+        remote.checks.open_session(&reopen, |session| {
             counters.remote_roundtrips.bump();
             verb(session)
         })
     });
     let open = RetryState::new(ctx.retry(), ctx.counters())
-        .gated(ctx.catalog().breaker(server))
+        .gated(remote.breaker)
         .on_node(node, ctx.stats())
         .tagged(op_tag)
         .rewind_by(ctx.batch().batch_size);
     let Some(collector) = ctx.stats() else {
         return open.open(factory);
     };
-    let mut charge = RemoteCharge::new(source, collector, node, server, request());
+    let mut charge = RemoteCharge::new(remote.source, collector, node, &remote.server, request());
     let inner = charge.window(|| open.open(factory))?;
     Ok(Box::new(ChargedRowset { inner, charge }))
 }
@@ -115,50 +136,45 @@ fn open_via_breaker(
 /// any mid-stream rewind) is retried on transient transport faults: a
 /// pushed-down SELECT is idempotent, so re-issuing the same text is safe.
 pub fn open_remote_query(
-    server: &str,
+    server: &Arc<str>,
     sql: &str,
     params: &[RemoteParam],
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let text = remote_query_text(server, sql, params, &[], ctx)?;
-    let checks = ctx.member_checks_in_sql(server, sql);
-    open_remote_text(server, text, checks, None, ctx, node)
+    let remote = Remote::new(server, ctx.member_checks_in_sql(server, sql), ctx)?;
+    let text = remote_query_text(sql, params, &[], &remote.source.capabilities().dialect, ctx)?;
+    open_remote_text(remote, text, None, ctx, node)
 }
 
 /// Ship one statement to a linked server through the breaker-gated retry
 /// path, tagging any give-up with the caller's operation descriptor.
-/// `checks` are the view members the statement reads, resolved from its
-/// template (substituted literals must not name a member by accident).
+/// `remote`'s checks are the view members the statement reads, resolved
+/// from its template (substituted literals must not name a member by
+/// accident).
 pub(crate) fn open_remote_text(
-    server: &str,
+    remote: Remote,
     text: String,
-    checks: MemberChecks,
     op_tag: Option<String>,
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
     let shipped = ctx.stats().map(|_| text.clone());
     let request = || shipped.unwrap_or_default();
-    open_via_breaker(server, checks, ctx, node, op_tag, request, move |session| {
+    open_via_breaker(remote, ctx, node, op_tag, request, move |session| {
         let mut command = session.create_command()?;
         command.set_text(&text)?;
         command.execute()?.into_rowset()
     })
 }
 
-/// The server and the schema checks every base-table open (`scan`,
-/// `range`, `fetch`) of a remote `meta` starts from.
-fn remote_table<'a>(
-    meta: &'a TableMeta,
-    ctx: &ExecContext,
-    what: &str,
-) -> Result<(&'a str, MemberChecks)> {
-    let server = meta
-        .source
-        .server_name()
-        .ok_or_else(|| DhqpError::Execute(format!("remote {what} of a local table")))?;
-    Ok((server, ctx.member_checks(Some(server), &meta.table)))
+/// The server every base-table open (`scan`, `range`, `fetch`) of a
+/// remote `meta` starts from.
+fn remote_table(meta: &TableMeta, ctx: &ExecContext, op: &str) -> Result<Remote> {
+    let Locality::Remote(server) = &meta.source else {
+        return Err(DhqpError::Execute(format!("remote {op} of a local table")));
+    };
+    Remote::new(server, ctx.member_checks(Some(server), &meta.table), ctx)
 }
 
 /// `IOpenRowset` against a remote base table (ships the whole table).
@@ -167,10 +183,10 @@ pub fn open_remote_scan(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let (server, checks) = remote_table(meta, ctx, "scan")?;
+    let remote = remote_table(meta, ctx, "scan")?;
     let table = meta.table.clone();
     let request = || format!("IOpenRowset([{}])", meta.table);
-    open_via_breaker(server, checks, ctx, node, None, request, move |session| {
+    open_via_breaker(remote, ctx, node, None, request, move |session| {
         session.open_rowset(&table)
     })
 }
@@ -183,11 +199,11 @@ pub fn open_remote_range(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let (server, checks) = remote_table(meta, ctx, "range")?;
+    let remote = remote_table(meta, ctx, "range")?;
     let range = resolve_range(spec, ctx)?;
     let (table, index_name) = (meta.table.clone(), index.to_string());
     let request = || format!("IRowsetIndex([{}].[{index}] range)", meta.table);
-    open_via_breaker(server, checks, ctx, node, None, request, move |session| {
+    open_via_breaker(remote, ctx, node, None, request, move |session| {
         session.open_index(&table, &index_name, &range)
     })
 }
@@ -200,7 +216,7 @@ pub fn open_remote_fetch(
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
-    let (server, checks) = remote_table(meta, ctx, "fetch")?;
+    let remote = remote_table(meta, ctx, "fetch")?;
     let bookmarks = child
         .collect_rows_batched(ctx.batch().batch_size)?
         .into_iter()
@@ -212,7 +228,7 @@ pub fn open_remote_fetch(
         .collect::<Result<Vec<_>>>()?;
     let (table, schema) = (meta.table.clone(), meta.catalog.schema.clone());
     let request = || format!("IRowsetLocate([{}] bookmarks)", meta.table);
-    open_via_breaker(server, checks, ctx, node, None, request, move |session| {
+    open_via_breaker(remote, ctx, node, None, request, move |session| {
         let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;
         Ok(Box::new(MemRowset::new(schema.clone(), rows)) as Box<dyn Rowset>)
     })

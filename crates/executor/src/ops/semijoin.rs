@@ -15,14 +15,13 @@
 use crate::context::ExecContext;
 use crate::eval::positions_of;
 use crate::ops::join::{open_hash_join, passes};
-use crate::ops::remote::{open_remote_text, remote_query_text};
+use crate::ops::remote::{open_remote_text, remote_query_text, Remote};
 use crate::stats::SemiJoinTrace;
-use dhqp_oledb::{MemRowset, RowCursor, Rowset, RowsetExt};
+use dhqp_oledb::{Dialect, MemRowset, RowCursor, Rowset, RowsetExt};
 use dhqp_optimizer::physical::{PhysNode, PhysicalOp, RemoteParam};
 use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr};
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Stable 64-bit FNV-1a fingerprint of a shipped predicate, rendered as
 /// 16 hex digits. Short enough for an error message, stable enough that
@@ -67,7 +66,9 @@ pub fn open_semijoin_reduce(
         at(&build_columns, build_key, "build")?,
         at(columns, probe_key, "probe")?,
     ];
-    let unbound = remote_query_text(server, sql, params, &[], ctx)?.len();
+    let remote = Remote::new(server, ctx.member_checks_in_sql(server, sql), ctx)?;
+    let dialect = remote.source.capabilities().dialect;
+    let unbound = remote_query_text(sql, params, &[], &dialect, ctx)?.len();
     Ok(Box::new(KeyShipping {
         kind: *kind,
         join_keys: [
@@ -76,7 +77,8 @@ pub fn open_semijoin_reduce(
         ],
         key_pos,
         residual: residual.clone(),
-        server: Arc::clone(server),
+        remote,
+        dialect,
         sql: sql.clone(),
         params: params.clone(),
         unbound,
@@ -100,7 +102,10 @@ struct KeyShipping {
     /// Where the join key sits in a build row and in a remote row.
     key_pos: [usize; 2],
     residual: Option<ScalarExpr>,
-    server: Arc<str>,
+    /// The probe side's server and its dialect, both resolved once at open:
+    /// whatever keys are bound, the statement reads the same members.
+    remote: Remote,
+    dialect: Dialect,
     sql: String,
     params: Vec<RemoteParam>,
     /// Length of `sql` rendered with no keys: a request's text is longer by
@@ -168,7 +173,7 @@ impl KeyShipping {
     fn ship(&mut self, rows: Vec<Row>, keys: &[Value]) -> Result<()> {
         let (mut fetched, mut filter_bytes) = (Vec::new(), 0);
         for block in keys.chunks(self.per_request) {
-            let text = remote_query_text(&self.server, &self.sql, &self.params, block, &self.ctx)?;
+            let text = remote_query_text(&self.sql, &self.params, block, &self.dialect, &self.ctx)?;
             filter_bytes += text.len().saturating_sub(self.unbound) as u64;
             fetched.extend(self.fetch(text, block, &rows)?);
         }
@@ -196,10 +201,8 @@ impl KeyShipping {
     fn fetch(&self, text: String, keys: &[Value], rows: &[Row]) -> Result<Vec<Row>> {
         let fp = predicate_fingerprint(&text);
         let tag = format!("shipped predicate fp={fp} keys={}", keys.len());
-        // Whatever keys are bound, the statement reads the same members.
-        let checks = self.ctx.member_checks_in_sql(&self.server, &self.sql);
-        let mut remote =
-            open_remote_text(&self.server, text, checks, Some(tag), &self.ctx, self.node)?;
+        let remote = self.remote.clone();
+        let mut remote = open_remote_text(remote, text, Some(tag), &self.ctx, self.node)?;
         if self.kind != JoinKind::Semi {
             return remote.collect_rows_batched(self.ctx.batch().batch_size);
         }
@@ -291,6 +294,7 @@ mod tests {
     use dhqp_types::{Column, DataType};
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     /// Local `o(id, k)` holding `outer` and, behind a metered link, an
     /// ODBC-Core source `mini` with `t(k, v)`: 24 rows, keys 0..8 three

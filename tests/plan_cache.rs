@@ -6,7 +6,8 @@
 use dhqp::{BatchConfig, BreakerState, DegradedMode, Engine, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
 use dhqp_oledb::{
-    Command, DataSource, KeyRange, ProviderCapabilities, Rowset, Session, SourceLayer, TableInfo,
+    Command, DataSource, KeyRange, ProviderCapabilities, Reply, Rowset, Session, SessionLayer,
+    SourceLayer, TableInfo, Verb,
 };
 use dhqp_storage::TableDef;
 use dhqp_types::{Column, DataType, Interval, IntervalSet, Result, Row, Schema, Value};
@@ -321,6 +322,104 @@ fn a_fetch_from_a_replaced_source_does_not_outlive_it() {
         "a plan compiled against the replaced server was reused: {:?}",
         again.map(|r| r.rows)
     );
+}
+
+type Hook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+/// Runs the hook it holds, if any, when one of its sessions next opens a
+/// command or a rowset.
+struct OnOpen(Arc<dyn DataSource>, Hook);
+
+impl SourceLayer for OnOpen {
+    fn inner(&self) -> &dyn DataSource {
+        &*self.0
+    }
+
+    fn session(&self) -> Result<Box<dyn Session>> {
+        let inner = self.0.create_session()?;
+        Ok(Box::new(OnOpenSession(inner, Arc::clone(&self.1))))
+    }
+}
+
+struct OnOpenSession(Box<dyn Session>, Hook);
+
+impl SessionLayer for OnOpenSession {
+    fn call(&mut self, verb: Verb<'_>) -> Result<Reply> {
+        if matches!(
+            verb,
+            Verb::CreateCommand() | Verb::OpenIndex(..) | Verb::OpenRowset(..)
+        ) {
+            let hook = self.1.lock().unwrap().take();
+            hook.into_iter().for_each(|hook| hook());
+        }
+        verb.send(&mut *self.0)
+    }
+}
+
+/// A remote engine holding `rt(k, <column>)` with the one row `(1, value)`.
+fn one_row(column: &str, value: i64) -> Engine {
+    let r = Engine::new(format!("remote-{value}"));
+    let schema = Schema::new(vec![
+        Column::not_null("k", DataType::Int),
+        Column::not_null(column, DataType::Int),
+    ]);
+    r.create_table(TableDef::new("rt", schema)).unwrap();
+    r.insert("rt", &[Row::new(vec![Value::Int(1), Value::Int(value)])])
+        .unwrap();
+    r
+}
+
+const BOTH: &str =
+    "SELECT v FROM a.db.dbo.rt WHERE k = 1 UNION ALL SELECT v FROM b.db.dbo.rt WHERE k = 1";
+
+/// Runs [`BOTH`] serially, `a` first, while the read of `a` re-registers
+/// `b` as a source whose `rt` has `column`, holding 1000 — cold, and as a
+/// plan-cache hit. Either way the statement answers as the `b` it bound,
+/// and the next statement reads the successor.
+fn runs_on_the_servers_it_bound(column: &str) {
+    for cached in [false, true] {
+        let head = head_engine();
+        head.set_parallel_config(ParallelConfig::serial());
+        let hook = Hook::default();
+        let at_a = OnOpen(
+            Arc::new(EngineDataSource::new(one_row("v", 10))),
+            Arc::clone(&hook),
+        );
+        head.add_linked_server("a", Arc::new(at_a)).unwrap();
+        link(&head, "b", &one_row("v", 100));
+        let answer = |head: &Engine, sql: &str| {
+            let rows = head.query(sql).map(|r| r.rows);
+            rows.map(|rows| rows.iter().map(|r| r.values.clone()).collect::<Vec<_>>())
+        };
+        if cached {
+            answer(&head, BOTH).unwrap();
+        }
+        let hits = head.metrics().plan_cache_hits;
+        let (engine, successor) = (head.clone(), one_row(column, 1000));
+        *hook.lock().unwrap() = Some(Box::new(move || link(&engine, "b", &successor)));
+
+        let got = answer(&head, BOTH);
+        assert!(hook.lock().unwrap().is_none(), "b was re-registered");
+        assert_eq!(head.metrics().plan_cache_hits, hits + cached as u64);
+        let expected = vec![vec![Value::Int(10)], vec![Value::Int(100)]];
+        assert_eq!(got, Ok(expected), "{column} successor, cached: {cached}");
+        let after = format!("SELECT {column} FROM b.db.dbo.rt WHERE k = 1");
+        assert_eq!(answer(&head, &after), Ok(vec![vec![Value::Int(1000)]]));
+    }
+}
+
+/// The successor has the bound server's schema: the statement still reads
+/// the server it bound, not the one its name points at now.
+#[test]
+fn a_statement_reads_the_registration_it_bound() {
+    runs_on_the_servers_it_bound("v");
+}
+
+/// The successor's `rt` has no `v`: the statement still answers, instead of
+/// failing at execution on a column it bound against the other server.
+#[test]
+fn a_statement_is_not_refused_by_a_registration_it_did_not_bind() {
+    runs_on_the_servers_it_bound("w");
 }
 
 #[test]
