@@ -28,9 +28,8 @@ use dhqp_oledb::{
     emit_event, has_hook, timed_wait, DataSource, PooledDataSource, ProviderCapabilities,
     TableSnapshot, TableStatistics, WaitClass, WaitSnapshot,
 };
-use dhqp_storage::heap::Cell;
 use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
-use dhqp_types::{DhqpError, IntervalSet, Result, Row, Value};
+use dhqp_types::{Cell, DhqpError, IntervalSet, Result, Row, Value};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::HashMap;

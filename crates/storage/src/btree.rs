@@ -1,183 +1,26 @@
 //! Ordered secondary indexes with range seeks — the `IRowsetIndex`
 //! capability that makes a provider an *index provider* (paper §3.3).
 //!
-//! An index is one ordered set of `(key, bookmark)` entries; the rows
-//! bearing a key are the entries sharing it, in bookmark order. A
-//! one-column key is held inline, and so is every bookmark, so an entry of a
-//! one-column index costs no allocation of its own (DESIGN.md §24). Range
-//! scans yield bookmarks in key order, so the optimizer can rely on the
-//! delivered sort order as a physical property; they find their bounds by
-//! borrowing the bound keys, never copying them.
+//! An index is one array of its table's live bookmarks, sorted by (key,
+//! bookmark): 8 B per row, and no copy of the key. A key is read in place
+//! from the heap's typed columns ([`Heap::cell`]), so every search takes
+//! the heap the index belongs to, and orders stored keys and bound keys
+//! alike by [`Cell::total_cmp`] (DESIGN.md §24). Range scans yield
+//! bookmarks in key order, so the optimizer can rely on the delivered sort
+//! order as a physical property; the base rows are then fetched by
+//! bookmark, as `IRowsetLocate` does.
 
+use crate::heap::Heap;
 use dhqp_oledb::KeyRange;
-use dhqp_types::{DhqpError, Result, Value};
-use std::borrow::Borrow;
+use dhqp_types::{Cell, DhqpError, Result, Value};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
-use std::ops::Bound;
 
-/// A key ordered by [`Value::total_cmp`] lexicographically. Shorter keys
-/// order before longer keys sharing the prefix, which makes prefix seeks
-/// natural.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexKey(Columns);
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Columns {
-    One(Value),
-    Many(Box<[Value]>),
-}
-
-impl IndexKey {
-    pub fn values(&self) -> &[Value] {
-        match &self.0 {
-            Columns::One(v) => std::slice::from_ref(v),
-            Columns::Many(vs) => vs,
-        }
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let (a, b) = (self.values(), other.values());
-        lexicographic(a, b).then(a.len().cmp(&b.len()))
-    }
-}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Compare on the shared prefix only.
-fn lexicographic(a: &[Value], b: &[Value]) -> Ordering {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| x.total_cmp(y))
-        .find(|o| o.is_ne())
-        .unwrap_or(Ordering::Equal)
-}
-
-/// A place in index order: a key and where it sits among the entries whose
-/// key equals or extends it. Every stored entry is one; a range or seek
-/// builds others from its borrowed bound keys.
-#[derive(Clone, Copy)]
-struct Probe<'k> {
-    key: &'k [Value],
-    tie: Tie,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Where a bound key sits among the entries whose key equals or extends it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tie {
-    /// Before every such entry.
     Before,
-    /// The entry with this bookmark — and, being the shorter key, before
-    /// every entry extending it.
-    At(u64),
-    /// After every such entry.
     After,
 }
-
-impl<'k> Probe<'k> {
-    /// A range bound, placed by `inclusive` or `exclusive`. No bound is the
-    /// empty prefix, inclusive: every key extends it.
-    fn bound(bound: &'k Option<(Vec<Value>, bool)>, inclusive: Tie, exclusive: Tie) -> Self {
-        match bound {
-            None => Probe {
-                key: &[],
-                tie: inclusive,
-            },
-            Some((key, is_inclusive)) => Probe {
-                key,
-                tie: if *is_inclusive { inclusive } else { exclusive },
-            },
-        }
-    }
-
-    fn order(&self, other: &Probe) -> Ordering {
-        let (a, b) = (self.key, other.key);
-        lexicographic(a, b).then_with(|| match a.len().cmp(&b.len()) {
-            Ordering::Equal => self.tie.cmp(&other.tie),
-            Ordering::Less if self.tie == Tie::After => Ordering::Greater,
-            Ordering::Less => Ordering::Less,
-            Ordering::Greater if other.tie == Tie::After => Ordering::Less,
-            Ordering::Greater => Ordering::Greater,
-        })
-    }
-}
-
-/// What the entry set is searched by: entries and borrowed probes alike.
-trait Place {
-    fn place(&self) -> Probe<'_>;
-}
-
-impl Place for Probe<'_> {
-    fn place(&self) -> Probe<'_> {
-        *self
-    }
-}
-
-impl Ord for dyn Place + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.place().order(&other.place())
-    }
-}
-
-impl PartialOrd for dyn Place + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for dyn Place + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for dyn Place + '_ {}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    key: IndexKey,
-    bookmark: u64,
-}
-
-impl Place for Entry {
-    fn place(&self) -> Probe<'_> {
-        Probe {
-            key: self.key.values(),
-            tie: Tie::At(self.bookmark),
-        }
-    }
-}
-
-impl<'a> Borrow<dyn Place + 'a> for Entry {
-    fn borrow(&self) -> &(dyn Place + 'a) {
-        self
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.place().order(&other.place())
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for Entry {}
 
 /// A B-tree index over a table's key columns.
 #[derive(Debug, Clone)]
@@ -186,7 +29,8 @@ pub struct BTreeIndex {
     /// Positions of the key columns within the table schema, in key order.
     pub key_positions: Vec<usize>,
     pub unique: bool,
-    entries: BTreeSet<Entry>,
+    /// The live rows' bookmarks, sorted by (key, bookmark).
+    order: Vec<u64>,
 }
 
 impl BTreeIndex {
@@ -195,112 +39,282 @@ impl BTreeIndex {
             name: name.into(),
             key_positions,
             unique,
-            entries: BTreeSet::new(),
+            order: Vec::new(),
         }
-    }
-
-    /// Extract this index's key from a full table row.
-    pub fn key_of(&self, row: &[Value]) -> IndexKey {
-        IndexKey(match self.key_positions[..] {
-            [i] => Columns::One(row[i].clone()),
-            ref positions => Columns::Many(positions.iter().map(|&i| row[i].clone()).collect()),
-        })
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
-    pub fn insert(&mut self, key: IndexKey, bookmark: u64) -> Result<()> {
-        if self.unique && self.holds(&key) {
-            return Err(DhqpError::Constraint(format!(
-                "duplicate key in unique index '{}'",
-                self.name
-            )));
+    /// Every entry's bookmark, in key order.
+    pub fn bookmarks(&self) -> &[u64] {
+        &self.order
+    }
+
+    /// This index's key of `row`, a full table row, read in place.
+    pub(crate) fn key<'a>(
+        &'a self,
+        row: &'a [Value],
+    ) -> impl ExactSizeIterator<Item = Cell<'a>> + Clone + 'a {
+        self.key_positions.iter().map(|&pos| row[pos].as_cell())
+    }
+
+    /// The key of the heap's row at `bookmark`, read in place.
+    fn stored<'a>(
+        &'a self,
+        heap: &'a Heap,
+        bookmark: u64,
+    ) -> impl ExactSizeIterator<Item = Cell<'a>> + Clone + 'a {
+        self.key_positions
+            .iter()
+            .map(move |&pos| heap.cell(pos, bookmark))
+    }
+
+    /// The entry at `bookmark` against `key`, on their shared prefix.
+    fn prefix_cmp<'c>(
+        &self,
+        heap: &Heap,
+        bookmark: u64,
+        key: impl Iterator<Item = Cell<'c>>,
+    ) -> Ordering {
+        self.stored(heap, bookmark)
+            .zip(key)
+            .map(|(a, b)| a.total_cmp(&b))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Whether the entry at `bookmark` orders before `key` placed by `tie`.
+    /// An entry that `key` extends is a shorter key, and sorts before it
+    /// whatever the tie.
+    fn before<'c>(
+        &self,
+        heap: &Heap,
+        bookmark: u64,
+        key: impl ExactSizeIterator<Item = Cell<'c>>,
+        tie: Tie,
+    ) -> bool {
+        let longer = key.len() > self.key_positions.len();
+        match self.prefix_cmp(heap, bookmark, key) {
+            Ordering::Equal => longer || tie == Tie::After,
+            o => o.is_lt(),
         }
-        self.insert_unchecked(key, bookmark);
-        Ok(())
     }
 
-    /// Whether some row bears `key`.
-    pub(crate) fn holds(&self, key: &IndexKey) -> bool {
-        self.seek(key.values()).next().is_some()
+    /// The entries from `low` to `high`, each key placed by its tie: one
+    /// binary search for the first, then a walk to the last, since what is
+    /// found is read anyway.
+    fn span<'c, K>(&self, heap: &Heap, (low, from): (K, Tie), (high, to): (K, Tie)) -> &[u64]
+    where
+        K: ExactSizeIterator<Item = Cell<'c>> + Clone,
+    {
+        let start = self
+            .order
+            .partition_point(|&b| self.before(heap, b, low.clone(), from));
+        let run = self.order[start..]
+            .iter()
+            .take_while(|&&b| self.before(heap, b, high.clone(), to))
+            .count();
+        &self.order[start..start + run]
     }
 
-    /// [`insert`](Self::insert) of a key admitted already
-    /// ([`Replay`](crate::txn::Replay)).
-    pub(crate) fn insert_unchecked(&mut self, key: IndexKey, bookmark: u64) {
-        self.entries.insert(Entry { key, bookmark });
-    }
-
-    pub fn remove(&mut self, key: &IndexKey, bookmark: u64) {
-        let at = Probe {
-            key: key.values(),
-            tie: Tie::At(bookmark),
-        };
-        self.entries.remove(&at as &dyn Place);
+    /// The entries whose key equals or extends `key`, in bookmark order.
+    pub(crate) fn holding<'c>(
+        &self,
+        heap: &Heap,
+        key: impl ExactSizeIterator<Item = Cell<'c>> + Clone,
+    ) -> &[u64] {
+        self.span(heap, (key.clone(), Tie::Before), (key, Tie::After))
     }
 
     /// Range scan in key order, a key's rows in bookmark order; yields
     /// bookmarks. Bound keys may be prefixes of the full key (prefix seek):
     /// an inclusive bound takes in every key extending it, an exclusive one
-    /// none.
-    pub fn range(&self, range: &KeyRange) -> impl Iterator<Item = u64> + '_ {
-        let low = Probe::bound(&range.low, Tie::Before, Tie::After);
-        let high = Probe::bound(&range.high, Tie::After, Tie::Before);
-        self.between(&low, &high)
+    /// none. An inverted range is empty.
+    pub fn range(&self, heap: &Heap, range: &KeyRange) -> &[u64] {
+        fn bound(
+            bound: &Option<(Vec<Value>, bool)>,
+            inclusive: Tie,
+            exclusive: Tie,
+        ) -> (impl ExactSizeIterator<Item = Cell<'_>> + Clone, Tie) {
+            let (key, tie) = match bound {
+                None => (&[][..], inclusive),
+                Some((key, true)) => (&key[..], inclusive),
+                Some((key, false)) => (&key[..], exclusive),
+            };
+            (key.iter().map(Value::as_cell), tie)
+        }
+        let low = bound(&range.low, Tie::Before, Tie::After);
+        self.span(heap, low, bound(&range.high, Tie::After, Tie::Before))
     }
 
-    /// Bookmarks for an exact key match, ascending.
-    pub fn seek(&self, key: &[Value]) -> impl Iterator<Item = u64> + '_ {
-        let low = Probe {
-            key,
-            tie: Tie::At(0),
-        };
-        let high = Probe {
-            key,
-            tie: Tie::At(u64::MAX),
-        };
-        self.between(&low, &high)
+    /// Bookmarks for a key match, ascending: `range` of [`KeyRange::eq`].
+    pub fn seek(&self, heap: &Heap, key: &[Value]) -> &[u64] {
+        self.holding(heap, key.iter().map(Value::as_cell))
     }
 
-    fn between(&self, low: &dyn Place, high: &dyn Place) -> impl Iterator<Item = u64> + '_ {
-        // `BTreeSet::range` panics on an inverted range; it is just empty.
-        // A seek's bounds may equal its first and last entries: inclusive.
-        (low <= high)
-            .then(|| {
-                self.entries
-                    .range::<dyn Place, _>((Bound::Included(low), Bound::Included(high)))
+    /// Add the entries of `arriving`, rows the heap holds. They are sorted,
+    /// each is placed by a binary search, and they are merged into the
+    /// entries in one pass from the back: a load is O(k log k), and a write
+    /// moves every entry at most once. A unique index refuses a key it
+    /// holds or that two arriving rows share, and stays as it was.
+    pub fn insert(&mut self, heap: &Heap, mut arriving: Vec<u64>) -> Result<()> {
+        match self.key_positions.split_first() {
+            Some((&first, rest)) if arriving.len() > 1 => {
+                // Each row's first key column is read once, not per comparison.
+                let mut keyed: Vec<(Cell, u64)> =
+                    arriving.iter().map(|&b| (heap.cell(first, b), b)).collect();
+                keyed.sort_unstable_by(|(x, a), (y, b)| {
+                    x.total_cmp(y).then_with(|| rows_cmp(heap, rest, *a, *b))
+                });
+                for (slot, (_, b)) in arriving.iter_mut().zip(keyed) {
+                    *slot = b;
+                }
+            }
+            // No key column orders the rows, or there is one row at most.
+            _ => arriving.sort_unstable(),
+        }
+        // Where each arriving entry goes among the entries held now.
+        let places: Vec<usize> = arriving
+            .iter()
+            .map(|&b| {
+                self.order
+                    .partition_point(|&e| rows_cmp(heap, &self.key_positions, e, b).is_lt())
             })
-            .into_iter()
-            .flatten()
-            .map(|e| e.bookmark)
+            .collect();
+        if self.unique {
+            let same = |a, b| self.prefix_cmp(heap, a, self.stored(heap, b)).is_eq();
+            // A held entry with the same key sits right beside that place.
+            let beside =
+                |at: usize| &self.order[at.saturating_sub(1)..(at + 1).min(self.order.len())];
+            let held = (places.iter().zip(&arriving))
+                .any(|(&at, &b)| beside(at).iter().any(|&e| same(e, b)));
+            if held || arriving.windows(2).any(|w| same(w[0], w[1])) {
+                return Err(DhqpError::Constraint(format!(
+                    "duplicate key in unique index '{}'",
+                    self.name
+                )));
+            }
+        }
+        let mut end = self.order.len();
+        self.order.resize(end + arriving.len(), 0);
+        for (j, (&b, &at)) in arriving.iter().zip(&places).enumerate().rev() {
+            self.order.copy_within(at..end, at + j + 1);
+            self.order[at + j] = b;
+            end = at;
+        }
+        Ok(())
     }
+
+    /// Take out the entries of `leaving`, rows the heap still holds as they
+    /// were indexed; a bookmark the index does not hold changes nothing.
+    pub fn remove(&mut self, heap: &Heap, leaving: &[u64]) {
+        let mut gone: Vec<usize> = leaving
+            .iter()
+            .filter(|&&b| heap.live_index(b).is_ok())
+            .filter_map(|&b| {
+                let at = self
+                    .order
+                    .partition_point(|&e| rows_cmp(heap, &self.key_positions, e, b).is_lt());
+                (self.order.get(at) == Some(&b)).then_some(at)
+            })
+            .collect();
+        gone.sort_unstable();
+        gone.dedup();
+        // Close each gap by moving the run of entries after it down.
+        let Some(&first) = gone.first() else {
+            return;
+        };
+        let mut to = first;
+        for (i, &at) in gone.iter().enumerate() {
+            let end = gone.get(i + 1).copied().unwrap_or(self.order.len());
+            self.order.copy_within(at + 1..end, to);
+            to += end - at - 1;
+        }
+        self.order.truncate(to);
+    }
+
+    /// Whether replacing the heap's row at `bookmark` by `row` changes its
+    /// key here.
+    pub(crate) fn moves(&self, heap: &Heap, bookmark: u64, row: &[Value]) -> bool {
+        self.prefix_cmp(heap, bookmark, self.key(row)).is_ne()
+    }
+}
+
+/// How the heap's rows `a` and `b` order on the columns at `positions`,
+/// then by bookmark: with every key column, the order of the entries.
+fn rows_cmp(heap: &Heap, positions: &[usize], a: u64, b: u64) -> Ordering {
+    positions
+        .iter()
+        .map(|&pos| heap.cell(pos, a).total_cmp(&heap.cell(pos, b)))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+        .then(a.cmp(&b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhqp_types::DataType;
 
     fn ints(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
-    /// The key of a row of `vals` in an index over all its columns.
-    fn key(vals: &[i64]) -> IndexKey {
-        BTreeIndex::new("k", (0..vals.len()).collect(), false).key_of(&ints(vals))
+    /// An index over every column of an INT heap, both kept in step.
+    struct Indexed {
+        heap: Heap,
+        ix: BTreeIndex,
+    }
+
+    impl Indexed {
+        fn new(columns: usize, unique: bool) -> Self {
+            Indexed {
+                heap: Heap::new(vec![DataType::Int; columns]),
+                ix: BTreeIndex::new("ix", (0..columns).collect(), unique),
+            }
+        }
+
+        /// Store `row` and index it; a refused row stays out of both.
+        fn add(&mut self, row: &[Value]) -> Result<u64> {
+            let b = self.heap.insert(row)?;
+            self.ix.insert(&self.heap, vec![b]).inspect_err(|_| {
+                self.heap.delete(b).unwrap();
+            })?;
+            Ok(b)
+        }
+
+        fn add_ints(&mut self, vals: &[i64]) -> Result<u64> {
+            self.add(&ints(vals))
+        }
+
+        fn delete(&mut self, bookmarks: &[u64]) {
+            self.ix.remove(&self.heap, bookmarks);
+            for &b in bookmarks {
+                self.heap.delete(b).unwrap();
+            }
+        }
+
+        fn range(&self, range: &KeyRange) -> Vec<u64> {
+            self.ix.range(&self.heap, range).to_vec()
+        }
+
+        fn seek(&self, key: &[Value]) -> Vec<u64> {
+            self.ix.seek(&self.heap, key).to_vec()
+        }
     }
 
     /// Bookmark `i` holds `vals[i]`.
-    fn index_with(vals: &[i64]) -> BTreeIndex {
-        let mut ix = BTreeIndex::new("ix", vec![0], false);
-        for (i, &v) in vals.iter().enumerate() {
-            ix.insert(key(&[v]), i as u64).unwrap();
+    fn index_with(vals: &[i64]) -> Indexed {
+        let mut ix = Indexed::new(1, false);
+        for &v in vals {
+            ix.add_ints(&[v]).unwrap();
         }
         ix
     }
@@ -317,21 +331,19 @@ mod tests {
         let vals = [5, 3, 9, 1, 7];
         let ix = index_with(&vals);
         let r = bounded(Some((&[3], true)), Some((&[7], true)));
-        let hits: Vec<i64> = ix.range(&r).map(|b| vals[b as usize]).collect();
+        let hits: Vec<i64> = ix.range(&r).iter().map(|&b| vals[b as usize]).collect();
         assert_eq!(hits, vec![3, 5, 7]);
         let r = bounded(Some((&[3], false)), Some((&[7], false)));
-        let hits: Vec<i64> = ix.range(&r).map(|b| vals[b as usize]).collect();
+        let hits: Vec<i64> = ix.range(&r).iter().map(|&b| vals[b as usize]).collect();
         assert_eq!(hits, vec![5]);
         // An inverted range is empty, not a panic.
         assert_eq!(
-            ix.range(&bounded(Some((&[7], true)), Some((&[3], true))))
-                .count(),
-            0
+            ix.range(&bounded(Some((&[7], true)), Some((&[3], true)))),
+            []
         );
         assert_eq!(
-            ix.range(&bounded(Some((&[5], false)), Some((&[5], false))))
-                .count(),
-            0
+            ix.range(&bounded(Some((&[5], false)), Some((&[5], false)))),
+            []
         );
     }
 
@@ -341,70 +353,75 @@ mod tests {
         let ix = index_with(&vals);
         let hits: Vec<i64> = ix
             .range(&KeyRange::all())
-            .map(|b| vals[b as usize])
+            .iter()
+            .map(|&b| vals[b as usize])
             .collect();
         assert_eq!(hits, vec![3, 5, 9]);
     }
 
     #[test]
     fn unique_index_rejects_duplicates() {
-        let mut ix = BTreeIndex::new("u", vec![0], true);
-        ix.insert(key(&[1]), 0).unwrap();
-        assert!(ix.insert(key(&[1]), 1).is_err());
-        assert_eq!(ix.len(), 1);
+        let mut ix = Indexed::new(1, true);
+        ix.add_ints(&[1]).unwrap();
+        assert!(ix.add_ints(&[1]).is_err());
+        assert_eq!(ix.ix.len(), 1);
+        // Two arriving rows sharing a key are refused together.
+        let (a, b) = (
+            ix.heap.insert(&ints(&[2])).unwrap(),
+            ix.heap.insert(&ints(&[2])).unwrap(),
+        );
+        assert!(ix.ix.insert(&ix.heap, vec![a, b]).is_err());
+        assert_eq!(ix.ix.bookmarks(), [0]);
     }
 
     #[test]
     fn a_deleted_unique_key_can_be_inserted_again() {
-        let mut ix = BTreeIndex::new("u", vec![0], true);
-        ix.insert(key(&[1]), 0).unwrap();
-        ix.remove(&key(&[1]), 0);
-        assert!(ix.is_empty());
-        ix.insert(key(&[1]), 5).unwrap();
-        assert_eq!(ix.seek(&ints(&[1])).collect::<Vec<_>>(), [5]);
-        assert!(ix.insert(key(&[1]), 6).is_err());
+        let mut ix = Indexed::new(1, true);
+        let b = ix.add_ints(&[1]).unwrap();
+        ix.delete(&[b]);
+        assert!(ix.ix.is_empty());
+        let again = ix.add_ints(&[1]).unwrap();
+        assert_eq!(ix.seek(&ints(&[1])), [again]);
+        assert!(ix.add_ints(&[1]).is_err());
     }
 
     /// Rows sharing a key come back in bookmark order, after a delete too.
     #[test]
     fn duplicates_allowed_on_non_unique() {
-        let mut ix = BTreeIndex::new("n", vec![0], false);
-        for b in [7, 2, 9, 4] {
-            ix.insert(key(&[1]), b).unwrap();
+        let mut ix = Indexed::new(1, false);
+        // Bookmarks 0, 1, 3 and 4 hold 1, 8 holds 0; the 9s leave at once.
+        for v in [1, 1, 9, 1, 1, 9, 9, 9, 0] {
+            ix.add_ints(&[v]).unwrap();
         }
-        ix.insert(key(&[0]), 8).unwrap();
-        assert_eq!(ix.seek(&ints(&[1])).collect::<Vec<_>>(), [2, 4, 7, 9]);
-        ix.remove(&key(&[1]), 2);
-        // Removing a bookmark the key does not hold changes nothing.
-        ix.remove(&key(&[1]), 8);
-        assert_eq!(ix.seek(&ints(&[1])).collect::<Vec<_>>(), [4, 7, 9]);
-        let all: Vec<u64> = ix.range(&KeyRange::eq(ints(&[1]))).collect();
-        assert_eq!(all, [4, 7, 9]);
-        assert_eq!(ix.range(&KeyRange::all()).collect::<Vec<_>>(), [8, 4, 7, 9]);
-        assert_eq!(ix.len(), 4);
+        ix.delete(&[7, 2, 6, 5]);
+        assert_eq!(ix.range(&KeyRange::all()), [8, 0, 1, 3, 4]);
+        assert_eq!(ix.seek(&ints(&[1])), [0, 1, 3, 4]);
+        ix.delete(&[1]);
+        // Removing a bookmark the index does not hold changes nothing.
+        ix.ix.remove(&ix.heap, &[1, 7, 99]);
+        assert_eq!(ix.seek(&ints(&[1])), [0, 3, 4]);
+        assert_eq!(ix.range(&KeyRange::eq(ints(&[1]))), [0, 3, 4]);
+        assert_eq!(ix.range(&KeyRange::all()), [8, 0, 3, 4]);
+        assert_eq!(ix.ix.len(), 4);
     }
 
     #[test]
     fn exact_seek_via_keyrange_eq() {
         let ix = index_with(&[2, 4, 4, 6]);
-        let hits: Vec<u64> = ix.range(&KeyRange::eq(ints(&[4]))).collect();
-        assert_eq!(hits, [1, 2]);
+        assert_eq!(ix.range(&KeyRange::eq(ints(&[4]))), [1, 2]);
     }
 
     /// Exclusive and inclusive bounds on a composite prefix.
     #[test]
     fn composite_prefix_seek() {
-        let mut ix = BTreeIndex::new("c", vec![0, 1], false);
-        let keys = [[1, 10], [1, 20], [2, 10], [2, 20], [3, 10]];
-        for (i, k) in keys.iter().enumerate() {
-            ix.insert(key(k), i as u64).unwrap();
+        let mut ix = Indexed::new(2, false);
+        for k in [[1, 10], [1, 20], [2, 10], [2, 20], [3, 10]] {
+            ix.add_ints(&k).unwrap();
         }
-        let hits = |low, high| -> Vec<u64> { ix.range(&bounded(low, high)).collect() };
+        let hits = |low, high| ix.range(&bounded(low, high));
         // Prefix seek on a = 1 returns both (1,10) and (1,20).
-        assert_eq!(
-            ix.range(&KeyRange::eq(ints(&[1]))).collect::<Vec<_>>(),
-            [0, 1]
-        );
+        assert_eq!(ix.range(&KeyRange::eq(ints(&[1]))), [0, 1]);
+        assert_eq!(ix.seek(&ints(&[1])), [0, 1]);
         // Inclusive prefix bounds take in every key extending them ...
         assert_eq!(hits(Some((&[2], true)), Some((&[3], true))), [2, 3, 4]);
         // ... exclusive ones none.
@@ -421,10 +438,76 @@ mod tests {
         assert_eq!(hits(Some((&[1, 15], true)), Some((&[2], true))), [1, 2, 3]);
     }
 
+    /// `[1] < [1, 0] < [1, 0, 0] < [2]`: a bound key the stored key extends
+    /// sorts before it, and one extending the stored key sorts after it,
+    /// whichever way the bound is placed.
     #[test]
     fn shorter_key_sorts_before_extension() {
-        assert!(key(&[1]) < key(&[1, 0]));
-        assert!(key(&[1, 0]) < key(&[2]));
+        let mut ix = Indexed::new(2, false);
+        ix.add_ints(&[1, 0]).unwrap();
+        ix.add_ints(&[2, 0]).unwrap();
+        let hits = |low, high| ix.range(&bounded(low, high));
+        assert_eq!(hits(Some((&[1], true)), Some((&[1], true))), [0]);
+        assert_eq!(hits(None, Some((&[1], false))), []);
+        for inclusive in [true, false] {
+            assert_eq!(hits(Some((&[1, 0, 0], inclusive)), None), [1]);
+            assert_eq!(hits(None, Some((&[1, 0, 0], inclusive))), [0]);
+        }
+        assert_eq!(ix.seek(&ints(&[1, 0, 0])), []);
+    }
+
+    /// NULL first, `-0.0` one key with `0.0`, NaN after every number, and
+    /// an INT probe finding a FLOAT key — and the other way round — as
+    /// `Value::total_cmp` orders them.
+    #[test]
+    fn keys_read_in_place_order_as_values_do() {
+        let nan = f64::NAN;
+        let floats = [nan, 1.0, f64::NEG_INFINITY, -0.0, 0.0, -1.0, 2.5];
+        let mut fx = Indexed {
+            heap: Heap::new([DataType::Float]),
+            ix: BTreeIndex::new("f", vec![0], false),
+        };
+        let mut rows: Vec<Value> = floats.iter().map(|&f| Value::Float(f)).collect();
+        rows.push(Value::Null);
+        for row in &rows {
+            fx.add(std::slice::from_ref(row)).unwrap();
+        }
+        let mut by_value: Vec<u64> = (0..rows.len() as u64).collect();
+        by_value.sort_by(|&a, &b| {
+            rows[a as usize]
+                .total_cmp(&rows[b as usize])
+                .then(a.cmp(&b))
+        });
+        assert_eq!(fx.ix.bookmarks(), by_value);
+        assert_eq!(fx.ix.bookmarks(), [7, 2, 5, 3, 4, 1, 6, 0]);
+        assert_eq!(fx.seek(&[Value::Null]), [7]);
+        assert_eq!(fx.seek(&[Value::Float(0.0)]), [3, 4]);
+        assert_eq!(fx.seek(&[Value::Float(-0.0)]), [3, 4]);
+        assert_eq!(fx.seek(&[Value::Int(0)]), [3, 4]);
+        assert_eq!(fx.seek(&[Value::Int(1)]), [1]);
+        assert_eq!(fx.seek(&[Value::Float(nan)]), [0]);
+        let r = KeyRange {
+            low: Some((vec![Value::Null], false)),
+            high: Some((vec![Value::Int(2)], true)),
+        };
+        assert_eq!(fx.range(&r), [2, 5, 3, 4, 1]);
+        // A unique FLOAT index holds one of `-0.0` and `0.0`.
+        let mut ux = Indexed {
+            heap: Heap::new([DataType::Float]),
+            ix: BTreeIndex::new("u", vec![0], true),
+        };
+        ux.add(&[Value::Float(-0.0)]).unwrap();
+        assert!(ux.add(&[Value::Float(0.0)]).is_err());
+        ux.add(&[Value::Null]).unwrap();
+
+        let ix = index_with(&[3, -1, 2]);
+        assert_eq!(ix.seek(&[Value::Float(2.0)]), [2]);
+        assert_eq!(ix.seek(&[Value::Float(2.5)]), []);
+        let r = KeyRange {
+            low: Some((vec![Value::Float(-0.5)], true)),
+            high: Some((vec![Value::Float(nan)], false)),
+        };
+        assert_eq!(ix.range(&r), [2, 0]);
     }
 
     proptest::proptest! {
@@ -436,9 +519,9 @@ mod tests {
             low in proptest::option::of((proptest::collection::vec(0i64..4, 0..3), proptest::any::<bool>())),
             high in proptest::option::of((proptest::collection::vec(0i64..4, 0..3), proptest::any::<bool>())),
         ) {
-            let mut ix = BTreeIndex::new("p", vec![0, 1], false);
-            for (b, &(x, y)) in rows.iter().enumerate() {
-                ix.insert(key(&[x, y]), b as u64).unwrap();
+            let mut ix = Indexed::new(2, false);
+            for &(x, y) in &rows {
+                ix.add_ints(&[x, y]).unwrap();
             }
             let range = KeyRange {
                 low: low.map(|(k, inc)| (ints(&k), inc)),
@@ -452,7 +535,7 @@ mod tests {
                 .collect();
             expected.sort();
             let expected: Vec<u64> = expected.into_iter().map(|(_, _, b)| b).collect();
-            proptest::prop_assert_eq!(ix.range(&range).collect::<Vec<_>>(), expected);
+            proptest::prop_assert_eq!(ix.range(&range), expected);
         }
     }
 }

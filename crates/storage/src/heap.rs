@@ -8,9 +8,10 @@
 //! NULL bit per slot beside it: the value of column `c` at bookmark `b` is
 //! `columns[c]`'s `b`-th entry, and an INT costs 8 B rather than a 24-B
 //! `Value` (DESIGN.md §24). Rows cross the storage boundary as `Value`s,
-//! built when they are read.
+//! built when they are read; a one-column reader and an index reading its
+//! keys take one value at a time in place, as a [`Cell`].
 
-use dhqp_types::{DataType, DhqpError, Result, Value};
+use dhqp_types::{Cell, DataType, DhqpError, Result, Value};
 
 /// An unordered collection of rows in stable slots.
 #[derive(Debug, Clone)]
@@ -38,31 +39,6 @@ struct Column {
     values: Values,
     /// One bit per slot, set where the slot holds NULL.
     nulls: Vec<u64>,
-}
-
-/// One stored value, text by reference: what a one-column reader sees
-/// without building a `Value`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Cell<'a> {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(&'a str),
-    Date(i32),
-}
-
-impl Cell<'_> {
-    pub fn to_value(self) -> Value {
-        match self {
-            Cell::Null => Value::Null,
-            Cell::Bool(b) => Value::Bool(b),
-            Cell::Int(i) => Value::Int(i),
-            Cell::Float(f) => Value::Float(f),
-            Cell::Str(s) => Value::Str(s.to_owned()),
-            Cell::Date(d) => Value::Date(d),
-        }
-    }
 }
 
 impl Column {
@@ -242,9 +218,26 @@ impl Heap {
         Ok(())
     }
 
+    /// The bookmark the next insert gets.
+    pub fn next_bookmark(&self) -> u64 {
+        self.live_slots.len() as u64
+    }
+
+    /// The live rows' bookmarks, in slot order.
+    pub fn bookmarks(&self) -> impl Iterator<Item = u64> + '_ {
+        self.live_at().map(|at| at as u64)
+    }
+
     /// Iterate live rows with their bookmarks, in slot order.
     pub fn scan(&self) -> impl Iterator<Item = (u64, Box<[Value]>)> + '_ {
         self.live_at().map(|at| (at as u64, self.row(at)))
+    }
+
+    /// The value of column `pos` at `bookmark`, read in place. The slot must
+    /// exist; a deleted row's values read as NULL.
+    #[inline]
+    pub fn cell(&self, pos: usize, bookmark: u64) -> Cell<'_> {
+        self.columns[pos].cell(bookmark as usize)
     }
 
     /// One column's values of the live rows, in slot order, read in place.
@@ -281,7 +274,7 @@ impl Heap {
 
     /// Whether `values` fit the columns: the heap's arity, and each value
     /// NULL or of its column's type.
-    fn check(&self, values: &[Value]) -> Result<()> {
+    pub(crate) fn check(&self, values: &[Value]) -> Result<()> {
         if values.len() != self.columns.len() {
             return Err(DhqpError::Execute(format!(
                 "row arity {} does not match heap arity {}",

@@ -3,10 +3,12 @@
 //! SQL Server accesses its own storage engine through OLE DB — "the code
 //! patterns to access data from local and external sources are almost
 //! identical" (paper §2). This crate follows suit: it implements heap
-//! tables with bookmarks, B-tree secondary indexes with range seeks,
-//! CHECK constraints, equi-depth histogram statistics and one write path
-//! (a batch admitted whole, then applied, at once or at a two-phase
-//! commit) — and then exposes all of it through the `dhqp_oledb` traits via
+//! tables with bookmarks, B-tree secondary indexes with range seeks (an
+//! index is its table's bookmarks in key order; the keys stay in the heap,
+//! which stores each column at its declared type), CHECK constraints,
+//! equi-depth histogram statistics and one write path (a batch admitted
+//! whole, then applied, at once or at a two-phase commit) — and then
+//! exposes all of it through the `dhqp_oledb` traits via
 //! [`provider::LocalDataSource`].
 //!
 //! The same engine type doubles as the "remote SQL Server" when wrapped

@@ -3,10 +3,10 @@
 
 use crate::btree::BTreeIndex;
 use crate::catalog::CheckConstraint;
-use crate::heap::{Cell, Heap};
+use crate::heap::Heap;
 use crate::txn::Batch;
 use dhqp_oledb::{IndexInfo, KeyRange, TableSnapshot, TableStatistics};
-use dhqp_types::{DhqpError, Result, Row, Schema, Value};
+use dhqp_types::{Cell, DhqpError, Result, Row, Schema, Value};
 use std::sync::Arc;
 
 /// A base table in the storage engine.
@@ -52,10 +52,7 @@ impl Table {
             })?);
         }
         let mut ix = BTreeIndex::new(name, positions, unique);
-        for (bookmark, row) in self.heap.scan() {
-            let key = ix.key_of(&row);
-            ix.insert(key, bookmark)?;
-        }
+        ix.insert(&self.heap, self.heap.bookmarks().collect())?;
         self.indexes.push(ix);
         Ok(())
     }
@@ -115,30 +112,60 @@ impl Table {
     }
 
     /// Apply a batch [`Replay`](crate::txn::Replay) admitted, as it was
-    /// admitted: the rows that leave take their index entries with them
-    /// before the rows that arrive bring theirs. Nothing is probed here, so
-    /// a failure is an engine invariant violation, not a user error.
+    /// admitted: the rows that leave take their index entries with them,
+    /// while the heap still holds them, before the rows that arrive bring
+    /// theirs. A replaced row that keeps an index's key keeps its entry
+    /// there. Nothing is probed here, so a failure is an engine invariant
+    /// violation, not a user error; a bookmark or row the heap refuses is
+    /// refused before anything changes.
     pub fn apply(&mut self, batch: &Batch<'_>) -> Result<()> {
+        let Table { heap, indexes, .. } = self;
         for &bookmark in batch.leaving() {
-            let old = match batch {
-                Batch::Delete(_) => self.heap.delete(bookmark)?,
-                _ => self.heap.slot(bookmark)?,
-            };
-            for ix in &mut self.indexes {
-                ix.remove(&ix.key_of(&old), bookmark);
+            heap.live_index(bookmark)?;
+        }
+        for (_, row) in batch.arriving() {
+            heap.check(row)?;
+        }
+        match batch {
+            Batch::Insert(rows) => {
+                heap.reserve(rows.len());
+                let first = heap.next_bookmark();
+                for row in rows.iter() {
+                    heap.insert(&row.values)?;
+                }
+                for ix in indexes {
+                    ix.insert(heap, (first..heap.next_bookmark()).collect())?;
+                }
             }
-        }
-        if let Batch::Insert(rows) = batch {
-            self.heap.reserve(rows.len());
-        }
-        for (bookmark, row) in batch.arriving() {
-            let bookmark = match bookmark {
-                // Replaced in place: the row keeps its bookmark.
-                Some(bookmark) => self.heap.update(bookmark, row).map(|()| bookmark)?,
-                None => self.heap.insert(row)?,
-            };
-            for ix in &mut self.indexes {
-                ix.insert_unchecked(ix.key_of(row), bookmark);
+            Batch::Delete(bookmarks) => {
+                for ix in indexes {
+                    ix.remove(heap, bookmarks);
+                }
+                for &bookmark in bookmarks.iter() {
+                    heap.delete(bookmark)?;
+                }
+            }
+            Batch::Update(bookmarks, rows) => {
+                // Per index, the replaced rows whose key there changes.
+                let mut moved: Vec<(usize, Vec<u64>)> = Vec::new();
+                for (i, ix) in indexes.iter_mut().enumerate() {
+                    let moving: Vec<u64> = bookmarks
+                        .iter()
+                        .zip(rows.iter())
+                        .filter(|(&b, r)| ix.moves(heap, b, &r.values))
+                        .map(|(&b, _)| b)
+                        .collect();
+                    if !moving.is_empty() {
+                        ix.remove(heap, &moving);
+                        moved.push((i, moving));
+                    }
+                }
+                for (&bookmark, row) in bookmarks.iter().zip(rows.iter()) {
+                    heap.update(bookmark, &row.values)?;
+                }
+                for (i, moving) in moved {
+                    indexes[i].insert(heap, moving)?;
+                }
             }
         }
         Ok(())
@@ -163,8 +190,9 @@ impl Table {
                 DhqpError::Catalog(format!("no index '{index}' on table '{}'", self.name))
             })?;
         Ok(ix
-            .range(range)
-            .filter_map(|b| {
+            .range(&self.heap, range)
+            .iter()
+            .filter_map(|&b| {
                 self.heap
                     .get(b)
                     .map(|r| Row::with_bookmark(r.into_vec(), b))

@@ -3,10 +3,11 @@
 //! [`Table::apply`] — at once under autocommit, or at commit by the 2PC
 //! participant that buffered it (§22).
 
-use crate::btree::{BTreeIndex, IndexKey};
+use crate::btree::BTreeIndex;
 use crate::table::Table;
 use dhqp_types::{DhqpError, Result, Row, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// One request's writes to one table. Autocommit borrows the caller's
@@ -85,8 +86,46 @@ pub struct Replay<'a> {
     /// Rows prepared transactions delete or replace.
     locked: HashSet<u64>,
     /// Each unique index, with the keys of the rows arrived so far.
-    arrived: Vec<(&'a BTreeIndex, BTreeSet<IndexKey>)>,
+    arrived: Vec<(&'a BTreeIndex, BTreeSet<Key<'a>>)>,
 }
+
+/// An arriving row's key in one unique index, read in place from the row
+/// and ordered as the index orders keys.
+struct Key<'a> {
+    row: &'a [Value],
+    positions: &'a [usize],
+}
+
+impl<'a> Key<'a> {
+    fn of(ix: &'a BTreeIndex, row: &'a [Value]) -> Self {
+        let positions = &ix.key_positions;
+        Key { row, positions }
+    }
+}
+
+impl Ord for Key<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let positions = self.positions.iter();
+        positions
+            .map(|&p| self.row[p].total_cmp(&other.row[p]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+}
+
+impl PartialOrd for Key<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Key<'_> {}
 
 impl<'a> Replay<'a> {
     pub fn over(table: &'a Table) -> Self {
@@ -102,11 +141,11 @@ impl<'a> Replay<'a> {
     /// Hold what `batch`, buffered by a prepared transaction, will do at
     /// its commit, without asking whether it may: it was admitted when the
     /// transaction voted.
-    pub fn reserve(&mut self, batch: &Batch<'_>) {
+    pub fn reserve(&mut self, batch: &'a Batch<'_>) {
         self.locked.extend(batch.leaving());
         for (_, row) in batch.arriving() {
             for (ix, arrived) in &mut self.arrived {
-                arrived.insert(ix.key_of(row));
+                arrived.insert(Key::of(ix, row));
             }
         }
     }
@@ -137,7 +176,7 @@ impl<'a> Replay<'a> {
                 // Replaced by an earlier batch: that row's keys leave.
                 Some(Some(replaced)) => {
                     for (ix, arrived) in &mut self.arrived {
-                        arrived.remove(&ix.key_of(replaced));
+                        arrived.remove(&Key::of(ix, replaced));
                     }
                 }
             }
@@ -145,9 +184,9 @@ impl<'a> Replay<'a> {
         for (bookmark, row) in batch.arriving() {
             t.validate_row(row)?;
             for (ix, arrived) in &mut self.arrived {
-                let key = ix.key_of(row);
-                let stays = |b| !self.touched.contains_key(&b);
-                if ix.seek(key.values()).any(stays) || !arrived.insert(key) {
+                let stays = |b: &u64| !self.touched.contains_key(b);
+                let held = ix.holding(&t.heap, ix.key(row)).iter().any(stays);
+                if held || !arrived.insert(Key::of(ix, row)) {
                     return Err(t.duplicate_key(&ix.name));
                 }
             }

@@ -20,5 +20,5 @@ pub use error::{DhqpError, Result};
 pub use hash::{fnv1a_64, hash_lines, Fnv1a};
 pub use interval::{Interval, IntervalBound, IntervalSet};
 pub use row::{schema_stamp, Column, Row, Schema};
-pub use value::{DataType, Value};
+pub use value::{Cell, DataType, Value};
 pub use value_set::ValueSet;

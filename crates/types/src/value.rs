@@ -47,6 +47,33 @@ impl fmt::Display for DataType {
     }
 }
 
+/// [`Cell::total_cmp`], written once for [`Value`] and [`Cell`] alike: both
+/// enums have the same variants, so one match serves either without
+/// converting one into the other on the sort path.
+macro_rules! total_order {
+    ($enum:ident, $a:expr, $b:expr) => {{
+        use $enum::*;
+        let rank = |v: &$enum| match v {
+            Null => 0u8,
+            Bool(_) => 1,
+            Int(_) | Float(_) => 2,
+            Date(_) => 3,
+            Str(_) => 4,
+        };
+        match ($a, $b) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(b),
+            (Float(a), Float(b)) => unsigned_zero(*a).total_cmp(&unsigned_zero(*b)),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(&unsigned_zero(*b)),
+            (Float(a), Int(b)) => unsigned_zero(*a).total_cmp(&(*b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Date(a), Date(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }};
+}
+
 /// A single SQL value.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
@@ -111,34 +138,24 @@ impl Value {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
-    /// Total ordering used for sorting and B-tree keys: NULL sorts first,
-    /// then by type tag for heterogeneous columns, then by value; NaN sorts
-    /// after every other float. Wherever SQL comparison is defined the two
-    /// agree — `-0.0` and `0.0` are one value here too — so an index seek,
-    /// a hash key and a value domain hold exactly the values a predicate
-    /// accepts. It is *not* SQL comparison otherwise: predicates must use
-    /// [`Value::sql_cmp`].
+    /// Total ordering used for sorting and B-tree keys: the order of
+    /// [`Cell::total_cmp`], written once for both (`total_order!`). It is
+    /// *not* SQL comparison: predicates must use [`Value::sql_cmp`].
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Date(_) => 3,
-                Str(_) => 4,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => unsigned_zero(*a).total_cmp(&unsigned_zero(*b)),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(&unsigned_zero(*b)),
-            (Float(a), Int(b)) => unsigned_zero(*a).total_cmp(&(*b as f64)),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            _ => rank(self).cmp(&rank(other)),
+        total_order!(Value, self, other)
+    }
+
+    /// This value by reference, text borrowed.
+    #[inline]
+    pub fn as_cell(&self) -> Cell<'_> {
+        match self {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Str(s) => Cell::Str(s),
+            Value::Date(d) => Cell::Date(*d),
         }
     }
 
@@ -260,6 +277,42 @@ impl Value {
             Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
             Value::Date(d) => format!("'{}'", format_date(*d)),
         }
+    }
+}
+
+/// A value by reference, text borrowed: the borrowed form of [`Value`], and
+/// what a stored cell reads as without building one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Date(i32),
+}
+
+impl Cell<'_> {
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Date(d) => Value::Date(d),
+        }
+    }
+
+    /// The one total order of values, for sorting, B-tree keys and their
+    /// seek bounds: NULL sorts first, then by type tag for heterogeneous
+    /// columns, then by value; NaN sorts after every other float. Wherever
+    /// SQL comparison is defined the two agree — `-0.0` and `0.0` are one
+    /// value here too — so an index seek, a hash key and a value domain hold
+    /// exactly the values a predicate accepts.
+    #[inline]
+    pub fn total_cmp(&self, other: &Cell<'_>) -> Ordering {
+        total_order!(Cell, self, other)
     }
 }
 
@@ -472,6 +525,47 @@ mod tests {
         assert_eq!(Value::Str("O'Brien".into()).to_sql_literal(), "'O''Brien'");
         assert_eq!(Value::Float(3.0).to_sql_literal(), "3.0");
         assert_eq!(Value::Null.to_sql_literal(), "NULL");
+    }
+
+    /// A value and its borrowed form order alike, against each other's
+    /// kind too: NULL, both zeros, NaNs, INT against FLOAT, text and dates.
+    #[test]
+    fn a_value_orders_as_its_cell() {
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(2),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(1.5),
+            Value::Float(2.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Str(String::new()),
+            Value::Str("b".into()),
+            Value::Date(0),
+            Value::Date(-3),
+        ];
+        for a in &values {
+            assert_eq!(a.as_cell().to_value(), *a);
+            for b in &values {
+                let cells = a.as_cell().total_cmp(&b.as_cell());
+                assert_eq!(a.total_cmp(b), cells, "{a:?} against {b:?}");
+            }
+        }
+        assert_eq!(
+            Value::Float(-0.0).total_cmp(&Value::Int(0)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            Value::Float(f64::NAN).total_cmp(&Value::Float(9e9)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::Null.total_cmp(&Value::Bool(false)), Ordering::Less);
     }
 
     #[test]

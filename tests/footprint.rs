@@ -8,14 +8,21 @@
 //!   (term, document); its contiguous posting lists hold 1 702 141 B in 243.
 //! * A 10 000-row unique one-column index held 1 489 262 B in 21 665
 //!   allocations (a `Vec<Value>` key and a `Vec<u64>` of one bookmark per
-//!   row); with the key and the bookmark inline, 636 014 B in 1 665.
+//!   row); with the key and the bookmark inline, 636 014 B in 1 665; as one
+//!   array of bookmarks in key order, the key read from the heap, 80 332 B
+//!   in 4.
 
 use dhqp::{EngineBuilder, EngineDataSource};
 use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::DataSource;
+use dhqp_oledb::KeyRange;
 use dhqp_storage::{Batch, LocalDataSource, StorageEngine, Table, TableDef};
 use dhqp_types::{Column, DataType, Row, Schema, Value};
+use dhqp_workload::accounts::create_account_partition;
 use dhqp_workload::docs::generate_documents;
+use dhqp_workload::tpch::{self, TpchScale};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -141,11 +148,119 @@ fn a_unique_one_column_index_holds_under_a_megabyte() {
     let (indexed, t) = held(|| table(true));
     let (bytes, allocations) = (indexed.0 - plain.0, indexed.1 - plain.1);
     assert_eq!(t.indexes[0].len(), 10_000);
-    assert!(bytes <= 950_000, "index holds {bytes} B");
-    assert!(
-        allocations <= 2_000,
-        "index holds {allocations} allocations"
+    assert!(bytes <= 80_400, "index holds {bytes} B");
+    assert!(allocations <= 4, "index holds {allocations} allocations");
+}
+
+/// An UPDATE that keeps every index key — `dml_2pc`'s `SET balance = …` —
+/// leaves the index as it was, byte for byte and in the same allocation,
+/// and the whole apply asks the allocator for nothing.
+#[test]
+fn an_update_of_a_non_key_column_leaves_the_index_in_place() {
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::not_null("balance", DataType::Int),
+    ]);
+    let mut t = Table::new("acct", schema);
+    t.create_index("pk_acct", &["id"], true).unwrap();
+    let rows: Vec<Row> = (0..2_500)
+        .map(|i| Row::new(vec![Value::Int((i * 7) % 2_500), Value::Int(1_000)]))
+        .collect();
+    t.apply(&Batch::Insert(rows.into())).unwrap();
+    let before = t.indexes[0].bookmarks().to_vec();
+    let at = t.indexes[0].bookmarks().as_ptr();
+
+    let rows = [
+        Row::new(vec![Value::Int(7), Value::Int(999)]),
+        Row::new(vec![Value::Int(14), Value::Int(1_001)]),
+    ];
+    let update = Batch::Update(vec![1, 2].into(), rows[..].into());
+    let ((asked, _), applied) = made(|| t.apply(&update));
+    applied.unwrap();
+    assert_eq!(asked, 0, "the update asked for {asked} allocations");
+    assert_eq!(t.indexes[0].bookmarks(), before);
+    assert_eq!(t.indexes[0].bookmarks().as_ptr(), at);
+    assert_eq!(
+        t.index_range("pk_acct", &KeyRange::eq(vec![Value::Int(14)]))
+            .unwrap()[0]
+            .values,
+        [Value::Int(14), Value::Int(1_001)]
     );
+
+    // A key that changes moves its entry and nothing else.
+    let moved = [Row::new(vec![Value::Int(2_500), Value::Int(0)])];
+    t.apply(&Batch::Update(vec![1].into(), moved[..].into()))
+        .unwrap();
+    let mut expected = before.clone();
+    expected.retain(|&b| b != 1);
+    expected.push(1);
+    assert_eq!(t.indexes[0].bookmarks(), expected);
+}
+
+/// The fedbench fixture's 23 indexes — the head's, `remote0`'s and the
+/// members', as the oracle holds them in one engine — hold one 8-B
+/// bookmark per row: 63 646 entries in 515 763 B. As one `BTreeSet` of
+/// `(key, bookmark)` entries they held 3 569 043 B.
+#[test]
+fn the_fixture_indexes_hold_a_bookmark_per_row() {
+    let storage = fixture_shaped();
+    let mut indexes = 0;
+    let mut entries = 0;
+    let mut bytes = 0;
+    for name in storage.table_names() {
+        let taken = storage
+            .with_table_mut(&name, |t| Ok(std::mem::take(&mut t.indexes)))
+            .unwrap();
+        indexes += taken.len();
+        entries += taken.iter().map(|ix| ix.len()).sum::<usize>();
+        let ((freed, _), ()) = held(|| drop(taken));
+        bytes -= freed;
+    }
+    assert_eq!((indexes, entries), (23, 63_646));
+    assert!(bytes <= 600_000, "the fixture's indexes hold {bytes} B");
+}
+
+/// The tables of the fedbench fixture at its full scale, with their
+/// indexes, in one storage engine. Only the keys matter here, so the text
+/// columns are short.
+fn fixture_shaped() -> StorageEngine {
+    let storage = StorageEngine::new("fixture");
+    let scale = TpchScale::small();
+    let mut rng = StdRng::seed_from_u64(13);
+    tpch::create_region(&storage).unwrap();
+    tpch::create_nation(&storage, &scale).unwrap();
+    tpch::create_orders(&storage, &scale, &mut rng).unwrap();
+    tpch::create_customer(&storage, &scale, &mut rng).unwrap();
+    tpch::create_supplier(&storage, &scale, &mut rng).unwrap();
+    tpch::create_lineitem_partitions(&[&storage], &scale, 17).unwrap();
+    for i in 0..4 {
+        let lo = i * 2_500;
+        create_account_partition(&storage, &format!("accounts_{i}"), lo, lo + 2_499, 1_000)
+            .unwrap();
+    }
+    let int = |name| Column::not_null(name, DataType::Int);
+    let keyed = |name: &str, second: Column, indexes: &[(&str, &str, bool)], rows: Vec<Row>| {
+        let mut def = TableDef::new(name, Schema::new(vec![int("id"), second]));
+        for &(ix, column, unique) in indexes {
+            def = def.with_index(ix, &[column], unique);
+        }
+        storage.create_table(def).unwrap();
+        storage.insert_rows(name, &rows).unwrap();
+    };
+    let pair = |id: i64, second: Value| Row::new(vec![Value::Int(id), second]);
+    let dim = (0..512).map(|id| pair(id, Value::Int(id / 16))).collect();
+    let ixs = [("pk_dim", "id", true), ("ix_dim_grp", "grp", false)];
+    keyed("dim", int("grp"), &ixs, dim);
+    let text = || Column::not_null("body", DataType::Str);
+    let docs = (0..2_000)
+        .map(|id| pair(id, Value::Str("d".into())))
+        .collect();
+    keyed("docs", text(), &[("pk_docs", "id", true)], docs);
+    let fact = (0..8_192)
+        .map(|i| pair(i % 512, Value::Str("f".into())))
+        .collect();
+    keyed("fact", text(), &[("ix_fact_id", "id", false)], fact);
+    storage
 }
 
 /// A heap holds one array per column at the column's declared type, with
