@@ -25,15 +25,16 @@ use crate::knobs::Knobs;
 use crate::result::QueryResult;
 use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
 use dhqp_executor::ops::retry::RetryState;
+use dhqp_executor::ops::scan::{key_ranges, open_ranges};
 use dhqp_executor::ExecContext;
 use dhqp_federation::PartitionedView;
 use dhqp_oledb::{CommandResult, DataSource, KeyRange, RowsetExt, Session, SqlSupport};
 use dhqp_optimizer::decoder::render_table_scalars;
 use dhqp_optimizer::logical::TableMeta;
-use dhqp_optimizer::{Domains, ScalarExpr};
+use dhqp_optimizer::ScalarExpr;
 use dhqp_sqlfront as ast;
 use dhqp_storage::LocalSession;
-use dhqp_types::{DhqpError, Interval, IntervalSet, Result, Row, Value};
+use dhqp_types::{DhqpError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -535,56 +536,34 @@ impl WriteSet {
     /// Put the whole write to `target` into `plan` as one statement if its
     /// provider takes it; `false` when its rows have to be located. A key
     /// domain that proves the predicate selects nothing still sends nothing.
-    fn push(&self, engine: &Engine, target: &BoundTarget, plan: &mut WritePlan) -> bool {
+    fn push(&self, engine: &Engine, target: &BoundTarget, plan: &mut WritePlan) -> Result<bool> {
         let Some(text) = pushed_statement(target, self.view.as_deref()) else {
-            return false;
+            return Ok(false);
         };
-        let seek = target.predicate.as_ref().map(|p| self.plan_seek(target, p));
-        if !matches!(seek, Some(Seek::NoRows)) {
+        if !matches!(self.seek(target)?, Some((_, ranges)) if ranges.is_empty()) {
             plan.table(&target.server, &target.meta.table).statement = Some(text);
             engine.counters().dml_pushed.bump();
         }
-        true
+        Ok(true)
     }
 
-    /// The index seek that reaches every row `predicate` can select in
-    /// `target`: the first index whose leading key column the predicate
-    /// bounds, over the hull of that column's domain — the predicate's
-    /// domains met with the table's CHECKs, a view member's range among
-    /// them (`id > 190` on the `[150, 199]` member seeks `(190, 199]`, a
-    /// member sent `id IN (10, 60)` seeks only its 10). A column the meet
-    /// empties means no row qualifies. One seek is one request, like the
-    /// scan it replaces; splitting a hull with holes into a seek per
-    /// interval would trade round trips for bytes, a cost decision this
-    /// path does not take.
-    fn plan_seek(&self, target: &BoundTarget, predicate: &ScalarExpr) -> Seek {
+    /// The index read that reaches every row `target`'s predicate selects:
+    /// the first index whose lead column the predicate bounds, over the
+    /// ranges [`key_ranges`] — a SELECT's resolver too — gives it. No range
+    /// means no row qualifies; `None`, that the whole table is read.
+    fn seek<'t>(&self, target: &'t BoundTarget) -> Result<Option<(&'t str, Vec<KeyRange>)>> {
         let meta = &target.meta;
-        if target.server.is_some() && !meta.caps.index_support {
-            return Seek::Unbounded;
-        }
-        let bounds = predicate.domains();
-        let mut domains = Domains::of_checks(meta);
-        if domains.meet(&bounds) {
-            return Seek::NoRows;
-        }
+        let seekable = target.server.is_none() || meta.caps.index_support;
+        let Some(predicate) = target.predicate.as_ref().filter(|_| seekable) else {
+            return Ok(None);
+        };
         for index in &meta.catalog.indexes {
-            let Some(lead) = meta.catalog.schema.index_of(&index.key_columns[0]) else {
-                continue;
-            };
-            let key = meta.column_id(lead);
-            // The predicate does not bound this key; a CHECK range alone
-            // would only re-read the whole member in key order.
-            let bounded = bounds.get(key).and_then(IntervalSet::hull);
-            if bounded.is_none_or(|hull| hull == Interval::full()) {
-                continue;
-            }
-            let hull = domains.get(key).and_then(IntervalSet::hull);
-            let key_type = meta.catalog.schema.column(lead).data_type;
-            if let Some(range) = hull.and_then(|hull| KeyRange::covering(&hull, key_type)) {
-                return Seek::Range(index.name.clone(), range);
+            let ranges = key_ranges(meta, &index.name, Some(predicate), &self.ctx)?;
+            if ranges != [KeyRange::all()] {
+                return Ok(Some((&index.name, ranges)));
             }
         }
-        Seek::Unbounded
+        Ok(None)
     }
 
     /// Read the rows of `target` its predicate selects, bookmarks attached,
@@ -594,11 +573,10 @@ impl WriteSet {
     /// breaker sends nothing, not even a connect.
     fn locate_rows(&self, sessions: &mut Sessions, target: &BoundTarget) -> Result<Vec<Row>> {
         let table = &target.meta.table;
-        let mut seek = match target.predicate.as_ref().map(|p| self.plan_seek(target, p)) {
-            Some(Seek::NoRows) => return Ok(Vec::new()),
-            Some(Seek::Range(index, range)) => Some((index, range)),
-            Some(Seek::Unbounded) | None => None,
-        };
+        let mut seek = self.seek(target)?;
+        if matches!(&seek, Some((_, ranges)) if ranges.is_empty()) {
+            return Ok(Vec::new());
+        }
         let (ctx, pull) = (&self.ctx, self.ctx.batch().batch_size);
         // Row location is a read: a transient fault here is absorbed by
         // re-reading, while the bookmark write that follows never retries.
@@ -607,8 +585,8 @@ impl WriteSet {
             .gated(breaker)
             .read(|| {
                 let session = sessions.session(&target.server)?;
-                if let Some((index, range)) = &seek {
-                    match session.open_index(table, index, range) {
+                if let Some((index, ranges)) = &seek {
+                    match open_ranges(session, table, index, ranges) {
                         Ok(mut rowset) => return rowset.collect_rows_batched(pull),
                         // Index metadata without IRowsetIndex behind it.
                         Err(DhqpError::Unsupported(_)) => seek = None,
@@ -626,7 +604,7 @@ impl WriteSet {
         let Some(predicate) = &target.predicate else {
             return Ok(rows);
         };
-        // The seek covers a hull on one column; the full predicate decides.
+        // The seek covers one column's intervals; the full predicate decides.
         let positions = positions_of(&target.meta.column_ids);
         let mut out = Vec::new();
         for row in rows {
@@ -641,16 +619,6 @@ impl WriteSet {
         }
         Ok(out)
     }
-}
-
-/// How the rows a predicate can select are read.
-enum Seek {
-    /// A column's domain is empty: no row qualifies, nothing is read.
-    NoRows,
-    /// `(index, range)`.
-    Range(String, KeyRange),
-    /// No index bounds the predicate — read the whole table.
-    Unbounded,
 }
 
 /// *Build remote query* (§4.1.2) for a write: the UPDATE/DELETE of `target`
@@ -722,7 +690,7 @@ pub fn run_delete(
     let mut sessions = Sessions::new(engine, ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
-        if set.push(engine, target, &mut plan) {
+        if set.push(engine, target, &mut plan)? {
             continue;
         }
         let rows = set.locate_rows(&mut sessions, target)?;
@@ -757,7 +725,7 @@ pub fn run_update(
     let mut sessions = Sessions::new(engine, ambient);
     let mut plan = WritePlan::default();
     for target in &set.targets {
-        if set.push(engine, target, &mut plan) {
+        if set.push(engine, target, &mut plan)? {
             continue;
         }
         let rows = set.locate_rows(&mut sessions, target)?;

@@ -238,12 +238,14 @@ fn maybe_prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> Box<dyn Rowset> 
 fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn Rowset>> {
     match &plan.op {
         PhysicalOp::TableScan { meta } => open_table_scan(meta, ctx),
-        PhysicalOp::IndexRange { meta, index, range } => open_index_range(meta, index, range, ctx),
+        PhysicalOp::IndexRange { meta, index, seek } => {
+            open_index_range(meta, index, seek.as_ref(), ctx)
+        }
         PhysicalOp::RemoteScan { meta } => {
             Ok(maybe_prefetch(open_remote_scan(meta, ctx, id)?, ctx))
         }
-        PhysicalOp::RemoteRange { meta, index, range } => Ok(maybe_prefetch(
-            open_remote_range(meta, index, range, ctx, id)?,
+        PhysicalOp::RemoteRange { meta, index, seek } => Ok(maybe_prefetch(
+            open_remote_range(meta, index, seek.as_ref(), ctx, id)?,
             ctx,
         )),
         PhysicalOp::RemoteFetch { meta } => {
@@ -415,7 +417,6 @@ mod tests {
     use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
     use dhqp_oledb::{DataSource, RowsetExt};
     use dhqp_optimizer::logical::test_table_meta;
-    use dhqp_optimizer::physical::IndexRangeSpec;
     use dhqp_optimizer::props::ColumnRegistry;
     use dhqp_optimizer::{ColumnId, JoinKind, Locality, ScalarExpr};
     use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
@@ -505,10 +506,11 @@ mod tests {
             PhysicalOp::RemoteRange {
                 meta: Arc::clone(&remote),
                 index: "pk_t".into(),
-                range: IndexRangeSpec {
-                    low: Some((vec![ScalarExpr::literal(Value::Int(2))], true)),
-                    high: Some((vec![ScalarExpr::literal(Value::Int(4))], true)),
-                },
+                seek: Some(ScalarExpr::InList {
+                    expr: Box::new(ScalarExpr::Column(remote.column_id(0))),
+                    list: (2..=4).map(Value::Int).collect(),
+                    negated: false,
+                }),
             },
             vec![],
             remote.column_ids.clone(),

@@ -11,12 +11,12 @@ use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
 use crate::health::Breaker;
 use crate::ops::retry::{ReopenFactory, RetryState};
-use crate::ops::scan::resolve_range;
+use crate::ops::scan::key_ranges;
 use crate::schema_guard::MemberChecks;
 use crate::stats::{ChargedRowset, RemoteCharge};
 use dhqp_oledb::{DataSource, Dialect, MemRowset, Rowset, RowsetExt, Session};
-use dhqp_optimizer::physical::{IndexRangeSpec, RemoteParam, KEY_SET};
-use dhqp_optimizer::{ColumnId, Locality, TableMeta};
+use dhqp_optimizer::physical::{RemoteParam, KEY_SET};
+use dhqp_optimizer::{ColumnId, Locality, ScalarExpr, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -191,16 +191,19 @@ pub fn open_remote_scan(
     })
 }
 
-/// `IRowsetIndex` range against a remote index.
+/// `IRowsetIndex` range against a remote index: one request over the
+/// hull of what `seek` covers ([`key_ranges`]), none when that is nothing.
 pub fn open_remote_range(
     meta: &TableMeta,
     index: &str,
-    spec: &IndexRangeSpec,
+    seek: Option<&ScalarExpr>,
     ctx: &ExecContext,
     node: usize,
 ) -> Result<Box<dyn Rowset>> {
+    let Some(range) = key_ranges(meta, index, seek, ctx)?.pop() else {
+        return Ok(Box::new(MemRowset::empty(meta.catalog.schema.clone())));
+    };
     let remote = remote_table(meta, ctx, "range")?;
-    let range = resolve_range(spec, ctx)?;
     let (table, index_name) = (meta.table.clone(), index.to_string());
     let request = || format!("IRowsetIndex([{}].[{index}] range)", meta.table);
     open_via_breaker(remote, ctx, node, None, request, move |session| {

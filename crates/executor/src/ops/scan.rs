@@ -1,11 +1,11 @@
-//! Local access paths: table scans, index ranges, constant rowsets.
+//! Local access paths: table scans, index ranges, constant rowsets — and
+//! the one resolver of what an index read covers, for SELECT and DML alike.
 
 use crate::context::ExecContext;
 use crate::eval::{eval_expr, RowEnv};
-use dhqp_oledb::{KeyRange, Rowset};
-use dhqp_optimizer::physical::IndexRangeSpec;
-use dhqp_optimizer::{ColumnId, TableMeta};
-use dhqp_types::{Result, Row, Value};
+use dhqp_oledb::{KeyRange, MemRowset, Rowset, RowsetExt, Session};
+use dhqp_optimizer::{Domains, ScalarExpr, TableMeta};
+use dhqp_types::{Interval, IntervalSet, Result, Row};
 use std::collections::HashMap;
 
 /// Open a sequential scan over a local base table.
@@ -14,43 +14,99 @@ pub fn open_table_scan(meta: &TableMeta, ctx: &ExecContext) -> Result<Box<dyn Ro
         .open_session(&ctx.catalog().local(), |s| s.open_rowset(&meta.table))
 }
 
-/// Evaluate an [`IndexRangeSpec`]'s bounds into a concrete [`KeyRange`].
-/// Bound expressions are column-free in the local scope: literals, query
-/// parameters or correlation bindings from an outer row.
-pub fn resolve_range(spec: &IndexRangeSpec, ctx: &ExecContext) -> Result<KeyRange> {
-    let empty_positions: HashMap<ColumnId, usize> = HashMap::new();
-    let empty_row = Row::new(vec![]);
+/// The key ranges a read of `meta`'s `index` covers, in key order,
+/// resolved as it opens: `seek`'s domains (§5), each operand of no column
+/// of the table evaluated in `ctx`, met with the table's CHECKs. Empty when a
+/// column's domain comes out empty: no row qualifies. One range per
+/// interval of the lead column, so a local read returns no row twice; a
+/// remote index gets the hull, one request. `[KeyRange::all()]` when
+/// nothing bounds the column.
+pub fn key_ranges(
+    meta: &TableMeta,
+    index: &str,
+    seek: Option<&ScalarExpr>,
+    ctx: &ExecContext,
+) -> Result<Vec<KeyRange>> {
+    let Some(seek) = seek else {
+        return Ok(vec![KeyRange::all()]);
+    };
+    let (positions, row) = (HashMap::new(), Row::new(Vec::new()));
     let env = RowEnv {
-        positions: &empty_positions,
-        row: &empty_row,
+        positions: &positions,
+        row: &row,
         ctx,
     };
-    let eval_bound = |bound: &Option<(Vec<dhqp_optimizer::ScalarExpr>, bool)>| -> Result<Option<(Vec<Value>, bool)>> {
-        match bound {
-            None => Ok(None),
-            Some((exprs, inclusive)) => {
-                let vals = exprs.iter().map(|e| eval_expr(e, &env)).collect::<Result<Vec<_>>>()?;
-                Ok(Some((vals, *inclusive)))
+    let mut failed = None;
+    let mut domains = seek.domains_with(&mut |operand| {
+        // An operand that reads the table's own columns bounds nothing.
+        let mut bound = true;
+        operand.visit(&mut |e| {
+            if let ScalarExpr::Column(c) = e {
+                bound &= ctx.binding(c.0).is_some();
             }
+        });
+        if !bound {
+            return None;
         }
+        eval_expr(operand, &env).map_err(|e| failed = Some(e)).ok()
+    });
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    let catalog = &meta.catalog;
+    let ix = catalog.indexes.iter().find(|ix| ix.name == index);
+    let lead = ix.and_then(|ix| catalog.schema.index_of(&ix.key_columns[0]));
+    // Whether the predicate itself bounds the key: a CHECK range alone would
+    // only re-read the whole table in key order.
+    let hull = |key| domains.get(key).and_then(IntervalSet::hull);
+    let bounded = |&key: &_| hull(key).is_some_and(|hull| hull != Interval::full());
+    let key = lead.map(|pos| meta.column_id(pos)).filter(bounded);
+    domains.meet(&Domains::of_checks(meta));
+    if domains.is_unsatisfiable() {
+        return Ok(Vec::new());
+    }
+    let Some(domain) = key.and_then(|key| domains.get(key)) else {
+        return Ok(vec![KeyRange::all()]);
     };
-    Ok(KeyRange {
-        low: eval_bound(&spec.low)?,
-        high: eval_bound(&spec.high)?,
-    })
+    if meta.source.is_remote() {
+        return Ok(domain.hull().iter().map(KeyRange::covering).collect());
+    }
+    Ok(domain.intervals().iter().map(KeyRange::covering).collect())
+}
+
+/// Read `ranges` (not empty) of `index` through `session`, one open per
+/// range, their rows concatenated in range order.
+pub fn open_ranges(
+    session: &mut dyn Session,
+    table: &str,
+    index: &str,
+    ranges: &[KeyRange],
+) -> Result<Box<dyn Rowset>> {
+    let mut rowset = session.open_index(table, index, &ranges[0])?;
+    if ranges.len() == 1 {
+        return Ok(rowset);
+    }
+    let mut rows = rowset.collect_rows()?;
+    for range in &ranges[1..] {
+        rows.extend(session.open_index(table, index, range)?.collect_rows()?);
+    }
+    Ok(Box::new(MemRowset::new(rowset.schema().clone(), rows)))
 }
 
 /// Open a local index range access (delivers key order, carries bookmarks).
 pub fn open_index_range(
     meta: &TableMeta,
     index: &str,
-    spec: &IndexRangeSpec,
+    seek: Option<&ScalarExpr>,
     ctx: &ExecContext,
 ) -> Result<Box<dyn Rowset>> {
-    let range = resolve_range(spec, ctx)?;
+    let ranges = key_ranges(meta, index, seek, ctx)?;
+    if ranges.is_empty() {
+        return Ok(Box::new(MemRowset::empty(meta.catalog.schema.clone())));
+    }
     ctx.member_checks(None, &meta.table)
         .open_session(&ctx.catalog().local(), |s| {
-            s.open_index(&meta.table, index, &range)
+            open_ranges(s, &meta.table, index, &ranges)
         })
 }
 
@@ -60,9 +116,9 @@ mod tests {
     use crate::context::test_support::TestCatalog;
     use dhqp_oledb::RowsetExt;
     use dhqp_optimizer::props::ColumnRegistry;
-    use dhqp_optimizer::{Locality, ScalarExpr};
+    use dhqp_optimizer::{CmpOp, ColumnId, Locality};
     use dhqp_storage::{StorageEngine, TableDef};
-    use dhqp_types::{Column, DataType, Schema};
+    use dhqp_types::{Column, DataType, Schema, Value};
     use std::sync::Arc;
 
     fn setup() -> (ExecContext, Arc<TableMeta>) {
@@ -108,11 +164,12 @@ mod tests {
     fn index_range_with_literal_and_param_bounds() {
         let (ctx, meta) = setup();
         // k in [@lo, 8]
-        let spec = IndexRangeSpec {
-            low: Some((vec![ScalarExpr::Param("lo".into())], true)),
-            high: Some((vec![ScalarExpr::literal(Value::Int(8))], true)),
-        };
-        let mut rs = open_index_range(&meta, "pk", &spec, &ctx).unwrap();
+        let k = || ScalarExpr::Column(meta.column_id(0));
+        let seek = ScalarExpr::And(vec![
+            ScalarExpr::cmp(CmpOp::Ge, k(), ScalarExpr::Param("lo".into())),
+            ScalarExpr::cmp(CmpOp::Le, k(), ScalarExpr::literal(Value::Int(8))),
+        ]);
+        let mut rs = open_index_range(&meta, "pk", Some(&seek), &ctx).unwrap();
         let rows = rs.collect_rows().unwrap();
         assert_eq!(rows.len(), 4); // 5,6,7,8
         assert_eq!(rows[0].get(0), &Value::Int(5));
@@ -123,10 +180,54 @@ mod tests {
     fn correlation_binding_drives_range() {
         let (ctx, meta) = setup();
         let bound_ctx = ctx.with_bindings([(99u32, Value::Int(3))].into_iter().collect());
-        let spec = IndexRangeSpec::eq(vec![ScalarExpr::Column(ColumnId(99))]);
-        let mut rs = open_index_range(&meta, "pk", &spec, &bound_ctx).unwrap();
+        let k = ScalarExpr::Column(meta.column_id(0));
+        let seek = ScalarExpr::eq(ScalarExpr::Column(ColumnId(99)), k);
+        let mut rs = open_index_range(&meta, "pk", Some(&seek), &bound_ctx).unwrap();
         let rows = rs.collect_rows().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0), &Value::Int(3));
+    }
+
+    /// A local read seeks each interval once, in key order: overlapping
+    /// and repeated values never return a row twice, and a domain the
+    /// table's CHECK or a NULL empties reads nothing.
+    #[test]
+    fn a_local_read_seeks_each_interval_once() {
+        let (ctx, meta) = setup();
+        let k = || ScalarExpr::Column(meta.column_id(0));
+        let lit = |v| ScalarExpr::literal(Value::Int(v));
+        let keys = |seek: ScalarExpr, meta: &TableMeta| -> Vec<Value> {
+            let mut rs = open_index_range(meta, "pk", Some(&seek), &ctx).unwrap();
+            rs.collect_rows()
+                .unwrap()
+                .iter()
+                .map(|r| r.get(0).clone())
+                .collect()
+        };
+        let spread = ScalarExpr::Or(vec![
+            ScalarExpr::InList {
+                expr: Box::new(k()),
+                list: [12, 3, 3].into_iter().map(Value::Int).collect(),
+                negated: false,
+            },
+            ScalarExpr::eq(k(), lit(12)),
+            ScalarExpr::cmp(CmpOp::Gt, k(), lit(17)),
+        ]);
+        let want: Vec<Value> = [3, 12, 18, 19].map(Value::Int).into();
+        assert_eq!(keys(spread.clone(), &meta), want);
+        assert_eq!(
+            key_ranges(&meta, "pk", Some(&spread), &ctx).unwrap().len(),
+            3
+        );
+        let never = ScalarExpr::eq(k(), ScalarExpr::literal(Value::Null));
+        assert_eq!(key_ranges(&meta, "pk", Some(&never), &ctx).unwrap(), []);
+        let mut checked = TableMeta::clone(&meta);
+        let check = IntervalSet::single(Interval::between(Value::Int(0), Value::Int(9)));
+        Arc::make_mut(&mut checked.catalog).checks.push((0, check));
+        assert_eq!(keys(spread, &checked), [Value::Int(3)]);
+        assert_eq!(
+            key_ranges(&checked, "pk", Some(&ScalarExpr::eq(k(), lit(12))), &ctx).unwrap(),
+            []
+        );
     }
 }

@@ -16,7 +16,7 @@ use crate::rowset::Rowset;
 use crate::schema::TableInfo;
 use crate::statistics::Histogram;
 use crate::telemetry::LatencySummary;
-use dhqp_types::{DataType, DhqpError, Interval, IntervalBound, Result, Row, Value};
+use dhqp_types::{DhqpError, Interval, IntervalBound, Result, Row, Value};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a distributed transaction, handed out by the coordinator.
@@ -149,27 +149,20 @@ impl KeyRange {
         }
     }
 
-    /// The seek range over an index whose leading key column has type
-    /// `key_type` that reaches every key in `interval` (one-column bound
-    /// prefixes). `None` when there is nothing to seek — the interval is
-    /// unbounded on both sides — or when a bound cannot be placed in the
-    /// index order without a cast: its value is not exactly `key_type`, or
-    /// it is NaN, which SQL compares with nothing.
-    pub fn covering(interval: &Interval, key_type: DataType) -> Option<KeyRange> {
-        fn bound(b: &IntervalBound, key_type: DataType) -> Option<Option<(Vec<Value>, bool)>> {
-            let (v, inclusive) = match b {
-                IntervalBound::Unbounded => return Some(None),
-                IntervalBound::Included(v) => (v, true),
-                IntervalBound::Excluded(v) => (v, false),
-            };
-            let nan = matches!(v, Value::Float(f) if f.is_nan());
-            (v.data_type() == Some(key_type) && !nan).then(|| Some((vec![v.clone()], inclusive)))
-        }
-        let range = KeyRange {
-            low: bound(&interval.low, key_type)?,
-            high: bound(&interval.high, key_type)?,
+    /// The seek range over every key in `interval`, bounds at its own
+    /// values, uncast: keys are ordered by [`Value::total_cmp`], which
+    /// agrees with SQL wherever SQL compares two values (INT with FLOAT,
+    /// both zeros), so a bound of another type is placed as SQL compares it.
+    pub fn covering(interval: &Interval) -> KeyRange {
+        let bound = |b: &IntervalBound| match b {
+            IntervalBound::Unbounded => None,
+            IntervalBound::Included(v) => Some((vec![v.clone()], true)),
+            IntervalBound::Excluded(v) => Some((vec![v.clone()], false)),
         };
-        (range != KeyRange::all()).then_some(range)
+        KeyRange {
+            low: bound(&interval.low),
+            high: bound(&interval.high),
+        }
     }
 
     /// Whether a key (compared column-wise on the shared prefix) falls in
@@ -469,44 +462,41 @@ mod tests {
     }
 
     #[test]
-    fn covering_range_takes_exactly_typed_bounds_only() {
+    fn covering_range_places_each_bound_as_sql_compares_it() {
         let int = |v| Value::Int(v);
         assert_eq!(
-            KeyRange::covering(&Interval::between(int(3), int(9)), DataType::Int),
-            Some(KeyRange {
+            KeyRange::covering(&Interval::between(int(3), int(9))),
+            KeyRange {
                 low: Some((vec![int(3)], true)),
                 high: Some((vec![int(9)], true)),
-            })
+            }
         );
         assert_eq!(
-            KeyRange::covering(&Interval::greater_than(int(3)), DataType::Int),
-            Some(KeyRange {
+            KeyRange::covering(&Interval::greater_than(int(3))),
+            KeyRange {
                 low: Some((vec![int(3)], false)),
                 high: None,
-            })
+            }
         );
-        // Nothing to seek.
-        assert_eq!(KeyRange::covering(&Interval::full(), DataType::Int), None);
-        // No lossy casts: 3.5 against an INT key, '3' against an INT key.
+        assert_eq!(KeyRange::covering(&Interval::full()), KeyRange::all());
+        // A bound of another type holds the keys SQL calls equal to it or
+        // between: 17.0 holds the INT 17, (5.5, +inf) starts at 6, 3.5 and
+        // '3' hold no INT, and a float zero holds both zeros.
+        let holds = |interval: Interval, key: Value| {
+            KeyRange::covering(&interval).contains(std::slice::from_ref(&key))
+        };
+        assert!(holds(Interval::point(Value::Float(17.0)), int(17)));
+        assert!(!holds(Interval::greater_than(Value::Float(5.5)), int(5)));
+        assert!(holds(Interval::greater_than(Value::Float(5.5)), int(6)));
         for v in [Value::Float(3.5), Value::Str("3".into())] {
-            assert_eq!(KeyRange::covering(&Interval::point(v), DataType::Int), None);
+            assert!((0..=5).all(|k| !holds(Interval::point(v.clone()), int(k))));
         }
-        // One foreign-typed bound spoils the range even if the other fits.
-        assert_eq!(
-            KeyRange::covering(&Interval::between(int(1), Value::Float(9.0)), DataType::Int),
-            None
-        );
-        // B-tree order agrees with SQL at zero: a float zero bounds a range
-        // like any value. NaN, which SQL compares with nothing, does not.
-        assert_eq!(
-            KeyRange::covering(&Interval::point(Value::Float(-0.0)), DataType::Float),
-            Some(KeyRange::eq(vec![Value::Float(0.0)]))
-        );
-        assert_eq!(
-            KeyRange::covering(&Interval::point(Value::Float(f64::NAN)), DataType::Float),
-            None
-        );
-        assert!(KeyRange::covering(&Interval::point(Value::Float(0.5)), DataType::Float).is_some());
+        for zero in [0.0, -0.0] {
+            assert!(holds(
+                Interval::point(Value::Float(-0.0)),
+                Value::Float(zero)
+            ));
+        }
     }
 
     #[test]

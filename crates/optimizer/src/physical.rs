@@ -7,30 +7,6 @@ use dhqp_types::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Runtime-evaluated index seek bounds (expressions must be column-free:
-/// literals, parameters or correlation parameters).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexRangeSpec {
-    pub low: Option<(Vec<ScalarExpr>, bool)>,
-    pub high: Option<(Vec<ScalarExpr>, bool)>,
-}
-
-impl IndexRangeSpec {
-    pub fn all() -> Self {
-        IndexRangeSpec {
-            low: None,
-            high: None,
-        }
-    }
-
-    pub fn eq(keys: Vec<ScalarExpr>) -> Self {
-        IndexRangeSpec {
-            low: Some((keys.clone(), true)),
-            high: Some((keys, true)),
-        }
-    }
-}
-
 /// Physical (implementable) operators. The remote family mirrors the
 /// paper's implementation rules: *build remote query*, *remote
 /// scan/range/fetch*, *spool over remote operation* (§4.1.2).
@@ -40,11 +16,13 @@ pub enum PhysicalOp {
     TableScan {
         meta: Arc<TableMeta>,
     },
-    /// Local index range access, delivering key order.
+    /// Local index range access, delivering key order: the key ranges the
+    /// predicate `seek` names on the index's lead column, resolved when the
+    /// read opens (`ops::scan::key_ranges`); `None` reads the whole index.
     IndexRange {
         meta: Arc<TableMeta>,
         index: String,
-        range: IndexRangeSpec,
+        seek: Option<ScalarExpr>,
     },
     Filter {
         predicate: ScalarExpr,
@@ -116,7 +94,7 @@ pub enum PhysicalOp {
     RemoteRange {
         meta: Arc<TableMeta>,
         index: String,
-        range: IndexRangeSpec,
+        seek: Option<ScalarExpr>,
     },
     /// `IRowsetLocate` fetch of base rows for bookmarks produced by the
     /// child (typically a RemoteRange over a secondary index).

@@ -171,6 +171,11 @@ impl Domains {
         emptied
     }
 
+    /// Whether some column's domain is empty: no row qualifies.
+    pub fn is_unsatisfiable(&self) -> bool {
+        self.0.values().any(IntervalSet::is_empty)
+    }
+
     /// Union, column by column (OR, UNION ALL over renamed branches): a
     /// column unconstrained on either side is unconstrained.
     pub fn union(&self, other: &Domains) -> Domains {

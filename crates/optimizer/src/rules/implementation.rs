@@ -10,7 +10,7 @@ use crate::cardinality::{equi_key_columns, ndv, predicate_selectivity};
 use crate::decoder::{Decoder, KeySet, RemoteSql};
 use crate::logical::{JoinKind, LogicalOp, TableMeta};
 use crate::memo::{GroupId, MExpr, Memo};
-use crate::physical::{IndexRangeSpec, PhysicalOp};
+use crate::physical::PhysicalOp;
 use crate::props::{ColumnId, PhysicalProps, RequiredProps};
 use crate::rules::exploration::remote_group_caps;
 use crate::rules::{Delivered, PhysAlt, RuleContext};
@@ -152,19 +152,7 @@ fn implement_get(
     if !required.ordering.is_empty() && (!remote || meta.caps.index_support) {
         if let Some(index) = index_delivering(meta, &required.ordering) {
             let delivered = Delivered::Keys(required.ordering.clone());
-            let op = if remote {
-                PhysicalOp::RemoteRange {
-                    meta: Arc::clone(meta),
-                    index,
-                    range: IndexRangeSpec::all(),
-                }
-            } else {
-                PhysicalOp::IndexRange {
-                    meta: Arc::clone(meta),
-                    index,
-                    range: IndexRangeSpec::all(),
-                }
-            };
+            let op = index_read(remote, Arc::clone(meta), index, None);
             out.push(PhysAlt::node(op, vec![]).with_delivered(delivered));
         }
     }
@@ -242,27 +230,15 @@ fn implement_filter(
                 continue;
             };
             let lead_col = meta.column_id(lead_pos);
-            let Some((range, covered)) = sargable_range(predicate, lead_col) else {
+            let Some(seek) = seek_predicate(predicate, lead_col, &meta.column_ids) else {
                 continue;
             };
-            // The range returns what the conjuncts it covers let through —
+            // The range returns what the conjuncts it seeks on let through —
             // the same estimator the filter above it is sized with, so the
             // two can never be inverted.
             let rows =
-                (child_props.cardinality * predicate_selectivity(&covered, child_props)).max(1.0);
-            let access = if remote {
-                PhysicalOp::RemoteRange {
-                    meta: Arc::clone(meta),
-                    index: ix.name.clone(),
-                    range,
-                }
-            } else {
-                PhysicalOp::IndexRange {
-                    meta: Arc::clone(meta),
-                    index: ix.name.clone(),
-                    range,
-                }
-            };
+                (child_props.cardinality * predicate_selectivity(&seek, child_props)).max(1.0);
+            let access = index_read(remote, Arc::clone(meta), ix.name.clone(), Some(seek));
             // Residual re-check of the full predicate keeps this correct
             // even when the range only partially covers it.
             out.push(PhysAlt::node(
@@ -276,44 +252,37 @@ fn implement_filter(
     out
 }
 
-/// Derive an index seek range on `col` from the predicate's conjuncts.
-/// Returns the range plus the conjuncts it covers (as one predicate), for
-/// the caller to size through the cardinality estimator.
-fn sargable_range(predicate: &ScalarExpr, col: ColumnId) -> Option<(IndexRangeSpec, ScalarExpr)> {
-    let mut low: Option<(ScalarExpr, bool, ScalarExpr)> = None;
-    let mut high: Option<(ScalarExpr, bool, ScalarExpr)> = None;
-    let mut eq: Option<(ScalarExpr, ScalarExpr)> = None;
-    for conj in predicate.conjuncts() {
-        let (bound, op) = match conj.column_comparison() {
-            Some((c, op, bound)) if c == col => (bound.clone(), op),
-            _ => continue,
-        };
-        match op {
-            CmpOp::Eq => eq = Some((bound, conj)),
-            CmpOp::Gt => low = Some((bound, false, conj)),
-            CmpOp::Ge => low = Some((bound, true, conj)),
-            CmpOp::Lt => high = Some((bound, false, conj)),
-            CmpOp::Le => high = Some((bound, true, conj)),
-            CmpOp::Neq => {}
+/// `RemoteRange` or `IndexRange` over `index`.
+fn index_read(
+    remote: bool,
+    meta: Arc<TableMeta>,
+    index: String,
+    seek: Option<ScalarExpr>,
+) -> PhysicalOp {
+    match remote {
+        true => PhysicalOp::RemoteRange { meta, index, seek },
+        false => PhysicalOp::IndexRange { meta, index, seek },
+    }
+}
+
+/// The conjuncts of `predicate` an index led by column `key` seeks on: the
+/// comparisons of `key` by `=`, `<`, `<=`, `>` or `>=` with an expression
+/// of no column of `table` — literals, `@param`s, an outer row's columns
+/// (`id = -5` is `id = 0 - @__lit0` once cached). The key ranges they name
+/// are resolved when the read opens (`ops::scan::key_ranges` in the
+/// executor).
+fn seek_predicate(predicate: &ScalarExpr, key: ColumnId, table: &[ColumnId]) -> Option<ScalarExpr> {
+    let operand = |e: &ScalarExpr| e.columns().iter().all(|c| !table.contains(c));
+    let seeks = |conj: &ScalarExpr| match conj {
+        ScalarExpr::Cmp { op, left, right } if *op != CmpOp::Neq => {
+            match (left.as_ref(), right.as_ref()) {
+                (ScalarExpr::Column(c), v) | (v, ScalarExpr::Column(c)) if *c == key => operand(v),
+                _ => false,
+            }
         }
-    }
-    if let Some((b, conj)) = eq {
-        return Some((IndexRangeSpec::eq(vec![b]), conj));
-    }
-    let covered = ScalarExpr::and(
-        [&low, &high]
-            .into_iter()
-            .flatten()
-            .map(|(_, _, conj)| conj.clone())
-            .collect(),
-    )?;
-    Some((
-        IndexRangeSpec {
-            low: low.map(|(e, inc, _)| (vec![e], inc)),
-            high: high.map(|(e, inc, _)| (vec![e], inc)),
-        },
-        covered,
-    ))
+        _ => false,
+    };
+    ScalarExpr::and(predicate.conjuncts().into_iter().filter(seeks).collect())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -514,7 +483,10 @@ fn bind_join_variants(
             Some(PhysicalOp::RemoteRange {
                 meta: Arc::clone(meta),
                 index: ix.name.clone(),
-                range: IndexRangeSpec::eq(vec![ScalarExpr::Column(build_col)]),
+                seek: Some(ScalarExpr::eq(
+                    ScalarExpr::Column(probe_col),
+                    ScalarExpr::Column(build_col),
+                )),
             })
         });
         if let Some(range) = range {

@@ -343,26 +343,39 @@ impl ScalarExpr {
     /// two), `[NOT] IN`-lists, and ANDs and ORs of them; anything else
     /// constrains nothing.
     pub fn domains(&self) -> Domains {
+        self.domains_with(&mut |operand| match operand {
+            ScalarExpr::Literal(v) => Some(v.clone()),
+            _ => None,
+        })
+    }
+
+    /// [`ScalarExpr::domains`] with a comparison's other operand valued by
+    /// `operand` (an index read, as it opens, evaluates any operand of no
+    /// column of its table); `None` constrains nothing.
+    pub fn domains_with(&self, operand: &mut impl FnMut(&ScalarExpr) -> Option<Value>) -> Domains {
         match self {
             ScalarExpr::Cmp { op, left, right } => {
-                let (column, lit, op) = match (left.as_ref(), right.as_ref()) {
-                    (ScalarExpr::Column(c), ScalarExpr::Literal(v)) => (*c, v, *op),
-                    (ScalarExpr::Literal(v), ScalarExpr::Column(c)) => (*c, v, op.flip()),
-                    _ => return Domains::default(),
+                let sides = [(left, right, *op), (right, left, op.flip())];
+                let bound = sides.into_iter().find_map(|(c, v, op)| match c.as_ref() {
+                    ScalarExpr::Column(c) => operand(v).map(|v| (*c, v, op)),
+                    _ => None,
+                });
+                let Some((column, lit, op)) = bound else {
+                    return Domains::default();
                 };
-                let domain = if lit.is_null() {
-                    // col <op> NULL is never true.
+                let domain = if lit.is_null() || matches!(lit, Value::Float(f) if f.is_nan()) {
+                    // col <op> NULL is never true, nor is col <op> NaN.
                     IntervalSet::empty()
-                } else if !bounds_exactly(lit) {
+                } else if !bounds_exactly(&lit) {
                     return Domains::default();
                 } else {
                     match op {
-                        CmpOp::Eq => IntervalSet::point(lit.clone()),
-                        CmpOp::Neq => IntervalSet::point(lit.clone()).complement(),
-                        CmpOp::Lt => IntervalSet::single(Interval::less_than(lit.clone())),
-                        CmpOp::Le => IntervalSet::single(Interval::at_most(lit.clone())),
-                        CmpOp::Gt => IntervalSet::single(Interval::greater_than(lit.clone())),
-                        CmpOp::Ge => IntervalSet::single(Interval::at_least(lit.clone())),
+                        CmpOp::Eq => IntervalSet::point(lit),
+                        CmpOp::Neq => IntervalSet::point(lit).complement(),
+                        CmpOp::Lt => IntervalSet::single(Interval::less_than(lit)),
+                        CmpOp::Le => IntervalSet::single(Interval::at_most(lit)),
+                        CmpOp::Gt => IntervalSet::single(Interval::greater_than(lit)),
+                        CmpOp::Ge => IntervalSet::single(Interval::at_least(lit)),
                     }
                 };
                 Domains::column(column, domain)
@@ -386,13 +399,13 @@ impl ScalarExpr {
             ScalarExpr::And(list) => {
                 let mut domains = Domains::default();
                 for p in list {
-                    domains.meet(&p.domains());
+                    domains.meet(&p.domains_with(operand));
                 }
                 domains
             }
             ScalarExpr::Or(list) => list
                 .iter()
-                .map(ScalarExpr::domains)
+                .map(|p| p.domains_with(operand))
                 .reduce(|a, b| a.union(&b))
                 .unwrap_or_default(),
             _ => Domains::default(),

@@ -245,8 +245,14 @@ impl IntervalSet {
         IntervalSet::from_intervals(values.iter().cloned().map(Interval::point).collect())
     }
 
+    /// One interval, already normalized: nothing to sort or merge.
     pub fn single(interval: Interval) -> Self {
-        IntervalSet::from_intervals(vec![interval])
+        match interval.is_empty() {
+            true => IntervalSet::empty(),
+            false => IntervalSet {
+                intervals: vec![interval],
+            },
+        }
     }
 
     pub fn point(v: Value) -> Self {

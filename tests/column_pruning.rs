@@ -7,7 +7,7 @@
 //! filter on but do not return, and one plain local table with every row
 //! as the oracle.
 
-use dhqp::{BatchConfig, Engine, EngineDataSource, ParallelConfig};
+use dhqp::{BatchConfig, Engine, EngineBuilder, EngineDataSource, ParallelConfig};
 use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource, SCHEMA_STAMP_WIRE_BYTES};
 use dhqp_oledb::{DataSource, ProviderCapabilities, SourceLayer, SqlSupport, TrafficSnapshot};
 use dhqp_optimizer::{PhysNode, PhysicalOp};
@@ -565,4 +565,82 @@ fn drift_in_a_column_the_statement_does_not_read_still_fails_it() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Keys shipped to an index-only member
+// ---------------------------------------------------------------------------
+
+/// A member that takes no SQL is sent a join's keys as index ranges, one
+/// outer row at a time (a nested loop over its `RemoteRange`). A NULL key
+/// equals nothing: the range it resolves to is empty, and no request is
+/// sent for it.
+#[test]
+fn a_null_join_key_sends_no_request_to_an_index_only_member() {
+    // Exact requests are asserted: the shipped defaults, whatever `DHQP_*`
+    // leg the suite runs in.
+    let build = |name: &str| EngineBuilder::from_lookup(name, |_| None).build();
+    let (member, oracle, head) = (build("member"), build("solo"), build("head"));
+    let p = || {
+        let columns = vec![
+            Column::new("k", DataType::Int),
+            Column::not_null("v", DataType::Int),
+        ];
+        TableDef::new("p", Schema::new(columns)).with_index("ix_p_k", &["k"], false)
+    };
+    let p_rows: Vec<Row> = (0..5_000)
+        .map(|i| {
+            let k = if i == 4_999 {
+                Value::Null
+            } else {
+                Value::Int(i)
+            };
+            Row::new(vec![k, Value::Int(i * 10)])
+        })
+        .collect();
+    let l = || TableDef::new("l", Schema::new(vec![Column::new("k", DataType::Int)]));
+    let l_rows: Vec<Row> = [
+        Value::Int(1),
+        Value::Int(1),
+        Value::Int(1),
+        Value::Int(2),
+        Value::Null,
+    ]
+    .into_iter()
+    .map(|k| Row::new(vec![k]))
+    .collect();
+    for storage in [member.storage(), oracle.storage()] {
+        storage.create_table(p()).unwrap();
+        storage.insert_rows("p", &p_rows).unwrap();
+        storage.analyze("p", 8).unwrap();
+    }
+    for engine in [&head, &oracle] {
+        engine.create_table(l()).unwrap();
+        engine.insert("l", &l_rows).unwrap();
+    }
+    let link = NetworkLink::new("m", NetworkConfig::lan());
+    let source = Arc::new(NoSql(Arc::new(EngineDataSource::new(member))));
+    head.add_linked_server(
+        "m",
+        Arc::new(NetworkedDataSource::reliable(source, link.clone())),
+    )
+    .unwrap();
+    let join = |p: &str| format!("SELECT l.k, p.v FROM l JOIN {p} p ON l.k = p.k");
+    let sql = join("m.db.dbo.p");
+    head.query(&sql).unwrap();
+    let before = link.snapshot();
+    let report = head.execute_analyze(&sql).unwrap();
+    let sent = link.snapshot().since(&before);
+    let plan = report.render();
+    assert!(
+        plan.contains("NestedLoopJoin") && plan.contains("RemoteRange"),
+        "{plan}"
+    );
+    assert_eq!(
+        multiset(&report.result),
+        multiset(&oracle.query(&join("p")).unwrap())
+    );
+    assert_eq!(report.result.len(), 4);
+    // One request per non-NULL outer row: 1, 1, 1 and 2.
+    assert_eq!(sent.requests, 4, "{plan}");
 }

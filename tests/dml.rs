@@ -490,7 +490,7 @@ fn statements() -> Vec<Stmt> {
         lit("UPDATE acct_all SET balance = -1 WHERE id > 10 AND id < 5"),
         lit("DELETE FROM acct_all WHERE id = 100000"),
         lit("DELETE FROM acct_all WHERE id = 17 AND balance = -1"),
-        // Literals that are not the key's type: no seek, same answer.
+        // Literals that are not the key's type: sought uncast, same answer.
         lit("UPDATE acct_all SET balance = balance + 13 WHERE id = 17.0"),
         lit("UPDATE acct_all SET balance = balance + 13 WHERE id = 17.5"),
         lit("UPDATE acct_all SET balance = balance + 1 WHERE id < 2.5"),
@@ -757,17 +757,17 @@ fn counters_tell_seek_from_scan() {
         reads("UPDATE acct_all SET balance = 3 WHERE owner = 'owner_4'"),
         (19, (4, 0, 19))
     );
-    // A float literal on the INT key is never cast into the range.
+    // A float literal on the INT key seeks as SQL compares it, uncast.
     assert_eq!(
         reads("UPDATE acct_all SET balance = 4 WHERE id = 17.0"),
-        (1, (0, 1, 50))
+        (1, (1, 0, 1))
     );
     // sys.dm_os_counters serves the same numbers; reset zeroes them.
     let dmv = fed
         .head
         .query("SELECT value FROM sys.dm_os_counters WHERE name = 'dml_seeks'")
         .unwrap();
-    assert_eq!(dmv.scalar(), Some(&Value::Int(5)));
+    assert_eq!(dmv.scalar(), Some(&Value::Int(6)));
     fed.head.reset_metrics();
     let m = fed.head.metrics();
     assert_eq!((m.dml_seeks, m.dml_scans, m.dml_rows_located), (0, 0, 0));
