@@ -1367,30 +1367,16 @@ impl<'e> Binder<'e> {
         })
     }
 
-    /// Contextual literal coercion: a string literal compared with a DATE
-    /// column becomes a date literal (T-SQL behaviour the paper's examples
-    /// rely on: `L_COMMITDATE >= '1992-1-1'`).
+    /// Contextual literal coercion ([`coerce_literal`]) of both sides of a
+    /// comparison.
     fn coerce_pair(&self, l: ScalarExpr, r: ScalarExpr) -> (ScalarExpr, ScalarExpr) {
         let lt = dhqp_optimizer::decoder::static_type(&l, &self.registry);
         let rt = dhqp_optimizer::decoder::static_type(&r, &self.registry);
-        let coerce = |e: ScalarExpr, target: Option<DataType>| match (&e, target) {
-            (ScalarExpr::Literal(v), Some(t)) if v.data_type() != Some(t) => match v.cast(t) {
-                Ok(cast) => ScalarExpr::Literal(cast),
-                Err(_) => e,
-            },
-            _ => e,
+        let coerce = |e: ScalarExpr, other: Option<DataType>| match e {
+            ScalarExpr::Literal(v) => ScalarExpr::Literal(coerce_literal(v, other)),
+            e => e,
         };
-        match (lt, rt) {
-            (Some(DataType::Date), Some(DataType::Str)) => {
-                let r = coerce(r, Some(DataType::Date));
-                (l, r)
-            }
-            (Some(DataType::Str), Some(DataType::Date)) => {
-                let l = coerce(l, Some(DataType::Date));
-                (l, r)
-            }
-            _ => (l, r),
-        }
+        (coerce(l, rt), coerce(r, lt))
     }
 }
 
@@ -1410,9 +1396,14 @@ pub struct FetchedTable {
     pub feedback: bool,
 }
 
-fn coerce_literal(v: Value, target: Option<DataType>) -> Value {
-    match target {
-        Some(t) if v.data_type() != Some(t) => v.cast(t).unwrap_or(v),
+/// The one contextual literal coercion, for a comparison's operand and an
+/// `IN` list's items alike: a string literal compared with a DATE becomes a
+/// date literal (T-SQL behaviour the paper's examples rely on:
+/// `L_COMMITDATE >= '1992-1-1'`). Every other literal keeps its type, so
+/// `id IN (17.5)` matches exactly the rows `id = 17.5` does.
+fn coerce_literal(v: Value, other: Option<DataType>) -> Value {
+    match (&v, other) {
+        (Value::Str(_), Some(DataType::Date)) => v.cast(DataType::Date).unwrap_or(v),
         _ => v,
     }
 }

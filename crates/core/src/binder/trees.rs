@@ -86,10 +86,18 @@ pub(super) fn decorrelate(
         }
         // Projections/limits above correlated filters are preserved; only
         // filters directly on the spine are examined (sufficient for the
-        // WHERE-clause subqueries the dialect accepts).
-        LogicalOp::Project { outputs } => {
+        // WHERE-clause subqueries the dialect accepts). A lifted conjunct
+        // reads its inner columns from above the projection now, so the
+        // projection passes them through.
+        LogicalOp::Project { mut outputs } => {
             let child = tree.children.into_iter().next().expect("project child");
             let (child, extracted) = decorrelate(child, inner_cols);
+            let below = child.output_columns();
+            for c in extracted.iter().flat_map(ScalarExpr::columns) {
+                if below.contains(&c) && !outputs.iter().any(|(o, _)| *o == c) {
+                    outputs.push((c, ScalarExpr::Column(c)));
+                }
+            }
             (child.project(outputs), extracted)
         }
         _ => (tree, Vec::new()),

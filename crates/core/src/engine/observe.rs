@@ -13,8 +13,8 @@ use crate::record::{OperatorRecord, StatementRecord};
 use crate::trace::TraceBuilder;
 use dhqp_executor::{LinkHealthSnapshot, MetricsSnapshot, PruneLog};
 use dhqp_oledb::{
-    emit_event, has_hook, install_scope, ActivityScope, EventHook, TableStatistics, WaitSnapshot,
-    WaitStats,
+    emit_event, has_hook, install_scope, ActivityScope, EventHook, ScopeGuard, TableStatistics,
+    WaitSnapshot, WaitStats,
 };
 use dhqp_optimizer::{PhysNode, PhysicalOp};
 use std::sync::atomic::Ordering;
@@ -27,8 +27,9 @@ impl Engine {
     /// out to the engine-cumulative sink and a fresh per-query sink, and
     /// events reach the bus when it is armed — and emit `query_start`. The
     /// guard restores the previous scope on drop, so nested statements (a
-    /// DMV query issued while serving another statement) account correctly.
-    pub(super) fn begin_statement<'a>(&self, sql: &'a str, analyze: bool) -> StatementRun<'a> {
+    /// DMV query issued while serving another statement) account correctly;
+    /// a streamed statement suspends it between pulls.
+    pub(super) fn begin_statement(&self, sql: &str, analyze: bool) -> (StatementRun, ScopeGuard) {
         let waits = Arc::new(WaitStats::default());
         // Knobs and bus under one guard: `Engine::update` replaces the bus
         // while holding the write lock, so the pair is consistent.
@@ -47,13 +48,13 @@ impl Engine {
             emit_event("query_start", &[("sql", sql.to_string())]);
         }
         let started = Instant::now();
-        StatementRun {
-            _activity: activity,
+        let run = StatementRun {
             tracer: knobs.trace.enabled.then(|| TraceBuilder::new(sql, started)),
             knobs,
             waits,
-            sql,
+            sql: sql.to_string(),
             started,
+            executing: None,
             pruned: Arc::new(PruneLog::default()),
             kind: None,
             fingerprint: None,
@@ -61,7 +62,8 @@ impl Engine {
             servers: Vec::new(),
             collector: None,
             analyze,
-        }
+        };
+        (run, activity)
     }
 
     /// Count one finished statement — onto the recent ring, and the slow

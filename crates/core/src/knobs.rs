@@ -218,7 +218,8 @@ macro_rules! millis {
 pub const KNOBS: &[KnobRow] = &[
     knob!("DHQP_PARALLEL", Switch,
         "parallel remote execution: a union with two or more remote members opens them on \
-         exchange workers, and every remote rowset is prefetched",
+         exchange workers, which drain what they open, and a remote rowset the statement's \
+         own thread reads is prefetched",
         |k, v| match parse_switch(v) {
             Some(true) => k.parallel = ParallelConfig::parallel(),
             Some(false) => k.parallel = ParallelConfig::serial(),

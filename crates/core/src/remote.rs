@@ -13,8 +13,8 @@
 
 use crate::engine::Engine;
 use dhqp_oledb::{
-    is_read_only, Command, CommandResult, DataSource, MemRowset, ProviderCapabilities, Reply,
-    Session, SessionLayer, TableInfo, Verb,
+    is_read_only, Command, CommandResult, DataSource, ProviderCapabilities, Reply, Session,
+    SessionLayer, TableInfo, Verb,
 };
 use dhqp_storage::LocalSession;
 use dhqp_types::Result;
@@ -117,38 +117,26 @@ impl Command for EngineCommand {
             .text
             .as_deref()
             .ok_or_else(|| dhqp_types::DhqpError::Provider("command has no text".into()))?;
-        let read_only = is_read_only(text);
-        // A statement that writes runs on the session it was sent through,
-        // inside the consumer's transaction if there is one.
-        let ran = match read_only {
-            true => self.engine.execute(text),
-            false => {
-                let ran = self
-                    .engine
-                    .execute_on_session(text, &mut self.storage_session.lock());
-                refresh_committed(&self.engine, &self.storage_session);
-                ran
-            }
-        };
-        let result = match ran {
-            Ok(result) => result,
+        // A SELECT answers as a stream its consumer pulls, the member's
+        // operator tree itself (DESIGN.md §14).
+        if is_read_only(text) {
+            return self.engine.open_statement(text);
+        }
+        // A statement that writes runs to completion on the session it was
+        // sent through, inside the consumer's transaction if there is one.
+        let ran = self
+            .engine
+            .execute_on_session(text, &mut self.storage_session.lock());
+        refresh_committed(&self.engine, &self.storage_session);
+        ran.map_err(|e| match e.is_retryable() {
             // A pushed-down statement that *writes* may have partially
             // applied before the failure; re-sending it is not idempotent.
             // Strip the retryable classification so no upstream retry
             // layer blindly re-issues it.
-            Err(e) if !read_only && e.is_retryable() => {
-                return Err(dhqp_types::DhqpError::Provider(format!(
-                    "remote statement is not idempotent, refusing retry: {e}"
-                )));
-            }
-            Err(e) => return Err(e),
-        };
-        if let Some(n) = result.rows_affected {
-            return Ok(CommandResult::RowCount(n));
-        }
-        Ok(CommandResult::Rowset(Box::new(MemRowset::new(
-            result.schema,
-            result.rows,
-        ))))
+            true => dhqp_types::DhqpError::Provider(format!(
+                "remote statement is not idempotent, refusing retry: {e}"
+            )),
+            false => e,
+        })
     }
 }

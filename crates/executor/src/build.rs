@@ -224,11 +224,13 @@ fn open_union(
     )?))
 }
 
-/// With parallel dispatch on, a remote rowset is drained ahead of its
-/// consumer by one exchange worker of its own, so the next pull crosses the
-/// link while the current one is consumed.
+/// With parallel dispatch on, a remote rowset the statement's own thread
+/// reads — a lone remote rowset, or a serial union's member — is drained
+/// ahead of it by one exchange worker of its own, so the next pull crosses
+/// the link while the current one is consumed. One opened on an exchange
+/// worker is drained by that worker: a second thread would only relay it.
 fn maybe_prefetch(inner: Box<dyn Rowset>, ctx: &ExecContext) -> Box<dyn Rowset> {
-    if !ctx.parallel().enabled {
+    if !ctx.parallel().enabled || ctx.on_worker() {
         return inner;
     }
     ctx.counters().remote_prefetches.bump();

@@ -39,8 +39,9 @@ pub type SpoolData = Arc<(Schema, Vec<Row>)>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Master switch. On, a union with two or more remote members opens
-    /// them on exchange workers and every remote rowset is prefetched by one
-    /// worker of its own; off, nothing leaves the consumer's thread.
+    /// them on exchange workers, which drain what they open, and a remote
+    /// rowset the statement's own thread reads is prefetched by one worker
+    /// of its own; off, nothing leaves the consumer's thread.
     pub enabled: bool,
     /// Maximum worker threads per exchange; branches are distributed
     /// round-robin when there are more branches than workers.
@@ -135,6 +136,10 @@ pub struct ExecContext {
     /// Delayed schema validation for the partitioned-view members this
     /// plan reads; `None` when it reads none.
     schema_guard: Option<Arc<SchemaGuard>>,
+    /// Whether what opens under this context is read by an exchange
+    /// worker, which drains it itself, rather than by the statement's own
+    /// thread.
+    on_worker: bool,
 }
 
 impl ExecContext {
@@ -158,6 +163,7 @@ impl ExecContext {
             runtime_prune: true,
             pruned: Arc::new(PruneLog::default()),
             schema_guard: None,
+            on_worker: false,
         }
     }
 
@@ -200,6 +206,12 @@ impl ExecContext {
     /// Override the runtime startup-pruning knob for this execution.
     pub fn with_runtime_prune(mut self, runtime_prune: bool) -> Self {
         self.runtime_prune = runtime_prune;
+        self
+    }
+
+    /// The context of a branch an exchange worker opens and drains.
+    pub fn for_worker(mut self) -> Self {
+        self.on_worker = true;
         self
     }
 
@@ -260,6 +272,10 @@ impl ExecContext {
 
     pub fn runtime_prune(&self) -> bool {
         self.runtime_prune
+    }
+
+    pub fn on_worker(&self) -> bool {
+        self.on_worker
     }
 
     pub fn pruned(&self) -> &Arc<PruneLog> {

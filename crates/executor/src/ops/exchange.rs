@@ -7,7 +7,9 @@
 //! worker thread, funneling rows through one bounded channel to the
 //! consumer cursor; [`ExchangeRowset::prefetch`] is the same worker over one
 //! open remote rowset, pulling its next batch while the consumer drains the
-//! current one.
+//! current one. A worker drains what its branch opens itself: a remote
+//! rowset opened on a worker gets no prefetcher of its own, so a member
+//! stream costs one thread.
 //!
 //! Error contract: the first branch error to reach the channel is the one
 //! the consumer surfaces (original [`dhqp_types::DhqpError`], not a wrapper);
@@ -154,7 +156,7 @@ impl Workers {
             .into_iter()
             .map(|work| {
                 let (tx, returned) = (tx.clone(), Arc::clone(&returned));
-                let wctx = ctx.clone();
+                let wctx = ctx.clone().for_worker();
                 // Waits a worker incurs (link time, channel backpressure)
                 // must land in the spawning statement's sinks, so the
                 // consumer's activity scope rides into the thread.

@@ -229,6 +229,17 @@ pub struct ScopeGuard {
     previous: ActivityScope,
 }
 
+impl ScopeGuard {
+    /// Restore the previous scope now and hand back the one this guard
+    /// installed, to be installed again later — how a statement that is
+    /// pulled by its consumer is in scope only while a pull runs.
+    pub fn suspend(self) -> ActivityScope {
+        let mut guard = std::mem::ManuallyDrop::new(self);
+        let previous = std::mem::take(&mut guard.previous);
+        CURRENT.with(|c| c.replace(previous))
+    }
+}
+
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| {
@@ -321,6 +332,20 @@ mod tests {
             assert_eq!(t.count, 2);
             assert_eq!(t.total_us, 10_000);
         }
+    }
+
+    #[test]
+    fn a_suspended_scope_records_only_while_reinstalled() {
+        let outer = Arc::new(WaitStats::default());
+        let inner = Arc::new(WaitStats::default());
+        let _g = install_scope(ActivityScope::new(vec![Arc::clone(&outer)], None));
+        let parked = install_scope(ActivityScope::new(vec![Arc::clone(&inner)], None)).suspend();
+        record_wait(WaitClass::Spool, Duration::from_millis(1)); // the outer scope's
+        let parked = install_scope(parked).suspend();
+        let _resumed = install_scope(parked);
+        record_wait(WaitClass::Spool, Duration::from_millis(2)); // the inner scope's
+        assert_eq!(outer.snapshot().get(WaitClass::Spool).total_us, 1_000);
+        assert_eq!(inner.snapshot().get(WaitClass::Spool).total_us, 2_000);
     }
 
     #[test]

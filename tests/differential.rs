@@ -67,12 +67,13 @@ const CORPUS: &[&str] = &[
     "SELECT CAST(id AS FLOAT) AS f FROM a_all WHERE id = 11",
     // Column pruning through a wide view (DESIGN.md §20): a narrow read, a
     // column only the pushed predicate reads, the partitioning column
-    // alone, a reordered list, no column at all, aggregates that are not
-    // split into per-member partials, and `*`.
+    // alone, a reordered list, a column listed twice, no column at all,
+    // aggregates that are not split into per-member partials, and `*`.
     "SELECT grp, val FROM w_all WHERE id BETWEEN 10 AND 30",
     "SELECT val FROM w_all WHERE note = 'n1'",
     "SELECT id FROM w_all WHERE grp = 2",
     "SELECT note, id FROM w_all WHERE id > 25",
+    "SELECT id, note, id FROM w_all WHERE id < 6",
     "SELECT COUNT(*) AS n FROM w_all WHERE val > 3.5",
     "SELECT grp, AVG(val) AS m FROM w_all GROUP BY grp",
     "SELECT COUNT(DISTINCT note) AS n FROM w_all WHERE id < 30",
@@ -355,11 +356,28 @@ fn assert_same(
     }
 }
 
+/// Corpus statements that are meant to fail, each with the error it is
+/// meant to fail with. Every other statement must answer on the all-local
+/// engine: a statement that fails on every leg compares equal, so an error
+/// off this list is a fault the diff cannot see.
+const MEANT_TO_FAIL: &[(&str, &str)] = &[];
+
 #[test]
 fn all_local_matches_distributed() {
     let local = local_engine();
     let dist = distributed_engine(None);
     let a = run_corpus(&local);
+    let unexpected: Vec<String> = a
+        .iter()
+        .filter_map(|(sql, outcome)| {
+            match (outcome, MEANT_TO_FAIL.iter().find(|(s, _)| s == sql)) {
+                (Ok(_), None) => None,
+                (Err(e), Some((_, want))) if e.contains(want) => None,
+                (outcome, meant) => Some(format!("{sql}: {outcome:?}, meant: {meant:?}")),
+            }
+        })
+        .collect();
+    assert!(unexpected.is_empty(), "all-local: {unexpected:#?}");
     let b = run_corpus(&dist);
     assert_same("all-local", &a, "distributed", &b);
     // Sanity: the corpus must actually return data, not 30 empty sets.
@@ -795,4 +813,74 @@ fn batched_parallel_faulted_matches_serial_row_clean() {
         m.remote_retries > 0,
         "fault plan never fired - test is vacuous: {m:?}"
     );
+}
+
+/// A correlated EXISTS over two views keeps the inner column its lifted
+/// predicate reads (it failed with "unresolved column" on every leg, which
+/// the diff alone compares equal): its rows are the ids computed straight
+/// from the seed rows.
+#[test]
+fn correlated_exists_answers_the_seed_rows() {
+    let sql = "SELECT id FROM a_all WHERE EXISTS (SELECT 1 FROM b_all WHERE b_all.id = a_all.id \
+               AND b_all.score > 30)";
+    assert!(CORPUS.contains(&sql));
+    let b = b_rows();
+    let mut want: Vec<String> = a_rows()
+        .iter()
+        .filter(|a| {
+            b.iter().any(|b| {
+                b.get(0) == a.get(0) && matches!(b.get(1), Value::Int(score) if *score > 30)
+            })
+        })
+        .map(|a| format!("{:?}", Row::new(vec![a.get(0).clone()])))
+        .collect();
+    want.sort();
+    assert_eq!(want.len(), 6);
+    for engine in [local_engine(), distributed_engine(None)] {
+        assert_eq!(outcome(&engine, sql), Ok(want.clone()), "{}", engine.name());
+    }
+}
+
+/// An `IN` list's literal is coerced as the same literal compared with `=`
+/// is, so the two forms select and delete the same rows, local and
+/// federated: a FLOAT is not truncated and a string is not parsed against
+/// an INT key, and a date string against a DATE column is a date either way.
+#[test]
+fn in_literals_match_what_equality_matches() {
+    // (view, column, literal, rows it matches)
+    let cases = [
+        ("a_all", "id", "17", 1),
+        ("a_all", "id", "17.5", 0),
+        ("a_all", "id", "'17'", 0),
+        ("a_all", "id", "NULL", 0),
+        ("ev_all", "day", "'2004-06-15'", 1),
+    ];
+    let engines: [fn() -> Engine; 2] = [local_engine, || distributed_engine(None)];
+    for (view, column, literal, matches) in cases {
+        for open in engines {
+            let engine = open();
+            let name = engine.name().to_string();
+            let count = |predicate: &str| -> Result<usize, String> {
+                let sql = format!("SELECT id FROM {view} WHERE {predicate}");
+                engine
+                    .query(&sql)
+                    .map(|r| r.len())
+                    .map_err(|e| e.to_string())
+            };
+            let eq = format!("{column} = {literal}");
+            let inlist = format!("{column} IN ({literal})");
+            assert_eq!(count(&eq), Ok(matches), "{name}: SELECT … {eq}");
+            assert_eq!(count(&inlist), Ok(matches), "{name}: SELECT … {inlist}");
+            for predicate in [eq, inlist] {
+                let engine = open();
+                let sql = format!("DELETE FROM {view} WHERE {predicate}");
+                let deleted = engine.execute(&sql).map(|r| r.rows_affected);
+                assert_eq!(
+                    deleted.map_err(|e| e.to_string()),
+                    Ok(Some(matches as u64)),
+                    "{name}: {sql}"
+                );
+            }
+        }
+    }
 }

@@ -1742,3 +1742,118 @@ fn a_knob_flipped_mid_statement_applies_from_the_next_statement() {
     // The sink holds the engine; dropping the bus drops the sink.
     head.set_event_config(EventConfig::disabled());
 }
+
+// ---- member streams ----------------------------------------------------------------
+
+/// A member engine holding `t(k, v)` with 300 rows, recording its own
+/// `query_start`/`query_end` and query store, behind a fault-free link from
+/// a head that pulls 64 rows at a time on its own thread.
+fn streaming_member() -> (Engine, Engine, NetworkLink) {
+    use dhqp::{BatchConfig, QueryStoreConfig};
+    let member = EngineBuilder::new("member")
+        .event_config(EventConfig::only(&[
+            EventKind::QueryStart,
+            EventKind::QueryEnd,
+        ]))
+        .query_store_config(QueryStoreConfig {
+            enabled: true,
+            ..QueryStoreConfig::default()
+        })
+        .build();
+    member
+        .create_table(TableDef::new(
+            "t",
+            Schema::new(vec![
+                Column::not_null("k", DataType::Int),
+                Column::not_null("v", DataType::Int),
+            ]),
+        ))
+        .unwrap();
+    let rows: Vec<Row> = (0..300)
+        .map(|k| Row::new(vec![Value::Int(k), Value::Int(k % 7)]))
+        .collect();
+    member.insert("t", &rows).unwrap();
+    let head = Engine::new("head");
+    head.set_parallel_config(ParallelConfig::serial());
+    head.set_batch_config(BatchConfig::batched(64));
+    let link = NetworkLink::new("m", NetworkConfig::lan());
+    let source = EngineDataSource::new(member.clone());
+    head.add_linked_server(
+        "m",
+        Arc::new(NetworkedDataSource::reliable(
+            Arc::new(source),
+            link.clone(),
+        )),
+    )
+    .unwrap();
+    (head, member, link)
+}
+
+/// A member's SELECT is a stream: a TOP 1 over 300 rows ships the one row
+/// the head reads, and the member statement ends once — when the head drops
+/// the stream — with the rows it delivered, counted but not learned from.
+#[test]
+fn a_dropped_member_stream_ends_its_statement_once() {
+    let (head, member, link) = streaming_member();
+    let sql = "SELECT TOP 1 k FROM m.db.dbo.t";
+    let plan = head.explain(sql).unwrap().plan_text;
+    assert!(plan.starts_with("Top"), "TOP stays at the head: {plan}");
+    link.reset();
+    member.set_event_config(member.event_config());
+    let (result, head_record) = head.execute_recorded(sql, Default::default());
+    assert_eq!(result.unwrap().len(), 1);
+
+    assert_eq!(start_end_counts(&member), (1, 1));
+    let record = member.recent_queries().pop().unwrap();
+    assert!(record.sql.contains("FROM [t]"), "{}", record.sql);
+    assert_eq!(record.error, None);
+    // The member is in scope only while a pull runs: the link's round trip
+    // is the head's wait, not the member's.
+    assert_eq!(head_record.waits.get(WaitClass::NetworkIo).count, 1);
+    assert_eq!(record.waits.get(WaitClass::NetworkIo).count, 0);
+    let shipped = link.snapshot().rows;
+    assert_eq!(record.rows, shipped);
+    assert_eq!(shipped, 1, "the head pulled one row and dropped the rest");
+    assert_eq!(
+        query_store_executions(&member),
+        0,
+        "a dropped stream is not learned from"
+    );
+
+    // Read to its end, the same statement is learned from.
+    head.query("SELECT k FROM m.db.dbo.t").unwrap();
+    let record = member.recent_queries().pop().unwrap();
+    assert_eq!(record.rows, 300);
+    assert_eq!(query_store_executions(&member), 1);
+}
+
+/// An error the member's operator tree raises part-way reaches the head
+/// with its message, after the batches that came before it crossed the
+/// link; the member's own record carries the same failure.
+#[test]
+fn a_member_error_mid_stream_follows_the_rows_before_it() {
+    let (head, member, link) = streaming_member();
+    // Pushed whole to the member, which fails at k = 150: the batches of
+    // k < 128 were shipped by then.
+    let sql = "SELECT k FROM m.db.dbo.t WHERE 1000 / (k - 150) > -10000";
+    let plan = head.explain(sql).unwrap().plan_text;
+    assert!(
+        plan.contains("WHERE ((1000 /"),
+        "the predicate is pushed: {plan}"
+    );
+    link.reset();
+    member.set_event_config(member.event_config());
+    let err = head.query(sql).unwrap_err();
+    assert!(err.message().contains("division by zero"), "{err}");
+    assert_eq!(link.snapshot().rows, 128);
+
+    assert_eq!(start_end_counts(&member), (1, 1));
+    let record = member.recent_queries().pop().unwrap();
+    assert!(
+        record
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("division by zero")),
+        "{record:?}"
+    );
+}

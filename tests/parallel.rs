@@ -135,10 +135,42 @@ fn exchange_reports_workers_and_traffic_stays_exact() {
     assert!(rendered.contains("UnionAll"), "{rendered}");
     assert!(rendered.contains("[exchange: workers=7"), "{rendered}");
 
+    // A worker drains the member stream it opened: no prefetcher relays it.
     let m = head.metrics();
     assert!(m.parallel_exchanges >= 1, "{m:?}");
     assert!(m.exchange_workers >= 7, "{m:?}");
-    assert!(m.remote_prefetches >= 7, "{m:?}");
+    assert_eq!(m.remote_prefetches, 0, "{m:?}");
+
+    // A lone remote read is consumed by the statement's own thread, so it
+    // keeps its one prefetcher.
+    head.reset_metrics();
+    let one_year = "SELECT l_orderkey FROM lineitem_all WHERE l_commitdate < '1993-01-01'";
+    assert!(!head.query(one_year).unwrap().is_empty());
+    let m = head.metrics();
+    assert_eq!((m.exchange_workers, m.remote_prefetches), (0, 1), "{m:?}");
+}
+
+#[test]
+fn a_four_member_range_opens_one_thread_per_member() {
+    // Four years on four members: one exchange worker each, and the worker
+    // reads its member's stream itself (eight threads when each stream had
+    // a prefetcher of its own).
+    let (head, _links) = federation();
+    head.set_parallel_config(ParallelConfig::parallel());
+    let range = "SELECT l_orderkey, l_quantity FROM lineitem_all \
+                 WHERE l_commitdate >= '1993-01-01' AND l_commitdate < '1997-01-01'";
+    let serial = {
+        head.set_parallel_config(ParallelConfig::serial());
+        head.query(range).unwrap()
+    };
+    head.set_parallel_config(ParallelConfig::parallel());
+    head.reset_metrics();
+    let parallel = head.query(range).unwrap();
+    let m = head.metrics();
+    assert_eq!(m.parallel_exchanges, 1, "{m:?}");
+    assert_eq!(m.exchange_workers + m.remote_prefetches, 4, "{m:?}");
+    assert!(!serial.is_empty());
+    assert_eq!(multiset(&serial.rows, 2), multiset(&parallel.rows, 2));
 }
 
 #[test]
