@@ -10,7 +10,7 @@
 //! rows are still being located, so a statement never meets its own writes
 //! (the Halloween problem), and the head knows, before its first write,
 //! which servers it writes to and each one's last write — the one its 2PC
-//! vote rides, or for the last participant, the commit. [`Sessions::apply`]
+//! vote rides, or for the last participant, the commit. [`apply`]
 //! decides the statement's transaction from that plan alone, and a server
 //! the statement only read from is no participant.
 //!
@@ -24,14 +24,13 @@ use crate::engine::{Engine, LinkedServer};
 use crate::knobs::Knobs;
 use crate::result::QueryResult;
 use dhqp_executor::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
-use dhqp_executor::ops::retry::RetryState;
-use dhqp_executor::ops::scan::{key_ranges, open_ranges};
-use dhqp_executor::ExecContext;
+use dhqp_executor::ops::scan::key_ranges;
+use dhqp_executor::{ExecContext, ParallelConfig};
 use dhqp_federation::PartitionedView;
 use dhqp_oledb::{CommandResult, DataSource, KeyRange, RowsetExt, Session, SqlSupport};
 use dhqp_optimizer::decoder::render_table_scalars;
 use dhqp_optimizer::logical::TableMeta;
-use dhqp_optimizer::ScalarExpr;
+use dhqp_optimizer::{PhysNode, PhysicalOp, ScalarExpr};
 use dhqp_sqlfront as ast;
 use dhqp_storage::LocalSession;
 use dhqp_types::{DhqpError, Result, Row, Value};
@@ -46,7 +45,7 @@ enum Target {
 }
 
 /// `ambient`: the statement writes through the session it arrived on
-/// ([`Sessions::Ambient`]), which reaches this server's own tables only —
+/// ([`apply`]), which reaches this server's own tables only —
 /// any other target is refused here, before anything is read or written.
 fn resolve_target(engine: &Engine, name: &ast::ObjectName, ambient: bool) -> Result<Target> {
     let view = match name.0.len() {
@@ -90,100 +89,73 @@ fn source(engine: &Engine, server: &Server) -> Arc<dyn DataSource> {
     }
 }
 
-/// The sessions a statement reads and writes through.
-enum Sessions<'e> {
-    /// The statement's own: one plain session per server, opened by the
-    /// first read or write there and kept for the statement, so a server's
-    /// writes go through the session that located its rows.
-    Own(&'e Engine, HashMap<String, Box<dyn Session>>),
-    /// The statement is command text a consumer sent on its session with
-    /// this server's storage ([`Engine::execute_on_session`]), and writes
-    /// through it: under the consumer's transaction when the session is
-    /// enlisted in one, whose outcome is the consumer's to decide. Its one
-    /// target is a plain local table ([`resolve_target`]), so it makes at
-    /// most one write — the one a vote or commit the consumer asked for
-    /// rides.
-    Ambient(&'e Engine, &'e mut LocalSession),
-}
-
-impl<'e> Sessions<'e> {
-    fn new(engine: &'e Engine, ambient: Option<&'e mut LocalSession>) -> Self {
-        match ambient {
-            Some(session) => Sessions::Ambient(engine, session),
-            None => Sessions::Own(engine, HashMap::new()),
-        }
-    }
-
-    /// The statement's session for `server`, opened on first use.
-    fn session(&mut self, server: &Server) -> Result<&mut dyn Session> {
-        match self {
-            Sessions::Own(engine, open) => {
-                let key = server_key(server);
-                if !open.contains_key(key) {
-                    open.insert(key.to_string(), source(engine, server).create_session()?);
+/// Write `plan` and commit. A plan of one request is written on its server's
+/// session as it is. A plan of more runs under one distributed transaction
+/// over the servers it writes to, in the order the statement first wrote to
+/// them: each one's session joins with its first write, its last request
+/// carries its vote, and the last one's carries the commit. Then index what
+/// became visible: the local tables written, unless the statement wrote
+/// under a consumer's transaction, whose commit does it
+/// ([`LocalSession::take_committed`]).
+///
+/// Each server's writes lease a plain session from its source; a pool hands
+/// back the session checked in last, so a server's writes go through the
+/// one that located their rows. `ambient` is the session a consumer sent the
+/// statement on as command text ([`Engine::execute_on_session`]), and the
+/// statement writes through it instead: under the consumer's transaction
+/// when the session is enlisted in one, whose outcome is the consumer's to
+/// decide. Its one target is a plain local table ([`resolve_target`]), so it
+/// makes at most one write — the one a vote or commit the consumer asked
+/// for rides.
+fn apply(engine: &Engine, ambient: Option<&mut LocalSession>, plan: &WritePlan) -> Result<Applied> {
+    let mut applied = Applied::default();
+    let writers = plan.writers();
+    let requests: usize = writers.iter().map(|(_, ops)| ops.len()).sum();
+    let consumer_txn = ambient.as_ref().is_some_and(|s| s.transaction().is_some());
+    match ambient {
+        None if requests > 1 => {
+            let mut txn = engine.dtc().begin();
+            let mut decider = None;
+            for (i, (writer, ops)) in writers.iter().enumerate() {
+                let session = source(engine, &writer.server).create_session()?;
+                txn.enlist(writer.key(), session)?;
+                let (last, ops) = ops.split_last().expect("a listed table is written");
+                for op in ops {
+                    op.apply(txn.session_mut(writer.key())?.as_mut(), &mut applied)?;
                 }
-                Ok(open.get_mut(key).expect("opened above").as_mut())
-            }
-            Sessions::Ambient(_, session) => Ok(&mut **session),
-        }
-    }
-
-    /// Write `plan` and commit. A plan of one request is written on its
-    /// server's session as it is. A plan of more runs under one distributed
-    /// transaction over the servers it writes to, in the order the
-    /// statement first wrote to them: each one's session joins with its
-    /// first write, its last request carries its vote, and the last one's
-    /// carries the commit. Then index what became visible: the local tables
-    /// written, unless the statement wrote under a consumer's transaction,
-    /// whose commit does it ([`LocalSession::take_committed`]).
-    fn apply(mut self, plan: &WritePlan) -> Result<Applied> {
-        let mut applied = Applied::default();
-        let writers = plan.writers();
-        let requests: usize = writers.iter().map(|(_, ops)| ops.len()).sum();
-        let consumer_txn = matches!(&self, Sessions::Ambient(_, s) if s.transaction().is_some());
-        match &mut self {
-            Sessions::Own(engine, open) if requests > 1 => {
-                let mut txn = engine.dtc().begin();
-                let mut decider = None;
-                for (i, (writer, ops)) in writers.iter().enumerate() {
-                    let session = match open.remove(writer.key()) {
-                        Some(session) => session,
-                        None => source(engine, &writer.server).create_session()?,
-                    };
-                    txn.enlist(writer.key(), session)?;
-                    let (last, ops) = ops.split_last().expect("a listed table is written");
-                    for op in ops {
-                        op.apply(txn.session_mut(writer.key())?.as_mut(), &mut applied)?;
-                    }
-                    match i + 1 < writers.len() {
-                        true => {
-                            txn.write_and_vote(writer.key(), |s| last.apply(s, &mut applied))?
-                        }
-                        false => decider = Some((writer.key(), last)),
-                    }
+                match i + 1 < writers.len() {
+                    true => txn.write_and_vote(writer.key(), |s| last.apply(s, &mut applied))?,
+                    false => decider = Some((writer.key(), last)),
                 }
-                let (key, last) = decider.expect("two requests or more");
-                txn.write_and_commit(key, |s| last.apply(s, &mut applied))?;
             }
-            // One request, or an ambient session's writes: the statement's
-            // outcome, once it is done, answers a vote or commit the
-            // consumer asked its write to carry (`Engine::run_statement`).
-            _ => {
-                for (writer, ops) in &writers {
-                    for op in ops {
-                        op.apply(self.session(&writer.server)?, &mut applied)?;
+            let (key, last) = decider.expect("two requests or more");
+            txn.write_and_commit(key, |s| last.apply(s, &mut applied))?;
+        }
+        // One request, or an ambient session's writes: the statement's
+        // outcome, once it is done, answers a vote or commit the consumer
+        // asked its write to carry (`Engine::run_statement`).
+        mut ambient => {
+            for (writer, ops) in &writers {
+                let mut leased;
+                let session: &mut dyn Session = match ambient.as_deref_mut() {
+                    Some(session) => session,
+                    None => {
+                        leased = source(engine, &writer.server).create_session()?;
+                        leased.as_mut()
                     }
+                };
+                for op in ops {
+                    op.apply(session, &mut applied)?;
                 }
             }
         }
-        let (Sessions::Own(engine, _) | Sessions::Ambient(engine, _)) = self;
-        if !consumer_txn {
-            for table in plan.tables.iter().filter(|t| t.server.is_none()) {
-                engine.refresh_fulltext_index(&table.table)?;
-            }
-        }
-        Ok(applied)
     }
+    if !consumer_txn {
+        for table in plan.tables.iter().filter(|t| t.server.is_none()) {
+            engine.refresh_fulltext_index(&table.table)?;
+        }
+    }
+    Ok(applied)
 }
 
 // ---------------------------------------------------------------------------
@@ -376,7 +348,7 @@ pub fn run_insert(
             }
         }
     }
-    let applied = Sessions::new(engine, ambient).apply(&plan)?;
+    let applied = apply(engine, ambient, &plan)?;
     Ok(QueryResult::rows_affected(applied.inserted))
 }
 
@@ -524,7 +496,10 @@ impl WriteSet {
             .map(|m| resolve(&mut binder, &m.server))
             .collect::<Result<_>>()?;
         let registry = Arc::new(binder.registry_snapshot());
+        // Located rows are drained at once: a prefetch thread would only
+        // relay them.
         let ctx = engine.exec_context(knobs, params.clone(), registry, binder.servers());
+        let ctx = ctx.with_parallel(ParallelConfig::serial());
         Ok(WriteSet {
             view,
             members,
@@ -540,84 +515,126 @@ impl WriteSet {
         let Some(text) = pushed_statement(target, self.view.as_deref()) else {
             return Ok(false);
         };
-        if !matches!(self.seek(target)?, Some((_, ranges)) if ranges.is_empty()) {
+        if self.access(target)?.is_some() {
             plan.table(&target.server, &target.meta.table).statement = Some(text);
             engine.counters().dml_pushed.bump();
         }
         Ok(true)
     }
 
-    /// The index read that reaches every row `target`'s predicate selects:
-    /// the first index whose lead column the predicate bounds, over the
-    /// ranges [`key_ranges`] — a SELECT's resolver too — gives it. No range
-    /// means no row qualifies; `None`, that the whole table is read.
-    fn seek<'t>(&self, target: &'t BoundTarget) -> Result<Option<(&'t str, Vec<KeyRange>)>> {
+    /// How the rows `target`'s predicate selects are reached: `None` when
+    /// its domain is empty (no row qualifies, nothing is read);
+    /// `Some(Some(index))`, the ranges [`key_ranges`] — a SELECT's resolver
+    /// too — gives the first index whose lead column the predicate bounds;
+    /// `Some(None)`, the whole table. A table with no usable index asks the
+    /// resolver under a name its catalog lacks: empty or whole.
+    fn access<'t>(&self, target: &'t BoundTarget) -> Result<Option<Option<&'t str>>> {
         let meta = &target.meta;
         let seekable = target.server.is_none() || meta.caps.index_support;
-        let Some(predicate) = target.predicate.as_ref().filter(|_| seekable) else {
-            return Ok(None);
-        };
-        for index in &meta.catalog.indexes {
-            let ranges = key_ranges(meta, &index.name, Some(predicate), &self.ctx)?;
+        let indexes = meta.catalog.indexes.iter().filter(|_| seekable);
+        for index in indexes.map(|ix| ix.name.as_str()).chain([""]) {
+            let ranges = key_ranges(meta, index, target.predicate.as_ref(), &self.ctx)?;
+            if ranges.is_empty() {
+                return Ok(None);
+            }
             if ranges != [KeyRange::all()] {
-                return Ok(Some((&index.name, ranges)));
+                return Ok(Some(Some(index)));
             }
         }
-        Ok(None)
+        Ok(Some(None))
     }
 
-    /// Read the rows of `target` its predicate selects, bookmarks attached,
-    /// through the statement's own session for that server — the one that
-    /// issues the bookmark writes afterwards, enlisted or not. The server's
-    /// breaker admits the read before that session is leased, so an Open
-    /// breaker sends nothing, not even a connect.
-    fn locate_rows(&self, sessions: &mut Sessions, target: &BoundTarget) -> Result<Vec<Row>> {
-        let table = &target.meta.table;
-        let mut seek = self.seek(target)?;
-        if matches!(&seek, Some((_, ranges)) if ranges.is_empty()) {
+    /// Read the rows of `target` that [`WriteSet::access`] reaches, bookmarks
+    /// attached, through the executor's access operator: the server's
+    /// breaker, retries and pooled session are a SELECT's. The read is
+    /// drained here, before the statement's first write.
+    fn locate_rows(&self, target: &BoundTarget) -> Result<Vec<Row>> {
+        let Some(mut index) = self.access(target)? else {
             return Ok(Vec::new());
-        }
-        let (ctx, pull) = (&self.ctx, self.ctx.batch().batch_size);
-        // Row location is a read: a transient fault here is absorbed by
-        // re-reading, while the bookmark write that follows never retries.
-        let breaker = target.server.as_ref().map(|link| Arc::clone(&link.breaker));
-        let rows = RetryState::new(ctx.retry(), ctx.counters())
-            .gated(breaker)
-            .read(|| {
-                let session = sessions.session(&target.server)?;
-                if let Some((index, ranges)) = &seek {
-                    match open_ranges(session, table, index, ranges) {
-                        Ok(mut rowset) => return rowset.collect_rows_batched(pull),
-                        // Index metadata without IRowsetIndex behind it.
-                        Err(DhqpError::Unsupported(_)) => seek = None,
-                        Err(e) => return Err(e),
-                    }
-                }
-                session.open_rowset(table)?.collect_rows_batched(pull)
-            })?;
-        let counters = ctx.counters();
-        match seek {
+        };
+        let read = |index: Option<&str>| {
+            let (meta, seek) = (Arc::clone(&target.meta), target.predicate.clone());
+            let output = meta.column_ids.clone();
+            let op = match (index.map(str::to_string), meta.source.is_remote()) {
+                (Some(index), false) => PhysicalOp::IndexRange { meta, index, seek },
+                (Some(index), true) => PhysicalOp::RemoteRange { meta, index, seek },
+                (None, false) => PhysicalOp::TableScan { meta },
+                (None, true) => PhysicalOp::RemoteScan { meta },
+            };
+            let mut rowset =
+                dhqp_executor::open(&PhysNode::new(op, Vec::new(), output), &self.ctx)?;
+            rowset.collect_rows_batched(self.ctx.batch().batch_size)
+        };
+        let rows = match read(index) {
+            // Index metadata without IRowsetIndex behind it.
+            Err(DhqpError::Unsupported(_)) if index.is_some() => {
+                index = None;
+                read(None)?
+            }
+            rows => rows?,
+        };
+        let counters = self.ctx.counters();
+        match index {
             Some(_) => counters.dml_seeks.bump(),
             None => counters.dml_scans.bump(),
         }
         counters.dml_rows_located.add(rows.len() as u64);
-        let Some(predicate) = &target.predicate else {
-            return Ok(rows);
-        };
-        // The seek covers one column's intervals; the full predicate decides.
-        let positions = positions_of(&target.meta.column_ids);
-        let mut out = Vec::new();
-        for row in rows {
+        Ok(rows)
+    }
+
+    /// Add to `plan` what the statement does to the rows located in
+    /// `target`, of those its full predicate keeps (a seek covers one
+    /// column's intervals): a DELETE deletes them; an UPDATE updates each
+    /// in place, or — when the target is a view member and the new
+    /// partitioning key belongs to another member — deletes it here and
+    /// inserts it there.
+    fn plan_writes(&self, target: &BoundTarget, plan: &mut WritePlan) -> Result<()> {
+        let meta = &target.meta;
+        let positions = positions_of(&meta.column_ids);
+        let (mut gone, mut in_place) = (Vec::new(), (Vec::new(), Vec::new()));
+        for row in self.locate_rows(target)? {
             let env = RowEnv {
                 positions: &positions,
                 row: &row,
                 ctx: &self.ctx,
             };
-            if eval_predicate(predicate, &env)? {
-                out.push(row);
+            let keep = target.predicate.as_ref().map(|p| eval_predicate(p, &env));
+            if keep.transpose()? == Some(false) {
+                continue;
             }
+            let bookmark = row
+                .bookmark
+                .ok_or_else(|| DhqpError::Execute("row without bookmark".into()))?;
+            if target.assignments.is_empty() {
+                gone.push(bookmark);
+                continue;
+            }
+            let mut new_row = Row::new(row.values.clone());
+            for (pos, e) in &target.assignments {
+                let mut v = eval_expr(e, &env)?;
+                let declared = meta.catalog.schema.column(*pos).data_type;
+                if !v.is_null() && v.data_type() != Some(declared) {
+                    v = v.cast(declared)?;
+                }
+                new_row.values[*pos] = v;
+            }
+            if let (Some(view), Some(my_member)) = (&self.view, target.member) {
+                let dest = view.route(new_row.get(view.partition_column))?;
+                if dest != my_member {
+                    gone.push(bookmark);
+                    let table = &view.members[dest].table;
+                    plan.table(&self.members[dest], table).insert.push(new_row);
+                    continue;
+                }
+            }
+            in_place.0.push(bookmark);
+            in_place.1.push(new_row);
         }
-        Ok(out)
+        if !gone.is_empty() || !in_place.0.is_empty() {
+            let here = plan.table(&target.server, &meta.table);
+            (here.delete, here.update) = (gone, in_place);
+        }
+        Ok(())
     }
 }
 
@@ -663,48 +680,8 @@ fn pushed_statement(target: &BoundTarget, view: Option<&PartitionedView>) -> Opt
     Some(sql)
 }
 
-fn bookmark_of(row: &Row) -> Result<u64> {
-    row.bookmark
-        .ok_or_else(|| DhqpError::Execute("row without bookmark".into()))
-}
-
 // ---------------------------------------------------------------------------
-// DELETE
-// ---------------------------------------------------------------------------
-
-pub fn run_delete(
-    engine: &Engine,
-    knobs: &Arc<Knobs>,
-    stmt: &ast::DeleteStmt,
-    params: &HashMap<String, Value>,
-    ambient: Option<&mut LocalSession>,
-) -> Result<QueryResult> {
-    let set = WriteSet::bind(
-        engine,
-        knobs,
-        resolve_target(engine, &stmt.table, ambient.is_some())?,
-        stmt.where_clause.as_ref(),
-        &[],
-        params,
-    )?;
-    let mut sessions = Sessions::new(engine, ambient);
-    let mut plan = WritePlan::default();
-    for target in &set.targets {
-        if set.push(engine, target, &mut plan)? {
-            continue;
-        }
-        let rows = set.locate_rows(&mut sessions, target)?;
-        if !rows.is_empty() {
-            let bookmarks = rows.iter().map(bookmark_of).collect::<Result<Vec<_>>>()?;
-            plan.table(&target.server, &target.meta.table).delete = bookmarks;
-        }
-    }
-    let applied = sessions.apply(&plan)?;
-    Ok(QueryResult::rows_affected(applied.deleted + applied.pushed))
-}
-
-// ---------------------------------------------------------------------------
-// UPDATE
+// UPDATE / DELETE
 // ---------------------------------------------------------------------------
 
 pub fn run_update(
@@ -714,78 +691,45 @@ pub fn run_update(
     params: &HashMap<String, Value>,
     ambient: Option<&mut LocalSession>,
 ) -> Result<QueryResult> {
-    let set = WriteSet::bind(
-        engine,
-        knobs,
-        resolve_target(engine, &stmt.table, ambient.is_some())?,
-        stmt.where_clause.as_ref(),
-        &stmt.assignments,
-        params,
-    )?;
-    let mut sessions = Sessions::new(engine, ambient);
-    let mut plan = WritePlan::default();
-    for target in &set.targets {
-        if set.push(engine, target, &mut plan)? {
-            continue;
-        }
-        let rows = set.locate_rows(&mut sessions, target)?;
-        set.plan_update(target, rows, &mut plan)?;
-    }
-    let applied = sessions.apply(&plan)?;
-    // A moved row is deleted at one member and inserted at another.
-    let n = applied.updated + applied.deleted + applied.pushed;
-    Ok(QueryResult::rows_affected(n))
+    let (table, predicate, sets) = (&stmt.table, stmt.where_clause.as_ref(), &stmt.assignments);
+    run_write(engine, knobs, table, predicate, sets, params, ambient)
 }
 
-impl WriteSet {
-    /// Add to `plan` what the UPDATE does to `rows`, the rows located in
-    /// `target`: an in-place update, or — when the target is a view member
-    /// and the new partitioning key belongs to another member — a delete
-    /// here and an insert there.
-    fn plan_update(
-        &self,
-        target: &BoundTarget,
-        rows: Vec<Row>,
-        plan: &mut WritePlan,
-    ) -> Result<()> {
-        let meta = &target.meta;
-        let positions = positions_of(&meta.column_ids);
-        let (mut moved_out, mut in_place) = (Vec::new(), (Vec::new(), Vec::new()));
-        for row in rows {
-            let bookmark = bookmark_of(&row)?;
-            let mut new_row = row.clone();
-            let env = RowEnv {
-                positions: &positions,
-                row: &row,
-                ctx: &self.ctx,
-            };
-            for (pos, e) in &target.assignments {
-                let mut v = eval_expr(e, &env)?;
-                let declared = meta.catalog.schema.column(*pos).data_type;
-                if !v.is_null() && v.data_type() != Some(declared) {
-                    v = v.cast(declared)?;
-                }
-                new_row.values[*pos] = v;
-            }
-            new_row.bookmark = None;
-            if let (Some(view), Some(my_member)) = (&self.view, target.member) {
-                let dest = view.route(new_row.get(view.partition_column))?;
-                if dest != my_member {
-                    moved_out.push(bookmark);
-                    let table = &view.members[dest].table;
-                    plan.table(&self.members[dest], table).insert.push(new_row);
-                    continue;
-                }
-            }
-            in_place.0.push(bookmark);
-            in_place.1.push(new_row);
+pub fn run_delete(
+    engine: &Engine,
+    knobs: &Arc<Knobs>,
+    stmt: &ast::DeleteStmt,
+    params: &HashMap<String, Value>,
+    ambient: Option<&mut LocalSession>,
+) -> Result<QueryResult> {
+    let (table, predicate) = (&stmt.table, stmt.where_clause.as_ref());
+    run_write(engine, knobs, table, predicate, &[], params, ambient)
+}
+
+/// An UPDATE of `assignments`, or without any a DELETE: each target's whole
+/// statement pushed, or its rows located and their writes planned; then the
+/// plan applied. A moved row counts once, deleted at one member and
+/// inserted at another.
+fn run_write(
+    engine: &Engine,
+    knobs: &Arc<Knobs>,
+    table: &ast::ObjectName,
+    where_clause: Option<&ast::Expr>,
+    assignments: &[(String, ast::Expr)],
+    params: &HashMap<String, Value>,
+    ambient: Option<&mut LocalSession>,
+) -> Result<QueryResult> {
+    let target = resolve_target(engine, table, ambient.is_some())?;
+    let set = WriteSet::bind(engine, knobs, target, where_clause, assignments, params)?;
+    let mut plan = WritePlan::default();
+    for target in &set.targets {
+        if !set.push(engine, target, &mut plan)? {
+            set.plan_writes(target, &mut plan)?;
         }
-        if !moved_out.is_empty() || !in_place.0.is_empty() {
-            let here = plan.table(&target.server, &meta.table);
-            (here.delete, here.update) = (moved_out, in_place);
-        }
-        Ok(())
     }
+    let applied = apply(engine, ambient, &plan)?;
+    let n = applied.updated + applied.deleted + applied.pushed;
+    Ok(QueryResult::rows_affected(n))
 }
 
 #[cfg(test)]

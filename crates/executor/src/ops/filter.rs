@@ -4,8 +4,20 @@ use crate::context::ExecContext;
 use crate::eval::{eval_expr, eval_predicate, positions_of, RowEnv};
 use dhqp_oledb::{MemRowset, Rowset};
 use dhqp_optimizer::{ColumnId, ScalarExpr};
-use dhqp_types::{Result, Row, RowBatch, Schema};
+use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema};
 use std::collections::HashMap;
+
+/// An error a row raised after others of its batch were kept: the kept rows
+/// arrive first and the error with the next pull, as
+/// [`dhqp_oledb::IterRowset`] delivers a fault. `Err` at once when nothing
+/// was kept.
+fn hold(failed: &mut Option<DhqpError>, e: DhqpError, kept: &RowBatch) -> Result<()> {
+    if kept.is_empty() {
+        return Err(e);
+    }
+    *failed = Some(e);
+    Ok(())
+}
 
 /// Streaming filter.
 pub struct FilterRowset {
@@ -13,6 +25,7 @@ pub struct FilterRowset {
     predicate: ScalarExpr,
     positions: HashMap<ColumnId, usize>,
     ctx: ExecContext,
+    failed: Option<DhqpError>,
 }
 
 impl FilterRowset {
@@ -27,6 +40,7 @@ impl FilterRowset {
             predicate,
             positions: positions_of(input_columns),
             ctx,
+            failed: None,
         }
     }
 }
@@ -37,6 +51,9 @@ impl Rowset for FilterRowset {
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
         // Pull whole chunks from the child and keep the survivors; loop so
         // a fully-filtered chunk never surfaces as an empty batch.
         loop {
@@ -50,8 +67,13 @@ impl Rowset for FilterRowset {
                     row: &row,
                     ctx: &self.ctx,
                 };
-                if eval_predicate(&self.predicate, &env)? {
-                    kept.push(row);
+                match eval_predicate(&self.predicate, &env) {
+                    Ok(true) => kept.push(row),
+                    Ok(false) => {}
+                    Err(e) => {
+                        hold(&mut self.failed, e, &kept)?;
+                        break;
+                    }
                 }
             }
             if !kept.is_empty() {
@@ -92,6 +114,7 @@ pub struct ProjectRowset {
     positions: HashMap<ColumnId, usize>,
     schema: Schema,
     ctx: ExecContext,
+    failed: Option<DhqpError>,
 }
 
 impl ProjectRowset {
@@ -108,6 +131,7 @@ impl ProjectRowset {
             positions: positions_of(input_columns),
             schema,
             ctx,
+            failed: None,
         }
     }
 }
@@ -118,6 +142,9 @@ impl Rowset for ProjectRowset {
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
         let Some(batch) = self.inner.next_batch(max)? else {
             return Ok(None);
         };
@@ -128,12 +155,14 @@ impl Rowset for ProjectRowset {
                 row: &row,
                 ctx: &self.ctx,
             };
-            let values = self
-                .outputs
-                .iter()
-                .map(|(_, e)| eval_expr(e, &env))
-                .collect::<Result<Vec<_>>>()?;
-            out.push(Row::new(values));
+            let values = self.outputs.iter().map(|(_, e)| eval_expr(e, &env));
+            match values.collect::<Result<Vec<_>>>() {
+                Ok(values) => out.push(Row::new(values)),
+                Err(e) => {
+                    hold(&mut self.failed, e, &out)?;
+                    break;
+                }
+            }
         }
         Ok(Some(out))
     }
@@ -209,6 +238,66 @@ mod tests {
         };
         let mut rs = open_startup_filter(&pred, schema, &c, || Ok(input().0)).unwrap();
         assert_eq!(rs.count_rows().unwrap(), 10);
+    }
+
+    /// `1000 / (x - 150)` over `x` in 0..200: row 150 fails.
+    fn failing_at_150() -> (Box<dyn Rowset>, ScalarExpr) {
+        let schema = Schema::new(vec![Column::new("x", DataType::Int)]);
+        let rows = (0..200).map(|i| Row::new(vec![Value::Int(i)])).collect();
+        let quotient = ScalarExpr::Arith {
+            op: dhqp_optimizer::ArithOp::Div,
+            left: Box::new(ScalarExpr::literal(Value::Int(1000))),
+            right: Box::new(ScalarExpr::Arith {
+                op: dhqp_optimizer::ArithOp::Sub,
+                left: Box::new(ScalarExpr::Column(ColumnId(0))),
+                right: Box::new(ScalarExpr::literal(Value::Int(150))),
+            }),
+        };
+        (Box::new(MemRowset::new(schema, rows)), quotient)
+    }
+
+    /// Rows pulled `pull` at a time until the first error, which must come.
+    fn rows_before_the_error(rowset: &mut dyn Rowset, pull: usize) -> usize {
+        let mut delivered = 0;
+        loop {
+            match rowset.next_batch(pull) {
+                Ok(Some(batch)) => delivered += batch.len(),
+                Ok(None) => panic!("the stream must fail at row 150"),
+                Err(e) => {
+                    assert!(e.message().contains("division by zero"), "{e}");
+                    return delivered;
+                }
+            }
+        }
+    }
+
+    /// The rows before a failing row arrive first, whatever the pull.
+    #[test]
+    fn rows_before_a_failing_row_arrive_first() {
+        for pull in [1, 64, 1_000] {
+            let (rs, quotient) = failing_at_150();
+            let keep = ScalarExpr::cmp(
+                CmpOp::Gt,
+                quotient,
+                ScalarExpr::literal(Value::Int(-10_000)),
+            );
+            let mut filter = FilterRowset::new(rs, keep, &[ColumnId(0)], ctx());
+            assert_eq!(
+                rows_before_the_error(&mut filter, pull),
+                150,
+                "filter, pull {pull}"
+            );
+
+            let (rs, quotient) = failing_at_150();
+            let schema = Schema::new(vec![Column::new("q", DataType::Int)]);
+            let outputs = vec![(ColumnId(1), quotient)];
+            let mut project = ProjectRowset::new(rs, outputs, &[ColumnId(0)], schema, ctx());
+            assert_eq!(
+                rows_before_the_error(&mut project, pull),
+                150,
+                "project, pull {pull}"
+            );
+        }
     }
 
     #[test]

@@ -2,25 +2,26 @@
 //! breaker.
 //!
 //! Remote opens (scans, ranges, bookmark fetches, pushed-down queries,
-//! bind-time pass-through reads, DML row location) are read-only and
-//! deterministic, so a transient transport fault —
-//! [`DhqpError::Unavailable`], [`DhqpError::Timeout`] — can be absorbed by
-//! re-issuing the operation: bounded attempts, deterministic exponential
-//! backoff, and an optional per-query deadline. Mid-stream faults rewind by
-//! re-opening the rowset and skipping the rows already delivered (provider
-//! row order is deterministic for the same request).
+//! bind-time pass-through reads, and the scan or range a DML statement
+//! locates its rows with) are read-only and deterministic, so a transient
+//! transport fault — [`DhqpError::Unavailable`], [`DhqpError::Timeout`] —
+//! can be absorbed by re-issuing the operation: bounded attempts,
+//! deterministic exponential backoff, and an optional per-query deadline.
+//! Mid-stream faults rewind by re-opening the rowset and skipping the rows
+//! already delivered (provider row order is deterministic for the same
+//! request).
 //!
 //! A [`RetryState`] with a gate is the only code that talks to a link's
 //! [`Breaker`]: it admits before the first attempt (an Open breaker fails
-//! fast, with no wire use), runs the one attempt loop that the open, the
-//! rewind and a borrowed read share, and reports how the operation ended
-//! exactly once — a retry give-up as a failure, success or a permanent
-//! error as success (the link answered) — plus a mid-stream give-up once.
+//! fast, with no wire use), runs the one attempt loop that the open and the
+//! rewind share, and reports how the operation ended exactly once — a retry
+//! give-up as a failure, success or a permanent error as success (the link
+//! answered) — plus a mid-stream give-up once.
 //!
 //! Permanent errors — anything the provider said about the request itself —
-//! are never retried; DML and enlisted-transaction traffic never reaches
-//! this layer (the DTC owns those failure semantics, and the fault injector
-//! exempts them too).
+//! are never retried; DML writes and enlisted-transaction traffic never
+//! reach this layer (the DTC owns those failure semantics, and the fault
+//! injector exempts them too).
 
 use crate::health::{Admission, Breaker};
 use crate::stats::{ExecCounters, RuntimeStatsCollector};
@@ -109,8 +110,7 @@ pub type ReopenFactory = Box<dyn FnMut() -> Result<Box<dyn Rowset>> + Send>;
 
 /// One retried remote operation: its policy, where retries and faults are
 /// counted, the attempt counter and start instant, and the breaker it
-/// answers to. Built per operation, then spent by [`RetryState::open`] or
-/// [`RetryState::read`].
+/// answers to. Built per operation, then spent by [`RetryState::open`].
 pub struct RetryState {
     policy: RetryPolicy,
     counters: Arc<ExecCounters>,
@@ -214,18 +214,6 @@ impl RetryState {
         }
     }
 
-    /// Admit, run the attempt loop, and report a result that was not a
-    /// give-up (a give-up reported itself and spent the gate) as the link
-    /// answering.
-    fn gated_attempts<T>(&mut self, op: impl FnMut() -> Result<T>) -> Result<T> {
-        self.admit()?;
-        let done = self.attempts(op);
-        if let Some(breaker) = &self.gate {
-            breaker.record_success();
-        }
-        done
-    }
-
     /// Account one transient failure of the current attempt (which took
     /// `attempt_elapsed`) and decide: `Ok(())` to back off and retry, or
     /// the give-up to surface, which the breaker hears about.
@@ -295,12 +283,19 @@ impl RetryState {
         Ok(())
     }
 
-    /// Open a remote rowset, and keep retrying transparently on mid-stream
-    /// transient faults: the stream is re-opened and already delivered rows
-    /// are skipped. Ungated with `max_attempts == 1`, the factory runs once
-    /// and its rowset comes back unwrapped.
+    /// Open a remote rowset: admit, run the attempt loop, and report an
+    /// outcome that was not a give-up (a give-up reported itself and spent
+    /// the gate) as the link answering. Then keep retrying transparently on
+    /// mid-stream transient faults: the stream is re-opened and already
+    /// delivered rows are skipped. Ungated with `max_attempts == 1`, the
+    /// factory runs once and its rowset comes back unwrapped.
     pub fn open(mut self, mut factory: ReopenFactory) -> Result<Box<dyn Rowset>> {
-        let inner = self.gated_attempts(&mut factory)?;
+        self.admit()?;
+        let opened = self.attempts(&mut factory);
+        if let Some(breaker) = &self.gate {
+            breaker.record_success();
+        }
+        let inner = opened?;
         if self.gate.is_none() && self.policy.max_attempts <= 1 {
             return Ok(inner);
         }
@@ -312,12 +307,6 @@ impl RetryState {
             delivered: 0,
             state: self,
         }))
-    }
-
-    /// Run a read that borrows local state (a statement's session, say).
-    /// Each attempt must produce the full result, so there is no rewind.
-    pub fn read<T>(mut self, op: impl FnMut() -> Result<T>) -> Result<T> {
-        self.gated_attempts(op)
     }
 }
 
@@ -723,10 +712,11 @@ mod tests {
             "m2",
             &Arc::new(HealthRegistry::new(BreakerConfig::standard())),
         );
-        let read = RetryState::new(&fast(), &c)
+        let mut rs = RetryState::new(&fast(), &c)
             .gated(Some(Arc::new(m2)))
-            .read(|| Ok(7));
-        assert_eq!(read.unwrap(), 7);
+            .open(flaky_factory(0, 0))
+            .unwrap();
+        assert_eq!(rs.count_rows().unwrap(), 10);
     }
 
     #[test]
@@ -738,37 +728,34 @@ mod tests {
         health.record_failure("dead");
         assert!(matches!(health.admit(), Admission::Reject { .. }));
         let c = counters();
-        let err = RetryState::new(&fast(), &c)
+        let factory: ReopenFactory =
+            Box::new(|| Err(DhqpError::Catalog("unknown table 'nope'".into())));
+        let open = RetryState::new(&fast(), &c)
             .gated(Some(Arc::clone(&health)))
-            .read(|| -> Result<()> { Err(DhqpError::Catalog("unknown table 'nope'".into())) })
-            .unwrap_err();
-        assert_eq!(err.kind(), "catalog");
+            .open(factory);
+        assert_eq!(open.err().map(|e| e.kind()), Some("catalog"));
         assert_eq!(health.state(), BreakerState::Closed, "the link answered");
         assert_eq!(c.snapshot().remote_retries, 0);
     }
 
     #[test]
-    fn a_borrowed_read_retries_in_the_same_loop() {
-        let mut tries = 0;
+    fn a_gated_open_retries_in_the_same_loop() {
         let health = patient_breaker();
         let c = counters();
-        let got = RetryState::new(&fast(), &c)
+        let mut rs = RetryState::new(&fast(), &c)
             .gated(Some(Arc::clone(&health)))
-            .read(|| {
-                tries += 1;
-                match tries {
-                    1 => Err(DhqpError::Timeout("slow".into())),
-                    _ => Ok(tries),
-                }
-            })
+            .open(flaky_factory(1, 0))
             .unwrap();
-        assert_eq!(got, 2);
+        assert_eq!(rs.count_rows().unwrap(), 10);
         assert_eq!(c.snapshot().remote_retries, 1);
         assert_eq!(streak(&health), 0);
-        let err = RetryState::new(&fast(), &c)
+        let err = match RetryState::new(&fast(), &c)
             .gated(Some(Arc::clone(&health)))
-            .read(|| -> Result<()> { Err(DhqpError::Unavailable("down".into())) })
-            .unwrap_err();
+            .open(flaky_factory(99, 0))
+        {
+            Err(e) => e,
+            Ok(_) => panic!("permanent flakiness must surface"),
+        };
         assert!(
             err.message().contains("giving up after 3 attempts"),
             "{err}"

@@ -76,7 +76,7 @@ pub fn key_ranges(
 
 /// Read `ranges` (not empty) of `index` through `session`, one open per
 /// range, their rows concatenated in range order.
-pub fn open_ranges(
+fn open_ranges(
     session: &mut dyn Session,
     table: &str,
     index: &str,

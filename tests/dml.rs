@@ -1,7 +1,8 @@
 //! UPDATE/DELETE row location (DESIGN.md "DML row location"): the rows a
 //! write touches are found by one index seek over the hull of the
-//! predicate's key domain, on the statement's own session, and the full
-//! table is read only when no seek applies.
+//! predicate's key domain, through the executor's access operator on the
+//! server's pooled session, and the full table is read only when no seek
+//! applies.
 //!
 //! A member whose provider takes a whole UPDATE/DELETE as SQL text is not
 //! located at all: the statement is shipped and runs inside the member's
@@ -25,7 +26,7 @@
 //! requests, on links that carry no fault plan (DESIGN.md "2PC messages ride
 //! the data requests").
 
-use dhqp::{Engine, EngineDataSource, MetricsSnapshot};
+use dhqp::{Engine, EngineDataSource, MetricsSnapshot, ParallelConfig};
 use dhqp::{EventConfig, EventKind};
 use dhqp_netsim::{
     FaultConfig, NetworkConfig, NetworkLink, NetworkedDataSource, TXN_VERB_WIRE_BYTES,
@@ -817,6 +818,53 @@ fn empty_key_domain_reads_nothing() {
         assert_eq!(requests(&delta), [0, 0, 0, 0], "{sql}");
     }
     assert_eq!(dml_reads(&before, &fed.head.metrics()), (0, 0, 0));
+}
+
+/// An empty domain reads nothing where no index can be used either: the
+/// resolver is asked at table level, so a provider without index support
+/// is sent no request.
+#[test]
+fn an_empty_domain_reads_nothing_without_an_index() {
+    let fed = federation(IndexAccess::Unadvertised, true);
+    let before = fed.head.metrics();
+    for sql in [
+        "DELETE FROM m3.db.dbo.acct_3 WHERE id > 5 AND id < 3",
+        "UPDATE m3.db.dbo.acct_3 SET balance = 0 WHERE id = NULL",
+        // No key bound: every member is bound, and none is read.
+        "DELETE FROM acct_all WHERE balance > 5 AND balance < 3",
+    ] {
+        let (n, delta) = fed.run(sql, &[]);
+        assert_eq!(n, 0, "{sql}");
+        assert_eq!(requests(&delta), [0, 0, 0, 0], "{sql}");
+    }
+    assert_eq!(dml_reads(&before, &fed.head.metrics()), (0, 0, 0));
+}
+
+/// A located write drains its read at once, so it starts no thread even
+/// with parallel dispatch on: no prefetcher, no exchange worker.
+#[test]
+fn a_located_write_spawns_no_thread() {
+    let fed = federation(IndexAccess::Native, true);
+    fed.head.set_parallel_config(ParallelConfig::parallel());
+    for (sql, updated, reads) in [
+        (
+            "UPDATE acct_all SET balance = 5 WHERE id IN (10, 60, 110, 160)",
+            4,
+            (4, 0, 4),
+        ),
+        (
+            "UPDATE acct_all SET balance = 6 WHERE balance = 5",
+            4,
+            (0, 4, 200),
+        ),
+    ] {
+        let before = fed.head.metrics();
+        assert_eq!(fed.run(sql, &[]).0, updated, "{sql}");
+        let after = fed.head.metrics();
+        assert_eq!(dml_reads(&before, &after), reads, "{sql}");
+        let threads = |m: &MetricsSnapshot| (m.remote_prefetches, m.exchange_workers);
+        assert_eq!(threads(&after), threads(&before), "{sql}");
+    }
 }
 
 #[test]

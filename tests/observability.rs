@@ -1833,8 +1833,8 @@ fn a_dropped_member_stream_ends_its_statement_once() {
 #[test]
 fn a_member_error_mid_stream_follows_the_rows_before_it() {
     let (head, member, link) = streaming_member();
-    // Pushed whole to the member, which fails at k = 150: the batches of
-    // k < 128 were shipped by then.
+    // Pushed whole to the member, which fails at k = 150: its filter hands
+    // over the 150 rows before that one first, whatever the pull.
     let sql = "SELECT k FROM m.db.dbo.t WHERE 1000 / (k - 150) > -10000";
     let plan = head.explain(sql).unwrap().plan_text;
     assert!(
@@ -1845,7 +1845,7 @@ fn a_member_error_mid_stream_follows_the_rows_before_it() {
     member.set_event_config(member.event_config());
     let err = head.query(sql).unwrap_err();
     assert!(err.message().contains("division by zero"), "{err}");
-    assert_eq!(link.snapshot().rows, 128);
+    assert_eq!(link.snapshot().rows, 150);
 
     assert_eq!(start_end_counts(&member), (1, 1));
     let record = member.recent_queries().pop().unwrap();

@@ -198,3 +198,30 @@ fn a_bound_of_another_type_seeks_as_sql_compares_it() {
         );
     }
 }
+
+/// A DELETE whose predicate's domain is empty locates nothing on a table
+/// with no index too: the resolver is asked at table level.
+#[test]
+fn an_empty_domain_locates_nothing_without_an_index() {
+    let engine = EngineBuilder::from_lookup("seek", |_| None).build();
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::not_null("v", DataType::Int),
+    ]);
+    engine.create_table(TableDef::new("n", schema)).unwrap();
+    let rows: Vec<Row> = (0..1_000)
+        .map(|id| Row::new(vec![Value::Int(id), Value::Int(id * 10)]))
+        .collect();
+    engine.insert("n", &rows).unwrap();
+    let delete = |predicate: &str| {
+        let before = engine.metrics();
+        let sql = format!("DELETE FROM n WHERE {predicate}");
+        let deleted = engine.execute(&sql).unwrap().rows_affected.unwrap();
+        (deleted, dml_reads(&before, &engine.metrics()))
+    };
+    for predicate in ["id > 5 AND id < 3", "id = NULL"] {
+        assert_eq!(delete(predicate), (0, (0, 0, 0)), "{predicate}");
+    }
+    // A predicate it cannot rule out reads the table whole.
+    assert_eq!(delete("id > 997"), (2, (0, 1, 1_000)));
+}
