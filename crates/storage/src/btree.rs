@@ -9,10 +9,14 @@
 //! bookmarks in key order, so the optimizer can rely on the delivered sort
 //! order as a physical property; the base rows are then fetched by
 //! bookmark, as `IRowsetLocate` does.
+//!
+//! An index refuses nothing. Whether a unique index may take a key is
+//! decided once, when [`Replay`](crate::txn::Replay) admits the batch that
+//! brings it, so adding and removing entries cannot fail.
 
 use crate::heap::Heap;
 use dhqp_oledb::KeyRange;
-use dhqp_types::{Cell, DhqpError, Result, Value};
+use dhqp_types::{Cell, Value};
 use std::cmp::Ordering;
 
 /// Where a bound key sits among the entries whose key equals or extends it.
@@ -26,7 +30,8 @@ enum Tie {
 #[derive(Debug, Clone)]
 pub struct BTreeIndex {
     pub name: String,
-    /// Positions of the key columns within the table schema, in key order.
+    /// Positions of the key columns within the table schema, in key order;
+    /// at least one (`Table::create_index` refuses none).
     pub key_positions: Vec<usize>,
     pub unique: bool,
     /// The live rows' bookmarks, sorted by (key, bookmark).
@@ -160,11 +165,12 @@ impl BTreeIndex {
     }
 
     /// Add the entries of `arriving`, rows the heap holds. They are sorted,
-    /// each is placed by a binary search, and they are merged into the
-    /// entries in one pass from the back: a load is O(k log k), and a write
-    /// moves every entry at most once. A unique index refuses a key it
-    /// holds or that two arriving rows share, and stays as it was.
-    pub fn insert(&mut self, heap: &Heap, mut arriving: Vec<u64>) -> Result<()> {
+    /// each row's first key column read once, and merged into the entries
+    /// in one pass from the back, each placed by a binary search among the
+    /// entries not yet moved: a load is O(k log k), and a write moves every
+    /// entry at most once. Nothing is checked: a unique index's keys were
+    /// admitted by [`Replay`](crate::txn::Replay), so this cannot fail.
+    pub fn insert(&mut self, heap: &Heap, mut arriving: Vec<u64>) {
         match self.key_positions.split_first() {
             Some((&first, rest)) if arriving.len() > 1 => {
                 // Each row's first key column is read once, not per comparison.
@@ -180,36 +186,15 @@ impl BTreeIndex {
             // No key column orders the rows, or there is one row at most.
             _ => arriving.sort_unstable(),
         }
-        // Where each arriving entry goes among the entries held now.
-        let places: Vec<usize> = arriving
-            .iter()
-            .map(|&b| {
-                self.order
-                    .partition_point(|&e| rows_cmp(heap, &self.key_positions, e, b).is_lt())
-            })
-            .collect();
-        if self.unique {
-            let same = |a, b| self.prefix_cmp(heap, a, self.stored(heap, b)).is_eq();
-            // A held entry with the same key sits right beside that place.
-            let beside =
-                |at: usize| &self.order[at.saturating_sub(1)..(at + 1).min(self.order.len())];
-            let held = (places.iter().zip(&arriving))
-                .any(|(&at, &b)| beside(at).iter().any(|&e| same(e, b)));
-            if held || arriving.windows(2).any(|w| same(w[0], w[1])) {
-                return Err(DhqpError::Constraint(format!(
-                    "duplicate key in unique index '{}'",
-                    self.name
-                )));
-            }
-        }
         let mut end = self.order.len();
         self.order.resize(end + arriving.len(), 0);
-        for (j, (&b, &at)) in arriving.iter().zip(&places).enumerate().rev() {
+        for (j, &b) in arriving.iter().enumerate().rev() {
+            let at = self.order[..end]
+                .partition_point(|&e| rows_cmp(heap, &self.key_positions, e, b).is_lt());
             self.order.copy_within(at..end, at + j + 1);
             self.order[at + j] = b;
             end = at;
         }
-        Ok(())
     }
 
     /// Take out the entries of `leaving`, rows the heap still holds as they
@@ -281,16 +266,14 @@ mod tests {
             }
         }
 
-        /// Store `row` and index it; a refused row stays out of both.
-        fn add(&mut self, row: &[Value]) -> Result<u64> {
-            let b = self.heap.insert(row)?;
-            self.ix.insert(&self.heap, vec![b]).inspect_err(|_| {
-                self.heap.delete(b).unwrap();
-            })?;
-            Ok(b)
+        /// Store `row` and index it.
+        fn add(&mut self, row: &[Value]) -> u64 {
+            let b = self.heap.insert(row).unwrap();
+            self.ix.insert(&self.heap, vec![b]);
+            b
         }
 
-        fn add_ints(&mut self, vals: &[i64]) -> Result<u64> {
+        fn add_ints(&mut self, vals: &[i64]) -> u64 {
             self.add(&ints(vals))
         }
 
@@ -314,7 +297,7 @@ mod tests {
     fn index_with(vals: &[i64]) -> Indexed {
         let mut ix = Indexed::new(1, false);
         for &v in vals {
-            ix.add_ints(&[v]).unwrap();
+            ix.add_ints(&[v]);
         }
         ix
     }
@@ -359,39 +342,13 @@ mod tests {
         assert_eq!(hits, vec![3, 5, 9]);
     }
 
-    #[test]
-    fn unique_index_rejects_duplicates() {
-        let mut ix = Indexed::new(1, true);
-        ix.add_ints(&[1]).unwrap();
-        assert!(ix.add_ints(&[1]).is_err());
-        assert_eq!(ix.ix.len(), 1);
-        // Two arriving rows sharing a key are refused together.
-        let (a, b) = (
-            ix.heap.insert(&ints(&[2])).unwrap(),
-            ix.heap.insert(&ints(&[2])).unwrap(),
-        );
-        assert!(ix.ix.insert(&ix.heap, vec![a, b]).is_err());
-        assert_eq!(ix.ix.bookmarks(), [0]);
-    }
-
-    #[test]
-    fn a_deleted_unique_key_can_be_inserted_again() {
-        let mut ix = Indexed::new(1, true);
-        let b = ix.add_ints(&[1]).unwrap();
-        ix.delete(&[b]);
-        assert!(ix.ix.is_empty());
-        let again = ix.add_ints(&[1]).unwrap();
-        assert_eq!(ix.seek(&ints(&[1])), [again]);
-        assert!(ix.add_ints(&[1]).is_err());
-    }
-
     /// Rows sharing a key come back in bookmark order, after a delete too.
     #[test]
     fn duplicates_allowed_on_non_unique() {
         let mut ix = Indexed::new(1, false);
         // Bookmarks 0, 1, 3 and 4 hold 1, 8 holds 0; the 9s leave at once.
         for v in [1, 1, 9, 1, 1, 9, 9, 9, 0] {
-            ix.add_ints(&[v]).unwrap();
+            ix.add_ints(&[v]);
         }
         ix.delete(&[7, 2, 6, 5]);
         assert_eq!(ix.range(&KeyRange::all()), [8, 0, 1, 3, 4]);
@@ -416,7 +373,7 @@ mod tests {
     fn composite_prefix_seek() {
         let mut ix = Indexed::new(2, false);
         for k in [[1, 10], [1, 20], [2, 10], [2, 20], [3, 10]] {
-            ix.add_ints(&k).unwrap();
+            ix.add_ints(&k);
         }
         let hits = |low, high| ix.range(&bounded(low, high));
         // Prefix seek on a = 1 returns both (1,10) and (1,20).
@@ -444,8 +401,8 @@ mod tests {
     #[test]
     fn shorter_key_sorts_before_extension() {
         let mut ix = Indexed::new(2, false);
-        ix.add_ints(&[1, 0]).unwrap();
-        ix.add_ints(&[2, 0]).unwrap();
+        ix.add_ints(&[1, 0]);
+        ix.add_ints(&[2, 0]);
         let hits = |low, high| ix.range(&bounded(low, high));
         assert_eq!(hits(Some((&[1], true)), Some((&[1], true))), [0]);
         assert_eq!(hits(None, Some((&[1], false))), []);
@@ -470,7 +427,7 @@ mod tests {
         let mut rows: Vec<Value> = floats.iter().map(|&f| Value::Float(f)).collect();
         rows.push(Value::Null);
         for row in &rows {
-            fx.add(std::slice::from_ref(row)).unwrap();
+            fx.add(std::slice::from_ref(row));
         }
         let mut by_value: Vec<u64> = (0..rows.len() as u64).collect();
         by_value.sort_by(|&a, &b| {
@@ -491,14 +448,6 @@ mod tests {
             high: Some((vec![Value::Int(2)], true)),
         };
         assert_eq!(fx.range(&r), [2, 5, 3, 4, 1]);
-        // A unique FLOAT index holds one of `-0.0` and `0.0`.
-        let mut ux = Indexed {
-            heap: Heap::new([DataType::Float]),
-            ix: BTreeIndex::new("u", vec![0], true),
-        };
-        ux.add(&[Value::Float(-0.0)]).unwrap();
-        assert!(ux.add(&[Value::Float(0.0)]).is_err());
-        ux.add(&[Value::Null]).unwrap();
 
         let ix = index_with(&[3, -1, 2]);
         assert_eq!(ix.seek(&[Value::Float(2.0)]), [2]);
@@ -521,7 +470,7 @@ mod tests {
         ) {
             let mut ix = Indexed::new(2, false);
             for &(x, y) in &rows {
-                ix.add_ints(&[x, y]).unwrap();
+                ix.add_ints(&[x, y]);
             }
             let range = KeyRange {
                 low: low.map(|(k, inc)| (ints(&k), inc)),

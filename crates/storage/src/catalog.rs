@@ -206,8 +206,7 @@ impl StorageEngine {
             });
         };
         self.with_table(table, |t| {
-            let mut rows = batch.arriving();
-            rows.try_for_each(|(_, row)| t.validate_row(row))
+            batch.arriving().try_for_each(|row| t.validate_row(row))
         })??;
         let mut txns = self.txns.lock();
         let state = txns.entry(txn).or_default();

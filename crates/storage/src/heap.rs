@@ -223,11 +223,6 @@ impl Heap {
         self.live_slots.len() as u64
     }
 
-    /// The live rows' bookmarks, in slot order.
-    pub fn bookmarks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.live_at().map(|at| at as u64)
-    }
-
     /// Iterate live rows with their bookmarks, in slot order.
     pub fn scan(&self) -> impl Iterator<Item = (u64, Box<[Value]>)> + '_ {
         self.live_at().map(|at| (at as u64, self.row(at)))

@@ -35,26 +35,35 @@ impl Table {
         self.heap.len() as u64
     }
 
-    /// Add a secondary index over the named columns, populating it from
-    /// existing rows.
+    /// Add an empty secondary index over the named columns. A table that
+    /// holds rows is refused: its keys would need admitting like a batch's.
     pub fn create_index(&mut self, name: &str, columns: &[&str], unique: bool) -> Result<()> {
-        if self
-            .indexes
-            .iter()
-            .any(|ix| ix.name.eq_ignore_ascii_case(name))
-        {
-            return Err(DhqpError::Catalog(format!("index '{name}' already exists")));
-        }
-        let mut positions = Vec::with_capacity(columns.len());
-        for c in columns {
-            positions.push(self.schema.index_of(c).ok_or_else(|| {
-                DhqpError::Catalog(format!("no column '{c}' in table '{}'", self.name))
-            })?);
-        }
-        let mut ix = BTreeIndex::new(name, positions, unique);
-        ix.insert(&self.heap, self.heap.bookmarks().collect())?;
-        self.indexes.push(ix);
-        Ok(())
+        let why = if self.index(name).is_some() {
+            "it already exists"
+        } else if columns.is_empty() {
+            "it has no key column"
+        } else if !self.heap.is_empty() {
+            "the table already holds rows"
+        } else {
+            let positions = columns.iter().map(|c| {
+                self.schema.index_of(c).ok_or_else(|| {
+                    DhqpError::Catalog(format!("no column '{c}' in table '{}'", self.name))
+                })
+            });
+            let positions = positions.collect::<Result<_>>()?;
+            self.indexes.push(BTreeIndex::new(name, positions, unique));
+            return Ok(());
+        };
+        let table = &self.name;
+        Err(DhqpError::Catalog(format!(
+            "index '{name}' on '{table}': {why}"
+        )))
+    }
+
+    /// The index named `name`, in any case.
+    fn index(&self, name: &str) -> Option<&BTreeIndex> {
+        let mut indexes = self.indexes.iter();
+        indexes.find(|ix| ix.name.eq_ignore_ascii_case(name))
     }
 
     /// Validate CHECK constraints for a candidate row. SQL semantics: a
@@ -115,7 +124,8 @@ impl Table {
     /// admitted: the rows that leave take their index entries with them,
     /// while the heap still holds them, before the rows that arrive bring
     /// theirs. A replaced row that keeps an index's key keeps its entry
-    /// there. Nothing is probed here, so a failure is an engine invariant
+    /// there. Index maintenance cannot fail: admission made the one unique
+    /// check. Nothing is probed here, so a failure is an engine invariant
     /// violation, not a user error; a bookmark or row the heap refuses is
     /// refused before anything changes.
     pub fn apply(&mut self, batch: &Batch<'_>) -> Result<()> {
@@ -123,7 +133,7 @@ impl Table {
         for &bookmark in batch.leaving() {
             heap.live_index(bookmark)?;
         }
-        for (_, row) in batch.arriving() {
+        for row in batch.arriving() {
             heap.check(row)?;
         }
         match batch {
@@ -134,7 +144,7 @@ impl Table {
                     heap.insert(&row.values)?;
                 }
                 for ix in indexes {
-                    ix.insert(heap, (first..heap.next_bookmark()).collect())?;
+                    ix.insert(heap, (first..heap.next_bookmark()).collect());
                 }
             }
             Batch::Delete(bookmarks) => {
@@ -164,7 +174,7 @@ impl Table {
                     heap.update(bookmark, &row.values)?;
                 }
                 for (i, moving) in moved {
-                    indexes[i].insert(heap, moving)?;
+                    indexes[i].insert(heap, moving);
                 }
             }
         }
@@ -182,13 +192,9 @@ impl Table {
     /// Index range scan: rows fetched through the named index in key order,
     /// with bookmarks attached.
     pub fn index_range(&self, index: &str, range: &KeyRange) -> Result<Vec<Row>> {
-        let ix = self
-            .indexes
-            .iter()
-            .find(|ix| ix.name.eq_ignore_ascii_case(index))
-            .ok_or_else(|| {
-                DhqpError::Catalog(format!("no index '{index}' on table '{}'", self.name))
-            })?;
+        let ix = self.index(index).ok_or_else(|| {
+            DhqpError::Catalog(format!("no index '{index}' on table '{}'", self.name))
+        })?;
         Ok(ix
             .range(&self.heap, range)
             .iter()
@@ -297,9 +303,11 @@ mod tests {
     #[test]
     fn index_maintained_across_dml() {
         let mut t = table();
+        t.create_index("ix_id", &["id"], true).unwrap();
         insert(&mut t, row(5, "a")).unwrap();
         insert(&mut t, row(3, "b")).unwrap();
-        t.create_index("ix_id", &["id"], true).unwrap();
+        // An index is created over an empty table only.
+        assert!(t.create_index("ix_name", &["name"], false).is_err());
         // New inserts hit the index.
         insert(&mut t, row(4, "c")).unwrap();
         let hits = t.index_range("ix_id", &KeyRange::all()).unwrap();

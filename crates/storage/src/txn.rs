@@ -1,14 +1,15 @@
 //! The one storage write path (DESIGN.md §24): a request's writes to one
 //! table are one [`Batch`], admitted whole by [`Replay`], then applied by
 //! [`Table::apply`] — at once under autocommit, or at commit by the 2PC
-//! participant that buffered it (§22).
+//! participant that buffered it (§22). Admission is the one unique check:
+//! index maintenance trusts it and cannot fail.
 
 use crate::btree::BTreeIndex;
 use crate::table::Table;
 use dhqp_types::{DhqpError, Result, Row, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// One request's writes to one table. Autocommit borrows the caller's
 /// rows (`Batch::Insert(rows.into())`); a transaction buffers an owned
@@ -50,18 +51,14 @@ impl Batch<'_> {
         }
     }
 
-    /// The rows it stores, each with the bookmark it replaces.
-    pub(crate) fn arriving(&self) -> impl Iterator<Item = (Option<u64>, &[Value])> {
-        let (bookmarks, rows): (&[u64], &[Row]) = match self {
-            Batch::Insert(rows) => (&[], rows),
-            Batch::Delete(_) => (&[], &[]),
-            Batch::Update(bookmarks, rows) => (bookmarks, rows),
+    /// The rows it stores: inserted, or each replacing the row that
+    /// [`Batch::leaving`] names at its position.
+    pub(crate) fn arriving(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone {
+        let rows: &[Row] = match self {
+            Batch::Insert(rows) | Batch::Update(_, rows) => rows,
+            Batch::Delete(_) => &[],
         };
-        let bookmarks = bookmarks
-            .iter()
-            .map(|&b| Some(b))
-            .chain(std::iter::repeat(None));
-        bookmarks.zip(rows.iter().map(|r| r.values.as_slice()))
+        rows.iter().map(|r| r.values.as_slice())
     }
 }
 
@@ -85,47 +82,9 @@ pub struct Replay<'a> {
     touched: HashMap<u64, Option<&'a [Value]>>,
     /// Rows prepared transactions delete or replace.
     locked: HashSet<u64>,
-    /// Each unique index, with the keys of the rows arrived so far.
-    arrived: Vec<(&'a BTreeIndex, BTreeSet<Key<'a>>)>,
+    /// Each unique index, with the rows arrived so far sorted by its key.
+    arrived: Vec<(&'a BTreeIndex, Vec<&'a [Value]>)>,
 }
-
-/// An arriving row's key in one unique index, read in place from the row
-/// and ordered as the index orders keys.
-struct Key<'a> {
-    row: &'a [Value],
-    positions: &'a [usize],
-}
-
-impl<'a> Key<'a> {
-    fn of(ix: &'a BTreeIndex, row: &'a [Value]) -> Self {
-        let positions = &ix.key_positions;
-        Key { row, positions }
-    }
-}
-
-impl Ord for Key<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let positions = self.positions.iter();
-        positions
-            .map(|&p| self.row[p].total_cmp(&other.row[p]))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-impl PartialOrd for Key<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Key<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for Key<'_> {}
 
 impl<'a> Replay<'a> {
     pub fn over(table: &'a Table) -> Self {
@@ -134,7 +93,7 @@ impl<'a> Replay<'a> {
             table,
             touched: HashMap::new(),
             locked: HashSet::new(),
-            arrived: unique.map(|ix| (ix, BTreeSet::new())).collect(),
+            arrived: unique.map(|ix| (ix, Vec::new())).collect(),
         }
     }
 
@@ -143,10 +102,9 @@ impl<'a> Replay<'a> {
     /// transaction voted.
     pub fn reserve(&mut self, batch: &'a Batch<'_>) {
         self.locked.extend(batch.leaving());
-        for (_, row) in batch.arriving() {
-            for (ix, arrived) in &mut self.arrived {
-                arrived.insert(Key::of(ix, row));
-            }
+        // Held, not judged: a row given one key and then another holds both.
+        for (ix, arrived) in &mut self.arrived {
+            arrive(ix, arrived, batch.arriving());
         }
     }
 
@@ -176,26 +134,76 @@ impl<'a> Replay<'a> {
                 // Replaced by an earlier batch: that row's keys leave.
                 Some(Some(replaced)) => {
                     for (ix, arrived) in &mut self.arrived {
-                        arrived.remove(&Key::of(ix, replaced));
+                        let cmp = key_order(ix);
+                        if let Ok(at) = arrived.binary_search_by(|r| cmp(r, replaced)) {
+                            arrived.remove(at);
+                        }
                     }
                 }
             }
         }
-        for (bookmark, row) in batch.arriving() {
+        for row in batch.arriving() {
             t.validate_row(row)?;
-            for (ix, arrived) in &mut self.arrived {
-                let stays = |b: &u64| !self.touched.contains_key(b);
-                let held = ix.holding(&t.heap, ix.key(row)).iter().any(stays);
-                if held || !arrived.insert(Key::of(ix, row)) {
-                    return Err(t.duplicate_key(&ix.name));
-                }
-            }
-            if let Some(bookmark) = bookmark {
-                self.touched.insert(bookmark, Some(row));
+        }
+        for (&bookmark, row) in batch.leaving().iter().zip(batch.arriving()) {
+            self.touched.insert(bookmark, Some(row));
+        }
+        for (ix, arrived) in &mut self.arrived {
+            let stays = |b: &u64| !self.touched.contains_key(b);
+            let held = |row| ix.holding(&t.heap, ix.key(row)).iter().any(stays);
+            let rows = batch.arriving();
+            if (!ix.is_empty() && rows.clone().any(held)) || arrive(ix, arrived, rows) {
+                return Err(t.duplicate_key(&ix.name));
             }
         }
         Ok(())
     }
+}
+
+/// How two rows order on `ix`'s key, as the index orders keys: by
+/// `Value::total_cmp`, column by column.
+fn key_order(ix: &BTreeIndex) -> impl Fn(&[Value], &[Value]) -> Ordering + Copy + '_ {
+    // Nearly every key has one column: the first is read outside the loop.
+    let key = ix.key_positions.split_first();
+    let (&first, rest) = key.expect("an index has a key column");
+    move |a, b| {
+        a[first].total_cmp(&b[first]).then_with(|| {
+            let mut rest = rest.iter().map(|&p| a[p].total_cmp(&b[p]));
+            rest.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        })
+    }
+}
+
+/// Add `rows` to `keys`, rows sorted by `ix`'s key: `rows` are sorted once,
+/// then merged in from the back, each placed by a binary search among the
+/// keys not yet moved, so no key moves twice. Whether one of `rows` has the
+/// key of another or of a row before them.
+fn arrive<'a>(
+    ix: &BTreeIndex,
+    keys: &mut Vec<&'a [Value]>,
+    rows: impl Iterator<Item = &'a [Value]>,
+) -> bool {
+    let cmp = key_order(ix);
+    let n = keys.len();
+    keys.extend(rows);
+    keys[n..].sort_unstable_by(|a, b| cmp(a, b));
+    let mut clash = keys[n..].windows(2).any(|w| cmp(w[0], w[1]).is_eq());
+    // Nothing before them, or every one of them after it: they stay put.
+    if n == 0 || n == keys.len() || cmp(keys[n - 1], keys[n]).is_lt() {
+        return clash;
+    }
+    // The merge overwrites the rows' places, so it reads a copy past them.
+    let (k, mut end) = (keys.len() - n, n);
+    keys.extend_from_within(n..);
+    for j in (0..k).rev() {
+        let key = keys[n + k + j];
+        let at = keys[..end].partition_point(|r| cmp(r, key).is_lt());
+        clash |= keys[at..end].first().is_some_and(|r| cmp(r, key).is_eq());
+        keys.copy_within(at..end, at + j + 1);
+        (keys[at + j], end) = (key, at);
+    }
+    keys.truncate(n + k);
+    clash
 }
 
 /// A participant's transaction: the batches it buffered, in order, each
@@ -213,7 +221,8 @@ pub(crate) mod tests {
     use crate::catalog::{CheckConstraint, StorageEngine, TableDef};
     use dhqp_oledb::{KeyRange, TxnId};
     use dhqp_types::{Column, DataType, Interval, IntervalSet, Schema};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::slice;
 
     /// Active, then prepared — no further batch, no second vote — then
     /// gone at commit.
@@ -246,6 +255,122 @@ pub(crate) mod tests {
     pub(crate) fn admit_and_apply(t: &mut Table, batch: &Batch<'_>) -> Result<()> {
         Replay::over(t).admit(batch)?;
         t.apply(batch)
+    }
+
+    /// A one-column table of `data_type`, NULLs allowed, with one index
+    /// over the column.
+    fn single(data_type: DataType, unique: bool) -> Table {
+        let mut t = Table::new("s", Schema::new(vec![Column::new("v", data_type)]));
+        t.create_index("ix", &["v"], unique).unwrap();
+        t
+    }
+
+    /// An insert of one-column rows.
+    fn values(values: &[Value]) -> Batch<'static> {
+        let rows = values.iter().map(|v| Row::new(vec![v.clone()]));
+        Batch::Insert(rows.collect::<Vec<_>>().into())
+    }
+
+    fn ints(ints: &[i64]) -> Batch<'static> {
+        values(&ints.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unique_index_rejects_duplicates() {
+        let mut t = single(DataType::Int, true);
+        admit_and_apply(&mut t, &ints(&[1])).unwrap();
+        assert!(admit_and_apply(&mut t, &ints(&[1])).is_err());
+        assert_eq!(t.indexes[0].len(), 1);
+        // Two arriving rows sharing a key are refused together.
+        assert!(admit_and_apply(&mut t, &ints(&[2, 3, 2])).is_err());
+        assert_eq!(t.indexes[0].bookmarks(), [0]);
+        assert_eq!(t.row_count(), 1);
+    }
+
+    #[test]
+    fn a_deleted_unique_key_can_be_inserted_again() {
+        let mut t = single(DataType::Int, true);
+        admit_and_apply(&mut t, &ints(&[1])).unwrap();
+        admit_and_apply(&mut t, &delete(&[0])).unwrap();
+        assert!(t.indexes[0].is_empty());
+        admit_and_apply(&mut t, &ints(&[1])).unwrap();
+        assert_eq!(t.indexes[0].seek(&t.heap, &[Value::Int(1)]), [1]);
+        assert!(admit_and_apply(&mut t, &ints(&[1])).is_err());
+    }
+
+    /// A unique FLOAT index holds one of `-0.0` and `0.0`, and a NULL
+    /// beside it.
+    #[test]
+    fn keys_read_in_place_order_as_values_do() {
+        let mut t = single(DataType::Float, true);
+        admit_and_apply(&mut t, &values(&[Value::Float(-0.0)])).unwrap();
+        assert!(admit_and_apply(&mut t, &values(&[Value::Float(0.0)])).is_err());
+        admit_and_apply(&mut t, &values(&[Value::Null])).unwrap();
+        assert_eq!(t.indexes[0].bookmarks(), [1, 0]);
+    }
+
+    /// `Replay` holds two keys as one exactly where the index orders them
+    /// as one (`Value::total_cmp`): `-0.0` and `0.0`, a NaN and the same
+    /// NaN, two NULLs. Each pair clashes inside one batch, across two
+    /// batches of one replay, against a key a prepared transaction holds
+    /// and against a held row; a non-unique index takes all of them.
+    #[test]
+    fn replay_orders_keys_as_the_index_does() {
+        let pairs = [
+            (Value::Float(-0.0), Value::Float(0.0)),
+            (Value::Float(f64::NAN), Value::Float(f64::NAN)),
+            (Value::Null, Value::Null),
+        ];
+        for (a, b) in pairs {
+            let (first, second) = (values(slice::from_ref(&a)), values(slice::from_ref(&b)));
+            let both = values(&[a.clone(), b.clone()]);
+            for unique in [true, false] {
+                let case = format!("{a:?} then {b:?}, unique: {unique}");
+                let mut t = single(DataType::Float, unique);
+                assert_eq!(Replay::over(&t).admit(&both).is_err(), unique, "{case}");
+                let mut replay = Replay::over(&t);
+                replay.admit(&first).unwrap();
+                assert_eq!(replay.admit(&second).is_err(), unique, "{case}");
+                let mut replay = Replay::over(&t);
+                replay.reserve(&first);
+                assert_eq!(replay.admit(&second).is_err(), unique, "{case}");
+                admit_and_apply(&mut t, &first).unwrap();
+                assert_eq!(Replay::over(&t).admit(&second).is_err(), unique, "{case}");
+                if !unique {
+                    admit_and_apply(&mut t, &both).unwrap();
+                    assert_eq!(t.indexes[0].seek(&t.heap, slice::from_ref(&b)).len(), 3);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `arrive` keeps the keys sorted, and reports a clash exactly when
+        /// a key arrives that a batch before it or another row of its own
+        /// batch has.
+        #[test]
+        fn arrive_keeps_keys_sorted_and_sees_every_clash(
+            batches in proptest::collection::vec(proptest::collection::vec(0i64..40, 0..6), 0..8),
+        ) {
+            let ix = BTreeIndex::new("ix", vec![0], true);
+            let rows: Vec<Vec<Vec<Value>>> = batches
+                .iter()
+                .map(|b| b.iter().map(|&i| vec![Value::Int(i)]).collect())
+                .collect();
+            let mut keys: Vec<&[Value]> = Vec::new();
+            let mut model: Vec<i64> = Vec::new();
+            for (batch, ints) in rows.iter().zip(&batches) {
+                let clash = arrive(&ix, &mut keys, batch.iter().map(Vec::as_slice));
+                let distinct: BTreeSet<i64> = ints.iter().copied().collect();
+                let twice = distinct.len() < ints.len() || ints.iter().any(|i| model.contains(i));
+                proptest::prop_assert_eq!(clash, twice);
+                model.extend(ints);
+                model.sort_unstable();
+                let held: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
+                let want: Vec<Value> = model.iter().map(|&i| Value::Int(i)).collect();
+                proptest::prop_assert_eq!(held, want);
+            }
+        }
     }
 
     /// `k (id unique, tag unique, n CHECK 0..=9)` holding ids 0..4,
@@ -309,7 +434,11 @@ pub(crate) mod tests {
         for b in batch.leaving() {
             copy.remove(b)?;
         }
-        for (bookmark, row) in batch.arriving() {
+        let bookmarks = batch.leaving().iter().map(|&b| Some(b));
+        for (bookmark, row) in bookmarks
+            .chain(std::iter::repeat(None))
+            .zip(batch.arriving())
+        {
             let at = bookmark.unwrap_or_else(|| {
                 *next += 1;
                 *next - 1
@@ -536,7 +665,7 @@ pub(crate) mod tests {
             let reserved: Vec<(String, String)> = held
                 .iter()
                 .flat_map(|b| b.arriving())
-                .map(|(_, r)| (format!("{:?}", r[0]), format!("{:?}", r[1])))
+                .map(|r| (format!("{:?}", r[0]), format!("{:?}", r[1])))
                 .collect();
             let mut next = match txn {
                 None => self.next,
@@ -607,7 +736,9 @@ pub(crate) mod tests {
                         proptest::prop_assert!(got.is_ok() == want.is_some(), "{:?}: {:?}", batch, got);
                         match want {
                             Some(rows) => {
-                                reference.next += batch.arriving().filter(|(b, _)| b.is_none()).count() as u64;
+                                if let Batch::Insert(inserted) = &batch {
+                                    reference.next += inserted.len() as u64;
+                                }
                                 reference.rows = rows;
                             }
                             None => proptest::prop_assert_eq!(state(&e), before),
@@ -616,7 +747,7 @@ pub(crate) mod tests {
                     3..=5 => {
                         let batch = batch_of(*kind, rows, &bookmarks);
                         let prepared = reference.txns.get(&txn).is_some_and(|t| t.1);
-                        let valid = batch.arriving().all(|(_, r)| matches!(r[2], Value::Int(n) if n <= 9));
+                        let valid = batch.arriving().all(|r| matches!(r[2], Value::Int(n) if n <= 9));
                         let got = e.write(Some(txn), "k", batch.clone());
                         proptest::prop_assert_eq!(got.is_ok(), valid && !prepared);
                         if got.is_ok() {

@@ -16,6 +16,7 @@ use dhqp::{EngineBuilder, EngineDataSource};
 use dhqp_fulltext::{InvertedIndex, SearchService};
 use dhqp_oledb::DataSource;
 use dhqp_oledb::KeyRange;
+use dhqp_storage::txn::Replay;
 use dhqp_storage::{Batch, LocalDataSource, StorageEngine, Table, TableDef};
 use dhqp_types::{Column, DataType, Row, Schema, Value};
 use dhqp_workload::accounts::create_account_partition;
@@ -195,6 +196,52 @@ fn an_update_of_a_non_key_column_leaves_the_index_in_place() {
     expected.retain(|&b| b != 1);
     expected.push(1);
     assert_eq!(t.indexes[0].bookmarks(), expected);
+}
+
+/// A point write's allocations on a 2 500-row `accounts`-shaped table with
+/// one unique index, whose arrays already have room for another row.
+/// Admitting a one-row INSERT asks for the replay's list of unique indexes
+/// and one list of arrived keys; a one-row UPDATE that keeps its key also
+/// for the map of rows it touches. Applying the INSERT asks for the list of
+/// arriving bookmarks only: when the index made its own unique check, it
+/// also asked for each arriving entry's place, 2 allocations.
+#[test]
+fn a_point_write_asks_for_an_allocation_or_two() {
+    let schema = Schema::new(vec![
+        Column::not_null("id", DataType::Int),
+        Column::not_null("balance", DataType::Int),
+    ]);
+    let mut t = Table::new("acct", schema);
+    t.create_index("pk_acct", &["id"], true).unwrap();
+    let row = |id: i64| Row::new(vec![Value::Int(id), Value::Int(1_000)]);
+    let rows: Vec<Row> = (0..2_500).map(row).collect();
+    t.apply(&Batch::Insert(rows.into())).unwrap();
+    // One more row grows every array past its length.
+    t.apply(&Batch::Insert(vec![row(2_500)].into())).unwrap();
+
+    let inserted = [row(2_501)];
+    let insert = Batch::Insert(inserted[..].into());
+    let kept = [Row::new(vec![Value::Int(7), Value::Int(999)])];
+    let update = Batch::Update(vec![7].into(), kept[..].into());
+    let ((admit_insert, _), admitted) = made(|| Replay::over(&t).admit(&insert));
+    admitted.unwrap();
+    let ((admit_update, _), admitted) = made(|| Replay::over(&t).admit(&update));
+    admitted.unwrap();
+    let ((apply_insert, _), applied) = made(|| t.apply(&insert));
+    applied.unwrap();
+    assert!(
+        admit_insert <= 2,
+        "admitting the insert asked for {admit_insert} allocations"
+    );
+    assert!(
+        admit_update <= 3,
+        "admitting the update asked for {admit_update} allocations"
+    );
+    assert!(
+        apply_insert <= 1,
+        "applying the insert asked for {apply_insert} allocations"
+    );
+    assert_eq!(t.indexes[0].len(), 2_502);
 }
 
 /// The fedbench fixture's 23 indexes — the head's, `remote0`'s and the
