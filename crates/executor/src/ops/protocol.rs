@@ -285,7 +285,7 @@ fn every_rowset(ctx: &ExecContext, remote: &TableMeta) -> Vec<(&'static str, Box
             open_remote_scan(remote, ctx, 0).unwrap(),
         ),
         (
-            // A stats collector attached: every pull runs in a charge window.
+            // A stats collector attached: every pull runs under a charge.
             "Charged(Retry(Pooled(Metered(scan))))",
             open_remote_scan(remote, &ctx.clone().with_stats(collector), 1).unwrap(),
         ),

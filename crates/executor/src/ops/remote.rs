@@ -13,11 +13,13 @@ use crate::health::Breaker;
 use crate::ops::retry::{ReopenFactory, RetryState};
 use crate::ops::scan::key_ranges;
 use crate::schema_guard::MemberChecks;
-use crate::stats::{ChargedRowset, RemoteCharge};
-use dhqp_oledb::{DataSource, Dialect, MemRowset, Rowset, RowsetExt, Session};
+use crate::stats::RuntimeStatsCollector;
+use dhqp_oledb::{
+    charged, DataSource, Dialect, MemRowset, Rowset, RowsetExt, Session, TrafficSnapshot,
+};
 use dhqp_optimizer::physical::{RemoteParam, KEY_SET};
 use dhqp_optimizer::{ColumnId, Locality, ScalarExpr, TableMeta};
-use dhqp_types::{DhqpError, Result, Row, Value};
+use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -127,9 +129,61 @@ fn open_via_breaker(
     let Some(collector) = ctx.stats() else {
         return open.open(factory);
     };
-    let mut charge = RemoteCharge::new(remote.source, collector, node, &remote.server, request());
-    let inner = charge.window(|| open.open(factory))?;
-    Ok(Box::new(ChargedRowset { inner, charge }))
+    let (opened, traffic) = charged(|| open.open(factory));
+    let (sql, collector) = (request(), Arc::clone(collector));
+    match opened {
+        Ok(inner) => Ok(Box::new(ChargedRowset {
+            inner,
+            traffic,
+            node,
+            sql,
+            server: remote.server,
+            source: remote.source,
+            collector,
+        })),
+        Err(e) => {
+            collector.record_remote(node, &remote.server, sql, traffic, remote.source.latency());
+            Err(e)
+        }
+    }
+}
+
+/// A remote open's rowset under a stats collector: its node is charged what
+/// the open, retries included, and each pull put on the wire from the
+/// calling thread ([`charged`]), its own traffic only. Recorded on close; a
+/// failed open records at once.
+struct ChargedRowset {
+    inner: Box<dyn Rowset>,
+    traffic: TrafficSnapshot,
+    node: usize,
+    sql: String,
+    server: Arc<str>,
+    source: Arc<dyn DataSource>,
+    collector: Arc<RuntimeStatsCollector>,
+}
+
+impl Rowset for ChargedRowset {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+        let (batch, traffic) = charged(|| self.inner.next_batch(max));
+        self.traffic = self.traffic + traffic;
+        batch
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        self.inner.size_hint()
+    }
+}
+
+impl Drop for ChargedRowset {
+    fn drop(&mut self) {
+        let (sql, latency) = (std::mem::take(&mut self.sql), self.source.latency());
+        let collector = &self.collector;
+        collector.record_remote(self.node, &self.server, sql, self.traffic, latency);
+    }
 }
 
 /// Execute a pushed-down SQL statement on a linked server. The open (and

@@ -9,7 +9,7 @@
 //! lock-free atomics bumped at open time or once per statement, never per
 //! row.
 
-use dhqp_oledb::{DataSource, LatencySummary, Rowset, TrafficSnapshot};
+use dhqp_oledb::{LatencySummary, Rowset, TrafficSnapshot};
 use dhqp_types::{Result, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,7 +231,9 @@ pub struct RemoteTrace {
     /// substituted), or a rowset-interface description for scan/range/fetch
     /// access paths.
     pub sql: String,
-    /// Requests/rows/bytes attributed to this node, summed over rescans.
+    /// Requests/rows/bytes the node's own calls put on the wire, as the link
+    /// charged them to the calling thread (`dhqp_oledb::charged`), summed
+    /// over rescans.
     pub traffic: TrafficSnapshot,
     /// Round-trip latency percentiles of the link this node crossed, as of
     /// the node's last close. Cumulative link history, not a per-node
@@ -320,22 +322,27 @@ impl RuntimeStatsCollector {
         RuntimeStatsCollector::default()
     }
 
-    pub fn record_open(&self, node: usize) {
-        self.nodes
+    /// Run `f` on `node`'s entry, made on first use, under the lock.
+    fn with_node<T>(&self, node: usize, f: impl FnOnce(&mut NodeRuntime) -> T) -> T {
+        f(self
+            .nodes
             .lock()
             .expect("stats lock")
             .entry(node)
-            .or_default()
-            .opens += 1;
+            .or_default())
+    }
+
+    pub fn record_open(&self, node: usize) {
+        self.with_node(node, |n| n.opens += 1);
     }
 
     /// Merge one operator's accumulated row count and cursor time
     /// (called once per open, from `StatsRowset::drop`).
     pub fn flush(&self, node: usize, rows: u64, next_time: Duration) {
-        let mut nodes = self.nodes.lock().expect("stats lock");
-        let entry = nodes.entry(node).or_default();
-        entry.rows += rows;
-        entry.next_time += next_time;
+        self.with_node(node, |n| {
+            n.rows += rows;
+            n.next_time += next_time;
+        });
     }
 
     /// Attribute a traffic delta (and the shipped command text) to a remote
@@ -350,23 +357,15 @@ impl RuntimeStatsCollector {
         delta: TrafficSnapshot,
         link_latency: Option<LatencySummary>,
     ) {
-        let mut nodes = self.nodes.lock().expect("stats lock");
-        let entry = nodes.entry(node).or_default();
-        match &mut entry.remote {
-            Some(trace) => {
-                trace.traffic = trace.traffic + delta;
-                trace.sql = sql;
-                trace.link_latency = link_latency.or(trace.link_latency);
-            }
-            None => {
-                entry.remote = Some(RemoteTrace {
-                    server: server.to_string(),
-                    sql,
-                    traffic: delta,
-                    link_latency,
-                })
-            }
-        }
+        self.with_node(node, |n| {
+            let trace = n.remote.get_or_insert_with(|| RemoteTrace {
+                server: server.to_string(),
+                ..RemoteTrace::default()
+            });
+            trace.traffic = trace.traffic + delta;
+            trace.sql = sql;
+            trace.link_latency = link_latency.or(trace.link_latency);
+        });
     }
 
     /// Attribute one parallel exchange run (worker count, combined busy
@@ -380,39 +379,26 @@ impl RuntimeStatsCollector {
         wall: Duration,
         spans: Vec<WorkerSpan>,
     ) {
-        let mut nodes = self.nodes.lock().expect("stats lock");
-        let entry = nodes
-            .entry(node)
-            .or_default()
-            .exchange
-            .get_or_insert_with(ExchangeRuntime::default);
-        entry.workers = entry.workers.max(workers);
-        entry.busy += busy;
-        entry.wall += wall;
-        if !spans.is_empty() {
-            entry.worker_spans = spans;
-        }
+        self.with_node(node, |n| {
+            let entry = n.exchange.get_or_insert_with(ExchangeRuntime::default);
+            entry.workers = entry.workers.max(workers);
+            entry.busy += busy;
+            entry.wall += wall;
+            if !spans.is_empty() {
+                entry.worker_spans = spans;
+            }
+        });
     }
 
     /// Attribute one semi-join reduction's drive-time shipping facts to its
     /// node (the last open wins — rescans re-collect keys from scratch).
     pub fn record_semijoin(&self, node: usize, trace: SemiJoinTrace) {
-        self.nodes
-            .lock()
-            .expect("stats lock")
-            .entry(node)
-            .or_default()
-            .semijoin = Some(trace);
+        self.with_node(node, |n| n.semijoin = Some(trace));
     }
 
     /// Attribute `n` transient-fault retries to a remote node.
     pub fn record_retries(&self, node: usize, n: u64) {
-        self.nodes
-            .lock()
-            .expect("stats lock")
-            .entry(node)
-            .or_default()
-            .retries += n;
+        self.with_node(node, |entry| entry.retries += n);
     }
 
     /// Stats for one node, if it ever opened.
@@ -423,84 +409,6 @@ impl RuntimeStatsCollector {
     /// Full copy of the per-node map.
     pub fn snapshot(&self) -> HashMap<usize, NodeRuntime> {
         self.nodes.lock().expect("stats lock").clone()
-    }
-}
-
-/// Wire-traffic attribution for one remote open of a plan node. Only what
-/// crosses the link while one of the open's own calls runs — the open
-/// itself, retries included, and each pull — is charged to the node, so two
-/// nodes pulled in turn from one link (both sides of a join) are each
-/// charged their own traffic. A window reads the link's shared counter, not
-/// the calling thread's: when exchange branches or a prefetch worker pull
-/// from one link at the same time, their windows overlap and each node is
-/// also charged the other's traffic. So the charges of a statement's nodes
-/// add up to exactly what crossed its links only under serial dispatch;
-/// under parallel dispatch they can over-count, never under-count. Recorded
-/// on drop, a failed open's traffic included.
-pub(crate) struct RemoteCharge {
-    source: Arc<dyn DataSource>,
-    collector: Arc<RuntimeStatsCollector>,
-    node: usize,
-    server: String,
-    sql: String,
-    traffic: TrafficSnapshot,
-}
-
-impl RemoteCharge {
-    pub(crate) fn new(
-        source: Arc<dyn DataSource>,
-        collector: &Arc<RuntimeStatsCollector>,
-        node: usize,
-        server: &str,
-        sql: String,
-    ) -> Self {
-        RemoteCharge {
-            source,
-            collector: Arc::clone(collector),
-            node,
-            server: server.to_string(),
-            sql,
-            traffic: TrafficSnapshot::default(),
-        }
-    }
-
-    /// Run `f`, charging the node what crossed the link meanwhile.
-    pub(crate) fn window<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let start = self.source.traffic().unwrap_or_default();
-        let out = f();
-        let end = self.source.traffic().unwrap_or_default();
-        self.traffic = self.traffic + end.since(&start);
-        out
-    }
-}
-
-impl Drop for RemoteCharge {
-    fn drop(&mut self) {
-        let sql = std::mem::take(&mut self.sql);
-        let latency = self.source.latency();
-        self.collector
-            .record_remote(self.node, &self.server, sql, self.traffic, latency);
-    }
-}
-
-/// A remote open's rowset: every pull is charged to its node. Field order
-/// matters: the rowset closes before the charge is recorded.
-pub(crate) struct ChargedRowset {
-    pub(crate) inner: Box<dyn Rowset>,
-    pub(crate) charge: RemoteCharge,
-}
-
-impl Rowset for ChargedRowset {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<dhqp_types::RowBatch>> {
-        self.charge.window(|| self.inner.next_batch(max))
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        self.inner.size_hint()
     }
 }
 

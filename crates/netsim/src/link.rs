@@ -1,7 +1,7 @@
 //! Link configuration, accounting and delay model.
 
 pub use dhqp_oledb::TrafficSnapshot;
-use dhqp_oledb::{record_wait, WaitClass};
+use dhqp_oledb::{record_traffic, record_wait, WaitClass};
 pub use dhqp_oledb::{HistogramSnapshot, LatencySummary, LogHistogram};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,9 +88,9 @@ pub struct LinkStats {
     pub payload: LogHistogram,
 }
 
-// `TrafficSnapshot` lives in `dhqp_oledb` (re-exported above) so the
-// executor can read per-source traffic through `DataSource::traffic`
-// without depending on the network simulator.
+// `TrafficSnapshot` lives in `dhqp_oledb` (re-exported above) so a link can
+// charge it to the calling thread (`record_traffic`) and the engine can read
+// totals through `DataSource::traffic`, neither knowing the simulator.
 
 /// A shared handle to one simulated link.
 #[derive(Clone)]
@@ -122,6 +122,11 @@ impl NetworkLink {
     pub fn record_request(&self, request_bytes: u64) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(request_bytes, Ordering::Relaxed);
+        record_traffic(TrafficSnapshot {
+            requests: 1,
+            bytes: request_bytes,
+            ..TrafficSnapshot::default()
+        });
         let d = Duration::from_micros(self.config.latency_us)
             + self.config.transfer_time(request_bytes);
         self.stats.latency.record(d.as_micros() as u64);
@@ -143,6 +148,12 @@ impl NetworkLink {
         self.stats.rows.fetch_add(rows, Ordering::Relaxed);
         self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        record_traffic(TrafficSnapshot {
+            requests: 0,
+            rows,
+            bytes,
+            batches: 1,
+        });
         self.stats.payload.record(bytes);
         let d = self.config.transfer_time(bytes);
         if !d.is_zero() {

@@ -22,10 +22,11 @@ use serde::{Deserialize, Serialize};
 /// Identifier of a distributed transaction, handed out by the coordinator.
 pub type TxnId = u64;
 
-/// A point-in-time copy of a source's wire counters; subtract two to get
-/// per-query traffic. Defined here (rather than in the network simulator)
-/// so the executor can attribute traffic to plan nodes through the
-/// [`DataSource::traffic`] seam without knowing how a source is reached.
+/// Wire traffic: a point-in-time copy of a source's counters (subtract two
+/// to get what crossed between them), or what one remote call was charged.
+/// Defined here (rather than in the network simulator) so a link can charge
+/// it to the calling thread ([`crate::record_traffic`]) and the engine can
+/// read it without knowing how a source is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TrafficSnapshot {
     pub requests: u64,
@@ -95,9 +96,10 @@ pub trait DataSource: Send + Sync {
     fn create_session(&self) -> Result<Box<dyn Session>>;
 
     /// Cumulative wire-traffic counters for reaching this source, when it is
-    /// metered (e.g. wrapped in a simulated network link). Local sources
-    /// return `None`; the executor uses snapshot deltas to attribute
-    /// requests/rows/bytes to individual remote plan nodes.
+    /// metered (e.g. wrapped in a simulated network link); local sources
+    /// return `None`. Per-link totals (`sys.dm_link_stats`) read it; a
+    /// remote plan node is charged its own traffic by the link itself
+    /// ([`crate::charged`]), not from these counters.
     fn traffic(&self) -> Option<TrafficSnapshot> {
         None
     }

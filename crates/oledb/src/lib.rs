@@ -46,6 +46,7 @@ pub use schema::{ColumnInfo, IndexInfo, SchemaRowsetKind, TableInfo, TableSnapsh
 pub use statistics::{Histogram, HistogramBucket, TableStatistics};
 pub use telemetry::{HistogramSnapshot, LatencySummary, LogHistogram, HISTOGRAM_BUCKETS};
 pub use waits::{
-    current_scope, emit_event, has_hook, install_scope, record_wait, timed_wait, ActivityScope,
-    EventHook, ScopeGuard, WaitClass, WaitSnapshot, WaitStats, WaitTotals, WAIT_CLASSES,
+    charged, current_scope, emit_event, has_hook, install_scope, record_traffic, record_wait,
+    timed_wait, ActivityScope, EventHook, ScopeGuard, WaitClass, WaitSnapshot, WaitStats,
+    WaitTotals, WAIT_CLASSES,
 };

@@ -20,8 +20,13 @@
 //! scope is installed; the spawner captures [`current_scope`] and installs
 //! it in the worker body so waits incurred off the consumer thread still
 //! land in the same per-query and engine-cumulative sinks.
+//!
+//! A link reports its traffic beside its waits, through [`record_traffic`],
+//! into the charge of the remote call running on the calling thread
+//! ([`charged`]). A charge never rides into a worker or a nested scope.
 
-use std::cell::RefCell;
+use crate::TrafficSnapshot;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -159,23 +164,21 @@ impl WaitSnapshot {
             .collect()
     }
 
-    /// Total waited time across all classes.
-    pub fn total_wait_us(&self) -> u64 {
-        self.classes.iter().map(|t| t.total_us).sum()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.classes.iter().all(|t| t.count == 0)
     }
 
     /// The class that accounts for the most waited time, if any time was
-    /// waited at all — a slow query's one-word diagnosis.
+    /// waited at all — a slow query's one-word diagnosis. A consumer
+    /// waiting on its own producers (`EXCHANGE_QUEUE_EMPTY`) is no
+    /// diagnosis, so it ranks only when no other class waited (SQL Server's
+    /// CXCONSUMER rule).
     pub fn dominant(&self) -> Option<WaitClass> {
         WaitClass::ALL
             .iter()
             .copied()
             .filter(|c| self.get(*c).total_us > 0)
-            .max_by_key(|c| self.get(*c).total_us)
+            .max_by_key(|c| (*c != WaitClass::ExchangeQueueEmpty, self.get(*c).total_us))
     }
 }
 
@@ -199,23 +202,22 @@ impl ActivityScope {
     pub fn new(sinks: Vec<Arc<WaitStats>>, hook: Option<Arc<dyn EventHook>>) -> Self {
         ActivityScope { sinks, hook }
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty() && self.hook.is_none()
-    }
 }
 
 thread_local! {
     static CURRENT: RefCell<ActivityScope> = RefCell::new(ActivityScope::default());
+    /// The traffic charged so far to the remote call running on this thread.
+    static CHARGE: Cell<Option<TrafficSnapshot>> = const { Cell::new(None) };
 }
 
 /// Install `scope` on this thread until the returned guard drops, restoring
 /// whatever was installed before (statements nest: a DMV query issued while
 /// handling another statement sees its own scope, then the outer one
-/// again).
+/// again). The thread's charge is set aside meanwhile: a member statement
+/// pulled inside a remote call keeps its own links' traffic out of it.
 pub fn install_scope(scope: ActivityScope) -> ScopeGuard {
-    let previous = CURRENT.with(|c| c.replace(scope));
-    ScopeGuard { previous }
+    let (previous, charge) = (CURRENT.replace(scope), CHARGE.take());
+    ScopeGuard { previous, charge }
 }
 
 /// The scope currently installed on this thread (empty when none). Spawners
@@ -224,9 +226,10 @@ pub fn current_scope() -> ActivityScope {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Restores the previously installed scope on drop.
+/// Restores the previously installed scope and charge on drop.
 pub struct ScopeGuard {
     previous: ActivityScope,
+    charge: Option<TrafficSnapshot>,
 }
 
 impl ScopeGuard {
@@ -236,15 +239,15 @@ impl ScopeGuard {
     pub fn suspend(self) -> ActivityScope {
         let mut guard = std::mem::ManuallyDrop::new(self);
         let previous = std::mem::take(&mut guard.previous);
-        CURRENT.with(|c| c.replace(previous))
+        CHARGE.set(guard.charge);
+        CURRENT.replace(previous)
     }
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.replace(std::mem::take(&mut self.previous));
-        });
+        CHARGE.set(self.charge);
+        CURRENT.set(std::mem::take(&mut self.previous));
     }
 }
 
@@ -255,6 +258,29 @@ pub fn record_wait(class: WaitClass, d: Duration) {
             sink.record(class, d);
         }
     });
+}
+
+/// Add `delta` to the charge of the remote call running on this thread, if
+/// there is one. Links call this beside [`record_wait`].
+pub fn record_traffic(delta: TrafficSnapshot) {
+    if let Some(charge) = CHARGE.get() {
+        CHARGE.set(Some(charge + delta));
+    }
+}
+
+/// Run `f` under a fresh charge and return what it gathered: what links
+/// recorded from this thread meanwhile, less what nested charges and scopes
+/// kept. The outer charge is restored after, on unwind too.
+pub fn charged<T>(f: impl FnOnce() -> T) -> (T, TrafficSnapshot) {
+    struct Outer(Option<TrafficSnapshot>);
+    impl Drop for Outer {
+        fn drop(&mut self) {
+            CHARGE.set(self.0);
+        }
+    }
+    let _outer = Outer(CHARGE.replace(Some(TrafficSnapshot::default())));
+    let out = f();
+    (out, CHARGE.get().unwrap_or_default())
 }
 
 /// Raise one structured event through the current thread's hook, if any.
@@ -298,7 +324,6 @@ mod tests {
         assert_eq!(s.get(WaitClass::NetworkIo).max_us, 1500);
         assert_eq!(s.get(WaitClass::RetryBackoff).count, 1);
         assert_eq!(s.dominant(), Some(WaitClass::RetryBackoff));
-        assert_eq!(s.total_wait_us(), 12_000);
         assert_eq!(s.nonzero().len(), 2);
         w.clear();
         assert!(w.snapshot().is_empty());
@@ -397,6 +422,92 @@ mod tests {
         let t = sink.snapshot().get(WaitClass::PlanCompile);
         assert_eq!(t.count, 1);
         assert!(t.total_us >= 1500, "{t:?}");
+    }
+
+    #[test]
+    fn a_consumer_waiting_on_its_producers_dominates_only_alone() {
+        let w = WaitStats::default();
+        assert_eq!(w.snapshot().dominant(), None);
+        w.record(WaitClass::ExchangeQueueEmpty, Duration::from_micros(3_398));
+        assert_eq!(w.snapshot().dominant(), Some(WaitClass::ExchangeQueueEmpty));
+        w.record(WaitClass::NetworkIo, Duration::from_micros(2_000));
+        w.record(WaitClass::PlanCompile, Duration::from_micros(281));
+        w.record(WaitClass::StatsFetch, Duration::from_micros(28));
+        assert_eq!(w.snapshot().dominant(), Some(WaitClass::NetworkIo));
+    }
+
+    fn bytes(n: u64) -> TrafficSnapshot {
+        TrafficSnapshot {
+            requests: 1,
+            bytes: n,
+            ..TrafficSnapshot::default()
+        }
+    }
+
+    #[test]
+    fn nested_charges_each_gather_only_their_own_traffic() {
+        record_traffic(bytes(1)); // no charge: dropped
+        let (((), inner), outer) = charged(|| {
+            record_traffic(bytes(2));
+            let inner = charged(|| record_traffic(bytes(4)));
+            record_traffic(bytes(8));
+            inner
+        });
+        assert_eq!(inner, bytes(4));
+        assert_eq!(outer, bytes(2) + bytes(8));
+        assert_eq!(charged(|| ()).1, TrafficSnapshot::default());
+    }
+
+    #[test]
+    fn a_scope_installed_inside_a_charge_keeps_its_traffic() {
+        let ((), charge) = charged(|| {
+            record_traffic(bytes(1));
+            let parked = {
+                let _member = install_scope(ActivityScope::default());
+                record_traffic(bytes(2)); // the member's, no charge of ours
+                let (_, own) = charged(|| record_traffic(bytes(4)));
+                assert_eq!(own, bytes(4));
+                install_scope(ActivityScope::default()).suspend()
+            };
+            record_traffic(bytes(8));
+            let resumed = install_scope(parked);
+            record_traffic(bytes(16)); // a pull of the suspended statement
+            let _parked = resumed.suspend();
+            record_traffic(bytes(32));
+        });
+        assert_eq!(charge, bytes(1) + bytes(8) + bytes(32));
+    }
+
+    #[test]
+    fn a_spawned_thread_starts_uncharged() {
+        let (uncharged, charge) = charged(|| {
+            record_traffic(bytes(1));
+            std::thread::spawn(|| {
+                record_traffic(bytes(2));
+                CHARGE.get().is_none()
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(uncharged);
+        assert_eq!(charge, bytes(1));
+    }
+
+    #[test]
+    fn a_panic_inside_a_charge_restores_the_outer_one() {
+        let ((), charge) = charged(|| {
+            record_traffic(bytes(1));
+            let unwound = std::panic::catch_unwind(|| {
+                charged(|| {
+                    record_traffic(bytes(2));
+                    panic!("a failing pull");
+                })
+            });
+            assert!(unwound.is_err());
+            record_traffic(bytes(4));
+        });
+        assert_eq!(charge, bytes(1) + bytes(4));
+        assert_eq!(CHARGE.get(), None);
     }
 
     #[test]

@@ -293,3 +293,57 @@ fn branch_fault_surfaces_original_error_through_exchange() {
         .unwrap();
     assert!(!r.is_empty());
 }
+
+/// Two linked servers behind one shared link that really sleeps, read by a
+/// union whose branches run on exchange workers at once: each remote read
+/// is charged only what its own calls put on the link, so the statement's
+/// record — and the Query Store's totals over its runs — add up to exactly
+/// what crossed it (DESIGN.md §25).
+#[test]
+fn concurrent_reads_on_one_link_are_each_charged_their_own_traffic() {
+    use dhqp::{BatchConfig, TraceConfig};
+    use dhqp_storage::TableDef;
+    use dhqp_types::{Column, DataType, Schema};
+
+    let head = Engine::new("head");
+    let link = NetworkLink::new("shared", NetworkConfig::lan_timed());
+    for name in ["m1", "m2"] {
+        let member = Engine::new(format!("{name}-engine"));
+        let schema = Schema::new(vec![
+            Column::not_null("id", DataType::Int),
+            Column::not_null("payload", DataType::Str),
+        ]);
+        member.create_table(TableDef::new("t", schema)).unwrap();
+        let rows: Vec<Row> = (0..200)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Str(format!("{name}-{i:04}"))]))
+            .collect();
+        member.storage().insert_rows("t", &rows).unwrap();
+        let source = EngineDataSource::new(member);
+        let wired = NetworkedDataSource::reliable(Arc::new(source), link.clone());
+        head.add_linked_server(name, Arc::new(wired)).unwrap();
+    }
+    head.set_parallel_config(ParallelConfig::parallel());
+    head.set_batch_config(BatchConfig::batched(8));
+    head.set_trace_config(TraceConfig::enabled());
+    head.set_query_store_enabled(true);
+    let sql = "SELECT id, payload FROM m1.db.dbo.t UNION ALL SELECT id, payload FROM m2.db.dbo.t";
+    head.query(sql).unwrap(); // metadata and pooled sessions, fetched once
+    head.clear_query_store();
+
+    let exchanges = head.metrics().parallel_exchanges;
+    let mut crossed = (0, 0);
+    for _ in 0..5 {
+        let before = link.snapshot();
+        let (result, record) = head.execute_recorded(sql, Default::default());
+        assert_eq!(result.unwrap().len(), 400);
+        let delta = link.snapshot().since(&before);
+        assert_eq!(record.link_traffic(), (delta.bytes, delta.requests));
+        crossed = (crossed.0 + delta.bytes, crossed.1 + delta.requests);
+    }
+    assert_eq!(head.metrics().parallel_exchanges, exchanges + 5);
+    let queries = head.query_store_queries();
+    let plans: Vec<_> = queries.iter().flat_map(|q| &q.plans).collect();
+    assert_eq!(plans.len(), 1, "{plans:?}");
+    let stored = (plans[0].total_link_bytes, plans[0].total_link_requests);
+    assert_eq!((plans[0].executions, stored), (5, crossed));
+}
