@@ -6,10 +6,8 @@ use crate::ops::agg::{open_hash_aggregate, StreamAggregate};
 use crate::ops::exchange::{BranchFactory, ExchangeRowset};
 use crate::ops::filter::{open_startup_filter, FilterRowset, ProjectRowset};
 use crate::ops::join::{open_hash_join, open_merge_join, InnerFactory, NestedLoopJoin};
-use crate::ops::remote::{
-    open_remote_fetch, open_remote_query, open_remote_range, open_remote_scan,
-};
-use crate::ops::scan::{open_index_range, open_table_scan};
+use crate::ops::remote::{open_remote_query, open_remote_range, open_remote_scan};
+use crate::ops::scan::{key_ranges, open_index_range, open_table_scan};
 use crate::ops::semijoin::open_semijoin_reduce;
 use crate::ops::sort::{open_sort, open_spool, TopRowset, UnionAllRowset};
 use crate::stats::StatsRowset;
@@ -62,9 +60,9 @@ fn branch_server(plan: &PhysNode) -> Option<&str> {
         PhysicalOp::RemoteQuery { server, .. } | PhysicalOp::SemiJoinReduce { server, .. } => {
             Some(server)
         }
-        PhysicalOp::RemoteScan { meta }
-        | PhysicalOp::RemoteRange { meta, .. }
-        | PhysicalOp::RemoteFetch { meta } => meta.source.server_name(),
+        PhysicalOp::RemoteScan { meta } | PhysicalOp::RemoteRange { meta, .. } => {
+            meta.source.server_name()
+        }
         _ => plan.children.iter().find_map(branch_server),
     }
 }
@@ -250,13 +248,6 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             open_remote_range(meta, index, seek.as_ref(), ctx, id)?,
             ctx,
         )),
-        PhysicalOp::RemoteFetch { meta } => {
-            let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
-            Ok(maybe_prefetch(
-                open_remote_fetch(meta, child, ctx, id)?,
-                ctx,
-            ))
-        }
         PhysicalOp::RemoteQuery {
             server,
             sql,
@@ -271,6 +262,16 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
             open_semijoin_reduce(plan, build, ctx, id)
         }
         PhysicalOp::Filter { predicate } => {
+            // A domain the predicate empties reads nothing, index or not
+            // (as a DML statement's row location); if the resolver cannot
+            // tell, the filter decides row by row.
+            if let PhysicalOp::TableScan { meta } | PhysicalOp::RemoteScan { meta } =
+                &plan.children[0].op
+            {
+                if key_ranges(meta, "", Some(predicate), ctx).is_ok_and(|r| r.is_empty()) {
+                    return Ok(Box::new(MemRowset::empty(ctx.schema_of(&plan.output))));
+                }
+            }
             let child = open_node(&plan.children[0], ctx, child_id(plan, id, 0))?;
             Ok(Box::new(FilterRowset::new(
                 child,
@@ -415,7 +416,6 @@ fn build_node(plan: &PhysNode, ctx: &ExecContext, id: usize) -> Result<Box<dyn R
 mod tests {
     use super::*;
     use crate::context::test_support::TestCatalog;
-    use crate::context::BatchConfig;
     use dhqp_netsim::{NetworkConfig, NetworkLink, NetworkedDataSource};
     use dhqp_oledb::{DataSource, RowsetExt};
     use dhqp_optimizer::logical::test_table_meta;
@@ -498,44 +498,6 @@ mod tests {
         );
         let ctx = ExecContext::new(Arc::new(catalog), HashMap::new(), Arc::new(registry));
         (ctx, local_meta, remote_meta)
-    }
-
-    #[test]
-    fn remote_fetch_resolves_bookmarks_from_child() {
-        let (ctx, _, remote) = setup();
-        // RemoteRange over k in [2, 4], then RemoteFetch the base rows.
-        let range = PhysNode::new(
-            PhysicalOp::RemoteRange {
-                meta: Arc::clone(&remote),
-                index: "pk_t".into(),
-                seek: Some(ScalarExpr::InList {
-                    expr: Box::new(ScalarExpr::Column(remote.column_id(0))),
-                    list: (2..=4).map(Value::Int).collect(),
-                    negated: false,
-                }),
-            },
-            vec![],
-            remote.column_ids.clone(),
-        );
-        let fetch = PhysNode::new(
-            PhysicalOp::RemoteFetch {
-                meta: Arc::clone(&remote),
-            },
-            vec![range],
-            remote.column_ids.clone(),
-        );
-        // The three bookmarks cross the link in one fetch at batch size 64
-        // and in three at batch size 1; the base rows come back in one.
-        for (batch, flushes) in [(BatchConfig::batched(64), 2), (BatchConfig::batched(1), 4)] {
-            let ctx = ctx.clone().with_batch(batch);
-            let link = ctx.catalog().linked("r").unwrap();
-            let before = link.traffic().unwrap();
-            let rows = open(&fetch, &ctx).unwrap().collect_rows().unwrap();
-            assert_eq!(rows.len(), 3);
-            assert_eq!(rows[0].get(1), &Value::Int(20));
-            let traffic = link.traffic().unwrap().since(&before);
-            assert_eq!((traffic.rows, traffic.batches), (6, flushes), "{traffic:?}");
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! abstraction, so local scans, remote query results and full-text rowsets
 //! compose identically — the paper's layering argument (§3.1.2) made
 //! executable. The remote family (`RemoteQuery`, `RemoteScan`,
-//! `RemoteRange`, `RemoteFetch`), the rescannable spool operator and the
+//! `RemoteRange`, `SemiJoinReduce`), the rescannable spool operator and the
 //! [`ops::filter`] startup filter implement the physical side of §4.1.2's
 //! distributed implementation rules.
 //!

@@ -1,5 +1,5 @@
 //! Remote access paths: the executor side of the paper's *build remote
-//! query*, *remote scan*, *remote range* and *remote fetch* rules (§4.1.2).
+//! query*, *remote scan* and *remote range* rules (§4.1.2).
 //!
 //! A remote query's parameters (`@__lit0`-style plan-cache literals,
 //! `@user` parameters and a key-shipping request's `@__keys0` key set) are
@@ -14,9 +14,7 @@ use crate::ops::retry::{ReopenFactory, RetryState};
 use crate::ops::scan::key_ranges;
 use crate::schema_guard::MemberChecks;
 use crate::stats::RuntimeStatsCollector;
-use dhqp_oledb::{
-    charged, DataSource, Dialect, MemRowset, Rowset, RowsetExt, Session, TrafficSnapshot,
-};
+use dhqp_oledb::{charged, DataSource, Dialect, MemRowset, Rowset, Session, TrafficSnapshot};
 use dhqp_optimizer::physical::{RemoteParam, KEY_SET};
 use dhqp_optimizer::{ColumnId, Locality, ScalarExpr, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
@@ -222,8 +220,8 @@ pub(crate) fn open_remote_text(
     })
 }
 
-/// The server every base-table open (`scan`, `range`, `fetch`) of a
-/// remote `meta` starts from.
+/// The server every base-table open (`scan`, `range`) of a remote `meta`
+/// starts from.
 fn remote_table(meta: &TableMeta, ctx: &ExecContext, op: &str) -> Result<Remote> {
     let Locality::Remote(server) = &meta.source else {
         return Err(DhqpError::Execute(format!("remote {op} of a local table")));
@@ -262,32 +260,6 @@ pub fn open_remote_range(
     let request = || format!("IRowsetIndex([{}].[{index}] range)", meta.table);
     open_via_breaker(remote, ctx, node, None, request, move |session| {
         session.open_index(&table, &index_name, &range)
-    })
-}
-
-/// `IRowsetLocate` fetch: pull base rows for the bookmarks produced by a
-/// child rowset (typically a remote index range over a secondary index).
-pub fn open_remote_fetch(
-    meta: &TableMeta,
-    mut child: Box<dyn Rowset>,
-    ctx: &ExecContext,
-    node: usize,
-) -> Result<Box<dyn Rowset>> {
-    let remote = remote_table(meta, ctx, "fetch")?;
-    let bookmarks = child
-        .collect_rows_batched(ctx.batch().batch_size)?
-        .into_iter()
-        .map(|row| {
-            row.bookmark.ok_or_else(|| {
-                DhqpError::Execute("remote fetch child produced a row without a bookmark".into())
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let (table, schema) = (meta.table.clone(), meta.catalog.schema.clone());
-    let request = || format!("IRowsetLocate([{}] bookmarks)", meta.table);
-    open_via_breaker(remote, ctx, node, None, request, move |session| {
-        let rows = session.fetch_by_bookmarks(&table, &bookmarks)?;
-        Ok(Box::new(MemRowset::new(schema.clone(), rows)) as Box<dyn Rowset>)
     })
 }
 

@@ -3,25 +3,27 @@
 //!
 //! A request binds the remote statement's key-set parameter `@__keys0` to
 //! up to `n` distinct non-NULL join keys of the build (outer) child,
-//! spelled in the provider's dialect, so only matching rows cross the link;
-//! they are hash-joined back against the build rows, re-checking the full
-//! predicate. The outer side is read a block at a time until the rows read
-//! hold `n` keys or it ends, and the keys ship `n` to a request; short of
-//! the end, fewer than `n` left over wait for more rows. `k` distinct keys
-//! thus cost ⌈k/n⌉ requests (a key met again after it shipped ships
-//! again). Nothing ships at open, and an empty key set answers with zero
-//! round trips.
+//! spelled in the provider's dialect — or, for a provider that takes no
+//! statement, opens an `IRowsetIndex` range of its index over one key — so
+//! only matching rows cross the link; they are hash-joined back against the
+//! build rows, re-checking the full predicate. The outer side is read a
+//! block at a time until the rows read hold `n` keys or it ends, and the
+//! keys ship `n` to a request; short of the end, fewer than `n` left over
+//! wait for more rows. `k` distinct keys thus cost ⌈k/n⌉ requests (a key
+//! met again after it shipped ships again). Nothing ships at open, and an
+//! empty key set answers with zero round trips.
 
 use crate::context::ExecContext;
 use crate::eval::positions_of;
 use crate::ops::join::{open_hash_join, passes};
-use crate::ops::remote::{open_remote_text, remote_query_text, Remote};
+use crate::ops::remote::{open_remote_range, open_remote_text, remote_query_text, Remote};
 use crate::stats::SemiJoinTrace;
 use dhqp_oledb::{Dialect, MemRowset, RowCursor, Rowset, RowsetExt};
 use dhqp_optimizer::physical::{PhysNode, PhysicalOp, RemoteParam};
-use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr};
+use dhqp_optimizer::{ColumnId, JoinKind, ScalarExpr, TableMeta};
 use dhqp_types::{DhqpError, Result, Row, RowBatch, Schema, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Stable 64-bit FNV-1a fingerprint of a shipped predicate, rendered as
 /// 16 hex digits. Short enough for an error message, stable enough that
@@ -49,6 +51,7 @@ pub fn open_semijoin_reduce(
         columns,
         params,
         per_request,
+        index,
     } = &plan.op
     else {
         unreachable!("open_semijoin_reduce on {}", plan.op.name());
@@ -82,6 +85,7 @@ pub fn open_semijoin_reduce(
         sql: sql.clone(),
         params: params.clone(),
         unbound,
+        index: index.clone(),
         per_request: *per_request,
         build_columns,
         columns: columns.clone(),
@@ -111,6 +115,8 @@ struct KeyShipping {
     /// Length of `sql` rendered with no keys: a request's text is longer by
     /// its rendered key list.
     unbound: usize,
+    /// The probe table and the index a request seeks in place of `sql`.
+    index: Option<(Arc<TableMeta>, String)>,
     /// Keys one request carries at most.
     per_request: usize,
     build_columns: Vec<ColumnId>,
@@ -173,9 +179,25 @@ impl KeyShipping {
     fn ship(&mut self, rows: Vec<Row>, keys: &[Value]) -> Result<()> {
         let (mut fetched, mut filter_bytes) = (Vec::new(), 0);
         for block in keys.chunks(self.per_request) {
-            let text = remote_query_text(&self.sql, &self.params, block, &self.dialect, &self.ctx)?;
-            filter_bytes += text.len().saturating_sub(self.unbound) as u64;
-            fetched.extend(self.fetch(text, block, &rows)?);
+            let remote = match &self.index {
+                Some((meta, index)) => {
+                    let seek = ScalarExpr::InList {
+                        expr: Box::new(self.join_keys[1].clone()),
+                        list: block.to_vec().into(),
+                        negated: false,
+                    };
+                    open_remote_range(meta, index, Some(&seek), &self.ctx, self.node)?
+                }
+                None => {
+                    let (sql, params, dialect) = (&self.sql, &self.params, &self.dialect);
+                    let text = remote_query_text(sql, params, block, dialect, &self.ctx)?;
+                    filter_bytes += text.len().saturating_sub(self.unbound) as u64;
+                    let fp = predicate_fingerprint(&text);
+                    let tag = format!("shipped predicate fp={fp} keys={}", block.len());
+                    open_remote_text(self.remote.clone(), text, Some(tag), &self.ctx, self.node)?
+                }
+            };
+            fetched.extend(self.fetch(remote, block, &rows)?);
         }
         self.report(keys.len() as u64, filter_bytes);
         let fetched = MemRowset::new(self.ctx.schema_of(&self.columns), fetched);
@@ -195,14 +217,10 @@ impl KeyShipping {
         Ok(())
     }
 
-    /// One request for `keys`, read as far as the join back needs it: to
-    /// its end, or by a semi join until every row of `rows` holding one of
+    /// One request's rowset, read as far as the join back needs it: to its
+    /// end, or by a semi join until every row of `rows` holding one of
     /// `keys` has matched.
-    fn fetch(&self, text: String, keys: &[Value], rows: &[Row]) -> Result<Vec<Row>> {
-        let fp = predicate_fingerprint(&text);
-        let tag = format!("shipped predicate fp={fp} keys={}", keys.len());
-        let remote = self.remote.clone();
-        let mut remote = open_remote_text(remote, text, Some(tag), &self.ctx, self.node)?;
+    fn fetch(&self, mut remote: Box<dyn Rowset>, keys: &[Value], rows: &[Row]) -> Result<Vec<Row>> {
         if self.kind != JoinKind::Semi {
             return remote.collect_rows_batched(self.ctx.batch().batch_size);
         }
@@ -290,20 +308,22 @@ mod tests {
     use dhqp_optimizer::scalar::CmpOp;
     use dhqp_optimizer::{Locality, TableMeta};
     use dhqp_providers::MiniSqlProvider;
-    use dhqp_storage::{StorageEngine, TableDef};
+    use dhqp_storage::{LocalDataSource, StorageEngine, TableDef};
     use dhqp_types::{Column, DataType};
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::Arc;
 
-    /// Local `o(id, k)` holding `outer` and, behind a metered link, an
+    /// Local `o(id, k)` holding `outer` and, behind one metered link, an
     /// ODBC-Core source `mini` with `t(k, v)`: 24 rows, keys 0..8 three
-    /// times each, `v` = the row number.
+    /// times each, `v` = the row number. The same table is also linked as
+    /// `ix`, a provider that opens its index `ix_t_k` on `k` (`t_ix`).
     struct Fixture {
         ctx: ExecContext,
         link: NetworkLink,
         o: Arc<TableMeta>,
         t: Arc<TableMeta>,
+        t_ix: Arc<TableMeta>,
     }
 
     fn fixture(outer: &[(i64, Option<i64>)]) -> Fixture {
@@ -314,9 +334,8 @@ mod tests {
             ])
         };
         let remote = Arc::new(StorageEngine::new("mini"));
-        remote
-            .create_table(TableDef::new("t", int_pair("k", "v")))
-            .unwrap();
+        let def = TableDef::new("t", int_pair("k", "v")).with_index("ix_t_k", &["k"], false);
+        remote.create_table(def).unwrap();
         let rows: Vec<Row> = (0..24)
             .map(|i| Row::new(vec![Value::Int(i % 8), Value::Int(i)]))
             .collect();
@@ -336,18 +355,32 @@ mod tests {
         let o = test_table_meta(0, "o", Locality::Local, &ints, &mut registry, 8);
         let ints = [("k", DataType::Int), ("v", DataType::Int)];
         let t = test_table_meta(1, "t", Locality::remote("mini"), &ints, &mut registry, 24);
+        let mut t_ix = (*t).clone();
+        t_ix.source = Locality::remote("ix");
+        Arc::make_mut(&mut t_ix.catalog).indexes = vec![dhqp_oledb::IndexInfo {
+            name: "ix_t_k".into(),
+            key_columns: vec!["k".into()],
+            unique: false,
+        }];
         let link = NetworkLink::new("mini", NetworkConfig::lan());
+        let indexed = LocalDataSource::new(Arc::clone(&remote));
         let provider = MiniSqlProvider::new("minidb", remote, SqlSupport::OdbcCore).unwrap();
         let mut catalog = TestCatalog::with_local(local);
-        catalog.remotes.insert(
-            "mini".into(),
-            Arc::new(NetworkedDataSource::reliable(
-                Arc::new(provider),
-                link.clone(),
-            )) as Arc<dyn DataSource>,
-        );
+        let sources: [(&str, Arc<dyn DataSource>); 2] =
+            [("mini", Arc::new(provider)), ("ix", Arc::new(indexed))];
+        for (name, source) in sources {
+            let linked = NetworkedDataSource::reliable(source, link.clone());
+            catalog.remotes.insert(name.into(), Arc::new(linked));
+        }
         let ctx = ExecContext::new(Arc::new(catalog), HashMap::new(), Arc::new(registry));
-        Fixture { ctx, link, o, t }
+        let t_ix = Arc::new(t_ix);
+        Fixture {
+            ctx,
+            link,
+            o,
+            t,
+            t_ix,
+        }
     }
 
     impl Fixture {
@@ -401,8 +434,29 @@ mod tests {
                 columns: self.t.column_ids.clone(),
                 params: vec![RemoteParam::KeySet],
                 per_request,
+                index: None,
             };
             PhysNode::new(op, vec![self.outer()], self.output(kind))
+        }
+
+        /// Key shipping through `ix_t_k` at `ix`, one key per request.
+        fn through_index(&self, kind: JoinKind, ranged: bool) -> PhysNode {
+            let mut plan = self.shipping(kind, ranged, 1);
+            let PhysicalOp::SemiJoinReduce {
+                server,
+                sql,
+                params,
+                index,
+                ..
+            } = &mut plan.op
+            else {
+                unreachable!()
+            };
+            *server = Arc::from("ix");
+            sql.clear();
+            params.clear();
+            *index = Some((Arc::clone(&self.t_ix), "ix_t_k".into()));
+            plan
         }
 
         /// The unreduced plan: fetch all of `t`, hash-join it.
@@ -454,11 +508,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every `n` keys per request answers what fetching the whole
-        /// table and hash-joining it answers — NULL, duplicate and missing
-        /// outer keys, an empty outer side, a residual beyond the key —
-        /// and ships ⌈distinct non-NULL keys / n⌉ requests when one block
-        /// holds them all; one key per request also keeps the outer order.
+        /// Every `n` keys per request, and one key per request through an
+        /// index, answers what fetching the whole table and hash-joining it
+        /// answers — NULL, duplicate and missing outer keys, an empty outer
+        /// side, a residual beyond the key — and ships ⌈distinct non-NULL
+        /// keys / n⌉ requests when one block holds them all; one key per
+        /// request also keeps the outer order.
         #[test]
         fn every_n_keys_per_request_answers_like_the_unreduced_fetch(
             keys in prop::collection::vec(prop::option::of(0i64..12), 0..10),
@@ -472,36 +527,39 @@ mod tests {
             let (want, _) = f.run(&f.unreduced(kind, ranged), batch);
 
             let distinct = keys.iter().flatten().collect::<HashSet<_>>().len() as u64;
-            for n in [1, 2, 3, 64] {
-                let (got, _) = f.run(&f.shipping(kind, ranged, n), batch);
+            let by_text = [1, 2, 3, 64].map(|n| (n, f.shipping(kind, ranged, n)));
+            for (n, plan) in by_text.into_iter().chain([(1, f.through_index(kind, ranged))]) {
+                let form = plan.describe();
+                let (got, _) = f.run(&plan, batch);
                 if n == 1 {
-                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!((&form, &got), (&form, &want));
                 }
-                prop_assert_eq!((n, sorted(got)), (n, sorted(want.clone())));
-                let (_, requests) = f.run(&f.shipping(kind, ranged, n), 1024);
-                prop_assert_eq!((n, requests), (n, distinct.div_ceil(n as u64)));
+                prop_assert_eq!((&form, sorted(got)), (&form, sorted(want.clone())));
+                let (_, requests) = f.run(&plan, 1024);
+                prop_assert_eq!((&form, requests), (&form, distinct.div_ceil(n as u64)));
             }
         }
     }
 
-    /// `TOP n` over the one-key form sends at most `n` requests when every
-    /// key matches: it asks for `n` rows, and each key answers at least one.
+    /// `TOP n` over the one-key form, by statement or through an index,
+    /// sends at most `n` requests when every key matches: it asks for `n`
+    /// rows, and each key answers at least one.
     #[test]
     fn top_n_over_one_key_per_request_sends_at_most_n_requests() {
         let outer: Vec<(i64, Option<i64>)> = (0..8).map(|i| (i, Some(i))).collect();
         let f = fixture(&outer);
         for kind in [JoinKind::Inner, JoinKind::Semi] {
-            for n in 1..=4 {
-                let probe = f.shipping(kind, false, 1);
-                let output = probe.output.clone();
-                let top = PhysNode::new(PhysicalOp::Top { n }, vec![probe], output);
-                for batch in [1, 3, 1024] {
-                    let (rows, requests) = f.run(&top, batch);
-                    assert_eq!(rows.len() as u64, n, "{kind:?} n={n} batch={batch}");
-                    assert!(
-                        requests <= n,
-                        "{kind:?} n={n} batch={batch}: {requests} requests"
-                    );
+            for probe in [f.shipping(kind, false, 1), f.through_index(kind, false)] {
+                let form = probe.describe();
+                for n in 1..=4 {
+                    let output = probe.output.clone();
+                    let top = PhysNode::new(PhysicalOp::Top { n }, vec![probe.clone()], output);
+                    for batch in [1, 3, 1024] {
+                        let (rows, requests) = f.run(&top, batch);
+                        let at = format!("{form} {kind:?} n={n} batch={batch}");
+                        assert_eq!(rows.len() as u64, n, "{at}");
+                        assert!(requests <= n, "{at}: {requests} requests");
+                    }
                 }
             }
         }

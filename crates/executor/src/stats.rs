@@ -128,8 +128,8 @@ counters! {
         spool_hits,
         /// Spool first-time materializations.
         spool_builds,
-        /// Remote opens: one per `IOpenRowset`/`IRowsetIndex`/
-        /// `IRowsetLocate`/command execution issued against a linked server.
+        /// Remote opens: one per `IOpenRowset`/`IRowsetIndex`/command
+        /// execution issued against a linked server.
         remote_roundtrips,
         /// Unions that opened their members on exchange workers (a serial
         /// open does not count, nor does a prefetcher).

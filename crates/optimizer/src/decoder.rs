@@ -32,7 +32,7 @@ pub enum KeySet {
 }
 
 /// A fully rendered remote statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RemoteSql {
     pub sql: String,
     /// Parameters the statement references.

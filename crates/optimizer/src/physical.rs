@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 /// Physical (implementable) operators. The remote family mirrors the
 /// paper's implementation rules: *build remote query*, *remote
-/// scan/range/fetch*, *spool over remote operation* (§4.1.2).
+/// scan/range*, *spool over remote operation* (§4.1.2). *Remote fetch* is
+/// subsumed: a remote index range returns covering rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalOp {
     /// Sequential scan of a local table.
@@ -96,16 +97,12 @@ pub enum PhysicalOp {
         index: String,
         seek: Option<ScalarExpr>,
     },
-    /// `IRowsetLocate` fetch of base rows for bookmarks produced by the
-    /// child (typically a RemoteRange over a secondary index).
-    RemoteFetch {
-        meta: Arc<TableMeta>,
-    },
     /// Key shipping (§4.1.2 parameterization, §4.1.5 semi-join
     /// reduction): the build child's distinct non-NULL join keys bind the
-    /// key-set parameter of `sql`, and what the remote returns is
+    /// key-set parameter of `sql` — or, for a provider that renders no
+    /// statement, seek `index` — and what the remote returns is
     /// hash-joined back against the build rows. A request carries up to
-    /// `per_request` keys (n ≥ 1).
+    /// `per_request` keys (n ≥ 1; one through an index).
     SemiJoinReduce {
         kind: JoinKind,
         /// Join key column of the (local, cheap) build child.
@@ -115,12 +112,18 @@ pub enum PhysicalOp {
         residual: Option<ScalarExpr>,
         server: Arc<str>,
         /// Decoder-built statement for the remote side, `probe_key`
-        /// restricted to the key-set parameter `@__keys0`.
+        /// restricted to the key-set parameter `@__keys0`; empty when the
+        /// keys seek `index`.
         sql: String,
-        /// Remote output columns, matching `sql`'s select-list order.
+        /// Remote output columns, matching `sql`'s select-list order (the
+        /// table's columns through an index).
         columns: Vec<ColumnId>,
         params: Vec<RemoteParam>,
         per_request: usize,
+        /// The probe table and its index led by `probe_key`, opened as an
+        /// `IRowsetIndex` range per request (§4.1.2, Table 2) in place of
+        /// a statement.
+        index: Option<(Arc<TableMeta>, String)>,
     },
     Values {
         columns: Vec<ColumnId>,
@@ -164,7 +167,6 @@ impl PhysicalOp {
             PhysicalOp::RemoteQuery { .. } => "RemoteQuery",
             PhysicalOp::RemoteScan { .. } => "RemoteScan",
             PhysicalOp::RemoteRange { .. } => "RemoteRange",
-            PhysicalOp::RemoteFetch { .. } => "RemoteFetch",
             PhysicalOp::SemiJoinReduce { .. } => "SemiJoinReduce",
             PhysicalOp::Values { .. } => "Values",
             PhysicalOp::Empty { .. } => "Empty",
@@ -178,7 +180,6 @@ impl PhysicalOp {
             PhysicalOp::RemoteQuery { .. }
                 | PhysicalOp::RemoteScan { .. }
                 | PhysicalOp::RemoteRange { .. }
-                | PhysicalOp::RemoteFetch { .. }
                 | PhysicalOp::SemiJoinReduce { .. }
         )
     }
@@ -257,13 +258,21 @@ impl PhysNode {
                 meta.source.server_name().unwrap_or("?"),
                 meta.table
             ),
-            PhysicalOp::RemoteFetch { meta } => format!("RemoteFetch({})", meta.table),
             PhysicalOp::SemiJoinReduce {
                 server,
                 sql,
                 per_request,
+                index,
                 ..
-            } => format!("SemiJoinReduce(@{server} keys={per_request}: {sql})"),
+            } => match index {
+                Some((meta, index)) => {
+                    format!(
+                        "SemiJoinReduce(@{server} keys={per_request}: {}.{index})",
+                        meta.alias
+                    )
+                }
+                None => format!("SemiJoinReduce(@{server} keys={per_request}: {sql})"),
+            },
             PhysicalOp::Sort { keys } => format!("Sort({} keys)", keys.len()),
             other => other.name().to_string(),
         }

@@ -411,9 +411,9 @@ fn implement_join(
 
 /// Key-shipping alternatives for a join whose probe (right) group lives
 /// wholly on one remote server: one key per request (a `SemiJoinReduce`
-/// over `probe = @__keys0`, or a nested loop over a remote index range for
-/// a provider without SQL), or `semijoin_max_keys` keys per request
-/// (`probe IN (@__keys0)`).
+/// over `probe = @__keys0`, or over a remote index led by the probe column
+/// for a provider that renders no such statement), or `semijoin_max_keys`
+/// keys per request (`probe IN (@__keys0)`).
 fn bind_join_variants(
     kind: JoinKind,
     predicate: Option<&ScalarExpr>,
@@ -432,7 +432,7 @@ fn bind_join_variants(
     let probe_ndv = ndv(probe, probe_col);
     let cost = &ctx.config.cost;
     let mut decoder = Decoder::new(memo, &caps, &server);
-    let ship = |remote: RemoteSql, per_request| PhysicalOp::SemiJoinReduce {
+    let ship = |remote: RemoteSql, per_request, index| PhysicalOp::SemiJoinReduce {
         kind,
         build_key: build_col,
         probe_key: probe_col,
@@ -442,15 +442,30 @@ fn bind_join_variants(
         columns: remote.columns,
         params: remote.params,
         per_request,
+        index,
     };
     let mut out = Vec::new();
 
     if ctx.config.enable_remote_param {
-        let per_probe = (r_card / probe_ndv).max(1.0);
-        // One key per request, priced as the nested loop it stands for:
-        // `l_card` probes of `per_probe` rows each (at the join's row
-        // width), plus the loop's CPU over them.
-        if let Some(remote) = decoder.build(rg, Some(KeySet::One(probe_col)), &[], None) {
+        // One key per request: the decoder's `probe = @__keys0` statement,
+        // or else a range of a remote index the probe column leads.
+        let one_key = match decoder.build(rg, Some(KeySet::One(probe_col)), &[], None) {
+            Some(remote) => Some(ship(remote, 1, None)),
+            None if caps.index_support => probe_index(memo, rg, probe_col).map(|(meta, index)| {
+                let columns = meta.column_ids.clone();
+                let remote = RemoteSql {
+                    columns,
+                    ..RemoteSql::default()
+                };
+                ship(remote, 1, Some((meta, index)))
+            }),
+            None => None,
+        };
+        // Priced as the nested loop it stands for: `l_card` probes of
+        // `per_probe` rows each (at the join's row width), plus the loop's
+        // CPU over them.
+        if let Some(one_key) = one_key {
+            let per_probe = (r_card / probe_ndv).max(1.0);
             let right = if kind.produces_right() {
                 probe.row_width
             } else {
@@ -460,43 +475,10 @@ fn bind_join_variants(
             let probes = cost.remote_result(&caps, 0.0, per_probe, width, per_probe) * l_card;
             let loop_cpu = l_card * per_probe * cost.cpu_row;
             out.push(
-                PhysAlt::node(ship(remote, 1), vec![PhysAlt::child(lg)])
+                PhysAlt::node(one_key, vec![PhysAlt::child(lg)])
                     .with_extra_cost(loop_cpu + probes)
                     .with_delivered(Delivered::Inherit(0)),
             );
-        }
-        // A remote index range keyed by the outer column works even for
-        // providers with no SQL support at all, as long as they expose
-        // indexes.
-        let mut gets = memo.group(rg).exprs.iter().filter(|_| caps.index_support);
-        let range = gets.find_map(|&eid| {
-            let LogicalOp::Get { meta, .. } = &memo.expr(eid).op else {
-                return None;
-            };
-            let schema = &meta.catalog.schema;
-            let ix = meta.catalog.indexes.iter().find(|ix| {
-                schema
-                    .index_of(&ix.key_columns[0])
-                    .map(|p| meta.column_id(p))
-                    == Some(probe_col)
-            })?;
-            Some(PhysicalOp::RemoteRange {
-                meta: Arc::clone(meta),
-                index: ix.name.clone(),
-                seek: Some(ScalarExpr::eq(
-                    ScalarExpr::Column(probe_col),
-                    ScalarExpr::Column(build_col),
-                )),
-            })
-        });
-        if let Some(range) = range {
-            let inner = PhysAlt::node(range, vec![]).with_rows(per_probe);
-            let join = PhysicalOp::NestedLoopJoin {
-                kind,
-                predicate: predicate.cloned(),
-            };
-            let children = vec![PhysAlt::child(lg), inner.with_multiplier(l_card)];
-            out.push(PhysAlt::node(join, children).with_delivered(Delivered::Inherit(0)));
         }
     }
 
@@ -527,10 +509,32 @@ fn bind_join_variants(
     let wire = cost.remote_result(&caps, shipped, fetch_rows, probe.row_width, r_card);
     let per_request = ctx.config.semijoin_max_keys.max(1);
     out.push(
-        PhysAlt::node(ship(remote, per_request), vec![PhysAlt::child(lg)])
+        PhysAlt::node(ship(remote, per_request, None), vec![PhysAlt::child(lg)])
             .with_extra_cost(wire + fetch_rows * cost.hash_probe_row),
     );
     out
+}
+
+/// A bare remote table in `group` and the name of one of its indexes led
+/// by `probe_col`.
+fn probe_index(
+    memo: &Memo,
+    group: GroupId,
+    probe_col: ColumnId,
+) -> Option<(Arc<TableMeta>, String)> {
+    memo.group(group).exprs.iter().find_map(|&eid| {
+        let LogicalOp::Get { meta, .. } = &memo.expr(eid).op else {
+            return None;
+        };
+        let schema = &meta.catalog.schema;
+        let ix = meta.catalog.indexes.iter().find(|ix| {
+            schema
+                .index_of(&ix.key_columns[0])
+                .map(|p| meta.column_id(p))
+                == Some(probe_col)
+        })?;
+        Some((Arc::clone(meta), ix.name.clone()))
+    })
 }
 
 #[cfg(test)]

@@ -51,9 +51,6 @@ pub enum PhysAlt {
         /// Additional cost beyond the standard per-op formula (e.g. spool
         /// rescan totals baked in by the rule).
         extra_cost: f64,
-        /// Multiplier applied to this subtree's total cost (nested-loop
-        /// rescans of an inner child).
-        multiplier: f64,
         children: Vec<PhysAlt>,
         delivered: Delivered,
     },
@@ -72,7 +69,6 @@ impl PhysAlt {
             op,
             est_rows: 0.0,
             extra_cost: 0.0,
-            multiplier: 1.0,
             children,
             delivered: Delivered::None,
         }
@@ -111,14 +107,6 @@ impl PhysAlt {
     pub fn with_extra_cost(mut self, cost: f64) -> PhysAlt {
         if let PhysAlt::Node { extra_cost, .. } = &mut self {
             *extra_cost = cost;
-        }
-        self
-    }
-
-    pub fn with_multiplier(mut self, m: f64) -> PhysAlt {
-        match &mut self {
-            PhysAlt::Node { multiplier, .. } => *multiplier = m,
-            PhysAlt::ChildRef { multiplier, .. } => *multiplier = m,
         }
         self
     }

@@ -433,7 +433,6 @@ impl<'a> SearchDriver<'a> {
                 op,
                 est_rows,
                 extra_cost,
-                multiplier,
                 children,
                 ..
             } => {
@@ -451,7 +450,7 @@ impl<'a> SearchDriver<'a> {
                     props.cardinality
                 };
                 let local = self.op_cost(op, rows, &child_nodes) + extra_cost;
-                let cost = (local + child_cost_sum) * multiplier;
+                let cost = local + child_cost_sum;
                 let output = node_output(op, &child_nodes);
                 let mut node = PhysNode::new(op.clone(), child_nodes, output);
                 node.est_rows = rows;
@@ -482,10 +481,6 @@ impl<'a> SearchDriver<'a> {
             PhysicalOp::RemoteRange { meta, .. } => {
                 let w = meta.catalog.schema.estimated_row_width() as f64 + 8.0;
                 m.remote_result(&meta.caps, 0.0, rows, w, rows)
-            }
-            PhysicalOp::RemoteFetch { meta } => {
-                let w = meta.catalog.schema.estimated_row_width() as f64 + 8.0;
-                m.round_trip(&meta.caps) + m.transfer(rows, w)
             }
             // Local terms only: the build side (c0) hashes locally and the
             // join output probes back. The wire cost — which depends on the
@@ -538,8 +533,7 @@ fn node_output(op: &PhysicalOp, children: &[PhysNode]) -> Vec<ColumnId> {
         PhysicalOp::TableScan { meta }
         | PhysicalOp::IndexRange { meta, .. }
         | PhysicalOp::RemoteScan { meta }
-        | PhysicalOp::RemoteRange { meta, .. }
-        | PhysicalOp::RemoteFetch { meta } => meta.column_ids.clone(),
+        | PhysicalOp::RemoteRange { meta, .. } => meta.column_ids.clone(),
         PhysicalOp::RemoteQuery { columns, .. } => columns.clone(),
         PhysicalOp::SemiJoinReduce { kind, columns, .. } => {
             let mut out = children[0].output.clone();

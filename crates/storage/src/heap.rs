@@ -1,8 +1,8 @@
 //! Heap files: unordered row storage addressed by bookmark.
 //!
 //! A bookmark is a stable slot number — the storage-level identity OLE DB's
-//! `IRowsetLocate` exposes and the *remote fetch* access path uses to pull
-//! base rows located through an index.
+//! `IRowsetLocate` exposes, and what an index range returns with each row
+//! so that a write can address it.
 //!
 //! A heap keeps one array per column at the column's declared type, with a
 //! NULL bit per slot beside it: the value of column `c` at bookmark `b` is

@@ -153,6 +153,11 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
-        assert!(l.try_write().is_none() == l.try_read().is_none());
+        let read = l.read();
+        // A held read guard refuses a writer and admits another reader.
+        assert!(l.try_write().is_none());
+        assert!(l.try_read().is_some());
+        drop(read);
+        assert!(l.try_write().is_some());
     }
 }

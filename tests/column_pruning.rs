@@ -572,9 +572,8 @@ fn drift_in_a_column_the_statement_does_not_read_still_fails_it() {
 // ---------------------------------------------------------------------------
 
 /// A member that takes no SQL is sent a join's keys as index ranges, one
-/// outer row at a time (a nested loop over its `RemoteRange`). A NULL key
-/// equals nothing: the range it resolves to is empty, and no request is
-/// sent for it.
+/// distinct key at a time (the one-key `SemiJoinReduce` through its index).
+/// A NULL key equals nothing, and no request is sent for it.
 #[test]
 fn a_null_join_key_sends_no_request_to_an_index_only_member() {
     // Exact requests are asserted: the shipped defaults, whatever `DHQP_*`
@@ -628,19 +627,22 @@ fn a_null_join_key_sends_no_request_to_an_index_only_member() {
     let join = |p: &str| format!("SELECT l.k, p.v FROM l JOIN {p} p ON l.k = p.k");
     let sql = join("m.db.dbo.p");
     head.query(&sql).unwrap();
-    let before = link.snapshot();
+    let (before, reductions) = (link.snapshot(), head.metrics().semijoin_reductions);
     let report = head.execute_analyze(&sql).unwrap();
     let sent = link.snapshot().since(&before);
     let plan = report.render();
+    assert_eq!(head.metrics().semijoin_reductions, reductions + 1, "{plan}");
     assert!(
-        plan.contains("NestedLoopJoin") && plan.contains("RemoteRange"),
+        plan.contains("SemiJoinReduce(@m keys=1: p.ix_p_k)"),
         "{plan}"
     );
+    assert!(plan.contains("[semijoin: keys=2 bytes=0]"), "{plan}");
     assert_eq!(
         multiset(&report.result),
         multiset(&oracle.query(&join("p")).unwrap())
     );
     assert_eq!(report.result.len(), 4);
-    // One request per non-NULL outer row: 1, 1, 1 and 2.
-    assert_eq!(sent.requests, 4, "{plan}");
+    // One index range per distinct non-NULL outer key, 1 and 2, and the
+    // row of each key.
+    assert_eq!((sent.requests, sent.rows), (2, 2), "{plan}");
 }

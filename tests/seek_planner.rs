@@ -199,8 +199,8 @@ fn a_bound_of_another_type_seeks_as_sql_compares_it() {
     }
 }
 
-/// A DELETE whose predicate's domain is empty locates nothing on a table
-/// with no index too: the resolver is asked at table level.
+/// A DELETE or a SELECT whose predicate's domain is empty reads nothing
+/// on a table with no index too: the resolver is asked at table level.
 #[test]
 fn an_empty_domain_locates_nothing_without_an_index() {
     let engine = EngineBuilder::from_lookup("seek", |_| None).build();
@@ -213,6 +213,20 @@ fn an_empty_domain_locates_nothing_without_an_index() {
         .map(|id| Row::new(vec![Value::Int(id), Value::Int(id * 10)]))
         .collect();
     engine.insert("n", &rows).unwrap();
+    // A SELECT, cold and served from the plan cache, whose template bounds
+    // are `@__lit0` and `@__lit1`: no compile-time domain is empty.
+    for (predicate, ids, read) in [
+        ("id > 5 AND id < 3", vec![], 0),
+        ("id > 997", vec![998, 999], 1_000),
+    ] {
+        let sql = format!("SELECT v FROM n WHERE {predicate}");
+        for cache_hit in [false, true] {
+            let got = select(&engine, &sql, &[]);
+            let want = (Some(cache_hit), ids.clone(), "TableScan(n)", read);
+            let seen = (got.cache_hit, got.ids, got.access.as_str(), got.read);
+            assert_eq!(seen, want, "{predicate}");
+        }
+    }
     let delete = |predicate: &str| {
         let before = engine.metrics();
         let sql = format!("DELETE FROM n WHERE {predicate}");
